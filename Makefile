@@ -30,7 +30,7 @@ vet-flow:
 	$(GO) vet -vettool="$(CURDIR)/bin/ppml-vet" -trace ./...
 
 # Live telemetry endpoint smoke: train a tiny job with -metrics-addr and
-# scrape the running process (same script as the CI metrics-smoke shard).
+# scrape the running process (scripts/check.sh runs the same script).
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
 

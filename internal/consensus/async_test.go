@@ -5,8 +5,7 @@ package consensus
 // contributions computed against slightly old consensus states. The job must
 // still converge to the clean (synchronous, full-batch) decision boundary,
 // and the reducer must have actually seen stale stamps — otherwise the test
-// would be asserting nothing about the async path. These are the CI
-// race-async shard (go test -race -run 'TestAsyncStaleness').
+// would be asserting nothing about the async path.
 
 import (
 	"context"

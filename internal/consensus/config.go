@@ -104,14 +104,14 @@ type Config struct {
 	// RoundTimeout (distributed mode) bounds how long the Reducer waits for
 	// any one consensus round; zero waits indefinitely.
 	RoundTimeout time.Duration
-	// StragglerTimeout (distributed mode) enables the elastic demote-and-
-	// continue driver: a learner that misses the deadline is demoted for the
+	// StragglerTimeout (distributed mode) makes rounds elastic (demote-and-
+	// continue): a learner that misses the deadline is demoted for the
 	// round instead of stalling the job, and rejoins when it catches up. The
 	// consensus reducers scale their M-dependent coefficients to the round's
-	// live roster. Zero keeps the strict fixed-membership protocol; when set,
-	// RoundTimeout is ignored. See DESIGN.md §14.
+	// live roster. Zero keeps membership fixed; when set, RoundTimeout is
+	// ignored. See DESIGN.md §14.
 	StragglerTimeout time.Duration
-	// MinQuorum is the smallest roster the elastic driver will fold; below it
+	// MinQuorum is the smallest roster an elastic round will fold; below it
 	// training fails rather than continuing on too few learners. 0 defaults
 	// to 2 under masked aggregation (a roster of one would be effectively
 	// unmasked) and 1 otherwise.

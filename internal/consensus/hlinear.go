@@ -256,9 +256,9 @@ type meanConsensusReducer struct {
 	eval func(state []float64) float64
 	tel  reducerGauges
 
-	// live is the participant count of the upcoming round under the elastic
-	// driver (SetRoundParticipants); 0 — the strict driver and the local
-	// engine never call it — means the full cohort.
+	// live is the participant count of the upcoming round
+	// (SetRoundParticipants, the distributed engine's roster size); 0 — the
+	// local engine never calls it — means the full cohort.
 	live int
 	// weight is the total staleness weight W = Σ κ^{s_i} of the upcoming
 	// round under bounded-staleness rounds (SetRoundWeight); 0 means

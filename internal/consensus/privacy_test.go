@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -292,23 +293,33 @@ func TestReverseEngineeringAttackBlockedByMasking(t *testing.T) {
 		}
 		return v
 	})
-	maskedCos := attack(mapreduce.AggregationMasked, securesum.KindShare, func(b []byte) []float64 {
-		shares, err := securesum.DecodeShares(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := codec.DecodeVec(shares, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	})
+	// Against masked traffic the estimate is a fresh crypto/rand direction in
+	// R^40 every training, so one trial's |cos| (std ≈ 0.16) exceeds 0.35
+	// about 3% of the time. The median of 9 independent trainings does so only
+	// when 5 of them do: below 1e-5.
+	const trials = 9
+	maskedCosines := make([]float64, trials)
+	for i := range maskedCosines {
+		maskedCosines[i] = attack(mapreduce.AggregationMasked, securesum.KindShare, func(b []byte) []float64 {
+			shares, err := securesum.DecodeShares(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := codec.DecodeVec(shares, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		})
+	}
+	sort.Float64s(maskedCosines)
+	maskedCos := maskedCosines[trials/2]
 
 	if plainCos < 0.8 {
 		t.Errorf("attack on plain traffic recovered cosine %.3f; expected ≥ 0.8 (threat is real)", plainCos)
 	}
 	if maskedCos > 0.35 {
-		t.Errorf("attack on masked traffic recovered cosine %.3f; masks failed to hide the signal", maskedCos)
+		t.Errorf("attack on masked traffic recovered median cosine %.3f over %d trainings; masks failed to hide the signal", maskedCos, trials)
 	}
-	t.Logf("attack cosine: plain %.3f vs masked %.3f", plainCos, maskedCos)
+	t.Logf("attack cosine: plain %.3f vs masked median %.3f (max %.3f)", plainCos, maskedCos, maskedCosines[trials-1])
 }

@@ -200,9 +200,9 @@ type verticalReducer struct {
 	eval func(b float64) float64
 	tel  reducerGauges
 
-	// live is the participant count of the upcoming round under the elastic
-	// driver (SetRoundParticipants); 0 — the strict driver and the local
-	// engine never call it — means the full cohort. A demoted vertical
+	// live is the participant count of the upcoming round
+	// (SetRoundParticipants, the distributed engine's roster size); 0 — the
+	// local engine never calls it — means the full cohort. A demoted vertical
 	// learner's feature block drops out of the consensus score for the round,
 	// so every M-dependent coefficient of the prox step scales to the live
 	// count to keep the fold consistent.
@@ -292,7 +292,7 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	d := linalg.AddVec(r.u, abar, r.d)
 
 	// Prox-hinge dual: min ½(M/ρ)‖λ‖² + (M·Y·d − 1)ᵀλ, 0 ≤ λ ≤ C, yᵀλ = 0
-	// (M being the round's live learner count under the elastic driver).
+	// (M being the round's live learner count).
 	p := r.p
 	for i := range p {
 		p[i] = mf*r.y[i]*d[i] - 1

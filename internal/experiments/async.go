@@ -90,7 +90,7 @@ type AsyncReport struct {
 	Learners int
 	// JitterBaseMs is every send's base latency; the last mapper's flaky
 	// link additionally draws JitterTailMs with probability JitterTailProb.
-	// StragglerMs is the elastic driver's demotion window, between base and
+	// StragglerMs is the round engine's demotion window, between base and
 	// tail.
 	JitterBaseMs   float64
 	JitterTailMs   float64

@@ -5,8 +5,8 @@ package experiments
 // (its Contribution gains an injected delay) and the same job runs under the
 // two recovery policies the ROADMAP contrasts:
 //
-//   - demote-and-continue: the elastic driver (StragglerTimeout) demotes the
-//     straggler for the rounds it misses, writes it off after WriteOffAfter
+//   - demote-and-continue: a StragglerTimeout demotes the straggler for
+//     the rounds it misses, writes it off after WriteOffAfter
 //     consecutive silent rounds, and the survivors keep every round of
 //     progress already made;
 //   - abort-and-restart: the pre-elastic policy, emulated faithfully with

@@ -2,9 +2,9 @@ package mapreduce
 
 // Bounded-staleness rounds (DriverOptions.Staleness): the mapper side.
 //
-// Under the synchronous elastic driver a mapper computes its contribution
-// inline between receiving a broadcast and declaring ready, so the reducer's
-// straggler window covers compute + protocol. Under bounded staleness the
+// In a synchronous round a mapper computes its contribution inline between
+// receiving a broadcast and declaring ready, so the reducer's straggler window
+// covers compute + protocol. Under bounded staleness the
 // compute runs on a background worker: when round t's broadcast arrives the
 // mapper hands the worker the new state and immediately answers ready with
 // its NEWEST completed contribution — possibly one computed against round
@@ -23,7 +23,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/ppml-go/ppml/internal/telemetry"
 )
@@ -47,12 +46,7 @@ type asyncResult struct {
 // goroutine with a newest-wins job queue of depth one. All other methods
 // must be called from the protocol-loop goroutine.
 type asyncComputer struct {
-	mapper   IterativeMapper
-	retries  int
-	retryCtr *telemetry.Counter
-	journal  *telemetry.Journal
-	node     string
-	trace    telemetry.TraceID
+	solver
 
 	jobs    chan asyncJob
 	results chan asyncResult
@@ -66,13 +60,8 @@ type asyncComputer struct {
 
 func newAsyncComputer(mapper IterativeMapper, retries int, retryCtr *telemetry.Counter, journal *telemetry.Journal, node string, trace telemetry.TraceID) *asyncComputer {
 	c := &asyncComputer{
-		mapper:   mapper,
-		retries:  retries,
-		retryCtr: retryCtr,
-		journal:  journal,
-		node:     node,
-		trace:    trace,
-		jobs:     make(chan asyncJob, 1),
+		solver: solver{mapper, retries, retryCtr, journal, node, trace},
+		jobs:   make(chan asyncJob, 1),
 		// Capacity bounds the worker's undelivered backlog (≤ 1 queued job +
 		// 1 in flight) so the worker always exits after close(jobs) even if
 		// the protocol loop already unwound.
@@ -83,29 +72,16 @@ func newAsyncComputer(mapper IterativeMapper, retries int, retryCtr *telemetry.C
 	return c
 }
 
-// worker drains jobs in order, retrying each Contribution up to the budget.
-// A terminal error is delivered as a result and stops the worker.
+// worker drains jobs in order. A terminal error is delivered as a result and
+// stops the worker.
 func (c *asyncComputer) worker() {
 	defer close(c.done)
 	for j := range c.jobs {
-		var contrib []float64
-		var err error
-		//ppml:flow-ok the job's round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-		c.journal.Emit(c.node, "solve.start", c.trace, int32(j.iter), 0, "", "", 0, 0)
-		solveStart := time.Now()
-		for attempt := 0; ; attempt++ {
-			contrib, err = c.mapper.Contribution(j.iter, j.state)
-			if err == nil {
-				break
-			}
-			if attempt >= c.retries {
-				c.results <- asyncResult{iter: j.iter, err: err}
-				return
-			}
-			c.retryCtr.Inc()
+		contrib, err := c.solve(j.iter, j.state)
+		if err != nil {
+			c.results <- asyncResult{iter: j.iter, err: err}
+			return
 		}
-		//ppml:flow-ok the job's round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-		c.journal.Emit(c.node, "solve.end", c.trace, int32(j.iter), 0, "", "", 0, time.Since(solveStart).Seconds())
 		// The mapper's return value aliases buffers its next solve will
 		// overwrite; the result must own its bytes.
 		c.results <- asyncResult{iter: j.iter, contrib: append([]float64(nil), contrib...)}
@@ -177,10 +153,7 @@ func (c *asyncComputer) share(iter int, decay float64) ([]float64, []byte, error
 		//ppml:flow-ok both operands are round counters — the contribution's birth round and the current round — coordination metadata, not share contents
 		return nil, nil, fmt.Errorf("%w: contribution from round %d at round %d", ErrBadJob, c.last.iter, iter)
 	}
-	w := 1.0
-	for k := 0; k < s; k++ {
-		w *= decay
-	}
+	w := decayWeight(decay, s)
 	if cap(c.sendBuf) < len(c.last.contrib) {
 		c.sendBuf = make([]float64, len(c.last.contrib))
 	}

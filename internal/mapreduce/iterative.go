@@ -32,7 +32,7 @@ type IterativeReducer interface {
 }
 
 // RosterReducer is an IterativeReducer that scales its combine step to the
-// number of contributions actually folded. The elastic driver calls
+// number of contributions actually folded. RunDistributed calls
 // SetRoundParticipants with the final roster size before every Combine, so
 // M-dependent reductions (a consensus mean, a proximal weight) divide by the
 // live cohort instead of the full one. Reducers whose aggregates are
@@ -59,12 +59,17 @@ type WeightedReducer interface {
 	SetRoundWeight(total float64)
 }
 
-// ErrAborted reports that a Mapper failed fatally and the job unwound.
-var ErrAborted = errors.New("mapreduce: job aborted")
-
-// ErrQuorum reports that the elastic driver's roster fell below MinQuorum
-// and the job stopped rather than train on too few parties.
-var ErrQuorum = errors.New("mapreduce: roster below quorum")
+// Errors returned by the engines.
+var (
+	// ErrBadJob indicates a malformed job description.
+	ErrBadJob = errors.New("mapreduce: bad job")
+	// ErrAborted reports that a Mapper failed fatally and the job unwound.
+	ErrAborted = errors.New("mapreduce: job aborted")
+	// ErrQuorum reports that a round's roster fell below MinQuorum under a
+	// straggler deadline and the job stopped rather than train on too few
+	// parties.
+	ErrQuorum = errors.New("mapreduce: roster below quorum")
+)
 
 // IterativeJob describes one consensus training job.
 type IterativeJob struct {

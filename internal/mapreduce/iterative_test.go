@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -156,34 +155,6 @@ func TestRunLocalMapperErrorAborts(t *testing.T) {
 	}
 }
 
-func TestDistributedMatchesLocal(t *testing.T) {
-	values := [][]float64{{1.5, -3, 8}, {2.5, 7, -2}, {0, 0, 1}, {4, -4, 4}}
-	local, err := runLocal(mustJob(t, values, 40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, agg := range []Aggregation{AggregationPlain, AggregationMasked} {
-		agg := agg
-		t.Run(fmt.Sprintf("agg=%d", agg), func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			dist, err := RunDistributed(ctx, mustJob(t, values, 40), DriverOptions{Aggregation: agg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dist.Iterations != local.Iterations || dist.Converged != local.Converged {
-				t.Errorf("distributed ran %d its (conv=%v), local %d (conv=%v)",
-					dist.Iterations, dist.Converged, local.Iterations, local.Converged)
-			}
-			for i := range local.FinalState {
-				if math.Abs(dist.FinalState[i]-local.FinalState[i]) > 1e-6 {
-					t.Errorf("state[%d] = %g, local %g", i, dist.FinalState[i], local.FinalState[i])
-				}
-			}
-		})
-	}
-}
-
 func mustJob(t *testing.T, values [][]float64, maxIter int) IterativeJob {
 	t.Helper()
 	job, _ := newAveragingJob(values, maxIter)
@@ -259,24 +230,6 @@ func TestDistributedFatalFaultAborts(t *testing.T) {
 	defer cancel()
 	if _, err := RunDistributed(ctx, job, DriverOptions{MapRetries: 1}); !errors.Is(err, ErrAborted) {
 		t.Errorf("fatal fault: err = %v, want ErrAborted", err)
-	}
-}
-
-func TestDistributedOverTCP(t *testing.T) {
-	net := transport.NewTCP()
-	defer net.Close()
-	values := [][]float64{{1, 1}, {3, 5}}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	res, err := RunDistributed(ctx, mustJob(t, values, 50), DriverOptions{Network: net})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Error("TCP run did not converge")
-	}
-	if math.Abs(res.FinalState[0]-2) > 1e-3 || math.Abs(res.FinalState[1]-3) > 1e-3 {
-		t.Errorf("state = %v, want [2 3]", res.FinalState)
 	}
 }
 

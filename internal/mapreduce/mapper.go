@@ -1,0 +1,365 @@
+package mapreduce
+
+import (
+	"context"
+	"fmt"
+	"math/big"
+	"sync"
+	"time"
+
+	"github.com/ppml-go/ppml/internal/fixedpoint"
+	"github.com/ppml-go/ppml/internal/paillier"
+	"github.com/ppml-go/ppml/internal/parallel"
+	"github.com/ppml-go/ppml/internal/securesum"
+	"github.com/ppml-go/ppml/internal/telemetry"
+	"github.com/ppml-go/ppml/internal/transport"
+)
+
+type mapperNodeConfig struct {
+	sessionEnv
+	id        int
+	ep        transport.Endpoint
+	mapper    IterativeMapper
+	agg       Aggregation
+	maskMode  MaskMode
+	codec     fixedpoint.Codec
+	dim       int
+	retries   int
+	handshake bool          // the Reducer runs the ready/roster phase (policy.handshake)
+	straggler time.Duration // per-attempt mask-exchange deadline; 0 = none
+	staleness int           // bounded-staleness window S; 0 = synchronous rounds
+	decay     float64       // κ, the per-round stale-share discount
+	pack      *paillier.Packing
+	cipherCtr *telemetry.Counter
+	sstel     *securesum.Telemetry
+	retryCtr  *telemetry.Counter
+}
+
+// node returns this mapper's endpoint name, the journal's emitting-node
+// label.
+func (c *mapperNodeConfig) node() string { return c.names[c.id] }
+
+// solver runs one mapper's Contribution calls with the retry budget,
+// journalling each solve.
+type solver struct {
+	mapper   IterativeMapper
+	retries  int
+	retryCtr *telemetry.Counter
+	journal  *telemetry.Journal
+	node     string
+	trace    telemetry.TraceID
+}
+
+// solve re-invokes a failing Contribution up to the retry budget; the error it
+// returns is terminal.
+func (s *solver) solve(iter int, state []float64) ([]float64, error) {
+	//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
+	s.journal.Emit(s.node, "solve.start", s.trace, int32(iter), 0, "", "", 0, 0)
+	start := time.Now()
+	for attempt := 0; ; attempt++ {
+		contrib, err := s.mapper.Contribution(iter, state)
+		if err == nil {
+			//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
+			s.journal.Emit(s.node, "solve.end", s.trace, int32(iter), 0, "", "", 0, time.Since(start).Seconds())
+			return contrib, nil
+		}
+		if attempt >= s.retries {
+			return nil, err
+		}
+		s.retryCtr.Inc()
+	}
+}
+
+// mapperFilter demultiplexes a Mapper for its whole session, relative to the
+// round it is serving (*round; -1 before the first broadcast). A NEWER
+// broadcast is delivered — it starts the next round, or means the Reducer
+// moved on without us (we were demoted) and lets the mapper catch up; a
+// duplicate is dropped. Roster declarations for this round are delivered,
+// older ones dropped, newer ones held. Peers' masks are never delivered here:
+// they wait in the reorder buffer until the attempt's own mask exchange
+// claims them, and masks of finished rounds are dropped. Other sessions'
+// traffic is held untouched; everything else of this session (stop, or a
+// genuinely unexpected kind) is delivered to the loop.
+func mapperFilter(session uint64, round *int32) transport.Filter {
+	return func(m transport.Message) transport.Verdict {
+		if m.Session != session {
+			return transport.Defer
+		}
+		switch m.Kind {
+		case KindBroadcast:
+			if m.Round > *round {
+				return transport.Accept
+			}
+			return transport.Drop
+		case KindRoster, securesum.KindMask:
+			switch {
+			case m.Round < *round:
+				return transport.Drop
+			case m.Round > *round || m.Kind == securesum.KindMask:
+				return transport.Defer
+			}
+		}
+		return transport.Accept
+	}
+}
+
+// mapperNode is the long-lived Mapper task: wait for a broadcast, compute the
+// local contribution (with retries), declare ready when the Reducer runs the
+// handshake, and serve every roster attempt of the round until the Reducer
+// moves on; exit on stop.
+type mapperNode struct {
+	mapperNodeConfig
+	sv       solver
+	seeded   *securesum.SeededSession // masked aggregation, MaskSeeded
+	perRound *securesum.PerRoundParty // masked aggregation, MaskPerRound
+	async    *asyncComputer           // bounded staleness only
+
+	round   int32     // the round being served; -1 before the first broadcast
+	contrib []float64 // this round's contribution
+	ready   []byte    // this round's ready-declaration payload (the staleness stamp)
+	live    []bool    // the attempt's roster, expanded
+	enc     []uint64  // reusable fixed-point encode buffer (Paillier)
+
+	stale   transport.Filter  // sweeps frames of rounds before n.round
+	evictor transport.Evictor // the endpoint's reorder-buffer sweep, nil when it has none
+}
+
+func runMapperNode(ctx context.Context, cfg mapperNodeConfig) error {
+	n := &mapperNode{
+		mapperNodeConfig: cfg,
+		sv:               solver{cfg.mapper, cfg.retries, cfg.retryCtr, cfg.journal, cfg.node(), cfg.trace},
+		round:            -1,
+		live:             make([]bool, len(cfg.names)),
+	}
+	// Masked aggregation keeps per-session protocol state so every round
+	// reuses the same scratch. Seeded mode also runs its one-time seed
+	// exchange here: each Mapper's first action is sending its seeds, so it
+	// completes without any round message interleaving (the reducer's early
+	// broadcasts wait in the reorder buffer).
+	if cfg.agg == AggregationMasked {
+		var err error
+		if cfg.maskMode == MaskPerRound {
+			n.perRound, err = securesum.NewPerRoundParty(cfg.ep, cfg.names, cfg.id, reducerName, cfg.dim, cfg.codec, nil)
+			if n.perRound != nil {
+				n.perRound.SetTelemetry(cfg.sstel)
+			}
+		} else {
+			n.seeded, err = securesum.SetupSeeded(ctx, cfg.ep, cfg.names, cfg.id, cfg.dim, cfg.codec, nil, cfg.header(securesum.SetupRound), cfg.sstel)
+		}
+		if err != nil {
+			return fmt.Errorf("mapper %d aggregation setup: %w", cfg.id, err)
+		}
+	}
+	// Bounded staleness: Contribution calls move to a background worker so
+	// the protocol loop can answer a broadcast with the newest completed
+	// (≤ S rounds old) contribution instead of stalling the roster.
+	if cfg.staleness > 0 {
+		n.async = newAsyncComputer(cfg.mapper, cfg.retries, cfg.retryCtr, cfg.journal, cfg.node(), cfg.trace)
+		defer n.async.close()
+	}
+	filter := mapperFilter(cfg.session, &n.round)
+	n.stale = staleRoundFilter(cfg.session, &n.round)
+	n.evictor, _ = cfg.ep.(transport.Evictor)
+	var ctrl *transport.Message // a control message that landed mid mask exchange
+	for {
+		var msg transport.Message
+		if ctrl != nil && filter(*ctrl) == transport.Accept {
+			msg = *ctrl
+		} else {
+			var err error
+			if msg, err = cfg.ep.RecvMatch(ctx, filter); err != nil {
+				return fmt.Errorf("mapper %d: %w", cfg.id, err)
+			}
+		}
+		ctrl = nil
+		switch msg.Kind {
+		case KindStop:
+			return nil
+		case KindBroadcast:
+			if err := n.startRound(ctx, msg.Payload); err != nil {
+				return err
+			}
+			if cfg.handshake {
+				if err := n.declareReady(ctx); err != nil {
+					return err
+				}
+				continue
+			}
+			// No handshake: the roster is the fixed cohort and attempt 0,
+			// declared by nobody — serve it as if the Reducer had.
+			msg = transport.Message{Round: n.round}
+		case KindRoster:
+		default:
+			return fmt.Errorf("%w: unexpected %q at mapper", ErrBadJob, msg.Kind)
+		}
+		var err error
+		if ctrl, err = n.serve(ctx, msg.Roster, msg.Attempt); err != nil {
+			return err
+		}
+	}
+}
+
+// startRound decodes a broadcast and produces the round's contribution:
+// solved inline, or under bounded staleness the newest one the background
+// worker has completed. A contribution failure past the retry budget is
+// reported to the Reducer (an abort) before the node exits.
+func (n *mapperNode) startRound(ctx context.Context, payload []byte) error {
+	iter, state, err := decodeStatePayload(payload)
+	if err != nil {
+		return fmt.Errorf("mapper %d: %w", n.id, err)
+	}
+	n.round = int32(iter)
+	// Round advance: deferred masks of dead attempts from earlier rounds will
+	// never be claimed; sweep them.
+	if n.evictor != nil {
+		n.evictor.Evict(n.stale)
+	}
+	if n.async == nil {
+		n.contrib, err = n.sv.solve(iter, state)
+	} else {
+		// Hand the worker the new state (newest wins), then wait only until
+		// SOME contribution within the staleness window exists — usually the
+		// one already in hand.
+		n.async.submit(iter, state)
+		if err = n.async.wait(ctx, iter-n.staleness); err == nil {
+			if n.contrib, n.ready, err = n.async.share(iter, n.decay); err != nil {
+				return fmt.Errorf("mapper %d: %w", n.id, err)
+			}
+		}
+	}
+	if err != nil {
+		//ppml:err-ok best-effort abort notification: the Contribution error below is the one worth reporting
+		_ = n.ep.Send(ctx, reducerName, KindAbort, n.header(n.round), []byte(err.Error()))
+		//ppml:flow-ok iter is decoded from the reducer's public state broadcast; the round counter is coordination metadata, not payload content
+		return fmt.Errorf("%w: mapper %d at iteration %d: %v", ErrAborted, n.id, iter, err)
+	}
+	return nil
+}
+
+// declareReady tells the Reducer this mapper holds a contribution for the
+// round and can join its roster.
+func (n *mapperNode) declareReady(ctx context.Context) error {
+	if err := n.ep.Send(ctx, reducerName, KindReady, n.header(n.round), n.ready); err != nil {
+		return fmt.Errorf("mapper %d: ready: %w", n.id, err)
+	}
+	//ppml:flow-ok the round counter (from the public state broadcast) and the staleness stamp are round indices — coordination metadata, never share contents
+	n.journal.Emit(n.node(), "ready.sent", n.trace, n.round, 0, reducerName, "", 0, float64(stalenessStamp(n.ready)))
+	return nil
+}
+
+// serve derives and sends this mapper's share of the round for one roster
+// attempt. A nil roster is the fixed cohort. The returned message, if any, is
+// a control message that landed mid mask exchange (a newer roster, a newer
+// broadcast, a stop) for the loop to act on.
+func (n *mapperNode) serve(ctx context.Context, roster transport.Roster, attempt int32) (*transport.Message, error) {
+	if roster != nil {
+		if !roster.Has(n.id) {
+			return nil, nil // demoted this round; wait for the next broadcast
+		}
+		//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
+		n.journal.Emit(n.node(), "roster.recv", n.trace, n.round, attempt, "", "", 0, float64(roster.Count()))
+	}
+	for i := range n.live {
+		n.live[i] = roster == nil || roster.Has(i)
+	}
+	hdr := n.header(n.round)
+	hdr.Roster, hdr.Attempt = roster, attempt
+	switch {
+	case n.agg == AggregationPlain:
+		//ppml:plaintext-ok AggregationPlain is the deliberate no-privacy ablation baseline (Fig. 5 comparisons); selecting it is an explicit opt-out
+		if err := n.ep.Send(ctx, reducerName, KindPlainShare, hdr, encodeVector(n.contrib)); err != nil {
+			return nil, fmt.Errorf("mapper %d: %w", n.id, err)
+		}
+		return nil, nil
+	case n.agg == AggregationPaillier:
+		payload, enc, err := encryptContribution(n.contrib, n.codec, n.pack, n.enc, n.cipherCtr)
+		n.enc = enc
+		if err != nil {
+			//ppml:err-ok best-effort abort notification: the encryption error below is the one worth reporting
+			_ = n.ep.Send(ctx, reducerName, KindAbort, hdr, []byte(err.Error()))
+			return nil, fmt.Errorf("mapper %d: %w", n.id, err)
+		}
+		if err := n.ep.Send(ctx, reducerName, KindCipherShare, hdr, payload); err != nil {
+			return nil, fmt.Errorf("mapper %d: %w", n.id, err)
+		}
+		return nil, nil
+	case n.seeded != nil:
+		// Seeded masks: derive this attempt's masks locally and send only the
+		// masked share — no per-round mask messages.
+		n.sstel.JournalMaskPhase(n.node(), "mask.start", n.trace, n.round, attempt, 0)
+		start := time.Now()
+		payload, err := n.seeded.RoundShareBytesFor(n.round, n.contrib, n.live)
+		if err != nil {
+			return nil, fmt.Errorf("mapper %d aggregation: %w", n.id, err)
+		}
+		n.sstel.JournalMaskPhase(n.node(), "mask.end", n.trace, n.round, attempt, time.Since(start))
+		if err := n.ep.Send(ctx, reducerName, securesum.KindShare, hdr, payload); err != nil {
+			return nil, fmt.Errorf("mapper %d: %w", n.id, err)
+		}
+		n.sstel.RecordShare(len(payload))
+		//ppml:flow-ok the round counter (from the public state broadcast) and the share's byte length are envelope metadata — indices and sizes, not share contents
+		n.journal.Emit(n.node(), "share.sent", n.trace, n.round, attempt, reducerName, securesum.KindShare, int64(len(payload)), 0)
+		return nil, nil
+	}
+	// Per-round masks: exchange fresh masks with the roster's members, then
+	// send the share (RoundRoster does both).
+	rctx, cancel := window(ctx, n.straggler)
+	n.sstel.JournalMaskPhase(n.node(), "mask.start", n.trace, n.round, attempt, 0)
+	start := time.Now()
+	ctrl, err := n.perRound.RoundRoster(rctx, hdr, n.contrib, n.live)
+	cancel()
+	switch {
+	case err == nil:
+		n.sstel.JournalMaskPhase(n.node(), "mask.end", n.trace, n.round, attempt, time.Since(start))
+		return ctrl, nil
+	case expired(ctx, err):
+		// Wedged mask exchange: a roster member died before its masks
+		// arrived. Abandon the attempt and re-declare readiness — the Reducer
+		// rebuilds the roster from whoever re-declares, and this attempt's
+		// stale masks are dropped by the next attempt's filter (the attempt
+		// stamp, not the roster, identifies a derivation).
+		return nil, n.declareReady(ctx)
+	}
+	// A stop or abort that lands mid-protocol unwinds here; it is not this
+	// mapper's fault, so report it plainly.
+	return nil, fmt.Errorf("mapper %d aggregation: %w", n.id, err)
+}
+
+// encryptContribution fixed-point-encodes the vector, slot-packs it (k ring
+// elements per plaintext — the SPINDLE-style layout in paillier.Packing) and
+// encrypts every packed plaintext. Plaintext encryptions are independent
+// (each draws its own randomness from crypto/rand, which is safe for
+// concurrent use), so they run on the parallel worker pool — public-key
+// encryption is by far the most expensive per-element operation in the
+// system, which is exactly why ⌈d/k⌉ encryptions instead of d is the
+// headline HE win. scratch is an optional reusable encode buffer; the
+// (possibly grown) buffer is returned for the next call.
+func encryptContribution(contrib []float64, codec fixedpoint.Codec, pack *paillier.Packing, scratch []uint64, ctr *telemetry.Counter) ([]byte, []uint64, error) {
+	enc, err := codec.EncodeVec(contrib, scratch)
+	if err != nil {
+		return nil, scratch, fmt.Errorf("paillier share encode: %w", err)
+	}
+	ms := pack.PackVec(enc)
+	cs := make([]*big.Int, len(ms))
+	var mu sync.Mutex
+	var encErr error
+	parallel.For(len(ms), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c, err := pack.Encrypt(nil, ms[i])
+			if err != nil {
+				mu.Lock()
+				if encErr == nil {
+					encErr = err
+				}
+				mu.Unlock()
+				return
+			}
+			cs[i] = c
+		}
+	})
+	if encErr != nil {
+		return nil, enc, fmt.Errorf("paillier share encrypt: %w", encErr)
+	}
+	ctr.Add(int64(len(cs)))
+	return paillier.MarshalCiphertexts(cs), enc, nil
+}

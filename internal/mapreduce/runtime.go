@@ -2,17 +2,13 @@ package mapreduce
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/big"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/ppml-go/ppml/internal/dfs"
 	"github.com/ppml-go/ppml/internal/fixedpoint"
 	"github.com/ppml-go/ppml/internal/paillier"
-	"github.com/ppml-go/ppml/internal/parallel"
 	"github.com/ppml-go/ppml/internal/securesum"
 	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
@@ -70,19 +66,21 @@ type DriverOptions struct {
 	// fails the job with a round-stamped error when a straggler or lost
 	// message stalls a round past the bound.
 	RoundTimeout time.Duration
-	// StragglerTimeout enables the elastic (demote-and-continue) driver: a
-	// mapper that has not answered within this bound is demoted for the
-	// round instead of stalling or failing the job, and rejoins the next
-	// round it answers in time. Zero (the default) keeps the strict
-	// fixed-membership protocol; when set, RoundTimeout is ignored.
+	// StragglerTimeout makes rounds elastic (demote-and-continue): a mapper
+	// that has not answered within this bound is demoted for the round
+	// instead of stalling or failing the job, and rejoins the next round it
+	// answers in time. Zero (the default) keeps membership fixed — every
+	// mapper answers every round or the job fails; when set, RoundTimeout is
+	// ignored.
 	StragglerTimeout time.Duration
-	// MinQuorum is the smallest roster the elastic driver will fold. Below
-	// it the job fails rather than silently training on too few parties. 0
-	// defaults to 2 under masked aggregation (a roster of one would hand the
-	// Reducer an effectively unmasked share) and 1 otherwise.
+	// MinQuorum is the smallest roster a round will fold under a
+	// StragglerTimeout. Below it the job fails rather than silently training
+	// on too few parties. 0 defaults to 2 under masked aggregation (a roster
+	// of one would hand the Reducer an effectively unmasked share) and 1
+	// otherwise. Without a StragglerTimeout the quorum is the whole cohort.
 	MinQuorum int
 	// Staleness enables bounded-staleness (asynchronous) rounds on top of
-	// the elastic driver: a mapper whose fresh contribution is not ready
+	// elastic ones: a mapper whose fresh contribution is not ready
 	// when the round's broadcast arrives answers immediately with its newest
 	// completed contribution, as long as that one is at most Staleness
 	// rounds old; compute overlaps the protocol on a background worker per
@@ -164,9 +162,9 @@ type DriverResult struct {
 	RemoteInputBytes int64
 	// Elapsed is the wall-clock job duration.
 	Elapsed time.Duration
-	// Demotions and Rejoins count elastic roster transitions: a mapper
-	// leaving the roster between consecutive rounds, and one returning.
-	// Always zero under the strict driver.
+	// Demotions and Rejoins count roster transitions: a mapper leaving the
+	// roster between consecutive rounds, and one returning. Always zero
+	// without a StragglerTimeout, where a demotion fails the job.
 	Demotions int
 	Rejoins   int
 }
@@ -189,7 +187,7 @@ const (
 	// (dim / ⌈dim/k⌉); 1 when unpacked. A scalar of the layout, never of
 	// any payload value.
 	metricPackRatio = "ppml_paillier_pack_ratio"
-	// Elastic-roster metrics: how many mappers each round actually folded,
+	// Roster metrics: how many mappers each round actually folded,
 	// and the cumulative roster churn. All are counts of the driver's
 	// control flow, never contribution values.
 	metricParticipants = "ppml_round_participants"
@@ -213,6 +211,8 @@ var sessionCounter atomic.Uint64
 // RunDistributed executes the iterative job over a simulated cluster: one
 // transport endpoint per Mapper plus the Reducer, per-iteration broadcast and
 // (by default) secure aggregation, exactly the system structure of Fig. 1.
+// It sets the session up, hands the rounds to the engine (engine.go) and the
+// Mappers to runMapperNode (mapper.go), and tears the session down.
 func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (*DriverResult, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
@@ -249,6 +249,7 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	if codec.FracBits() == 0 {
 		codec = fixedpoint.Default()
 	}
+	m := len(job.Mappers)
 	// Slot packing for the HE path: the layout is a pure function of the
 	// public key, the mapper fan-in (the guard-bit budget: the reducer adds
 	// at most len(Mappers) ciphertexts) and the width knob, so the mappers
@@ -256,79 +257,43 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	var pack *paillier.Packing
 	if agg == AggregationPaillier {
 		var err error
-		pack, err = paillier.NewPacking(&opts.PaillierKey.PublicKey, len(job.Mappers), opts.PaillierPackWidth)
+		pack, err = paillier.NewPacking(&opts.PaillierKey.PublicKey, m, opts.PaillierPackWidth)
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: %w", err)
 		}
+	}
+	pol, err := newPolicy(opts, agg, m)
+	if err != nil {
+		return nil, err
 	}
 
 	start := time.Now()
 	res := &DriverResult{}
 	if opts.Locality != nil {
-		remote, err := opts.Locality.remoteBytes(len(job.Mappers))
+		remote, err := opts.Locality.remoteBytes(m)
 		if err != nil {
 			return nil, err
 		}
 		res.RemoteInputBytes = remote
 	}
-
-	session := sessionCounter.Add(1)
-	// Trace identity for the whole session: the reducer mints it here and
-	// stamps it into every envelope; mappers echo it back, so every node's
-	// journal keys its events to the same cross-node timeline.
-	trace := telemetry.NewTraceID()
-	parentSpan := telemetry.NewSpanID()
-	journal := reg.Journal()
-	m := len(job.Mappers)
-	elastic := opts.StragglerTimeout > 0
-	decay := opts.StalenessDecay
-	if opts.Staleness > 0 {
-		// Bounded staleness rides on the elastic round structure (the ready
-		// window IS the staleness window) and on masked aggregation (the
-		// weight travels as a public stamp on the ready declaration; the
-		// loose aggregations have no declaration to stamp).
-		if !elastic {
-			return nil, fmt.Errorf("%w: Staleness needs StragglerTimeout", ErrBadJob)
+	state := append([]float64(nil), job.InitialState...)
+	startIter := 0
+	if cp := opts.Checkpoint; cp != nil {
+		if cp.Cluster == nil || cp.Path == "" {
+			return nil, fmt.Errorf("%w: checkpoint plan incomplete", ErrBadJob)
 		}
-		if agg != AggregationMasked {
-			return nil, fmt.Errorf("%w: Staleness needs AggregationMasked", ErrBadJob)
-		}
-		if opts.Staleness > 255 {
-			return nil, fmt.Errorf("%w: Staleness %d exceeds the wire stamp's range", ErrBadJob, opts.Staleness)
-		}
-		if decay == 0 {
-			decay = 0.5
-		}
-		if decay < 0 || decay > 1 {
-			return nil, fmt.Errorf("%w: StalenessDecay %g outside (0,1]", ErrBadJob, decay)
-		}
-	}
-	quorum := opts.MinQuorum
-	if elastic {
-		if quorum == 0 {
-			// A masked roster of one would hand the Reducer a share whose
-			// masks all cancelled locally — effectively plaintext — so the
-			// privacy floor is two participants whenever masking is on.
-			if agg == AggregationMasked {
-				quorum = 2
-				if m < 2 {
-					quorum = m
-				}
-			} else {
-				quorum = 1
+		if raw, err := cp.Cluster.Read(cp.Path); err == nil {
+			iter, saved, err := decodeStatePayload(raw)
+			if err != nil {
+				return nil, fmt.Errorf("mapreduce checkpoint: %w", err)
 			}
-		}
-		if quorum < 1 || quorum > m {
-			return nil, fmt.Errorf("%w: MinQuorum %d with %d mappers", ErrBadJob, opts.MinQuorum, m)
+			state, startIter, res.Iterations = saved, iter, iter
 		}
 	}
+
 	// Prepared metric handles; with no registry each is nil and every
 	// operation below is a free no-op.
 	reg.Gauge(metricFanout).Set(float64(m))
-	rounds := reg.Counter(metricRounds)
-	roundDur := reg.Histogram(metricRoundSeconds, telemetry.DurationBuckets)
-	timeouts := reg.Counter(metricTimeouts)
-	retries := reg.Counter(metricRetries)
 	var sstel *securesum.Telemetry
 	if agg == AggregationMasked {
 		sstel = securesum.NewTelemetry(reg, opts.MaskMode)
@@ -342,22 +307,51 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	}
 	ctx, jobSpan := telemetry.StartSpan(ctx, "mapreduce.job")
 	defer jobSpan.End()
-	names := make([]string, m)
-	for i := range names {
-		names[i] = fmt.Sprintf("mapper-%d", i)
+
+	eng := &engine{
+		policy: pol,
+		sessionEnv: sessionEnv{
+			session: sessionCounter.Add(1),
+			// Trace identity for the whole session: the reducer mints it here
+			// and stamps it into every envelope; mappers echo it back, so every
+			// node's journal keys its events to the same cross-node timeline.
+			trace:      telemetry.NewTraceID(),
+			parentSpan: telemetry.NewSpanID(),
+			names:      make([]string, m),
+			journal:    reg.Journal(),
+		},
+		idOf:         make(map[string]int, m),
+		maskMode:     opts.MaskMode,
+		checkpoint:   opts.Checkpoint,
+		rounds:       reg.Counter(metricRounds),
+		roundDur:     reg.Histogram(metricRoundSeconds, telemetry.DurationBuckets),
+		timeouts:     reg.Counter(metricTimeouts),
+		participants: reg.Gauge(metricParticipants),
+		demotions:    reg.Counter(metricDemotions),
+		rejoins:      reg.Counter(metricRejoins),
+		res:          res,
 	}
-	redEP, err := net.Endpoint(reducerName)
-	if err != nil {
+	if pol.staleness > 0 {
+		eng.staleHist = reg.Histogram(metricStaleness, stalenessBuckets)
+	}
+	for i := range eng.names {
+		eng.names[i] = fmt.Sprintf("mapper-%d", i)
+		eng.idOf[eng.names[i]] = i
+	}
+	if eng.fold, err = newFolder(agg, m, job.ContributionDim, codec, opts.PaillierKey, pack, &eng.scratch); err != nil {
+		return nil, err
+	}
+	if eng.ep, err = net.Endpoint(reducerName); err != nil {
 		return nil, fmt.Errorf("mapreduce: reducer endpoint: %w", err)
 	}
 	// The job's endpoints are released on every exit path: a caller-provided
 	// network must not accumulate listeners and reader goroutines across
 	// jobs, and closing the endpoints unblocks any mapper still parked in
 	// Recv when the driver unwinds early.
-	defer redEP.Close()
+	defer eng.ep.Close()
 	mapEPs := make([]transport.Endpoint, m)
 	for i := range mapEPs {
-		ep, err := net.Endpoint(names[i])
+		ep, err := net.Endpoint(eng.names[i])
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: mapper endpoint: %w", err)
 		}
@@ -365,15 +359,13 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		defer ep.Close()
 	}
 
+	retries := reg.Counter(metricRetries)
 	mapperErrs := make(chan error, m)
 	for i := 0; i < m; i++ {
 		go func(i int) {
-			cfg := mapperNodeConfig{
+			mapperErrs <- runMapperNode(ctx, mapperNodeConfig{
+				sessionEnv: eng.sessionEnv,
 				id:         i,
-				session:    session,
-				trace:      trace,
-				parentSpan: parentSpan,
-				names:      names,
 				ep:         mapEPs[i],
 				mapper:     job.Mappers[i],
 				agg:        agg,
@@ -381,204 +373,49 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 				codec:      codec,
 				dim:        job.ContributionDim,
 				retries:    opts.MapRetries,
+				handshake:  pol.handshake,
 				straggler:  opts.StragglerTimeout,
-				staleness:  opts.Staleness,
-				decay:      decay,
+				staleness:  pol.staleness,
+				decay:      pol.decay,
+				pack:       pack,
+				cipherCtr:  cipherCtr,
 				sstel:      sstel,
 				retryCtr:   retries,
-				journal:    journal,
-			}
-			if pack != nil {
-				cfg.pack = pack
-				cfg.cipherCtr = cipherCtr
-			}
-			// Masked aggregation needs the roster handshake on the mapper
-			// side; the plain and Paillier paths are roster-oblivious (their
-			// shares do not depend on who else answers), so the strict mapper
-			// loop serves them under both drivers.
-			if elastic && agg == AggregationMasked {
-				mapperErrs <- runMapperNodeElastic(ctx, cfg)
-			} else {
-				mapperErrs <- runMapperNode(ctx, cfg)
-			}
+			})
 		}(i)
 	}
 
-	// Per-session Reducer scratch: the collector, the share decode buffer and
-	// the broadcast encoding are reused every round, so the reduce hot loop
-	// does not allocate.
-	var scratch reduceScratch
-	if agg == AggregationMasked {
-		col, err := securesum.NewCollector(m, job.ContributionDim, codec)
-		if err != nil {
-			return nil, err
-		}
-		scratch.col = col
-	}
+	state, jobErr := eng.run(ctx, job, state, startIter)
 
-	state := append([]float64(nil), job.InitialState...)
-	startIter := 0
-	if opts.Checkpoint != nil {
-		if opts.Checkpoint.Cluster == nil || opts.Checkpoint.Path == "" {
-			return nil, fmt.Errorf("%w: checkpoint plan incomplete", ErrBadJob)
-		}
-		if raw, err := opts.Checkpoint.Cluster.Read(opts.Checkpoint.Path); err == nil {
-			iter, saved, err := decodeStatePayload(raw)
-			if err != nil {
-				return nil, fmt.Errorf("mapreduce checkpoint: %w", err)
-			}
-			state = saved
-			startIter = iter
-			res.Iterations = iter
-		}
+	// Tear down: the final state rides on the stop message, stamped with the
+	// round the job finished on so transcripts show where it stopped.
+	stopHdr := eng.header(int32(res.Iterations))
+	stopPayload := encodeStatePayload(res.Iterations, state)
+	for _, name := range eng.names {
+		//ppml:err-ok best-effort teardown: a mapper that already exited, was demoted or sits behind a dead link cannot receive its stop, and must not mask the job result
+		_ = eng.ep.Send(ctx, name, KindStop, stopHdr, stopPayload)
 	}
-	var jobErr error
-	if elastic {
-		ed := &elasticDriver{
-			session: session, trace: trace, parentSpan: parentSpan, journal: journal,
-			names: names, redEP: redEP,
-			agg: agg, maskMode: opts.MaskMode, codec: codec, key: opts.PaillierKey, pack: pack,
-			quorum: quorum, timeout: opts.StragglerTimeout, writeOffAfter: opts.WriteOffAfter,
-			staleness: opts.Staleness, decay: decay,
-			dim: job.ContributionDim, scratch: &scratch,
-			checkpoint: opts.Checkpoint,
-			rounds:     rounds, roundDur: roundDur, timeouts: timeouts,
-			participants: reg.Gauge(metricParticipants),
-			demotions:    reg.Counter(metricDemotions),
-			rejoins:      reg.Counter(metricRejoins),
-			res:          res,
-		}
-		if opts.Staleness > 0 {
-			ed.staleHist = reg.Histogram(metricStaleness, stalenessBuckets)
-		}
-		state, jobErr = ed.reduceLoop(ctx, job, state, startIter)
-		stopHdr := transport.Header{Session: session, Round: int32(res.Iterations), Trace: trace, ParentSpan: parentSpan}
-		stopPayload := encodeStatePayload(res.Iterations, state)
-		for _, name := range names {
-			//ppml:err-ok best-effort teardown: a demoted or dead mapper cannot receive its stop, which is exactly the failure mode the elastic driver absorbs
-			_ = redEP.Send(ctx, name, KindStop, stopHdr, stopPayload)
-		}
-		// A killed mapper never sees its stop (the chaos transport eats it)
-		// and may be parked in RecvMatch forever; closing the endpoints
-		// unblocks every mapper goroutine with ErrClosed so the drain below
-		// terminates. Mapper errors are roster events under the elastic
-		// contract — demotions, not job failures — so the reducer's outcome
-		// stands alone.
+	if pol.elastic {
+		// Under a straggler deadline a mapper may be dead or partitioned: it
+		// never sees its stop and stays parked in RecvMatch. Closing the
+		// endpoints unblocks every mapper goroutine with ErrClosed so the
+		// drain below terminates.
 		for _, ep := range mapEPs {
 			//ppml:err-ok teardown close: the endpoint is being discarded and the job result is already decided
 			_ = ep.Close()
 		}
-		for i := 0; i < m; i++ {
-			<-mapperErrs
-		}
-		if jobErr != nil {
-			// Post-mortem flight-recorder dump (PPML_JOURNAL_DUMP-gated): the
-			// journal's last window is exactly the evidence an aborted
-			// distributed round leaves behind. Best-effort — the job error
-			// below is the one worth reporting.
-			_, _ = reg.AutoDumpJournal(trace.String())
-			return nil, jobErr
-		}
-		res.FinalState = state
-		res.Net = net.Stats()
-		res.Elapsed = time.Since(start)
-		return res, nil
 	}
-reduceLoop:
-	for iter := startIter; iter < job.MaxIterations; iter++ {
-		roundStart := time.Now()
-		spanCtx, roundSpan := telemetry.StartSpan(ctx, "round")
-		// Round advance: late frames of finished (or timed-out) rounds will
-		// never be claimed by any future filter — sweep them out of the
-		// reorder buffer and into the stale counter instead of stashing them
-		// until the endpoint closes.
-		if ev, ok := redEP.(transport.Evictor); ok {
-			ev.Evict(staleRoundFilter(session, int32(iter)))
-		}
-		//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-		journal.Emit(reducerName, "round.start", trace, int32(iter), 0, "", "", 0, 0)
-		hdr := transport.Header{Session: session, Round: int32(iter), Trace: trace, ParentSpan: parentSpan}
-		payload := appendStatePayload(scratch.bcast[:0], iter, state)
-		scratch.bcast = payload
-		for _, name := range names {
-			if err := redEP.Send(ctx, name, KindBroadcast, hdr, payload); err != nil {
-				roundSpan.End()
-				jobErr = fmt.Errorf("mapreduce: broadcast: %w", err)
-				break reduceLoop
-			}
-		}
-		roundCtx := spanCtx
-		var cancelRound context.CancelFunc
-		if opts.RoundTimeout > 0 {
-			roundCtx, cancelRound = context.WithTimeout(spanCtx, opts.RoundTimeout)
-		}
-		sum, err := collectContributions(roundCtx, redEP, session, int32(iter), m, job.ContributionDim, agg, codec, opts.PaillierKey, pack, &scratch)
-		if cancelRound != nil {
-			cancelRound()
-		}
-		if err != nil {
-			roundSpan.End()
-			if opts.RoundTimeout > 0 && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-				timeouts.Inc()
-				//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-				err = fmt.Errorf("mapreduce: round %d exceeded RoundTimeout %v: %w",
-					iter, opts.RoundTimeout, context.DeadlineExceeded)
-			}
-			jobErr = err
-			break
-		}
-		// The communication round — broadcast through collected aggregate —
-		// is what the span and the histogram measure; a round that errors
-		// out ends its span but is not observed as a completed round.
-		roundSpan.End()
-		roundDur.Observe(time.Since(roundStart).Seconds())
-		rounds.Inc()
-		//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-		journal.Emit(reducerName, "round.end", trace, int32(iter), 0, "", "", 0, time.Since(roundStart).Seconds())
-		next, done, err := job.Reducer.Combine(iter, sum)
-		if err != nil {
-			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-			jobErr = fmt.Errorf("%w: reducer at iteration %d: %v", ErrAborted, iter, err)
-			break
-		}
-		state = append(state[:0], next...)
-		res.Iterations = iter + 1
-		if cp := opts.Checkpoint; cp != nil {
-			every := cp.Every
-			if every <= 0 {
-				every = 1
-			}
-			if (iter+1)%every == 0 || done {
-				payload := encodeStatePayload(iter+1, state)
-				if err := cp.Cluster.Write(cp.Path, payload, ""); err != nil {
-					jobErr = fmt.Errorf("mapreduce checkpoint: %w", err)
-					break
-				}
-			}
-		}
-		if done {
-			res.Converged = true
-			break
-		}
-	}
-
-	// Tear down: final state rides on the stop message, stamped with the
-	// round the job finished on so transcripts show where it stopped.
-	stopHdr := transport.Header{Session: session, Round: int32(res.Iterations), Trace: trace, ParentSpan: parentSpan}
-	stopPayload := encodeStatePayload(res.Iterations, state)
-	for _, name := range names {
-		//ppml:err-ok best-effort teardown: a mapper that already exited (or a dead link) must not mask the job result collected below
-		_ = redEP.Send(ctx, name, KindStop, stopHdr, stopPayload)
-	}
+	// Mapper errors are roster events, reported to the Reducer as aborts or
+	// silence — the engine's outcome stands alone.
 	for i := 0; i < m; i++ {
-		if err := <-mapperErrs; err != nil && jobErr == nil {
-			jobErr = err
-		}
+		<-mapperErrs
 	}
 	if jobErr != nil {
-		// Best-effort post-mortem dump: the job error below is the one worth
-		// reporting.
-		_, _ = reg.AutoDumpJournal(trace.String())
+		// Post-mortem flight-recorder dump (PPML_JOURNAL_DUMP-gated): the
+		// journal's last window is exactly the evidence an aborted
+		// distributed round leaves behind. Best-effort — the job error
+		// below is the one worth reporting.
+		_, _ = reg.AutoDumpJournal(eng.trace.String())
 		return nil, jobErr
 	}
 	res.FinalState = state
@@ -606,385 +443,4 @@ func (p *LocalityPlan) remoteBytes(mappers int) (int64, error) {
 		}
 	}
 	return remote, nil
-}
-
-type mapperNodeConfig struct {
-	id         int
-	session    uint64
-	trace      telemetry.TraceID // session trace identity, echoed on every send
-	parentSpan uint64            // reducer's session span, the trace's parent edge
-	names      []string
-	ep         transport.Endpoint
-	mapper     IterativeMapper
-	agg        Aggregation
-	maskMode   MaskMode
-	codec      fixedpoint.Codec
-	dim        int
-	retries    int
-	straggler  time.Duration // elastic mode: per-attempt mask-exchange deadline
-	staleness  int           // bounded-staleness window S; 0 = synchronous rounds
-	decay      float64       // κ, the per-round stale-share discount
-	pack       *paillier.Packing
-	cipherCtr  *telemetry.Counter
-	sstel      *securesum.Telemetry
-	retryCtr   *telemetry.Counter
-	journal    *telemetry.Journal // flight recorder; nil when telemetry is off
-}
-
-// node returns this mapper's endpoint name, the journal's emitting-node
-// label.
-func (c *mapperNodeConfig) node() string { return c.names[c.id] }
-
-// header returns the session envelope for round iter, carrying the trace
-// context every mapper echoes back to the reducer.
-func (c *mapperNodeConfig) header(iter int32) transport.Header {
-	return transport.Header{Session: c.session, Round: iter, Trace: c.trace, ParentSpan: c.parentSpan}
-}
-
-// reduceScratch is the Reducer's per-session reuse state: one collector
-// (Reset per round), one share decode buffer, one consensus-sum buffer and
-// one broadcast encoding. Reuse is safe under the driver's lockstep — every
-// consumer of round r's bytes is done with them before round r+1 overwrites.
-type reduceScratch struct {
-	col      *securesum.Collector
-	shareBuf []uint64
-	sum      []float64
-	bcast    []byte
-}
-
-// idleFilter demultiplexes a Mapper between rounds: a fast peer's secure-
-// summation masks for the upcoming round (per-round mode only; seeded mode
-// has no mid-session mask traffic) wait in the reorder buffer until this
-// node's broadcast arrives and the protocol round claims them; other
-// sessions' traffic is held untouched; everything else of this session
-// (broadcast, stop, or a genuinely unexpected kind) is delivered to the
-// loop below.
-func idleFilter(session uint64) transport.Filter {
-	return func(m transport.Message) transport.Verdict {
-		if m.Session != session {
-			return transport.Defer
-		}
-		if m.Kind == securesum.KindMask {
-			return transport.Defer
-		}
-		return transport.Accept
-	}
-}
-
-// runMapperNode is the long-lived Mapper loop: wait for a broadcast, compute
-// the local contribution (with retries), hand it to the aggregation
-// protocol; exit on stop.
-func runMapperNode(ctx context.Context, cfg mapperNodeConfig) error {
-	var encScratch []uint64 // reusable fixed-point encode buffer (Paillier path)
-	// Masked aggregation keeps per-session protocol state so every round
-	// reuses the same scratch. Seeded mode additionally runs the one-time
-	// seed handshake here, before the round loop: each Mapper's first action
-	// is sending its seeds, so the exchange completes without any round
-	// message interleaving (the reducer's early broadcasts wait in the
-	// reorder buffer).
-	var seeded *securesum.SeededSession
-	var perRound *securesum.PerRoundParty
-	if cfg.agg == AggregationMasked {
-		var err error
-		if cfg.maskMode == MaskPerRound {
-			perRound, err = securesum.NewPerRoundParty(cfg.ep, cfg.names, cfg.id, reducerName, cfg.dim, cfg.codec, nil)
-			if perRound != nil {
-				perRound.SetTelemetry(cfg.sstel)
-			}
-		} else {
-			seeded, err = securesum.SetupSeeded(ctx, cfg.ep, cfg.names, cfg.id, cfg.dim, cfg.codec, nil, cfg.header(securesum.SetupRound), cfg.sstel)
-		}
-		if err != nil {
-			return fmt.Errorf("mapper %d aggregation setup: %w", cfg.id, err)
-		}
-	}
-	idle := idleFilter(cfg.session)
-	for {
-		msg, err := cfg.ep.RecvMatch(ctx, idle)
-		if err != nil {
-			return fmt.Errorf("mapper %d: %w", cfg.id, err)
-		}
-		switch msg.Kind {
-		case KindStop:
-			return nil
-		case KindBroadcast:
-		default:
-			return fmt.Errorf("%w: unexpected %q while idle", ErrBadJob, msg.Kind)
-		}
-		iter, state, err := decodeStatePayload(msg.Payload)
-		if err != nil {
-			return fmt.Errorf("mapper %d: %w", cfg.id, err)
-		}
-		hdr := cfg.header(int32(iter))
-		//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-		cfg.journal.Emit(cfg.node(), "solve.start", cfg.trace, int32(iter), 0, "", "", 0, 0)
-		solveStart := time.Now()
-		var contrib []float64
-		for attempt := 0; ; attempt++ {
-			contrib, err = cfg.mapper.Contribution(iter, state)
-			if err == nil {
-				break
-			}
-			if attempt >= cfg.retries {
-				//ppml:err-ok best-effort abort notification: the Contribution error below is the one worth reporting
-				_ = cfg.ep.Send(ctx, reducerName, KindAbort, hdr, []byte(err.Error()))
-				//ppml:flow-ok iter is decoded from the reducer's public state broadcast; the round counter is coordination metadata, not payload content
-				return fmt.Errorf("%w: mapper %d at iteration %d: %v", ErrAborted, cfg.id, iter, err)
-			}
-			cfg.retryCtr.Inc()
-		}
-		//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-		cfg.journal.Emit(cfg.node(), "solve.end", cfg.trace, int32(iter), 0, "", "", 0, time.Since(solveStart).Seconds())
-		switch cfg.agg {
-		case AggregationPlain:
-			//ppml:plaintext-ok AggregationPlain is the deliberate no-privacy ablation baseline (Fig. 5 comparisons); selecting it is an explicit opt-out
-			if err := cfg.ep.Send(ctx, reducerName, KindPlainShare, hdr, encodeVector(contrib)); err != nil {
-				return fmt.Errorf("mapper %d: %w", cfg.id, err)
-			}
-		case AggregationPaillier:
-			payload, scratch, err := encryptContribution(contrib, cfg.codec, cfg.pack, encScratch, cfg.cipherCtr)
-			encScratch = scratch
-			if err != nil {
-				//ppml:err-ok best-effort abort notification: the encryption error below is the one worth reporting
-				_ = cfg.ep.Send(ctx, reducerName, KindAbort, hdr, []byte(err.Error()))
-				return fmt.Errorf("mapper %d: %w", cfg.id, err)
-			}
-			if err := cfg.ep.Send(ctx, reducerName, KindCipherShare, hdr, payload); err != nil {
-				return fmt.Errorf("mapper %d: %w", cfg.id, err)
-			}
-		default:
-			var err error
-			if seeded != nil {
-				// Seeded mode: derive this round's masks locally and send
-				// only the masked share — no per-round mask messages.
-				cfg.sstel.JournalMaskPhase(cfg.node(), "mask.start", cfg.trace, int32(iter), 0, 0)
-				maskStart := time.Now()
-				var payload []byte
-				payload, err = seeded.RoundShareBytes(int32(iter), contrib)
-				cfg.sstel.JournalMaskPhase(cfg.node(), "mask.end", cfg.trace, int32(iter), 0, time.Since(maskStart))
-				if err == nil {
-					err = cfg.ep.Send(ctx, reducerName, securesum.KindShare, hdr, payload)
-				}
-				if err == nil {
-					cfg.sstel.RecordShare(len(payload))
-					//ppml:flow-ok the round counter (from the public state broadcast) and the share's byte length are envelope metadata — indices and sizes, not share contents
-					cfg.journal.Emit(cfg.node(), "share.sent", cfg.trace, int32(iter), 0, reducerName, securesum.KindShare, int64(len(payload)), 0)
-				}
-			} else {
-				cfg.sstel.JournalMaskPhase(cfg.node(), "mask.start", cfg.trace, int32(iter), 0, 0)
-				maskStart := time.Now()
-				err = perRound.Round(ctx, hdr, contrib)
-				cfg.sstel.JournalMaskPhase(cfg.node(), "mask.end", cfg.trace, int32(iter), 0, time.Since(maskStart))
-			}
-			if err != nil {
-				// A stop or abort that lands mid-protocol unwinds here; it is
-				// not this mapper's fault, so report it plainly.
-				return fmt.Errorf("mapper %d aggregation: %w", cfg.id, err)
-			}
-		}
-	}
-}
-
-// encryptContribution fixed-point-encodes the vector, slot-packs it (k ring
-// elements per plaintext — the SPINDLE-style layout in paillier.Packing) and
-// encrypts every packed plaintext. Plaintext encryptions are independent
-// (each draws its own randomness from crypto/rand, which is safe for
-// concurrent use), so they run on the parallel worker pool — public-key
-// encryption is by far the most expensive per-element operation in the
-// system, which is exactly why ⌈d/k⌉ encryptions instead of d is the
-// headline HE win. scratch is an optional reusable encode buffer; the
-// (possibly grown) buffer is returned for the next call.
-func encryptContribution(contrib []float64, codec fixedpoint.Codec, pack *paillier.Packing, scratch []uint64, ctr *telemetry.Counter) ([]byte, []uint64, error) {
-	enc, err := codec.EncodeVec(contrib, scratch)
-	if err != nil {
-		return nil, scratch, fmt.Errorf("paillier share encode: %w", err)
-	}
-	ms := pack.PackVec(enc)
-	cs := make([]*big.Int, len(ms))
-	var mu sync.Mutex
-	var encErr error
-	parallel.For(len(ms), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c, err := pack.Encrypt(nil, ms[i])
-			if err != nil {
-				mu.Lock()
-				if encErr == nil {
-					encErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			cs[i] = c
-		}
-	})
-	if encErr != nil {
-		return nil, enc, fmt.Errorf("paillier share encrypt: %w", encErr)
-	}
-	ctr.Add(int64(len(cs)))
-	return paillier.MarshalCiphertexts(cs), enc, nil
-}
-
-// reducerFilter scopes one collection round on the Reducer: aborts of this
-// session are delivered no matter which round raised them, this round's
-// shares are delivered, a fast Mapper's next-round shares wait in the reorder
-// buffer, and leftovers from failed earlier rounds are dropped and counted
-// rather than poisoning the current aggregate.
-func reducerFilter(session uint64, round int32) transport.Filter {
-	return func(m transport.Message) transport.Verdict {
-		if m.Session != session {
-			return transport.Defer
-		}
-		if m.Kind == KindAbort {
-			return transport.Accept
-		}
-		switch {
-		case m.Round < round:
-			return transport.Drop
-		case m.Round > round:
-			return transport.Defer
-		}
-		return transport.Accept
-	}
-}
-
-// collectContributions gathers one (session, round)-scoped aggregate on the
-// Reducer.
-func collectContributions(ctx context.Context, ep transport.Endpoint, session uint64, round int32, m, dim int, agg Aggregation, codec fixedpoint.Codec, key *paillier.PrivateKey, pack *paillier.Packing, scratch *reduceScratch) ([]float64, error) {
-	filter := reducerFilter(session, round)
-	switch agg {
-	case AggregationPaillier:
-		want := pack.Ciphertexts(dim)
-		var acc []*big.Int
-		for got := 0; got < m; got++ {
-			msg, err := ep.RecvMatch(ctx, filter)
-			if err != nil {
-				return nil, fmt.Errorf("mapreduce reduce: %w", err)
-			}
-			switch msg.Kind {
-			case KindCipherShare:
-				cs, err := paillier.UnmarshalCiphertexts(msg.Payload)
-				if err != nil {
-					return nil, err
-				}
-				if len(cs) != want {
-					return nil, fmt.Errorf("%w: cipher share of %d ciphertexts, want %d (%d values packed %d-wide)",
-						ErrBadJob, len(cs), want, dim, pack.Slots)
-				}
-				if acc == nil {
-					acc = cs
-					continue
-				}
-				// Element-wise homomorphic adds are independent modular
-				// multiplications; fold them on the worker pool. Slot sums
-				// stay inside their guard bits because the layout budgeted
-				// for m summands.
-				parallel.For(len(acc), 16, func(lo, hi int) {
-					for j := lo; j < hi; j++ {
-						acc[j] = key.Add(acc[j], cs[j])
-					}
-				})
-			case KindAbort:
-				// The abort payload is a remote error string and may quote
-				// remote data (a bad label, a share value); identify the
-				// aborter, do not echo its bytes.
-				return nil, fmt.Errorf("%w: abort from %q", ErrAborted, msg.From)
-			default:
-				return nil, fmt.Errorf("%w: unexpected %q at reducer", ErrBadJob, msg.Kind)
-			}
-		}
-		// Key-authority step: decrypt only the aggregate. Per-ciphertext
-		// decryptions (one modular exponentiation each) are independent and
-		// run on the worker pool; unpacking then reduces each slot mod 2⁶⁴,
-		// the fixedpoint ring's wrapping sum.
-		ms := make([]*big.Int, len(acc))
-		var mu sync.Mutex
-		var decErr error
-		parallel.For(len(acc), 1, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				mval, err := key.Decrypt(acc[j])
-				if err != nil {
-					mu.Lock()
-					if decErr == nil {
-						decErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				ms[j] = mval
-			}
-		})
-		if decErr != nil {
-			return nil, fmt.Errorf("mapreduce paillier decrypt: %w", decErr)
-		}
-		sum, err := pack.UnpackVec(ms, dim, nil)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce paillier unpack: %w", err)
-		}
-		return codec.DecodeVec(sum, nil)
-	case AggregationPlain:
-		sum := make([]float64, dim)
-		for got := 0; got < m; got++ {
-			msg, err := ep.RecvMatch(ctx, filter)
-			if err != nil {
-				return nil, fmt.Errorf("mapreduce reduce: %w", err)
-			}
-			switch msg.Kind {
-			case KindPlainShare:
-				v, err := decodeVector(msg.Payload)
-				if err != nil {
-					return nil, err
-				}
-				if len(v) != dim {
-					return nil, fmt.Errorf("%w: share of %d values, want %d", ErrBadJob, len(v), dim)
-				}
-				for j, x := range v {
-					sum[j] += x
-				}
-			case KindAbort:
-				// The abort payload is a remote error string and may quote
-				// remote data (a bad label, a share value); identify the
-				// aborter, do not echo its bytes.
-				return nil, fmt.Errorf("%w: abort from %q", ErrAborted, msg.From)
-			default:
-				return nil, fmt.Errorf("%w: unexpected %q at reducer", ErrBadJob, msg.Kind)
-			}
-		}
-		return sum, nil
-	default:
-		// Both mask modes deliver the same m masked shares; the collector and
-		// the decode buffer live in the session scratch and are reused every
-		// round (Add copies into the accumulator immediately).
-		col := scratch.col
-		col.Reset()
-		for got := 0; got < m; got++ {
-			msg, err := ep.RecvMatch(ctx, filter)
-			if err != nil {
-				return nil, fmt.Errorf("mapreduce reduce: %w", err)
-			}
-			switch msg.Kind {
-			case securesum.KindShare:
-				share, err := securesum.DecodeSharesInto(scratch.shareBuf, msg.Payload)
-				if err != nil {
-					return nil, err
-				}
-				scratch.shareBuf = share
-				if err := col.Add(share); err != nil {
-					return nil, fmt.Errorf("share from %q: %w", msg.From, err)
-				}
-			case KindAbort:
-				// The abort payload is a remote error string and may quote
-				// remote data (a bad label, a share value); identify the
-				// aborter, do not echo its bytes.
-				return nil, fmt.Errorf("%w: abort from %q", ErrAborted, msg.From)
-			default:
-				return nil, fmt.Errorf("%w: unexpected %q at reducer", ErrBadJob, msg.Kind)
-			}
-		}
-		sum, err := col.SumInto(scratch.sum)
-		if err != nil {
-			return nil, err
-		}
-		scratch.sum = sum
-		return sum, nil
-	}
 }

@@ -43,9 +43,16 @@ func (m *fixtureMapper) Contribution(iter int, state []float64) ([]float64, erro
 }
 
 // fixtureReducer averages and never converges, so the round count is exact.
-type fixtureReducer struct{ m int }
+// afterSetup, if set, runs once round 0 has folded.
+type fixtureReducer struct {
+	m          int
+	afterSetup func()
+}
 
 func (r *fixtureReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+	if iter == 0 && r.afterSetup != nil {
+		r.afterSetup()
+	}
 	next := make([]float64, len(sum))
 	for i, v := range sum {
 		next[i] = v / float64(r.m)
@@ -65,12 +72,15 @@ func RunChaosFixture(m, iters int) ([]byte, string, error) {
 	reg := telemetry.NewRegistry(telemetry.WithJournal(1 << 14))
 	ch := transport.NewChaos(transport.NewInProc())
 	defer ch.Close()
+	// Every link pays the base latency. The flaky link starts drawing tails
+	// only once round 0 has folded: a tail on one of its setup-round seed
+	// sends stalls every mapper's first share equally, and which share then
+	// lands last is a scheduling tie no attribution can call.
 	for i := 0; i < m; i++ {
-		p := 0.0 // steady links: base latency only
-		if i == m-1 {
-			p = fixtureJitterProb // the flaky link
-		}
-		ch.Jitter(fmt.Sprintf("mapper-%d", i), fixtureJitterBase, fixtureJitterTail, p, fixtureSeed+int64(i))
+		ch.Jitter(fmt.Sprintf("mapper-%d", i), fixtureJitterBase, fixtureJitterTail, 0, fixtureSeed+int64(i))
+	}
+	armFlaky := func() {
+		ch.Jitter(flaky, fixtureJitterBase, fixtureJitterTail, fixtureJitterProb, fixtureSeed+int64(m-1))
 	}
 
 	const dim = 2
@@ -80,7 +90,7 @@ func RunChaosFixture(m, iters int) ([]byte, string, error) {
 	}
 	job := mapreduce.IterativeJob{
 		Mappers:         mappers,
-		Reducer:         &fixtureReducer{m: m},
+		Reducer:         &fixtureReducer{m: m, afterSetup: armFlaky},
 		InitialState:    make([]float64, dim),
 		ContributionDim: dim,
 		MaxIterations:   iters,

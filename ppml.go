@@ -463,7 +463,7 @@ func WithStragglerTimeout(d time.Duration) Option {
 	}
 }
 
-// WithMinQuorum sets the smallest live roster the elastic driver will fold;
+// WithMinQuorum sets the smallest live roster an elastic round will fold;
 // below it training fails rather than continuing on too few learners.
 // Default: 2 under masked aggregation, 1 otherwise. Only meaningful together
 // with WithStragglerTimeout.

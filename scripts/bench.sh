@@ -56,7 +56,7 @@ hot)
 	;;
 elastic)
 	out="${2:-BENCH_elastic.json}"
-	echo "==> elastic driver regression (race, cross-check)"
+	echo "==> elastic rounds regression (race, cross-check)"
 	go test -race -run 'TestElastic' ./internal/mapreduce/
 
 	echo "==> measuring demote-and-continue vs abort-and-restart -> $out"
