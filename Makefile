@@ -59,22 +59,22 @@ bench-smoke:
 # Communication measurement: scalability sweep under both mask modes plus
 # the seeded-vs-per-round comparison written to BENCH_comm.json.
 bench-comm:
-	./scripts/bench.sh comm
+	$(GO) run ./cmd/ppml-figures -panel comm -learners 16 -json BENCH_comm.json
 
 # Hot-kernel measurement: tiled vs reference compute kernels (MatMul, Gram)
 # and packed vs unpacked Paillier aggregation, written to BENCH_hot.json.
 bench-hot:
-	./scripts/bench.sh hot
+	$(GO) run ./cmd/ppml-figures -panel hot -json BENCH_hot.json
 
 # Straggler-recovery measurement: round latency vs injected delay at M=16,
 # demote-and-continue vs abort-and-restart, written to BENCH_elastic.json.
 bench-elastic:
-	./scripts/bench.sh elastic
+	$(GO) run ./cmd/ppml-figures -panel elastic -learners 16 -json BENCH_elastic.json
 
 # Async-round measurement: bulk-synchronous vs bounded-staleness + minibatch
 # time-to-target-accuracy under a flaky link, written to BENCH_async.json.
 bench-async:
-	./scripts/bench.sh async
+	$(GO) run ./cmd/ppml-figures -panel async -json BENCH_async.json
 
 # The pre-merge gate: scripts/check.sh = vet (standard + custom analyzers) +
 # build + race tests + short fuzz + bench smoke.

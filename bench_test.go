@@ -11,13 +11,15 @@
 package ppml_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"github.com/ppml-go/ppml"
 	"github.com/ppml-go/ppml/internal/experiments"
+	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/paillier"
-	"github.com/ppml-go/ppml/internal/securesum"
+	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 // benchOptions are the Fig. 4 settings: the paper's parameters at the
@@ -163,39 +165,79 @@ func BenchmarkScalabilityRecords(b *testing.B) {
 	}
 }
 
+// benchAverager is the averaging job BenchmarkAggregatorOverhead drives: each
+// mapper contributes its fixed vector every round, the reducer divides the
+// aggregate by M and never converges, so the round count is exact.
+type benchAverager struct {
+	value []float64
+	m     int
+}
+
+func (a *benchAverager) Contribution(iter int, state []float64) ([]float64, error) {
+	return a.value, nil
+}
+
+func (a *benchAverager) Combine(iter int, sum []float64) ([]float64, bool, error) {
+	next := make([]float64, len(sum))
+	for i, v := range sum {
+		next[i] = v / float64(a.m)
+	}
+	return next, false, nil
+}
+
 // BenchmarkAggregatorOverhead compares the Reducer's aggregation backends on
-// one consensus round (M = 4 learners, 1000-dimensional iterates): plaintext
-// vs the paper's pairwise-mask protocol vs Paillier homomorphic aggregation.
-// This quantifies the "limited number of cheap cryptographic operations"
-// claim: masking costs within a small factor of plaintext, public-key
-// aggregation costs orders of magnitude more.
+// the path training actually runs (mapreduce.RunDistributed, in-process
+// network): one op is a 4-round averaging job over M = 4 learners with
+// 1000-dimensional iterates, aggregated in plaintext vs under the paper's
+// pairwise-mask protocol vs Paillier homomorphic encryption. This quantifies
+// the "limited number of cheap cryptographic operations" claim: masking costs
+// within a small factor of plaintext, public-key aggregation costs orders of
+// magnitude more.
 func BenchmarkAggregatorOverhead(b *testing.B) {
-	const m, dim = 4, 1000
-	values := make([][]float64, m)
-	for i := range values {
-		values[i] = make([]float64, dim)
-		for j := range values[i] {
-			values[i][j] = float64(i*dim+j) / 1000
+	const m, dim, rounds = 4, 1000, 4
+	job := mapreduce.IterativeJob{
+		Mappers:         make([]mapreduce.IterativeMapper, m),
+		Reducer:         &benchAverager{m: m},
+		InitialState:    make([]float64, dim),
+		ContributionDim: dim,
+		MaxIterations:   rounds,
+	}
+	for i := range job.Mappers {
+		value := make([]float64, dim)
+		for j := range value {
+			value[j] = float64(i*dim+j) / 1000
 		}
+		job.Mappers[i] = &benchAverager{value: value}
 	}
 	key, err := paillier.GenerateKey(nil, 1024)
 	if err != nil {
 		b.Fatal(err)
 	}
-	summers := []securesum.Summer{
-		&securesum.PlainSummer{},
-		&securesum.MaskedSummer{},
-		&securesum.PaillierSummer{Key: key},
-	}
-	for _, s := range summers {
-		s := s
-		b.Run(s.Name(), func(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		agg  mapreduce.Aggregation
+	}{
+		{"plain", mapreduce.AggregationPlain},
+		{"masked", mapreduce.AggregationMasked},
+		{"paillier", mapreduce.AggregationPaillier},
+	} {
+		bc := bc
+		b.Run(bc.name, func(b *testing.B) {
+			reg := telemetry.NewRegistry()
+			var msgs, bytes int64
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Sum(values); err != nil {
+				res, err := mapreduce.RunDistributed(context.Background(), job, mapreduce.DriverOptions{
+					Aggregation: bc.agg, PaillierKey: key, Telemetry: reg,
+				})
+				if err != nil {
 					b.Fatal(err)
 				}
+				msgs += res.Net.Messages
+				bytes += res.Net.Bytes
 			}
-			b.ReportMetric(float64(s.CryptoOps())/float64(b.N), "cryptoops/round")
+			b.ReportMetric(float64(msgs)/float64(b.N), "messages/op")
+			b.ReportMetric(float64(bytes)/float64(b.N), "bytes/op")
+			b.ReportMetric(float64(reg.Snapshot().CounterTotal("ppml_paillier_ciphertexts_total"))/float64(b.N), "ppml_paillier_ciphertexts_total/op")
 		})
 	}
 }

@@ -9,6 +9,9 @@
 //	ppml-figures -panel c           # one panel
 //	ppml-figures -panel baseline    # centralized benchmark accuracies
 //	ppml-figures -panel scalability # learner-count sweep
+//	ppml-figures -panel comm -json BENCH_comm.json
+//	                                # a measurement panel (comm, hot,
+//	                                # elastic, async) and its JSON report
 //	ppml-figures -paper-scale       # full Section VI data sizes (slow)
 //	ppml-figures -distributed       # run on the simulated cluster with
 //	                                # secure aggregation instead of in-process
@@ -58,15 +61,19 @@ func run(ctx context.Context, args []string) (err error) {
 	csvDir := fs.String("csv", "", "also write each experiment as CSV into this directory")
 	maskMode := fs.String("mask-mode", "seeded",
 		"masked-aggregation variant for distributed runs: seeded or per-round")
-	commJSON := fs.String("comm-json", "", "with -panel comm, also write the comparison as JSON to this file")
-	hotJSON := fs.String("hot-json", "", "with -panel hot, also write the kernel benchmark as JSON to this file")
-	elasticJSON := fs.String("elastic-json", "", "with -panel elastic, also write the straggler benchmark as JSON to this file")
-	asyncJSON := fs.String("async-json", "", "with -panel async, also write the staleness benchmark as JSON to this file")
+	jsonPath := fs.String("json", "", "with -panel comm, hot, elastic or async, also write that panel's report as JSON to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve live /metrics (Prometheus), /debug/vars and /debug/pprof on this address while the experiments run (e.g. 127.0.0.1:9090; :0 picks a free port)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch *panel {
+	case "comm", "hot", "elastic", "async":
+	default:
+		if *jsonPath != "" {
+			return fmt.Errorf("-json needs a panel that produces a report (comm, hot, elastic, async), not %q", *panel)
+		}
 	}
 	if *cpuProfile != "" {
 		f, createErr := os.Create(*cpuProfile)
@@ -127,6 +134,7 @@ func run(ctx context.Context, args []string) (err error) {
 		opts.Telemetry = tel
 	}
 
+	var report any
 	switch *panel {
 	case "all":
 		for _, id := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
@@ -140,19 +148,40 @@ func run(ctx context.Context, args []string) (err error) {
 	case "scalability":
 		return printScalability(opts)
 	case "comm":
-		return printComm(opts, *commJSON)
+		report, err = printComm(opts)
 	case "hot":
-		return printHot(*hotJSON)
+		report, err = printHot()
 	case "elastic":
-		return printElastic(ctx, opts, *elasticJSON)
+		report, err = printElastic(ctx, opts)
 	case "async":
-		return printAsync(ctx, opts, *asyncJSON)
+		report, err = printAsync(ctx, opts)
 	default:
 		if len(*panel) == 1 && strings.Contains("abcdefgh", *panel) {
 			return printPanel(*panel, opts)
 		}
 		return fmt.Errorf("unknown panel %q (want a..h, baseline, scalability, comm, hot, elastic, async, all)", *panel)
 	}
+	if err != nil || *jsonPath == "" {
+		return err
+	}
+	return writeJSON(*jsonPath, report)
+}
+
+// writeJSON stores a panel's report, indented, at path — the data behind the
+// BENCH_<panel>.json files.
+func writeJSON(path string, report any) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}()
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	return enc.Encode(report)
 }
 
 func printPanel(id string, opts experiments.Options) error {
@@ -235,16 +264,16 @@ func printBaseline(opts experiments.Options) error {
 }
 
 // printComm compares the two masking modes on the identical training job
-// (horizontal linear, cancer, M = opts.Learners or 16) and optionally writes
-// the comparison to jsonPath — the data behind BENCH_comm.json.
-func printComm(opts experiments.Options, jsonPath string) (err error) {
+// (horizontal linear, cancer, M = opts.Learners or 16) and returns the
+// comparison — the data behind BENCH_comm.json.
+func printComm(opts experiments.Options) (*experiments.CommReport, error) {
 	m := opts.Learners
 	if m < 2 {
 		m = 16
 	}
 	report, err := experiments.RunComm(opts, m)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("# Communication: seeded vs per-round masks, horizontal linear on cancer, M=%d\n", m)
 	fmt.Println("mode\tlearners\titerations\tmessages\tbytes\tseconds\taccuracy")
@@ -254,30 +283,16 @@ func printComm(opts experiments.Options, jsonPath string) (err error) {
 	}
 	fmt.Printf("max |decision diff| between modes: %g\n", report.MaxDecisionDiff)
 	fmt.Println()
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return report, nil
 }
 
 // printHot runs the hot-kernel benchmark (tiled vs reference compute kernels,
-// packed vs unpacked Paillier aggregation) and optionally writes the report
-// to jsonPath — the data behind BENCH_hot.json.
-func printHot(jsonPath string) (err error) {
+// packed vs unpacked Paillier aggregation) and returns the report — the data
+// behind BENCH_hot.json.
+func printHot() (*experiments.HotReport, error) {
 	report, err := experiments.RunHot()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Println("# Hot kernels: reference loop vs cache-blocked tiled kernel")
 	fmt.Println("kernel\tbaseline_ms\ttiled_ms\tspeedup")
@@ -293,34 +308,20 @@ func printHot(jsonPath string) (err error) {
 	fmt.Printf("ratio: %.1fx fewer ciphertexts, %.1fx fewer bytes, %.1fx faster\n",
 		hp.CiphertextRatio, hp.ByteRatio, hp.SpeedupNs)
 	fmt.Println()
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return report, nil
 }
 
 // printElastic runs the straggler-recovery benchmark (demote-and-continue vs
-// abort-and-restart at each injected delay) and optionally writes the report
-// to jsonPath — the data behind BENCH_elastic.json.
-func printElastic(ctx context.Context, opts experiments.Options, jsonPath string) (err error) {
+// abort-and-restart at each injected delay) and returns the report — the data
+// behind BENCH_elastic.json.
+func printElastic(ctx context.Context, opts experiments.Options) (*experiments.ElasticReport, error) {
 	m := opts.Learners
 	if m < 3 {
 		m = 16
 	}
 	report, err := experiments.RunElastic(ctx, m)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("# Elastic rounds: demote-and-continue vs abort-and-restart, M=%d, %d rounds of %.0fms work, straggler from round %d, timeout %.0fms, write-off after %d\n",
 		report.Learners, report.Rounds, report.WorkMs, report.FaultAtRound,
@@ -332,30 +333,16 @@ func printElastic(ctx context.Context, opts experiments.Options, jsonPath string
 			p.AbortTotalMs, p.AbortRoundMs, p.Restarted, p.Speedup)
 	}
 	fmt.Println()
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return report, nil
 }
 
 // printAsync runs the bounded-staleness benchmark (bulk-synchronous vs async
-// minibatch rounds under injected send jitter) and optionally writes the
-// report to jsonPath — the data behind BENCH_async.json.
-func printAsync(ctx context.Context, opts experiments.Options, jsonPath string) (err error) {
+// minibatch rounds under injected send jitter) and returns the report — the
+// data behind BENCH_async.json.
+func printAsync(ctx context.Context, opts experiments.Options) (*experiments.AsyncReport, error) {
 	report, err := experiments.RunAsync(ctx, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("# Async rounds: bulk-synchronous vs bounded-staleness (S=%d, decay %.2f, chunks %d rows), M=%d, send jitter %g/%gms tail p=%g, straggler window %gms\n",
 		report.Staleness, report.StalenessDecay, report.ChunkRows, report.Learners,
@@ -375,21 +362,7 @@ func printAsync(ctx context.Context, opts experiments.Options, jsonPath string) 
 	fmt.Printf("minibatch reproducibility: run1 %s run2 %s equal=%t\n",
 		report.MinibatchHash1, report.MinibatchHash2, report.Reproducible)
 	fmt.Println()
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return report, nil
 }
 
 func printScalability(opts experiments.Options) error {

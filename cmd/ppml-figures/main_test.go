@@ -35,6 +35,9 @@ func TestRunUnknownPanel(t *testing.T) {
 	if err := run(t.Context(), []string{"-panel", "zzz"}); err == nil {
 		t.Error("unknown panel accepted")
 	}
+	if err := run(t.Context(), []string{"-panel", "a", "-json", filepath.Join(t.TempDir(), "a.json")}); err == nil {
+		t.Error("-json accepted with a panel that produces no report")
+	}
 }
 
 func TestRunCPUProfile(t *testing.T) {

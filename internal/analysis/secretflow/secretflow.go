@@ -119,12 +119,11 @@ var clearedFields = map[string]map[string]bool{
 		// share-collection attempt this is. Membership is announced to every
 		// learner by the roster protocol itself, so it is public metadata.
 		"Roster": true, "Attempt": true,
-		// The distributed-trace context (frame v4): a random session
-		// identity the reducer mints before any data exists and every
-		// frame echoes verbatim. It never mixes with payload bytes, so it
-		// is public coordination metadata like Session/Round/Seq
-		// (DESIGN.md §16).
-		"Trace": true, "ParentSpan": true,
+		// The distributed-trace identity: a random session name the
+		// reducer mints before any data exists and every frame echoes
+		// verbatim. It never mixes with payload bytes, so it is public
+		// coordination metadata like Session/Round/Seq (DESIGN.md §16).
+		"Trace": true,
 	},
 }
 

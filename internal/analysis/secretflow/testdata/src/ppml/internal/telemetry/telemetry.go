@@ -1,4 +1,4 @@
-// Package telemetry is a golden stub of the metrics/logging layer; every
+// Package telemetry is a golden stub of the metrics/journal layer; every
 // call into it is a secretflow sink.
 package telemetry
 
@@ -8,13 +8,14 @@ type Gauge struct{}
 // Set records the gauge value.
 func (Gauge) Set(v float64) {}
 
-// Logger is the structured diagnostic logger.
+// Logger is a loose variadic sink the real scalar-only API does not have, so
+// the goldens can hand a sink arguments Emit would reject at compile time.
 type Logger struct{}
 
 // Event emits one structured log record.
 func (Logger) Event(msg string, kv ...any) {}
 
-// TraceID is the distributed-trace session identity (frame v4): two random
+// TraceID is the distributed-trace session identity: two random
 // words minted by the reducer before any data exists.
 type TraceID struct{ Hi, Lo uint64 }
 

@@ -9,29 +9,27 @@ import (
 )
 
 // Header is the sender-stamped envelope (session, round, roster, attempt,
-// and the frame-v4 distributed-trace context).
+// and the distributed-trace identity).
 type Header struct {
-	Session    uint64
-	Round      int32
-	Roster     []uint64
-	Attempt    int32
-	Trace      [2]uint64
-	ParentSpan uint64
+	Session uint64
+	Round   int32
+	Roster  []uint64
+	Attempt int32
+	Trace   [2]uint64
 }
 
 // Message is one delivered datagram. Everything but Payload is routing
 // metadata (cleared fields in the taint model).
 type Message struct {
-	From, To   int
-	Kind       string
-	Session    uint64
-	Round      int32
-	Roster     []uint64
-	Attempt    int32
-	Seq        uint64
-	Trace      [2]uint64
-	ParentSpan uint64
-	Payload    []byte
+	From, To int
+	Kind     string
+	Session  uint64
+	Round    int32
+	Roster   []uint64
+	Attempt  int32
+	Seq      uint64
+	Trace    [2]uint64
+	Payload  []byte
 }
 
 // Endpoint mirrors the real endpoint's Send signature.
@@ -66,10 +64,10 @@ func retryError(to string, payload []byte) error {
 	return fmt.Errorf("retries exhausted to %s sending %x", to, payload) // want `raw wire payload bytes reaches fmt\.Errorf`
 }
 
-// DescribeTrace renders the distributed-trace context. No diagnostics: the
-// trace identity is a random session name the reducer mints before any data
-// exists and every frame echoes verbatim (cleared fields Trace/ParentSpan,
-// public like Session/Round/Seq).
+// DescribeTrace renders the distributed-trace identity. No diagnostics: it
+// is a random session name the reducer mints before any data exists and
+// every frame echoes verbatim (cleared field Trace, public like
+// Session/Round/Seq).
 func DescribeTrace(m Message) string {
-	return fmt.Sprintf("trace=%x parent=%x round=%d", m.Trace, m.ParentSpan, m.Round)
+	return fmt.Sprintf("trace=%x round=%d", m.Trace, m.Round)
 }

@@ -1,14 +1,14 @@
 // Package telemetrysafe keeps payload vectors out of telemetry and logs in
 // the protocol packages.
 //
-// The telemetry package is scalar-only by construction — its Field
-// constructors and metric handles accept strings, numbers, and durations,
-// never slices — but nothing in the type system stops a future change from
-// stringifying a weight vector into a log message or smuggling a share
-// buffer through a variadic any parameter. A model iterate in a log line is
-// exactly the leak the Section V masking protocol exists to prevent: the
-// Reducer (or anyone reading the Reducer's logs) would see an individual
-// learner's w_i instead of only the masked aggregate.
+// The telemetry package is scalar-only by construction — Journal.Emit takes
+// a flat list of strings and numbers and the metric handles take one number,
+// never a slice — but nothing in the type system stops a future change from
+// stringifying a weight vector into an event label or adding a sink with a
+// variadic any parameter that a share buffer fits through. A model iterate
+// in a log line is exactly the leak the Section V masking protocol exists to
+// prevent: the Reducer (or anyone reading the Reducer's logs) would see an
+// individual learner's w_i instead of only the masked aggregate.
 //
 // In the hard-audited protocol packages (securesum, paillier, consensus,
 // mapreduce, transport) this analyzer therefore flags any call into a

@@ -23,13 +23,13 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) {}
 // Record is the loose any-typed sink a future change might add.
 func (r *Registry) Record(name string, v any) {}
 
-// Logger mirrors the structured logger with a variadic any tail.
+// Logger is a second loose sink, with a variadic any tail.
 type Logger struct{}
 
 // Info logs at info level.
 func (l *Logger) Info(msg string, kv ...any) {}
 
-// TraceID is the distributed-trace session identity (frame v4).
+// TraceID is the distributed-trace session identity.
 type TraceID struct{ Hi, Lo uint64 }
 
 // Journal is the bounded flight recorder; Emit is a scalar-only sink.

@@ -9,7 +9,7 @@ package experiments
 // elastic round demotes the unlucky mapper at the straggler window, folds
 // its share stale, and proceeds at the fast majority's pace — and minibatch
 // chunks shrink the horizontal solve itself. The numbers feed the
-// EXPERIMENTS.md accuracy-vs-wall-clock table; `scripts/bench.sh async`
+// EXPERIMENTS.md accuracy-vs-wall-clock table; `make bench-async`
 // regenerates the JSON via ppml-figures -panel async.
 
 import (

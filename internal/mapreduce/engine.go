@@ -130,17 +130,16 @@ type engine struct {
 
 // sessionEnv is what the Reducer and every Mapper of one job share.
 type sessionEnv struct {
-	session    uint64
-	trace      telemetry.TraceID  // session trace identity, echoed on every send
-	parentSpan uint64             // reducer's session span, the trace's parent edge
-	names      []string           // mapper endpoint names, by mapper id
-	journal    *telemetry.Journal // flight recorder; nil when telemetry is off
+	session uint64
+	trace   telemetry.TraceID  // session trace identity, echoed on every send
+	names   []string           // mapper endpoint names, by mapper id
+	journal *telemetry.Journal // flight recorder; nil when telemetry is off
 }
 
-// header returns the session envelope for round r, carrying the trace context
+// header returns the session envelope for round r, carrying the trace id
 // every mapper echoes back to the reducer.
 func (s *sessionEnv) header(r int32) transport.Header {
-	return transport.Header{Session: s.session, Round: r, Trace: s.trace, ParentSpan: s.parentSpan}
+	return transport.Header{Session: s.session, Round: r, Trace: s.trace}
 }
 
 // staleRoundFilter drops a session's frames older than *round (the setup
@@ -223,18 +222,16 @@ func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, sta
 
 	for iter := startIter; iter < job.MaxIterations; iter++ {
 		roundStart := time.Now()
-		spanCtx, roundSpan := telemetry.StartSpan(ctx, "round")
 		e.round = int32(iter)
 		//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 		e.journal.Emit(reducerName, "round.start", e.trace, e.round, 0, "", "", 0, 0)
 		if evictor != nil {
 			evictor.Evict(stale)
 		}
-		roster, sum, err := e.collectRound(spanCtx, state)
+		roster, sum, err := e.collectRound(ctx, state)
 		// The communication round — broadcast through collected aggregate —
-		// is what the span and the histogram measure; a round that errors
-		// out ends its span but is not observed as a completed round.
-		roundSpan.End()
+		// is what the histogram and the round.start/round.end pair measure;
+		// a round that errors out is not observed as a completed round.
 		if err != nil {
 			return state, err
 		}

@@ -133,6 +133,7 @@ func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, e
 	reg.Gauge(metricFanout).Set(float64(len(job.Mappers)))
 	rounds := reg.Counter(metricRounds)
 	roundDur := reg.Histogram(metricRoundSeconds, telemetry.DurationBuckets)
+	journal := reg.Journal()
 	state := append([]float64(nil), job.InitialState...)
 	res := &IterativeResult{}
 	m := len(job.Mappers)
@@ -144,7 +145,7 @@ func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, e
 			return nil, err
 		}
 		roundStart := time.Now()
-		_, roundSpan := telemetry.StartSpan(ctx, "round")
+		journal.Emit(reducerName, "round.start", telemetry.TraceID{}, int32(iter), 0, "", "", 0, 0)
 		parallel.For(m, 1, func(lo, hi int) {
 			for mi := lo; mi < hi; mi++ {
 				contribs[mi], errs[mi] = job.Mappers[mi].Contribution(iter, state)
@@ -168,9 +169,10 @@ func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, e
 		}
 		// A round counts once its aggregate exists, same definition as the
 		// distributed driver's.
-		roundSpan.End()
-		roundDur.Observe(time.Since(roundStart).Seconds())
+		secs := time.Since(roundStart).Seconds()
+		roundDur.Observe(secs)
 		rounds.Inc()
+		journal.Emit(reducerName, "round.end", telemetry.TraceID{}, int32(iter), 0, "", "", 0, secs)
 		next, done, err := job.Reducer.Combine(iter, sum)
 		if err != nil {
 			return nil, fmt.Errorf("%w: reducer at iteration %d: %v", ErrAborted, iter, err)

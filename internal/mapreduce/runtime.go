@@ -122,8 +122,8 @@ type DriverOptions struct {
 	// Locality optionally describes where each Mapper's input lives in a
 	// DFS, for data-movement accounting.
 	Locality *LocalityPlan
-	// Telemetry optionally attaches a metrics registry: per-round spans and
-	// durations, retry/timeout counters, the mapper fan-out gauge, the
+	// Telemetry optionally attaches a metrics registry: per-round durations
+	// and journal events, retry/timeout counters, the mapper fan-out gauge, the
 	// securesum per-kind traffic counters, and — when the Network supports
 	// it — the transport counters. Nil records nothing at zero cost. When
 	// nil, a registry already carried by the context (telemetry.NewContext)
@@ -305,9 +305,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 			reg.Gauge(metricPackRatio).Set(float64(job.ContributionDim) / float64(pack.Ciphertexts(job.ContributionDim)))
 		}
 	}
-	ctx, jobSpan := telemetry.StartSpan(ctx, "mapreduce.job")
-	defer jobSpan.End()
-
 	eng := &engine{
 		policy: pol,
 		sessionEnv: sessionEnv{
@@ -315,10 +312,9 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 			// Trace identity for the whole session: the reducer mints it here
 			// and stamps it into every envelope; mappers echo it back, so every
 			// node's journal keys its events to the same cross-node timeline.
-			trace:      telemetry.NewTraceID(),
-			parentSpan: telemetry.NewSpanID(),
-			names:      make([]string, m),
-			journal:    reg.Journal(),
+			trace:   telemetry.NewTraceID(),
+			names:   make([]string, m),
+			journal: reg.Journal(),
 		},
 		idOf:         make(map[string]int, m),
 		maskMode:     opts.MaskMode,

@@ -129,7 +129,7 @@ func TestTelemetryLocalEngineRounds(t *testing.T) {
 	const rounds = 5
 	job, red := newAveragingJob(values, rounds)
 	red.tol = 0
-	reg := telemetry.NewRegistry()
+	reg := telemetry.NewRegistry(telemetry.WithJournal(64))
 	ctx := telemetry.NewContext(context.Background(), reg)
 	res, err := RunLocalContext(ctx, job)
 	if err != nil {
@@ -142,21 +142,30 @@ func TestTelemetryLocalEngineRounds(t *testing.T) {
 	if fan, ok := snap.GaugeValue("ppml_mapper_fanout"); !ok || fan != float64(len(values)) {
 		t.Errorf("ppml_mapper_fanout = %v (ok=%v), want %d", fan, ok, len(values))
 	}
-	spans := 0
-	for _, s := range snap.Spans {
-		if s.Name == "round" {
-			spans++
+	// Every round fact has one record per kind: one histogram observation
+	// and one round.start/round.end journal pair per completed round.
+	if got := snap.HistogramCount("ppml_round_seconds"); got != rounds {
+		t.Errorf("ppml_round_seconds count = %d, want %d", got, rounds)
+	}
+	starts, ends := 0, 0
+	for _, e := range snap.Journal {
+		switch e.Event {
+		case "round.start":
+			starts++
+		case "round.end":
+			ends++
 		}
 	}
-	if spans != rounds {
-		t.Errorf("recorded %d round spans, want %d", spans, rounds)
+	if starts != rounds || ends != rounds {
+		t.Errorf("journal has %d round.start / %d round.end, want %d each", starts, ends, rounds)
 	}
 }
 
 // BenchmarkRoundLoopTelemetry is the overhead guard for the instrumented
-// round loop: the "live" case (registry attached, spans + counters +
-// histograms recorded every round) must stay within a few percent of "off"
-// (no registry: every telemetry call is a nil-receiver no-op). Compare with
+// round loop: the "live" case (registry and journal attached: counters,
+// histograms and the round.start/round.end pair recorded every round) must
+// stay within a few percent of "off" (no registry: every telemetry call is a
+// nil-receiver no-op). Compare with
 //
 //	go test -run '^$' -bench BenchmarkRoundLoopTelemetry ./internal/mapreduce/
 //
@@ -176,7 +185,7 @@ func BenchmarkRoundLoopTelemetry(b *testing.B) {
 		reg  *telemetry.Registry
 	}{
 		{"off", nil},
-		{"live", telemetry.NewRegistry()},
+		{"live", telemetry.NewRegistry(telemetry.WithJournal(256))},
 	} {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {

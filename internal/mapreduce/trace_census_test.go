@@ -16,9 +16,9 @@ import (
 // journal's payload byte census must equal net.Stats().Bytes to the byte, and
 // the per-kind message counts must match the closed-form wiretap expectations
 // (seeded: m(m−1) seeds once and zero masks; per-round: m(m−1) masks every
-// round and zero seeds; m shares per round either way). With the frame-v4
-// envelope pinned byte-exactly in transport (TestFrameLengthExact: 61 bytes
-// fixed — including the 24-byte trace context — plus the three name strings),
+// round and zero seeds; m shares per round either way). With the frame-v5
+// envelope pinned byte-exactly in transport (TestFrameLengthExact: 53 bytes
+// fixed — including the 16-byte trace context — plus the three name strings),
 // the census reconstructs total wire volume in closed form, which is what the
 // ppml-trace network-segment attribution relies on.
 func TestJournalWireCensusParity(t *testing.T) {

@@ -16,10 +16,9 @@
 // individual inputs cannot be recovered even if all other Mappers and the
 // Reducer pool their knowledge.
 //
-// The package exposes the protocol at three levels: Party/Collector state
-// machines (used by the MapReduce integration), Run* helpers that drive a
-// full round over a transport.Network, and Summer backends (plain, masked,
-// Paillier) that the consensus Reducer plugs in.
+// The package exposes the protocol at two levels: Party/Collector state
+// machines (used by the MapReduce integration) and Run* helpers that drive a
+// full round over a transport.Network.
 package securesum
 
 import (
@@ -313,8 +312,8 @@ func (c *Collector) SumInto(dst []float64) ([]float64, error) {
 }
 
 // MaskedSum runs the whole protocol in memory over the given private
-// vectors, returning their sum. It exists for tests and for the Summer
-// backend; the distributed path goes through RunParty/RunCollector.
+// vectors, returning their sum. It exists for tests; the distributed path
+// goes through RunParty/RunCollector.
 func MaskedSum(values [][]float64, codec fixedpoint.Codec, random io.Reader) ([]float64, error) {
 	m := len(values)
 	if m == 0 {

@@ -127,7 +127,6 @@ func (r *Registry) WriteVars(w io.Writer) error {
 			"bounds": h.Bounds, "counts": h.Counts, "sum": h.Sum, "count": h.Count,
 		}})
 	}
-	vars = append(vars, kv{"spans", map[string]any{"recent": snap.Spans, "total": snap.SpansTotal}})
 	vars = append(vars, kv{"journal", map[string]any{"total": snap.JournalTotal, "capacity": r.Journal().Capacity()}})
 	if snap.RunInfo != nil {
 		vars = append(vars, kv{"runinfo", snap.RunInfo})

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
@@ -18,9 +17,6 @@ func exampleRegistry() *Registry {
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(7)
-	ctx := NewContext(context.Background(), r)
-	_, s := StartSpan(ctx, "round")
-	s.End()
 	return r
 }
 

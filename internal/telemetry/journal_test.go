@@ -46,12 +46,6 @@ func TestTraceIDRoundtrip(t *testing.T) {
 	}
 }
 
-func TestNewSpanIDDistinct(t *testing.T) {
-	if NewSpanID() == NewSpanID() {
-		t.Fatal("two NewSpanID draws collided (astronomically unlikely)")
-	}
-}
-
 func TestJournalEmitAndSnapshot(t *testing.T) {
 	j := NewJournal(64)
 	tr := NewTraceID()
@@ -187,28 +181,15 @@ func TestRegistryOptionsAndEnv(t *testing.T) {
 	if NewRegistry().Journal() != nil {
 		t.Fatal("journal must be off by default")
 	}
-	r := NewRegistry(WithJournal(128), WithSpanRing(8))
+	r := NewRegistry(WithJournal(128))
 	if r.Journal().Capacity() != 128 {
 		t.Fatalf("WithJournal capacity = %d, want 128", r.Journal().Capacity())
 	}
-	for i := 0; i < 20; i++ {
-		r.spans.record(SpanRecord{Name: "s"})
-	}
-	if spans, _ := r.spans.snapshot(); len(spans) != 8 {
-		t.Fatalf("WithSpanRing(8) ring holds %d, want 8", len(spans))
-	}
 
-	t.Setenv(spanRingEnv, "4")
 	t.Setenv(journalRingEnv, "64")
 	r = NewRegistry()
 	if r.Journal().Capacity() != 64 {
 		t.Fatalf("env journal capacity = %d, want 64", r.Journal().Capacity())
-	}
-	for i := 0; i < 20; i++ {
-		r.spans.record(SpanRecord{Name: "s"})
-	}
-	if spans, _ := r.spans.snapshot(); len(spans) != 4 {
-		t.Fatalf("env span ring holds %d, want 4", len(spans))
 	}
 	// Explicit options beat the environment.
 	r = NewRegistry(WithJournal(16))

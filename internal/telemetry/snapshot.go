@@ -9,8 +9,6 @@ type Snapshot struct {
 	Counters     []CounterValue   `json:"counters,omitempty"`
 	Gauges       []GaugeValue     `json:"gauges,omitempty"`
 	Histograms   []HistogramValue `json:"histograms,omitempty"`
-	Spans        []SpanRecord     `json:"spans,omitempty"`
-	SpansTotal   uint64           `json:"spans_total"`
 	Journal      []JournalEvent   `json:"journal,omitempty"`
 	JournalTotal uint64           `json:"journal_total,omitempty"`
 	RunInfo      *RunInfo         `json:"run_info,omitempty"`
@@ -71,7 +69,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 		fam.mu.Unlock()
 	}
-	s.Spans, s.SpansTotal = r.spans.snapshot()
 	s.Journal = r.journal.Snapshot()
 	s.JournalTotal = r.journal.Total()
 	s.RunInfo = r.RunInfo()

@@ -1,8 +1,7 @@
 // Package telemetry is the dependency-free observability core: a
 // concurrency-safe metrics registry (atomic counters, gauges, lock-striped
-// histograms, labeled families), lightweight span tracing carried through
-// context, and a leveled structured logger whose API is incapable of
-// logging payload vectors.
+// histograms, labeled families) and one event ring, the Journal, whose Emit
+// takes only flat scalars.
 //
 // Privacy stance (DESIGN.md §11): everything recorded here is a scalar the
 // semi-honest reducer's view already contains — message counts, byte
@@ -41,26 +40,18 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Registry holds metric families, the recent-span ring, the round-event
-// journal, and run attribution. The zero value is not usable; construct
+// Registry holds metric families, the round-event journal, and run
+// attribution. The zero value is not usable; construct
 // with NewRegistry. A nil *Registry is the sanctioned no-op (see Disabled).
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	spans    spanRing
 	journal  *Journal
 	runInfo  atomic.Pointer[RunInfo]
 }
 
 // Option configures a Registry at construction.
 type Option func(*Registry)
-
-// WithSpanRing sets the recent-span ring capacity (default
-// DefaultSpanRing). Each slot is one SpanRecord, so capacity trades a few
-// hundred bytes per slot for a longer visible tail of rounds.
-func WithSpanRing(capacity int) Option {
-	return func(r *Registry) { r.spans.resize(capacity) }
-}
 
 // WithJournal attaches a round-event journal holding the most recent
 // capacity events. Without this option (or the PPML_JOURNAL_RING env) the
@@ -69,23 +60,15 @@ func WithJournal(capacity int) Option {
 	return func(r *Registry) { r.journal = NewJournal(capacity) }
 }
 
-// Environment overrides, read by NewRegistry so operators can resize the
-// span ring or switch on the flight recorder without a code or flag change:
-// PPML_SPAN_RING=1024 sets the span capacity, PPML_JOURNAL_RING=8192
-// enables the journal with that capacity.
-const (
-	spanRingEnv    = "PPML_SPAN_RING"
-	journalRingEnv = "PPML_JOURNAL_RING"
-)
+// journalRingEnv is the environment override read by NewRegistry so
+// operators can switch on the flight recorder without a code or flag
+// change: PPML_JOURNAL_RING=8192 enables the journal with that capacity.
+const journalRingEnv = "PPML_JOURNAL_RING"
 
 // NewRegistry returns an empty live registry. Options apply after the
-// PPML_SPAN_RING / PPML_JOURNAL_RING environment overrides, so explicit
-// configuration wins.
+// PPML_JOURNAL_RING environment override, so explicit configuration wins.
 func NewRegistry(opts ...Option) *Registry {
 	r := &Registry{families: make(map[string]*family)}
-	if n, err := strconv.Atoi(os.Getenv(spanRingEnv)); err == nil && n > 0 {
-		r.spans.resize(n)
-	}
 	if n, err := strconv.Atoi(os.Getenv(journalRingEnv)); err == nil && n > 0 {
 		r.journal = NewJournal(n)
 	}

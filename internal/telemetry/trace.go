@@ -38,16 +38,6 @@ func NewTraceID() TraceID {
 	}
 }
 
-// NewSpanID returns a fresh random span identifier (the parent-span word
-// carried next to the TraceID on the wire).
-func NewSpanID() uint64 {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("telemetry: crypto/rand unavailable: " + err.Error())
-	}
-	return binary.BigEndian.Uint64(b[:])
-}
-
 // IsZero reports whether t is the absent trace.
 func (t TraceID) IsZero() bool { return t.Hi == 0 && t.Lo == 0 }
 

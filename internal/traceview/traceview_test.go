@@ -2,11 +2,15 @@ package traceview
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/ppml-go/ppml/internal/mapreduce"
+	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 var fixtureOnce struct {
@@ -233,6 +237,46 @@ func TestWriteSummaryRenders(t *testing.T) {
 	for _, want := range []string{"straggler", "p99", flaky} {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Errorf("summary missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestMergeLocalJournal checks a RunLocalContext job's journal reads like a
+// distributed one: with no traced session the events form the single
+// zero-trace timeline, one Round per iteration, each bounded by the
+// reducer's round.start/round.end pair.
+func TestMergeLocalJournal(t *testing.T) {
+	const m, iters = 3, 4
+	mappers := make([]mapreduce.IterativeMapper, m)
+	for i := range mappers {
+		mappers[i] = &fixtureMapper{value: []float64{float64(i + 1)}}
+	}
+	reg := telemetry.NewRegistry(telemetry.WithJournal(64))
+	if _, err := mapreduce.RunLocalContext(telemetry.NewContext(context.Background(), reg), mapreduce.IterativeJob{
+		Mappers:         mappers,
+		Reducer:         &fixtureReducer{m: m},
+		InitialState:    make([]float64, 1),
+		ContributionDim: 1,
+		MaxIterations:   iters,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tls := Merge(&Dump{Events: reg.Journal().Snapshot()})
+	if len(tls) != 1 {
+		t.Fatalf("got %d timelines, want 1", len(tls))
+	}
+	if !tls[0].Trace.IsZero() {
+		t.Fatalf("timeline trace = %v, want the zero trace", tls[0].Trace)
+	}
+	if len(tls[0].Rounds) != iters {
+		t.Fatalf("timeline has %d rounds, want %d", len(tls[0].Rounds), iters)
+	}
+	for i, r := range tls[0].Rounds {
+		first, last := r.Events[0], r.Events[len(r.Events)-1]
+		if r.Round != int32(i) || len(r.Events) != 2 ||
+			first.Event != "round.start" || !r.Start.Equal(first.Time) ||
+			last.Event != "round.end" || !r.End.Equal(last.Time) {
+			t.Errorf("round %d: %d events, bounds %v..%v, want its round.start/round.end pair", r.Round, len(r.Events), r.Start, r.End)
 		}
 	}
 }

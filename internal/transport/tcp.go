@@ -35,9 +35,10 @@ const maxFrameBytes = 64 << 20
 // so the header can grow fields in later versions without silent corruption.
 // Version 2 added the roster section (elastic per-round participation sets);
 // version 3 added the attempt counter that tells two roster attempts of one
-// round apart; version 4 added the trace context (trace id + parent span)
-// that keys per-node journal events to one cross-node timeline.
-const frameVersion = 4
+// round apart; version 4 added the trace context that keys per-node journal
+// events to one cross-node timeline; version 5 carries that context as the
+// trace id alone.
+const frameVersion = 5
 
 // Fixed envelope layout after the 4-byte length prefix:
 //
@@ -49,13 +50,12 @@ const frameVersion = 4
 //	17      8     seq     (big endian)
 //	25      8     trace id, high word (big endian)
 //	33      8     trace id, low word (big endian)
-//	41      8     parent span (big endian)
-//	49      2     roster word count, then 8 bytes (big endian) per word
+//	41      2     roster word count, then 8 bytes (big endian) per word
 //	..      2     len(from), then from bytes
 //	..      2     len(to), then to bytes
 //	..      2     len(kind), then kind bytes
 //	..      —     payload (everything remaining)
-const frameFixedHeader = 1 + 8 + 4 + 4 + 8 + 8 + 8 + 8
+const frameFixedHeader = 1 + 8 + 4 + 4 + 8 + 8 + 8
 
 // maxNameBytes bounds the from/to/kind strings in a frame; endpoint names and
 // message kinds are short protocol identifiers.
@@ -304,7 +304,6 @@ func appendFrame(dst []byte, msg *Message) ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, msg.Seq)
 	b = binary.BigEndian.AppendUint64(b, msg.Trace.Hi)
 	b = binary.BigEndian.AppendUint64(b, msg.Trace.Lo)
-	b = binary.BigEndian.AppendUint64(b, msg.ParentSpan)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(msg.Roster)))
 	for _, w := range msg.Roster {
 		b = binary.BigEndian.AppendUint64(b, w)
@@ -332,7 +331,6 @@ func decodeFrame(body []byte) (Message, error) {
 	msg.Seq = binary.BigEndian.Uint64(body[17:])
 	msg.Trace.Hi = binary.BigEndian.Uint64(body[25:])
 	msg.Trace.Lo = binary.BigEndian.Uint64(body[33:])
-	msg.ParentSpan = binary.BigEndian.Uint64(body[41:])
 	rest := body[frameFixedHeader:]
 	if len(rest) < 2 {
 		return Message{}, fmt.Errorf("%w: truncated roster length", ErrBadFrame)
@@ -392,7 +390,7 @@ func (e *tcpEndpoint) Send(ctx context.Context, to, kind string, hdr Header, pay
 		Session: hdr.Session, Round: hdr.Round, Seq: e.seq.Add(1),
 		Roster:  hdr.Roster,
 		Attempt: hdr.Attempt,
-		Trace:   hdr.Trace, ParentSpan: hdr.ParentSpan,
+		Trace:   hdr.Trace,
 		Payload: payload,
 	}
 	bp := getFrameBuf(tel)

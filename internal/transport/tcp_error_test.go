@@ -203,3 +203,21 @@ func TestTCPCloseTwice(t *testing.T) {
 		t.Fatalf("Endpoint after Close = %v, want ErrClosed", err)
 	}
 }
+
+// TestFrameRejectsVersion4 hands the decoder a well-formed frame of the
+// previous wire version (49-byte fixed header: one more word after the trace
+// id): it is refused by its version byte like any other foreign version,
+// never misparsed under the current 41-byte layout.
+func TestFrameRejectsVersion4(t *testing.T) {
+	frame, err := encodeFrame(&Message{From: "a", To: "b", Kind: "k", Session: 7, Round: 3, Payload: []byte("payload")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frame[4:]
+	v4 := append([]byte{4}, body[1:frameFixedHeader]...)
+	v4 = binary.BigEndian.AppendUint64(v4, 0xfeed)
+	v4 = append(v4, body[frameFixedHeader:]...)
+	if _, err := decodeFrame(v4); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("version-4 frame: err = %v, want ErrBadFrame", err)
+	}
+}

@@ -8,18 +8,19 @@ import (
 	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
-// TestFrameFixedHeaderPinned pins the frame v4 envelope overhead byte for
-// byte. The trace context (TraceHi, TraceLo, ParentSpan) costs exactly 24
-// bytes per message on top of the v3 envelope; any change to this constant
-// is a wire-format break that must bump frameVersion.
+// TestFrameFixedHeaderPinned pins the frame v5 envelope overhead byte for
+// byte. The trace context (TraceHi, TraceLo) costs exactly 16 bytes per
+// message on top of the 25-byte coordination envelope; any change to this
+// constant is a wire-format break that must bump frameVersion.
 func TestFrameFixedHeaderPinned(t *testing.T) {
-	if frameVersion != 4 {
-		t.Fatalf("frameVersion = %d, want 4", frameVersion)
+	if frameVersion != 5 {
+		t.Fatalf("frameVersion = %d, want 5", frameVersion)
 	}
 	// version(1) + session(8) + round(4) + attempt(4) + seq(8)
-	// + traceHi(8) + traceLo(8) + parentSpan(8)
-	if frameFixedHeader != 49 {
-		t.Fatalf("frameFixedHeader = %d, want 49", frameFixedHeader)
+	const coordination = 25
+	// + traceHi(8) + traceLo(8)
+	if frameFixedHeader != coordination+16 {
+		t.Fatalf("frameFixedHeader = %d, want %d", frameFixedHeader, coordination+16)
 	}
 }
 
@@ -33,7 +34,7 @@ func TestFrameLengthExact(t *testing.T) {
 		{From: "mapper-7", To: "reducer", Kind: "mr.plainshare", Session: 9,
 			Round: 3, Attempt: 1, Seq: 44, Payload: make([]byte, 808)},
 		{From: "mapper-1", To: "mapper-2", Kind: "securesum.seed",
-			Trace: telemetry.TraceID{Hi: 1, Lo: 2}, ParentSpan: 3,
+			Trace:  telemetry.TraceID{Hi: 1, Lo: 2},
 			Roster: Roster{0xff}, Payload: make([]byte, 32)},
 	}
 	for _, msg := range cases {
@@ -53,10 +54,9 @@ func TestFrameTraceRoundtrip(t *testing.T) {
 	msg := Message{
 		From: "reducer", To: "mapper-3", Kind: "mr.broadcast",
 		Session: 77, Round: 12, Attempt: 2, Seq: 101,
-		Trace:      telemetry.TraceID{Hi: 0xdeadbeefcafef00d, Lo: 0x0123456789abcdef},
-		ParentSpan: 0xfeedface00000001,
-		Roster:     Roster{0b1011},
-		Payload:    []byte{1, 2, 3},
+		Trace:   telemetry.TraceID{Hi: 0xdeadbeefcafef00d, Lo: 0x0123456789abcdef},
+		Roster:  Roster{0b1011},
+		Payload: []byte{1, 2, 3},
 	}
 	frame, err := encodeFrame(&msg)
 	if err != nil {
@@ -66,13 +66,11 @@ func TestFrameTraceRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Trace != msg.Trace || got.ParentSpan != msg.ParentSpan {
-		t.Fatalf("trace context mangled: got %v/%x, want %v/%x",
-			got.Trace, got.ParentSpan, msg.Trace, msg.ParentSpan)
+	if got.Trace != msg.Trace {
+		t.Fatalf("trace id mangled: got %v, want %v", got.Trace, msg.Trace)
 	}
-	hdr := got.Header()
-	if hdr.Trace != msg.Trace || hdr.ParentSpan != msg.ParentSpan {
-		t.Fatalf("Header() dropped the trace context: %+v", hdr)
+	if hdr := got.Header(); hdr.Trace != msg.Trace {
+		t.Fatalf("Header() dropped the trace id: %+v", hdr)
 	}
 }
 
@@ -97,8 +95,7 @@ func TestTraceContextPropagates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hdr := Header{Session: 5, Round: 2,
-				Trace: telemetry.TraceID{Hi: 7, Lo: 8}, ParentSpan: 9}
+			hdr := Header{Session: 5, Round: 2, Trace: telemetry.TraceID{Hi: 7, Lo: 8}}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			if err := a.Send(ctx, "b", "k", hdr, []byte("x")); err != nil {
@@ -108,8 +105,8 @@ func TestTraceContextPropagates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if msg.Trace != hdr.Trace || msg.ParentSpan != hdr.ParentSpan {
-				t.Fatalf("%s dropped trace context: %+v", mk.name, msg)
+			if msg.Trace != hdr.Trace {
+				t.Fatalf("%s dropped the trace id: %+v", mk.name, msg)
 			}
 		})
 	}

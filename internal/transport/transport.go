@@ -65,9 +65,6 @@ type Header struct {
 	// metadata, like Session/Round/Seq: 16 random bytes chosen by the
 	// reducer, carrying nothing about any learner's data (DESIGN.md §16).
 	Trace telemetry.TraceID
-	// ParentSpan is the sender's current span identity under Trace, giving
-	// merged timelines a parent edge. Same privacy posture as Trace.
-	ParentSpan uint64
 }
 
 // Message is one datagram between named endpoints. Kind routes it within the
@@ -85,10 +82,8 @@ type Message struct {
 	Roster Roster
 	// Attempt is the roster-attempt counter copied from the sender's Header.
 	Attempt int32
-	// Trace and ParentSpan are the trace context copied from the sender's
-	// Header.
-	Trace      telemetry.TraceID
-	ParentSpan uint64
+	// Trace is the trace identity copied from the sender's Header.
+	Trace telemetry.TraceID
 	// Seq is a per-sender monotonic sequence number stamped by the
 	// transport on Send; it breaks ties between same-round messages and
 	// gives transcripts a total per-sender order.
@@ -98,8 +93,7 @@ type Message struct {
 
 // Header reconstructs the sender-stamped envelope of the message.
 func (m Message) Header() Header {
-	return Header{Session: m.Session, Round: m.Round, Roster: m.Roster, Attempt: m.Attempt,
-		Trace: m.Trace, ParentSpan: m.ParentSpan}
+	return Header{Session: m.Session, Round: m.Round, Roster: m.Roster, Attempt: m.Attempt, Trace: m.Trace}
 }
 
 // Verdict is a Filter's decision for one inbound message.
@@ -379,7 +373,7 @@ func (e *inprocEndpoint) Send(ctx context.Context, to, kind string, hdr Header, 
 		// next attempt cannot mutate a message already in flight.
 		Session: hdr.Session, Round: hdr.Round, Roster: hdr.Roster.Clone(),
 		Attempt: hdr.Attempt,
-		Trace:   hdr.Trace, ParentSpan: hdr.ParentSpan,
+		Trace:   hdr.Trace,
 		Seq:     e.seq.Add(1),
 		Payload: payload,
 	}

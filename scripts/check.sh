@@ -33,6 +33,16 @@ if grep -rnE '\b(fmt\.Print|log\.)' \
 	exit 1
 fi
 
+echo "==> one event ring (no span ring, parent-span word or ring knob in non-test Go)"
+# The journal is telemetry's only event substrate; a second ring or a trace
+# word nothing reads would be one more sink the taint analyzers and DESIGN.md
+# §11/§16 have to model.
+if grep -rnE 'StartSpan|RecentSpans|PPML_SPAN_RING|ParentSpan' . --include="*.go" \
+	| grep -v "_test.go" | grep -v "/testdata/"; then
+	echo "error: span-ring surface in non-test Go (emit journal events instead)" >&2
+	exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -53,10 +63,12 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + tiled kernels + Paillier packing, 1 iteration)"
+echo "==> bench smoke (Gram + tiled kernels + Paillier packing + scalability + minibatch, 1 iteration)"
 go test -run '^$' -bench Gram -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
+go test -run '^$' -bench Scalability -benchtime 1x .
+go test -run '^$' -bench Minibatch -benchtime 1x ./internal/consensus/
 
 echo "==> metrics smoke (live -metrics-addr endpoint on a real training run)"
 sh scripts/metrics_smoke.sh
