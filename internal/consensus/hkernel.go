@@ -61,6 +61,38 @@ func (mod *KernelHorizontalModel) Decision(x []float64) float64 {
 	return s / float64(len(mod.B))
 }
 
+// Decisions is the batch form of Decision: dst[i] is the mean discriminant of
+// row i of x, computed on the tiled kernel path (kernel.Accumulate) without
+// retaining a kernel matrix. A nil dst is allocated; otherwise it must hold
+// x.Rows values, which are overwritten. The learners' landmark coefficients
+// are summed first, so the shared landmarks are scored once. Values agree
+// with Decision to rounding (see kernel.Accumulate), not bit for bit.
+func (mod *KernelHorizontalModel) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
+	if dst == nil {
+		dst = make([]float64, x.Rows)
+	} else if len(dst) != x.Rows {
+		return nil, fmt.Errorf("consensus hk decisions: %w: dst length %d for %d samples", linalg.ErrShape, len(dst), x.Rows)
+	}
+	linalg.Zero(dst)
+	var b float64
+	coefG := make([]float64, mod.Landmarks.Rows)
+	for m := range mod.B {
+		if err := kernel.Accumulate(mod.Kernel, x, mod.SupportX[m], mod.CoefX[m], dst); err != nil {
+			return nil, err
+		}
+		linalg.Axpy(1, mod.CoefG[m], coefG)
+		b += mod.B[m]
+	}
+	if err := kernel.Accumulate(mod.Kernel, x, mod.Landmarks, coefG, dst); err != nil {
+		return nil, err
+	}
+	inv := 1 / float64(len(mod.B))
+	for i := range dst {
+		dst[i] = (dst[i] + b) * inv
+	}
+	return dst, nil
+}
+
 // Predict returns the consensus label for x.
 func (mod *KernelHorizontalModel) Predict(x []float64) float64 {
 	if mod.Decision(x) >= 0 {
@@ -158,13 +190,12 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 		accuracy: make([]float64, 0, cfg.MaxIterations),
 	}
 	if cfg.EvalSet != nil {
-		red.eval = func(state []float64) float64 {
-			model := assembleHKModel(cfg, xg, hkMappers, state)
-			acc, err := eval.ClassifierAccuracy(model, cfg.EvalSet)
+		red.eval = func(state []float64) (float64, error) {
+			model, err := assembleHKModel(cfg, xg, hkMappers, state)
 			if err != nil {
-				return 0
+				return 0, err
 			}
-			return acc
+			return eval.ClassifierAccuracy(model, cfg.EvalSet)
 		}
 	}
 
@@ -181,7 +212,11 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	}
 	h.DeltaZSq = red.deltaZSq
 	h.Accuracy = red.accuracy
-	return assembleHKModel(cfg, xg, hkMappers, res.FinalState), h, nil
+	model, err := assembleHKModel(cfg, xg, hkMappers, res.FinalState)
+	if err != nil {
+		return nil, nil, err
+	}
+	return model, h, nil
 }
 
 // hkLearner is what model assembly needs from a horizontal-kernel Map() task
@@ -190,7 +225,7 @@ type hkLearner interface {
 	mapreduce.IterativeMapper
 	// expansion converts the mapper's dual state plus the consensus z into
 	// explicit kernel-expansion coefficients (eq. 25).
-	expansion(z []float64) (coefX, coefG []float64, b float64)
+	expansion(z []float64) (coefX, coefG []float64, b float64, err error)
 	// support is the mapper's private row block the expansion refers to.
 	support() *linalg.Matrix
 }
@@ -215,7 +250,7 @@ func buildGPG(m int, rho float64, kgg, kgInv *linalg.Matrix) (*linalg.Matrix, er
 
 // assembleHKModel folds the learners' dual state and the consensus into the
 // explicit kernel-expansion coefficients of eq. (25).
-func assembleHKModel(cfg Config, xg *linalg.Matrix, mappers []hkLearner, state []float64) *KernelHorizontalModel {
+func assembleHKModel(cfg Config, xg *linalg.Matrix, mappers []hkLearner, state []float64) (*KernelHorizontalModel, error) {
 	m := len(mappers)
 	l := xg.Rows
 	model := &KernelHorizontalModel{
@@ -229,19 +264,21 @@ func assembleHKModel(cfg Config, xg *linalg.Matrix, mappers []hkLearner, state [
 	z := state[:l]
 	for i, mp := range mappers {
 		model.SupportX[i] = mp.support()
-		model.CoefX[i], model.CoefG[i], model.B[i] = mp.expansion(z)
+		var err error
+		if model.CoefX[i], model.CoefG[i], model.B[i], err = mp.expansion(z); err != nil {
+			return nil, fmt.Errorf("consensus hk: learner %d expansion: %w", i, err)
+		}
 	}
-	return model
+	return model, nil
 }
 
 // hkMapper is one learner's Map() task for the horizontal kernel scheme.
 type hkMapper struct {
-	m    int
-	cfg  Config
-	x    *linalg.Matrix
-	y    []float64
-	l    int
-	rhoM float64
+	m   int
+	cfg Config
+	x   *linalg.Matrix
+	y   []float64
+	l   int
 
 	kgg   *linalg.Matrix // K(X_g, X_g)
 	kgInv *linalg.Matrix // (I + ρM·K_gg)⁻¹
@@ -332,7 +369,7 @@ func newHKMapper(p *dataset.Dataset, m int, cfg Config, xg, kgg, kgInv *linalg.M
 	}
 
 	mp := &hkMapper{
-		m: m, cfg: cfg, x: p.X, y: p.Y, l: xg.Rows, rhoM: rhoM,
+		m: m, cfg: cfg, x: p.X, y: p.Y, l: xg.Rows,
 		kgg: kgg, kgInv: kgInv, kmg: kmg,
 		q: q, phiPG: phiPG, gpg: gpg, kgInvKm: kgInvKm,
 		r:        make([]float64, xg.Rows),
@@ -430,39 +467,46 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 //	f(x) = Σᵢ coefX[i]·K(x, xᵢ) + Σⱼ coefG[j]·K(x, x_g[j]) + b
 //	coefX = M·Yλ
 //	coefG = −ρM²·K⁻¹_g·K_gm·Yλ + ρM·(I − ρM·K⁻¹_g·K_gg)·(z − r)
-func (mp *hkMapper) expansion(z []float64) (coefX, coefG []float64, b float64) {
+func (mp *hkMapper) expansion(z []float64) (coefX, coefG []float64, b float64, err error) {
 	n := mp.x.Rows
 	ylambda := make([]float64, n)
-	for i := range ylambda {
-		if mp.lambda != nil {
-			ylambda[i] = mp.y[i] * mp.lambda[i]
-		}
-	}
 	coefX = make([]float64, n)
-	for i := range coefX {
+	for i := range ylambda {
+		ylambda[i] = mp.y[i] * mp.lambda[i]
 		coefX[i] = float64(mp.m) * ylambda[i]
 	}
-	u := linalg.SubVec(z, mp.r, nil)
+	coefG, err = landmarkCoefficients(mp.kgInvKm, mp.kgg, mp.kgInv, ylambda, linalg.SubVec(z, mp.r, nil), mp.cfg.Rho, mp.m)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return coefX, coefG, mp.prevB, nil
+}
 
-	// −ρM²·K⁻¹_g·K_gm·Yλ
-	t1, err := mp.kgInvKm.MulVec(ylambda, nil)
+// landmarkCoefficients is the coefG term of eq. (25) for a learner with
+// scaled dual Yλ and u = z − r, in a cohort of m (virtual) learners:
+//
+//	−ρM²·K⁻¹_g·K_gm·Yλ + ρM·(I − ρM·K⁻¹_g·K_gg)·u
+//
+// The operand shapes are fixed when the mapper is built, so an error here is
+// a broken invariant, not an input condition.
+func landmarkCoefficients(kgInvKm, kgg, kgInv *linalg.Matrix, ylambda, u []float64, rho float64, m int) ([]float64, error) {
+	t1, err := kgInvKm.MulVec(ylambda, nil)
 	if err != nil {
-		t1 = make([]float64, mp.l)
+		return nil, err
 	}
-	linalg.Scale(-mp.cfg.Rho*float64(mp.m)*float64(mp.m), t1)
-	// ρM·u − ρM·ρM·K⁻¹_g·K_gg·u
-	kgu, err := mp.kgg.MulVec(u, nil)
+	kgu, err := kgg.MulVec(u, nil)
 	if err != nil {
-		kgu = make([]float64, mp.l)
+		return nil, err
 	}
-	t2, err := mp.kgInv.MulVec(kgu, nil)
+	t2, err := kgInv.MulVec(kgu, nil)
 	if err != nil {
-		t2 = make([]float64, mp.l)
+		return nil, err
 	}
-	coefG = make([]float64, mp.l)
-	rhoM := mp.rhoM
+	linalg.Scale(-rho*float64(m)*float64(m), t1)
+	rhoM := rho * float64(m)
+	coefG := t1
 	for j := range coefG {
 		coefG[j] = t1[j] + rhoM*(u[j]-rhoM*t2[j])
 	}
-	return coefX, coefG, mp.prevB
+	return coefG, nil
 }

@@ -70,13 +70,9 @@ func TrainHorizontalLinear(ctx context.Context, parts []*dataset.Dataset, cfg Co
 		accuracy: make([]float64, 0, cfg.MaxIterations),
 	}
 	if cfg.EvalSet != nil {
-		red.eval = func(state []float64) float64 {
+		red.eval = func(state []float64) (float64, error) {
 			model := LinearModel{W: state[:k], B: state[k]}
-			acc, err := eval.ClassifierAccuracy(&model, cfg.EvalSet)
-			if err != nil {
-				return 0
-			}
-			return acc
+			return eval.ClassifierAccuracy(&model, cfg.EvalSet)
 		}
 	}
 
@@ -253,7 +249,7 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 type meanConsensusReducer struct {
 	m    int
 	tol  float64
-	eval func(state []float64) float64
+	eval func(state []float64) (float64, error)
 	tel  reducerGauges
 
 	// live is the participant count of the upcoming round
@@ -311,7 +307,10 @@ func (r *meanConsensusReducer) Combine(iter int, sum []float64) ([]float64, bool
 	r.tel.deltaZSq.Set(delta)
 	r.tel.journalRound(iter, delta)
 	if r.eval != nil {
-		acc := r.eval(next)
+		acc, err := r.eval(next)
+		if err != nil {
+			return nil, false, fmt.Errorf("consensus: eval-set accuracy after round %d: %w", iter, err)
+		}
 		r.accuracy = append(r.accuracy, acc)
 		r.tel.accuracy.Set(acc)
 	}

@@ -66,13 +66,9 @@ func TrainHorizontalLogistic(ctx context.Context, parts []*dataset.Dataset, cfg 
 	}
 	red := &meanConsensusReducer{m: m, tol: cfg.Tol, tel: newReducerGauges(cfg.Telemetry, "logistic")}
 	if cfg.EvalSet != nil {
-		red.eval = func(state []float64) float64 {
+		red.eval = func(state []float64) (float64, error) {
 			model := LogisticModel{W: state[:k], B: state[k]}
-			acc, err := eval.ClassifierAccuracy(&model, cfg.EvalSet)
-			if err != nil {
-				return 0
-			}
-			return acc
+			return eval.ClassifierAccuracy(&model, cfg.EvalSet)
 		}
 	}
 

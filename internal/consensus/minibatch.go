@@ -586,14 +586,12 @@ func (mp *hkChunkMapper) Contribution(iter int, state []float64) ([]float64, err
 // The learner-level dual is the mean of the per-chunk virtual-learner duals
 // (at the fixed point every chunk holds Gw_c = z and the chunk duals play the
 // role the single dual plays full-batch); b likewise folds the chunk biases.
-func (mp *hkChunkMapper) expansion(z []float64) (coefX, coefG []float64, b float64) {
+func (mp *hkChunkMapper) expansion(z []float64) (coefX, coefG []float64, b float64, err error) {
 	n := mp.x.Rows
 	ylambda := make([]float64, n)
+	coefX = make([]float64, n)
 	for i := range ylambda {
 		ylambda[i] = mp.y[i] * mp.lambdaFull[i]
-	}
-	coefX = make([]float64, n)
-	for i := range coefX {
 		coefX[i] = float64(mp.m) * ylambda[i]
 	}
 	rbar := make([]float64, mp.l)
@@ -610,26 +608,11 @@ func (mp *hkChunkMapper) expansion(z []float64) (coefX, coefG []float64, b float
 		linalg.Scale(1/float64(visited), rbar)
 		b /= float64(visited)
 	}
-	u := linalg.SubVec(z, rbar, nil)
-
-	t1, err := mp.kgInvKm.MulVec(ylambda, nil)
+	coefG, err = landmarkCoefficients(mp.kgInvKm, mp.kgg, mp.kgInv, ylambda, linalg.SubVec(z, rbar, nil), mp.cfg.Rho, mp.m)
 	if err != nil {
-		t1 = make([]float64, mp.l)
+		return nil, nil, 0, err
 	}
-	linalg.Scale(-mp.cfg.Rho*float64(mp.m)*float64(mp.m), t1)
-	kgu, err := mp.kgg.MulVec(u, nil)
-	if err != nil {
-		kgu = make([]float64, mp.l)
-	}
-	t2, err := mp.kgInv.MulVec(kgu, nil)
-	if err != nil {
-		t2 = make([]float64, mp.l)
-	}
-	coefG = make([]float64, mp.l)
-	for j := range coefG {
-		coefG[j] = t1[j] + mp.rhoM*(u[j]-mp.rhoM*t2[j])
-	}
-	return coefX, coefG, b
+	return coefX, coefG, b, nil
 }
 
 // vlChunkMapper is the minibatch vertical-linear Map() task: a block-
@@ -915,7 +898,10 @@ func (r *verticalReducer) combineChunk(iter int, sum []float64, mf float64) ([]f
 	r.tel.deltaZSq.Set(delta)
 	r.tel.journalRound(iter, delta)
 	if r.eval != nil {
-		acc := r.eval(r.b)
+		acc, err := r.eval(r.b)
+		if err != nil {
+			return nil, false, fmt.Errorf("consensus: eval-set accuracy after round %d: %w", iter, err)
+		}
 		r.accuracy = append(r.accuracy, acc)
 		//ppml:flow-ok held-out accuracy is the published evaluation metric — an aggregate over the model, not a training row
 		r.tel.accuracy.Set(acc)
@@ -967,13 +953,9 @@ func trainHLChunked(ctx context.Context, srcs []dataset.RowSource, parts []*data
 		accuracy: make([]float64, 0, cfg.MaxIterations),
 	}
 	if cfg.EvalSet != nil {
-		red.eval = func(state []float64) float64 {
+		red.eval = func(state []float64) (float64, error) {
 			model := LinearModel{W: state[:k], B: state[k]}
-			acc, err := eval.ClassifierAccuracy(&model, cfg.EvalSet)
-			if err != nil {
-				return 0
-			}
-			return acc
+			return eval.ClassifierAccuracy(&model, cfg.EvalSet)
 		}
 	}
 	job := mapreduce.IterativeJob{

@@ -30,10 +30,11 @@ type KernelVerticalModel struct {
 // Decision returns the additive discriminant for a full-width sample x.
 func (mod *KernelVerticalModel) Decision(x []float64) float64 {
 	s := mod.B
+	var block []float64 // one gather buffer, resliced per learner
 	for m := range mod.Alpha {
-		block := make([]float64, len(mod.Cols[m]))
-		for j, c := range mod.Cols[m] {
-			block[j] = x[c]
+		block = block[:0]
+		for _, c := range mod.Cols[m] {
+			block = append(block, x[c])
 		}
 		sx := mod.SupportX[m]
 		for i, a := range mod.Alpha[m] {
@@ -43,6 +44,46 @@ func (mod *KernelVerticalModel) Decision(x []float64) float64 {
 		}
 	}
 	return s
+}
+
+// Decisions is the batch form of Decision: dst[i] is the discriminant of the
+// full-width row i of x. Each learner's column block of x is gathered once
+// per call into a buffer reused across learners and scored on the tiled
+// kernel path (kernel.Accumulate). A nil dst is allocated; otherwise it must
+// hold x.Rows values, which are overwritten. Values agree with Decision to
+// rounding, not bit for bit.
+func (mod *KernelVerticalModel) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
+	if dst == nil {
+		dst = make([]float64, x.Rows)
+	} else if len(dst) != x.Rows {
+		return nil, fmt.Errorf("consensus vk decisions: %w: dst length %d for %d samples", linalg.ErrShape, len(dst), x.Rows)
+	}
+	for i := range dst {
+		dst[i] = mod.B
+	}
+	widest := 0
+	for _, cols := range mod.Cols {
+		widest = max(widest, len(cols))
+	}
+	buf := make([]float64, x.Rows*widest)
+	for m, cols := range mod.Cols {
+		for _, c := range cols {
+			if c < 0 || c >= x.Cols {
+				return nil, fmt.Errorf("consensus vk decisions: %w: learner %d owns column %d, samples have %d", linalg.ErrShape, m, c, x.Cols)
+			}
+		}
+		block := linalg.Matrix{Rows: x.Rows, Cols: len(cols), Data: buf[:x.Rows*len(cols)]}
+		for i := 0; i < x.Rows; i++ {
+			xi, bi := x.Row(i), block.Row(i)
+			for j, c := range cols {
+				bi[j] = xi[c]
+			}
+		}
+		if err := kernel.Accumulate(mod.Kernel, &block, mod.SupportX[m], mod.Alpha[m], dst); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // Predict returns the class label, +1 or −1.
@@ -111,12 +152,8 @@ func TrainVerticalKernel(ctx context.Context, parts []*dataset.Dataset, cols [][
 		red.sched = newChunkSchedule(rows, cfg.ChunkRows, cfg.Seed, sharedChunkStream)
 	}
 	if cfg.EvalSet != nil {
-		red.eval = func(b float64) float64 {
-			acc, err := eval.ClassifierAccuracy(assemble(b), cfg.EvalSet)
-			if err != nil {
-				return 0
-			}
-			return acc
+		red.eval = func(b float64) (float64, error) {
+			return eval.ClassifierAccuracy(assemble(b), cfg.EvalSet)
 		}
 	}
 

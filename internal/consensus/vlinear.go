@@ -63,12 +63,8 @@ func TrainVerticalLinear(ctx context.Context, parts []*dataset.Dataset, cols [][
 		red.sched = newChunkSchedule(rows, cfg.ChunkRows, cfg.Seed, sharedChunkStream)
 	}
 	if cfg.EvalSet != nil {
-		red.eval = func(b float64) float64 {
-			acc, err := eval.ClassifierAccuracy(assemble(b), cfg.EvalSet)
-			if err != nil {
-				return 0
-			}
-			return acc
+		red.eval = func(b float64) (float64, error) {
+			return eval.ClassifierAccuracy(assemble(b), cfg.EvalSet)
 		}
 	}
 
@@ -197,7 +193,7 @@ type verticalReducer struct {
 	y    []float64
 	m    int
 	cfg  Config
-	eval func(b float64) float64
+	eval func(b float64) (float64, error)
 	tel  reducerGauges
 
 	// live is the participant count of the upcoming round
@@ -325,7 +321,10 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	r.tel.deltaZSq.Set(delta)
 	r.tel.journalRound(iter, delta)
 	if r.eval != nil {
-		acc := r.eval(r.b)
+		acc, err := r.eval(r.b)
+		if err != nil {
+			return nil, false, fmt.Errorf("consensus: eval-set accuracy after round %d: %w", iter, err)
+		}
 		r.accuracy = append(r.accuracy, acc)
 		//ppml:flow-ok held-out accuracy is the published evaluation metric — an aggregate over the model, not a training row
 		r.tel.accuracy.Set(acc)

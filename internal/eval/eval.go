@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"github.com/ppml-go/ppml/internal/dataset"
+	"github.com/ppml-go/ppml/internal/linalg"
 )
 
 // ErrBadInput indicates mismatched prediction/label lengths.
@@ -87,10 +88,26 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// ClassifierAccuracy runs clf over every sample of d and returns the correct ratio.
+// batchScorer is a Classifier that can also score every row of a sample
+// matrix in one call (the kernel models' tiled path): dst[i] is the decision
+// value whose sign Predict reports for row i.
+type batchScorer interface {
+	Decisions(x *linalg.Matrix, dst []float64) ([]float64, error)
+}
+
+// ClassifierAccuracy runs clf over every sample of d and returns the correct
+// ratio. A classifier with a batch Decisions method is scored in one call;
+// the others are asked row by row.
 func ClassifierAccuracy(clf Classifier, d *dataset.Dataset) (float64, error) {
 	if d.Len() == 0 {
 		return 0, fmt.Errorf("%w: empty data set", ErrBadInput)
+	}
+	if bs, ok := clf.(batchScorer); ok {
+		scores, err := bs.Decisions(d.X, nil)
+		if err != nil {
+			return 0, err
+		}
+		return Accuracy(scores, d.Y)
 	}
 	correct := 0
 	for i := 0; i < d.Len(); i++ {

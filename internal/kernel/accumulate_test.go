@@ -1,0 +1,128 @@
+package kernel
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"github.com/ppml-go/ppml/internal/linalg"
+	"github.com/ppml-go/ppml/internal/parallel"
+)
+
+// cauchy is a kernel dotForm does not know, so it takes the generic Eval
+// path like any kernel defined outside this package.
+type cauchy struct{ sigma float64 }
+
+func (c cauchy) Eval(x, y []float64) float64 { return 1 / (1 + linalg.Dist2Sq(x, y)/c.sigma) }
+func (cauchy) Name() string                  { return "cauchy" }
+
+var accumulateKernels = []Kernel{
+	Linear{}, RBF{Gamma: 0.05}, Polynomial{A: 0.1, B: 1, Degree: 3}, Sigmoid{A: 0.05, C: -0.2}, cauchy{sigma: 9},
+}
+
+// sparseCoef returns n coefficients of which every third is zero.
+func sparseCoef(n int) []float64 {
+	coef := make([]float64, n)
+	for j := range coef {
+		if j%3 != 0 {
+			coef[j] = math.Sin(float64(j)) / 4
+		}
+	}
+	return coef
+}
+
+// TestAccumulateMatchesEval pins the primitive against the scalar expansion
+// Σ_j coef[j]·k.Eval(support_j, x_i) it replaces: agreement to 1e-9 relative
+// for dense, mixed-zero and all-zero coefficients, accumulation on top of
+// what dst held, and a result that does not depend on the worker count (the
+// contract of TestMatrixMatchesGram / TestTiledMatchesNaive).
+func TestAccumulateMatchesEval(t *testing.T) {
+	x := randomSamples(t, 1, 77, 13) // 2 full panels + a partial one, odd tile edges
+	support := randomSamples(t, 2, 41, 13)
+	dense := make([]float64, support.Rows)
+	for j := range dense {
+		dense[j] = math.Cos(float64(j)) / 4
+	}
+	coefs := map[string][]float64{
+		"dense": dense, "mixed-zero": sparseCoef(support.Rows), "all-zero": make([]float64, support.Rows),
+	}
+	for _, k := range accumulateKernels {
+		for name, coef := range coefs {
+			prev := parallel.SetWorkers(1)
+			prevThr := parallel.SetThreshold(1)
+			seq := make([]float64, x.Rows)
+			for i := range seq {
+				seq[i] = 0.5
+			}
+			err := Accumulate(k, x, support, coef, seq)
+			parallel.SetWorkers(4)
+			par := make([]float64, x.Rows)
+			for i := range par {
+				par[i] = 0.5
+			}
+			if err == nil {
+				err = Accumulate(k, x, support, coef, par)
+			}
+			parallel.SetWorkers(prev)
+			parallel.SetThreshold(prevThr)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", k.Name(), name, err)
+			}
+			for i := range seq {
+				want := 0.5
+				for j, c := range coef {
+					if c != 0 {
+						want += c * k.Eval(support.Row(j), x.Row(i))
+					}
+				}
+				if math.Abs(seq[i]-want) > 1e-9*math.Max(1, math.Abs(want)) {
+					t.Fatalf("%s/%s: row %d = %.17g, scalar expansion %.17g", k.Name(), name, i, seq[i], want)
+				}
+				if par[i] != seq[i] {
+					t.Fatalf("%s/%s: row %d depends on the worker count: %.17g vs %.17g", k.Name(), name, i, par[i], seq[i])
+				}
+			}
+		}
+	}
+}
+
+func TestAccumulateShapeErrors(t *testing.T) {
+	x, support := linalg.NewMatrix(3, 4), linalg.NewMatrix(2, 4)
+	for name, err := range map[string]error{
+		"features": Accumulate(Linear{}, linalg.NewMatrix(3, 5), support, make([]float64, 2), make([]float64, 3)),
+		"coef":     Accumulate(Linear{}, x, support, make([]float64, 3), make([]float64, 3)),
+		"dst":      Accumulate(Linear{}, x, support, make([]float64, 2), make([]float64, 2)),
+	} {
+		if !errors.Is(err, linalg.ErrShape) {
+			t.Errorf("%s mismatch: err = %v, want ErrShape", name, err)
+		}
+	}
+}
+
+// TestTiledPathAllocations pins Matrix and Accumulate to O(panels)
+// allocations per call — the output, the row norms, the pool fan-out, a
+// panel when sync.Pool has dropped one (it does at random under -race) — and
+// not one per 2×4 tile, which is what an assembly stub without
+// //go:noescape costs (31,000 on this shape).
+func TestTiledPathAllocations(t *testing.T) {
+	x := randomSamples(t, 3, 1000, 64)
+	support := randomSamples(t, 4, 250, 64)
+	coef := sparseCoef(support.Rows)
+	dst := make([]float64, x.Rows)
+	k := RBF{Gamma: 1.0 / 64}
+	bound := 4 * float64((x.Rows+panelRows-1)/panelRows)
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := Matrix(k, x, support); err != nil {
+			t.Fatal(err)
+		}
+	}); n > bound {
+		t.Errorf("Matrix: %.0f allocations per call, want at most %.0f (four per panel)", n, bound)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if err := Accumulate(k, x, support, coef, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); n > bound {
+		t.Errorf("Accumulate: %.0f allocations per call, want at most %.0f (four per panel)", n, bound)
+	}
+}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -14,7 +15,9 @@ import (
 // linalg kernel — followed by an elementwise transform. The dot panel for a
 // block of rows is computed into a per-worker scratch arena claimed from
 // panelPool and transformed into the output in place, so the full n×n dot
-// matrix is never materialized and workers never share scratch.
+// matrix is never materialized and workers never share scratch. Accumulate,
+// the scoring primitive, walks the same panels and reduces each against a
+// coefficient vector, so it retains no kernel matrix at all.
 
 // panelRows is the row height of a dot panel: tall enough that the tiled
 // kernel runs at full width and the pool claim amortizes, short enough that
@@ -75,11 +78,12 @@ func rowView(m *linalg.Matrix, rlo, rhi int) linalg.Matrix {
 	return linalg.Matrix{Rows: rhi - rlo, Cols: m.Cols, Data: m.Data[rlo*m.Cols : rhi*m.Cols]}
 }
 
-// matrixTiled fills out[i][j] = f(⟨a_i, b_j⟩, sqA[i]+sqB[j]) panel by panel.
-// sqA/sqB are nil when the transform ignores norms. Each block claimed off
-// the pool computes its dot panel into worker-local scratch, then transforms
-// it into the disjoint output rows it owns.
-func matrixTiled(f func(dot, sqSum float64) float64, a, b *linalg.Matrix, sqA, sqB []float64, out *linalg.Matrix, par bool) {
+// dotPanels walks a · bᵀ in panels of panelRows rows of a: each block claimed
+// off the pool computes its dot panel into worker-local scratch and hands
+// visit the panel (rows [rlo, rlo+panel.Rows) of a against every row of b)
+// before the next one overwrites it. Panels cover disjoint rows of a, and
+// the panel boundaries do not depend on the worker count.
+func dotPanels(a, b *linalg.Matrix, par bool, visit func(rlo int, panel linalg.Matrix)) {
 	n := b.Rows
 	chunks := (a.Rows + panelRows - 1) / panelRows
 	body := func(lo, hi int) {
@@ -90,20 +94,7 @@ func matrixTiled(f func(dot, sqSum float64) float64, a, b *linalg.Matrix, sqA, s
 			av := rowView(a, rlo, rhi)
 			pv := linalg.Matrix{Rows: rhi - rlo, Cols: n, Data: panel.Data[:(rhi-rlo)*n]}
 			linalg.MatMulTRows(&av, b, &pv, 0, rhi-rlo)
-			for i := rlo; i < rhi; i++ {
-				prow := pv.Row(i - rlo)
-				orow := out.Row(i)
-				if sqA != nil {
-					si := sqA[i]
-					for j, d := range prow {
-						orow[j] = f(d, si+sqB[j])
-					}
-					continue
-				}
-				for j, d := range prow {
-					orow[j] = f(d, 0)
-				}
-			}
+			visit(rlo, pv)
 		}
 		releasePanel(panel)
 	}
@@ -112,6 +103,132 @@ func matrixTiled(f func(dot, sqSum float64) float64, a, b *linalg.Matrix, sqA, s
 		return
 	}
 	body(0, chunks)
+}
+
+// matrixTiled fills out[i][j] = f(⟨a_i, b_j⟩, sqA[i]+sqB[j]) panel by panel.
+// sqA/sqB are nil when the transform ignores norms. Each panel is
+// transformed into the disjoint output rows it owns.
+func matrixTiled(f func(dot, sqSum float64) float64, a, b *linalg.Matrix, sqA, sqB []float64, out *linalg.Matrix, par bool) {
+	dotPanels(a, b, par, func(rlo int, panel linalg.Matrix) {
+		for r := 0; r < panel.Rows; r++ {
+			prow := panel.Row(r)
+			orow := out.Row(rlo + r)
+			if sqA != nil {
+				si := sqA[rlo+r]
+				for j, d := range prow {
+					orow[j] = f(d, si+sqB[j])
+				}
+				continue
+			}
+			for j, d := range prow {
+				orow[j] = f(d, 0)
+			}
+		}
+	})
+}
+
+// Accumulate adds the kernel expansion over support to dst:
+//
+//	dst[i] += Σ_j coef[j]·k(support_j, x_i)
+//
+// that is dst += K(x, support)·coef, without retaining the x.Rows ×
+// support.Rows kernel matrix: built-in kernels reduce each dot panel into the
+// dst rows it owns as soon as it is computed. Support rows with a zero
+// coefficient are gathered out first, and the remaining terms are summed in
+// support order, so against the scalar Σ_j coef[j]·k.Eval(support_j, x_i)
+// only the dot itself (tile kernel, and for RBF the norm expansion
+// ‖x‖²+‖y‖²−2⟨x, y⟩ instead of the difference form) rounds differently. The
+// per-row arithmetic is the same on the sequential and the parallel path, so
+// the result does not depend on the worker count.
+func Accumulate(k Kernel, x, support *linalg.Matrix, coef, dst []float64) error {
+	if x.Cols != support.Cols {
+		return fmt.Errorf("kernel accumulate: %w: samples have %d features, support rows %d",
+			linalg.ErrShape, x.Cols, support.Cols)
+	}
+	if len(coef) != support.Rows || len(dst) != x.Rows {
+		return fmt.Errorf("kernel accumulate: %w: %d coefficients for %d support rows, dst length %d for %d samples",
+			linalg.ErrShape, len(coef), support.Rows, len(dst), x.Rows)
+	}
+	nz := 0
+	for _, c := range coef {
+		if c != 0 {
+			nz++
+		}
+	}
+	if nz == 0 || x.Rows == 0 {
+		return nil
+	}
+	if nz < len(coef) {
+		// The gathered rows live in pooled scratch like the dot panels, so a
+		// scoring call per round leaves no N × k garbage behind.
+		g := grabPanel(nz, support.Cols)
+		defer releasePanel(g)
+		coef = gatherNonzero(support, coef, g)
+		support = g
+	}
+	par := useParallel(x.Rows * support.Rows * x.Cols)
+	f, needNorms, ok := dotForm(k)
+	if !ok {
+		accumulateEval(k, x, support, coef, dst, par)
+		return nil
+	}
+	var sqX, sqS []float64
+	if needNorms {
+		sqX = rowNormsSq(x)
+		sqS = rowNormsSq(support)
+	}
+	dotPanels(x, support, par, func(rlo int, panel linalg.Matrix) {
+		for r := 0; r < panel.Rows; r++ {
+			prow := panel.Row(r)
+			var s float64
+			if sqX != nil {
+				si := sqX[rlo+r]
+				for j, d := range prow {
+					s += coef[j] * f(d, si+sqS[j])
+				}
+			} else {
+				for j, d := range prow {
+					s += coef[j] * f(d, 0)
+				}
+			}
+			dst[rlo+r] += s
+		}
+	})
+	return nil
+}
+
+// accumulateEval is Accumulate for kernels outside this package: one generic
+// Eval per (sample, support row) pair, sample rows split over the pool.
+func accumulateEval(k Kernel, x, support *linalg.Matrix, coef, dst []float64, par bool) {
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			xi := x.Row(i)
+			var s float64
+			for j, c := range coef {
+				s += c * k.Eval(support.Row(j), xi)
+			}
+			dst[i] += s
+		}
+	}
+	if par {
+		parallel.For(x.Rows, rowGrain(support.Rows*x.Cols), body)
+		return
+	}
+	body(0, x.Rows)
+}
+
+// gatherNonzero copies the support rows whose coefficient is nonzero, in
+// order, into the first rows of dst (already shaped nz × support.Cols) and
+// returns their coefficients.
+func gatherNonzero(support *linalg.Matrix, coef []float64, dst *linalg.Matrix) []float64 {
+	kept := make([]float64, 0, dst.Rows)
+	for j, c := range coef {
+		if c != 0 {
+			copy(dst.Row(len(kept)), support.Row(j))
+			kept = append(kept, c)
+		}
+	}
+	return kept
 }
 
 // gramTiled is matrixTiled specialized to the symmetric case: each panel

@@ -12,10 +12,16 @@ func xgetbvAsm() (eax, edx uint32)
 
 // dotTile2x4FMA computes the 2×4 dot tile out[r*4+c] = Σ_k a_r[k]·b_c[k]
 // over n elements with AVX2 FMA. Callers must have checked hasFMA and n ≥ 1.
+// The noescape directive keeps the caller's out array on its stack; without
+// it every tile heap-allocates one (scripts/check.sh gates on this).
+//
+//go:noescape
 func dotTile2x4FMA(a0, a1, b0, b1, b2, b3 *float64, n int, out *[8]float64)
 
 // dotFMA returns Σ_k x[k]·y[k] over n elements with AVX2 FMA. Callers must
 // have checked hasFMA and n ≥ 1.
+//
+//go:noescape
 func dotFMA(x, y *float64, n int) float64
 
 // hasFMA gates the assembly microkernels. It is a variable, not a constant,

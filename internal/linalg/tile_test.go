@@ -206,3 +206,26 @@ func TestZeroWidthShapes(t *testing.T) {
 		t.Fatalf("MulVec with 0 cols: %v, len %d", err, len(got))
 	}
 }
+
+// TestTileKernelDoesNotAllocate pins the tiled kernels to the allocations of
+// their output and the worker fan-out. The 2×4 accumulator array is handed to
+// the assembly microkernel by pointer; an assembly stub without //go:noescape
+// moves it to the heap once per tile (31,000 times on this shape).
+func TestTileKernelDoesNotAllocate(t *testing.T) {
+	if !hasFMA {
+		t.Skip("the pure-Go tile returns its accumulators in registers")
+	}
+	a := randomDense(1, 1000, 64)
+	b := randomDense(2, 250, 64)
+	out := NewMatrix(a.Rows, b.Rows)
+	if n := testing.AllocsPerRun(5, func() { MatMulTRows(a, b, out, 0, a.Rows) }); n != 0 {
+		t.Errorf("MatMulTRows: %.0f allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := MatMulT(a, b); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 16 {
+		t.Errorf("MatMulT: %.0f allocations per call, want the output and the worker fan-out (at most 16)", n)
+	}
+}

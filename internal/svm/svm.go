@@ -197,11 +197,31 @@ func (m *Model) Predict(x []float64) float64 {
 	return -1
 }
 
-// PredictBatch classifies every row of x.
-func (m *Model) PredictBatch(x *linalg.Matrix) []float64 {
-	out := make([]float64, x.Rows)
-	for i := range out {
-		out[i] = m.Predict(x.Row(i))
+// Decisions is the batch form of Decision: dst[i] = f(x_i) for every row of
+// x, one MulVec for a linear model and the tiled kernel path
+// (kernel.Accumulate) otherwise. A nil dst is allocated; otherwise it must
+// hold x.Rows values, which are overwritten. Values agree with Decision to
+// rounding, not bit for bit.
+func (m *Model) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
+	if dst == nil {
+		dst = make([]float64, x.Rows)
+	} else if len(dst) != x.Rows {
+		return nil, fmt.Errorf("svm decisions: %w: dst length %d for %d samples", linalg.ErrShape, len(dst), x.Rows)
 	}
-	return out
+	if m.W != nil {
+		if _, err := x.MulVec(m.W, dst); err != nil {
+			return nil, err
+		}
+		for i := range dst {
+			dst[i] += m.B
+		}
+		return dst, nil
+	}
+	for i := range dst {
+		dst[i] = m.B
+	}
+	if err := kernel.Accumulate(m.Kernel, x, m.SupportX, m.Coef, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }

@@ -122,16 +122,32 @@ func TestSlackAllowsOutliers(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
+// TestDecisionsMatchDecision pins the batch scoring path against the scalar
+// Decision it must agree with: the explicit-weight MulVec for a linear model,
+// the tiled kernel path otherwise, both with and without a caller's dst.
+func TestDecisionsMatchDecision(t *testing.T) {
 	d := dataset.TwoGaussians("g", 60, 3, 3, 3)
-	m, err := Train(d.X, d.Y, Params{C: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := m.PredictBatch(d.X)
-	for i := 0; i < d.Len(); i++ {
-		if batch[i] != m.Predict(d.X.Row(i)) {
-			t.Fatalf("batch and single predictions differ at %d", i)
+	for _, k := range []kernel.Kernel{nil, kernel.RBF{Gamma: 0.5}} {
+		m, err := Train(d.X, d.Y, Params{C: 1, Kernel: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := m.Decisions(d.X, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, err := m.Decisions(d.X, make([]float64, d.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < d.Len(); i++ {
+			want := m.Decision(d.X.Row(i))
+			if math.Abs(batch[i]-want) > 1e-9*math.Max(1, math.Abs(want)) || reused[i] != batch[i] {
+				t.Fatalf("%s: row %d: batch %.17g, into dst %.17g, scalar %.17g", m.Kernel.Name(), i, batch[i], reused[i], want)
+			}
+		}
+		if _, err := m.Decisions(d.X, make([]float64, 1)); !errors.Is(err, linalg.ErrShape) {
+			t.Errorf("%s: short dst: err = %v, want ErrShape", m.Kernel.Name(), err)
 		}
 	}
 }

@@ -43,6 +43,17 @@ if grep -rnE 'StartSpan|RecentSpans|PPML_SPAN_RING|ParentSpan' . --include="*.go
 	exit 1
 fi
 
+echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
+# The 2x4 accumulator array in tile.go is handed to the assembly microkernel
+# by pointer. A stub declared without //go:noescape makes the compiler move
+# it to the heap: one allocation per tile, 31,000 for one 1000x250 kernel
+# matrix. tiled.go's panel loops sit on the same path.
+if go build -gcflags=-m ./internal/linalg ./internal/kernel 2>&1 \
+	| grep -E '(tile|tiled)\.go:[0-9]+:[0-9]+: moved to heap'; then
+	echo "error: a local of the tile kernels escapes (assembly stub without //go:noescape?)" >&2
+	exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
