@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-custom vet-flow fuzz-short bench bench-smoke bench-comm bench-hot bench-elastic bench-async metrics-smoke trace-smoke check
+.PHONY: build test race vet vet-custom vet-flow fuzz-short bench bench-comm bench-hot bench-elastic bench-async metrics-smoke trace-smoke check
 
 build:
 	$(GO) build ./...
@@ -51,10 +51,6 @@ fuzz-short:
 # Full benchmark sweep with allocation stats (slow).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# One-iteration benchmark smoke: verifies bench code still compiles and runs.
-bench-smoke:
-	$(GO) test -run '^$$' -bench Gram -benchtime 1x ./internal/kernel/
 
 # Communication measurement: scalability sweep under both mask modes plus
 # the seeded-vs-per-round comparison written to BENCH_comm.json.

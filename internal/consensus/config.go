@@ -56,21 +56,26 @@ type Config struct {
 	// of the provably convergent joint update. See package doc.
 	PaperSplit bool
 
-	// ChunkRows switches every local sub-problem to minibatch mode: each
+	// ChunkRows sizes the row chunks of every local sub-problem: each
 	// iteration a learner solves its ADMM step over one contiguous chunk of
 	// at most ChunkRows rows, visiting chunks in a Seed-derived permutation
-	// that reshuffles every epoch. Horizontal learners keep per-chunk dual
-	// warm starts; the vertical schemes run block-coordinate updates on the
-	// shared score vector, with the Reducer following the same (shared)
-	// chunk schedule. Zero keeps the full-batch solves. See DESIGN.md §15.
+	// that reshuffles every epoch. Horizontal learners keep per-chunk duals
+	// and warm starts; the vertical schemes run block-coordinate updates on
+	// the shared score vector, with the Reducer following the same (shared)
+	// chunk schedule. Zero means all rows — as does any value that is at
+	// least a learner's row count — which is the paper's full-batch
+	// iteration: one chunk, visited every round. Negative values are
+	// rejected, and so is PaperSplit on a learner whose rows divide into more
+	// than one chunk. See DESIGN.md §15.
 	ChunkRows int
 	// Staleness (distributed mode, masked aggregation with an elastic
 	// StragglerTimeout) allows a learner's share to be computed against a
 	// consensus state up to Staleness rounds old: the local solve runs on a
 	// background worker and the round answers with the newest completed
 	// contribution, scaled by StalenessDecay^s. Zero keeps rounds bulk-
-	// synchronous. Rejected for the vertical schemes when ChunkRows is also
-	// set (a stale chunk update would target the wrong coordinate block).
+	// synchronous. Rejected for the vertical schemes when ChunkRows divides
+	// the records into more than one chunk (a stale chunk update would target
+	// the wrong coordinate block).
 	// See DESIGN.md §15.
 	Staleness int
 	// StalenessDecay is the per-round weight decay κ ∈ (0, 1] applied to
@@ -160,9 +165,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.ChunkRows < 0 {
 		return c, fmt.Errorf("%w: ChunkRows = %d", ErrBadConfig, c.ChunkRows)
-	}
-	if c.ChunkRows > 0 && c.PaperSplit {
-		return c, fmt.Errorf("%w: ChunkRows is not supported with PaperSplit", ErrBadConfig)
 	}
 	if c.Staleness < 0 || c.Staleness > 255 {
 		return c, fmt.Errorf("%w: Staleness = %d, want 0..255", ErrBadConfig, c.Staleness)

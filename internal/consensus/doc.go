@@ -67,6 +67,52 @@
 // Φ_m w_m = ρK_m(I+ρK_m)⁻¹q_m with K_m the block-feature Gram matrix, so only
 // kernel evaluations on the learner's own feature block are ever needed.
 //
+// # One mapper per scheme: a schedule of virtual learners
+//
+// Each scheme has one Map() task (hlMapper, hkMapper, vlMapper, vkMapper) and
+// the formulas above appear once. A mapper walks a chunkSchedule: its rows
+// are cut into J = ⌈rows/ChunkRows⌉ contiguous chunks, visited in a seeded
+// permutation reshuffled every epoch, and each round solves the local
+// sub-problem over the scheduled chunk only. ChunkRows = 0 (or anything at
+// least the row count) is J = 1, the paper's full-batch iteration; it is not
+// a separate code path, and TestOneChunkIsFullBatch holds the two spellings
+// to the same bits.
+//
+// Horizontal (HL/HK): every chunk is a virtual learner of the consensus
+// (virtualLearners). The cohort has M′ = Σ_m J_m of them, every M in the
+// formulas above is M′, each chunk keeps its own scaled duals, last iterate
+// and QP warm start, and the mapper contributes the running mean of its
+// chunks' (iterate + dual) terms — one refreshed per round, J−1 stale — so
+// the Reducer's mean is the M′-learner z-update. With J = 1 the mean is the
+// single term.
+//
+// Vertical (VL/VK): the records are shared, so all mappers and the Reducer
+// follow one schedule (sharedChunkStream). A round refits the learner's
+// whole block to the chunk's rows, weighted s = N/n_c to stand in for the
+// record set, and contributes scores on the chunk's coordinates only; the
+// Reducer folds and prox-updates exactly those coordinates of ā, z̄ and u and
+// leaves the rest at their last values, so the broadcast z̄ − ā − u stays
+// consistent everywhere. With J = 1, s = 1 and the chunk is every record.
+//
+// What a mapper derives from a chunk's rows alone — HL's dual Hessian, HK's
+// P-folded blocks, VL's ridge factor and X_c·w, VK's kernel strip, its factor
+// and (K·α)|_c — is remembered for the chunk index it was built for and
+// rebuilt only when the schedule visits a different chunk. One chunk
+// therefore means built once, several means one chunk-sized rebuild a round,
+// and nothing asks which case it is. Everything an iterate depends on across
+// rounds (duals, warm starts, w, α) is kept per chunk or per learner and
+// never rebuilt.
+//
+// Rows are read where they live. HK, VL and VK hold their partition, view
+// chunk rows in place, and are constructed holding their first chunk's
+// blocks (constructors run one at a time, first rounds side by side, and a
+// build has chunk-squared intermediates). HL reads through a
+// dataset.Prefetcher, which serves an in-memory partition as views of its
+// storage and a streamed one (TrainHorizontalLinearStreamed over
+// dataset.OpenDFS) as double-buffered decoded copies, so only HL trains out
+// of core; its Hessian is built when the first rows arrive. Every mapper
+// round is observed in the ppml_chunk_seconds histogram.
+//
 // # Privacy
 //
 // What leaves each Mapper per iteration is exactly one vector — (w+γ, b+β)

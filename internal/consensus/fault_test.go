@@ -47,7 +47,7 @@ func TestHLDistributedSurvivesTransientMapperFaults(t *testing.T) {
 	k := train.Features()
 	mappers := make([]mapreduce.IterativeMapper, len(parts))
 	for i, p := range parts {
-		mp, err := newHLMapper(p, len(parts), cfg)
+		mp, err := newHLMapper(dataset.NewMemorySource(p), i, len(parts), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestHLDistributedPermanentFaultFailsCleanly(t *testing.T) {
 	}
 	mappers := make([]mapreduce.IterativeMapper, len(parts))
 	for i, p := range parts {
-		mp, err := newHLMapper(p, len(parts), cfg)
+		mp, err := newHLMapper(dataset.NewMemorySource(p), i, len(parts), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

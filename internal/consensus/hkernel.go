@@ -3,6 +3,7 @@ package consensus
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/eval"
@@ -10,6 +11,7 @@ import (
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/qp"
+	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 // KernelHorizontalModel is the nonlinear consensus classifier of Section
@@ -120,67 +122,26 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	m := len(parts)
 	l := cfg.Landmarks
 
-	// Public landmark points X_g: standard Gaussian rows match standardized
-	// training data; any X_g with non-singular K(X_g, X_g) works (Lemma 4.2
-	// discussion). They contain no private information by construction; see
-	// Config.landmarkRand for the determinism contract.
-	rng := cfg.landmarkRand()
-	xg := linalg.NewMatrix(l, k)
-	for i := range xg.Data {
-		xg.Data[i] = rng.NormFloat64()
+	// Every chunk is a virtual learner (see virtualLearners), so the shared
+	// landmark matrices fold the virtual cohort size M′ = Σ_m J_m.
+	mprime := 0
+	for _, p := range parts {
+		mprime += numChunksFor(p.Len(), cfg.ChunkRows)
 	}
-
-	// In minibatch mode every chunk is a virtual learner (see hlChunkMapper),
-	// so the shared landmark matrices fold the virtual cohort size M′ instead
-	// of the real learner count.
-	meff := m
-	if cfg.ChunkRows > 0 {
-		meff = 0
-		for _, p := range parts {
-			meff += numChunksFor(p.Len(), cfg.ChunkRows)
-		}
-	}
-	kgg := kernel.GramMatrix(cfg.Kernel, xg)
-	kgScaled := kgg.Clone()
-	kgScaled.Scale(cfg.Rho * float64(meff))
-	if err := kgScaled.AddScaledIdentity(1); err != nil {
-		return nil, nil, err
-	}
-	ch, err := linalg.FactorizeCholesky(kgScaled)
-	if err != nil {
-		return nil, nil, fmt.Errorf("consensus hk: landmark matrix not SPD (raise Landmarks diversity or lower ρ): %w", err)
-	}
-	kgInv, err := ch.Inverse() // (I + ρM·K_gg)⁻¹, reused by every learner
+	lm, err := newLandmarks(cfg, k, mprime)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	mappers := make([]mapreduce.IterativeMapper, m)
-	hkMappers := make([]hkLearner, m)
-	if cfg.ChunkRows > 0 {
-		// GPGᵀ is data-independent, so in minibatch mode it is computed once
-		// and shared by every learner's chunk mapper.
-		gpg, err := buildGPG(meff, cfg.Rho, kgg, kgInv)
+	hkMappers := make([]*hkMapper, m)
+	for i, p := range parts {
+		mp, err := newHKMapper(p, i, cfg, lm)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
-		for i, p := range parts {
-			mp, err := newHKChunkMapper(p, i, meff, cfg, xg, kgg, kgInv, gpg)
-			if err != nil {
-				return nil, nil, fmt.Errorf("learner %d: %w", i, err)
-			}
-			mappers[i] = mp
-			hkMappers[i] = mp
-		}
-	} else {
-		for i, p := range parts {
-			mp, err := newHKMapper(p, m, cfg, xg, kgg, kgInv)
-			if err != nil {
-				return nil, nil, fmt.Errorf("learner %d: %w", i, err)
-			}
-			mappers[i] = mp
-			hkMappers[i] = mp
-		}
+		mappers[i] = mp
+		hkMappers[i] = mp
 	}
 	red := &meanConsensusReducer{
 		m:        m,
@@ -191,7 +152,7 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	}
 	if cfg.EvalSet != nil {
 		red.eval = func(state []float64) (float64, error) {
-			model, err := assembleHKModel(cfg, xg, hkMappers, state)
+			model, err := assembleHKModel(cfg, lm.xg, hkMappers, state)
 			if err != nil {
 				return 0, err
 			}
@@ -212,26 +173,50 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	}
 	h.DeltaZSq = red.deltaZSq
 	h.Accuracy = red.accuracy
-	model, err := assembleHKModel(cfg, xg, hkMappers, res.FinalState)
+	model, err := assembleHKModel(cfg, lm.xg, hkMappers, res.FinalState)
 	if err != nil {
 		return nil, nil, err
 	}
 	return model, h, nil
 }
 
-// hkLearner is what model assembly needs from a horizontal-kernel Map() task
-// — the full-batch and the minibatch mappers both provide it.
-type hkLearner interface {
-	mapreduce.IterativeMapper
-	// expansion converts the mapper's dual state plus the consensus z into
-	// explicit kernel-expansion coefficients (eq. 25).
-	expansion(z []float64) (coefX, coefG []float64, b float64, err error)
-	// support is the mapper's private row block the expansion refers to.
-	support() *linalg.Matrix
+// landmarks is what every learner of one horizontal-kernel job shares: the
+// public landmark points and the data-independent matrices built from them
+// for a cohort of m (virtual) learners.
+type landmarks struct {
+	m     int
+	xg    *linalg.Matrix // X_g, l × k
+	kgg   *linalg.Matrix // K(X_g, X_g)
+	kgInv *linalg.Matrix // K⁻¹_g = (I + ρM·K_gg)⁻¹
+	gpg   *linalg.Matrix // GPGᵀ = M[K_gg − ρM·K_gg·K⁻¹_g·K_gg]
 }
 
-// buildGPG computes GPGᵀ = M[K_gg − ρM·K_gg·K⁻¹_g·K_gg].
-func buildGPG(m int, rho float64, kgg, kgInv *linalg.Matrix) (*linalg.Matrix, error) {
+// newLandmarks draws cfg.Landmarks public points X_g in k dimensions —
+// standard Gaussian rows match standardized training data; any X_g with
+// non-singular K(X_g, X_g) works (Lemma 4.2 discussion). They contain no
+// private information by construction; see Config.landmarkRand for the
+// determinism contract.
+func newLandmarks(cfg Config, k, m int) (*landmarks, error) {
+	rng := cfg.landmarkRand()
+	xg := linalg.NewMatrix(cfg.Landmarks, k)
+	for i := range xg.Data {
+		xg.Data[i] = rng.NormFloat64()
+	}
+	rhoM := cfg.Rho * float64(m)
+	kgg := kernel.GramMatrix(cfg.Kernel, xg)
+	kgScaled := kgg.Clone()
+	kgScaled.Scale(rhoM)
+	if err := kgScaled.AddScaledIdentity(1); err != nil {
+		return nil, err
+	}
+	ch, err := linalg.FactorizeCholesky(kgScaled)
+	if err != nil {
+		return nil, fmt.Errorf("consensus hk: landmark matrix not SPD (raise Landmarks diversity or lower ρ): %w", err)
+	}
+	kgInv, err := ch.Inverse()
+	if err != nil {
+		return nil, err
+	}
 	kgKgInv, err := linalg.MatMul(kgg, kgInv)
 	if err != nil {
 		return nil, err
@@ -240,17 +225,16 @@ func buildGPG(m int, rho float64, kgg, kgInv *linalg.Matrix) (*linalg.Matrix, er
 	if err != nil {
 		return nil, err
 	}
-	rhoM := rho * float64(m)
 	gpg := kgg.Clone()
 	for i := range gpg.Data {
 		gpg.Data[i] = float64(m) * (gpg.Data[i] - rhoM*kgCorr.Data[i])
 	}
-	return gpg, nil
+	return &landmarks{m: m, xg: xg, kgg: kgg, kgInv: kgInv, gpg: gpg}, nil
 }
 
 // assembleHKModel folds the learners' dual state and the consensus into the
 // explicit kernel-expansion coefficients of eq. (25).
-func assembleHKModel(cfg Config, xg *linalg.Matrix, mappers []hkLearner, state []float64) (*KernelHorizontalModel, error) {
+func assembleHKModel(cfg Config, xg *linalg.Matrix, mappers []*hkMapper, state []float64) (*KernelHorizontalModel, error) {
 	m := len(mappers)
 	l := xg.Rows
 	model := &KernelHorizontalModel{
@@ -263,7 +247,7 @@ func assembleHKModel(cfg Config, xg *linalg.Matrix, mappers []hkLearner, state [
 	}
 	z := state[:l]
 	for i, mp := range mappers {
-		model.SupportX[i] = mp.support()
+		model.SupportX[i] = mp.x
 		var err error
 		if model.CoefX[i], model.CoefG[i], model.B[i], err = mp.expansion(z); err != nil {
 			return nil, fmt.Errorf("consensus hk: learner %d expansion: %w", i, err)
@@ -272,192 +256,173 @@ func assembleHKModel(cfg Config, xg *linalg.Matrix, mappers []hkLearner, state [
 	return model, nil
 }
 
-// hkMapper is one learner's Map() task for the horizontal kernel scheme.
+// hkMapper is one learner's Map() task for the horizontal kernel scheme: the
+// hlMapper structure lifted to the reduced landmark space, with the same
+// virtual-learner cohort (every M factor is the landmarks' M′).
 type hkMapper struct {
-	m   int
 	cfg Config
-	x   *linalg.Matrix
-	y   []float64
-	l   int
+	lm  *landmarks
 
-	kgg   *linalg.Matrix // K(X_g, X_g)
-	kgInv *linalg.Matrix // (I + ρM·K_gg)⁻¹
-	kmg   *linalg.Matrix // K(X_m, X_g)
+	x *linalg.Matrix
+	y []float64
 
-	q       *linalg.Matrix // dual Hessian Y·ΦPΦᵀ·Y + (1/ρ)yyᵀ
-	phiPG   *linalg.Matrix // ΦPGᵀ, N_m × l
-	gpg     *linalg.Matrix // GPGᵀ, l × l
-	kgInvKm *linalg.Matrix // K⁻¹_g·K(X_g, X_m), l × N_m (for prediction)
+	kmg     *linalg.Matrix // K(X_m, X_g), full partition; chunk rows are views
+	kgInvKm *linalg.Matrix // K⁻¹_g·K_gm, for the final expansion
 
-	r    []float64 // scaled dual for Gw = z
-	beta float64
+	sched *chunkSchedule
+	vl    virtualLearners
 
-	prevGw []float64
-	prevB  float64
-	haveW  bool
-	lambda []float64 // warm start across iterations (mapper-owned copy)
+	// The P-folded blocks of chunk built: q = Y·ΦPΦᵀ·Y + (1/ρ)yyᵀ restricted
+	// to the chunk (n_c × n_c) and phiPG = ΦPGᵀ|_c (n_c × l). They depend on
+	// the chunk's rows only, so they are rebuilt when the schedule moves to
+	// another chunk and not otherwise: with one chunk, once. Both buffers
+	// are sized to the largest chunk and reused across rebuilds.
+	q, phiPG *linalg.Matrix
+	built    int
 
-	// Round scratch, allocated once so steady-state Contribution calls are
-	// allocation-free; opts is prebuilt because qp.Options are closures.
-	u, pg, p, ylambda, gu []float64
-	qpScratch             qp.Scratch
-	opts                  []qp.Option
+	// Round scratch: p is sized to the largest chunk, gu to the landmarks.
+	p, gu     []float64 // p is ΦPGᵀu, then the QP's linear term, then Yλ
+	qpScratch qp.Scratch
+	opts      []qp.Option // the last one is the round's warm start
+	chunkDur  *telemetry.Histogram
 
 	lastIter int
-	cached   []float64
 }
 
-func (mp *hkMapper) support() *linalg.Matrix { return mp.x }
-
-func newHKMapper(p *dataset.Dataset, m int, cfg Config, xg, kgg, kgInv *linalg.Matrix) (*hkMapper, error) {
-	rhoM := cfg.Rho * float64(m)
-	kmg, err := kernel.Matrix(cfg.Kernel, p.X, xg)
+// newHKMapper builds learner id's Map() task; lm.m is the virtual cohort
+// size M′ of the job.
+func newHKMapper(p *dataset.Dataset, id int, cfg Config, lm *landmarks) (*hkMapper, error) {
+	kmg, err := kernel.Matrix(cfg.Kernel, p.X, lm.xg)
 	if err != nil {
 		return nil, err
 	}
-	kmm := kernel.GramMatrix(cfg.Kernel, p.X)
-
-	// A1 = K_mg·K⁻¹_g (N_m × l).
-	a1, err := linalg.MatMul(kmg, kgInv)
+	kgInvKm, err := linalg.MatMulT(lm.kgInv, kmg)
 	if err != nil {
 		return nil, err
 	}
-	// ΦPΦᵀ = M[K_mm − ρM·A1·K_gm].
-	corr, err := linalg.MatMulT(a1, kmg)
-	if err != nil {
-		return nil, err
-	}
-	phiPPhi := kmm
-	for i := range phiPPhi.Data {
-		phiPPhi.Data[i] = float64(m) * (phiPPhi.Data[i] - rhoM*corr.Data[i])
-	}
-	// ΦPGᵀ = M[K_mg − ρM·A1·K_gg].
-	a1kgg, err := linalg.MatMul(a1, kgg)
-	if err != nil {
-		return nil, err
-	}
-	phiPG := kmg.Clone()
-	for i := range phiPG.Data {
-		phiPG.Data[i] = float64(m) * (phiPG.Data[i] - rhoM*a1kgg.Data[i])
-	}
-	// GPGᵀ = M[K_gg − ρM·K_gg·K⁻¹_g·K_gg].
-	kgKgInv, err := linalg.MatMul(kgg, kgInv)
-	if err != nil {
-		return nil, err
-	}
-	kgCorr, err := linalg.MatMul(kgKgInv, kgg)
-	if err != nil {
-		return nil, err
-	}
-	gpg := kgg.Clone()
-	for i := range gpg.Data {
-		gpg.Data[i] = float64(m) * (gpg.Data[i] - rhoM*kgCorr.Data[i])
-	}
-	// Dual Hessian.
-	q := phiPPhi
-	for i := 0; i < q.Rows; i++ {
-		row := q.Row(i)
-		for j := range row {
-			row[j] = p.Y[i]*p.Y[j]*row[j] + p.Y[i]*p.Y[j]/cfg.Rho
-		}
-	}
-	q.SymmetrizeUpper()
-	// K⁻¹_g·K_gm for the prediction-time correction term.
-	kgInvKm, err := linalg.MatMulT(kgInv, kmg)
-	if err != nil {
-		return nil, err
-	}
-
+	sched := newChunkSchedule(p.Len(), cfg.ChunkRows, cfg.Seed, id)
+	maxC := sched.chunkRows
+	l := lm.xg.Rows
 	mp := &hkMapper{
-		m: m, cfg: cfg, x: p.X, y: p.Y, l: xg.Rows,
-		kgg: kgg, kgInv: kgInv, kmg: kmg,
-		q: q, phiPG: phiPG, gpg: gpg, kgInvKm: kgInvKm,
-		r:        make([]float64, xg.Rows),
-		prevGw:   make([]float64, xg.Rows),
-		lambda:   make([]float64, p.Len()),
-		u:        make([]float64, xg.Rows),
-		pg:       make([]float64, p.Len()),
-		p:        make([]float64, p.Len()),
-		ylambda:  make([]float64, p.Len()),
-		gu:       make([]float64, xg.Rows),
+		cfg: cfg, lm: lm,
+		x: p.X, y: p.Y,
+		kmg: kmg, kgInvKm: kgInvKm,
+		sched: sched, vl: newVirtualLearners(sched.numChunks, l),
+		q: linalg.NewMatrix(maxC, maxC), phiPG: linalg.NewMatrix(maxC, l),
+		p:        make([]float64, maxC),
+		gu:       make([]float64, l),
+		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
 		lastIter: -1,
 	}
-	// Zero warm start equals the solver's default start, so the option set
-	// is static (see hlMapper).
 	mp.opts = []qp.Option{
 		qp.WithTolerance(cfg.QPTol),
 		qp.WithTelemetry(cfg.Telemetry),
 		qp.WithScratch(&mp.qpScratch),
-		qp.WithWarmStart(mp.lambda),
+		qp.WithWarmStart(nil),
 	}
+	// The first chunk's blocks are built here rather than in round 0:
+	// constructors run one at a time and first rounds side by side, and the
+	// build's n_c × n_c intermediate should exist once, not once per learner.
+	idx, lo, hi := sched.chunk(0)
+	if err := mp.build(lo, hi); err != nil {
+		return nil, err
+	}
+	mp.built = idx
 	return mp, nil
+}
+
+// build computes the P-folded blocks of rows [lo, hi) — the Woodbury
+// formulas of the package comment with Φ cut down to the chunk's rows:
+//
+//	ΦPΦᵀ|_c = M′[K_cc − ρM′·A1·K_gc],  ΦPGᵀ|_c = M′[K_cg − ρM′·A1·K_gg],  A1 = K_cg·K⁻¹_g.
+//
+// A1 and A1·K_gc are intermediates and not kept; q and phiPG are finished in
+// the buffers K_cc and A1·K_gg were computed into.
+func (mp *hkMapper) build(lo, hi int) error {
+	xc := rowView(mp.x, lo, hi)
+	kmgC := rowView(mp.kmg, lo, hi)
+	yc := mp.y[lo:hi]
+	mf := float64(mp.lm.m)
+	rhoM := mp.cfg.Rho * mf
+	a1, err := linalg.MatMul(kmgC, mp.lm.kgInv)
+	if err != nil {
+		return err
+	}
+	corr, err := linalg.MatMulT(a1, kmgC)
+	if err != nil {
+		return err
+	}
+	if mp.phiPG, err = linalg.MatMulInto(a1, mp.lm.kgg, mp.phiPG); err != nil {
+		return err
+	}
+	for i, v := range mp.phiPG.Data {
+		mp.phiPG.Data[i] = mf * (kmgC.Data[i] - rhoM*v)
+	}
+	if mp.q, err = kernel.MatrixInto(mp.cfg.Kernel, xc, xc, mp.q); err != nil {
+		return err
+	}
+	for i := range yc {
+		qrow, crow := mp.q.Row(i), corr.Row(i)
+		for j := range qrow {
+			phiP := mf * (qrow[j] - rhoM*crow[j])
+			qrow[j] = yc[i]*yc[j]*phiP + yc[i]*yc[j]/mp.cfg.Rho
+		}
+	}
+	mp.q.SymmetrizeUpper()
+	return nil
 }
 
 // Contribution implements mapreduce.IterativeMapper.
 func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if iter == mp.lastIter && mp.cached != nil {
-		return mp.cached, nil
+	if iter == mp.lastIter {
+		return mp.vl.contrib, nil // idempotent under task retry
 	}
-	z := state[:mp.l]
-	s := state[mp.l]
-
-	if mp.haveW {
-		for j := range mp.r {
-			mp.r[j] += mp.prevGw[j] - z[j]
+	start := time.Now()
+	idx, lo, hi := mp.sched.chunk(iter)
+	nc := hi - lo
+	yc := mp.y[lo:hi]
+	if idx != mp.built {
+		if err := mp.build(lo, hi); err != nil {
+			return nil, err
 		}
-		mp.beta += mp.prevB - s
+		mp.built = idx
 	}
-	u := linalg.SubVec(z, mp.r, mp.u) // z − r_m
-	t := s - mp.beta
 
-	// Linear term: ρ·Y·ΦPGᵀ·u + t·y − 1.
-	n := mp.x.Rows
-	pg, err := mp.phiPG.MulVec(u, mp.pg)
+	// Linear term: ρ·Y·ΦPGᵀ·u + t·y − 1 with u = z − r_c.
+	c, u, t := mp.vl.open(idx, nc, state)
+	p, err := mp.phiPG.MulVec(u, mp.p[:nc])
 	if err != nil {
 		return nil, err
 	}
-	p := mp.p
-	for i := 0; i < n; i++ {
-		p[i] = mp.cfg.Rho*mp.y[i]*pg[i] + t*mp.y[i] - 1
+	for i, pg := range p {
+		p[i] = mp.cfg.Rho*yc[i]*pg + t*yc[i] - 1
 	}
+	mp.opts[len(mp.opts)-1] = qp.WithWarmStart(c.lambda)
 	res, err := qp.SolveBox(qp.Problem{Q: mp.q, P: p, C: mp.cfg.C}, mp.opts...)
 	if err != nil {
 		return nil, fmt.Errorf("consensus hk local solve: %w", err)
 	}
-	// res.Lambda aliases the qp scratch; copy it into the mapper-owned warm
-	// start before the next solve zeroes the scratch.
-	copy(mp.lambda, res.Lambda)
 
-	// Gw = (ΦPGᵀ)ᵀ·Yλ + ρ·GPGᵀ·u; b = t + (1/ρ)·yᵀλ.
-	ylambda := mp.ylambda
+	// Gw = (ΦPGᵀ)ᵀ·Yλ + ρ·GPGᵀ·u; b = t + (1/ρ)·yᵀλ. The solve is done with p
+	// and the dual update with c.prev, so they take Yλ and Gw in place.
+	ylambda := p
 	sumYL := 0.0
 	for i := range ylambda {
-		ylambda[i] = mp.y[i] * res.Lambda[i]
+		ylambda[i] = yc[i] * res.Lambda[i]
 		sumYL += ylambda[i]
 	}
-	// prevGw was consumed by the dual update above, so it can take this
-	// round's Gw in place.
-	gw, err := mp.phiPG.MulVecT(ylambda, mp.prevGw)
+	gw, err := mp.phiPG.MulVecT(ylambda, c.prev)
 	if err != nil {
 		return nil, err
 	}
-	gu, err := mp.gpg.MulVec(u, mp.gu)
+	gu, err := mp.lm.gpg.MulVec(u, mp.gu)
 	if err != nil {
 		return nil, err
 	}
 	linalg.Axpy(mp.cfg.Rho, gu, gw)
-	b := t + sumYL/mp.cfg.Rho
-
-	mp.prevGw, mp.prevB, mp.haveW = gw, b, true
-	if mp.cached == nil {
-		mp.cached = make([]float64, mp.l+1)
-	}
-	contrib := mp.cached
-	for j := range gw {
-		contrib[j] = gw[j] + mp.r[j]
-	}
-	contrib[mp.l] = b + mp.beta
+	contrib := mp.vl.commit(c, res.Lambda, t+sumYL/mp.cfg.Rho)
 	mp.lastIter = iter
+	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return contrib, nil
 }
 
@@ -465,21 +430,40 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 // into explicit kernel-expansion coefficients (eq. 25):
 //
 //	f(x) = Σᵢ coefX[i]·K(x, xᵢ) + Σⱼ coefG[j]·K(x, x_g[j]) + b
-//	coefX = M·Yλ
-//	coefG = −ρM²·K⁻¹_g·K_gm·Yλ + ρM·(I − ρM·K⁻¹_g·K_gg)·(z − r)
+//	coefX = M′·Yλ
+//	coefG = −ρM′²·K⁻¹_g·K_gm·Yλ + ρM′·(I − ρM′·K⁻¹_g·K_gg)·(z − r)
+//
+// λ stitches the chunks' duals together; r and b are the means of the visited
+// chunks' scaled duals and biases (at the fixed point every chunk holds
+// Gw_c = z, and with one chunk they are that chunk's own).
 func (mp *hkMapper) expansion(z []float64) (coefX, coefG []float64, b float64, err error) {
 	n := mp.x.Rows
 	ylambda := make([]float64, n)
 	coefX = make([]float64, n)
-	for i := range ylambda {
-		ylambda[i] = mp.y[i] * mp.lambda[i]
-		coefX[i] = float64(mp.m) * ylambda[i]
+	u := make([]float64, mp.vl.dim) // r̄, then z − r̄
+	for idx := range mp.vl.chunks {
+		c := &mp.vl.chunks[idx]
+		if !c.seen {
+			continue
+		}
+		lo := idx * mp.sched.chunkRows
+		for i, v := range c.lambda {
+			ylambda[lo+i] = mp.y[lo+i] * v
+			coefX[lo+i] = float64(mp.lm.m) * ylambda[lo+i]
+		}
+		linalg.Axpy(1, c.dual, u)
+		b += c.prevB
 	}
-	coefG, err = landmarkCoefficients(mp.kgInvKm, mp.kgg, mp.kgInv, ylambda, linalg.SubVec(z, mp.r, nil), mp.cfg.Rho, mp.m)
+	if mp.vl.visited > 0 {
+		linalg.Scale(1/float64(mp.vl.visited), u)
+		b /= float64(mp.vl.visited)
+	}
+	linalg.SubVec(z, u, u)
+	coefG, err = landmarkCoefficients(mp.kgInvKm, mp.lm.kgg, mp.lm.kgInv, ylambda, u, mp.cfg.Rho, mp.lm.m)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return coefX, coefG, mp.prevB, nil
+	return coefX, coefG, b, nil
 }
 
 // landmarkCoefficients is the coefG term of eq. (25) for a learner with

@@ -3,12 +3,14 @@ package consensus
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/qp"
+	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 // LinearModel is a trained linear classifier f(x) = wᵀx + b, produced by
@@ -38,29 +40,69 @@ func TrainHorizontalLinear(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	if err != nil {
 		return nil, nil, err
 	}
-	k, err := validateHorizontalParts(parts)
+	if _, err := validateHorizontalParts(parts); err != nil {
+		return nil, nil, err
+	}
+	srcs := make([]dataset.RowSource, len(parts))
+	for i, p := range parts {
+		srcs[i] = dataset.NewMemorySource(p)
+	}
+	return trainHL(ctx, srcs, parts, cfg)
+}
+
+// TrainHorizontalLinearStreamed is TrainHorizontalLinear over out-of-core
+// partitions: each learner reads its rows on demand through a RowSource
+// (typically dataset.OpenDFS over a row-format file in the simulated HDFS)
+// with a double-buffered prefetch, so the per-mapper working set is two chunk
+// buffers regardless of partition size. Requires Config.ChunkRows > 0: one
+// chunk would be the whole partition, twice.
+func TrainHorizontalLinearStreamed(ctx context.Context, srcs []dataset.RowSource, cfg Config) (*LinearModel, *History, error) {
+	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, nil, err
 	}
-	m := len(parts)
-
-	if cfg.ChunkRows > 0 {
-		// Minibatch mode: the same chunked engine the streamed trainer uses,
-		// fed from in-memory sources.
-		srcs := make([]dataset.RowSource, m)
-		for i, p := range parts {
-			srcs[i] = dataset.NewMemorySource(p)
-		}
-		return trainHLChunked(ctx, srcs, parts, cfg)
+	if cfg.ChunkRows == 0 {
+		return nil, nil, fmt.Errorf("%w: streamed training needs ChunkRows > 0", ErrBadConfig)
 	}
+	if len(srcs) == 0 {
+		return nil, nil, fmt.Errorf("%w: no learners", ErrBadPartition)
+	}
+	for i, src := range srcs {
+		if src == nil || src.Rows() == 0 || src.Features() == 0 {
+			return nil, nil, fmt.Errorf("%w: learner %d has no data", ErrBadPartition, i)
+		}
+		if k := srcs[0].Features(); src.Features() != k {
+			return nil, nil, fmt.Errorf("%w: learner %d has %d features, learner 0 has %d",
+				ErrBadPartition, i, src.Features(), k)
+		}
+	}
+	return trainHL(ctx, srcs, nil, cfg)
+}
 
-	mappers := make([]mapreduce.IterativeMapper, m)
-	for i, p := range parts {
-		mp, err := newHLMapper(p, m, cfg)
+// trainHL is the engine behind both horizontal-linear trainers. srcs are
+// validated by the caller; parts is non-nil only for in-memory training (it
+// feeds the optional HDFS locality plan).
+func trainHL(ctx context.Context, srcs []dataset.RowSource, parts []*dataset.Dataset, cfg Config) (*LinearModel, *History, error) {
+	m := len(srcs)
+	k := srcs[0].Features()
+	// Virtual cohort size M′ = Σ_m J_m: every chunk across every learner is
+	// one consensus block, and all mappers must agree on η(M′).
+	mprime := 0
+	for _, src := range srcs {
+		mprime += numChunksFor(src.Rows(), cfg.ChunkRows)
+	}
+	mappers := make([]mapreduce.IterativeMapper, 0, m)
+	defer func() {
+		for _, mp := range mappers {
+			mp.(*hlMapper).close()
+		}
+	}()
+	for i, src := range srcs {
+		mp, err := newHLMapper(src, i, mprime, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
-		mappers[i] = mp
+		mappers = append(mappers, mp)
 	}
 	red := &meanConsensusReducer{
 		m:        m,
@@ -93,153 +135,159 @@ func TrainHorizontalLinear(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	return model, h, nil
 }
 
-// hlMapper is one learner's Map() task for the horizontal linear scheme.
+// hlMapper is one learner's Map() task for the horizontal linear scheme: per
+// round it solves the HL dual over the scheduled chunk of its rows on behalf
+// of that chunk's virtual learner (see virtualLearners). Rows arrive through
+// a dataset.Prefetcher — views of an in-memory partition, double-buffered
+// decoded copies of a dfs-streamed one — and never leave this struct.
 type hlMapper struct {
-	m   int
 	cfg Config
-	eta float64 // M/(1+ρM)
+	eta float64 // M′/(1+ρM′), M′ the virtual cohort size
 
-	x *linalg.Matrix // N_m × k local rows (never leave this struct)
-	y []float64
+	pf    *dataset.Prefetcher
+	sched *chunkSchedule
+	vl    virtualLearners
 
-	q *linalg.Matrix // precomputed dual Hessian
+	// q is the dual Hessian of chunk built. It depends on the chunk's rows
+	// only, so it is rebuilt when the schedule moves to another chunk and
+	// not otherwise: with one chunk, once.
+	q     *linalg.Matrix
+	built int
 
-	gamma []float64 // scaled dual for w = z
-	beta  float64   // scaled dual for b = s
-
-	prevW  []float64
-	prevB  float64
-	haveW  bool
-	lambda []float64 // warm start across iterations (mapper-owned copy)
-
-	// Round scratch, allocated once in newHLMapper so steady-state
-	// Contribution calls are allocation-free. opts is prebuilt because every
-	// qp.Option is a closure — constructing them per round would allocate.
-	u, p, ylambda []float64
-	qpScratch     qp.Scratch
-	opts          []qp.Option
+	// Round scratch sized to the largest chunk, so steady-state rounds
+	// allocate nothing once every chunk has been visited.
+	p         []float64 // the QP's linear term, then Yλ
+	qpScratch qp.Scratch
+	opts      []qp.Option // the last one is the round's warm start
+	chunkDur  *telemetry.Histogram
 
 	lastIter int
-	cached   []float64
 }
 
-func newHLMapper(p *dataset.Dataset, m int, cfg Config) (*hlMapper, error) {
-	eta := float64(m) / (1 + cfg.Rho*float64(m))
-	mp := &hlMapper{
-		m: m, cfg: cfg, eta: eta,
-		x: p.X, y: p.Y,
-		gamma:    make([]float64, p.Features()),
-		prevW:    make([]float64, p.Features()),
-		lambda:   make([]float64, p.Len()),
-		u:        make([]float64, p.Features()),
-		p:        make([]float64, p.Len()),
-		ylambda:  make([]float64, p.Len()),
-		lastIter: -1,
+// newHLMapper builds the Map() task for learner id. mprime is the virtual
+// cohort size M′ = Σ_m J_m, shared by every mapper so their η agree.
+// PaperSplit's lagged equality constraint is defined for one sub-problem per
+// learner, so it is rejected when src divides into more than one chunk.
+func newHLMapper(src dataset.RowSource, id, mprime int, cfg Config) (*hlMapper, error) {
+	n, k := src.Rows(), src.Features()
+	if n == 0 || k == 0 {
+		return nil, fmt.Errorf("%w: learner %d has no data", ErrBadPartition, id)
 	}
-	// A zero warm start is the solvers' default start, so the warm-start
-	// option can be installed unconditionally and fed by copying each
-	// round's solution back into mp.lambda.
-	mp.opts = []qp.Option{
-		qp.WithTolerance(cfg.QPTol),
-		qp.WithTelemetry(cfg.Telemetry),
-		qp.WithScratch(&mp.qpScratch),
-		qp.WithWarmStart(mp.lambda),
+	sched := newChunkSchedule(n, cfg.ChunkRows, cfg.Seed, id)
+	if cfg.PaperSplit && sched.numChunks > 1 {
+		return nil, fmt.Errorf("%w: PaperSplit needs one chunk per learner, ChunkRows splits learner %d's rows", ErrBadConfig, id)
 	}
-	if cfg.PaperSplit && cfg.QPSecondOrder {
-		mp.opts = append(mp.opts, qp.WithSecondOrderSelection())
-	}
-	// Dual Hessian: η·Y X Xᵀ Y (+ (1/ρ)·y yᵀ for the joint update).
-	gram, err := linalg.MatMulT(p.X, p.X)
+	pf, err := dataset.NewPrefetcher(src, sched.chunkRows, cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < gram.Rows; i++ {
-		row := gram.Row(i)
-		for j := range row {
-			row[j] *= eta * p.Y[i] * p.Y[j]
-			if !cfg.PaperSplit {
-				row[j] += p.Y[i] * p.Y[j] / cfg.Rho
-			}
-		}
+	maxC := sched.chunkRows
+	mp := &hlMapper{
+		cfg: cfg, eta: float64(mprime) / (1 + cfg.Rho*float64(mprime)),
+		pf: pf, sched: sched, vl: newVirtualLearners(sched.numChunks, k),
+		q: linalg.NewMatrix(maxC, maxC), built: -1,
+		p:        make([]float64, maxC),
+		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
+		lastIter: -1,
 	}
-	mp.q = gram
+	mp.opts = make([]qp.Option, 0, 5)
+	mp.opts = append(mp.opts, qp.WithTolerance(cfg.QPTol), qp.WithTelemetry(cfg.Telemetry), qp.WithScratch(&mp.qpScratch))
+	if cfg.PaperSplit && cfg.QPSecondOrder {
+		mp.opts = append(mp.opts, qp.WithSecondOrderSelection())
+	}
+	mp.opts = append(mp.opts, qp.WithWarmStart(nil))
 	return mp, nil
 }
 
-// Contribution implements mapreduce.IterativeMapper: one ADMM sub-step.
+// close stops the mapper's background prefetch reader, if it has one.
+func (mp *hlMapper) close() { mp.pf.Close() }
+
+// Contribution implements mapreduce.IterativeMapper: one chunk ADMM sub-step.
 func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if iter == mp.lastIter && mp.cached != nil {
-		return mp.cached, nil // idempotent under task retry
+	if iter == mp.lastIter {
+		return mp.vl.contrib, nil // idempotent under task retry
 	}
-	k := mp.x.Cols
-	z := state[:k]
-	s := state[k]
-
-	// Scaled-dual update with the consensus just received: γ += w − z.
-	if mp.haveW {
-		for j := range mp.gamma {
-			mp.gamma[j] += mp.prevW[j] - z[j]
+	start := time.Now()
+	idx, lo, hi := mp.sched.chunk(iter)
+	ch, err := mp.pf.Fetch(idx)
+	if err != nil {
+		return nil, fmt.Errorf("consensus hl chunk [%d,%d): %w", lo, hi, err)
+	}
+	// The schedule is deterministic, so the next round's chunk is known now;
+	// decoding it overlaps with this round's solve.
+	nidx, _, _ := mp.sched.chunk(iter + 1)
+	mp.pf.Prefetch(nidx)
+	x, y := ch.X, ch.Y
+	for i, yv := range y {
+		// Streamed rows cannot be validated up front; reject bad labels at
+		// first use without echoing the value (it is a training-data datum).
+		if yv != 1 && yv != -1 {
+			return nil, fmt.Errorf("%w: row %d label is not ±1", ErrBadPartition, lo+i)
 		}
-		mp.beta += mp.prevB - s
 	}
-	u := linalg.SubVec(z, mp.gamma, mp.u)
-	t := s - mp.beta
+	rho, split := mp.cfg.Rho, mp.cfg.PaperSplit
 
-	// Linear term: P_i = ηρ·y_i·x_iᵀu + t·y_i − 1 (the t·y term is folded
-	// into the equality constraint in paper-split mode).
-	n := mp.x.Rows
-	p := mp.p
-	for i := 0; i < n; i++ {
-		p[i] = mp.eta*mp.cfg.Rho*mp.y[i]*linalg.Dot(mp.x.Row(i), u) - 1
-		if !mp.cfg.PaperSplit {
-			p[i] += t * mp.y[i]
+	// Dual Hessian: η·Y X Xᵀ Y (+ (1/ρ)·y yᵀ for the joint update), the chunk
+	// being its virtual learner's whole partition.
+	if idx != mp.built {
+		if mp.q, err = linalg.MatMulTInto(x, x, mp.q); err != nil {
+			return nil, err
+		}
+		for i := range y {
+			row := mp.q.Row(i)
+			for j := range row {
+				row[j] *= mp.eta * y[i] * y[j]
+				if !split {
+					row[j] += y[i] * y[j] / rho
+				}
+			}
+		}
+		mp.built = idx
+	}
+
+	// Scaled-dual update with the consensus just received, then the linear
+	// term P_i = ηρ·y_i·x_iᵀu + t·y_i − 1 (the t·y term is folded into the
+	// equality constraint in paper-split mode).
+	c, u, t := mp.vl.open(idx, len(y), state)
+	p := mp.p[:len(y)]
+	for i := range p {
+		p[i] = mp.eta*rho*y[i]*linalg.Dot(x.Row(i), u) - 1
+		if !split {
+			p[i] += t * y[i]
 		}
 	}
 	prob := qp.Problem{Q: mp.q, P: p, C: mp.cfg.C}
+	mp.opts[len(mp.opts)-1] = qp.WithWarmStart(c.lambda)
 	var res *qp.Result
-	var err error
-	if mp.cfg.PaperSplit {
+	if split {
 		// Equality constraint of eq. (12) with the lagged right-hand side.
-		d := mp.cfg.Rho * (mp.prevB - s + mp.beta)
-		res, err = qp.SolveEqualityBox(prob, mp.y, d, mp.opts...)
+		d := rho * (c.prevB - state[len(u)] + c.beta)
+		res, err = qp.SolveEqualityBox(prob, y, d, mp.opts...)
 	} else {
 		res, err = qp.SolveBox(prob, mp.opts...)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("consensus hl local solve: %w", err)
 	}
-	// res.Lambda aliases the qp scratch; copy it into the mapper-owned warm
-	// start before the next solve zeroes the scratch.
-	copy(mp.lambda, res.Lambda)
 
-	// Primal recovery: w = η(XᵀYλ + ρu), b = t + (1/ρ)·yᵀλ.
-	ylambda := mp.ylambda
+	// Primal recovery: w = η(XᵀYλ + ρu), b = t + (1/ρ)·yᵀλ. The solve is done
+	// with p and the dual update with c.prev, so they take Yλ and w in place.
+	ylambda := p
 	sumYL := 0.0
 	for i := range ylambda {
-		ylambda[i] = mp.y[i] * res.Lambda[i]
+		ylambda[i] = y[i] * res.Lambda[i]
 		sumYL += ylambda[i]
 	}
-	// prevW was consumed by the dual update above, so it can take this
-	// round's w in place.
-	w, err := mp.x.MulVecT(ylambda, mp.prevW)
+	w, err := x.MulVecT(ylambda, c.prev)
 	if err != nil {
 		return nil, err
 	}
 	for j := range w {
-		w[j] = mp.eta * (w[j] + mp.cfg.Rho*u[j])
+		w[j] = mp.eta * (w[j] + rho*u[j])
 	}
-	b := t + sumYL/mp.cfg.Rho
-
-	mp.prevW, mp.prevB, mp.haveW = w, b, true
-	if mp.cached == nil {
-		mp.cached = make([]float64, k+1)
-	}
-	contrib := mp.cached
-	for j := range w {
-		contrib[j] = w[j] + mp.gamma[j]
-	}
-	contrib[k] = b + mp.beta
+	contrib := mp.vl.commit(c, res.Lambda, t+sumYL/rho)
 	mp.lastIter = iter
+	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return contrib, nil
 }
 

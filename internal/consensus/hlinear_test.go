@@ -211,7 +211,7 @@ func TestHLContributionIdempotentUnderRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := newHLMapper(parts[0], 2, cfg)
+	mp, err := newHLMapper(dataset.NewMemorySource(parts[0]), 0, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

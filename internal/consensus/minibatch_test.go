@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -39,6 +40,22 @@ func TestChunkScheduleCoversEveryChunkPerEpoch(t *testing.T) {
 		}
 		if rowsSeen != 103 {
 			t.Fatalf("epoch %d covers %d rows, want 103", epoch, rowsSeen)
+		}
+	}
+}
+
+// TestChunkScheduleAllRows: a chunk size of zero or less, or of at least the
+// row count, is one chunk covering every row on every iteration.
+func TestChunkScheduleAllRows(t *testing.T) {
+	for _, chunkRows := range []int{0, -3, 103, 110, 1 << 20} {
+		if n := numChunksFor(103, chunkRows); n != 1 {
+			t.Errorf("numChunksFor(103, %d) = %d, want 1", chunkRows, n)
+		}
+		s := newChunkSchedule(103, chunkRows, 42, 0)
+		for _, iter := range []int{0, 1, 7} {
+			if idx, lo, hi := s.chunk(iter); idx != 0 || lo != 0 || hi != 103 {
+				t.Errorf("chunkRows %d, iter %d: chunk %d [%d, %d), want 0 [0, 103)", chunkRows, iter, idx, lo, hi)
+			}
 		}
 	}
 }
@@ -99,6 +116,11 @@ func TestMinibatchConfigValidation(t *testing.T) {
 		t.Errorf("ChunkRows+PaperSplit: err = %v, want ErrBadConfig", err)
 	}
 	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
+		C: 1, Rho: 1, MaxIterations: 2, ChunkRows: 1 << 20, PaperSplit: true,
+	}); err != nil {
+		t.Errorf("one chunk per learner + PaperSplit: err = %v, want none", err)
+	}
+	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
 		C: 1, Rho: 1, Staleness: 2,
 	}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("Staleness without Distributed: err = %v, want ErrBadConfig", err)
@@ -128,37 +150,122 @@ func TestVerticalChunkStalenessRejected(t *testing.T) {
 	}
 }
 
+// chunkFixture is one scheme's trainer over a fixed split and cohort, with
+// ChunkRows and the round budget left open. Every call partitions afresh, so
+// runs share no state.
+type chunkFixture struct {
+	name  string
+	rows  int // the longest schedule's row count: N_m (HL, HK) or N (VL, VK)
+	train *dataset.Dataset
+	test  *dataset.Dataset
+	run   func(t *testing.T, chunkRows, rounds int) (eval.Classifier, *History)
+}
+
+func chunkFixtures(t *testing.T) map[string]chunkFixture {
+	t.Helper()
+	ctx := context.Background()
+	out := make(map[string]chunkFixture)
+	add := func(name string, rows int, train, test *dataset.Dataset, cfg Config, run func(*dataset.Dataset, Config) (eval.Classifier, *History, error)) {
+		out[name] = chunkFixture{name: name, rows: rows, train: train, test: test,
+			run: func(t *testing.T, chunkRows, rounds int) (eval.Classifier, *History) {
+				t.Helper()
+				cfg := cfg
+				cfg.ChunkRows, cfg.MaxIterations, cfg.EvalSet = chunkRows, rounds, test
+				model, h, err := run(train, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return model, h
+			}}
+	}
+	longest := func(parts []*dataset.Dataset) (rows int) {
+		for _, p := range parts {
+			rows = max(rows, p.Len())
+		}
+		return rows
+	}
+
+	train, test := splitAndScale(t, dataset.SyntheticCancer(400, 3))
+	add("hl", longest(horizontalParts(t, train, 4, 5)), train, test, Config{C: 50, Rho: 100},
+		func(train *dataset.Dataset, cfg Config) (eval.Classifier, *History, error) {
+			return TrainHorizontalLinear(ctx, horizontalParts(t, train, 4, 5), cfg)
+		})
+
+	train, test, err := nonlinearRings(240, 3).Split(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("hk", longest(horizontalParts(t, train, 3, 7)), train, test, Config{C: 50, Rho: 10, Landmarks: 25, Kernel: kernel.RBF{Gamma: 1}},
+		func(train *dataset.Dataset, cfg Config) (eval.Classifier, *History, error) {
+			return TrainHorizontalKernel(ctx, horizontalParts(t, train, 3, 7), cfg)
+		})
+
+	train, test = splitAndScale(t, dataset.TwoGaussians("g", 300, 8, 3.2, 21))
+	add("vl", train.Len(), train, test, Config{C: 50, Rho: 100},
+		func(train *dataset.Dataset, cfg Config) (eval.Classifier, *History, error) {
+			parts, cols := verticalParts(t, train, 4, 3)
+			return TrainVerticalLinear(ctx, parts, cols, cfg)
+		})
+
+	train, test, err = nonlinearRings(300, 31).Split(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("vk", train.Len(), train, test, Config{C: 50, Rho: 20, Kernel: kernel.RBF{Gamma: 1}},
+		func(train *dataset.Dataset, cfg Config) (eval.Classifier, *History, error) {
+			parts, cols := verticalParts(t, train, 2, 5)
+			return TrainVerticalKernel(ctx, parts, cols, cfg)
+		})
+	return out
+}
+
+// accuracyOf scores a trained model on the fixture's held-out half.
+func (fx chunkFixture) accuracyOf(t *testing.T, model eval.Classifier) float64 {
+	t.Helper()
+	acc, err := eval.ClassifierAccuracy(model, fx.test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acc
+}
+
+// TestOneChunkIsFullBatch: full batch is not a second algorithm but the
+// schedule with one chunk. Whatever ChunkRows says — zero, exactly the rows,
+// a little more, far more — a schedule of one chunk trains the same model
+// through the same iterates, bit for bit, in all four schemes.
+func TestOneChunkIsFullBatch(t *testing.T) {
+	const rounds = 12
+	for _, fx := range chunkFixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			full, hFull := fx.run(t, 0, rounds)
+			for _, chunkRows := range []int{fx.rows, fx.rows + 7, 1 << 20} {
+				model, h := fx.run(t, chunkRows, rounds)
+				if !reflect.DeepEqual(model, full) {
+					t.Errorf("ChunkRows = %d: model differs from ChunkRows = 0", chunkRows)
+				}
+				if !reflect.DeepEqual(h.DeltaZSq, hFull.DeltaZSq) {
+					t.Errorf("ChunkRows = %d: Δz² history %v, want %v", chunkRows, h.DeltaZSq, hFull.DeltaZSq)
+				}
+				if !reflect.DeepEqual(h.Accuracy, hFull.Accuracy) {
+					t.Errorf("ChunkRows = %d: accuracy history %v, want %v", chunkRows, h.Accuracy, hFull.Accuracy)
+				}
+			}
+		})
+	}
+}
+
 func TestHLMinibatchMatchesFullBatch(t *testing.T) {
-	d := dataset.SyntheticCancer(400, 3)
-	train, test := splitAndScale(t, d)
-	full, _, err := TrainHorizontalLinear(context.Background(), horizontalParts(t, train, 4, 5), Config{
-		C: 50, Rho: 100, MaxIterations: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mini, h, err := TrainHorizontalLinear(context.Background(), horizontalParts(t, train, 4, 5), Config{
-		C: 50, Rho: 100, MaxIterations: 160, ChunkRows: 25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw := linalg.CopyVec(full.W)
-	mw := linalg.CopyVec(mini.W)
+	fx := chunkFixtures(t)["hl"]
+	full, _ := fx.run(t, 0, 60)
+	mini, h := fx.run(t, 25, 160)
+	fw := linalg.CopyVec(full.(*LinearModel).W)
+	mw := linalg.CopyVec(mini.(*LinearModel).W)
 	linalg.Scale(1/linalg.Norm2(fw), fw)
 	linalg.Scale(1/linalg.Norm2(mw), mw)
 	if cos := linalg.Dot(fw, mw); cos < 0.98 {
 		t.Errorf("minibatch weight direction cosine = %g, want ≥ 0.98", cos)
 	}
-	accF, err := eval.ClassifierAccuracy(full, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accM, err := eval.ClassifierAccuracy(mini, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if accM < accF-0.03 {
+	if accF, accM := fx.accuracyOf(t, full), fx.accuracyOf(t, mini); accM < accF-0.03 {
 		t.Errorf("minibatch accuracy %.3f vs full-batch %.3f", accM, accF)
 	}
 	// Minibatch iterates hover in a noise ball around the full-batch fixed
@@ -170,51 +277,21 @@ func TestHLMinibatchMatchesFullBatch(t *testing.T) {
 }
 
 func TestHKMinibatchSolvesNonlinearTask(t *testing.T) {
-	d := nonlinearRings(240, 3)
-	train, test, err := d.Split(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := horizontalParts(t, train, 3, 7)
-	model, _, err := TrainHorizontalKernel(context.Background(), parts, Config{
-		C: 50, Rho: 10, MaxIterations: 80, Landmarks: 25, ChunkRows: 12,
-		Kernel: kernel.RBF{Gamma: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := eval.ClassifierAccuracy(model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
+	fx := chunkFixtures(t)["hk"]
+	model, _ := fx.run(t, 12, 80)
+	if acc := fx.accuracyOf(t, model); acc < 0.9 {
 		t.Errorf("minibatch RBF consensus on rings accuracy = %g, want ≥ 0.9", acc)
 	}
 }
 
 func TestVLMinibatchMatchesFullBatch(t *testing.T) {
-	d := dataset.TwoGaussians("g", 300, 8, 3.2, 21)
-	train, test := splitAndScale(t, d)
-	central, err := svm.Train(train.X, train.Y, svm.Params{C: 50})
+	fx := chunkFixtures(t)["vl"]
+	central, err := svm.Train(fx.train.X, fx.train.Y, svm.Params{C: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	accC, err := eval.ClassifierAccuracy(central, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, cols := verticalParts(t, train, 4, 3)
-	model, h, err := TrainVerticalLinear(context.Background(), parts, cols, Config{
-		C: 50, Rho: 100, MaxIterations: 300, ChunkRows: 30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := eval.ClassifierAccuracy(model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < accC-0.05 {
+	model, h := fx.run(t, 30, 300)
+	if acc, accC := fx.accuracyOf(t, model), fx.accuracyOf(t, central); acc < accC-0.05 {
 		t.Errorf("VL minibatch accuracy %.3f vs centralized %.3f", acc, accC)
 	}
 	if h.DeltaZSq[len(h.DeltaZSq)-1] > h.DeltaZSq[0]/10 {
@@ -223,24 +300,9 @@ func TestVLMinibatchMatchesFullBatch(t *testing.T) {
 }
 
 func TestVKMinibatchSolvesNonlinearTask(t *testing.T) {
-	d := nonlinearRings(300, 31)
-	train, test, err := d.Split(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, cols := verticalParts(t, train, 2, 5)
-	model, _, err := TrainVerticalKernel(context.Background(), parts, cols, Config{
-		C: 50, Rho: 20, MaxIterations: 180, ChunkRows: 30,
-		Kernel: kernel.RBF{Gamma: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := eval.ClassifierAccuracy(model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.85 {
+	fx := chunkFixtures(t)["vk"]
+	model, _ := fx.run(t, 30, 180)
+	if acc := fx.accuracyOf(t, model); acc < 0.85 {
 		t.Errorf("VK minibatch on rings accuracy = %g, want ≥ 0.85", acc)
 	}
 }
@@ -343,6 +405,40 @@ func TestHLStreamedLabelValidation(t *testing.T) {
 	}
 }
 
+// shapeSource is a RowSource with a shape and no rows behind it: enough for
+// the trainer's up-front validation, which must refuse before reading.
+type shapeSource struct{ rows, features int }
+
+func (s shapeSource) Rows() int     { return s.rows }
+func (s shapeSource) Features() int { return s.features }
+func (s shapeSource) ReadRows(lo, hi int, x *linalg.Matrix, y []float64) error {
+	return errors.New("shapeSource has no rows to read")
+}
+
+func TestHLStreamedSourceValidation(t *testing.T) {
+	good := streamedSetup(t, []*dataset.Dataset{dataset.TwoGaussians("g", 64, 4, 3, 19)})[0]
+	for _, tc := range []struct {
+		name string
+		srcs []dataset.RowSource
+	}{
+		{"no sources", nil},
+		{"nil first source", []dataset.RowSource{nil, good}},
+		{"nil later source", []dataset.RowSource{good, nil}},
+		{"zero rows", []dataset.RowSource{good, shapeSource{rows: 0, features: 4}}},
+		{"zero features", []dataset.RowSource{shapeSource{rows: 64, features: 0}}},
+		{"mismatched width", []dataset.RowSource{good, shapeSource{rows: 64, features: 5}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := TrainHorizontalLinearStreamed(context.Background(), tc.srcs, Config{
+				C: 1, Rho: 1, MaxIterations: 2, ChunkRows: 8,
+			})
+			if !errors.Is(err, ErrBadPartition) {
+				t.Errorf("err = %v, want ErrBadPartition", err)
+			}
+		})
+	}
+}
+
 func TestHLStreamedOutOfCore(t *testing.T) {
 	// The headline out-of-core claim: a learner trains on a partition whose
 	// in-memory footprint is ≥ 10× its persistent working set. The partition
@@ -381,7 +477,7 @@ func TestHLStreamedOutOfCore(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	mp, err := newHLChunkMapper(src, 0, 2, cfg)
+	mp, err := newHLMapper(src, 0, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,14 @@ package consensus
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/mapreduce"
+	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 // KernelVerticalModel is the nonlinear vertical-consensus classifier:
@@ -112,21 +114,15 @@ func TrainVerticalKernel(ctx context.Context, parts []*dataset.Dataset, cols [][
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := checkVerticalChunkConfig(cfg); err != nil {
+	if err := checkVerticalChunkConfig(cfg, rows); err != nil {
 		return nil, nil, err
 	}
 	m := len(parts)
 
 	mappers := make([]mapreduce.IterativeMapper, m)
-	vkMappers := make([]vkBlock, m)
+	vkMappers := make([]*vkMapper, m)
 	for i, p := range parts {
-		var mp vkBlock
-		var err error
-		if cfg.ChunkRows > 0 {
-			mp, err = newVKChunkMapper(p, cfg)
-		} else {
-			mp, err = newVKMapper(p, cfg)
-		}
+		mp, err := newVKMapper(p, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
@@ -142,15 +138,12 @@ func TrainVerticalKernel(ctx context.Context, parts []*dataset.Dataset, cols [][
 			B:        b,
 		}
 		for i, mp := range vkMappers {
-			model.SupportX[i] = mp.support()
-			model.Alpha[i] = linalg.CopyVec(mp.coefficients())
+			model.SupportX[i] = mp.x
+			model.Alpha[i] = linalg.CopyVec(mp.alpha)
 		}
 		return model
 	}
 	red := newVerticalReducer(parts[0].Y, m, cfg)
-	if cfg.ChunkRows > 0 {
-		red.sched = newChunkSchedule(rows, cfg.ChunkRows, cfg.Seed, sharedChunkStream)
-	}
 	if cfg.EvalSet != nil {
 		red.eval = func(b float64) (float64, error) {
 			return eval.ClassifierAccuracy(assemble(b), cfg.EvalSet)
@@ -173,83 +166,123 @@ func TrainVerticalKernel(ctx context.Context, parts []*dataset.Dataset, cols [][
 	return assemble(red.b), h, nil
 }
 
-// vkBlock is what model assembly needs from a vertical-kernel Map() task —
-// the full-batch and the minibatch mappers both provide it.
-type vkBlock interface {
-	mapreduce.IterativeMapper
-	// support is the learner's private feature block of the training rows.
-	support() *linalg.Matrix
-	// coefficients are the learner's current expansion coefficients.
-	coefficients() []float64
-}
-
-// vkMapper is one learner's Map() task for the vertical kernel scheme.
+// vkMapper is one learner's Map() task for the vertical kernel scheme. Only
+// the scheduled chunk's expansion coefficients α_c change per round, and only
+// the chunk's rows of the scores K·α are read and reported, so the mapper
+// works from the kernel strip K(X_c, X) — the whole block-feature Gram with
+// one chunk, n_c × N otherwise — and never materializes more than that.
 type vkMapper struct {
-	cfg Config
-	x   *linalg.Matrix   // N × k_m block (private)
-	km  *linalg.Matrix   // K(X_m, X_m) over the block features
-	ch  *linalg.Cholesky // factor of (I + ρK_m), constant across iterations
+	cfg   Config
+	x     *linalg.Matrix // N × k_m block (private)
+	sched *chunkSchedule
 
-	alpha  []float64 // ρ(I + ρK_m)⁻¹q — the expansion coefficients
-	prevKw []float64 // Φ_m w_m = K_m·alpha at the previous iterate
-	q      []float64 // residual-target scratch, reused every round
+	alpha []float64 // expansion coefficients over all N rows
+
+	// kcb is the strip K(X_c, X), ch factors I + ρs·K_cc and kw holds
+	// (K·α)|_c for chunk built: all three are recomputed when the schedule
+	// moves to another chunk and stand otherwise, so with one chunk the Gram
+	// is evaluated and factored once and each round's K·α carries into the
+	// next.
+	kcb   *linalg.Matrix
+	ch    *linalg.Cholesky
+	kw    []float64
+	built int
+
+	q        []float64 // round scratch
+	chunkDur *telemetry.Histogram
 
 	lastIter int
 	cached   []float64
 }
 
-func (mp *vkMapper) support() *linalg.Matrix { return mp.x }
-func (mp *vkMapper) coefficients() []float64 { return mp.alpha }
-
 func newVKMapper(p *dataset.Dataset, cfg Config) (*vkMapper, error) {
-	km := kernel.GramMatrix(cfg.Kernel, p.X)
-	reg := km.Clone()
-	reg.Scale(cfg.Rho)
-	if err := reg.AddScaledIdentity(1); err != nil {
-		return nil, err
-	}
-	ch, err := linalg.FactorizeCholesky(reg)
-	if err != nil {
-		return nil, fmt.Errorf("consensus vk: (I + ρK) not SPD: %w", err)
-	}
-	return &vkMapper{
+	sched := newChunkSchedule(p.Len(), cfg.ChunkRows, cfg.Seed, sharedChunkStream)
+	mp := &vkMapper{
 		cfg:      cfg,
 		x:        p.X,
-		km:       km,
-		ch:       ch,
+		sched:    sched,
 		alpha:    make([]float64, p.Len()),
-		prevKw:   make([]float64, p.Len()),
+		kcb:      linalg.NewMatrix(sched.chunkRows, p.Len()),
+		kw:       make([]float64, sched.chunkRows),
+		q:        make([]float64, sched.chunkRows),
+		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
 		lastIter: -1,
-	}, nil
+		cached:   make([]float64, p.Len()),
+	}
+	// The first chunk's strip and factor are built here rather than in round
+	// 0 (see newHKMapper); α is zero, so kw = (K·α)|_c already holds.
+	idx, lo, hi := sched.chunk(0)
+	if err := mp.build(lo, hi); err != nil {
+		return nil, err
+	}
+	mp.built = idx
+	return mp, nil
 }
 
-// Contribution implements mapreduce.IterativeMapper: the kernelized
-// w_m-update, contributing Φ_m w_m = K_m·α with α = ρ(I + ρK_m)⁻¹q.
+// build evaluates the strip K(X_c, X) for rows [lo, hi) and factors
+// I + ρs·K_cc, K_cc being the strip's columns [lo, hi). The regularized copy
+// is an intermediate and not kept.
+func (mp *vkMapper) build(lo, hi int) error {
+	rhoS := mp.cfg.Rho * mp.sched.weight(hi-lo)
+	var err error
+	if mp.kcb, err = kernel.MatrixInto(mp.cfg.Kernel, rowView(mp.x, lo, hi), mp.x, mp.kcb); err != nil {
+		return err
+	}
+	reg := linalg.NewMatrix(hi-lo, hi-lo)
+	for i := 0; i < reg.Rows; i++ {
+		copy(reg.Row(i), mp.kcb.Row(i)[lo:hi])
+	}
+	reg.Scale(rhoS)
+	if err := reg.AddScaledIdentity(1); err != nil {
+		return err
+	}
+	if mp.ch, err = linalg.FactorizeCholesky(reg); err != nil {
+		return fmt.Errorf("consensus vk: (I + ρK) not SPD: %w", err)
+	}
+	return nil
+}
+
+// Contribution implements mapreduce.IterativeMapper: the kernelized chunk
+// update α_c = ρs(I + ρs·K_cc)⁻¹q_c with q_c = (K·α)|_c + state|_c and
+// s the schedule's chunk weight, contributing the refreshed (K·α)|_c = Φ_m w_m on
+// the chunk's coordinates and zero elsewhere.
 func (mp *vkMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if iter == mp.lastIter && mp.cached != nil {
+	if iter == mp.lastIter {
 		return mp.cached, nil
 	}
-	if len(state) != mp.x.Rows {
-		return nil, fmt.Errorf("%w: state of %d values for %d records", ErrBadPartition, len(state), mp.x.Rows)
+	n := mp.x.Rows
+	if len(state) != n {
+		return nil, fmt.Errorf("%w: state of %d values for %d records", ErrBadPartition, len(state), n)
 	}
-	// All vectors land in mapper-owned buffers (see vlMapper.Contribution):
-	// steady-state rounds allocate nothing.
-	mp.q = linalg.AddVec(mp.prevKw, state, mp.q)
-	alpha, err := mp.ch.SolveVec(mp.q, mp.alpha)
+	start := time.Now()
+	idx, lo, hi := mp.sched.chunk(iter)
+	nc := hi - lo
+	rhoS := mp.cfg.Rho * mp.sched.weight(nc)
+	kw := mp.kw[:nc]
+	if idx != mp.built {
+		if err := mp.build(lo, hi); err != nil {
+			return nil, err
+		}
+		if _, err := mp.kcb.MulVec(mp.alpha, kw); err != nil {
+			return nil, err
+		}
+		mp.built = idx
+	}
+
+	// All vectors land in mapper-owned buffers (see vlMapper.Contribution).
+	q := linalg.AddVec(kw, state[lo:hi], mp.q[:nc])
+	alpha, err := mp.ch.SolveVec(q, mp.alpha[lo:hi])
 	if err != nil {
 		return nil, err
 	}
-	linalg.Scale(mp.cfg.Rho, alpha)
-	mp.alpha = alpha
-	kw, err := mp.km.MulVec(alpha, mp.prevKw)
-	if err != nil {
+	linalg.Scale(rhoS, alpha)
+	if _, err := mp.kcb.MulVec(mp.alpha, kw); err != nil {
 		return nil, err
 	}
-	mp.prevKw = kw
-	if mp.cached == nil {
-		mp.cached = make([]float64, len(kw))
-	}
-	copy(mp.cached, kw)
+	linalg.Zero(mp.cached[:lo])
+	copy(mp.cached[lo:hi], kw)
+	linalg.Zero(mp.cached[hi:])
 	mp.lastIter = iter
+	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return mp.cached, nil
 }

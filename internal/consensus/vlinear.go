@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/qp"
+	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 // TrainVerticalLinear runs the Section IV-C scheme: M learners each hold a
@@ -28,21 +30,15 @@ func TrainVerticalLinear(ctx context.Context, parts []*dataset.Dataset, cols [][
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := checkVerticalChunkConfig(cfg); err != nil {
+	if err := checkVerticalChunkConfig(cfg, rows); err != nil {
 		return nil, nil, err
 	}
 	m := len(parts)
 
 	mappers := make([]mapreduce.IterativeMapper, m)
-	vlMappers := make([]vlBlock, m)
+	vlMappers := make([]*vlMapper, m)
 	for i, p := range parts {
-		var mp vlBlock
-		var err error
-		if cfg.ChunkRows > 0 {
-			mp, err = newVLChunkMapper(p, cfg)
-		} else {
-			mp, err = newVLMapper(p, cfg)
-		}
+		mp, err := newVLMapper(p, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
@@ -53,15 +49,12 @@ func TrainVerticalLinear(ctx context.Context, parts []*dataset.Dataset, cols [][
 		w := make([]float64, features)
 		for i, mp := range vlMappers {
 			for j, c := range cols[i] {
-				w[c] = mp.blockWeights()[j]
+				w[c] = mp.w[j]
 			}
 		}
 		return &LinearModel{W: w, B: b}
 	}
 	red := newVerticalReducer(parts[0].Y, m, cfg)
-	if cfg.ChunkRows > 0 {
-		red.sched = newChunkSchedule(rows, cfg.ChunkRows, cfg.Seed, sharedChunkStream)
-	}
 	if cfg.EvalSet != nil {
 		red.eval = func(b float64) (float64, error) {
 			return eval.ClassifierAccuracy(assemble(b), cfg.EvalSet)
@@ -84,105 +77,137 @@ func TrainVerticalLinear(ctx context.Context, parts []*dataset.Dataset, cols [][
 	return assemble(red.b), h, nil
 }
 
-// vlBlock is what model assembly needs from a vertical-linear Map() task —
-// the full-batch and the minibatch mappers both provide it.
-type vlBlock interface {
-	mapreduce.IterativeMapper
-	// blockWeights is the learner's current weight block.
-	blockWeights() []float64
-}
-
 // checkVerticalChunkConfig rejects the minibatch × bounded-staleness
 // combination for the vertical schemes: the Reducer derives the round's
 // coordinate block from the iteration number, so a share computed s rounds
 // ago would carry scores for a different chunk than the one being folded.
-// The horizontal schemes have no such alignment (their shares are model
-// iterates, not coordinate blocks), so they allow both together.
-func checkVerticalChunkConfig(cfg Config) error {
-	if cfg.ChunkRows > 0 && cfg.Staleness > 0 {
+// With one chunk every share covers every coordinate and staleness is fine;
+// the horizontal schemes have no such alignment at all (their shares are
+// model iterates, not coordinate blocks), so they allow both together.
+func checkVerticalChunkConfig(cfg Config, rows int) error {
+	if cfg.Staleness > 0 && numChunksFor(rows, cfg.ChunkRows) > 1 {
 		return fmt.Errorf("%w: the vertical schemes cannot combine ChunkRows with Staleness (chunk-coordinate alignment; see DESIGN.md §15)", ErrBadConfig)
 	}
 	return nil
 }
 
 // vlMapper is one learner's Map() task for the vertical linear scheme: a
-// ridge-regularized least-squares fit of its feature block to the broadcast
-// residual target.
+// block-coordinate ridge fit. Each round it refits its whole weight block to
+// the scheduled chunk's rows — with one chunk, to every record — and
+// contributes the refreshed scores on the chunk's coordinates, zero
+// elsewhere, so the Reducer's fold sees exactly the coordinates every learner
+// updated. Mappers and the Reducer follow one shared schedule.
 type vlMapper struct {
-	cfg Config
-	x   *linalg.Matrix // N × k_m feature block (private)
-	ch  *linalg.Cholesky
+	cfg   Config
+	x     *linalg.Matrix // N × k_m feature block (private)
+	sched *chunkSchedule
 
-	w      []float64 // current block weights
-	prevXw []float64 // X_m·w at the previous iterate
-	q      []float64 // residual-target scratch, reused every round
-	xtq    []float64 // Xᵀq scratch, reused every round
+	w []float64 // current block weights
+
+	// ch factors I + ρs·X_cᵀX_c and xw holds X_c·w for chunk built: both are
+	// recomputed when the schedule moves to another chunk and stand
+	// otherwise, so with one chunk the ridge matrix is factored once and
+	// each round's X·w carries into the next.
+	ch    *linalg.Cholesky
+	a     *linalg.Matrix // the ridge matrix's buffer, k_m × k_m
+	xw    []float64
+	built int
+
+	q, xtq   []float64 // round scratch
+	chunkDur *telemetry.Histogram
 
 	lastIter int
 	cached   []float64
 }
 
-func (mp *vlMapper) blockWeights() []float64 { return mp.w }
-
 func newVLMapper(p *dataset.Dataset, cfg Config) (*vlMapper, error) {
-	// (I + ρ·X_mᵀX_m) is constant across iterations: factor once.
-	gram, err := linalg.MatMulT(p.X.T(), p.X.T())
-	if err != nil {
-		return nil, err
-	}
-	gram.Scale(cfg.Rho)
-	if err := gram.AddScaledIdentity(1); err != nil {
-		return nil, err
-	}
-	ch, err := linalg.FactorizeCholesky(gram)
-	if err != nil {
-		return nil, fmt.Errorf("consensus vl: ridge matrix not SPD: %w", err)
-	}
-	return &vlMapper{
+	sched := newChunkSchedule(p.Len(), cfg.ChunkRows, cfg.Seed, sharedChunkStream)
+	mp := &vlMapper{
 		cfg:      cfg,
 		x:        p.X,
-		ch:       ch,
+		sched:    sched,
 		w:        make([]float64, p.Features()),
-		prevXw:   make([]float64, p.Len()),
+		xw:       make([]float64, sched.chunkRows),
+		q:        make([]float64, sched.chunkRows),
+		xtq:      make([]float64, p.Features()),
+		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
 		lastIter: -1,
-	}, nil
+		cached:   make([]float64, p.Len()),
+	}
+	// The first chunk's factor is built here rather than in round 0 (see
+	// newHKMapper); w is zero, so xw = X_c·w already holds.
+	idx, lo, hi := sched.chunk(0)
+	if err := mp.build(rowView(mp.x, lo, hi)); err != nil {
+		return nil, err
+	}
+	mp.built = idx
+	return mp, nil
+}
+
+// build factors the ridge matrix I + ρs·X_cᵀX_c of the chunk xc. The
+// transpose is an intermediate and not kept.
+func (mp *vlMapper) build(xc *linalg.Matrix) error {
+	xt := xc.T()
+	var err error
+	if mp.a, err = linalg.MatMulTInto(xt, xt, mp.a); err != nil {
+		return err
+	}
+	mp.a.Scale(mp.cfg.Rho * mp.sched.weight(xc.Rows))
+	if err := mp.a.AddScaledIdentity(1); err != nil {
+		return err
+	}
+	if mp.ch, err = linalg.FactorizeCholesky(mp.a); err != nil {
+		return fmt.Errorf("consensus vl: ridge matrix not SPD: %w", err)
+	}
+	return nil
 }
 
 // Contribution implements mapreduce.IterativeMapper: the w_m-update of the
-// sharing ADMM, w = ρ(I + ρXᵀX)⁻¹Xᵀq with q = X·w_prev + broadcast.
+// sharing ADMM restricted to the round's chunk, w = ρs(I + ρs·X_cᵀX_c)⁻¹X_cᵀq_c
+// with q_c = X_c·w_prev + state|_c and s the schedule's chunk weight.
 func (mp *vlMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if iter == mp.lastIter && mp.cached != nil {
+	if iter == mp.lastIter {
 		return mp.cached, nil
 	}
 	if len(state) != mp.x.Rows {
 		return nil, fmt.Errorf("%w: state of %d values for %d records", ErrBadPartition, len(state), mp.x.Rows)
 	}
+	start := time.Now()
+	idx, lo, hi := mp.sched.chunk(iter)
+	nc := hi - lo
+	rhoS := mp.cfg.Rho * mp.sched.weight(nc)
+	xc := rowView(mp.x, lo, hi)
+	xw := mp.xw[:nc]
+	if idx != mp.built {
+		if err := mp.build(xc); err != nil {
+			return nil, err
+		}
+		if _, err := xc.MulVec(mp.w, xw); err != nil {
+			return nil, err
+		}
+		mp.built = idx
+	}
+
 	// Every vector below lands in a mapper-owned buffer, so a steady-state
-	// round allocates nothing: q and xtq are round scratch, w and prevXw are
-	// the carried state, and cached doubles as the returned contribution.
-	mp.q = linalg.AddVec(mp.prevXw, state, mp.q)
-	xtq, err := mp.x.MulVecT(mp.q, mp.xtq)
+	// round over one chunk allocates nothing.
+	q := linalg.AddVec(xw, state[lo:hi], mp.q[:nc])
+	xtq, err := xc.MulVecT(q, mp.xtq)
 	if err != nil {
 		return nil, err
 	}
-	mp.xtq = xtq
 	w, err := mp.ch.SolveVec(xtq, mp.w)
 	if err != nil {
 		return nil, err
 	}
-	linalg.Scale(mp.cfg.Rho, w)
-	mp.w = w
-	// q has been consumed, so prevXw is free to take this round's X·w.
-	xw, err := mp.x.MulVec(w, mp.prevXw)
-	if err != nil {
+	linalg.Scale(rhoS, w)
+	if _, err := xc.MulVec(w, xw); err != nil {
 		return nil, err
 	}
-	mp.prevXw = xw
-	if mp.cached == nil {
-		mp.cached = make([]float64, len(xw))
-	}
-	copy(mp.cached, xw)
+	linalg.Zero(mp.cached[:lo])
+	copy(mp.cached[lo:hi], xw)
+	linalg.Zero(mp.cached[hi:])
 	mp.lastIter = iter
+	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return mp.cached, nil
 }
 
@@ -207,27 +232,24 @@ type verticalReducer struct {
 	// bounded-staleness rounds (SetRoundWeight); 0 means synchronous rounds.
 	weight float64
 
-	// sched, when non-nil, runs the Reducer's side of minibatch mode: only
-	// the round's chunk coordinates of the shared score vector are folded and
-	// prox-updated, following the same Seed-derived schedule the mappers use.
+	// sched is the Seed-derived schedule the mappers follow too: each round
+	// only its chunk's coordinates of the shared score vector are folded and
+	// prox-updated — with one chunk, all of them.
 	sched *chunkSchedule
-	// abar persists the per-coordinate mean contribution across rounds in
-	// minibatch mode (non-chunk coordinates keep their last folded value, so
-	// the broadcast z̄ − ā − u stays consistent at every coordinate).
-	abarFull []float64
 
-	u        []float64
-	zbar     []float64
-	prevZeta []float64
-	b        float64
+	// Per-coordinate state, persisting across rounds: coordinates outside
+	// the round's chunk keep their last folded values, so the broadcast
+	// z̄ − ā − u stays consistent at every coordinate.
+	abar, u, zbar, prevZeta []float64
+	b                       float64
 
 	// Round scratch, allocated once so steady-state Combine calls are
-	// allocation-free: abar/d/p feed the prox step, zeta and prevZeta swap
-	// roles every round, next is the broadcast buffer (consumed by the
-	// mappers before the following Combine overwrites it).
-	abar, d, p, zeta, next []float64
-	qpScratch              qp.Scratch
-	qpOpts                 []qp.Option // prebuilt once, reused every solve
+	// allocation-free: d/p/zeta feed the prox step over the chunk, next is
+	// the broadcast buffer (consumed by the mappers before the following
+	// Combine overwrites it).
+	d, p, zeta, next []float64
+	qpScratch        qp.Scratch
+	qpOpts           []qp.Option // prebuilt once, reused every solve
 
 	deltaZSq []float64
 	accuracy []float64
@@ -235,18 +257,21 @@ type verticalReducer struct {
 
 func newVerticalReducer(y []float64, m int, cfg Config) *verticalReducer {
 	n := len(y)
+	sched := newChunkSchedule(n, cfg.ChunkRows, cfg.Seed, sharedChunkStream)
 	r := &verticalReducer{
-		y:    linalg.CopyVec(y),
-		m:    m,
-		cfg:  cfg,
-		tel:  newReducerGauges(cfg.Telemetry, "vl-vk"),
-		u:    make([]float64, n),
-		zbar: make([]float64, n),
-		abar: make([]float64, n),
-		d:    make([]float64, n),
-		p:    make([]float64, n),
-		zeta: make([]float64, n),
-		next: make([]float64, n),
+		y:        linalg.CopyVec(y),
+		m:        m,
+		cfg:      cfg,
+		tel:      newReducerGauges(cfg.Telemetry, "vl-vk"),
+		sched:    sched,
+		abar:     make([]float64, n),
+		u:        make([]float64, n),
+		zbar:     make([]float64, n),
+		prevZeta: make([]float64, n),
+		d:        make([]float64, sched.chunkRows),
+		p:        make([]float64, sched.chunkRows),
+		zeta:     make([]float64, sched.chunkRows),
+		next:     make([]float64, n),
 
 		deltaZSq: make([]float64, 0, cfg.MaxIterations),
 		accuracy: make([]float64, 0, cfg.MaxIterations),
@@ -265,7 +290,9 @@ func (r *verticalReducer) SetRoundParticipants(n int) { r.live = n }
 func (r *verticalReducer) SetRoundWeight(total float64) { r.weight = total }
 
 // Combine implements mapreduce.IterativeReducer: the (z, b)-update and dual
-// step of the sharing ADMM, then the next broadcast z̄ − ā − u.
+// step of the sharing ADMM on the round's chunk coordinates, then the next
+// broadcast z̄ − ā − u over all of them. The residual is scaled by N/n_c so
+// Tol keeps its one-chunk meaning.
 func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
 	n := len(r.y)
 	if len(sum) != n {
@@ -278,44 +305,35 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	if r.weight > 0 {
 		mf = r.weight
 	}
-	if r.sched != nil {
-		return r.combineChunk(iter, sum, mf)
-	}
-	abar := r.abar
+	_, lo, hi := r.sched.chunk(iter)
+	abar, u, y := r.abar[lo:hi], r.u[lo:hi], r.y[lo:hi]
 	for i := range abar {
-		abar[i] = sum[i] / mf
+		abar[i] = sum[lo+i] / mf
 	}
-	d := linalg.AddVec(r.u, abar, r.d)
+	d := linalg.AddVec(u, abar, r.d[:hi-lo])
 
 	// Prox-hinge dual: min ½(M/ρ)‖λ‖² + (M·Y·d − 1)ᵀλ, 0 ≤ λ ≤ C, yᵀλ = 0
 	// (M being the round's live learner count).
-	p := r.p
+	p := r.p[:hi-lo]
 	for i := range p {
-		p[i] = mf*r.y[i]*d[i] - 1
+		p[i] = mf*y[i]*d[i] - 1
 	}
-	res, err := qp.SolveUniformDiagEqualityBox(mf/r.cfg.Rho, p, r.cfg.C, r.y, 0, r.qpOpts...)
+	res, err := qp.SolveUniformDiagEqualityBox(mf/r.cfg.Rho, p, r.cfg.C, y, 0, r.qpOpts...)
 	if err != nil {
 		return nil, false, fmt.Errorf("consensus vertical reducer solve: %w", err)
 	}
 
 	// ζ = M·d + (M/ρ)·Yλ; z̄ = ζ/M; u ← u + ā − z̄.
-	zeta := r.zeta
+	zeta, zbar := r.zeta[:hi-lo], r.zbar[lo:hi]
 	for i := range zeta {
-		zeta[i] = mf*d[i] + mf/r.cfg.Rho*r.y[i]*res.Lambda[i]
-		r.zbar[i] = zeta[i] / mf
-		r.u[i] += abar[i] - r.zbar[i]
+		zeta[i] = mf*d[i] + mf/r.cfg.Rho*y[i]*res.Lambda[i]
+		zbar[i] = zeta[i] / mf
+		u[i] += abar[i] - zbar[i]
 	}
-	r.b = biasFromScores(zeta, r.y, res.Lambda, r.cfg.C)
+	r.b = biasFromScores(zeta, y, res.Lambda, r.cfg.C)
+	delta := linalg.Dist2Sq(zeta, r.prevZeta[lo:hi]) * r.sched.weight(hi-lo)
+	copy(r.prevZeta[lo:hi], zeta)
 
-	var delta float64
-	if r.prevZeta == nil {
-		delta = linalg.Norm2Sq(zeta)
-		r.prevZeta = linalg.CopyVec(zeta)
-	} else {
-		delta = linalg.Dist2Sq(zeta, r.prevZeta)
-		// Swap rather than copy: zeta's buffer becomes next round's scratch.
-		r.prevZeta, r.zeta = r.zeta, r.prevZeta
-	}
 	r.deltaZSq = append(r.deltaZSq, delta)
 	//ppml:flow-ok the consensus residual ‖z−z′‖² is the public stopping statistic every learner computes from the shared iterate
 	r.tel.deltaZSq.Set(delta)
@@ -332,7 +350,7 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 
 	next := r.next
 	for i := range next {
-		next[i] = r.zbar[i] - abar[i] - r.u[i]
+		next[i] = r.zbar[i] - r.abar[i] - r.u[i]
 	}
 	done := r.cfg.Tol > 0 && delta < r.cfg.Tol
 	return next, done, nil

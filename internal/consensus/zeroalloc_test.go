@@ -6,7 +6,9 @@ import (
 
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/fixedpoint"
+	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/linalg"
+	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/partition"
 	"github.com/ppml-go/ppml/internal/securesum"
 )
@@ -16,10 +18,13 @@ import (
 // mapper's ridge sub-problem, the seed-derived secure-sum masking of its
 // contribution, the ring aggregation, and the reducer's prox step with its
 // QP solve — performs zero heap allocations. The first rounds are warm-up
-// (they grow the mapper/reducer/QP scratch and the first prevZeta copy);
-// after that, every buffer is owned and reused, exactly like the telemetry
-// no-op path pinned by TestDisabledZeroAlloc.
+// (they build the mappers' per-chunk blocks and grow the reducer/QP
+// scratch); after that, every buffer is owned and reused, exactly like the
+// telemetry no-op path pinned by TestDisabledZeroAlloc. The subtests hold
+// each scheme's mapper to the same contract on its own.
 func TestSteadyStateRoundZeroAlloc(t *testing.T) {
+	testMapperRoundZeroAlloc(t)
+
 	const m = 64
 	const rows = 96
 	rng := rand.New(rand.NewSource(11))
@@ -162,5 +167,68 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 		if diff := masked[j] - plain[j]; diff > 1e-6 || diff < -1e-6 {
 			t.Fatalf("masked sum[%d] = %g, plain %g", j, masked[j], plain[j])
 		}
+	}
+}
+
+// testMapperRoundZeroAlloc: one steady-state Contribution of each scheme's
+// mapper over one chunk allocates nothing, and neither does an HL mapper over
+// several chunks once an epoch has visited (and so created the state of)
+// every one of them.
+func testMapperRoundZeroAlloc(t *testing.T) {
+	d := dataset.TwoGaussians("g", 128, 6, 3, 17)
+	newCfg := func(chunkRows int) Config {
+		cfg, err := Config{C: 10, Rho: 10, Landmarks: 8, Kernel: kernel.RBF{Gamma: 0.5}, ChunkRows: chunkRows}.normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	must := func(mp mapreduce.IterativeMapper, err error) mapreduce.IterativeMapper {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mp
+	}
+	src := dataset.NewMemorySource(d)
+	lm, err := newLandmarks(newCfg(0), d.Features(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mp     mapreduce.IterativeMapper
+		dim    int
+		warmup int // rounds before the measured ones
+	}{
+		{"hl", must(newHLMapper(src, 0, 2, newCfg(0))), d.Features() + 1, 3},
+		{"hk", must(newHKMapper(d, 0, newCfg(0), lm)), lm.xg.Rows + 1, 3},
+		{"vl", must(newVLMapper(d, newCfg(0))), d.Len(), 3},
+		{"vk", must(newVKMapper(d, newCfg(0))), d.Len(), 3},
+		// 8 chunks: rounds 0-7 are the first epoch, and the 6 measured rounds
+		// 9-14 and their prefetch hints stay inside the second (drawing an
+		// epoch's permutation builds a new rand.Rand).
+		{"hl 8 chunks", must(newHLMapper(src, 0, 16, newCfg(16))), d.Features() + 1, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := make([]float64, tc.dim)
+			iter := 0
+			round := func() {
+				contrib, err := tc.mp.Contribution(iter, state)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range state {
+					state[j] = contrib[j] / 2 // a moving consensus, so every round re-solves
+				}
+				iter++
+			}
+			for iter < tc.warmup {
+				round()
+			}
+			if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+				t.Errorf("steady-state mapper round allocated %v times, want 0", allocs)
+			}
+		})
 	}
 }

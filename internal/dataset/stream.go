@@ -3,7 +3,9 @@
 // double-buffered Prefetcher that decodes chunk k+1 while the solver works
 // on chunk k. This is what lets a mapper train on a partition that does not
 // fit in its memory budget: the only per-mapper state is two chunk buffers
-// plus one dfs block's worth of encoded bytes.
+// plus one dfs block's worth of encoded bytes. A Prefetcher over an
+// in-memory source hands out views of the rows instead: no buffers, no
+// reader, no copy.
 //
 // Privacy posture: streamed rows are dataset rows. The secretflow analyzer
 // taints every dfs read (DESIGN.md §13/§15), so bytes decoded here carry the
@@ -80,17 +82,19 @@ type RowSource interface {
 	ReadRows(lo, hi int, x *linalg.Matrix, y []float64) error
 }
 
-// memorySource adapts an in-memory Dataset to RowSource.
+// memorySource adapts an in-memory Dataset to RowSource. It is one pointer
+// wide, so boxing it in the interface allocates nothing.
 type memorySource struct{ d *Dataset }
 
 // NewMemorySource wraps an in-memory data set as a RowSource, so the chunked
-// solvers run identically whether rows come from RAM or from dfs blocks.
-func NewMemorySource(d *Dataset) RowSource { return &memorySource{d: d} }
+// solvers run identically whether rows come from RAM or from dfs blocks. A
+// Prefetcher recognises it and serves its chunks as zero-copy row views.
+func NewMemorySource(d *Dataset) RowSource { return memorySource{d: d} }
 
-func (s *memorySource) Rows() int     { return s.d.Len() }
-func (s *memorySource) Features() int { return s.d.Features() }
+func (s memorySource) Rows() int     { return s.d.Len() }
+func (s memorySource) Features() int { return s.d.Features() }
 
-func (s *memorySource) ReadRows(lo, hi int, x *linalg.Matrix, y []float64) error {
+func (s memorySource) ReadRows(lo, hi int, x *linalg.Matrix, y []float64) error {
 	if err := checkRange(lo, hi, s.d.Len()); err != nil {
 		return err
 	}
@@ -177,8 +181,8 @@ func checkRange(lo, hi, rows int) error {
 	return nil
 }
 
-// Chunk is one decoded row range. Lo/Hi are the absolute row bounds; X holds
-// the Hi−Lo rows and Y the matching labels. The backing buffers belong to
+// Chunk is one row range. Lo/Hi are the absolute row bounds; X holds the
+// Hi−Lo rows and Y the matching labels. X and the backing buffers belong to
 // the Prefetcher and are recycled two Fetch calls later.
 type Chunk struct {
 	Lo, Hi int
@@ -201,8 +205,13 @@ type fetchRes struct {
 // knows which chunk it needs next and a prefetch hit costs only a channel
 // receive. Fetch/Prefetch must be called from a single goroutine; the hit
 // and miss counters are the `ppml_prefetch_*_total` series.
+//
+// Over a NewMemorySource there is nothing to decode or overlap: Fetch
+// returns views into the data set's own storage, Prefetch and Close do
+// nothing, no reader goroutine runs and neither counter moves.
 type Prefetcher struct {
 	src       RowSource
+	mem       *Dataset // non-nil for an in-memory source: chunks are views of it
 	chunkRows int
 	chunks    int
 
@@ -211,6 +220,9 @@ type Prefetcher struct {
 
 	x [2]*linalg.Matrix
 	y [2][]float64
+	// view[b] is the header Chunk.X points at for buffer b, so a Fetch
+	// allocates nothing.
+	view [2]linalg.Matrix
 
 	nextBuf int
 	pending int // outstanding prefetch chunk index, −1 when idle
@@ -229,10 +241,14 @@ func NewPrefetcher(src RowSource, chunkRows int, reg *telemetry.Registry) (*Pref
 		src:       src,
 		chunkRows: chunkRows,
 		chunks:    (src.Rows() + chunkRows - 1) / chunkRows,
-		req:       make(chan fetchReq),
-		res:       make(chan fetchRes, 1),
 		pending:   -1,
 	}
+	if ms, ok := src.(memorySource); ok {
+		p.mem = ms.d
+		return p, nil
+	}
+	p.req = make(chan fetchReq)
+	p.res = make(chan fetchRes, 1)
 	for b := 0; b < 2; b++ {
 		p.x[b] = linalg.NewMatrix(chunkRows, src.Features())
 		p.y[b] = make([]float64, chunkRows)
@@ -273,6 +289,13 @@ func (p *Prefetcher) Fetch(idx int) (Chunk, error) {
 	if idx < 0 || idx >= p.chunks {
 		return Chunk{}, fmt.Errorf("%w: chunk %d of %d", ErrBadData, idx, p.chunks)
 	}
+	if p.mem != nil {
+		b := p.nextBuf
+		p.nextBuf ^= 1
+		lo, hi := p.bounds(idx)
+		k := p.mem.X.Cols
+		return p.chunk(b, lo, hi, p.mem.X.Data[lo*k:hi*k], p.mem.Y[lo:hi]), nil
+	}
 	if p.pending >= 0 {
 		r := <-p.res
 		p.pending = -1
@@ -293,7 +316,7 @@ func (p *Prefetcher) Fetch(idx int) (Chunk, error) {
 // Prefetch starts decoding chunk idx in the background. At most one prefetch
 // is outstanding; extra hints and out-of-range indices are ignored.
 func (p *Prefetcher) Prefetch(idx int) {
-	if p.pending >= 0 || idx < 0 || idx >= p.chunks {
+	if p.mem != nil || p.pending >= 0 || idx < 0 || idx >= p.chunks {
 		return
 	}
 	b := p.nextBuf
@@ -308,16 +331,20 @@ func (p *Prefetcher) chunkFrom(r fetchRes) (Chunk, error) {
 	}
 	lo, hi := p.bounds(r.idx)
 	x := p.x[r.buf]
-	return Chunk{
-		Lo: lo,
-		Hi: hi,
-		X:  &linalg.Matrix{Rows: hi - lo, Cols: x.Cols, Data: x.Data[:(hi-lo)*x.Cols]},
-		Y:  p.y[r.buf][:hi-lo],
-	}, nil
+	return p.chunk(r.buf, lo, hi, x.Data[:(hi-lo)*x.Cols], p.y[r.buf][:hi-lo]), nil
+}
+
+// chunk describes rows [lo, hi) held in x and y through buffer b's header.
+func (p *Prefetcher) chunk(b, lo, hi int, x, y []float64) Chunk {
+	p.view[b] = linalg.Matrix{Rows: hi - lo, Cols: p.src.Features(), Data: x}
+	return Chunk{Lo: lo, Hi: hi, X: &p.view[b], Y: y}
 }
 
 // Close stops the background reader. The Prefetcher must not be used after.
 func (p *Prefetcher) Close() {
+	if p.mem != nil {
+		return
+	}
 	if p.pending >= 0 {
 		<-p.res
 		p.pending = -1

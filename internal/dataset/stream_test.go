@@ -47,6 +47,21 @@ func streamCluster(t *testing.T, blockSize int) *dfs.Cluster {
 	return c
 }
 
+// streamSource stores d in a fresh cluster and opens it for range reads: the
+// copying source the Prefetcher's double buffer exists for.
+func streamSource(t *testing.T, d *Dataset) *DFSSource {
+	t.Helper()
+	c := streamCluster(t, 1024)
+	if err := WriteDFS(c, "/rows", d, "n0"); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenDFS(c, "/rows")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
 // TestDFSSourceRoundTrip: rows written in the streaming format and read back
 // through range reads are bit-identical to the in-memory source, for every
 // chunk geometry including ones that straddle dfs block boundaries.
@@ -132,7 +147,7 @@ func prefetchCounts(reg *telemetry.Registry) (hits, misses int64) {
 func TestPrefetcherHitsAndMisses(t *testing.T) {
 	d := streamDataset(t, 60, 4, 3)
 	reg := telemetry.NewRegistry()
-	pf, err := NewPrefetcher(NewMemorySource(d), 16, reg)
+	pf, err := NewPrefetcher(streamSource(t, d), 16, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +200,7 @@ func TestPrefetcherHitsAndMisses(t *testing.T) {
 // the one after.
 func TestPrefetcherBufferLifetime(t *testing.T) {
 	d := streamDataset(t, 48, 3, 5)
-	pf, err := NewPrefetcher(NewMemorySource(d), 16, nil) // nil registry: counters off
+	pf, err := NewPrefetcher(streamSource(t, d), 16, nil) // nil registry: counters off
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +235,7 @@ func TestPrefetcherBufferLifetime(t *testing.T) {
 // flight must drain it rather than deadlock or leak the reader goroutine.
 func TestPrefetcherCloseWithPendingHint(t *testing.T) {
 	d := streamDataset(t, 32, 2, 7)
-	pf, err := NewPrefetcher(NewMemorySource(d), 8, nil)
+	pf, err := NewPrefetcher(streamSource(t, d), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,4 +244,43 @@ func TestPrefetcherCloseWithPendingHint(t *testing.T) {
 	}
 	pf.Prefetch(1)
 	pf.Close()
+}
+
+// TestPrefetcherMemorySourceServesViews: over an in-memory source a chunk is
+// the data set's own rows — nothing copied, nothing allocated, nothing to hit
+// or miss — and hints and Close are harmless.
+func TestPrefetcherMemorySourceServesViews(t *testing.T) {
+	d := streamDataset(t, 60, 4, 3)
+	reg := telemetry.NewRegistry()
+	pf, err := NewPrefetcher(NewMemorySource(d), 16, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pf.Close()
+	for idx := 0; idx < pf.Chunks(); idx++ {
+		ch, err := pf.Fetch(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := min(16, 60-16*idx)
+		if ch.Lo != 16*idx || ch.Hi != ch.Lo+rows || ch.X.Rows != rows || ch.X.Cols != 4 || len(ch.Y) != rows {
+			t.Fatalf("chunk %d is [%d,%d), X %dx%d, %d labels", idx, ch.Lo, ch.Hi, ch.X.Rows, ch.X.Cols, len(ch.Y))
+		}
+		if &ch.X.Data[0] != &d.X.Data[ch.Lo*4] || &ch.Y[0] != &d.Y[ch.Lo] {
+			t.Fatalf("chunk %d is a copy, want a view of the data set", idx)
+		}
+		pf.Prefetch(idx + 1)
+	}
+	if hits, misses := prefetchCounts(reg); hits != 0 || misses != 0 {
+		t.Errorf("in-memory fetches counted hits=%d misses=%d, want none", hits, misses)
+	}
+	idx := 0
+	if allocs := testing.AllocsPerRun(8, func() {
+		if _, err := pf.Fetch(idx % pf.Chunks()); err != nil {
+			t.Fatal(err)
+		}
+		idx++
+	}); allocs != 0 {
+		t.Errorf("in-memory Fetch allocated %v times, want 0", allocs)
+	}
 }

@@ -569,16 +569,19 @@ func WithLocalityTracking() Option {
 	}
 }
 
-// WithMinibatch switches the horizontal schemes to minibatch local solves:
-// each learner's partition is split into row chunks of at most rows samples,
-// every chunk becomes a virtual consensus learner with its own ADMM dual and
-// warm-started QP state, and each round refreshes exactly one chunk per
-// learner (a deterministic seeded permutation re-drawn every epoch). Rounds
-// cost O(chunk) instead of O(partition) while the job converges to the same
-// full-batch consensus boundary. Composes with streaming TrainHorizontal*
-// sources so partitions never need to fit in memory; the vertical schemes
-// solve exact per-chunk sub-problems on the shared score vector instead.
-// See DESIGN.md §15.
+// WithMinibatch sets the row-chunk size of every local solve, in all four
+// schemes: each round a learner solves its sub-problem over one chunk of at
+// most rows samples, visiting chunks in a deterministic seeded permutation
+// re-drawn every epoch, so a round costs O(chunk) instead of O(partition).
+// In the horizontal schemes every chunk is a virtual consensus learner with
+// its own ADMM dual and warm-started QP state, and the job converges to the
+// same consensus boundary; the vertical schemes run block-coordinate updates
+// on the chunk's coordinates of the shared score vector, Reducer included
+// (not combinable with WithStaleness). Zero, the default, means all rows —
+// the paper's full-batch iteration is the schedule with one chunk — and so
+// does any size that is at least a learner's row count. Only
+// horizontal-linear also streams (consensus.TrainHorizontalLinearStreamed),
+// so only its partitions need not fit in memory. See DESIGN.md §15.
 func WithMinibatch(rows int) Option {
 	return func(o *options) { o.cfg.ChunkRows = rows }
 }

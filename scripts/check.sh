@@ -43,6 +43,16 @@ if grep -rnE 'StartSpan|RecentSpans|PPML_SPAN_RING|ParentSpan' . --include="*.go
 	exit 1
 fi
 
+echo "==> one mapper per scheme (no full-batch/minibatch pair in non-test Go)"
+# Full batch is the one-chunk schedule of the only mapper each scheme has; a
+# second mapper, a chunk-only reducer body or an interface abstracting over
+# the pair would put every formula of internal/consensus back in twice.
+if grep -rnE 'ChunkMapper|combineChunk|hkLearner|vlBlock|vkBlock' . --include="*.go" \
+	| grep -v "_test.go" | grep -v "/testdata/"; then
+	echo "error: a second mapper path in non-test Go (a schedule of one chunk is full batch)" >&2
+	exit 1
+fi
+
 echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
 # The 2x4 accumulator array in tile.go is handed to the assembly microkernel
 # by pointer. A stub declared without //go:noescape makes the compiler move
