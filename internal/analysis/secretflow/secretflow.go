@@ -14,8 +14,8 @@
 //     row-derived state are all the dfs stores), and the X/Y fields of
 //     decoded dataset.Chunk values are dataset fields like any other;
 //   - securesum seed/mask material: the Party and SeededSession stores
-//     (sent/recv flats, seeds, pair-PRG state, mask scratch) and the
-//     in-package randomVector generator;
+//     (sent/recv flats, seeds, the keyed pair PRGs, keystream scratch) and
+//     the in-package randomVector generator;
 //   - paillier private-key material: the lambda/mu fields of PrivateKey;
 //   - raw wire payloads: reads of transport.Message.Payload anywhere, and
 //     the payload parameter of transport's own send path (payload bytes are
@@ -100,7 +100,7 @@ var controlKinds = map[string]bool{
 // maskFields are the securesum stores that hold seed/mask material.
 var maskFields = map[string]bool{
 	"sent": true, "recv": true, "sentFlat": true, "recvFlat": true,
-	"seeds": true, "gen": true, "rcv": true, "mask": true,
+	"seeds": true, "pair": true, "ks": true,
 }
 
 // keyFields are paillier's private-key components.

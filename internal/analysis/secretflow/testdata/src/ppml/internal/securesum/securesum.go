@@ -10,9 +10,9 @@ import (
 
 // Party holds one participant's pairwise mask state.
 type Party struct {
-	id   int
-	mask []uint64
-	sent map[int][]uint64
+	id       int
+	sentFlat []uint64
+	sent     map[int][]uint64
 }
 
 // randomVector draws fresh mask words (a curated taint source).
@@ -21,16 +21,16 @@ func randomVector(n int) []uint64 { return make([]uint64, n) }
 // NewParty seeds the pairwise masks.
 func NewParty(id, dim int) *Party {
 	p := &Party{id: id, sent: make(map[int][]uint64)}
-	p.mask = randomVector(dim)
+	p.sentFlat = randomVector(dim)
 	return p
 }
 
 // Share masks v for the wire. Callers outside this package treat it as a
 // sanitizer; in here the flow is tracked for real.
 func (p *Party) Share(v []float64) []byte {
-	out := make([]byte, 8*len(p.mask))
-	for i := range p.mask {
-		w := uint64(v[i]) + p.mask[i]
+	out := make([]byte, 8*len(p.sentFlat))
+	for i := range p.sentFlat {
+		w := uint64(v[i]) + p.sentFlat[i]
 		out[i*8] = byte(w)
 	}
 	return out
@@ -38,10 +38,10 @@ func (p *Party) Share(v []float64) []byte {
 
 // debugMasks logs raw mask words.
 func (p *Party) debugMasks() {
-	log.Printf("party %d masks: %v", p.id, p.mask) // want `securesum seed/mask material reaches logging call`
+	log.Printf("party %d masks: %v", p.id, p.sentFlat) // want `securesum seed/mask material reaches logging call`
 }
 
 // maskError embeds a mask word in an error string.
 func (p *Party) maskError(peer int) error {
-	return fmt.Errorf("mask for peer %d: %d", peer, p.mask[0]) // want `securesum seed/mask material reaches fmt\.Errorf`
+	return fmt.Errorf("mask for peer %d: %d", peer, p.sentFlat[0]) // want `securesum seed/mask material reaches fmt\.Errorf`
 }

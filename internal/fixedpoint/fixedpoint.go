@@ -115,12 +115,17 @@ func (c Codec) EncodeVec(v []float64, dst []uint64) ([]uint64, error) {
 	default:
 		return nil, fmt.Errorf("%w: dst capacity %d, want ≥ %d", ErrBadConfig, cap(dst), len(v))
 	}
+	// One comparison rejects NaN (every comparison with it is false), ±Inf and
+	// out-of-range magnitudes; Encode then names the failure. Past it none of
+	// Encode's checks can fire (|x| ≤ maxAbs bounds the scaled value inside
+	// int64 too), so the conversion below is Encode's, bit for bit.
+	maxAbs := c.MaxAbs()
 	for i, x := range v {
-		u, err := c.Encode(x)
-		if err != nil {
+		if !(math.Abs(x) <= maxAbs) {
+			_, err := c.Encode(x)
 			return nil, fmt.Errorf("element %d: %w", i, err)
 		}
-		dst[i] = u
+		dst[i] = uint64(int64(math.Round(x * c.scale)))
 	}
 	return dst, nil
 }

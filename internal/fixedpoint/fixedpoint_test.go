@@ -173,6 +173,46 @@ func TestVecErrors(t *testing.T) {
 	}
 }
 
+// TestEncodeVecMatchesEncode pins the vector loop, which folds Encode's
+// NaN/Inf/range checks into one comparison, to Encode itself: the same word
+// where Encode succeeds, the same error (with its element index) where not.
+func TestEncodeVecMatchesEncode(t *testing.T) {
+	for _, fracBits := range []uint{DefaultFracBits, 16, 62} {
+		c, err := New(fracBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, max := c.Resolution(), c.MaxAbs()
+		half := 2.5 * res // scales to exactly 2.5: the tie math.Round breaks away from zero
+		cases := []float64{
+			0, math.Copysign(0, -1),
+			half, math.Nextafter(half, 0), math.Nextafter(half, 1),
+			-half, math.Nextafter(-half, 0), math.Nextafter(-half, -1),
+			max, -max, math.Nextafter(max, 0), math.Nextafter(-max, 0),
+			math.Nextafter(max, math.Inf(1)), math.Nextafter(-max, math.Inf(-1)),
+			math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
+		}
+		for _, x := range cases {
+			want, wantErr := c.Encode(x)
+			got, gotErr := c.EncodeVec([]float64{1, x}, nil)
+			switch {
+			case wantErr == nil && gotErr == nil:
+				if got[1] != want {
+					t.Errorf("fracBits %d, %g: EncodeVec %#x, Encode %#x", fracBits, x, got[1], want)
+				}
+			case wantErr == nil || gotErr == nil:
+				t.Errorf("fracBits %d, %g: EncodeVec err %v, Encode err %v", fracBits, x, gotErr, wantErr)
+			default:
+				if text := "element 1: " + wantErr.Error(); gotErr.Error() != text ||
+					errors.Is(gotErr, ErrRange) != errors.Is(wantErr, ErrRange) ||
+					errors.Is(gotErr, ErrNotFinite) != errors.Is(wantErr, ErrNotFinite) {
+					t.Errorf("fracBits %d, %g: EncodeVec err %q, want %q", fracBits, x, gotErr, text)
+				}
+			}
+		}
+	}
+}
+
 func TestMaxSummands(t *testing.T) {
 	c := Default()
 	n := c.MaxSummands(1000)

@@ -39,3 +39,20 @@ func BenchmarkEncodeShares1000(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSeededShare is one learner's masked share at the vl_cohort_tcp
+// shape: encode, expand m−1 pair keystreams, accumulate, wire-encode.
+func BenchmarkSeededShare(b *testing.B) {
+	const m, dim = 8, 4000
+	ss := wireSeededSessions(b, m, dim, 1)
+	value := randomValues(rand.New(rand.NewSource(1)), 1, dim, 100)[0]
+	live := allLive(m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ss[0].RoundShareBytesFor(int32(i), value, live); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dim*(m-1)), "ns/elem/peer")
+}

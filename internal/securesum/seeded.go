@@ -4,15 +4,15 @@ package securesum
 //
 // The literal protocol exchanges fresh pairwise masks every round, which is
 // information-theoretically secure but costs m(m−1) mask messages per round.
-// In seeded mode each ordered pair of Mappers instead agrees on ONE random
-// seed per session: party i draws a uniform seed s_{i→j} for every peer j at
-// session setup and sends it over the pairwise channel (KindSeed, tagged with
-// the session header). From then on both ends expand the seed locally into
-// per-round masks with an AES-CTR PRG nonced by (session, round) — the mask
-// structure, sign convention and cancellation at the Reducer are exactly the
-// per-round protocol's, but no mask ever crosses the wire again. Per-round
-// traffic drops from O(m²) mask messages + m shares to just the m masked
-// shares.
+// In seeded mode each pair of Mappers instead agrees on ONE random key per
+// session: party i draws a uniform seed s_{i→j} for every peer j at session
+// setup and sends it over the pairwise channel (KindSeed, tagged with the
+// session header), and both ends key one AES-CTR PRG with s_{i→j} ⊕ s_{j→i}.
+// From then on they expand it locally into per-round masks nonced by
+// (session, round) — the lower id of the pair adds the mask, the higher id
+// subtracts it, and it cancels at the Reducer like the per-round protocol's —
+// so no mask ever crosses the wire again. Per-round traffic drops from O(m²)
+// mask messages + m shares to just the m masked shares.
 //
 // The price is the security model: a mask derived from a PRG hides a share
 // computationally (under the AES-as-PRF assumption) rather than
@@ -24,9 +24,11 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"github.com/ppml-go/ppml/internal/fixedpoint"
@@ -63,59 +65,53 @@ func (m MaskMode) String() string {
 	}
 }
 
-// SeedSize is the byte length of one pairwise mask seed (an AES-256 key).
+// SeedSize is the byte length of one pairwise mask seed and of an AES-256 key.
 const SeedSize = 32
 
 // SetupRound tags seed-exchange messages: the handshake happens once per
 // session, before consensus round 0.
 const SetupRound = -1
 
-// pairPRG expands one pairwise seed into per-round masks: mask element k of
-// round r is bytes of AES_seed(session ‖ r ‖ blockctr), interpreted as
-// little-endian ring elements. Distinct (session, round) pairs never reuse a
-// counter block, so every round's mask is an independent PRF output.
+const (
+	gcmTagSize = 16 // Seal appends a tag after the keystream: scratch room nothing reads
+	// maxSeededDim is the longest share one nonce can mask: GCM's 32-bit block
+	// counter starts at 2 and must not wrap, two elements per block.
+	maxSeededDim = 2 * (1<<32 - 2)
+)
+
+// pairPRG expands one pair key into per-round keystream. Block k of round r is
+// AES-256_key(session ‖ r ‖ k+2), all big-endian (uint64, uint32, uint32), and
+// its bytes are two little-endian ring elements. That is AES-GCM's CTR stream
+// under the 12-byte nonce session ‖ r, so one Seal over zeros — pipelined where
+// the stdlib has AES hardware, generic elsewhere — yields a whole round's mask,
+// and distinct (session, round) pairs never share a counter block.
 type pairPRG struct {
-	block cipher.Block
-	// ctr and ks are the counter and keystream blocks. They live on the
-	// struct, not the stack, because slices passed through the cipher.Block
-	// interface escape — as locals they would be two heap allocations per
-	// mask call, 4(M−1) per learner per round.
-	ctr, ks [aes.BlockSize]byte
+	aead  cipher.AEAD
+	nonce [12]byte // struct state: a local would escape through the interface, an allocation per peer per round
 }
 
-// newPairPRG builds the expander for one pairwise seed.
-func newPairPRG(seed []byte) (*pairPRG, error) {
-	if len(seed) != SeedSize {
-		return nil, fmt.Errorf("%w: seed of %d bytes, want %d", ErrProtocol, len(seed), SeedSize)
-	}
-	block, err := aes.NewCipher(seed)
+// newPairPRG builds the expander for one 32-byte pair key.
+func newPairPRG(key []byte) (pairPRG, error) {
+	block, err := aes.NewCipher(key)
 	if err != nil {
-		return nil, fmt.Errorf("securesum seeded: %w", err)
+		return pairPRG{}, err
 	}
-	return &pairPRG{block: block}, nil
+	aead, err := cipher.NewGCM(block)
+	return pairPRG{aead: aead}, err
 }
 
-// mask fills dst with the (session, round) mask. It is allocation-free —
-// counter and keystream blocks are struct scratch — and each 16-byte AES
-// block yields two ring elements.
-func (g *pairPRG) mask(session uint64, round int32, dst []uint64) {
-	ctr, ks := g.ctr[:], g.ks[:]
-	binary.BigEndian.PutUint64(ctr[0:], session)
-	binary.BigEndian.PutUint32(ctr[8:], uint32(round))
-	for i := 0; i < len(dst); i += 2 {
-		binary.BigEndian.PutUint32(ctr[12:], uint32(i/2))
-		g.block.Encrypt(ks, ctr)
-		dst[i] = binary.LittleEndian.Uint64(ks[0:8])
-		if i+1 < len(dst) {
-			dst[i+1] = binary.LittleEndian.Uint64(ks[8:16])
-		}
-	}
+// keystream overwrites buf, which needs gcmTagSize bytes of spare capacity,
+// with the (session, round) keystream.
+func (g *pairPRG) keystream(session uint64, round int32, buf []byte) {
+	binary.BigEndian.PutUint64(g.nonce[0:], session)
+	binary.BigEndian.PutUint32(g.nonce[8:], uint32(round))
+	clear(buf)
+	g.aead.Seal(buf[:0], g.nonce[:], buf, nil)
 }
 
-// SeededSession is one Mapper's masking state for a whole session: the PRGs
-// for the seeds it generated and the seeds it received, plus the reusable
-// scratch that keeps the round hot loop allocation-free. It is not safe for
-// concurrent use; each Mapper goroutine owns one.
+// SeededSession is one Mapper's masking state for a whole session: its seeds,
+// one PRG per peer, and the reusable scratch that keeps the round hot loop
+// allocation-free. Not safe for concurrent use; each Mapper goroutine owns one.
 type SeededSession struct {
 	id      int
 	m       int
@@ -123,12 +119,11 @@ type SeededSession struct {
 	session uint64
 	codec   fixedpoint.Codec
 
-	seeds []byte     // flat seed material generated for peers (SeedSize each)
-	gen   []*pairPRG // gen[peer] expands the seed this party sent to peer
-	rcv   []*pairPRG // rcv[peer] expands the seed received from peer
-	rcvN  int
+	seeds []byte    // flat seed material generated for peers (SeedSize each)
+	pair  []pairPRG // pair[peer] is keyed by s_{id→peer} ⊕ s_{peer→id}; nil aead until the peer's seed arrives
+	pairN int
 
-	mask  []uint64 // per-peer mask scratch, one round at a time
+	ks    []byte   // one peer's round keystream at a time, plus room for the tag
 	share []uint64 // fixed-point share scratch, returned by RoundShare
 	wire  []byte   // wire-encoding scratch, returned by RoundShareBytes
 }
@@ -137,7 +132,7 @@ type SeededSession struct {
 // m−1 seeds this party will send in a single batched read from random
 // (crypto/rand when nil).
 func NewSeededSession(id, m, dim int, session uint64, codec fixedpoint.Codec, random io.Reader) (*SeededSession, error) {
-	if m < 1 || id < 0 || id >= m || dim <= 0 {
+	if m < 1 || id < 0 || id >= m || dim <= 0 || uint64(dim) > maxSeededDim {
 		return nil, fmt.Errorf("%w: id=%d m=%d dim=%d", ErrBadParty, id, m, dim)
 	}
 	if random == nil {
@@ -146,24 +141,11 @@ func NewSeededSession(id, m, dim int, session uint64, codec fixedpoint.Codec, ra
 	s := &SeededSession{
 		id: id, m: m, dim: dim, session: session, codec: codec,
 		seeds: make([]byte, SeedSize*(m-1)),
-		gen:   make([]*pairPRG, m),
-		rcv:   make([]*pairPRG, m),
-		mask:  make([]uint64, dim),
+		pair:  make([]pairPRG, m),
+		ks:    make([]byte, 8*dim+gcmTagSize),
 	}
 	if _, err := io.ReadFull(random, s.seeds); err != nil {
 		return nil, fmt.Errorf("securesum randomness: %w", err)
-	}
-	next := 0
-	for peer := 0; peer < m; peer++ {
-		if peer == id {
-			continue
-		}
-		prg, err := newPairPRG(s.seeds[next : next+SeedSize])
-		if err != nil {
-			return nil, err
-		}
-		s.gen[peer] = prg
-		next += SeedSize
 	}
 	return s, nil
 }
@@ -181,26 +163,33 @@ func (s *SeededSession) SeedFor(peer int) ([]byte, error) {
 	return s.seeds[slot*SeedSize : (slot+1)*SeedSize], nil
 }
 
-// SetPeerSeed installs the seed received from peer. Each peer may deliver
-// exactly once per session.
+// SetPeerSeed keys the pair's PRG with the seed received from peer XOR the one
+// sent to it. Each peer may deliver exactly once per session.
 func (s *SeededSession) SetPeerSeed(peer int, seed []byte) error {
-	if peer < 0 || peer >= s.m || peer == s.id {
-		return fmt.Errorf("%w: seed from peer %d of %d", ErrBadParty, peer, s.m)
+	own, err := s.SeedFor(peer)
+	if err != nil {
+		return err
 	}
-	if s.rcv[peer] != nil {
+	if len(seed) != SeedSize {
+		return fmt.Errorf("%w: seed of %d bytes from peer %d, want %d", ErrProtocol, len(seed), peer, SeedSize)
+	}
+	if s.pair[peer].aead != nil {
 		return fmt.Errorf("%w: duplicate seed from peer %d", ErrProtocol, peer)
 	}
-	prg, err := newPairPRG(seed)
+	var key [SeedSize]byte
+	subtle.XORBytes(key[:], own, seed)
+	s.pair[peer], err = newPairPRG(key[:])
+	clear(key[:])
+	runtime.KeepAlive(&key) // with no later use the compiler drops the clear as a dead store
 	if err != nil {
-		return fmt.Errorf("seed from peer %d: %w", peer, err)
+		return fmt.Errorf("securesum seeded: %w", err)
 	}
-	s.rcv[peer] = prg
-	s.rcvN++
+	s.pairN++
 	return nil
 }
 
-// RoundShare computes this round's masked share wᵢ + Σⱼ PRG(s_{i→j}, round)
-// − Σⱼ PRG(s_{j→i}, round). Every pairwise seed must have been exchanged.
+// RoundShare computes this round's masked share wᵢ + Σ_{j>i} PRG(k_ij, round)
+// − Σ_{j<i} PRG(k_ij, round). Every pairwise seed must have been exchanged.
 // The returned slice is internal scratch, valid until the next call — the
 // driver's lockstep (the Reducer consumes round r before broadcasting round
 // r+1) makes that reuse safe on the wire.
@@ -212,10 +201,10 @@ func (s *SeededSession) RoundShare(round int32, value []float64) ([]uint64, erro
 // only over peers marked live, so the masks cancel at the Reducer exactly
 // when every roster member derives its share from the SAME roster. This is
 // what makes dropout a local re-derivation instead of a new handshake: the
-// pairwise seeds with dead peers simply go unused this round (and resume
-// working the round the peer rejoins — seeds are per-session, not per-
-// roster). live[s.id] must be true: a party outside the roster has no share
-// to contribute. live must have exactly m entries.
+// pair keys with dead peers simply go unused this round (and resume working
+// the round the peer rejoins — keys are per-session, not per-roster).
+// live[s.id] must be true: a party outside the roster has no share to
+// contribute. live must have exactly m entries.
 func (s *SeededSession) RoundShareFor(round int32, value []float64, live []bool) ([]uint64, error) {
 	if len(live) != s.m {
 		return nil, fmt.Errorf("%w: roster over %d parties, want %d", ErrBadParty, len(live), s.m)
@@ -231,46 +220,57 @@ func (s *SeededSession) roundShare(round int32, value []float64, live []bool) ([
 	if len(value) != s.dim {
 		return nil, fmt.Errorf("%w: value has %d elements, want %d", ErrBadParty, len(value), s.dim)
 	}
-	if s.rcvN != s.m-1 {
-		return nil, fmt.Errorf("%w: have %d/%d peer seeds", ErrIncomplete, s.rcvN, s.m-1)
+	if s.pairN != s.m-1 {
+		return nil, fmt.Errorf("%w: have %d/%d peer seeds", ErrIncomplete, s.pairN, s.m-1)
 	}
 	share, err := s.codec.EncodeVec(value, s.share)
 	if err != nil {
 		return nil, fmt.Errorf("securesum encode: %w", err)
 	}
 	s.share = share
-	for peer := 0; peer < s.m; peer++ {
+	ks := s.ks[:8*len(share)]
+	for peer := range s.pair {
 		if peer == s.id || (live != nil && !live[peer]) {
 			continue
 		}
-		s.gen[peer].mask(s.session, round, s.mask)
-		if err := fixedpoint.AddVec(share, s.mask); err != nil {
-			return nil, err
-		}
-		s.rcv[peer].mask(s.session, round, s.mask)
-		if err := fixedpoint.SubVec(share, s.mask); err != nil {
-			return nil, err
+		s.pair[peer].keystream(s.session, round, ks)
+		if s.id < peer {
+			accumulate(share, ks, 0)
+		} else {
+			accumulate(share, ks, ^uint64(0))
 		}
 	}
 	return share, nil
 }
 
-// RoundShareBytes is RoundShare pre-encoded for the wire, reusing the
-// session's byte scratch. The same validity rule applies: the payload is
-// stable until the next round's call.
-func (s *SeededSession) RoundShareBytes(round int32, value []float64) ([]byte, error) {
-	share, err := s.RoundShare(round, value)
-	if err != nil {
-		return nil, err
+// accumulate adds the little-endian words of ks into share when neg is 0 and
+// subtracts them when it is all ones: (w ^ neg) − neg is w or −w. Four words a
+// step: the one-word loop bounds-checks every load and measures twice as slow.
+func accumulate(share []uint64, ks []byte, neg uint64) {
+	for ; len(share) >= 4 && len(ks) >= 32; share, ks = share[4:], ks[32:] {
+		share[0] += (binary.LittleEndian.Uint64(ks[0:]) ^ neg) - neg
+		share[1] += (binary.LittleEndian.Uint64(ks[8:]) ^ neg) - neg
+		share[2] += (binary.LittleEndian.Uint64(ks[16:]) ^ neg) - neg
+		share[3] += (binary.LittleEndian.Uint64(ks[24:]) ^ neg) - neg
 	}
-	s.wire = AppendShares(s.wire[:0], share)
-	return s.wire, nil
+	for i := range share {
+		share[i] += (binary.LittleEndian.Uint64(ks[8*i:]) ^ neg) - neg
+	}
+}
+
+// RoundShareBytes is RoundShare pre-encoded for the wire in the session's byte
+// scratch; like the share, the payload is stable until the next round's call.
+func (s *SeededSession) RoundShareBytes(round int32, value []float64) ([]byte, error) {
+	return s.toWire(s.roundShare(round, value, nil))
 }
 
 // RoundShareBytesFor is RoundShareFor pre-encoded for the wire under the same
 // scratch-reuse contract as RoundShareBytes.
 func (s *SeededSession) RoundShareBytesFor(round int32, value []float64, live []bool) ([]byte, error) {
-	share, err := s.RoundShareFor(round, value, live)
+	return s.toWire(s.RoundShareFor(round, value, live))
+}
+
+func (s *SeededSession) toWire(share []uint64, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +324,7 @@ func SetupSeeded(ctx context.Context, ep transport.Endpoint, names []string, sel
 		if err != nil {
 			return nil, err
 		}
-		//ppml:flow-ok the pairwise seed exchange IS the protocol's key agreement (DESIGN.md §10): the seed must reach exactly this peer, and only the higher-id party of each pair sends it
+		//ppml:flow-ok the pairwise seed exchange IS the protocol's key agreement (DESIGN.md §10): the seed must reach exactly this peer, and both parties of a pair send one because the pair key is the XOR of the two
 		if err := ep.Send(ctx, names[peer], KindSeed, hdr, seed); err != nil {
 			return nil, fmt.Errorf("securesum: send seed to %q: %w", names[peer], err)
 		}

@@ -1,7 +1,10 @@
 package securesum
 
 import (
+	"bytes"
 	"context"
+	"crypto/aes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -15,7 +18,7 @@ import (
 
 // wireSeededSessions builds m seeded sessions and exchanges every pairwise
 // seed in memory, exactly as SetupSeeded would over a transport.
-func wireSeededSessions(t *testing.T, m, dim int, session uint64) []*SeededSession {
+func wireSeededSessions(t testing.TB, m, dim int, session uint64) []*SeededSession {
 	t.Helper()
 	codec := fixedpoint.Default()
 	ss := make([]*SeededSession, m)
@@ -79,54 +82,204 @@ func TestSeededSumMatchesPlain(t *testing.T) {
 	}
 }
 
-func TestSeededMasksDistinctAcrossRounds(t *testing.T) {
-	// Satellite privacy check: the derived mask for the same ordered pair
-	// must differ between any two rounds — a repeated mask would let the
-	// Reducer difference two rounds' shares and learn w_i(t+1) − w_i(t).
-	seed := make([]byte, SeedSize)
-	for i := range seed {
-		seed[i] = byte(i * 7)
+// allLive is the full-cohort roster.
+func allLive(m int) []bool {
+	live := make([]bool, m)
+	for i := range live {
+		live[i] = true
 	}
-	prg, err := newPairPRG(seed)
+	return live
+}
+
+// testPairKey is a fixed 32-byte pair key for the PRG-level tests.
+func testPairKey() []byte {
+	key := make([]byte, SeedSize)
+	for i := range key {
+		key[i] = byte(i * 7)
+	}
+	return key
+}
+
+func TestSeededMasksDistinctAcrossRounds(t *testing.T) {
+	// Satellite privacy check: the derived mask for the same pair must differ
+	// between any two rounds — a repeated mask would let the Reducer
+	// difference two rounds' shares and learn w_i(t+1) − w_i(t).
+	prg, err := newPairPRG(testPairKey())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const dim = 5
+	const size = 5 * 8
 	const rounds = 64
 	seen := make(map[string]int32, rounds)
-	mask := make([]uint64, dim)
+	buf := make([]byte, size, size+gcmTagSize)
 	for round := int32(0); round < rounds; round++ {
-		prg.mask(3, round, mask)
-		key := fmt.Sprint(mask)
-		if prev, dup := seen[key]; dup {
-			t.Fatalf("rounds %d and %d derived the identical mask %v", prev, round, mask)
+		prg.keystream(3, round, buf)
+		if prev, dup := seen[string(buf)]; dup {
+			t.Fatalf("rounds %d and %d derived the identical mask %x", prev, round, buf)
 		}
-		seen[key] = round
+		seen[string(buf)] = round
 	}
 	// Distinct sessions must also diverge, even at the same round.
-	var a, b [dim]uint64
-	prg.mask(3, 0, a[:])
-	prg.mask(4, 0, b[:])
-	if a == b {
+	other := make([]byte, size, size+gcmTagSize)
+	prg.keystream(3, 0, buf)
+	prg.keystream(4, 0, other)
+	if bytes.Equal(buf, other) {
 		t.Fatal("sessions 3 and 4 derived the identical round-0 mask")
 	}
 }
 
+func TestSeededKeystreamMatchesSpec(t *testing.T) {
+	// The documented counter layout, recomputed one block at a time with
+	// plain AES: block k of (session, round) encrypts session ‖ round ‖ k+2,
+	// all big-endian. Mask derivation is part of the protocol version, so the
+	// bulk path may change its mechanism but never these bytes.
+	key := testPairKey()
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prg, err := newPairPRG(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const session, round = 0x0102030405060708, int32(0x0A0B0C0D)
+	for _, dim := range []int{1, 2, 3, 31, 4001} {
+		want := make([]byte, (8*dim+aes.BlockSize-1)/aes.BlockSize*aes.BlockSize)
+		var ctr [aes.BlockSize]byte
+		binary.BigEndian.PutUint64(ctr[0:], session)
+		binary.BigEndian.PutUint32(ctr[8:], uint32(round))
+		for k := 0; k*aes.BlockSize < len(want); k++ {
+			binary.BigEndian.PutUint32(ctr[12:], uint32(k+2))
+			block.Encrypt(want[k*aes.BlockSize:], ctr[:])
+		}
+		got := make([]byte, 8*dim, 8*dim+gcmTagSize)
+		for i := range got {
+			got[i] = 0xA5 // stale scratch must not leak into the stream
+		}
+		prg.keystream(session, round, got)
+		if !bytes.Equal(got, want[:8*dim]) {
+			t.Errorf("dim %d: bulk keystream differs from per-block AES over session‖round‖k+2", dim)
+		}
+	}
+}
+
 func TestSeededBothEndsAgree(t *testing.T) {
-	// The sender's gen-PRG and the receiver's rcv-PRG expand the same seed,
-	// so for every round party i's added mask equals party j's subtracted
-	// one — the cancellation invariant RoundShare relies on.
-	ss := wireSeededSessions(t, 2, 4, 5)
-	gen := make([]uint64, 4)
-	rcv := make([]uint64, 4)
-	for round := int32(0); round < 4; round++ {
-		ss[0].gen[1].mask(5, round, gen)
-		ss[1].rcv[0].mask(5, round, rcv)
-		for k := range gen {
-			if gen[k] != rcv[k] {
-				t.Fatalf("round %d element %d: sender %d, receiver %d", round, k, gen[k], rcv[k])
+	// Both ends of a pair key their PRG with the XOR of the two seeds, so
+	// they derive the same stream whichever end installs its peer's seed
+	// first, and the lower id adds exactly what the higher id subtracts.
+	const dim, session = 5, 5
+	codec := fixedpoint.Default()
+	for _, order := range [][2]int{{0, 1}, {1, 0}} {
+		var ends [2]*SeededSession
+		var seeds [2][]byte // seeds[i] is what end i sends to the other
+		for i := range ends {
+			var err error
+			if ends[i], err = NewSeededSession(i, 2, dim, session, codec, detRand(int64(1+i))); err != nil {
+				t.Fatal(err)
+			}
+			if seeds[i], err = ends[i].SeedFor(1 - i); err != nil {
+				t.Fatal(err)
 			}
 		}
+		for _, i := range order {
+			if err := ends[i].SetPeerSeed(1-i, seeds[1-i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo, hi := ends[0], ends[1]
+		zero := make([]float64, dim)
+		for round := int32(0); round < 4; round++ {
+			lo.pair[1].keystream(session, round, lo.ks[:8*dim])
+			hi.pair[0].keystream(session, round, hi.ks[:8*dim])
+			if !bytes.Equal(lo.ks[:8*dim], hi.ks[:8*dim]) {
+				t.Fatalf("order %v round %d: the two ends derived different keystreams", order, round)
+			}
+			stream := append([]byte(nil), lo.ks[:8*dim]...)
+			added, err := lo.RoundShare(round, zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subtracted, err := hi.RoundShare(round, zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range added {
+				w := binary.LittleEndian.Uint64(stream[8*k:])
+				if added[k] != w || subtracted[k] != -w {
+					t.Fatalf("round %d element %d: shares %x / %x, want +/- %x", round, k, added[k], subtracted[k], w)
+				}
+			}
+		}
+	}
+}
+
+func TestSeededRosterSubsetsCancelExactly(t *testing.T) {
+	// Bit-exact cancellation in Z_2^64 over every roster of size >= 2: the
+	// ring sum of the masked shares equals the ring sum of the raw encodings,
+	// at an odd dim so the half-used last AES block is covered.
+	const dim, session = 7, 77
+	codec := fixedpoint.Default()
+	rng := rand.New(rand.NewSource(41))
+	for m := 2; m <= 5; m++ {
+		ss := wireSeededSessions(t, m, dim, session)
+		values := randomValues(rng, m, dim, 50)
+		for roster := 1; roster < 1<<m; roster++ {
+			live := make([]bool, m)
+			n := 0
+			for i := range live {
+				live[i] = roster>>i&1 == 1
+				if live[i] {
+					n++
+				}
+			}
+			if n < 2 {
+				continue
+			}
+			got := make([]uint64, dim)
+			want := make([]uint64, dim)
+			for i := 0; i < m; i++ {
+				if !live[i] {
+					continue
+				}
+				share, err := ss[i].RoundShareFor(int32(roster), values[i], live)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := codec.EncodeVec(values[i], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range got {
+					got[k] += share[k]
+					want[k] += raw[k]
+				}
+			}
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("m=%d roster %05b element %d: ring sum %x, want %x", m, roster, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+func TestSeededShareZeroAlloc(t *testing.T) {
+	// The round hot path at the vl_cohort_tcp shape: after the first call has
+	// sized the share and wire scratch, a round allocates nothing.
+	const m, dim = 8, 4000
+	ss := wireSeededSessions(t, m, dim, 3)
+	value := randomValues(rand.New(rand.NewSource(5)), 1, dim, 100)[0]
+	live := allLive(m)
+	round := int32(0)
+	share := func() {
+		if _, err := ss[3].RoundShareBytesFor(round, value, live); err != nil {
+			t.Fatal(err)
+		}
+		round++
+	}
+	share()
+	if allocs := testing.AllocsPerRun(20, share); allocs != 0 {
+		t.Errorf("RoundShareBytesFor allocates %.1f times per round, want 0", allocs)
 	}
 }
 
@@ -137,6 +290,13 @@ func TestSeededSessionErrors(t *testing.T) {
 	}
 	if _, err := NewSeededSession(0, 2, 0, 1, codec, detRand(1)); !errors.Is(err, ErrBadParty) {
 		t.Errorf("zero dim: %v", err)
+	}
+	// One element past what a (session, round) nonce's 32-bit block counter
+	// can cover: rejected up front, never a silently repeating keystream.
+	if tooLong := uint64(maxSeededDim) + 1; uint64(int(tooLong)) == tooLong {
+		if _, err := NewSeededSession(0, 2, int(tooLong), 1, codec, detRand(1)); !errors.Is(err, ErrBadParty) {
+			t.Errorf("dim past the keystream: %v", err)
+		}
 	}
 	s, err := NewSeededSession(0, 3, 3, 1, codec, detRand(2))
 	if err != nil {

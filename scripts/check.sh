@@ -84,12 +84,13 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + tiled kernels + Paillier packing + scalability + minibatch, 1 iteration)"
+echo "==> bench smoke (Gram + tiled kernels + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
 go test -run '^$' -bench Gram -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
 go test -run '^$' -bench Scalability -benchtime 1x .
 go test -run '^$' -bench Minibatch -benchtime 1x ./internal/consensus/
+go test -run '^$' -bench SeededShare -benchtime 1x ./internal/securesum/
 
 echo "==> metrics smoke (live -metrics-addr endpoint on a real training run)"
 sh scripts/metrics_smoke.sh
