@@ -27,6 +27,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,13 +36,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(context.Background(), os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ppml-trace:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("ppml-trace", flag.ContinueOnError)
 	fixture := fs.Bool("fixture", false, "run the built-in chaos fixture instead of reading dumps")
 	fixtureM := fs.Int("fixture-mappers", 4, "fixture mapper count")
@@ -55,7 +56,7 @@ func run(args []string) error {
 	var dumps []*traceview.Dump
 	switch {
 	case *fixture:
-		raw, flaky, err := traceview.RunChaosFixture(*fixtureM, *fixtureRounds)
+		raw, flaky, err := traceview.RunChaosFixture(ctx, *fixtureM, *fixtureRounds)
 		if err != nil {
 			return err
 		}

@@ -32,7 +32,11 @@
 //	w = η(XᵀYλ + ρu),   b = t + (1/ρ)·yᵀλ.
 //
 // The (1/ρ)yyᵀ term is exactly what the paper's equality constraint becomes
-// when b is eliminated analytically instead of lagged. Consensus updates are
+// when b is eliminated analytically instead of lagged. Q = Y(η·XXᵀ +
+// (1/ρ)·11ᵀ)Y is never formed: qp.SolveLinearBox runs dual coordinate descent
+// on the rows, keeping Xᵀ(y∘λ) and yᵀλ, at O(k) a step (DESIGN.md §17). Only
+// WithPaperSplit, whose equality-constrained SMO selects a pair from all N_m
+// gradients, builds the dense η·YXXᵀY. Consensus updates are
 // z ← mean(w_m + γ_m), s ← mean(b_m + β_m) (computed via secure summation),
 // and the duals advance by γ_m ← γ_m + w_m − z on receipt of the new z.
 //
@@ -94,14 +98,15 @@
 // leaves the rest at their last values, so the broadcast z̄ − ā − u stays
 // consistent everywhere. With J = 1, s = 1 and the chunk is every record.
 //
-// What a mapper derives from a chunk's rows alone — HL's dual Hessian, HK's
-// P-folded blocks, VL's ridge factor and X_c·w, VK's kernel strip, its factor
-// and (K·α)|_c — is remembered for the chunk index it was built for and
-// rebuilt only when the schedule visits a different chunk. One chunk
-// therefore means built once, several means one chunk-sized rebuild a round,
-// and nothing asks which case it is. Everything an iterate depends on across
-// rounds (duals, warm starts, w, α) is kept per chunk or per learner and
-// never rebuilt.
+// What a mapper derives from a chunk's rows alone — HK's P-folded blocks,
+// VL's ridge factor and X_c·w, VK's kernel strip, its factor and (K·α)|_c —
+// is remembered for the chunk index it was built for and rebuilt only when
+// the schedule visits a different chunk. One chunk therefore means built
+// once, several means one chunk-sized rebuild a round, and nothing asks which
+// case it is. HL derives nothing: its solve reads the chunk's rows directly,
+// so a new chunk costs the fetch and no rebuild. Everything an iterate
+// depends on across rounds (duals, warm starts, w, α) is kept per chunk or
+// per learner and never rebuilt.
 //
 // Rows are read where they live. HK, VL and VK hold their partition, view
 // chunk rows in place, and are constructed holding their first chunk's
@@ -110,8 +115,8 @@
 // dataset.Prefetcher, which serves an in-memory partition as views of its
 // storage and a streamed one (TrainHorizontalLinearStreamed over
 // dataset.OpenDFS) as double-buffered decoded copies, so only HL trains out
-// of core; its Hessian is built when the first rows arrive. Every mapper
-// round is observed in the ppml_chunk_seconds histogram.
+// of core, holding two chunk buffers and O(chunk + k) of solver state. Every
+// mapper round is observed in the ppml_chunk_seconds histogram.
 //
 // # Privacy
 //

@@ -148,11 +148,11 @@ type hlMapper struct {
 	sched *chunkSchedule
 	vl    virtualLearners
 
-	// q is the dual Hessian of chunk built. It depends on the chunk's rows
-	// only, so it is rebuilt when the schedule moves to another chunk and
-	// not otherwise: with one chunk, once.
-	q     *linalg.Matrix
-	built int
+	// q is the dense dual Hessian η·YXXᵀY, built on the first round and under
+	// PaperSplit only (one chunk, so once): its equality-constrained SMO
+	// selects a pair from all N_m gradients. The joint update never forms a
+	// Hessian — qp.SolveLinearBox works on the rows.
+	q *linalg.Matrix
 
 	// Round scratch sized to the largest chunk, so steady-state rounds
 	// allocate nothing once every chunk has been visited.
@@ -181,12 +181,10 @@ func newHLMapper(src dataset.RowSource, id, mprime int, cfg Config) (*hlMapper, 
 	if err != nil {
 		return nil, err
 	}
-	maxC := sched.chunkRows
 	mp := &hlMapper{
 		cfg: cfg, eta: float64(mprime) / (1 + cfg.Rho*float64(mprime)),
 		pf: pf, sched: sched, vl: newVirtualLearners(sched.numChunks, k),
-		q: linalg.NewMatrix(maxC, maxC), built: -1,
-		p:        make([]float64, maxC),
+		p:        make([]float64, sched.chunkRows),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
 		lastIter: -1,
 	}
@@ -227,24 +225,6 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	}
 	rho, split := mp.cfg.Rho, mp.cfg.PaperSplit
 
-	// Dual Hessian: η·Y X Xᵀ Y (+ (1/ρ)·y yᵀ for the joint update), the chunk
-	// being its virtual learner's whole partition.
-	if idx != mp.built {
-		if mp.q, err = linalg.MatMulTInto(x, x, mp.q); err != nil {
-			return nil, err
-		}
-		for i := range y {
-			row := mp.q.Row(i)
-			for j := range row {
-				row[j] *= mp.eta * y[i] * y[j]
-				if !split {
-					row[j] += y[i] * y[j] / rho
-				}
-			}
-		}
-		mp.built = idx
-	}
-
 	// Scaled-dual update with the consensus just received, then the linear
 	// term P_i = ηρ·y_i·x_iᵀu + t·y_i − 1 (the t·y term is folded into the
 	// equality constraint in paper-split mode).
@@ -256,15 +236,28 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 			p[i] += t * y[i]
 		}
 	}
-	prob := qp.Problem{Q: mp.q, P: p, C: mp.cfg.C}
 	mp.opts[len(mp.opts)-1] = qp.WithWarmStart(c.lambda)
+	// The dual Hessian is Y(η·XXᵀ + (1/ρ)·11ᵀ)Y, the chunk being its virtual
+	// learner's whole partition; the joint update solves over its factors.
 	var res *qp.Result
 	if split {
-		// Equality constraint of eq. (12) with the lagged right-hand side.
+		// Equality constraint of eq. (12) with the lagged right-hand side,
+		// which stands in for the (1/ρ)·11ᵀ term.
+		if mp.q == nil {
+			if mp.q, err = linalg.MatMulT(x, x); err != nil {
+				return nil, err
+			}
+			for i := range y {
+				row := mp.q.Row(i)
+				for j := range row {
+					row[j] *= mp.eta * y[i] * y[j]
+				}
+			}
+		}
 		d := rho * (c.prevB - state[len(u)] + c.beta)
-		res, err = qp.SolveEqualityBox(prob, y, d, mp.opts...)
+		res, err = qp.SolveEqualityBox(qp.Problem{Q: mp.q, P: p, C: mp.cfg.C}, y, d, mp.opts...)
 	} else {
-		res, err = qp.SolveBox(prob, mp.opts...)
+		res, err = qp.SolveLinearBox(qp.LinearProblem{X: x, Y: y, Eta: mp.eta, Sigma: 1 / rho, P: p, C: mp.cfg.C}, mp.opts...)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("consensus hl local solve: %w", err)

@@ -35,7 +35,7 @@ func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64
 			return nil, fmt.Errorf("%w: y[%d] = %g, want ±1", ErrBadProblem, i, v)
 		}
 	}
-	cfg := newConfig(n, opts)
+	cfg := newConfig(opts, denseMaxIter(n))
 
 	buf := cfg.takeBuf(n)
 	// Feasibility: the reachable range of yᵀλ over the box.

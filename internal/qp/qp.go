@@ -4,12 +4,18 @@
 //	minimize   ½ λᵀ Q λ + pᵀ λ
 //	subject to 0 ≤ λ ≤ C            (SolveBox)
 //	           and optionally yᵀλ = d with y ∈ {−1,+1}ⁿ  (SolveEqualityBox)
+//	or         0 ≤ λ ≤ C with Q = Y(η·XXᵀ + σ·11ᵀ)Y given by its factors
+//	           (SolveLinearBox)
 //
 // SolveBox uses Gauss–Southwell projected coordinate descent (greedy exact
 // line search per coordinate); SolveEqualityBox uses sequential minimal
 // optimization with maximal-violating-pair working-set selection, the same
 // scheme popularized by LIBSVM. Both maintain the gradient incrementally so
-// one step costs O(n).
+// one step costs O(n). SolveLinearBox is LIBLINEAR's dual coordinate descent:
+// cyclic sweeps over the rows of X with shrinking, maintaining Xᵀ(y∘λ) and
+// yᵀλ instead of the gradient, so one step costs O(k) and Q is never formed.
+// It is the solver for a Hessian with a low-rank factor (the linear SVM dual);
+// a kernel Gram has none and takes SolveBox.
 package qp
 
 import (
@@ -111,6 +117,7 @@ type Scratch struct {
 	lambda []float64
 	grad   []float64
 	buf    []float64
+	idx    []int
 	res    Result
 }
 
@@ -127,6 +134,15 @@ type config struct {
 	tel         *telemetry.Registry
 }
 
+// sized returns *buf at length n, reallocating when its capacity is short.
+func sized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // takeLambda returns a zeroed length-n solution vector and a reset Result,
 // drawn from the scratch when one was supplied.
 func (c *config) takeLambda(n int) ([]float64, *Result) {
@@ -134,11 +150,7 @@ func (c *config) takeLambda(n int) ([]float64, *Result) {
 		return make([]float64, n), &Result{}
 	}
 	s := c.scratch
-	if cap(s.lambda) < n {
-		s.lambda = make([]float64, n)
-	}
-	s.lambda = s.lambda[:n]
-	linalg.Zero(s.lambda)
+	linalg.Zero(sized(&s.lambda, n))
 	s.res = Result{}
 	return s.lambda, &s.res
 }
@@ -149,12 +161,7 @@ func (c *config) takeGrad(n int) []float64 {
 	if c.scratch == nil {
 		return getGradBuf(n)
 	}
-	s := c.scratch
-	if cap(s.grad) < n {
-		s.grad = make([]float64, n)
-	}
-	s.grad = s.grad[:n]
-	return s.grad
+	return sized(&c.scratch.grad, n)
 }
 
 func (c *config) dropGrad(g []float64) {
@@ -163,22 +170,29 @@ func (c *config) dropGrad(g []float64) {
 	}
 }
 
-// takeBuf returns a length-n working buffer (contents unspecified), drawn
-// from the scratch when one was supplied.
+// takeBuf and takeIdx return a length-n working buffer (contents
+// unspecified), drawn from the scratch when one was supplied.
 func (c *config) takeBuf(n int) []float64 {
 	if c.scratch == nil {
 		return make([]float64, n)
 	}
-	s := c.scratch
-	if cap(s.buf) < n {
-		s.buf = make([]float64, n)
-	}
-	s.buf = s.buf[:n]
-	return s.buf
+	return sized(&c.scratch.buf, n)
 }
 
-func newConfig(n int, opts []Option) config {
-	cfg := config{tol: 1e-6, maxIter: 0}
+func (c *config) takeIdx(n int) []int {
+	if c.scratch == nil {
+		return make([]int, n)
+	}
+	return sized(&c.scratch.idx, n)
+}
+
+// denseMaxIter is the default update cap of the solvers whose update is O(n).
+func denseMaxIter(n int) int { return 1000*n + 10000 }
+
+// newConfig applies opts; defaultMaxIter is the solver's update cap when
+// WithMaxIter did not set one.
+func newConfig(opts []Option, defaultMaxIter int) config {
+	cfg := config{tol: 1e-6}
 	for _, o := range opts {
 		switch o.kind {
 		case optTolerance:
@@ -196,7 +210,7 @@ func newConfig(n int, opts []Option) config {
 		}
 	}
 	if cfg.maxIter <= 0 {
-		cfg.maxIter = 1000*n + 10000
+		cfg.maxIter = defaultMaxIter
 	}
 	return cfg
 }
@@ -204,7 +218,9 @@ func newConfig(n int, opts []Option) config {
 // WithTolerance sets the KKT-violation stopping tolerance (default 1e-6).
 func WithTolerance(tol float64) Option { return Option{kind: optTolerance, f: tol} }
 
-// WithMaxIter caps the number of solver updates (default 1000·n + 10000).
+// WithMaxIter caps the number of solver updates. The default is 1000·n + 10000
+// of SolveBox's and SolveEqualityBox's O(n) updates, and 100000·n of
+// SolveLinearBox's O(k) ones.
 func WithMaxIter(n int) Option { return Option{kind: optMaxIter, n: n} }
 
 // WithWarmStart seeds the solver with a previous solution. The point is
@@ -230,7 +246,7 @@ func SolveBox(p Problem, opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	n := p.Q.Rows
-	cfg := newConfig(n, opts)
+	cfg := newConfig(opts, denseMaxIter(n))
 
 	lambda, res := cfg.takeLambda(n)
 	if cfg.warmStart != nil {
@@ -318,7 +334,7 @@ func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Resul
 			return nil, fmt.Errorf("%w: y[%d] = %g, want ±1", ErrBadProblem, i, v)
 		}
 	}
-	cfg := newConfig(n, opts)
+	cfg := newConfig(opts, denseMaxIter(n))
 
 	lambda, res := cfg.takeLambda(n)
 	if cfg.warmStart != nil {

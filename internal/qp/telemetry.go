@@ -6,13 +6,16 @@ import "github.com/ppml-go/ppml/internal/telemetry"
 // (iteration counts, solve totals) — never λ, gradients, or problem data,
 // which carry the learners' private training sets.
 const (
-	metricSolves     = "ppml_qp_solves_total"
-	metricIterations = "ppml_qp_iterations"
+	metricSolves      = "ppml_qp_solves_total"
+	metricIterations  = "ppml_qp_iterations"
+	metricUnconverged = "ppml_qp_unconverged_total"
 )
 
 // WithTelemetry records solver diagnostics into r on every successful solve:
-// ppml_qp_solves_total and a ppml_qp_iterations histogram, both labeled
-// solver=box|smo|diag. A nil registry records nothing at zero cost.
+// ppml_qp_solves_total, a ppml_qp_iterations histogram and, for a solve that
+// returned at its update cap or stuck short of the tolerance,
+// ppml_qp_unconverged_total — all labeled solver=box|smo|diag|linear. A nil
+// registry records nothing at zero cost.
 func WithTelemetry(r *telemetry.Registry) Option {
 	return Option{kind: optTelemetry, tel: r}
 }
@@ -25,4 +28,7 @@ func (c *config) record(solver string, res *Result) {
 	lbl := telemetry.L("solver", solver)
 	c.tel.Counter(metricSolves, lbl).Inc()
 	c.tel.Histogram(metricIterations, telemetry.IterationBuckets, lbl).Observe(float64(res.Iterations))
+	if !res.Converged {
+		c.tel.Counter(metricUnconverged, lbl).Inc()
+	}
 }

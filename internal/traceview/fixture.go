@@ -63,8 +63,9 @@ func (r *fixtureReducer) Combine(iter int, sum []float64) ([]float64, bool, erro
 // RunChaosFixture runs an m-mapper averaging job for iters synchronous
 // rounds under seeded masking with a flaky link on the last mapper, and
 // returns the journal dump JSON plus the flaky mapper's name. The fault
-// schedule is seeded, so the set of faulted rounds is reproducible.
-func RunChaosFixture(m, iters int) ([]byte, string, error) {
+// schedule is seeded, so the set of faulted rounds is reproducible. The run
+// stops when ctx does, and after two minutes regardless.
+func RunChaosFixture(ctx context.Context, m, iters int) ([]byte, string, error) {
 	if m < 2 || iters < 1 {
 		return nil, "", fmt.Errorf("traceview fixture: need m >= 2, iters >= 1 (got %d, %d)", m, iters)
 	}
@@ -95,7 +96,7 @@ func RunChaosFixture(m, iters int) ([]byte, string, error) {
 		ContributionDim: dim,
 		MaxIterations:   iters,
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	ctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	if _, err := mapreduce.RunDistributed(ctx, job, mapreduce.DriverOptions{
 		Network:   ch,

@@ -26,7 +26,7 @@ var fixtureOnce struct {
 func fixtureTimeline(t *testing.T) (*Timeline, string) {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		raw, flaky, err := RunChaosFixture(4, 40)
+		raw, flaky, err := RunChaosFixture(context.Background(), 4, 40)
 		if err != nil {
 			fixtureOnce.err = err
 			return
@@ -188,7 +188,7 @@ func TestChromeTraceOutput(t *testing.T) {
 // timeline as the combined dump: splitting events by node and overlapping
 // the reducer's dump twice must change nothing (dedup by node+seq).
 func TestMergeDedupAndSplitDumps(t *testing.T) {
-	raw, _, err := RunChaosFixture(2, 6)
+	raw, _, err := RunChaosFixture(context.Background(), 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

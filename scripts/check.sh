@@ -53,6 +53,18 @@ if grep -rnE 'ChunkMapper|combineChunk|hkLearner|vlBlock|vkBlock' . --include="*
 	exit 1
 fi
 
+echo "==> Gram-free HL (MatMulT in hlinear.go only on the PaperSplit branch)"
+# The joint-update HL solve works on the rows (qp.SolveLinearBox); the dense
+# N_m x N_m dual Hessian is PaperSplit's alone, whose equality-constrained SMO
+# needs every gradient per pair selection.
+if awk '/^\tif split \{/ { split_branch = 1 }
+	/^\t\} else \{/ { split_branch = 0 }
+	/MatMulT/ && !split_branch { print FILENAME ":" FNR ": " $0; found = 1 }
+	END { exit !found }' internal/consensus/hlinear.go; then
+	echo "error: a dense Gram outside hlMapper's PaperSplit branch (the joint path is Gram-free)" >&2
+	exit 1
+fi
+
 echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
 # The 2x4 accumulator array in tile.go is handed to the assembly microkernel
 # by pointer. A stub declared without //go:noescape makes the compiler move
@@ -84,8 +96,9 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + tiled kernels + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
+echo "==> bench smoke (Gram + tiled kernels + Gram-free QP + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
 go test -run '^$' -bench Gram -benchtime 1x ./internal/kernel/
+go test -run '^$' -bench SolveLinearBox -benchtime 1x ./internal/qp/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
 go test -run '^$' -bench Scalability -benchtime 1x .
