@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-custom vet-flow fuzz-short bench bench-comm bench-hot bench-elastic bench-async metrics-smoke trace-smoke check
+.PHONY: build test race vet vet-custom vet-flow fuzz-short bench bench-elastic bench-async metrics-smoke trace-smoke check
 
 build:
 	$(GO) build ./...
@@ -52,16 +52,6 @@ fuzz-short:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Communication measurement: scalability sweep under both mask modes plus
-# the seeded-vs-per-round comparison written to BENCH_comm.json.
-bench-comm:
-	$(GO) run ./cmd/ppml-figures -panel comm -learners 16 -json BENCH_comm.json
-
-# Hot-kernel measurement: tiled vs reference compute kernels (MatMul, Gram)
-# and packed vs unpacked Paillier aggregation, written to BENCH_hot.json.
-bench-hot:
-	$(GO) run ./cmd/ppml-figures -panel hot -json BENCH_hot.json
-
 # Straggler-recovery measurement: round latency vs injected delay at M=16,
 # demote-and-continue vs abort-and-restart, written to BENCH_elastic.json.
 bench-elastic:
@@ -72,7 +62,9 @@ bench-elastic:
 bench-async:
 	$(GO) run ./cmd/ppml-figures -panel async -json BENCH_async.json
 
-# The pre-merge gate: scripts/check.sh = vet (standard + custom analyzers) +
-# build + race tests + short fuzz + bench smoke.
+# The pre-merge gate: scripts/check.sh = source gates (context, logging, one
+# event ring, one mapper per scheme, Gram-free HL, closed compute layer, escape
+# hygiene) + vet (standard + custom analyzers) + build + race tests + short
+# fuzz + bench smoke + metrics smoke.
 check:
 	./scripts/check.sh

@@ -9,9 +9,9 @@
 //	ppml-figures -panel c           # one panel
 //	ppml-figures -panel baseline    # centralized benchmark accuracies
 //	ppml-figures -panel scalability # learner-count sweep
-//	ppml-figures -panel comm -json BENCH_comm.json
-//	                                # a measurement panel (comm, hot,
-//	                                # elastic, async) and its JSON report
+//	ppml-figures -panel elastic -json BENCH_elastic.json
+//	                                # a measurement panel (elastic, async)
+//	                                # and its JSON report
 //	ppml-figures -paper-scale       # full Section VI data sizes (slow)
 //	ppml-figures -distributed       # run on the simulated cluster with
 //	                                # secure aggregation instead of in-process
@@ -52,7 +52,7 @@ func main() {
 
 func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("ppml-figures", flag.ContinueOnError)
-	panel := fs.String("panel", "all", "a..h, baseline, scalability, comm, hot, elastic, async, or all")
+	panel := fs.String("panel", "all", "a..h, baseline, scalability, elastic, async, or all")
 	paperScale := fs.Bool("paper-scale", false, "use the full Section VI data sizes (slow)")
 	distributed := fs.Bool("distributed", false, "run on the simulated cluster with secure aggregation")
 	iterations := fs.Int("iterations", 0, "override the iteration budget")
@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string) (err error) {
 	csvDir := fs.String("csv", "", "also write each experiment as CSV into this directory")
 	maskMode := fs.String("mask-mode", "seeded",
 		"masked-aggregation variant for distributed runs: seeded or per-round")
-	jsonPath := fs.String("json", "", "with -panel comm, hot, elastic or async, also write that panel's report as JSON to this file")
+	jsonPath := fs.String("json", "", "with -panel elastic or async, also write that panel's report as JSON to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve live /metrics (Prometheus), /debug/vars and /debug/pprof on this address while the experiments run (e.g. 127.0.0.1:9090; :0 picks a free port)")
@@ -69,10 +69,10 @@ func run(ctx context.Context, args []string) (err error) {
 		return err
 	}
 	switch *panel {
-	case "comm", "hot", "elastic", "async":
+	case "elastic", "async":
 	default:
 		if *jsonPath != "" {
-			return fmt.Errorf("-json needs a panel that produces a report (comm, hot, elastic, async), not %q", *panel)
+			return fmt.Errorf("-json needs a panel that produces a report (elastic, async), not %q", *panel)
 		}
 	}
 	if *cpuProfile != "" {
@@ -147,10 +147,6 @@ func run(ctx context.Context, args []string) (err error) {
 		return printBaseline(opts)
 	case "scalability":
 		return printScalability(opts)
-	case "comm":
-		report, err = printComm(opts)
-	case "hot":
-		report, err = printHot()
 	case "elastic":
 		report, err = printElastic(ctx, opts)
 	case "async":
@@ -159,7 +155,7 @@ func run(ctx context.Context, args []string) (err error) {
 		if len(*panel) == 1 && strings.Contains("abcdefgh", *panel) {
 			return printPanel(*panel, opts)
 		}
-		return fmt.Errorf("unknown panel %q (want a..h, baseline, scalability, comm, hot, elastic, async, all)", *panel)
+		return fmt.Errorf("unknown panel %q (want a..h, baseline, scalability, elastic, async, all)", *panel)
 	}
 	if err != nil || *jsonPath == "" {
 		return err
@@ -261,54 +257,6 @@ func printBaseline(opts experiments.Options) error {
 	}
 	fmt.Println()
 	return nil
-}
-
-// printComm compares the two masking modes on the identical training job
-// (horizontal linear, cancer, M = opts.Learners or 16) and returns the
-// comparison — the data behind BENCH_comm.json.
-func printComm(opts experiments.Options) (*experiments.CommReport, error) {
-	m := opts.Learners
-	if m < 2 {
-		m = 16
-	}
-	report, err := experiments.RunComm(opts, m)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("# Communication: seeded vs per-round masks, horizontal linear on cancer, M=%d\n", m)
-	fmt.Println("mode\tlearners\titerations\tmessages\tbytes\tseconds\taccuracy")
-	for _, r := range report.Rows {
-		fmt.Printf("%s\t%d\t%d\t%d\t%d\t%.2f\t%.3f\n",
-			r.Mode, r.Learners, r.Iterations, r.Messages, r.Bytes, r.Seconds, r.Accuracy)
-	}
-	fmt.Printf("max |decision diff| between modes: %g\n", report.MaxDecisionDiff)
-	fmt.Println()
-	return report, nil
-}
-
-// printHot runs the hot-kernel benchmark (tiled vs reference compute kernels,
-// packed vs unpacked Paillier aggregation) and returns the report — the data
-// behind BENCH_hot.json.
-func printHot() (*experiments.HotReport, error) {
-	report, err := experiments.RunHot()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("# Hot kernels: reference loop vs cache-blocked tiled kernel")
-	fmt.Println("kernel\tbaseline_ms\ttiled_ms\tspeedup")
-	for _, p := range report.Pairs {
-		fmt.Printf("%s\t%.2f\t%.2f\t%.2fx\n", p.Name, p.BaselineNs/1e6, p.TiledNs/1e6, p.Speedup)
-	}
-	hp := report.Paillier
-	fmt.Printf("# Paillier vector aggregation: %d-bit key, dim=%d, %d summands, %d slots/ciphertext\n",
-		hp.KeyBits, hp.Dim, hp.MaxSummands, hp.Slots)
-	fmt.Println("layout\tciphertexts\tbytes\tms")
-	fmt.Printf("packed\t%d\t%d\t%.2f\n", hp.PackedCiphertexts, hp.PackedBytes, hp.PackedNs/1e6)
-	fmt.Printf("unpacked\t%d\t%d\t%.2f\n", hp.UnpackedCiphertexts, hp.UnpackedBytes, hp.UnpackedNs/1e6)
-	fmt.Printf("ratio: %.1fx fewer ciphertexts, %.1fx fewer bytes, %.1fx faster\n",
-		hp.CiphertextRatio, hp.ByteRatio, hp.SpeedupNs)
-	fmt.Println()
-	return report, nil
 }
 
 // printElastic runs the straggler-recovery benchmark (demote-and-continue vs

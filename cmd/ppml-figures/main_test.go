@@ -32,8 +32,11 @@ func TestRunBaselinePanel(t *testing.T) {
 }
 
 func TestRunUnknownPanel(t *testing.T) {
-	if err := run(t.Context(), []string{"-panel", "zzz"}); err == nil {
-		t.Error("unknown panel accepted")
+	for _, panel := range []string{"zzz", "hot", "comm"} {
+		err := run(t.Context(), []string{"-panel", panel})
+		if err == nil || !strings.Contains(err.Error(), "elastic, async, all") {
+			t.Errorf("-panel %s: err = %v, want the unknown-panel error listing the panels", panel, err)
+		}
 	}
 	if err := run(t.Context(), []string{"-panel", "a", "-json", filepath.Join(t.TempDir(), "a.json")}); err == nil {
 		t.Error("-json accepted with a panel that produces no report")

@@ -24,6 +24,7 @@ import (
 
 	"github.com/ppml-go/ppml"
 	"github.com/ppml-go/ppml/internal/experiments"
+	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
@@ -276,23 +277,20 @@ func run(ctx context.Context, args []string) error {
 	return nil
 }
 
+// parseKernel reads the -kernel flag through kernel.Parse, the parser model
+// files go through, so both reject the same specs.
 func parseKernel(spec string) (ppml.Kernel, error) {
-	var gamma, a, b, cc float64
-	var degree int
-	switch {
-	case spec == "linear":
-		return ppml.LinearKernel(), nil
-	case scan(spec, "rbf:%g", &gamma):
-		return ppml.RBFKernel(gamma), nil
-	case scan(spec, "poly:%g:%g:%d", &a, &b, &degree):
-		return ppml.PolynomialKernel(a, b, degree), nil
-	case scan(spec, "sigmoid:%g:%g", &a, &cc):
-		return ppml.SigmoidKernel(a, cc), nil
+	k, err := kernel.Parse(spec)
+	if err != nil {
+		return ppml.Kernel{}, err
 	}
-	return ppml.Kernel{}, fmt.Errorf("unknown kernel spec %q", spec)
-}
-
-func scan(s, format string, args ...any) bool {
-	n, err := fmt.Sscanf(s, format, args...)
-	return err == nil && n == len(args)
+	switch kk := k.(type) {
+	case kernel.RBF:
+		return ppml.RBFKernel(kk.Gamma), nil
+	case kernel.Polynomial:
+		return ppml.PolynomialKernel(kk.A, kk.B, kk.Degree), nil
+	case kernel.Sigmoid:
+		return ppml.SigmoidKernel(kk.A, kk.C), nil
+	}
+	return ppml.LinearKernel(), nil
 }

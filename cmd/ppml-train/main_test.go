@@ -70,8 +70,10 @@ func TestParseKernelSpecs(t *testing.T) {
 			t.Errorf("parseKernel(%q): %v", spec, err)
 		}
 	}
-	if _, err := parseKernel("bogus"); err == nil {
-		t.Error("bogus kernel accepted")
+	for _, spec := range []string{"bogus", "rbf:1junk", "rbf:-1"} {
+		if _, err := parseKernel(spec); err == nil {
+			t.Errorf("parseKernel(%q) accepted", spec)
+		}
 	}
 }
 

@@ -12,19 +12,6 @@ import (
 	"github.com/ppml-go/ppml/internal/svm"
 )
 
-// laplacian is a kernel the kernel package has no dot form for, so batch
-// scoring takes the generic Eval fallback.
-type laplacian struct{ gamma float64 }
-
-func (l laplacian) Eval(x, y []float64) float64 {
-	var d float64
-	for i := range x {
-		d += math.Abs(x[i] - y[i])
-	}
-	return math.Exp(-l.gamma * d)
-}
-func (laplacian) Name() string { return "laplacian" }
-
 func randMatrix(rng *rand.Rand, r, c int) *linalg.Matrix {
 	m := linalg.NewMatrix(r, c)
 	for i := range m.Data {
@@ -43,9 +30,8 @@ func randVec(rng *rand.Rand, n int) []float64 {
 
 // TestDecisionsMatchDecision pins every kernel model's batch scoring method
 // against its scalar Decision, the reference model hashes are taken from:
-// agreement to 1e-9 relative on the four built-in kernels and one defined
-// outside the kernel package, and a result that does not depend on the
-// worker count. The HK model has one learner with all-zero CoefX and one
+// agreement to 1e-9 relative on the four kernels, and a result that does not
+// depend on the worker count. The HK model has one learner with all-zero CoefX and one
 // with a mix of zero and nonzero; the VK model's column blocks are uneven.
 func TestDecisionsMatchDecision(t *testing.T) {
 	const features = 11
@@ -81,7 +67,7 @@ func TestDecisionsMatchDecision(t *testing.T) {
 	}
 	kernels := []kernel.Kernel{
 		kernel.Linear{}, kernel.RBF{Gamma: 0.05}, kernel.Polynomial{A: 0.1, B: 1, Degree: 3},
-		kernel.Sigmoid{A: 0.05, C: -0.2}, laplacian{gamma: 0.1},
+		kernel.Sigmoid{A: 0.05, C: -0.2},
 	}
 	for _, k := range kernels {
 		hk.Kernel, vk.Kernel, central.Kernel = k, k, k

@@ -112,8 +112,8 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Kernel == nil {
-		return nil, nil, fmt.Errorf("%w: kernel scheme needs Config.Kernel", ErrBadConfig)
+	if err := kernel.Validate(cfg.Kernel); err != nil {
+		return nil, nil, fmt.Errorf("%w: kernel scheme needs a valid Config.Kernel: %v", ErrBadConfig, err)
 	}
 	k, err := validateHorizontalParts(parts)
 	if err != nil {

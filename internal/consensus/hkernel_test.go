@@ -16,8 +16,10 @@ import (
 func TestHKNeedsKernel(t *testing.T) {
 	d := dataset.TwoGaussians("g", 40, 3, 3, 1)
 	parts := horizontalParts(t, d, 2, 1)
-	if _, _, err := TrainHorizontalKernel(context.Background(), parts, Config{C: 1, Rho: 1}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("missing kernel: err = %v, want ErrBadConfig", err)
+	for _, k := range []kernel.Kernel{nil, kernel.RBF{Gamma: -1}, kernel.Polynomial{A: 1, Degree: 0}} {
+		if _, _, err := TrainHorizontalKernel(context.Background(), parts, Config{C: 1, Rho: 1, Kernel: k}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("kernel %v: err = %v, want ErrBadConfig", k, err)
+		}
 	}
 }
 

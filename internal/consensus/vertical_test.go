@@ -157,8 +157,10 @@ func TestVKSolvesNonlinearTask(t *testing.T) {
 func TestVKNeedsKernel(t *testing.T) {
 	d := dataset.TwoGaussians("g", 40, 4, 3, 1)
 	parts, cols := verticalParts(t, d, 2, 1)
-	if _, _, err := TrainVerticalKernel(context.Background(), parts, cols, Config{C: 1, Rho: 1}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("missing kernel: err = %v, want ErrBadConfig", err)
+	for _, k := range []kernel.Kernel{nil, kernel.RBF{Gamma: math.NaN()}} {
+		if _, _, err := TrainVerticalKernel(context.Background(), parts, cols, Config{C: 1, Rho: 1, Kernel: k}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("kernel %v: err = %v, want ErrBadConfig", k, err)
+		}
 	}
 }
 

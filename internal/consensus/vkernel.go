@@ -107,8 +107,8 @@ func TrainVerticalKernel(ctx context.Context, parts []*dataset.Dataset, cols [][
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Kernel == nil {
-		return nil, nil, fmt.Errorf("%w: kernel scheme needs Config.Kernel", ErrBadConfig)
+	if err := kernel.Validate(cfg.Kernel); err != nil {
+		return nil, nil, fmt.Errorf("%w: kernel scheme needs a valid Config.Kernel: %v", ErrBadConfig, err)
 	}
 	rows, _, err := validateVerticalParts(parts, cols)
 	if err != nil {

@@ -315,98 +315,6 @@ func RunScalability(o Options, learnerCounts []int) ([]ScalabilityRow, error) {
 	return rows, nil
 }
 
-// CommRow is one mask mode's communication cost in the RunComm comparison.
-type CommRow struct {
-	// Mode is "seeded" or "per-round".
-	Mode       string
-	Learners   int
-	Iterations int
-	Messages   int64
-	Bytes      int64
-	Seconds    float64
-	Accuracy   float64
-}
-
-// CommReport compares the two masking modes on the identical training job.
-type CommReport struct {
-	Meta RunMeta
-	// Rows holds the seeded-mode row first, then the per-round row.
-	Rows []CommRow
-	// MaxDecisionDiff is max_x |f_seeded(x) − f_perround(x)| over the test
-	// set. The two modes mask with different random bits but the masks
-	// telescope to zero either way, so the trained models must be
-	// bit-identical and this must be exactly 0.
-	MaxDecisionDiff float64
-}
-
-// RunComm trains the horizontal linear scheme on cancer at the given learner
-// count under both masking modes and reports messages, payload bytes, and a
-// model-identity check — the measurement behind the EXPERIMENTS.md
-// communication table and BENCH_comm.json.
-func RunComm(o Options, m int) (*CommReport, error) {
-	ws, err := workloads(o)
-	if err != nil {
-		return nil, err
-	}
-	var cancer workload
-	for _, w := range ws {
-		if w.name == "cancer" {
-			cancer = w
-		}
-	}
-	report := &CommReport{Meta: CollectMeta()}
-	models := make([]ppml.Model, 0, 2)
-	for _, mode := range []struct {
-		name     string
-		perRound bool
-	}{{"seeded", false}, {"per-round", true}} {
-		opts := []ppml.Option{
-			ppml.WithLearners(m),
-			ppml.WithC(o.C), ppml.WithRho(o.Rho),
-			ppml.WithIterations(o.Iterations),
-			ppml.WithSeed(o.Seed),
-			ppml.WithDistributed(),
-		}
-		if mode.perRound {
-			opts = append(opts, ppml.WithPerRoundMasks())
-		}
-		tel := o.runTelemetry()
-		msgs0, bytes0 := sentTotals(tel)
-		opts = append(opts, ppml.WithTelemetry(tel))
-		start := time.Now()
-		res, err := ppml.Train(cancer.train, ppml.HorizontalLinear, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: comm %s M=%d: %w", mode.name, m, err)
-		}
-		acc, err := ppml.Evaluate(res.Model, cancer.test)
-		if err != nil {
-			return nil, err
-		}
-		msgs1, bytes1 := sentTotals(tel)
-		report.Rows = append(report.Rows, CommRow{
-			Mode:       mode.name,
-			Learners:   m,
-			Iterations: res.History.Iterations,
-			Messages:   msgs1 - msgs0,
-			Bytes:      bytes1 - bytes0,
-			Seconds:    time.Since(start).Seconds(),
-			Accuracy:   acc,
-		})
-		models = append(models, res.Model)
-	}
-	for i := 0; i < cancer.test.Len(); i++ {
-		x := cancer.test.Row(i)
-		d := models[0].Decision(x) - models[1].Decision(x)
-		if d < 0 {
-			d = -d
-		}
-		if d > report.MaxDecisionDiff {
-			report.MaxDecisionDiff = d
-		}
-	}
-	return report, nil
-}
-
 // WritePanel prints a panel as aligned columns: iteration then one column
 // per data set.
 func WritePanel(w io.Writer, p *Panel) error {

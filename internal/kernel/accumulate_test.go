@@ -9,15 +9,10 @@ import (
 	"github.com/ppml-go/ppml/internal/parallel"
 )
 
-// cauchy is a kernel dotForm does not know, so it takes the generic Eval
-// path like any kernel defined outside this package.
-type cauchy struct{ sigma float64 }
-
-func (c cauchy) Eval(x, y []float64) float64 { return 1 / (1 + linalg.Dist2Sq(x, y)/c.sigma) }
-func (cauchy) Name() string                  { return "cauchy" }
-
-var accumulateKernels = []Kernel{
-	Linear{}, RBF{Gamma: 0.05}, Polynomial{A: 0.1, B: 1, Degree: 3}, Sigmoid{A: 0.05, C: -0.2}, cauchy{sigma: 9},
+// fourKernels is the closed set, at parameters that keep every entry O(1) on
+// standard-normal rows of a dozen features.
+var fourKernels = []Kernel{
+	Linear{}, RBF{Gamma: 0.05}, Polynomial{A: 0.1, B: 1, Degree: 3}, Sigmoid{A: 0.05, C: -0.2},
 }
 
 // sparseCoef returns n coefficients of which every third is zero.
@@ -46,7 +41,7 @@ func TestAccumulateMatchesEval(t *testing.T) {
 	coefs := map[string][]float64{
 		"dense": dense, "mixed-zero": sparseCoef(support.Rows), "all-zero": make([]float64, support.Rows),
 	}
-	for _, k := range accumulateKernels {
+	for _, k := range fourKernels {
 		for name, coef := range coefs {
 			prev := parallel.SetWorkers(1)
 			prevThr := parallel.SetThreshold(1)

@@ -12,22 +12,36 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/parallel"
 )
 
 // Kernel evaluates a positive-semidefinite similarity between two feature
-// vectors of equal length.
+// vectors of equal length. The set is closed: the four kernels of Section
+// III-B below are the only implementations (dotForm is unexported), which is
+// what lets Matrix, GramMatrix and Accumulate be the tiled panel path and
+// nothing else.
 type Kernel interface {
 	// Eval returns K(x, y). Implementations must be symmetric in x and y.
 	Eval(x, y []float64) float64
 	// Name returns a short identifier used in logs and experiment output.
 	Name() string
+	// dotForm returns the kernel as a pointwise function of the inner
+	// product, K(x, y) = f(⟨x, y⟩, ‖x‖²+‖y‖²). needNorms reports whether f
+	// reads its second argument (RBF only).
+	dotForm() (f func(dot, sqSum float64) float64, needNorms bool)
 }
 
-// ErrUnknownKernel is returned by Parse for an unrecognized kernel spec.
-var ErrUnknownKernel = errors.New("kernel: unknown kernel")
+var (
+	// ErrUnknownKernel is returned by Parse for an unrecognized kernel spec.
+	ErrUnknownKernel = errors.New("kernel: unknown kernel")
+	// ErrBadParameter is returned (wrapped) by Validate, and so by Parse, for
+	// a kernel whose parameters do not define a usable similarity.
+	ErrBadParameter = errors.New("kernel: bad parameter")
+)
 
 // Linear is the inner-product kernel K(x, y) = ⟨x, y⟩.
 type Linear struct{}
@@ -37,6 +51,10 @@ func (Linear) Eval(x, y []float64) float64 { return linalg.Dot(x, y) }
 
 // Name implements Kernel.
 func (Linear) Name() string { return "linear" }
+
+func (Linear) dotForm() (func(dot, sqSum float64) float64, bool) {
+	return func(d, _ float64) float64 { return d }, false
+}
 
 // Polynomial is K(x, y) = (a⟨x, y⟩ + b)^d (paper Section III-B, item 1).
 type Polynomial struct {
@@ -59,6 +77,17 @@ func (p Polynomial) Name() string {
 	return fmt.Sprintf("poly(a=%g,b=%g,d=%d)", p.A, p.B, p.Degree)
 }
 
+func (p Polynomial) dotForm() (func(dot, sqSum float64) float64, bool) {
+	return func(d, _ float64) float64 {
+		base := p.A*d + p.B
+		out := 1.0
+		for i := 0; i < p.Degree; i++ {
+			out *= base
+		}
+		return out
+	}, false
+}
+
 // RBF is the Gaussian kernel K(x, y) = exp(−γ‖x−y‖²).
 //
 // The paper prints the RBF kernel without the negative sign (an obvious typo:
@@ -74,6 +103,19 @@ func (r RBF) Eval(x, y []float64) float64 {
 
 // Name implements Kernel.
 func (r RBF) Name() string { return fmt.Sprintf("rbf(gamma=%g)", r.Gamma) }
+
+// dotForm expands ‖x−y‖² = ‖x‖² + ‖y‖² − 2⟨x, y⟩. The distance is clamped at
+// zero so near-duplicate rows cannot produce values above 1 through
+// cancellation.
+func (r RBF) dotForm() (func(dot, sqSum float64) float64, bool) {
+	return func(d, s float64) float64 {
+		dd := s - 2*d
+		if dd < 0 {
+			dd = 0
+		}
+		return math.Exp(-r.Gamma * dd)
+	}, true
+}
 
 // Sigmoid is K(x, y) = tanh(a⟨x, y⟩ + c) (paper Section III-B, item 3, with
 // the customary slope parameter a).
@@ -92,13 +134,17 @@ func (s Sigmoid) Eval(x, y []float64) float64 {
 // Name implements Kernel.
 func (s Sigmoid) Name() string { return fmt.Sprintf("sigmoid(a=%g,c=%g)", s.A, s.C) }
 
+func (s Sigmoid) dotForm() (func(dot, sqSum float64) float64, bool) {
+	return func(d, _ float64) float64 { return math.Tanh(s.A*d + s.C) }, false
+}
+
 // Matrix computes the cross Gram matrix K(A, B) with K[i][j] = k(A_i, B_j),
-// where rows of a and b are samples. Built-in kernels run on the tiled dot
-// path (panel dots via the register-tiled linalg kernel, then an elementwise
-// transform); rows are computed concurrently on the parallel worker pool for
-// inputs large enough to amortize the scheduling, and the per-entry
-// arithmetic is identical on the sequential and parallel paths, so the
-// result does not depend on the worker count.
+// where rows of a and b are samples: panel dots via the register-tiled linalg
+// kernel, then the kernel's elementwise transform. Panels are computed
+// concurrently on the parallel worker pool for inputs large enough to
+// amortize the scheduling, and the per-entry arithmetic is identical on the
+// sequential and parallel paths, so the result does not depend on the worker
+// count.
 func Matrix(k Kernel, a, b *linalg.Matrix) (*linalg.Matrix, error) {
 	return MatrixInto(k, a, b, nil)
 }
@@ -115,184 +161,42 @@ func MatrixInto(k Kernel, a, b, dst *linalg.Matrix) (*linalg.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	par := useParallel(a.Rows * b.Rows * a.Cols)
-	if f, needNorms, ok := dotForm(k); ok {
-		if a == b {
-			// Self-similarity: take the symmetric panel path so
-			// Matrix(k, a, a) is bit-identical to GramMatrix(k, a)
-			// (mirrored entries, exact diagonal) at half the work.
-			var sq []float64
-			if needNorms {
-				sq = rowNormsSq(a)
-			}
-			gramTiled(f, a, sq, out, useParallel(a.Rows*a.Rows*a.Cols/2))
-			return out, nil
-		}
-		var sqA, sqB []float64
-		if needNorms {
-			// ‖x−y‖² = ‖x‖² + ‖y‖² − 2⟨x, y⟩: precompute the squared row
-			// norms once and each entry costs one panel-dot plus the
-			// transform.
-			sqA = rowNormsSq(a)
-			sqB = rowNormsSq(b)
-		}
-		matrixTiled(f, a, b, sqA, sqB, out, par)
-		return out, nil
-	}
-	if par {
-		matrixEvalPar(k, a, b, out)
-		return out, nil
-	}
-	for i := 0; i < a.Rows; i++ {
-		ai := a.Row(i)
-		row := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			row[j] = k.Eval(ai, b.Row(j))
-		}
-	}
-	return out, nil
-}
-
-// matrixEvalPar is the worker-pool row loop for kernels outside this package
-// (no dot form — the generic Eval call per entry). It lives in a separate
-// function so its closure cannot pessimize the sequential path (captured
-// variables force indirection on everything the enclosing function touches).
-func matrixEvalPar(k Kernel, a, b, out *linalg.Matrix) {
-	parallel.For(a.Rows, rowGrain(b.Rows*a.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Row(i)
-			row := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				row[j] = k.Eval(ai, b.Row(j))
-			}
-		}
-	})
-}
-
-// GramMatrix computes the symmetric Gram matrix K(A, A), evaluating each pair
-// once and mirroring it. Built-in kernels run on the tiled panel path
-// (gramTiled); blocks own disjoint output elements, so the result does not
-// depend on the worker count.
-func GramMatrix(k Kernel, a *linalg.Matrix) *linalg.Matrix {
-	n := a.Rows
-	out := linalg.NewMatrix(n, n)
-	par := useParallel(n * n * a.Cols / 2)
-	if f, needNorms, ok := dotForm(k); ok {
+	f, needNorms := k.dotForm()
+	if a == b {
+		// Self-similarity: the symmetric panel path (mirrored entries, exact
+		// diagonal) at half the work; blocks own disjoint output elements.
 		var sq []float64
 		if needNorms {
 			sq = rowNormsSq(a)
 		}
-		gramTiled(f, a, sq, out, par)
-		return out
+		gramTiled(f, a, sq, out, parallel.UsePool(a.Rows*a.Rows*a.Cols/2))
+		return out, nil
 	}
-	if par {
-		gramEvalPar(k, a, out)
-		return out
+	var sqA, sqB []float64
+	if needNorms {
+		// Precompute the squared row norms once and each entry costs one
+		// panel-dot plus the transform.
+		sqA = rowNormsSq(a)
+		sqB = rowNormsSq(b)
 	}
-	for i := 0; i < n; i++ {
-		ai := a.Row(i)
-		for j := i; j < n; j++ {
-			v := k.Eval(ai, a.Row(j))
-			out.Set(i, j, v)
-			out.Set(j, i, v)
-		}
-	}
+	matrixTiled(f, a, b, sqA, sqB, out, parallel.UsePool(a.Rows*b.Rows*a.Cols))
+	return out, nil
+}
+
+// GramMatrix computes the symmetric Gram matrix K(A, A), evaluating each pair
+// once and mirroring it: MatrixInto's self-similarity path into a fresh
+// matrix.
+func GramMatrix(k Kernel, a *linalg.Matrix) *linalg.Matrix {
+	out, _ := MatrixInto(k, a, a, nil) // a against itself into a nil dst has no shape to get wrong
 	return out
-}
-
-// gramEvalPar is GramMatrix's worker-pool row loop for kernels without a dot
-// form, isolated like matrixEvalPar. Triangular rows shrink as i grows; a
-// grain of one row plus dynamic block claiming keeps the load balanced. Each
-// block owns rows i of the upper triangle plus their mirrored cells, so
-// blocks never write the same element.
-func gramEvalPar(k Kernel, a, out *linalg.Matrix) {
-	n := a.Rows
-	parallel.For(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Row(i)
-			for j := i; j < n; j++ {
-				v := k.Eval(ai, a.Row(j))
-				out.Set(i, j, v)
-				out.Set(j, i, v)
-			}
-		}
-	})
-}
-
-// Vector computes dst[i] = k(x, rows[i]) for every row of a. dst is allocated
-// when nil. Built-in kernels route the dot column through the tiled MulVec.
-func Vector(k Kernel, x []float64, a *linalg.Matrix, dst []float64) ([]float64, error) {
-	if len(x) != a.Cols {
-		return nil, fmt.Errorf("kernel vector: %w: x has %d features, samples have %d",
-			linalg.ErrShape, len(x), a.Cols)
-	}
-	if dst == nil {
-		dst = make([]float64, a.Rows)
-	}
-	if f, needNorms, ok := dotForm(k); ok && a.Rows > 0 {
-		// dst doubles as the dot buffer: dst = a · x, then the transform is
-		// applied in place.
-		if _, err := a.MulVec(x, dst); err != nil {
-			return nil, err
-		}
-		if needNorms {
-			sx := linalg.Dot(x, x)
-			sq := rowNormsSq(a)
-			for i, d := range dst {
-				dst[i] = f(d, sx+sq[i])
-			}
-			return dst, nil
-		}
-		for i, d := range dst {
-			dst[i] = f(d, 0)
-		}
-		return dst, nil
-	}
-	if useParallel(a.Rows * a.Cols) {
-		vectorPar(k, x, a, dst)
-		return dst, nil
-	}
-	for i := 0; i < a.Rows; i++ {
-		dst[i] = k.Eval(x, a.Row(i))
-	}
-	return dst, nil
-}
-
-// vectorPar is Vector's worker-pool row loop, isolated like matrixEvalPar.
-func vectorPar(k Kernel, x []float64, a *linalg.Matrix, dst []float64) {
-	parallel.For(a.Rows, rowGrain(a.Cols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = k.Eval(x, a.Row(i))
-		}
-	})
-}
-
-// useParallel reports whether a kernel loop of totalWork multiply-adds should
-// go to the worker pool. The threshold is the shared knob in the parallel
-// package (PPML_PAR_THRESHOLD / parallel.SetThreshold). Sequential call
-// sites keep their original direct loops: routing them through the parallel
-// closure costs measurably on every single-core run (captured-variable
-// indirection).
-func useParallel(totalWork int) bool {
-	return totalWork >= parallel.Threshold() && parallel.Workers() > 1
-}
-
-// rowGrain sizes the parallel.For grain for a row loop of rowWork
-// multiply-adds per row: one row per block when rows are expensive (dynamic
-// claiming costs nothing and balances triangular loops), more when cheap.
-func rowGrain(rowWork int) int {
-	if rowWork >= 1024 {
-		return 1
-	}
-	return 1 + 1024/(rowWork+1)
 }
 
 // rowNormsSq returns ‖a_i‖² for every row, computed on the worker pool when
 // the pool is wide and the matrix large.
 func rowNormsSq(a *linalg.Matrix) []float64 {
 	sq := make([]float64, a.Rows)
-	if useParallel(a.Rows * a.Cols) {
-		parallel.For(a.Rows, rowGrain(a.Cols), func(lo, hi int) {
+	if parallel.UsePool(a.Rows * a.Cols) {
+		parallel.For(a.Rows, parallel.RowGrain(a.Cols), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				ri := a.Row(i)
 				sq[i] = linalg.Dot(ri, ri)
@@ -307,40 +211,86 @@ func rowNormsSq(a *linalg.Matrix) []float64 {
 	return sq
 }
 
-// evalNormed is the norm-precomputed RBF evaluation: exp(−γ(s − 2⟨x, y⟩))
-// where s = ‖x‖² + ‖y‖². The distance is clamped at zero so near-duplicate
-// rows cannot produce values above 1 through cancellation.
-func (r RBF) evalNormed(s float64, x, y []float64) float64 {
-	d := s - 2*linalg.Dot(x, y)
-	if d < 0 {
-		d = 0
-	}
-	return math.Exp(-r.Gamma * d)
-}
-
 // Parse builds a Kernel from a CLI-style spec: "linear", "rbf:<gamma>",
-// "poly:<a>:<b>:<degree>", or "sigmoid:<a>:<c>".
+// "poly:<a>:<b>:<degree>", or "sigmoid:<a>:<c>". The whole spec must parse
+// and the parameters must pass Validate.
 func Parse(spec string) (Kernel, error) {
+	f := strings.Split(spec, ":")
 	var (
-		gamma, a, b, c float64
-		degree         int
+		k  Kernel
+		ok bool
 	)
 	switch {
 	case spec == "linear":
-		return Linear{}, nil
-	case scan(spec, "rbf:%g", &gamma):
-		return RBF{Gamma: gamma}, nil
-	case scan(spec, "poly:%g:%g:%d", &a, &b, &degree):
-		return Polynomial{A: a, B: b, Degree: degree}, nil
-	case scan(spec, "sigmoid:%g:%g", &a, &c):
-		return Sigmoid{A: a, C: c}, nil
+		k, ok = Linear{}, true
+	case f[0] == "rbf" && len(f) == 2:
+		var r RBF
+		ok = parseFloats(f[1:], &r.Gamma)
+		k = r
+	case f[0] == "poly" && len(f) == 4:
+		var p Polynomial
+		var err error
+		p.Degree, err = strconv.Atoi(f[3])
+		ok = err == nil && parseFloats(f[1:3], &p.A, &p.B)
+		k = p
+	case f[0] == "sigmoid" && len(f) == 3:
+		var s Sigmoid
+		ok = parseFloats(f[1:], &s.A, &s.C)
+		k = s
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownKernel, spec)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownKernel, spec)
+	}
+	if err := Validate(k); err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
-func scan(s, format string, args ...any) bool {
-	n, err := fmt.Sscanf(s, format, args...)
-	return err == nil && n == len(args)
+// parseFloats parses fields[i] into *dst[i] and reports whether every field
+// was a complete number.
+func parseFloats(fields []string, dst ...*float64) bool {
+	for i, s := range fields {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return false
+		}
+		*dst[i] = v
+	}
+	return true
+}
+
+// Validate reports whether k's parameters define a usable kernel: every
+// parameter finite, γ > 0 for RBF, degree ≥ 1 for Polynomial. Parse (the
+// -kernel flag, model files) and the kernel trainers' config check go through
+// it.
+func Validate(k Kernel) error {
+	var ok bool
+	switch kk := k.(type) {
+	case Linear:
+		ok = true
+	case RBF:
+		ok = finite(kk.Gamma) && kk.Gamma > 0
+	case Polynomial:
+		ok = finite(kk.A, kk.B) && kk.Degree >= 1
+	case Sigmoid:
+		ok = finite(kk.A, kk.C)
+	default:
+		return fmt.Errorf("%w: %T", ErrUnknownKernel, k)
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrBadParameter, k.Name())
+	}
+	return nil
+}
+
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Spec returns the Parse-compatible specification of k, so that

@@ -139,52 +139,39 @@ func TestMatrixShapeError(t *testing.T) {
 	if _, err := Matrix(Linear{}, linalg.NewMatrix(2, 3), linalg.NewMatrix(2, 4)); !errors.Is(err, linalg.ErrShape) {
 		t.Errorf("Matrix shape: err = %v, want ErrShape", err)
 	}
-	if _, err := Vector(Linear{}, []float64{1}, linalg.NewMatrix(2, 3), nil); !errors.Is(err, linalg.ErrShape) {
-		t.Errorf("Vector shape: err = %v, want ErrShape", err)
-	}
-}
-
-func TestVectorMatchesRowEvals(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := linalg.NewMatrix(5, 3)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	x := []float64{0.1, -0.2, 0.3}
-	k := Polynomial{A: 0.5, B: 1, Degree: 2}
-	got, err := Vector(k, x, a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < a.Rows; i++ {
-		if want := k.Eval(x, a.Row(i)); got[i] != want {
-			t.Fatalf("Vector[%d] = %g, want %g", i, got[i], want)
-		}
-	}
 }
 
 func TestParse(t *testing.T) {
 	cases := []struct {
 		spec string
-		want string
+		want string // Name() of the parsed kernel when err is nil
+		err  error
 	}{
-		{"linear", "linear"},
-		{"rbf:0.5", "rbf(gamma=0.5)"},
-		{"poly:1:2:3", "poly(a=1,b=2,d=3)"},
-		{"sigmoid:0.1:0.2", "sigmoid(a=0.1,c=0.2)"},
+		{spec: "linear", want: "linear"},
+		{spec: "rbf:0.5", want: "rbf(gamma=0.5)"},
+		{spec: "poly:1:2:3", want: "poly(a=1,b=2,d=3)"},
+		{spec: "sigmoid:0.1:0.2", want: "sigmoid(a=0.1,c=0.2)"},
+		{spec: "quantum:42", err: ErrUnknownKernel},
+		{spec: "linear:", err: ErrUnknownKernel},
+		{spec: "rbf:1junk", err: ErrUnknownKernel},
+		{spec: "poly:1:0:2:9", err: ErrUnknownKernel},
+		{spec: "rbf:NaN", err: ErrBadParameter},
+		{spec: "rbf:+Inf", err: ErrBadParameter},
+		{spec: "rbf:-1", err: ErrBadParameter},
+		{spec: "rbf:0", err: ErrBadParameter},
+		{spec: "poly:1:0:-3", err: ErrBadParameter},
+		{spec: "poly:1:0:0", err: ErrBadParameter},
+		{spec: "sigmoid:Inf:0", err: ErrBadParameter},
 	}
 	for _, c := range cases {
 		k, err := Parse(c.spec)
-		if err != nil {
-			t.Errorf("Parse(%q): %v", c.spec, err)
+		if !errors.Is(err, c.err) || (err == nil) != (c.err == nil) {
+			t.Errorf("Parse(%q): err = %v, want %v", c.spec, err, c.err)
 			continue
 		}
-		if k.Name() != c.want {
+		if err == nil && k.Name() != c.want {
 			t.Errorf("Parse(%q).Name() = %q, want %q", c.spec, k.Name(), c.want)
 		}
-	}
-	if _, err := Parse("quantum:42"); !errors.Is(err, ErrUnknownKernel) {
-		t.Errorf("Parse(bad): err = %v, want ErrUnknownKernel", err)
 	}
 }
 
@@ -226,8 +213,16 @@ func TestSpecParseRoundTrip(t *testing.T) {
 			t.Errorf("round trip changed kernel: %v vs %v", back, k)
 		}
 	}
+	// The only way to a fifth Kernel type is to embed one; neither Spec nor
+	// Validate takes it for the kernel it wraps.
 	type alien struct{ Kernel }
-	if _, err := Spec(alien{}); !errors.Is(err, ErrUnknownKernel) {
-		t.Errorf("alien kernel: err = %v, want ErrUnknownKernel", err)
+	if _, err := Spec(alien{RBF{Gamma: 1}}); !errors.Is(err, ErrUnknownKernel) {
+		t.Errorf("Spec(alien): err = %v, want ErrUnknownKernel", err)
+	}
+	if err := Validate(alien{RBF{Gamma: 1}}); !errors.Is(err, ErrUnknownKernel) {
+		t.Errorf("Validate(alien): err = %v, want ErrUnknownKernel", err)
+	}
+	if err := Validate(nil); !errors.Is(err, ErrUnknownKernel) {
+		t.Errorf("Validate(nil): err = %v, want ErrUnknownKernel", err)
 	}
 }

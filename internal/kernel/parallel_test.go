@@ -46,41 +46,79 @@ func TestGramParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestMatrixAndVectorParallelMatchSequential(t *testing.T) {
-	a := randomSamples(t, 7, 150, 9)
-	b := randomSamples(t, 8, 211, 9)
-	x := make([]float64, 9)
-	for i := range x {
-		x[i] = float64(i) - 4
-	}
-	for _, k := range []Kernel{Linear{}, RBF{Gamma: 1.1}} {
-		prev := parallel.SetWorkers(1)
-		seqM, err := Matrix(k, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqV, err := Vector(k, x, b, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel.SetWorkers(8)
-		gotM, err := Matrix(k, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotV, err := Vector(k, x, b, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel.SetWorkers(prev)
-		for i := range seqM.Data {
-			if gotM.Data[i] != seqM.Data[i] {
-				t.Fatalf("%s: Matrix differs at %d", k.Name(), i)
+// TestTiledPathMatchesEval checks every entry point of the one compute path
+// against scalar Eval loops, for each of the four kernels, at row counts that
+// cross panelRows and leave 2×4 tile edges. The pooled result must equal the
+// sequential one bit for bit; against Eval only the dot rounds differently.
+func TestTiledPathMatchesEval(t *testing.T) {
+	a := randomSamples(t, 7, 2*panelRows+13, 13)
+	b := randomSamples(t, 8, panelRows+7, 13)
+	coef := sparseCoef(b.Rows)
+	evalMatrix := func(k Kernel, x, y *linalg.Matrix) []float64 {
+		out := make([]float64, 0, x.Rows*y.Rows)
+		for i := 0; i < x.Rows; i++ {
+			for j := 0; j < y.Rows; j++ {
+				out = append(out, k.Eval(x.Row(i), y.Row(j)))
 			}
 		}
-		for i := range seqV {
-			if gotV[i] != seqV[i] {
-				t.Fatalf("%s: Vector differs at %d", k.Name(), i)
+		return out
+	}
+	data := func(m *linalg.Matrix, err error) ([]float64, error) {
+		if err != nil {
+			return nil, err
+		}
+		return m.Data, nil
+	}
+	ops := []struct {
+		name string
+		got  func(k Kernel) ([]float64, error)
+		want func(k Kernel) []float64
+	}{
+		{"MatrixInto a≠b",
+			func(k Kernel) ([]float64, error) { return data(MatrixInto(k, a, b, nil)) },
+			func(k Kernel) []float64 { return evalMatrix(k, a, b) }},
+		{"MatrixInto a==b",
+			func(k Kernel) ([]float64, error) { return data(MatrixInto(k, a, a, nil)) },
+			func(k Kernel) []float64 { return evalMatrix(k, a, a) }},
+		{"GramMatrix",
+			func(k Kernel) ([]float64, error) { return GramMatrix(k, a).Data, nil },
+			func(k Kernel) []float64 { return evalMatrix(k, a, a) }},
+		{"Accumulate zero coefficients",
+			func(k Kernel) ([]float64, error) {
+				dst := make([]float64, a.Rows)
+				return dst, Accumulate(k, a, b, coef, dst)
+			},
+			func(k Kernel) []float64 {
+				dst := make([]float64, a.Rows)
+				for i := range dst {
+					for j, c := range coef {
+						dst[i] += c * k.Eval(b.Row(j), a.Row(i))
+					}
+				}
+				return dst
+			}},
+	}
+	defer parallel.SetThreshold(parallel.SetThreshold(1))
+	defer parallel.SetWorkers(parallel.Workers())
+	for _, k := range fourKernels {
+		for _, op := range ops {
+			parallel.SetWorkers(1)
+			seq, err := op.got(k)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", k.Name(), op.name, err)
+			}
+			parallel.SetWorkers(4)
+			par, err := op.got(k)
+			if err != nil {
+				t.Fatalf("%s/%s pooled: %v", k.Name(), op.name, err)
+			}
+			for i, want := range op.want(k) {
+				if math.Abs(seq[i]-want) > 1e-9*math.Max(1, math.Abs(want)) {
+					t.Fatalf("%s/%s: element %d = %.17g, Eval loop %.17g", k.Name(), op.name, i, seq[i], want)
+				}
+				if par[i] != seq[i] {
+					t.Fatalf("%s/%s: element %d depends on the worker count: %.17g vs %.17g", k.Name(), op.name, i, par[i], seq[i])
+				}
 			}
 		}
 	}

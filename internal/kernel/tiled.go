@@ -2,16 +2,15 @@ package kernel
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/parallel"
 )
 
-// The tiled Gram path: every built-in kernel is a pointwise function of the
-// inner product ⟨x, y⟩ (plus, for RBF, the squared row norms), so kernel
-// matrices factor into a dense a · bᵀ — computed with the register-tiled
+// The tiled Gram path: every kernel is a pointwise function of the inner
+// product ⟨x, y⟩ and, for RBF, the squared row norms (Kernel.dotForm), so
+// kernel matrices factor into a dense a · bᵀ — computed with the register-tiled
 // linalg kernel — followed by an elementwise transform. The dot panel for a
 // block of rows is computed into a per-worker scratch arena claimed from
 // panelPool and transformed into the output in place, so the full n×n dot
@@ -40,37 +39,6 @@ func grabPanel(r, c int) *linalg.Matrix {
 }
 
 func releasePanel(p *linalg.Matrix) { panelPool.Put(p) }
-
-// dotForm returns the pointwise transform of a built-in kernel:
-// out = f(⟨x, y⟩, ‖x‖²+‖y‖²). needNorms reports whether the second argument
-// is used (RBF only); ok is false for kernels outside this package, which
-// keep the generic Eval path.
-func dotForm(k Kernel) (f func(dot, sqSum float64) float64, needNorms, ok bool) {
-	switch kk := k.(type) {
-	case Linear:
-		return func(d, _ float64) float64 { return d }, false, true
-	case Polynomial:
-		return func(d, _ float64) float64 {
-			base := kk.A*d + kk.B
-			out := 1.0
-			for i := 0; i < kk.Degree; i++ {
-				out *= base
-			}
-			return out
-		}, false, true
-	case RBF:
-		return func(d, s float64) float64 {
-			dd := s - 2*d
-			if dd < 0 {
-				dd = 0
-			}
-			return math.Exp(-kk.Gamma * dd)
-		}, true, true
-	case Sigmoid:
-		return func(d, _ float64) float64 { return math.Tanh(kk.A*d + kk.C) }, false, true
-	}
-	return nil, false, false
-}
 
 // rowView returns the submatrix of rows [rlo, rhi) of m as a view sharing
 // m's storage.
@@ -132,8 +100,8 @@ func matrixTiled(f func(dot, sqSum float64) float64, a, b *linalg.Matrix, sqA, s
 //	dst[i] += Σ_j coef[j]·k(support_j, x_i)
 //
 // that is dst += K(x, support)·coef, without retaining the x.Rows ×
-// support.Rows kernel matrix: built-in kernels reduce each dot panel into the
-// dst rows it owns as soon as it is computed. Support rows with a zero
+// support.Rows kernel matrix: each dot panel is reduced into the dst rows it
+// owns as soon as it is computed. Support rows with a zero
 // coefficient are gathered out first, and the remaining terms are summed in
 // support order, so against the scalar Σ_j coef[j]·k.Eval(support_j, x_i)
 // only the dot itself (tile kernel, and for RBF the norm expansion
@@ -166,17 +134,13 @@ func Accumulate(k Kernel, x, support *linalg.Matrix, coef, dst []float64) error 
 		coef = gatherNonzero(support, coef, g)
 		support = g
 	}
-	par := useParallel(x.Rows * support.Rows * x.Cols)
-	f, needNorms, ok := dotForm(k)
-	if !ok {
-		accumulateEval(k, x, support, coef, dst, par)
-		return nil
-	}
+	f, needNorms := k.dotForm()
 	var sqX, sqS []float64
 	if needNorms {
 		sqX = rowNormsSq(x)
 		sqS = rowNormsSq(support)
 	}
+	par := parallel.UsePool(x.Rows * support.Rows * x.Cols)
 	dotPanels(x, support, par, func(rlo int, panel linalg.Matrix) {
 		for r := 0; r < panel.Rows; r++ {
 			prow := panel.Row(r)
@@ -195,26 +159,6 @@ func Accumulate(k Kernel, x, support *linalg.Matrix, coef, dst []float64) error 
 		}
 	})
 	return nil
-}
-
-// accumulateEval is Accumulate for kernels outside this package: one generic
-// Eval per (sample, support row) pair, sample rows split over the pool.
-func accumulateEval(k Kernel, x, support *linalg.Matrix, coef, dst []float64, par bool) {
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xi := x.Row(i)
-			var s float64
-			for j, c := range coef {
-				s += c * k.Eval(support.Row(j), xi)
-			}
-			dst[i] += s
-		}
-	}
-	if par {
-		parallel.For(x.Rows, rowGrain(support.Rows*x.Cols), body)
-		return
-	}
-	body(0, x.Rows)
 }
 
 // gatherNonzero copies the support rows whose coefficient is nonzero, in

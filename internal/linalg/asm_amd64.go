@@ -2,8 +2,6 @@
 
 package linalg
 
-import "os"
-
 // cpuidAsm executes CPUID with the given EAX/ECX arguments.
 func cpuidAsm(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -30,12 +28,8 @@ var hasFMA = detectFMA()
 
 // detectFMA reports whether the CPU and OS support the AVX2+FMA kernels:
 // CPUID must advertise OSXSAVE, AVX, FMA and AVX2, and XCR0 must show the OS
-// saves xmm+ymm state on context switch. PPML_NOSIMD=1 forces the pure-Go
-// kernels for debugging or A/B timing.
+// saves xmm+ymm state on context switch.
 func detectFMA() bool {
-	if os.Getenv("PPML_NOSIMD") != "" {
-		return false
-	}
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {
 		return false

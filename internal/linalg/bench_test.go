@@ -90,21 +90,6 @@ func BenchmarkCholeskySolve200(b *testing.B) {
 	}
 }
 
-func BenchmarkLUFactorize200(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	a := benchMatrix(200)
-	if err := a.AddScaledIdentity(200); err != nil {
-		b.Fatal(err)
-	}
-	_ = rng
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FactorizeLU(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDot1000(b *testing.B) {
 	x := make([]float64, 1000)
 	y := make([]float64, 1000)

@@ -41,7 +41,7 @@ func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
 		diag := math.Sqrt(d)
 		lj[j] = diag
 		inv := 1 / diag
-		if useParallel((n - j - 1) * j) {
+		if parallel.UsePool((n - j - 1) * j) {
 			cholColumnPar(a, l, lj, j, n, inv)
 			continue
 		}
@@ -57,7 +57,7 @@ func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
 // pool. It is a separate function so its closure cannot pessimize the
 // sequential factorization loop.
 func cholColumnPar(a, l *Matrix, lj []float64, j, n int, inv float64) {
-	parallel.For(n-j-1, rowGrain(j), func(lo, hi int) {
+	parallel.For(n-j-1, parallel.RowGrain(j), func(lo, hi int) {
 		for i := j + 1 + lo; i < j+1+hi; i++ {
 			li := l.Row(i)
 			li[j] = (a.At(i, j) - Dot(li[:j], lj[:j])) * inv

@@ -146,98 +146,6 @@ func TestCholeskySolveMatrix(t *testing.T) {
 	}
 }
 
-func TestLUSolveResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(25)
-		a := randomMatrix(rng, n, n)
-		// Diagonal boost keeps the matrix comfortably nonsingular.
-		if err := a.AddScaledIdentity(float64(n)); err != nil {
-			t.Fatal(err)
-		}
-		f, err := FactorizeLU(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := f.SolveVec(b, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ax, err := a.MulVec(x, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := Norm2(SubVec(ax, b, nil)); res > 1e-8*(1+Norm2(b)) {
-			t.Fatalf("trial %d n=%d: residual %g too large", trial, n, res)
-		}
-	}
-}
-
-func TestLUPivoting(t *testing.T) {
-	// Zero leading pivot forces a row swap.
-	a, _ := NewMatrixFrom(2, 2, []float64{0, 1, 1, 0})
-	f, err := FactorizeLU(a)
-	if err != nil {
-		t.Fatalf("FactorizeLU with zero leading pivot: %v", err)
-	}
-	x, err := f.SolveVec([]float64{3, 7}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x[0], 7, 1e-12) || !almostEqual(x[1], 3, 1e-12) {
-		t.Errorf("permutation solve = %v, want [7 3]", x)
-	}
-	if d := f.Det(); !almostEqual(d, -1, 1e-12) {
-		t.Errorf("Det = %g, want -1", d)
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a, _ := NewMatrixFrom(2, 2, []float64{1, 2, 2, 4})
-	if _, err := FactorizeLU(a); !errors.Is(err, ErrSingular) {
-		t.Errorf("singular matrix: err = %v, want ErrSingular", err)
-	}
-	if _, err := FactorizeLU(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
-		t.Errorf("non-square: err = %v, want ErrShape", err)
-	}
-}
-
-func TestLUDetMatchesCholeskyForSPD(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := randomSPD(rng, 6)
-	f, err := FactorizeLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := FactorizeCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// det(A) = prod(diag(L))^2 for Cholesky.
-	detCh := 1.0
-	for i := 0; i < 6; i++ {
-		detCh *= ch.l.At(i, i)
-	}
-	detCh *= detCh
-	if !almostEqual(f.Det(), detCh, 1e-8) {
-		t.Errorf("LU det %g vs Cholesky det %g", f.Det(), detCh)
-	}
-}
-
-func TestLUSolveShapeError(t *testing.T) {
-	f, err := FactorizeLU(Identity(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.SolveVec([]float64{1}, nil); !errors.Is(err, ErrShape) {
-		t.Errorf("SolveVec shape: err = %v, want ErrShape", err)
-	}
-}
-
 func TestWoodburyIdentityViaFactorizations(t *testing.T) {
 	// Verifies (I + ρ GᵀG)⁻¹ = I − ρ Gᵀ(I + ρ GGᵀ)⁻¹ G, the
 	// Sherman–Morrison–Woodbury identity used by the kernel trainer (eq. 20).

@@ -1,6 +1,6 @@
 // Package linalg provides the dense linear-algebra substrate used by every
-// solver in this repository: row-major matrices, vector kernels, and SPD /
-// general factorizations (Cholesky, LU).
+// solver in this repository: row-major matrices, vector kernels, and the SPD
+// (Cholesky) factorization.
 //
 // The package is deliberately small and allocation-conscious rather than a
 // general BLAS replacement: the consensus trainers call these routines inside
@@ -13,28 +13,6 @@ import (
 
 	"github.com/ppml-go/ppml/internal/parallel"
 )
-
-// useParallel reports whether a row loop of totalWork multiply-adds should be
-// dispatched to the worker pool. The threshold lives in the parallel package
-// (default 2^15, tunable per host via PPML_PAR_THRESHOLD or
-// parallel.SetThreshold) so every compute kernel shares one knob. Call sites
-// keep their original direct loop for the sequential case — routing it
-// through a closure costs 15–60% on these kernels (captured-variable
-// indirection defeats the optimizations the compiler applies to the plain
-// loop), which would be paid on every single-core run.
-func useParallel(totalWork int) bool {
-	return totalWork >= parallel.Threshold() && parallel.Workers() > 1
-}
-
-// rowGrain sizes a parallel.For grain for a loop over rows of rowWork
-// multiply-adds each: enough rows per block to amortize a block claim, one
-// row when rows are already expensive.
-func rowGrain(rowWork int) int {
-	if rowWork >= 1024 {
-		return 1
-	}
-	return 1 + 1024/(rowWork+1)
-}
 
 // Matrix is a dense, row-major matrix.
 //
@@ -126,7 +104,7 @@ func (m *Matrix) MulVec(x, dst []float64) ([]float64, error) {
 	} else if len(dst) != m.Rows {
 		return nil, fmt.Errorf("MulVec: %w: dst length %d, want %d", ErrShape, len(dst), m.Rows)
 	}
-	if useParallel(m.Rows * m.Cols) {
+	if parallel.UsePool(m.Rows * m.Cols) {
 		m.mulVecPar(x, dst)
 		return dst, nil
 	}
@@ -216,33 +194,12 @@ func MatMulInto(a, b, dst *Matrix) (*Matrix, error) {
 	}
 	bt := grabPacked(b.Cols, b.Rows)
 	transposeInto(b, bt)
-	if useParallel(a.Rows * a.Cols * b.Cols) {
+	if parallel.UsePool(a.Rows * a.Cols * b.Cols) {
 		matMulTPar(a, bt, out)
 	} else {
 		matMulTTiledRows(a, bt, out, 0, a.Rows)
 	}
 	releasePacked(bt)
-	return out, nil
-}
-
-// MatMulNaive is the reference triple loop of MatMul, kept for equivalence
-// tests and as the before-row baseline of BENCH_hot.json. Not used by any
-// hot path.
-func MatMulNaive(a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("MatMul: %w: %dx%d by %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			Axpy(av, b.Row(k), orow)
-		}
-	}
 	return out, nil
 }
 
@@ -262,7 +219,7 @@ func MatMulTInto(a, b, dst *Matrix) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if useParallel(a.Rows * a.Cols * b.Rows) {
+	if parallel.UsePool(a.Rows * a.Cols * b.Rows) {
 		matMulTPar(a, b, out)
 		return out, nil
 	}
@@ -287,23 +244,6 @@ func matMulTPar(a, b, out *Matrix) {
 // arenas and transforms them in place); shapes are the caller's contract.
 func MatMulTRows(a, b, out *Matrix, rlo, rhi int) {
 	matMulTTiledRows(a, b, out, rlo, rhi)
-}
-
-// MatMulTNaive is the reference row-dot loop of MatMulT, kept for
-// equivalence tests and the BENCH_hot baseline. Not used by any hot path.
-func MatMulTNaive(a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Cols {
-		return nil, fmt.Errorf("MatMulT: %w: %dx%d by (%dx%d)ᵀ", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			orow[j] = Dot(arow, b.Row(j))
-		}
-	}
-	return out, nil
 }
 
 // Add computes m += a, element-wise.

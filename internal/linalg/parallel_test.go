@@ -103,20 +103,3 @@ func TestCholeskyParallelMatchesSequential(t *testing.T) {
 		requireSame(t, "Cholesky", results)
 	}
 }
-
-func TestLUParallelMatchesSequential(t *testing.T) {
-	for _, n := range []int{10, 80, 300} {
-		a := randomDense(int64(n)+7, n, n)
-		if err := a.AddScaledIdentity(float64(n)); err != nil {
-			t.Fatal(err)
-		}
-		results := withWorkers(t, []int{1, 4, 16}, func() []float64 {
-			f, err := FactorizeLU(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return append([]float64(nil), f.lu.Data...)
-		})
-		requireSame(t, "LU", results)
-	}
-}

@@ -4,15 +4,14 @@ import "sync"
 
 // Cache-blocked, register-tiled matrix kernels.
 //
-// The naive triple loops (kept as MatMulNaive / MatMulTNaive for equivalence
-// tests and the BENCH_hot baseline) touch three memory operands per
-// multiply-add. The tiled kernels below compute the output in mr×nr register
+// The naive triple loops (the references in tile_test.go) touch three memory
+// operands per multiply-add. The tiled kernels below compute the output in mr×nr register
 // tiles instead: one tile holds mr·nr accumulators in registers while the
 // shared k dimension streams through, so every loaded element of a and b is
 // used mr (resp. nr) times before it leaves the register file. That cuts
 // loads per multiply-add from 2–3 to 0.5 and gives the out-of-order core
-// mr·nr independent accumulator chains, which is where the measured ≥2×
-// single-core speedup in BENCH_hot.json comes from.
+// mr·nr independent accumulator chains, which is where the ≥2× single-core
+// speedup over them comes from (Benchmark{Tiled,Naive}MatMul*).
 //
 // Numerical contract: each output element is still a plain sequential sum
 // over k (one accumulator per element), so results are deterministic and
@@ -66,7 +65,7 @@ func dotSeq(x, y []float64, d int) float64 {
 // register-tiled kernel. It is the shared worker body: the sequential path
 // calls it once with the full row range, the pool calls it per claimed block.
 // On amd64 with AVX2+FMA the tile body is the dotTile2x4FMA microkernel;
-// elsewhere (or under PPML_NOSIMD) the pure-Go tile computes the same sums.
+// elsewhere the pure-Go tile computes the same sums.
 func matMulTTiledRows(a, b, out *Matrix, rlo, rhi int) {
 	d := a.Cols
 	n := b.Rows
@@ -197,7 +196,7 @@ func mulVecTiledRows(m *Matrix, x, dst []float64, rlo, rhi int) {
 
 // tileRowGrain sizes a parallel.For grain in row tiles for a tiled loop of
 // tileWork multiply-adds per row tile: one tile per block when tiles are
-// already expensive, more when cheap, mirroring rowGrain.
+// already expensive, more when cheap, mirroring parallel.RowGrain.
 func tileRowGrain(tileWork int) int {
 	if tileWork >= 4096 {
 		return 1

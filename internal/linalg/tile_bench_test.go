@@ -2,9 +2,13 @@ package linalg
 
 import "testing"
 
-// Tiled-vs-naive pairs behind the BENCH_hot.json before/after rows: the
-// Naive variants run the seed's reference loops, the Tiled variants the
-// production kernels.
+// Tiled-vs-naive pairs: the Naive variants run the reference loops of
+// tile_test.go, the Tiled variants the production kernels, and the purego
+// sub-benchmark the production kernels without the AVX2 microkernel — the
+// layer's A/B, one `go test -bench MatMul` away.
+
+// sink keeps the reference loops' results live.
+var sink *Matrix
 
 func BenchmarkTiledMatMul500(b *testing.B) {
 	x := benchMatrix(500)
@@ -20,9 +24,7 @@ func BenchmarkNaiveMatMul500(b *testing.B) {
 	x := benchMatrix(500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MatMulNaive(x, x); err != nil {
-			b.Fatal(err)
-		}
+		sink = matMulNaive(x, x)
 	}
 }
 
@@ -36,20 +38,25 @@ func benchTall(r, c int) *Matrix {
 
 func BenchmarkTiledMatMulT2000x50(b *testing.B) {
 	a := benchTall(2000, 50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MatMulT(a, a); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := MatMulT(a, a); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("default", run)
+	b.Run("purego", func(b *testing.B) {
+		defer func(prev bool) { hasFMA = prev }(hasFMA)
+		hasFMA = false
+		run(b)
+	})
 }
 
 func BenchmarkNaiveMatMulT2000x50(b *testing.B) {
 	a := benchTall(2000, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MatMulTNaive(a, a); err != nil {
-			b.Fatal(err)
-		}
+		sink = matMulTNaive(a, a)
 	}
 }

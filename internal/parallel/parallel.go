@@ -11,22 +11,17 @@
 // to split — degenerates to a plain sequential loop on the calling
 // goroutine, so small per-iteration QPs never pay scheduling overhead.
 //
-// The worker budget defaults to runtime.GOMAXPROCS(0) and can be overridden
-// either by the PPML_WORKERS environment variable (read once at startup) or
-// programmatically with SetWorkers.
+// The worker budget is runtime.GOMAXPROCS(0) at startup; SetWorkers overrides
+// it for a benchmark or a test.
 //
-// The package also owns the dispatch threshold shared by the compute
-// kernels: Threshold is the minimum number of scalar multiply-adds an
-// operation must represent before its loop is worth handing to the pool.
-// It defaults to 2^15 and can be tuned per host with PPML_PAR_THRESHOLD or
-// SetThreshold, because the break-even point depends on core count, cache
-// sizes and scheduler latency.
+// The package also owns the dispatch decision shared by the compute kernels:
+// UsePool compares an operation's scalar multiply-adds against Threshold
+// (DefaultThreshold unless SetThreshold moved it) and RowGrain sizes the
+// blocks of a row loop.
 package parallel
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -37,19 +32,8 @@ var (
 )
 
 func init() {
-	workers.Store(int64(defaultWorkers()))
-	threshold.Store(int64(defaultThreshold()))
-}
-
-// defaultWorkers resolves the startup worker budget: PPML_WORKERS when set to
-// a positive integer, else GOMAXPROCS.
-func defaultWorkers() int {
-	if s := os.Getenv("PPML_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return runtime.GOMAXPROCS(0)
+	workers.Store(int64(runtime.GOMAXPROCS(0)))
+	threshold.Store(DefaultThreshold)
 }
 
 // DefaultThreshold is the built-in parallel-dispatch threshold: loops below
@@ -57,30 +41,16 @@ func defaultWorkers() int {
 // ADMM systems never pay pool-scheduling overhead.
 const DefaultThreshold = 1 << 15
 
-// defaultThreshold resolves the startup dispatch threshold: the
-// PPML_PAR_THRESHOLD environment variable when set to a positive integer,
-// else DefaultThreshold.
-func defaultThreshold() int {
-	if s := os.Getenv("PPML_PAR_THRESHOLD"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return DefaultThreshold
-}
-
 // Threshold returns the current parallel-dispatch threshold in scalar
-// multiply-adds (≥ 1). Compute kernels compare their total work against it
-// before routing a loop to the pool.
+// multiply-adds (≥ 1).
 func Threshold() int { return int(threshold.Load()) }
 
 // SetThreshold overrides the dispatch threshold and returns the previous
-// value. n < 1 restores the startup default (PPML_PAR_THRESHOLD or
-// DefaultThreshold). Safe for concurrent use; kernels pick up the new value
-// on their next dispatch decision.
+// value. n < 1 restores DefaultThreshold. Safe for concurrent use; kernels
+// pick up the new value on their next dispatch decision.
 func SetThreshold(n int) int {
 	if n < 1 {
-		n = defaultThreshold()
+		n = DefaultThreshold
 	}
 	return int(threshold.Swap(int64(n)))
 }
@@ -89,13 +59,33 @@ func SetThreshold(n int) int {
 func Workers() int { return int(workers.Load()) }
 
 // SetWorkers overrides the worker budget and returns the previous value.
-// n < 1 restores the startup default (PPML_WORKERS or GOMAXPROCS). It is safe
-// for concurrent use; in-flight For calls keep the budget they started with.
+// n < 1 restores GOMAXPROCS. It is safe for concurrent use; in-flight For
+// calls keep the budget they started with.
 func SetWorkers(n int) int {
 	if n < 1 {
-		n = defaultWorkers()
+		n = runtime.GOMAXPROCS(0)
 	}
 	return int(workers.Swap(int64(n)))
+}
+
+// UsePool reports whether a loop of totalWork multiply-adds should be
+// dispatched to the worker pool. Call sites keep a direct loop for the
+// sequential case — routing it through For's closure costs 15–60% on the
+// compute kernels (captured-variable indirection defeats the optimizations
+// the compiler applies to the plain loop), which would be paid on every
+// single-core run.
+func UsePool(totalWork int) bool {
+	return totalWork >= Threshold() && Workers() > 1
+}
+
+// RowGrain sizes a For grain for a loop over rows of rowWork multiply-adds
+// each: enough rows per block to amortize a block claim, one row when rows
+// are already expensive (dynamic claiming then balances triangular loops).
+func RowGrain(rowWork int) int {
+	if rowWork >= 1024 {
+		return 1
+	}
+	return 1 + 1024/(rowWork+1)
 }
 
 // For splits the index range [0, n) into contiguous blocks of at least grain

@@ -1,7 +1,7 @@
 package parallel
 
 import (
-	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,9 +81,9 @@ func TestSetWorkers(t *testing.T) {
 	if Workers() != 5 {
 		t.Errorf("Workers() = %d after SetWorkers(5)", Workers())
 	}
-	SetWorkers(0) // restore default
-	if Workers() < 1 {
-		t.Errorf("Workers() = %d after restoring default", Workers())
+	SetWorkers(0)
+	if Workers() != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers() = %d after SetWorkers(0), want GOMAXPROCS = %d", Workers(), runtime.GOMAXPROCS(0))
 	}
 	SetWorkers(orig)
 }
@@ -121,26 +121,9 @@ func TestSetThreshold(t *testing.T) {
 	if Threshold() != 4096 {
 		t.Errorf("Threshold() = %d after SetThreshold(4096)", Threshold())
 	}
-	SetThreshold(0) // restore default
-	if Threshold() != DefaultThreshold && os.Getenv("PPML_PAR_THRESHOLD") == "" {
-		t.Errorf("Threshold() = %d after restoring default, want %d", Threshold(), DefaultThreshold)
-	}
-	SetThreshold(orig)
-}
-
-func TestThresholdEnv(t *testing.T) {
-	// defaultThreshold re-reads the environment on every restore-default
-	// call, so the env override is testable without a subprocess.
-	t.Setenv("PPML_PAR_THRESHOLD", "1234")
-	prev := Threshold()
-	SetThreshold(0)
-	if Threshold() != 1234 {
-		t.Errorf("Threshold() = %d with PPML_PAR_THRESHOLD=1234, want 1234", Threshold())
-	}
-	t.Setenv("PPML_PAR_THRESHOLD", "not-a-number")
 	SetThreshold(0)
 	if Threshold() != DefaultThreshold {
-		t.Errorf("Threshold() = %d with junk env, want %d", Threshold(), DefaultThreshold)
+		t.Errorf("Threshold() = %d after SetThreshold(0), want DefaultThreshold = %d", Threshold(), DefaultThreshold)
 	}
-	SetThreshold(prev)
+	SetThreshold(orig)
 }

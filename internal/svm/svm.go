@@ -72,6 +72,9 @@ func Train(x *linalg.Matrix, y []float64, p Params) (*Model, error) {
 	if k == nil {
 		k = kernel.Linear{}
 	}
+	if err := kernel.Validate(k); err != nil {
+		return nil, fmt.Errorf("svm: %w", err)
+	}
 	tol := p.Tol
 	if tol <= 0 {
 		tol = 1e-4

@@ -26,6 +26,9 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(x, y, Params{C: 0}); !errors.Is(err, ErrBadTrainingSet) {
 		t.Errorf("C=0: err = %v, want ErrBadTrainingSet", err)
 	}
+	if _, err := Train(x, y, Params{C: 1, Kernel: kernel.RBF{Gamma: 0}}); !errors.Is(err, kernel.ErrBadParameter) {
+		t.Errorf("rbf γ=0: err = %v, want kernel.ErrBadParameter", err)
+	}
 }
 
 func TestLinearSeparableToy(t *testing.T) {

@@ -3,7 +3,7 @@ package telemetry
 import "sort"
 
 // Snapshot is a typed point-in-time copy of the registry, for embedding
-// into experiment artifacts (BENCH_comm.json-style) without scraping text
+// into experiment artifacts (the BENCH_*.json reports) without scraping text
 // formats.
 type Snapshot struct {
 	Counters     []CounterValue   `json:"counters,omitempty"`

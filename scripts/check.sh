@@ -53,6 +53,25 @@ if grep -rnE 'ChunkMapper|combineChunk|hkLearner|vlBlock|vkBlock' . --include="*
 	exit 1
 fi
 
+echo "==> closed compute layer (no env switch, in-tree reference loop, LU or generic Eval path in non-test Go)"
+# The four kernels of internal/kernel are the only ones and every matrix
+# entry point is the tiled panel path; the pool is sized by GOMAXPROCS and the
+# microkernel chosen by CPUID. A switch, a second loop "for kernels outside
+# this package" or a reference implementation outside the tests would be a
+# path no command, option or bench workload can reach. (bench/ is frozen by
+# BENCHMARK.json; a comment there still names the switches.)
+if grep -rnE 'PPML_(WORKERS|PAR_THRESHOLD|NOSIMD)|MatMulT?Naive|FactorizeLU' . --include="*.go" \
+	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/"; then
+	echo "error: a compute-layer switch, reference loop or LU in non-test Go" >&2
+	exit 1
+fi
+# The four Eval methods call no Eval, so any call in the package is a generic
+# per-entry loop coming back.
+if grep -nE '^[^/]*\.Eval\(' internal/kernel/*.go | grep -v "_test.go"; then
+	echo "error: an Eval call in internal/kernel (the tiled path is the only one)" >&2
+	exit 1
+fi
+
 echo "==> Gram-free HL (MatMulT in hlinear.go only on the PaperSplit branch)"
 # The joint-update HL solve works on the rows (qp.SolveLinearBox); the dense
 # N_m x N_m dual Hessian is PaperSplit's alone, whose equality-constrained SMO
