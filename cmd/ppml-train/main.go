@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"github.com/ppml-go/ppml"
@@ -43,8 +44,7 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("ppml-train", flag.ContinueOnError)
 	dataPath := fs.String("data", "", "path to the training file (required)")
 	format := fs.String("format", "csv", "input format: csv or libsvm")
-	schemeName := fs.String("scheme", "horizontal-linear",
-		"horizontal-linear, horizontal-kernel, vertical-linear, vertical-kernel, horizontal-logistic, or horizontal-naivebayes")
+	schemeName := fs.String("scheme", ppml.HorizontalLinear.String(), "one of "+strings.Join(ppml.SchemeNames(), ", "))
 	kernelSpec := fs.String("kernel", "rbf:0.1",
 		"kernel for the nonlinear schemes: linear, rbf:<gamma>, poly:<a>:<b>:<d>, sigmoid:<a>:<c>")
 	learners := fs.Int("learners", 4, "number of collaborating learners M")
@@ -102,22 +102,9 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	var scheme ppml.Scheme
-	switch *schemeName {
-	case "horizontal-linear":
-		scheme = ppml.HorizontalLinear
-	case "horizontal-kernel":
-		scheme = ppml.HorizontalKernel
-	case "vertical-linear":
-		scheme = ppml.VerticalLinear
-	case "vertical-kernel":
-		scheme = ppml.VerticalKernel
-	case "horizontal-logistic":
-		scheme = ppml.HorizontalLogistic
-	case "horizontal-naivebayes":
-		scheme = ppml.HorizontalNaiveBayes
-	default:
-		return fmt.Errorf("unknown scheme %q", *schemeName)
+	scheme, err := ppml.ParseScheme(*schemeName)
+	if err != nil {
+		return err
 	}
 
 	if *loadModel != "" {

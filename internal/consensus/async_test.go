@@ -5,7 +5,9 @@ package consensus
 // contributions computed against slightly old consensus states. The job must
 // still converge to the clean (synchronous, full-batch) decision boundary,
 // and the reducer must have actually seen stale stamps — otherwise the test
-// would be asserting nothing about the async path.
+// would be asserting nothing about the async path. Every job carries an
+// EvalSet, so the Reducer's per-round probe reads the learners' blocks while
+// their background workers solve: the -race run covers probe-vs-solve.
 
 import (
 	"context"
@@ -68,15 +70,13 @@ func TestAsyncStalenessHorizontalLinear(t *testing.T) {
 	}
 	// The tentpole combination: minibatch chunks AND bounded staleness.
 	cfg, reg := asyncCluster(Config{
-		C: 50, Rho: 100, MaxIterations: 160, ChunkRows: 25,
+		C: 50, Rho: 100, MaxIterations: 160, ChunkRows: 25, EvalSet: test,
 	}, "mapper-1", "mapper-3")
 	model, h, err := TrainHorizontalLinear(chaosCtx(t), horizontalParts(t, train, 4, 5), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Iterations == 0 {
-		t.Fatal("no iterations ran")
-	}
+	assertProbedEveryRound(t, h)
 	if ag := signAgreement(clean, model, test); ag < 0.9 {
 		t.Errorf("async boundary agreement with clean run = %g, want ≥ 0.9", ag)
 	}
@@ -94,12 +94,13 @@ func TestAsyncStalenessHorizontalKernel(t *testing.T) {
 	}
 	cfg, reg := asyncCluster(Config{
 		C: 50, Rho: 10, MaxIterations: 80, Landmarks: 25, ChunkRows: 20,
-		Kernel: kernel.RBF{Gamma: 1},
+		Kernel: kernel.RBF{Gamma: 1}, EvalSet: test,
 	}, "mapper-0")
-	model, _, err := TrainHorizontalKernel(chaosCtx(t), horizontalParts(t, train, 3, 7), cfg)
+	model, h, err := TrainHorizontalKernel(chaosCtx(t), horizontalParts(t, train, 3, 7), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertProbedEveryRound(t, h)
 	if acc := decisionAccuracy(model, test); acc < 0.85 {
 		t.Errorf("async HK accuracy on rings = %g, want ≥ 0.85", acc)
 	}
@@ -119,13 +120,14 @@ func TestAsyncStalenessVerticalLinear(t *testing.T) {
 	// Vertical schemes reject ChunkRows+Staleness, so this runs full-batch
 	// sub-problems with stale shares.
 	cfg, reg := asyncCluster(Config{
-		C: 50, Rho: 100, MaxIterations: 140,
+		C: 50, Rho: 100, MaxIterations: 140, EvalSet: test,
 	}, "mapper-2")
 	partsA, colsA := verticalParts(t, train, 4, 3)
-	model, _, err := TrainVerticalLinear(chaosCtx(t), partsA, colsA, cfg)
+	model, h, err := TrainVerticalLinear(chaosCtx(t), partsA, colsA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertProbedEveryRound(t, h)
 	if ag := signAgreement(clean, model, test); ag < 0.9 {
 		t.Errorf("async VL boundary agreement = %g, want ≥ 0.9", ag)
 	}
@@ -144,12 +146,13 @@ func TestAsyncStalenessVerticalKernel(t *testing.T) {
 	parts, cols := verticalParts(t, train, 2, 5)
 	cfg, reg := asyncCluster(Config{
 		C: 50, Rho: 20, MaxIterations: 90,
-		Kernel: kernel.RBF{Gamma: 1},
+		Kernel: kernel.RBF{Gamma: 1}, EvalSet: test,
 	}, "mapper-1")
-	model, _, err := TrainVerticalKernel(chaosCtx(t), parts, cols, cfg)
+	model, h, err := TrainVerticalKernel(chaosCtx(t), parts, cols, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertProbedEveryRound(t, h)
 	if acc := decisionAccuracy(model, test); acc < 0.85 {
 		t.Errorf("async VK accuracy on rings = %g, want ≥ 0.85", acc)
 	}

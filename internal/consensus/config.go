@@ -46,9 +46,6 @@ type Config struct {
 	Landmarks int
 	// QPTol is the tolerance of the local dual solves. Default 1e-6.
 	QPTol float64
-	// QPSecondOrder selects second-order SMO working sets for the
-	// equality-constrained local solves (the PaperSplit path).
-	QPSecondOrder bool
 	// Seed drives landmark generation and any tie-breaking; fixed default 1.
 	Seed int64
 	// PaperSplit (HL only) reproduces the paper's printed Gauss-Seidel
@@ -75,11 +72,14 @@ type Config struct {
 	// contribution, scaled by StalenessDecay^s. Zero keeps rounds bulk-
 	// synchronous. Rejected for the vertical schemes when ChunkRows divides
 	// the records into more than one chunk (a stale chunk update would target
-	// the wrong coordinate block).
-	// See DESIGN.md §15.
+	// the wrong coordinate block). The range (0..255, the wire stamp's) is
+	// the engine's to check, like StalenessDecay's and MinQuorum's: they are
+	// forwarded untouched and mapreduce's policy is the one place that
+	// defaults and validates them. See DESIGN.md §14–§15.
 	Staleness int
 	// StalenessDecay is the per-round weight decay κ ∈ (0, 1] applied to
-	// stale contributions (weight κ^s). Default 0.5.
+	// stale contributions (weight κ^s); zero means the engine's default, 0.5.
+	// Ignored without Staleness.
 	StalenessDecay float64
 
 	// Distributed runs the job on the full simulated cluster (transport,
@@ -97,10 +97,6 @@ type Config struct {
 	// PaillierKey supplies the homomorphic key pair when Aggregation is
 	// mapreduce.AggregationPaillier.
 	PaillierKey *paillier.PrivateKey
-	// PaillierPackWidth caps how many fixed-point values are packed into one
-	// Paillier plaintext: 0 packs as many slots as the modulus allows, 1
-	// degenerates to the per-element layout. See paillier.NewPacking.
-	PaillierPackWidth int
 	// Network overrides the transport in distributed mode (default:
 	// in-process channels).
 	Network transport.Network
@@ -112,9 +108,9 @@ type Config struct {
 	// StragglerTimeout (distributed mode) makes rounds elastic (demote-and-
 	// continue): a learner that misses the deadline is demoted for the
 	// round instead of stalling the job, and rejoins when it catches up. The
-	// consensus reducers scale their M-dependent coefficients to the round's
-	// live roster. Zero keeps membership fixed; when set, RoundTimeout is
-	// ignored. See DESIGN.md §14.
+	// consensus reducers scale their M-dependent coefficients to the weight
+	// the engine announces for the round — the live roster's size. Zero keeps
+	// membership fixed; when set, RoundTimeout is ignored. See DESIGN.md §14.
 	StragglerTimeout time.Duration
 	// MinQuorum is the smallest roster an elastic round will fold; below it
 	// training fails rather than continuing on too few learners. 0 defaults
@@ -166,17 +162,11 @@ func (c Config) normalized() (Config, error) {
 	if c.ChunkRows < 0 {
 		return c, fmt.Errorf("%w: ChunkRows = %d", ErrBadConfig, c.ChunkRows)
 	}
-	if c.Staleness < 0 || c.Staleness > 255 {
-		return c, fmt.Errorf("%w: Staleness = %d, want 0..255", ErrBadConfig, c.Staleness)
-	}
-	if c.Staleness > 0 && !c.Distributed {
+	// The engine's policy owns the staleness window, its decay and the quorum
+	// — defaults and ranges (mapreduce.ErrBadJob); the local engine has no
+	// policy to hand them to.
+	if c.Staleness != 0 && !c.Distributed {
 		return c, fmt.Errorf("%w: Staleness needs Distributed (the local engine is bulk-synchronous)", ErrBadConfig)
-	}
-	if c.StalenessDecay == 0 {
-		c.StalenessDecay = 0.5
-	}
-	if c.StalenessDecay < 0 || c.StalenessDecay > 1 {
-		return c, fmt.Errorf("%w: StalenessDecay = %g, want (0, 1]", ErrBadConfig, c.StalenessDecay)
 	}
 	return c, nil
 }
@@ -223,52 +213,45 @@ type History struct {
 func runJob(ctx context.Context, cfg Config, job mapreduce.IterativeJob, parts []*dataset.Dataset) (*mapreduce.IterativeResult, *History, error) {
 	start := time.Now()
 	h := &History{}
+	var res *mapreduce.IterativeResult
 	if !cfg.Distributed {
 		// The local engine picks telemetry up from the context.
+		var err error
 		//ppml:flow-ok the registry handle is configuration plumbing — tainted only because Config also carries the eval dataset, not because any row reaches telemetry here
-		res, err := mapreduce.RunLocalContext(telemetry.NewContext(ctx, cfg.Telemetry), job)
+		if res, err = mapreduce.RunLocalContext(telemetry.NewContext(ctx, cfg.Telemetry), job); err != nil {
+			return nil, nil, err
+		}
+	} else {
+		var locality *mapreduce.LocalityPlan
+		if cfg.TrackLocality && len(parts) > 0 {
+			plan, err := buildLocalityPlan(parts)
+			if err != nil {
+				return nil, nil, err
+			}
+			locality = plan
+		}
+		dres, err := mapreduce.RunDistributed(ctx, job, mapreduce.DriverOptions{
+			Network:          cfg.Network,
+			Aggregation:      cfg.Aggregation,
+			MaskMode:         cfg.MaskMode,
+			MapRetries:       cfg.MapRetries,
+			RoundTimeout:     cfg.RoundTimeout,
+			StragglerTimeout: cfg.StragglerTimeout,
+			MinQuorum:        cfg.MinQuorum,
+			Staleness:        cfg.Staleness,
+			StalenessDecay:   cfg.StalenessDecay,
+			Locality:         locality,
+			PaillierKey:      cfg.PaillierKey,
+			Telemetry:        cfg.Telemetry,
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		h.Iterations = res.Iterations
-		h.Converged = res.Converged
-		h.Elapsed = time.Since(start)
-		recordRun(cfg.Telemetry, h)
-		return res, h, nil
+		res, h.Net, h.RemoteInputBytes = &dres.IterativeResult, dres.Net, dres.RemoteInputBytes
 	}
-	var locality *mapreduce.LocalityPlan
-	if cfg.TrackLocality && len(parts) > 0 {
-		plan, err := buildLocalityPlan(parts)
-		if err != nil {
-			return nil, nil, err
-		}
-		locality = plan
-	}
-	res, err := mapreduce.RunDistributed(ctx, job, mapreduce.DriverOptions{
-		Network:           cfg.Network,
-		Aggregation:       cfg.Aggregation,
-		MaskMode:          cfg.MaskMode,
-		MapRetries:        cfg.MapRetries,
-		RoundTimeout:      cfg.RoundTimeout,
-		StragglerTimeout:  cfg.StragglerTimeout,
-		MinQuorum:         cfg.MinQuorum,
-		Staleness:         cfg.Staleness,
-		StalenessDecay:    cfg.StalenessDecay,
-		Locality:          locality,
-		PaillierKey:       cfg.PaillierKey,
-		PaillierPackWidth: cfg.PaillierPackWidth,
-		Telemetry:         cfg.Telemetry,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	h.Iterations = res.Iterations
-	h.Converged = res.Converged
-	h.Elapsed = time.Since(start)
-	h.Net = res.Net
-	h.RemoteInputBytes = res.RemoteInputBytes
+	h.Iterations, h.Converged, h.Elapsed = res.Iterations, res.Converged, time.Since(start)
 	recordRun(cfg.Telemetry, h)
-	return &res.IterativeResult, h, nil
+	return res, h, nil
 }
 
 // buildLocalityPlan materializes the Fig. 1 storage layout in the simulated

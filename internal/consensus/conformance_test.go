@@ -1,0 +1,133 @@
+package consensus
+
+import (
+	"context"
+	"math"
+	"testing"
+	"time"
+
+	"github.com/ppml-go/ppml/internal/dataset"
+	"github.com/ppml-go/ppml/internal/kernel"
+	"github.com/ppml-go/ppml/internal/mapreduce"
+)
+
+// TestSchemeConformance is the deterministic half of the scheme-level
+// conformance matrix (ROADMAP item 1): every scheme trains the same toy job
+// on the local engine and on the in-process cluster under plain, strict
+// seeded, strict per-round and elastic (a generous deadline, no fault)
+// aggregation. The three fixed-point configurations fold the same ring sum
+// whatever the arrival order, the mask mode or the roster handshake, and an
+// all-present elastic round announces the weight a strict one does, so they
+// must agree to the bit — decisions, residuals and accuracies. The local
+// engine and the plain cluster sum floats, and stay within the codec's
+// resolution (2⁻³⁰ a share, accumulated over the rounds) of them.
+func TestSchemeConformance(t *testing.T) {
+	lin := dataset.TwoGaussians("g", 120, 6, 3, 17)
+	linTrain, linTest := splitAndScale(t, lin)
+	rings := nonlinearRings(120, 5)
+	ringTrain, ringTest, err := rings.Split(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rbf := kernel.RBF{Gamma: 1}
+
+	type outcome struct {
+		decisions []float64
+		h         *History
+	}
+	decide := func(m decider, test *dataset.Dataset) []float64 {
+		out := make([]float64, test.Len())
+		for i := range out {
+			out[i] = m.Decision(test.X.Row(i))
+		}
+		return out
+	}
+	schemes := []struct {
+		name string
+		test *dataset.Dataset
+		base Config
+		run  func(cfg Config) (decider, *History, error)
+	}{
+		{"HL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, func(cfg Config) (decider, *History, error) {
+			return TrainHorizontalLinear(context.Background(), horizontalParts(t, linTrain, 3, 9), cfg)
+		}},
+		{"HK", ringTest, Config{C: 50, Rho: 10, MaxIterations: 10, Landmarks: 12, Kernel: rbf}, func(cfg Config) (decider, *History, error) {
+			return TrainHorizontalKernel(context.Background(), horizontalParts(t, ringTrain, 3, 7), cfg)
+		}},
+		{"VL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, func(cfg Config) (decider, *History, error) {
+			parts, cols := verticalParts(t, linTrain, 3, 3)
+			return TrainVerticalLinear(context.Background(), parts, cols, cfg)
+		}},
+		{"VK", ringTest, Config{C: 50, Rho: 20, MaxIterations: 10, Kernel: rbf}, func(cfg Config) (decider, *History, error) {
+			parts, cols := verticalParts(t, ringTrain, 2, 5)
+			return TrainVerticalKernel(context.Background(), parts, cols, cfg)
+		}},
+	}
+	engines := []struct {
+		name  string
+		fixed bool // folds fixed-point ring sums
+		arm   func(*Config)
+	}{
+		{"local", false, func(*Config) {}},
+		{"plain", false, func(c *Config) { c.Distributed, c.Aggregation = true, mapreduce.AggregationPlain }},
+		{"strict seeded", true, func(c *Config) { c.Distributed = true }},
+		{"strict per-round", true, func(c *Config) { c.Distributed, c.MaskMode = true, mapreduce.MaskPerRound }},
+		{"elastic", true, func(c *Config) { c.Distributed, c.StragglerTimeout = true, 30*time.Second }},
+	}
+	for _, sc := range schemes {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			t.Parallel()
+			var local, fixed *outcome
+			for _, eng := range engines {
+				cfg := sc.base
+				cfg.EvalSet = sc.test
+				eng.arm(&cfg)
+				model, h, err := sc.run(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", eng.name, err)
+				}
+				got := &outcome{decide(model, sc.test), h}
+				if h.Iterations != sc.base.MaxIterations || len(h.DeltaZSq) != h.Iterations || len(h.Accuracy) != h.Iterations {
+					t.Fatalf("%s: %d iterations, %d residuals, %d accuracies, want %d of each",
+						eng.name, h.Iterations, len(h.DeltaZSq), len(h.Accuracy), sc.base.MaxIterations)
+				}
+				if local == nil {
+					local = got
+				}
+				ref, tol := local, 1e-4
+				if eng.fixed {
+					if fixed == nil {
+						fixed = got
+					} else {
+						ref, tol = fixed, 0
+					}
+				}
+				for name, pair := range map[string][2][]float64{
+					"decision": {got.decisions, ref.decisions},
+					"DeltaZSq": {got.h.DeltaZSq, ref.h.DeltaZSq},
+				} {
+					for i, v := range pair[0] {
+						if want := pair[1][i]; math.Abs(v-want) > tol*(1+math.Abs(want)) {
+							t.Errorf("%s: %s[%d] = %v, want %v (tolerance %g)", eng.name, name, i, v, want, tol)
+							break
+						}
+					}
+				}
+				// An accuracy is a count over the eval rows: within tolerance
+				// of the float engines at most one row sits close enough to
+				// the boundary to land on its other side.
+				flips := 0.0
+				if tol > 0 {
+					flips = 1
+				}
+				for i, v := range got.h.Accuracy {
+					if want := ref.h.Accuracy[i]; math.Abs(v-want) > flips/float64(sc.test.Len())+1e-12 {
+						t.Errorf("%s: Accuracy[%d] = %v, want %v", eng.name, i, v, want)
+						break
+					}
+				}
+			}
+		})
+	}
+}

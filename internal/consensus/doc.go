@@ -118,6 +118,16 @@
 // of core, holding two chunk buffers and O(chunk + k) of solver state. Every
 // mapper round is observed in the ppml_chunk_seconds histogram.
 //
+// # The cohort is a weight
+//
+// Neither reducer knows how many learners there are. Before every Combine the
+// engine announces the weight of the round's sum (mapreduce.WeightedReducer):
+// the number of learners folded — M on the local engine and under strict
+// rounds, the live roster after a demotion — or Σκ^s when some shares are
+// stale, and every M in the Reducer formulas above is that number. The
+// per-round accuracy probe (Config.EvalSet) reads the learners' blocks only
+// through the copies they publish at the end of Contribution (probeCopy).
+//
 // # Privacy
 //
 // What leaves each Mapper per iteration is exactly one vector — (w+γ, b+β)

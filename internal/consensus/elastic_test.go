@@ -127,6 +127,15 @@ func chaosCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// assertProbedEveryRound: with an EvalSet every folded round recorded one
+// accuracy, whatever the roster or the staleness of its shares.
+func assertProbedEveryRound(t *testing.T, h *History) {
+	t.Helper()
+	if h.Iterations == 0 || len(h.Accuracy) != h.Iterations {
+		t.Errorf("%d accuracies over %d iterations", len(h.Accuracy), h.Iterations)
+	}
+}
+
 func TestElasticChaosKillHorizontalLinear(t *testing.T) {
 	d := dataset.TwoGaussians("g", 480, 4, 3, 61)
 	train, test := splitAndScale(t, d)
@@ -196,11 +205,15 @@ func TestElasticChaosKillAndHealVerticalLinear(t *testing.T) {
 			// their blocks before the budget runs out.
 			killAt(t, ch, 150*time.Millisecond, "mapper-3", "mapper-6")
 			healAt(t, ch, 450*time.Millisecond, "mapper-3", "mapper-6")
+			// The per-round probe reads the learners' blocks while demoted
+			// stragglers may still be solving (-race covers probe-vs-solve).
+			cfg.EvalSet = test
 			partsD, colsD := verticalParts(t, train, 8, 7)
-			model, _, err := TrainVerticalLinear(chaosCtx(t), partsD, colsD, cfg)
+			model, h, err := TrainVerticalLinear(chaosCtx(t), partsD, colsD, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertProbedEveryRound(t, h)
 			assertChaosOutcome(t, reg, clean, model, test, 2, 2)
 		})
 	}
@@ -222,11 +235,13 @@ func TestElasticChaosKillAndHealVerticalKernel(t *testing.T) {
 			cfg, ch, reg := chaosCluster(base, mode.mask)
 			killAt(t, ch, 150*time.Millisecond, "mapper-1", "mapper-4")
 			healAt(t, ch, 450*time.Millisecond, "mapper-1", "mapper-4")
+			cfg.EvalSet = test
 			partsD, colsD := verticalParts(t, train, 8, 9)
-			model, _, err := TrainVerticalKernel(chaosCtx(t), partsD, colsD, cfg)
+			model, h, err := TrainVerticalKernel(chaosCtx(t), partsD, colsD, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertProbedEveryRound(t, h)
 			assertChaosOutcome(t, reg, clean, model, test, 2, 2)
 		})
 	}

@@ -54,7 +54,7 @@ func TestHLDistributedSurvivesTransientMapperFaults(t *testing.T) {
 		mappers[i] = mp
 	}
 	mappers[1] = &flakyMapper{inner: mappers[1], failEvery: 3}
-	red := &meanConsensusReducer{m: len(parts)}
+	red := &meanConsensusReducer{} // the engine announces the cohort
 	job := mapreduce.IterativeJob{
 		Mappers:         mappers,
 		Reducer:         red,
@@ -106,7 +106,7 @@ func TestHLDistributedPermanentFaultFailsCleanly(t *testing.T) {
 		mappers[i] = mp
 	}
 	mappers[0] = &flakyMapper{inner: mappers[0], failEvery: 1} // always fails
-	red := &meanConsensusReducer{m: len(parts)}
+	red := &meanConsensusReducer{}                             // the engine announces the cohort
 	job := mapreduce.IterativeJob{
 		Mappers:         mappers,
 		Reducer:         red,

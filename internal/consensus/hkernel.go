@@ -143,37 +143,17 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 		mappers[i] = mp
 		hkMappers[i] = mp
 	}
-	red := &meanConsensusReducer{
-		m:        m,
-		tol:      cfg.Tol,
-		tel:      newReducerGauges(cfg.Telemetry, "hk"),
-		deltaZSq: make([]float64, 0, cfg.MaxIterations),
-		accuracy: make([]float64, 0, cfg.MaxIterations),
-	}
-	if cfg.EvalSet != nil {
-		red.eval = func(state []float64) (float64, error) {
-			model, err := assembleHKModel(cfg, lm.xg, hkMappers, state)
-			if err != nil {
-				return 0, err
-			}
-			return eval.ClassifierAccuracy(model, cfg.EvalSet)
+	final, h, err := trainMean(ctx, cfg, "hk", mappers, l+1, parts, func(state []float64) (float64, error) {
+		model, err := assembleHKModel(cfg, lm.xg, hkMappers, state)
+		if err != nil {
+			return 0, err
 		}
-	}
-
-	job := mapreduce.IterativeJob{
-		Mappers:         mappers,
-		Reducer:         red,
-		InitialState:    make([]float64, l+1),
-		ContributionDim: l + 1,
-		MaxIterations:   cfg.MaxIterations,
-	}
-	res, h, err := runJob(ctx, cfg, job, parts)
+		return eval.ClassifierAccuracy(model, cfg.EvalSet)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	h.DeltaZSq = red.deltaZSq
-	h.Accuracy = red.accuracy
-	model, err := assembleHKModel(cfg, lm.xg, hkMappers, res.FinalState)
+	model, err := assembleHKModel(cfg, lm.xg, hkMappers, final)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -271,6 +251,9 @@ type hkMapper struct {
 
 	sched *chunkSchedule
 	vl    virtualLearners
+	// probe is what expansion needs of vl as of the last completed
+	// Contribution: Yλ over the n rows, then r̄ (dim values), then b̄.
+	probe probeCopy
 
 	// The P-folded blocks of chunk built: q = Y·ΦPΦᵀ·Y + (1/ρ)yyᵀ restricted
 	// to the chunk (n_c × n_c) and phiPG = ΦPGᵀ|_c (n_c × l). They depend on
@@ -308,7 +291,8 @@ func newHKMapper(p *dataset.Dataset, id int, cfg Config, lm *landmarks) (*hkMapp
 		x: p.X, y: p.Y,
 		kmg: kmg, kgInvKm: kgInvKm,
 		sched: sched, vl: newVirtualLearners(sched.numChunks, l),
-		q: linalg.NewMatrix(maxC, maxC), phiPG: linalg.NewMatrix(maxC, l),
+		probe: probeCopy{v: make([]float64, p.Len()+l+1)},
+		q:     linalg.NewMatrix(maxC, maxC), phiPG: linalg.NewMatrix(maxC, l),
 		p:        make([]float64, maxC),
 		gu:       make([]float64, l),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
@@ -421,42 +405,55 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	}
 	linalg.Axpy(mp.cfg.Rho, gu, gw)
 	contrib := mp.vl.commit(c, res.Lambda, t+sumYL/mp.cfg.Rho)
+	mp.publish(c, lo)
 	mp.lastIter = iter
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return contrib, nil
 }
 
-// expansion converts the mapper's current dual state plus the consensus z
-// into explicit kernel-expansion coefficients (eq. 25):
+// publish refreshes the probe copy after chunk c (rows from lo) committed: Yλ
+// stitches the chunks' duals together, so only c's rows of it moved; r̄ and b̄
+// are the means of the visited chunks' scaled duals and biases (at the fixed
+// point every chunk holds Gw_c = z, and with one chunk they are that chunk's
+// own), re-summed in chunk order so the value does not depend on the visit
+// order.
+func (mp *hkMapper) publish(c *virtualLearner, lo int) {
+	n, dim := mp.x.Rows, mp.vl.dim
+	mp.probe.with(func(v []float64) {
+		for i, l := range c.lambda {
+			v[lo+i] = mp.y[lo+i] * l
+		}
+		r, b := v[n:n+dim], 0.0
+		linalg.Zero(r)
+		for idx := range mp.vl.chunks {
+			if ch := &mp.vl.chunks[idx]; ch.seen {
+				linalg.Axpy(1, ch.dual, r)
+				b += ch.prevB
+			}
+		}
+		linalg.Scale(1/float64(mp.vl.visited), r)
+		v[n+dim] = b / float64(mp.vl.visited)
+	})
+}
+
+// expansion converts the mapper's published dual state (see publish) plus the
+// consensus z into explicit kernel-expansion coefficients (eq. 25):
 //
 //	f(x) = Σᵢ coefX[i]·K(x, xᵢ) + Σⱼ coefG[j]·K(x, x_g[j]) + b
 //	coefX = M′·Yλ
-//	coefG = −ρM′²·K⁻¹_g·K_gm·Yλ + ρM′·(I − ρM′·K⁻¹_g·K_gg)·(z − r)
-//
-// λ stitches the chunks' duals together; r and b are the means of the visited
-// chunks' scaled duals and biases (at the fixed point every chunk holds
-// Gw_c = z, and with one chunk they are that chunk's own).
+//	coefG = −ρM′²·K⁻¹_g·K_gm·Yλ + ρM′·(I − ρM′·K⁻¹_g·K_gg)·(z − r̄)
 func (mp *hkMapper) expansion(z []float64) (coefX, coefG []float64, b float64, err error) {
 	n := mp.x.Rows
 	ylambda := make([]float64, n)
 	coefX = make([]float64, n)
 	u := make([]float64, mp.vl.dim) // r̄, then z − r̄
-	for idx := range mp.vl.chunks {
-		c := &mp.vl.chunks[idx]
-		if !c.seen {
-			continue
-		}
-		lo := idx * mp.sched.chunkRows
-		for i, v := range c.lambda {
-			ylambda[lo+i] = mp.y[lo+i] * v
-			coefX[lo+i] = float64(mp.lm.m) * ylambda[lo+i]
-		}
-		linalg.Axpy(1, c.dual, u)
-		b += c.prevB
-	}
-	if mp.vl.visited > 0 {
-		linalg.Scale(1/float64(mp.vl.visited), u)
-		b /= float64(mp.vl.visited)
+	mp.probe.with(func(v []float64) {
+		copy(ylambda, v)
+		copy(u, v[n:])
+		b = v[n+len(u)]
+	})
+	for i, yl := range ylambda {
+		coefX[i] = float64(mp.lm.m) * yl
 	}
 	linalg.SubVec(z, u, u)
 	coefG, err = landmarkCoefficients(mp.kgInvKm, mp.lm.kgg, mp.lm.kgInv, ylambda, u, mp.cfg.Rho, mp.lm.m)

@@ -104,35 +104,43 @@ func trainHL(ctx context.Context, srcs []dataset.RowSource, parts []*dataset.Dat
 		}
 		mappers = append(mappers, mp)
 	}
+	final, h, err := trainMean(ctx, cfg, "hl", mappers, k+1, parts, func(state []float64) (float64, error) {
+		model := LinearModel{W: state[:k], B: state[k]}
+		return eval.ClassifierAccuracy(&model, cfg.EvalSet)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &LinearModel{W: linalg.CopyVec(final[:k]), B: final[k]}, h, nil
+}
+
+// trainMean runs the job the horizontal schemes share: every learner
+// contributes a dim-vector, the Reducer's next state is their mean
+// (meanConsensusReducer), and probe scores a state on cfg.EvalSet when there is
+// one. It returns the final state with the per-round history.
+func trainMean(ctx context.Context, cfg Config, scheme string, mappers []mapreduce.IterativeMapper, dim int, parts []*dataset.Dataset, probe func(state []float64) (float64, error)) ([]float64, *History, error) {
 	red := &meanConsensusReducer{
-		m:        m,
 		tol:      cfg.Tol,
-		tel:      newReducerGauges(cfg.Telemetry, "hl"),
+		tel:      newReducerGauges(cfg.Telemetry, scheme),
 		deltaZSq: make([]float64, 0, cfg.MaxIterations),
 		accuracy: make([]float64, 0, cfg.MaxIterations),
 	}
 	if cfg.EvalSet != nil {
-		red.eval = func(state []float64) (float64, error) {
-			model := LinearModel{W: state[:k], B: state[k]}
-			return eval.ClassifierAccuracy(&model, cfg.EvalSet)
-		}
+		red.eval = probe
 	}
-
 	job := mapreduce.IterativeJob{
 		Mappers:         mappers,
 		Reducer:         red,
-		InitialState:    make([]float64, k+1),
-		ContributionDim: k + 1,
+		InitialState:    make([]float64, dim),
+		ContributionDim: dim,
 		MaxIterations:   cfg.MaxIterations,
 	}
 	res, h, err := runJob(ctx, cfg, job, parts)
 	if err != nil {
 		return nil, nil, err
 	}
-	h.DeltaZSq = red.deltaZSq
-	h.Accuracy = red.accuracy
-	model := &LinearModel{W: linalg.CopyVec(res.FinalState[:k]), B: res.FinalState[k]}
-	return model, h, nil
+	h.DeltaZSq, h.Accuracy = red.deltaZSq, red.accuracy
+	return res.FinalState, h, nil
 }
 
 // hlMapper is one learner's Map() task for the horizontal linear scheme: per
@@ -188,12 +196,12 @@ func newHLMapper(src dataset.RowSource, id, mprime int, cfg Config) (*hlMapper, 
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
 		lastIter: -1,
 	}
-	mp.opts = make([]qp.Option, 0, 5)
-	mp.opts = append(mp.opts, qp.WithTolerance(cfg.QPTol), qp.WithTelemetry(cfg.Telemetry), qp.WithScratch(&mp.qpScratch))
-	if cfg.PaperSplit && cfg.QPSecondOrder {
-		mp.opts = append(mp.opts, qp.WithSecondOrderSelection())
+	mp.opts = []qp.Option{
+		qp.WithTolerance(cfg.QPTol),
+		qp.WithTelemetry(cfg.Telemetry),
+		qp.WithScratch(&mp.qpScratch),
+		qp.WithWarmStart(nil),
 	}
-	mp.opts = append(mp.opts, qp.WithWarmStart(nil))
 	return mp, nil
 }
 
@@ -288,18 +296,13 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 // schemes: the next consensus state is the mean of the (securely summed)
 // contributions, and convergence is judged on ‖Δstate‖².
 type meanConsensusReducer struct {
-	m    int
 	tol  float64
 	eval func(state []float64) (float64, error)
 	tel  reducerGauges
 
-	// live is the participant count of the upcoming round
-	// (SetRoundParticipants, the distributed engine's roster size); 0 — the
-	// local engine never calls it — means the full cohort.
-	live int
-	// weight is the total staleness weight W = Σ κ^{s_i} of the upcoming
-	// round under bounded-staleness rounds (SetRoundWeight); 0 means
-	// synchronous rounds, where the head count divides the mean instead.
+	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
+	// the number of learners folded, or Σ κ^{s_i} when some shares are stale.
+	// It is the only cohort size the reducer knows.
 	weight float64
 
 	prev     []float64
@@ -308,14 +311,10 @@ type meanConsensusReducer struct {
 	accuracy []float64
 }
 
-// SetRoundParticipants implements mapreduce.RosterReducer: the consensus mean
-// divides by how many learners actually contributed, so a round folded over a
-// partial roster averages the live iterates instead of shrinking them.
-func (r *meanConsensusReducer) SetRoundParticipants(n int) { r.live = n }
-
-// SetRoundWeight implements mapreduce.WeightedReducer: under bounded-
-// staleness rounds the aggregate is Σ κ^{s_i}·c_i, so the consensus mean
-// divides by the total weight instead of the head count.
+// SetRoundWeight implements mapreduce.WeightedReducer: the consensus mean
+// divides by what was actually folded, so a round over a partial roster
+// averages the live iterates instead of shrinking them, and a round of stale
+// shares Σ κ^{s_i}·c_i is renormalized by its total weight.
 func (r *meanConsensusReducer) SetRoundWeight(total float64) { r.weight = total }
 
 // Combine implements mapreduce.IterativeReducer.
@@ -323,16 +322,9 @@ func (r *meanConsensusReducer) Combine(iter int, sum []float64) ([]float64, bool
 	if cap(r.next) < len(sum) {
 		r.next = make([]float64, len(sum))
 	}
-	div := float64(r.m)
-	if r.live > 0 {
-		div = float64(r.live)
-	}
-	if r.weight > 0 {
-		div = r.weight
-	}
 	next := r.next[:len(sum)]
 	for i, v := range sum {
-		next[i] = v / div
+		next[i] = v / r.weight
 	}
 	var delta float64
 	if r.prev == nil {

@@ -64,29 +64,14 @@ func TrainHorizontalLogistic(ctx context.Context, parts []*dataset.Dataset, cfg 
 	for i, p := range parts {
 		mappers[i] = newLogisticMapper(p, m, cfg)
 	}
-	red := &meanConsensusReducer{m: m, tol: cfg.Tol, tel: newReducerGauges(cfg.Telemetry, "logistic")}
-	if cfg.EvalSet != nil {
-		red.eval = func(state []float64) (float64, error) {
-			model := LogisticModel{W: state[:k], B: state[k]}
-			return eval.ClassifierAccuracy(&model, cfg.EvalSet)
-		}
-	}
-
-	job := mapreduce.IterativeJob{
-		Mappers:         mappers,
-		Reducer:         red,
-		InitialState:    make([]float64, k+1),
-		ContributionDim: k + 1,
-		MaxIterations:   cfg.MaxIterations,
-	}
-	res, h, err := runJob(ctx, cfg, job, parts)
+	final, h, err := trainMean(ctx, cfg, "logistic", mappers, k+1, parts, func(state []float64) (float64, error) {
+		model := LogisticModel{W: state[:k], B: state[k]}
+		return eval.ClassifierAccuracy(&model, cfg.EvalSet)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	h.DeltaZSq = red.deltaZSq
-	h.Accuracy = red.accuracy
-	model := &LogisticModel{W: linalg.CopyVec(res.FinalState[:k]), B: res.FinalState[k]}
-	return model, h, nil
+	return &LogisticModel{W: linalg.CopyVec(final[:k]), B: final[k]}, h, nil
 }
 
 // logisticMapper is one learner's Map() task for consensus logistic

@@ -8,6 +8,7 @@ package consensus
 
 import (
 	"math/rand"
+	"sync"
 
 	"github.com/ppml-go/ppml/internal/linalg"
 )
@@ -103,6 +104,30 @@ func rowView(m *linalg.Matrix, lo, hi int) *linalg.Matrix {
 		return m
 	}
 	return &linalg.Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+}
+
+// probeCopy is the copy of a mapper's private block that the Reducer's
+// per-round accuracy probe reads (VL's w, VK's α, what HK's expansion needs).
+// The probe runs on the Reducer's goroutine, inside Combine, while the mapper
+// may be inside Contribution — on the bounded-staleness worker, or as a
+// demoted straggler still solving — so it cannot read the live block. Each
+// mapper refreshes the copy at the end of Contribution; both sides hold the
+// mutex for a copy, never a solve, so the Reducer does not wait one out. Under
+// the local engine and strict rounds every Contribution of round t has
+// returned before Combine(t) runs and the probe sees exactly the iterate that
+// was folded; under elastic or stale rounds it may see a newer local iterate
+// than the one folded. ROADMAP item 3 (the probe off the protocol's clock)
+// supersedes this.
+type probeCopy struct {
+	mu sync.Mutex
+	v  []float64
+}
+
+// with runs f on the copy under the lock.
+func (p *probeCopy) with(f func(v []float64)) {
+	p.mu.Lock()
+	f(p.v)
+	p.mu.Unlock()
 }
 
 // virtualLearners is the consensus state a horizontal mapper keeps for its

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/dfs"
@@ -125,10 +126,16 @@ func TestMinibatchConfigValidation(t *testing.T) {
 	}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("Staleness without Distributed: err = %v, want ErrBadConfig", err)
 	}
+	// The window's decay and range are the engine policy's to check.
 	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
-		C: 1, Rho: 1, StalenessDecay: 1.5,
-	}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("StalenessDecay > 1: err = %v, want ErrBadConfig", err)
+		C: 1, Rho: 1, Distributed: true, StragglerTimeout: time.Second, Staleness: 1, StalenessDecay: 1.5,
+	}); !errors.Is(err, mapreduce.ErrBadJob) {
+		t.Errorf("StalenessDecay > 1: err = %v, want mapreduce.ErrBadJob", err)
+	}
+	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
+		C: 1, Rho: 1, Distributed: true, StragglerTimeout: time.Second, Staleness: 256,
+	}); !errors.Is(err, mapreduce.ErrBadJob) {
+		t.Errorf("Staleness past the wire stamp: err = %v, want mapreduce.ErrBadJob", err)
 	}
 	if _, _, err := TrainHorizontalLinearStreamed(context.Background(), nil, Config{
 		C: 1, Rho: 1,

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
-	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/linalg"
-	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
@@ -117,53 +115,28 @@ func TrainVerticalKernel(ctx context.Context, parts []*dataset.Dataset, cols [][
 	if err := checkVerticalChunkConfig(cfg, rows); err != nil {
 		return nil, nil, err
 	}
-	m := len(parts)
-
-	mappers := make([]mapreduce.IterativeMapper, m)
-	vkMappers := make([]*vkMapper, m)
+	mappers := make([]*vkMapper, len(parts))
 	for i, p := range parts {
-		mp, err := newVKMapper(p, cfg)
-		if err != nil {
+		if mappers[i], err = newVKMapper(p, cfg); err != nil {
 			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
-		mappers[i] = mp
-		vkMappers[i] = mp
 	}
-	assemble := func(b float64) *KernelVerticalModel {
+	return trainVertical(ctx, parts, cfg, mappers, func(b float64) *KernelVerticalModel {
 		model := &KernelVerticalModel{
 			Kernel:   cfg.Kernel,
 			Cols:     cols,
-			SupportX: make([]*linalg.Matrix, m),
-			Alpha:    make([][]float64, m),
+			SupportX: make([]*linalg.Matrix, len(mappers)),
+			Alpha:    make([][]float64, len(mappers)),
 			B:        b,
 		}
-		for i, mp := range vkMappers {
+		for i, mp := range mappers {
 			model.SupportX[i] = mp.x
-			model.Alpha[i] = linalg.CopyVec(mp.alpha)
+			alpha := make([]float64, rows)
+			mp.probe.with(func(v []float64) { copy(alpha, v) })
+			model.Alpha[i] = alpha
 		}
 		return model
-	}
-	red := newVerticalReducer(parts[0].Y, m, cfg)
-	if cfg.EvalSet != nil {
-		red.eval = func(b float64) (float64, error) {
-			return eval.ClassifierAccuracy(assemble(b), cfg.EvalSet)
-		}
-	}
-
-	job := mapreduce.IterativeJob{
-		Mappers:         mappers,
-		Reducer:         red,
-		InitialState:    make([]float64, rows),
-		ContributionDim: rows,
-		MaxIterations:   cfg.MaxIterations,
-	}
-	_, h, err := runJob(ctx, cfg, job, parts)
-	if err != nil {
-		return nil, nil, err
-	}
-	h.DeltaZSq = red.deltaZSq
-	h.Accuracy = red.accuracy
-	return assemble(red.b), h, nil
+	})
 }
 
 // vkMapper is one learner's Map() task for the vertical kernel scheme. Only
@@ -177,6 +150,7 @@ type vkMapper struct {
 	sched *chunkSchedule
 
 	alpha []float64 // expansion coefficients over all N rows
+	probe probeCopy // α as of the last completed Contribution
 
 	// kcb is the strip K(X_c, X), ch factors I + ρs·K_cc and kw holds
 	// (K·α)|_c for chunk built: all three are recomputed when the schedule
@@ -202,6 +176,7 @@ func newVKMapper(p *dataset.Dataset, cfg Config) (*vkMapper, error) {
 		x:        p.X,
 		sched:    sched,
 		alpha:    make([]float64, p.Len()),
+		probe:    probeCopy{v: make([]float64, p.Len())},
 		kcb:      linalg.NewMatrix(sched.chunkRows, p.Len()),
 		kw:       make([]float64, sched.chunkRows),
 		q:        make([]float64, sched.chunkRows),
@@ -282,6 +257,7 @@ func (mp *vkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	linalg.Zero(mp.cached[:lo])
 	copy(mp.cached[lo:hi], kw)
 	linalg.Zero(mp.cached[hi:])
+	mp.probe.with(func(v []float64) { copy(v[lo:hi], alpha) })
 	mp.lastIter = iter
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return mp.cached, nil

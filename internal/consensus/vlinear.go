@@ -33,47 +33,53 @@ func TrainVerticalLinear(ctx context.Context, parts []*dataset.Dataset, cols [][
 	if err := checkVerticalChunkConfig(cfg, rows); err != nil {
 		return nil, nil, err
 	}
-	m := len(parts)
-
-	mappers := make([]mapreduce.IterativeMapper, m)
-	vlMappers := make([]*vlMapper, m)
+	mappers := make([]*vlMapper, len(parts))
 	for i, p := range parts {
-		mp, err := newVLMapper(p, cfg)
-		if err != nil {
+		if mappers[i], err = newVLMapper(p, cfg); err != nil {
 			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
-		mappers[i] = mp
-		vlMappers[i] = mp
 	}
-	assemble := func(b float64) *LinearModel {
+	return trainVertical(ctx, parts, cfg, mappers, func(b float64) *LinearModel {
 		w := make([]float64, features)
-		for i, mp := range vlMappers {
-			for j, c := range cols[i] {
-				w[c] = mp.w[j]
-			}
+		for i, mp := range mappers {
+			mp.probe.with(func(block []float64) {
+				for j, c := range cols[i] {
+					w[c] = block[j]
+				}
+			})
 		}
 		return &LinearModel{W: w, B: b}
-	}
-	red := newVerticalReducer(parts[0].Y, m, cfg)
+	})
+}
+
+// trainVertical runs the job both vertical schemes share — their Reducer and
+// consensus state, the N-vector of scores, are the same — and assembles the
+// model from the learners' probe copies: per round for the accuracy probe
+// when an EvalSet is given, and once more with the final bias.
+func trainVertical[M eval.Classifier, T mapreduce.IterativeMapper](ctx context.Context, parts []*dataset.Dataset, cfg Config, mappers []T, assemble func(b float64) M) (M, *History, error) {
+	rows := parts[0].Len()
+	red := newVerticalReducer(parts[0].Y, cfg)
 	if cfg.EvalSet != nil {
 		red.eval = func(b float64) (float64, error) {
 			return eval.ClassifierAccuracy(assemble(b), cfg.EvalSet)
 		}
 	}
-
 	job := mapreduce.IterativeJob{
-		Mappers:         mappers,
+		Mappers:         make([]mapreduce.IterativeMapper, len(mappers)),
 		Reducer:         red,
 		InitialState:    make([]float64, rows),
 		ContributionDim: rows,
 		MaxIterations:   cfg.MaxIterations,
 	}
+	for i, mp := range mappers {
+		job.Mappers[i] = mp
+	}
 	_, h, err := runJob(ctx, cfg, job, parts)
 	if err != nil {
-		return nil, nil, err
+		var none M
+		return none, nil, err
 	}
-	h.DeltaZSq = red.deltaZSq
-	h.Accuracy = red.accuracy
+	h.DeltaZSq, h.Accuracy = red.deltaZSq, red.accuracy
 	return assemble(red.b), h, nil
 }
 
@@ -102,7 +108,8 @@ type vlMapper struct {
 	x     *linalg.Matrix // N × k_m feature block (private)
 	sched *chunkSchedule
 
-	w []float64 // current block weights
+	w     []float64 // current block weights
+	probe probeCopy // w as of the last completed Contribution
 
 	// ch factors I + ρs·X_cᵀX_c and xw holds X_c·w for chunk built: both are
 	// recomputed when the schedule moves to another chunk and stand
@@ -127,6 +134,7 @@ func newVLMapper(p *dataset.Dataset, cfg Config) (*vlMapper, error) {
 		x:        p.X,
 		sched:    sched,
 		w:        make([]float64, p.Features()),
+		probe:    probeCopy{v: make([]float64, p.Features())},
 		xw:       make([]float64, sched.chunkRows),
 		q:        make([]float64, sched.chunkRows),
 		xtq:      make([]float64, p.Features()),
@@ -206,6 +214,7 @@ func (mp *vlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	linalg.Zero(mp.cached[:lo])
 	copy(mp.cached[lo:hi], xw)
 	linalg.Zero(mp.cached[hi:])
+	mp.probe.with(func(v []float64) { copy(v, w) })
 	mp.lastIter = iter
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return mp.cached, nil
@@ -216,20 +225,16 @@ func (mp *vlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 // summed scores, and maintains the scaled dual u.
 type verticalReducer struct {
 	y    []float64
-	m    int
 	cfg  Config
 	eval func(b float64) (float64, error)
 	tel  reducerGauges
 
-	// live is the participant count of the upcoming round
-	// (SetRoundParticipants, the distributed engine's roster size); 0 — the
-	// local engine never calls it — means the full cohort. A demoted vertical
-	// learner's feature block drops out of the consensus score for the round,
-	// so every M-dependent coefficient of the prox step scales to the live
-	// count to keep the fold consistent.
-	live int
-	// weight is the round's total staleness weight W = Σ κ^{s_i} under
-	// bounded-staleness rounds (SetRoundWeight); 0 means synchronous rounds.
+	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
+	// the number of learners folded, or Σ κ^{s_i} when some shares are stale.
+	// A demoted vertical learner's feature block drops out of the consensus
+	// score for the round, so every M-dependent coefficient of the prox step
+	// is this weight, which keeps the fold consistent; it is the only cohort
+	// size the reducer knows.
 	weight float64
 
 	// sched is the Seed-derived schedule the mappers follow too: each round
@@ -255,12 +260,11 @@ type verticalReducer struct {
 	accuracy []float64
 }
 
-func newVerticalReducer(y []float64, m int, cfg Config) *verticalReducer {
+func newVerticalReducer(y []float64, cfg Config) *verticalReducer {
 	n := len(y)
 	sched := newChunkSchedule(n, cfg.ChunkRows, cfg.Seed, sharedChunkStream)
 	r := &verticalReducer{
 		y:        linalg.CopyVec(y),
-		m:        m,
 		cfg:      cfg,
 		tel:      newReducerGauges(cfg.Telemetry, "vl-vk"),
 		sched:    sched,
@@ -280,13 +284,7 @@ func newVerticalReducer(y []float64, m int, cfg Config) *verticalReducer {
 	return r
 }
 
-// SetRoundParticipants implements mapreduce.RosterReducer: see the live
-// field.
-func (r *verticalReducer) SetRoundParticipants(n int) { r.live = n }
-
-// SetRoundWeight implements mapreduce.WeightedReducer: under bounded-
-// staleness rounds the aggregate is Σ κ^{s_i}·a_i, so the mean contribution
-// ā divides by the total weight instead of the head count.
+// SetRoundWeight implements mapreduce.WeightedReducer: see the weight field.
 func (r *verticalReducer) SetRoundWeight(total float64) { r.weight = total }
 
 // Combine implements mapreduce.IterativeReducer: the (z, b)-update and dual
@@ -298,13 +296,7 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	if len(sum) != n {
 		return nil, false, fmt.Errorf("%w: aggregate of %d values for %d records", ErrBadPartition, len(sum), n)
 	}
-	mf := float64(r.m)
-	if r.live > 0 {
-		mf = float64(r.live)
-	}
-	if r.weight > 0 {
-		mf = r.weight
-	}
+	mf := r.weight
 	_, lo, hi := r.sched.chunk(iter)
 	abar, u, y := r.abar[lo:hi], r.u[lo:hi], r.y[lo:hi]
 	for i := range abar {
@@ -313,7 +305,7 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	d := linalg.AddVec(u, abar, r.d[:hi-lo])
 
 	// Prox-hinge dual: min ½(M/ρ)‖λ‖² + (M·Y·d − 1)ᵀλ, 0 ≤ λ ≤ C, yᵀλ = 0
-	// (M being the round's live learner count).
+	// (M being the round's announced weight).
 	p := r.p[:hi-lo]
 	for i := range p {
 		p[i] = mf*y[i]*d[i] - 1

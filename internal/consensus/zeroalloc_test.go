@@ -61,7 +61,12 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 		}
 		mappers[i] = mp
 	}
-	red := newVerticalReducer(y, m, cfg)
+	red := newVerticalReducer(y, cfg)
+	red.SetRoundWeight(float64(m))
+	live := make([]bool, m)
+	for i := range live {
+		live[i] = true
+	}
 
 	// Seed-derived masking sessions with a full pairwise seed exchange, the
 	// same setup SetupSeeded performs over the wire.
@@ -103,7 +108,7 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			share, err := sessions[i].RoundShare(int32(iter), contrib)
+			share, err := sessions[i].RoundShareFor(int32(iter), contrib, live)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +156,7 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		share, err := sessions[i].RoundShare(int32(iter), contrib)
+		share, err := sessions[i].RoundShareFor(int32(iter), contrib, live)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,18 +97,19 @@ func (m *benchMapper) Contribution(iter int, state []float64) ([]float64, error)
 // benchReducer averages over the live roster and never declares convergence:
 // the benchmark measures protocol latency over a fixed round budget.
 type benchReducer struct {
-	n     int
-	state []float64
+	weight float64
+	state  []float64
 }
 
-func (r *benchReducer) SetRoundParticipants(n int) { r.n = n }
+// SetRoundWeight implements mapreduce.WeightedReducer.
+func (r *benchReducer) SetRoundWeight(total float64) { r.weight = total }
 
 func (r *benchReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
 	if r.state == nil {
 		r.state = make([]float64, len(sum))
 	}
 	for i := range sum {
-		r.state[i] += sum[i] / float64(r.n)
+		r.state[i] += sum[i] / r.weight
 	}
 	return r.state, false, nil
 }
@@ -133,7 +134,7 @@ func elasticJob(m int, straggler time.Duration, skip int) mapreduce.IterativeJob
 	}
 	return mapreduce.IterativeJob{
 		Mappers:         mappers,
-		Reducer:         &benchReducer{n: len(mappers)},
+		Reducer:         &benchReducer{},
 		InitialState:    make([]float64, elasticDim),
 		ContributionDim: elasticDim,
 		MaxIterations:   elasticRounds,

@@ -12,7 +12,7 @@ package mapreduce
 // (the pairwise masks are content-agnostic, so scaling does not disturb
 // roster cancellation), and the staleness s rides as a one-byte public stamp
 // on the ready declaration so the reducer can renormalize the fold by
-// W = Σ κ^{s_i} (WeightedReducer) without ever seeing an individual share.
+// W = Σ κ^{s_i} (WeightedReducer.SetRoundWeight) without ever seeing an individual share.
 //
 // A mapper that falls S+1 rounds behind blocks until the worker catches up —
 // which, with the newest-wins job queue, means solving against the current
@@ -23,8 +23,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-
-	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 // asyncJob is one compute request: the round and a private copy of its state.
@@ -58,9 +56,9 @@ type asyncComputer struct {
 	stamp   [1]byte   // reused ready-declaration staleness stamp
 }
 
-func newAsyncComputer(mapper IterativeMapper, retries int, retryCtr *telemetry.Counter, journal *telemetry.Journal, node string, trace telemetry.TraceID) *asyncComputer {
+func newAsyncComputer(sv solver) *asyncComputer {
 	c := &asyncComputer{
-		solver: solver{mapper, retries, retryCtr, journal, node, trace},
+		solver: sv,
 		jobs:   make(chan asyncJob, 1),
 		// Capacity bounds the worker's undelivered backlog (≤ 1 queued job +
 		// 1 in flight) so the worker always exits after close(jobs) even if

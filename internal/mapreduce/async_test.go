@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -147,8 +148,8 @@ func TestStalenessSlowMapperConverges(t *testing.T) {
 		t.Fatal("SetRoundWeight was never called")
 	}
 	for i, w := range red.weights {
-		if n := red.participants[i]; w != float64(n) {
-			t.Errorf("round %d: weight %g != participants %d despite κ=1", i, w, n)
+		if w != math.Trunc(w) || w < 2 || w > float64(m) {
+			t.Errorf("round %d: weight %g is not a roster count in [2, %d] despite κ=1", i, w, m)
 		}
 	}
 }
@@ -195,6 +196,104 @@ func TestStalenessBoundIsHard(t *testing.T) {
 	}
 }
 
+// TestRoundWeightIsFoldedRosterWeight pins the one reducer hook against the
+// journal: the total announced before a round's Combine is Σκ^s over the
+// mappers whose shares the round folded — s being the stamp on each one's
+// ready declaration, summed in mapper order as the engine does — and exactly
+// the roster count when nothing can be stale, with or without the handshake.
+func TestRoundWeightIsFoldedRosterWeight(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts DriverOptions
+		slow time.Duration
+	}{
+		{"stale", DriverOptions{StragglerTimeout: 500 * time.Millisecond, Staleness: 2, StalenessDecay: 0.5}, 10 * time.Millisecond},
+		{"elastic synchronous", DriverOptions{StragglerTimeout: 500 * time.Millisecond}, 0},
+		{"strict", DriverOptions{}, 0},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			values := [][]float64{{1, 9}, {3, 11}, {5, 13}, {7, 15}}
+			m := len(values)
+			mappers := make([]IterativeMapper, m)
+			for i := range values {
+				dm := &dampedMapper{slowMapper: slowMapper{value: values[i]}, gain: 0.5}
+				if i == m-1 {
+					dm.delay = tc.slow
+				}
+				mappers[i] = dm
+			}
+			red := newWeightedAveragingReducer(m)
+			red.tol = 0 // run the budget
+			reg := telemetry.NewRegistry(telemetry.WithJournal(1 << 14))
+			tc.opts.Telemetry = reg
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			res, err := RunDistributed(ctx, IterativeJob{
+				Mappers: mappers, Reducer: red,
+				InitialState: make([]float64, 2), ContributionDim: 2, MaxIterations: 30,
+			}, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(red.weights) != res.Iterations {
+				t.Fatalf("%d SetRoundWeight calls over %d rounds", len(red.weights), res.Iterations)
+			}
+			// Replay the reducer's journal: the newest stamp per (round,
+			// mapper), and who delivered under the round's last attempt.
+			type delivery struct {
+				attempt int32
+				got     []bool
+			}
+			stamps := make([][]int, res.Iterations)
+			folded := make([]delivery, res.Iterations)
+			for r := range stamps {
+				stamps[r], folded[r].got = make([]int, m), make([]bool, m)
+			}
+			id := map[string]int{}
+			for i := 0; i < m; i++ {
+				id[fmt.Sprintf("mapper-%d", i)] = i
+			}
+			for _, ev := range reg.Journal().Snapshot() {
+				if ev.Node != reducerName || ev.Round < 0 || int(ev.Round) >= res.Iterations {
+					continue
+				}
+				switch ev.Event {
+				case "ready.recv":
+					stamps[ev.Round][id[ev.Peer]] = int(ev.Value)
+				case "share.recv":
+					d := &folded[ev.Round]
+					if ev.Attempt > d.attempt {
+						d.attempt, d.got = ev.Attempt, make([]bool, m)
+					}
+					d.got[id[ev.Peer]] = true
+				}
+			}
+			stale := 0
+			for r, got := range red.weights {
+				want, n := 0.0, 0
+				for i := 0; i < m; i++ {
+					if folded[r].got[i] {
+						want += decayWeight(tc.opts.StalenessDecay, stamps[r][i])
+						stale += stamps[r][i]
+						n++
+					}
+				}
+				if got != want {
+					t.Errorf("round %d: SetRoundWeight(%g), journal says Σκ^s = %g over %d shares", r, got, want, n)
+				}
+				if tc.opts.Staleness == 0 && got != float64(n) {
+					t.Errorf("round %d: synchronous weight %g, want the roster count %d", r, got, n)
+				}
+			}
+			if tc.opts.Staleness > 0 && stale == 0 {
+				t.Error("the slow mapper never answered with a stale share; the weighted path was not exercised")
+			}
+		})
+	}
+}
+
 // TestStalenessValidation: the misconfigurations the driver must reject
 // before spawning any node.
 func TestStalenessValidation(t *testing.T) {
@@ -227,7 +326,7 @@ func TestStalenessValidation(t *testing.T) {
 	}
 	t.Run("reducer cannot renormalize", func(t *testing.T) {
 		job := base()
-		job.Reducer = newElasticAveragingReducer(2, false) // no SetRoundWeight
+		job.Reducer = &averagingReducer{m: 2, tol: 1e-9} // no SetRoundWeight
 		_, err := RunDistributed(context.Background(), job, DriverOptions{
 			Staleness:        1,
 			StragglerTimeout: 50 * time.Millisecond,
@@ -262,7 +361,7 @@ func TestAsyncComputerNewestWins(t *testing.T) {
 	t.Parallel()
 	reg := telemetry.NewRegistry()
 	mp := &gatedMapper{started: make(chan int), release: make(chan struct{})}
-	c := newAsyncComputer(mp, 0, reg.Counter("retries"), nil, "mapper-0", telemetry.TraceID{})
+	c := newAsyncComputer(solver{mp, 0, reg.Counter("retries"), nil, "mapper-0", telemetry.TraceID{}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

@@ -36,8 +36,8 @@ func (m *slowMapper) Contribution(iter int, state []float64) ([]float64, error) 
 }
 
 // elasticAveragingReducer is the roster-aware averaging consensus: it divides
-// the aggregate by the round's live participant count (SetRoundParticipants)
-// instead of the fixed cohort, and optionally refuses to declare convergence
+// the aggregate by the round's announced weight (SetRoundWeight — the live
+// participant count, these jobs being synchronous) instead of the fixed cohort, and optionally refuses to declare convergence
 // until the full cohort is back — so a test can assert the post-rejoin state
 // rather than a partial-roster fixed point.
 type elasticAveragingReducer struct {
@@ -45,7 +45,7 @@ type elasticAveragingReducer struct {
 	tol       float64
 	needFull  bool
 	lastState []float64
-	// participants records every SetRoundParticipants call, in round order.
+	// participants records every SetRoundWeight call, in round order.
 	participants []int
 }
 
@@ -53,9 +53,9 @@ func newElasticAveragingReducer(m int, needFull bool) *elasticAveragingReducer {
 	return &elasticAveragingReducer{m: m, n: m, tol: 1e-9, needFull: needFull}
 }
 
-func (r *elasticAveragingReducer) SetRoundParticipants(n int) {
-	r.n = n
-	r.participants = append(r.participants, n)
+func (r *elasticAveragingReducer) SetRoundWeight(total float64) {
+	r.n = int(total)
+	r.participants = append(r.participants, r.n)
 }
 
 func (r *elasticAveragingReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
@@ -162,14 +162,14 @@ func TestElasticDemoteAndRejoin(t *testing.T) {
 			if got, ok := snap.GaugeValue("ppml_round_participants"); !ok || got != float64(m) {
 				t.Errorf("ppml_round_participants = %v (ok=%v), want %d on the full final round", got, ok, m)
 			}
-			// SetRoundParticipants saw the shrunken rounds.
+			// SetRoundWeight saw the shrunken rounds.
 			shrunk := false
 			for _, n := range red.participants {
 				if n < m {
 					shrunk = true
 				}
 				if n < 1 || n > m {
-					t.Errorf("SetRoundParticipants(%d) outside [1, %d]", n, m)
+					t.Errorf("SetRoundWeight(%d) outside [1, %d]", n, m)
 				}
 			}
 			if !shrunk {
@@ -250,7 +250,7 @@ func TestElasticPerRoundMaskWedge(t *testing.T) {
 	}
 	for _, n := range red.participants {
 		if n != m-1 {
-			t.Errorf("SetRoundParticipants(%d), want every fold over the %d survivors", n, m-1)
+			t.Errorf("SetRoundWeight(%d), want every fold over the %d survivors", n, m-1)
 		}
 	}
 }

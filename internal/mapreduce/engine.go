@@ -43,7 +43,9 @@ import (
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
-// policy is the engine's whole parameterisation, resolved from DriverOptions.
+// policy is the engine's whole parameterisation, resolved from DriverOptions
+// by newPolicy — the one place MinQuorum, Staleness and StalenessDecay are
+// defaulted and range-checked, for every caller above it.
 type policy struct {
 	deadline     time.Duration // per-phase receive window; 0 waits indefinitely
 	deadlineName string        // the option deadline came from, for the timeout error
@@ -77,6 +79,9 @@ func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
 			return p, fmt.Errorf("%w: MinQuorum %d with %d mappers", ErrBadJob, opts.MinQuorum, m)
 		}
 	}
+	if p.staleness < 0 || p.staleness > 255 {
+		return p, fmt.Errorf("%w: Staleness %d outside the wire stamp's range 0..255", ErrBadJob, p.staleness)
+	}
 	if p.staleness > 0 {
 		// Bounded staleness rides on the handshake: the ready window IS the
 		// staleness window, and the weight travels as a public stamp on the
@@ -86,8 +91,6 @@ func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
 			return p, fmt.Errorf("%w: Staleness needs StragglerTimeout", ErrBadJob)
 		case !p.handshake:
 			return p, fmt.Errorf("%w: Staleness needs AggregationMasked", ErrBadJob)
-		case p.staleness > 255:
-			return p, fmt.Errorf("%w: Staleness %d exceeds the wire stamp's range", ErrBadJob, p.staleness)
 		}
 		if p.decay == 0 {
 			p.decay = 0.5
@@ -124,7 +127,7 @@ type engine struct {
 	prev    transport.Roster // the roster the previous round folded
 	dead    []bool           // permanently demoted (aborted, unreachable, or written off)
 	silent  []int            // consecutive rounds each mapper missed the roster
-	weights []float64        // per-mapper κ^s from this round's ready stamps; nil when synchronous
+	weights []float64        // per-mapper κ^s from this round's ready stamps; all 1 when nothing is stale
 	lost    error            // what cost the round its most recent roster member
 }
 
@@ -205,15 +208,11 @@ func expired(ctx context.Context, err error) bool {
 // caller owns teardown.
 func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, startIter int) ([]float64, error) {
 	m := len(e.names)
-	rosterRed, scalable := job.Reducer.(RosterReducer)
-	weightRed, weighted := job.Reducer.(WeightedReducer)
-	if e.staleness > 0 {
-		if !weighted {
-			return state, fmt.Errorf("%w: Staleness needs a WeightedReducer (the reducer cannot renormalize stale shares)", ErrBadJob)
-		}
-		e.weights = make([]float64, m)
+	weighted, _ := job.Reducer.(WeightedReducer)
+	if e.staleness > 0 && weighted == nil {
+		return state, fmt.Errorf("%w: Staleness needs a WeightedReducer (the reducer cannot renormalize stale shares)", ErrBadJob)
 	}
-	e.prev, e.dead, e.silent = transport.FullRoster(m), make([]bool, m), make([]int, m)
+	e.prev, e.dead, e.silent, e.weights = transport.FullRoster(m), make([]bool, m), make([]int, m), make([]float64, m)
 	// Per-session scratch, reused every round so the reduce hot loop does not
 	// allocate.
 	e.scratch.reach, e.scratch.got = transport.NewRoster(m), make([]bool, m)
@@ -242,17 +241,17 @@ func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, sta
 		e.journal.Emit(reducerName, "round.end", e.trace, e.round, 0, "", "", 0, secs)
 		e.settle(roster)
 
-		if scalable {
-			rosterRed.SetRoundParticipants(roster.Count())
-		}
-		if e.weights != nil {
+		if weighted != nil {
+			// Σκ^s over the folded roster; every weight is 1 unless a stale
+			// share was stamped, so a synchronous round announces exactly
+			// float64(roster.Count()).
 			total := 0.0
 			for i, w := range e.weights {
 				if roster.Has(i) {
 					total += w
 				}
 			}
-			weightRed.SetRoundWeight(total)
+			weighted.SetRoundWeight(total)
 		}
 		next, done, err := job.Reducer.Combine(iter, sum)
 		if err != nil {
@@ -470,15 +469,15 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 		case KindReady:
 			if eligible.Has(id) && !roster.Has(id) {
 				roster.Add(id)
-				s := stalenessStamp(msg.Payload)
-				if e.weights != nil {
-					// An async mapper reports how many rounds old the
-					// contribution it is about to share is; the share is
-					// weighted κ^s in the consensus normalization.
-					//ppml:flow-ok the staleness stamp is a public round-age counter the mapper declares for weighting — a round-index difference, never derived from share contents
-					e.staleHist.Observe(float64(s))
-					e.weights[id] = decayWeight(e.decay, s)
-				}
+				// An async mapper reports how many rounds old the contribution
+				// it is about to share is; the share is weighted κ^s in the
+				// consensus normalization. The stamp is bounded by the window, so
+				// in a synchronous job s = 0 and the weight 1 whatever arrives
+				// (the declaration is empty, and there is no histogram).
+				s := min(stalenessStamp(msg.Payload), e.staleness)
+				//ppml:flow-ok the staleness stamp is a public round-age counter the mapper declares for weighting — a round-index difference, never derived from share contents
+				e.staleHist.Observe(float64(s))
+				e.weights[id] = decayWeight(e.decay, s)
 				//ppml:flow-ok the round counter and staleness stamp are public round indices — coordination metadata, never derived from share contents
 				e.journal.Emit(reducerName, "ready.recv", e.trace, r, 0, msg.From, "", 0, float64(s))
 			}

@@ -31,31 +31,20 @@ type IterativeReducer interface {
 	Combine(iter int, sum []float64) (next []float64, done bool, err error)
 }
 
-// RosterReducer is an IterativeReducer that scales its combine step to the
-// number of contributions actually folded. RunDistributed calls
-// SetRoundParticipants with the final roster size before every Combine, so
-// M-dependent reductions (a consensus mean, a proximal weight) divide by the
-// live cohort instead of the full one. Reducers whose aggregates are
-// absolute sums (counts, moments) simply don't implement it.
-type RosterReducer interface {
-	IterativeReducer
-	// SetRoundParticipants announces how many mappers' contributions the
-	// next Combine's sum contains.
-	SetRoundParticipants(n int)
-}
-
-// WeightedReducer is a RosterReducer that additionally scales its combine
-// step to the total staleness weight of the shares actually folded. Under
-// bounded-staleness rounds (DriverOptions.Staleness) a mapper that is s
-// rounds behind contributes its stale share scaled by κ^s, so the round's
-// sum is Σ κ^{s_i}·c_i and the consensus mean must divide by W = Σ κ^{s_i}
-// instead of the head count. The driver calls SetRoundWeight with W (derived
-// from the public staleness stamps on the ready declarations — never from
-// share contents) before every Combine; synchronous rounds pass W = n.
+// WeightedReducer is an IterativeReducer whose combine step scales to how much
+// was folded: a consensus mean or a proximal weight divides by the cohort the
+// sum actually covers, not the one the job started with. Both engines call
+// SetRoundWeight before every Combine with the total weight of the round's
+// sum, Σ κ^{s_i} over the folded roster: a share s rounds stale enters scaled
+// by κ^s (DriverOptions.Staleness), and a synchronous round is the case where
+// every weight is 1 and the total is exactly the roster count — the number of
+// mappers, under RunLocalContext and under strict rounds. The weights come
+// from the public staleness stamps on the ready declarations, never from
+// share contents. Reducers whose aggregates are absolute sums (counts,
+// moments) simply don't implement it.
 type WeightedReducer interface {
-	RosterReducer
-	// SetRoundWeight announces the total staleness weight of the next
-	// Combine's sum.
+	IterativeReducer
+	// SetRoundWeight announces the total weight of the next Combine's sum.
 	SetRoundWeight(total float64)
 }
 
@@ -140,6 +129,7 @@ func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, e
 	contribs := make([][]float64, m)
 	errs := make([]error, m)
 	sum := make([]float64, job.ContributionDim)
+	weighted, _ := job.Reducer.(WeightedReducer)
 	for iter := 0; iter < job.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -173,6 +163,9 @@ func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, e
 		roundDur.Observe(secs)
 		rounds.Inc()
 		journal.Emit(reducerName, "round.end", telemetry.TraceID{}, int32(iter), 0, "", "", 0, secs)
+		if weighted != nil {
+			weighted.SetRoundWeight(float64(m))
+		}
 		next, done, err := job.Reducer.Combine(iter, sum)
 		if err != nil {
 			return nil, fmt.Errorf("%w: reducer at iteration %d: %v", ErrAborted, iter, err)

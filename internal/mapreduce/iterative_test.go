@@ -362,9 +362,9 @@ func TestDistributedPaillierAggregation(t *testing.T) {
 	// Forcing width 1 reproduces the per-element layout; the packed run must
 	// move strictly fewer bytes and produce the same model.
 	unpacked, err := RunDistributed(ctx, mustJob(t, values, 15), DriverOptions{
-		Aggregation:       AggregationPaillier,
-		PaillierKey:       key,
-		PaillierPackWidth: 1,
+		Aggregation: AggregationPaillier,
+		PaillierKey: key,
+		packWidth:   1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,29 +15,24 @@ import (
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
-type mapperNodeConfig struct {
+// mapperEnv is what every Mapper of one job shares beyond the session: the
+// engine's resolved policy (the handshake, the staleness window and its
+// decay), the job's constants and the metric handles, built once in
+// RunDistributed and read only.
+type mapperEnv struct {
 	sessionEnv
-	id        int
-	ep        transport.Endpoint
-	mapper    IterativeMapper
+	policy
 	agg       Aggregation
 	maskMode  MaskMode
 	codec     fixedpoint.Codec
 	dim       int
 	retries   int
-	handshake bool          // the Reducer runs the ready/roster phase (policy.handshake)
 	straggler time.Duration // per-attempt mask-exchange deadline; 0 = none
-	staleness int           // bounded-staleness window S; 0 = synchronous rounds
-	decay     float64       // κ, the per-round stale-share discount
 	pack      *paillier.Packing
 	cipherCtr *telemetry.Counter
 	sstel     *securesum.Telemetry
 	retryCtr  *telemetry.Counter
 }
-
-// node returns this mapper's endpoint name, the journal's emitting-node
-// label.
-func (c *mapperNodeConfig) node() string { return c.names[c.id] }
 
 // solver runs one mapper's Contribution calls with the retry budget,
 // journalling each solve.
@@ -108,7 +103,9 @@ func mapperFilter(session uint64, round *int32) transport.Filter {
 // handshake, and serve every roster attempt of the round until the Reducer
 // moves on; exit on stop.
 type mapperNode struct {
-	mapperNodeConfig
+	*mapperEnv
+	id       int
+	ep       transport.Endpoint
 	sv       solver
 	seeded   *securesum.SeededSession // masked aggregation, MaskSeeded
 	perRound *securesum.PerRoundParty // masked aggregation, MaskPerRound
@@ -124,42 +121,42 @@ type mapperNode struct {
 	evictor transport.Evictor // the endpoint's reorder-buffer sweep, nil when it has none
 }
 
-func runMapperNode(ctx context.Context, cfg mapperNodeConfig) error {
+func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.Endpoint, mapper IterativeMapper) error {
 	n := &mapperNode{
-		mapperNodeConfig: cfg,
-		sv:               solver{cfg.mapper, cfg.retries, cfg.retryCtr, cfg.journal, cfg.node(), cfg.trace},
-		round:            -1,
-		live:             make([]bool, len(cfg.names)),
+		mapperEnv: env, id: id, ep: ep,
+		sv:    solver{mapper, env.retries, env.retryCtr, env.journal, env.names[id], env.trace},
+		round: -1,
+		live:  make([]bool, len(env.names)),
 	}
 	// Masked aggregation keeps per-session protocol state so every round
 	// reuses the same scratch. Seeded mode also runs its one-time seed
 	// exchange here: each Mapper's first action is sending its seeds, so it
 	// completes without any round message interleaving (the reducer's early
 	// broadcasts wait in the reorder buffer).
-	if cfg.agg == AggregationMasked {
+	if env.agg == AggregationMasked {
 		var err error
-		if cfg.maskMode == MaskPerRound {
-			n.perRound, err = securesum.NewPerRoundParty(cfg.ep, cfg.names, cfg.id, reducerName, cfg.dim, cfg.codec, nil)
+		if env.maskMode == MaskPerRound {
+			n.perRound, err = securesum.NewPerRoundParty(ep, env.names, id, reducerName, env.dim, env.codec, nil)
 			if n.perRound != nil {
-				n.perRound.SetTelemetry(cfg.sstel)
+				n.perRound.SetTelemetry(env.sstel)
 			}
 		} else {
-			n.seeded, err = securesum.SetupSeeded(ctx, cfg.ep, cfg.names, cfg.id, cfg.dim, cfg.codec, nil, cfg.header(securesum.SetupRound), cfg.sstel)
+			n.seeded, err = securesum.SetupSeeded(ctx, ep, env.names, id, env.dim, env.codec, nil, env.header(securesum.SetupRound), env.sstel)
 		}
 		if err != nil {
-			return fmt.Errorf("mapper %d aggregation setup: %w", cfg.id, err)
+			return fmt.Errorf("mapper %d aggregation setup: %w", id, err)
 		}
 	}
 	// Bounded staleness: Contribution calls move to a background worker so
 	// the protocol loop can answer a broadcast with the newest completed
 	// (≤ S rounds old) contribution instead of stalling the roster.
-	if cfg.staleness > 0 {
-		n.async = newAsyncComputer(cfg.mapper, cfg.retries, cfg.retryCtr, cfg.journal, cfg.node(), cfg.trace)
+	if env.staleness > 0 {
+		n.async = newAsyncComputer(n.sv)
 		defer n.async.close()
 	}
-	filter := mapperFilter(cfg.session, &n.round)
-	n.stale = staleRoundFilter(cfg.session, &n.round)
-	n.evictor, _ = cfg.ep.(transport.Evictor)
+	filter := mapperFilter(env.session, &n.round)
+	n.stale = staleRoundFilter(env.session, &n.round)
+	n.evictor, _ = ep.(transport.Evictor)
 	var ctrl *transport.Message // a control message that landed mid mask exchange
 	for {
 		var msg transport.Message
@@ -167,8 +164,8 @@ func runMapperNode(ctx context.Context, cfg mapperNodeConfig) error {
 			msg = *ctrl
 		} else {
 			var err error
-			if msg, err = cfg.ep.RecvMatch(ctx, filter); err != nil {
-				return fmt.Errorf("mapper %d: %w", cfg.id, err)
+			if msg, err = ep.RecvMatch(ctx, filter); err != nil {
+				return fmt.Errorf("mapper %d: %w", id, err)
 			}
 		}
 		ctrl = nil
@@ -179,7 +176,7 @@ func runMapperNode(ctx context.Context, cfg mapperNodeConfig) error {
 			if err := n.startRound(ctx, msg.Payload); err != nil {
 				return err
 			}
-			if cfg.handshake {
+			if env.handshake {
 				if err := n.declareReady(ctx); err != nil {
 					return err
 				}
@@ -243,7 +240,7 @@ func (n *mapperNode) declareReady(ctx context.Context) error {
 		return fmt.Errorf("mapper %d: ready: %w", n.id, err)
 	}
 	//ppml:flow-ok the round counter (from the public state broadcast) and the staleness stamp are round indices — coordination metadata, never share contents
-	n.journal.Emit(n.node(), "ready.sent", n.trace, n.round, 0, reducerName, "", 0, float64(stalenessStamp(n.ready)))
+	n.journal.Emit(n.sv.node, "ready.sent", n.trace, n.round, 0, reducerName, "", 0, float64(stalenessStamp(n.ready)))
 	return nil
 }
 
@@ -257,7 +254,7 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster, attempt
 			return nil, nil // demoted this round; wait for the next broadcast
 		}
 		//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-		n.journal.Emit(n.node(), "roster.recv", n.trace, n.round, attempt, "", "", 0, float64(roster.Count()))
+		n.journal.Emit(n.sv.node, "roster.recv", n.trace, n.round, attempt, "", "", 0, float64(roster.Count()))
 	}
 	for i := range n.live {
 		n.live[i] = roster == nil || roster.Has(i)
@@ -286,31 +283,31 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster, attempt
 	case n.seeded != nil:
 		// Seeded masks: derive this attempt's masks locally and send only the
 		// masked share — no per-round mask messages.
-		n.sstel.JournalMaskPhase(n.node(), "mask.start", n.trace, n.round, attempt, 0)
+		n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, attempt, 0)
 		start := time.Now()
 		payload, err := n.seeded.RoundShareBytesFor(n.round, n.contrib, n.live)
 		if err != nil {
 			return nil, fmt.Errorf("mapper %d aggregation: %w", n.id, err)
 		}
-		n.sstel.JournalMaskPhase(n.node(), "mask.end", n.trace, n.round, attempt, time.Since(start))
+		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, attempt, time.Since(start))
 		if err := n.ep.Send(ctx, reducerName, securesum.KindShare, hdr, payload); err != nil {
 			return nil, fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		n.sstel.RecordShare(len(payload))
 		//ppml:flow-ok the round counter (from the public state broadcast) and the share's byte length are envelope metadata — indices and sizes, not share contents
-		n.journal.Emit(n.node(), "share.sent", n.trace, n.round, attempt, reducerName, securesum.KindShare, int64(len(payload)), 0)
+		n.journal.Emit(n.sv.node, "share.sent", n.trace, n.round, attempt, reducerName, securesum.KindShare, int64(len(payload)), 0)
 		return nil, nil
 	}
 	// Per-round masks: exchange fresh masks with the roster's members, then
 	// send the share (RoundRoster does both).
 	rctx, cancel := window(ctx, n.straggler)
-	n.sstel.JournalMaskPhase(n.node(), "mask.start", n.trace, n.round, attempt, 0)
+	n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, attempt, 0)
 	start := time.Now()
 	ctrl, err := n.perRound.RoundRoster(rctx, hdr, n.contrib, n.live)
 	cancel()
 	switch {
 	case err == nil:
-		n.sstel.JournalMaskPhase(n.node(), "mask.end", n.trace, n.round, attempt, time.Since(start))
+		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, attempt, time.Since(start))
 		return ctrl, nil
 	case expired(ctx, err):
 		// Wedged mask exchange: a roster member died before its masks

@@ -56,8 +56,6 @@ type DriverOptions struct {
 	// MaskSeeded (default) or MaskPerRound. Ignored by the other
 	// aggregation modes.
 	MaskMode MaskMode
-	// Codec for masked aggregation; defaults to fixedpoint.Default().
-	Codec fixedpoint.Codec
 	// MapRetries re-invokes a failing Contribution this many times per
 	// iteration before the Mapper aborts the job.
 	MapRetries int
@@ -106,13 +104,11 @@ type DriverOptions struct {
 	// half goes to every Mapper, the private half stays with the simulated
 	// key authority that decrypts only aggregates.
 	PaillierKey *paillier.PrivateKey
-	// PaillierPackWidth caps how many fixed-point values are slot-packed
-	// into one Paillier plaintext. 0 (the default) packs as many as the
-	// modulus and the mapper fan-in allow — ⌈dim/k⌉ ciphertexts per
-	// contribution instead of dim; 1 reproduces the unpacked one-ciphertext-
-	// per-element layout for ablations. Ignored by the other aggregation
-	// modes.
-	PaillierPackWidth int
+	// packWidth caps the slots packed into one Paillier plaintext. Nothing
+	// outside this package's tests sets it: zero packs as many as the modulus
+	// and the mapper fan-in allow, 1 is the per-element layout the packed
+	// one is compared against (paillier.NewPacking).
+	packWidth int
 	// Checkpoint enables Twister-style crash recovery: the consensus state
 	// is written to the DFS every CheckpointEvery iterations, and a job that
 	// finds a checkpoint at start warm-restarts from it (consensus state and
@@ -245,19 +241,16 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	if agg == AggregationPaillier && opts.PaillierKey == nil {
 		return nil, fmt.Errorf("%w: AggregationPaillier needs DriverOptions.PaillierKey", ErrBadJob)
 	}
-	codec := opts.Codec
-	if codec.FracBits() == 0 {
-		codec = fixedpoint.Default()
-	}
+	codec := fixedpoint.Default()
 	m := len(job.Mappers)
 	// Slot packing for the HE path: the layout is a pure function of the
-	// public key, the mapper fan-in (the guard-bit budget: the reducer adds
-	// at most len(Mappers) ciphertexts) and the width knob, so the mappers
-	// and the reducer derive identical layouts without any negotiation.
+	// public key and the mapper fan-in (the guard-bit budget: the reducer adds
+	// at most len(Mappers) ciphertexts), so the mappers and the reducer derive
+	// identical layouts without any negotiation.
 	var pack *paillier.Packing
 	if agg == AggregationPaillier {
 		var err error
-		pack, err = paillier.NewPacking(&opts.PaillierKey.PublicKey, m, opts.PaillierPackWidth)
+		pack, err = paillier.NewPacking(&opts.PaillierKey.PublicKey, m, opts.packWidth)
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: %w", err)
 		}
@@ -355,29 +348,24 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		defer ep.Close()
 	}
 
-	retries := reg.Counter(metricRetries)
+	env := &mapperEnv{
+		sessionEnv: eng.sessionEnv,
+		policy:     pol,
+		agg:        agg,
+		maskMode:   opts.MaskMode,
+		codec:      codec,
+		dim:        job.ContributionDim,
+		retries:    opts.MapRetries,
+		straggler:  opts.StragglerTimeout,
+		pack:       pack,
+		cipherCtr:  cipherCtr,
+		sstel:      sstel,
+		retryCtr:   reg.Counter(metricRetries),
+	}
 	mapperErrs := make(chan error, m)
 	for i := 0; i < m; i++ {
 		go func(i int) {
-			mapperErrs <- runMapperNode(ctx, mapperNodeConfig{
-				sessionEnv: eng.sessionEnv,
-				id:         i,
-				ep:         mapEPs[i],
-				mapper:     job.Mappers[i],
-				agg:        agg,
-				maskMode:   opts.MaskMode,
-				codec:      codec,
-				dim:        job.ContributionDim,
-				retries:    opts.MapRetries,
-				handshake:  pol.handshake,
-				straggler:  opts.StragglerTimeout,
-				staleness:  pol.staleness,
-				decay:      pol.decay,
-				pack:       pack,
-				cipherCtr:  cipherCtr,
-				sstel:      sstel,
-				retryCtr:   retries,
-			})
+			mapperErrs <- runMapperNode(ctx, env, i, mapEPs[i], job.Mappers[i])
 		}(i)
 	}
 

@@ -69,16 +69,6 @@ func BenchmarkSolveUniformDiag10000(b *testing.B) {
 	}
 }
 
-func BenchmarkSolveEqualityBox200WSS2(b *testing.B) {
-	prob, y, d := benchProblem(200, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveEqualityBox(prob, y, d, WithSecondOrderSelection()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // hlProblem is the HL local dual as hlMapper poses it (M′ = 4, ρ = 100,
 // C = 50) over 200 overlapping two-class rows of 28 features: η = M′/(1+ρM′),
 // σ = 1/ρ and P_i = ηρ·y_i·x_iᵀu + t·y_i − 1 around the centre (u, t).

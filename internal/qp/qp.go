@@ -103,7 +103,6 @@ const (
 	optTolerance optionKind = iota + 1
 	optMaxIter
 	optWarmStart
-	optSecondOrder
 	optScratch
 	optTelemetry
 )
@@ -126,12 +125,11 @@ type Scratch struct {
 func WithScratch(s *Scratch) Option { return Option{kind: optScratch, scr: s} }
 
 type config struct {
-	tol         float64
-	maxIter     int
-	warmStart   []float64
-	secondOrder bool
-	scratch     *Scratch
-	tel         *telemetry.Registry
+	tol       float64
+	maxIter   int
+	warmStart []float64
+	scratch   *Scratch
+	tel       *telemetry.Registry
 }
 
 // sized returns *buf at length n, reallocating when its capacity is short.
@@ -201,8 +199,6 @@ func newConfig(opts []Option, defaultMaxIter int) config {
 			cfg.maxIter = o.n
 		case optWarmStart:
 			cfg.warmStart = o.vec
-		case optSecondOrder:
-			cfg.secondOrder = true
 		case optScratch:
 			cfg.scratch = o.scr
 		case optTelemetry:
@@ -228,16 +224,6 @@ func WithMaxIter(n int) Option { return Option{kind: optMaxIter, n: n} }
 // equality constraint. A copy is taken: the caller's slice is not modified.
 func WithWarmStart(lambda []float64) Option {
 	return Option{kind: optWarmStart, vec: lambda}
-}
-
-// WithSecondOrderSelection switches SolveEqualityBox from first-order
-// maximal-violating-pair working-set selection to LIBSVM's second-order rule
-// (Fan, Chen, Lin 2005): i is the maximal "up" violator and j maximizes the
-// per-step objective decrease (m − f_j)²/a_ij among the "low" candidates.
-// Each step costs one extra Hessian-row scan but typically needs far fewer
-// steps on ill-conditioned duals.
-func WithSecondOrderSelection() Option {
-	return Option{kind: optSecondOrder}
 }
 
 // SolveBox minimizes ½λᵀQλ + pᵀλ over the box [0, C]ⁿ.
@@ -353,13 +339,7 @@ func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Resul
 
 	res.Lambda = lambda
 	for res.Iterations = 0; res.Iterations < cfg.maxIter; res.Iterations++ {
-		var i, j int
-		var viol float64
-		if cfg.secondOrder {
-			i, j, viol = selectSecondOrderPair(&p, grad, lambda, y)
-		} else {
-			i, j, viol = selectViolatingPair(grad, lambda, y, p.C)
-		}
+		i, j, viol := selectViolatingPair(grad, lambda, y, p.C)
 		res.KKTViolation = viol
 		if viol <= cfg.tol {
 			res.Converged = true
@@ -424,58 +404,6 @@ func selectViolatingPair(grad, lambda, y []float64, c float64) (i, j int, violat
 		return 0, 0, 0 // box fully binds; no feasible direction, KKT holds
 	}
 	return up, low, m - mm
-}
-
-// selectSecondOrderPair implements LIBSVM's WSS2 rule: i maximizes −y_i g_i
-// over I_up, then j minimizes the one-step objective −(m − f_j)²/(2 a_ij)
-// over violating I_low candidates, where a_ij = Q_ii + Q_jj − 2 y_i y_j Q_ij.
-// The reported violation is the first-order gap m − M, so the stopping
-// criterion is identical to the first-order solver's.
-func selectSecondOrderPair(p *Problem, grad, lambda, y []float64) (i, j int, violation float64) {
-	c := p.C
-	up := -1
-	m := math.Inf(-1)
-	for k := range lambda {
-		inUp := (y[k] > 0 && lambda[k] < c) || (y[k] < 0 && lambda[k] > 0)
-		if inUp {
-			if f := -y[k] * grad[k]; f > m {
-				m, up = f, k
-			}
-		}
-	}
-	if up < 0 {
-		return 0, 0, 0
-	}
-	qii := p.Q.At(up, up)
-	qRow := p.Q.Row(up)
-	best := -1
-	bestGain := math.Inf(1) // most negative objective change wins
-	mm := math.Inf(1)
-	for k := range lambda {
-		inLow := (y[k] < 0 && lambda[k] < c) || (y[k] > 0 && lambda[k] > 0)
-		if !inLow {
-			continue
-		}
-		f := -y[k] * grad[k]
-		if f < mm {
-			mm = f
-		}
-		diff := m - f
-		if diff <= 0 {
-			continue // not a violating partner
-		}
-		a := qii + p.Q.At(k, k) - 2*y[up]*y[k]*qRow[k]
-		if a <= tau {
-			a = tau
-		}
-		if gain := -diff * diff / a; gain < bestGain {
-			bestGain, best = gain, k
-		}
-	}
-	if best < 0 {
-		return 0, 0, 0
-	}
-	return up, best, m - mm
 }
 
 // repairEquality adjusts λ in place, minimally in the ∞-norm sense, so that

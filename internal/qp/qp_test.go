@@ -334,64 +334,3 @@ func TestSolveEqualityBoxSVMDualToy(t *testing.T) {
 		t.Errorf("toy SVM dual: λ = %v, want [0.5 0.5]", res.Lambda)
 	}
 }
-
-func TestSecondOrderSelectionMatchesFirstOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(30)
-		prob := randomProblem(rng, n, 2.0)
-		y := randomLabels(rng, n)
-		x := randomFeasibleBox(rng, n, prob.C)
-		d := 0.0
-		for i := range x {
-			d += y[i] * x[i]
-		}
-		first, err := SolveEqualityBox(prob, y, d, WithTolerance(1e-9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		second, err := SolveEqualityBox(prob, y, d, WithTolerance(1e-9), WithSecondOrderSelection())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !second.Converged {
-			t.Fatalf("trial %d: WSS2 did not converge", trial)
-		}
-		o1, o2 := prob.Objective(first.Lambda), prob.Objective(second.Lambda)
-		if math.Abs(o1-o2) > 1e-6*(1+math.Abs(o1)) {
-			t.Fatalf("trial %d: objectives differ: %g vs %g", trial, o1, o2)
-		}
-		// Constraint preserved.
-		sum := 0.0
-		for i := range second.Lambda {
-			sum += y[i] * second.Lambda[i]
-		}
-		if math.Abs(sum-d) > 1e-8*(1+math.Abs(d)) {
-			t.Fatalf("trial %d: WSS2 broke the constraint: %g vs %g", trial, sum, d)
-		}
-	}
-}
-
-func TestSecondOrderNeedsFewerIterationsOnAverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	var firstTotal, secondTotal int
-	for trial := 0; trial < 10; trial++ {
-		n := 60
-		prob := randomProblem(rng, n, 3.0)
-		y := randomLabels(rng, n)
-		first, err := SolveEqualityBox(prob, y, 0, WithTolerance(1e-8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		second, err := SolveEqualityBox(prob, y, 0, WithTolerance(1e-8), WithSecondOrderSelection())
-		if err != nil {
-			t.Fatal(err)
-		}
-		firstTotal += first.Iterations
-		secondTotal += second.Iterations
-	}
-	// WSS2's whole point: strictly fewer steps in aggregate.
-	if secondTotal >= firstTotal {
-		t.Errorf("WSS2 used %d total iterations, first-order %d", secondTotal, firstTotal)
-	}
-}

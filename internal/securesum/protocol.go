@@ -17,31 +17,11 @@ const (
 	KindShare = "securesum.share"
 )
 
-// maskFilter demultiplexes one party's round: this round's masks (matching
-// session and round) are delivered; a fast peer's future-round masks wait in
-// the reorder buffer; stale masks from finished rounds are dropped and
-// counted. Everything that is not a securesum mask — another session's
-// traffic aside — is delivered so the caller can unwind on control messages
-// (a stop or abort landing mid-protocol) exactly as it would on any other
-// protocol violation.
-func maskFilter(hdr transport.Header) transport.Filter {
-	return func(m transport.Message) transport.Verdict {
-		if m.Session != hdr.Session {
-			return transport.Defer // another job's traffic on a shared transport
-		}
-		if m.Kind == KindMask {
-			switch {
-			case m.Round < hdr.Round:
-				return transport.Drop
-			case m.Round > hdr.Round:
-				return transport.Defer
-			}
-		}
-		return transport.Accept
-	}
-}
-
-// shareFilter is the Reducer-side analogue of maskFilter for masked shares.
+// shareFilter scopes the Reducer's round: this round's shares (matching
+// session and round) are delivered; a fast party's future-round shares wait in
+// the reorder buffer; stale ones from finished rounds are dropped and counted.
+// Everything else of the session is delivered so the caller can unwind on a
+// control message exactly as it would on any other protocol violation.
 func shareFilter(hdr transport.Header) transport.Filter {
 	return func(m transport.Message) transport.Verdict {
 		if m.Session != hdr.Session {
@@ -99,75 +79,7 @@ func NewPerRoundParty(ep transport.Endpoint, names []string, self int, reducer s
 	}, nil
 }
 
-// Round executes one full protocol round: send a fresh mask to every peer,
-// absorb the peers' masks, submit the masked share of value to the reducer.
-//
-// hdr stamps every message of the round with the job session and the
-// consensus round, and the receive side demultiplexes on it: a fast peer's
-// next-round masks are buffered for that round instead of corrupting this
-// one, and leftovers from earlier rounds are dropped. Non-mask messages of
-// the same session (e.g. a job abort) still surface as protocol errors so
-// the caller unwinds promptly.
-//
-// Reusing the per-peer wire buffers across rounds is safe under the driver's
-// lockstep: peer p absorbs our round-r mask before sending its round-r
-// share, the Reducer needs every round-r share before broadcasting round
-// r+1, and we only overwrite the buffer after receiving that broadcast.
-func (r *PerRoundParty) Round(ctx context.Context, hdr transport.Header, value []float64) error {
-	r.party.Reset()
-	masks, err := r.party.MaskForAll()
-	if err != nil {
-		return err
-	}
-	m := len(r.names)
-	for peer := 0; peer < m; peer++ {
-		if peer == r.self {
-			continue
-		}
-		if r.maskWire[peer] == nil {
-			r.maskWire[peer] = make([]byte, 0, 8*len(masks[peer]))
-		}
-		r.maskWire[peer] = AppendShares(r.maskWire[peer][:0], masks[peer])
-		if err := r.ep.Send(ctx, r.names[peer], KindMask, hdr, r.maskWire[peer]); err != nil {
-			return fmt.Errorf("securesum: send mask to %q: %w", r.names[peer], err)
-		}
-		r.tel.RecordMask(len(r.maskWire[peer]))
-	}
-	filter := maskFilter(hdr)
-	for received := 0; received < m-1; received++ {
-		msg, err := r.ep.RecvMatch(ctx, filter)
-		if err != nil {
-			return fmt.Errorf("securesum: receive mask: %w", err)
-		}
-		if msg.Kind != KindMask {
-			return fmt.Errorf("%w: party %d got %q mid-round", ErrProtocol, r.self, msg.Kind)
-		}
-		peer, ok := r.idOf[msg.From]
-		if !ok {
-			return fmt.Errorf("%w: mask from unknown party %q", ErrProtocol, msg.From)
-		}
-		mask, err := DecodeSharesInto(r.maskBuf, msg.Payload)
-		if err != nil {
-			return err
-		}
-		r.maskBuf = mask
-		if err := r.party.SetPeerMask(peer, mask); err != nil {
-			return err
-		}
-	}
-	share, err := r.party.Share(value)
-	if err != nil {
-		return err
-	}
-	r.wire = AppendShares(r.wire[:0], share)
-	if err := r.ep.Send(ctx, r.reducer, KindShare, hdr, r.wire); err != nil {
-		return fmt.Errorf("securesum: send share: %w", err)
-	}
-	r.tel.RecordShare(len(r.wire))
-	return nil
-}
-
-// maskRosterFilter demultiplexes an elastic round attempt: current-round
+// maskRosterFilter demultiplexes one round attempt: current-round
 // masks stamped with THIS attempt and the same roster are delivered. Masks
 // from a superseded attempt (a lower attempt counter) are dropped — a
 // re-ready retry can re-run the same roster with fresh randomness, so the
@@ -204,16 +116,26 @@ func maskRosterFilter(hdr transport.Header) transport.Filter {
 	}
 }
 
-// RoundRoster is Round over a roster attempt: masks are exchanged only among
-// the live peers of hdr.Roster (live is its Bools expansion), and the share
-// telescopes only over those pairs, so the Reducer's sum cancels when every
-// roster member folds the same roster. All messages are stamped with
-// hdr.Roster so receivers can tell attempts apart.
+// RoundRoster executes one protocol round over a roster attempt: send a fresh
+// mask to every live peer of hdr.Roster (live is its Bools expansion; the full
+// cohort is the all-true roster, stamped nil), absorb theirs, submit the masked
+// share of value to the reducer. The share telescopes only over those pairs,
+// so the Reducer's sum cancels when every roster member folds the same roster.
 //
-// Unlike Round, a non-mask message of the same session does not fail the
-// round: it is returned to the caller, who decides what it means — a new,
-// smaller roster broadcast restarts the attempt; a stop ends the session.
-// On a completed attempt RoundRoster returns (nil, nil).
+// hdr stamps every message with the job session, the consensus round, the
+// attempt and the roster, and the receive side demultiplexes on it: a fast
+// peer's next-round masks are buffered for that round instead of corrupting
+// this one, and leftovers of earlier rounds and attempts are dropped.
+//
+// A non-mask message of the same session does not fail the round: it is
+// returned to the caller, who decides what it means — a new, smaller roster
+// broadcast restarts the attempt; a stop ends the session. On a completed
+// attempt RoundRoster returns (nil, nil).
+//
+// Reusing the per-peer wire buffers across rounds is safe under the driver's
+// lockstep: peer p absorbs our round-r mask before sending its round-r
+// share, the Reducer needs every round-r share before broadcasting round
+// r+1, and we only overwrite the buffer after receiving that broadcast.
 func (r *PerRoundParty) RoundRoster(ctx context.Context, hdr transport.Header, value []float64, live []bool) (*transport.Message, error) {
 	m := len(r.names)
 	if len(live) != m {
@@ -283,16 +205,25 @@ func (r *PerRoundParty) RoundRoster(ctx context.Context, hdr transport.Header, v
 	return nil, nil
 }
 
-// RunParty executes one full protocol round for one Mapper over its
-// transport endpoint. It is a one-shot convenience around PerRoundParty;
-// callers running many rounds should hold a PerRoundParty so the scratch
+// RunParty executes one full-cohort protocol round for one Mapper over its
+// transport endpoint: RoundRoster over the all-true roster. Nothing but masks
+// is expected mid-round, so a control message fails it with ErrProtocol.
+// Callers running many rounds should hold a PerRoundParty so the scratch
 // buffers survive between rounds.
 func RunParty(ctx context.Context, ep transport.Endpoint, names []string, self int, reducer string, value []float64, codec fixedpoint.Codec, random io.Reader, hdr transport.Header) error {
 	r, err := NewPerRoundParty(ep, names, self, reducer, len(value), codec, random)
 	if err != nil {
 		return err
 	}
-	return r.Round(ctx, hdr, value)
+	live := make([]bool, len(names))
+	for i := range live {
+		live[i] = true
+	}
+	ctrl, err := r.RoundRoster(ctx, hdr, value, live)
+	if err == nil && ctrl != nil {
+		err = fmt.Errorf("%w: party %d got %q mid-round", ErrProtocol, self, ctrl.Kind)
+	}
+	return err
 }
 
 // RunCollector executes the Reducer's side of one round: it waits for the m

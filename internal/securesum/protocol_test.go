@@ -2,6 +2,7 @@ package securesum
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -203,5 +204,41 @@ func TestRoundDemuxBuffersEarlyAndDropsStale(t *testing.T) {
 	}
 	if buffered.Round != 1 || buffered.Session != 7 {
 		t.Fatalf("buffered mask envelope = %+v", buffered.Header())
+	}
+}
+
+func TestRunPartyControlMessageMidRoundIsProtocolError(t *testing.T) {
+	// RunParty is RoundRoster over the all-true roster, which hands a
+	// same-session non-mask message back to its caller; a one-shot round has
+	// nobody to interpret it, so it stays the protocol violation it always
+	// was. Every frame the party did send carries the nil roster and attempt
+	// 0 of a strict round.
+	net := transport.NewInProc()
+	defer net.Close()
+	names := []string{"mapper-0", "mapper-1"}
+	ep0, err := net.Endpoint(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep1, err := net.Endpoint(names[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	hdr := transport.Header{Session: 3, Round: 2}
+	if err := ep1.Send(ctx, names[0], "job.stop", hdr, nil); err != nil {
+		t.Fatal(err)
+	}
+	err = RunParty(ctx, ep0, names, 0, "reducer", []float64{1, 2}, fixedpoint.Default(), nil, hdr)
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("err = %v, want ErrProtocol", err)
+	}
+	mask, err := ep1.RecvMatch(ctx, func(transport.Message) transport.Verdict { return transport.Accept })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mask.Kind != KindMask || mask.Roster != nil || mask.Attempt != 0 || mask.Round != 2 || len(mask.Payload) != 16 {
+		t.Errorf("mask frame = kind %q roster %v attempt %d round %d, %d bytes; want a strict round's", mask.Kind, mask.Roster, mask.Attempt, mask.Round, len(mask.Payload))
 	}
 }

@@ -167,38 +167,32 @@ func (p *Party) SetPeerMask(peer int, mask []uint64) error {
 	return nil
 }
 
-// Share computes the masked contribution wᵢ + Sedᵢ − Revᵢ. Every pairwise
-// mask must have been generated and received first. The returned slice is
-// the party's encode scratch: it stays valid until the party is Reset and
-// Share is called again.
-func (p *Party) Share(value []float64) ([]uint64, error) {
+// Share computes the masked contribution wᵢ + Sedᵢ − Revᵢ over the full
+// cohort: ShareOver with the nil roster, every peer live.
+func (p *Party) Share(value []float64) ([]uint64, error) { return p.ShareOver(value, nil) }
+
+// ShareOver computes the masked contribution restricted to a roster: only
+// masks exchanged with live peers enter the telescope, so the sum cancels at
+// the Reducer when every roster member folds the same roster. Masks already
+// exchanged with a peer that was demoted after the exchange are simply skipped
+// — that pair's mask never reaches the Reducer from either side, so it cannot
+// unbalance the telescope. A live peer whose mask is missing (in either
+// direction) is an ErrIncomplete: the caller must re-run the exchange for the
+// shrunken roster rather than send a share that cannot cancel. live[p.id]
+// must be true. The returned slice is the party's encode scratch: it stays
+// valid until the party is Reset and shares again.
+func (p *Party) ShareOver(value []float64, live []bool) ([]uint64, error) {
+	if live != nil && len(live) != p.m {
+		return nil, fmt.Errorf("%w: roster over %d parties, want %d", ErrBadParty, len(live), p.m)
+	}
+	if live != nil && !live[p.id] {
+		return nil, fmt.Errorf("%w: party %d excluded from its own roster", ErrBadParty, p.id)
+	}
 	if len(value) != p.dim {
 		return nil, fmt.Errorf("%w: value has %d elements, want %d", ErrBadParty, len(value), p.dim)
 	}
-	if len(p.sent) != p.m-1 || len(p.recv) != p.m-1 {
-		return nil, fmt.Errorf("%w: have %d/%d sent and %d/%d received masks",
-			ErrIncomplete, len(p.sent), p.m-1, len(p.recv), p.m-1)
-	}
-	return p.shareOver(value, nil)
-}
-
-// ShareOver is Share restricted to a roster: only masks exchanged with live
-// peers enter the telescope, so the sum cancels at the Reducer when every
-// roster member folds the same roster. Masks already exchanged with a peer
-// that was demoted after the exchange are simply skipped — that pair's mask
-// never reaches the Reducer from either side, so it cannot unbalance the
-// telescope. A live peer whose mask is missing (in either direction) is an
-// ErrIncomplete: the caller must re-run the exchange for the shrunken roster
-// rather than send a share that cannot cancel. live[p.id] must be true.
-func (p *Party) ShareOver(value []float64, live []bool) ([]uint64, error) {
-	if len(live) != p.m {
-		return nil, fmt.Errorf("%w: roster over %d parties, want %d", ErrBadParty, len(live), p.m)
-	}
-	if !live[p.id] {
-		return nil, fmt.Errorf("%w: party %d excluded from its own roster", ErrBadParty, p.id)
-	}
 	for peer := 0; peer < p.m; peer++ {
-		if peer == p.id || !live[peer] {
+		if peer == p.id || (live != nil && !live[peer]) {
 			continue
 		}
 		if _, ok := p.sent[peer]; !ok {
@@ -207,14 +201,6 @@ func (p *Party) ShareOver(value []float64, live []bool) ([]uint64, error) {
 		if _, ok := p.recv[peer]; !ok {
 			return nil, fmt.Errorf("%w: no mask received from live peer %d", ErrIncomplete, peer)
 		}
-	}
-	return p.shareOver(value, live)
-}
-
-// shareOver folds the telescope; a nil live means every recorded mask.
-func (p *Party) shareOver(value []float64, live []bool) ([]uint64, error) {
-	if len(value) != p.dim {
-		return nil, fmt.Errorf("%w: value has %d elements, want %d", ErrBadParty, len(value), p.dim)
 	}
 	share, err := p.codec.EncodeVec(value, p.shareBuf)
 	if err != nil {

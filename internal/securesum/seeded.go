@@ -124,7 +124,7 @@ type SeededSession struct {
 	pairN int
 
 	ks    []byte   // one peer's round keystream at a time, plus room for the tag
-	share []uint64 // fixed-point share scratch, returned by RoundShare
+	share []uint64 // fixed-point share scratch, returned by RoundShareFor
 	wire  []byte   // wire-encoding scratch, returned by RoundShareBytes
 }
 
@@ -188,35 +188,27 @@ func (s *SeededSession) SetPeerSeed(peer int, seed []byte) error {
 	return nil
 }
 
-// RoundShare computes this round's masked share wᵢ + Σ_{j>i} PRG(k_ij, round)
-// − Σ_{j<i} PRG(k_ij, round). Every pairwise seed must have been exchanged.
+// RoundShareFor computes this round's masked share over a roster, wᵢ +
+// Σ_{j>i} PRG(k_ij, round) − Σ_{j<i} PRG(k_ij, round) with j ranging over the
+// peers marked live (a nil live is the full cohort), so the masks cancel at
+// the Reducer exactly when every roster member derives its share from the
+// SAME roster. This is what makes dropout a local re-derivation instead of a
+// new handshake: the pair keys with dead peers simply go unused this round
+// (and resume working the round the peer rejoins — keys are per-session, not
+// per-roster). Every pairwise seed must have been exchanged; a non-nil live
+// must have exactly m entries and live[s.id] true: a party outside the roster
+// has no share to contribute.
+//
 // The returned slice is internal scratch, valid until the next call — the
 // driver's lockstep (the Reducer consumes round r before broadcasting round
 // r+1) makes that reuse safe on the wire.
-func (s *SeededSession) RoundShare(round int32, value []float64) ([]uint64, error) {
-	return s.roundShare(round, value, nil)
-}
-
-// RoundShareFor is RoundShare restricted to a roster: the mask telescope runs
-// only over peers marked live, so the masks cancel at the Reducer exactly
-// when every roster member derives its share from the SAME roster. This is
-// what makes dropout a local re-derivation instead of a new handshake: the
-// pair keys with dead peers simply go unused this round (and resume working
-// the round the peer rejoins — keys are per-session, not per-roster).
-// live[s.id] must be true: a party outside the roster has no share to
-// contribute. live must have exactly m entries.
 func (s *SeededSession) RoundShareFor(round int32, value []float64, live []bool) ([]uint64, error) {
-	if len(live) != s.m {
+	if live != nil && len(live) != s.m {
 		return nil, fmt.Errorf("%w: roster over %d parties, want %d", ErrBadParty, len(live), s.m)
 	}
-	if !live[s.id] {
+	if live != nil && !live[s.id] {
 		return nil, fmt.Errorf("%w: party %d excluded from its own roster", ErrBadParty, s.id)
 	}
-	return s.roundShare(round, value, live)
-}
-
-// roundShare is the shared telescope: a nil live means the full cohort.
-func (s *SeededSession) roundShare(round int32, value []float64, live []bool) ([]uint64, error) {
 	if len(value) != s.dim {
 		return nil, fmt.Errorf("%w: value has %d elements, want %d", ErrBadParty, len(value), s.dim)
 	}
@@ -258,19 +250,16 @@ func accumulate(share []uint64, ks []byte, neg uint64) {
 	}
 }
 
-// RoundShareBytes is RoundShare pre-encoded for the wire in the session's byte
-// scratch; like the share, the payload is stable until the next round's call.
+// RoundShareBytes is the full cohort's share (the nil roster) on the wire.
 func (s *SeededSession) RoundShareBytes(round int32, value []float64) ([]byte, error) {
-	return s.toWire(s.roundShare(round, value, nil))
+	return s.RoundShareBytesFor(round, value, nil)
 }
 
-// RoundShareBytesFor is RoundShareFor pre-encoded for the wire under the same
-// scratch-reuse contract as RoundShareBytes.
+// RoundShareBytesFor is RoundShareFor pre-encoded for the wire in the
+// session's byte scratch; like the share, the payload is stable until the
+// next round's call.
 func (s *SeededSession) RoundShareBytesFor(round int32, value []float64, live []bool) ([]byte, error) {
-	return s.toWire(s.RoundShareFor(round, value, live))
-}
-
-func (s *SeededSession) toWire(share []uint64, err error) ([]byte, error) {
+	share, err := s.RoundShareFor(round, value, live)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +284,7 @@ func seedFilter(session uint64) transport.Filter {
 
 // SetupSeeded runs the one-time seed exchange of a session for one Mapper:
 // it sends a fresh seed to every peer, absorbs the m−1 peer seeds, and
-// returns the session state whose RoundShare replaces the per-round protocol
+// returns the session state whose RoundShareBytesFor replaces the per-round protocol
 // in every subsequent round. names and self are as in RunParty. base is the
 // session's envelope header — its Session scopes the exchange and its trace
 // context rides on every seed message; the round is overridden with

@@ -48,7 +48,7 @@ func wireSeededSessions(t testing.TB, m, dim int, session uint64) []*SeededSessi
 
 func TestSeededSumMatchesPlain(t *testing.T) {
 	// The seeded masks must telescope at the Reducer exactly like per-round
-	// masks: summing every party's RoundShare recovers the plain sum, round
+	// masks: summing every party's full-roster share recovers the plain sum, round
 	// after round from the same one-time seed exchange.
 	const m, dim = 4, 6
 	codec := fixedpoint.Default()
@@ -61,7 +61,7 @@ func TestSeededSumMatchesPlain(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < m; i++ {
-			share, err := ss[i].RoundShare(round, values[i])
+			share, err := ss[i].RoundShareFor(round, values[i], allLive(m))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,11 +195,11 @@ func TestSeededBothEndsAgree(t *testing.T) {
 				t.Fatalf("order %v round %d: the two ends derived different keystreams", order, round)
 			}
 			stream := append([]byte(nil), lo.ks[:8*dim]...)
-			added, err := lo.RoundShare(round, zero)
+			added, err := lo.RoundShareFor(round, zero, allLive(2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			subtracted, err := hi.RoundShare(round, zero)
+			subtracted, err := hi.RoundShareFor(round, zero, allLive(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,13 +315,13 @@ func TestSeededSessionErrors(t *testing.T) {
 		t.Errorf("duplicate seed: %v", err)
 	}
 	// One peer seed still missing: the round must refuse to run.
-	if _, err := s.RoundShare(0, []float64{1, 2, 3}); !errors.Is(err, ErrIncomplete) {
+	if _, err := s.RoundShareFor(0, []float64{1, 2, 3}, allLive(3)); !errors.Is(err, ErrIncomplete) {
 		t.Errorf("round with missing seeds: %v", err)
 	}
 	if err := s.SetPeerSeed(2, make([]byte, SeedSize)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RoundShare(0, []float64{1, 2}); !errors.Is(err, ErrBadParty) {
+	if _, err := s.RoundShareFor(0, []float64{1, 2}, allLive(3)); !errors.Is(err, ErrBadParty) {
 		t.Errorf("wrong dim value: %v", err)
 	}
 }
@@ -332,7 +332,7 @@ func TestSeededShareHidesValue(t *testing.T) {
 	codec := fixedpoint.Default()
 	ss := wireSeededSessions(t, 3, 3, 11)
 	value := []float64{42.5, -1.25, 0}
-	share, err := ss[0].RoundShare(0, value)
+	share, err := ss[0].RoundShareFor(0, value, allLive(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,6 @@ type Params struct {
 	Tol float64
 	// MaxIter caps SMO updates (default: qp package default).
 	MaxIter int
-	// SecondOrder switches SMO to LIBSVM's second-order working-set
-	// selection (fewer, costlier steps).
-	SecondOrder bool
 }
 
 // Model is a trained SVM classifier.
@@ -95,9 +92,6 @@ func Train(x *linalg.Matrix, y []float64, p Params) (*Model, error) {
 	opts := []qp.Option{qp.WithTolerance(tol)}
 	if p.MaxIter > 0 {
 		opts = append(opts, qp.WithMaxIter(p.MaxIter))
-	}
-	if p.SecondOrder {
-		opts = append(opts, qp.WithSecondOrderSelection())
 	}
 	res, err := qp.SolveEqualityBox(qp.Problem{Q: h, P: pvec, C: p.C}, y, 0, opts...)
 	if err != nil {

@@ -219,24 +219,3 @@ func TestSupportVectorSubsetSufficesForPrediction(t *testing.T) {
 		t.Errorf("training accuracy on delta=5 data = %g, want ≥ 0.97", acc)
 	}
 }
-
-func TestSecondOrderTrainingMatchesFirstOrder(t *testing.T) {
-	d := dataset.TwoGaussians("g", 150, 4, 3, 21)
-	first, err := Train(d.X, d.Y, Params{C: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Train(d.X, d.Y, Params{C: 10, SecondOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Iterations >= first.Iterations {
-		t.Errorf("WSS2 used %d SMO steps, first-order %d", second.Iterations, first.Iterations)
-	}
-	for i := 0; i < d.Len(); i++ {
-		x := d.X.Row(i)
-		if math.Abs(first.Decision(x)-second.Decision(x)) > 1e-3*(1+math.Abs(first.Decision(x))) {
-			t.Fatalf("decisions differ at %d: %g vs %g", i, first.Decision(x), second.Decision(x))
-		}
-	}
-}

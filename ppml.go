@@ -40,9 +40,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"github.com/ppml-go/ppml/internal/consensus"
+	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/dp"
 	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/kernel"
@@ -82,24 +84,85 @@ const (
 	HorizontalNaiveBayes
 )
 
+// schemeRow is everything the package knows about one scheme: a seventh
+// scheme is one more row of schemes, and String, ParseScheme, SchemeNames and
+// TrainContext follow.
+type schemeRow struct {
+	name string
+	// vertical partitions the feature columns (labels shared) and hands the
+	// trainer the column map; otherwise the rows are partitioned. Secure
+	// standardization is a protocol over row partitions, so this column also
+	// decides WithSecureStandardization.
+	vertical bool
+	// linear marks a model that is a (w, b) pair, which is what WithDPOutput
+	// knows how to perturb.
+	linear bool
+	train  trainFunc
+}
+
+type trainFunc func(ctx context.Context, parts []*dataset.Dataset, cols [][]int, cfg consensus.Config) (Model, *consensus.History, error)
+
+// byRows adapts a trainer over row partitions to a table entry.
+func byRows[M Model](train func(context.Context, []*dataset.Dataset, consensus.Config) (M, *consensus.History, error)) trainFunc {
+	return func(ctx context.Context, parts []*dataset.Dataset, _ [][]int, cfg consensus.Config) (Model, *consensus.History, error) {
+		m, h, err := train(ctx, parts, cfg)
+		return m, h, err
+	}
+}
+
+// byColumns adapts a trainer over column partitions to a table entry.
+func byColumns[M Model](train func(context.Context, []*dataset.Dataset, [][]int, consensus.Config) (M, *consensus.History, error)) trainFunc {
+	return func(ctx context.Context, parts []*dataset.Dataset, cols [][]int, cfg consensus.Config) (Model, *consensus.History, error) {
+		m, h, err := train(ctx, parts, cols, cfg)
+		return m, h, err
+	}
+}
+
+// schemes is indexed by Scheme; index 0 is not a scheme.
+var schemes = [...]schemeRow{
+	HorizontalLinear:     {name: "horizontal-linear", linear: true, train: byRows(consensus.TrainHorizontalLinear)},
+	HorizontalKernel:     {name: "horizontal-kernel", train: byRows(consensus.TrainHorizontalKernel)},
+	VerticalLinear:       {name: "vertical-linear", vertical: true, linear: true, train: byColumns(consensus.TrainVerticalLinear)},
+	VerticalKernel:       {name: "vertical-kernel", vertical: true, train: byColumns(consensus.TrainVerticalKernel)},
+	HorizontalLogistic:   {name: "horizontal-logistic", linear: true, train: byRows(consensus.TrainHorizontalLogistic)},
+	HorizontalNaiveBayes: {name: "horizontal-naivebayes", train: byRows(consensus.TrainNaiveBayes)},
+}
+
+// row looks s up in the table.
+func (s Scheme) row() (schemeRow, bool) {
+	if s < 1 || int(s) >= len(schemes) {
+		return schemeRow{}, false
+	}
+	return schemes[s], true
+}
+
 // String implements fmt.Stringer.
 func (s Scheme) String() string {
-	switch s {
-	case HorizontalLinear:
-		return "horizontal-linear"
-	case HorizontalKernel:
-		return "horizontal-kernel"
-	case VerticalLinear:
-		return "vertical-linear"
-	case VerticalKernel:
-		return "vertical-kernel"
-	case HorizontalLogistic:
-		return "horizontal-logistic"
-	case HorizontalNaiveBayes:
-		return "horizontal-naivebayes"
-	default:
-		return fmt.Sprintf("scheme(%d)", int(s))
+	if row, ok := s.row(); ok {
+		return row.name
 	}
+	return fmt.Sprintf("scheme(%d)", int(s))
+}
+
+// SchemeNames lists the name of every scheme, in declaration order.
+func SchemeNames() []string {
+	names := make([]string, 0, len(schemes)-1)
+	for _, row := range schemes[1:] {
+		names = append(names, row.name)
+	}
+	return names
+}
+
+// ParseScheme is the inverse of Scheme.String; an unknown name is an
+// ErrBadRequest that lists the known ones.
+func ParseScheme(name string) (Scheme, error) {
+	names := SchemeNames()
+	for i, known := range names {
+		if known == name {
+			return Scheme(i + 1), nil
+		}
+	}
+	return 0, fmt.Errorf("%w: unknown scheme %q (want %s)", ErrBadRequest, name, strings.Join(names, ", "))
 }
 
 // Model is a trained classifier.
@@ -166,8 +229,16 @@ func TrainContext(ctx context.Context, data *Dataset, scheme Scheme, opts ...Opt
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.learners < 1 {
+	row, ok := scheme.row()
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w: unknown scheme %d", ErrBadRequest, int(scheme))
+	case o.learners < 1:
 		return nil, fmt.Errorf("%w: %d learners", ErrBadRequest, o.learners)
+	case o.secureStandardize && row.vertical:
+		return nil, fmt.Errorf("%w: WithSecureStandardization applies to the horizontal schemes (vertical learners standardize their own columns locally)", ErrBadRequest)
+	case o.dpEpsilon > 0 && !row.linear:
+		return nil, fmt.Errorf("%w: WithDPOutput supports only the linear schemes", ErrBadRequest)
 	}
 	cfg := o.cfg
 	if o.paillierBits > 0 {
@@ -177,145 +248,67 @@ func TrainContext(ctx context.Context, data *Dataset, scheme Scheme, opts ...Opt
 		}
 		cfg.PaillierKey = key
 	}
-	rng := rand.New(rand.NewSource(o.partitionSeed))
 
-	switch scheme {
-	case HorizontalLogistic, HorizontalNaiveBayes:
-		parts, _, err := partition.Horizontal(data.inner, o.learners, rng)
-		if err != nil {
-			return nil, fmt.Errorf("ppml: %w", err)
-		}
-		var scaler *Scaler
-		if o.secureStandardize {
-			inner, err := consensus.SecureStandardize(ctx, parts, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ppml: %w", err)
-			}
-			scaler = &Scaler{inner: inner}
-			if cfg.EvalSet != nil {
-				scaled := cfg.EvalSet.Clone()
-				if err := inner.Apply(scaled); err != nil {
-					return nil, fmt.Errorf("ppml: %w", err)
-				}
-				cfg.EvalSet = scaled
-			}
-		}
-		if o.dpEpsilon > 0 && scheme == HorizontalNaiveBayes {
-			return nil, fmt.Errorf("%w: WithDPOutput supports only the linear schemes", ErrBadRequest)
-		}
-		if scheme == HorizontalLogistic {
-			model, h, err := consensus.TrainHorizontalLogistic(ctx, parts, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ppml: %w", err)
-			}
-			if o.dpEpsilon > 0 {
-				// The logistic minimizer has the same sensitivity form as
-				// the SVM's under the shared C-parameterization.
-				lin := &consensus.LinearModel{W: model.W, B: model.B}
-				if err := applyDP(lin, o); err != nil {
-					return nil, err
-				}
-				model.W, model.B = lin.W, lin.B
-			}
-			res := newResult(model, h, scheme, o.learners)
-			res.Scaler = scaler
-			return res, nil
-		}
-		model, h, err := consensus.TrainNaiveBayes(ctx, parts, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ppml: %w", err)
-		}
-		res := newResult(model, h, scheme, o.learners)
-		res.Scaler = scaler
-		return res, nil
-
-	case HorizontalLinear, HorizontalKernel:
-		parts, _, err := partition.Horizontal(data.inner, o.learners, rng)
-		if err != nil {
-			return nil, fmt.Errorf("ppml: %w", err)
-		}
-		var scaler *Scaler
-		if o.secureStandardize {
-			inner, err := consensus.SecureStandardize(ctx, parts, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ppml: %w", err)
-			}
-			scaler = &Scaler{inner: inner}
-			if cfg.EvalSet != nil {
-				scaled := cfg.EvalSet.Clone()
-				if err := inner.Apply(scaled); err != nil {
-					return nil, fmt.Errorf("ppml: %w", err)
-				}
-				cfg.EvalSet = scaled
-			}
-		}
-		if scheme == HorizontalLinear {
-			model, h, err := consensus.TrainHorizontalLinear(ctx, parts, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ppml: %w", err)
-			}
-			if err := applyDP(model, o); err != nil {
-				return nil, err
-			}
-			res := newResult(model, h, scheme, o.learners)
-			res.Scaler = scaler
-			return res, nil
-		}
-		if o.dpEpsilon > 0 {
-			return nil, fmt.Errorf("%w: WithDPOutput supports only the linear schemes", ErrBadRequest)
-		}
-		model, h, err := consensus.TrainHorizontalKernel(ctx, parts, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ppml: %w", err)
-		}
-		res := newResult(model, h, scheme, o.learners)
-		res.Scaler = scaler
-		return res, nil
-
-	case VerticalLinear, VerticalKernel:
-		if o.secureStandardize {
-			return nil, fmt.Errorf("%w: WithSecureStandardization applies to the horizontal schemes (vertical learners standardize their own columns locally)", ErrBadRequest)
-		}
-		parts, cols, err := partition.Vertical(data.inner, o.learners, rng)
-		if err != nil {
-			return nil, fmt.Errorf("ppml: %w", err)
-		}
-		if scheme == VerticalLinear {
-			model, h, err := consensus.TrainVerticalLinear(ctx, parts, cols, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ppml: %w", err)
-			}
-			if err := applyDP(model, o); err != nil {
-				return nil, err
-			}
-			return newResult(model, h, scheme, o.learners), nil
-		}
-		if o.dpEpsilon > 0 {
-			return nil, fmt.Errorf("%w: WithDPOutput supports only the linear schemes", ErrBadRequest)
-		}
-		model, h, err := consensus.TrainVerticalKernel(ctx, parts, cols, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ppml: %w", err)
-		}
-		return newResult(model, h, scheme, o.learners), nil
+	split := partition.Horizontal
+	if row.vertical {
+		split = partition.Vertical
 	}
-	return nil, fmt.Errorf("%w: unknown scheme %d", ErrBadRequest, int(scheme))
+	parts, cols, err := split(data.inner, o.learners, rand.New(rand.NewSource(o.partitionSeed)))
+	if err != nil {
+		return nil, fmt.Errorf("ppml: %w", err)
+	}
+	var scaler *Scaler
+	if o.secureStandardize {
+		inner, err := consensus.SecureStandardize(ctx, parts, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("ppml: %w", err)
+		}
+		scaler = &Scaler{inner: inner}
+		if cfg.EvalSet != nil {
+			scaled := cfg.EvalSet.Clone()
+			if err := inner.Apply(scaled); err != nil {
+				return nil, fmt.Errorf("ppml: %w", err)
+			}
+			cfg.EvalSet = scaled
+		}
+	}
+	model, h, err := row.train(ctx, parts, cols, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("ppml: %w", err)
+	}
+	if o.dpEpsilon > 0 {
+		if err := applyDP(model, o); err != nil {
+			return nil, err
+		}
+	}
+	res := newResult(model, h, scheme, o.learners)
+	res.Scaler = scaler
+	return res, nil
 }
 
-// applyDP perturbs a trained linear model in place when WithDPOutput is set.
-func applyDP(model *consensus.LinearModel, o options) error {
-	if o.dpEpsilon <= 0 {
-		return nil
+// applyDP perturbs a trained linear model in place (WithDPOutput). The
+// logistic minimizer has the same sensitivity form as the SVM's under the
+// shared C-parameterization.
+func applyDP(model Model, o options) error {
+	var w []float64
+	var b *float64
+	switch m := model.(type) {
+	case *consensus.LinearModel:
+		w, b = m.W, &m.B
+	case *consensus.LogisticModel:
+		w, b = m.W, &m.B
+	default:
+		return fmt.Errorf("%w: WithDPOutput supports only the linear schemes", ErrBadRequest)
 	}
 	// Perturb (w, b) jointly: the bias is part of the released minimizer.
-	wb := make([]float64, len(model.W)+1)
-	copy(wb, model.W)
-	wb[len(model.W)] = model.B
+	wb := make([]float64, len(w)+1)
+	copy(wb, w)
+	wb[len(w)] = *b
 	if err := dp.PerturbVector(wb, o.dpEpsilon, dp.SVMSensitivity(o.cfg.C), nil); err != nil {
 		return fmt.Errorf("ppml: %w", err)
 	}
-	copy(model.W, wb[:len(model.W)])
-	model.B = wb[len(model.W)]
+	copy(w, wb[:len(w)])
+	*b = wb[len(w)]
 	return nil
 }
 
@@ -349,9 +342,8 @@ func TrainCentralized(data *Dataset, opts ...Option) (*Result, error) {
 		opt(&o)
 	}
 	m, err := svm.Train(data.inner.X, data.inner.Y, svm.Params{
-		C:           o.cfg.C,
-		Kernel:      o.cfg.Kernel,
-		SecondOrder: o.secondOrderQP,
+		C:      o.cfg.C,
+		Kernel: o.cfg.Kernel,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ppml: %w", err)
@@ -381,7 +373,6 @@ type options struct {
 	dpEpsilon         float64
 	secureStandardize bool
 	paillierBits      int
-	secondOrderQP     bool
 }
 
 func defaultOptions() options {
@@ -499,33 +490,12 @@ func WithPaillierAggregation(keyBits int) Option {
 	}
 }
 
-// WithPaillierPackWidth caps how many fixed-point values are packed into one
-// Paillier plaintext under WithPaillierAggregation. The default (0) packs as
-// many slots as the modulus allows — ⌈d/k⌉ ciphertexts per contribution
-// instead of d — while 1 forces the per-element layout, which is useful for
-// measuring what packing saves. Widths above the modulus capacity are
-// clamped; the aggregate is identical for every width.
-func WithPaillierPackWidth(width int) Option {
-	return func(o *options) { o.cfg.PaillierPackWidth = width }
-}
-
 // WithTCP runs distributed training over loopback TCP sockets instead of
 // in-process channels.
 func WithTCP() Option {
 	return func(o *options) {
 		o.cfg.Distributed = true
 		o.cfg.Network = transport.NewTCP()
-	}
-}
-
-// WithSecondOrderQP selects LIBSVM-style second-order SMO working-set
-// selection for the equality-constrained dual solves (TrainCentralized and
-// the WithPaperSplit path). Fewer but costlier steps; useful on
-// ill-conditioned duals.
-func WithSecondOrderQP() Option {
-	return func(o *options) {
-		o.secondOrderQP = true
-		o.cfg.QPSecondOrder = true
 	}
 }
 
@@ -580,8 +550,8 @@ func WithLocalityTracking() Option {
 // (not combinable with WithStaleness). Zero, the default, means all rows —
 // the paper's full-batch iteration is the schedule with one chunk — and so
 // does any size that is at least a learner's row count. Only
-// horizontal-linear also streams (consensus.TrainHorizontalLinearStreamed),
-// so only its partitions need not fit in memory. See DESIGN.md §15.
+// horizontal-linear also has a streamed trainer (internal/consensus, over dfs
+// row files), so only its partitions need not fit in memory. See DESIGN.md §15.
 func WithMinibatch(rows int) Option {
 	return func(o *options) { o.cfg.ChunkRows = rows }
 }

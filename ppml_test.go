@@ -396,21 +396,6 @@ func TestWithPaillierAggregation(t *testing.T) {
 	}
 }
 
-func TestWithSecondOrderQP(t *testing.T) {
-	train, test := prepared(t, 200)
-	res, err := ppml.TrainCentralized(train, ppml.WithC(10), ppml.WithSecondOrderQP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ppml.Evaluate(res.Model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.88 {
-		t.Errorf("WSS2 centralized accuracy = %g", acc)
-	}
-}
-
 func TestTrainLogisticAndNaiveBayesSchemes(t *testing.T) {
 	train, test := prepared(t, 300)
 	for _, scheme := range []ppml.Scheme{ppml.HorizontalLogistic, ppml.HorizontalNaiveBayes} {

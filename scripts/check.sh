@@ -53,6 +53,27 @@ if grep -rnE 'ChunkMapper|combineChunk|hkLearner|vlBlock|vkBlock' . --include="*
 	exit 1
 fi
 
+echo "==> one configuration spine (one reducer hook, one per-round entry point, no knob nothing sets, in non-test Go)"
+# A round's cohort is the one weight WeightedReducer.SetRoundWeight announces
+# and the full cohort is the all-true roster of PerRoundParty.RoundRoster; the
+# second SMO selection and the Paillier width had no caller. A second hook, a
+# strict-only round or either option coming back would be a decision spelled
+# twice again. (bench/ is frozen by BENCHMARK.json and uses none of them.)
+if grep -rnE 'SetRoundParticipants|RosterReducer|WithSecondOrder|QPSecondOrder|PaillierPackWidth|maskFilter\(' . --include="*.go" \
+	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/"; then
+	echo "error: a second cohort hook, a strict-only mask round or a removed knob in non-test Go" >&2
+	exit 1
+fi
+
+echo "==> option surface (24 ppml.With* options; the struct field counts are TestOptionSurfacePinned's)"
+# Pinned so the next knob has to be argued for: a new option needs two callers
+# with different values (ROADMAP item 7; the simplicity-review rule).
+if [ "$(cat ppml.go telemetry.go | grep -c '^func With')" -ne 24 ]; then
+	echo "error: ppml.With* option count moved from 24 (a new option needs two callers with different values — see ROADMAP)" >&2
+	exit 1
+fi
+go test -run 'TestOptionSurfacePinned' -count=1 .
+
 echo "==> closed compute layer (no env switch, in-tree reference loop, LU or generic Eval path in non-test Go)"
 # The four kernels of internal/kernel are the only ones and every matrix
 # entry point is the tiled panel path; the pool is sized by GOMAXPROCS and the
