@@ -1,15 +1,20 @@
 package consensus
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/parallel"
 	"github.com/ppml-go/ppml/internal/svm"
+	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 func randMatrix(rng *rand.Rand, r, c int) *linalg.Matrix {
@@ -97,5 +102,55 @@ func TestDecisionsMatchDecision(t *testing.T) {
 	}
 	if _, err := vk.Decisions(randMatrix(rng, 3, 4), nil); !errors.Is(err, linalg.ErrShape) {
 		t.Errorf("vk on samples narrower than its columns: err = %v, want ErrShape", err)
+	}
+}
+
+// TestProbeJournalPair pins the flight recorder's view of the per-round
+// accuracy probe on both reducers (HK rides the mean-consensus reducer, VK
+// the vertical one): every round's consensus.round is followed by one
+// probe.start / probe.end pair of that round, and the end event carries
+// exactly the accuracy History publishes — a scalar, nothing per learner.
+func TestProbeJournalPair(t *testing.T) {
+	train, test := splitAndScale(t, dataset.TwoGaussians("g", 120, 6, 3, 5))
+	cfg := Config{C: 10, Rho: 50, MaxIterations: 4, Kernel: kernel.RBF{Gamma: 0.2}, Landmarks: 8, EvalSet: test}
+	runs := map[string]func(Config) (*History, error){
+		"hk": func(cfg Config) (*History, error) {
+			_, h, err := TrainHorizontalKernel(context.Background(), horizontalParts(t, train, 3, 1), cfg)
+			return h, err
+		},
+		"vk": func(cfg Config) (*History, error) {
+			parts, cols := verticalParts(t, train, 3, 1)
+			_, h, err := TrainVerticalKernel(context.Background(), parts, cols, cfg)
+			return h, err
+		},
+	}
+	for name, run := range runs {
+		reg := telemetry.NewRegistry(telemetry.WithJournal(1024))
+		cfg.Telemetry = reg
+		h, err := run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []string
+		var ends []float64
+		for _, e := range reg.Journal().Snapshot() {
+			switch e.Event {
+			case "consensus.round", "probe.start", "probe.end":
+				got = append(got, fmt.Sprintf("%s@%d", e.Event, e.Round))
+			}
+			if e.Event == "probe.end" {
+				ends = append(ends, e.Value)
+			}
+		}
+		var want []string
+		for r := range h.Accuracy {
+			want = append(want, fmt.Sprintf("consensus.round@%d", r), fmt.Sprintf("probe.start@%d", r), fmt.Sprintf("probe.end@%d", r))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: reducer events %v, want %v", name, got, want)
+		}
+		if !slices.Equal(ends, h.Accuracy) {
+			t.Errorf("%s: probe.end values %v, History.Accuracy %v", name, ends, h.Accuracy)
+		}
 	}
 }

@@ -68,7 +68,9 @@ func (mod *KernelHorizontalModel) Decision(x []float64) float64 {
 // retaining a kernel matrix. A nil dst is allocated; otherwise it must hold
 // x.Rows values, which are overwritten. The learners' landmark coefficients
 // are summed first, so the shared landmarks are scored once. Values agree
-// with Decision to rounding (see kernel.Accumulate), not bit for bit.
+// with Decision to rounding, not bit for bit: the dots and the order of the
+// sums differ, the kernel transform (RBF's exp included) is the same function
+// on both sides (see kernel.Accumulate).
 func (mod *KernelHorizontalModel) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
 	if dst == nil {
 		dst = make([]float64, x.Rows)

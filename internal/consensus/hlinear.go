@@ -340,12 +340,13 @@ func (r *meanConsensusReducer) Combine(iter int, sum []float64) ([]float64, bool
 	r.tel.deltaZSq.Set(delta)
 	r.tel.journalRound(iter, delta)
 	if r.eval != nil {
+		r.tel.probeStart(iter)
 		acc, err := r.eval(next)
 		if err != nil {
 			return nil, false, fmt.Errorf("consensus: eval-set accuracy after round %d: %w", iter, err)
 		}
 		r.accuracy = append(r.accuracy, acc)
-		r.tel.accuracy.Set(acc)
+		r.tel.probeEnd(iter, acc)
 	}
 	done := r.tol > 0 && delta < r.tol
 	return next, done, nil

@@ -44,6 +44,22 @@ func (g reducerGauges) journalRound(iter int, delta float64) {
 	g.journal.Emit("reducer", "consensus.round", telemetry.TraceID{}, int32(iter), 0, "", g.scheme, 0, delta)
 }
 
+// probeStart and probeEnd bracket the per-round accuracy probe in the flight
+// recorder ("probe.start" / "probe.end", kind = scheme), so a trace separates
+// what Fig. 4's curve costs from the fold around it. The end event carries
+// the eval-set accuracy, the scalar History.Accuracy publishes and the
+// accuracy gauge, set here too, already exports.
+func (g reducerGauges) probeStart(iter int) {
+	g.journal.Emit("reducer", "probe.start", telemetry.TraceID{}, int32(iter), 0, "", g.scheme, 0, 0)
+}
+
+func (g reducerGauges) probeEnd(iter int, acc float64) {
+	//ppml:flow-ok held-out accuracy is the published evaluation metric — an aggregate over the model, not a training row
+	g.accuracy.Set(acc)
+	//ppml:flow-ok held-out accuracy is the published evaluation metric — an aggregate over the model, not a training row
+	g.journal.Emit("reducer", "probe.end", telemetry.TraceID{}, int32(iter), 0, "", g.scheme, 0, acc)
+}
+
 // recordRun observes end-of-training aggregates: the rounds-to-converge
 // histogram, plus a terminal "consensus.done" journal event stamped with the
 // same public rounds-to-converge count. Nil-safe via the registry's no-op

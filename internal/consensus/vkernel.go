@@ -51,7 +51,9 @@ func (mod *KernelVerticalModel) Decision(x []float64) float64 {
 // per call into a buffer reused across learners and scored on the tiled
 // kernel path (kernel.Accumulate). A nil dst is allocated; otherwise it must
 // hold x.Rows values, which are overwritten. Values agree with Decision to
-// rounding, not bit for bit.
+// rounding, not bit for bit: the dots and the order of the sum differ, the
+// kernel transform (RBF's exp included) is the same function on both sides
+// (see kernel.Accumulate).
 func (mod *KernelVerticalModel) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
 	if dst == nil {
 		dst = make([]float64, x.Rows)

@@ -331,13 +331,13 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	r.tel.deltaZSq.Set(delta)
 	r.tel.journalRound(iter, delta)
 	if r.eval != nil {
+		r.tel.probeStart(iter)
 		acc, err := r.eval(r.b)
 		if err != nil {
 			return nil, false, fmt.Errorf("consensus: eval-set accuracy after round %d: %w", iter, err)
 		}
 		r.accuracy = append(r.accuracy, acc)
-		//ppml:flow-ok held-out accuracy is the published evaluation metric — an aggregate over the model, not a training row
-		r.tel.accuracy.Set(acc)
+		r.tel.probeEnd(iter, acc)
 	}
 
 	next := r.next

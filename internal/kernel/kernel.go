@@ -21,7 +21,7 @@ import (
 
 // Kernel evaluates a positive-semidefinite similarity between two feature
 // vectors of equal length. The set is closed: the four kernels of Section
-// III-B below are the only implementations (dotForm is unexported), which is
+// III-B below are the only implementations (rowForm is unexported), which is
 // what lets Matrix, GramMatrix and Accumulate be the tiled panel path and
 // nothing else.
 type Kernel interface {
@@ -29,10 +29,12 @@ type Kernel interface {
 	Eval(x, y []float64) float64
 	// Name returns a short identifier used in logs and experiment output.
 	Name() string
-	// dotForm returns the kernel as a pointwise function of the inner
-	// product, K(x, y) = f(⟨x, y⟩, ‖x‖²+‖y‖²). needNorms reports whether f
-	// reads its second argument (RBF only).
-	dotForm() (f func(dot, sqSum float64) float64, needNorms bool)
+	// rowForm is the kernel as a function of the inner product, a panel row
+	// at a time: it turns row[j] = ⟨x, y_j⟩ into K(x, y_j) in place, given
+	// sqX = ‖x‖² and sq[j] = ‖y_j‖². needNorms reports whether it reads
+	// them (RBF only); callers pass 0 and nil otherwise.
+	rowForm(row []float64, sqX float64, sq []float64)
+	needNorms() bool
 }
 
 var (
@@ -52,9 +54,8 @@ func (Linear) Eval(x, y []float64) float64 { return linalg.Dot(x, y) }
 // Name implements Kernel.
 func (Linear) Name() string { return "linear" }
 
-func (Linear) dotForm() (func(dot, sqSum float64) float64, bool) {
-	return func(d, _ float64) float64 { return d }, false
-}
+func (Linear) rowForm([]float64, float64, []float64) {}
+func (Linear) needNorms() bool                       { return false }
 
 // Polynomial is K(x, y) = (a⟨x, y⟩ + b)^d (paper Section III-B, item 1).
 type Polynomial struct {
@@ -63,8 +64,10 @@ type Polynomial struct {
 }
 
 // Eval implements Kernel.
-func (p Polynomial) Eval(x, y []float64) float64 {
-	base := p.A*linalg.Dot(x, y) + p.B
+func (p Polynomial) Eval(x, y []float64) float64 { return p.ofDot(linalg.Dot(x, y)) }
+
+func (p Polynomial) ofDot(d float64) float64 {
+	base := p.A*d + p.B
 	out := 1.0
 	for i := 0; i < p.Degree; i++ {
 		out *= base
@@ -77,16 +80,12 @@ func (p Polynomial) Name() string {
 	return fmt.Sprintf("poly(a=%g,b=%g,d=%d)", p.A, p.B, p.Degree)
 }
 
-func (p Polynomial) dotForm() (func(dot, sqSum float64) float64, bool) {
-	return func(d, _ float64) float64 {
-		base := p.A*d + p.B
-		out := 1.0
-		for i := 0; i < p.Degree; i++ {
-			out *= base
-		}
-		return out
-	}, false
+func (p Polynomial) rowForm(row []float64, _ float64, _ []float64) {
+	for j, d := range row {
+		row[j] = p.ofDot(d)
+	}
 }
+func (Polynomial) needNorms() bool { return false }
 
 // RBF is the Gaussian kernel K(x, y) = exp(−γ‖x−y‖²).
 //
@@ -96,26 +95,33 @@ type RBF struct {
 	Gamma float64
 }
 
-// Eval implements Kernel.
+// Eval implements Kernel. The exponential is the one the panel rows go
+// through (linalg.ExpNonPos and its scalar form agree bit for bit), so Eval
+// and the tiled path differ only in how the squared distance was rounded.
 func (r RBF) Eval(x, y []float64) float64 {
-	return math.Exp(-r.Gamma * linalg.Dist2Sq(x, y))
+	return linalg.ExpNonPosScalar(-r.Gamma * linalg.Dist2Sq(x, y))
 }
 
 // Name implements Kernel.
 func (r RBF) Name() string { return fmt.Sprintf("rbf(gamma=%g)", r.Gamma) }
 
-// dotForm expands ‖x−y‖² = ‖x‖² + ‖y‖² − 2⟨x, y⟩. The distance is clamped at
-// zero so near-duplicate rows cannot produce values above 1 through
-// cancellation.
-func (r RBF) dotForm() (func(dot, sqSum float64) float64, bool) {
-	return func(d, s float64) float64 {
-		dd := s - 2*d
+// rowForm expands ‖x−y‖² = ‖x‖² + ‖y‖² − 2⟨x, y⟩ and hands the whole row of
+// −γ‖x−y_j‖² to the vector exp. The distance is clamped at zero so
+// near-duplicate rows cannot produce values above 1 through cancellation; the
+// clamp is a compare, not a max, so a NaN feature stays NaN (NaN < 0 is
+// false) and comes out of the exp as NaN instead of as a perfect match.
+func (r RBF) rowForm(row []float64, sqX float64, sq []float64) {
+	sq = sq[:len(row)]
+	for j, d := range row {
+		dd := sqX + sq[j] - 2*d
 		if dd < 0 {
 			dd = 0
 		}
-		return math.Exp(-r.Gamma * dd)
-	}, true
+		row[j] = -r.Gamma * dd
+	}
+	linalg.ExpNonPos(row)
 }
+func (RBF) needNorms() bool { return true }
 
 // Sigmoid is K(x, y) = tanh(a⟨x, y⟩ + c) (paper Section III-B, item 3, with
 // the customary slope parameter a).
@@ -134,9 +140,12 @@ func (s Sigmoid) Eval(x, y []float64) float64 {
 // Name implements Kernel.
 func (s Sigmoid) Name() string { return fmt.Sprintf("sigmoid(a=%g,c=%g)", s.A, s.C) }
 
-func (s Sigmoid) dotForm() (func(dot, sqSum float64) float64, bool) {
-	return func(d, _ float64) float64 { return math.Tanh(s.A*d + s.C) }, false
+func (s Sigmoid) rowForm(row []float64, _ float64, _ []float64) {
+	for j, d := range row {
+		row[j] = math.Tanh(s.A*d + s.C)
+	}
 }
+func (Sigmoid) needNorms() bool { return false }
 
 // Matrix computes the cross Gram matrix K(A, B) with K[i][j] = k(A_i, B_j),
 // where rows of a and b are samples: panel dots via the register-tiled linalg
@@ -161,25 +170,15 @@ func MatrixInto(k Kernel, a, b, dst *linalg.Matrix) (*linalg.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, needNorms := k.dotForm()
 	if a == b {
 		// Self-similarity: the symmetric panel path (mirrored entries, exact
 		// diagonal) at half the work; blocks own disjoint output elements.
-		var sq []float64
-		if needNorms {
-			sq = rowNormsSq(a)
-		}
-		gramTiled(f, a, sq, out, parallel.UsePool(a.Rows*a.Rows*a.Cols/2))
+		gramTiled(k, a, rowNormsSq(k, a), out, parallel.UsePool(a.Rows*a.Rows*a.Cols/2))
 		return out, nil
 	}
-	var sqA, sqB []float64
-	if needNorms {
-		// Precompute the squared row norms once and each entry costs one
-		// panel-dot plus the transform.
-		sqA = rowNormsSq(a)
-		sqB = rowNormsSq(b)
-	}
-	matrixTiled(f, a, b, sqA, sqB, out, parallel.UsePool(a.Rows*b.Rows*a.Cols))
+	// With the squared row norms computed once, an RBF entry costs one panel
+	// dot plus its share of the row transform.
+	matrixTiled(k, a, b, rowNormsSq(k, a), rowNormsSq(k, b), out, parallel.UsePool(a.Rows*b.Rows*a.Cols))
 	return out, nil
 }
 
@@ -191,9 +190,13 @@ func GramMatrix(k Kernel, a *linalg.Matrix) *linalg.Matrix {
 	return out
 }
 
-// rowNormsSq returns ‖a_i‖² for every row, computed on the worker pool when
-// the pool is wide and the matrix large.
-func rowNormsSq(a *linalg.Matrix) []float64 {
+// rowNormsSq returns ‖a_i‖² for every row — nil for a kernel whose row form
+// reads no norms — computed on the worker pool when the pool is wide and the
+// matrix large.
+func rowNormsSq(k Kernel, a *linalg.Matrix) []float64 {
+	if !k.needNorms() {
+		return nil
+	}
 	sq := make([]float64, a.Rows)
 	if parallel.UsePool(a.Rows * a.Cols) {
 		parallel.For(a.Rows, parallel.RowGrain(a.Cols), func(lo, hi int) {

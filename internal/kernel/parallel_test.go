@@ -149,3 +149,88 @@ func TestRBFFastPathMatchesEval(t *testing.T) {
 		}
 	}
 }
+
+// TestRBFRowFormSymmetricAndExact pins what the vector exp must not cost: a
+// kernel value depends on the pair of rows and nothing else. K(a, b) is
+// K(b, a) transposed bit for bit although every value sits in a different
+// lane and at a different row offset in the two; the symmetric path, which
+// transforms row i from column i on, equals the cross path off the diagonal;
+// and its diagonal is exactly 1. Row counts are multiples of 4 so that every
+// dot is a tile dot (the edge dots sum in another order, which is the dot's
+// contract, not the transform's).
+func TestRBFRowFormSymmetricAndExact(t *testing.T) {
+	k := RBF{Gamma: 0.07}
+	a := randomSamples(t, 21, 2*panelRows+4, 9)
+	b := randomSamples(t, 22, panelRows+4, 9)
+	ab, err := Matrix(k, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba, err := Matrix(k, b, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			if math.Float64bits(ab.At(i, j)) != math.Float64bits(ba.At(j, i)) {
+				t.Fatalf("K(a,b)[%d][%d] = %.17g, K(b,a)[%d][%d] = %.17g", i, j, ab.At(i, j), j, i, ba.At(j, i))
+			}
+		}
+	}
+	g := GramMatrix(k, a)
+	aa, err := Matrix(k, a, a.Clone()) // a second pointer: the cross path
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < a.Rows; i++ {
+		if g.At(i, i) != 1 {
+			t.Fatalf("diagonal (%d): K = %.17g, want exactly 1", i, g.At(i, i))
+		}
+		for j := 0; j < a.Rows; j++ {
+			if i != j && math.Float64bits(g.At(i, j)) != math.Float64bits(aa.At(i, j)) {
+				t.Fatalf("Gram (%d,%d) = %.17g, cross path %.17g", i, j, g.At(i, j), aa.At(i, j))
+			}
+		}
+	}
+}
+
+// TestRBFNaNFeaturePoisonsItsRow pins the clamp's NaN semantics: a NaN
+// feature makes every kernel value of its row NaN — through the cross path,
+// the symmetric path (diagonal included) and Accumulate — and never the
+// perfect match exp(0) = 1 that a max-style clamp would turn it into. Other
+// rows are untouched.
+func TestRBFNaNFeaturePoisonsItsRow(t *testing.T) {
+	k := RBF{Gamma: 0.07}
+	a := randomSamples(t, 23, panelRows+9, 7)
+	b := randomSamples(t, 24, 13, 7)
+	const bad = 5
+	a.Row(bad)[3] = math.NaN()
+	ab, err := Matrix(k, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := GramMatrix(k, a)
+	dst := make([]float64, a.Rows)
+	coef := make([]float64, b.Rows)
+	for j := range coef {
+		coef[j] = 1
+	}
+	if err := Accumulate(k, a, b, coef, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			if got := math.IsNaN(ab.At(i, j)); got != (i == bad) {
+				t.Fatalf("K(a,b)[%d][%d] = %g", i, j, ab.At(i, j))
+			}
+		}
+		for j := 0; j < a.Rows; j++ {
+			if got := math.IsNaN(g.At(i, j)); got != (i == bad || j == bad) {
+				t.Fatalf("Gram[%d][%d] = %g", i, j, g.At(i, j))
+			}
+		}
+		if got := math.IsNaN(dst[i]); got != (i == bad) {
+			t.Fatalf("Accumulate row %d = %g", i, dst[i])
+		}
+	}
+}

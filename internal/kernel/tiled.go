@@ -8,24 +8,26 @@ import (
 	"github.com/ppml-go/ppml/internal/parallel"
 )
 
-// The tiled Gram path: every kernel is a pointwise function of the inner
-// product ⟨x, y⟩ and, for RBF, the squared row norms (Kernel.dotForm), so
-// kernel matrices factor into a dense a · bᵀ — computed with the register-tiled
-// linalg kernel — followed by an elementwise transform. The dot panel for a
-// block of rows is computed into a per-worker scratch arena claimed from
-// panelPool and transformed into the output in place, so the full n×n dot
-// matrix is never materialized and workers never share scratch. Accumulate,
-// the scoring primitive, walks the same panels and reduces each against a
-// coefficient vector, so it retains no kernel matrix at all.
+// The tiled Gram path: every kernel is a function of the inner product ⟨x, y⟩
+// and, for RBF, the squared row norms, so kernel matrices factor into a dense
+// a · bᵀ — computed a block of panelRows rows at a time with the register-tiled
+// linalg kernel — followed by the kernel's transform of each row in place
+// (Kernel.rowForm: one call per panel row, for RBF one vector exp per row).
+// That call is the only transform: Matrix, GramMatrix and Accumulate differ in
+// where the dots land and what happens to a finished row, not in how it is
+// transformed. Matrix computes its dots straight into the output rows; the
+// symmetric path and Accumulate, the scoring primitive, compute theirs into a
+// scratch panel claimed from panelPool, so the full n×n dot matrix is never
+// materialized, workers never share scratch, and Accumulate — which reduces
+// each row against a coefficient vector — retains no kernel matrix at all.
 
 // panelRows is the row height of a dot panel: tall enough that the tiled
 // kernel runs at full width and the pool claim amortizes, short enough that
 // a panel (panelRows × n doubles) stays modest even for large Gram sizes.
 const panelRows = 32
 
-// panelPool holds dot-panel scratch arenas. A worker grabs one panel when it
-// claims a block and releases it when the block is done; panels are sized to
-// the widest use and resliced per block.
+// panelPool holds dot-panel scratch arenas, grabbed per panel and released
+// when its rows are done.
 var panelPool = sync.Pool{New: func() any { return new(linalg.Matrix) }}
 
 func grabPanel(r, c int) *linalg.Matrix {
@@ -46,51 +48,47 @@ func rowView(m *linalg.Matrix, rlo, rhi int) linalg.Matrix {
 	return linalg.Matrix{Rows: rhi - rlo, Cols: m.Cols, Data: m.Data[rlo*m.Cols : rhi*m.Cols]}
 }
 
-// dotPanels walks a · bᵀ in panels of panelRows rows of a: each block claimed
-// off the pool computes its dot panel into worker-local scratch and hands
-// visit the panel (rows [rlo, rlo+panel.Rows) of a against every row of b)
-// before the next one overwrites it. Panels cover disjoint rows of a, and
-// the panel boundaries do not depend on the worker count.
-func dotPanels(a, b *linalg.Matrix, par bool, visit func(rlo int, panel linalg.Matrix)) {
-	n := b.Rows
-	chunks := (a.Rows + panelRows - 1) / panelRows
-	body := func(lo, hi int) {
-		panel := grabPanel(panelRows, n)
-		for c := lo; c < hi; c++ {
-			rlo := c * panelRows
-			rhi := min(rlo+panelRows, a.Rows)
-			av := rowView(a, rlo, rhi)
-			pv := linalg.Matrix{Rows: rhi - rlo, Cols: n, Data: panel.Data[:(rhi-rlo)*n]}
-			linalg.MatMulTRows(&av, b, &pv, 0, rhi-rlo)
-			visit(rlo, pv)
+// forPanels calls body for every block [rlo, rhi) of panelRows rows of
+// [0, rows), on the worker pool when par. The block boundaries do not depend
+// on the worker count.
+func forPanels(rows int, par bool, body func(rlo, rhi int)) {
+	blocks := func(lo, hi int) {
+		for rlo := lo; rlo < hi; rlo += panelRows {
+			body(rlo, min(rlo+panelRows, hi))
 		}
-		releasePanel(panel)
 	}
 	if par {
-		parallel.For(chunks, 1, body)
+		parallel.For(rows, panelRows, blocks)
 		return
 	}
-	body(0, chunks)
+	blocks(0, rows)
 }
 
-// matrixTiled fills out[i][j] = f(⟨a_i, b_j⟩, sqA[i]+sqB[j]) panel by panel.
-// sqA/sqB are nil when the transform ignores norms. Each panel is
-// transformed into the disjoint output rows it owns.
-func matrixTiled(f func(dot, sqSum float64) float64, a, b *linalg.Matrix, sqA, sqB []float64, out *linalg.Matrix, par bool) {
-	dotPanels(a, b, par, func(rlo int, panel linalg.Matrix) {
-		for r := 0; r < panel.Rows; r++ {
-			prow := panel.Row(r)
-			orow := out.Row(rlo + r)
-			if sqA != nil {
-				si := sqA[rlo+r]
-				for j, d := range prow {
-					orow[j] = f(d, si+sqB[j])
-				}
-				continue
-			}
-			for j, d := range prow {
-				orow[j] = f(d, 0)
-			}
+// dotPanel returns rows [rlo, rhi) of a · bᵀ in pooled scratch; the caller
+// releases it.
+func dotPanel(a, b *linalg.Matrix, rlo, rhi int) *linalg.Matrix {
+	panel := grabPanel(rhi-rlo, b.Rows)
+	av := rowView(a, rlo, rhi)
+	linalg.MatMulTRows(&av, b, panel, 0, rhi-rlo)
+	return panel
+}
+
+// normAt returns sq[i], or 0 for a kernel that reads no norms (sq nil).
+func normAt(sq []float64, i int) float64 {
+	if sq == nil {
+		return 0
+	}
+	return sq[i]
+}
+
+// matrixTiled fills out[i][j] = k(a_i, b_j) a block of rows at a time: the
+// dots go straight into the output rows the block owns and are transformed
+// there. sqA/sqB are nil when the kernel reads no norms.
+func matrixTiled(k Kernel, a, b *linalg.Matrix, sqA, sqB []float64, out *linalg.Matrix, par bool) {
+	forPanels(a.Rows, par, func(rlo, rhi int) {
+		linalg.MatMulTRows(a, b, out, rlo, rhi)
+		for i := rlo; i < rhi; i++ {
+			k.rowForm(out.Row(i), normAt(sqA, i), sqB)
 		}
 	})
 }
@@ -100,14 +98,15 @@ func matrixTiled(f func(dot, sqSum float64) float64, a, b *linalg.Matrix, sqA, s
 //	dst[i] += Σ_j coef[j]·k(support_j, x_i)
 //
 // that is dst += K(x, support)·coef, without retaining the x.Rows ×
-// support.Rows kernel matrix: each dot panel is reduced into the dst rows it
-// owns as soon as it is computed. Support rows with a zero
-// coefficient are gathered out first, and the remaining terms are summed in
-// support order, so against the scalar Σ_j coef[j]·k.Eval(support_j, x_i)
-// only the dot itself (tile kernel, and for RBF the norm expansion
-// ‖x‖²+‖y‖²−2⟨x, y⟩ instead of the difference form) rounds differently. The
-// per-row arithmetic is the same on the sequential and the parallel path, so
-// the result does not depend on the worker count.
+// support.Rows kernel matrix: each dot panel is transformed and reduced into
+// the dst rows it owns as soon as it is computed. Support rows with a zero
+// coefficient are gathered out first, and the remaining terms are summed by
+// linalg.Dot in support order, so against the scalar
+// Σ_j coef[j]·k.Eval(support_j, x_i) only the dot itself (tile kernel, and for
+// RBF the norm expansion ‖x‖²+‖y‖²−2⟨x, y⟩ instead of the difference form) and
+// the order of the final sum round differently — RBF.Eval goes through the
+// same exp as the rows. The per-row arithmetic is the same on the sequential
+// and the parallel path, so the result does not depend on the worker count.
 func Accumulate(k Kernel, x, support *linalg.Matrix, coef, dst []float64) error {
 	if x.Cols != support.Cols {
 		return fmt.Errorf("kernel accumulate: %w: samples have %d features, support rows %d",
@@ -134,28 +133,14 @@ func Accumulate(k Kernel, x, support *linalg.Matrix, coef, dst []float64) error 
 		coef = gatherNonzero(support, coef, g)
 		support = g
 	}
-	f, needNorms := k.dotForm()
-	var sqX, sqS []float64
-	if needNorms {
-		sqX = rowNormsSq(x)
-		sqS = rowNormsSq(support)
-	}
-	par := parallel.UsePool(x.Rows * support.Rows * x.Cols)
-	dotPanels(x, support, par, func(rlo int, panel linalg.Matrix) {
-		for r := 0; r < panel.Rows; r++ {
-			prow := panel.Row(r)
-			var s float64
-			if sqX != nil {
-				si := sqX[rlo+r]
-				for j, d := range prow {
-					s += coef[j] * f(d, si+sqS[j])
-				}
-			} else {
-				for j, d := range prow {
-					s += coef[j] * f(d, 0)
-				}
-			}
-			dst[rlo+r] += s
+	sqX, sqS := rowNormsSq(k, x), rowNormsSq(k, support)
+	forPanels(x.Rows, parallel.UsePool(x.Rows*support.Rows*x.Cols), func(rlo, rhi int) {
+		panel := dotPanel(x, support, rlo, rhi)
+		defer releasePanel(panel)
+		for i := rlo; i < rhi; i++ {
+			row := panel.Row(i - rlo)
+			k.rowForm(row, normAt(sqX, i), sqS)
+			dst[i] += linalg.Dot(coef, row)
 		}
 	})
 	return nil
@@ -176,55 +161,34 @@ func gatherNonzero(support *linalg.Matrix, coef []float64, dst *linalg.Matrix) [
 }
 
 // gramTiled is matrixTiled specialized to the symmetric case: each panel
-// covers only columns j ≥ rlo of its row block, and entries below the
-// diagonal are mirrored rather than recomputed, halving both the dot and the
-// transform work. A block writes rows [rlo, rhi) plus the mirrored cells
-// out[j][i] for its columns — element-disjoint across blocks, exactly like
-// the pre-tiling triangular row loops.
-func gramTiled(f func(dot, sqSum float64) float64, a *linalg.Matrix, sq []float64, out *linalg.Matrix, par bool) {
+// covers only columns j ≥ rlo of its row block, row i is transformed from its
+// diagonal on, and entries below the diagonal are mirrored rather than
+// recomputed, halving both the dot and the transform work. A block writes
+// rows [rlo, rhi) plus the mirrored cells out[j][i] for its columns —
+// element-disjoint across blocks, exactly like the pre-tiling triangular row
+// loops.
+func gramTiled(k Kernel, a *linalg.Matrix, sq []float64, out *linalg.Matrix, par bool) {
 	n := a.Rows
-	chunks := (n + panelRows - 1) / panelRows
-	body := func(lo, hi int) {
-		panel := grabPanel(panelRows, n)
-		for c := lo; c < hi; c++ {
-			rlo := c * panelRows
-			rhi := min(rlo+panelRows, n)
-			av := rowView(a, rlo, rhi)
-			bv := rowView(a, rlo, n)
-			pv := linalg.Matrix{Rows: rhi - rlo, Cols: n - rlo, Data: panel.Data[:(rhi-rlo)*(n-rlo)]}
-			linalg.MatMulTRows(&av, &bv, &pv, 0, rhi-rlo)
-			for i := rlo; i < rhi; i++ {
-				prow := pv.Row(i - rlo)
-				orow := out.Row(i)
-				var si float64
-				if sq != nil {
-					si = sq[i]
-				}
-				for j := i; j < n; j++ {
-					d := prow[j-rlo]
-					var v float64
-					if sq != nil {
-						// On the diagonal the dot product is the squared
-						// norm by definition; using sq[i] for both keeps the
-						// cancellation exact, so K(x, x) = 1 for RBF
-						// bit-for-bit, independent of tile rounding.
-						if j == i {
-							d = sq[i]
-						}
-						v = f(d, si+sq[j])
-					} else {
-						v = f(d, 0)
-					}
-					orow[j] = v
-					out.Data[j*n+i] = v
-				}
+	forPanels(n, par, func(rlo, rhi int) {
+		bv := rowView(a, rlo, n)
+		panel := dotPanel(a, &bv, rlo, rhi)
+		defer releasePanel(panel)
+		for i := rlo; i < rhi; i++ {
+			row := panel.Row(i - rlo)[i-rlo:] // columns j ≥ i
+			var si float64
+			var sj []float64
+			if sq != nil {
+				// On the diagonal the dot product is the squared norm by
+				// definition; using sq[i] for both keeps the cancellation
+				// exact, so K(x, x) = exp(−0) = 1 for RBF bit-for-bit,
+				// independent of tile rounding.
+				row[0], si, sj = sq[i], sq[i], sq[i:]
+			}
+			k.rowForm(row, si, sj)
+			copy(out.Row(i)[i:], row)
+			for j := i + 1; j < n; j++ {
+				out.Data[j*n+i] = row[j-i]
 			}
 		}
-		releasePanel(panel)
-	}
-	if par {
-		parallel.For(chunks, 1, body)
-		return
-	}
-	body(0, chunks)
+	})
 }

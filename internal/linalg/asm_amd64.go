@@ -22,6 +22,13 @@ func dotTile2x4FMA(a0, a1, b0, b1, b2, b3 *float64, n int, out *[8]float64)
 //go:noescape
 func dotFMA(x, y *float64, n int) float64
 
+// expNonPosFMA is ExpNonPos over n elements, n a positive multiple of 4, with
+// AVX2 FMA: the same operations as ExpNonPosScalar, the same bits. tab is
+// expTab. Callers must have checked hasFMA.
+//
+//go:noescape
+func expNonPosFMA(x *float64, n int, tab *[17]float64)
+
 // hasFMA gates the assembly microkernels. It is a variable, not a constant,
 // so tests can force the pure-Go tile path and equivalence-check the two.
 var hasFMA = detectFMA()

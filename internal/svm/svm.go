@@ -198,7 +198,9 @@ func (m *Model) Predict(x []float64) float64 {
 // x, one MulVec for a linear model and the tiled kernel path
 // (kernel.Accumulate) otherwise. A nil dst is allocated; otherwise it must
 // hold x.Rows values, which are overwritten. Values agree with Decision to
-// rounding, not bit for bit.
+// rounding, not bit for bit: the dots and the order of the sum differ, the
+// kernel transform (RBF's exp included) is the same function on both sides
+// (see kernel.Accumulate).
 func (m *Model) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
 	if dst == nil {
 		dst = make([]float64, x.Rows)

@@ -39,7 +39,17 @@ var phasePairs = map[string]string{
 	"round.start": "round.end",
 	"solve.start": "solve.end",
 	"mask.start":  "mask.end",
+	"probe.start": "probe.end",
 }
+
+// phaseEnds is the set of *.end events that close a phasePairs slice.
+var phaseEnds = func() map[string]bool {
+	ends := make(map[string]bool, len(phasePairs))
+	for _, end := range phasePairs {
+		ends[end] = true
+	}
+	return ends
+}()
 
 // WriteChromeTrace renders the timeline as Chrome trace-event JSON.
 func WriteChromeTrace(w io.Writer, tl *Timeline) error {
@@ -74,7 +84,7 @@ func WriteChromeTrace(w io.Writer, tl *Timeline) error {
 			switch {
 			case phasePairs[e.Event] != "":
 				open[openKey{e.Node, phasePairs[e.Event], e.Attempt}] = e
-			case e.Event == "round.end" || e.Event == "solve.end" || e.Event == "mask.end":
+			case phaseEnds[e.Event]:
 				k := openKey{e.Node, e.Event, e.Attempt}
 				if s, ok := open[k]; ok {
 					delete(open, k)

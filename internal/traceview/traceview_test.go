@@ -280,3 +280,45 @@ func TestMergeLocalJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestChromeTraceProbeSlice checks the reducer's accuracy probe is drawn as
+// its own slice: a probe.start/probe.end pair inside a round becomes one
+// complete ("X") event named "probe" with the pair's duration.
+func TestChromeTraceProbeSlice(t *testing.T) {
+	t0 := time.Unix(1700000000, 0)
+	at := func(ms int, event string) telemetry.JournalEvent {
+		return telemetry.JournalEvent{
+			Seq: uint64(ms), Time: t0.Add(time.Duration(ms) * time.Millisecond),
+			Node: "reducer", Event: event, Round: 0,
+		}
+	}
+	tls := Merge(&Dump{Events: []telemetry.JournalEvent{
+		at(0, "round.start"), at(2, "consensus.round"), at(3, "probe.start"), at(8, "probe.end"), at(9, "round.end"),
+	}})
+	if len(tls) != 1 {
+		t.Fatalf("got %d timelines, want 1", len(tls))
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, tls[0]); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string  `json:"name"`
+			Phase string  `json:"ph"`
+			Dur   float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range doc.TraceEvents {
+		if e.Name == "probe" {
+			if e.Phase != "X" || e.Dur != 5000 {
+				t.Errorf("probe slice: phase %q, dur %v us, want X and 5000", e.Phase, e.Dur)
+			}
+			return
+		}
+	}
+	t.Errorf("no probe slice in %s", buf.String())
+}

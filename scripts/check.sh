@@ -92,6 +92,15 @@ if grep -nE '^[^/]*\.Eval\(' internal/kernel/*.go | grep -v "_test.go"; then
 	echo "error: an Eval call in internal/kernel (the tiled path is the only one)" >&2
 	exit 1
 fi
+# A kernel is transformed a panel row at a time (Kernel.rowForm), and the RBF
+# row goes through the one exp of the compute layer, linalg.ExpNonPos, whose
+# Go twin RBF.Eval calls too. A math.Exp in the package would be a second exp
+# with other bits; a per-element func(dot, sqSum) closure would be the 1.4 M
+# indirect calls a vk_scores round that the row form removed.
+if grep -nE 'math\.Exp\(|func\((dot|d), ?(sqSum|s|_) float64\) float64' internal/kernel/*.go | grep -v "_test.go"; then
+	echo "error: math.Exp or a per-element dot-form closure in internal/kernel (rowForm + linalg.ExpNonPos is the one transform path)" >&2
+	exit 1
+fi
 
 echo "==> Gram-free HL (MatMulT in hlinear.go only on the PaperSplit branch)"
 # The joint-update HL solve works on the rows (qp.SolveLinearBox); the dense
@@ -109,9 +118,10 @@ echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
 # The 2x4 accumulator array in tile.go is handed to the assembly microkernel
 # by pointer. A stub declared without //go:noescape makes the compiler move
 # it to the heap: one allocation per tile, 31,000 for one 1000x250 kernel
-# matrix. tiled.go's panel loops sit on the same path.
+# matrix. tiled.go's panel loops and exp.go's slice loop (a row per call into
+# the assembly exp) sit on the same path.
 if go build -gcflags=-m ./internal/linalg ./internal/kernel 2>&1 \
-	| grep -E '(tile|tiled)\.go:[0-9]+:[0-9]+: moved to heap'; then
+	| grep -E '(tile|tiled|exp)\.go:[0-9]+:[0-9]+: moved to heap'; then
 	echo "error: a local of the tile kernels escapes (assembly stub without //go:noescape?)" >&2
 	exit 1
 fi
@@ -126,6 +136,12 @@ go vet -vettool="$PWD/bin/ppml-vet" ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> GOARCH=arm64 build + vet of the compute layer (the stub/twin side of every assembly kernel)"
+# Off amd64 hasFMA is false and the pure-Go twins are the only path; nothing
+# in CI runs there, so at least keep it compiling and vet-clean.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/linalg ./internal/kernel
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -136,8 +152,8 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + tiled kernels + Gram-free QP + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
-go test -run '^$' -bench Gram -benchtime 1x ./internal/kernel/
+echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + Gram-free QP + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
+go test -run '^$' -bench 'Gram|Accumulate' -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench SolveLinearBox -benchtime 1x ./internal/qp/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
