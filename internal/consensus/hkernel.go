@@ -191,7 +191,7 @@ func newLandmarks(cfg Config, k, m int) (*landmarks, error) {
 	if err := kgScaled.AddScaledIdentity(1); err != nil {
 		return nil, err
 	}
-	ch, err := linalg.FactorizeCholesky(kgScaled)
+	ch, err := linalg.FactorizeCholeskyInPlace(kgScaled)
 	if err != nil {
 		return nil, fmt.Errorf("consensus hk: landmark matrix not SPD (raise Landmarks diversity or lower ρ): %w", err)
 	}

@@ -212,7 +212,7 @@ func (mp *logisticMapper) newtonSolve(u []float64, t float64) ([]float64, float6
 		if linalg.NormInf(grad) < 1e-9*(1+mp.cfg.Rho) {
 			break
 		}
-		ch, err := linalg.FactorizeCholesky(hess)
+		ch, err := linalg.FactorizeCholeskyInPlace(hess)
 		if err != nil {
 			return nil, 0, fmt.Errorf("consensus logistic newton: %w", err)
 		}

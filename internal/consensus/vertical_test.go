@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/ppml-go/ppml/internal/dataset"
@@ -188,6 +189,34 @@ func TestVKDistributedMatchesLocal(t *testing.T) {
 			t.Fatalf("decision differs at %d: %g vs %g", i, dl, dd)
 		}
 	}
+}
+
+// TestVKLearnerHoldsTwoMatrices is the memory half of the in-place factor: a
+// VK learner on one chunk of N rows allocates the Gram strip K and the factor
+// L, N × N each, where factoring a copy of I + ρK held a third.
+func TestVKLearnerHoldsTwoMatrices(t *testing.T) {
+	const n = 400
+	d := dataset.TwoGaussians("g", n, 16, 3, 5)
+	cfg, err := Config{C: 10, Rho: 100, Kernel: kernel.RBF{Gamma: 1.0 / 16}}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mp, err := newVKMapper(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mp.Contribution(0, make([]float64, n)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const nn = n * n * 8
+	grew := float64(after.TotalAlloc-before.TotalAlloc) / nn
+	if grew >= 2.5 {
+		t.Errorf("mapper construction and one round allocated %.2f·N²·8 bytes, want < 2.5 (K and L)", grew)
+	}
+	t.Logf("mapper construction and one round allocated %.2f·N²·8 bytes", grew)
 }
 
 func TestVerticalAccuracyHistoryRecorded(t *testing.T) {

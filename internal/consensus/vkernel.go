@@ -198,7 +198,8 @@ func newVKMapper(p *dataset.Dataset, cfg Config) (*vkMapper, error) {
 
 // build evaluates the strip K(X_c, X) for rows [lo, hi) and factors
 // I + ρs·K_cc, K_cc being the strip's columns [lo, hi). The regularized copy
-// is an intermediate and not kept.
+// is factored in place and becomes the factor's storage, so a learner holds
+// the strip and L and nothing else.
 func (mp *vkMapper) build(lo, hi int) error {
 	rhoS := mp.cfg.Rho * mp.sched.weight(hi-lo)
 	var err error
@@ -213,7 +214,7 @@ func (mp *vkMapper) build(lo, hi int) error {
 	if err := reg.AddScaledIdentity(1); err != nil {
 		return err
 	}
-	if mp.ch, err = linalg.FactorizeCholesky(reg); err != nil {
+	if mp.ch, err = linalg.FactorizeCholeskyInPlace(reg); err != nil {
 		return fmt.Errorf("consensus vk: (I + ρK) not SPD: %w", err)
 	}
 	return nil

@@ -116,7 +116,7 @@ type vlMapper struct {
 	// otherwise, so with one chunk the ridge matrix is factored once and
 	// each round's X·w carries into the next.
 	ch    *linalg.Cholesky
-	a     *linalg.Matrix // the ridge matrix's buffer, k_m × k_m
+	a     *linalg.Matrix // the ridge matrix's buffer, k_m × k_m; factored in place, so it is ch's storage
 	xw    []float64
 	built int
 
@@ -164,7 +164,7 @@ func (mp *vlMapper) build(xc *linalg.Matrix) error {
 	if err := mp.a.AddScaledIdentity(1); err != nil {
 		return err
 	}
-	if mp.ch, err = linalg.FactorizeCholesky(mp.a); err != nil {
+	if mp.ch, err = linalg.FactorizeCholeskyInPlace(mp.a); err != nil {
 		return fmt.Errorf("consensus vl: ridge matrix not SPD: %w", err)
 	}
 	return nil

@@ -70,6 +70,18 @@ func BenchmarkCholeskyFactorize200(b *testing.B) {
 	}
 }
 
+// BenchmarkCholeskyFactorize600 factors a vk_scores learner's system:
+// I + 100·K_RBF over 600 × 16 Gaussian rows, γ = 1/16.
+func BenchmarkCholeskyFactorize600(b *testing.B) {
+	a := rbfSystem(2, 600, 16, 1.0/16, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FactorizeCholesky(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCholeskySolve200(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomSPD(rng, 200)

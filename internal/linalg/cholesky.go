@@ -18,51 +18,167 @@ type Cholesky struct {
 	l *Matrix // lower triangular, including diagonal
 }
 
+// cholPanel is the column width of one panel of the blocked factorization.
+// The first panel is the unblocked loop itself, so factors of order ≤
+// cholPanel are bit-identical to it.
+const cholPanel = 32
+
 // FactorizeCholesky computes the Cholesky decomposition of the SPD matrix a.
-// a is read from its lower triangle only; it is not modified.
-//
-// After each pivot, the column update below the diagonal — one length-j dot
-// product per remaining row, all independent — runs on the parallel worker
-// pool when that column holds enough work; small systems keep the plain
-// sequential loop. The per-element arithmetic is identical on both paths, so
-// the factor does not depend on the worker count.
+// a is read from its lower triangle only; it is not modified: the triangle is
+// copied and factored by FactorizeCholeskyInPlace.
 func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("cholesky: %w: matrix %dx%d not square", ErrShape, a.Rows, a.Cols)
 	}
+	l := NewMatrix(a.Rows, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		copy(l.Row(i)[:i+1], a.Row(i)[:i+1])
+	}
+	return FactorizeCholeskyInPlace(l)
+}
+
+// FactorizeCholeskyInPlace factors the SPD matrix a, read from its lower
+// triangle, into a itself: the lower triangle is overwritten with L, the
+// upper triangle is zeroed, and the returned factor aliases a, so a must not
+// be modified while the factor is in use. After an error the contents of a
+// are unspecified.
+//
+// The factorization is left-looking and blocked by cholPanel columns. For
+// each panel [j0, j1) the sums Σ_{k<j0} L_ik·L_ck over the finished columns
+// are subtracted from the panel's entries with the 2×4 tile kernel, the
+// diagonal block is factored with the unblocked loop, and every row below it
+// is solved against that block. The rows below are independent, so the tile
+// update and the solve run fused, one worker-pool dispatch per panel. Each
+// entry is A_ic − (tile sum over k < j0) − Dot over [j0, c), and the row
+// pairing of the tiles is fixed by the row index, so the factor does not
+// depend on the worker count.
+func FactorizeCholeskyInPlace(a *Matrix) (*Cholesky, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("cholesky: %w: matrix %dx%d not square", ErrShape, a.Rows, a.Cols)
+	}
 	n := a.Rows
-	l := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		lj := l.Row(j)
-		d := a.At(j, j) - Dot(lj[:j], lj[:j])
+	for j0 := 0; j0 < n; j0 += cholPanel {
+		j1 := min(j0+cholPanel, n)
+		cholPanelUpdate(a, j0, j1, j0, j1)
+		if err := cholDiagBlock(a, j0, j1); err != nil {
+			return nil, err
+		}
+		if parallel.UsePool((n - j1) * j1 * (j1 - j0)) {
+			cholBelowPar(a, j0, j1)
+		} else {
+			cholBelow(a, j0, j1, j1, n)
+		}
+	}
+	for i := 0; i < n; i++ {
+		Zero(a.Row(i)[i+1:])
+	}
+	return &Cholesky{l: a}, nil
+}
+
+// cholDiagBlock factors the diagonal block [j0, j1) of a panel whose tile
+// update is done: the unblocked loop with its dots over the panel columns.
+// Entries right of the diagonal that the tile update wrote are never read.
+func cholDiagBlock(a *Matrix, j0, j1 int) error {
+	for j := j0; j < j1; j++ {
+		lj := a.Row(j)
+		d := lj[j] - Dot(lj[j0:j], lj[j0:j])
 		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotSPD, j, d)
+			return fmt.Errorf("%w: pivot %d is %g", ErrNotSPD, j, d)
 		}
 		diag := math.Sqrt(d)
 		lj[j] = diag
 		inv := 1 / diag
-		if parallel.UsePool((n - j - 1) * j) {
-			cholColumnPar(a, l, lj, j, n, inv)
-			continue
-		}
-		for i := j + 1; i < n; i++ {
-			li := l.Row(i)
-			li[j] = (a.At(i, j) - Dot(li[:j], lj[:j])) * inv
+		for i := j + 1; i < j1; i++ {
+			li := a.Row(i)
+			li[j] = (li[j] - Dot(li[j0:j], lj[j0:j])) * inv
 		}
 	}
-	return &Cholesky{l: l}, nil
+	return nil
 }
 
-// cholColumnPar runs one pivot's sub-diagonal column update on the worker
-// pool. It is a separate function so its closure cannot pessimize the
-// sequential factorization loop.
-func cholColumnPar(a, l *Matrix, lj []float64, j, n int, inv float64) {
-	parallel.For(n-j-1, parallel.RowGrain(j), func(lo, hi int) {
-		for i := j + 1 + lo; i < j+1+hi; i++ {
-			li := l.Row(i)
-			li[j] = (a.At(i, j) - Dot(li[:j], lj[:j])) * inv
+// cholBelow finishes the panel columns [j0, j1) of rows [rlo, rhi), all at
+// or below j1: the tile update, then each row solved against the factored
+// diagonal block with the unblocked loop's per-element operations.
+func cholBelow(a *Matrix, j0, j1, rlo, rhi int) {
+	cholPanelUpdate(a, j0, j1, rlo, rhi)
+	var inv [cholPanel]float64
+	for c := j0; c < j1; c++ {
+		inv[c-j0] = 1 / a.At(c, c)
+	}
+	for i := rlo; i < rhi; i++ {
+		li := a.Row(i)
+		for c := j0; c < j1; c++ {
+			lc := a.Row(c)
+			li[c] = (li[c] - Dot(li[j0:c], lc[j0:c])) * inv[c-j0]
 		}
+	}
+}
+
+// cholBelowPar runs cholBelow over the rows below a panel on the worker pool,
+// in blocks of whole row tiles so the tile pairing matches the sequential
+// walk. It is a separate function so its closure cannot pessimize the
+// sequential factorization loop.
+func cholBelowPar(a *Matrix, j0, j1 int) {
+	rows := a.Rows - j1
+	tiles := (rows + tileM - 1) / tileM
+	parallel.For(tiles, tileRowGrain(tileM*j1*(j1-j0)), func(lo, hi int) {
+		rlo, rhi := tileRange(lo, hi, rows)
+		cholBelow(a, j0, j1, j1+rlo, j1+rhi)
 	})
+}
+
+// cholPanelUpdate subtracts Σ_{k<j0} a_ik·a_ck from a_ic for the rows
+// [rlo, rhi) and the panel columns c ∈ [j0, j1): the a·bᵀ of the rows' and the
+// panel rows' finished parts, walked like matMulTTiledRows but in place at
+// row stride n. Rows pair into tiles from rlo, so a row's tile — and with it
+// its bits — is fixed by rlo and its index alone.
+func cholPanelUpdate(a *Matrix, j0, j1, rlo, rhi int) {
+	if j0 == 0 {
+		return
+	}
+	n := a.Cols
+	fma := hasFMA
+	i := rlo
+	for ; i+tileM <= rhi; i += tileM {
+		a0, a1 := a.Row(i), a.Row(i+1)
+		c := j0
+		for ; c+tileN <= j1; c += tileN {
+			var s [tileM * tileN]float64
+			if fma {
+				dotTile2x4FMA(&a0[0], &a1[0],
+					&a.Data[c*n], &a.Data[(c+1)*n], &a.Data[(c+2)*n], &a.Data[(c+3)*n],
+					j0, &s)
+			} else {
+				s[0], s[1], s[2], s[3],
+					s[4], s[5], s[6], s[7] = matMulTTile(
+					a0, a1,
+					a.Row(c), a.Row(c+1), a.Row(c+2), a.Row(c+3), j0)
+			}
+			for k := 0; k < tileN; k++ {
+				a0[c+k] -= s[k]
+				a1[c+k] -= s[tileN+k]
+			}
+		}
+		for ; c < j1; c++ {
+			lc := a.Row(c)
+			a0[c] -= dotEdge(a0, lc, j0)
+			a1[c] -= dotEdge(a1, lc, j0)
+		}
+	}
+	for ; i < rhi; i++ {
+		ai := a.Row(i)
+		for c := j0; c < j1; c++ {
+			ai[c] -= dotEdge(ai, a.Row(c), j0)
+		}
+	}
+}
+
+// dotEdge is Σ_{k<d} x[k]·y[k], d ≥ 1, by the tile walk's edge kernel.
+func dotEdge(x, y []float64, d int) float64 {
+	if hasFMA {
+		return dotFMA(&x[0], &y[0], d)
+	}
+	return dotSeq(x, y, d)
 }
 
 // Size returns the dimension of the factored matrix.

@@ -2,9 +2,167 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
+
+// choleskyOracle is the unblocked column-at-a-time factorization the blocked
+// one replaced: the reference the factor is checked against.
+func choleskyOracle(a *Matrix) (*Matrix, error) {
+	n := a.Rows
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		lj := l.Row(j)
+		d := a.At(j, j) - Dot(lj[:j], lj[:j])
+		if d <= 0 || math.IsNaN(d) {
+			return nil, fmt.Errorf("%w: pivot %d is %g", ErrNotSPD, j, d)
+		}
+		diag := math.Sqrt(d)
+		lj[j] = diag
+		inv := 1 / diag
+		for i := j + 1; i < n; i++ {
+			li := l.Row(i)
+			li[j] = (a.At(i, j) - Dot(li[:j], lj[:j])) * inv
+		}
+	}
+	return l, nil
+}
+
+// rbfSystem is the VK learner's system I + ρ·K over n Gaussian rows in d
+// dimensions with the RBF kernel exp(−γ‖x−y‖²) (internal/kernel imports this
+// package, so the Gram is spelled out here).
+func rbfSystem(seed int64, n, d int, gamma, rho float64) *Matrix {
+	x := randomDense(seed, n, d)
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			k := rho * math.Exp(-gamma*Dist2Sq(x.Row(i), x.Row(j)))
+			a.Set(i, j, k)
+			a.Set(j, i, k)
+		}
+		a.Data[i*n+i]++
+	}
+	return a
+}
+
+// TestCholeskyMatchesOracle pins the factor's numerical contract: the first
+// panel is the unblocked loop, so orders ≤ cholPanel are bit-identical to it;
+// above that each entry splits its sum at the panel edge, so L agrees with
+// the oracle to rounding and reconstructs A. Both entry points give the same
+// bits, the copying one leaves a alone, and the pure-Go tile twin meets the
+// same bounds as the AVX2 microkernel.
+func TestCholeskyMatchesOracle(t *testing.T) {
+	fmas := []bool{hasFMA}
+	if hasFMA {
+		fmas = append(fmas, false)
+		defer func() { hasFMA = true }()
+	}
+	for _, fma := range fmas {
+		hasFMA = fma
+		for _, n := range []int{1, 2, 31, 32, 33, 63, 64, 65, 97, 600} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			systems := map[string]*Matrix{
+				"randomSPD": randomSPD(rng, n),
+				"I+ρK":      rbfSystem(int64(n), n, 16, 1.0/16, 100),
+			}
+			for name, a := range systems {
+				t.Run(fmt.Sprintf("fma=%v/%s/n=%d", fma, name, n), func(t *testing.T) {
+					checkFactor(t, a)
+				})
+			}
+		}
+	}
+}
+
+func checkFactor(t *testing.T, a *Matrix) {
+	t.Helper()
+	n := a.Rows
+	orig := a.Clone()
+	want, err := choleskyOracle(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := FactorizeCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range a.Data {
+		if v != orig.Data[i] {
+			t.Fatalf("FactorizeCholesky modified a at %d", i)
+		}
+	}
+	inPlace := a.Clone()
+	chIn, err := FactorizeCholeskyInPlace(inPlace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chIn.l != inPlace {
+		t.Error("the in-place factor does not alias its argument")
+	}
+	got := ch.l
+	for i := range got.Data {
+		if inPlace.Data[i] != got.Data[i] {
+			t.Fatalf("in-place and copying factors differ at %d: %g vs %g", i, inPlace.Data[i], got.Data[i])
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if v := got.At(i, j); v != 0 {
+				t.Fatalf("upper triangle (%d,%d) = %g, want 0", i, j, v)
+			}
+		}
+	}
+	if n <= cholPanel {
+		for i := range got.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("n ≤ %d: differs from the unblocked loop at %d: %g vs %g", cholPanel, i, got.Data[i], want.Data[i])
+			}
+		}
+		return
+	}
+	var dl float64
+	for i := range got.Data {
+		dl = math.Max(dl, math.Abs(got.Data[i]-want.Data[i]))
+	}
+	if dl > 1e-11 {
+		t.Errorf("max |L − L_oracle| = %g > 1e-11", dl)
+	}
+	llt, err := MatMulT(got, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res float64
+	for i := range llt.Data {
+		res = math.Max(res, math.Abs(llt.Data[i]-orig.Data[i]))
+	}
+	scale := NormInf(orig.Data)
+	if res > 1e-12*scale {
+		t.Errorf("‖LLᵀ − A‖_max = %g > 1e-12·‖A‖_max = %g", res, 1e-12*scale)
+	}
+	t.Logf("max |L − L_oracle| = %.3g, ‖LLᵀ − A‖_max / ‖A‖_max = %.3g", dl, res/scale)
+}
+
+// TestCholeskyLaterPanelPivot: a matrix SPD in its leading 70 × 70 and
+// indefinite at 71 fails in the third panel, naming pivot 70, through both
+// entry points.
+func TestCholeskyLaterPanelPivot(t *testing.T) {
+	a := randomSPD(rand.New(rand.NewSource(70)), 100)
+	a.Set(70, 70, -1)
+	if _, err := choleskyOracle(a); err == nil || !strings.Contains(err.Error(), "pivot 70 ") {
+		t.Fatalf("oracle: err = %v, want pivot 70", err)
+	}
+	for name, factor := range map[string]func(*Matrix) (*Cholesky, error){
+		"copy": FactorizeCholesky, "in place": FactorizeCholeskyInPlace,
+	} {
+		_, err := factor(a.Clone())
+		if !errors.Is(err, ErrNotSPD) || !strings.Contains(err.Error(), "pivot 70 ") {
+			t.Errorf("%s: err = %v, want ErrNotSPD at pivot 70", name, err)
+		}
+	}
+}
 
 func TestCholeskyReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
@@ -86,6 +244,9 @@ func TestCholeskyNotSPD(t *testing.T) {
 	}
 	if _, err := FactorizeCholesky(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
 		t.Errorf("non-square: err = %v, want ErrShape", err)
+	}
+	if _, err := FactorizeCholeskyInPlace(NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
+		t.Errorf("non-square in place: err = %v, want ErrShape", err)
 	}
 }
 

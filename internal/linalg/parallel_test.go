@@ -90,10 +90,10 @@ func TestMulVecParallelMatchesSequential(t *testing.T) {
 }
 
 func TestCholeskyParallelMatchesSequential(t *testing.T) {
-	for _, n := range []int{10, 80, 300} {
+	for _, n := range []int{10, 33, 80, 300, 600} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		a := randomSPD(rng, n)
-		results := withWorkers(t, []int{1, 4, 16}, func() []float64 {
+		results := withWorkers(t, []int{1, 2, 3, 16}, func() []float64 {
 			ch, err := FactorizeCholesky(a)
 			if err != nil {
 				t.Fatal(err)

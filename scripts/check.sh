@@ -81,9 +81,18 @@ echo "==> closed compute layer (no env switch, in-tree reference loop, LU or gen
 # this package" or a reference implementation outside the tests would be a
 # path no command, option or bench workload can reach. (bench/ is frozen by
 # BENCHMARK.json; a comment there still names the switches.)
-if grep -rnE 'PPML_(WORKERS|PAR_THRESHOLD|NOSIMD)|MatMulT?Naive|FactorizeLU' . --include="*.go" \
+if grep -rnE 'PPML_(WORKERS|PAR_THRESHOLD|NOSIMD)|MatMulT?Naive|FactorizeLU|cholColumnPar' . --include="*.go" \
 	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/"; then
-	echo "error: a compute-layer switch, reference loop or LU in non-test Go" >&2
+	echo "error: a compute-layer switch, reference loop, LU or per-column Cholesky dispatch in non-test Go" >&2
+	exit 1
+fi
+# The factor is blocked by panels, one pool dispatch per panel; the copying
+# FactorizeCholesky is for callers that keep A (bench/replay.go factors one
+# matrix repeatedly; the tests). Every other caller factors a scratch matrix,
+# so it factors in place and holds one n x n instead of two.
+if grep -rnE 'FactorizeCholesky\(' . --include="*.go" \
+	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/" | grep -v "^./internal/linalg/"; then
+	echo "error: a copying FactorizeCholesky outside linalg and bench (factor the scratch matrix with FactorizeCholeskyInPlace)" >&2
 	exit 1
 fi
 # The four Eval methods call no Eval, so any call in the package is a generic
@@ -115,13 +124,14 @@ if awk '/^\tif split \{/ { split_branch = 1 }
 fi
 
 echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
-# The 2x4 accumulator array in tile.go is handed to the assembly microkernel
-# by pointer. A stub declared without //go:noescape makes the compiler move
-# it to the heap: one allocation per tile, 31,000 for one 1000x250 kernel
-# matrix. tiled.go's panel loops and exp.go's slice loop (a row per call into
+# The 2x4 accumulator array in tile.go and cholesky.go (the factor's panel
+# update) is handed to the assembly microkernel by pointer. A stub declared
+# without //go:noescape makes the compiler move it to the heap: one allocation
+# per tile, 31,000 for one 1000x250 kernel matrix and thousands per 600x600
+# factor. tiled.go's panel loops and exp.go's slice loop (a row per call into
 # the assembly exp) sit on the same path.
 if go build -gcflags=-m ./internal/linalg ./internal/kernel 2>&1 \
-	| grep -E '(tile|tiled|exp)\.go:[0-9]+:[0-9]+: moved to heap'; then
+	| grep -E '(tile|tiled|exp|cholesky)\.go:[0-9]+:[0-9]+: moved to heap'; then
 	echo "error: a local of the tile kernels escapes (assembly stub without //go:noescape?)" >&2
 	exit 1
 fi
@@ -152,10 +162,10 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + Gram-free QP + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
+echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky + Gram-free QP + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
 go test -run '^$' -bench 'Gram|Accumulate' -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench SolveLinearBox -benchtime 1x ./internal/qp/
-go test -run '^$' -bench 'MatMul500|MatMulT2000x50' -benchtime 1x ./internal/linalg/
+go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
 go test -run '^$' -bench Scalability -benchtime 1x .
 go test -run '^$' -bench Minibatch -benchtime 1x ./internal/consensus/
