@@ -60,7 +60,7 @@ func run(ctx context.Context, args []string) (err error) {
 	seed := fs.Int64("seed", 0, "override the random seed")
 	csvDir := fs.String("csv", "", "also write each experiment as CSV into this directory")
 	maskMode := fs.String("mask-mode", "seeded",
-		"masked-aggregation variant for distributed runs: seeded or per-round")
+		"masked-aggregation variant of the scalability panel's strict distributed runs: seeded or per-round")
 	jsonPath := fs.String("json", "", "with -panel elastic or async, also write that panel's report as JSON to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	metricsAddr := fs.String("metrics-addr", "",

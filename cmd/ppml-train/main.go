@@ -59,7 +59,7 @@ func run(ctx context.Context, args []string) error {
 	tcp := fs.Bool("tcp", false, "distributed mode over loopback TCP")
 	plain := fs.Bool("plain-aggregation", false, "disable secure summation (no privacy)")
 	maskMode := fs.String("mask-mode", "seeded",
-		"masked-aggregation variant: seeded (one seed exchange per session, O(M) msgs/round) or per-round (paper-literal, O(M^2) msgs/round)")
+		"masked-aggregation variant: seeded (one seed exchange per session, O(M) msgs/round) or per-round (paper-literal, O(M^2) msgs/round; strict rounds only, not with -straggler-timeout)")
 	stragglerTimeout := fs.Duration("straggler-timeout", 0,
 		"elastic rounds (implies -distributed): demote learners that miss this deadline and continue on the live roster; 0 keeps strict fixed membership")
 	minQuorum := fs.Int("min-quorum", 0,

@@ -53,10 +53,12 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-data", "/nonexistent"}, // unreadable file
 		{"-data", "x", "-format", "weird"},
 		{"-data", "x", "-scheme", "weird"},
+		{"-data", "x", "-mask-mode", "per-round", "-straggler-timeout", "50ms"}, // per-round masks run strict rounds only
 	}
 	data := writeTestCSV(t)
-	cases[2][1] = data
-	cases[3][1] = data
+	for _, c := range cases[2:] {
+		c[1] = data
+	}
 	for _, args := range cases {
 		if err := run(context.Background(), args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

@@ -92,7 +92,9 @@ type Config struct {
 	// MaskMode selects the masked-aggregation variant: seed-derived round
 	// masks (default — one pairwise seed exchange per session, O(M) messages
 	// per round) or the paper's literal per-round masks (O(M²) messages per
-	// round, information-theoretic). See DESIGN.md §10.
+	// round, information-theoretic). Per-round masks run strict rounds only:
+	// the engine refuses them with a StragglerTimeout (mapreduce.ErrBadJob).
+	// See DESIGN.md §10.
 	MaskMode mapreduce.MaskMode
 	// PaillierKey supplies the homomorphic key pair when Aggregation is
 	// mapreduce.AggregationPaillier.

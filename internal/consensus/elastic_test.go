@@ -17,33 +17,21 @@ import (
 
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/kernel"
-	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
-// chaosMaskModes: every kill scenario runs under both masked-aggregation
-// variants — the seed-derived masks and the paper-literal per-round exchange,
-// whose mid-round dropout behaviour (the wedge) is the harder case.
-var chaosMaskModes = []struct {
-	name string
-	mask mapreduce.MaskMode
-}{
-	{"seeded", mapreduce.MaskSeeded},
-	{"perround", mapreduce.MaskPerRound},
-}
-
 // chaosCluster arms cfg for the elastic driver over a fault-injected in-proc
-// network. The Reducer's sends are paced so the iteration budget outlives the
-// scheduled murders — otherwise a fast run would finish before the fault
-// lands and the test would assert nothing.
-func chaosCluster(cfg Config, mask mapreduce.MaskMode) (Config, *transport.Chaos, *telemetry.Registry) {
+// network, under seeded masks (the only masks elastic rounds run; each kill
+// scenario is the "seeded" subtest). The Reducer's sends are paced so the
+// iteration budget outlives the scheduled murders — otherwise a fast run
+// would finish before the fault lands and the test would assert nothing.
+func chaosCluster(cfg Config) (Config, *transport.Chaos, *telemetry.Registry) {
 	reg := telemetry.NewRegistry()
 	ch := transport.NewChaos(transport.NewInProc())
 	ch.Delay("reducer", 4*time.Millisecond)
 	cfg.Distributed = true
 	cfg.Network = ch
-	cfg.MaskMode = mask
 	cfg.StragglerTimeout = 60 * time.Millisecond
 	cfg.Telemetry = reg
 	return cfg, ch, reg
@@ -144,22 +132,18 @@ func TestElasticChaosKillHorizontalLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range chaosMaskModes {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			t.Parallel()
-			cfg, ch, reg := chaosCluster(base, mode.mask)
-			killAt(t, ch, 150*time.Millisecond, "mapper-5", "mapper-6")
-			model, h, err := TrainHorizontalLinear(chaosCtx(t), horizontalParts(t, train, 8, 3), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h.Iterations != base.MaxIterations {
-				t.Errorf("ran %d of %d iterations despite demote-and-continue", h.Iterations, base.MaxIterations)
-			}
-			assertChaosOutcome(t, reg, clean, model, test, 2, 0)
-		})
-	}
+	t.Run("seeded", func(t *testing.T) {
+		cfg, ch, reg := chaosCluster(base)
+		killAt(t, ch, 150*time.Millisecond, "mapper-5", "mapper-6")
+		model, h, err := TrainHorizontalLinear(chaosCtx(t), horizontalParts(t, train, 8, 3), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Iterations != base.MaxIterations {
+			t.Errorf("ran %d of %d iterations despite demote-and-continue", h.Iterations, base.MaxIterations)
+		}
+		assertChaosOutcome(t, reg, clean, model, test, 2, 0)
+	})
 }
 
 func TestElasticChaosKillHorizontalKernel(t *testing.T) {
@@ -170,19 +154,15 @@ func TestElasticChaosKillHorizontalKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range chaosMaskModes {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			t.Parallel()
-			cfg, ch, reg := chaosCluster(base, mode.mask)
-			killAt(t, ch, 150*time.Millisecond, "mapper-2", "mapper-7")
-			model, _, err := TrainHorizontalKernel(chaosCtx(t), horizontalParts(t, train, 8, 5), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertChaosOutcome(t, reg, clean, model, test, 2, 0)
-		})
-	}
+	t.Run("seeded", func(t *testing.T) {
+		cfg, ch, reg := chaosCluster(base)
+		killAt(t, ch, 150*time.Millisecond, "mapper-2", "mapper-7")
+		model, _, err := TrainHorizontalKernel(chaosCtx(t), horizontalParts(t, train, 8, 5), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertChaosOutcome(t, reg, clean, model, test, 2, 0)
+	})
 }
 
 func TestElasticChaosKillAndHealVerticalLinear(t *testing.T) {
@@ -194,29 +174,25 @@ func TestElasticChaosKillAndHealVerticalLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range chaosMaskModes {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			t.Parallel()
-			cfg, ch, reg := chaosCluster(base, mode.mask)
-			// A vertical learner owns feature columns nothing else can
-			// replace, so the death is transient: the survivors carry the
-			// rounds in between, and the healed learners must rejoin with
-			// their blocks before the budget runs out.
-			killAt(t, ch, 150*time.Millisecond, "mapper-3", "mapper-6")
-			healAt(t, ch, 450*time.Millisecond, "mapper-3", "mapper-6")
-			// The per-round probe reads the learners' blocks while demoted
-			// stragglers may still be solving (-race covers probe-vs-solve).
-			cfg.EvalSet = test
-			partsD, colsD := verticalParts(t, train, 8, 7)
-			model, h, err := TrainVerticalLinear(chaosCtx(t), partsD, colsD, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertProbedEveryRound(t, h)
-			assertChaosOutcome(t, reg, clean, model, test, 2, 2)
-		})
-	}
+	t.Run("seeded", func(t *testing.T) {
+		cfg, ch, reg := chaosCluster(base)
+		// A vertical learner owns feature columns nothing else can
+		// replace, so the death is transient: the survivors carry the
+		// rounds in between, and the healed learners must rejoin with
+		// their blocks before the budget runs out.
+		killAt(t, ch, 150*time.Millisecond, "mapper-3", "mapper-6")
+		healAt(t, ch, 450*time.Millisecond, "mapper-3", "mapper-6")
+		// The per-round probe reads the learners' blocks while demoted
+		// stragglers may still be solving (-race covers probe-vs-solve).
+		cfg.EvalSet = test
+		partsD, colsD := verticalParts(t, train, 8, 7)
+		model, h, err := TrainVerticalLinear(chaosCtx(t), partsD, colsD, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertProbedEveryRound(t, h)
+		assertChaosOutcome(t, reg, clean, model, test, 2, 2)
+	})
 }
 
 func TestElasticChaosKillAndHealVerticalKernel(t *testing.T) {
@@ -228,21 +204,17 @@ func TestElasticChaosKillAndHealVerticalKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range chaosMaskModes {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			t.Parallel()
-			cfg, ch, reg := chaosCluster(base, mode.mask)
-			killAt(t, ch, 150*time.Millisecond, "mapper-1", "mapper-4")
-			healAt(t, ch, 450*time.Millisecond, "mapper-1", "mapper-4")
-			cfg.EvalSet = test
-			partsD, colsD := verticalParts(t, train, 8, 9)
-			model, h, err := TrainVerticalKernel(chaosCtx(t), partsD, colsD, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertProbedEveryRound(t, h)
-			assertChaosOutcome(t, reg, clean, model, test, 2, 2)
-		})
-	}
+	t.Run("seeded", func(t *testing.T) {
+		cfg, ch, reg := chaosCluster(base)
+		killAt(t, ch, 150*time.Millisecond, "mapper-1", "mapper-4")
+		healAt(t, ch, 450*time.Millisecond, "mapper-1", "mapper-4")
+		cfg.EvalSet = test
+		partsD, colsD := verticalParts(t, train, 8, 9)
+		model, h, err := TrainVerticalKernel(chaosCtx(t), partsD, colsD, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertProbedEveryRound(t, h)
+		assertChaosOutcome(t, reg, clean, model, test, 2, 2)
+	})
 }

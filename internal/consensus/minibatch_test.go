@@ -137,6 +137,15 @@ func TestMinibatchConfigValidation(t *testing.T) {
 	}); !errors.Is(err, mapreduce.ErrBadJob) {
 		t.Errorf("Staleness past the wire stamp: err = %v, want mapreduce.ErrBadJob", err)
 	}
+	// Per-round masks run strict rounds only: elastic rounds, stale or not,
+	// are the policy's to refuse.
+	for _, staleness := range []int{0, 1} {
+		if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
+			C: 1, Rho: 1, Distributed: true, MaskMode: mapreduce.MaskPerRound, StragglerTimeout: time.Second, Staleness: staleness,
+		}); !errors.Is(err, mapreduce.ErrBadJob) || !strings.Contains(err.Error(), "MaskPerRound with StragglerTimeout") {
+			t.Errorf("MaskPerRound with StragglerTimeout, Staleness %d: err = %v, want mapreduce.ErrBadJob naming both", staleness, err)
+		}
+	}
 	if _, _, err := TrainHorizontalLinearStreamed(context.Background(), nil, Config{
 		C: 1, Rho: 1,
 	}); !errors.Is(err, ErrBadConfig) {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/ppml-go/ppml/internal/securesum"
 	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
 )
@@ -47,6 +49,8 @@ type elasticAveragingReducer struct {
 	lastState []float64
 	// participants records every SetRoundWeight call, in round order.
 	participants []int
+	// onCombine, when set, runs at the start of every Combine.
+	onCombine func(iter int)
 }
 
 func newElasticAveragingReducer(m int, needFull bool) *elasticAveragingReducer {
@@ -59,6 +63,9 @@ func (r *elasticAveragingReducer) SetRoundWeight(total float64) {
 }
 
 func (r *elasticAveragingReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+	if r.onCombine != nil {
+		r.onCombine(iter)
+	}
 	delta := 0.0
 	next := make([]float64, len(sum))
 	for i := range sum {
@@ -94,107 +101,95 @@ func runElastic(t *testing.T, job IterativeJob, opts DriverOptions) (*DriverResu
 }
 
 // TestElasticDemoteAndRejoin is the elastic driver's core contract, under
-// both mask modes: a mapper that sleeps through its straggler deadline is
-// demoted for the rounds it misses, the survivors keep training over partial
-// rosters, the straggler rejoins once it catches up, and the job converges to
-// the FULL-cohort consensus. The roster-churn results, the elastic telemetry
-// counters and the transport stale counter must all agree with that story.
+// seeded masks (the only masks elastic rounds run): a mapper that sleeps
+// through its straggler deadline is demoted for the rounds it misses, the
+// survivors keep training over partial rosters, the straggler rejoins once it
+// catches up, and the job converges to the FULL-cohort consensus. The
+// roster-churn results, the elastic telemetry counters and the transport stale
+// counter must all agree with that story.
 func TestElasticDemoteAndRejoin(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		mask MaskMode
-	}{
-		{"seeded", MaskSeeded},
-		{"perround", MaskPerRound},
-	} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			t.Parallel()
-			values := [][]float64{{1, 9}, {3, 11}, {5, 13}, {7, 15}}
-			m := len(values)
-			mappers := make([]IterativeMapper, m)
-			for i := range values {
-				sm := &slowMapper{value: values[i]}
-				if i == m-1 {
-					// Sleeps through several straggler windows, then wakes and
-					// catches up through the buffered broadcasts.
-					sm.slowOn = map[int]time.Duration{1: 1200 * time.Millisecond}
-				}
-				mappers[i] = sm
+	t.Run("seeded", func(t *testing.T) {
+		values := [][]float64{{1, 9}, {3, 11}, {5, 13}, {7, 15}}
+		m := len(values)
+		mappers := make([]IterativeMapper, m)
+		for i := range values {
+			sm := &slowMapper{value: values[i]}
+			if i == m-1 {
+				// Sleeps through several straggler windows, then wakes and
+				// catches up through the buffered broadcasts.
+				sm.slowOn = map[int]time.Duration{1: 1200 * time.Millisecond}
 			}
-			red := newElasticAveragingReducer(m, true)
-			job := IterativeJob{
-				Mappers:         mappers,
-				Reducer:         red,
-				InitialState:    make([]float64, 2),
-				ContributionDim: 2,
-				MaxIterations:   80,
-			}
-			res, snap := runElastic(t, job, DriverOptions{
-				MaskMode:         mode.mask,
-				StragglerTimeout: 200 * time.Millisecond,
-			})
-			if !res.Converged {
-				t.Fatalf("did not converge in %d iterations", res.Iterations)
-			}
-			want := []float64{4, 12} // mean over the FULL cohort
-			for i := range want {
-				if math.Abs(res.FinalState[i]-want[i]) > 1e-3 {
-					t.Errorf("state[%d] = %g, want %g", i, res.FinalState[i], want[i])
-				}
-			}
-			if res.Demotions < 1 || res.Rejoins < 1 {
-				t.Errorf("Demotions = %d, Rejoins = %d, want at least one of each", res.Demotions, res.Rejoins)
-			}
-			// The job only converges on a full roster, so every demotion was
-			// eventually matched by a rejoin.
-			if res.Demotions != res.Rejoins {
-				t.Errorf("Demotions = %d != Rejoins = %d with a full final roster", res.Demotions, res.Rejoins)
-			}
-			// Wiretap parity: the counters are the same events the result
-			// fields recorded, observed through the registry.
-			if got := snap.CounterTotal("ppml_mapper_demotions_total"); got != int64(res.Demotions) {
-				t.Errorf("ppml_mapper_demotions_total = %d, res.Demotions = %d", got, res.Demotions)
-			}
-			if got := snap.CounterTotal("ppml_mapper_rejoins_total"); got != int64(res.Rejoins) {
-				t.Errorf("ppml_mapper_rejoins_total = %d, res.Rejoins = %d", got, res.Rejoins)
-			}
-			if got, ok := snap.GaugeValue("ppml_round_participants"); !ok || got != float64(m) {
-				t.Errorf("ppml_round_participants = %v (ok=%v), want %d on the full final round", got, ok, m)
-			}
-			// SetRoundWeight saw the shrunken rounds.
-			shrunk := false
-			for _, n := range red.participants {
-				if n < m {
-					shrunk = true
-				}
-				if n < 1 || n > m {
-					t.Errorf("SetRoundWeight(%d) outside [1, %d]", n, m)
-				}
-			}
-			if !shrunk {
-				t.Error("reducer never saw a partial roster despite demotions")
-			}
-			// Regression for the round-advance eviction: the straggler's
-			// catch-up replays readiness for rounds the reducer already
-			// finished; those frames must be dropped and counted stale, not
-			// stashed until the endpoint closes.
-			if res.Net.StaleDropped < 1 {
-				t.Errorf("StaleDropped = %d, want at least 1 from the straggler's stale catch-up traffic", res.Net.StaleDropped)
-			}
+			mappers[i] = sm
+		}
+		red := newElasticAveragingReducer(m, true)
+		job := IterativeJob{
+			Mappers:         mappers,
+			Reducer:         red,
+			InitialState:    make([]float64, 2),
+			ContributionDim: 2,
+			MaxIterations:   80,
+		}
+		res, snap := runElastic(t, job, DriverOptions{
+			StragglerTimeout: 200 * time.Millisecond,
 		})
-	}
+		if !res.Converged {
+			t.Fatalf("did not converge in %d iterations", res.Iterations)
+		}
+		want := []float64{4, 12} // mean over the FULL cohort
+		for i := range want {
+			if math.Abs(res.FinalState[i]-want[i]) > 1e-3 {
+				t.Errorf("state[%d] = %g, want %g", i, res.FinalState[i], want[i])
+			}
+		}
+		if res.Demotions < 1 || res.Rejoins < 1 {
+			t.Errorf("Demotions = %d, Rejoins = %d, want at least one of each", res.Demotions, res.Rejoins)
+		}
+		// The job only converges on a full roster, so every demotion was
+		// eventually matched by a rejoin.
+		if res.Demotions != res.Rejoins {
+			t.Errorf("Demotions = %d != Rejoins = %d with a full final roster", res.Demotions, res.Rejoins)
+		}
+		// Wiretap parity: the counters are the same events the result
+		// fields recorded, observed through the registry.
+		if got := snap.CounterTotal("ppml_mapper_demotions_total"); got != int64(res.Demotions) {
+			t.Errorf("ppml_mapper_demotions_total = %d, res.Demotions = %d", got, res.Demotions)
+		}
+		if got := snap.CounterTotal("ppml_mapper_rejoins_total"); got != int64(res.Rejoins) {
+			t.Errorf("ppml_mapper_rejoins_total = %d, res.Rejoins = %d", got, res.Rejoins)
+		}
+		if got, ok := snap.GaugeValue("ppml_round_participants"); !ok || got != float64(m) {
+			t.Errorf("ppml_round_participants = %v (ok=%v), want %d on the full final round", got, ok, m)
+		}
+		// SetRoundWeight saw the shrunken rounds.
+		shrunk := false
+		for _, n := range red.participants {
+			if n < m {
+				shrunk = true
+			}
+			if n < 1 || n > m {
+				t.Errorf("SetRoundWeight(%d) outside [1, %d]", n, m)
+			}
+		}
+		if !shrunk {
+			t.Error("reducer never saw a partial roster despite demotions")
+		}
+		// Regression for the round-advance eviction: the straggler's
+		// catch-up replays readiness for rounds the reducer already
+		// finished; those frames must be dropped and counted stale, not
+		// stashed until the endpoint closes.
+		if res.Net.StaleDropped < 1 {
+			t.Errorf("StaleDropped = %d, want at least 1 from the straggler's stale catch-up traffic", res.Net.StaleDropped)
+		}
+	})
 }
 
-// TestElasticPerRoundMaskWedge pins the re-ready recovery: under per-round
-// masks, a mapper whose readiness declarations arrive but whose masks and
+// TestElasticShareLostAfterReady pins the seeded re-roster path
+// deterministically: a mapper whose readiness declarations arrive but whose
 // shares vanish (a crash between phases, injected with a kind-scoped chaos
-// drop) wedges every OTHER roster member mid mask exchange. The wedged
-// mappers must time out and re-declare, the Reducer must rebuild the roster
-// from the re-declarations instead of demoting everyone, and the round must
-// fold over the survivors — every round, since the faulty mapper keeps
-// answering ready.
-func TestElasticPerRoundMaskWedge(t *testing.T) {
+// drop) is demoted when the share deadline closes, and the survivors re-derive
+// over the shrunken roster under attempt 1 — every round, since the faulty
+// mapper keeps answering ready.
+func TestElasticShareLostAfterReady(t *testing.T) {
 	t.Parallel()
 	values := [][]float64{{2}, {4}, {9}}
 	m := len(values)
@@ -210,21 +205,15 @@ func TestElasticPerRoundMaskWedge(t *testing.T) {
 		ContributionDim: 1,
 		MaxIterations:   20,
 	}
-	reg := telemetry.NewRegistry()
+	reg := telemetry.NewRegistry(telemetry.WithJournal(4096))
 	chaos := transport.NewChaos(transport.NewInProc())
 	defer chaos.Close()
-	// mapper-2 stays reachable for broadcasts and readiness but its protocol
-	// payloads never leave: the exact shape of a process that dies after
-	// KindReady (the ready is on the wire, the masks never follow), repeated
-	// every round.
-	chaos.KillOutboundKind("mapper-2", "securesum.mask")
-	chaos.KillOutboundKind("mapper-2", "securesum.share")
+	chaos.KillOutboundKind("mapper-2", securesum.KindShare)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	res, err := RunDistributed(ctx, job, DriverOptions{
 		Network:          chaos,
 		Telemetry:        reg,
-		MaskMode:         MaskPerRound,
 		StragglerTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
@@ -233,24 +222,28 @@ func TestElasticPerRoundMaskWedge(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("did not converge in %d iterations", res.Iterations)
 	}
-	// The survivors' consensus: mean of {2, 4}. If a wedged attempt's stale
-	// masks ever leaked into a later attempt the telescope would not cancel
-	// and this would be garbage, so the assertion also pins the attempt-stamp
-	// filtering.
+	// The survivors' consensus: mean of {2, 4}. A share derived over the
+	// superseded roster would leave mapper-2's masks uncancelled in the sum.
 	if math.Abs(res.FinalState[0]-3) > 1e-3 {
 		t.Errorf("state = %g, want 3 (the survivors' mean)", res.FinalState[0])
 	}
 	if res.Demotions < 1 {
-		t.Errorf("Demotions = %d, want at least 1 (the wedging mapper)", res.Demotions)
-	}
-	snap := reg.Snapshot()
-	// Every round burned at least one share deadline before recovering.
-	if got := snap.CounterTotal("ppml_round_timeouts_total"); got < int64(res.Iterations) {
-		t.Errorf("ppml_round_timeouts_total = %d over %d rounds, want one per wedged round", got, res.Iterations)
+		t.Errorf("Demotions = %d, want at least 1 (the mapper whose shares vanish)", res.Demotions)
 	}
 	for _, n := range red.participants {
 		if n != m-1 {
 			t.Errorf("SetRoundWeight(%d), want every fold over the %d survivors", n, m-1)
+		}
+	}
+	reroster := make([]bool, res.Iterations)
+	for _, e := range reg.Journal().Snapshot() {
+		if e.Node == reducerName && e.Event == "roster.declared" && e.Attempt >= 1 && int(e.Round) < len(reroster) {
+			reroster[e.Round] = true
+		}
+	}
+	for r, ok := range reroster {
+		if !ok {
+			t.Errorf("round %d declared no attempt >= 1", r)
 		}
 	}
 }
@@ -267,35 +260,40 @@ func TestElasticWriteOff(t *testing.T) {
 	for i := range values {
 		mappers[i] = &slowMapper{value: values[i]}
 	}
+	chaos := transport.NewChaos(transport.NewInProc())
+	defer chaos.Close()
 	red := newElasticAveragingReducer(m, false)
+	red.tol = 0 // run the whole budget: the rounds after the write-off must cost no window
+	// mapper-2 crashes once round 0 folds: it finished the seed exchange and
+	// its first share, and its sends and receives vanish silently from then on.
+	red.onCombine = func(iter int) {
+		if iter == 0 {
+			chaos.Kill("mapper-2")
+		}
+	}
+	const rounds = 6
 	job := IterativeJob{
 		Mappers:         mappers,
 		Reducer:         red,
 		InitialState:    []float64{0},
 		ContributionDim: 1,
-		MaxIterations:   20,
+		MaxIterations:   rounds,
 	}
 	reg := telemetry.NewRegistry()
-	chaos := transport.NewChaos(transport.NewInProc())
-	defer chaos.Close()
-	chaos.Kill("mapper-2") // crashed from the start; its sends vanish silently
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	const writeOffAfter = 2
 	res, err := RunDistributed(ctx, job, DriverOptions{
-		Network:   chaos,
-		Telemetry: reg,
-		// Per-round masks: a mapper dead from t=0 would stall the seeded
-		// variant's full-cohort seed exchange before any round begins.
-		MaskMode:         MaskPerRound,
+		Network:          chaos,
+		Telemetry:        reg,
 		StragglerTimeout: 150 * time.Millisecond,
 		WriteOffAfter:    writeOffAfter,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
-		t.Fatalf("did not converge in %d iterations", res.Iterations)
+	if res.Iterations != rounds {
+		t.Fatalf("ran %d of %d rounds", res.Iterations, rounds)
 	}
 	if math.Abs(res.FinalState[0]-3) > 1e-3 {
 		t.Errorf("state = %g, want 3 (the survivors' mean)", res.FinalState[0])
@@ -337,21 +335,36 @@ func TestElasticQuorumFailure(t *testing.T) {
 	}
 }
 
-// TestElasticMinQuorumValidation rejects a quorum the cohort cannot satisfy.
+// TestElasticMinQuorumValidation: the configurations the engine's policy
+// rejects before opening any endpoint — a quorum the cohort cannot satisfy,
+// out-of-range enums, and per-round masks on elastic rounds.
 func TestElasticMinQuorumValidation(t *testing.T) {
 	job := IterativeJob{
-		Mappers:         []IterativeMapper{&slowMapper{value: []float64{1}}},
-		Reducer:         newElasticAveragingReducer(1, false),
+		Mappers:         []IterativeMapper{&slowMapper{value: []float64{1}}, &slowMapper{value: []float64{2}}},
+		Reducer:         newWeightedAveragingReducer(2),
 		InitialState:    []float64{0},
 		ContributionDim: 1,
 		MaxIterations:   2,
 	}
-	_, err := RunDistributed(context.Background(), job, DriverOptions{
-		StragglerTimeout: 50 * time.Millisecond,
-		MinQuorum:        5,
-	})
-	if !errors.Is(err, ErrBadJob) {
-		t.Fatalf("err = %v, want ErrBadJob", err)
+	for _, tc := range []struct {
+		name string
+		opts DriverOptions
+	}{
+		{"quorum above the cohort", DriverOptions{StragglerTimeout: 50 * time.Millisecond, MinQuorum: 5}},
+		{"aggregation out of range", DriverOptions{Aggregation: Aggregation(9)}},
+		{"mask mode out of range", DriverOptions{MaskMode: MaskMode(7)}},
+		{"per-round with a straggler deadline", DriverOptions{MaskMode: MaskPerRound, StragglerTimeout: 50 * time.Millisecond}},
+		{"per-round with staleness", DriverOptions{MaskMode: MaskPerRound, StragglerTimeout: 50 * time.Millisecond, Staleness: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunDistributed(context.Background(), job, tc.opts)
+			if !errors.Is(err, ErrBadJob) {
+				t.Fatalf("err = %v, want ErrBadJob", err)
+			}
+			if tc.opts.MaskMode == MaskPerRound && !strings.Contains(err.Error(), "MaskPerRound with StragglerTimeout") {
+				t.Errorf("err = %v, want it to name both settings", err)
+			}
+		})
 	}
 }
 

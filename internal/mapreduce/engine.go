@@ -44,8 +44,9 @@ import (
 )
 
 // policy is the engine's whole parameterisation, resolved from DriverOptions
-// by newPolicy — the one place MinQuorum, Staleness and StalenessDecay are
-// defaulted and range-checked, for every caller above it.
+// by newPolicy — the one place Aggregation and MaskMode are range-checked and
+// MinQuorum, Staleness and StalenessDecay defaulted and range-checked, for
+// every caller above it.
 type policy struct {
 	deadline     time.Duration // per-phase receive window; 0 waits indefinitely
 	deadlineName string        // the option deadline came from, for the timeout error
@@ -62,9 +63,21 @@ func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
 		deadline: opts.RoundTimeout, deadlineName: "RoundTimeout",
 		quorum: m, staleness: opts.Staleness, decay: opts.StalenessDecay, writeOff: opts.WriteOffAfter,
 	}
+	switch {
+	case agg < AggregationMasked || agg > AggregationPaillier:
+		return p, fmt.Errorf("%w: Aggregation %d", ErrBadJob, agg)
+	case opts.MaskMode != MaskSeeded && opts.MaskMode != MaskPerRound:
+		return p, fmt.Errorf("%w: MaskMode %v", ErrBadJob, opts.MaskMode)
+	}
 	if opts.StragglerTimeout > 0 {
 		p.deadline, p.deadlineName, p.elastic = opts.StragglerTimeout, "StragglerTimeout", true
 		p.handshake = agg == AggregationMasked
+		if p.handshake && opts.MaskMode == MaskPerRound {
+			// Per-round masks are exchanged over the fixed cohort: a member
+			// that dies between its ready and its masks would stall every
+			// other member's exchange. Elastic rounds derive seeded masks.
+			return p, fmt.Errorf("%w: MaskPerRound with StragglerTimeout (per-round masks run strict rounds only; elastic rounds need MaskSeeded)", ErrBadJob)
+		}
 		p.quorum = opts.MinQuorum
 		if p.quorum == 0 {
 			// A masked roster of one would hand the Reducer a share whose
@@ -108,7 +121,6 @@ type engine struct {
 	sessionEnv
 	idOf       map[string]int
 	ep         transport.Endpoint
-	maskMode   MaskMode
 	fold       folder
 	scratch    reduceScratch
 	checkpoint *CheckpointPlan
@@ -163,11 +175,9 @@ func staleRoundFilter(session uint64, round *int32) transport.Filter {
 // rounds are dropped and counted; a fast mapper's next-round frames wait in
 // the reorder buffer. Of this round only the wanted kind is delivered, and a
 // share only if stamped with the CURRENT attempt and roster: one derived under
-// a superseded attempt spans a telescope that can no longer cancel (a re-ready
-// retry can reuse the same roster with fresh randomness, which is why the
-// attempt, not the roster, is the identity). While shares are collected, ready
-// declarations are held, not dropped: a wedged mapper's re-declaration races
-// the share deadline, and recovery must not depend on which timer fired first.
+// a superseded attempt spans a telescope that can no longer cancel. (Attempts
+// of a round strictly shrink the roster, so the roster alone already tells
+// two derivations apart; the attempt is their label.)
 func (e *engine) filter(r, attempt int32, stamp transport.Roster, kind string) transport.Filter {
 	return func(m transport.Message) transport.Verdict {
 		if m.Session != e.session {
@@ -183,8 +193,6 @@ func (e *engine) filter(r, attempt int32, stamp transport.Roster, kind string) t
 			return transport.Defer
 		case m.Kind == kind && (kind == KindReady || (m.Attempt == attempt && m.Roster.Equal(stamp))):
 			return transport.Accept
-		case m.Kind == KindReady:
-			return transport.Defer
 		}
 		return transport.Drop
 	}
@@ -326,11 +334,8 @@ func (e *engine) belowQuorum(n int) error {
 	return fmt.Errorf("%w: roster of %d at round %d, need %d", ErrQuorum, n, e.round, e.quorum)
 }
 
-// maxStuckAttempts bounds consecutive retries that demote nobody: window
-// re-arms while a phase is below quorum, and re-ready passes over a stable
-// roster. A roster that keeps answering ready but never lands a share means
-// the straggler deadline is shorter than a healthy mask exchange, and
-// retrying will not fix configuration.
+// maxStuckAttempts bounds the window re-arms of a phase that is below quorum,
+// the only retries that demote nobody.
 const maxStuckAttempts = 3
 
 // setupGrace multiplies the ready deadline of round 0. The first readiness
@@ -339,20 +344,6 @@ const maxStuckAttempts = 3
 // not meant to police; demoting the whole cohort for a slow boot would abort
 // a perfectly healthy job below quorum.
 const setupGrace = 100
-
-// attemptOutcome is how one share-collection attempt resolved.
-type attemptOutcome int
-
-const (
-	// attemptDone — the roster's shares are folded; the sum is valid.
-	attemptDone attemptOutcome = iota
-	// attemptRetry — members were demoted mid-attempt; re-run with the
-	// shrunken roster.
-	attemptRetry
-	// attemptReready — nobody delivered a share under per-round masks; the
-	// roster is presumed wedged and readiness must be re-collected.
-	attemptReready
-)
 
 // collectRound executes the communication half of round e.round: broadcast,
 // the handshake when the policy has one, and share collection with re-roster
@@ -392,41 +383,19 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 			grace *= setupGrace
 		}
 		var err error
-		if roster, err = e.collectReady(ctx, roster, grace, "ready"); err != nil {
+		if roster, err = e.collectReady(ctx, roster, grace); err != nil {
 			return nil, nil, err
 		}
 	}
-	// Every attempt either completes, shrinks the roster, or (re-ready with a
-	// stable roster) burns one of a bounded number of stuck retries, so the
-	// loop terminates.
-	stuck := 0
+	// Every attempt either completes or shrinks the roster, so the loop
+	// terminates.
 	for attempt := int32(0); ; attempt++ {
 		if n := roster.Count(); n < e.quorum {
 			return nil, nil, e.belowQuorum(n)
 		}
-		sum, outcome, err := e.collectShares(ctx, attempt, roster)
-		if err != nil || outcome == attemptDone {
+		sum, done, err := e.collectShares(ctx, attempt, roster)
+		if err != nil || done {
 			return roster, sum, err
-		}
-		if outcome == attemptReready {
-			// Zero shares under per-round masks: the likeliest cause is a
-			// member that died between declaring ready and delivering its
-			// masks, wedging every OTHER member mid mask exchange. The wedged
-			// mappers time out and re-declare readiness; the dead one never
-			// does, so re-collecting readiness among the superseded roster's
-			// members (admitting a newcomer would grow the roster mid-round
-			// and break the shrink-only attempt ordering) shrinks the roster
-			// without having to guess who to blame.
-			before := roster.Count()
-			if roster, err = e.collectReady(ctx, roster, e.deadline, "reready"); err != nil {
-				return nil, nil, err
-			}
-			if roster.Count() < before {
-				stuck = 0
-			} else if stuck++; stuck >= maxStuckAttempts {
-				//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-				return nil, nil, fmt.Errorf("%w: round %d produced no shares across %d attempts with a stable roster of %d — StragglerTimeout %v is shorter than the mask exchange", ErrQuorum, r, stuck, before, e.deadline)
-			}
 		}
 	}
 }
@@ -434,11 +403,11 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 // collectReady gathers KindReady answers for the round from the eligible
 // mappers until every one replied or the window closes, and returns the
 // responders. A below-quorum roster is usually transient — the cohort can be
-// mid catch-up after a wedged previous round, with its late readys already
-// queued or in flight — so the window is re-armed a bounded number of times
-// (keeping the readys already collected) before the caller sees a roster it
-// would abort on. eligible is consumed: aborting mappers are struck from it.
-func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, first time.Duration, phase string) (transport.Roster, error) {
+// mid catch-up after a demotion, with its late readys already queued or in
+// flight — so the window is re-armed a bounded number of times (keeping the
+// readys already collected) before the caller sees a roster it would abort
+// on. eligible is consumed: aborting mappers are struck from it.
+func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, first time.Duration) (transport.Roster, error) {
 	r := e.round
 	roster := transport.NewRoster(len(e.names))
 	filter := e.filter(r, 0, nil, KindReady)
@@ -448,11 +417,11 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 		msg, err := e.ep.RecvMatch(wctx, filter)
 		if err != nil {
 			if !expired(ctx, err) {
-				return nil, fmt.Errorf("mapreduce %s phase: %w", phase, err)
+				return nil, fmt.Errorf("mapreduce ready phase: %w", err)
 			}
 			e.timeouts.Inc()
 			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-			e.journal.Emit(reducerName, "round.timeout", e.trace, r, 0, "", phase, 0, 0)
+			e.journal.Emit(reducerName, "round.timeout", e.trace, r, 0, "", "ready", 0, 0)
 			if roster.Count() >= e.quorum || rearms >= maxStuckAttempts {
 				break // the deadline IS the roster declaration
 			}
@@ -522,8 +491,9 @@ func (e *engine) void(roster transport.Roster) bool {
 // collectShares runs one share-collection attempt over roster: declare it
 // (handshake only), then fold shares until every member delivered or the
 // window closes. A member lost mid-attempt — silent past the deadline, or
-// aborting — is struck from roster.
-func (e *engine) collectShares(ctx context.Context, attempt int32, roster transport.Roster) ([]float64, attemptOutcome, error) {
+// aborting — is struck from roster. It reports whether the attempt is done:
+// if not, it was voided and the caller retries over the shrunken roster.
+func (e *engine) collectShares(ctx context.Context, attempt int32, roster transport.Roster) ([]float64, bool, error) {
 	r := e.round
 	var stamp transport.Roster
 	if e.handshake {
@@ -538,16 +508,16 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 			}
 			if err := e.ep.Send(ctx, name, KindRoster, hdr, nil); err != nil {
 				if ctx.Err() != nil {
-					return nil, attemptRetry, fmt.Errorf("mapreduce: roster broadcast: %w", err)
+					return nil, false, fmt.Errorf("mapreduce: roster broadcast: %w", err)
 				}
 				e.dead[i] = true
 				roster.Remove(i)
-				return nil, attemptRetry, nil
+				return nil, false, nil
 			}
 		}
 	}
 	if err := e.fold.reset(roster.Count()); err != nil {
-		return nil, attemptRetry, err
+		return nil, false, err
 	}
 	got := e.scratch.got
 	for i := range got {
@@ -561,16 +531,11 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 		msg, err := e.ep.RecvMatch(wctx, filter)
 		if err != nil {
 			if !expired(ctx, err) {
-				return nil, attemptRetry, fmt.Errorf("mapreduce reduce: %w", err)
+				return nil, false, fmt.Errorf("mapreduce reduce: %w", err)
 			}
 			e.timeouts.Inc()
 			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 			e.journal.Emit(reducerName, "round.timeout", e.trace, r, attempt, "", e.fold.kind(), 0, float64(collected))
-			if e.handshake && collected == 0 && e.maskMode == MaskPerRound {
-				// A single dead member wedges everyone else's mask exchange;
-				// blaming the whole roster would collapse the round.
-				return nil, attemptReready, nil
-			}
 			// Never demote below quorum on a single straggler deadline: the
 			// missing shares are usually in flight rather than lost, and they
 			// stay foldable under this attempt's stamp — so re-arm the window
@@ -593,13 +558,13 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 			e.lost = fmt.Errorf("mapreduce: round %d exceeded %s %v: %w", r, e.deadlineName, e.deadline, context.DeadlineExceeded)
 			if e.void(roster) {
-				return nil, attemptRetry, nil
+				return nil, false, nil
 			}
 			break
 		}
 		id, ok := e.idOf[msg.From]
 		if !ok {
-			return nil, attemptRetry, fmt.Errorf("%w: share from unknown party %q", ErrBadJob, msg.From)
+			return nil, false, fmt.Errorf("%w: share from unknown party %q", ErrBadJob, msg.From)
 		}
 		if msg.Kind == KindAbort {
 			if e.dead[id] {
@@ -615,7 +580,7 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 				roster.Remove(id)
 				e.lost = fmt.Errorf("%w: abort from %q", ErrAborted, msg.From)
 				if e.void(roster) {
-					return nil, attemptRetry, nil
+					return nil, false, nil
 				}
 			}
 			continue
@@ -624,7 +589,7 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 			continue // duplicate or out-of-roster share: ignore
 		}
 		if err := e.fold.add(msg.Payload); err != nil {
-			return nil, attemptRetry, fmt.Errorf("share from %q: %w", msg.From, err)
+			return nil, false, fmt.Errorf("share from %q: %w", msg.From, err)
 		}
 		got[id] = true
 		collected++
@@ -632,5 +597,5 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 		e.journal.Emit(reducerName, "share.recv", e.trace, r, attempt, msg.From, msg.Kind, int64(len(msg.Payload)), 0)
 	}
 	sum, err := e.fold.sum()
-	return sum, attemptDone, err
+	return sum, true, err
 }

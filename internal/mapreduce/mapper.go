@@ -27,7 +27,6 @@ type mapperEnv struct {
 	codec     fixedpoint.Codec
 	dim       int
 	retries   int
-	straggler time.Duration // per-attempt mask-exchange deadline; 0 = none
 	pack      *paillier.Packing
 	cipherCtr *telemetry.Counter
 	sstel     *securesum.Telemetry
@@ -71,8 +70,8 @@ func (s *solver) solve(iter int, state []float64) ([]float64, error) {
 // moved on without us (we were demoted) and lets the mapper catch up; a
 // duplicate is dropped. Roster declarations for this round are delivered,
 // older ones dropped, newer ones held. Peers' masks are never delivered here:
-// they wait in the reorder buffer until the attempt's own mask exchange
-// claims them, and masks of finished rounds are dropped. Other sessions'
+// they wait in the reorder buffer until the round's own mask exchange claims
+// them, and masks of finished rounds are dropped. Other sessions'
 // traffic is held untouched; everything else of this session (stop, or a
 // genuinely unexpected kind) is delivered to the loop.
 func mapperFilter(session uint64, round *int32) transport.Filter {
@@ -157,18 +156,11 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 	filter := mapperFilter(env.session, &n.round)
 	n.stale = staleRoundFilter(env.session, &n.round)
 	n.evictor, _ = ep.(transport.Evictor)
-	var ctrl *transport.Message // a control message that landed mid mask exchange
 	for {
-		var msg transport.Message
-		if ctrl != nil && filter(*ctrl) == transport.Accept {
-			msg = *ctrl
-		} else {
-			var err error
-			if msg, err = ep.RecvMatch(ctx, filter); err != nil {
-				return fmt.Errorf("mapper %d: %w", id, err)
-			}
+		msg, err := ep.RecvMatch(ctx, filter)
+		if err != nil {
+			return fmt.Errorf("mapper %d: %w", id, err)
 		}
-		ctrl = nil
 		switch msg.Kind {
 		case KindStop:
 			return nil
@@ -189,8 +181,7 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 		default:
 			return fmt.Errorf("%w: unexpected %q at mapper", ErrBadJob, msg.Kind)
 		}
-		var err error
-		if ctrl, err = n.serve(ctx, msg.Roster, msg.Attempt); err != nil {
+		if err := n.serve(ctx, msg.Roster, msg.Attempt); err != nil {
 			return err
 		}
 	}
@@ -206,7 +197,7 @@ func (n *mapperNode) startRound(ctx context.Context, payload []byte) error {
 		return fmt.Errorf("mapper %d: %w", n.id, err)
 	}
 	n.round = int32(iter)
-	// Round advance: deferred masks of dead attempts from earlier rounds will
+	// Round advance: frames of earlier rounds still in the reorder buffer will
 	// never be claimed; sweep them.
 	if n.evictor != nil {
 		n.evictor.Evict(n.stale)
@@ -245,13 +236,11 @@ func (n *mapperNode) declareReady(ctx context.Context) error {
 }
 
 // serve derives and sends this mapper's share of the round for one roster
-// attempt. A nil roster is the fixed cohort. The returned message, if any, is
-// a control message that landed mid mask exchange (a newer roster, a newer
-// broadcast, a stop) for the loop to act on.
-func (n *mapperNode) serve(ctx context.Context, roster transport.Roster, attempt int32) (*transport.Message, error) {
+// attempt. A nil roster is the fixed cohort.
+func (n *mapperNode) serve(ctx context.Context, roster transport.Roster, attempt int32) error {
 	if roster != nil {
 		if !roster.Has(n.id) {
-			return nil, nil // demoted this round; wait for the next broadcast
+			return nil // demoted this round; wait for the next broadcast
 		}
 		//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
 		n.journal.Emit(n.sv.node, "roster.recv", n.trace, n.round, attempt, "", "", 0, float64(roster.Count()))
@@ -265,21 +254,21 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster, attempt
 	case n.agg == AggregationPlain:
 		//ppml:plaintext-ok AggregationPlain is the deliberate no-privacy ablation baseline (Fig. 5 comparisons); selecting it is an explicit opt-out
 		if err := n.ep.Send(ctx, reducerName, KindPlainShare, hdr, encodeVector(n.contrib)); err != nil {
-			return nil, fmt.Errorf("mapper %d: %w", n.id, err)
+			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
-		return nil, nil
+		return nil
 	case n.agg == AggregationPaillier:
 		payload, enc, err := encryptContribution(n.contrib, n.codec, n.pack, n.enc, n.cipherCtr)
 		n.enc = enc
 		if err != nil {
 			//ppml:err-ok best-effort abort notification: the encryption error below is the one worth reporting
 			_ = n.ep.Send(ctx, reducerName, KindAbort, hdr, []byte(err.Error()))
-			return nil, fmt.Errorf("mapper %d: %w", n.id, err)
+			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		if err := n.ep.Send(ctx, reducerName, KindCipherShare, hdr, payload); err != nil {
-			return nil, fmt.Errorf("mapper %d: %w", n.id, err)
+			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
-		return nil, nil
+		return nil
 	case n.seeded != nil:
 		// Seeded masks: derive this attempt's masks locally and send only the
 		// masked share — no per-round mask messages.
@@ -287,39 +276,29 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster, attempt
 		start := time.Now()
 		payload, err := n.seeded.RoundShareBytesFor(n.round, n.contrib, n.live)
 		if err != nil {
-			return nil, fmt.Errorf("mapper %d aggregation: %w", n.id, err)
+			return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
 		}
 		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, attempt, time.Since(start))
 		if err := n.ep.Send(ctx, reducerName, securesum.KindShare, hdr, payload); err != nil {
-			return nil, fmt.Errorf("mapper %d: %w", n.id, err)
+			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		n.sstel.RecordShare(len(payload))
 		//ppml:flow-ok the round counter (from the public state broadcast) and the share's byte length are envelope metadata — indices and sizes, not share contents
 		n.journal.Emit(n.sv.node, "share.sent", n.trace, n.round, attempt, reducerName, securesum.KindShare, int64(len(payload)), 0)
-		return nil, nil
-	}
-	// Per-round masks: exchange fresh masks with the roster's members, then
-	// send the share (RoundRoster does both).
-	rctx, cancel := window(ctx, n.straggler)
-	n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, attempt, 0)
-	start := time.Now()
-	ctrl, err := n.perRound.RoundRoster(rctx, hdr, n.contrib, n.live)
-	cancel()
-	switch {
-	case err == nil:
+		return nil
+	case n.perRound != nil:
+		// Per-round masks, strict rounds only: exchange fresh masks with the
+		// whole cohort, then send the share (Round does both). A stop that
+		// lands mid exchange unwinds here as a protocol error.
+		n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, attempt, 0)
+		start := time.Now()
+		if err := n.perRound.Round(ctx, hdr, n.contrib); err != nil {
+			return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
+		}
 		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, attempt, time.Since(start))
-		return ctrl, nil
-	case expired(ctx, err):
-		// Wedged mask exchange: a roster member died before its masks
-		// arrived. Abandon the attempt and re-declare readiness — the Reducer
-		// rebuilds the roster from whoever re-declares, and this attempt's
-		// stale masks are dropped by the next attempt's filter (the attempt
-		// stamp, not the roster, identifies a derivation).
-		return nil, n.declareReady(ctx)
+		return nil
 	}
-	// A stop or abort that lands mid-protocol unwinds here; it is not this
-	// mapper's fault, so report it plainly.
-	return nil, fmt.Errorf("mapper %d aggregation: %w", n.id, err)
+	return fmt.Errorf("%w: mapper %d has no share path for Aggregation %d", ErrBadJob, n.id, n.agg)
 }
 
 // encryptContribution fixed-point-encodes the vector, slot-packs it (k ring

@@ -53,8 +53,10 @@ type DriverOptions struct {
 	// Aggregation defaults to AggregationMasked.
 	Aggregation Aggregation
 	// MaskMode selects how AggregationMasked produces its pairwise masks:
-	// MaskSeeded (default) or MaskPerRound. Ignored by the other
-	// aggregation modes.
+	// MaskSeeded (default) or MaskPerRound. MaskPerRound exchanges its masks
+	// over the fixed cohort, so it runs strict rounds only: with a
+	// StragglerTimeout (and so with Staleness) it is an ErrBadJob. Ignored by
+	// the other aggregation modes.
 	MaskMode MaskMode
 	// MapRetries re-invokes a failing Contribution this many times per
 	// iteration before the Mapper aborts the job.
@@ -310,7 +312,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 			journal: reg.Journal(),
 		},
 		idOf:         make(map[string]int, m),
-		maskMode:     opts.MaskMode,
 		checkpoint:   opts.Checkpoint,
 		rounds:       reg.Counter(metricRounds),
 		roundDur:     reg.Histogram(metricRoundSeconds, telemetry.DurationBuckets),
@@ -356,7 +357,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		codec:      codec,
 		dim:        job.ContributionDim,
 		retries:    opts.MapRetries,
-		straggler:  opts.StragglerTimeout,
 		pack:       pack,
 		cipherCtr:  cipherCtr,
 		sstel:      sstel,

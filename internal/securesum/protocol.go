@@ -79,15 +79,11 @@ func NewPerRoundParty(ep transport.Endpoint, names []string, self int, reducer s
 	}, nil
 }
 
-// maskRosterFilter demultiplexes one round attempt: current-round
-// masks stamped with THIS attempt and the same roster are delivered. Masks
-// from a superseded attempt (a lower attempt counter) are dropped — a
-// re-ready retry can re-run the same roster with fresh randomness, so the
-// attempt number, not the roster, is what tells two derivations apart. Masks
-// from a later attempt, whose roster broadcast has not reached us yet, wait
-// in the reorder buffer. Non-mask same-session messages are delivered for
-// the caller to interpret (a new roster, a stop).
-func maskRosterFilter(hdr transport.Header) transport.Filter {
+// maskFilter demultiplexes one round's mask exchange: masks of hdr's
+// (session, round) are delivered, a fast peer's next-round masks wait in the
+// reorder buffer, and leftovers of earlier rounds are dropped. Non-mask
+// same-session messages are delivered, and fail the round.
+func maskFilter(hdr transport.Header) transport.Filter {
 	return func(m transport.Message) transport.Verdict {
 		if m.Session != hdr.Session {
 			return transport.Defer
@@ -99,64 +95,35 @@ func maskRosterFilter(hdr transport.Header) transport.Filter {
 			case m.Round > hdr.Round:
 				return transport.Defer
 			}
-			switch {
-			case m.Attempt < hdr.Attempt:
-				return transport.Drop
-			case m.Attempt > hdr.Attempt:
-				return transport.Defer
-			}
-			if m.Roster.Equal(hdr.Roster) {
-				return transport.Accept
-			}
-			// Same attempt, different roster: a protocol violation no later
-			// filter will want either.
-			return transport.Drop
 		}
 		return transport.Accept
 	}
 }
 
-// RoundRoster executes one protocol round over a roster attempt: send a fresh
-// mask to every live peer of hdr.Roster (live is its Bools expansion; the full
-// cohort is the all-true roster, stamped nil), absorb theirs, submit the masked
-// share of value to the reducer. The share telescopes only over those pairs,
-// so the Reducer's sum cancels when every roster member folds the same roster.
+// Round executes one protocol round over the full cohort: send a fresh mask
+// to every peer, absorb theirs, submit the masked share of value to the
+// reducer. Every member's share telescopes over every pair, so the Reducer's
+// sum of all m shares cancels.
 //
-// hdr stamps every message with the job session, the consensus round, the
-// attempt and the roster, and the receive side demultiplexes on it: a fast
-// peer's next-round masks are buffered for that round instead of corrupting
-// this one, and leftovers of earlier rounds and attempts are dropped.
-//
-// A non-mask message of the same session does not fail the round: it is
-// returned to the caller, who decides what it means — a new, smaller roster
-// broadcast restarts the attempt; a stop ends the session. On a completed
-// attempt RoundRoster returns (nil, nil).
+// hdr stamps every message with the job session and the consensus round, and
+// the receive side demultiplexes on it: a fast peer's next-round masks are
+// buffered for that round instead of corrupting this one, and leftovers of
+// earlier rounds are dropped. Nothing but masks is expected mid-round, so a
+// control message (a stop) fails it with ErrProtocol.
 //
 // Reusing the per-peer wire buffers across rounds is safe under the driver's
 // lockstep: peer p absorbs our round-r mask before sending its round-r
 // share, the Reducer needs every round-r share before broadcasting round
 // r+1, and we only overwrite the buffer after receiving that broadcast.
-func (r *PerRoundParty) RoundRoster(ctx context.Context, hdr transport.Header, value []float64, live []bool) (*transport.Message, error) {
+func (r *PerRoundParty) Round(ctx context.Context, hdr transport.Header, value []float64) error {
 	m := len(r.names)
-	if len(live) != m {
-		return nil, fmt.Errorf("%w: roster over %d parties, want %d", ErrBadParty, len(live), m)
-	}
-	if !live[r.self] {
-		return nil, fmt.Errorf("%w: party %d excluded from its own roster", ErrBadParty, r.self)
-	}
-	expected := -1 // peers beyond self
-	for _, l := range live {
-		if l {
-			expected++
-		}
-	}
 	r.party.Reset()
 	masks, err := r.party.MaskForAll()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for peer := 0; peer < m; peer++ {
-		if peer == r.self || !live[peer] {
+		if peer == r.self {
 			continue
 		}
 		if r.maskWire[peer] == nil {
@@ -164,66 +131,53 @@ func (r *PerRoundParty) RoundRoster(ctx context.Context, hdr transport.Header, v
 		}
 		r.maskWire[peer] = AppendShares(r.maskWire[peer][:0], masks[peer])
 		if err := r.ep.Send(ctx, r.names[peer], KindMask, hdr, r.maskWire[peer]); err != nil {
-			return nil, fmt.Errorf("securesum: send mask to %q: %w", r.names[peer], err)
+			return fmt.Errorf("securesum: send mask to %q: %w", r.names[peer], err)
 		}
 		r.tel.RecordMask(len(r.maskWire[peer]))
 	}
-	filter := maskRosterFilter(hdr)
-	for received := 0; received < expected; received++ {
+	filter := maskFilter(hdr)
+	for received := 0; received < m-1; received++ {
 		msg, err := r.ep.RecvMatch(ctx, filter)
 		if err != nil {
-			return nil, fmt.Errorf("securesum: receive mask: %w", err)
+			return fmt.Errorf("securesum: receive mask: %w", err)
 		}
 		if msg.Kind != KindMask {
-			return &msg, nil // control message — the caller interprets it
+			return fmt.Errorf("%w: party %d got %q mid-round", ErrProtocol, r.self, msg.Kind)
 		}
 		peer, ok := r.idOf[msg.From]
 		if !ok {
-			return nil, fmt.Errorf("%w: mask from unknown party %q", ErrProtocol, msg.From)
-		}
-		if !live[peer] {
-			return nil, fmt.Errorf("%w: mask from party %d outside the roster", ErrProtocol, peer)
+			return fmt.Errorf("%w: mask from unknown party %q", ErrProtocol, msg.From)
 		}
 		mask, err := DecodeSharesInto(r.maskBuf, msg.Payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.maskBuf = mask
 		if err := r.party.SetPeerMask(peer, mask); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	share, err := r.party.ShareOver(value, live)
+	share, err := r.party.Share(value)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.wire = AppendShares(r.wire[:0], share)
 	if err := r.ep.Send(ctx, r.reducer, KindShare, hdr, r.wire); err != nil {
-		return nil, fmt.Errorf("securesum: send share: %w", err)
+		return fmt.Errorf("securesum: send share: %w", err)
 	}
 	r.tel.RecordShare(len(r.wire))
-	return nil, nil
+	return nil
 }
 
-// RunParty executes one full-cohort protocol round for one Mapper over its
-// transport endpoint: RoundRoster over the all-true roster. Nothing but masks
-// is expected mid-round, so a control message fails it with ErrProtocol.
-// Callers running many rounds should hold a PerRoundParty so the scratch
-// buffers survive between rounds.
+// RunParty executes one protocol round for one Mapper over its transport
+// endpoint. Callers running many rounds should hold a PerRoundParty so the
+// scratch buffers survive between rounds.
 func RunParty(ctx context.Context, ep transport.Endpoint, names []string, self int, reducer string, value []float64, codec fixedpoint.Codec, random io.Reader, hdr transport.Header) error {
 	r, err := NewPerRoundParty(ep, names, self, reducer, len(value), codec, random)
 	if err != nil {
 		return err
 	}
-	live := make([]bool, len(names))
-	for i := range live {
-		live[i] = true
-	}
-	ctrl, err := r.RoundRoster(ctx, hdr, value, live)
-	if err == nil && ctrl != nil {
-		err = fmt.Errorf("%w: party %d got %q mid-round", ErrProtocol, self, ctrl.Kind)
-	}
-	return err
+	return r.Round(ctx, hdr, value)
 }
 
 // RunCollector executes the Reducer's side of one round: it waits for the m

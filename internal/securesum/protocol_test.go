@@ -208,11 +208,9 @@ func TestRoundDemuxBuffersEarlyAndDropsStale(t *testing.T) {
 }
 
 func TestRunPartyControlMessageMidRoundIsProtocolError(t *testing.T) {
-	// RunParty is RoundRoster over the all-true roster, which hands a
-	// same-session non-mask message back to its caller; a one-shot round has
-	// nobody to interpret it, so it stays the protocol violation it always
-	// was. Every frame the party did send carries the nil roster and attempt
-	// 0 of a strict round.
+	// A same-session non-mask message mid-round is a protocol violation.
+	// Every frame the party did send carries the nil roster and attempt 0 of
+	// a strict round.
 	net := transport.NewInProc()
 	defer net.Close()
 	names := []string{"mapper-0", "mapper-1"}

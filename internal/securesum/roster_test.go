@@ -1,6 +1,7 @@
 package securesum
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -168,75 +169,34 @@ func TestRoundShareForValidation(t *testing.T) {
 	}
 }
 
-// TestPartyShareOver runs the per-round-mask analogue: parties exchange masks
-// with everyone, then one is demoted after the exchange; folding ShareOver
-// with the shrunken roster still cancels because BOTH sides skip the dead
-// pair's masks.
-func TestPartyShareOver(t *testing.T) {
-	const m, dim = 4, 3
+// TestPartyShareIncomplete: a peer's mask missing in either direction makes
+// the share ErrIncomplete rather than silently wrong — it could not cancel at
+// the Reducer.
+func TestPartyShareIncomplete(t *testing.T) {
+	const m, dim = 3, 2
 	codec := fixedpoint.Default()
-	parties := make([]*Party, m)
-	for i := range parties {
-		p, err := NewParty(i, m, dim, codec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parties[i] = p
-	}
-	for i := range parties {
-		masks, err := parties[i].MaskForAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range parties {
-			if i == j {
-				continue
-			}
-			if err := parties[j].SetPeerMask(i, masks[j]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	values := [][]float64{{1, 1, 1}, {2, 2, 2}, {4, 4, 4}, {8, 8, 8}}
-	live := []bool{true, true, false, true} // party 2 demoted post-exchange
-	col, err := NewCollector(m, dim, codec)
+	value := []float64{1, 2}
+	p, err := NewParty(0, m, dim, codec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := col.ResetFor(3); err != nil {
+	if _, err := p.Share(value); !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("share before any mask: err = %v, want ErrIncomplete", err)
+	}
+	if _, err := p.MaskForAll(); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range parties {
-		if !live[i] {
-			continue
-		}
-		share, err := p.ShareOver(values[i], live)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := col.Add(share); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := col.Sum()
-	if err != nil {
+	if err := p.SetPeerMask(1, make([]uint64, dim)); err != nil {
 		t.Fatal(err)
 	}
-	for k := range got {
-		if math.Abs(got[k]-11) > 1e-6 {
-			t.Fatalf("sum[%d] = %g, want 11", k, got[k])
-		}
+	if _, err := p.Share(value); !errors.Is(err, ErrIncomplete) {
+		t.Fatalf("share without peer 2's mask: err = %v, want ErrIncomplete", err)
 	}
-	// A live peer whose mask never arrived is incomplete, not silently wrong.
-	fresh, err := NewParty(0, m, dim, codec, nil)
-	if err != nil {
+	if err := p.SetPeerMask(2, make([]uint64, dim)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.MaskForAll(); err != nil {
+	if _, err := p.Share(value); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := fresh.ShareOver(values[0], live); err == nil {
-		t.Fatal("missing live-peer mask must be ErrIncomplete")
 	}
 }
 

@@ -168,57 +168,31 @@ func (p *Party) SetPeerMask(peer int, mask []uint64) error {
 }
 
 // Share computes the masked contribution wᵢ + Sedᵢ − Revᵢ over the full
-// cohort: ShareOver with the nil roster, every peer live.
-func (p *Party) Share(value []float64) ([]uint64, error) { return p.ShareOver(value, nil) }
-
-// ShareOver computes the masked contribution restricted to a roster: only
-// masks exchanged with live peers enter the telescope, so the sum cancels at
-// the Reducer when every roster member folds the same roster. Masks already
-// exchanged with a peer that was demoted after the exchange are simply skipped
-// — that pair's mask never reaches the Reducer from either side, so it cannot
-// unbalance the telescope. A live peer whose mask is missing (in either
-// direction) is an ErrIncomplete: the caller must re-run the exchange for the
-// shrunken roster rather than send a share that cannot cancel. live[p.id]
-// must be true. The returned slice is the party's encode scratch: it stays
-// valid until the party is Reset and shares again.
-func (p *Party) ShareOver(value []float64, live []bool) ([]uint64, error) {
-	if live != nil && len(live) != p.m {
-		return nil, fmt.Errorf("%w: roster over %d parties, want %d", ErrBadParty, len(live), p.m)
-	}
-	if live != nil && !live[p.id] {
-		return nil, fmt.Errorf("%w: party %d excluded from its own roster", ErrBadParty, p.id)
-	}
+// cohort. A peer whose mask is missing (in either direction) is an
+// ErrIncomplete: a share without it cannot cancel at the Reducer. The returned
+// slice is the party's encode scratch: it stays valid until the party is Reset
+// and shares again.
+func (p *Party) Share(value []float64) ([]uint64, error) {
 	if len(value) != p.dim {
 		return nil, fmt.Errorf("%w: value has %d elements, want %d", ErrBadParty, len(value), p.dim)
 	}
-	for peer := 0; peer < p.m; peer++ {
-		if peer == p.id || (live != nil && !live[peer]) {
-			continue
-		}
-		if _, ok := p.sent[peer]; !ok {
-			return nil, fmt.Errorf("%w: no mask generated for live peer %d", ErrIncomplete, peer)
-		}
-		if _, ok := p.recv[peer]; !ok {
-			return nil, fmt.Errorf("%w: no mask received from live peer %d", ErrIncomplete, peer)
-		}
+	if len(p.sent) != p.m-1 {
+		return nil, fmt.Errorf("%w: %d of %d masks generated", ErrIncomplete, len(p.sent), p.m-1)
+	}
+	if len(p.recv) != p.m-1 {
+		return nil, fmt.Errorf("%w: %d of %d masks received", ErrIncomplete, len(p.recv), p.m-1)
 	}
 	share, err := p.codec.EncodeVec(value, p.shareBuf)
 	if err != nil {
 		return nil, fmt.Errorf("securesum encode: %w", err)
 	}
 	p.shareBuf = share
-	for peer, mask := range p.sent {
-		if live != nil && !live[peer] {
-			continue
-		}
+	for _, mask := range p.sent {
 		if err := fixedpoint.AddVec(share, mask); err != nil {
 			return nil, err
 		}
 	}
-	for peer, mask := range p.recv {
-		if live != nil && !live[peer] {
-			continue
-		}
+	for _, mask := range p.recv {
 		if err := fixedpoint.SubVec(share, mask); err != nil {
 			return nil, err
 		}
@@ -298,8 +272,9 @@ func (c *Collector) SumInto(dst []float64) ([]float64, error) {
 }
 
 // MaskedSum runs the whole protocol in memory over the given private
-// vectors, returning their sum. It exists for tests; the distributed path
-// goes through RunParty/RunCollector.
+// vectors, returning their sum. It exists for tests; the distributed engine
+// derives each mapper's share with a SeededSession or a PerRoundParty and
+// folds them with a Collector.
 func MaskedSum(values [][]float64, codec fixedpoint.Codec, random io.Reader) ([]float64, error) {
 	m := len(values)
 	if m == 0 {

@@ -137,7 +137,7 @@ func (c *Chaos) KillInbound(name string) {
 // KillOutboundKind silently drops the named endpoint's sends of one message
 // kind while everything else still flows. This is the scalpel for protocol-
 // phase faults — e.g. a mapper whose readiness declarations arrive but whose
-// pairwise masks never do, the wedge the re-ready recovery exists for.
+// shares never do, which the Reducer must re-roster around.
 func (c *Chaos) KillOutboundKind(name, kind string) {
 	c.mu.Lock()
 	r := c.rule(name)

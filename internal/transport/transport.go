@@ -48,16 +48,16 @@ type Header struct {
 	// Round is the protocol round (consensus iteration) of the message.
 	Round int32
 	// Roster, when non-nil, is the per-round participation set this message
-	// declares (a roster broadcast) or was produced under (a share or mask
-	// scoped to a roster attempt). Nil means fixed membership — the
-	// pre-elastic protocol where every mapper answers every round.
+	// declares (a roster broadcast) or was produced under (a share scoped to
+	// a roster attempt). Nil means fixed membership — the strict protocol
+	// where every mapper answers every round.
 	Roster Roster
 	// Attempt numbers the share-collection attempts of one elastic round:
 	// the first roster declaration is attempt 0 and every re-declaration
-	// increments it. Masks and shares carry the attempt they were derived
-	// under, so receivers can tell two attempts apart even when both span
-	// the same roster (a re-ready retry after a wedged mask exchange) and
-	// drop superseded-attempt traffic instead of folding it.
+	// increments it. Shares carry the attempt they were derived under, and
+	// receivers drop superseded-attempt traffic instead of folding it. Each
+	// attempt's roster is strictly smaller than the last, so the roster
+	// alone already tells attempts apart; the attempt is their label.
 	Attempt int32
 	// Trace is the distributed trace identity of the session, minted by the
 	// reducer at session start and echoed by mappers on every reply, so

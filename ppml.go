@@ -468,7 +468,9 @@ func WithMinQuorum(n int) Option {
 // default is seed-derived masking — one pairwise seed exchange per session,
 // per-round masks expanded locally by an AES-CTR PRG — which computes
 // identical iterates with O(M) messages per round under a computational
-// (PRF) hiding argument. See DESIGN.md §10 for when each mode is the right
+// (PRF) hiding argument. Per-round masks are exchanged over the fixed cohort,
+// so they run strict rounds only: Train refuses them together with
+// WithStragglerTimeout. See DESIGN.md §10 for when each mode is the right
 // choice.
 func WithPerRoundMasks() Option {
 	return func(o *options) { o.cfg.MaskMode = mapreduce.MaskPerRound }

@@ -104,6 +104,11 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := ppml.Train(train, ppml.HorizontalLinear, ppml.WithLearners(0)); !errors.Is(err, ppml.ErrBadRequest) {
 		t.Errorf("0 learners: err = %v, want ErrBadRequest", err)
 	}
+	// Per-round masks run strict rounds only.
+	if _, err := ppml.Train(train, ppml.HorizontalLinear, ppml.WithLearners(2), ppml.WithIterations(2),
+		ppml.WithPerRoundMasks(), ppml.WithStragglerTimeout(50*time.Millisecond)); err == nil || !strings.Contains(err.Error(), "MaskPerRound with StragglerTimeout") {
+		t.Errorf("per-round masks with a straggler timeout: err = %v, want a configuration error naming both", err)
+	}
 }
 
 func TestTrainDistributedSecureBeatsPlainTraffic(t *testing.T) {

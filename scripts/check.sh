@@ -53,15 +53,27 @@ if grep -rnE 'ChunkMapper|combineChunk|hkLearner|vlBlock|vkBlock' . --include="*
 	exit 1
 fi
 
-echo "==> one configuration spine (one reducer hook, one per-round entry point, no knob nothing sets, in non-test Go)"
-# A round's cohort is the one weight WeightedReducer.SetRoundWeight announces
-# and the full cohort is the all-true roster of PerRoundParty.RoundRoster; the
-# second SMO selection and the Paillier width had no caller. A second hook, a
-# strict-only round or either option coming back would be a decision spelled
-# twice again. (bench/ is frozen by BENCHMARK.json and uses none of them.)
-if grep -rnE 'SetRoundParticipants|RosterReducer|WithSecondOrder|QPSecondOrder|PaillierPackWidth|maskFilter\(' . --include="*.go" \
+echo "==> one configuration spine (one reducer hook, no knob nothing sets, in non-test Go)"
+# A round's cohort is the one weight WeightedReducer.SetRoundWeight announces;
+# the second SMO selection and the Paillier width had no caller. A second hook
+# or either option coming back would be a decision spelled twice again.
+# (bench/ is frozen by BENCHMARK.json and uses none of them.)
+if grep -rnE 'SetRoundParticipants|RosterReducer|WithSecondOrder|QPSecondOrder|PaillierPackWidth' . --include="*.go" \
 	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/"; then
-	echo "error: a second cohort hook, a strict-only mask round or a removed knob in non-test Go" >&2
+	echo "error: a second cohort hook or a removed knob in non-test Go" >&2
+	exit 1
+fi
+
+echo "==> one derivation per roster (per-round masks run strict rounds only, in non-test Go)"
+# Elastic rounds derive seeded masks, and every attempt of a round has a
+# strictly smaller roster. Per-round masks run PerRoundParty.Round over the
+# full cohort, the strict round being their only round (newPolicy refuses
+# them with a StragglerTimeout). A re-ready phase, a roster-scoped mask
+# exchange or a roster-scoped Party share would bring back the wedge recovery
+# of a combination nothing runs.
+if grep -rnE 'attemptReready|"reready"|maskRosterFilter|RoundRoster|ShareOver\(' . --include="*.go" \
+	| grep -v "_test.go" | grep -v "/testdata/"; then
+	echo "error: a per-round exchange over a changing roster in non-test Go (elastic rounds derive seeded masks)" >&2
 	exit 1
 fi
 
