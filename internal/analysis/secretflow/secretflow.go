@@ -115,10 +115,11 @@ var clearedFields = map[string]map[string]bool{
 	"internal/transport": {
 		"From": true, "To": true, "Kind": true,
 		"Session": true, "Round": true, "Seq": true,
-		// The elastic-round stamps: who is in the round and which
-		// share-collection attempt this is. Membership is announced to every
-		// learner by the roster protocol itself, so it is public metadata.
-		"Roster": true, "Attempt": true,
+		// The elastic-round stamp: who is in the round, which also tells
+		// two share derivations of one round apart. Membership is announced
+		// to every learner by the roster protocol itself, so it is public
+		// metadata.
+		"Roster": true,
 		// The distributed-trace identity: a random session name the
 		// reducer mints before any data exists and every frame echoes
 		// verbatim. It never mixes with payload bytes, so it is public

@@ -129,7 +129,7 @@ func AblationPlain(ctx context.Context, ep transport.Endpoint, hdr transport.Hea
 // JournalLeak embeds a raw label in the flight recorder's value argument:
 // the journal is a telemetry sink like any gauge.
 func JournalLeak(j *telemetry.Journal, d *dataset.Dataset) {
-	j.Emit("reducer", "round.end", telemetry.TraceID{}, 0, 0, "", "", 0, d.Y[0]) // want `dataset-derived data reaches telemetry call Emit`
+	j.Emit("reducer", "round.end", telemetry.TraceID{}, 0, "", "", 0, d.Y[0]) // want `dataset-derived data reaches telemetry call Emit`
 }
 
 // roundDriver holds the journal handle next to plain round bookkeeping, the
@@ -144,6 +144,6 @@ type roundDriver struct {
 // the driver holding it — the dim embedded in the error below stays clean.
 func (r *roundDriver) record(d *dataset.Dataset) error {
 	//ppml:flow-ok golden escape hatch: the audited flow is the Emit argument itself, not the handle it passes through
-	r.journal.Emit("reducer", "round.start", telemetry.TraceID{}, 0, 0, "", "", 0, d.Y[0])
+	r.journal.Emit("reducer", "round.start", telemetry.TraceID{}, 0, "", "", 0, d.Y[0])
 	return fmt.Errorf("contribution dim %d", r.dim)
 }

@@ -8,13 +8,12 @@ import (
 	"fmt"
 )
 
-// Header is the sender-stamped envelope (session, round, roster, attempt,
-// and the distributed-trace identity).
+// Header is the sender-stamped envelope (session, round, roster, and the
+// distributed-trace identity).
 type Header struct {
 	Session uint64
 	Round   int32
 	Roster  []uint64
-	Attempt int32
 	Trace   [2]uint64
 }
 
@@ -26,7 +25,6 @@ type Message struct {
 	Session  uint64
 	Round    int32
 	Roster   []uint64
-	Attempt  int32
 	Seq      uint64
 	Trace    [2]uint64
 	Payload  []byte
@@ -46,11 +44,11 @@ func Describe(m Message) string {
 	return fmt.Sprintf("from=%d to=%d kind=%s seq=%d", m.From, m.To, m.Kind, m.Seq)
 }
 
-// DescribeRoster renders the elastic-round stamps. No diagnostics: roster
-// membership and the attempt counter are protocol metadata, announced to
-// every learner by the roster broadcast itself.
+// DescribeRoster renders the elastic-round stamp. No diagnostics: roster
+// membership is protocol metadata, announced to every learner by the roster
+// broadcast itself.
 func DescribeRoster(m Message) string {
-	return fmt.Sprintf("roster=%v attempt=%d", m.Roster, m.Attempt)
+	return fmt.Sprintf("round=%d roster=%v", m.Round, m.Roster)
 }
 
 // Dump embeds the raw payload bytes in a string.

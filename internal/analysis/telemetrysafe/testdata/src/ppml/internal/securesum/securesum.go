@@ -40,13 +40,13 @@ func documented(r *telemetry.Registry, landmarks []float64) {
 // node/peer names, a kind constant, a round counter, a byte count. Scalars
 // and labels pass freely — including the share's length.
 func journalEvents(j *telemetry.Journal, share []float64, peer string) {
-	j.Emit("mapper-0", "share.sent", telemetry.TraceID{}, 3, 0, peer, "securesum.share", int64(len(share)), 0)
+	j.Emit("mapper-0", "share.sent", telemetry.TraceID{}, 3, peer, "securesum.share", int64(len(share)), 0)
 }
 
 // journalStringified launders the share through fmt before the sink: same
 // leak as logging the slice.
 func journalStringified(j *telemetry.Journal, share []float64) {
-	j.Emit("mapper-0", "share.sent", telemetry.TraceID{}, 3, 0, "", fmt.Sprint(share), 0, 0) // want `string built from a payload vector passed to telemetry/log sink`
+	j.Emit("mapper-0", "share.sent", telemetry.TraceID{}, 3, "", fmt.Sprint(share), 0, 0) // want `string built from a payload vector passed to telemetry/log sink`
 }
 
 // journalHolder holds the recorder next to the node name, the shape of the
@@ -64,6 +64,6 @@ func (h *journalHolder) record(share []float64) {
 	for _, x := range share {
 		sq += x * x
 	}
-	h.journal.Emit(h.name, "share.recv", telemetry.TraceID{}, 1, 0, "", "", 0, sq)
+	h.journal.Emit(h.name, "share.recv", telemetry.TraceID{}, 1, "", "", 0, sq)
 	log.Printf("node %s folded a share", h.name)
 }

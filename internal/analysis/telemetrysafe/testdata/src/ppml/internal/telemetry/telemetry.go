@@ -36,5 +36,5 @@ type TraceID struct{ Hi, Lo uint64 }
 type Journal struct{}
 
 // Emit records one round-lifecycle event.
-func (*Journal) Emit(node, event string, trace TraceID, round, attempt int32, peer, kind string, bytes int64, value float64) {
+func (*Journal) Emit(node, event string, trace TraceID, round int32, peer, kind string, bytes int64, value float64) {
 }

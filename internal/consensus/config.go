@@ -102,17 +102,13 @@ type Config struct {
 	// Network overrides the transport in distributed mode (default:
 	// in-process channels).
 	Network transport.Network
-	// MapRetries forwards to the MapReduce driver.
-	MapRetries int
-	// RoundTimeout (distributed mode) bounds how long the Reducer waits for
-	// any one consensus round; zero waits indefinitely.
-	RoundTimeout time.Duration
 	// StragglerTimeout (distributed mode) makes rounds elastic (demote-and-
 	// continue): a learner that misses the deadline is demoted for the
 	// round instead of stalling the job, and rejoins when it catches up. The
 	// consensus reducers scale their M-dependent coefficients to the weight
 	// the engine announces for the round — the live roster's size. Zero keeps
-	// membership fixed; when set, RoundTimeout is ignored. See DESIGN.md §14.
+	// membership fixed: a round waits until it completes or the context
+	// ends. See DESIGN.md §14.
 	StragglerTimeout time.Duration
 	// MinQuorum is the smallest roster an elastic round will fold; below it
 	// training fails rather than continuing on too few learners. 0 defaults
@@ -236,8 +232,6 @@ func runJob(ctx context.Context, cfg Config, job mapreduce.IterativeJob, parts [
 			Network:          cfg.Network,
 			Aggregation:      cfg.Aggregation,
 			MaskMode:         cfg.MaskMode,
-			MapRetries:       cfg.MapRetries,
-			RoundTimeout:     cfg.RoundTimeout,
 			StragglerTimeout: cfg.StragglerTimeout,
 			MinQuorum:        cfg.MinQuorum,
 			Staleness:        cfg.Staleness,

@@ -361,7 +361,7 @@ func (mp *hkMapper) build(lo, hi int) error {
 // Contribution implements mapreduce.IterativeMapper.
 func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	if iter == mp.lastIter {
-		return mp.vl.contrib, nil // idempotent under task retry
+		return mp.vl.contrib, nil // idempotent: a repeated call for the round returns its contribution
 	}
 	start := time.Now()
 	idx, lo, hi := mp.sched.chunk(iter)

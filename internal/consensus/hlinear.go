@@ -211,7 +211,7 @@ func (mp *hlMapper) close() { mp.pf.Close() }
 // Contribution implements mapreduce.IterativeMapper: one chunk ADMM sub-step.
 func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	if iter == mp.lastIter {
-		return mp.vl.contrib, nil // idempotent under task retry
+		return mp.vl.contrib, nil // idempotent: a repeated call for the round returns its contribution
 	}
 	start := time.Now()
 	idx, lo, hi := mp.sched.chunk(iter)

@@ -220,7 +220,7 @@ func TestHLContributionIdempotentUnderRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := mp.Contribution(0, state) // simulated task retry
+	second, err := mp.Contribution(0, state) // a repeated call for the same round
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func newReducerGauges(r *telemetry.Registry, scheme string) reducerGauges {
 // per-learner quantity.
 func (g reducerGauges) journalRound(iter int, delta float64) {
 	//ppml:flow-ok the residual ‖Δz‖² is the cohort-wide stopping statistic the deltaZSq gauge already exports — an aggregate over the consensus state, not a sample of any learner's data
-	g.journal.Emit("reducer", "consensus.round", telemetry.TraceID{}, int32(iter), 0, "", g.scheme, 0, delta)
+	g.journal.Emit("reducer", "consensus.round", telemetry.TraceID{}, int32(iter), "", g.scheme, 0, delta)
 }
 
 // probeStart and probeEnd bracket the per-round accuracy probe in the flight
@@ -50,14 +50,14 @@ func (g reducerGauges) journalRound(iter int, delta float64) {
 // the eval-set accuracy, the scalar History.Accuracy publishes and the
 // accuracy gauge, set here too, already exports.
 func (g reducerGauges) probeStart(iter int) {
-	g.journal.Emit("reducer", "probe.start", telemetry.TraceID{}, int32(iter), 0, "", g.scheme, 0, 0)
+	g.journal.Emit("reducer", "probe.start", telemetry.TraceID{}, int32(iter), "", g.scheme, 0, 0)
 }
 
 func (g reducerGauges) probeEnd(iter int, acc float64) {
 	//ppml:flow-ok held-out accuracy is the published evaluation metric — an aggregate over the model, not a training row
 	g.accuracy.Set(acc)
 	//ppml:flow-ok held-out accuracy is the published evaluation metric — an aggregate over the model, not a training row
-	g.journal.Emit("reducer", "probe.end", telemetry.TraceID{}, int32(iter), 0, "", g.scheme, 0, acc)
+	g.journal.Emit("reducer", "probe.end", telemetry.TraceID{}, int32(iter), "", g.scheme, 0, acc)
 }
 
 // recordRun observes end-of-training aggregates: the rounds-to-converge
@@ -68,5 +68,5 @@ func recordRun(r *telemetry.Registry, h *History) {
 	//ppml:flow-ok rounds-to-converge is run metadata (the Fig. 4 curve), an aggregate over the whole cohort, not a sample of any learner's data
 	r.Histogram(metricADMMRounds, telemetry.IterationBuckets).Observe(float64(h.Iterations))
 	//ppml:flow-ok rounds-to-converge is run metadata (the Fig. 4 curve), an aggregate over the whole cohort, not a sample of any learner's data
-	r.Journal().Emit("reducer", "consensus.done", telemetry.TraceID{}, int32(h.Iterations), 0, "", "", 0, float64(h.Iterations))
+	r.Journal().Emit("reducer", "consensus.done", telemetry.TraceID{}, int32(h.Iterations), "", "", 0, float64(h.Iterations))
 }

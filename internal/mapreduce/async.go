@@ -33,7 +33,8 @@ type asyncJob struct {
 
 // asyncResult is one completed Contribution. contrib is a fresh copy (the
 // mapper's internal buffers are reused by its next solve); err is terminal —
-// the worker already burned the retry budget.
+// a deterministic Contribution that failed would fail again on the same
+// state.
 type asyncResult struct {
 	iter    int
 	contrib []float64

@@ -241,15 +241,12 @@ func TestRoundWeightIsFoldedRosterWeight(t *testing.T) {
 				t.Fatalf("%d SetRoundWeight calls over %d rounds", len(red.weights), res.Iterations)
 			}
 			// Replay the reducer's journal: the newest stamp per (round,
-			// mapper), and who delivered under the round's last attempt.
-			type delivery struct {
-				attempt int32
-				got     []bool
-			}
+			// mapper), and who delivered over the round's last roster — each
+			// roster.declared starts a new collection.
 			stamps := make([][]int, res.Iterations)
-			folded := make([]delivery, res.Iterations)
+			folded := make([][]bool, res.Iterations)
 			for r := range stamps {
-				stamps[r], folded[r].got = make([]int, m), make([]bool, m)
+				stamps[r], folded[r] = make([]int, m), make([]bool, m)
 			}
 			id := map[string]int{}
 			for i := 0; i < m; i++ {
@@ -262,19 +259,17 @@ func TestRoundWeightIsFoldedRosterWeight(t *testing.T) {
 				switch ev.Event {
 				case "ready.recv":
 					stamps[ev.Round][id[ev.Peer]] = int(ev.Value)
+				case "roster.declared":
+					folded[ev.Round] = make([]bool, m)
 				case "share.recv":
-					d := &folded[ev.Round]
-					if ev.Attempt > d.attempt {
-						d.attempt, d.got = ev.Attempt, make([]bool, m)
-					}
-					d.got[id[ev.Peer]] = true
+					folded[ev.Round][id[ev.Peer]] = true
 				}
 			}
 			stale := 0
 			for r, got := range red.weights {
 				want, n := 0.0, 0
 				for i := 0; i < m; i++ {
-					if folded[r].got[i] {
+					if folded[r][i] {
 						want += decayWeight(tc.opts.StalenessDecay, stamps[r][i])
 						stale += stamps[r][i]
 						n++
@@ -359,9 +354,8 @@ func (m *gatedMapper) Contribution(iter int, state []float64) ([]float64, error)
 // newest contribution by κ^s with the matching wire stamp.
 func TestAsyncComputerNewestWins(t *testing.T) {
 	t.Parallel()
-	reg := telemetry.NewRegistry()
 	mp := &gatedMapper{started: make(chan int), release: make(chan struct{})}
-	c := newAsyncComputer(solver{mp, 0, reg.Counter("retries"), nil, "mapper-0", telemetry.TraceID{}})
+	c := newAsyncComputer(solver{mp, nil, "mapper-0", telemetry.TraceID{}})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

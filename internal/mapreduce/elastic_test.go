@@ -187,8 +187,8 @@ func TestElasticDemoteAndRejoin(t *testing.T) {
 // deterministically: a mapper whose readiness declarations arrive but whose
 // shares vanish (a crash between phases, injected with a kind-scoped chaos
 // drop) is demoted when the share deadline closes, and the survivors re-derive
-// over the shrunken roster under attempt 1 — every round, since the faulty
-// mapper keeps answering ready.
+// over the shrunken roster — every round, since the faulty mapper keeps
+// answering ready.
 func TestElasticShareLostAfterReady(t *testing.T) {
 	t.Parallel()
 	values := [][]float64{{2}, {4}, {9}}
@@ -235,15 +235,23 @@ func TestElasticShareLostAfterReady(t *testing.T) {
 			t.Errorf("SetRoundWeight(%d), want every fold over the %d survivors", n, m-1)
 		}
 	}
-	reroster := make([]bool, res.Iterations)
+	// Every round re-declares: the roster sizes journalled per round, in
+	// emission order, number at least two and strictly decrease.
+	declared := make([][]float64, res.Iterations)
 	for _, e := range reg.Journal().Snapshot() {
-		if e.Node == reducerName && e.Event == "roster.declared" && e.Attempt >= 1 && int(e.Round) < len(reroster) {
-			reroster[e.Round] = true
+		if e.Node == reducerName && e.Event == "roster.declared" && int(e.Round) < len(declared) {
+			declared[e.Round] = append(declared[e.Round], e.Value)
 		}
 	}
-	for r, ok := range reroster {
-		if !ok {
-			t.Errorf("round %d declared no attempt >= 1", r)
+	for r, sizes := range declared {
+		if len(sizes) < 2 {
+			t.Errorf("round %d declared rosters of sizes %v, want a re-declaration", r, sizes)
+		}
+		for i := 1; i < len(sizes); i++ {
+			if sizes[i] >= sizes[i-1] {
+				t.Errorf("round %d declared rosters of sizes %v, want strictly decreasing", r, sizes)
+				break
+			}
 		}
 	}
 }

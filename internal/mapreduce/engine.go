@@ -4,13 +4,14 @@ package mapreduce
 // §14). One state machine runs every round, shaped by three values
 // DriverOptions already carries (resolved once, in newPolicy):
 //
-//	deadline   StragglerTimeout, else RoundTimeout, else none: how long a
-//	           receive phase waits before the mappers still missing are
-//	           demoted from the round's roster.
+//	deadline   StragglerTimeout, else none: how long a receive phase waits
+//	           before the mappers still missing are demoted from the round's
+//	           roster. Without one a round waits until it completes or the
+//	           job's context ends.
 //	quorum     the smallest roster a round may fold: MinQuorum under a
 //	           straggler deadline; the whole cohort without one, which is what
-//	           "strict" means — the first demotion already breaks quorum, and
-//	           the job fails with whatever caused it.
+//	           "strict" means — the first lost member already breaks quorum,
+//	           and the job fails with whatever caused it.
 //	staleness  0 for synchronous rounds; S > 0 lets a mapper answer with a
 //	           contribution up to S rounds old, weighted κ^s (async.go).
 //
@@ -21,9 +22,9 @@ package mapreduce
 // The handshake exists because a masked share cancels only over the exact
 // set of mappers that deliver: when mappers may be demoted, that set (the
 // roster) must be agreed before shares are derived, and re-agreed — strictly
-// smaller, under the next attempt number — when a member dies in between. In
-// every other configuration it is skipped outright (no KindReady or
-// KindRoster frame, no roster bitset on the wire, attempt 0): without a
+// smaller, so the roster alone tells the derivations apart — when a member
+// dies in between. In every other configuration it is skipped outright (no
+// KindReady or KindRoster frame, no roster bitset on the wire): without a
 // straggler deadline nobody can be demoted, so the roster is the cohort; and
 // plain or Paillier shares do not depend on who else answers, so whoever
 // delivers before the deadline is the roster.
@@ -48,21 +49,17 @@ import (
 // MinQuorum, Staleness and StalenessDecay defaulted and range-checked, for
 // every caller above it.
 type policy struct {
-	deadline     time.Duration // per-phase receive window; 0 waits indefinitely
-	deadlineName string        // the option deadline came from, for the timeout error
-	elastic      bool          // a straggler deadline is set: a missed deadline demotes instead of failing
-	quorum       int
-	handshake    bool    // ready/roster phase: elastic and masked
-	staleness    int     // bounded-staleness window S; 0 = synchronous
-	decay        float64 // κ, the stale-share discount
-	writeOff     int     // WriteOffAfter
+	deadline  time.Duration // per-phase receive window; 0 waits until the job's context ends
+	elastic   bool          // a straggler deadline is set: a missed deadline demotes instead of failing
+	quorum    int
+	handshake bool    // ready/roster phase: elastic and masked
+	staleness int     // bounded-staleness window S; 0 = synchronous
+	decay     float64 // κ, the stale-share discount
+	writeOff  int     // WriteOffAfter
 }
 
 func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
-	p := policy{
-		deadline: opts.RoundTimeout, deadlineName: "RoundTimeout",
-		quorum: m, staleness: opts.Staleness, decay: opts.StalenessDecay, writeOff: opts.WriteOffAfter,
-	}
+	p := policy{quorum: m, staleness: opts.Staleness, decay: opts.StalenessDecay, writeOff: opts.WriteOffAfter}
 	switch {
 	case agg < AggregationMasked || agg > AggregationPaillier:
 		return p, fmt.Errorf("%w: Aggregation %d", ErrBadJob, agg)
@@ -70,7 +67,7 @@ func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
 		return p, fmt.Errorf("%w: MaskMode %v", ErrBadJob, opts.MaskMode)
 	}
 	if opts.StragglerTimeout > 0 {
-		p.deadline, p.deadlineName, p.elastic = opts.StragglerTimeout, "StragglerTimeout", true
+		p.deadline, p.elastic = opts.StragglerTimeout, true
 		p.handshake = agg == AggregationMasked
 		if p.handshake && opts.MaskMode == MaskPerRound {
 			// Per-round masks are exchanged over the fixed cohort: a member
@@ -140,7 +137,7 @@ type engine struct {
 	dead    []bool           // permanently demoted (aborted, unreachable, or written off)
 	silent  []int            // consecutive rounds each mapper missed the roster
 	weights []float64        // per-mapper κ^s from this round's ready stamps; all 1 when nothing is stale
-	lost    error            // what cost the round its most recent roster member
+	lost    error            // what cost the round its most recent roster member: an abort or an unreachable endpoint
 }
 
 // sessionEnv is what the Reducer and every Mapper of one job share.
@@ -160,7 +157,7 @@ func (s *sessionEnv) header(r int32) transport.Header {
 // staleRoundFilter drops a session's frames older than *round (the setup
 // round's seed exchange excepted); everything else stays buffered. Built once
 // per node and swept with on every round advance: late frames of finished
-// rounds and superseded attempts will never be claimed by any future filter.
+// rounds and superseded rosters will never be claimed by any future filter.
 func staleRoundFilter(session uint64, round *int32) transport.Filter {
 	return func(m transport.Message) transport.Verdict {
 		if m.Session == session && m.Round < *round && m.Round != securesum.SetupRound {
@@ -174,11 +171,10 @@ func staleRoundFilter(session uint64, round *int32) transport.Filter {
 // session are delivered whatever round raised them; leftovers of earlier
 // rounds are dropped and counted; a fast mapper's next-round frames wait in
 // the reorder buffer. Of this round only the wanted kind is delivered, and a
-// share only if stamped with the CURRENT attempt and roster: one derived under
-// a superseded attempt spans a telescope that can no longer cancel. (Attempts
-// of a round strictly shrink the roster, so the roster alone already tells
-// two derivations apart; the attempt is their label.)
-func (e *engine) filter(r, attempt int32, stamp transport.Roster, kind string) transport.Filter {
+// share only if stamped with the CURRENT roster: one derived over a superseded
+// roster spans a telescope that can no longer cancel. The rosters of a round
+// strictly shrink, so the stamp alone tells two derivations apart.
+func (e *engine) filter(r int32, stamp transport.Roster, kind string) transport.Filter {
 	return func(m transport.Message) transport.Verdict {
 		if m.Session != e.session {
 			return transport.Defer
@@ -191,7 +187,7 @@ func (e *engine) filter(r, attempt int32, stamp transport.Roster, kind string) t
 			return transport.Drop
 		case m.Round > r:
 			return transport.Defer
-		case m.Kind == kind && (kind == KindReady || (m.Attempt == attempt && m.Roster.Equal(stamp))):
+		case m.Kind == kind && (kind == KindReady || m.Roster.Equal(stamp)):
 			return transport.Accept
 		}
 		return transport.Drop
@@ -231,7 +227,7 @@ func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, sta
 		roundStart := time.Now()
 		e.round = int32(iter)
 		//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-		e.journal.Emit(reducerName, "round.start", e.trace, e.round, 0, "", "", 0, 0)
+		e.journal.Emit(reducerName, "round.start", e.trace, e.round, "", "", 0, 0)
 		if evictor != nil {
 			evictor.Evict(stale)
 		}
@@ -240,13 +236,17 @@ func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, sta
 		// is what the histogram and the round.start/round.end pair measure;
 		// a round that errors out is not observed as a completed round.
 		if err != nil {
+			if ctx.Err() != nil { // the job's context ended: stamp the round, once
+				//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
+				err = fmt.Errorf("mapreduce: round %d: %w", e.round, err)
+			}
 			return state, err
 		}
 		secs := time.Since(roundStart).Seconds()
 		e.roundDur.Observe(secs)
 		e.rounds.Inc()
 		//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-		e.journal.Emit(reducerName, "round.end", e.trace, e.round, 0, "", "", 0, secs)
+		e.journal.Emit(reducerName, "round.end", e.trace, e.round, "", "", 0, secs)
 		e.settle(roster)
 
 		if weighted != nil {
@@ -298,12 +298,12 @@ func (e *engine) settle(roster transport.Roster) {
 			e.demotions.Inc()
 			e.res.Demotions++
 			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-			e.journal.Emit(reducerName, "mapper.demote", e.trace, e.round, 0, name, "", 0, 0)
+			e.journal.Emit(reducerName, "mapper.demote", e.trace, e.round, name, "", 0, 0)
 		case !e.prev.Has(i) && roster.Has(i):
 			e.rejoins.Inc()
 			e.res.Rejoins++
 			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-			e.journal.Emit(reducerName, "mapper.rejoin", e.trace, e.round, 0, name, "", 0, 0)
+			e.journal.Emit(reducerName, "mapper.rejoin", e.trace, e.round, name, "", 0, 0)
 		}
 		// A mapper demoted WriteOffAfter rounds in a row is declared dead so
 		// later rounds stop waiting a straggler window for it.
@@ -315,7 +315,7 @@ func (e *engine) settle(roster transport.Roster) {
 			if e.silent[i]++; e.writeOff > 0 && e.silent[i] >= e.writeOff {
 				e.dead[i] = true
 				//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-				e.journal.Emit(reducerName, "mapper.writeoff", e.trace, e.round, 0, name, "", 0, float64(e.silent[i]))
+				e.journal.Emit(reducerName, "mapper.writeoff", e.trace, e.round, name, "", 0, float64(e.silent[i]))
 			}
 		}
 	}
@@ -387,13 +387,13 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 			return nil, nil, err
 		}
 	}
-	// Every attempt either completes or shrinks the roster, so the loop
+	// Every collection either completes or shrinks the roster, so the loop
 	// terminates.
-	for attempt := int32(0); ; attempt++ {
+	for {
 		if n := roster.Count(); n < e.quorum {
 			return nil, nil, e.belowQuorum(n)
 		}
-		sum, done, err := e.collectShares(ctx, attempt, roster)
+		sum, done, err := e.collectShares(ctx, roster)
 		if err != nil || done {
 			return roster, sum, err
 		}
@@ -410,7 +410,7 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, first time.Duration) (transport.Roster, error) {
 	r := e.round
 	roster := transport.NewRoster(len(e.names))
-	filter := e.filter(r, 0, nil, KindReady)
+	filter := e.filter(r, nil, KindReady)
 	wctx, cancel := window(ctx, first)
 	defer func() { cancel() }()
 	for rearms := 0; roster.Count() < eligible.Count(); {
@@ -421,7 +421,7 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 			}
 			e.timeouts.Inc()
 			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-			e.journal.Emit(reducerName, "round.timeout", e.trace, r, 0, "", "ready", 0, 0)
+			e.journal.Emit(reducerName, "round.timeout", e.trace, r, "", "ready", 0, 0)
 			if roster.Count() >= e.quorum || rearms >= maxStuckAttempts {
 				break // the deadline IS the roster declaration
 			}
@@ -448,7 +448,7 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 				e.staleHist.Observe(float64(s))
 				e.weights[id] = decayWeight(e.decay, s)
 				//ppml:flow-ok the round counter and staleness stamp are public round indices — coordination metadata, never derived from share contents
-				e.journal.Emit(reducerName, "ready.recv", e.trace, r, 0, msg.From, "", 0, float64(s))
+				e.journal.Emit(reducerName, "ready.recv", e.trace, r, msg.From, "", 0, float64(s))
 			}
 		case KindAbort:
 			e.dead[id] = true
@@ -479,29 +479,29 @@ func decayWeight(decay float64, s int) float64 {
 	return w
 }
 
-// void reports whether losing a member voids the attempt in progress: always
-// under the handshake (the masked telescope can no longer cancel, so the
-// survivors must re-derive over the smaller roster), and for any fold once
-// the roster is below quorum. Otherwise the fold is loose and keeps what it
-// has — the responders ARE the roster.
+// void reports whether losing a member voids the collection in progress:
+// always under the handshake (the masked telescope can no longer cancel, so
+// the survivors must re-derive over the smaller roster), and for any fold
+// once the roster is below quorum. Otherwise the fold is loose and keeps what
+// it has — the responders ARE the roster.
 func (e *engine) void(roster transport.Roster) bool {
 	return e.handshake || roster.Count() < e.quorum
 }
 
-// collectShares runs one share-collection attempt over roster: declare it
-// (handshake only), then fold shares until every member delivered or the
-// window closes. A member lost mid-attempt — silent past the deadline, or
-// aborting — is struck from roster. It reports whether the attempt is done:
-// if not, it was voided and the caller retries over the shrunken roster.
-func (e *engine) collectShares(ctx context.Context, attempt int32, roster transport.Roster) ([]float64, bool, error) {
+// collectShares runs one share collection over roster: declare it (handshake
+// only), then fold shares until every member delivered or the window closes.
+// A member lost mid-collection — silent past the deadline, or aborting — is
+// struck from roster. It reports whether the collection is done: if not, it
+// was voided and the caller collects again over the shrunken roster.
+func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]float64, bool, error) {
 	r := e.round
 	var stamp transport.Roster
 	if e.handshake {
 		stamp = roster
 		hdr := e.header(r)
-		hdr.Roster, hdr.Attempt = roster, attempt
+		hdr.Roster = roster
 		//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-		e.journal.Emit(reducerName, "roster.declared", e.trace, r, attempt, "", "", 0, float64(roster.Count()))
+		e.journal.Emit(reducerName, "roster.declared", e.trace, r, "", "", 0, float64(roster.Count()))
 		for i, name := range e.names {
 			if !roster.Has(i) {
 				continue
@@ -523,7 +523,7 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 	for i := range got {
 		got[i] = false
 	}
-	filter := e.filter(r, attempt, stamp, e.fold.kind())
+	filter := e.filter(r, stamp, e.fold.kind())
 	wctx, cancel := window(ctx, e.deadline)
 	defer func() { cancel() }()
 	collected, rearms := 0, 0
@@ -535,16 +535,17 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 			}
 			e.timeouts.Inc()
 			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-			e.journal.Emit(reducerName, "round.timeout", e.trace, r, attempt, "", e.fold.kind(), 0, float64(collected))
-			// Never demote below quorum on a single straggler deadline: the
-			// missing shares are usually in flight rather than lost, and they
-			// stay foldable under this attempt's stamp — so re-arm the window
-			// and keep collecting before blaming anyone. Demoting the whole
-			// cohort for one tight window would abort a healthy job.
-			if e.elastic && collected < e.quorum && rearms < maxStuckAttempts {
+			e.journal.Emit(reducerName, "round.timeout", e.trace, r, "", e.fold.kind(), 0, float64(collected))
+			// Only a straggler deadline expires. Never demote below quorum on
+			// a single one: the missing shares are usually in flight rather
+			// than lost, and they stay foldable under this roster's stamp — so
+			// re-arm the window and keep collecting before blaming anyone.
+			// Demoting the whole cohort for one tight window would abort a
+			// healthy job.
+			if collected < e.quorum && rearms < maxStuckAttempts {
 				rearms++
 				//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-				e.journal.Emit(reducerName, "window.rearm", e.trace, r, attempt, "", "", 0, float64(rearms))
+				e.journal.Emit(reducerName, "window.rearm", e.trace, r, "", "", 0, float64(rearms))
 				cancel()
 				wctx, cancel = window(ctx, e.deadline)
 				continue
@@ -555,8 +556,6 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 					roster.Remove(i)
 				}
 			}
-			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
-			e.lost = fmt.Errorf("mapreduce: round %d exceeded %s %v: %w", r, e.deadlineName, e.deadline, context.DeadlineExceeded)
 			if e.void(roster) {
 				return nil, false, nil
 			}
@@ -594,7 +593,7 @@ func (e *engine) collectShares(ctx context.Context, attempt int32, roster transp
 		got[id] = true
 		collected++
 		//ppml:flow-ok the round counter and share byte length are envelope metadata — indices and sizes, not share contents
-		e.journal.Emit(reducerName, "share.recv", e.trace, r, attempt, msg.From, msg.Kind, int64(len(msg.Payload)), 0)
+		e.journal.Emit(reducerName, "share.recv", e.trace, r, msg.From, msg.Kind, int64(len(msg.Payload)), 0)
 	}
 	sum, err := e.fold.sum()
 	return sum, true, err

@@ -7,8 +7,54 @@ import (
 	"time"
 
 	"github.com/ppml-go/ppml/internal/paillier"
+	"github.com/ppml-go/ppml/internal/securesum"
 	"github.com/ppml-go/ppml/internal/transport"
 )
+
+// TestEngineFilter pins the invariant the round engine's share collection
+// rests on: within a round, the roster stamp alone decides which derivation a
+// share belongs to. A share stamped with the roster being collected is
+// folded; one derived over a superseded (larger) roster of the same round is
+// dropped, as is anything of an earlier round; later rounds and other
+// sessions wait in the reorder buffer; aborts always get through; and a ready
+// declaration is wanted only by the ready phase.
+func TestEngineFilter(t *testing.T) {
+	const session, r = 7, 5
+	e := &engine{sessionEnv: sessionEnv{session: session}}
+	superseded := transport.FullRoster(4)
+	current := transport.FullRoster(4)
+	current.Remove(3)
+	share := func(round int32, stamp transport.Roster) transport.Message {
+		return transport.Message{Session: session, Round: round, Kind: securesum.KindShare, Roster: stamp}
+	}
+	shares := e.filter(r, current, securesum.KindShare)
+	strict := e.filter(r, nil, securesum.KindShare)
+	ready := e.filter(r, nil, KindReady)
+	for _, tc := range []struct {
+		name   string
+		filter transport.Filter
+		msg    transport.Message
+		want   transport.Verdict
+	}{
+		{"share stamped with the current roster", shares, share(r, current), transport.Accept},
+		{"share of a superseded, larger roster", shares, share(r, superseded), transport.Drop},
+		{"unstamped share in a rostered collection", shares, share(r, nil), transport.Drop},
+		{"share of the next round", shares, share(r+1, current), transport.Defer},
+		{"share of the previous round", shares, share(r-1, current), transport.Drop},
+		{"abort of the current round", shares, transport.Message{Session: session, Round: r, Kind: KindAbort}, transport.Accept},
+		{"abort of an earlier round", shares, transport.Message{Session: session, Round: r - 1, Kind: KindAbort}, transport.Accept},
+		{"abort of a later round", ready, transport.Message{Session: session, Round: r + 1, Kind: KindAbort}, transport.Accept},
+		{"share of another session", shares, transport.Message{Session: session + 1, Round: r, Kind: securesum.KindShare, Roster: current}, transport.Defer},
+		{"ready in the ready phase", ready, transport.Message{Session: session, Round: r, Kind: KindReady}, transport.Accept},
+		{"ready in the share phase", shares, transport.Message{Session: session, Round: r, Kind: KindReady}, transport.Drop},
+		{"strict share, no stamp", strict, share(r, nil), transport.Accept},
+		{"stamped share in a strict collection", strict, share(r, current), transport.Drop},
+	} {
+		if got := tc.filter(tc.msg); got != tc.want {
+			t.Errorf("%s: verdict %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
 
 // TestEngineConformance pins every configuration of the round engine to the
 // same model: {seeded, per-round, plain, Paillier} aggregation × {in-process,

@@ -12,7 +12,7 @@ import (
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
-// folder accumulates the shares of one collection attempt on the Reducer and
+// folder accumulates the shares of one roster's collection on the Reducer and
 // yields their sum. There is one per Aggregation, and it is the only place
 // that aggregation's fold is written; the round engine drives all three the
 // same way. The masked folder is roster-scoped — its shares cancel only when
@@ -21,7 +21,7 @@ import (
 type folder interface {
 	// kind is the wire kind of the shares this folder accepts.
 	kind() string
-	// reset starts an attempt that expects n shares.
+	// reset starts a collection that expects n shares.
 	reset(n int) error
 	// add folds one share payload.
 	add(payload []byte) error
@@ -57,8 +57,8 @@ func newFolder(agg Aggregation, m, dim int, codec fixedpoint.Codec, key *paillie
 }
 
 // maskedFold sums pairwise-masked ring shares (both mask modes deliver the
-// same shares). The collector and the decode buffer are reused every attempt;
-// Add copies into the accumulator immediately.
+// same shares). The collector and the decode buffer are reused every
+// collection; Add copies into the accumulator immediately.
 type maskedFold struct {
 	col *securesum.Collector
 	s   *reduceScratch

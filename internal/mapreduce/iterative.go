@@ -135,7 +135,7 @@ func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, e
 			return nil, err
 		}
 		roundStart := time.Now()
-		journal.Emit(reducerName, "round.start", telemetry.TraceID{}, int32(iter), 0, "", "", 0, 0)
+		journal.Emit(reducerName, "round.start", telemetry.TraceID{}, int32(iter), "", "", 0, 0)
 		parallel.For(m, 1, func(lo, hi int) {
 			for mi := lo; mi < hi; mi++ {
 				contribs[mi], errs[mi] = job.Mappers[mi].Contribution(iter, state)
@@ -162,7 +162,7 @@ func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, e
 		secs := time.Since(roundStart).Seconds()
 		roundDur.Observe(secs)
 		rounds.Inc()
-		journal.Emit(reducerName, "round.end", telemetry.TraceID{}, int32(iter), 0, "", "", 0, secs)
+		journal.Emit(reducerName, "round.end", telemetry.TraceID{}, int32(iter), "", "", 0, secs)
 		if weighted != nil {
 			weighted.SetRoundWeight(float64(m))
 		}

@@ -204,31 +204,13 @@ func TestDistributedMaskedTrafficExceedsPlain(t *testing.T) {
 	}
 }
 
-func TestDistributedTransientFaultRetries(t *testing.T) {
-	values := [][]float64{{2}, {4}}
-	job := mustJob(t, values, 50)
-	job.Mappers[1] = &averagingMapper{value: []float64{4}, failUntil: 2}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	res, err := RunDistributed(ctx, job, DriverOptions{MapRetries: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Error("job with retried transient faults should converge")
-	}
-	if math.Abs(res.FinalState[0]-3) > 1e-3 {
-		t.Errorf("state = %g, want 3", res.FinalState[0])
-	}
-}
-
 func TestDistributedFatalFaultAborts(t *testing.T) {
 	values := [][]float64{{2}, {4}}
 	job := mustJob(t, values, 50)
 	job.Mappers[1] = &averagingMapper{value: []float64{4}, failUntil: 1000}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if _, err := RunDistributed(ctx, job, DriverOptions{MapRetries: 1}); !errors.Is(err, ErrAborted) {
+	if _, err := RunDistributed(ctx, job, DriverOptions{}); !errors.Is(err, ErrAborted) {
 		t.Errorf("fatal fault: err = %v, want ErrAborted", err)
 	}
 }

@@ -26,42 +26,32 @@ type mapperEnv struct {
 	maskMode  MaskMode
 	codec     fixedpoint.Codec
 	dim       int
-	retries   int
 	pack      *paillier.Packing
 	cipherCtr *telemetry.Counter
 	sstel     *securesum.Telemetry
-	retryCtr  *telemetry.Counter
 }
 
-// solver runs one mapper's Contribution calls with the retry budget,
-// journalling each solve.
+// solver runs one mapper's Contribution calls, journalling each solve.
 type solver struct {
-	mapper   IterativeMapper
-	retries  int
-	retryCtr *telemetry.Counter
-	journal  *telemetry.Journal
-	node     string
-	trace    telemetry.TraceID
+	mapper  IterativeMapper
+	journal *telemetry.Journal
+	node    string
+	trace   telemetry.TraceID
 }
 
-// solve re-invokes a failing Contribution up to the retry budget; the error it
-// returns is terminal.
+// solve runs one Contribution. Every Contribution is deterministic in its
+// state, so a failed call would fail again: its error is terminal.
 func (s *solver) solve(iter int, state []float64) ([]float64, error) {
 	//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-	s.journal.Emit(s.node, "solve.start", s.trace, int32(iter), 0, "", "", 0, 0)
+	s.journal.Emit(s.node, "solve.start", s.trace, int32(iter), "", "", 0, 0)
 	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		contrib, err := s.mapper.Contribution(iter, state)
-		if err == nil {
-			//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-			s.journal.Emit(s.node, "solve.end", s.trace, int32(iter), 0, "", "", 0, time.Since(start).Seconds())
-			return contrib, nil
-		}
-		if attempt >= s.retries {
-			return nil, err
-		}
-		s.retryCtr.Inc()
+	contrib, err := s.mapper.Contribution(iter, state)
+	if err != nil {
+		return nil, err
 	}
+	//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
+	s.journal.Emit(s.node, "solve.end", s.trace, int32(iter), "", "", 0, time.Since(start).Seconds())
+	return contrib, nil
 }
 
 // mapperFilter demultiplexes a Mapper for its whole session, relative to the
@@ -98,9 +88,9 @@ func mapperFilter(session uint64, round *int32) transport.Filter {
 }
 
 // mapperNode is the long-lived Mapper task: wait for a broadcast, compute the
-// local contribution (with retries), declare ready when the Reducer runs the
-// handshake, and serve every roster attempt of the round until the Reducer
-// moves on; exit on stop.
+// local contribution, declare ready when the Reducer runs the handshake, and
+// serve every roster the Reducer declares for the round until it moves on;
+// exit on stop.
 type mapperNode struct {
 	*mapperEnv
 	id       int
@@ -113,7 +103,7 @@ type mapperNode struct {
 	round   int32     // the round being served; -1 before the first broadcast
 	contrib []float64 // this round's contribution
 	ready   []byte    // this round's ready-declaration payload (the staleness stamp)
-	live    []bool    // the attempt's roster, expanded
+	live    []bool    // the served roster, expanded
 	enc     []uint64  // reusable fixed-point encode buffer (Paillier)
 
 	stale   transport.Filter  // sweeps frames of rounds before n.round
@@ -123,7 +113,7 @@ type mapperNode struct {
 func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.Endpoint, mapper IterativeMapper) error {
 	n := &mapperNode{
 		mapperEnv: env, id: id, ep: ep,
-		sv:    solver{mapper, env.retries, env.retryCtr, env.journal, env.names[id], env.trace},
+		sv:    solver{mapper, env.journal, env.names[id], env.trace},
 		round: -1,
 		live:  make([]bool, len(env.names)),
 	}
@@ -174,14 +164,14 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 				}
 				continue
 			}
-			// No handshake: the roster is the fixed cohort and attempt 0,
-			// declared by nobody — serve it as if the Reducer had.
+			// No handshake: the roster is the fixed cohort, declared by
+			// nobody — serve it as if the Reducer had.
 			msg = transport.Message{Round: n.round}
 		case KindRoster:
 		default:
 			return fmt.Errorf("%w: unexpected %q at mapper", ErrBadJob, msg.Kind)
 		}
-		if err := n.serve(ctx, msg.Roster, msg.Attempt); err != nil {
+		if err := n.serve(ctx, msg.Roster); err != nil {
 			return err
 		}
 	}
@@ -189,8 +179,8 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 
 // startRound decodes a broadcast and produces the round's contribution:
 // solved inline, or under bounded staleness the newest one the background
-// worker has completed. A contribution failure past the retry budget is
-// reported to the Reducer (an abort) before the node exits.
+// worker has completed. A contribution failure is reported to the Reducer (an
+// abort) before the node exits.
 func (n *mapperNode) startRound(ctx context.Context, payload []byte) error {
 	iter, state, err := decodeStatePayload(payload)
 	if err != nil {
@@ -231,25 +221,25 @@ func (n *mapperNode) declareReady(ctx context.Context) error {
 		return fmt.Errorf("mapper %d: ready: %w", n.id, err)
 	}
 	//ppml:flow-ok the round counter (from the public state broadcast) and the staleness stamp are round indices — coordination metadata, never share contents
-	n.journal.Emit(n.sv.node, "ready.sent", n.trace, n.round, 0, reducerName, "", 0, float64(stalenessStamp(n.ready)))
+	n.journal.Emit(n.sv.node, "ready.sent", n.trace, n.round, reducerName, "", 0, float64(stalenessStamp(n.ready)))
 	return nil
 }
 
-// serve derives and sends this mapper's share of the round for one roster
-// attempt. A nil roster is the fixed cohort.
-func (n *mapperNode) serve(ctx context.Context, roster transport.Roster, attempt int32) error {
+// serve derives and sends this mapper's share of the round over one roster,
+// stamped with it. A nil roster is the fixed cohort.
+func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 	if roster != nil {
 		if !roster.Has(n.id) {
 			return nil // demoted this round; wait for the next broadcast
 		}
 		//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
-		n.journal.Emit(n.sv.node, "roster.recv", n.trace, n.round, attempt, "", "", 0, float64(roster.Count()))
+		n.journal.Emit(n.sv.node, "roster.recv", n.trace, n.round, "", "", 0, float64(roster.Count()))
 	}
 	for i := range n.live {
 		n.live[i] = roster == nil || roster.Has(i)
 	}
 	hdr := n.header(n.round)
-	hdr.Roster, hdr.Attempt = roster, attempt
+	hdr.Roster = roster
 	switch {
 	case n.agg == AggregationPlain:
 		//ppml:plaintext-ok AggregationPlain is the deliberate no-privacy ablation baseline (Fig. 5 comparisons); selecting it is an explicit opt-out
@@ -270,32 +260,32 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster, attempt
 		}
 		return nil
 	case n.seeded != nil:
-		// Seeded masks: derive this attempt's masks locally and send only the
+		// Seeded masks: derive this roster's masks locally and send only the
 		// masked share — no per-round mask messages.
-		n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, attempt, 0)
+		n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, 0)
 		start := time.Now()
 		payload, err := n.seeded.RoundShareBytesFor(n.round, n.contrib, n.live)
 		if err != nil {
 			return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
 		}
-		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, attempt, time.Since(start))
+		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, time.Since(start))
 		if err := n.ep.Send(ctx, reducerName, securesum.KindShare, hdr, payload); err != nil {
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		n.sstel.RecordShare(len(payload))
 		//ppml:flow-ok the round counter (from the public state broadcast) and the share's byte length are envelope metadata — indices and sizes, not share contents
-		n.journal.Emit(n.sv.node, "share.sent", n.trace, n.round, attempt, reducerName, securesum.KindShare, int64(len(payload)), 0)
+		n.journal.Emit(n.sv.node, "share.sent", n.trace, n.round, reducerName, securesum.KindShare, int64(len(payload)), 0)
 		return nil
 	case n.perRound != nil:
 		// Per-round masks, strict rounds only: exchange fresh masks with the
 		// whole cohort, then send the share (Round does both). A stop that
 		// lands mid exchange unwinds here as a protocol error.
-		n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, attempt, 0)
+		n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, 0)
 		start := time.Now()
 		if err := n.perRound.Round(ctx, hdr, n.contrib); err != nil {
 			return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
 		}
-		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, attempt, time.Since(start))
+		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, time.Since(start))
 		return nil
 	}
 	return fmt.Errorf("%w: mapper %d has no share path for Aggregation %d", ErrBadJob, n.id, n.agg)

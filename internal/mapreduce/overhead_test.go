@@ -11,7 +11,7 @@ import (
 )
 
 // wiretap wraps a network and counts every delivered send by kind, plus the
-// sends whose envelope carries a roster bitset or a non-zero attempt.
+// sends whose envelope carries a roster bitset.
 type wiretap struct {
 	transport.Network
 	mu      sync.Mutex
@@ -37,7 +37,7 @@ func (e *wiretapEndpoint) Send(ctx context.Context, to, kind string, hdr transpo
 	if err == nil {
 		e.tap.mu.Lock()
 		e.tap.kinds[kind]++
-		if hdr.Roster != nil || hdr.Attempt != 0 {
+		if hdr.Roster != nil {
 			e.tap.stamped++
 		}
 		e.tap.mu.Unlock()
@@ -48,8 +48,8 @@ func (e *wiretapEndpoint) Send(ctx context.Context, to, kind string, hdr transpo
 // TestElasticNoFaultOverhead pins what a no-fault job puts on the wire under
 // each policy, frame for frame. Without a straggler deadline the engine skips
 // the handshake outright: a round is M broadcasts and M shares, no KindReady
-// or KindRoster frame exists, and no envelope carries a roster bitset or an
-// attempt number. With one, a masked round adds exactly M ready declarations
+// or KindRoster frame exists, and no envelope carries a roster bitset. With
+// one, a masked round adds exactly M ready declarations
 // and M roster declarations. (What the extra 2M frames cost in wall-clock is
 // the benchmark's hl_rounds_tcp / hl_rounds_elastic_tcp pair.)
 func TestElasticNoFaultOverhead(t *testing.T) {
@@ -95,7 +95,7 @@ func TestElasticNoFaultOverhead(t *testing.T) {
 	}
 	check("strict", strict, want) // 2M frames a round
 	if strict.stamped != 0 {
-		t.Errorf("strict: %d frames carry a roster bitset or an attempt number, want none", strict.stamped)
+		t.Errorf("strict: %d frames carry a roster bitset, want none", strict.stamped)
 	}
 
 	elastic := census(5 * time.Second) // window far above round time: no timeouts

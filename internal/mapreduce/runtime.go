@@ -58,20 +58,12 @@ type DriverOptions struct {
 	// StragglerTimeout (and so with Staleness) it is an ErrBadJob. Ignored by
 	// the other aggregation modes.
 	MaskMode MaskMode
-	// MapRetries re-invokes a failing Contribution this many times per
-	// iteration before the Mapper aborts the job.
-	MapRetries int
-	// RoundTimeout bounds how long the Reducer waits for one round's
-	// contributions. Zero (the default) waits indefinitely; a positive value
-	// fails the job with a round-stamped error when a straggler or lost
-	// message stalls a round past the bound.
-	RoundTimeout time.Duration
 	// StragglerTimeout makes rounds elastic (demote-and-continue): a mapper
 	// that has not answered within this bound is demoted for the round
 	// instead of stalling or failing the job, and rejoins the next round it
-	// answers in time. Zero (the default) keeps membership fixed — every
-	// mapper answers every round or the job fails; when set, RoundTimeout is
-	// ignored.
+	// answers in time. Zero (the default) keeps membership fixed: every
+	// mapper answers every round or the job fails, and a round waits until
+	// it completes or ctx ends (the error then names the round).
 	StragglerTimeout time.Duration
 	// MinQuorum is the smallest roster a round will fold under a
 	// StragglerTimeout. Below it the job fails rather than silently training
@@ -121,7 +113,7 @@ type DriverOptions struct {
 	// DFS, for data-movement accounting.
 	Locality *LocalityPlan
 	// Telemetry optionally attaches a metrics registry: per-round durations
-	// and journal events, retry/timeout counters, the mapper fan-out gauge, the
+	// and journal events, the timeout counter, the mapper fan-out gauge, the
 	// securesum per-kind traffic counters, and — when the Network supports
 	// it — the transport counters. Nil records nothing at zero cost. When
 	// nil, a registry already carried by the context (telemetry.NewContext)
@@ -174,7 +166,6 @@ const reducerName = "reducer"
 const (
 	metricRounds       = "ppml_rounds_total"
 	metricRoundSeconds = "ppml_round_seconds"
-	metricRetries      = "ppml_map_retries_total"
 	metricTimeouts     = "ppml_round_timeouts_total"
 	metricFanout       = "ppml_mapper_fanout"
 	// metricCiphertexts counts Paillier ciphertexts produced by mapper
@@ -356,11 +347,9 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		maskMode:   opts.MaskMode,
 		codec:      codec,
 		dim:        job.ContributionDim,
-		retries:    opts.MapRetries,
 		pack:       pack,
 		cipherCtr:  cipherCtr,
 		sstel:      sstel,
-		retryCtr:   reg.Counter(metricRetries),
 	}
 	mapperErrs := make(chan error, m)
 	for i := 0; i < m; i++ {

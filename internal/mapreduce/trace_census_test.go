@@ -16,11 +16,13 @@ import (
 // journal's payload byte census must equal net.Stats().Bytes to the byte, and
 // the per-kind message counts must match the closed-form wiretap expectations
 // (seeded: m(m−1) seeds once and zero masks; per-round: m(m−1) masks every
-// round and zero seeds; m shares per round either way). With the frame-v5
-// envelope pinned byte-exactly in transport (TestFrameLengthExact: 53 bytes
-// fixed — including the 16-byte trace context — plus the three name strings),
-// the census reconstructs total wire volume in closed form, which is what the
-// ppml-trace network-segment attribution relies on.
+// round and zero seeds; m shares per round either way). With the frame-v6
+// envelope pinned byte-exactly in transport (TestFrameLengthExact: 49 bytes
+// fixed — the length prefix, the 37-byte header including the 16-byte trace
+// context, and the roster and name length words — plus the roster words and
+// the three name strings), the census reconstructs total wire volume in
+// closed form, which is what the ppml-trace network-segment attribution
+// relies on.
 func TestJournalWireCensusParity(t *testing.T) {
 	for _, tc := range []struct {
 		name string

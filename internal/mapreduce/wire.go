@@ -26,7 +26,9 @@ const (
 	// coordination metadata, never derived from share contents.
 	KindReady = "mr.ready"
 	// KindRoster broadcasts the Reducer's declared participation set for a
-	// round attempt; the roster rides in the envelope, the payload is empty.
+	// round; the roster rides in the envelope, the payload is empty. A
+	// re-declaration within the round is strictly smaller, and the shares
+	// derived over it carry it as their stamp.
 	KindRoster = "mr.roster"
 )
 

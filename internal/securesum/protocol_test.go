@@ -209,8 +209,8 @@ func TestRoundDemuxBuffersEarlyAndDropsStale(t *testing.T) {
 
 func TestRunPartyControlMessageMidRoundIsProtocolError(t *testing.T) {
 	// A same-session non-mask message mid-round is a protocol violation.
-	// Every frame the party did send carries the nil roster and attempt 0 of
-	// a strict round.
+	// Every frame the party did send carries the nil roster of a strict
+	// round.
 	net := transport.NewInProc()
 	defer net.Close()
 	names := []string{"mapper-0", "mapper-1"}
@@ -236,7 +236,7 @@ func TestRunPartyControlMessageMidRoundIsProtocolError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mask.Kind != KindMask || mask.Roster != nil || mask.Attempt != 0 || mask.Round != 2 || len(mask.Payload) != 16 {
-		t.Errorf("mask frame = kind %q roster %v attempt %d round %d, %d bytes; want a strict round's", mask.Kind, mask.Roster, mask.Attempt, mask.Round, len(mask.Payload))
+	if mask.Kind != KindMask || mask.Roster != nil || mask.Round != 2 || len(mask.Payload) != 16 {
+		t.Errorf("mask frame = kind %q roster %v round %d, %d bytes; want a strict round's", mask.Kind, mask.Roster, mask.Round, len(mask.Payload))
 	}
 }

@@ -304,7 +304,6 @@ func SetupSeeded(ctx context.Context, ep transport.Endpoint, names []string, sel
 	hdr := base
 	hdr.Round = SetupRound
 	hdr.Roster = nil
-	hdr.Attempt = 0
 	for peer := 0; peer < m; peer++ {
 		if peer == self {
 			continue

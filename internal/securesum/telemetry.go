@@ -89,15 +89,15 @@ func (t *Telemetry) ObserveHandshake(d time.Duration) {
 // The journal emitters below record mask-exchange lifecycle events in the
 // flight recorder. One Telemetry is shared by every mapper of a job, so the
 // emitting node's name is a per-call argument. All arguments are public
-// coordination metadata: node names, the trace identity, round/attempt
-// counters, byte counts, durations.
+// coordination metadata: node names, the trace identity, round counters,
+// byte counts, durations.
 
 // JournalSeedSent records one sent setup seed (byte count only).
 func (t *Telemetry) JournalSeedSent(node, peer string, trace telemetry.TraceID, bytes int) {
 	if t == nil {
 		return
 	}
-	t.journal.Emit(node, "seed.sent", trace, SetupRound, 0, peer, "", int64(bytes), 0)
+	t.journal.Emit(node, "seed.sent", trace, SetupRound, peer, "", int64(bytes), 0)
 }
 
 // JournalSeedRecv records one received setup seed (byte count only).
@@ -105,7 +105,7 @@ func (t *Telemetry) JournalSeedRecv(node, peer string, trace telemetry.TraceID, 
 	if t == nil {
 		return
 	}
-	t.journal.Emit(node, "seed.recv", trace, SetupRound, 0, peer, "", int64(bytes), 0)
+	t.journal.Emit(node, "seed.recv", trace, SetupRound, peer, "", int64(bytes), 0)
 }
 
 // JournalHandshakeDone records one completed seed exchange with its
@@ -114,15 +114,15 @@ func (t *Telemetry) JournalHandshakeDone(node string, trace telemetry.TraceID, d
 	if t == nil {
 		return
 	}
-	t.journal.Emit(node, "handshake.done", trace, SetupRound, 0, "", "", 0, d.Seconds())
+	t.journal.Emit(node, "handshake.done", trace, SetupRound, "", "", 0, d.Seconds())
 }
 
 // JournalMaskPhase records the start or end of one round's mask derivation
 // (event "mask.start" / "mask.end"; the end event carries the phase
 // duration in seconds).
-func (t *Telemetry) JournalMaskPhase(node, event string, trace telemetry.TraceID, round, attempt int32, d time.Duration) {
+func (t *Telemetry) JournalMaskPhase(node, event string, trace telemetry.TraceID, round int32, d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.journal.Emit(node, event, trace, round, attempt, "", "", 0, d.Seconds())
+	t.journal.Emit(node, event, trace, round, "", "", 0, d.Seconds())
 }

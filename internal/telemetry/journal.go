@@ -10,12 +10,12 @@ package telemetry
 // (DESIGN.md §16).
 //
 // Privacy stance: an event is a fixed tuple of scalars — node/peer names,
-// an event label, a message kind, a round/attempt counter, a byte count, and
-// one float64 value (a duration or a staleness). There is no field that can
-// carry a share, a mask, a seed, or an iterate; the telemetrysafe analyzer
-// additionally rejects any vector or vector-derived string reaching Emit in
-// the protocol packages. Everything recorded is coordination metadata the
-// semi-honest reducer's view already contains.
+// an event label, a message kind, a round counter, a byte count, and one
+// float64 value (a duration, a staleness or a roster size). There is no
+// field that can carry a share, a mask, a seed, or an iterate; the
+// telemetrysafe analyzer additionally rejects any vector or vector-derived
+// string reaching Emit in the protocol packages. Everything recorded is
+// coordination metadata the semi-honest reducer's view already contains.
 //
 // The disabled path follows the PR 5 nil-registry contract: a nil *Journal
 // no-ops, and the enabled path is allocation-free (events are written into
@@ -49,8 +49,6 @@ type JournalEvent struct {
 	Trace TraceID `json:"trace"`
 	// Round is the consensus round the event belongs to (-1 for setup).
 	Round int32 `json:"round"`
-	// Attempt is the elastic re-roster attempt, when meaningful.
-	Attempt int32 `json:"attempt,omitempty"`
 	// Peer is the counterparty node, when the event involves one.
 	Peer string `json:"peer,omitempty"`
 	// Kind is the wire message kind for send/recv events.
@@ -119,7 +117,7 @@ func (j *Journal) Total() uint64 {
 // not an event struct — so the telemetrysafe taint rules see every argument
 // at the call site. Pass zero values for fields the event does not use.
 // Nil-safe and allocation-free when live.
-func (j *Journal) Emit(node, event string, trace TraceID, round, attempt int32, peer, kind string, bytes int64, value float64) {
+func (j *Journal) Emit(node, event string, trace TraceID, round int32, peer, kind string, bytes int64, value float64) {
 	if j == nil {
 		return
 	}
@@ -127,17 +125,16 @@ func (j *Journal) Emit(node, event string, trace TraceID, round, attempt int32, 
 	s := &j.stripes[j.next.Add(1)&(journalStripes-1)]
 	s.mu.Lock()
 	s.buf[s.next] = JournalEvent{
-		Seq:     seq,
-		Time:    time.Now(),
-		Node:    node,
-		Event:   event,
-		Trace:   trace,
-		Round:   round,
-		Attempt: attempt,
-		Peer:    peer,
-		Kind:    kind,
-		Bytes:   bytes,
-		Value:   value,
+		Seq:   seq,
+		Time:  time.Now(),
+		Node:  node,
+		Event: event,
+		Trace: trace,
+		Round: round,
+		Peer:  peer,
+		Kind:  kind,
+		Bytes: bytes,
+		Value: value,
 	}
 	s.next++
 	if s.next == len(s.buf) {

@@ -50,7 +50,7 @@ func TestJournalEmitAndSnapshot(t *testing.T) {
 	j := NewJournal(64)
 	tr := NewTraceID()
 	for i := 0; i < 10; i++ {
-		j.Emit("reducer", "round.start", tr, int32(i), 0, "", "", 0, 0)
+		j.Emit("reducer", "round.start", tr, int32(i), "", "", 0, 0)
 	}
 	if j.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", j.Total())
@@ -75,7 +75,7 @@ func TestJournalRingWraps(t *testing.T) {
 		t.Fatalf("Capacity = %d, want 16", j.Capacity())
 	}
 	for i := 0; i < 100; i++ {
-		j.Emit("n", "e", TraceID{}, int32(i), 0, "", "", 0, 0)
+		j.Emit("n", "e", TraceID{}, int32(i), "", "", 0, 0)
 	}
 	if j.Total() != 100 {
 		t.Fatalf("Total = %d, want 100", j.Total())
@@ -104,7 +104,7 @@ func TestJournalCapacityRounding(t *testing.T) {
 
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
-	j.Emit("n", "e", TraceID{}, 0, 0, "", "", 0, 0)
+	j.Emit("n", "e", TraceID{}, 0, "", "", 0, 0)
 	if j.Snapshot() != nil || j.Total() != 0 || j.Capacity() != 0 {
 		t.Fatal("nil journal must be inert")
 	}
@@ -118,13 +118,13 @@ func TestJournalEmitZeroAlloc(t *testing.T) {
 	tr := NewTraceID()
 	live := NewJournal(256)
 	if n := testing.AllocsPerRun(1000, func() {
-		live.Emit("mapper-1", "solve.end", tr, 7, 0, "", "", 0, 0.003)
+		live.Emit("mapper-1", "solve.end", tr, 7, "", "", 0, 0.003)
 	}); n != 0 {
 		t.Fatalf("live Emit allocates %v/op, want 0", n)
 	}
 	var off *Journal
 	if n := testing.AllocsPerRun(1000, func() {
-		off.Emit("mapper-1", "solve.end", tr, 7, 0, "", "", 0, 0.003)
+		off.Emit("mapper-1", "solve.end", tr, 7, "", "", 0, 0.003)
 	}); n != 0 {
 		t.Fatalf("disabled Emit allocates %v/op, want 0", n)
 	}
@@ -134,8 +134,8 @@ func TestWriteJournalJSON(t *testing.T) {
 	r := NewRegistry(WithJournal(32))
 	r.SetRunInfo(RunInfo{Commit: "abc123", GoVersion: "go1.x", GOMAXPROCS: 4})
 	tr := NewTraceID()
-	r.Journal().Emit("reducer", "round.start", tr, 0, 0, "", "", 0, 0)
-	r.Journal().Emit("reducer", "share.recv", tr, 0, 1, "mapper-2", "mr.plainshare", 800, 0)
+	r.Journal().Emit("reducer", "round.start", tr, 0, "", "", 0, 0)
+	r.Journal().Emit("reducer", "share.recv", tr, 0, "mapper-2", "mr.plainshare", 800, 0)
 
 	var buf bytes.Buffer
 	if err := r.WriteJournal(&buf); err != nil {
@@ -215,7 +215,7 @@ func TestRunInfoInSnapshotAndVars(t *testing.T) {
 	if len(snap.Journal) != 0 {
 		t.Fatal("empty journal produced snapshot events")
 	}
-	r.Journal().Emit("n", "e", TraceID{}, 0, 0, "", "", 0, 0)
+	r.Journal().Emit("n", "e", TraceID{}, 0, "", "", 0, 0)
 	snap = r.Snapshot()
 	if len(snap.Journal) != 1 || snap.JournalTotal != 1 {
 		t.Fatalf("snapshot journal = %d events / total %d, want 1/1", len(snap.Journal), snap.JournalTotal)
@@ -251,7 +251,7 @@ func TestRunInfoInSnapshotAndVars(t *testing.T) {
 
 func TestAutoDumpJournal(t *testing.T) {
 	r := NewRegistry(WithJournal(32))
-	r.Journal().Emit("reducer", "round.start", NewTraceID(), 0, 0, "", "", 0, 0)
+	r.Journal().Emit("reducer", "round.start", NewTraceID(), 0, "", "", 0, 0)
 
 	// Unset env: no dump, no error.
 	t.Setenv(journalDumpEnv, "")

@@ -76,7 +76,7 @@ func TestRegistryRace(t *testing.T) {
 				c.Inc()
 				g.Set(float64(i))
 				h.Observe(float64(i % 100))
-				r.Journal().Emit("race", "round.end", TraceID{}, int32(i), 0, "", "", 0, 0)
+				r.Journal().Emit("race", "round.end", TraceID{}, int32(i), "", "", 0, 0)
 			}
 		}()
 	}

@@ -73,19 +73,17 @@ func WriteChromeTrace(w io.Writer, tl *Timeline) error {
 	us := func(t time.Time) float64 { return float64(t.Sub(base)) / float64(time.Microsecond) }
 
 	emit := func(events []telemetry.JournalEvent, critical *CriticalPath, round int32) {
-		// Pair *.start with the next *.end of the same node+event family.
-		type openKey struct {
-			node, end string
-			attempt   int32
-		}
+		// Pair *.start with the next *.end of the same node+event family: the
+		// phases on one node are sequential.
+		type openKey struct{ node, end string }
 		open := map[openKey]telemetry.JournalEvent{}
 		for _, e := range events {
 			pid := pidOf[e.Node]
 			switch {
 			case phasePairs[e.Event] != "":
-				open[openKey{e.Node, phasePairs[e.Event], e.Attempt}] = e
+				open[openKey{e.Node, phasePairs[e.Event]}] = e
 			case phaseEnds[e.Event]:
-				k := openKey{e.Node, e.Event, e.Attempt}
+				k := openKey{e.Node, e.Event}
 				if s, ok := open[k]; ok {
 					delete(open, k)
 					ce := chromeEvent{

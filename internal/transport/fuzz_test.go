@@ -8,8 +8,8 @@ import (
 // FuzzWireDecode feeds arbitrary bytes to the TCP frame decoder: it must
 // reject malformed or wrong-version frames with an error (never panic or
 // over-allocate), and any frame it accepts must re-encode — envelope fields
-// included — to exactly the same bytes, so the version-1 wire format is
-// canonical on the accepted set.
+// included — to exactly the same bytes, so the wire format is canonical on
+// the accepted set.
 func FuzzWireDecode(f *testing.F) {
 	seed := []*Message{
 		{},
@@ -17,6 +17,8 @@ func FuzzWireDecode(f *testing.F) {
 		{From: "mapper-3", To: "reducer", Kind: "securesum.share",
 			Session: 42, Round: 7, Seq: 19, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 		{From: "x", To: "y", Kind: "k", Session: ^uint64(0), Round: -1, Seq: ^uint64(0)},
+		{From: "mapper-1", To: "reducer", Kind: "securesum.share", Session: 5, Round: 3, Seq: 8,
+			Roster: Roster{0b1011, 1 << 63}, Payload: []byte{9, 9, 9}},
 	}
 	for _, msg := range seed {
 		frame, err := encodeFrame(msg)

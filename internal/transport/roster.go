@@ -2,10 +2,11 @@ package transport
 
 // Roster is a per-round participation set over mapper indices, carried in the
 // message envelope of roster-bearing control messages (and stamped on the
-// data messages derived from one, so receivers can tell which roster attempt
-// a share or mask belongs to). It is a little-endian bitset: bit i of word
-// i/64 is mapper i's membership. A nil Roster means "no roster declared" —
-// the fixed-membership protocol where every mapper answers every round.
+// shares derived over one: the rosters of one round strictly shrink, so the
+// roster is what tells two derivations of a round apart). It is a
+// little-endian bitset: bit i of word i/64 is mapper i's membership. A nil
+// Roster means "no roster declared" — the fixed-membership protocol where
+// every mapper answers every round.
 type Roster []uint64
 
 // NewRoster returns an empty roster with capacity for n members.

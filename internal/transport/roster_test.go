@@ -2,6 +2,8 @@ package transport
 
 import (
 	"context"
+	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -132,7 +134,6 @@ func TestFrameRosterRoundtrip(t *testing.T) {
 		From: "a", To: "b", Kind: "k",
 		Session: 1, Round: 2, Seq: 3,
 		Roster:  roster,
-		Attempt: 5,
 		Payload: []byte("payload"),
 	}
 	frame, err := encodeFrame(&msg)
@@ -146,11 +147,32 @@ func TestFrameRosterRoundtrip(t *testing.T) {
 	if !got.Roster.Equal(roster) {
 		t.Fatalf("decoded roster %v, want %v", got.Roster, roster)
 	}
-	if got.Attempt != 5 {
-		t.Fatalf("decoded attempt %d, want 5", got.Attempt)
-	}
 	if string(got.Payload) != "payload" || got.Kind != "k" {
 		t.Fatalf("frame fields corrupted by roster section: %+v", got)
+	}
+}
+
+// TestFrameRosterWordBound pins the roster section at what its uint16 word
+// count can say: 65,535 words round-trip, and 65,536 — which a wider bound
+// would frame with count 0, reading the roster and names back as payload —
+// is refused at encode.
+func TestFrameRosterWordBound(t *testing.T) {
+	widest := make(Roster, math.MaxUint16)
+	widest[0], widest[len(widest)-1] = 1, 1<<63
+	frame, err := encodeFrame(&Message{From: "a", To: "b", Kind: "k", Roster: widest, Payload: []byte("p")})
+	if err != nil {
+		t.Fatalf("%d-word roster: %v", len(widest), err)
+	}
+	got, err := decodeFrame(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Roster) != len(widest) || !got.Roster.Equal(widest) || got.Kind != "k" || string(got.Payload) != "p" {
+		t.Fatalf("%d-word roster did not round-trip: %d words, kind %q, %d payload bytes", len(widest), len(got.Roster), got.Kind, len(got.Payload))
+	}
+	over := make(Roster, math.MaxUint16+1)
+	if _, err := encodeFrame(&Message{From: "a", To: "b", Kind: "k", Roster: over}); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("%d-word roster: err = %v, want ErrBadFrame", len(over), err)
 	}
 }
 

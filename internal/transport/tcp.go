@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -34,11 +35,11 @@ const maxFrameBytes = 64 << 20
 // receiver rejects frames from any other version instead of misparsing them,
 // so the header can grow fields in later versions without silent corruption.
 // Version 2 added the roster section (elastic per-round participation sets);
-// version 3 added the attempt counter that tells two roster attempts of one
-// round apart; version 4 added the trace context that keys per-node journal
-// events to one cross-node timeline; version 5 carries that context as the
-// trace id alone.
-const frameVersion = 5
+// version 4 the trace context that keys per-node journal events to one
+// cross-node timeline, carried as the trace id alone since 5; version 6 drops
+// version 3's attempt word, as the roster alone tells two share derivations
+// of a round apart.
+const frameVersion = 6
 
 // Fixed envelope layout after the 4-byte length prefix:
 //
@@ -46,25 +47,24 @@ const frameVersion = 5
 //	0       1     version byte (frameVersion)
 //	1       8     session (big endian)
 //	9       4     round   (big endian, two's complement int32)
-//	13      4     attempt (big endian, two's complement int32)
-//	17      8     seq     (big endian)
-//	25      8     trace id, high word (big endian)
-//	33      8     trace id, low word (big endian)
-//	41      2     roster word count, then 8 bytes (big endian) per word
+//	13      8     seq     (big endian)
+//	21      8     trace id, high word (big endian)
+//	29      8     trace id, low word (big endian)
+//	37      2     roster word count, then 8 bytes (big endian) per word
 //	..      2     len(from), then from bytes
 //	..      2     len(to), then to bytes
 //	..      2     len(kind), then kind bytes
 //	..      —     payload (everything remaining)
-const frameFixedHeader = 1 + 8 + 4 + 4 + 8 + 8 + 8
+const frameFixedHeader = 1 + 8 + 4 + 8 + 8 + 8
 
 // maxNameBytes bounds the from/to/kind strings in a frame; endpoint names and
 // message kinds are short protocol identifiers.
 const maxNameBytes = 1 << 10
 
-// maxRosterWords bounds the roster bitset in a frame: 2^16 words cover four
-// million mappers, far beyond any cohort the protocols run, and the bound
-// keeps a corrupt length field from forcing a large allocation.
-const maxRosterWords = 1 << 16
+// maxRosterWords bounds the roster bitset in a frame at what its uint16 word
+// count can say: 65,535 words cover four million mappers, far beyond any
+// cohort the protocols run.
+const maxRosterWords = math.MaxUint16
 
 // TCP is a Network whose endpoints talk over loopback TCP sockets with
 // length-prefixed, versioned binary frames. It runs the exact same protocols
@@ -300,7 +300,6 @@ func appendFrame(dst []byte, msg *Message) ([]byte, error) {
 	b = append(b, frameVersion)
 	b = binary.BigEndian.AppendUint64(b, msg.Session)
 	b = binary.BigEndian.AppendUint32(b, uint32(msg.Round))
-	b = binary.BigEndian.AppendUint32(b, uint32(msg.Attempt))
 	b = binary.BigEndian.AppendUint64(b, msg.Seq)
 	b = binary.BigEndian.AppendUint64(b, msg.Trace.Hi)
 	b = binary.BigEndian.AppendUint64(b, msg.Trace.Lo)
@@ -327,19 +326,15 @@ func decodeFrame(body []byte) (Message, error) {
 	var msg Message
 	msg.Session = binary.BigEndian.Uint64(body[1:])
 	msg.Round = int32(binary.BigEndian.Uint32(body[9:]))
-	msg.Attempt = int32(binary.BigEndian.Uint32(body[13:]))
-	msg.Seq = binary.BigEndian.Uint64(body[17:])
-	msg.Trace.Hi = binary.BigEndian.Uint64(body[25:])
-	msg.Trace.Lo = binary.BigEndian.Uint64(body[33:])
+	msg.Seq = binary.BigEndian.Uint64(body[13:])
+	msg.Trace.Hi = binary.BigEndian.Uint64(body[21:])
+	msg.Trace.Lo = binary.BigEndian.Uint64(body[29:])
 	rest := body[frameFixedHeader:]
 	if len(rest) < 2 {
 		return Message{}, fmt.Errorf("%w: truncated roster length", ErrBadFrame)
 	}
 	words := int(binary.BigEndian.Uint16(rest))
 	rest = rest[2:]
-	if words > maxRosterWords {
-		return Message{}, fmt.Errorf("%w: roster of %d words", ErrBadFrame, words)
-	}
 	if len(rest) < 8*words {
 		return Message{}, fmt.Errorf("%w: truncated roster", ErrBadFrame)
 	}
@@ -389,7 +384,6 @@ func (e *tcpEndpoint) Send(ctx context.Context, to, kind string, hdr Header, pay
 		From: e.name, To: to, Kind: kind,
 		Session: hdr.Session, Round: hdr.Round, Seq: e.seq.Add(1),
 		Roster:  hdr.Roster,
-		Attempt: hdr.Attempt,
 		Trace:   hdr.Trace,
 		Payload: payload,
 	}

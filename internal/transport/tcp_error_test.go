@@ -204,20 +204,20 @@ func TestTCPCloseTwice(t *testing.T) {
 	}
 }
 
-// TestFrameRejectsVersion4 hands the decoder a well-formed frame of the
-// previous wire version (49-byte fixed header: one more word after the trace
-// id): it is refused by its version byte like any other foreign version,
-// never misparsed under the current 41-byte layout.
-func TestFrameRejectsVersion4(t *testing.T) {
-	frame, err := encodeFrame(&Message{From: "a", To: "b", Kind: "k", Session: 7, Round: 3, Payload: []byte("payload")})
+// TestFrameRejectsVersion5 hands the decoder a well-formed frame of the
+// previous wire version (41-byte fixed header: an attempt word after the
+// round): it is refused by its version byte like any other foreign version,
+// never misparsed under the current 37-byte layout.
+func TestFrameRejectsVersion5(t *testing.T) {
+	frame, err := encodeFrame(&Message{From: "a", To: "b", Kind: "k", Session: 7, Round: 3, Roster: Roster{0b101}, Payload: []byte("payload")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := frame[4:]
-	v4 := append([]byte{4}, body[1:frameFixedHeader]...)
-	v4 = binary.BigEndian.AppendUint64(v4, 0xfeed)
-	v4 = append(v4, body[frameFixedHeader:]...)
-	if _, err := decodeFrame(v4); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("version-4 frame: err = %v, want ErrBadFrame", err)
+	v5 := append([]byte{5}, body[1:13]...) // session, round
+	v5 = binary.BigEndian.AppendUint32(v5, 1)
+	v5 = append(v5, body[13:]...)
+	if _, err := decodeFrame(v5); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("version-5 frame: err = %v, want ErrBadFrame", err)
 	}
 }

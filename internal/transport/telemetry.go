@@ -78,7 +78,7 @@ func (t *netCounters) journalSend(from, to, kind string, trace telemetry.TraceID
 	if t == nil || t.journal == nil {
 		return
 	}
-	t.journal.Emit(from, "net.send", trace, round, 0, to, kind, int64(payloadBytes), 0)
+	t.journal.Emit(from, "net.send", trace, round, to, kind, int64(payloadBytes), 0)
 }
 
 // journalRecv records one matched receive. Same public-metadata arguments
@@ -88,7 +88,7 @@ func (t *netCounters) journalRecv(node, from, kind string, trace telemetry.Trace
 		return
 	}
 	//ppml:telemetry-ok From and Kind are envelope routing fields off the received frame — public metadata stamped on every message, never payload-derived
-	t.journal.Emit(node, "net.recv", trace, round, 0, from, kind, int64(payloadBytes), 0)
+	t.journal.Emit(node, "net.recv", trace, round, from, kind, int64(payloadBytes), 0)
 }
 
 func (t *netCounters) sent(payloadBytes int) {

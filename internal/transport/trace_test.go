@@ -8,16 +8,19 @@ import (
 	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
-// TestFrameFixedHeaderPinned pins the frame v5 envelope overhead byte for
+// TestFrameFixedHeaderPinned pins the frame v6 envelope overhead byte for
 // byte. The trace context (TraceHi, TraceLo) costs exactly 16 bytes per
-// message on top of the 25-byte coordination envelope; any change to this
+// message on top of the 21-byte coordination envelope; any change to this
 // constant is a wire-format break that must bump frameVersion.
 func TestFrameFixedHeaderPinned(t *testing.T) {
-	if frameVersion != 5 {
-		t.Fatalf("frameVersion = %d, want 5", frameVersion)
+	if frameVersion != 6 {
+		t.Fatalf("frameVersion = %d, want 6", frameVersion)
 	}
-	// version(1) + session(8) + round(4) + attempt(4) + seq(8)
-	const coordination = 25
+	if frameFixedHeader != 37 {
+		t.Fatalf("frameFixedHeader = %d, want 37", frameFixedHeader)
+	}
+	// version(1) + session(8) + round(4) + seq(8)
+	const coordination = 21
 	// + traceHi(8) + traceLo(8)
 	if frameFixedHeader != coordination+16 {
 		t.Fatalf("frameFixedHeader = %d, want %d", frameFixedHeader, coordination+16)
@@ -32,7 +35,7 @@ func TestFrameLengthExact(t *testing.T) {
 	cases := []Message{
 		{From: "a", To: "b", Kind: "k"},
 		{From: "mapper-7", To: "reducer", Kind: "mr.plainshare", Session: 9,
-			Round: 3, Attempt: 1, Seq: 44, Payload: make([]byte, 808)},
+			Round: 3, Seq: 44, Payload: make([]byte, 808)},
 		{From: "mapper-1", To: "mapper-2", Kind: "securesum.seed",
 			Trace:  telemetry.TraceID{Hi: 1, Lo: 2},
 			Roster: Roster{0xff}, Payload: make([]byte, 32)},
@@ -53,7 +56,7 @@ func TestFrameLengthExact(t *testing.T) {
 func TestFrameTraceRoundtrip(t *testing.T) {
 	msg := Message{
 		From: "reducer", To: "mapper-3", Kind: "mr.broadcast",
-		Session: 77, Round: 12, Attempt: 2, Seq: 101,
+		Session: 77, Round: 12, Seq: 101,
 		Trace:   telemetry.TraceID{Hi: 0xdeadbeefcafef00d, Lo: 0x0123456789abcdef},
 		Roster:  Roster{0b1011},
 		Payload: []byte{1, 2, 3},

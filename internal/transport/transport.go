@@ -6,12 +6,13 @@
 // sockets.
 //
 // Every message travels in a session-scoped, round-tagged envelope: the
-// sender stamps a Header (job session id, protocol round) and the transport
-// adds a per-endpoint sequence number. Receivers demultiplex with RecvMatch,
-// whose filter decides per message whether to deliver it, hold it for a later
-// call (a fast peer's next-round traffic), or drop it as stale. This is what
-// lets a long-lived multi-round protocol interleave phases safely instead of
-// relying on arrival order.
+// sender stamps a Header (job session id, protocol round, and in an elastic
+// round the roster a share was derived over) and the transport adds a
+// per-endpoint sequence number. Receivers demultiplex with RecvMatch, whose
+// filter decides per message whether to deliver it, hold it for a later call
+// (a fast peer's next-round traffic), or drop it as stale. This is what lets a
+// long-lived multi-round protocol interleave phases safely instead of relying
+// on arrival order.
 //
 // Every network keeps byte and message counters, which the benchmarks use to
 // quantify the data-locality argument of Section I: the bytes a consensus
@@ -49,16 +50,11 @@ type Header struct {
 	Round int32
 	// Roster, when non-nil, is the per-round participation set this message
 	// declares (a roster broadcast) or was produced under (a share scoped to
-	// a roster attempt). Nil means fixed membership — the strict protocol
+	// that roster). Every re-declaration within a round is strictly smaller
+	// than the last, so (Round, Roster) alone tells two share derivations of
+	// one round apart. Nil means fixed membership — the strict protocol
 	// where every mapper answers every round.
 	Roster Roster
-	// Attempt numbers the share-collection attempts of one elastic round:
-	// the first roster declaration is attempt 0 and every re-declaration
-	// increments it. Shares carry the attempt they were derived under, and
-	// receivers drop superseded-attempt traffic instead of folding it. Each
-	// attempt's roster is strictly smaller than the last, so the roster
-	// alone already tells attempts apart; the attempt is their label.
-	Attempt int32
 	// Trace is the distributed trace identity of the session, minted by the
 	// reducer at session start and echoed by mappers on every reply, so
 	// per-node journals merge into one cross-node timeline. Coordination
@@ -80,8 +76,6 @@ type Message struct {
 	// Roster is the participation set copied from the sender's Header; nil
 	// when the message carries none.
 	Roster Roster
-	// Attempt is the roster-attempt counter copied from the sender's Header.
-	Attempt int32
 	// Trace is the trace identity copied from the sender's Header.
 	Trace telemetry.TraceID
 	// Seq is a per-sender monotonic sequence number stamped by the
@@ -93,7 +87,7 @@ type Message struct {
 
 // Header reconstructs the sender-stamped envelope of the message.
 func (m Message) Header() Header {
-	return Header{Session: m.Session, Round: m.Round, Roster: m.Roster, Attempt: m.Attempt, Trace: m.Trace}
+	return Header{Session: m.Session, Round: m.Round, Roster: m.Roster, Trace: m.Trace}
 }
 
 // Verdict is a Filter's decision for one inbound message.
@@ -370,9 +364,8 @@ func (e *inprocEndpoint) Send(ctx context.Context, to, kind string, hdr Header, 
 	msg := Message{
 		From: e.name, To: to, Kind: kind,
 		// The roster is cloned so a sender reusing its roster buffer for the
-		// next attempt cannot mutate a message already in flight.
+		// next declaration cannot mutate a message already in flight.
 		Session: hdr.Session, Round: hdr.Round, Roster: hdr.Roster.Clone(),
-		Attempt: hdr.Attempt,
 		Trace:   hdr.Trace,
 		Seq:     e.seq.Add(1),
 		Payload: payload,

@@ -65,15 +65,29 @@ if grep -rnE 'SetRoundParticipants|RosterReducer|WithSecondOrder|QPSecondOrder|P
 fi
 
 echo "==> one derivation per roster (per-round masks run strict rounds only, in non-test Go)"
-# Elastic rounds derive seeded masks, and every attempt of a round has a
-# strictly smaller roster. Per-round masks run PerRoundParty.Round over the
-# full cohort, the strict round being their only round (newPolicy refuses
-# them with a StragglerTimeout). A re-ready phase, a roster-scoped mask
-# exchange or a roster-scoped Party share would bring back the wedge recovery
-# of a combination nothing runs.
+# Elastic rounds derive seeded masks, and every re-declared roster of a round
+# is strictly smaller than the last, so the roster stamp on a share names its
+# derivation. Per-round masks run PerRoundParty.Round over the full cohort,
+# the strict round being their only round (newPolicy refuses them with a
+# StragglerTimeout). A re-ready phase, a roster-scoped mask exchange or a
+# roster-scoped Party share would bring back the wedge recovery of a
+# combination nothing runs.
 if grep -rnE 'attemptReready|"reready"|maskRosterFilter|RoundRoster|ShareOver\(' . --include="*.go" \
 	| grep -v "_test.go" | grep -v "/testdata/"; then
 	echo "error: a per-round exchange over a changing roster in non-test Go (elastic rounds derive seeded masks)" >&2
+	exit 1
+fi
+
+echo "==> a round attempt is its roster (no attempt counter, round timeout or map retries in non-test Go)"
+# (round, roster) identifies a share derivation, so an attempt stamp in the
+# envelope, the frame or the journal would be a second label nothing decides
+# with. A strict round waits until it completes or the job's context ends;
+# the straggler deadline is the only protocol clock a caller sets. A
+# Contribution is deterministic, so a retry would fail again on the same state.
+# (bench/ is frozen by BENCHMARK.json and uses none of them.)
+if grep -rnE '\bAttempt\b|MapRetries|RoundTimeout|ppml_map_retries_total' . --include="*.go" \
+	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/"; then
+	echo "error: an attempt counter, RoundTimeout or MapRetries in non-test Go (the roster is the attempt)" >&2
 	exit 1
 fi
 
