@@ -238,8 +238,8 @@ func (m *model) Sanitizes(fn *types.Func) bool {
 		// flight-recorder journal) is a sink — every argument crossing into
 		// it is audited by the sink scan below — and nothing recorded there
 		// flows back into the protocol. Without this, the unknown-callee
-		// assumption would let one audited argument (say, a checkpoint-
-		// resumed round counter) taint the journal handle's receiver and,
+		// assumption would let one audited argument (say, a ready
+		// declaration's staleness stamp) taint the journal handle's receiver and,
 		// transitively, every driver struct holding it.
 		return true
 	}

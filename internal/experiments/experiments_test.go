@@ -178,7 +178,9 @@ func TestPaperScaleSizes(t *testing.T) {
 // /metrics scrape serves must equal the transport.Stats totals History
 // reports, and both must match the closed-form traffic shape of seeded
 // masking — m(m−1) seed messages once, then (m shares + m broadcasts) per
-// round, plus m stop messages.
+// round, plus m stop messages — in messages and in payload bytes: a seed is
+// 32 bytes, a broadcast is the state and a share the contribution at 8 bytes
+// per value, and a stop carries nothing.
 func TestTelemetryMatchesHistory(t *testing.T) {
 	const m, iters = 3, 4
 	data := ppml.SyntheticCancer(200, 1)
@@ -207,6 +209,11 @@ func TestTelemetryMatchesHistory(t *testing.T) {
 	wantMsgs := int64(m*(m-1) + iters*2*m + m)
 	if msgs != wantMsgs {
 		t.Errorf("messages = %d, want %d (m(m-1) seeds + 2m per round + m stops)", msgs, wantMsgs)
+	}
+	// HL's state and contribution are both (w, b): features + 1 values.
+	state := train.Features() + 1
+	if want := int64(32*m*(m-1) + iters*m*8*(state+state)); bytes != want {
+		t.Errorf("bytes = %d, want %d (32-byte seeds + per round m broadcasts and m shares of %d values)", bytes, want, state)
 	}
 	snap := tel.Snapshot()
 	if rounds := snap.CounterTotal("ppml_rounds_total"); rounds != int64(res.History.Iterations) {

@@ -76,14 +76,18 @@ func newAsyncComputer(sv solver) *asyncComputer {
 func (c *asyncComputer) worker() {
 	defer close(c.done)
 	for j := range c.jobs {
+		// Field by field: a composite literal merges its elements' taints
+		// (DESIGN.md §13), and contrib would taint the round beside it.
+		var r asyncResult
+		r.iter = j.iter
 		contrib, err := c.solve(j.iter, j.state)
-		if err != nil {
-			c.results <- asyncResult{iter: j.iter, err: err}
-			return
-		}
 		// The mapper's return value aliases buffers its next solve will
 		// overwrite; the result must own its bytes.
-		c.results <- asyncResult{iter: j.iter, contrib: append([]float64(nil), contrib...)}
+		r.contrib, r.err = append([]float64(nil), contrib...), err
+		c.results <- r
+		if err != nil {
+			return
+		}
 	}
 }
 
@@ -92,7 +96,8 @@ func (c *asyncComputer) worker() {
 // a state the reducer has already replaced). The caller passes ownership of
 // state.
 func (c *asyncComputer) submit(iter int, state []float64) {
-	j := asyncJob{iter: iter, state: state}
+	var j asyncJob // field by field, as in worker
+	j.iter, j.state = iter, state
 	for {
 		select {
 		case c.jobs <- j:
@@ -149,7 +154,6 @@ func (c *asyncComputer) wait(ctx context.Context, minIter int) error {
 func (c *asyncComputer) share(iter int, decay float64) ([]float64, []byte, error) {
 	s := iter - c.last.iter
 	if s < 0 || s > 255 {
-		//ppml:flow-ok both operands are round counters — the contribution's birth round and the current round — coordination metadata, not share contents
 		return nil, nil, fmt.Errorf("%w: contribution from round %d at round %d", ErrBadJob, c.last.iter, iter)
 	}
 	w := decayWeight(decay, s)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -181,6 +183,151 @@ func TestElasticDemoteAndRejoin(t *testing.T) {
 			t.Errorf("StaleDropped = %d, want at least 1 from the straggler's stale catch-up traffic", res.Net.StaleDropped)
 		}
 	})
+}
+
+// broadcastLog is the ground truth of TestElasticLateMapperReadsItsOwnBroadcast:
+// the state the Reducer broadcast for every round, and the (round, state)
+// every Contribution was handed.
+type broadcastLog struct {
+	mu     sync.Mutex
+	sent   map[int][]float64
+	handed []handedState
+}
+
+type handedState struct {
+	mapper, iter int
+	state        []float64
+}
+
+func (l *broadcastLog) broadcast(iter int, state []float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sent[iter] = append([]float64(nil), state...)
+}
+
+func (l *broadcastLog) hand(mapper, iter int, state []float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.handed = append(l.handed, handedState{mapper, iter, append([]float64(nil), state...)})
+}
+
+// loggedMapper is the averaging consensus, logging every state it is handed.
+// With a gate, its Contribution for round blockOn waits until the gate
+// closes, and caughtUp is set once it has solved a round after that.
+type loggedMapper struct {
+	id       int
+	value    []float64
+	log      *broadcastLog
+	gate     <-chan struct{}
+	blockOn  int
+	caughtUp *atomic.Bool
+}
+
+func (m *loggedMapper) Contribution(iter int, state []float64) ([]float64, error) {
+	m.log.hand(m.id, iter, state)
+	if m.gate != nil && iter == m.blockOn {
+		// Bounded, so a job that fails before the gate opens cannot strand
+		// this node in Contribution and hang RunDistributed's drain.
+		select {
+		case <-m.gate:
+		case <-time.After(time.Minute):
+		}
+	}
+	out := make([]float64, len(m.value))
+	for i := range out {
+		out[i] = m.value[i] - state[i]
+	}
+	if m.gate != nil && iter > m.blockOn {
+		m.caughtUp.Store(true)
+	}
+	return out, nil
+}
+
+// loggingReducer takes half a step towards the roster's mean, so no two
+// rounds broadcast the same state, and logs every state it broadcasts. It
+// opens the gate in Combine(openOn) and finishes once done reports true.
+type loggingReducer struct {
+	log    *broadcastLog
+	prev   []float64
+	n      int
+	gate   chan struct{}
+	openOn int
+	done   *atomic.Bool
+}
+
+func (r *loggingReducer) SetRoundWeight(total float64) { r.n = int(total) }
+
+func (r *loggingReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+	next := make([]float64, len(sum))
+	for i := range sum {
+		next[i] = r.prev[i] + sum[i]/float64(2*r.n)
+	}
+	r.prev = next
+	r.log.broadcast(iter+1, next)
+	if iter == r.openOn {
+		close(r.gate)
+	}
+	return next, r.done.Load(), nil
+}
+
+// TestElasticLateMapperReadsItsOwnBroadcast: a mapper demoted while it solves
+// catches up through the broadcasts queued for it, and each must still hold
+// its own round's state. Over the in-process network a broadcast's bytes are
+// shared with every mapper it reaches, so the Reducer may reuse them only
+// after a round that folded every one of those mappers. Mapper 2 blocks in
+// round 1 until Combine(3), while rounds 2-4 are broadcast; every Contribution
+// in the job must be handed exactly the state broadcast for its round.
+func TestElasticLateMapperReadsItsOwnBroadcast(t *testing.T) {
+	t.Parallel()
+	values := [][]float64{{1, 9}, {3, 11}, {5, 13}, {7, 15}}
+	const late, maxRounds = 2, 40
+	log := &broadcastLog{sent: map[int][]float64{0: {0, 0}}}
+	gate := make(chan struct{})
+	var caughtUp atomic.Bool
+	mappers := make([]IterativeMapper, len(values))
+	for i, v := range values {
+		lm := &loggedMapper{id: i, value: v, log: log}
+		if i == late {
+			lm.gate, lm.blockOn, lm.caughtUp = gate, 1, &caughtUp
+		}
+		mappers[i] = lm
+	}
+	job := IterativeJob{
+		Mappers:         mappers,
+		Reducer:         &loggingReducer{log: log, prev: []float64{0, 0}, gate: gate, openOn: 3, done: &caughtUp},
+		InitialState:    []float64{0, 0},
+		ContributionDim: 2,
+		MaxIterations:   maxRounds,
+	}
+	res, _ := runElastic(t, job, DriverOptions{StragglerTimeout: 100 * time.Millisecond})
+	if !res.Converged {
+		t.Fatalf("mapper %d never solved a round after its release (%d rounds)", late, res.Iterations)
+	}
+	if res.Demotions < 1 {
+		t.Errorf("Demotions = %d, want mapper %d demoted while it blocks", res.Demotions, late)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	caught := 0
+	for _, h := range log.handed {
+		if h.mapper == late && h.iter > 1 && h.iter <= 4 {
+			caught++
+		}
+		want, ok := log.sent[h.iter]
+		if !ok {
+			t.Errorf("mapper %d handed round %d, which was never broadcast", h.mapper, h.iter)
+			continue
+		}
+		for i := range want {
+			if math.Float64bits(h.state[i]) != math.Float64bits(want[i]) {
+				t.Errorf("mapper %d handed %v for round %d, whose broadcast was %v", h.mapper, h.state, h.iter, want)
+				break
+			}
+		}
+	}
+	if caught == 0 {
+		t.Errorf("mapper %d solved none of the rounds broadcast while it blocked", late)
+	}
 }
 
 // TestElasticShareLostAfterReady pins the seeded re-roster path

@@ -17,7 +17,7 @@ package mapreduce
 //
 // A round is
 //
-//	broadcast → [ready/roster handshake] → collect → settle → Combine → checkpoint
+//	broadcast → [ready/roster handshake] → collect → settle → Combine
 //
 // The handshake exists because a masked share cancels only over the exact
 // set of mappers that deliver: when mappers may be demoted, that set (the
@@ -116,11 +116,10 @@ func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
 type engine struct {
 	policy
 	sessionEnv
-	idOf       map[string]int
-	ep         transport.Endpoint
-	fold       folder
-	scratch    reduceScratch
-	checkpoint *CheckpointPlan
+	idOf    map[string]int
+	ep      transport.Endpoint
+	fold    folder
+	scratch reduceScratch
 
 	rounds       *telemetry.Counter
 	roundDur     *telemetry.Histogram
@@ -208,10 +207,11 @@ func expired(ctx context.Context, err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil
 }
 
-// run executes the rounds from startIter and returns the final state. The
-// caller owns teardown.
-func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, startIter int) ([]float64, error) {
+// run executes the rounds from job.InitialState and returns the final state.
+// The caller owns teardown.
+func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 	m := len(e.names)
+	state := append([]float64(nil), job.InitialState...)
 	weighted, _ := job.Reducer.(WeightedReducer)
 	if e.staleness > 0 && weighted == nil {
 		return state, fmt.Errorf("%w: Staleness needs a WeightedReducer (the reducer cannot renormalize stale shares)", ErrBadJob)
@@ -223,10 +223,9 @@ func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, sta
 	stale := staleRoundFilter(e.session, &e.round)
 	evictor, _ := e.ep.(transport.Evictor)
 
-	for iter := startIter; iter < job.MaxIterations; iter++ {
+	for iter := 0; iter < job.MaxIterations; iter++ {
 		roundStart := time.Now()
 		e.round = int32(iter)
-		//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 		e.journal.Emit(reducerName, "round.start", e.trace, e.round, "", "", 0, 0)
 		if evictor != nil {
 			evictor.Evict(stale)
@@ -237,7 +236,6 @@ func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, sta
 		// a round that errors out is not observed as a completed round.
 		if err != nil {
 			if ctx.Err() != nil { // the job's context ended: stamp the round, once
-				//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 				err = fmt.Errorf("mapreduce: round %d: %w", e.round, err)
 			}
 			return state, err
@@ -245,7 +243,6 @@ func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, sta
 		secs := time.Since(roundStart).Seconds()
 		e.roundDur.Observe(secs)
 		e.rounds.Inc()
-		//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 		e.journal.Emit(reducerName, "round.end", e.trace, e.round, "", "", 0, secs)
 		e.settle(roster)
 
@@ -263,22 +260,10 @@ func (e *engine) run(ctx context.Context, job IterativeJob, state []float64, sta
 		}
 		next, done, err := job.Reducer.Combine(iter, sum)
 		if err != nil {
-			//ppml:flow-ok iter resumes from the checkpointed round counter — coordination metadata every learner already knows, not payload content
 			return state, fmt.Errorf("%w: reducer at iteration %d: %v", ErrAborted, iter, err)
 		}
 		state = append(state[:0], next...)
 		e.res.Iterations = iter + 1
-		if cp := e.checkpoint; cp != nil {
-			every := cp.Every
-			if every <= 0 {
-				every = 1
-			}
-			if (iter+1)%every == 0 || done {
-				if err := cp.Cluster.Write(cp.Path, encodeStatePayload(iter+1, state), ""); err != nil {
-					return state, fmt.Errorf("mapreduce checkpoint: %w", err)
-				}
-			}
-		}
 		if done {
 			e.res.Converged = true
 			break
@@ -297,12 +282,10 @@ func (e *engine) settle(roster transport.Roster) {
 		case e.prev.Has(i) && !roster.Has(i):
 			e.demotions.Inc()
 			e.res.Demotions++
-			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 			e.journal.Emit(reducerName, "mapper.demote", e.trace, e.round, name, "", 0, 0)
 		case !e.prev.Has(i) && roster.Has(i):
 			e.rejoins.Inc()
 			e.res.Rejoins++
-			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 			e.journal.Emit(reducerName, "mapper.rejoin", e.trace, e.round, name, "", 0, 0)
 		}
 		// A mapper demoted WriteOffAfter rounds in a row is declared dead so
@@ -314,7 +297,6 @@ func (e *engine) settle(roster transport.Roster) {
 		default:
 			if e.silent[i]++; e.writeOff > 0 && e.silent[i] >= e.writeOff {
 				e.dead[i] = true
-				//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 				e.journal.Emit(reducerName, "mapper.writeoff", e.trace, e.round, name, "", 0, float64(e.silent[i]))
 			}
 		}
@@ -330,7 +312,6 @@ func (e *engine) belowQuorum(n int) error {
 	if !e.elastic && e.lost != nil {
 		return e.lost
 	}
-	//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 	return fmt.Errorf("%w: roster of %d at round %d, need %d", ErrQuorum, n, e.round, e.quorum)
 }
 
@@ -355,7 +336,10 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 	}
 	e.lost = nil
 	hdr := e.header(r)
-	e.scratch.bcast = appendStatePayload(e.scratch.bcast[:0], int(r), state)
+	if e.scratch.lent { // a mapper the last round did not fold may still decode them
+		e.scratch.bcast = nil
+	}
+	e.scratch.bcast = appendVector(e.scratch.bcast[:0], state)
 	roster := e.scratch.reach
 	for i := range roster {
 		roster[i] = 0
@@ -375,7 +359,8 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 		}
 		roster.Add(i)
 	}
-	if e.handshake && roster.Count() >= e.quorum {
+	reached := roster.Count()
+	if e.handshake && reached >= e.quorum {
 		// Everyone who answers before the deadline makes the roster; the
 		// deadline only matters when someone doesn't.
 		grace := e.deadline
@@ -395,6 +380,7 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 		}
 		sum, done, err := e.collectShares(ctx, roster)
 		if err != nil || done {
+			e.scratch.lent = roster.Count() < reached
 			return roster, sum, err
 		}
 	}
@@ -420,7 +406,6 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 				return nil, fmt.Errorf("mapreduce ready phase: %w", err)
 			}
 			e.timeouts.Inc()
-			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 			e.journal.Emit(reducerName, "round.timeout", e.trace, r, "", "ready", 0, 0)
 			if roster.Count() >= e.quorum || rearms >= maxStuckAttempts {
 				break // the deadline IS the roster declaration
@@ -500,7 +485,6 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 		stamp = roster
 		hdr := e.header(r)
 		hdr.Roster = roster
-		//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 		e.journal.Emit(reducerName, "roster.declared", e.trace, r, "", "", 0, float64(roster.Count()))
 		for i, name := range e.names {
 			if !roster.Has(i) {
@@ -534,7 +518,6 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 				return nil, false, fmt.Errorf("mapreduce reduce: %w", err)
 			}
 			e.timeouts.Inc()
-			//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 			e.journal.Emit(reducerName, "round.timeout", e.trace, r, "", e.fold.kind(), 0, float64(collected))
 			// Only a straggler deadline expires. Never demote below quorum on
 			// a single one: the missing shares are usually in flight rather
@@ -544,7 +527,6 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 			// healthy job.
 			if collected < e.quorum && rearms < maxStuckAttempts {
 				rearms++
-				//ppml:flow-ok the round counter resumes from checkpoint state — public coordination metadata, not payload content
 				e.journal.Emit(reducerName, "window.rearm", e.trace, r, "", "", 0, float64(rearms))
 				cancel()
 				wctx, cancel = window(ctx, e.deadline)
@@ -592,7 +574,6 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 		}
 		got[id] = true
 		collected++
-		//ppml:flow-ok the round counter and share byte length are envelope metadata — indices and sizes, not share contents
 		e.journal.Emit(reducerName, "share.recv", e.trace, r, msg.From, msg.Kind, int64(len(msg.Payload)), 0)
 	}
 	sum, err := e.fold.sum()

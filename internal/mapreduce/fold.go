@@ -31,10 +31,12 @@ type folder interface {
 
 // reduceScratch is the Reducer's per-session reuse state: the broadcast
 // encoding, the round's reach set and delivery marks, the share decode buffer
-// and the aggregate. Reuse is safe under the engine's lockstep — every
-// consumer of round r's bytes is done with them before round r+1 overwrites.
+// and the aggregate. The broadcast bytes are shared with every mapper they
+// reach, each of which decodes them before it shares: round r+1 overwrites
+// them only if round r folded every such mapper (else they are lent).
 type reduceScratch struct {
 	bcast    []byte
+	lent     bool
 	reach    transport.Roster
 	got      []bool
 	shareBuf []uint64

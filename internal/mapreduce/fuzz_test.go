@@ -5,24 +5,20 @@ import (
 	"testing"
 )
 
-// FuzzWireDecode feeds arbitrary bytes to the driver's frame decoders: they
-// must reject malformed frames with an error (never panic or over-allocate),
-// and any frame they accept must re-encode to exactly the same bytes — the
-// wire format is canonical, so decode is a bijection on the accepted set.
+// FuzzWireDecode feeds arbitrary bytes to the package's vector decoder (the
+// frame of broadcasts and plain shares): it must reject malformed frames with
+// an error (never panic or over-allocate), and any frame it accepts must
+// re-encode to exactly the same bytes — the wire format is canonical, so
+// decode is a bijection on the accepted set.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodeStatePayload(0, nil))
-	f.Add(encodeStatePayload(7, []float64{1.5, -2.25, 0}))
-	f.Add(encodeVector([]float64{3.14}))
+	f.Add(appendVector(nil, []float64{0}))
+	f.Add(appendVector(nil, []float64{1.5, -2.25, 0}))
+	f.Add(appendVector(nil, []float64{3.14}))
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if iter, state, err := decodeStatePayload(b); err == nil {
-			if re := encodeStatePayload(iter, state); !bytes.Equal(re, b) {
-				t.Fatalf("state payload not canonical: decode(%x) re-encodes to %x", b, re)
-			}
-		}
 		if v, err := decodeVector(b); err == nil {
-			if re := encodeVector(v); !bytes.Equal(re, b) {
+			if re := appendVector(nil, v); !bytes.Equal(re, b) {
 				t.Fatalf("vector payload not canonical: decode(%x) re-encodes to %x", b, re)
 			}
 		}

@@ -42,14 +42,12 @@ type solver struct {
 // solve runs one Contribution. Every Contribution is deterministic in its
 // state, so a failed call would fail again: its error is terminal.
 func (s *solver) solve(iter int, state []float64) ([]float64, error) {
-	//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
 	s.journal.Emit(s.node, "solve.start", s.trace, int32(iter), "", "", 0, 0)
 	start := time.Now()
 	contrib, err := s.mapper.Contribution(iter, state)
 	if err != nil {
 		return nil, err
 	}
-	//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
 	s.journal.Emit(s.node, "solve.end", s.trace, int32(iter), "", "", 0, time.Since(start).Seconds())
 	return contrib, nil
 }
@@ -155,7 +153,7 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 		case KindStop:
 			return nil
 		case KindBroadcast:
-			if err := n.startRound(ctx, msg.Payload); err != nil {
+			if err := n.startRound(ctx, msg); err != nil {
 				return err
 			}
 			if env.handshake {
@@ -177,16 +175,18 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 	}
 }
 
-// startRound decodes a broadcast and produces the round's contribution:
-// solved inline, or under bounded staleness the newest one the background
-// worker has completed. A contribution failure is reported to the Reducer (an
-// abort) before the node exits.
-func (n *mapperNode) startRound(ctx context.Context, payload []byte) error {
-	iter, state, err := decodeStatePayload(payload)
+// startRound takes the round from a broadcast's envelope, decodes its state
+// and produces the round's contribution: solved inline, or under bounded
+// staleness the newest one the background worker has completed. A
+// contribution failure is reported to the Reducer (an abort) before the node
+// exits.
+func (n *mapperNode) startRound(ctx context.Context, msg transport.Message) error {
+	state, err := decodeVector(msg.Payload)
 	if err != nil {
 		return fmt.Errorf("mapper %d: %w", n.id, err)
 	}
-	n.round = int32(iter)
+	n.round = msg.Round
+	iter := int(msg.Round)
 	// Round advance: frames of earlier rounds still in the reorder buffer will
 	// never be claimed; sweep them.
 	if n.evictor != nil {
@@ -208,7 +208,6 @@ func (n *mapperNode) startRound(ctx context.Context, payload []byte) error {
 	if err != nil {
 		//ppml:err-ok best-effort abort notification: the Contribution error below is the one worth reporting
 		_ = n.ep.Send(ctx, reducerName, KindAbort, n.header(n.round), []byte(err.Error()))
-		//ppml:flow-ok iter is decoded from the reducer's public state broadcast; the round counter is coordination metadata, not payload content
 		return fmt.Errorf("%w: mapper %d at iteration %d: %v", ErrAborted, n.id, iter, err)
 	}
 	return nil
@@ -220,7 +219,6 @@ func (n *mapperNode) declareReady(ctx context.Context) error {
 	if err := n.ep.Send(ctx, reducerName, KindReady, n.header(n.round), n.ready); err != nil {
 		return fmt.Errorf("mapper %d: ready: %w", n.id, err)
 	}
-	//ppml:flow-ok the round counter (from the public state broadcast) and the staleness stamp are round indices — coordination metadata, never share contents
 	n.journal.Emit(n.sv.node, "ready.sent", n.trace, n.round, reducerName, "", 0, float64(stalenessStamp(n.ready)))
 	return nil
 }
@@ -232,7 +230,6 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 		if !roster.Has(n.id) {
 			return nil // demoted this round; wait for the next broadcast
 		}
-		//ppml:flow-ok the round counter is decoded from the reducer's public state broadcast — coordination metadata, not payload content
 		n.journal.Emit(n.sv.node, "roster.recv", n.trace, n.round, "", "", 0, float64(roster.Count()))
 	}
 	for i := range n.live {
@@ -243,7 +240,7 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 	switch {
 	case n.agg == AggregationPlain:
 		//ppml:plaintext-ok AggregationPlain is the deliberate no-privacy ablation baseline (Fig. 5 comparisons); selecting it is an explicit opt-out
-		if err := n.ep.Send(ctx, reducerName, KindPlainShare, hdr, encodeVector(n.contrib)); err != nil {
+		if err := n.ep.Send(ctx, reducerName, KindPlainShare, hdr, appendVector(nil, n.contrib)); err != nil {
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		return nil
@@ -273,7 +270,6 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		n.sstel.RecordShare(len(payload))
-		//ppml:flow-ok the round counter (from the public state broadcast) and the share's byte length are envelope metadata — indices and sizes, not share contents
 		n.journal.Emit(n.sv.node, "share.sent", n.trace, n.round, reducerName, securesum.KindShare, int64(len(payload)), 0)
 		return nil
 	case n.perRound != nil:

@@ -103,12 +103,6 @@ type DriverOptions struct {
 	// and the mapper fan-in allow, 1 is the per-element layout the packed
 	// one is compared against (paillier.NewPacking).
 	packWidth int
-	// Checkpoint enables Twister-style crash recovery: the consensus state
-	// is written to the DFS every CheckpointEvery iterations, and a job that
-	// finds a checkpoint at start warm-restarts from it (consensus state and
-	// iteration counter resume; Mapper-local dual state restarts cold, which
-	// ADMM tolerates — it converges from any starting point).
-	Checkpoint *CheckpointPlan
 	// Locality optionally describes where each Mapper's input lives in a
 	// DFS, for data-movement accounting.
 	Locality *LocalityPlan
@@ -119,17 +113,6 @@ type DriverOptions struct {
 	// nil, a registry already carried by the context (telemetry.NewContext)
 	// is used instead.
 	Telemetry *telemetry.Registry
-}
-
-// CheckpointPlan configures consensus-state checkpointing.
-type CheckpointPlan struct {
-	// Cluster stores the checkpoints.
-	Cluster *dfs.Cluster
-	// Path is the DFS file holding the latest checkpoint.
-	Path string
-	// Every writes a checkpoint after each Every-th completed iteration
-	// (default 1).
-	Every int
 }
 
 // LocalityPlan maps Mappers to their DFS input and their execution node.
@@ -262,20 +245,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		}
 		res.RemoteInputBytes = remote
 	}
-	state := append([]float64(nil), job.InitialState...)
-	startIter := 0
-	if cp := opts.Checkpoint; cp != nil {
-		if cp.Cluster == nil || cp.Path == "" {
-			return nil, fmt.Errorf("%w: checkpoint plan incomplete", ErrBadJob)
-		}
-		if raw, err := cp.Cluster.Read(cp.Path); err == nil {
-			iter, saved, err := decodeStatePayload(raw)
-			if err != nil {
-				return nil, fmt.Errorf("mapreduce checkpoint: %w", err)
-			}
-			state, startIter, res.Iterations = saved, iter, iter
-		}
-	}
 
 	// Prepared metric handles; with no registry each is nil and every
 	// operation below is a free no-op.
@@ -303,7 +272,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 			journal: reg.Journal(),
 		},
 		idOf:         make(map[string]int, m),
-		checkpoint:   opts.Checkpoint,
 		rounds:       reg.Counter(metricRounds),
 		roundDur:     reg.Histogram(metricRoundSeconds, telemetry.DurationBuckets),
 		timeouts:     reg.Counter(metricTimeouts),
@@ -358,15 +326,14 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		}(i)
 	}
 
-	state, jobErr := eng.run(ctx, job, state, startIter)
+	state, jobErr := eng.run(ctx, job)
 
-	// Tear down: the final state rides on the stop message, stamped with the
-	// round the job finished on so transcripts show where it stopped.
+	// Tear down: the stop carries nothing, stamped with the round the job
+	// finished on so transcripts show where it stopped.
 	stopHdr := eng.header(int32(res.Iterations))
-	stopPayload := encodeStatePayload(res.Iterations, state)
 	for _, name := range eng.names {
 		//ppml:err-ok best-effort teardown: a mapper that already exited, was demoted or sits behind a dead link cannot receive its stop, and must not mask the job result
-		_ = eng.ep.Send(ctx, name, KindStop, stopHdr, stopPayload)
+		_ = eng.ep.Send(ctx, name, KindStop, stopHdr, nil)
 	}
 	if pol.elastic {
 		// Under a straggler deadline a mapper may be dead or partitioned: it

@@ -109,13 +109,22 @@ func TestJournalWireCensusParity(t *testing.T) {
 			// Cross-check one payload family against the protocol's own
 			// counters: the share payloads in the census must sum to what
 			// securesum reports (8 bytes per float64 coordinate per share).
+			// The round rides in the envelope only: a broadcast payload is
+			// the state alone, and a stop carries nothing.
 			snap := reg.Snapshot()
-			var shareBytes int64
+			kindBytes := map[string]int64{}
 			for _, e := range snap.Journal {
-				if e.Event == "net.send" && e.Kind == securesum.KindShare {
-					shareBytes += e.Bytes
+				if e.Event == "net.send" {
+					kindBytes[e.Kind] += e.Bytes
 				}
 			}
+			if got, want := kindBytes[KindBroadcast], int64(m*rounds*8*dim); got != want {
+				t.Errorf("census broadcast payloads %d bytes, closed form %d", got, want)
+			}
+			if got := kindBytes[KindStop]; got != 0 {
+				t.Errorf("census stop payloads %d bytes, want 0", got)
+			}
+			shareBytes := kindBytes[securesum.KindShare]
 			if want := snap.CounterTotal("ppml_securesum_bytes_total", telemetry.L("kind", "share")); shareBytes != want {
 				t.Errorf("census share payloads %d bytes, securesum counter %d", shareBytes, want)
 			}

@@ -4,13 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Message kinds used by the iterative driver on the transport.
+// Message kinds RunDistributed sends on the transport. The round a
+// message belongs to rides in its envelope (transport.Header.Round), never in
+// its payload.
 const (
-	// KindBroadcast carries the consensus state from Reducer to Mappers.
+	// KindBroadcast carries the consensus state from Reducer to Mappers: the
+	// state vector alone, 8 bytes per value (appendVector).
 	KindBroadcast = "mr.broadcast"
-	// KindStop tells Mappers the job finished (payload: final state).
+	// KindStop tells Mappers the job finished. Its payload is empty.
 	KindStop = "mr.stop"
 	// KindPlainShare carries an unmasked contribution (plain aggregation).
 	KindPlainShare = "mr.plainshare"
@@ -32,46 +36,17 @@ const (
 	KindRoster = "mr.roster"
 )
 
-// encodeStatePayload frames (iteration, vector) for broadcast messages.
-func encodeStatePayload(iter int, state []float64) []byte {
-	return appendStatePayload(nil, iter, state)
-}
-
-// appendStatePayload is encodeStatePayload into a reused buffer: the Reducer
-// broadcasts every round and the driver's lockstep (every Mapper decodes
-// round r before the Reducer can assemble round r+1) makes reusing one
-// buffer safe.
-func appendStatePayload(dst []byte, iter int, state []float64) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(iter))
-	for _, v := range state {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+// appendVector appends v as little-endian float64 words to dst, growing it at
+// most once: the frame of broadcasts and plain shares.
+func appendVector(dst []byte, v []float64) []byte {
+	dst = slices.Grow(dst, 8*len(v))
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}
 	return dst
 }
 
-// decodeStatePayload parses a broadcast frame.
-func decodeStatePayload(b []byte) (int, []float64, error) {
-	if len(b) < 8 || (len(b)-8)%8 != 0 {
-		return 0, nil, fmt.Errorf("%w: state payload of %d bytes", ErrBadJob, len(b))
-	}
-	iter := int(binary.LittleEndian.Uint64(b))
-	state := make([]float64, (len(b)-8)/8)
-	for i := range state {
-		state[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8+8*i:]))
-	}
-	return iter, state, nil
-}
-
-// encodeVector frames a bare float64 vector (plain shares).
-func encodeVector(v []float64) []byte {
-	buf := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
-	}
-	return buf
-}
-
-// decodeVector parses a bare float64 vector.
+// decodeVector parses an appendVector frame.
 func decodeVector(b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("%w: vector payload of %d bytes", ErrBadJob, len(b))

@@ -17,17 +17,18 @@ const (
 	KindShare = "securesum.share"
 )
 
-// shareFilter scopes the Reducer's round: this round's shares (matching
-// session and round) are delivered; a fast party's future-round shares wait in
-// the reorder buffer; stale ones from finished rounds are dropped and counted.
-// Everything else of the session is delivered so the caller can unwind on a
-// control message exactly as it would on any other protocol violation.
-func shareFilter(hdr transport.Header) transport.Filter {
+// roundFilter scopes one receive phase of hdr's (session, round) to kind: this
+// round's messages of that kind are delivered, a fast party's future-round
+// ones wait in the reorder buffer, and leftovers of finished rounds are
+// dropped and counted. Everything else of the session is delivered, so the
+// caller fails the round on a control message (a stop) exactly as on any
+// other protocol violation.
+func roundFilter(hdr transport.Header, kind string) transport.Filter {
 	return func(m transport.Message) transport.Verdict {
 		if m.Session != hdr.Session {
 			return transport.Defer
 		}
-		if m.Kind == KindShare {
+		if m.Kind == kind {
 			switch {
 			case m.Round < hdr.Round:
 				return transport.Drop
@@ -79,27 +80,6 @@ func NewPerRoundParty(ep transport.Endpoint, names []string, self int, reducer s
 	}, nil
 }
 
-// maskFilter demultiplexes one round's mask exchange: masks of hdr's
-// (session, round) are delivered, a fast peer's next-round masks wait in the
-// reorder buffer, and leftovers of earlier rounds are dropped. Non-mask
-// same-session messages are delivered, and fail the round.
-func maskFilter(hdr transport.Header) transport.Filter {
-	return func(m transport.Message) transport.Verdict {
-		if m.Session != hdr.Session {
-			return transport.Defer
-		}
-		if m.Kind == KindMask {
-			switch {
-			case m.Round < hdr.Round:
-				return transport.Drop
-			case m.Round > hdr.Round:
-				return transport.Defer
-			}
-		}
-		return transport.Accept
-	}
-}
-
 // Round executes one protocol round over the full cohort: send a fresh mask
 // to every peer, absorb theirs, submit the masked share of value to the
 // reducer. Every member's share telescopes over every pair, so the Reducer's
@@ -135,7 +115,7 @@ func (r *PerRoundParty) Round(ctx context.Context, hdr transport.Header, value [
 		}
 		r.tel.RecordMask(len(r.maskWire[peer]))
 	}
-	filter := maskFilter(hdr)
+	filter := roundFilter(hdr, KindMask)
 	for received := 0; received < m-1; received++ {
 		msg, err := r.ep.RecvMatch(ctx, filter)
 		if err != nil {
@@ -182,7 +162,7 @@ func RunParty(ctx context.Context, ep transport.Endpoint, names []string, self i
 
 // RunCollector executes the Reducer's side of one round: it waits for the m
 // masked shares of hdr's (session, round) on ep and returns their decoded
-// sum. Out-of-round shares are buffered or dropped per shareFilter. Shares
+// sum. Out-of-round shares are buffered or dropped per roundFilter. Shares
 // are decoded into one reused buffer — the collector copies into its
 // accumulator immediately.
 func RunCollector(ctx context.Context, ep transport.Endpoint, m, dim int, codec fixedpoint.Codec, hdr transport.Header) ([]float64, error) {
@@ -190,7 +170,7 @@ func RunCollector(ctx context.Context, ep transport.Endpoint, m, dim int, codec 
 	if err != nil {
 		return nil, err
 	}
-	filter := shareFilter(hdr)
+	filter := roundFilter(hdr, KindShare)
 	var shareBuf []uint64
 	for received := 0; received < m; received++ {
 		msg, err := ep.RecvMatch(ctx, filter)

@@ -91,7 +91,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 			exported++
 		}
 	}
-	if exported != 12 {
-		t.Errorf("mapreduce.DriverOptions has %d exported fields, pinned at 12: %s", exported, grow)
+	if exported != 11 {
+		t.Errorf("mapreduce.DriverOptions has %d exported fields, pinned at 11: %s", exported, grow)
 	}
 }

@@ -91,6 +91,19 @@ if grep -rnE '\bAttempt\b|MapRetries|RoundTimeout|ppml_map_retries_total' . --in
 	exit 1
 fi
 
+echo "==> the round rides in the envelope (no round word in a payload, no checkpoint, in non-test Go)"
+# A broadcast payload is the state alone and a stop carries nothing: a mapper
+# takes its round from msg.Round, an envelope field secretflow clears. A
+# second carrier of the round (a payload word, a checkpoint the counter
+# resumes from) would taint the counter again and bring back the flow-ok
+# escapes that excused it; the ppml-vet step below fails on any directive
+# left stale. (bench/ is frozen by BENCHMARK.json and uses none of them.)
+if grep -rnE "StatePayload|CheckpointPlan|resumes from checkpoint|decoded from the reducer's public state broadcast" . --include="*.go" \
+	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/"; then
+	echo "error: a round carried outside the envelope, or a checkpoint, in non-test Go (msg.Round is the round)" >&2
+	exit 1
+fi
+
 echo "==> option surface (24 ppml.With* options; the struct field counts are TestOptionSurfacePinned's)"
 # Pinned so the next knob has to be argued for: a new option needs two callers
 # with different values (ROADMAP item 7; the simplicity-review rule).
