@@ -64,8 +64,9 @@
 //	  min ½(M/ρ)‖λ‖² + (M·Y(u+ā) − 1)ᵀλ  s.t. 0 ≤ λ ≤ C, yᵀλ = 0
 //	  with ζ = M(u+ā) + (M/ρ)Yλ, z̄ = ζ/M, u ← u + ā − z̄.
 //
-// The Hessian is uniform-diagonal, so the Reducer uses the exact bisection
-// solver qp.SolveUniformDiagEqualityBox — the paper's printed A = (1/ρ)Y11ᵀY
+// The Hessian is uniform-diagonal, so the Reducer uses the exact breakpoint
+// search qp.SolveUniformDiagEqualityBox (a few O(N) passes, no tolerance) —
+// the paper's printed A = (1/ρ)Y11ᵀY
 // is rank-one and cannot be this Hessian (see DESIGN.md). The kernel variant
 // VK replaces the ridge solve by its kernelized form via Woodbury:
 // Φ_m w_m = ρK_m(I+ρK_m)⁻¹q_m with K_m the block-feature Gram matrix, so only

@@ -61,12 +61,17 @@ func BenchmarkSolveUniformDiag10000(b *testing.B) {
 		p[i] = rng.NormFloat64()
 	}
 	y := randomLabels(rng, n)
+	var scratch Scratch
+	passes := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveUniformDiagEqualityBox(0.04, p, 50, y, 0); err != nil {
+		res, err := SolveUniformDiagEqualityBox(0.04, p, 50, y, 0, WithScratch(&scratch))
+		if err != nil {
 			b.Fatal(err)
 		}
+		passes += res.Iterations
 	}
+	b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
 }
 
 // hlProblem is the HL local dual as hlMapper poses it (M′ = 4, ρ = 100,

@@ -75,10 +75,13 @@ func (p *Problem) Objective(lambda []float64) float64 {
 type Result struct {
 	// Lambda is the (approximately) optimal point.
 	Lambda []float64
-	// Iterations is the number of coordinate / pair updates performed.
+	// Iterations is the number of coordinate / pair updates performed; for
+	// SolveUniformDiagEqualityBox (solver "diag") it counts passes over the n
+	// coordinates.
 	Iterations int
 	// KKTViolation is the final first-order optimality gap (solver-specific
-	// units; ≤ the configured tolerance when Converged).
+	// units; ≤ the configured tolerance when Converged). The exact diag
+	// solver takes no tolerance and reports 0.
 	KKTViolation float64
 	// Converged reports whether the tolerance was met before the iteration cap.
 	Converged bool

@@ -162,6 +162,16 @@ if awk '/^\tif split \{/ { split_branch = 1 }
 	exit 1
 fi
 
+echo "==> exact hinge prox (no bisection in the vertical reducer's solve)"
+# SolveUniformDiagEqualityBox finds the segment of the piecewise-linear s(ν)
+# holding the root and solves it in closed form, in a bounded number of passes.
+# A dual-sum helper or a relative-width stopping rule would be the 54-pass
+# bisection coming back beside it.
+if grep -rnE 'diagDualSum|1e-15\*\(1\+' internal/qp --include="*.go" | grep -v "_test.go"; then
+	echo "error: a bisection of the equality multiplier in internal/qp (the segment search is exact)" >&2
+	exit 1
+fi
+
 echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
 # The 2x4 accumulator array in tile.go and cholesky.go (the factor's panel
 # update) is handed to the assembly microkernel by pointer. A stub declared
@@ -203,7 +213,7 @@ go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
 echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky + Gram-free QP + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
 go test -run '^$' -bench 'Gram|Accumulate' -benchtime 1x ./internal/kernel/
-go test -run '^$' -bench SolveLinearBox -benchtime 1x ./internal/qp/
+go test -run '^$' -bench 'SolveLinearBox|SolveUniformDiag' -benchtime 1x ./internal/qp/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
 go test -run '^$' -bench Scalability -benchtime 1x .
