@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -25,6 +26,9 @@ var (
 	ErrBadPartition = errors.New("consensus: bad partition")
 )
 
+// qpTol is the KKT tolerance of the horizontal schemes' local dual solves.
+const qpTol = 1e-6
+
 // Config are the training parameters shared by all four schemes. The zero
 // value is not usable; call Normalize or fill the required fields (C, Rho).
 type Config struct {
@@ -36,7 +40,8 @@ type Config struct {
 	// MaxIterations caps the consensus loop (paper plots 100). Default 100.
 	MaxIterations int
 	// Tol stops the loop when ‖z_{t+1} − z_t‖² drops below it. Default 0
-	// (run the full budget, like the paper's plots).
+	// (run the full budget, like the paper's plots); NaN, ±Inf and negative
+	// values are rejected.
 	Tol float64
 	// Kernel is required by the kernel schemes and ignored by the linear
 	// ones.
@@ -44,8 +49,6 @@ type Config struct {
 	// Landmarks is the number l of landmark points spanning the reduced
 	// consensus space of Section IV-B. Default 20.
 	Landmarks int
-	// QPTol is the tolerance of the local dual solves. Default 1e-6.
-	QPTol float64
 	// Seed drives landmark generation and any tie-breaking; fixed default 1.
 	Seed int64
 	// PaperSplit (HL only) reproduces the paper's printed Gauss-Seidel
@@ -145,14 +148,16 @@ func (c Config) normalized() (Config, error) {
 	if c.MaxIterations < 0 {
 		return c, fmt.Errorf("%w: MaxIterations = %d", ErrBadConfig, c.MaxIterations)
 	}
+	// A NaN Tol would never stop the loop (delta < NaN is false) and a
+	// negative one never could; both would silently run the budget.
+	if !(c.Tol >= 0) || math.IsInf(c.Tol, 1) {
+		return c, fmt.Errorf("%w: Tol = %g, want finite ≥ 0", ErrBadConfig, c.Tol)
+	}
 	if c.Landmarks == 0 {
 		c.Landmarks = 20
 	}
 	if c.Landmarks < 0 {
 		return c, fmt.Errorf("%w: Landmarks = %d", ErrBadConfig, c.Landmarks)
-	}
-	if c.QPTol == 0 {
-		c.QPTol = 1e-6
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

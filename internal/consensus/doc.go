@@ -67,7 +67,9 @@
 // The Hessian is uniform-diagonal, so the Reducer uses the exact breakpoint
 // search qp.SolveUniformDiagEqualityBox (a few O(N) passes, no tolerance) —
 // the paper's printed A = (1/ρ)Y11ᵀY
-// is rank-one and cannot be this Hessian (see DESIGN.md). The kernel variant
+// is rank-one and cannot be this Hessian (see DESIGN.md) — and recovers b
+// from the step's KKT conditions on ζ with svm.BiasFromKKT, the centralized
+// baseline's rule. The kernel variant
 // VK replaces the ridge solve by its kernelized form via Woodbury:
 // Φ_m w_m = ρK_m(I+ρK_m)⁻¹q_m with K_m the block-feature Gram matrix, so only
 // kernel evaluations on the learner's own feature block are ever needed.
@@ -89,7 +91,8 @@
 // and QP warm start, and the mapper contributes the running mean of its
 // chunks' (iterate + dual) terms — one refreshed per round, J−1 stale — so
 // the Reducer's mean is the M′-learner z-update. With J = 1 the mean is the
-// single term.
+// single term, which is why the logistic mapper keeps its duals and warm
+// start as a one-chunk virtualLearners too.
 //
 // Vertical (VL/VK): the records are shared, so all mappers and the Reducer
 // follow one schedule (sharedChunkStream). A round refits the learner's
@@ -128,6 +131,8 @@
 // stale, and every M in the Reducer formulas above is that number. The
 // per-round accuracy probe (Config.EvalSet) reads the learners' blocks only
 // through the copies they publish at the end of Contribution (probeCopy).
+// Both reducers end a round in one roundLog.record: the ‖Δz‖² series, its
+// gauge and journal event, the probe, and the Tol test.
 //
 // # Privacy
 //

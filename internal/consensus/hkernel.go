@@ -270,8 +270,6 @@ type hkMapper struct {
 	qpScratch qp.Scratch
 	opts      []qp.Option // the last one is the round's warm start
 	chunkDur  *telemetry.Histogram
-
-	lastIter int
 }
 
 // newHKMapper builds learner id's Map() task; lm.m is the virtual cohort
@@ -298,10 +296,9 @@ func newHKMapper(p *dataset.Dataset, id int, cfg Config, lm *landmarks) (*hkMapp
 		p:        make([]float64, maxC),
 		gu:       make([]float64, l),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
-		lastIter: -1,
 	}
 	mp.opts = []qp.Option{
-		qp.WithTolerance(cfg.QPTol),
+		qp.WithTolerance(qpTol),
 		qp.WithTelemetry(cfg.Telemetry),
 		qp.WithScratch(&mp.qpScratch),
 		qp.WithWarmStart(nil),
@@ -360,9 +357,6 @@ func (mp *hkMapper) build(lo, hi int) error {
 
 // Contribution implements mapreduce.IterativeMapper.
 func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if iter == mp.lastIter {
-		return mp.vl.contrib, nil // idempotent: a repeated call for the round returns its contribution
-	}
 	start := time.Now()
 	idx, lo, hi := mp.sched.chunk(iter)
 	nc := hi - lo
@@ -408,7 +402,6 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	linalg.Axpy(mp.cfg.Rho, gu, gw)
 	contrib := mp.vl.commit(c, res.Lambda, t+sumYL/mp.cfg.Rho)
 	mp.publish(c, lo)
-	mp.lastIter = iter
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return contrib, nil
 }

@@ -119,14 +119,9 @@ func trainHL(ctx context.Context, srcs []dataset.RowSource, parts []*dataset.Dat
 // (meanConsensusReducer), and probe scores a state on cfg.EvalSet when there is
 // one. It returns the final state with the per-round history.
 func trainMean(ctx context.Context, cfg Config, scheme string, mappers []mapreduce.IterativeMapper, dim int, parts []*dataset.Dataset, probe func(state []float64) (float64, error)) ([]float64, *History, error) {
-	red := &meanConsensusReducer{
-		tol:      cfg.Tol,
-		tel:      newReducerGauges(cfg.Telemetry, scheme),
-		deltaZSq: make([]float64, 0, cfg.MaxIterations),
-		accuracy: make([]float64, 0, cfg.MaxIterations),
-	}
+	red := &meanConsensusReducer{log: newRoundLog(cfg, scheme)}
 	if cfg.EvalSet != nil {
-		red.eval = probe
+		red.log.probe = func() (float64, error) { return probe(red.prev) }
 	}
 	job := mapreduce.IterativeJob{
 		Mappers:         mappers,
@@ -139,7 +134,7 @@ func trainMean(ctx context.Context, cfg Config, scheme string, mappers []mapredu
 	if err != nil {
 		return nil, nil, err
 	}
-	h.DeltaZSq, h.Accuracy = red.deltaZSq, red.accuracy
+	h.DeltaZSq, h.Accuracy = red.log.deltaZSq, red.log.accuracy
 	return res.FinalState, h, nil
 }
 
@@ -168,8 +163,6 @@ type hlMapper struct {
 	qpScratch qp.Scratch
 	opts      []qp.Option // the last one is the round's warm start
 	chunkDur  *telemetry.Histogram
-
-	lastIter int
 }
 
 // newHLMapper builds the Map() task for learner id. mprime is the virtual
@@ -194,10 +187,9 @@ func newHLMapper(src dataset.RowSource, id, mprime int, cfg Config) (*hlMapper, 
 		pf: pf, sched: sched, vl: newVirtualLearners(sched.numChunks, k),
 		p:        make([]float64, sched.chunkRows),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
-		lastIter: -1,
 	}
 	mp.opts = []qp.Option{
-		qp.WithTolerance(cfg.QPTol),
+		qp.WithTolerance(qpTol),
 		qp.WithTelemetry(cfg.Telemetry),
 		qp.WithScratch(&mp.qpScratch),
 		qp.WithWarmStart(nil),
@@ -210,9 +202,6 @@ func (mp *hlMapper) close() { mp.pf.Close() }
 
 // Contribution implements mapreduce.IterativeMapper: one chunk ADMM sub-step.
 func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if iter == mp.lastIter {
-		return mp.vl.contrib, nil // idempotent: a repeated call for the round returns its contribution
-	}
 	start := time.Now()
 	idx, lo, hi := mp.sched.chunk(iter)
 	ch, err := mp.pf.Fetch(idx)
@@ -287,7 +276,6 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 		w[j] = mp.eta * (w[j] + rho*u[j])
 	}
 	contrib := mp.vl.commit(c, res.Lambda, t+sumYL/rho)
-	mp.lastIter = iter
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return contrib, nil
 }
@@ -296,19 +284,15 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 // schemes: the next consensus state is the mean of the (securely summed)
 // contributions, and convergence is judged on ‖Δstate‖².
 type meanConsensusReducer struct {
-	tol  float64
-	eval func(state []float64) (float64, error)
-	tel  reducerGauges
+	log roundLog // its probe scores prev, the state just folded
 
 	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
 	// the number of learners folded, or Σ κ^{s_i} when some shares are stale.
 	// It is the only cohort size the reducer knows.
 	weight float64
 
-	prev     []float64
-	next     []float64 // broadcast buffer, reused every round
-	deltaZSq []float64
-	accuracy []float64
+	prev []float64
+	next []float64 // broadcast buffer, reused every round
 }
 
 // SetRoundWeight implements mapreduce.WeightedReducer: the consensus mean
@@ -336,18 +320,9 @@ func (r *meanConsensusReducer) Combine(iter int, sum []float64) ([]float64, bool
 		// overwritten on the following round.
 		r.prev, r.next = next, r.prev
 	}
-	r.deltaZSq = append(r.deltaZSq, delta)
-	r.tel.deltaZSq.Set(delta)
-	r.tel.journalRound(iter, delta)
-	if r.eval != nil {
-		r.tel.probeStart(iter)
-		acc, err := r.eval(next)
-		if err != nil {
-			return nil, false, fmt.Errorf("consensus: eval-set accuracy after round %d: %w", iter, err)
-		}
-		r.accuracy = append(r.accuracy, acc)
-		r.tel.probeEnd(iter, acc)
+	done, err := r.log.record(iter, delta)
+	if err != nil {
+		return nil, false, err
 	}
-	done := r.tol > 0 && delta < r.tol
 	return next, done, nil
 }

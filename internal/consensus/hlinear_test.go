@@ -203,30 +203,3 @@ func TestHLPaperSplitRuns(t *testing.T) {
 		t.Error("paper-split Δz² grew")
 	}
 }
-
-func TestHLContributionIdempotentUnderRetry(t *testing.T) {
-	d := dataset.TwoGaussians("g", 60, 3, 3, 17)
-	parts := horizontalParts(t, d, 2, 1)
-	cfg, err := Config{C: 10, Rho: 10}.normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := newHLMapper(dataset.NewMemorySource(parts[0]), 0, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := make([]float64, d.Features()+1)
-	first, err := mp.Contribution(0, state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := mp.Contribution(0, state) // a repeated call for the same round
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("retry changed contribution at %d", i)
-		}
-	}
-}

@@ -13,7 +13,7 @@ import (
 
 // TestHLLocalSolvesConverge trains the two HL benchmark shapes (bench's
 // hl_rows and hl_chunks_dfs: Higgs rows split 50/50 and standardized, M = 4,
-// C = 50, ρ = 100) and holds every local solve to QPTol: the mappers do not
+// C = 50, ρ = 100) and holds every local solve to qpTol: the mappers do not
 // read Result.Converged, so the solver's own unconverged counter is what
 // says a capped solve happened.
 func TestHLLocalSolvesConverge(t *testing.T) {
@@ -40,7 +40,7 @@ func TestHLLocalSolvesConverge(t *testing.T) {
 				t.Errorf("%d local solves recorded, want %d", got, want)
 			}
 			if n := reg.Counter("ppml_qp_unconverged_total", lbl).Value(); n != 0 {
-				t.Errorf("%d local solves returned short of QPTol", n)
+				t.Errorf("%d local solves returned short of qpTol", n)
 			}
 			if acc := h.Accuracy[len(h.Accuracy)-1]; acc != tc.accuracy {
 				t.Errorf("final accuracy %v, want %v", acc, tc.accuracy)

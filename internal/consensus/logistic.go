@@ -75,74 +75,42 @@ func TrainHorizontalLogistic(ctx context.Context, parts []*dataset.Dataset, cfg 
 }
 
 // logisticMapper is one learner's Map() task for consensus logistic
-// regression: a damped-Newton solve of the proximal local objective.
+// regression: a damped-Newton solve of the proximal local objective. Its
+// scaled duals (γ, β) and last iterate are a one-chunk virtualLearners, whose
+// mean over one chunk is that chunk's term, w + γ and b + β.
 type logisticMapper struct {
 	m   int
 	cfg Config
 	x   *linalg.Matrix
 	y   []float64
-
-	gamma []float64
-	beta  float64
-
-	prevW []float64 // warm start and dual update source
-	prevB float64
-	haveW bool
-
-	lastIter int
-	cached   []float64
+	vl  virtualLearners
 }
 
 func newLogisticMapper(p *dataset.Dataset, m int, cfg Config) *logisticMapper {
-	return &logisticMapper{
-		m: m, cfg: cfg, x: p.X, y: p.Y,
-		gamma:    make([]float64, p.Features()),
-		prevW:    make([]float64, p.Features()),
-		lastIter: -1,
-	}
+	return &logisticMapper{m: m, cfg: cfg, x: p.X, y: p.Y, vl: newVirtualLearners(1, p.Features())}
 }
 
 // Contribution implements mapreduce.IterativeMapper.
 func (mp *logisticMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if iter == mp.lastIter && mp.cached != nil {
-		return mp.cached, nil
-	}
-	k := mp.x.Cols
-	z := state[:k]
-	s := state[k]
-	if mp.haveW {
-		for j := range mp.gamma {
-			mp.gamma[j] += mp.prevW[j] - z[j]
-		}
-		mp.beta += mp.prevB - s
-	}
-	u := linalg.SubVec(z, mp.gamma, nil)
-	t := s - mp.beta
-
-	w, b, err := mp.newtonSolve(u, t)
+	c, u, t := mp.vl.open(0, 0, state)
+	w, b, err := mp.newtonSolve(u, t, c.prev, c.prevB)
 	if err != nil {
 		return nil, err
 	}
-	mp.prevW, mp.prevB, mp.haveW = w, b, true
-	contrib := make([]float64, k+1)
-	for j := range w {
-		contrib[j] = w[j] + mp.gamma[j]
-	}
-	contrib[k] = b + mp.beta
-	mp.lastIter, mp.cached = iter, contrib
-	return contrib, nil
+	copy(c.prev, w)
+	return mp.vl.commit(c, nil, b), nil
 }
 
 // newtonSolve minimizes the proximal local objective in (w, b) with damped
-// Newton steps, warm-started at the previous iterate.
-func (mp *logisticMapper) newtonSolve(u []float64, t float64) ([]float64, float64, error) {
+// Newton steps, warm-started at (w0, b0).
+func (mp *logisticMapper) newtonSolve(u []float64, t float64, w0 []float64, b0 float64) ([]float64, float64, error) {
 	k := mp.x.Cols
 	n := mp.x.Rows
 	dim := k + 1
 	// Variable vector v = (w, b), warm-started.
 	v := make([]float64, dim)
-	copy(v, mp.prevW)
-	v[k] = mp.prevB
+	copy(v, w0)
+	v[k] = b0
 
 	reg := make([]float64, dim) // per-coordinate quadratic weight
 	for j := 0; j < k; j++ {
@@ -234,8 +202,7 @@ func (mp *logisticMapper) newtonSolve(u []float64, t float64) ([]float64, float6
 		}
 		copy(v, cand)
 	}
-	w := linalg.CopyVec(v[:k])
-	return w, v[k], nil
+	return v[:k], v[k], nil
 }
 
 // logistic1p computes log(1 + exp(a)) stably.

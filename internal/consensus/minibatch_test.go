@@ -3,6 +3,7 @@ package consensus
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -120,6 +121,14 @@ func TestMinibatchConfigValidation(t *testing.T) {
 		C: 1, Rho: 1, MaxIterations: 2, ChunkRows: 1 << 20, PaperSplit: true,
 	}); err != nil {
 		t.Errorf("one chunk per learner + PaperSplit: err = %v, want none", err)
+	}
+	// A Tol no residual can fall below would silently run the budget.
+	for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-6} {
+		if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
+			C: 1, Rho: 1, Tol: tol,
+		}); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("Tol %g: err = %v, want ErrBadConfig", tol, err)
+		}
 	}
 	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
 		C: 1, Rho: 1, Staleness: 2,

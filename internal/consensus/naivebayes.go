@@ -112,16 +112,12 @@ func TrainNaiveBayes(ctx context.Context, parts []*dataset.Dataset, cfg Config) 
 
 // nbMapper emits per-class local moments.
 type nbMapper struct {
-	x      *dataset.Dataset
-	per    int
-	cached []float64
+	x   *dataset.Dataset
+	per int
 }
 
 // Contribution implements mapreduce.IterativeMapper.
 func (mp *nbMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if mp.cached != nil {
-		return mp.cached, nil
-	}
 	k := mp.x.Features()
 	out := make([]float64, 2*mp.per)
 	for i := 0; i < mp.x.Len(); i++ {
@@ -136,6 +132,5 @@ func (mp *nbMapper) Contribution(iter int, state []float64) ([]float64, error) {
 			out[base+1+k+j] += v * v
 		}
 	}
-	mp.cached = out
 	return out, nil
 }

@@ -90,15 +90,11 @@ func standardizeConfig(cfg Config) (Config, error) {
 
 // momentsMapper emits the learner's local first and second moments.
 type momentsMapper struct {
-	x      *dataset.Dataset
-	cached []float64
+	x *dataset.Dataset
 }
 
 // Contribution implements mapreduce.IterativeMapper.
 func (mp *momentsMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if mp.cached != nil {
-		return mp.cached, nil
-	}
 	k := mp.x.Features()
 	out := make([]float64, 1+2*k)
 	out[0] = float64(mp.x.Len())
@@ -109,7 +105,6 @@ func (mp *momentsMapper) Contribution(iter int, state []float64) ([]float64, err
 			out[1+k+j] += v * v
 		}
 	}
-	mp.cached = out
 	return out, nil
 }
 

@@ -1,6 +1,10 @@
 package consensus
 
-import "github.com/ppml-go/ppml/internal/telemetry"
+import (
+	"fmt"
+
+	"github.com/ppml-go/ppml/internal/telemetry"
+)
 
 // Metric names exported by the trainers. The gauges expose only scalars the
 // Reducer legitimately computes from the public aggregate — the consensus
@@ -14,50 +18,59 @@ const (
 	metricEvalAccuracy = "ppml_admm_eval_accuracy"
 )
 
-// reducerGauges are the per-round residual gauges shared by every scheme's
-// Reducer. The zero value (nil registry) records nothing.
-type reducerGauges struct {
-	deltaZSq *telemetry.Gauge
-	accuracy *telemetry.Gauge
-	journal  *telemetry.Journal
-	scheme   string
+// roundLog is the per-round tail both consensus reducers share: the History
+// series (‖Δz‖², and the eval-set accuracy when there is a probe), the gauges
+// and journal events that export them, labeled with the training scheme (hl,
+// hk, vl-vk, logistic), and the Tol test. The zero value logs the series,
+// exports nothing and never stops early.
+type roundLog struct {
+	tol float64
+	// probe scores the state the reducer just folded on the eval set; nil
+	// without one. It is bound once, so no round allocates a closure.
+	probe func() (float64, error)
+
+	deltaZSq, accuracy []float64
+
+	deltaGauge, accGauge *telemetry.Gauge
+	journal              *telemetry.Journal
+	scheme               string
 }
 
-// newReducerGauges builds the gauges labeled with the training scheme
-// (hl, hk, vl-vk, logistic). A nil registry yields no-op gauges.
-func newReducerGauges(r *telemetry.Registry, scheme string) reducerGauges {
+func newRoundLog(cfg Config, scheme string) roundLog {
 	lbl := telemetry.L("scheme", scheme)
-	return reducerGauges{
-		deltaZSq: r.Gauge(metricDeltaZSq, lbl),
-		accuracy: r.Gauge(metricEvalAccuracy, lbl),
-		journal:  r.Journal(),
-		scheme:   scheme,
+	return roundLog{
+		tol:        cfg.Tol,
+		deltaZSq:   make([]float64, 0, cfg.MaxIterations),
+		accuracy:   make([]float64, 0, cfg.MaxIterations),
+		deltaGauge: cfg.Telemetry.Gauge(metricDeltaZSq, lbl),
+		accGauge:   cfg.Telemetry.Gauge(metricEvalAccuracy, lbl),
+		journal:    cfg.Telemetry.Journal(),
+		scheme:     scheme,
 	}
 }
 
-// journalRound records one consensus round in the flight recorder: event
-// "consensus.round", kind = scheme, value = the public residual ‖Δz‖² — the
-// same Reducer-side stopping statistic the deltaZSq gauge exports, never a
-// per-learner quantity.
-func (g reducerGauges) journalRound(iter int, delta float64) {
+// record logs round iter's residual delta = ‖Δz‖² — the public, cohort-wide
+// stopping statistic, never a per-learner quantity — as a series entry, the
+// gauge and a "consensus.round" journal event; then runs the probe, bracketed
+// by "probe.start" / "probe.end" so a trace separates what Fig. 4's curve
+// costs from the fold around it. It reports whether delta is below Tol.
+func (l *roundLog) record(iter int, delta float64) (done bool, err error) {
+	l.deltaZSq = append(l.deltaZSq, delta)
+	//ppml:flow-ok the consensus residual ‖z−z′‖² is the public stopping statistic every learner computes from the shared iterate
+	l.deltaGauge.Set(delta)
 	//ppml:flow-ok the residual ‖Δz‖² is the cohort-wide stopping statistic the deltaZSq gauge already exports — an aggregate over the consensus state, not a sample of any learner's data
-	g.journal.Emit("reducer", "consensus.round", telemetry.TraceID{}, int32(iter), "", g.scheme, 0, delta)
-}
-
-// probeStart and probeEnd bracket the per-round accuracy probe in the flight
-// recorder ("probe.start" / "probe.end", kind = scheme), so a trace separates
-// what Fig. 4's curve costs from the fold around it. The end event carries
-// the eval-set accuracy, the scalar History.Accuracy publishes and the
-// accuracy gauge, set here too, already exports.
-func (g reducerGauges) probeStart(iter int) {
-	g.journal.Emit("reducer", "probe.start", telemetry.TraceID{}, int32(iter), "", g.scheme, 0, 0)
-}
-
-func (g reducerGauges) probeEnd(iter int, acc float64) {
-	//ppml:flow-ok held-out accuracy is the published evaluation metric — an aggregate over the model, not a training row
-	g.accuracy.Set(acc)
-	//ppml:flow-ok held-out accuracy is the published evaluation metric — an aggregate over the model, not a training row
-	g.journal.Emit("reducer", "probe.end", telemetry.TraceID{}, int32(iter), "", g.scheme, 0, acc)
+	l.journal.Emit("reducer", "consensus.round", telemetry.TraceID{}, int32(iter), "", l.scheme, 0, delta)
+	if l.probe != nil {
+		l.journal.Emit("reducer", "probe.start", telemetry.TraceID{}, int32(iter), "", l.scheme, 0, 0)
+		acc, err := l.probe()
+		if err != nil {
+			return false, fmt.Errorf("consensus: eval-set accuracy after round %d: %w", iter, err)
+		}
+		l.accuracy = append(l.accuracy, acc)
+		l.accGauge.Set(acc)
+		l.journal.Emit("reducer", "probe.end", telemetry.TraceID{}, int32(iter), "", l.scheme, 0, acc)
+	}
+	return l.tol > 0 && delta < l.tol, nil
 }
 
 // recordRun observes end-of-training aggregates: the rounds-to-converge

@@ -256,21 +256,3 @@ func TestVLTolStopsEarly(t *testing.T) {
 		t.Errorf("ran all %d iterations despite Tol", h.Iterations)
 	}
 }
-
-func TestBiasFromScores(t *testing.T) {
-	// Free SV at index 0: y=+1, score 0.4 → b = 0.6.
-	b := biasFromScores([]float64{0.4, 2, -3}, []float64{1, 1, -1}, []float64{0.5, 0, 0}, 1)
-	if math.Abs(b-0.6) > 1e-12 {
-		t.Errorf("bias = %g, want 0.6", b)
-	}
-	// No free SVs: midpoint of feasible interval.
-	// y=+1, λ=0, score 0.5 → b ≥ 0.5; y=−1, λ=0, score −2 → b ≤ 1.
-	b = biasFromScores([]float64{0.5, -2}, []float64{1, -1}, []float64{0, 0}, 1)
-	if math.Abs(b-0.75) > 1e-12 {
-		t.Errorf("midpoint bias = %g, want 0.75", b)
-	}
-	// Degenerate: nothing known.
-	if b := biasFromScores(nil, nil, nil, 1); b != 0 {
-		t.Errorf("empty bias = %g, want 0", b)
-	}
-}

@@ -166,9 +166,7 @@ type vkMapper struct {
 
 	q        []float64 // round scratch
 	chunkDur *telemetry.Histogram
-
-	lastIter int
-	cached   []float64
+	cached   []float64 // the contribution, over all N coordinates
 }
 
 func newVKMapper(p *dataset.Dataset, cfg Config) (*vkMapper, error) {
@@ -183,7 +181,6 @@ func newVKMapper(p *dataset.Dataset, cfg Config) (*vkMapper, error) {
 		kw:       make([]float64, sched.chunkRows),
 		q:        make([]float64, sched.chunkRows),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
-		lastIter: -1,
 		cached:   make([]float64, p.Len()),
 	}
 	// The first chunk's strip and factor are built here rather than in round
@@ -225,9 +222,6 @@ func (mp *vkMapper) build(lo, hi int) error {
 // s the schedule's chunk weight, contributing the refreshed (K·α)|_c = Φ_m w_m on
 // the chunk's coordinates and zero elsewhere.
 func (mp *vkMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if iter == mp.lastIter {
-		return mp.cached, nil
-	}
 	n := mp.x.Rows
 	if len(state) != n {
 		return nil, fmt.Errorf("%w: state of %d values for %d records", ErrBadPartition, len(state), n)
@@ -261,7 +255,6 @@ func (mp *vkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	copy(mp.cached[lo:hi], kw)
 	linalg.Zero(mp.cached[hi:])
 	mp.probe.with(func(v []float64) { copy(v[lo:hi], alpha) })
-	mp.lastIter = iter
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return mp.cached, nil
 }

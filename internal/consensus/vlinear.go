@@ -3,7 +3,6 @@ package consensus
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
@@ -11,6 +10,7 @@ import (
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/qp"
+	"github.com/ppml-go/ppml/internal/svm"
 	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
@@ -60,8 +60,8 @@ func trainVertical[M eval.Classifier, T mapreduce.IterativeMapper](ctx context.C
 	rows := parts[0].Len()
 	red := newVerticalReducer(parts[0].Y, cfg)
 	if cfg.EvalSet != nil {
-		red.eval = func(b float64) (float64, error) {
-			return eval.ClassifierAccuracy(assemble(b), cfg.EvalSet)
+		red.log.probe = func() (float64, error) {
+			return eval.ClassifierAccuracy(assemble(red.b), cfg.EvalSet)
 		}
 	}
 	job := mapreduce.IterativeJob{
@@ -79,7 +79,7 @@ func trainVertical[M eval.Classifier, T mapreduce.IterativeMapper](ctx context.C
 		var none M
 		return none, nil, err
 	}
-	h.DeltaZSq, h.Accuracy = red.deltaZSq, red.accuracy
+	h.DeltaZSq, h.Accuracy = red.log.deltaZSq, red.log.accuracy
 	return assemble(red.b), h, nil
 }
 
@@ -122,9 +122,7 @@ type vlMapper struct {
 
 	q, xtq   []float64 // round scratch
 	chunkDur *telemetry.Histogram
-
-	lastIter int
-	cached   []float64
+	cached   []float64 // the contribution, over all N coordinates
 }
 
 func newVLMapper(p *dataset.Dataset, cfg Config) (*vlMapper, error) {
@@ -139,7 +137,6 @@ func newVLMapper(p *dataset.Dataset, cfg Config) (*vlMapper, error) {
 		q:        make([]float64, sched.chunkRows),
 		xtq:      make([]float64, p.Features()),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
-		lastIter: -1,
 		cached:   make([]float64, p.Len()),
 	}
 	// The first chunk's factor is built here rather than in round 0 (see
@@ -174,9 +171,6 @@ func (mp *vlMapper) build(xc *linalg.Matrix) error {
 // sharing ADMM restricted to the round's chunk, w = ρs(I + ρs·X_cᵀX_c)⁻¹X_cᵀq_c
 // with q_c = X_c·w_prev + state|_c and s the schedule's chunk weight.
 func (mp *vlMapper) Contribution(iter int, state []float64) ([]float64, error) {
-	if iter == mp.lastIter {
-		return mp.cached, nil
-	}
 	if len(state) != mp.x.Rows {
 		return nil, fmt.Errorf("%w: state of %d values for %d records", ErrBadPartition, len(state), mp.x.Rows)
 	}
@@ -215,7 +209,6 @@ func (mp *vlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	copy(mp.cached[lo:hi], xw)
 	linalg.Zero(mp.cached[hi:])
 	mp.probe.with(func(v []float64) { copy(v, w) })
-	mp.lastIter = iter
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return mp.cached, nil
 }
@@ -224,10 +217,9 @@ func (mp *vlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 // owns the shared labels, solves the hinge proximal QP on the securely
 // summed scores, and maintains the scaled dual u.
 type verticalReducer struct {
-	y    []float64
-	cfg  Config
-	eval func(b float64) (float64, error)
-	tel  reducerGauges
+	y   []float64
+	cfg Config
+	log roundLog // its probe assembles the model with b
 
 	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
 	// the number of learners folded, or Σ κ^{s_i} when some shares are stale.
@@ -255,9 +247,6 @@ type verticalReducer struct {
 	d, p, zeta, next []float64
 	qpScratch        qp.Scratch
 	qpOpts           []qp.Option // prebuilt once, reused every solve
-
-	deltaZSq []float64
-	accuracy []float64
 }
 
 func newVerticalReducer(y []float64, cfg Config) *verticalReducer {
@@ -266,7 +255,7 @@ func newVerticalReducer(y []float64, cfg Config) *verticalReducer {
 	r := &verticalReducer{
 		y:        linalg.CopyVec(y),
 		cfg:      cfg,
-		tel:      newReducerGauges(cfg.Telemetry, "vl-vk"),
+		log:      newRoundLog(cfg, "vl-vk"),
 		sched:    sched,
 		abar:     make([]float64, n),
 		u:        make([]float64, n),
@@ -276,9 +265,6 @@ func newVerticalReducer(y []float64, cfg Config) *verticalReducer {
 		p:        make([]float64, sched.chunkRows),
 		zeta:     make([]float64, sched.chunkRows),
 		next:     make([]float64, n),
-
-		deltaZSq: make([]float64, 0, cfg.MaxIterations),
-		accuracy: make([]float64, 0, cfg.MaxIterations),
 	}
 	r.qpOpts = []qp.Option{qp.WithTelemetry(cfg.Telemetry), qp.WithScratch(&r.qpScratch)}
 	return r
@@ -322,70 +308,18 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 		zbar[i] = zeta[i] / mf
 		u[i] += abar[i] - zbar[i]
 	}
-	r.b = biasFromScores(zeta, y, res.Lambda, r.cfg.C)
+	// b from the KKT conditions of the hinge step, ζ being the scores.
+	r.b = svm.BiasFromKKT(zeta, y, res.Lambda, r.cfg.C)
 	delta := linalg.Dist2Sq(zeta, r.prevZeta[lo:hi]) * r.sched.weight(hi-lo)
 	copy(r.prevZeta[lo:hi], zeta)
-
-	r.deltaZSq = append(r.deltaZSq, delta)
-	//ppml:flow-ok the consensus residual ‖z−z′‖² is the public stopping statistic every learner computes from the shared iterate
-	r.tel.deltaZSq.Set(delta)
-	r.tel.journalRound(iter, delta)
-	if r.eval != nil {
-		r.tel.probeStart(iter)
-		acc, err := r.eval(r.b)
-		if err != nil {
-			return nil, false, fmt.Errorf("consensus: eval-set accuracy after round %d: %w", iter, err)
-		}
-		r.accuracy = append(r.accuracy, acc)
-		r.tel.probeEnd(iter, acc)
+	done, err := r.log.record(iter, delta)
+	if err != nil {
+		return nil, false, err
 	}
 
 	next := r.next
 	for i := range next {
 		next[i] = r.zbar[i] - r.abar[i] - r.u[i]
 	}
-	done := r.cfg.Tol > 0 && delta < r.cfg.Tol
 	return next, done, nil
-}
-
-// biasFromScores recovers b from the KKT conditions of the hinge step: free
-// support vectors satisfy y_i(ζ_i + b) = 1; with none free, b falls back to
-// the midpoint of the interval the margin inequalities allow.
-func biasFromScores(scores, y, lambda []float64, c float64) float64 {
-	const svEps = 1e-8
-	var sum float64
-	var free int
-	lb, ub := math.Inf(-1), math.Inf(1)
-	for i := range lambda {
-		margin := y[i] - scores[i]
-		switch {
-		case lambda[i] > svEps && lambda[i] < c-svEps:
-			sum += margin
-			free++
-		case lambda[i] <= svEps:
-			if y[i] > 0 {
-				lb = math.Max(lb, margin)
-			} else {
-				ub = math.Min(ub, margin)
-			}
-		default:
-			if y[i] > 0 {
-				ub = math.Min(ub, margin)
-			} else {
-				lb = math.Max(lb, margin)
-			}
-		}
-	}
-	switch {
-	case free > 0:
-		return sum / float64(free)
-	case !math.IsInf(lb, -1) && !math.IsInf(ub, 1):
-		return (lb + ub) / 2
-	case !math.IsInf(lb, -1):
-		return lb
-	case !math.IsInf(ub, 1):
-		return ub
-	default:
-		return 0
-	}
 }

@@ -135,19 +135,10 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state consensus round at M=%d allocated %v times, want 0", m, allocs)
 	}
 
-	// The masked rounds above must equal the unmasked aggregate: decode one
-	// more round both ways to prove the masks cancelled.
+	// The masked rounds above must equal the unmasked aggregate: sum one more
+	// round's contributions both ways to prove the masks cancelled. A mapper
+	// is called once per round, so each contribution feeds both sums.
 	plain := make([]float64, rows)
-	for i, mp := range mappers {
-		contrib, err := mp.Contribution(iter, state)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = i
-		for j, v := range contrib {
-			plain[j] += v
-		}
-	}
 	for j := range acc {
 		acc[j] = 0
 	}
@@ -155,6 +146,9 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 		contrib, err := mp.Contribution(iter, state)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for j, v := range contrib {
+			plain[j] += v
 		}
 		share, err := sessions[i].RoundShareFor(int32(iter), contrib, live)
 		if err != nil {

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"fmt"
 	"math/big"
-	"sync"
 
 	"github.com/ppml-go/ppml/internal/fixedpoint"
 	"github.com/ppml-go/ppml/internal/paillier"
@@ -163,34 +162,12 @@ func (f *paillierFold) add(payload []byte) error {
 	return nil
 }
 
-// sum is the key-authority step: decrypt only the aggregate. Per-ciphertext
-// decryptions (one modular exponentiation each) are independent and run on
-// the worker pool; unpacking then reduces each slot mod 2⁶⁴, the fixedpoint
-// ring's wrapping sum.
+// sum is the key-authority step: decrypt only the aggregate. Unpacking
+// reduces each slot mod 2⁶⁴, the fixedpoint ring's wrapping sum.
 func (f *paillierFold) sum() ([]float64, error) {
-	ms := make([]*big.Int, len(f.acc))
-	var mu sync.Mutex
-	var decErr error
-	parallel.For(len(f.acc), 1, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			mval, err := f.key.Decrypt(f.acc[j])
-			if err != nil {
-				mu.Lock()
-				if decErr == nil {
-					decErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			ms[j] = mval
-		}
-	})
-	if decErr != nil {
-		return nil, fmt.Errorf("mapreduce paillier decrypt: %w", decErr)
-	}
-	ring, err := f.pack.UnpackVec(ms, f.dim, nil)
+	ring, err := f.pack.DecryptVec(f.key, f.acc, f.dim, nil)
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce paillier unpack: %w", err)
+		return nil, fmt.Errorf("mapreduce paillier decrypt: %w", err)
 	}
 	return f.codec.DecodeVec(ring, nil)
 }

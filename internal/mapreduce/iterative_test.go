@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/ppml-go/ppml/internal/dfs"
 	"github.com/ppml-go/ppml/internal/paillier"
+	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
@@ -317,9 +319,11 @@ func TestDistributedPaillierAggregation(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
+	reg := telemetry.NewRegistry()
 	dist, err := RunDistributed(ctx, mustJob(t, values, 15), DriverOptions{
 		Aggregation: AggregationPaillier,
 		PaillierKey: key,
+		Telemetry:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,24 +346,99 @@ func TestDistributedPaillierAggregation(t *testing.T) {
 		t.Errorf("paillier moved %d bytes, plain %d; ciphertext blow-up missing?",
 			dist.Net.Bytes, plain.Net.Bytes)
 	}
-	// Forcing width 1 reproduces the per-element layout; the packed run must
-	// move strictly fewer bytes and produce the same model.
-	unpacked, err := RunDistributed(ctx, mustJob(t, values, 15), DriverOptions{
-		Aggregation: AggregationPaillier,
-		PaillierKey: key,
-		packWidth:   1,
-	})
+	// Every mapper encrypts one packed share a round: ⌈dim/k⌉ ciphertexts,
+	// here fewer than the dim a per-element layout would take. (The paillier
+	// package's property tests pin packed ≡ per-element sums.)
+	m, dim := len(values), len(values[0])
+	pack, err := paillier.NewPacking(&key.PublicKey, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range dist.FinalState {
-		if dist.FinalState[i] != unpacked.FinalState[i] {
-			t.Errorf("state[%d]: packed %g vs width-1 %g", i, dist.FinalState[i], unpacked.FinalState[i])
-		}
+	if pack.Ciphertexts(dim) >= dim {
+		t.Fatalf("%d values pack into %d ciphertexts; the test needs a packed layout", dim, pack.Ciphertexts(dim))
 	}
-	if dist.Net.Bytes >= unpacked.Net.Bytes {
-		t.Errorf("packed moved %d bytes, width-1 moved %d; packing saved nothing",
-			dist.Net.Bytes, unpacked.Net.Bytes)
+	want := int64(dist.Iterations * m * pack.Ciphertexts(dim))
+	if got := reg.Snapshot().CounterTotal(metricCiphertexts); got != want {
+		t.Errorf("%s = %d, want rounds·M·⌈dim/k⌉ = %d·%d·%d = %d",
+			metricCiphertexts, got, dist.Iterations, m, pack.Ciphertexts(dim), want)
+	}
+}
+
+// countingMapper records the round of every Contribution call.
+type countingMapper struct {
+	averagingMapper
+	mu    sync.Mutex
+	iters []int
+}
+
+func (m *countingMapper) Contribution(iter int, state []float64) ([]float64, error) {
+	m.mu.Lock()
+	m.iters = append(m.iters, iter)
+	m.mu.Unlock()
+	return m.averagingMapper.Contribution(iter, state)
+}
+
+// TestContributionOncePerRound pins the contract that lets a mapper keep no
+// replay of its own: an engine calls Contribution at most once per round, in
+// increasing round order. Local, strict and fault-free elastic rounds call
+// every mapper in every round. Under bounded staleness the newest-wins worker
+// may skip a round whose state was superseded before it started, but never
+// repeats one.
+func TestContributionOncePerRound(t *testing.T) {
+	values := [][]float64{{1, 10}, {3, 20}, {5, 30}}
+	const rounds = 12
+	for _, tc := range []struct {
+		name  string
+		opts  *DriverOptions // nil runs RunLocalContext
+		every bool
+	}{
+		{"local", nil, true},
+		{"strict", &DriverOptions{}, true},
+		{"elastic", &DriverOptions{StragglerTimeout: 5 * time.Second}, true},
+		{"stale", &DriverOptions{StragglerTimeout: 5 * time.Second, Staleness: 1}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job, _ := newAveragingJob(values, rounds)
+			red := newWeightedAveragingReducer(len(values)) // stale shares need a weight
+			red.tol = 0                                     // run the budget
+			job.Reducer = red
+			mappers := make([]*countingMapper, len(values))
+			for i, v := range values {
+				mappers[i] = &countingMapper{averagingMapper: averagingMapper{value: v}}
+				job.Mappers[i] = mappers[i]
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			var res *IterativeResult
+			if tc.opts == nil {
+				var err error
+				if res, err = RunLocalContext(ctx, job); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				dres, err := RunDistributed(ctx, job, *tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res = &dres.IterativeResult
+			}
+			if res.Iterations != rounds {
+				t.Fatalf("ran %d rounds, want %d", res.Iterations, rounds)
+			}
+			for i, mp := range mappers {
+				mp.mu.Lock()
+				iters := append([]int(nil), mp.iters...)
+				mp.mu.Unlock()
+				for j, it := range iters {
+					if it < 0 || it >= rounds || (j > 0 && it <= iters[j-1]) {
+						t.Fatalf("mapper %d was called for rounds %v: want each of [0, %d) at most once, in order", i, iters, rounds)
+					}
+				}
+				if tc.every && len(iters) != rounds {
+					t.Errorf("mapper %d was called for rounds %v, want every round of [0, %d) once", i, iters, rounds)
+				}
+			}
+		})
 	}
 }
 

@@ -3,13 +3,10 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"math/big"
-	"sync"
 	"time"
 
 	"github.com/ppml-go/ppml/internal/fixedpoint"
 	"github.com/ppml-go/ppml/internal/paillier"
-	"github.com/ppml-go/ppml/internal/parallel"
 	"github.com/ppml-go/ppml/internal/securesum"
 	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
@@ -287,40 +284,19 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 	return fmt.Errorf("%w: mapper %d has no share path for Aggregation %d", ErrBadJob, n.id, n.agg)
 }
 
-// encryptContribution fixed-point-encodes the vector, slot-packs it (k ring
-// elements per plaintext — the SPINDLE-style layout in paillier.Packing) and
-// encrypts every packed plaintext. Plaintext encryptions are independent
-// (each draws its own randomness from crypto/rand, which is safe for
-// concurrent use), so they run on the parallel worker pool — public-key
-// encryption is by far the most expensive per-element operation in the
-// system, which is exactly why ⌈d/k⌉ encryptions instead of d is the
-// headline HE win. scratch is an optional reusable encode buffer; the
-// (possibly grown) buffer is returned for the next call.
+// encryptContribution fixed-point-encodes the vector and encrypts it under
+// the job's slot packing (k ring elements per plaintext — the SPINDLE-style
+// layout in paillier.Packing), with fresh crypto/rand randomness per
+// ciphertext. scratch is an optional reusable encode buffer; the (possibly
+// grown) buffer is returned for the next call.
 func encryptContribution(contrib []float64, codec fixedpoint.Codec, pack *paillier.Packing, scratch []uint64, ctr *telemetry.Counter) ([]byte, []uint64, error) {
 	enc, err := codec.EncodeVec(contrib, scratch)
 	if err != nil {
 		return nil, scratch, fmt.Errorf("paillier share encode: %w", err)
 	}
-	ms := pack.PackVec(enc)
-	cs := make([]*big.Int, len(ms))
-	var mu sync.Mutex
-	var encErr error
-	parallel.For(len(ms), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c, err := pack.Encrypt(nil, ms[i])
-			if err != nil {
-				mu.Lock()
-				if encErr == nil {
-					encErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			cs[i] = c
-		}
-	})
-	if encErr != nil {
-		return nil, enc, fmt.Errorf("paillier share encrypt: %w", encErr)
+	cs, err := pack.EncryptVec(nil, enc)
+	if err != nil {
+		return nil, enc, fmt.Errorf("paillier share encrypt: %w", err)
 	}
 	ctr.Add(int64(len(cs)))
 	return paillier.MarshalCiphertexts(cs), enc, nil

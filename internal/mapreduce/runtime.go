@@ -98,11 +98,6 @@ type DriverOptions struct {
 	// half goes to every Mapper, the private half stays with the simulated
 	// key authority that decrypts only aggregates.
 	PaillierKey *paillier.PrivateKey
-	// packWidth caps the slots packed into one Paillier plaintext. Nothing
-	// outside this package's tests sets it: zero packs as many as the modulus
-	// and the mapper fan-in allow, 1 is the per-element layout the packed
-	// one is compared against (paillier.NewPacking).
-	packWidth int
 	// Locality optionally describes where each Mapper's input lives in a
 	// DFS, for data-movement accounting.
 	Locality *LocalityPlan
@@ -226,7 +221,7 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	var pack *paillier.Packing
 	if agg == AggregationPaillier {
 		var err error
-		pack, err = paillier.NewPacking(&opts.PaillierKey.PublicKey, m, opts.packWidth)
+		pack, err = paillier.NewPacking(&opts.PaillierKey.PublicKey, m, 0)
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: %w", err)
 		}

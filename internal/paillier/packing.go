@@ -5,6 +5,9 @@ import (
 	"io"
 	"math/big"
 	"math/bits"
+	"sync"
+
+	"github.com/ppml-go/ppml/internal/parallel"
 )
 
 // Slot packing (SPINDLE-style) for vector aggregation: instead of one
@@ -111,42 +114,59 @@ func (p *Packing) UnpackVec(ms []*big.Int, d int, dst []uint64) ([]uint64, error
 	return dst, nil
 }
 
-// Encrypt encrypts one packed plaintext under the layout's public key —
-// the single-plaintext hook for callers that drive their own parallelism
-// over PackVec output.
-func (p *Packing) Encrypt(random io.Reader, m *big.Int) (*big.Int, error) {
-	return p.pk.Encrypt(random, m)
-}
-
 // EncryptVec packs vals and encrypts each packed plaintext, returning
-// ⌈len(vals)/Slots⌉ ciphertexts.
+// ⌈len(vals)/Slots⌉ ciphertexts. The encryptions are independent, one modular
+// exponentiation each — by far the most expensive per-element operation in
+// the system, which is why ⌈d/k⌉ of them instead of d is the headline HE win
+// — so they run on the parallel worker pool, and random must be safe for
+// concurrent use (nil means crypto/rand, which is).
 func (p *Packing) EncryptVec(random io.Reader, vals []uint64) ([]*big.Int, error) {
 	ms := p.PackVec(vals)
 	out := make([]*big.Int, len(ms))
-	for i, m := range ms {
-		c, err := p.pk.Encrypt(random, m)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
+	err := forEach(len(ms), func(i int) (err error) {
+		out[i], err = p.pk.Encrypt(random, ms[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// DecryptVec decrypts packed ciphertexts and unpacks d ring elements into
-// dst (reused when capacity suffices).
+// DecryptVec decrypts packed ciphertexts on the parallel worker pool and
+// unpacks d ring elements into dst (reused when capacity suffices).
 func (p *Packing) DecryptVec(sk *PrivateKey, cs []*big.Int, d int, dst []uint64) ([]uint64, error) {
 	if want := p.Ciphertexts(d); len(cs) != want {
 		return nil, fmt.Errorf("paillier packing: %d ciphertexts for %d elements, want %d",
 			len(cs), d, want)
 	}
 	ms := make([]*big.Int, len(cs))
-	for i, c := range cs {
-		m, err := sk.Decrypt(c)
-		if err != nil {
-			return nil, err
-		}
-		ms[i] = m
+	err := forEach(len(cs), func(i int) (err error) {
+		ms[i], err = sk.Decrypt(cs[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p.UnpackVec(ms, d, dst)
+}
+
+// forEach runs f(i) for every i in [0, n) on the parallel worker pool and
+// returns the first error a call reported; a block stops at its first error.
+func forEach(n int, f func(i int) error) error {
+	var mu sync.Mutex
+	var first error
+	parallel.For(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := f(i); err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	})
+	return first
 }

@@ -87,7 +87,6 @@ func SolveLinearBox(p LinearProblem, opts ...Option) (*Result, error) {
 	}
 	// qd is diag(Q): η‖x_i‖² + σ.
 	qd := cfg.takeGrad(n)
-	defer cfg.dropGrad(qd)
 	active := cfg.takeIdx(n)
 	for i := range qd {
 		row := p.X.Row(i)

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/telemetry"
@@ -110,10 +109,13 @@ const (
 	optTelemetry
 )
 
-// Scratch carries solver-owned buffers across solves so a steady-state round
-// loop allocates nothing: with WithScratch, the returned Result and its
-// Lambda alias the scratch and are overwritten by the next solve that uses
-// the same Scratch. The zero value is ready to use; one Scratch must not be
+// Scratch holds a solve's buffers: the solution vector, the gradient, the
+// working arrays and the Result. Every solve draws them from a Scratch — the
+// caller's, passed WithScratch, or else a fresh one it owns alone. Carried
+// across solves, a Scratch makes a steady-state round loop allocate nothing:
+// the returned Result and its Lambda alias it and are overwritten by the next
+// solve that uses the same Scratch. Without one, the caller keeps what the
+// solve returns. The zero value is ready to use; one Scratch must not be
 // shared by concurrent solves.
 type Scratch struct {
 	lambda []float64
@@ -124,14 +126,14 @@ type Scratch struct {
 }
 
 // WithScratch draws the solution vector, gradient, and Result from s instead
-// of allocating. See Scratch for the aliasing contract.
+// of a fresh Scratch. See Scratch for the aliasing contract.
 func WithScratch(s *Scratch) Option { return Option{kind: optScratch, scr: s} }
 
 type config struct {
 	tol       float64
 	maxIter   int
 	warmStart []float64
-	scratch   *Scratch
+	scratch   *Scratch // never nil after newConfig
 	tel       *telemetry.Registry
 }
 
@@ -144,48 +146,20 @@ func sized[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// takeLambda returns a zeroed length-n solution vector and a reset Result,
-// drawn from the scratch when one was supplied.
+// takeLambda returns the scratch's solution vector, zeroed at length n, and
+// its Result, reset.
 func (c *config) takeLambda(n int) ([]float64, *Result) {
-	if c.scratch == nil {
-		return make([]float64, n), &Result{}
-	}
 	s := c.scratch
 	linalg.Zero(sized(&s.lambda, n))
 	s.res = Result{}
 	return s.lambda, &s.res
 }
 
-// takeGrad returns a length-n gradient buffer: scratch-owned when available,
-// pooled otherwise. dropGrad returns only pooled buffers to the pool.
-func (c *config) takeGrad(n int) []float64 {
-	if c.scratch == nil {
-		return getGradBuf(n)
-	}
-	return sized(&c.scratch.grad, n)
-}
-
-func (c *config) dropGrad(g []float64) {
-	if c.scratch == nil {
-		putGradBuf(g)
-	}
-}
-
-// takeBuf and takeIdx return a length-n working buffer (contents
-// unspecified), drawn from the scratch when one was supplied.
-func (c *config) takeBuf(n int) []float64 {
-	if c.scratch == nil {
-		return make([]float64, n)
-	}
-	return sized(&c.scratch.buf, n)
-}
-
-func (c *config) takeIdx(n int) []int {
-	if c.scratch == nil {
-		return make([]int, n)
-	}
-	return sized(&c.scratch.idx, n)
-}
+// takeGrad, takeBuf and takeIdx return the scratch's length-n gradient and
+// working buffers (contents unspecified).
+func (c *config) takeGrad(n int) []float64 { return sized(&c.scratch.grad, n) }
+func (c *config) takeBuf(n int) []float64  { return sized(&c.scratch.buf, n) }
+func (c *config) takeIdx(n int) []int      { return sized(&c.scratch.idx, n) }
 
 // denseMaxIter is the default update cap of the solvers whose update is O(n).
 func denseMaxIter(n int) int { return 1000*n + 10000 }
@@ -210,6 +184,9 @@ func newConfig(opts []Option, defaultMaxIter int) config {
 	}
 	if cfg.maxIter <= 0 {
 		cfg.maxIter = defaultMaxIter
+	}
+	if cfg.scratch == nil {
+		cfg.scratch = new(Scratch)
 	}
 	return cfg
 }
@@ -247,7 +224,6 @@ func SolveBox(p Problem, opts ...Option) (*Result, error) {
 		}
 	}
 	grad := gradient(&p, lambda, cfg.takeGrad(n))
-	defer cfg.dropGrad(grad)
 
 	// stuck marks coordinates whose exact line-search step rounds to zero
 	// (flat or near-flat curvature pinning them in place). They are skipped
@@ -338,7 +314,6 @@ func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Resul
 		return nil, err
 	}
 	grad := gradient(&p, lambda, cfg.takeGrad(n))
-	defer cfg.dropGrad(grad)
 
 	res.Lambda = lambda
 	for res.Iterations = 0; res.Iterations < cfg.maxIter; res.Iterations++ {
@@ -450,25 +425,7 @@ func repairEquality(lambda, y []float64, d, c float64) error {
 	return nil
 }
 
-// gradPool recycles gradient buffers across solves. The consensus trainers
-// call SolveBox/SolveEqualityBox once per Mapper per ADMM iteration, so in
-// steady state the gradient is the solvers' only repeated allocation; a pool
-// makes it free and stays correct when mappers solve concurrently.
-var gradPool sync.Pool
-
-func getGradBuf(n int) []float64 {
-	if p, ok := gradPool.Get().(*[]float64); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
-}
-
-func putGradBuf(g []float64) {
-	g = g[:0]
-	gradPool.Put(&g)
-}
-
-// gradient computes Qλ + p into the pooled buffer g (len(p.P) elements). For
+// gradient computes Qλ + p into g (len(p.P) elements). For
 // an all-zero λ it avoids the matrix-vector product entirely, the common
 // cold-start case.
 func gradient(p *Problem, lambda, g []float64) []float64 {

@@ -17,6 +17,10 @@ import (
 // labels outside {−1,+1}, or an empty set).
 var ErrBadTrainingSet = errors.New("svm: bad training set")
 
+// svEps is the dual value above which a sample counts as a support vector,
+// and within which of C it counts as bound.
+const svEps = 1e-8
+
 // Params configures training.
 type Params struct {
 	// C is the slack penalty of problem (1). Required, > 0.
@@ -104,7 +108,6 @@ func Train(x *linalg.Matrix, y []float64, p Params) (*Model, error) {
 // assemble extracts support vectors, computes the bias, and (for linear
 // kernels) the explicit weight vector.
 func assemble(x *linalg.Matrix, y, lambda []float64, c float64, k kernel.Kernel, iters int) (*Model, error) {
-	const svEps = 1e-8
 	var idx []int
 	for i, l := range lambda {
 		if l > svEps {
@@ -127,28 +130,38 @@ func assemble(x *linalg.Matrix, y, lambda []float64, c float64, k kernel.Kernel,
 		m.W = w
 	}
 
-	// Bias from the KKT conditions. Free support vectors (0 < λ < C) satisfy
-	// yᵢ(f₀(xᵢ) + b) = 1 exactly; average over them (Burges' suggestion,
-	// Section III-A). With none free, fall back to the midpoint of the bound
-	// interval implied by the margin inequalities.
+	scores := make([]float64, len(lambda))
+	for i := range scores {
+		scores[i] = m.decisionNoBias(x.Row(i))
+	}
+	m.B = BiasFromKKT(scores, y, lambda, c)
+	return m, nil
+}
+
+// BiasFromKKT recovers the bias b from the KKT conditions of the soft-margin
+// dual, given each sample's bias-free score f₀(xᵢ), its label and its dual λᵢ
+// in [0, C]. Free support vectors (0 < λ < C) satisfy yᵢ(f₀(xᵢ) + b) = 1
+// exactly; b is their mean (Burges' suggestion, Section III-A). With none
+// free, b is the midpoint of the interval the margin inequalities allow, the
+// one finite end when only one is, and 0 when neither is. The centralized
+// solver and the vertical schemes' Reducer (on the summed scores ζ) both use it.
+func BiasFromKKT(scores, y, lambda []float64, c float64) float64 {
 	var sum float64
 	var free int
 	lb, ub := math.Inf(-1), math.Inf(1)
 	for i := range lambda {
-		f0 := m.decisionNoBias(x.Row(i))
-		margin := y[i] - f0 // candidate b making yᵢ(f₀+b) = 1
+		margin := y[i] - scores[i] // candidate b making yᵢ(f₀+b) = 1
 		switch {
 		case lambda[i] > svEps && lambda[i] < c-svEps:
 			sum += margin
 			free++
-		case lambda[i] <= svEps:
-			// yᵢ(f₀+b) ≥ 1: for y=+1, b ≥ 1−f₀... provides bound on b.
+		case lambda[i] <= svEps: // yᵢ(f₀+b) ≥ 1
 			if y[i] > 0 {
 				lb = math.Max(lb, margin)
 			} else {
 				ub = math.Min(ub, margin)
 			}
-		default: // λ = C
+		default: // λ = C: yᵢ(f₀+b) ≤ 1
 			if y[i] > 0 {
 				ub = math.Min(ub, margin)
 			} else {
@@ -158,15 +171,15 @@ func assemble(x *linalg.Matrix, y, lambda []float64, c float64, k kernel.Kernel,
 	}
 	switch {
 	case free > 0:
-		m.B = sum / float64(free)
+		return sum / float64(free)
 	case !math.IsInf(lb, -1) && !math.IsInf(ub, 1):
-		m.B = (lb + ub) / 2
+		return (lb + ub) / 2
 	case !math.IsInf(lb, -1):
-		m.B = lb
+		return lb
 	case !math.IsInf(ub, 1):
-		m.B = ub
+		return ub
 	}
-	return m, nil
+	return 0
 }
 
 // decisionNoBias returns Σᵢ coefᵢ K(svᵢ, x), the discriminant without bias.

@@ -31,6 +31,32 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+func TestBiasFromKKT(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		scores, y, lambda []float64
+		want              float64
+	}{
+		// Free SV at index 0: y=+1, score 0.4 → b = 0.6.
+		{"free SV", []float64{0.4, 2, -3}, []float64{1, 1, -1}, []float64{0.5, 0, 0}, 0.6},
+		// No free SVs: midpoint of the feasible interval. y=+1, λ=0, score 0.5
+		// → b ≥ 0.5; y=−1, λ=0, score −2 → b ≤ 1.
+		{"midpoint", []float64{0.5, -2}, []float64{1, -1}, []float64{0, 0}, 0.75},
+		// Lower bounds only: y=+1, λ=0, score 0.5 → b ≥ 0.5; y=−1, λ=C, score
+		// −2.5 → b ≥ 1.5.
+		{"lower bounds only", []float64{0.5, -2.5}, []float64{1, -1}, []float64{0, 1}, 1.5},
+		// Upper bounds only: y=−1, λ=0, score −2 → b ≤ 1; y=+1, λ=C, score 3
+		// → b ≤ −2.
+		{"upper bounds only", []float64{-2, 3}, []float64{-1, 1}, []float64{0, 1}, -2},
+		// Degenerate: nothing known.
+		{"empty", nil, nil, nil, 0},
+	} {
+		if b := BiasFromKKT(tc.scores, tc.y, tc.lambda, 1); math.Abs(b-tc.want) > 1e-12 {
+			t.Errorf("%s: bias = %g, want %g", tc.name, b, tc.want)
+		}
+	}
+}
+
 func TestLinearSeparableToy(t *testing.T) {
 	// Points at ±1 on the x-axis: max-margin hyperplane is x = 0, w = (1),
 	// b = 0, both points are support vectors with λ = ½.

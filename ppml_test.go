@@ -3,11 +3,13 @@ package ppml_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/ppml-go/ppml"
+	"github.com/ppml-go/ppml/internal/consensus"
 )
 
 func prepared(t *testing.T, n int) (train, test *ppml.Dataset) {
@@ -108,6 +110,11 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := ppml.Train(train, ppml.HorizontalLinear, ppml.WithLearners(2), ppml.WithIterations(2),
 		ppml.WithPerRoundMasks(), ppml.WithStragglerTimeout(50*time.Millisecond)); err == nil || !strings.Contains(err.Error(), "MaskPerRound with StragglerTimeout") {
 		t.Errorf("per-round masks with a straggler timeout: err = %v, want a configuration error naming both", err)
+	}
+	// A tolerance no residual can fall below is refused, not run to the
+	// budget. The facade wraps the trainers' configuration error as is.
+	if _, err := ppml.Train(train, ppml.HorizontalLinear, ppml.WithLearners(2), ppml.WithTolerance(math.NaN())); !errors.Is(err, consensus.ErrBadConfig) {
+		t.Errorf("NaN tolerance: err = %v, want consensus.ErrBadConfig", err)
 	}
 }
 

@@ -33,76 +33,42 @@ if grep -rnE '\b(fmt\.Print|log\.)' \
 	exit 1
 fi
 
-echo "==> one event ring (no span ring, parent-span word or ring knob in non-test Go)"
-# The journal is telemetry's only event substrate; a second ring or a trace
-# word nothing reads would be one more sink the taint analyzers and DESIGN.md
-# §11/§16 have to model.
-if grep -rnE 'StartSpan|RecentSpans|PPML_SPAN_RING|ParentSpan' . --include="*.go" \
-	| grep -v "_test.go" | grep -v "/testdata/"; then
-	echo "error: span-ring surface in non-test Go (emit journal events instead)" >&2
-	exit 1
-fi
-
-echo "==> one mapper per scheme (no full-batch/minibatch pair in non-test Go)"
-# Full batch is the one-chunk schedule of the only mapper each scheme has; a
-# second mapper, a chunk-only reducer body or an interface abstracting over
-# the pair would put every formula of internal/consensus back in twice.
-if grep -rnE 'ChunkMapper|combineChunk|hkLearner|vlBlock|vkBlock' . --include="*.go" \
-	| grep -v "_test.go" | grep -v "/testdata/"; then
-	echo "error: a second mapper path in non-test Go (a schedule of one chunk is full batch)" >&2
-	exit 1
-fi
-
-echo "==> one configuration spine (one reducer hook, no knob nothing sets, in non-test Go)"
-# A round's cohort is the one weight WeightedReducer.SetRoundWeight announces;
-# the second SMO selection and the Paillier width had no caller. A second hook
-# or either option coming back would be a decision spelled twice again.
-# (bench/ is frozen by BENCHMARK.json and uses none of them.)
-if grep -rnE 'SetRoundParticipants|RosterReducer|WithSecondOrder|QPSecondOrder|PaillierPackWidth' . --include="*.go" \
-	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/"; then
-	echo "error: a second cohort hook or a removed knob in non-test Go" >&2
-	exit 1
-fi
-
-echo "==> one derivation per roster (per-round masks run strict rounds only, in non-test Go)"
-# Elastic rounds derive seeded masks, and every re-declared roster of a round
-# is strictly smaller than the last, so the roster stamp on a share names its
-# derivation. Per-round masks run PerRoundParty.Round over the full cohort,
-# the strict round being their only round (newPolicy refuses them with a
-# StragglerTimeout). A re-ready phase, a roster-scoped mask exchange or a
-# roster-scoped Party share would bring back the wedge recovery of a
-# combination nothing runs.
-if grep -rnE 'attemptReready|"reready"|maskRosterFilter|RoundRoster|ShareOver\(' . --include="*.go" \
-	| grep -v "_test.go" | grep -v "/testdata/"; then
-	echo "error: a per-round exchange over a changing roster in non-test Go (elastic rounds derive seeded masks)" >&2
-	exit 1
-fi
-
-echo "==> a round attempt is its roster (no attempt counter, round timeout or map retries in non-test Go)"
-# (round, roster) identifies a share derivation, so an attempt stamp in the
-# envelope, the frame or the journal would be a second label nothing decides
-# with. A strict round waits until it completes or the job's context ends;
-# the straggler deadline is the only protocol clock a caller sets. A
-# Contribution is deterministic, so a retry would fail again on the same state.
-# (bench/ is frozen by BENCHMARK.json and uses none of them.)
-if grep -rnE '\bAttempt\b|MapRetries|RoundTimeout|ppml_map_retries_total' . --include="*.go" \
-	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/"; then
-	echo "error: an attempt counter, RoundTimeout or MapRetries in non-test Go (the roster is the attempt)" >&2
-	exit 1
-fi
-
-echo "==> the round rides in the envelope (no round word in a payload, no checkpoint, in non-test Go)"
-# A broadcast payload is the state alone and a stop carries nothing: a mapper
-# takes its round from msg.Round, an envelope field secretflow clears. A
-# second carrier of the round (a payload word, a checkpoint the counter
-# resumes from) would taint the counter again and bring back the flow-ok
-# escapes that excused it; the ppml-vet step below fails on any directive
-# left stale. (bench/ is frozen by BENCHMARK.json and uses none of them.)
-if grep -rnE "StatePayload|CheckpointPlan|resumes from checkpoint|decoded from the reducer's public state broadcast" . --include="*.go" \
-	| grep -v "_test.go" | grep -v "/testdata/" | grep -v "^./bench/"; then
-	echo "error: a round carried outside the envelope, or a checkpoint, in non-test Go (msg.Round is the round)" >&2
-	exit 1
-fi
+echo "==> retired names (each removed surface stays gone from non-test Go)"
+# One row per retired surface: the extended regex of its names, whether bench/
+# is exempt (it is frozen by BENCHMARK.json, and a comment or a replay there
+# may still name one), and the reason the gate prints. A name coming back
+# would be a decision spelled twice again:
+# - one event ring: the journal is telemetry's only event substrate;
+# - one mapper per scheme: full batch is the one-chunk schedule;
+# - one configuration spine: a round's cohort is the one weight
+#   SetRoundWeight announces, and the removed knobs had no caller;
+# - one derivation per roster: per-round masks run strict rounds only;
+# - a round attempt is its roster, and a Contribution is deterministic;
+# - the round rides in the envelope: msg.Round, which secretflow clears;
+# - replace, don't fork: one KKT bias (svm.BiasFromKKT), one round log, one
+#   way a qp solve gets its buffers (a Scratch), one call per mapper per
+#   round, and no knob nothing sets.
+retired_hits=0
+while IFS='~' read -r pattern bench_exempt reason; do
+	hits=$(grep -rnE "$pattern" . --include="*.go" | grep -v "_test.go" | grep -v "/testdata/" || true)
+	if [ "$bench_exempt" = yes ]; then
+		hits=$(printf '%s\n' "$hits" | grep -v "^./bench/" || true)
+	fi
+	if [ -n "$hits" ]; then
+		printf '%s\n' "$hits"
+		echo "error: $reason" >&2
+		retired_hits=1
+	fi
+done <<'EOF'
+StartSpan|RecentSpans|PPML_SPAN_RING|ParentSpan~no~span-ring surface in non-test Go (emit journal events instead)
+ChunkMapper|combineChunk|hkLearner|vlBlock|vkBlock~no~a second mapper path in non-test Go (a schedule of one chunk is full batch)
+SetRoundParticipants|RosterReducer|WithSecondOrder|QPSecondOrder|PaillierPackWidth~yes~a second cohort hook or a removed knob in non-test Go
+attemptReready|"reready"|maskRosterFilter|RoundRoster|ShareOver\(~no~a per-round exchange over a changing roster in non-test Go (elastic rounds derive seeded masks)
+\bAttempt\b|MapRetries|RoundTimeout|ppml_map_retries_total~yes~an attempt counter, RoundTimeout or MapRetries in non-test Go (the roster is the attempt)
+StatePayload|CheckpointPlan|resumes from checkpoint|decoded from the reducer's public state broadcast~yes~a round carried outside the envelope, or a checkpoint, in non-test Go (msg.Round is the round)
+biasFromScores|reducerGauges|gradPool|getGradBuf|putGradBuf|dropGrad|Packing\) Encrypt\(|pack\.Encrypt\(|lastIter|packWidth|QPTol~yes~a second copy of a replaced operation, a mapper round replay or a knob nothing sets in non-test Go (replace, don't fork)
+EOF
+[ "$retired_hits" -eq 0 ] || exit 1
 
 echo "==> option surface (24 ppml.With* options; the struct field counts are TestOptionSurfacePinned's)"
 # Pinned so the next knob has to be argued for: a new option needs two callers
