@@ -41,7 +41,7 @@ func randVec(rng *rand.Rand, n int) []float64 {
 func TestDecisionsMatchDecision(t *testing.T) {
 	const features = 11
 	rng := rand.New(rand.NewSource(16))
-	x := randMatrix(rng, 75, features) // two full 32-row panels and a partial one
+	x := randMatrix(rng, 75, features) // a full 48-row panel and a partial one ending in a short tile
 
 	mixed := randVec(rng, 40)
 	for i := range mixed {

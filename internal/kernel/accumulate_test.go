@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"github.com/ppml-go/ppml/internal/linalg"
@@ -32,7 +33,7 @@ func sparseCoef(n int) []float64 {
 // what dst held, and a result that does not depend on the worker count (the
 // contract of TestMatrixMatchesGram / TestTiledMatchesNaive).
 func TestAccumulateMatchesEval(t *testing.T) {
-	x := randomSamples(t, 1, 77, 13) // 2 full panels + a partial one, odd tile edges
+	x := randomSamples(t, 1, 77, 13) // a full panel and a partial one ending in a short tile
 	support := randomSamples(t, 2, 41, 13)
 	dense := make([]float64, support.Rows)
 	for j := range dense {
@@ -96,9 +97,10 @@ func TestAccumulateShapeErrors(t *testing.T) {
 
 // TestTiledPathAllocations pins Matrix and Accumulate to O(panels)
 // allocations per call — the output, the row norms, the pool fan-out, a
-// panel when sync.Pool has dropped one (it does at random under -race) — and
-// not one per 2×4 tile, which is what an assembly stub without
-// //go:noescape costs (31,000 on this shape).
+// panel or the pack when sync.Pool has dropped one (it does at random under
+// -race) — and not several per row tile, which is what an assembly stub
+// without //go:noescape costs (the tile's row arrays and edge buffer: 686 a
+// call on this shape).
 func TestTiledPathAllocations(t *testing.T) {
 	x := randomSamples(t, 3, 1000, 64)
 	support := randomSamples(t, 4, 250, 64)
@@ -119,5 +121,49 @@ func TestTiledPathAllocations(t *testing.T) {
 		}
 	}); n > bound {
 		t.Errorf("Accumulate: %.0f allocations per call, want at most %.0f (four per panel)", n, bound)
+	}
+}
+
+// poolKeeps reports whether a sync.Pool hands back what was just put in it.
+// It does, except under the race detector, which drops a quarter of all Puts.
+func poolKeeps() bool {
+	var p sync.Pool
+	x := new(int)
+	for i := 0; i < 64; i++ {
+		p.Put(x)
+		if p.Get() != x {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAccumulateSteadyStateAllocations pins the accuracy probe of vk_scores
+// (four learners' 600 × 16 blocks scoring 600 eval rows, RBF) at one worker:
+// over consecutive calls the support's pack, the norms and the dot panels
+// come back from the scratch pool, so a call allocates its two closures and
+// nothing else. A pack made per call — a pack scratch without its pool,
+// +4.7 % allocations per vk_scores round — fails it.
+func TestAccumulateSteadyStateAllocations(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	x, support := randomSamples(t, 5, 600, 16), randomSamples(t, 6, 600, 16)
+	coef := make([]float64, support.Rows)
+	for j := range coef {
+		coef[j] = 1 / float64(j+1)
+	}
+	dst := make([]float64, x.Rows)
+	var k Kernel = RBF{Gamma: 1.0 / 16} // boxed once, as a model holds it
+	const calls, perCall = 4, 2
+	if n := testing.AllocsPerRun(50, func() {
+		for c := 0; c < calls; c++ {
+			if err := Accumulate(k, x, support, coef, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n > calls*perCall {
+		t.Errorf("%d Accumulate calls: %.0f allocations, want at most %d (%d a call: two closures)", calls, n, calls*perCall, perCall)
 	}
 }

@@ -191,13 +191,19 @@ func GramMatrix(k Kernel, a *linalg.Matrix) *linalg.Matrix {
 }
 
 // rowNormsSq returns ‖a_i‖² for every row — nil for a kernel whose row form
-// reads no norms — computed on the worker pool when the pool is wide and the
-// matrix large.
+// reads no norms.
 func rowNormsSq(k Kernel, a *linalg.Matrix) []float64 {
 	if !k.needNorms() {
 		return nil
 	}
 	sq := make([]float64, a.Rows)
+	rowNormsInto(a, sq)
+	return sq
+}
+
+// rowNormsInto sets sq[i] = ‖a_i‖² for every row, on the worker pool when the
+// pool is wide and the matrix large.
+func rowNormsInto(a *linalg.Matrix, sq []float64) {
 	if parallel.UsePool(a.Rows * a.Cols) {
 		parallel.For(a.Rows, parallel.RowGrain(a.Cols), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -205,13 +211,12 @@ func rowNormsSq(k Kernel, a *linalg.Matrix) []float64 {
 				sq[i] = linalg.Dot(ri, ri)
 			}
 		})
-		return sq
+		return
 	}
 	for i := 0; i < a.Rows; i++ {
 		ri := a.Row(i)
 		sq[i] = linalg.Dot(ri, ri)
 	}
-	return sq
 }
 
 // Parse builds a Kernel from a CLI-style spec: "linear", "rbf:<gamma>",

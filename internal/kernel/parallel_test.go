@@ -48,7 +48,9 @@ func TestGramParallelMatchesSequential(t *testing.T) {
 
 // TestTiledPathMatchesEval checks every entry point of the one compute path
 // against scalar Eval loops, for each of the four kernels, at row counts that
-// cross panelRows and leave 2×4 tile edges. The pooled result must equal the
+// cross panelRows and leave the tile's edges: a's last panel is 13 rows, two
+// 6-row tiles and a 1-row one, and both column counts (55 against b, 109 in
+// the Gram) end in a partial 8-column panel. The pooled result must equal the
 // sequential one bit for bit; against Eval only the dot rounds differently.
 func TestTiledPathMatchesEval(t *testing.T) {
 	a := randomSamples(t, 7, 2*panelRows+13, 13)
@@ -155,13 +157,13 @@ func TestRBFFastPathMatchesEval(t *testing.T) {
 // K(b, a) transposed bit for bit although every value sits in a different
 // lane and at a different row offset in the two; the symmetric path, which
 // transforms row i from column i on, equals the cross path off the diagonal;
-// and its diagonal is exactly 1. Row counts are multiples of 4 so that every
-// dot is a tile dot (the edge dots sum in another order, which is the dot's
-// contract, not the transform's).
+// and its diagonal is exactly 1. Every dot is one FMA chain wherever it sits
+// in a tile, so the row counts leave short tiles and partial panels on both
+// sides.
 func TestRBFRowFormSymmetricAndExact(t *testing.T) {
 	k := RBF{Gamma: 0.07}
-	a := randomSamples(t, 21, 2*panelRows+4, 9)
-	b := randomSamples(t, 22, panelRows+4, 9)
+	a := randomSamples(t, 21, 2*panelRows+5, 9)
+	b := randomSamples(t, 22, panelRows+3, 9)
 	ab, err := Matrix(k, a, b)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/parallel"
@@ -15,32 +14,21 @@ import (
 // (Kernel.rowForm: one call per panel row, for RBF one vector exp per row).
 // That call is the only transform: Matrix, GramMatrix and Accumulate differ in
 // where the dots land and what happens to a finished row, not in how it is
-// transformed. Matrix computes its dots straight into the output rows; the
-// symmetric path and Accumulate, the scoring primitive, compute theirs into a
-// scratch panel claimed from panelPool, so the full n×n dot matrix is never
+// transformed. The right operand is packed for the tile once per call
+// (linalg.PackT), before the worker fan-out, and every panel reads that pack.
+// Matrix computes its dots straight into the output rows; the symmetric path
+// and Accumulate, the scoring primitive, compute theirs into a scratch panel
+// from linalg's scratch pool, so the full n×n dot matrix is never
 // materialized, workers never share scratch, and Accumulate — which reduces
 // each row against a coefficient vector — retains no kernel matrix at all.
 
 // panelRows is the row height of a dot panel: tall enough that the tiled
 // kernel runs at full width and the pool claim amortizes, short enough that
-// a panel (panelRows × n doubles) stays modest even for large Gram sizes.
-const panelRows = 32
-
-// panelPool holds dot-panel scratch arenas, grabbed per panel and released
-// when its rows are done.
-var panelPool = sync.Pool{New: func() any { return new(linalg.Matrix) }}
-
-func grabPanel(r, c int) *linalg.Matrix {
-	p := panelPool.Get().(*linalg.Matrix)
-	if cap(p.Data) < r*c {
-		p.Data = make([]float64, r*c)
-	}
-	p.Rows, p.Cols = r, c
-	p.Data = p.Data[:r*c]
-	return p
-}
-
-func releasePanel(p *linalg.Matrix) { panelPool.Put(p) }
+// a panel (panelRows × n doubles) stays modest even for large Gram sizes. It
+// is a multiple of the tile's 6 rows, so only a call's last panel has a short
+// tile, and of the pack's 8-column panels, so the symmetric path's panel at
+// row rlo can start its columns at rlo in the pack (Packed.From).
+const panelRows = 48
 
 // rowView returns the submatrix of rows [rlo, rhi) of m as a view sharing
 // m's storage.
@@ -64,10 +52,10 @@ func forPanels(rows int, par bool, body func(rlo, rhi int)) {
 	blocks(0, rows)
 }
 
-// dotPanel returns rows [rlo, rhi) of a · bᵀ in pooled scratch; the caller
-// releases it.
-func dotPanel(a, b *linalg.Matrix, rlo, rhi int) *linalg.Matrix {
-	panel := grabPanel(rhi-rlo, b.Rows)
+// dotPanel returns rows [rlo, rhi) of a · bᵀ, b packed and n columns wide, in
+// pooled scratch; the caller releases it.
+func dotPanel(a *linalg.Matrix, b linalg.Packed, n, rlo, rhi int) *linalg.Matrix {
+	panel := linalg.GrabScratch(rhi-rlo, n)
 	av := rowView(a, rlo, rhi)
 	linalg.MatMulTRows(&av, b, panel, 0, rhi-rlo)
 	return panel
@@ -85,8 +73,10 @@ func normAt(sq []float64, i int) float64 {
 // dots go straight into the output rows the block owns and are transformed
 // there. sqA/sqB are nil when the kernel reads no norms.
 func matrixTiled(k Kernel, a, b *linalg.Matrix, sqA, sqB []float64, out *linalg.Matrix, par bool) {
+	pb := linalg.PackT(b)
+	defer pb.Release()
 	forPanels(a.Rows, par, func(rlo, rhi int) {
-		linalg.MatMulTRows(a, b, out, rlo, rhi)
+		linalg.MatMulTRows(a, pb, out, rlo, rhi)
 		for i := rlo; i < rhi; i++ {
 			k.rowForm(out.Row(i), normAt(sqA, i), sqB)
 		}
@@ -125,18 +115,28 @@ func Accumulate(k Kernel, x, support *linalg.Matrix, coef, dst []float64) error 
 	if nz == 0 || x.Rows == 0 {
 		return nil
 	}
+	// The gathered rows, the norms, the pack and the dot panels all live in
+	// pooled scratch, so a scoring call per round leaves no garbage behind but
+	// its closures.
 	if nz < len(coef) {
-		// The gathered rows live in pooled scratch like the dot panels, so a
-		// scoring call per round leaves no N × k garbage behind.
-		g := grabPanel(nz, support.Cols)
-		defer releasePanel(g)
+		g := linalg.GrabScratch(nz, support.Cols)
+		defer linalg.ReleaseScratch(g)
 		coef = gatherNonzero(support, coef, g)
 		support = g
 	}
-	sqX, sqS := rowNormsSq(k, x), rowNormsSq(k, support)
+	var sqX, sqS []float64
+	if k.needNorms() {
+		sq := linalg.GrabScratch(1, x.Rows+support.Rows)
+		defer linalg.ReleaseScratch(sq)
+		sqX, sqS = sq.Data[:x.Rows], sq.Data[x.Rows:]
+		rowNormsInto(x, sqX)
+		rowNormsInto(support, sqS)
+	}
+	ps := linalg.PackT(support)
+	defer ps.Release()
 	forPanels(x.Rows, parallel.UsePool(x.Rows*support.Rows*x.Cols), func(rlo, rhi int) {
-		panel := dotPanel(x, support, rlo, rhi)
-		defer releasePanel(panel)
+		panel := dotPanel(x, ps, support.Rows, rlo, rhi)
+		defer linalg.ReleaseScratch(panel)
 		for i := rlo; i < rhi; i++ {
 			row := panel.Row(i - rlo)
 			k.rowForm(row, normAt(sqX, i), sqS)
@@ -169,10 +169,11 @@ func gatherNonzero(support *linalg.Matrix, coef []float64, dst *linalg.Matrix) [
 // loops.
 func gramTiled(k Kernel, a *linalg.Matrix, sq []float64, out *linalg.Matrix, par bool) {
 	n := a.Rows
+	pa := linalg.PackT(a)
+	defer pa.Release()
 	forPanels(n, par, func(rlo, rhi int) {
-		bv := rowView(a, rlo, n)
-		panel := dotPanel(a, &bv, rlo, rhi)
-		defer releasePanel(panel)
+		panel := dotPanel(a, pa.From(rlo), n-rlo, rlo, rhi)
+		defer linalg.ReleaseScratch(panel)
 		for i := rlo; i < rhi; i++ {
 			row := panel.Row(i - rlo)[i-rlo:] // columns j ≥ i
 			var si float64

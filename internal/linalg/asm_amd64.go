@@ -8,13 +8,13 @@ func cpuidAsm(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvAsm reads XCR0 (extended control register 0).
 func xgetbvAsm() (eax, edx uint32)
 
-// dotTile2x4FMA computes the 2×4 dot tile out[r*4+c] = Σ_k a_r[k]·b_c[k]
-// over n elements with AVX2 FMA. Callers must have checked hasFMA and n ≥ 1.
-// The noescape directive keeps the caller's out array on its stack; without
-// it every tile heap-allocates one (scripts/check.sh gates on this).
+// tileFMA is the AVX2 body of tileGo, with the same contract and the same
+// bits. Callers must have checked hasFMA, k ≥ 1 and panels ≥ 1. The noescape
+// directive keeps the caller's row arrays and edge buffer on its stack;
+// without it every tile heap-allocates them (scripts/check.sh gates on this).
 //
 //go:noescape
-func dotTile2x4FMA(a0, a1, b0, b1, b2, b3 *float64, n int, out *[8]float64)
+func tileFMA(a, out *[tileM][]float64, b []float64, k, panels int)
 
 // dotFMA returns Σ_k x[k]·y[k] over n elements with AVX2 FMA. Callers must
 // have checked hasFMA and n ≥ 1.

@@ -23,24 +23,31 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func dotTile2x4FMA(a0, a1, b0, b1, b2, b3 *float64, n int, out *[8]float64)
+// func tileFMA(a, out *[tileM][]float64, b []float64, k, panels int)
 //
-// Computes the 2×4 dot tile out[r*4+c] = Σ_k a_r[k]·b_c[k] over n elements.
-// Eight ymm accumulators (Y0–Y7) stay live across the whole k loop; each
-// iteration issues 6 vector loads and 8 FMAs, so the loop is FMA-port bound
-// at ~8 multiply-adds per cycle instead of the ~1 the scalar kernel reaches.
-// Lanes are folded and the scalar remainder applied before the store, so the
-// result is deterministic for a given n.
-TEXT ·dotTile2x4FMA(SB), NOSPLIT, $0-64
-	MOVQ a0+0(FP), R8
-	MOVQ a1+8(FP), R9
-	MOVQ b0+16(FP), R10
-	MOVQ b1+24(FP), R11
-	MOVQ b2+32(FP), R12
-	MOVQ b3+40(FP), R13
-	MOVQ n+48(FP), CX
-	MOVQ out+56(FP), DI
+// The 6×8 outer-product tile of tile.go, over `panels` consecutive packed
+// panels of b (8 columns, k-major, 64k bytes each) with k ≥ 1, panels ≥ 1.
+// R8–R13 hold the six a rows, read from the slice headers at 24-byte
+// stride; Y0–Y11 the 6×8 outputs of the current panel, two ymm a row. Each
+// k step loads the panel's 8 entries into Y12/Y13, broadcasts a_r[k] into
+// Y14/Y15 and issues one VFMADD231PD per accumulator, so every output lane
+// is the chain s = fma(a_r[k], b_c[k], s) from s = +0, as in tileGo. Row r
+// of a panel is stored to out[r] at the panel's column offset BX.
+TEXT ·tileFMA(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), AX
+	MOVQ 0(AX), R8
+	MOVQ 24(AX), R9
+	MOVQ 48(AX), R10
+	MOVQ 72(AX), R11
+	MOVQ 96(AX), R12
+	MOVQ 120(AX), R13
+	MOVQ out+8(FP), DI
+	MOVQ b_base+16(FP), SI
+	MOVQ k+40(FP), CX
+	MOVQ panels+48(FP), DX
+	XORQ BX, BX
 
+tilepanel:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -49,113 +56,59 @@ TEXT ·dotTile2x4FMA(SB), NOSPLIT, $0-64
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	XORQ AX, AX
 
-	MOVQ CX, AX
-	SHRQ $2, AX
-	JZ   tilereduce
+tilek:
+	VMOVUPD (SI), Y12
+	VMOVUPD 32(SI), Y13
+	VBROADCASTSD (R8)(AX*8), Y14
+	VBROADCASTSD (R9)(AX*8), Y15
+	VFMADD231PD Y12, Y14, Y0
+	VFMADD231PD Y13, Y14, Y1
+	VFMADD231PD Y12, Y15, Y2
+	VFMADD231PD Y13, Y15, Y3
+	VBROADCASTSD (R10)(AX*8), Y14
+	VBROADCASTSD (R11)(AX*8), Y15
+	VFMADD231PD Y12, Y14, Y4
+	VFMADD231PD Y13, Y14, Y5
+	VFMADD231PD Y12, Y15, Y6
+	VFMADD231PD Y13, Y15, Y7
+	VBROADCASTSD (R12)(AX*8), Y14
+	VBROADCASTSD (R13)(AX*8), Y15
+	VFMADD231PD Y12, Y14, Y8
+	VFMADD231PD Y13, Y14, Y9
+	VFMADD231PD Y12, Y15, Y10
+	VFMADD231PD Y13, Y15, Y11
+	ADDQ $64, SI
+	INCQ AX
+	CMPQ AX, CX
+	JNE  tilek
 
-tileloop:
-	VMOVUPD (R8), Y8
-	VMOVUPD (R9), Y9
-	VMOVUPD (R10), Y10
-	VMOVUPD (R11), Y11
-	VMOVUPD (R12), Y12
-	VMOVUPD (R13), Y13
-	VFMADD231PD Y10, Y8, Y0
-	VFMADD231PD Y11, Y8, Y1
-	VFMADD231PD Y12, Y8, Y2
-	VFMADD231PD Y13, Y8, Y3
-	VFMADD231PD Y10, Y9, Y4
-	VFMADD231PD Y11, Y9, Y5
-	VFMADD231PD Y12, Y9, Y6
-	VFMADD231PD Y13, Y9, Y7
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, R12
-	ADDQ $32, R13
-	DECQ AX
-	JNZ  tileloop
-
-tilereduce:
-	// Fold each 4-lane accumulator down to its low scalar lane.
-	VEXTRACTF128 $1, Y0, X8
-	VADDPD X8, X0, X0
-	VUNPCKHPD X0, X0, X8
-	VADDSD X8, X0, X0
-
-	VEXTRACTF128 $1, Y1, X8
-	VADDPD X8, X1, X1
-	VUNPCKHPD X1, X1, X8
-	VADDSD X8, X1, X1
-
-	VEXTRACTF128 $1, Y2, X8
-	VADDPD X8, X2, X2
-	VUNPCKHPD X2, X2, X8
-	VADDSD X8, X2, X2
-
-	VEXTRACTF128 $1, Y3, X8
-	VADDPD X8, X3, X3
-	VUNPCKHPD X3, X3, X8
-	VADDSD X8, X3, X3
-
-	VEXTRACTF128 $1, Y4, X8
-	VADDPD X8, X4, X4
-	VUNPCKHPD X4, X4, X8
-	VADDSD X8, X4, X4
-
-	VEXTRACTF128 $1, Y5, X8
-	VADDPD X8, X5, X5
-	VUNPCKHPD X5, X5, X8
-	VADDSD X8, X5, X5
-
-	VEXTRACTF128 $1, Y6, X8
-	VADDPD X8, X6, X6
-	VUNPCKHPD X6, X6, X8
-	VADDSD X8, X6, X6
-
-	VEXTRACTF128 $1, Y7, X8
-	VADDPD X8, X7, X7
-	VUNPCKHPD X7, X7, X8
-	VADDSD X8, X7, X7
-
-	ANDQ $3, CX
-	JZ   tilestore
-
-tiletail:
-	VMOVSD (R8), X8
-	VMOVSD (R9), X9
-	VMOVSD (R10), X10
-	VFMADD231SD X10, X8, X0
-	VFMADD231SD X10, X9, X4
-	VMOVSD (R11), X11
-	VFMADD231SD X11, X8, X1
-	VFMADD231SD X11, X9, X5
-	VMOVSD (R12), X12
-	VFMADD231SD X12, X8, X2
-	VFMADD231SD X12, X9, X6
-	VMOVSD (R13), X13
-	VFMADD231SD X13, X8, X3
-	VFMADD231SD X13, X9, X7
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $8, R13
-	DECQ CX
-	JNZ  tiletail
-
-tilestore:
-	VMOVSD X0, (DI)
-	VMOVSD X1, 8(DI)
-	VMOVSD X2, 16(DI)
-	VMOVSD X3, 24(DI)
-	VMOVSD X4, 32(DI)
-	VMOVSD X5, 40(DI)
-	VMOVSD X6, 48(DI)
-	VMOVSD X7, 56(DI)
+	MOVQ 0(DI), AX
+	VMOVUPD Y0, (AX)(BX*1)
+	VMOVUPD Y1, 32(AX)(BX*1)
+	MOVQ 24(DI), AX
+	VMOVUPD Y2, (AX)(BX*1)
+	VMOVUPD Y3, 32(AX)(BX*1)
+	MOVQ 48(DI), AX
+	VMOVUPD Y4, (AX)(BX*1)
+	VMOVUPD Y5, 32(AX)(BX*1)
+	MOVQ 72(DI), AX
+	VMOVUPD Y6, (AX)(BX*1)
+	VMOVUPD Y7, 32(AX)(BX*1)
+	MOVQ 96(DI), AX
+	VMOVUPD Y8, (AX)(BX*1)
+	VMOVUPD Y9, 32(AX)(BX*1)
+	MOVQ 120(DI), AX
+	VMOVUPD Y10, (AX)(BX*1)
+	VMOVUPD Y11, 32(AX)(BX*1)
+	ADDQ $64, BX
+	DECQ DX
+	JNZ  tilepanel
 	VZEROUPPER
 	RET
 

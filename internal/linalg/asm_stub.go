@@ -2,12 +2,12 @@
 
 package linalg
 
-// hasFMA is always false off amd64: the tiled kernels use their pure-Go
-// bodies, which compute the same sums.
+// hasFMA is always false off amd64: the tile and the exp use their Go twins,
+// which give the same bits.
 var hasFMA = false
 
-func dotTile2x4FMA(a0, a1, b0, b1, b2, b3 *float64, n int, out *[8]float64) {
-	panic("linalg: dotTile2x4FMA called without FMA support")
+func tileFMA(a, out *[tileM][]float64, b []float64, k, panels int) {
+	panic("linalg: tileFMA called without FMA support")
 }
 
 func dotFMA(x, y *float64, n int) float64 {

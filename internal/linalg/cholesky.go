@@ -45,30 +45,35 @@ func FactorizeCholesky(a *Matrix) (*Cholesky, error) {
 //
 // The factorization is left-looking and blocked by cholPanel columns. For
 // each panel [j0, j1) the sums Σ_{k<j0} L_ik·L_ck over the finished columns
-// are subtracted from the panel's entries with the 2×4 tile kernel, the
+// are subtracted from the panel's entries with the tile kernel, its right
+// operand (the panel rows' finished parts) packed once per panel, the
 // diagonal block is factored with the unblocked loop, and every row below it
 // is solved against that block. The rows below are independent, so the tile
 // update and the solve run fused, one worker-pool dispatch per panel. Each
-// entry is A_ic − (tile sum over k < j0) − Dot over [j0, c), and the row
-// pairing of the tiles is fixed by the row index, so the factor does not
-// depend on the worker count.
+// entry is A_ic − (the tile's FMA chain over k < j0) − Dot over [j0, c), so
+// the factor depends on neither the worker count nor hasFMA.
 func FactorizeCholeskyInPlace(a *Matrix) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("cholesky: %w: matrix %dx%d not square", ErrShape, a.Rows, a.Cols)
 	}
 	n := a.Rows
+	// One pack serves every panel, sized once for the widest and longest.
+	p := grabPacked(cholPanel, max(n-1, 0)/cholPanel*cholPanel)
 	for j0 := 0; j0 < n; j0 += cholPanel {
 		j1 := min(j0+cholPanel, n)
-		cholPanelUpdate(a, j0, j1, j0, j1)
+		p.reshape(j1-j0, j0)
+		p.packRows(a.Data[j0*n:], n)
+		cholPanelUpdate(a, p, j0, j1, j0, j1)
 		if err := cholDiagBlock(a, j0, j1); err != nil {
-			return nil, err
+			return nil, err // the pack is left to the collector
 		}
 		if parallel.UsePool((n - j1) * j1 * (j1 - j0)) {
-			cholBelowPar(a, j0, j1)
+			cholBelowPar(a, p, j0, j1)
 		} else {
-			cholBelow(a, j0, j1, j1, n)
+			cholBelow(a, p, j0, j1, j1, n)
 		}
 	}
+	p.Release()
 	for i := 0; i < n; i++ {
 		Zero(a.Row(i)[i+1:])
 	}
@@ -99,8 +104,8 @@ func cholDiagBlock(a *Matrix, j0, j1 int) error {
 // cholBelow finishes the panel columns [j0, j1) of rows [rlo, rhi), all at
 // or below j1: the tile update, then each row solved against the factored
 // diagonal block with the unblocked loop's per-element operations.
-func cholBelow(a *Matrix, j0, j1, rlo, rhi int) {
-	cholPanelUpdate(a, j0, j1, rlo, rhi)
+func cholBelow(a *Matrix, p Packed, j0, j1, rlo, rhi int) {
+	cholPanelUpdate(a, p, j0, j1, rlo, rhi)
 	var inv [cholPanel]float64
 	for c := j0; c < j1; c++ {
 		inv[c-j0] = 1 / a.At(c, c)
@@ -115,70 +120,36 @@ func cholBelow(a *Matrix, j0, j1, rlo, rhi int) {
 }
 
 // cholBelowPar runs cholBelow over the rows below a panel on the worker pool,
-// in blocks of whole row tiles so the tile pairing matches the sequential
-// walk. It is a separate function so its closure cannot pessimize the
-// sequential factorization loop.
-func cholBelowPar(a *Matrix, j0, j1 int) {
+// in blocks of whole row tiles. It is a separate function so its closure
+// cannot pessimize the sequential factorization loop.
+func cholBelowPar(a *Matrix, p Packed, j0, j1 int) {
 	rows := a.Rows - j1
 	tiles := (rows + tileM - 1) / tileM
 	parallel.For(tiles, tileRowGrain(tileM*j1*(j1-j0)), func(lo, hi int) {
 		rlo, rhi := tileRange(lo, hi, rows)
-		cholBelow(a, j0, j1, j1+rlo, j1+rhi)
+		cholBelow(a, p, j0, j1, j1+rlo, j1+rhi)
 	})
 }
 
 // cholPanelUpdate subtracts Σ_{k<j0} a_ik·a_ck from a_ic for the rows
 // [rlo, rhi) and the panel columns c ∈ [j0, j1): the a·bᵀ of the rows' and the
-// panel rows' finished parts, walked like matMulTTiledRows but in place at
-// row stride n. Rows pair into tiles from rlo, so a row's tile — and with it
-// its bits — is fixed by rlo and its index alone.
-func cholPanelUpdate(a *Matrix, j0, j1, rlo, rhi int) {
+// panel rows' finished parts, the latter packed in p, a row tile at a time
+// into a stack buffer and subtracted from there.
+func cholPanelUpdate(a *Matrix, p Packed, j0, j1, rlo, rhi int) {
 	if j0 == 0 {
 		return
 	}
-	n := a.Cols
-	fma := hasFMA
-	i := rlo
-	for ; i+tileM <= rhi; i += tileM {
-		a0, a1 := a.Row(i), a.Row(i+1)
-		c := j0
-		for ; c+tileN <= j1; c += tileN {
-			var s [tileM * tileN]float64
-			if fma {
-				dotTile2x4FMA(&a0[0], &a1[0],
-					&a.Data[c*n], &a.Data[(c+1)*n], &a.Data[(c+2)*n], &a.Data[(c+3)*n],
-					j0, &s)
-			} else {
-				s[0], s[1], s[2], s[3],
-					s[4], s[5], s[6], s[7] = matMulTTile(
-					a0, a1,
-					a.Row(c), a.Row(c+1), a.Row(c+2), a.Row(c+3), j0)
-			}
-			for k := 0; k < tileN; k++ {
-				a0[c+k] -= s[k]
-				a1[c+k] -= s[tileN+k]
+	var s [tileM * cholPanel]float64
+	for i := rlo; i < rhi; i += tileM {
+		ih := min(i+tileM, rhi)
+		tileRows(a.Data, a.Cols, p, s[:], cholPanel, i, ih)
+		for r := i; r < ih; r++ {
+			row, sr := a.Row(r)[j0:j1], s[(r-i)*cholPanel:]
+			for c := range row {
+				row[c] -= sr[c]
 			}
 		}
-		for ; c < j1; c++ {
-			lc := a.Row(c)
-			a0[c] -= dotEdge(a0, lc, j0)
-			a1[c] -= dotEdge(a1, lc, j0)
-		}
 	}
-	for ; i < rhi; i++ {
-		ai := a.Row(i)
-		for c := j0; c < j1; c++ {
-			ai[c] -= dotEdge(ai, a.Row(c), j0)
-		}
-	}
-}
-
-// dotEdge is Σ_{k<d} x[k]·y[k], d ≥ 1, by the tile walk's edge kernel.
-func dotEdge(x, y []float64, d int) float64 {
-	if hasFMA {
-		return dotFMA(&x[0], &y[0], d)
-	}
-	return dotSeq(x, y, d)
 }
 
 // Size returns the dimension of the factored matrix.

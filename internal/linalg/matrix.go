@@ -108,20 +108,17 @@ func (m *Matrix) MulVec(x, dst []float64) ([]float64, error) {
 		m.mulVecPar(x, dst)
 		return dst, nil
 	}
-	mulVecTiledRows(m, x, dst, 0, m.Rows)
+	mulVecRows(m, x, dst, 0, m.Rows)
 	return dst, nil
 }
 
 // mulVecPar is the worker-pool row loop of MulVec. It lives in its own
 // function so the closure it builds cannot pessimize the sequential path
 // (captured variables force indirection on everything the enclosing function
-// touches). Blocks claim whole row tiles so the tiled kernel runs at full
-// width inside each block.
+// touches).
 func (m *Matrix) mulVecPar(x, dst []float64) {
-	tiles := (m.Rows + tileM - 1) / tileM
-	parallel.For(tiles, tileRowGrain(tileM*m.Cols), func(lo, hi int) {
-		rlo, rhi := tileRange(lo, hi, m.Rows)
-		mulVecTiledRows(m, x, dst, rlo, rhi)
+	parallel.For(m.Rows, tileRowGrain(m.Cols), func(lo, hi int) {
+		mulVecRows(m, x, dst, lo, hi)
 	})
 }
 
@@ -180,10 +177,8 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 
 // MatMulInto computes dst = a * b with the register-tiled kernel, reusing
 // dst per the reuseInto contract (nil allocates). dst must not alias a or b.
-// b is transpose-packed into a pooled scratch matrix first so the tile
-// kernel reads both operands at unit stride; the O(b.Rows·b.Cols) pack is
-// negligible against the multiply and the scratch comes from (and returns
-// to) packPool, so steady-state calls stay allocation-free.
+// b's rows are already k-major, so its pack is a copy of 8-column strips,
+// made once before the worker fan-out into pooled scratch.
 func MatMulInto(a, b, dst *Matrix) (*Matrix, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("MatMul: %w: %dx%d by %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
@@ -192,14 +187,10 @@ func MatMulInto(a, b, dst *Matrix) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	bt := grabPacked(b.Cols, b.Rows)
-	transposeInto(b, bt)
-	if parallel.UsePool(a.Rows * a.Cols * b.Cols) {
-		matMulTPar(a, bt, out)
-	} else {
-		matMulTTiledRows(a, bt, out, 0, a.Rows)
-	}
-	releasePacked(bt)
+	p := grabPacked(b.Cols, b.Rows)
+	p.packCols(b.Data, b.Cols)
+	matMulTPacked(a, p, out)
+	p.Release()
 	return out, nil
 }
 
@@ -219,31 +210,33 @@ func MatMulTInto(a, b, dst *Matrix) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if parallel.UsePool(a.Rows * a.Cols * b.Rows) {
-		matMulTPar(a, b, out)
-		return out, nil
-	}
-	matMulTTiledRows(a, b, out, 0, a.Rows)
+	p := PackT(b)
+	matMulTPacked(a, p, out)
+	p.Release()
 	return out, nil
 }
 
-// matMulTPar is MatMulT's worker-pool loop, isolated like mulVecPar, with
-// the same tile-disjoint write structure as matMulPar.
-func matMulTPar(a, b, out *Matrix) {
+// matMulTPacked computes out = a · bᵀ from b's pack, on the worker pool when
+// the product is large enough; blocks claim whole row tiles.
+func matMulTPacked(a *Matrix, b Packed, out *Matrix) {
+	if !parallel.UsePool(a.Rows * a.Cols * b.n) {
+		MatMulTRows(a, b, out, 0, a.Rows)
+		return
+	}
 	tiles := (a.Rows + tileM - 1) / tileM
-	parallel.For(tiles, tileRowGrain(tileM*a.Cols*b.Rows), func(lo, hi int) {
+	parallel.For(tiles, tileRowGrain(tileM*a.Cols*b.n), func(lo, hi int) {
 		rlo, rhi := tileRange(lo, hi, a.Rows)
-		matMulTTiledRows(a, b, out, rlo, rhi)
+		MatMulTRows(a, b, out, rlo, rhi)
 	})
 }
 
-// MatMulTRows computes only rows [rlo, rhi) of out = a * bᵀ with the
-// register-tiled kernel, writing out.Row(i) for rlo ≤ i < rhi and touching
-// nothing else. It is the panel entry point for callers that drive their own
-// blocking (the kernel package computes Gram panels into per-worker scratch
-// arenas and transforms them in place); shapes are the caller's contract.
-func MatMulTRows(a, b, out *Matrix, rlo, rhi int) {
-	matMulTTiledRows(a, b, out, rlo, rhi)
+// MatMulTRows computes only rows [rlo, rhi) of out = a · bᵀ from b's pack
+// (PackT), writing out.Row(i) for rlo ≤ i < rhi and touching nothing else.
+// It is the panel entry point for callers that drive their own blocking (the
+// kernel package packs its right operand once per call and computes Gram
+// panels into per-worker scratch arenas); shapes are the caller's contract.
+func MatMulTRows(a *Matrix, b Packed, out *Matrix, rlo, rhi int) {
+	tileRows(a.Data, a.Cols, b, out.Data[rlo*out.Cols:], out.Cols, rlo, rhi)
 }
 
 // Add computes m += a, element-wise.

@@ -1,0 +1,118 @@
+package linalg_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/ppml-go/ppml/internal/kernel"
+	"github.com/ppml-go/ppml/internal/linalg"
+)
+
+func gaussian(rng *rand.Rand, r, c int) *linalg.Matrix {
+	m := linalg.NewMatrix(r, c)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
+// sameBits fails unless got and want are equal bit for bit.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %.17g with the assembly tile, %.17g with its Go twin", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestTiledFallbackMatchesFMA pins the tile's contract: every output is one
+// FMA chain over k, so the AVX2 tile and its math.FMA twin give the same bits
+// through every entry point that runs on it. The shapes leave every edge:
+// row counts at each residue mod the tile's rows (and two kernel panels, the
+// second short), column counts at each residue mod the 8-column panel and one
+// narrower than a panel, k = 0 (the zero fill) and k short and long.
+// MatMulTRows from row 1 shifts every row to another place in its tile. On
+// a host without the assembly the test is vacuous.
+func TestTiledFallbackMatchesFMA(t *testing.T) {
+	if !linalg.SetFMA(false) {
+		t.Skip("no FMA kernels on this host")
+	}
+	linalg.SetFMA(true)
+	defer linalg.SetFMA(true)
+	// twin runs f with the assembly and then with the twin and compares.
+	twin := func(what string, f func() []float64) {
+		t.Helper()
+		linalg.SetFMA(true)
+		asm := f()
+		linalg.SetFMA(false)
+		goTwin := f()
+		linalg.SetFMA(true)
+		sameBits(t, what, asm, goTwin)
+	}
+	must := func(m *linalg.Matrix, err error) []float64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Data
+	}
+	rng := rand.New(rand.NewSource(31))
+	cols := []int{5, 16, 17, 18, 19, 20, 21, 22, 23}
+	rbf := kernel.RBF{Gamma: 0.05}
+	for ρ := 0; ρ < linalg.TileM; ρ++ {
+		r := 11*linalg.TileM + ρ
+		for _, c := range cols {
+			for _, k := range []int{0, 1, 3, 16, 17, 64} {
+				name := fmt.Sprintf("%dx%dx%d", r, k, c)
+				a, b, bt := gaussian(rng, r, k), gaussian(rng, k, c), gaussian(rng, c, k)
+				twin("MatMul "+name, func() []float64 { return must(linalg.MatMul(a, b)) })
+				full := must(linalg.MatMulT(a, bt))
+				twin("MatMulT "+name, func() []float64 { return must(linalg.MatMulT(a, bt)) })
+				twin("MatMulTRows "+name, func() []float64 {
+					out := linalg.NewMatrix(r, c)
+					p := linalg.PackT(bt)
+					defer p.Release()
+					linalg.MatMulTRows(a, p, out, 1, r)
+					sameBits(t, "MatMulTRows from row 1 against MatMulT "+name, out.Data[c:], full[c:])
+					return out.Data
+				})
+				twin("kernel.Matrix "+name, func() []float64 { return must(kernel.Matrix(rbf, a, bt)) })
+				twin("kernel.GramMatrix "+name, func() []float64 { return kernel.GramMatrix(rbf, a).Data })
+				coef := make([]float64, c)
+				for j := range coef {
+					if j%3 != 0 {
+						coef[j] = math.Sin(float64(j))
+					}
+				}
+				twin("kernel.Accumulate "+name, func() []float64 {
+					dst := make([]float64, r)
+					if err := kernel.Accumulate(rbf, a, bt, coef, dst); err != nil {
+						t.Fatal(err)
+					}
+					return dst
+				})
+			}
+		}
+	}
+	// The blocked factor across its panels: n = 600 is 18 full 32-column
+	// panels and a 24-column one.
+	const n = 600
+	g := gaussian(rng, n, 20)
+	spd := must(linalg.MatMulT(g, g))
+	for i := 0; i < n; i++ {
+		spd[i*n+i] += n
+	}
+	twin("FactorizeCholeskyInPlace 600", func() []float64 {
+		a := &linalg.Matrix{Rows: n, Cols: n, Data: append([]float64(nil), spd...)}
+		if _, err := linalg.FactorizeCholeskyInPlace(a); err != nil {
+			t.Fatal(err)
+		}
+		return a.Data
+	})
+}

@@ -47,7 +47,9 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # - the round rides in the envelope: msg.Round, which secretflow clears;
 # - replace, don't fork: one KKT bias (svm.BiasFromKKT), one round log, one
 #   way a qp solve gets its buffers (a Scratch), one call per mapper per
-#   round, and no knob nothing sets.
+#   round, and no knob nothing sets;
+# - one tile, one sum order: the outer-product tile over a pack made once per
+#   call, every output one FMA chain, the assembly equal to its Go twin.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
 	hits=$(grep -rnE "$pattern" . --include="*.go" | grep -v "_test.go" | grep -v "/testdata/" || true)
@@ -67,6 +69,7 @@ attemptReready|"reready"|maskRosterFilter|RoundRoster|ShareOver\(~no~a per-round
 \bAttempt\b|MapRetries|RoundTimeout|ppml_map_retries_total~yes~an attempt counter, RoundTimeout or MapRetries in non-test Go (the roster is the attempt)
 StatePayload|CheckpointPlan|resumes from checkpoint|decoded from the reducer's public state broadcast~yes~a round carried outside the envelope, or a checkpoint, in non-test Go (msg.Round is the round)
 biasFromScores|reducerGauges|gradPool|getGradBuf|putGradBuf|dropGrad|Packing\) Encrypt\(|pack\.Encrypt\(|lastIter|packWidth|QPTol~yes~a second copy of a replaced operation, a mapper round replay or a knob nothing sets in non-test Go (replace, don't fork)
+dotTile2x4FMA|matMulTTile|transposeInto|packPool~no~a dot-form tile, its twin or the transpose pack in non-test Go (one tile, one sum order)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
@@ -139,12 +142,13 @@ if grep -rnE 'diagDualSum|1e-15\*\(1\+' internal/qp --include="*.go" | grep -v "
 fi
 
 echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
-# The 2x4 accumulator array in tile.go and cholesky.go (the factor's panel
-# update) is handed to the assembly microkernel by pointer. A stub declared
-# without //go:noescape makes the compiler move it to the heap: one allocation
-# per tile, 31,000 for one 1000x250 kernel matrix and thousands per 600x600
-# factor. tiled.go's panel loops and exp.go's slice loop (a row per call into
-# the assembly exp) sit on the same path.
+# tile.go's row tile hands its arrays of a rows and output rows, and the
+# edge panel's stack buffer, to the assembly tile by pointer, and cholesky.go's
+# panel update hands it its buffer of panel sums. A stub declared without
+# //go:noescape makes the compiler move them to the heap, up to four
+# allocations per row tile: 686 for one 1000x250 kernel matrix. The
+# pack and the tile live in tile.go; tiled.go's panel loops and exp.go's slice
+# loop (a row per call into the assembly exp) sit on the same path.
 if go build -gcflags=-m ./internal/linalg ./internal/kernel 2>&1 \
 	| grep -E '(tile|tiled|exp|cholesky)\.go:[0-9]+:[0-9]+: moved to heap'; then
 	echo "error: a local of the tile kernels escapes (assembly stub without //go:noescape?)" >&2
