@@ -103,7 +103,7 @@
 // consistent everywhere. With J = 1, s = 1 and the chunk is every record.
 //
 // What a mapper derives from a chunk's rows alone — HK's P-folded blocks,
-// VL's ridge factor and X_c·w, VK's kernel strip, its factor and (K·α)|_c —
+// VL's ridge factor and X_c·w, VK's factor, (K·α)|_c and off_c —
 // is remembered for the chunk index it was built for and rebuilt only when
 // the schedule visits a different chunk. One chunk therefore means built
 // once, several means one chunk-sized rebuild a round, and nothing asks which

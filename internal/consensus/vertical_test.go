@@ -191,32 +191,90 @@ func TestVKDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestVKLearnerHoldsTwoMatrices is the memory half of the in-place factor: a
-// VK learner on one chunk of N rows allocates the Gram strip K and the factor
-// L, N × N each, where factoring a copy of I + ρK held a third.
-func TestVKLearnerHoldsTwoMatrices(t *testing.T) {
+// TestVKLearnerHoldsOneMatrix is the memory half of the solve-derived scores:
+// a VK learner retains the factor L of its chunk's n_c × n_c block and O(N)
+// vectors, and no kernel strip. The live heap is read after two collections,
+// so pooled scratch (which the second one frees) does not count.
+func TestVKLearnerHoldsOneMatrix(t *testing.T) {
 	const n = 400
 	d := dataset.TwoGaussians("g", n, 16, 3, 5)
-	cfg, err := Config{C: 10, Rho: 100, Kernel: kernel.RBF{Gamma: 1.0 / 16}}.normalized()
-	if err != nil {
-		t.Fatal(err)
+	state := make([]float64, n)
+	for _, chunkRows := range []int{0, n / 4} {
+		cfg, err := Config{C: 10, Rho: 100, Kernel: kernel.RBF{Gamma: 1.0 / 16}, ChunkRows: chunkRows}.normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		mp, err := newVKMapper(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for iter := 0; iter < 3; iter++ {
+			if _, err := mp.Contribution(iter, state); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(mp)
+		nc := mp.sched.chunkRows
+		held := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(nc*nc*8)
+		if held >= 1.25 {
+			t.Errorf("ChunkRows %d: a learner retains %.2f·n_c²·8 bytes, want < 1.25 (L only)", chunkRows, held)
+		}
+		t.Logf("ChunkRows %d: a learner retains %.2f·n_c²·8 bytes (n_c = %d)", chunkRows, held, nc)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	mp, err := newVKMapper(d, cfg)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestVKScoresMatchKernelStrip pins the identity the learner reports its
+// scores by: (K·α)|_c = q − y + off_c must equal K(X_c, X)·α evaluated
+// directly, round after round, on one chunk and on several (where chunks are
+// left and revisited).
+func TestVKScoresMatchKernelStrip(t *testing.T) {
+	const n, rounds = 150, 6
+	d := dataset.TwoGaussians("g", n, 5, 3, 7)
+	rng := rand.New(rand.NewSource(3))
+	state := make([]float64, n)
+	for _, chunkRows := range []int{0, n / 3} {
+		cfg, err := Config{C: 10, Rho: 20, Kernel: kernel.RBF{Gamma: 0.5}, ChunkRows: chunkRows}.normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, err := newVKMapper(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for iter := 0; iter < rounds; iter++ {
+			for j := range state {
+				state[j] = rng.NormFloat64()
+			}
+			contrib, err := mp.Contribution(iter, state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, lo, hi := mp.sched.chunk(iter)
+			strip, err := kernel.Matrix(cfg.Kernel, rowView(d.X, lo, hi), d.X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := strip.MulVec(mp.alpha, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var diff, scale float64
+			for i, w := range want {
+				diff = max(diff, math.Abs(contrib[lo+i]-w))
+				scale = max(scale, math.Abs(w))
+			}
+			if diff > 1e-9*scale {
+				t.Errorf("ChunkRows %d round %d: reported scores differ from K(X_c, X)·α by %g (max |K·α| %g)", chunkRows, iter, diff, scale)
+			}
+		}
 	}
-	if _, err := mp.Contribution(0, make([]float64, n)); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	const nn = n * n * 8
-	grew := float64(after.TotalAlloc-before.TotalAlloc) / nn
-	if grew >= 2.5 {
-		t.Errorf("mapper construction and one round allocated %.2f·N²·8 bytes, want < 2.5 (K and L)", grew)
-	}
-	t.Logf("mapper construction and one round allocated %.2f·N²·8 bytes", grew)
 }
 
 func TestVerticalAccuracyHistoryRecorded(t *testing.T) {

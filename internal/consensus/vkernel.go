@@ -143,9 +143,12 @@ func TrainVerticalKernel(ctx context.Context, parts []*dataset.Dataset, cols [][
 
 // vkMapper is one learner's Map() task for the vertical kernel scheme. Only
 // the scheduled chunk's expansion coefficients α_c change per round, and only
-// the chunk's rows of the scores K·α are read and reported, so the mapper
-// works from the kernel strip K(X_c, X) — the whole block-feature Gram with
-// one chunk, n_c × N otherwise — and never materializes more than that.
+// the chunk's rows of the scores K·α are read and reported. The chunk's ridge
+// solve yields its own scores: with y = (I + ρs·K_cc)⁻¹q and α_c = ρs·y,
+// K_cc·α_c = q − y, so (K·α)|_c = q − y + off_c where off_c =
+// K(X_c, X_¬c)·α_¬c, which no round on chunk c moves. The mapper therefore
+// holds the factor of the chunk's n_c × n_c block and O(N) vectors, and
+// never a kernel strip.
 type vkMapper struct {
 	cfg   Config
 	x     *linalg.Matrix // N × k_m block (private)
@@ -154,14 +157,14 @@ type vkMapper struct {
 	alpha []float64 // expansion coefficients over all N rows
 	probe probeCopy // α as of the last completed Contribution
 
-	// kcb is the strip K(X_c, X), ch factors I + ρs·K_cc and kw holds
-	// (K·α)|_c for chunk built: all three are recomputed when the schedule
-	// moves to another chunk and stand otherwise, so with one chunk the Gram
-	// is evaluated and factored once and each round's K·α carries into the
-	// next.
-	kcb   *linalg.Matrix
+	// ch factors I + ρs·K_cc in place in reg, kw holds (K·α)|_c and off
+	// holds off_c for chunk built: all are recomputed when the schedule moves
+	// to another chunk and stand otherwise, so with one chunk the Gram is
+	// evaluated and factored once and each round's K·α carries into the next.
+	reg   *linalg.Matrix
 	ch    *linalg.Cholesky
 	kw    []float64
+	off   []float64
 	built int
 
 	q        []float64 // round scratch
@@ -177,14 +180,15 @@ func newVKMapper(p *dataset.Dataset, cfg Config) (*vkMapper, error) {
 		sched:    sched,
 		alpha:    make([]float64, p.Len()),
 		probe:    probeCopy{v: make([]float64, p.Len())},
-		kcb:      linalg.NewMatrix(sched.chunkRows, p.Len()),
+		reg:      linalg.NewMatrix(sched.chunkRows, sched.chunkRows), // sized for the longest chunk
 		kw:       make([]float64, sched.chunkRows),
+		off:      make([]float64, sched.chunkRows),
 		q:        make([]float64, sched.chunkRows),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
 		cached:   make([]float64, p.Len()),
 	}
-	// The first chunk's strip and factor are built here rather than in round
-	// 0 (see newHKMapper); α is zero, so kw = (K·α)|_c already holds.
+	// The first chunk's factor is built here rather than in round 0 (see
+	// newHKMapper).
 	idx, lo, hi := sched.chunk(0)
 	if err := mp.build(lo, hi); err != nil {
 		return nil, err
@@ -193,34 +197,43 @@ func newVKMapper(p *dataset.Dataset, cfg Config) (*vkMapper, error) {
 	return mp, nil
 }
 
-// build evaluates the strip K(X_c, X) for rows [lo, hi) and factors
-// I + ρs·K_cc, K_cc being the strip's columns [lo, hi). The regularized copy
-// is factored in place and becomes the factor's storage, so a learner holds
-// the strip and L and nothing else.
+// build makes rows [lo, hi) the mapper's chunk c. It evaluates K_cc straight
+// into the factor's storage (the self-Gram path), sets kw = (K·α)|_c by
+// scoring the chunk's rows against all of X without holding the strip, and
+// off_c = kw − K_cc·α_c, then factors I + ρs·K_cc in place, so a learner
+// holds L and nothing else of size n_c².
 func (mp *vkMapper) build(lo, hi int) error {
-	rhoS := mp.cfg.Rho * mp.sched.weight(hi-lo)
+	nc := hi - lo
+	rhoS := mp.cfg.Rho * mp.sched.weight(nc)
+	xc := rowView(mp.x, lo, hi)
 	var err error
-	if mp.kcb, err = kernel.MatrixInto(mp.cfg.Kernel, rowView(mp.x, lo, hi), mp.x, mp.kcb); err != nil {
+	if mp.reg, err = kernel.MatrixInto(mp.cfg.Kernel, xc, xc, mp.reg); err != nil {
 		return err
 	}
-	reg := linalg.NewMatrix(hi-lo, hi-lo)
-	for i := 0; i < reg.Rows; i++ {
-		copy(reg.Row(i), mp.kcb.Row(i)[lo:hi])
-	}
-	reg.Scale(rhoS)
-	if err := reg.AddScaledIdentity(1); err != nil {
+	kw, off := mp.kw[:nc], mp.off[:nc]
+	linalg.Zero(kw)
+	if err := kernel.Accumulate(mp.cfg.Kernel, xc, mp.x, mp.alpha, kw); err != nil {
 		return err
 	}
-	if mp.ch, err = linalg.FactorizeCholeskyInPlace(reg); err != nil {
+	if _, err := mp.reg.MulVec(mp.alpha[lo:hi], off); err != nil {
+		return err
+	}
+	linalg.SubVec(kw, off, off)
+	mp.reg.Scale(rhoS)
+	if err := mp.reg.AddScaledIdentity(1); err != nil {
+		return err
+	}
+	if mp.ch, err = linalg.FactorizeCholeskyInPlace(mp.reg); err != nil {
 		return fmt.Errorf("consensus vk: (I + ρK) not SPD: %w", err)
 	}
 	return nil
 }
 
 // Contribution implements mapreduce.IterativeMapper: the kernelized chunk
-// update α_c = ρs(I + ρs·K_cc)⁻¹q_c with q_c = (K·α)|_c + state|_c and
-// s the schedule's chunk weight, contributing the refreshed (K·α)|_c = Φ_m w_m on
-// the chunk's coordinates and zero elsewhere.
+// update α_c = ρs·y with y = (I + ρs·K_cc)⁻¹q_c, q_c = (K·α)|_c + state|_c and
+// s the schedule's chunk weight, contributing the refreshed
+// (K·α)|_c = Φ_m w_m = q_c − y + off_c on the chunk's coordinates and zero
+// elsewhere: O(n_c) work past the solve.
 func (mp *vkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	n := mp.x.Rows
 	if len(state) != n {
@@ -230,27 +243,24 @@ func (mp *vkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	idx, lo, hi := mp.sched.chunk(iter)
 	nc := hi - lo
 	rhoS := mp.cfg.Rho * mp.sched.weight(nc)
-	kw := mp.kw[:nc]
 	if idx != mp.built {
 		if err := mp.build(lo, hi); err != nil {
-			return nil, err
-		}
-		if _, err := mp.kcb.MulVec(mp.alpha, kw); err != nil {
 			return nil, err
 		}
 		mp.built = idx
 	}
 
 	// All vectors land in mapper-owned buffers (see vlMapper.Contribution).
+	kw, off := mp.kw[:nc], mp.off[:nc]
 	q := linalg.AddVec(kw, state[lo:hi], mp.q[:nc])
 	alpha, err := mp.ch.SolveVec(q, mp.alpha[lo:hi])
 	if err != nil {
 		return nil, err
 	}
-	linalg.Scale(rhoS, alpha)
-	if _, err := mp.kcb.MulVec(mp.alpha, kw); err != nil {
-		return nil, err
+	for i, y := range alpha {
+		kw[i] = q[i] - y + off[i]
 	}
+	linalg.Scale(rhoS, alpha)
 	linalg.Zero(mp.cached[:lo])
 	copy(mp.cached[lo:hi], kw)
 	linalg.Zero(mp.cached[hi:])

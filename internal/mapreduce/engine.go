@@ -555,11 +555,11 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 			if roster.Has(id) && !got[id] {
 				// It will never contribute this round; stop waiting for it. (A
 				// share it already delivered stays folded — it was computed
-				// honestly before the mapper died.) The abort payload is a
-				// remote error string and may quote remote data (a bad label, a
-				// share value); identify the aborter, do not echo its bytes.
+				// honestly before the mapper died.) An abort carries no
+				// payload — the mapper's error may quote private values — so
+				// the error names the aborter and the round.
 				roster.Remove(id)
-				e.lost = fmt.Errorf("%w: abort from %q", ErrAborted, msg.From)
+				e.lost = fmt.Errorf("%w: abort from %q at round %d", ErrAborted, msg.From, e.round)
 				if e.void(roster) {
 					return nil, false, nil
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -214,6 +215,49 @@ func TestDistributedFatalFaultAborts(t *testing.T) {
 	defer cancel()
 	if _, err := RunDistributed(ctx, job, DriverOptions{}); !errors.Is(err, ErrAborted) {
 		t.Errorf("fatal fault: err = %v, want ErrAborted", err)
+	}
+}
+
+// overflowMapper contributes value − state until round at, and from then on
+// a value past the fixed-point codec's range: its Contribution succeeds and
+// its share encode fails.
+type overflowMapper struct {
+	value float64
+	at    int
+}
+
+func (m overflowMapper) Contribution(iter int, state []float64) ([]float64, error) {
+	if iter >= m.at {
+		return []float64{1e15}, nil
+	}
+	return []float64{m.value - state[0]}, nil
+}
+
+// TestStrictShareFailureAborts: a mapper whose masked share cannot be encoded
+// aborts a strict job, in either mask mode. A strict round has no window, so
+// a mapper that exits without telling the Reducer would hang the job until
+// its context ends; here the context never does, and a failsafe timer turns
+// such a hang into a failure.
+func TestStrictShareFailureAborts(t *testing.T) {
+	for _, mode := range []MaskMode{MaskSeeded, MaskPerRound} {
+		t.Run(mode.String(), func(t *testing.T) {
+			job, red := newAveragingJob([][]float64{{1}, {2}, {3}}, 10)
+			red.tol = 0 // never converge before round 2
+			job.Mappers[1] = overflowMapper{value: 2, at: 2}
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunDistributed(context.Background(), job, DriverOptions{MaskMode: mode})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), "round 2") {
+					t.Errorf("err = %v, want ErrAborted naming round 2", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("job still running 30 s after mapper 1's share encode failed at round 2")
+			}
+		})
 	}
 }
 

@@ -105,7 +105,7 @@ type mapperNode struct {
 	evictor transport.Evictor // the endpoint's reorder-buffer sweep, nil when it has none
 }
 
-func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.Endpoint, mapper IterativeMapper) error {
+func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.Endpoint, mapper IterativeMapper) (err error) {
 	n := &mapperNode{
 		mapperEnv: env, id: id, ep: ep,
 		sv:    solver{mapper, env.journal, env.names[id], env.trace},
@@ -118,7 +118,6 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 	// completes without any round message interleaving (the reducer's early
 	// broadcasts wait in the reorder buffer).
 	if env.agg == AggregationMasked {
-		var err error
 		if env.maskMode == MaskPerRound {
 			n.perRound, err = securesum.NewPerRoundParty(ep, env.names, id, reducerName, env.dim, env.codec, nil)
 			if n.perRound != nil {
@@ -138,6 +137,17 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 		n.async = newAsyncComputer(n.sv)
 		defer n.async.close()
 	}
+	// Every way out of the loop but a stop is fatal to this mapper, and a
+	// strict round has no window to notice a silent one: whatever the cause,
+	// the Reducer hears an abort stamped with the round. It carries no
+	// payload, since the error may quote private values (an encode error
+	// names the element out of range).
+	defer func() {
+		if err != nil {
+			//ppml:err-ok best-effort abort notification: the error it reports is the one worth returning
+			_ = ep.Send(ctx, reducerName, KindAbort, n.header(n.round), nil)
+		}
+	}()
 	filter := mapperFilter(env.session, &n.round)
 	n.stale = staleRoundFilter(env.session, &n.round)
 	n.evictor, _ = ep.(transport.Evictor)
@@ -174,15 +184,13 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 
 // startRound takes the round from a broadcast's envelope, decodes its state
 // and produces the round's contribution: solved inline, or under bounded
-// staleness the newest one the background worker has completed. A
-// contribution failure is reported to the Reducer (an abort) before the node
-// exits.
+// staleness the newest one the background worker has completed.
 func (n *mapperNode) startRound(ctx context.Context, msg transport.Message) error {
+	n.round = msg.Round
 	state, err := decodeVector(msg.Payload)
 	if err != nil {
 		return fmt.Errorf("mapper %d: %w", n.id, err)
 	}
-	n.round = msg.Round
 	iter := int(msg.Round)
 	// Round advance: frames of earlier rounds still in the reorder buffer will
 	// never be claimed; sweep them.
@@ -203,8 +211,6 @@ func (n *mapperNode) startRound(ctx context.Context, msg transport.Message) erro
 		}
 	}
 	if err != nil {
-		//ppml:err-ok best-effort abort notification: the Contribution error below is the one worth reporting
-		_ = n.ep.Send(ctx, reducerName, KindAbort, n.header(n.round), []byte(err.Error()))
 		return fmt.Errorf("%w: mapper %d at iteration %d: %v", ErrAborted, n.id, iter, err)
 	}
 	return nil
@@ -245,8 +251,6 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 		payload, enc, err := encryptContribution(n.contrib, n.codec, n.pack, n.enc, n.cipherCtr)
 		n.enc = enc
 		if err != nil {
-			//ppml:err-ok best-effort abort notification: the encryption error below is the one worth reporting
-			_ = n.ep.Send(ctx, reducerName, KindAbort, hdr, []byte(err.Error()))
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		if err := n.ep.Send(ctx, reducerName, KindCipherShare, hdr, payload); err != nil {

@@ -20,7 +20,8 @@ const (
 	KindPlainShare = "mr.plainshare"
 	// KindCipherShare carries a Paillier-encrypted contribution.
 	KindCipherShare = "mr.ciphershare"
-	// KindAbort reports a fatal Mapper error to the Reducer.
+	// KindAbort reports a fatal Mapper error to the Reducer, stamped with the
+	// round it ended. Its payload is empty: the error may quote private values.
 	KindAbort = "mr.abort"
 	// KindReady tells the Reducer this Mapper has a contribution for the
 	// round and can join the roster (elastic mode). The payload is empty

@@ -49,7 +49,9 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 #   way a qp solve gets its buffers (a Scratch), one call per mapper per
 #   round, and no knob nothing sets;
 # - one tile, one sum order: the outer-product tile over a pack made once per
-#   call, every output one FMA chain, the assembly equal to its Go twin.
+#   call, every output one FMA chain, the assembly equal to its Go twin;
+# - a VK learner holds its factor and nothing else: the chunk's scores come
+#   from its ridge solve, (K·α)|_c = q − y + off_c, not from a kernel strip.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
 	hits=$(grep -rnE "$pattern" . --include="*.go" | grep -v "_test.go" | grep -v "/testdata/" || true)
@@ -70,6 +72,7 @@ attemptReready|"reready"|maskRosterFilter|RoundRoster|ShareOver\(~no~a per-round
 StatePayload|CheckpointPlan|resumes from checkpoint|decoded from the reducer's public state broadcast~yes~a round carried outside the envelope, or a checkpoint, in non-test Go (msg.Round is the round)
 biasFromScores|reducerGauges|gradPool|getGradBuf|putGradBuf|dropGrad|Packing\) Encrypt\(|pack\.Encrypt\(|lastIter|packWidth|QPTol~yes~a second copy of a replaced operation, a mapper round replay or a knob nothing sets in non-test Go (replace, don't fork)
 dotTile2x4FMA|matMulTTile|transposeInto|packPool~no~a dot-form tile, its twin or the transpose pack in non-test Go (one tile, one sum order)
+\bkcb\b~no~a held Gram strip in the VK learner ((K·α)|_c is q − y + off)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
