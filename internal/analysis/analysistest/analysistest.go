@@ -54,7 +54,7 @@ func RunSuite(t *testing.T, analyzers []*framework.Analyzer, pkgPaths ...string)
 	l := &loader{
 		fset: token.NewFileSet(),
 		root: root,
-		pkgs: make(map[string]*result),
+		pkgs: make(map[string]*Package),
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 	for _, path := range pkgPaths {
@@ -67,7 +67,7 @@ func RunSuite(t *testing.T, analyzers []*framework.Analyzer, pkgPaths ...string)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, l.fset, res.files, diags)
+			check(t, l.fset, res.Files, diags)
 		})
 	}
 }
@@ -79,31 +79,16 @@ func RunSuite(t *testing.T, analyzers []*framework.Analyzer, pkgPaths ...string)
 // come back empty. Test files are excluded, as in the real vet run.
 func RepoDiagnostics(t *testing.T, analyzers []*framework.Analyzer, repoRoot, modulePath string, pkgDirs ...string) []string {
 	t.Helper()
-	root, err := filepath.Abs(repoRoot)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	l := &loader{
-		fset:       token.NewFileSet(),
-		root:       root,
-		pkgs:       make(map[string]*result),
-		modulePath: modulePath,
-		skipTests:  true,
-	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
+	l, pkgs := loadRepo(t, repoRoot, modulePath, pkgDirs)
 	var out []string
-	for _, dir := range pkgDirs {
-		res, err := l.load(modulePath + "/" + dir)
-		if err != nil {
-			t.Fatalf("loading repository package %s: %v", dir, err)
-		}
+	for _, res := range pkgs {
 		diags, err := runSuite(l.fset, res, analyzers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range diags {
 			p := l.fset.Position(d.pos)
-			rel, rerr := filepath.Rel(root, p.Filename)
+			rel, rerr := filepath.Rel(l.root, p.Filename)
 			if rerr != nil {
 				rel = p.Filename
 			}
@@ -112,6 +97,46 @@ func RepoDiagnostics(t *testing.T, analyzers []*framework.Analyzer, repoRoot, mo
 	}
 	sort.Strings(out)
 	return out
+}
+
+// LoadRepo type-checks the non-test sources of the repository packages in
+// pkgDirs (relative to repoRoot, "." for the module root, imported as
+// modulePath/<dir>) and returns them in the order given.
+func LoadRepo(t *testing.T, repoRoot, modulePath string, pkgDirs ...string) []*Package {
+	t.Helper()
+	_, pkgs := loadRepo(t, repoRoot, modulePath, pkgDirs)
+	return pkgs
+}
+
+// loadRepo loads pkgDirs with one loader over the repository tree, test
+// files excluded.
+func loadRepo(t *testing.T, repoRoot, modulePath string, pkgDirs []string) (*loader, []*Package) {
+	t.Helper()
+	root, err := filepath.Abs(repoRoot)
+	if err != nil {
+		t.Fatalf("analysistest: %v", err)
+	}
+	l := &loader{
+		fset:       token.NewFileSet(),
+		root:       root,
+		pkgs:       make(map[string]*Package),
+		modulePath: modulePath,
+		skipTests:  true,
+	}
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	pkgs := make([]*Package, 0, len(pkgDirs))
+	for _, dir := range pkgDirs {
+		path := modulePath
+		if dir != "." {
+			path += "/" + dir
+		}
+		res, err := l.load(path)
+		if err != nil {
+			t.Fatalf("loading repository package %s: %v", dir, err)
+		}
+		pkgs = append(pkgs, res)
+	}
+	return l, pkgs
 }
 
 // suiteDiag tags a diagnostic with the analyzer that reported it.
@@ -123,7 +148,7 @@ type suiteDiag struct {
 
 // runSuite runs the analyzers over one loaded package with a shared
 // directive-usage recorder.
-func runSuite(fset *token.FileSet, res *result, analyzers []*framework.Analyzer) ([]suiteDiag, error) {
+func runSuite(fset *token.FileSet, res *Package, analyzers []*framework.Analyzer) ([]suiteDiag, error) {
 	usage := framework.NewDirectiveUsage()
 	var diags []suiteDiag
 	for _, a := range analyzers {
@@ -131,9 +156,9 @@ func runSuite(fset *token.FileSet, res *result, analyzers []*framework.Analyzer)
 		pass := &framework.Pass{
 			Analyzer:  a,
 			Fset:      fset,
-			Files:     res.files,
-			Pkg:       res.pkg,
-			TypesInfo: res.info,
+			Files:     res.Files,
+			Pkg:       res.Types,
+			TypesInfo: res.Info,
 			Usage:     usage,
 		}
 		pass.Report = func(d framework.Diagnostic) {
@@ -259,10 +284,12 @@ func cutStringLit(s string) (value, rest string, err error) {
 	return "", "", fmt.Errorf("unterminated string in %q", s)
 }
 
-type result struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
+// Package is one type-checked package.
+type Package struct {
+	Path  string
+	Types *types.Package
+	Files []*ast.File
+	Info  *types.Info
 	err   error
 }
 
@@ -272,7 +299,7 @@ type result struct {
 type loader struct {
 	fset *token.FileSet
 	root string
-	pkgs map[string]*result
+	pkgs map[string]*Package
 	std  types.Importer
 
 	// modulePath, when set, maps import paths under it to directories of
@@ -286,6 +313,9 @@ type loader struct {
 // when the path is not ours to load.
 func (l *loader) dirFor(path string) string {
 	if l.modulePath != "" {
+		if path == l.modulePath {
+			return l.root
+		}
 		rest, ok := strings.CutPrefix(path, l.modulePath+"/")
 		if !ok {
 			return ""
@@ -295,11 +325,11 @@ func (l *loader) dirFor(path string) string {
 	return filepath.Join(l.root, filepath.FromSlash(path))
 }
 
-func (l *loader) load(path string) (*result, error) {
+func (l *loader) load(path string) (*Package, error) {
 	if res, ok := l.pkgs[path]; ok {
 		return res, res.err
 	}
-	res := &result{}
+	res := &Package{Path: path}
 	l.pkgs[path] = res // set before recursing; import cycles fail in Check
 
 	dir := l.dirFor(path)
@@ -331,9 +361,9 @@ func (l *loader) load(path string) (*result, error) {
 			res.err = err
 			return res, err
 		}
-		res.files = append(res.files, f)
+		res.Files = append(res.Files, f)
 	}
-	res.info = &types.Info{
+	res.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -343,7 +373,7 @@ func (l *loader) load(path string) (*result, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: importerFunc(l.importPkg)}
-	res.pkg, res.err = conf.Check(path, l.fset, res.files, res.info)
+	res.Types, res.err = conf.Check(path, l.fset, res.Files, res.Info)
 	return res, res.err
 }
 
@@ -354,7 +384,7 @@ func (l *loader) importPkg(path string) (*types.Package, error) {
 			if err != nil {
 				return nil, err
 			}
-			return res.pkg, nil
+			return res.Types, nil
 		}
 	}
 	return l.std.Import(path)

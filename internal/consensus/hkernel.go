@@ -18,7 +18,7 @@ import (
 // IV-B. Each learner contributes a discriminant built from its own support
 // expansion plus the shared landmark expansion; Predict averages the
 // learners' decision values (the paper evaluates per-learner f_m, which
-// PredictAt exposes).
+// DecisionAt exposes).
 type KernelHorizontalModel struct {
 	Kernel    kernel.Kernel
 	Landmarks *linalg.Matrix // X_g, shared by all learners
@@ -44,14 +44,6 @@ func (mod *KernelHorizontalModel) DecisionAt(m int, x []float64) float64 {
 		s += c * mod.Kernel.Eval(mod.Landmarks.Row(j), x)
 	}
 	return s
-}
-
-// PredictAt returns learner m's label for x.
-func (mod *KernelHorizontalModel) PredictAt(m int, x []float64) float64 {
-	if mod.DecisionAt(m, x) >= 0 {
-		return 1
-	}
-	return -1
 }
 
 // Decision returns the mean discriminant across learners.

@@ -164,9 +164,9 @@ func TestHKPerLearnerModelsAgree(t *testing.T) {
 	for i := 0; i < test.Len(); i++ {
 		x := test.X.Row(i)
 		all := true
-		first := model.PredictAt(0, x)
+		first := model.DecisionAt(0, x) >= 0
 		for m := 1; m < 4; m++ {
-			if model.PredictAt(m, x) != first {
+			if (model.DecisionAt(m, x) >= 0) != first {
 				all = false
 				break
 			}

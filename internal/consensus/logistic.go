@@ -12,7 +12,7 @@ import (
 )
 
 // LogisticModel is a consensus-trained logistic regression classifier.
-// Decision returns the log-odds wᵀx + b; Probability squashes it.
+// Decision returns the log-odds wᵀx + b.
 type LogisticModel struct {
 	W []float64
 	B float64
@@ -20,11 +20,6 @@ type LogisticModel struct {
 
 // Decision returns the log-odds of the positive class.
 func (m *LogisticModel) Decision(x []float64) float64 { return linalg.Dot(m.W, x) + m.B }
-
-// Probability returns P(y = +1 | x).
-func (m *LogisticModel) Probability(x []float64) float64 {
-	return 1 / (1 + math.Exp(-m.Decision(x)))
-}
 
 // Predict returns the class label, +1 or −1.
 func (m *LogisticModel) Predict(x []float64) float64 {

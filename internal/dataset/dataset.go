@@ -108,20 +108,6 @@ func (d *Dataset) SelectFeatures(cols []int) *Dataset {
 	return &Dataset{Name: d.Name, X: x, Y: linalg.CopyVec(d.Y)}
 }
 
-// ClassBalance returns the fraction of +1 labels.
-func (d *Dataset) ClassBalance() float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	pos := 0
-	for _, v := range d.Y {
-		if v > 0 {
-			pos++
-		}
-	}
-	return float64(pos) / float64(d.Len())
-}
-
 func rangeInts(lo, hi int) []int {
 	out := make([]int, hi-lo)
 	for i := range out {

@@ -8,7 +8,6 @@
 package dfs
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -25,9 +24,6 @@ var (
 	// ErrNoNodes indicates an operation requiring data nodes on an empty
 	// cluster.
 	ErrNoNodes = errors.New("dfs: no data nodes")
-	// ErrDataLoss indicates a node removal that would destroy the last
-	// replica of some block.
-	ErrDataLoss = errors.New("dfs: block would lose its last replica")
 	// ErrCorrupt indicates every replica of some block failed its checksum.
 	ErrCorrupt = errors.New("dfs: all replicas of a block are corrupt")
 	// ErrBadConfig indicates invalid cluster options.
@@ -108,18 +104,6 @@ func (c *Cluster) AddNode(name string) error {
 	return nil
 }
 
-// Nodes returns the data node names, sorted.
-func (c *Cluster) Nodes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.nodes))
-	for n := range c.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Write stores data as path, splitting it into blocks. When preferred names
 // a live node, the first replica of every block lands there (write-locality,
 // as HDFS gives a writing client); remaining replicas go to the least-used
@@ -194,37 +178,16 @@ func (c *Cluster) placementLocked(preferred string, b *block) []string {
 	return targets
 }
 
-// Read returns the full contents of path. Every block read is checksum-
-// verified; a corrupt replica is healed in place from a healthy one (the
-// HDFS self-healing read path), and the read fails with ErrCorrupt only if
-// every replica of some block is damaged.
-func (c *Cluster) Read(path string) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.files[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: file %q", ErrNotFound, path)
-	}
-	var buf bytes.Buffer
-	buf.Grow(f.size)
-	for _, b := range f.blocks {
-		healthy, err := c.healthyCopyLocked(f, b)
-		if err != nil {
-			return nil, err
-		}
-		buf.Write(healthy)
-	}
-	return buf.Bytes(), nil
-}
-
 // ReadAt copies len(dst) bytes starting at byte offset off of path into dst
 // and returns the number of bytes copied. Only the blocks overlapping
-// [off, off+len(dst)) are touched, each with the same checksum-verified,
-// self-healing read as Read — this is the out-of-core streaming primitive:
-// a reader can walk a file chunk by chunk into a reused buffer without ever
-// materializing the whole file. A range ending past the file is truncated
-// (n < len(dst)); a range starting at or past the end reads zero bytes. An
-// out-of-range offset is the caller's bug and errors.
+// [off, off+len(dst)) are touched. Every block read is checksum-verified: a
+// corrupt replica is healed in place from a healthy one (the HDFS
+// self-healing read path), and the read fails with ErrCorrupt only if every
+// replica of some block is damaged. This is the out-of-core streaming
+// primitive: a reader can walk a file chunk by chunk into a reused buffer
+// without ever materializing the whole file. A range ending past the file is
+// truncated (n < len(dst)); a range starting at or past the end reads zero
+// bytes. An out-of-range offset is the caller's bug and errors.
 func (c *Cluster) ReadAt(path string, off int64, dst []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -247,20 +210,6 @@ func (c *Cluster) ReadAt(path string, off int64, dst []byte) (int, error) {
 		n += copy(dst[n:], healthy[bo:])
 	}
 	return n, nil
-}
-
-// BlockSize returns the cluster's block size in bytes.
-func (c *Cluster) BlockSize() int { return c.blockSize }
-
-// NumBlocks returns how many blocks path occupies.
-func (c *Cluster) NumBlocks(path string) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.files[path]
-	if !ok {
-		return 0, fmt.Errorf("%w: file %q", ErrNotFound, path)
-	}
-	return len(f.blocks), nil
 }
 
 // healthyCopyLocked returns a checksum-valid copy of b, repairing corrupt
@@ -298,63 +247,13 @@ func sortedReplicaNodes(b *block) []string {
 	return nodes
 }
 
-// CorruptReplica flips bits in one replica of one block — the fault-
-// injection hook the recovery tests use.
-func (c *Cluster) CorruptReplica(path string, blockIdx int, node string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.files[path]
-	if !ok {
-		return fmt.Errorf("%w: file %q", ErrNotFound, path)
-	}
-	if blockIdx < 0 || blockIdx >= len(f.blocks) {
-		return fmt.Errorf("%w: block %d of %q", ErrNotFound, blockIdx, path)
-	}
-	b := f.blocks[blockIdx]
-	data, ok := b.replicas[node]
-	if !ok {
-		return fmt.Errorf("%w: no replica of %s on %q", ErrNotFound, b.id, node)
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	data[0] ^= 0xFF
-	return nil
-}
-
-// Delete removes path.
-func (c *Cluster) Delete(path string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.files[path]
-	if !ok {
-		return fmt.Errorf("%w: file %q", ErrNotFound, path)
-	}
-	c.dropBlocksLocked(f)
-	delete(c.files, path)
-	return nil
-}
-
+// dropBlocksLocked releases the space f's replicas hold on their nodes.
 func (c *Cluster) dropBlocksLocked(f *file) {
 	for _, b := range f.blocks {
 		for node := range b.replicas {
-			if n, ok := c.nodes[node]; ok {
-				n.used -= int64(b.size)
-			}
+			c.nodes[node].used -= int64(b.size)
 		}
 	}
-}
-
-// List returns all file paths, sorted.
-func (c *Cluster) List() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.files))
-	for p := range c.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FileSize returns the size of path in bytes.
@@ -366,27 +265,6 @@ func (c *Cluster) FileSize(path string) (int, error) {
 		return 0, fmt.Errorf("%w: file %q", ErrNotFound, path)
 	}
 	return f.size, nil
-}
-
-// Locations returns, per block of path, the sorted node names holding a
-// replica.
-func (c *Cluster) Locations(path string) ([][]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.files[path]
-	if !ok {
-		return nil, fmt.Errorf("%w: file %q", ErrNotFound, path)
-	}
-	out := make([][]string, len(f.blocks))
-	for i, b := range f.blocks {
-		nodes := make([]string, 0, len(b.replicas))
-		for n := range b.replicas {
-			nodes = append(nodes, n)
-		}
-		sort.Strings(nodes)
-		out[i] = nodes
-	}
-	return out, nil
 }
 
 // PrimaryLocation returns the node holding the largest share of path's bytes
@@ -414,71 +292,4 @@ func (c *Cluster) PrimaryLocation(path string) (string, error) {
 		return "", fmt.Errorf("%w: file %q has no replicas", ErrNotFound, path)
 	}
 	return best, nil
-}
-
-// Used returns the bytes stored on the named node.
-func (c *Cluster) Used(node string) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.nodes[node]
-	if !ok {
-		return 0, fmt.Errorf("%w: node %q", ErrNotFound, node)
-	}
-	return n.used, nil
-}
-
-// RemoveNode decommissions a data node, re-replicating every block it held
-// from surviving replicas onto the least-used remaining nodes. It fails with
-// ErrDataLoss if the node holds the only replica of any block.
-func (c *Cluster) RemoveNode(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.nodes[name]; !ok {
-		return fmt.Errorf("%w: node %q", ErrNotFound, name)
-	}
-	// First pass: refuse if any block would lose its last replica.
-	for _, f := range c.files {
-		for _, b := range f.blocks {
-			if _, held := b.replicas[name]; held && len(b.replicas) == 1 {
-				return fmt.Errorf("%w: %s of %q only on %q", ErrDataLoss, b.id, f.name, name)
-			}
-		}
-	}
-	for _, f := range c.files {
-		for _, b := range f.blocks {
-			if _, held := b.replicas[name]; !held {
-				continue
-			}
-			// Source a checksum-healthy copy BEFORE dropping this node's
-			// replica — the departing node may hold the only healthy one.
-			healthy, err := c.healthyCopyLocked(f, b)
-			if err != nil {
-				return err
-			}
-			delete(b.replicas, name)
-			// Re-replicate onto the least-used node without a copy.
-			var cands []*nodeState
-			for _, n := range c.nodes {
-				if n.name == name {
-					continue
-				}
-				if _, has := b.replicas[n.name]; !has {
-					cands = append(cands, n)
-				}
-			}
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].used != cands[j].used {
-					return cands[i].used < cands[j].used
-				}
-				return cands[i].name < cands[j].name
-			})
-			if len(cands) > 0 {
-				target := cands[0]
-				b.replicas[target.name] = append([]byte(nil), healthy...)
-				target.used += int64(b.size)
-			}
-		}
-	}
-	delete(c.nodes, name)
-	return nil
 }

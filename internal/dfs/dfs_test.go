@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -30,6 +31,79 @@ func randomBytes(n int, seed int64) []byte {
 	return b
 }
 
+// readAll reads the whole of path through ReadAt.
+func readAll(c *Cluster, path string) ([]byte, error) {
+	size, err := c.FileSize(path)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, size)
+	n, err := c.ReadAt(path, 0, buf)
+	return buf[:n], err
+}
+
+// corruptReplica flips bits in one replica of one block — the fault-
+// injection hook the recovery tests use.
+func (c *Cluster) corruptReplica(path string, blockIdx int, node string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.files[path]
+	if !ok {
+		return fmt.Errorf("%w: file %q", ErrNotFound, path)
+	}
+	if blockIdx < 0 || blockIdx >= len(f.blocks) {
+		return fmt.Errorf("%w: block %d of %q", ErrNotFound, blockIdx, path)
+	}
+	b := f.blocks[blockIdx]
+	data, ok := b.replicas[node]
+	if !ok {
+		return fmt.Errorf("%w: no replica of %s on %q", ErrNotFound, b.id, node)
+	}
+	if len(data) == 0 {
+		return nil
+	}
+	data[0] ^= 0xFF
+	return nil
+}
+
+// locations returns, per block of path, the sorted node names holding a
+// replica.
+func (c *Cluster) locations(path string) ([][]string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.files[path]
+	if !ok {
+		return nil, fmt.Errorf("%w: file %q", ErrNotFound, path)
+	}
+	out := make([][]string, len(f.blocks))
+	for i, b := range f.blocks {
+		out[i] = sortedReplicaNodes(b)
+	}
+	return out, nil
+}
+
+// numBlocks returns how many blocks path occupies.
+func (c *Cluster) numBlocks(path string) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f, ok := c.files[path]
+	if !ok {
+		return 0, fmt.Errorf("%w: file %q", ErrNotFound, path)
+	}
+	return len(f.blocks), nil
+}
+
+// used returns the bytes stored on the named node.
+func (c *Cluster) used(node string) (int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, ok := c.nodes[node]
+	if !ok {
+		return 0, fmt.Errorf("%w: node %q", ErrNotFound, node)
+	}
+	return n.used, nil
+}
+
 func TestNewClusterValidation(t *testing.T) {
 	if _, err := NewCluster(WithBlockSize(0)); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("block size 0: err = %v, want ErrBadConfig", err)
@@ -45,7 +119,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := c.Write("/x", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read("/x")
+	got, err := readAll(c, "/x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +133,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if sz != 100 {
 		t.Errorf("FileSize = %d, want 100", sz)
 	}
-	locs, err := c.Locations("/x")
+	locs, err := c.locations("/x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +147,7 @@ func TestEmptyFile(t *testing.T) {
 	if err := c.Write("/empty", nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Read("/empty")
+	got, err := readAll(c, "/empty")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +169,7 @@ func TestPreferredPlacement(t *testing.T) {
 	if primary != nodeName(2) {
 		t.Errorf("primary location = %q, want %q", primary, nodeName(2))
 	}
-	used, err := c.Used(nodeName(2))
+	used, err := c.used(nodeName(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +190,7 @@ func TestReplication(t *testing.T) {
 	if err := c.Write("/r", randomBytes(24, 3), ""); err != nil {
 		t.Fatal(err)
 	}
-	locs, err := c.Locations("/r")
+	locs, err := c.locations("/r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,94 +223,12 @@ func TestOverwriteReleasesSpace(t *testing.T) {
 	if err := c.Write("/x", randomBytes(8, 5), nodeName(0)); err != nil {
 		t.Fatal(err)
 	}
-	used, err := c.Used(nodeName(0))
+	used, err := c.used(nodeName(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if used != 8 {
 		t.Errorf("after overwrite node uses %d bytes, want 8", used)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	c := newTestCluster(t, 2)
-	if err := c.Write("/x", []byte("data"), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete("/x"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Read("/x"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("read deleted: err = %v, want ErrNotFound", err)
-	}
-	if err := c.Delete("/x"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete: err = %v, want ErrNotFound", err)
-	}
-	if got := len(c.List()); got != 0 {
-		t.Errorf("List after delete = %d entries", got)
-	}
-}
-
-func TestListSorted(t *testing.T) {
-	c := newTestCluster(t, 1)
-	for _, p := range []string{"/c", "/a", "/b"} {
-		if err := c.Write(p, []byte("x"), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := c.List()
-	want := []string{"/a", "/b", "/c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("List = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRemoveNodeReReplicates(t *testing.T) {
-	c := newTestCluster(t, 3, WithBlockSize(8), WithReplication(2))
-	data := randomBytes(32, 6)
-	if err := c.Write("/r", data, nodeName(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveNode(nodeName(0)); err != nil {
-		t.Fatal(err)
-	}
-	// Data still fully readable and still at replication 2.
-	got, err := c.Read("/r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Error("data corrupted after node removal")
-	}
-	locs, err := c.Locations("/r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, nodes := range locs {
-		if len(nodes) != 2 {
-			t.Errorf("block %d has %d replicas after removal, want 2", i, len(nodes))
-		}
-		for _, n := range nodes {
-			if n == nodeName(0) {
-				t.Errorf("block %d still lists removed node", i)
-			}
-		}
-	}
-}
-
-func TestRemoveNodeDataLoss(t *testing.T) {
-	c := newTestCluster(t, 2, WithReplication(1))
-	if err := c.Write("/solo", []byte("data"), nodeName(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveNode(nodeName(0)); !errors.Is(err, ErrDataLoss) {
-		t.Errorf("removing last replica holder: err = %v, want ErrDataLoss", err)
-	}
-	// The node must still be present after the refused removal.
-	if got := len(c.Nodes()); got != 2 {
-		t.Errorf("nodes after refused removal = %d, want 2", got)
 	}
 }
 
@@ -256,7 +248,7 @@ func TestLeastUsedPlacementBalances(t *testing.T) {
 	}
 	// No preferred node: 16 equal blocks over 4 nodes should balance 4/4/4/4.
 	for i := 0; i < 4; i++ {
-		used, err := c.Used(nodeName(i))
+		used, err := c.used(nodeName(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,18 +264,18 @@ func TestChecksumSelfHealingRead(t *testing.T) {
 	if err := c.Write("/heal", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	locs, err := c.Locations("/heal")
+	locs, err := c.locations("/heal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt one replica of every block.
 	for bi, nodes := range locs {
-		if err := c.CorruptReplica("/heal", bi, nodes[0]); err != nil {
+		if err := c.corruptReplica("/heal", bi, nodes[0]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Read succeeds from the healthy replicas and heals the corrupt ones.
-	got, err := c.Read("/heal")
+	got, err := readAll(c, "/heal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +285,11 @@ func TestChecksumSelfHealingRead(t *testing.T) {
 	// Corrupt the OTHER replica now; the previously corrupt (now healed)
 	// copy must carry the read.
 	for bi, nodes := range locs {
-		if err := c.CorruptReplica("/heal", bi, nodes[1]); err != nil {
+		if err := c.corruptReplica("/heal", bi, nodes[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err = c.Read("/heal")
+	got, err = readAll(c, "/heal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,96 +303,59 @@ func TestAllReplicasCorrupt(t *testing.T) {
 	if err := c.Write("/doomed", randomBytes(16, 11), ""); err != nil {
 		t.Fatal(err)
 	}
-	locs, err := c.Locations("/doomed")
+	locs, err := c.locations("/doomed")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, node := range locs[0] {
-		if err := c.CorruptReplica("/doomed", 0, node); err != nil {
+		if err := c.corruptReplica("/doomed", 0, node); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Read("/doomed"); !errors.Is(err, ErrCorrupt) {
+	if _, err := readAll(c, "/doomed"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("all-corrupt read: err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestCorruptReplicaValidation(t *testing.T) {
 	c := newTestCluster(t, 1)
-	if err := c.CorruptReplica("/ghost", 0, nodeName(0)); !errors.Is(err, ErrNotFound) {
+	if err := c.corruptReplica("/ghost", 0, nodeName(0)); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing file: err = %v, want ErrNotFound", err)
 	}
 	if err := c.Write("/x", []byte("abc"), ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CorruptReplica("/x", 5, nodeName(0)); !errors.Is(err, ErrNotFound) {
+	if err := c.corruptReplica("/x", 5, nodeName(0)); !errors.Is(err, ErrNotFound) {
 		t.Errorf("bad block index: err = %v, want ErrNotFound", err)
 	}
-	if err := c.CorruptReplica("/x", 0, "ghost-node"); !errors.Is(err, ErrNotFound) {
+	if err := c.corruptReplica("/x", 0, "ghost-node"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("no replica on node: err = %v, want ErrNotFound", err)
 	}
 }
 
-func TestRemoveNodeSourcesFromHealthyReplica(t *testing.T) {
-	// Decommissioning must not propagate corruption: re-replication reads a
-	// checksum-valid source.
-	c := newTestCluster(t, 3, WithBlockSize(64), WithReplication(2))
-	data := randomBytes(64, 12)
-	if err := c.Write("/r", data, nodeName(0)); err != nil {
-		t.Fatal(err)
-	}
-	locs, err := c.Locations("/r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the replica on the surviving node, then remove the OTHER one:
-	// re-replication must heal from... the only healthy copy is on the node
-	// being removed — healthyCopyLocked still sees it because removal happens
-	// after sourcing. Corrupt the copy on locs[0][1], remove locs[0][0].
-	if err := c.CorruptReplica("/r", 0, locs[0][1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveNode(locs[0][0]); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Read("/r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("data corrupted through decommissioning")
-	}
-}
-
 func TestRandomizedOperationsPreserveData(t *testing.T) {
-	// Property: under a random sequence of writes, overwrites, deletes,
+	// Property: under a random sequence of writes, overwrites,
 	// single-replica corruptions and reads, every read returns exactly what
-	// was last written (replication 2 heals single corruptions).
+	// was last written (replication 2 heals single corruptions), and a path
+	// never written is ErrNotFound.
 	rng := rand.New(rand.NewSource(99))
 	c := newTestCluster(t, 4, WithBlockSize(32), WithReplication(2))
 	expected := map[string][]byte{}
 	paths := []string{"/a", "/b", "/c", "/d", "/e"}
 	for step := 0; step < 400; step++ {
 		path := paths[rng.Intn(len(paths))]
-		switch rng.Intn(5) {
+		switch rng.Intn(4) {
 		case 0, 1: // write or overwrite
 			data := randomBytes(rng.Intn(200), int64(step))
 			if err := c.Write(path, data, ""); err != nil {
 				t.Fatalf("step %d write: %v", step, err)
 			}
 			expected[path] = data
-		case 2: // delete
-			if _, ok := expected[path]; ok {
-				if err := c.Delete(path); err != nil {
-					t.Fatalf("step %d delete: %v", step, err)
-				}
-				delete(expected, path)
-			}
-		case 3: // corrupt one replica of one block
+		case 2: // corrupt one replica of one block
 			if _, ok := expected[path]; !ok {
 				continue
 			}
-			locs, err := c.Locations(path)
+			locs, err := c.locations(path)
 			if err != nil || len(locs) == 0 {
 				continue
 			}
@@ -409,15 +364,15 @@ func TestRandomizedOperationsPreserveData(t *testing.T) {
 				continue
 			}
 			node := locs[bi][rng.Intn(len(locs[bi]))]
-			if err := c.CorruptReplica(path, bi, node); err != nil {
+			if err := c.corruptReplica(path, bi, node); err != nil {
 				t.Fatalf("step %d corrupt: %v", step, err)
 			}
 		default: // read and verify
 			want, ok := expected[path]
-			got, err := c.Read(path)
+			got, err := readAll(c, path)
 			if !ok {
 				if !errors.Is(err, ErrNotFound) {
-					t.Fatalf("step %d: read deleted %q: err = %v", step, path, err)
+					t.Fatalf("step %d: read unwritten %q: err = %v", step, path, err)
 				}
 				continue
 			}
@@ -431,7 +386,7 @@ func TestRandomizedOperationsPreserveData(t *testing.T) {
 	}
 	// Final sweep: everything still intact.
 	for path, want := range expected {
-		got, err := c.Read(path)
+		got, err := readAll(c, path)
 		if err != nil {
 			t.Fatalf("final read %q: %v", path, err)
 		}

@@ -86,7 +86,7 @@ func TestReadAtBufferReuse(t *testing.T) {
 }
 
 // TestReadAtConcurrent hammers one cluster from many goroutines — streaming
-// windows over two files plus whole-file Reads and metadata calls — and every
+// windows over two files plus whole-file reads and metadata calls — and every
 // read must observe exactly the written bytes. The -race run is the point.
 func TestReadAtConcurrent(t *testing.T) {
 	const blockSize = 128
@@ -116,7 +116,7 @@ func TestReadAtConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch i % 10 {
 				case 9: // occasional whole-file read alongside the streams
-					got, err := c.Read(path)
+					got, err := readAll(c, path)
 					if err != nil {
 						errc <- err
 						return
@@ -126,7 +126,7 @@ func TestReadAtConcurrent(t *testing.T) {
 						return
 					}
 				case 8:
-					if _, err := c.NumBlocks(path); err != nil {
+					if _, err := c.numBlocks(path); err != nil {
 						errc <- err
 						return
 					}
@@ -170,11 +170,11 @@ func TestReadAtSelfHealsUnderConcurrency(t *testing.T) {
 	if err := c.Write("/f", data, ""); err != nil {
 		t.Fatal(err)
 	}
-	locs, err := c.Locations("/f")
+	locs, err := c.locations("/f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CorruptReplica("/f", 1, locs[1][0]); err != nil {
+	if err := c.corruptReplica("/f", 1, locs[1][0]); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup

@@ -1,5 +1,5 @@
-// Package eval computes the classification metrics reported in Section VI:
-// the correct-classification ratio and supporting confusion statistics.
+// Package eval computes the classification metric reported in Section VI:
+// the correct-classification ratio.
 package eval
 
 import (
@@ -34,58 +34,6 @@ func Accuracy(pred, truth []float64) (float64, error) {
 		}
 	}
 	return float64(correct) / float64(len(pred)), nil
-}
-
-// Confusion counts binary classification outcomes with +1 as the positive
-// class.
-type Confusion struct {
-	TP, TN, FP, FN int
-}
-
-// ConfusionMatrix tallies outcomes of pred against truth.
-func ConfusionMatrix(pred, truth []float64) (Confusion, error) {
-	var c Confusion
-	if len(pred) != len(truth) {
-		return c, fmt.Errorf("%w: %d predictions vs %d labels", ErrBadInput, len(pred), len(truth))
-	}
-	for i := range pred {
-		switch {
-		case pred[i] >= 0 && truth[i] >= 0:
-			c.TP++
-		case pred[i] >= 0 && truth[i] < 0:
-			c.FP++
-		case pred[i] < 0 && truth[i] >= 0:
-			c.FN++
-		default:
-			c.TN++
-		}
-	}
-	return c, nil
-}
-
-// Precision returns TP/(TP+FP), or 0 when undefined.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN), or 0 when undefined.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall, or 0 when undefined.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }
 
 // batchScorer is a Classifier that can also score every row of a sample

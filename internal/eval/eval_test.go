@@ -2,7 +2,6 @@ package eval
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"github.com/ppml-go/ppml/internal/dataset"
@@ -33,37 +32,6 @@ func TestAccuracyUsesDecisionSign(t *testing.T) {
 	}
 	if acc != 1 {
 		t.Errorf("decision-value accuracy = %g, want 1", acc)
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	pred := []float64{1, 1, -1, -1, 1}
-	truth := []float64{1, -1, 1, -1, 1}
-	c, err := ConfusionMatrix(pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.TP != 2 || c.FP != 1 || c.FN != 1 || c.TN != 1 {
-		t.Errorf("confusion = %+v, want TP=2 FP=1 FN=1 TN=1", c)
-	}
-	if p := c.Precision(); math.Abs(p-2.0/3) > 1e-12 {
-		t.Errorf("precision = %g, want 2/3", p)
-	}
-	if r := c.Recall(); math.Abs(r-2.0/3) > 1e-12 {
-		t.Errorf("recall = %g, want 2/3", r)
-	}
-	if f := c.F1(); math.Abs(f-2.0/3) > 1e-12 {
-		t.Errorf("F1 = %g, want 2/3", f)
-	}
-	if _, err := ConfusionMatrix([]float64{1}, nil); !errors.Is(err, ErrBadInput) {
-		t.Errorf("mismatched: err = %v, want ErrBadInput", err)
-	}
-}
-
-func TestConfusionDegenerate(t *testing.T) {
-	c := Confusion{}
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
-		t.Error("degenerate confusion metrics must be 0")
 	}
 }
 

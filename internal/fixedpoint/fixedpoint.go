@@ -9,8 +9,9 @@
 // Encoding multiplies by 2^FracBits and rounds to the nearest integer,
 // represented two's-complement in a uint64. Addition in uint64 then coincides
 // with exact fixed-point addition as long as the true sum stays inside the
-// representable range, which Codec.MaxAbs and MaxSummands let callers verify
-// up front.
+// representable range. A codec made with ForSummands(m) checks that up
+// front: it encodes an element only if m values of its magnitude still sum
+// inside the range.
 package fixedpoint
 
 import (
@@ -35,6 +36,7 @@ var (
 type Codec struct {
 	fracBits uint
 	scale    float64
+	summands int // EncodeVec bounds |x| by MaxAbs()/summands when > 1
 }
 
 // DefaultFracBits balances ≈ 9 decimal digits of fraction against ≈ 9·10^9
@@ -59,9 +61,6 @@ func Default() Codec {
 	return c
 }
 
-// FracBits returns the configured number of fractional bits.
-func (c Codec) FracBits() uint { return c.fracBits }
-
 // Resolution returns the smallest representable increment, 2^−FracBits.
 func (c Codec) Resolution() float64 { return 1 / c.scale }
 
@@ -70,17 +69,13 @@ func (c Codec) MaxAbs() float64 {
 	return math.Ldexp(1, 63-int(c.fracBits)) - 1
 }
 
-// MaxSummands returns how many values of magnitude ≤ maxAbs can be summed in
-// the ring without the true total leaving the representable range.
-func (c Codec) MaxSummands(maxAbs float64) int {
-	if maxAbs <= 0 {
-		return math.MaxInt32
-	}
-	n := c.MaxAbs() / maxAbs
-	if n > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int(n)
+// ForSummands returns c with EncodeVec bounded for a ring sum of m vectors:
+// an element with |x| > MaxAbs()/m is an ErrRange, so a party that encodes
+// its share this way cannot make an m-party sum wrap. m ≤ 1 is the
+// per-value bound.
+func (c Codec) ForSummands(m int) Codec {
+	c.summands = m
+	return c
 }
 
 // Encode converts v to a ring element.
@@ -116,14 +111,20 @@ func (c Codec) EncodeVec(v []float64, dst []uint64) ([]uint64, error) {
 		return nil, fmt.Errorf("%w: dst capacity %d, want ≥ %d", ErrBadConfig, cap(dst), len(v))
 	}
 	// One comparison rejects NaN (every comparison with it is false), ±Inf and
-	// out-of-range magnitudes; Encode then names the failure. Past it none of
-	// Encode's checks can fire (|x| ≤ maxAbs bounds the scaled value inside
+	// out-of-range magnitudes; Encode then names the failure, or else the
+	// element is inside MaxAbs but not inside the summand bound. Past it none
+	// of Encode's checks can fire (|x| ≤ MaxAbs bounds the scaled value inside
 	// int64 too), so the conversion below is Encode's, bit for bit.
 	maxAbs := c.MaxAbs()
+	if c.summands > 1 {
+		maxAbs /= float64(c.summands)
+	}
 	for i, x := range v {
 		if !(math.Abs(x) <= maxAbs) {
-			_, err := c.Encode(x)
-			return nil, fmt.Errorf("element %d: %w", i, err)
+			if _, err := c.Encode(x); err != nil {
+				return nil, fmt.Errorf("element %d: %w", i, err)
+			}
+			return nil, fmt.Errorf("element %d: %w: |%g| > %g, the bound for a sum of %d", i, ErrRange, x, maxAbs, c.summands)
 		}
 		dst[i] = uint64(int64(math.Round(x * c.scale)))
 	}

@@ -17,9 +17,6 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.FracBits() != 16 {
-		t.Errorf("FracBits = %d, want 16", c.FracBits())
-	}
 	if c.Resolution() != 1.0/65536 {
 		t.Errorf("Resolution = %g, want 2^-16", c.Resolution())
 	}
@@ -213,28 +210,45 @@ func TestEncodeVecMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestMaxSummands pins the summand bound: a codec made with ForSummands(m)
+// encodes exactly the values of which m sum without leaving the ring's range.
 func TestMaxSummands(t *testing.T) {
 	c := Default()
-	n := c.MaxSummands(1000)
-	if n <= 0 {
-		t.Fatalf("MaxSummands = %d, want > 0", n)
-	}
-	// Summing exactly n values of magnitude 1000 must stay decodable.
-	total := 0.0
-	var acc uint64
-	u, err := c.Encode(1000)
+	// n values of magnitude 1000 pass the n-summand bound, and their ring
+	// sum decodes to the true total.
+	n := int(c.MaxAbs() / 1000)
+	enc, err := c.ForSummands(n).EncodeVec([]float64{1000, -1000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		acc += u
-		total += 1000
+	for i, want := range []float64{1000 * float64(n), -1000 * float64(n)} {
+		if got := c.Decode(uint64(n) * enc[i]); math.Abs(got-want) > 1 {
+			t.Errorf("sum of %d values decodes to %g, want %g", n, got, want)
+		}
 	}
-	if got := c.Decode(acc); math.Abs(got-total) > 1 {
-		t.Errorf("sum of %d values decodes to %g, want %g", n, got, total)
+	// One more summand and 1000 no longer fits.
+	if _, err := c.ForSummands(n+1).EncodeVec([]float64{0, 1000}, nil); !errors.Is(err, ErrRange) {
+		t.Errorf("1000 as one of %d summands: err = %v, want ErrRange", n+1, err)
 	}
-	if c.MaxSummands(0) != math.MaxInt32 {
-		t.Error("MaxSummands(0) should be unbounded")
+	// A value exactly at the bound still sums exactly, for both signs.
+	for _, m := range []int{2, 3, 8} {
+		bound := c.MaxAbs() / float64(m)
+		enc, err := c.ForSummands(m).EncodeVec([]float64{bound, -bound}, nil)
+		if err != nil {
+			t.Fatalf("m=%d: value at the bound: %v", m, err)
+		}
+		for i, x := range []float64{bound, -bound} {
+			if got, want := c.Decode(uint64(m)*enc[i]), float64(m)*x; math.Abs(got-want) > 1e-5 {
+				t.Errorf("m=%d: the sum of %d × %g decodes to %g, want %g", m, m, x, got, want)
+			}
+		}
+	}
+	// Two values of 5e9 fit the per-value bound (≈ 8.59e9) but not the sum's.
+	if _, err := c.EncodeVec([]float64{5e9}, nil); err != nil {
+		t.Fatalf("5e9 under the per-value bound: %v", err)
+	}
+	if _, err := c.ForSummands(2).EncodeVec([]float64{5e9}, nil); !errors.Is(err, ErrRange) {
+		t.Errorf("5e9 as one of 2 summands: err = %v, want ErrRange", err)
 	}
 }
 

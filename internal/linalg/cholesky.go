@@ -152,9 +152,6 @@ func cholPanelUpdate(a *Matrix, p Packed, j0, j1, rlo, rhi int) {
 	}
 }
 
-// Size returns the dimension of the factored matrix.
-func (c *Cholesky) Size() int { return c.l.Rows }
-
 // SolveVec solves A x = b, overwriting nothing; the solution is returned in
 // dst (allocated when nil). dst may alias b.
 func (c *Cholesky) SolveVec(b, dst []float64) ([]float64, error) {

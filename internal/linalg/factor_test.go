@@ -172,8 +172,8 @@ func TestCholeskyReconstruct(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if ch.Size() != n {
-			t.Fatalf("Size = %d, want %d", ch.Size(), n)
+		if ch.l.Rows != n {
+			t.Fatalf("factor has %d rows, want %d", ch.l.Rows, n)
 		}
 		llt, err := MatMulT(ch.l, ch.l)
 		if err != nil {

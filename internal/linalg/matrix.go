@@ -239,17 +239,6 @@ func MatMulTRows(a *Matrix, b Packed, out *Matrix, rlo, rhi int) {
 	tileRows(a.Data, a.Cols, b, out.Data[rlo*out.Cols:], out.Cols, rlo, rhi)
 }
 
-// Add computes m += a, element-wise.
-func (m *Matrix) Add(a *Matrix) error {
-	if m.Rows != a.Rows || m.Cols != a.Cols {
-		return fmt.Errorf("Add: %w", ErrShape)
-	}
-	for i, v := range a.Data {
-		m.Data[i] += v
-	}
-	return nil
-}
-
 // Scale multiplies every element of m by alpha.
 func (m *Matrix) Scale(alpha float64) {
 	for i := range m.Data {

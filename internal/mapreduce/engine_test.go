@@ -2,10 +2,12 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
 
+	"github.com/ppml-go/ppml/internal/fixedpoint"
 	"github.com/ppml-go/ppml/internal/paillier"
 	"github.com/ppml-go/ppml/internal/securesum"
 	"github.com/ppml-go/ppml/internal/transport"
@@ -186,6 +188,30 @@ func TestEngineConformance(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestEncryptContributionRejectsWrappingSum: the Paillier share is bounded
+// for its fan-in like a masked one, since its slots reduce mod 2⁶⁴ after
+// decryption: 5e9 encodes alone but not as one of two summands.
+func TestEncryptContributionRejectsWrappingSum(t *testing.T) {
+	key, err := paillier.GenerateKey(nil, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := fixedpoint.Default()
+	for _, c := range []struct {
+		summands int
+		wantErr  bool
+	}{{1, false}, {2, true}} {
+		pack, err := paillier.NewPacking(&key.PublicKey, c.summands, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = encryptContribution([]float64{5e9}, codec, pack, nil, nil)
+		if got := errors.Is(err, fixedpoint.ErrRange); got != c.wantErr {
+			t.Errorf("5e9 of %d summands: err = %v, want ErrRange %v", c.summands, err, c.wantErr)
 		}
 	}
 }

@@ -291,10 +291,13 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 // encryptContribution fixed-point-encodes the vector and encrypts it under
 // the job's slot packing (k ring elements per plaintext — the SPINDLE-style
 // layout in paillier.Packing), with fresh crypto/rand randomness per
-// ciphertext. scratch is an optional reusable encode buffer; the (possibly
-// grown) buffer is returned for the next call.
+// ciphertext. The encode is bounded for a sum of pack.MaxSummands shares, as
+// a masked share is for its cohort: the slots reduce mod 2⁶⁴ after
+// decryption, so only the mapper can stop the sum from wrapping. scratch is
+// an optional reusable encode buffer; the (possibly grown) buffer is returned
+// for the next call.
 func encryptContribution(contrib []float64, codec fixedpoint.Codec, pack *paillier.Packing, scratch []uint64, ctr *telemetry.Counter) ([]byte, []uint64, error) {
-	enc, err := codec.EncodeVec(contrib, scratch)
+	enc, err := codec.ForSummands(pack.MaxSummands).EncodeVec(contrib, scratch)
 	if err != nil {
 		return nil, scratch, fmt.Errorf("paillier share encode: %w", err)
 	}

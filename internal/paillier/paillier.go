@@ -134,26 +134,6 @@ func (pk *PublicKey) Add(c1, c2 *big.Int) *big.Int {
 	return out.Mod(out, pk.N2)
 }
 
-// AddPlain returns a ciphertext of (plaintext of c) + m.
-func (pk *PublicKey) AddPlain(c, m *big.Int) (*big.Int, error) {
-	// c · g^m = c · (1 + m·N) mod N²
-	if m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
-		return nil, ErrMessageRange
-	}
-	gm := new(big.Int).Mul(m, pk.N)
-	gm.Add(gm, one)
-	out := new(big.Int).Mul(c, gm)
-	return out.Mod(out, pk.N2), nil
-}
-
-// MulPlain returns a ciphertext of (plaintext of c)·k: c^k mod N².
-func (pk *PublicKey) MulPlain(c, k *big.Int) (*big.Int, error) {
-	if k.Sign() < 0 {
-		return nil, fmt.Errorf("%w: negative scalar", ErrMessageRange)
-	}
-	return new(big.Int).Exp(c, k, pk.N2), nil
-}
-
 // randomUnit draws r uniformly from [1, n) with gcd(r, n) = 1.
 func randomUnit(random io.Reader, n *big.Int) (*big.Int, error) {
 	gcd := new(big.Int)

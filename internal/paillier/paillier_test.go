@@ -97,48 +97,6 @@ func TestHomomorphicAdd(t *testing.T) {
 	}
 }
 
-func TestHomomorphicAddPlain(t *testing.T) {
-	c, err := testKey.Encrypt(nil, big.NewInt(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := testKey.AddPlain(c, big.NewInt(23))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := testKey.Decrypt(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != 123 {
-		t.Errorf("AddPlain = %v, want 123", got)
-	}
-	if _, err := testKey.AddPlain(c, big.NewInt(-1)); !errors.Is(err, ErrMessageRange) {
-		t.Errorf("AddPlain negative: err = %v, want ErrMessageRange", err)
-	}
-}
-
-func TestHomomorphicMulPlain(t *testing.T) {
-	c, err := testKey.Encrypt(nil, big.NewInt(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := testKey.MulPlain(c, big.NewInt(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := testKey.Decrypt(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != 42 {
-		t.Errorf("MulPlain = %v, want 42", got)
-	}
-	if _, err := testKey.MulPlain(c, big.NewInt(-2)); !errors.Is(err, ErrMessageRange) {
-		t.Errorf("MulPlain negative: err = %v, want ErrMessageRange", err)
-	}
-}
-
 func TestAggregateManyCiphertexts(t *testing.T) {
 	// The Reducer's actual access pattern: multiply M ciphertexts, decrypt
 	// once, recover the exact sum.

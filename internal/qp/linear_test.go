@@ -62,7 +62,7 @@ func matchesSolveBox(t *testing.T, lp LinearProblem, opts ...Option) *Result {
 			t.Errorf("λ[%d] = %g outside [0, %g]", i, l, lp.C)
 		}
 	}
-	if fg, fw := dp.Objective(got.Lambda), dp.Objective(want.Lambda); math.Abs(fg-fw) > 1e-9*(1+math.Abs(fw)) {
+	if fg, fw := dp.objective(got.Lambda), dp.objective(want.Lambda); math.Abs(fg-fw) > 1e-9*(1+math.Abs(fw)) {
 		t.Errorf("objective %.12g, SolveBox reaches %.12g", fg, fw)
 	}
 	vg, sg := factors(lp, got.Lambda)

@@ -61,15 +61,6 @@ func (p *Problem) validate() error {
 	return nil
 }
 
-// Objective evaluates ½ λᵀQλ + pᵀλ; used by tests and KKT reporting.
-func (p *Problem) Objective(lambda []float64) float64 {
-	qv, err := p.Q.MulVec(lambda, nil)
-	if err != nil {
-		return math.NaN()
-	}
-	return 0.5*linalg.Dot(lambda, qv) + linalg.Dot(p.P, lambda)
-}
-
 // Result reports the solution and solver diagnostics.
 type Result struct {
 	// Lambda is the (approximately) optimal point.

@@ -9,6 +9,15 @@ import (
 	"github.com/ppml-go/ppml/internal/linalg"
 )
 
+// objective evaluates ½ λᵀQλ + pᵀλ.
+func (p *Problem) objective(lambda []float64) float64 {
+	qv, err := p.Q.MulVec(lambda, nil)
+	if err != nil {
+		return math.NaN()
+	}
+	return 0.5*linalg.Dot(lambda, qv) + linalg.Dot(p.P, lambda)
+}
+
 func randomSPD(rng *rand.Rand, n int, ridge float64) *linalg.Matrix {
 	b := linalg.NewMatrix(n, n)
 	for i := range b.Data {
@@ -118,10 +127,10 @@ func TestSolveBoxKKTAndDominance(t *testing.T) {
 			}
 		}
 		// The solution must dominate random feasible points.
-		opt := prob.Objective(res.Lambda)
+		opt := prob.objective(res.Lambda)
 		for s := 0; s < 20; s++ {
 			x := randomFeasibleBox(rng, n, prob.C)
-			if obj := prob.Objective(x); obj < opt-1e-6 {
+			if obj := prob.objective(x); obj < opt-1e-6 {
 				t.Fatalf("trial %d: random point beats solver: %g < %g", trial, obj, opt)
 			}
 		}
@@ -145,7 +154,7 @@ func TestSolveBoxWarmStartFewerIterations(t *testing.T) {
 	if warm.Iterations > cold.Iterations {
 		t.Errorf("warm start took %d iterations, cold took %d", warm.Iterations, cold.Iterations)
 	}
-	if math.Abs(prob.Objective(warm.Lambda)-prob.Objective(cold.Lambda)) > 1e-6 {
+	if math.Abs(prob.objective(warm.Lambda)-prob.objective(cold.Lambda)) > 1e-6 {
 		t.Error("warm and cold solutions have different objectives")
 	}
 }
@@ -236,13 +245,13 @@ func TestSolveEqualityBoxPreservesConstraint(t *testing.T) {
 			t.Fatalf("trial %d: did not converge, viol %g", trial, res.KKTViolation)
 		}
 		// Dominance over random feasible points (projected onto constraint).
-		opt := prob.Objective(res.Lambda)
+		opt := prob.objective(res.Lambda)
 		for s := 0; s < 15; s++ {
 			cand := randomFeasibleBox(rng, n, prob.C)
 			if err := repairEquality(cand, y, d, prob.C); err != nil {
 				continue
 			}
-			if obj := prob.Objective(cand); obj < opt-1e-5 {
+			if obj := prob.objective(cand); obj < opt-1e-5 {
 				t.Fatalf("trial %d: feasible point beats solver: %g < %g", trial, obj, opt)
 			}
 		}
@@ -316,8 +325,8 @@ func TestObjectiveQuadratic(t *testing.T) {
 	q, _ := linalg.NewMatrixFrom(2, 2, []float64{2, 0, 0, 4})
 	prob := Problem{Q: q, P: []float64{1, -1}, C: 1}
 	// ½(2·1 + 4·4) + (1 − 2) = 9 − 1 = 8
-	if got := prob.Objective([]float64{1, 2}); got != 8 {
-		t.Errorf("Objective = %g, want 8", got)
+	if got := prob.objective([]float64{1, 2}); got != 8 {
+		t.Errorf("objective = %g, want 8", got)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 	if warm.Iterations > cold.Iterations/10+1 {
 		t.Errorf("warm solve from the optimum took %d iterations (cold %d)", warm.Iterations, cold.Iterations)
 	}
-	if co, wo := prob.Objective(cold.Lambda), prob.Objective(warm.Lambda); wo > co+1e-9 {
+	if co, wo := prob.objective(cold.Lambda), prob.objective(warm.Lambda); wo > co+1e-9 {
 		t.Errorf("warm objective %g worse than cold %g", wo, co)
 	}
 }

@@ -17,7 +17,7 @@ func BenchmarkMaskedSum(b *testing.B) {
 				values := randomValues(rand.New(rand.NewSource(1)), m, dim, 100)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := MaskedSum(values, codec, nil); err != nil {
+					if _, err := maskedSum(values, codec, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -26,14 +26,14 @@ func BenchmarkMaskedSum(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeShares1000(b *testing.B) {
+func BenchmarkAppendShares1000(b *testing.B) {
 	v := make([]uint64, 1000)
 	for i := range v {
 		v[i] = uint64(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := EncodeShares(v)
+		buf := AppendShares(nil, v)
 		if _, err := DecodeShares(buf); err != nil {
 			b.Fatal(err)
 		}

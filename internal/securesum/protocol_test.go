@@ -159,7 +159,7 @@ func TestRoundDemuxBuffersEarlyAndDropsStale(t *testing.T) {
 	// (buffered for round 1) and one stale round mask (dropped).
 	future := transport.Header{Session: 7, Round: 1}
 	stale := transport.Header{Session: 7, Round: -5}
-	junk := EncodeShares(make([]uint64, dim))
+	junk := AppendShares(nil, make([]uint64, dim))
 	if err := intruder.Send(ctx, names[0], KindMask, future, junk); err != nil {
 		t.Fatal(err)
 	}

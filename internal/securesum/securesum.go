@@ -65,7 +65,9 @@ type Party struct {
 }
 
 // NewParty creates the round state for party id of m (ids are 0-based).
-// random defaults to crypto/rand.
+// random defaults to crypto/rand. Share encodes under codec.ForSummands(m):
+// an element the m-party sum could wrap on is an error at the party, since
+// the Reducer sees only the ring sum.
 func NewParty(id, m, dim int, codec fixedpoint.Codec, random io.Reader) (*Party, error) {
 	if m < 1 || id < 0 || id >= m || dim <= 0 {
 		return nil, fmt.Errorf("%w: id=%d m=%d dim=%d", ErrBadParty, id, m, dim)
@@ -74,7 +76,7 @@ func NewParty(id, m, dim int, codec fixedpoint.Codec, random io.Reader) (*Party,
 		random = rand.Reader
 	}
 	return &Party{
-		id: id, m: m, dim: dim, codec: codec, rng: random,
+		id: id, m: m, dim: dim, codec: codec.ForSummands(m), rng: random,
 		sent: make(map[int][]uint64, m-1),
 		recv: make(map[int][]uint64, m-1),
 	}, nil
@@ -88,40 +90,13 @@ func (p *Party) Reset() {
 	clear(p.recv)
 }
 
-// sentSlot carves the next dim-sized window from the sent backing store.
-func (p *Party) sentSlot() []uint64 {
-	if p.sentFlat == nil {
-		p.sentFlat = make([]uint64, p.dim*(p.m-1))
-	}
-	i := len(p.sent) * p.dim
-	return p.sentFlat[i : i+p.dim : i+p.dim]
-}
-
-// MaskFor draws the uniform mask this party sends to peer, recording it for
-// the share computation. Each peer may be asked once per round.
-func (p *Party) MaskFor(peer int) ([]uint64, error) {
-	if peer < 0 || peer >= p.m || peer == p.id {
-		return nil, fmt.Errorf("%w: mask for peer %d of %d", ErrBadParty, peer, p.m)
-	}
-	if _, dup := p.sent[peer]; dup {
-		return nil, fmt.Errorf("%w: mask for peer %d generated twice", ErrProtocol, peer)
-	}
-	mask, err := randomVector(p.rng, p.dim, p.sentSlot())
-	if err != nil {
-		return nil, err
-	}
-	p.sent[peer] = mask
-	return mask, nil
-}
-
-// MaskForAll draws the masks for every peer at once — a single batched read
-// from the randomness source instead of one read per peer — recording them
-// exactly like per-peer MaskFor calls. masks[peer] is the mask destined for
-// that peer; masks[p.id] is nil. It must be the round's first mask
-// generation.
+// MaskForAll draws the masks for every peer at once, in a single batched
+// read from the randomness source, and records them for the share
+// computation. masks[peer] is the mask destined for that peer; masks[p.id] is
+// nil. A round generates its masks once.
 func (p *Party) MaskForAll() ([][]uint64, error) {
 	if len(p.sent) != 0 {
-		return nil, fmt.Errorf("%w: MaskForAll after %d masks were already generated", ErrProtocol, len(p.sent))
+		return nil, fmt.Errorf("%w: masks already generated this round", ErrProtocol)
 	}
 	if p.sentFlat == nil {
 		p.sentFlat = make([]uint64, p.dim*(p.m-1))
@@ -271,57 +246,6 @@ func (c *Collector) SumInto(dst []float64) ([]float64, error) {
 	return c.codec.DecodeVec(c.acc, dst)
 }
 
-// MaskedSum runs the whole protocol in memory over the given private
-// vectors, returning their sum. It exists for tests; the distributed engine
-// derives each mapper's share with a SeededSession or a PerRoundParty and
-// folds them with a Collector.
-func MaskedSum(values [][]float64, codec fixedpoint.Codec, random io.Reader) ([]float64, error) {
-	m := len(values)
-	if m == 0 {
-		return nil, fmt.Errorf("%w: no parties", ErrBadParty)
-	}
-	dim := len(values[0])
-	parties := make([]*Party, m)
-	for i := range parties {
-		if len(values[i]) != dim {
-			return nil, fmt.Errorf("%w: party %d has %d elements, want %d", ErrBadParty, i, len(values[i]), dim)
-		}
-		p, err := NewParty(i, m, dim, codec, random)
-		if err != nil {
-			return nil, err
-		}
-		parties[i] = p
-	}
-	for i := range parties {
-		masks, err := parties[i].MaskForAll()
-		if err != nil {
-			return nil, err
-		}
-		for j := range parties {
-			if i == j {
-				continue
-			}
-			if err := parties[j].SetPeerMask(i, masks[j]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	col, err := NewCollector(m, dim, codec)
-	if err != nil {
-		return nil, err
-	}
-	for i := range parties {
-		share, err := parties[i].Share(values[i])
-		if err != nil {
-			return nil, err
-		}
-		if err := col.Add(share); err != nil {
-			return nil, err
-		}
-	}
-	return col.Sum()
-}
-
 // stagingPool recycles the byte buffers randomVector stages its reads in, so
 // drawing masks every round does not allocate a transient byte slice per
 // call. Only the staging buffer is pooled — the resulting ring elements have
@@ -358,13 +282,6 @@ func randomVector(random io.Reader, dim int, dst []uint64) ([]uint64, error) {
 	*bp = buf[:0]
 	stagingPool.Put(bp)
 	return dst, nil
-}
-
-// EncodeShares serializes a ring vector for the wire into a fresh buffer.
-// Hot paths that send every round should use AppendShares with a reused
-// destination instead.
-func EncodeShares(v []uint64) []byte {
-	return AppendShares(nil, v)
 }
 
 // AppendShares appends the wire encoding of a ring vector to dst and returns

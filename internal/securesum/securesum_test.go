@@ -3,6 +3,8 @@ package securesum
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,12 +42,62 @@ func randomValues(rng *rand.Rand, m, dim int, scale float64) [][]float64 {
 	return values
 }
 
+// maskedSum runs the whole protocol in memory over the given private
+// vectors, returning their sum: every party's masks go to its peers, every
+// share to one Collector.
+func maskedSum(values [][]float64, codec fixedpoint.Codec, random io.Reader) ([]float64, error) {
+	m := len(values)
+	if m == 0 {
+		return nil, fmt.Errorf("%w: no parties", ErrBadParty)
+	}
+	dim := len(values[0])
+	parties := make([]*Party, m)
+	for i := range parties {
+		if len(values[i]) != dim {
+			return nil, fmt.Errorf("%w: party %d has %d elements, want %d", ErrBadParty, i, len(values[i]), dim)
+		}
+		p, err := NewParty(i, m, dim, codec, random)
+		if err != nil {
+			return nil, err
+		}
+		parties[i] = p
+	}
+	for i := range parties {
+		masks, err := parties[i].MaskForAll()
+		if err != nil {
+			return nil, err
+		}
+		for j := range parties {
+			if i == j {
+				continue
+			}
+			if err := parties[j].SetPeerMask(i, masks[j]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	col, err := NewCollector(m, dim, codec)
+	if err != nil {
+		return nil, err
+	}
+	for i := range parties {
+		share, err := parties[i].Share(values[i])
+		if err != nil {
+			return nil, err
+		}
+		if err := col.Add(share); err != nil {
+			return nil, err
+		}
+	}
+	return col.Sum()
+}
+
 func TestMaskedSumCorrect(t *testing.T) {
 	codec := fixedpoint.Default()
 	rng := rand.New(rand.NewSource(1))
 	for _, m := range []int{1, 2, 3, 4, 8} {
 		values := randomValues(rng, m, 7, 100)
-		got, err := MaskedSum(values, codec, detRand(9))
+		got, err := maskedSum(values, codec, detRand(9))
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
@@ -60,11 +112,11 @@ func TestMaskedSumCorrect(t *testing.T) {
 
 func TestMaskedSumMismatchedDims(t *testing.T) {
 	codec := fixedpoint.Default()
-	_, err := MaskedSum([][]float64{{1, 2}, {3}}, codec, detRand(1))
+	_, err := maskedSum([][]float64{{1, 2}, {3}}, codec, detRand(1))
 	if !errors.Is(err, ErrBadParty) {
 		t.Errorf("mismatched dims: err = %v, want ErrBadParty", err)
 	}
-	if _, err := MaskedSum(nil, codec, detRand(1)); !errors.Is(err, ErrBadParty) {
+	if _, err := maskedSum(nil, codec, detRand(1)); !errors.Is(err, ErrBadParty) {
 		t.Errorf("no parties: err = %v, want ErrBadParty", err)
 	}
 }
@@ -78,10 +130,10 @@ func TestSharesHideValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := p0.MaskForAll(); err != nil {
+		t.Fatal(err)
+	}
 	for peer := 1; peer < 3; peer++ {
-		if _, err := p0.MaskFor(peer); err != nil {
-			t.Fatal(err)
-		}
 		mask, err := randomVector(detRand(int64(peer)), 3, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -114,11 +166,11 @@ func TestSharesAreRandomizedAcrossRounds(t *testing.T) {
 	// the decoded sum does not.
 	codec := fixedpoint.Default()
 	values := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	s1, err := MaskedSum(values, codec, detRand(100))
+	s1, err := maskedSum(values, codec, detRand(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := MaskedSum(values, codec, detRand(200))
+	s2, err := maskedSum(values, codec, detRand(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,16 +207,16 @@ func TestCoalitionResistance(t *testing.T) {
 		masks[i] = make([][]uint64, m)
 	}
 	for i := 0; i < m; i++ {
+		all, err := parties[i].MaskForAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		masks[i] = all
 		for j := 0; j < m; j++ {
 			if i == j {
 				continue
 			}
-			mask, err := parties[i].MaskFor(j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			masks[i][j] = mask
-			if err := parties[j].SetPeerMask(i, mask); err != nil {
+			if err := parties[j].SetPeerMask(i, all[j]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -236,16 +288,10 @@ func TestPartyProtocolViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.MaskFor(0); !errors.Is(err, ErrBadParty) {
-		t.Errorf("self mask: err = %v, want ErrBadParty", err)
-	}
-	if _, err := p.MaskFor(5); !errors.Is(err, ErrBadParty) {
-		t.Errorf("out-of-range mask: err = %v, want ErrBadParty", err)
-	}
-	if _, err := p.MaskFor(1); err != nil {
+	if _, err := p.MaskForAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.MaskFor(1); !errors.Is(err, ErrProtocol) {
+	if _, err := p.MaskForAll(); !errors.Is(err, ErrProtocol) {
 		t.Errorf("duplicate mask generation: err = %v, want ErrProtocol", err)
 	}
 	if err := p.SetPeerMask(1, []uint64{1}); !errors.Is(err, ErrProtocol) {
@@ -294,7 +340,7 @@ func TestCollectorValidation(t *testing.T) {
 
 func TestEncodeDecodeShares(t *testing.T) {
 	v := []uint64{0, 1, math.MaxUint64, 0x0123456789ABCDEF}
-	enc := EncodeShares(v)
+	enc := AppendShares(nil, v)
 	back, err := DecodeShares(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +353,7 @@ func TestEncodeDecodeShares(t *testing.T) {
 	if _, err := DecodeShares([]byte{1, 2, 3}); !errors.Is(err, ErrProtocol) {
 		t.Errorf("ragged payload: err = %v, want ErrProtocol", err)
 	}
-	if !bytes.Equal(EncodeShares(nil), []byte{}) {
+	if !bytes.Equal(AppendShares(nil, nil), []byte{}) {
 		t.Error("empty vector should encode to empty payload")
 	}
 }
@@ -315,7 +361,7 @@ func TestEncodeDecodeShares(t *testing.T) {
 func TestSingleParty(t *testing.T) {
 	// m = 1: no peers, the "sum" is the value itself.
 	codec := fixedpoint.Default()
-	got, err := MaskedSum([][]float64{{3.5, -2}}, codec, detRand(2))
+	got, err := maskedSum([][]float64{{3.5, -2}}, codec, detRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +370,59 @@ func TestSingleParty(t *testing.T) {
 	}
 }
 
+// TestShareRejectsWrappingSum: two values inside the codec's range whose sum
+// is not would wrap silently at the Reducer, which sees only the ring sum, so
+// each party type rejects its own share with fixedpoint.ErrRange. A value
+// exactly at MaxAbs/m still sums exactly.
+func TestShareRejectsWrappingSum(t *testing.T) {
+	codec := fixedpoint.Default()
+	values := [][]float64{{5e9}, {5e9}}
+	if _, err := maskedSum(values, codec, detRand(1)); !errors.Is(err, fixedpoint.ErrRange) {
+		t.Errorf("Party: 5e9 + 5e9: err = %v, want ErrRange", err)
+	}
+	ss := wireSeededSessions(t, 2, 1, 3)
+	for i, s := range ss {
+		if _, err := s.RoundShareFor(0, values[i], nil); !errors.Is(err, fixedpoint.ErrRange) {
+			t.Errorf("SeededSession %d: 5e9 + 5e9: err = %v, want ErrRange", i, err)
+		}
+	}
+
+	bound := codec.MaxAbs() / 2
+	atBound := [][]float64{{bound, -bound}, {bound, -bound}}
+	got, err := maskedSum(atBound, codec, detRand(2))
+	if err != nil {
+		t.Fatalf("Party at the bound: %v", err)
+	}
+	col, err := NewCollector(2, 2, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss = wireSeededSessions(t, 2, 2, 4)
+	for i, s := range ss {
+		share, err := s.RoundShareFor(0, atBound[i], nil)
+		if err != nil {
+			t.Fatalf("SeededSession %d at the bound: %v", i, err)
+		}
+		if err := col.Add(share); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seeded, err := col.Sum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{2 * bound, -2 * bound}
+	for j := range want {
+		if got[j] != want[j] || seeded[j] != want[j] {
+			t.Errorf("element %d at the bound: Party %g, SeededSession %g, want %g", j, got[j], seeded[j], want[j])
+		}
+	}
+}
+
 // TestMaskForAllMatchesPerPeerSemantics checks the batched mask generation:
-// every peer gets a dim-length mask, the masks are recorded exactly like
-// per-peer MaskFor calls (so Share sees a complete round), the self slot is
-// nil, and repeated or mixed generation is rejected.
+// every peer gets a dim-length mask, each recorded as that peer's (so Share
+// sees a complete round), the self slot is nil, and repeated generation is
+// rejected.
 func TestMaskForAllMatchesPerPeerSemantics(t *testing.T) {
 	codec := fixedpoint.Default()
 	const m, dim = 4, 5
@@ -357,7 +452,7 @@ func TestMaskForAllMatchesPerPeerSemantics(t *testing.T) {
 		}
 	}
 	// The round must now be fully "sent": after receiving peers' masks,
-	// Share succeeds without any further MaskFor calls.
+	// Share succeeds with no further mask step.
 	for peer := 0; peer < m; peer++ {
 		if peer == 1 {
 			continue
@@ -372,20 +467,6 @@ func TestMaskForAllMatchesPerPeerSemantics(t *testing.T) {
 	// Batched generation is the round's single mask step.
 	if _, err := p.MaskForAll(); !errors.Is(err, ErrProtocol) {
 		t.Errorf("second MaskForAll: err = %v, want ErrProtocol", err)
-	}
-	if _, err := p.MaskFor(0); !errors.Is(err, ErrProtocol) {
-		t.Errorf("MaskFor after MaskForAll: err = %v, want ErrProtocol", err)
-	}
-
-	q, err := NewParty(0, 3, dim, codec, detRand(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.MaskFor(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.MaskForAll(); !errors.Is(err, ErrProtocol) {
-		t.Errorf("MaskForAll after MaskFor: err = %v, want ErrProtocol", err)
 	}
 }
 

@@ -130,7 +130,9 @@ type SeededSession struct {
 
 // NewSeededSession creates the session state for party id of m and draws the
 // m−1 seeds this party will send in a single batched read from random
-// (crypto/rand when nil).
+// (crypto/rand when nil). Shares encode under codec.ForSummands(m), as a
+// Party's do; a roster is never larger than the cohort, so the bound holds
+// for every roster.
 func NewSeededSession(id, m, dim int, session uint64, codec fixedpoint.Codec, random io.Reader) (*SeededSession, error) {
 	if m < 1 || id < 0 || id >= m || dim <= 0 || uint64(dim) > maxSeededDim {
 		return nil, fmt.Errorf("%w: id=%d m=%d dim=%d", ErrBadParty, id, m, dim)
@@ -139,7 +141,7 @@ func NewSeededSession(id, m, dim int, session uint64, codec fixedpoint.Codec, ra
 		random = rand.Reader
 	}
 	s := &SeededSession{
-		id: id, m: m, dim: dim, session: session, codec: codec,
+		id: id, m: m, dim: dim, session: session, codec: codec.ForSummands(m),
 		seeds: make([]byte, SeedSize*(m-1)),
 		pair:  make([]pairPRG, m),
 		ks:    make([]byte, 8*dim+gcmTagSize),

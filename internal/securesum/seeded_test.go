@@ -383,8 +383,14 @@ func runSeededRounds(t *testing.T, net transport.Network, values [][]float64, ro
 	// RoundShareBytes reuses its wire buffer across rounds, which is safe
 	// only under the driver's lockstep (round r is consumed before round r+1
 	// is produced). Emulate that here: each mapper waits for a token the
-	// collector hands out after finishing the previous round.
-	tokens := make(chan struct{}, m*rounds)
+	// collector hands out after finishing the previous round. Each mapper
+	// has its own token channel: with one shared channel a fast mapper could
+	// take a slow one's token, run a round ahead over the buffer the
+	// collector is still decoding, and starve the slow one of its share.
+	tokens := make([]chan struct{}, m)
+	for i := range tokens {
+		tokens[i] = make(chan struct{}, rounds)
+	}
 	errs := make(chan error, m)
 	for i := 0; i < m; i++ {
 		go func(i int) {
@@ -395,7 +401,7 @@ func runSeededRounds(t *testing.T, net transport.Network, values [][]float64, ro
 			}
 			for round := 0; round < rounds; round++ {
 				if round > 0 {
-					<-tokens
+					<-tokens[i]
 				}
 				hdr := transport.Header{Session: session, Round: int32(round)}
 				payload, err := s.RoundShareBytes(int32(round), values[i])
@@ -418,8 +424,8 @@ func runSeededRounds(t *testing.T, net transport.Network, values [][]float64, ro
 		if err != nil {
 			t.Fatalf("collector round %d: %v", round, err)
 		}
-		for i := 0; i < m; i++ {
-			tokens <- struct{}{}
+		for _, tok := range tokens {
+			tok <- struct{}{}
 		}
 	}
 	for i := 0; i < m; i++ {

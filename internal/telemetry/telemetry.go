@@ -12,7 +12,7 @@
 //
 // The disabled path is free: every handle method is a nil-receiver no-op,
 // so code instruments unconditionally and pays nothing when no registry is
-// attached. telemetry.Disabled (a nil *Registry) makes that explicit:
+// attached, a nil *Registry:
 //
 //	reg.Counter("ppml_rounds_total").Inc() // safe even when reg == nil
 package telemetry
@@ -28,10 +28,6 @@ import (
 	"sync/atomic"
 )
 
-// Disabled is the no-op registry: a nil *Registry on which every method —
-// metric creation, observation, snapshotting — is a zero-allocation no-op.
-var Disabled *Registry
-
 // Label is one key=value dimension of a metric series.
 type Label struct {
 	Key, Value string
@@ -42,7 +38,8 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // Registry holds metric families, the round-event journal, and run
 // attribution. The zero value is not usable; construct
-// with NewRegistry. A nil *Registry is the sanctioned no-op (see Disabled).
+// with NewRegistry. A nil *Registry is the sanctioned no-op: every method —
+// metric creation, observation, snapshotting — is a zero-allocation no-op.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -296,20 +293,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -385,15 +368,6 @@ func (h *Histogram) read() ([]uint64, float64, uint64) {
 		s.mu.Unlock()
 	}
 	return counts, sum, n
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	_, _, n := h.read()
-	return n
 }
 
 // Fixed bucket layouts shared by the protocol layers, so the same quantity

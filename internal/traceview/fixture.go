@@ -29,10 +29,6 @@ const (
 	fixtureSeed       = 1009
 )
 
-// FixtureTail is the flaky link's tail latency, exported so callers can
-// threshold "faulted" rounds against it.
-const FixtureTail = fixtureJitterTail
-
 // fixtureMapper contributes a fixed vector every round.
 type fixtureMapper struct{ value []float64 }
 

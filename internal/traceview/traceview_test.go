@@ -60,7 +60,7 @@ func TestChaosFixtureAttribution(t *testing.T) {
 	if len(tl.Rounds) != 40 {
 		t.Fatalf("timeline has %d rounds, want 40", len(tl.Rounds))
 	}
-	threshold := FixtureTail / 2
+	threshold := fixtureJitterTail / 2
 	faulted, hits := 0, 0
 	for _, r := range tl.Rounds {
 		if r.Critical == nil {
@@ -102,7 +102,7 @@ func TestChaosFixtureSegments(t *testing.T) {
 		if got := c.Solve + c.Mask + c.Network + c.Wait; got > c.Total+time.Millisecond {
 			t.Errorf("round %d segments sum to %v > total %v", r.Round, got, c.Total)
 		}
-		if c.Total >= FixtureTail/2 && c.Straggler == flaky {
+		if c.Total >= fixtureJitterTail/2 && c.Straggler == flaky {
 			if c.Solve > c.Total/2 {
 				t.Errorf("round %d attributes the injected wire stall to solve: %+v", r.Round, c)
 			}
@@ -121,10 +121,10 @@ func TestChaosFixtureSegments(t *testing.T) {
 	if total == nil {
 		t.Fatal("summary has no total segment")
 	}
-	if total.P99 < FixtureTail/2 {
-		t.Errorf("p99 round total %v does not show the %v tail", total.P99, FixtureTail)
+	if total.P99 < fixtureJitterTail/2 {
+		t.Errorf("p99 round total %v does not show the %v tail", total.P99, fixtureJitterTail)
 	}
-	if total.P50 > FixtureTail/2 {
+	if total.P50 > fixtureJitterTail/2 {
 		t.Errorf("p50 round total %v is tail-sized — healthy rounds should dominate", total.P50)
 	}
 }

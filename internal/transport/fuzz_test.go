@@ -21,7 +21,7 @@ func FuzzWireDecode(f *testing.F) {
 			Roster: Roster{0b1011, 1 << 63}, Payload: []byte{9, 9, 9}},
 	}
 	for _, msg := range seed {
-		frame, err := encodeFrame(msg)
+		frame, err := appendFrame(nil, msg)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func FuzzWireDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		frame, err := encodeFrame(&msg)
+		frame, err := appendFrame(nil, &msg)
 		if err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", err)
 		}

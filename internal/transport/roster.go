@@ -88,13 +88,3 @@ func (r Roster) Clone() Roster {
 	}
 	return append(Roster(nil), r...)
 }
-
-// Bools expands the roster into a membership slice of length n, the form the
-// securesum mask telescopes consume.
-func (r Roster) Bools(n int) []bool {
-	live := make([]bool, n)
-	for i := range live {
-		live[i] = r.Has(i)
-	}
-	return live
-}

@@ -271,18 +271,13 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// encodeFrame serializes msg behind a 4-byte big-endian length prefix as a
-// binary frame: fixed envelope (version, session, round, seq), the roster
+// appendFrame appends msg to dst behind a 4-byte big-endian length prefix as
+// a binary frame: fixed envelope (version, session, round, seq), the roster
 // section, the three length-prefixed strings, then the payload. Each frame is
 // self-contained, so a dropped connection can never leave the peer's stream
-// in an undecodable state.
-func encodeFrame(msg *Message) ([]byte, error) {
-	return appendFrame(nil, msg)
-}
-
-// appendFrame is encodeFrame into a reused buffer: Send borrows one from
-// framePool, writes the frame, and returns it — the frame bytes are fully
-// consumed by conn.Write before the buffer is recycled.
+// in an undecodable state. Send borrows dst from framePool, writes the frame,
+// and returns it — the frame bytes are fully consumed by conn.Write before
+// the buffer is recycled.
 func appendFrame(dst []byte, msg *Message) ([]byte, error) {
 	for _, s := range []string{msg.From, msg.To, msg.Kind} {
 		if len(s) > maxNameBytes {

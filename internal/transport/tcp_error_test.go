@@ -209,7 +209,7 @@ func TestTCPCloseTwice(t *testing.T) {
 // round): it is refused by its version byte like any other foreign version,
 // never misparsed under the current 37-byte layout.
 func TestFrameRejectsVersion5(t *testing.T) {
-	frame, err := encodeFrame(&Message{From: "a", To: "b", Kind: "k", Session: 7, Round: 3, Roster: Roster{0b101}, Payload: []byte("payload")})
+	frame, err := appendFrame(nil, &Message{From: "a", To: "b", Kind: "k", Session: 7, Round: 3, Roster: Roster{0b101}, Payload: []byte("payload")})
 	if err != nil {
 		t.Fatal(err)
 	}

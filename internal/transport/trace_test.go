@@ -41,7 +41,7 @@ func TestFrameLengthExact(t *testing.T) {
 			Roster: Roster{0xff}, Payload: make([]byte, 32)},
 	}
 	for _, msg := range cases {
-		frame, err := encodeFrame(&msg)
+		frame, err := appendFrame(nil, &msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestFrameTraceRoundtrip(t *testing.T) {
 		Roster:  Roster{0b1011},
 		Payload: []byte{1, 2, 3},
 	}
-	frame, err := encodeFrame(&msg)
+	frame, err := appendFrame(nil, &msg)
 	if err != nil {
 		t.Fatal(err)
 	}

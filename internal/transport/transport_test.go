@@ -510,7 +510,7 @@ func TestLargePayloadOverTCP(t *testing.T) {
 }
 
 func TestFrameRejectsWrongVersion(t *testing.T) {
-	frame, err := encodeFrame(&Message{From: "a", To: "b", Kind: "k", Payload: []byte("x")})
+	frame, err := appendFrame(nil, &Message{From: "a", To: "b", Kind: "k", Payload: []byte("x")})
 	if err != nil {
 		t.Fatal(err)
 	}

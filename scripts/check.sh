@@ -52,6 +52,7 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 #   call, every output one FMA chain, the assembly equal to its Go twin;
 # - a VK learner holds its factor and nothing else: the chunk's scores come
 #   from its ridge solve, (K·α)|_c = q − y + off_c, not from a kernel strip.
+# A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
 	hits=$(grep -rnE "$pattern" . --include="*.go" | grep -v "_test.go" | grep -v "/testdata/" || true)
@@ -78,7 +79,7 @@ EOF
 
 echo "==> option surface (24 ppml.With* options; the struct field counts are TestOptionSurfacePinned's)"
 # Pinned so the next knob has to be argued for: a new option needs two callers
-# with different values (ROADMAP item 7; the simplicity-review rule).
+# with different values (ROADMAP item 9; the simplicity-review rule).
 if [ "$(cat ppml.go telemetry.go | grep -c '^func With')" -ne 24 ]; then
 	echo "error: ppml.With* option count moved from 24 (a new option needs two callers with different values — see ROADMAP)" >&2
 	exit 1
