@@ -119,9 +119,9 @@ func trainHL(ctx context.Context, srcs []dataset.RowSource, parts []*dataset.Dat
 // (meanConsensusReducer), and probe scores a state on cfg.EvalSet when there is
 // one. It returns the final state with the per-round history.
 func trainMean(ctx context.Context, cfg Config, scheme string, mappers []mapreduce.IterativeMapper, dim int, parts []*dataset.Dataset, probe func(state []float64) (float64, error)) ([]float64, *History, error) {
-	red := &meanConsensusReducer{log: newRoundLog(cfg, scheme)}
+	red := &meanConsensusReducer{rounds: newRoundLog(cfg, scheme)}
 	if cfg.EvalSet != nil {
-		red.log.probe = func() (float64, error) { return probe(red.prev) }
+		red.rounds.probe = func() (float64, error) { return probe(red.prev) }
 	}
 	job := mapreduce.IterativeJob{
 		Mappers:         mappers,
@@ -134,7 +134,7 @@ func trainMean(ctx context.Context, cfg Config, scheme string, mappers []mapredu
 	if err != nil {
 		return nil, nil, err
 	}
-	h.DeltaZSq, h.Accuracy = red.log.deltaZSq, red.log.accuracy
+	h.DeltaZSq, h.Accuracy = red.rounds.deltaZSq, red.rounds.accuracy
 	return res.FinalState, h, nil
 }
 
@@ -284,7 +284,7 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 // schemes: the next consensus state is the mean of the (securely summed)
 // contributions, and convergence is judged on ‖Δstate‖².
 type meanConsensusReducer struct {
-	log roundLog // its probe scores prev, the state just folded
+	rounds roundLog // its probe scores prev, the state just folded
 
 	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
 	// the number of learners folded, or Σ κ^{s_i} when some shares are stale.
@@ -320,7 +320,7 @@ func (r *meanConsensusReducer) Combine(iter int, sum []float64) ([]float64, bool
 		// overwritten on the following round.
 		r.prev, r.next = next, r.prev
 	}
-	done, err := r.log.record(iter, delta)
+	done, err := r.rounds.record(iter, delta)
 	if err != nil {
 		return nil, false, err
 	}

@@ -60,7 +60,7 @@ func trainVertical[M eval.Classifier, T mapreduce.IterativeMapper](ctx context.C
 	rows := parts[0].Len()
 	red := newVerticalReducer(parts[0].Y, cfg)
 	if cfg.EvalSet != nil {
-		red.log.probe = func() (float64, error) {
+		red.rounds.probe = func() (float64, error) {
 			return eval.ClassifierAccuracy(assemble(red.b), cfg.EvalSet)
 		}
 	}
@@ -79,7 +79,7 @@ func trainVertical[M eval.Classifier, T mapreduce.IterativeMapper](ctx context.C
 		var none M
 		return none, nil, err
 	}
-	h.DeltaZSq, h.Accuracy = red.log.deltaZSq, red.log.accuracy
+	h.DeltaZSq, h.Accuracy = red.rounds.deltaZSq, red.rounds.accuracy
 	return assemble(red.b), h, nil
 }
 
@@ -217,9 +217,9 @@ func (mp *vlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 // owns the shared labels, solves the hinge proximal QP on the securely
 // summed scores, and maintains the scaled dual u.
 type verticalReducer struct {
-	y   []float64
-	cfg Config
-	log roundLog // its probe assembles the model with b
+	y      []float64
+	cfg    Config
+	rounds roundLog // its probe assembles the model with b
 
 	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
 	// the number of learners folded, or Σ κ^{s_i} when some shares are stale.
@@ -255,7 +255,7 @@ func newVerticalReducer(y []float64, cfg Config) *verticalReducer {
 	r := &verticalReducer{
 		y:        linalg.CopyVec(y),
 		cfg:      cfg,
-		log:      newRoundLog(cfg, "vl-vk"),
+		rounds:   newRoundLog(cfg, "vl-vk"),
 		sched:    sched,
 		abar:     make([]float64, n),
 		u:        make([]float64, n),
@@ -312,7 +312,7 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	r.b = svm.BiasFromKKT(zeta, y, res.Lambda, r.cfg.C)
 	delta := linalg.Dist2Sq(zeta, r.prevZeta[lo:hi]) * r.sched.weight(hi-lo)
 	copy(r.prevZeta[lo:hi], zeta)
-	done, err := r.log.record(iter, delta)
+	done, err := r.rounds.record(iter, delta)
 	if err != nil {
 		return nil, false, err
 	}

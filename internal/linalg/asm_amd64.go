@@ -16,11 +16,17 @@ func xgetbvAsm() (eax, edx uint32)
 //go:noescape
 func tileFMA(a, out *[tileM][]float64, b []float64, k, panels int)
 
-// dotFMA returns Σ_k x[k]·y[k] over n elements with AVX2 FMA. Callers must
-// have checked hasFMA and n ≥ 1.
+// dotFMA is the AVX2 body of Dot over n elements, the same bits as dotGo.
+// Callers must have checked hasFMA and n ≥ 1.
 //
 //go:noescape
 func dotFMA(x, y *float64, n int) float64
+
+// axpyFMA is the AVX2 body of Axpy over n elements, the same bits as its
+// math.FMA loop. Callers must have checked hasFMA and n ≥ 1.
+//
+//go:noescape
+func axpyFMA(alpha float64, x, y *float64, n int)
 
 // expNonPosFMA is ExpNonPos over n elements, n a positive multiple of 4, with
 // AVX2 FMA: the same operations as ExpNonPosScalar, the same bits. tab is

@@ -114,9 +114,10 @@ tilek:
 
 // func dotFMA(x, y *float64, n int) float64
 //
-// Vectorized dot product: four independent ymm accumulator chains over a
-// 16-element main loop (load-port bound at ~4 multiply-adds per cycle), then
-// a 4-wide cleanup loop and a scalar tail. Deterministic for a given n.
+// Linalg's one dot product, with n ≥ 1: Y0–Y3 hold 16 lane chains over the
+// 16-element blocks, a 4-wide cleanup continues Y0's, the fold is
+// (Y0+Y1)+(Y2+Y3) lanewise and then (l0+l2)+(l1+l3), and the tail is FMAs
+// onto the sum. dotGo in vector.go is the same order with math.FMA.
 TEXT ·dotFMA(SB), NOSPLIT, $0-32
 	MOVQ x+0(FP), R8
 	MOVQ y+8(FP), R9
@@ -182,6 +183,47 @@ dottail:
 
 dotdone:
 	VMOVSD X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func axpyFMA(alpha float64, x, y *float64, n int)
+//
+// y[i] = fma(alpha, x[i], y[i]) for i < n, n ≥ 1: four lanes at a time with
+// alpha broadcast in Y0, then one element at a time. Every element is one
+// rounding, as in Axpy's math.FMA loop.
+TEXT ·axpyFMA(SB), NOSPLIT, $0-32
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	MOVQ n+24(FP), CX
+
+	MOVQ CX, AX
+	SHRQ $2, AX
+	JZ   axpytail
+
+axpyloop4:
+	VMOVUPD (DI), Y1
+	VFMADD231PD (SI), Y0, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ AX
+	JNZ  axpyloop4
+
+axpytail:
+	ANDQ $3, CX
+	JZ   axpydone
+
+axpyloop1:
+	VMOVSD (DI), X1
+	VFMADD231SD (SI), X0, X1
+	VMOVSD X1, (DI)
+	ADDQ $8, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  axpyloop1
+
+axpydone:
 	VZEROUPPER
 	RET
 

@@ -102,15 +102,37 @@ func BenchmarkCholeskySolve200(b *testing.B) {
 	}
 }
 
-func BenchmarkDot1000(b *testing.B) {
-	x := make([]float64, 1000)
-	y := make([]float64, 1000)
+// benchVecs returns two length-n vectors for the vector kernels.
+func benchVecs(n int) (x, y []float64) {
+	x, y = make([]float64, n), make([]float64, n)
 	for i := range x {
 		x[i] = float64(i)
-		y[i] = float64(1000 - i)
+		y[i] = float64(n - i)
 	}
-	b.ResetTimer()
+	return x, y
+}
+
+var dotSink float64
+
+func BenchmarkDot1000(b *testing.B) {
+	x, y := benchVecs(1000)
 	for i := 0; i < b.N; i++ {
-		_ = Dot(x, y)
+		dotSink = Dot(x, y)
+	}
+}
+
+// BenchmarkDot28 and BenchmarkAxpy28 are the two halves of one HL
+// coordinate step (qp.SolveLinearBox) at the bench's k = 28 features.
+func BenchmarkDot28(b *testing.B) {
+	x, y := benchVecs(28)
+	for i := 0; i < b.N; i++ {
+		dotSink = Dot(x, y)
+	}
+}
+
+func BenchmarkAxpy28(b *testing.B) {
+	x, y := benchVecs(28)
+	for i := 0; i < b.N; i++ {
+		Axpy(1e-9, x, y)
 	}
 }

@@ -23,8 +23,8 @@ import (
 // (tileFMA) and its Go twin (tileGo, math.FMA) compute exactly that, so an
 // output's bits depend on neither the tile shape, its place in a tile, the
 // worker count, hasFMA nor the platform (TestTiledFallbackMatchesFMA). Against
-// the naive loops, whose Dot folds four partial sums, results differ in the
-// last bits; TestTiledMatchesNaive pins the bound.
+// the naive loops, which round every product or fold Dot's 16 lane chains,
+// results differ in the last bits; TestTiledMatchesNaive pins the bound.
 
 // tileM×tileN is the register tile. 6×8 takes 12 of the 16 ymm registers for
 // accumulators, two for the b vectors and two for the broadcasts: 8 loads
@@ -223,32 +223,10 @@ func tileRows(a []float64, lda int, b Packed, out []float64, ldo, rlo, rhi int) 
 	}
 }
 
-// dotSeq is a single-accumulator dot product over exactly d elements: the
-// pure-Go MulVec row.
-func dotSeq(x, y []float64, d int) float64 {
-	var s float64
-	for k := 0; k < d; k++ {
-		s += x[k] * y[k]
-	}
-	return s
-}
-
-// mulVecRows computes dst[rlo:rhi] of dst = m · x: the vectorized dot kernel
-// per row when available, else the sequential one.
+// mulVecRows computes dst[rlo:rhi] of dst = m · x, one Dot per row.
 func mulVecRows(m *Matrix, x, dst []float64, rlo, rhi int) {
-	d := m.Cols
-	if d == 0 {
-		clear(dst[rlo:rhi])
-		return
-	}
-	if hasFMA {
-		for i := rlo; i < rhi; i++ {
-			dst[i] = dotFMA(&m.Data[i*d], &x[0], d)
-		}
-		return
-	}
 	for i := rlo; i < rhi; i++ {
-		dst[i] = dotSeq(m.Row(i), x, d)
+		dst[i] = Dot(m.Row(i), x)
 	}
 }
 

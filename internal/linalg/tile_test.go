@@ -53,8 +53,8 @@ func matMulTNaive(a, b *Matrix) *Matrix {
 
 // TestTiledMatchesNaive pins the numerical contract of the tiled kernels
 // against the reference loops: an output is one FMA chain where the
-// references round every product and Dot folds four partial sums, so results
-// agree to floating-point tolerance — far tighter than the 2^-30 fixed-point
+// references round every product or, through Dot, fold 16 lane chains, so
+// results agree to floating-point tolerance — far tighter than the 2^-30 fixed-point
 // resolution the protocol quantizes to.
 func TestTiledMatchesNaive(t *testing.T) {
 	const tol = 1e-12
@@ -87,8 +87,9 @@ func TestTiledMatchesNaive(t *testing.T) {
 }
 
 // TestMulVecMatchesReference checks MulVec against a plain per-row dot loop
-// across odd shapes, with the vectorized dot and with the sequential one: a
-// single dot is not the tile, so the two paths agree to tolerance, not bits.
+// across odd shapes, with the assembly dot and with its Go twin: Dot's lane
+// sums are not the loop's one running sum, so they agree to tolerance, not
+// bits.
 func TestMulVecMatchesReference(t *testing.T) {
 	fmas := []bool{false}
 	if hasFMA {

@@ -5,43 +5,61 @@ import "math"
 // Dot returns the inner product of x and y. The slices must have equal
 // length; the shorter is honored to keep the hot path branch-free, so callers
 // are expected to pass conforming vectors.
+//
+// It is the compute layer's one dot product: 16 lane sums of FMA chains over
+// 16-element blocks, a 4-wide cleanup into lanes 0–3, the fold
+// (Y0+Y1)+(Y2+Y3) then (l0+l2)+(l1+l3), and the tail as FMAs onto the sum.
+// dotFMA runs that order on AVX2 and dotGo with math.FMA, so the bits depend
+// on neither hasFMA nor the platform (TestTiledFallbackMatchesFMA).
 func Dot(x, y []float64) float64 {
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
+	n := min(len(x), len(y))
+	if hasFMA && n > 0 {
+		return dotFMA(&x[0], &y[0], n)
 	}
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
-	}
-	for ; i < n; i++ {
-		s0 += x[i] * y[i]
-	}
-	return (s0 + s1) + (s2 + s3)
+	return dotGo(x[:n], y[:n])
 }
 
-// Axpy computes y += alpha * x in place. The 4-way unroll matches Dot's and
-// changes no per-element arithmetic (every y[i] update is independent), so
-// results are bit-identical to the plain loop.
-func Axpy(alpha float64, x, y []float64) {
+// dotGo is dotFMA's Go twin over len(x) ≤ len(y) elements: aᵢ is lane i of
+// the assembly's accumulator Y(i/4).
+func dotGo(x, y []float64) float64 {
 	n := len(x)
-	if len(y) < n {
-		n = len(y)
+	y = y[:n]
+	var a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 float64
+	i := 0
+	for ; i+16 <= n; i += 16 {
+		x, y := x[i:i+16], y[i:i+16]
+		a0, a1, a2, a3 = math.FMA(x[0], y[0], a0), math.FMA(x[1], y[1], a1), math.FMA(x[2], y[2], a2), math.FMA(x[3], y[3], a3)
+		a4, a5, a6, a7 = math.FMA(x[4], y[4], a4), math.FMA(x[5], y[5], a5), math.FMA(x[6], y[6], a6), math.FMA(x[7], y[7], a7)
+		a8, a9, a10, a11 = math.FMA(x[8], y[8], a8), math.FMA(x[9], y[9], a9), math.FMA(x[10], y[10], a10), math.FMA(x[11], y[11], a11)
+		a12, a13, a14, a15 = math.FMA(x[12], y[12], a12), math.FMA(x[13], y[13], a13), math.FMA(x[14], y[14], a14), math.FMA(x[15], y[15], a15)
+	}
+	for ; i+4 <= n; i += 4 {
+		x, y := x[i:i+4], y[i:i+4]
+		a0, a1, a2, a3 = math.FMA(x[0], y[0], a0), math.FMA(x[1], y[1], a1), math.FMA(x[2], y[2], a2), math.FMA(x[3], y[3], a3)
+	}
+	l0 := (a0 + a4) + (a8 + a12)
+	l1 := (a1 + a5) + (a9 + a13)
+	l2 := (a2 + a6) + (a10 + a14)
+	l3 := (a3 + a7) + (a11 + a15)
+	s := (l0 + l2) + (l1 + l3)
+	for ; i < n; i++ {
+		s = math.FMA(x[i], y[i], s)
+	}
+	return s
+}
+
+// Axpy computes y += alpha * x in place, each element one rounding:
+// y[i] = fma(alpha, x[i], y[i]). The elements are independent, so axpyFMA's
+// four lanes and the math.FMA loop give the same bits.
+func Axpy(alpha float64, x, y []float64) {
+	n := min(len(x), len(y))
+	if hasFMA && n > 0 {
+		axpyFMA(alpha, &x[0], &y[0], n)
+		return
 	}
 	x, y = x[:n], y[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < n; i++ {
-		y[i] += alpha * x[i]
+	for i, v := range x {
+		y[i] = math.FMA(alpha, v, y[i])
 	}
 }
 

@@ -31,7 +31,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{frameVersion})
 	f.Add([]byte{frameVersion + 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		msg, err := decodeFrame(body)
+		msg, err := decodeFrame(body, new(frameNames))
 		if err != nil {
 			return
 		}

@@ -196,13 +196,14 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// framePool recycles frame encode/decode buffers across sends and read
-// loops: with one frame per protocol message every round, per-frame
-// allocations dominated the wire path's garbage. Buffers above
-// maxPooledFrame (a Paillier ciphertext batch can approach the 64 MiB frame
-// bound) are not returned, so the pool never pins pathological allocations.
-// The pool has no New function on purpose: a nil Get is how getFrameBuf
-// distinguishes a pool hit from a miss for the telemetry hit-rate counters.
+// framePool recycles frame encode buffers across sends: with one frame per
+// protocol message every round, per-frame allocations dominated the wire
+// path's garbage. Buffers above maxPooledFrame (a Paillier ciphertext batch
+// can approach the 64 MiB frame bound) are not returned, so the pool never
+// pins pathological allocations. The pool has no New function on purpose: a
+// nil Get is how getFrameBuf distinguishes a pool hit from a miss for the
+// telemetry hit-rate counters. The receive side takes no buffer from it: a
+// frame body is read into a slice of its own, which the message keeps.
 var framePool sync.Pool
 
 const maxPooledFrame = 1 << 20
@@ -228,6 +229,7 @@ func putFrameBuf(bp *[]byte, b []byte) {
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer conn.Close()
 	var hdr [4]byte
+	var names frameNames
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			return // peer closed or died mid-header
@@ -238,29 +240,18 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 			// stream; drop the connection before allocating anything.
 			return
 		}
-		tel := e.net.tel.Load()
-		bp := getFrameBuf(tel)
-		body := *bp
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
+		// The body is the message's own: decodeFrame aliases the payload into
+		// it, and it sits in the inbox or the reorder buffer for as long as
+		// the message does.
+		body := make([]byte, n)
 		if _, err := io.ReadFull(conn, body); err != nil {
-			putFrameBuf(bp, body)
 			return // peer died mid-frame: discard the partial message
 		}
-		// decodeFrame aliases the payload into body; copy it out so the
-		// pooled buffer can be reused while the message sits in the inbox or
-		// the reorder buffer. The strings are copied by construction.
-		msg, err := decodeFrame(body)
+		msg, err := decodeFrame(body, &names)
 		if err != nil {
-			putFrameBuf(bp, body)
 			return // wrong version or malformed header: hostile or corrupt stream
 		}
-		if len(msg.Payload) > 0 {
-			msg.Payload = append([]byte(nil), msg.Payload...)
-		}
-		putFrameBuf(bp, body)
+		tel := e.net.tel.Load()
 		tel.frameRecv(len(hdr) + int(n))
 		tel.recved(len(msg.Payload))
 		select {
@@ -310,8 +301,16 @@ func appendFrame(dst []byte, msg *Message) ([]byte, error) {
 	return b, nil
 }
 
-// decodeFrame parses one frame body (the bytes after the length prefix).
-func decodeFrame(body []byte) (Message, error) {
+// frameNames holds the From, To and Kind strings of the last frame a
+// connection decoded. A connection carries one sender's traffic, so a frame's
+// names nearly always repeat the previous frame's, and decodeFrame then reuses
+// the strings instead of allocating them again.
+type frameNames [3]string
+
+// decodeFrame parses one frame body (the bytes after the length prefix). The
+// payload aliases body; a name equal to the one in names at its place is that
+// string, and any other is copied out and recorded there.
+func decodeFrame(body []byte, names *frameNames) (Message, error) {
 	if len(body) < frameFixedHeader {
 		return Message{}, fmt.Errorf("%w: %d-byte frame", ErrBadFrame, len(body))
 	}
@@ -340,7 +339,7 @@ func decodeFrame(body []byte) (Message, error) {
 		}
 		rest = rest[8*words:]
 	}
-	for _, dst := range []*string{&msg.From, &msg.To, &msg.Kind} {
+	for i, dst := range []*string{&msg.From, &msg.To, &msg.Kind} {
 		if len(rest) < 2 {
 			return Message{}, fmt.Errorf("%w: truncated name length", ErrBadFrame)
 		}
@@ -352,7 +351,10 @@ func decodeFrame(body []byte) (Message, error) {
 		if len(rest) < l {
 			return Message{}, fmt.Errorf("%w: truncated name", ErrBadFrame)
 		}
-		*dst = string(rest[:l])
+		if string(rest[:l]) != names[i] {
+			names[i] = string(rest[:l])
+		}
+		*dst = names[i]
 		rest = rest[l:]
 	}
 	if len(rest) > 0 {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -515,12 +516,49 @@ func TestFrameRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := frame[4:]
-	if _, err := decodeFrame(body); err != nil {
+	if _, err := decodeFrame(body, new(frameNames)); err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
 	bad := append([]byte(nil), body...)
 	bad[0] = frameVersion + 1
-	if _, err := decodeFrame(bad); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeFrame(bad, new(frameNames)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("future-version frame: err = %v, want ErrBadFrame", err)
+	}
+}
+
+// TestDecodeFrameReusesNames pins the receive path's name reuse: a frame whose
+// From, To and Kind repeat the previous frame's on the same connection takes
+// its strings from frameNames, so decoding it allocates nothing (the payload
+// aliases the body), and a changed name is copied out and recorded.
+func TestDecodeFrameReusesNames(t *testing.T) {
+	encode := func(msg *Message) []byte {
+		t.Helper()
+		frame, err := appendFrame(nil, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame[4:]
+	}
+	first := encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.share", Round: 1, Payload: []byte{1, 2}})
+	second := encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.share", Round: 2, Payload: []byte{3, 4, 5}})
+	var names frameNames
+	if _, err := decodeFrame(first, &names); err != nil {
+		t.Fatal(err)
+	}
+	var msg Message
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if msg, err = decodeFrame(second, &names); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a same-named frame: %.0f allocations per decode, want 0", n)
+	}
+	if msg.From != "mapper-3" || msg.To != "reducer" || msg.Kind != "securesum.share" || msg.Round != 2 || !bytes.Equal(msg.Payload, []byte{3, 4, 5}) {
+		t.Fatalf("decoded %+v", msg)
+	}
+	third := encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.seed"})
+	if msg, err := decodeFrame(third, &names); err != nil || msg.Kind != "securesum.seed" || names[2] != "securesum.seed" {
+		t.Fatalf("a changed kind: decoded %q, recorded %q, err %v", msg.Kind, names[2], err)
 	}
 }

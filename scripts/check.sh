@@ -51,7 +51,9 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # - one tile, one sum order: the outer-product tile over a pack made once per
 #   call, every output one FMA chain, the assembly equal to its Go twin;
 # - a VK learner holds its factor and nothing else: the chunk's scores come
-#   from its ridge solve, (K·α)|_c = q − y + off_c, not from a kernel strip.
+#   from its ridge solve, (K·α)|_c = q − y + off_c, not from a kernel strip;
+# - one dot, one sum order: linalg.Dot (dotFMA, its twin dotGo) is the only
+#   dot product, MulVec's rows included.
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -74,6 +76,7 @@ StatePayload|CheckpointPlan|resumes from checkpoint|decoded from the reducer's p
 biasFromScores|reducerGauges|gradPool|getGradBuf|putGradBuf|dropGrad|Packing\) Encrypt\(|pack\.Encrypt\(|lastIter|packWidth|QPTol~yes~a second copy of a replaced operation, a mapper round replay or a knob nothing sets in non-test Go (replace, don't fork)
 dotTile2x4FMA|matMulTTile|transposeInto|packPool~no~a dot-form tile, its twin or the transpose pack in non-test Go (one tile, one sum order)
 \bkcb\b~no~a held Gram strip in the VK learner ((K·α)|_c is q − y + off)
+dotSeq~no~a second dot product with its own sum order in non-test Go (one dot, one sum order)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
@@ -152,9 +155,10 @@ echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
 # //go:noescape makes the compiler move them to the heap, up to four
 # allocations per row tile: 686 for one 1000x250 kernel matrix. The
 # pack and the tile live in tile.go; tiled.go's panel loops and exp.go's slice
-# loop (a row per call into the assembly exp) sit on the same path.
+# loop (a row per call into the assembly exp) sit on the same path, and so
+# do vector.go's Dot and Axpy, which hand their slices to dotFMA and axpyFMA.
 if go build -gcflags=-m ./internal/linalg ./internal/kernel 2>&1 \
-	| grep -E '(tile|tiled|exp|cholesky)\.go:[0-9]+:[0-9]+: moved to heap'; then
+	| grep -E '(tile|tiled|exp|cholesky|vector)\.go:[0-9]+:[0-9]+: moved to heap'; then
 	echo "error: a local of the tile kernels escapes (assembly stub without //go:noescape?)" >&2
 	exit 1
 fi
@@ -185,10 +189,10 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky + Gram-free QP + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
+echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky + the HL step's Dot/Axpy + Gram-free QP + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
 go test -run '^$' -bench 'Gram|Accumulate' -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench 'SolveLinearBox|SolveUniformDiag' -benchtime 1x ./internal/qp/
-go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky' -benchtime 1x ./internal/linalg/
+go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky|Dot|Axpy' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
 go test -run '^$' -bench Scalability -benchtime 1x .
 go test -run '^$' -bench Minibatch -benchtime 1x ./internal/consensus/
