@@ -28,6 +28,13 @@ func dotFMA(x, y *float64, n int) float64
 //go:noescape
 func axpyFMA(alpha float64, x, y *float64, n int)
 
+// axpyMaxViolatorFMA is the AVX2 body of AxpyMaxViolator over n elements,
+// the same grad bits and the same index as axpyMaxViolatorGo. Callers must
+// have checked hasFMA and n ≥ 1.
+//
+//go:noescape
+func axpyMaxViolatorFMA(delta float64, x, grad, lambda *float64, n int, c, tol float64) int
+
 // expNonPosFMA is ExpNonPos over n elements, n a positive multiple of 4, with
 // AVX2 FMA: the same operations as ExpNonPosScalar, the same bits. tab is
 // expTab. Callers must have checked hasFMA.

@@ -227,6 +227,124 @@ axpydone:
 	VZEROUPPER
 	RET
 
+DATA boxLane<>+0(SB)/8, $0
+DATA boxLane<>+8(SB)/8, $1
+DATA boxLane<>+16(SB)/8, $2
+DATA boxLane<>+24(SB)/8, $3
+GLOBL boxLane<>(SB), RODATA|NOPTR, $32
+
+// func axpyMaxViolatorFMA(delta float64, x, grad, lambda *float64, n int, c, tol float64) int
+//
+// One Gauss–Southwell step over n ≥ 1 elements: grad[j] = fma(delta, x[j],
+// grad[j]) as in axpyFMA, and the first j of the largest BoxViolation above
+// tol, or −1. The violation is branch-free: |g| with the sign cleared by Y2,
+// zeroed where (λ ≤ 0 and g ≥ 0) or (λ ≥ c and g ≤ 0), ordered compares, so
+// a NaN g stays NaN and a NaN λ zeroes nothing. Lane l of Y4/Y5 keeps the
+// best violation (from tol) and its index (from −1) over j ≡ l mod 4, taken
+// on a strict greater-than, so each lane holds its first maximum; Y6 holds
+// the four current indices. The lanes reduce 4 → 2 → 1, a lane winning on a
+// greater value or on an equal one at a smaller index; the n mod 4 tail then
+// runs the same compare on lane 0 with larger indices.
+TEXT ·axpyMaxViolatorFMA(SB), NOSPLIT, $0-64
+	VBROADCASTSD delta+0(FP), Y0
+	MOVQ x+8(FP), SI
+	MOVQ grad+16(FP), DI
+	MOVQ lambda+24(FP), DX
+	MOVQ n+32(FP), CX
+	VBROADCASTSD c+40(FP), Y1
+	VBROADCASTSD tol+48(FP), Y4
+	VPCMPEQQ Y2, Y2, Y2
+	VPSRLQ $1, Y2, Y2              // 0x7FF…F: the abs mask
+	VXORPD Y3, Y3, Y3
+	VPCMPEQQ Y5, Y5, Y5            // best indices −1
+	VMOVDQU boxLane<>(SB), Y6      // 0, 1, 2, 3
+	MOVQ $4, BX
+	VMOVQ BX, X7
+	VPBROADCASTQ X7, Y7
+
+	MOVQ CX, AX
+	SHRQ $2, AX
+	JZ   boxreduce
+
+boxloop4:
+	VMOVUPD (DI), Y8
+	VFMADD231PD (SI), Y0, Y8       // g = fma(delta, x, g)
+	VMOVUPD Y8, (DI)
+	VMOVUPD (DX), Y9
+	VCMPPD $0x12, Y3, Y9, Y10      // λ ≤ 0
+	VCMPPD $0x1D, Y3, Y8, Y11      // g ≥ 0
+	VANDPD Y11, Y10, Y10
+	VCMPPD $0x1D, Y1, Y9, Y11      // λ ≥ c
+	VCMPPD $0x12, Y3, Y8, Y12      // g ≤ 0
+	VANDPD Y12, Y11, Y11
+	VORPD Y11, Y10, Y10
+	VANDPD Y2, Y8, Y8              // |g|
+	VANDNPD Y8, Y10, Y8            // violation
+	VCMPPD $0x1E, Y4, Y8, Y12      // violation > best
+	VBLENDVPD Y12, Y8, Y4, Y4
+	VBLENDVPD Y12, Y6, Y5, Y5
+	VPADDQ Y7, Y6, Y6
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, DX
+	DECQ AX
+	JNZ  boxloop4
+
+boxreduce:
+	VEXTRACTF128 $1, Y4, X8
+	VEXTRACTF128 $1, Y5, X9
+	VCMPPD $0x1E, X4, X8, X10      // hi > lo
+	VCMPPD $0x00, X4, X8, X11      // hi == lo
+	VPCMPGTQ X9, X5, X12           // lo index > hi index
+	VANDPD X12, X11, X11
+	VORPD X11, X10, X10
+	VBLENDVPD X10, X8, X4, X4
+	VBLENDVPD X10, X9, X5, X5
+	VUNPCKHPD X4, X4, X8
+	VUNPCKHPD X5, X5, X9
+	VCMPPD $0x1E, X4, X8, X10
+	VCMPPD $0x00, X4, X8, X11
+	VPCMPGTQ X9, X5, X12
+	VANDPD X12, X11, X11
+	VORPD X11, X10, X10
+	VBLENDVPD X10, X8, X4, X4
+	VBLENDVPD X10, X9, X5, X5
+
+	ANDQ $3, CX
+	JZ   boxdone
+	MOVQ $1, BX
+	VMOVQ BX, X7
+
+boxtail:
+	VMOVSD (DI), X8
+	VFMADD231SD (SI), X0, X8
+	VMOVSD X8, (DI)
+	VMOVSD (DX), X9
+	VCMPSD $0x12, X3, X9, X10
+	VCMPSD $0x1D, X3, X8, X11
+	VANDPD X11, X10, X10
+	VCMPSD $0x1D, X1, X9, X11
+	VCMPSD $0x12, X3, X8, X12
+	VANDPD X12, X11, X11
+	VORPD X11, X10, X10
+	VANDPD X2, X8, X8
+	VANDNPD X8, X10, X8
+	VCMPSD $0x1E, X4, X8, X12
+	VBLENDVPD X12, X8, X4, X4
+	VBLENDVPD X12, X6, X5, X5
+	VPADDQ X7, X6, X6
+	ADDQ $8, SI
+	ADDQ $8, DI
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  boxtail
+
+boxdone:
+	VMOVQ X5, AX
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
 // func expNonPosFMA(x *float64, n int, tab *[17]float64)
 //
 // x[i] = exp(x[i]) in place for n elements, n a positive multiple of 4, four

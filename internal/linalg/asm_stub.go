@@ -2,8 +2,8 @@
 
 package linalg
 
-// hasFMA is always false off amd64: the tile, the dot, the axpy and the exp
-// use their Go twins, which give the same bits.
+// hasFMA is always false off amd64: the tile, the dot, the axpy, the fused
+// box-QP step and the exp use their Go twins, which give the same bits.
 var hasFMA = false
 
 func tileFMA(a, out *[tileM][]float64, b []float64, k, panels int) {
@@ -16,6 +16,10 @@ func dotFMA(x, y *float64, n int) float64 {
 
 func axpyFMA(alpha float64, x, y *float64, n int) {
 	panic("linalg: axpyFMA called without FMA support")
+}
+
+func axpyMaxViolatorFMA(delta float64, x, grad, lambda *float64, n int, c, tol float64) int {
+	panic("linalg: axpyMaxViolatorFMA called without FMA support")
 }
 
 func expNonPosFMA(x *float64, n int, tab *[17]float64) {

@@ -136,3 +136,28 @@ func BenchmarkAxpy28(b *testing.B) {
 		Axpy(1e-9, x, y)
 	}
 }
+
+var indexSink int
+
+// BenchmarkAxpyMaxViolator250 is one HK Gauss–Southwell step (qp.SolveBox)
+// at the hk_landmarks learner's n = 250 rows: the gradient update and the
+// next coordinate's selection in one pass, λ spread over both faces and the
+// interior. The purego sub-benchmark is its Go twin.
+func BenchmarkAxpyMaxViolator250(b *testing.B) {
+	x, grad := benchVecs(250)
+	lambda := make([]float64, len(x))
+	for i := range lambda {
+		lambda[i] = float64(i%3) / 2
+	}
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			indexSink = AxpyMaxViolator(1e-9, x, grad, lambda, 1, 1e-6)
+		}
+	}
+	b.Run("default", run)
+	b.Run("purego", func(b *testing.B) {
+		defer func(prev bool) { hasFMA = prev }(hasFMA)
+		hasFMA = false
+		run(b)
+	})
+}

@@ -151,3 +151,67 @@ func TestTiledFallbackMatchesFMA(t *testing.T) {
 		return a.Data
 	})
 }
+
+// TestAxpyMaxViolatorMatchesTwin pins the fused box-QP step's contract: the
+// AVX2 body and its Go twin update grad to Axpy's bits and return the same
+// index, the first maximum of the violation above tol. Every length up to 70
+// from four unaligned starts leaves every lane and tail residue; λ sits at 0,
+// at C, inside and at NaN; gradients of ±0, ±Inf and NaN are planted; and one
+// violation is planted three times, the last in or near the tail, so the
+// lane reduction must break ties by index. tol = −1 makes every zero a tie,
+// tol = +Inf selects nothing. On a host without the assembly the test is
+// vacuous.
+func TestAxpyMaxViolatorMatchesTwin(t *testing.T) {
+	if !linalg.SetFMA(false) {
+		t.Skip("no FMA kernels on this host")
+	}
+	linalg.SetFMA(true)
+	defer linalg.SetFMA(true)
+	const c, delta = 2.0, -0.3
+	rng := rand.New(rand.NewSource(36))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	lambdas := []float64{0, c, 0.7, math.NaN()}
+	for n := 0; n <= 70; n++ {
+		for off := 0; off < 4; off++ {
+			for trial := 0; trial < 4; trial++ {
+				x := make([]float64, off+n)[off:]
+				g0 := make([]float64, off+n)[off:]
+				lambda := make([]float64, off+n)[off:]
+				for j := range x {
+					x[j], g0[j] = rng.NormFloat64(), rng.NormFloat64()
+					lambda[j] = lambdas[rng.Intn(len(lambdas))]
+				}
+				if n > 0 {
+					// x[j] = 0 keeps a planted gradient through the update.
+					for _, s := range specials {
+						j := rng.Intn(n)
+						x[j], g0[j] = 0, s
+					}
+					tie := math.Copysign(8, float64(trial%2)-0.5)
+					for _, j := range []int{rng.Intn(n), rng.Intn(n), n - 1 - rng.Intn(min(n, 3))} {
+						x[j], g0[j], lambda[j] = 0, tie, 0.7
+					}
+				}
+				want := append([]float64(nil), g0...)
+				linalg.Axpy(delta, x, want)
+				for _, tol := range []float64{1e-6, -1, math.Inf(1)} {
+					name := fmt.Sprintf("n=%d off=%d trial=%d tol=%g", n, off, trial, tol)
+					step := func(fma bool) (int, []float64) {
+						linalg.SetFMA(fma)
+						g := make([]float64, off+n)[off:]
+						copy(g, g0)
+						return linalg.AxpyMaxViolator(delta, x, g, lambda, c, tol), g
+					}
+					best, grad := step(true)
+					twinBest, twinGrad := step(false)
+					linalg.SetFMA(true)
+					if best != twinBest {
+						t.Fatalf("AxpyMaxViolator %s: index %d with the assembly, %d with its Go twin", name, best, twinBest)
+					}
+					sameBits(t, "AxpyMaxViolator "+name, grad, twinGrad)
+					sameBits(t, "AxpyMaxViolator against Axpy "+name, grad, want)
+				}
+			}
+		}
+	}
+}

@@ -11,7 +11,9 @@
 // line search per coordinate); SolveEqualityBox uses sequential minimal
 // optimization with maximal-violating-pair working-set selection, the same
 // scheme popularized by LIBSVM. Both maintain the gradient incrementally so
-// one step costs O(n). SolveLinearBox is LIBLINEAR's dual coordinate descent:
+// one step costs O(n). In SolveBox that is one fused pass,
+// linalg.AxpyMaxViolator, which updates the gradient and picks the next
+// coordinate together. SolveLinearBox is LIBLINEAR's dual coordinate descent:
 // cyclic sweeps over the rows of X with shrinking, maintaining Xᵀ(y∘λ) and
 // yᵀλ instead of the gradient, so one step costs O(k) and Q is never formed.
 // It is the solver for a Hessian with a low-rank factor (the linear SVM dual);
@@ -113,6 +115,7 @@ type Scratch struct {
 	grad   []float64
 	buf    []float64
 	idx    []int
+	stuck  []bool
 	res    Result
 }
 
@@ -224,17 +227,11 @@ func SolveBox(p Problem, opts ...Option) (*Result, error) {
 	var stuck []bool
 	stuckCount := 0
 	res.Lambda = lambda
+	// Gauss–Southwell: best is the coordinate with the largest projected
+	// gradient. A move selects the next one in the pass that updates the
+	// gradient; only the first step and the step after a stuck mark scan.
+	best := maxViolator(grad, lambda, p.C, cfg.tol, nil)
 	for res.Iterations = 0; res.Iterations < cfg.maxIter; res.Iterations++ {
-		// Gauss–Southwell: the coordinate with the largest projected gradient.
-		best, bestViol := -1, cfg.tol
-		for i := 0; i < n; i++ {
-			if stuckCount > 0 && stuck[i] {
-				continue
-			}
-			if v := math.Abs(projectedGradient(grad[i], lambda[i], p.C)); v > bestViol {
-				best, bestViol = i, v
-			}
-		}
 		if best < 0 {
 			// No movable violator above tolerance; final bookkeeping below
 			// decides Converged from the full (stuck included) KKT gap.
@@ -253,21 +250,21 @@ func SolveBox(p Problem, opts ...Option) (*Result, error) {
 		delta := target - lambda[i]
 		if delta == 0 {
 			if stuck == nil {
-				stuck = make([]bool, n)
+				stuck = sized(&cfg.scratch.stuck, n)
+				clear(stuck)
 			}
 			stuck[i] = true
 			stuckCount++
+			best = maxViolator(grad, lambda, p.C, cfg.tol, stuck)
 			continue
 		}
 		lambda[i] = target
-		linalg.Axpy(delta, p.Q.Row(i), grad)
 		if stuckCount > 0 {
-			// Gradients changed; pinned coordinates may be free again.
-			for j := range stuck {
-				stuck[j] = false
-			}
+			// Gradients change; pinned coordinates may be free again.
+			clear(stuck)
 			stuckCount = 0
 		}
+		best = linalg.AxpyMaxViolator(delta, p.Q.Row(i), grad, lambda, p.C, cfg.tol)
 	}
 	res.KKTViolation = maxProjectedGradient(grad, lambda, p.C)
 	res.Converged = res.KKTViolation <= cfg.tol
@@ -429,24 +426,28 @@ func gradient(p *Problem, lambda, g []float64) []float64 {
 	return g
 }
 
-// projectedGradient maps the raw gradient onto the feasible directions of the
-// box at the current point: zero when the gradient pushes into an active
-// bound.
-func projectedGradient(g, li, c float64) float64 {
-	switch {
-	case li <= 0:
-		return math.Min(g, 0)
-	case li >= c:
-		return math.Max(g, 0)
-	default:
-		return g
+// maxViolator is AxpyMaxViolator's selection as a scan, without the update:
+// the first index of the largest linalg.BoxViolation above tol, skipping the
+// coordinates skip marks (nil skips none), or −1.
+func maxViolator(grad, lambda []float64, c, tol float64, skip []bool) int {
+	best, bestViol := -1, tol
+	for i, g := range grad {
+		if skip != nil && skip[i] {
+			continue
+		}
+		if v := linalg.BoxViolation(g, lambda[i], c); v > bestViol {
+			best, bestViol = i, v
+		}
 	}
+	return best
 }
 
+// maxProjectedGradient is the KKT gap of the box: the largest
+// linalg.BoxViolation, NaNs skipped.
 func maxProjectedGradient(grad, lambda []float64, c float64) float64 {
 	var m float64
-	for i := range lambda {
-		if v := math.Abs(projectedGradient(grad[i], lambda[i], c)); v > m {
+	for i, g := range grad {
+		if v := linalg.BoxViolation(g, lambda[i], c); v > m {
 			m = v
 		}
 	}

@@ -144,3 +144,30 @@ func TestWarmStartScratchZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state warm solve allocates %g objects per run, want 0", allocs)
 	}
 }
+
+// TestPinnedCoordinateScratchZeroAlloc: a warm solve that marks a coordinate
+// stuck draws its marks from the Scratch too, so the steady-state round loop
+// stays allocation-free on a problem that pins one.
+func TestPinnedCoordinateScratchZeroAlloc(t *testing.T) {
+	prob, warm := pinnedProblem()
+	var scr Scratch
+	opts := []Option{WithScratch(&scr), WithWarmStart(warm)}
+	res, err := SolveBox(prob, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lambda[0] != 1 || res.Converged {
+		t.Fatalf("λ₀ = %g, converged %v: the fixture no longer pins coordinate 0", res.Lambda[0], res.Converged)
+	}
+	copy(warm, res.Lambda)
+	allocs := testing.AllocsPerRun(20, func() {
+		r, err := SolveBox(prob, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(warm, r.Lambda)
+	})
+	if allocs > 0 {
+		t.Errorf("steady-state warm solve with a pinned coordinate allocates %g objects per run, want 0", allocs)
+	}
+}

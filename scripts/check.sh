@@ -54,6 +54,8 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 #   from its ridge solve, (K·α)|_c = q − y + off_c, not from a kernel strip;
 # - one dot, one sum order: linalg.Dot (dotFMA, its twin dotGo) is the only
 #   dot product, MulVec's rows included.
+# - one selection rule for the box QP: linalg.BoxViolation, which the fused
+#   step's twin, SolveBox's scans and its KKT gap all call.
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -77,6 +79,7 @@ biasFromScores|reducerGauges|gradPool|getGradBuf|putGradBuf|dropGrad|Packing\) E
 dotTile2x4FMA|matMulTTile|transposeInto|packPool~no~a dot-form tile, its twin or the transpose pack in non-test Go (one tile, one sum order)
 \bkcb\b~no~a held Gram strip in the VK learner ((K·α)|_c is q − y + off)
 dotSeq~no~a second dot product with its own sum order in non-test Go (one dot, one sum order)
+projectedGradient~no~a second box-QP projected-gradient predicate in non-test Go (linalg.BoxViolation is the one rule)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
@@ -156,9 +159,11 @@ echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
 # allocations per row tile: 686 for one 1000x250 kernel matrix. The
 # pack and the tile live in tile.go; tiled.go's panel loops and exp.go's slice
 # loop (a row per call into the assembly exp) sit on the same path, and so
-# do vector.go's Dot and Axpy, which hand their slices to dotFMA and axpyFMA.
+# do vector.go's Dot and Axpy, which hand their slices to dotFMA and axpyFMA,
+# and boxstep.go's AxpyMaxViolator, which hands its three to the fused
+# box-QP step.
 if go build -gcflags=-m ./internal/linalg ./internal/kernel 2>&1 \
-	| grep -E '(tile|tiled|exp|cholesky|vector)\.go:[0-9]+:[0-9]+: moved to heap'; then
+	| grep -E '(tile|tiled|exp|cholesky|vector|boxstep)\.go:[0-9]+:[0-9]+: moved to heap'; then
 	echo "error: a local of the tile kernels escapes (assembly stub without //go:noescape?)" >&2
 	exit 1
 fi
@@ -175,9 +180,11 @@ go build ./...
 
 echo "==> GOARCH=arm64 build + vet of the compute layer (the stub/twin side of every assembly kernel)"
 # Off amd64 hasFMA is false and the pure-Go twins are the only path; nothing
-# in CI runs there, so at least keep it compiling and vet-clean.
+# in CI runs there, so at least keep it compiling and vet-clean. The list is
+# every package with a twin (linalg, kernel) and every solver that steps on
+# one (qp's SolveBox on the fused box-QP step).
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/linalg ./internal/kernel
+GOARCH=arm64 go vet ./internal/linalg ./internal/kernel ./internal/qp
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -189,9 +196,9 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky + the HL step's Dot/Axpy + Gram-free QP + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
+echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky + the HL step's Dot/Axpy + the HK step's AxpyMaxViolator + the QP solvers + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
 go test -run '^$' -bench 'Gram|Accumulate' -benchtime 1x ./internal/kernel/
-go test -run '^$' -bench 'SolveLinearBox|SolveUniformDiag' -benchtime 1x ./internal/qp/
+go test -run '^$' -bench 'SolveLinearBox|SolveUniformDiag|SolveBox' -benchtime 1x ./internal/qp/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky|Dot|Axpy' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
 go test -run '^$' -bench Scalability -benchtime 1x .
