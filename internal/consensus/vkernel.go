@@ -48,12 +48,12 @@ func (mod *KernelVerticalModel) Decision(x []float64) float64 {
 
 // Decisions is the batch form of Decision: dst[i] is the discriminant of the
 // full-width row i of x. Each learner's column block of x is gathered once
-// per call into a buffer reused across learners and scored on the tiled
-// kernel path (kernel.Accumulate). A nil dst is allocated; otherwise it must
-// hold x.Rows values, which are overwritten. Values agree with Decision to
-// rounding, not bit for bit: the dots and the order of the sum differ, the
-// kernel transform (RBF's exp included) is the same function on both sides
-// (see kernel.Accumulate).
+// per call into linalg's scratch pool, one buffer reused across learners, and
+// scored on the tiled kernel path (kernel.Accumulate). A nil dst is
+// allocated; otherwise it must hold x.Rows values, which are overwritten.
+// Values agree with Decision to rounding, not bit for bit: the dots and the
+// order of the sum differ, the kernel transform (RBF's exp included) is the
+// same function on both sides (see kernel.Accumulate).
 func (mod *KernelVerticalModel) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
 	if dst == nil {
 		dst = make([]float64, x.Rows)
@@ -67,14 +67,15 @@ func (mod *KernelVerticalModel) Decisions(x *linalg.Matrix, dst []float64) ([]fl
 	for _, cols := range mod.Cols {
 		widest = max(widest, len(cols))
 	}
-	buf := make([]float64, x.Rows*widest)
+	buf := linalg.GrabScratch(x.Rows, widest)
+	defer linalg.ReleaseScratch(buf)
 	for m, cols := range mod.Cols {
 		for _, c := range cols {
 			if c < 0 || c >= x.Cols {
 				return nil, fmt.Errorf("consensus vk decisions: %w: learner %d owns column %d, samples have %d", linalg.ErrShape, m, c, x.Cols)
 			}
 		}
-		block := linalg.Matrix{Rows: x.Rows, Cols: len(cols), Data: buf[:x.Rows*len(cols)]}
+		block := linalg.Matrix{Rows: x.Rows, Cols: len(cols), Data: buf.Data[:x.Rows*len(cols)]}
 		for i := 0; i < x.Rows; i++ {
 			xi, bi := x.Row(i), block.Row(i)
 			for j, c := range cols {

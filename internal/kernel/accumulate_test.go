@@ -167,3 +167,33 @@ func TestAccumulateSteadyStateAllocations(t *testing.T) {
 		t.Errorf("%d Accumulate calls: %.0f allocations, want at most %d (%d a call: two closures)", calls, n, calls*perCall, perCall)
 	}
 }
+
+// TestAccumulateGatherAllocatesNoMore pins the gather of nonzero support rows
+// to the scratch pool: the hk_landmarks probe gathers on every call (its
+// support has zero multipliers), and the rows and their coefficients come
+// back from linalg's pool, so a gathering call allocates no more than a dense
+// one. A coefficient slice made per call fails it.
+func TestAccumulateGatherAllocatesNoMore(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	x, support := randomSamples(t, 7, 300, 64), randomSamples(t, 8, 250, 64)
+	dense := make([]float64, support.Rows)
+	for j := range dense {
+		dense[j] = 1 / float64(j+1)
+	}
+	sparse := sparseCoef(support.Rows)
+	dst := make([]float64, x.Rows)
+	var k Kernel = RBF{Gamma: 1.0 / 64}
+	allocs := func(coef []float64) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if err := Accumulate(k, x, support, coef, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if d, g := allocs(dense), allocs(sparse); g > d {
+		t.Errorf("Accumulate: %.0f allocations a gathering call, %.0f a dense one", g, d)
+	}
+}

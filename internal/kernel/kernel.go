@@ -96,8 +96,9 @@ type RBF struct {
 }
 
 // Eval implements Kernel. The exponential is the one the panel rows go
-// through (linalg.ExpNonPos and its scalar form agree bit for bit), so Eval
-// and the tiled path differ only in how the squared distance was rounded.
+// through (linalg.RBFRow runs ExpNonPosScalar's operations, bit for bit), so
+// Eval and the tiled path differ only in how the squared distance was
+// rounded.
 func (r RBF) Eval(x, y []float64) float64 {
 	return linalg.ExpNonPosScalar(-r.Gamma * linalg.Dist2Sq(x, y))
 }
@@ -105,21 +106,11 @@ func (r RBF) Eval(x, y []float64) float64 {
 // Name implements Kernel.
 func (r RBF) Name() string { return fmt.Sprintf("rbf(gamma=%g)", r.Gamma) }
 
-// rowForm expands ‖x−y‖² = ‖x‖² + ‖y‖² − 2⟨x, y⟩ and hands the whole row of
-// −γ‖x−y_j‖² to the vector exp. The distance is clamped at zero so
-// near-duplicate rows cannot produce values above 1 through cancellation; the
-// clamp is a compare, not a max, so a NaN feature stays NaN (NaN < 0 is
-// false) and comes out of the exp as NaN instead of as a perfect match.
+// rowForm expands ‖x−y‖² = ‖x‖² + ‖y‖² − 2⟨x, y⟩, clamps it at zero, scales
+// it by −γ and takes the exp, all in one pass over the row (linalg.RBFRow,
+// which documents the clamp's NaN and −0 semantics).
 func (r RBF) rowForm(row []float64, sqX float64, sq []float64) {
-	sq = sq[:len(row)]
-	for j, d := range row {
-		dd := sqX + sq[j] - 2*d
-		if dd < 0 {
-			dd = 0
-		}
-		row[j] = -r.Gamma * dd
-	}
-	linalg.ExpNonPos(row)
+	linalg.RBFRow(row, sqX, sq, r.Gamma)
 }
 func (RBF) needNorms() bool { return true }
 

@@ -11,7 +11,8 @@ import (
 // and, for RBF, the squared row norms, so kernel matrices factor into a dense
 // a · bᵀ — computed a block of panelRows rows at a time with the register-tiled
 // linalg kernel — followed by the kernel's transform of each row in place
-// (Kernel.rowForm: one call per panel row, for RBF one vector exp per row).
+// (Kernel.rowForm: one call per panel row, for RBF one pass of linalg.RBFRow
+// that forms the distance, clamps, scales and takes the exp).
 // That call is the only transform: Matrix, GramMatrix and Accumulate differ in
 // where the dots land and what happens to a finished row, not in how it is
 // transformed. The right operand is packed for the tile once per call
@@ -115,14 +116,15 @@ func Accumulate(k Kernel, x, support *linalg.Matrix, coef, dst []float64) error 
 	if nz == 0 || x.Rows == 0 {
 		return nil
 	}
-	// The gathered rows, the norms, the pack and the dot panels all live in
-	// pooled scratch, so a scoring call per round leaves no garbage behind but
-	// its closures.
+	// The gathered rows and their coefficients, the norms, the pack and the
+	// dot panels all live in pooled scratch, so a scoring call per round
+	// leaves no garbage behind but its closures.
 	if nz < len(coef) {
-		g := linalg.GrabScratch(nz, support.Cols)
+		g, kept := linalg.GrabScratch(nz, support.Cols), linalg.GrabScratch(1, nz)
 		defer linalg.ReleaseScratch(g)
-		coef = gatherNonzero(support, coef, g)
-		support = g
+		defer linalg.ReleaseScratch(kept)
+		gatherNonzero(support, coef, g, kept.Data)
+		support, coef = g, kept.Data
 	}
 	var sqX, sqS []float64
 	if k.needNorms() {
@@ -147,17 +149,17 @@ func Accumulate(k Kernel, x, support *linalg.Matrix, coef, dst []float64) error 
 }
 
 // gatherNonzero copies the support rows whose coefficient is nonzero, in
-// order, into the first rows of dst (already shaped nz × support.Cols) and
-// returns their coefficients.
-func gatherNonzero(support *linalg.Matrix, coef []float64, dst *linalg.Matrix) []float64 {
-	kept := make([]float64, 0, dst.Rows)
+// order, into the rows of dst (shaped nz × support.Cols) and their
+// coefficients into kept (length nz).
+func gatherNonzero(support *linalg.Matrix, coef []float64, dst *linalg.Matrix, kept []float64) {
+	n := 0
 	for j, c := range coef {
 		if c != 0 {
-			copy(dst.Row(len(kept)), support.Row(j))
-			kept = append(kept, c)
+			copy(dst.Row(n), support.Row(j))
+			kept[n] = c
+			n++
 		}
 	}
-	return kept
 }
 
 // gramTiled is matrixTiled specialized to the symmetric case: each panel

@@ -35,12 +35,12 @@ func axpyFMA(alpha float64, x, y *float64, n int)
 //go:noescape
 func axpyMaxViolatorFMA(delta float64, x, grad, lambda *float64, n int, c, tol float64) int
 
-// expNonPosFMA is ExpNonPos over n elements, n a positive multiple of 4, with
-// AVX2 FMA: the same operations as ExpNonPosScalar, the same bits. tab is
-// expTab. Callers must have checked hasFMA.
+// rbfRowFMA is the AVX2 body of RBFRow over n elements, n a positive
+// multiple of 4: the same operations as rbfRowGo, the same bits. negGamma is
+// −γ and tab is expTab4. Callers must have checked hasFMA.
 //
 //go:noescape
-func expNonPosFMA(x *float64, n int, tab *[17]float64)
+func rbfRowFMA(row, sq *float64, n int, sqX, negGamma float64, tab *[17][4]float64)
 
 // hasFMA gates the assembly microkernels. It is a variable, not a constant,
 // so tests can force the pure-Go tile path and equivalence-check the two.

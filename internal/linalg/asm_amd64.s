@@ -345,75 +345,77 @@ boxdone:
 	VZEROUPPER
 	RET
 
-// func expNonPosFMA(x *float64, n int, tab *[17]float64)
+// func rbfRowFMA(row, sq *float64, n int, sqX, negGamma float64, tab *[17][4]float64)
 //
-// x[i] = exp(x[i]) in place for n elements, n a positive multiple of 4, four
-// lanes at a time; the algorithm, the contract and the layout of tab are in
-// exp.go, and every instruction below has its counterpart, in the same
-// order, in ExpNonPosScalar. Y4–Y8 hold log₂e, ln2hi, ln2lo, the cutoff and
-// 1; Y9–Y15 the Taylor coefficients 1/13! … 1/7!; the five after that are
-// broadcast from tab as Horner reaches them.
+// row[j] = exp(−γ·max(sqX + sq[j] − 2·row[j], 0)) in place for n elements,
+// n a positive multiple of 4, four lanes at a time: the row prologue of
+// rbfRowGo, then the exp of ExpNonPosScalar, every instruction with its
+// counterpart in the same order. tab is expTab4, every constant of exp.go in
+// four lanes: Y12 log₂e, Y11 ln2hi, Y10 ln2lo, Y8 the cutoff and Y9 1 are
+// loaded from it once, and the Horner steps read 1/13! … 1/2! as memory
+// operands. Y15 holds sqX, Y14 −γ and Y13 +0.
 //
-// NaN and range handling uses no VMAXPD/VMINPD (which return their second
-// source on an unordered compare): a NaN lane stays NaN through every
-// arithmetic step, VCVTPD2DQ turns its n into 0x80000000, which the shift by
-// 52 clears, and the ordered compare cutoff > x is false for it, so the final
-// and-not leaves it alone. Lanes below the cutoff, −Inf included, compute
-// garbage that the same and-not replaces with +0.
-TEXT ·expNonPosFMA(SB), NOSPLIT, $0-24
-	MOVQ x+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ tab+16(FP), SI
+// The clamp and the cutoff use ordered compares and an and-not, no
+// VMAXPD/VMINPD (which return their second source on an unordered compare):
+// dd < 0 is false for NaN and for −0, so both pass through as in Go's
+// `if dd < 0 { dd = 0 }`. A NaN x stays NaN through every arithmetic step,
+// VCVTPD2DQ turns its n into 0x80000000, which the shift by 52 clears, and
+// x < cutoff is false for it, so the final and-not leaves it alone. Lanes
+// below the cutoff, −Inf included, compute garbage that the same and-not
+// replaces with +0.
+TEXT ·rbfRowFMA(SB), NOSPLIT, $0-48
+	MOVQ row+0(FP), DI
+	MOVQ sq+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD sqX+24(FP), Y15
+	VBROADCASTSD negGamma+32(FP), Y14
+	MOVQ tab+40(FP), DX
 
-	VBROADCASTSD 0(SI), Y4
-	VBROADCASTSD 8(SI), Y5
-	VBROADCASTSD 16(SI), Y6
-	VBROADCASTSD 24(SI), Y7
-	VBROADCASTSD 32(SI), Y8
-	VBROADCASTSD 40(SI), Y9
-	VBROADCASTSD 48(SI), Y10
-	VBROADCASTSD 56(SI), Y11
-	VBROADCASTSD 64(SI), Y12
-	VBROADCASTSD 72(SI), Y13
-	VBROADCASTSD 80(SI), Y14
-	VBROADCASTSD 88(SI), Y15
+	VXORPD Y13, Y13, Y13
+	VMOVUPD 0(DX), Y12
+	VMOVUPD 32(DX), Y11
+	VMOVUPD 64(DX), Y10
+	VMOVUPD 96(DX), Y8
+	VMOVUPD 128(DX), Y9
 	SHRQ $2, CX
 
-exploop:
-	VMOVUPD (DI), Y0
-	VMULPD Y4, Y0, Y1              // x·log₂e
+rbfloop:
+	VMOVUPD (DI), Y0               // d = ⟨x, y_j⟩
+	VADDPD Y0, Y0, Y0              // 2d, the same bits as 2·d
+	VADDPD (SI), Y15, Y1           // sqX + sq[j]
+	VSUBPD Y0, Y1, Y0              // dd = (sqX + sq[j]) − 2d
+	VCMPPD $0x11, Y13, Y0, Y3      // dd < 0, ordered
+	VANDNPD Y0, Y3, Y0             // clamp to +0
+	VMULPD Y14, Y0, Y0             // x = −γ·dd
+	VCMPPD $0x11, Y8, Y0, Y3       // x < cutoff, ordered
+	VMULPD Y12, Y0, Y1             // x·log₂e
 	VROUNDPD $8, Y1, Y1            // n = round-to-even, inexact suppressed
-	VFNMADD231PD Y5, Y1, Y0        // r = x − n·ln2hi
-	VFNMADD231PD Y6, Y1, Y0        // r −= n·ln2lo
-	VMOVAPD Y9, Y2                 // p = 1/13!
-	VFMADD213PD Y10, Y0, Y2        // p = p·r + 1/12!
-	VFMADD213PD Y11, Y0, Y2
-	VFMADD213PD Y12, Y0, Y2
-	VFMADD213PD Y13, Y0, Y2
-	VFMADD213PD Y14, Y0, Y2
-	VFMADD213PD Y15, Y0, Y2        // … + 1/7!
-	VBROADCASTSD 96(SI), Y3
-	VFMADD213PD Y3, Y0, Y2
-	VBROADCASTSD 104(SI), Y3
-	VFMADD213PD Y3, Y0, Y2
-	VBROADCASTSD 112(SI), Y3
-	VFMADD213PD Y3, Y0, Y2
-	VBROADCASTSD 120(SI), Y3
-	VFMADD213PD Y3, Y0, Y2
-	VBROADCASTSD 128(SI), Y3
-	VFMADD213PD Y3, Y0, Y2         // … + 1/2!
-	VFMADD213PD Y8, Y0, Y2
-	VFMADD213PD Y8, Y0, Y2         // p = e^r
-	VCVTPD2DQY Y1, X3
-	VPMOVSXDQ X3, Y3
-	VPSLLQ $52, Y3, Y3
-	VPADDQ Y3, Y2, Y2              // p·2ⁿ: n into the exponent field
-	VCMPPD $0x1E, (DI), Y7, Y3     // cutoff > x, ordered: false for NaN
+	VFNMADD231PD Y11, Y1, Y0       // r = x − n·ln2hi
+	VFNMADD231PD Y10, Y1, Y0       // r −= n·ln2lo
+	VMOVUPD 160(DX), Y2            // p = 1/13!
+	VFMADD213PD 192(DX), Y0, Y2    // p = p·r + 1/12!
+	VFMADD213PD 224(DX), Y0, Y2
+	VFMADD213PD 256(DX), Y0, Y2
+	VFMADD213PD 288(DX), Y0, Y2
+	VFMADD213PD 320(DX), Y0, Y2
+	VFMADD213PD 352(DX), Y0, Y2
+	VFMADD213PD 384(DX), Y0, Y2
+	VFMADD213PD 416(DX), Y0, Y2
+	VFMADD213PD 448(DX), Y0, Y2
+	VFMADD213PD 480(DX), Y0, Y2
+	VFMADD213PD 512(DX), Y0, Y2    // … + 1/2!
+	VFMADD213PD Y9, Y0, Y2
+	VFMADD213PD Y9, Y0, Y2         // p = e^r
+	VCVTPD2DQY Y1, X1
+	VPMOVSXDQ X1, Y1
+	VPSLLQ $52, Y1, Y1
+	VPADDQ Y1, Y2, Y2              // p·2ⁿ: n into the exponent field
 	VANDNPD Y2, Y3, Y2             // 0 below the cutoff
 	VMOVUPD Y2, (DI)
 	ADDQ $32, DI
+	ADDQ $32, SI
 	DECQ CX
-	JNZ  exploop
+	JNZ  rbfloop
 
 	VZEROUPPER
 	RET

@@ -3,7 +3,7 @@
 package linalg
 
 // hasFMA is always false off amd64: the tile, the dot, the axpy, the fused
-// box-QP step and the exp use their Go twins, which give the same bits.
+// box-QP step and the RBF row use their Go twins, which give the same bits.
 var hasFMA = false
 
 func tileFMA(a, out *[tileM][]float64, b []float64, k, panels int) {
@@ -22,6 +22,6 @@ func axpyMaxViolatorFMA(delta float64, x, grad, lambda *float64, n int, c, tol f
 	panic("linalg: axpyMaxViolatorFMA called without FMA support")
 }
 
-func expNonPosFMA(x *float64, n int, tab *[17]float64) {
-	panic("linalg: expNonPosFMA called without FMA support")
+func rbfRowFMA(row, sq *float64, n int, sqX, negGamma float64, tab *[17][4]float64) {
+	panic("linalg: rbfRowFMA called without FMA support")
 }

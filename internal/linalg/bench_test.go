@@ -161,3 +161,30 @@ func BenchmarkAxpyMaxViolator250(b *testing.B) {
 		run(b)
 	})
 }
+
+// BenchmarkRBFRow664 is one panel row of the hk_landmarks probe's kernel
+// transform (1,000 eval rows against 664 support rows): the distance from
+// dot and norms, the clamp, the −γ scale and the exp in one pass over 664
+// elements, at γ = 1/64 on dots and norms of 64 standard-normal features.
+// The purego sub-benchmark is its Go twin.
+func BenchmarkRBFRow664(b *testing.B) {
+	const n = 664
+	rng := rand.New(rand.NewSource(4))
+	dots, sq, row := make([]float64, n), make([]float64, n), make([]float64, n)
+	for j := range dots {
+		dots[j] = 8 * rng.NormFloat64()
+		sq[j] = 64 + 11*rng.NormFloat64()
+	}
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(row, dots)
+			RBFRow(row, 64, sq, 1.0/64)
+		}
+	}
+	b.Run("default", run)
+	b.Run("purego", func(b *testing.B) {
+		defer func(prev bool) { hasFMA = prev }(hasFMA)
+		hasFMA = false
+		run(b)
+	})
+}

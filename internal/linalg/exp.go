@@ -3,11 +3,13 @@ package linalg
 import "math"
 
 // The one exponential of the compute layer: exp over non-positive arguments,
-// which is all the RBF kernel transform −γ‖x−y‖² ever asks for.
+// which is all the RBF kernel transform −γ‖x−y‖² ever asks for. It runs
+// inside RBFRow (rbfrow.go), on the argument the row prologue just formed, and
+// alone in ExpNonPosScalar, which RBFRow's Go twin and RBF.Eval call.
 //
-// Contract, for the slice and the scalar form alike:
+// Contract, in RBFRow and in the scalar form alike:
 //
-//   - domain x ≤ 0 (and NaN); the kernel prologue clamps the squared distance
+//   - domain x ≤ 0 (and NaN); the row prologue clamps the squared distance
 //     at zero, so nothing else reaches it;
 //   - on [expCutoff, 0] the result is within 2 ulp of math.Exp;
 //   - exp(0) = exp(−0) = 1 exactly;
@@ -15,7 +17,7 @@ import "math"
 //     is a normal double, so the final exponent add cannot wrap;
 //   - NaN in, NaN out;
 //   - a value depends on nothing but its argument — not the lane it fell in,
-//     its offset in the slice, the worker count, hasFMA or the platform.
+//     its offset in the row, the worker count, hasFMA or the platform.
 //
 // The algorithm is math.Exp's range reduction with a longer polynomial in
 // place of its rational form, so that every step is a fused multiply-add that
@@ -23,10 +25,9 @@ import "math"
 // n·ln2lo with math.Exp's split of ln 2 (|r| ≤ ½ln 2 up to rounding);
 // e^r as the degree-13 Taylor polynomial in Horner form (remainder
 // r¹⁴/14! < 5e-18, under a twentieth of an ulp); then 2ⁿ by adding n to the
-// exponent field. expNonPosFMA runs exactly these operations four at a time;
-// ExpNonPosScalar is its twin, bit for bit (math.FMA and math.RoundToEven
-// round once, like the instructions they stand for), and is what runs for the
-// tail of a slice, with hasFMA off and off amd64.
+// exponent field. rbfRowFMA runs exactly these operations four lanes at a
+// time; ExpNonPosScalar is its twin, bit for bit (math.FMA and
+// math.RoundToEven round once, like the instructions they stand for).
 
 const (
 	// expCutoff is the smallest argument with a nonzero result. At −708 n is
@@ -47,17 +48,14 @@ var expTab = [17]float64{
 	1.0 / 120, 1.0 / 24, 1.0 / 6, 1.0 / 2,
 }
 
-// ExpNonPos replaces every x[i] ≤ 0 with exp(x[i]) under the contract above.
-func ExpNonPos(x []float64) {
-	i := 0
-	if hasFMA && len(x) >= 4 {
-		i = len(x) &^ 3
-		expNonPosFMA(&x[0], i, &expTab)
+// expTab4 is expTab with every constant in four lanes, so that the assembly
+// reads each as one 256-bit memory operand.
+var expTab4 = func() (t [len(expTab)][4]float64) {
+	for i, c := range expTab {
+		t[i] = [4]float64{c, c, c, c}
 	}
-	for ; i < len(x); i++ {
-		x[i] = ExpNonPosScalar(x[i])
-	}
-}
+	return t
+}()
 
 // ExpNonPosScalar returns exp(x) for x ≤ 0 under the contract above.
 func ExpNonPosScalar(x float64) float64 {

@@ -48,16 +48,39 @@ func withoutFMA(f func()) {
 	f()
 }
 
-// TestExpNonPosContract pins the exp the RBF transform rides on: at most
-// 2 ulp from math.Exp on [cutoff, 0], exactly 1 at ±0, exactly 0 below the
-// cutoff and at −Inf, NaN for NaN — and the assembly lanes and the Go twin
-// agreeing on every bit, so which of them computed a value never shows.
+// expViaRow puts every x through RBFRow as an exp argument: with γ = 1,
+// sqX = 0, a zero dot and sq[j] = −x the row forms (0 + (−x)) − 0 = −x, which
+// never clamps for x ≤ 0, and −1·(−x) = x, so the exp sees x exactly (both
+// zeros arrive as −0), −Inf included. A NaN goes in as sq[j] = x: negating
+// it would flip its sign bit, and the arithmetic after passes it through.
+func expViaRow(xs []float64) []float64 {
+	row, sq := make([]float64, len(xs)), expNorms(xs)
+	RBFRow(row, 0, sq, 1)
+	return row
+}
+
+// expNorms returns the sq that makes expViaRow's row form x.
+func expNorms(xs []float64) []float64 {
+	sq := make([]float64, len(xs))
+	for j, x := range xs {
+		sq[j] = -x
+		if x != x {
+			sq[j] = x
+		}
+	}
+	return sq
+}
+
+// TestExpNonPosContract pins the exp the RBF transform rides on, as RBFRow
+// runs it: at most 2 ulp from math.Exp on [cutoff, 0], exactly 1 at ±0,
+// exactly 0 below the cutoff and at −Inf, NaN for NaN — and the assembly
+// lanes, the Go twin and ExpNonPosScalar agreeing on every bit, so which of
+// them computed a value never shows.
 func TestExpNonPosContract(t *testing.T) {
 	xs := expSample()
-	got := append([]float64(nil), xs...)
-	ExpNonPos(got)
-	twin := append([]float64(nil), xs...)
-	withoutFMA(func() { ExpNonPos(twin) })
+	got := expViaRow(xs)
+	var twin []float64
+	withoutFMA(func() { twin = expViaRow(xs) })
 
 	var worst uint64
 	for i, x := range xs {
@@ -66,7 +89,7 @@ func TestExpNonPosContract(t *testing.T) {
 			t.Fatalf("exp(%g): assembly %#x, twin %#x", x, math.Float64bits(g), math.Float64bits(twin[i]))
 		}
 		if s := ExpNonPosScalar(x); math.Float64bits(s) != math.Float64bits(g) {
-			t.Fatalf("exp(%g): slice form %#x, scalar form %#x", x, math.Float64bits(g), math.Float64bits(s))
+			t.Fatalf("exp(%g): row form %#x, scalar form %#x", x, math.Float64bits(g), math.Float64bits(s))
 		}
 		switch {
 		case math.IsNaN(x):
@@ -99,7 +122,7 @@ func TestExpNonPosContract(t *testing.T) {
 	t.Logf("%d arguments, worst %d ulp from math.Exp, assembly=%v", len(xs), worst, hasFMA)
 }
 
-// TestExpNonPosLaneAndOffsetIndependent transforms a 67-element slice whole
+// TestExpNonPosLaneAndOffsetIndependent transforms a 67-element row whole
 // and split at every cut point: which elements fall into a vector group and
 // which into the scalar tail changes with the cut, the bits must not.
 func TestExpNonPosLaneAndOffsetIndependent(t *testing.T) {
@@ -108,15 +131,15 @@ func TestExpNonPosLaneAndOffsetIndependent(t *testing.T) {
 	for i := 40; i < len(xs); i++ {
 		xs[i] = -20 * rng.Float64()
 	}
-	whole := append([]float64(nil), xs...)
-	ExpNonPos(whole)
+	sq := expNorms(xs)
+	whole := expViaRow(xs)
 	for cut := 0; cut <= len(xs); cut++ {
-		split := append([]float64(nil), xs...)
-		ExpNonPos(split[:cut])
-		ExpNonPos(split[cut:])
+		split := make([]float64, len(xs))
+		RBFRow(split[:cut], 0, sq[:cut], 1)
+		RBFRow(split[cut:], 0, sq[cut:], 1)
 		for i := range whole {
 			if math.Float64bits(split[i]) != math.Float64bits(whole[i]) {
-				t.Fatalf("cut at %d: element %d (x=%g) = %#x, whole slice %#x",
+				t.Fatalf("cut at %d: element %d (x=%g) = %#x, whole row %#x",
 					cut, i, xs[i], math.Float64bits(split[i]), math.Float64bits(whole[i]))
 			}
 		}
@@ -124,13 +147,14 @@ func TestExpNonPosLaneAndOffsetIndependent(t *testing.T) {
 }
 
 func TestExpNonPosDoesNotAllocate(t *testing.T) {
-	xs := make([]float64, 67)
+	row, sq := make([]float64, 67), make([]float64, 67)
+	for i := range sq {
+		sq[i] = float64(i)
+	}
 	if n := testing.AllocsPerRun(10, func() {
-		for i := range xs {
-			xs[i] = -float64(i)
-		}
-		ExpNonPos(xs)
+		clear(row)
+		RBFRow(row, 0, sq, 1)
 	}); n != 0 {
-		t.Errorf("ExpNonPos: %.0f allocations per call, want 0", n)
+		t.Errorf("RBFRow: %.0f allocations per call, want 0", n)
 	}
 }

@@ -56,6 +56,9 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 #   dot product, MulVec's rows included.
 # - one selection rule for the box QP: linalg.BoxViolation, which the fused
 #   step's twin, SolveBox's scans and its KKT gap all call.
+# - one pass per RBF row: linalg.RBFRow forms the distance, clamps, scales
+#   and takes the exp; a slice exp beside it would be the two-pass row back
+#   (ExpNonPosScalar, the exp of RBF.Eval and the row's Go twin, stays).
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -80,6 +83,7 @@ dotTile2x4FMA|matMulTTile|transposeInto|packPool~no~a dot-form tile, its twin or
 \bkcb\b~no~a held Gram strip in the VK learner ((K·α)|_c is q − y + off)
 dotSeq~no~a second dot product with its own sum order in non-test Go (one dot, one sum order)
 projectedGradient~no~a second box-QP projected-gradient predicate in non-test Go (linalg.BoxViolation is the one rule)
+ExpNonPos\(|expNonPosFMA~no~a slice exp in non-test Go (linalg.RBFRow turns a row of dots into kernel values in one pass)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
@@ -120,12 +124,13 @@ if grep -nE '^[^/]*\.Eval\(' internal/kernel/*.go | grep -v "_test.go"; then
 	exit 1
 fi
 # A kernel is transformed a panel row at a time (Kernel.rowForm), and the RBF
-# row goes through the one exp of the compute layer, linalg.ExpNonPos, whose
-# Go twin RBF.Eval calls too. A math.Exp in the package would be a second exp
-# with other bits; a per-element func(dot, sqSum) closure would be the 1.4 M
-# indirect calls a vk_scores round that the row form removed.
+# row is one pass of linalg.RBFRow, which runs the one exp of the compute
+# layer; RBF.Eval calls that exp's scalar form, ExpNonPosScalar. A math.Exp
+# in the package would be a second exp with other bits; a per-element
+# func(dot, sqSum) closure would be the 1.4 M indirect calls a vk_scores
+# round that the row form removed.
 if grep -nE 'math\.Exp\(|func\((dot|d), ?(sqSum|s|_) float64\) float64' internal/kernel/*.go | grep -v "_test.go"; then
-	echo "error: math.Exp or a per-element dot-form closure in internal/kernel (rowForm + linalg.ExpNonPos is the one transform path)" >&2
+	echo "error: math.Exp or a per-element dot-form closure in internal/kernel (rowForm + linalg.RBFRow is the one transform path)" >&2
 	exit 1
 fi
 
@@ -157,13 +162,13 @@ echo "==> escape hygiene (no heap-moved locals in the tile kernels)"
 # panel update hands it its buffer of panel sums. A stub declared without
 # //go:noescape makes the compiler move them to the heap, up to four
 # allocations per row tile: 686 for one 1000x250 kernel matrix. The
-# pack and the tile live in tile.go; tiled.go's panel loops and exp.go's slice
-# loop (a row per call into the assembly exp) sit on the same path, and so
-# do vector.go's Dot and Axpy, which hand their slices to dotFMA and axpyFMA,
-# and boxstep.go's AxpyMaxViolator, which hands its three to the fused
-# box-QP step.
+# pack and the tile live in tile.go; tiled.go's panel loops and rbfrow.go's
+# RBFRow (a row and its norms per call into the fused assembly row) sit on
+# the same path, and so do vector.go's Dot and Axpy, which hand their slices
+# to dotFMA and axpyFMA, and boxstep.go's AxpyMaxViolator, which hands its
+# three to the fused box-QP step.
 if go build -gcflags=-m ./internal/linalg ./internal/kernel 2>&1 \
-	| grep -E '(tile|tiled|exp|cholesky|vector|boxstep)\.go:[0-9]+:[0-9]+: moved to heap'; then
+	| grep -E '(tile|tiled|exp|rbfrow|cholesky|vector|boxstep)\.go:[0-9]+:[0-9]+: moved to heap'; then
 	echo "error: a local of the tile kernels escapes (assembly stub without //go:noescape?)" >&2
 	exit 1
 fi
@@ -186,6 +191,13 @@ echo "==> GOARCH=arm64 build + vet of the compute layer (the stub/twin side of e
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/linalg ./internal/kernel ./internal/qp
 
+echo "==> twin tests at GOAMD64=v3 (the assembly against Go twins compiled with FMA in the baseline ISA)"
+# The Go spec lets a compiler fuse x*y + z into one rounding, and at v3 FMA
+# is part of the baseline instruction set. A fused multiply-add the compiler
+# chose would split a twin from its assembly without a line of either
+# changing, so the bit-equality tests run again with the twins built for v3.
+GOAMD64=v3 go test -count=1 -run 'Twin|Contract|LaneAndOffset|MatchesFMA|MatchesTwoPass' ./internal/linalg ./internal/kernel ./internal/qp
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -196,10 +208,10 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky + the HL step's Dot/Axpy + the HK step's AxpyMaxViolator + the QP solvers + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
+echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky + the HL step's Dot/Axpy + the HK step's AxpyMaxViolator + the fused RBF row + the QP solvers + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
 go test -run '^$' -bench 'Gram|Accumulate' -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench 'SolveLinearBox|SolveUniformDiag|SolveBox' -benchtime 1x ./internal/qp/
-go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky|Dot|Axpy' -benchtime 1x ./internal/linalg/
+go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky|Dot|Axpy|RBFRow664' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/mapreduce/
 go test -run '^$' -bench Scalability -benchtime 1x .
 go test -run '^$' -bench Minibatch -benchtime 1x ./internal/consensus/
