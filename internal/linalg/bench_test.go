@@ -102,6 +102,34 @@ func BenchmarkCholeskySolve200(b *testing.B) {
 	}
 }
 
+// BenchmarkCholeskySolve600 is a vk_scores learner's per-round ridge solve:
+// both substitutions on the factor of BenchmarkCholeskyFactorize600's
+// system. The purego sub-benchmark runs Dot and Axpy as their Go twins.
+func BenchmarkCholeskySolve600(b *testing.B) {
+	ch, err := FactorizeCholesky(rbfSystem(2, 600, 16, 1.0/16, 100))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	rhs, dst := make([]float64, 600), make([]float64, 600)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ch.SolveVec(rhs, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("default", run)
+	b.Run("purego", func(b *testing.B) {
+		defer func(prev bool) { hasFMA = prev }(hasFMA)
+		hasFMA = false
+		run(b)
+	})
+}
+
 // benchVecs returns two length-n vectors for the vector kernels.
 func benchVecs(n int) (x, y []float64) {
 	x, y = make([]float64, n), make([]float64, n)

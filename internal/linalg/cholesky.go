@@ -153,7 +153,15 @@ func cholPanelUpdate(a *Matrix, p Packed, j0, j1, rlo, rhi int) {
 }
 
 // SolveVec solves A x = b, overwriting nothing; the solution is returned in
-// dst (allocated when nil). dst may alias b.
+// dst (allocated when nil, else of length n). dst may alias b.
+//
+// Both substitutions read L by rows. The forward pass is one Dot per row,
+// y_i = (b_i − L_i[:i]·y[:i]) / L_ii; the back pass solves Lᵀ by its
+// columns, which are L's rows: for j from n−1 down, x_j = y_j / L_jj is
+// final, and Axpy(−x_j, L_j[:j], x[:j]) takes it out of every earlier entry.
+// Each x_i thus receives its subtractions in descending j, one fma each, and
+// the bits are Dot's and Axpy's, so they depend on neither hasFMA nor the
+// platform.
 func (c *Cholesky) SolveVec(b, dst []float64) ([]float64, error) {
 	n := c.l.Rows
 	if len(b) != n {
@@ -161,24 +169,18 @@ func (c *Cholesky) SolveVec(b, dst []float64) ([]float64, error) {
 	}
 	if dst == nil {
 		dst = make([]float64, n)
+	} else if len(dst) != n {
+		return nil, fmt.Errorf("cholesky solve: %w: dst length %d, want %d", ErrShape, len(dst), n)
 	}
 	copy(dst, b)
-	// Forward substitution: L y = b.
 	for i := 0; i < n; i++ {
 		li := c.l.Row(i)
-		s := dst[i]
-		for k := 0; k < i; k++ {
-			s -= li[k] * dst[k]
-		}
-		dst[i] = s / li[i]
+		dst[i] = (dst[i] - Dot(li[:i], dst[:i])) / li[i]
 	}
-	// Back substitution: Lᵀ x = y.
-	for i := n - 1; i >= 0; i-- {
-		s := dst[i]
-		for k := i + 1; k < n; k++ {
-			s -= c.l.At(k, i) * dst[k]
-		}
-		dst[i] = s / c.l.At(i, i)
+	for j := n - 1; j >= 0; j-- {
+		lj := c.l.Row(j)
+		dst[j] /= lj[j]
+		Axpy(-dst[j], lj[:j], dst[:j])
 	}
 	return dst, nil
 }

@@ -237,6 +237,121 @@ func TestCholeskySolveInPlaceAlias(t *testing.T) {
 	}
 }
 
+// solveVecScalar is the substitution SolveVec replaced, kept as its
+// reference: the forward pass a scalar chain of subtractions along each row
+// of L, the back pass one along each column of L, read with At.
+func solveVecScalar(l *Matrix, b []float64) []float64 {
+	n := l.Rows
+	dst := append([]float64(nil), b...)
+	// Forward substitution: L y = b.
+	for i := 0; i < n; i++ {
+		li := l.Row(i)
+		s := dst[i]
+		for k := 0; k < i; k++ {
+			s -= li[k] * dst[k]
+		}
+		dst[i] = s / li[i]
+	}
+	// Back substitution: Lᵀ x = y.
+	for i := n - 1; i >= 0; i-- {
+		s := dst[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.At(k, i) * dst[k]
+		}
+		dst[i] = s / l.At(i, i)
+	}
+	return dst
+}
+
+// TestSolveVecMatchesScalarLoops pins the row-oriented solve (a Dot per row
+// forward, an Axpy per row of L back) against the scalar loops it replaced,
+// on every order 1–9, at and around the 32-column panel edge, at 70, and on
+// a vk_scores learner's system I + 100·K_RBF at n = 600.
+//
+// The bounds are the backward-error ones, so they hold for any summation
+// order (Higham, Accuracy and Stability, Thm 10.4): the computed x solves
+// (A + ΔA) x = b with |ΔA| ≤ γ(3n+1)·|L||Lᵀ|, γ(k) ≈ k·u. With
+// M = ‖|L||Lᵀ|‖∞, which bounds ‖A‖∞ and ‖b‖∞/‖x‖∞ too:
+//   - ‖Ax − b‖∞ ≤ 6(n+1)·u·M·‖x‖∞, the solve's 3n+1 and 2(n+1) for
+//     evaluating the residual;
+//   - ‖x − x_ref‖∞ ≤ 2·(3n+1)·u·‖A⁻¹‖∞·M·(‖x‖∞ + ‖x_ref‖∞), both solves'
+//     perturbations through A⁻¹, a factor 2 over first order. Every system
+//     here is s·I plus a PSD matrix, so ‖A⁻¹‖∞ ≤ √n·‖A⁻¹‖₂ ≤ √n/s.
+//
+// A solve into dst = b gives the same bits as into a fresh dst.
+func TestSolveVecMatchesScalarLoops(t *testing.T) {
+	const u = 0x1p-53
+	type system struct {
+		name  string
+		a     *Matrix
+		shift float64 // A − shift·I is PSD
+	}
+	rng := rand.New(rand.NewSource(38))
+	var systems []system
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 70} {
+		systems = append(systems, system{fmt.Sprintf("n=%d", n), randomSPD(rng, n), float64(n)})
+	}
+	systems = append(systems, system{"vk 600", rbfSystem(2, 600, 16, 1.0/16, 100), 1})
+	for _, s := range systems {
+		n := s.a.Rows
+		ch, err := FactorizeCholesky(s.a)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		x, err := ch.SolveVec(b, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		ref := solveVecScalar(ch.l, b)
+
+		// M = max_i Σ_k |L_ik|·Σ_j |L_jk|.
+		colAbs := make([]float64, n)
+		for j := 0; j < n; j++ {
+			for k, v := range ch.l.Row(j) {
+				colAbs[k] += math.Abs(v)
+			}
+		}
+		var m float64
+		for i := 0; i < n; i++ {
+			var r float64
+			for k, v := range ch.l.Row(i) {
+				r += math.Abs(v) * colAbs[k]
+			}
+			m = max(m, r)
+		}
+		nf := float64(n)
+
+		ax, err := s.a.MulVec(x, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, resBound := NormInf(SubVec(ax, b, nil)), 6*(nf+1)*u*m*NormInf(x)
+		if res > resBound {
+			t.Errorf("%s: ‖Ax − b‖∞ = %.3g, bound %.3g", s.name, res, resBound)
+		}
+		diff, diffBound := NormInf(SubVec(x, ref, nil)), 2*(3*nf+1)*u*math.Sqrt(nf)/s.shift*m*(NormInf(x)+NormInf(ref))
+		if diff > diffBound {
+			t.Errorf("%s: ‖x − x_ref‖∞ = %.3g, bound %.3g", s.name, diff, diffBound)
+		}
+		t.Logf("%s: ‖Ax − b‖∞ %.3g (bound %.3g), ‖x − x_ref‖∞/‖x_ref‖∞ %.3g (bound %.3g)",
+			s.name, res, resBound, diff/NormInf(ref), diffBound/NormInf(ref))
+
+		alias := append([]float64(nil), b...)
+		if _, err := ch.SolveVec(alias, alias); err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if math.Float64bits(alias[i]) != math.Float64bits(x[i]) {
+				t.Fatalf("%s: solve into b differs at %d: %g vs %g", s.name, i, alias[i], x[i])
+			}
+		}
+	}
+}
+
 func TestCholeskyNotSPD(t *testing.T) {
 	a, _ := NewMatrixFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
 	if _, err := FactorizeCholesky(a); !errors.Is(err, ErrNotSPD) {
@@ -304,6 +419,13 @@ func TestCholeskySolveMatrix(t *testing.T) {
 	}
 	if _, err := ch.SolveVec(make([]float64, 2), nil); !errors.Is(err, ErrShape) {
 		t.Errorf("SolveVec shape: err = %v, want ErrShape", err)
+	}
+	// A dst of the wrong length is a shape error, as in MulVec, not an index
+	// panic (short) or a solution with a stale tail (long).
+	for _, m := range []int{0, 4, 6} {
+		if _, err := ch.SolveVec(make([]float64, 5), make([]float64, m)); !errors.Is(err, ErrShape) {
+			t.Errorf("SolveVec dst length %d: err = %v, want ErrShape", m, err)
+		}
 	}
 }
 

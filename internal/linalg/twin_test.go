@@ -38,7 +38,8 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // through every entry point that runs on it. The vector kernels keep the same
 // rule: Dot, Axpy and MulVec (a Dot per row) equal their twins at every
 // length up to 70, which leaves every residue mod 16 and mod 4, from
-// unaligned starts, and with ±Inf or NaN planted. The shapes leave every edge:
+// unaligned starts, and with ±Inf or NaN planted, and so does the Cholesky
+// solve (a Dot and an Axpy per row of L). The shapes leave every edge:
 // row counts at each residue mod the tile's rows (and two kernel panels, the
 // second short), column counts at each residue mod the 8-column panel and one
 // narrower than a panel, k = 0 (the zero fill) and k short and long.
@@ -136,20 +137,32 @@ func TestTiledFallbackMatchesFMA(t *testing.T) {
 		}
 	}
 	// The blocked factor across its panels: n = 600 is 18 full 32-column
-	// panels and a 24-column one.
-	const n = 600
-	g := gaussian(rng, n, 20)
-	spd := must(linalg.MatMulT(g, g))
-	for i := 0; i < n; i++ {
-		spd[i*n+i] += n
-	}
-	twin("FactorizeCholeskyInPlace 600", func() []float64 {
-		a := &linalg.Matrix{Rows: n, Cols: n, Data: append([]float64(nil), spd...)}
-		if _, err := linalg.FactorizeCholeskyInPlace(a); err != nil {
-			t.Fatal(err)
+	// panels and a 24-column one; n = 5 is part of one panel and n = 33 a
+	// panel and a row. The solve on each runs on Dot and Axpy only.
+	for _, n := range []int{600, 5, 33} {
+		g := gaussian(rng, n, 20)
+		spd := must(linalg.MatMulT(g, g))
+		for i := 0; i < n; i++ {
+			spd[i*n+i] += float64(n)
 		}
-		return a.Data
-	})
+		var ch *linalg.Cholesky
+		twin(fmt.Sprintf("FactorizeCholeskyInPlace %d", n), func() []float64 {
+			a := &linalg.Matrix{Rows: n, Cols: n, Data: append([]float64(nil), spd...)}
+			var err error
+			if ch, err = linalg.FactorizeCholeskyInPlace(a); err != nil {
+				t.Fatal(err)
+			}
+			return a.Data
+		})
+		rhs := gaussian(rng, 1, n).Data
+		twin(fmt.Sprintf("SolveVec %d", n), func() []float64 {
+			x, err := ch.SolveVec(rhs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return x
+		})
+	}
 }
 
 // TestAxpyMaxViolatorMatchesTwin pins the fused box-QP step's contract: the

@@ -196,7 +196,7 @@ echo "==> twin tests at GOAMD64=v3 (the assembly against Go twins compiled with 
 # is part of the baseline instruction set. A fused multiply-add the compiler
 # chose would split a twin from its assembly without a line of either
 # changing, so the bit-equality tests run again with the twins built for v3.
-GOAMD64=v3 go test -count=1 -run 'Twin|Contract|LaneAndOffset|MatchesFMA|MatchesTwoPass' ./internal/linalg ./internal/kernel ./internal/qp
+GOAMD64=v3 go test -count=1 -run 'Twin|Contract|LaneAndOffset|MatchesFMA|MatchesTwoPass|MatchesScalarLoops' ./internal/linalg ./internal/kernel ./internal/qp
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -208,7 +208,7 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky + the HL step's Dot/Axpy + the HK step's AxpyMaxViolator + the fused RBF row + the QP solvers + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
+echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky and the VK ridge solve + the HL step's Dot/Axpy + the HK step's AxpyMaxViolator + the fused RBF row + the QP solvers + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
 go test -run '^$' -bench 'Gram|Accumulate' -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench 'SolveLinearBox|SolveUniformDiag|SolveBox' -benchtime 1x ./internal/qp/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky|Dot|Axpy|RBFRow664' -benchtime 1x ./internal/linalg/
