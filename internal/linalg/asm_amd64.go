@@ -35,6 +35,14 @@ func axpyFMA(alpha float64, x, y *float64, n int)
 //go:noescape
 func axpyMaxViolatorFMA(delta float64, x, grad, lambda *float64, n int, c, tol float64) int
 
+// linearSweepFMA is the AVX2 body of LinearSweep over the n coordinates at
+// active, the same bits as linearSweepGo; it returns kept. Callers must have
+// checked hasFMA and n ≥ 1. The noescape directive keeps the caller's
+// SweepState on its stack.
+//
+//go:noescape
+func linearSweepFMA(st *SweepState, active *int, n int) int
+
 // rbfRowFMA is the AVX2 body of RBFRow over n elements, n a positive
 // multiple of 4: the same operations as rbfRowGo, the same bits. negGamma is
 // −γ and tab is expTab4. Callers must have checked hasFMA.

@@ -3,7 +3,8 @@
 package linalg
 
 // hasFMA is always false off amd64: the tile, the dot, the axpy, the fused
-// box-QP step and the RBF row use their Go twins, which give the same bits.
+// box-QP step, the linear sweep and the RBF row use their Go twins, which
+// give the same bits.
 var hasFMA = false
 
 func tileFMA(a, out *[tileM][]float64, b []float64, k, panels int) {
@@ -20,6 +21,10 @@ func axpyFMA(alpha float64, x, y *float64, n int) {
 
 func axpyMaxViolatorFMA(delta float64, x, grad, lambda *float64, n int, c, tol float64) int {
 	panic("linalg: axpyMaxViolatorFMA called without FMA support")
+}
+
+func linearSweepFMA(st *SweepState, active *int, n int) int {
+	panic("linalg: linearSweepFMA called without FMA support")
 }
 
 func rbfRowFMA(row, sq *float64, n int, sqX, negGamma float64, tab *[17][4]float64) {

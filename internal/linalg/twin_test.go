@@ -228,3 +228,131 @@ func TestAxpyMaxViolatorMatchesTwin(t *testing.T) {
 		}
 	}
 }
+
+// TestLinearSweepMatchesTwin pins the fused HL sweep's contract: the AVX2
+// body and its Go twin leave the same λ, v, s, compacted active order,
+// Viol/PGMax/PGMin, Iter and moved, bit for bit. Each k in the list leaves a
+// different residue of the dot's 16- and 4-wide blocks and the axpy's 4-wide
+// one, from four unaligned starts. λ sits at 0, at C, inside and (once in a
+// trial) at NaN; ±0, ±Inf and NaN are planted in p and in the rows; some
+// rows have QD ≤ τ; the shrink thresholds are infinite or finite; tol is 0,
+// 1e-6 or +Inf; and Iter starts below its cap, or at it, or a few updates
+// short of it so the cap lands mid-sweep. Some sweeps get an empty active.
+// On a host without the assembly the test is vacuous.
+func TestLinearSweepMatchesTwin(t *testing.T) {
+	if !linalg.SetFMA(false) {
+		t.Skip("no FMA kernels on this host")
+	}
+	linalg.SetFMA(true)
+	defer linalg.SetFMA(true)
+	const c, tau = 2.0, 1e-12
+	rng := rand.New(rand.NewSource(39))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	inf := math.Inf(1)
+	for _, k := range []int{1, 3, 4, 15, 16, 17, 28, 30, 64, 70} {
+		for off := 0; off < 4; off++ {
+			for trial := 0; trial < 24; trial++ {
+				n := 1 + rng.Intn(40)
+				in := linalg.SweepState{
+					X: make([]float64, off+n*k)[off:], Y: make([]float64, n), P: make([]float64, n),
+					QD: make([]float64, n), Lambda: make([]float64, n), V: make([]float64, k), K: k,
+					Eta: 0.01 + rng.Float64(), Sigma: 0.01 * float64(trial%2), C: c, Tau: tau,
+					Tol: []float64{0, 1e-6, inf}[trial%3], MaxIter: 1 << 30,
+					ShrinkAbove: inf, ShrinkBelow: -inf, S: rng.NormFloat64(),
+				}
+				if trial/3%2 == 1 {
+					in.ShrinkAbove, in.ShrinkBelow = rng.Float64(), -rng.Float64()
+				}
+				switch trial / 6 % 4 {
+				case 1:
+					in.Iter, in.MaxIter = 3, 3
+				case 2:
+					in.Iter, in.MaxIter = 3, 3+rng.Intn(4)
+				}
+				for j := range in.X {
+					in.X[j] = rng.NormFloat64()
+				}
+				for j := range in.V {
+					in.V[j] = 0.1 * rng.NormFloat64()
+				}
+				for i := 0; i < n; i++ {
+					in.Y[i] = float64(2*rng.Intn(2) - 1)
+					in.P[i] = 2*rng.NormFloat64() - 1
+					in.Lambda[i] = []float64{0, c, c * rng.Float64()}[rng.Intn(3)]
+				}
+				// A zero row has QD = σ, 0 when σ = 0; another sits at τ.
+				zero := rng.Intn(n)
+				linalg.Zero(in.X[zero*k:][:k])
+				for i := 0; i < n; i++ {
+					row := in.X[i*k : i*k+k]
+					in.QD[i] = in.Eta*linalg.Dot(row, row) + in.Sigma
+				}
+				in.QD[rng.Intn(n)] = tau
+				switch trial % 4 {
+				case 1:
+					in.Lambda[rng.Intn(n)] = math.NaN()
+				case 2:
+					// On the zero row at σ = 0, a ±0 here makes g ±0.
+					in.P[[]int{zero, rng.Intn(n)}[trial/4%2]] = specials[trial/4%len(specials)]
+				case 3:
+					in.X[rng.Intn(n*k)] = specials[(trial/4+off)%len(specials)]
+				}
+				active := rng.Perm(n)[:n-rng.Intn(min(n, 3))]
+				if trial == 23 {
+					active = active[:0]
+				}
+				name := fmt.Sprintf("k=%d off=%d trial=%d n=%d", k, off, trial, n)
+				sweep := func(fma bool) (linalg.SweepState, []int, int, bool) {
+					linalg.SetFMA(fma)
+					st := in
+					st.Lambda = append(make([]float64, off, off+n), in.Lambda...)[off:]
+					st.V = append(make([]float64, off, off+k), in.V...)[off:]
+					act := append(make([]int, off, off+len(active)), active...)[off:]
+					kept, moved := linalg.LinearSweep(&st, act)
+					return st, act, kept, moved
+				}
+				got, gotActive, kept, moved := sweep(true)
+				want, wantActive, twinKept, twinMoved := sweep(false)
+				linalg.SetFMA(true)
+				if kept != twinKept || moved != twinMoved || got.Iter != want.Iter {
+					t.Fatalf("LinearSweep %s: kept %d, moved %v, Iter %d with the assembly; %d, %v, %d with its Go twin",
+						name, kept, moved, got.Iter, twinKept, twinMoved, want.Iter)
+				}
+				if got.Iter > max(in.Iter, in.MaxIter) || moved != (got.Iter != in.Iter) {
+					t.Fatalf("LinearSweep %s: Iter %d → %d past MaxIter %d, or moved = %v", name, in.Iter, got.Iter, in.MaxIter, moved)
+				}
+				for j := range gotActive {
+					if gotActive[j] != wantActive[j] {
+						t.Fatalf("LinearSweep %s: active %v with the assembly, %v with its Go twin", name, gotActive, wantActive)
+					}
+				}
+				sameBits(t, "LinearSweep λ "+name, got.Lambda, want.Lambda)
+				sameBits(t, "LinearSweep v "+name, got.V, want.V)
+				sameBits(t, "LinearSweep s, Viol, PGMax, PGMin "+name,
+					[]float64{got.S, got.Viol, got.PGMax, got.PGMin}, []float64{want.S, want.Viol, want.PGMax, want.PGMin})
+			}
+		}
+	}
+	// One zero row at σ = 0 with p = ±0 has g = ±0: a face keeps a −0
+	// gradient as pg and replaces a +0 by 0, which only PGMax and PGMin show.
+	for _, lambda := range []float64{0, c} {
+		for _, p := range []float64{0, math.Copysign(0, -1)} {
+			for _, y := range []float64{1, -1} {
+				sweep := func(fma bool) linalg.SweepState {
+					linalg.SetFMA(fma)
+					st := linalg.SweepState{
+						X: make([]float64, 3), Y: []float64{y}, P: []float64{p}, QD: []float64{0},
+						Lambda: []float64{lambda}, V: []float64{1, 2, 3}, K: 3, Eta: 1, C: c, Tau: tau,
+						MaxIter: 1, ShrinkAbove: inf, ShrinkBelow: -inf, S: -1,
+					}
+					linalg.LinearSweep(&st, []int{0})
+					return st
+				}
+				got, want := sweep(true), sweep(false)
+				linalg.SetFMA(true)
+				sameBits(t, fmt.Sprintf("LinearSweep g = ±0 at λ = %g, p = %g, y = %g", lambda, p, y),
+					[]float64{got.Lambda[0], got.S, got.Viol, got.PGMax, got.PGMin}, []float64{want.Lambda[0], want.S, want.Viol, want.PGMax, want.PGMin})
+			}
+		}
+	}
+}

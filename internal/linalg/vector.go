@@ -57,7 +57,12 @@ func Axpy(alpha float64, x, y []float64) {
 		axpyFMA(alpha, &x[0], &y[0], n)
 		return
 	}
-	x, y = x[:n], y[:n]
+	axpyGo(alpha, x[:n], y[:n])
+}
+
+// axpyGo is axpyFMA's Go twin over len(x) ≤ len(y) elements.
+func axpyGo(alpha float64, x, y []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] = math.FMA(alpha, v, y[i])
 	}
