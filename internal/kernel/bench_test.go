@@ -47,7 +47,8 @@ func BenchmarkGramLinear300x20(b *testing.B) {
 // learners scores 600 eval rows against its 600 × 16 block) and hk_landmarks
 // (1000 eval rows of 64 features against 4 learners' 250 support rows and the
 // 30 landmarks). Linear is the same walk with no transform: the difference is
-// what the row transform costs.
+// what the row transform costs. Each runs on every body of linalg's kernels:
+// avx512, avx2 and purego.
 func BenchmarkAccumulate(b *testing.B) {
 	type call struct {
 		x, support *linalg.Matrix
@@ -79,13 +80,15 @@ func BenchmarkAccumulate(b *testing.B) {
 			k := kk.k
 			dst := make([]float64, s.calls[0].x.Rows)
 			b.Run(s.name+"/"+kk.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for _, c := range s.calls {
-						if err := Accumulate(k, c.x, c.support, c.coef, dst); err != nil {
-							b.Fatal(err)
+				benchBodies(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for _, c := range s.calls {
+							if err := Accumulate(k, c.x, c.support, c.coef, dst); err != nil {
+								b.Fatal(err)
+							}
 						}
 					}
-				}
+				})
 			})
 		}
 	}

@@ -67,7 +67,7 @@ type Polynomial struct {
 func (p Polynomial) Eval(x, y []float64) float64 { return p.ofDot(linalg.Dot(x, y)) }
 
 func (p Polynomial) ofDot(d float64) float64 {
-	base := p.A*d + p.B
+	base := float64(p.A*d) + p.B
 	out := 1.0
 	for i := 0; i < p.Degree; i++ {
 		out *= base
@@ -125,7 +125,7 @@ type Sigmoid struct {
 
 // Eval implements Kernel.
 func (s Sigmoid) Eval(x, y []float64) float64 {
-	return math.Tanh(s.A*linalg.Dot(x, y) + s.C)
+	return math.Tanh(float64(s.A*linalg.Dot(x, y)) + s.C)
 }
 
 // Name implements Kernel.
@@ -133,7 +133,7 @@ func (s Sigmoid) Name() string { return fmt.Sprintf("sigmoid(a=%g,c=%g)", s.A, s
 
 func (s Sigmoid) rowForm(row []float64, _ float64, _ []float64) {
 	for j, d := range row {
-		row[j] = math.Tanh(s.A*d + s.C)
+		row[j] = math.Tanh(float64(s.A*d) + s.C)
 	}
 }
 func (Sigmoid) needNorms() bool { return false }

@@ -22,26 +22,42 @@ func randomSamples(t *testing.T, seed int64, n, k int) *linalg.Matrix {
 // TestGramParallelMatchesSequential pins the acceptance requirement: the
 // parallel row partitioning must produce bit-identical matrices to the
 // single-worker (sequential) path, for sizes below and above the parallel
-// cutoff and for worker counts exceeding the row count.
+// cutoff and for worker counts exceeding the row count, on every body of
+// linalg's kernels this host runs, and every body the same matrix.
 func TestGramParallelMatchesSequential(t *testing.T) {
 	kernels := []Kernel{Linear{}, RBF{Gamma: 0.3}, Polynomial{A: 1, B: 1, Degree: 3}, Sigmoid{A: 0.5, C: -0.2}}
+	defer parallel.SetWorkers(parallel.Workers())
 	for _, n := range []int{1, 5, 37, 120, 400} {
 		a := randomSamples(t, int64(n), n, 11)
 		for _, k := range kernels {
-			prev := parallel.SetWorkers(1)
-			seq := GramMatrix(k, a)
-			for _, w := range []int{2, 4, n + 13} {
-				parallel.SetWorkers(w)
-				got := GramMatrix(k, a)
+			var first *linalg.Matrix
+			for _, b := range hostBodies() {
+				restore := b.use()
+				parallel.SetWorkers(1)
+				seq := GramMatrix(k, a)
+				for _, w := range []int{2, 4, n + 13} {
+					parallel.SetWorkers(w)
+					got := GramMatrix(k, a)
+					for i := range seq.Data {
+						if got.Data[i] != seq.Data[i] {
+							restore()
+							t.Fatalf("%s %s n=%d workers=%d: Gram differs at %d: %g vs %g",
+								b.name, k.Name(), n, w, i, got.Data[i], seq.Data[i])
+						}
+					}
+				}
+				restore()
+				if first == nil {
+					first = seq
+					continue
+				}
 				for i := range seq.Data {
-					if got.Data[i] != seq.Data[i] {
-						parallel.SetWorkers(prev)
-						t.Fatalf("%s n=%d workers=%d: Gram differs at %d: %g vs %g",
-							k.Name(), n, w, i, got.Data[i], seq.Data[i])
+					if seq.Data[i] != first.Data[i] {
+						t.Fatalf("%s %s n=%d: Gram differs from the %s body's at %d: %g vs %g",
+							b.name, k.Name(), n, hostBodies()[0].name, i, seq.Data[i], first.Data[i])
 					}
 				}
 			}
-			parallel.SetWorkers(prev)
 		}
 	}
 }
@@ -50,8 +66,10 @@ func TestGramParallelMatchesSequential(t *testing.T) {
 // against scalar Eval loops, for each of the four kernels, at row counts that
 // cross panelRows and leave the tile's edges: a's last panel is 13 rows, two
 // 6-row tiles and a 1-row one, and both column counts (55 against b, 109 in
-// the Gram) end in a partial 8-column panel. The pooled result must equal the
-// sequential one bit for bit; against Eval only the dot rounds differently.
+// the Gram) end in a partial 8-column panel. On every body of linalg's
+// kernels this host runs, the pooled result must equal the sequential one bit
+// for bit, and every body the widest one's; against Eval only the dot rounds
+// differently.
 func TestTiledPathMatchesEval(t *testing.T) {
 	a := randomSamples(t, 7, 2*panelRows+13, 13)
 	b := randomSamples(t, 8, panelRows+7, 13)
@@ -102,27 +120,40 @@ func TestTiledPathMatchesEval(t *testing.T) {
 	}
 	defer parallel.SetThreshold(parallel.SetThreshold(1))
 	defer parallel.SetWorkers(parallel.Workers())
-	for _, k := range fourKernels {
-		for _, op := range ops {
-			parallel.SetWorkers(1)
-			seq, err := op.got(k)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", k.Name(), op.name, err)
-			}
-			parallel.SetWorkers(4)
-			par, err := op.got(k)
-			if err != nil {
-				t.Fatalf("%s/%s pooled: %v", k.Name(), op.name, err)
-			}
-			for i, want := range op.want(k) {
-				if math.Abs(seq[i]-want) > 1e-9*math.Max(1, math.Abs(want)) {
-					t.Fatalf("%s/%s: element %d = %.17g, Eval loop %.17g", k.Name(), op.name, i, seq[i], want)
+	first := make(map[string][]float64)
+	for _, b := range hostBodies() {
+		restore := b.use()
+		for _, k := range fourKernels {
+			for _, op := range ops {
+				name := b.name + " " + k.Name() + "/" + op.name
+				parallel.SetWorkers(1)
+				seq, err := op.got(k)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				if par[i] != seq[i] {
-					t.Fatalf("%s/%s: element %d depends on the worker count: %.17g vs %.17g", k.Name(), op.name, i, par[i], seq[i])
+				parallel.SetWorkers(4)
+				par, err := op.got(k)
+				if err != nil {
+					t.Fatalf("%s pooled: %v", name, err)
+				}
+				ref, seen := first[k.Name()+"/"+op.name]
+				if !seen {
+					first[k.Name()+"/"+op.name] = seq
+				}
+				for i, want := range op.want(k) {
+					if math.Abs(seq[i]-want) > 1e-9*math.Max(1, math.Abs(want)) {
+						t.Fatalf("%s: element %d = %.17g, Eval loop %.17g", name, i, seq[i], want)
+					}
+					if par[i] != seq[i] {
+						t.Fatalf("%s: element %d depends on the worker count: %.17g vs %.17g", name, i, par[i], seq[i])
+					}
+					if seen && seq[i] != ref[i] {
+						t.Fatalf("%s: element %d = %.17g, %.17g on the %s body", name, i, seq[i], ref[i], hostBodies()[0].name)
+					}
 				}
 			}
 		}
+		restore()
 	}
 }
 

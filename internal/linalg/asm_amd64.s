@@ -1,6 +1,9 @@
-// AVX2+FMA microkernels behind the tiled matmul path. The feature gate and
-// the pure-Go fallbacks live in asm_amd64.go / tile.go; nothing here runs
-// unless detectFMA() proved CPUID support for AVX2, FMA and OS ymm state.
+// AVX2+FMA microkernels behind the compute layer, and AVX-512 bodies of the
+// two whose outputs are independent lane chains (the RBF row and the tile).
+// The feature gates live in asm_amd64.go, the pure-Go twins beside their
+// callers; nothing here runs unless detectFMA() proved CPUID support for AVX2,
+// FMA and OS ymm state, and the AVX-512 bodies only where detectAVX512() also
+// proved AVX512F, AVX512DQ and OS zmm and opmask state.
 //
 // Every hot loop head sits behind PCALIGN $32, so a loop starts on a 32-byte
 // boundary wherever the linker places its function (functions are 32-byte
@@ -654,5 +657,230 @@ rbfloop:
 	DECQ CX
 	JNZ  rbfloop
 
+	VZEROUPPER
+	RET
+
+// func rbfRowAVX512(row, sq *float64, n int, sqX, negGamma float64, tab *[17]float64)
+//
+// rbfRowFMA eight lanes at a time, n a positive multiple of 8: the same
+// operations in the same order, so every lane gets the same bits. tab is
+// expTab, each constant broadcast once: Z12 log₂e, Z11 ln2hi, Z10 ln2lo, Z8
+// the cutoff, Z9 1 and Z16–Z27 1/13! … 1/2!, so the Horner steps read no
+// memory. Z15 holds sqX, Z14 −γ and Z13 +0.
+//
+// The two and-nots of rbfRowFMA become ordered compares into K masks, negated
+// (NLT_UQ, predicate 0x15, is true for NaN as the and-not keeps NaN) and
+// applied with zero-merge, which writes the same +0 the and-not does.
+// VRNDSCALEPD $8 is VROUNDPD $8: round to even, inexact suppressed. The
+// scale 2ⁿ takes n through VCVTPD2QQ where rbfRowFMA uses VCVTPD2DQ and a
+// sign extension: for every n the clamped domain gives, [−1022, 0], both are
+// the same int64, and a NaN n becomes 0x8000000000000000 here and
+// 0xFFFFFFFF80000000 there, which the shift by 52 clears alike.
+TEXT ·rbfRowAVX512(SB), NOSPLIT, $0-48
+	MOVQ row+0(FP), DI
+	MOVQ sq+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD sqX+24(FP), Z15
+	VBROADCASTSD negGamma+32(FP), Z14
+	MOVQ tab+40(FP), DX
+
+	VPXORQ Z13, Z13, Z13
+	VBROADCASTSD 0(DX), Z12
+	VBROADCASTSD 8(DX), Z11
+	VBROADCASTSD 16(DX), Z10
+	VBROADCASTSD 24(DX), Z8
+	VBROADCASTSD 32(DX), Z9
+	VBROADCASTSD 40(DX), Z16
+	VBROADCASTSD 48(DX), Z17
+	VBROADCASTSD 56(DX), Z18
+	VBROADCASTSD 64(DX), Z19
+	VBROADCASTSD 72(DX), Z20
+	VBROADCASTSD 80(DX), Z21
+	VBROADCASTSD 88(DX), Z22
+	VBROADCASTSD 96(DX), Z23
+	VBROADCASTSD 104(DX), Z24
+	VBROADCASTSD 112(DX), Z25
+	VBROADCASTSD 120(DX), Z26
+	VBROADCASTSD 128(DX), Z27
+	SHRQ $3, CX
+
+	PCALIGN $32
+rbf512loop:
+	VMOVUPD (DI), Z0               // d = ⟨x, y_j⟩
+	VADDPD Z0, Z0, Z0              // 2d
+	VADDPD (SI), Z15, Z1           // sqX + sq[j]
+	VSUBPD Z0, Z1, Z0              // dd = (sqX + sq[j]) − 2d
+	VCMPPD $0x15, Z13, Z0, K1      // not dd < 0
+	VMOVAPD.Z Z0, K1, Z0           // clamp to +0
+	VMULPD Z14, Z0, Z0             // x = −γ·dd
+	VCMPPD $0x15, Z8, Z0, K2       // not x < cutoff
+	VMULPD Z12, Z0, Z1             // x·log₂e
+	VRNDSCALEPD $8, Z1, Z1         // n = round-to-even, inexact suppressed
+	VFNMADD231PD Z11, Z1, Z0       // r = x − n·ln2hi
+	VFNMADD231PD Z10, Z1, Z0       // r −= n·ln2lo
+	VMOVAPD Z16, Z2                // p = 1/13!
+	VFMADD213PD Z17, Z0, Z2        // p = p·r + 1/12!
+	VFMADD213PD Z18, Z0, Z2
+	VFMADD213PD Z19, Z0, Z2
+	VFMADD213PD Z20, Z0, Z2
+	VFMADD213PD Z21, Z0, Z2
+	VFMADD213PD Z22, Z0, Z2
+	VFMADD213PD Z23, Z0, Z2
+	VFMADD213PD Z24, Z0, Z2
+	VFMADD213PD Z25, Z0, Z2
+	VFMADD213PD Z26, Z0, Z2
+	VFMADD213PD Z27, Z0, Z2        // … + 1/2!
+	VFMADD213PD Z9, Z0, Z2
+	VFMADD213PD Z9, Z0, Z2         // p = e^r
+	VCVTPD2QQ Z1, Z1
+	VPSLLQ $52, Z1, Z1
+	VPADDQ.Z Z1, Z2, K2, Z2        // p·2ⁿ, 0 below the cutoff
+	VMOVUPD Z2, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  rbf512loop
+
+	VZEROUPPER
+	RET
+
+// func tileAVX512(a, out *[tileM][]float64, b []float64, k, panels int)
+//
+// tileFMA on zmm: one load takes a whole 8-column panel's k step, so a pass
+// runs two panels at once. R8–R13 hold the six a rows and R14 the panel
+// stride 64k; Z0–Z11 are the outputs, Z(2r) row r of the first panel and
+// Z(2r+1) of the second, as one VFMADD231PD chain each from +0 over k, the
+// chain tileFMA and tileGo compute. Each k step loads the two panels' entries
+// into Z12/Z13 and broadcasts a_r[k] into Z14/Z15. An odd last panel runs a
+// pass of one panel with the six even accumulators.
+TEXT ·tileAVX512(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), AX
+	MOVQ 0(AX), R8
+	MOVQ 24(AX), R9
+	MOVQ 48(AX), R10
+	MOVQ 72(AX), R11
+	MOVQ 96(AX), R12
+	MOVQ 120(AX), R13
+	MOVQ out+8(FP), DI
+	MOVQ b_base+16(FP), SI
+	MOVQ k+40(FP), CX
+	MOVQ panels+48(FP), DX
+	MOVQ CX, R14
+	SHLQ $6, R14
+	XORQ BX, BX
+	CMPQ DX, $2
+	JLT  tile512one
+
+tile512pair:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	XORQ AX, AX
+
+	PCALIGN $32
+tile512k2:
+	VMOVUPD (SI), Z12
+	VMOVUPD (SI)(R14*1), Z13
+	VBROADCASTSD (R8)(AX*8), Z14
+	VBROADCASTSD (R9)(AX*8), Z15
+	VFMADD231PD Z12, Z14, Z0
+	VFMADD231PD Z13, Z14, Z1
+	VFMADD231PD Z12, Z15, Z2
+	VFMADD231PD Z13, Z15, Z3
+	VBROADCASTSD (R10)(AX*8), Z14
+	VBROADCASTSD (R11)(AX*8), Z15
+	VFMADD231PD Z12, Z14, Z4
+	VFMADD231PD Z13, Z14, Z5
+	VFMADD231PD Z12, Z15, Z6
+	VFMADD231PD Z13, Z15, Z7
+	VBROADCASTSD (R12)(AX*8), Z14
+	VBROADCASTSD (R13)(AX*8), Z15
+	VFMADD231PD Z12, Z14, Z8
+	VFMADD231PD Z13, Z14, Z9
+	VFMADD231PD Z12, Z15, Z10
+	VFMADD231PD Z13, Z15, Z11
+	ADDQ $64, SI
+	INCQ AX
+	CMPQ AX, CX
+	JNE  tile512k2
+
+	ADDQ R14, SI                   // past the second panel
+	MOVQ 0(DI), AX
+	VMOVUPD Z0, (AX)(BX*1)
+	VMOVUPD Z1, 64(AX)(BX*1)
+	MOVQ 24(DI), AX
+	VMOVUPD Z2, (AX)(BX*1)
+	VMOVUPD Z3, 64(AX)(BX*1)
+	MOVQ 48(DI), AX
+	VMOVUPD Z4, (AX)(BX*1)
+	VMOVUPD Z5, 64(AX)(BX*1)
+	MOVQ 72(DI), AX
+	VMOVUPD Z6, (AX)(BX*1)
+	VMOVUPD Z7, 64(AX)(BX*1)
+	MOVQ 96(DI), AX
+	VMOVUPD Z8, (AX)(BX*1)
+	VMOVUPD Z9, 64(AX)(BX*1)
+	MOVQ 120(DI), AX
+	VMOVUPD Z10, (AX)(BX*1)
+	VMOVUPD Z11, 64(AX)(BX*1)
+	ADDQ $128, BX
+	SUBQ $2, DX
+	CMPQ DX, $2
+	JGE  tile512pair
+
+tile512one:
+	TESTQ DX, DX
+	JZ   tile512done
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z10, Z10, Z10
+	XORQ AX, AX
+
+	PCALIGN $32
+tile512k1:
+	VMOVUPD (SI), Z12
+	VBROADCASTSD (R8)(AX*8), Z14
+	VBROADCASTSD (R9)(AX*8), Z15
+	VFMADD231PD Z12, Z14, Z0
+	VFMADD231PD Z12, Z15, Z2
+	VBROADCASTSD (R10)(AX*8), Z14
+	VBROADCASTSD (R11)(AX*8), Z15
+	VFMADD231PD Z12, Z14, Z4
+	VFMADD231PD Z12, Z15, Z6
+	VBROADCASTSD (R12)(AX*8), Z14
+	VBROADCASTSD (R13)(AX*8), Z15
+	VFMADD231PD Z12, Z14, Z8
+	VFMADD231PD Z12, Z15, Z10
+	ADDQ $64, SI
+	INCQ AX
+	CMPQ AX, CX
+	JNE  tile512k1
+
+	MOVQ 0(DI), AX
+	VMOVUPD Z0, (AX)(BX*1)
+	MOVQ 24(DI), AX
+	VMOVUPD Z2, (AX)(BX*1)
+	MOVQ 48(DI), AX
+	VMOVUPD Z4, (AX)(BX*1)
+	MOVQ 72(DI), AX
+	VMOVUPD Z6, (AX)(BX*1)
+	MOVQ 96(DI), AX
+	VMOVUPD Z8, (AX)(BX*1)
+	MOVQ 120(DI), AX
+	VMOVUPD Z10, (AX)(BX*1)
+
+tile512done:
 	VZEROUPPER
 	RET

@@ -7,6 +7,11 @@ package linalg
 // give the same bits.
 var hasFMA = false
 
+// hasAVX512 is always false off amd64 too.
+var hasAVX512 = false
+
+var avx512Missing = "an amd64 CPU"
+
 func tileFMA(a, out *[tileM][]float64, b []float64, k, panels int) {
 	panic("linalg: tileFMA called without FMA support")
 }
@@ -29,4 +34,12 @@ func linearSweepFMA(st *SweepState, active *int, n int) int {
 
 func rbfRowFMA(row, sq *float64, n int, sqX, negGamma float64, tab *[17][4]float64) {
 	panic("linalg: rbfRowFMA called without FMA support")
+}
+
+func tileAVX512(a, out *[tileM][]float64, b []float64, k, panels int) {
+	panic("linalg: tileAVX512 called without AVX-512 support")
+}
+
+func rbfRowAVX512(row, sq *float64, n int, sqX, negGamma float64, tab *[17]float64) {
+	panic("linalg: rbfRowAVX512 called without AVX-512 support")
 }

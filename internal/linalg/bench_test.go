@@ -195,8 +195,8 @@ func BenchmarkAxpyMaxViolator250(b *testing.B) {
 // BenchmarkRBFRow664 is one panel row of the hk_landmarks probe's kernel
 // transform (1,000 eval rows against 664 support rows): the distance from
 // dot and norms, the clamp, the −γ scale and the exp in one pass over 664
-// elements, at γ = 1/64 on dots and norms of 64 standard-normal features.
-// The purego sub-benchmark is its Go twin.
+// elements, at γ = 1/64 on dots and norms of 64 standard-normal features,
+// on each body: avx512, avx2 and purego, the Go twin.
 func BenchmarkRBFRow664(b *testing.B) {
 	const n = 664
 	rng := rand.New(rand.NewSource(4))
@@ -211,12 +211,7 @@ func BenchmarkRBFRow664(b *testing.B) {
 			RBFRow(row, 64, sq, 1.0/64)
 		}
 	}
-	b.Run("default", run)
-	b.Run("purego", func(b *testing.B) {
-		defer func(prev bool) { hasFMA = prev }(hasFMA)
-		hasFMA = false
-		run(b)
-	})
+	benchBodies(b, run)
 }
 
 // BenchmarkLinearSweep is the first sweep of a cold HL local solve

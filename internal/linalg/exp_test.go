@@ -41,13 +41,6 @@ func expSample() []float64 {
 	return xs
 }
 
-// withoutFMA runs f on the pure-Go paths.
-func withoutFMA(f func()) {
-	defer func(prev bool) { hasFMA = prev }(hasFMA)
-	hasFMA = false
-	f()
-}
-
 // expViaRow puts every x through RBFRow as an exp argument: with γ = 1,
 // sqX = 0, a zero dot and sq[j] = −x the row forms (0 + (−x)) − 0 = −x, which
 // never clamps for x ≤ 0, and −1·(−x) = x, so the exp sees x exactly (both
@@ -73,24 +66,27 @@ func expNorms(xs []float64) []float64 {
 
 // TestExpNonPosContract pins the exp the RBF transform rides on, as RBFRow
 // runs it: at most 2 ulp from math.Exp on [cutoff, 0], exactly 1 at ±0,
-// exactly 0 below the cutoff and at −Inf, NaN for NaN — and the assembly
-// lanes, the Go twin and ExpNonPosScalar agreeing on every bit, so which of
-// them computed a value never shows.
+// exactly 0 below the cutoff and at −Inf, NaN for NaN — and the lanes of
+// every body of the row (the assembly bodies and the Go twin) agreeing with
+// ExpNonPosScalar on every bit, so which of them computed a value never
+// shows.
 func TestExpNonPosContract(t *testing.T) {
 	xs := expSample()
 	got := expViaRow(xs)
-	var twin []float64
-	withoutFMA(func() { twin = expViaRow(xs) })
+	for _, b := range HostBodies() {
+		restore := b.Use()
+		row := expViaRow(xs)
+		restore()
+		for i, x := range xs {
+			if s := ExpNonPosScalar(x); math.Float64bits(row[i]) != math.Float64bits(s) {
+				t.Fatalf("exp(%g): %s row form %#x, scalar form %#x", x, b.Name, math.Float64bits(row[i]), math.Float64bits(s))
+			}
+		}
+	}
 
 	var worst uint64
 	for i, x := range xs {
 		g := got[i]
-		if math.Float64bits(g) != math.Float64bits(twin[i]) {
-			t.Fatalf("exp(%g): assembly %#x, twin %#x", x, math.Float64bits(g), math.Float64bits(twin[i]))
-		}
-		if s := ExpNonPosScalar(x); math.Float64bits(s) != math.Float64bits(g) {
-			t.Fatalf("exp(%g): row form %#x, scalar form %#x", x, math.Float64bits(g), math.Float64bits(s))
-		}
 		switch {
 		case math.IsNaN(x):
 			if !math.IsNaN(g) {

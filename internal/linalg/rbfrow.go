@@ -11,15 +11,20 @@ package linalg
 // norm stays NaN (NaN < 0 is false) and comes out as NaN instead of as a
 // perfect match, and −0 stays −0. sq must hold at least len(row) norms.
 //
-// rbfRowFMA runs groups of four lanes on AVX2; rbfRowGo is its twin, bit for
-// bit, and runs the tail of a row, with hasFMA off and off amd64
+// rbfRowAVX512 runs groups of eight lanes on AVX-512, rbfRowFMA the groups of
+// four after them on AVX2; rbfRowGo is the twin of both, bit for bit, and
+// runs the tail of a row, with hasFMA off and off amd64
 // (TestRBFRowMatchesTwoPass).
 func RBFRow(row []float64, sqX float64, sq []float64, gamma float64) {
 	sq = sq[:len(row)]
 	i := 0
-	if hasFMA && len(row) >= 4 {
-		i = len(row) &^ 3
-		rbfRowFMA(&row[0], &sq[0], i, sqX, -gamma, &expTab4)
+	if hasFMA && hasAVX512 && len(row) >= 8 {
+		i = len(row) &^ 7
+		rbfRowAVX512(&row[0], &sq[0], i, sqX, -gamma, &expTab)
+	}
+	if n := (len(row) - i) &^ 3; hasFMA && n > 0 {
+		rbfRowFMA(&row[i], &sq[i], n, sqX, -gamma, &expTab4)
+		i += n
 	}
 	rbfRowGo(row[i:], sqX, sq[i:], gamma)
 }

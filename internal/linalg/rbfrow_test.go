@@ -38,13 +38,15 @@ func sameRowBits(got, want []float64) int {
 }
 
 // TestRBFRowMatchesTwoPass pins the fused row against the two passes it
-// replaced: the assembly, its Go twin and twoPassRBFRow give the same bits
-// at every length 0–70 (the scalar tail alone and behind vector groups) from
-// four start offsets, on rows of ordinary dots and norms, with NaN and ±Inf
-// planted in a dot, in a norm and in ‖x‖², with distances that cancel below
-// zero and must clamp, with −0 from ‖x‖² = −0, and with γ large enough that
-// every argument falls below the exp's cutoff. gramTiled's diagonal,
-// row[0] = ‖x‖² = sq[0], is exactly 1.
+// replaced: every body this host runs (the AVX-512 body, the AVX2 body, the Go
+// twin) and twoPassRBFRow give the same bits at every length 0–70 (the scalar
+// tail alone and behind vector groups, every residue after the groups of
+// eight and of four) from four start offsets. The rows hold ordinary dots and
+// norms, with NaN, ±0 and ±Inf planted in a dot, in a norm and in ‖x‖², with
+// distances that cancel below zero and must clamp, dots of ±1e300 and
+// subnormal ones, −γ·dd at the exp's cutoff −708 and just below it, and γ
+// large enough that every argument falls below the cutoff. gramTiled's
+// diagonal, row[0] = ‖x‖² = sq[0], is exactly 1 on every body.
 func TestRBFRowMatchesTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const n = 70
@@ -56,28 +58,43 @@ func TestRBFRowMatchesTwoPass(t *testing.T) {
 	}
 	type plant struct {
 		name string
-		at   func(row, sq []float64, sqX *float64, j int)
+		at   func(row, sq []float64, sqX *float64, j int, gamma float64)
 	}
+	negZero := math.Copysign(0, -1)
 	plants := []plant{
-		{"none", func([]float64, []float64, *float64, int) {}},
-		{"NaN dot", func(row, _ []float64, _ *float64, j int) { row[j] = math.NaN() }},
-		{"+Inf dot", func(row, _ []float64, _ *float64, j int) { row[j] = math.Inf(1) }},
-		{"-Inf dot", func(row, _ []float64, _ *float64, j int) { row[j] = math.Inf(-1) }},
-		{"NaN norm", func(_, sq []float64, _ *float64, j int) { sq[j] = math.NaN() }},
-		{"+Inf norm", func(_, sq []float64, _ *float64, j int) { sq[j] = math.Inf(1) }},
-		{"NaN sqX", func(_, _ []float64, sqX *float64, _ int) { *sqX = math.NaN() }},
-		{"+Inf sqX", func(_, _ []float64, sqX *float64, _ int) { *sqX = math.Inf(1) }},
-		{"clamp", func(row, sq []float64, sqX *float64, j int) {
+		{"none", func([]float64, []float64, *float64, int, float64) {}},
+		{"NaN dot", func(row, _ []float64, _ *float64, j int, _ float64) { row[j] = math.NaN() }},
+		{"+Inf dot", func(row, _ []float64, _ *float64, j int, _ float64) { row[j] = math.Inf(1) }},
+		{"-Inf dot", func(row, _ []float64, _ *float64, j int, _ float64) { row[j] = math.Inf(-1) }},
+		{"±0 dot", func(row, _ []float64, _ *float64, j int, _ float64) { row[j], row[j/2] = negZero, 0 }},
+		{"NaN norm", func(_, sq []float64, _ *float64, j int, _ float64) { sq[j] = math.NaN() }},
+		{"+Inf norm", func(_, sq []float64, _ *float64, j int, _ float64) { sq[j] = math.Inf(1) }},
+		{"-Inf norm", func(_, sq []float64, _ *float64, j int, _ float64) { sq[j] = math.Inf(-1) }},
+		{"±0 norm", func(_, sq []float64, _ *float64, j int, _ float64) { sq[j], sq[j/2] = negZero, 0 }},
+		{"NaN sqX", func(_, _ []float64, sqX *float64, _ int, _ float64) { *sqX = math.NaN() }},
+		{"+Inf sqX", func(_, _ []float64, sqX *float64, _ int, _ float64) { *sqX = math.Inf(1) }},
+		{"-Inf sqX", func(_, _ []float64, sqX *float64, _ int, _ float64) { *sqX = math.Inf(-1) }},
+		{"clamp", func(row, sq []float64, sqX *float64, j int, _ float64) {
 			// (sqX + sq[j]) − 2d a little below zero, and one far below.
 			row[j] = (*sqX+sq[j])/2 + 1e-12
 			row[j/2] = 1e3
 		}},
-		{"-0", func(row, sq []float64, sqX *float64, j int) {
-			*sqX = math.Copysign(0, -1)
-			sq[j], row[j] = math.Copysign(0, -1), 0
+		{"-0", func(row, sq []float64, sqX *float64, j int, _ float64) {
+			*sqX = negZero
+			sq[j], row[j] = negZero, 0
 		}},
-		{"huge dot", func(row, _ []float64, _ *float64, j int) { row[j] = -math.MaxFloat64 }},
+		{"huge dot", func(row, _ []float64, _ *float64, j int, _ float64) { row[j] = -math.MaxFloat64 }},
+		{"±1e300 dot", func(row, _ []float64, _ *float64, j int, _ float64) { row[j], row[j/2] = 1e300, -1e300 }},
+		{"subnormal dot", func(row, _ []float64, _ *float64, j int, _ float64) { row[j], row[j/2] = 5e-324, -0x1p-1030 }},
+		{"cutoff", func(row, sq []float64, sqX *float64, j int, gamma float64) {
+			// dd = sq[j] with ‖x‖² = 0 and a zero dot: −γ·dd at −708 in
+			// element j, just below it in element j/2 (unless they coincide).
+			*sqX = 0
+			row[j], row[j/2] = 0, 0
+			sq[j], sq[j/2] = cutoffNorm(gamma)
+		}},
 	}
+	bodies := HostBodies()
 	for _, gamma := range []float64{1.0 / 16, 0.7, 1e4} {
 		for _, p := range plants {
 			for length := 0; length <= n; length++ {
@@ -89,23 +106,22 @@ func TestRBFRowMatchesTwoPass(t *testing.T) {
 					copy(sq, norms[3-off:])
 					sqX := norms[n] + norms[n+1]
 					if length > 0 {
-						p.at(row, sq, &sqX, length*7/11)
+						p.at(row, sq, &sqX, length*7/11, gamma)
 					}
 					ref := append([]float64(nil), row...)
 					twoPassRBFRow(ref, sqX, sq, gamma)
-					asm := append([]float64(nil), row...)
-					RBFRow(asm, sqX, sq, gamma)
-					twin := append([]float64(nil), row...)
-					withoutFMA(func() { RBFRow(twin, sqX, sq, gamma) })
-					if i := sameRowBits(asm, ref); i >= 0 {
-						t.Fatalf("%s: element %d = %#x, two passes %#x", name, i, math.Float64bits(asm[i]), math.Float64bits(ref[i]))
-					}
-					if i := sameRowBits(twin, ref); i >= 0 {
-						t.Fatalf("%s: twin element %d = %#x, two passes %#x", name, i, math.Float64bits(twin[i]), math.Float64bits(ref[i]))
+					for _, b := range bodies {
+						got := append([]float64(nil), row...)
+						restore := b.Use()
+						RBFRow(got, sqX, sq, gamma)
+						restore()
+						if i := sameRowBits(got, ref); i >= 0 {
+							t.Fatalf("%s %s: element %d = %#x, two passes %#x", b.Name, name, i, math.Float64bits(got[i]), math.Float64bits(ref[i]))
+						}
 					}
 					if gamma == 1e4 {
 						// −γ·dd < −708 wherever dd > 0.0708: exactly +0.
-						for i, v := range asm {
+						for i, v := range ref {
 							if dd := sqX + sq[i] - 2*row[i]; dd > 0.0708 && (v != 0 || math.Signbit(v)) {
 								t.Fatalf("%s: element %d = %g below the cutoff, want +0", name, i, v)
 							}
@@ -116,19 +132,41 @@ func TestRBFRowMatchesTwoPass(t *testing.T) {
 		}
 	}
 	// The diagonal substitution of gramTiled: the dot is the norm itself.
-	for _, s := range []float64{0, 1e-300, 0.37, 16, 1e300} {
-		for length := 1; length <= 9; length++ {
-			row := make([]float64, length)
-			sq := make([]float64, length)
-			for j := range row {
-				row[j], sq[j] = s, s
-			}
-			RBFRow(row, s, sq, 0.7)
-			for j, v := range row {
-				if v != 1 {
-					t.Fatalf("diagonal ‖x‖² = %g, n=%d: element %d = %.17g, want exactly 1", s, length, j, v)
+	for _, b := range bodies {
+		restore := b.Use()
+		for _, s := range []float64{0, 1e-300, 0.37, 16, 1e300} {
+			for length := 1; length <= 17; length++ {
+				row := make([]float64, length)
+				sq := make([]float64, length)
+				for j := range row {
+					row[j], sq[j] = s, s
+				}
+				RBFRow(row, s, sq, 0.7)
+				for j, v := range row {
+					if v != 1 {
+						t.Fatalf("%s: diagonal ‖x‖² = %g, n=%d: element %d = %.17g, want exactly 1", b.Name, s, length, j, v)
+					}
 				}
 			}
 		}
+		restore()
 	}
+}
+
+// cutoffNorm returns the squared distance whose −γ·dd is exactly the exp's
+// cutoff −708, or the nearest one above it where no product lands on it, and
+// the next one whose −γ·dd is below the cutoff.
+func cutoffNorm(gamma float64) (at, below float64) {
+	at = -expCutoff / gamma
+	for -gamma*at < expCutoff {
+		at = math.Nextafter(at, 0)
+	}
+	for -gamma*math.Nextafter(at, math.Inf(1)) == expCutoff {
+		at = math.Nextafter(at, math.Inf(1))
+	}
+	below = math.Nextafter(at, math.Inf(1))
+	for -gamma*below >= expCutoff {
+		below = math.Nextafter(below, math.Inf(1))
+	}
+	return at, below
 }

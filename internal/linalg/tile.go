@@ -19,10 +19,11 @@ import (
 // vector loads per 48.
 //
 // Numerical contract: every output, interior or edge, is the one FMA chain
-// s = fma(a[k], b[k], s) over k from 0, s starting at 0. The AVX2 body
-// (tileFMA) and its Go twin (tileGo, math.FMA) compute exactly that, so an
-// output's bits depend on neither the tile shape, its place in a tile, the
-// worker count, hasFMA nor the platform (TestTiledFallbackMatchesFMA). Against
+// s = fma(a[k], b[k], s) over k from 0, s starting at 0. The AVX-512 body
+// (tileAVX512, two panels a pass), the AVX2 body (tileFMA) and their Go twin
+// (tileGo, math.FMA) compute exactly that, so an output's bits depend on
+// neither the tile shape, its place in a tile, the worker count, hasFMA,
+// hasAVX512 nor the platform (TestTiledFallbackMatchesFMA). Against
 // the naive loops, which round every product or fold Dot's 16 lane chains,
 // results differ in the last bits; TestTiledMatchesNaive pins the bound.
 
@@ -189,7 +190,7 @@ func tileRows(a []float64, lda int, b Packed, out []float64, ldo, rlo, rhi int) 
 		}
 		return
 	}
-	fma := hasFMA
+	fma, avx512 := hasFMA, hasFMA && hasAVX512
 	for i := rlo; i < rhi; i += tileM {
 		var ar, or [tileM][]float64
 		for r := range ar {
@@ -198,9 +199,12 @@ func tileRows(a []float64, lda int, b Packed, out []float64, ldo, rlo, rhi int) 
 			or[r] = out[(row-rlo)*ldo:][:b.n]
 		}
 		if full > 0 {
-			if fma {
+			switch {
+			case avx512:
+				tileAVX512(&ar, &or, b.data, k, full)
+			case fma:
 				tileFMA(&ar, &or, b.data, k, full)
-			} else {
+			default:
 				tileGo(&ar, &or, b.data, k, full)
 			}
 		}
@@ -211,9 +215,12 @@ func tileRows(a []float64, lda int, b Packed, out []float64, ldo, rlo, rhi int) 
 				er[r] = buf[r*tileN : (r+1)*tileN]
 			}
 			last := b.data[full*tileN*k:]
-			if fma {
+			switch {
+			case avx512:
+				tileAVX512(&ar, &er, last, k, 1)
+			case fma:
 				tileFMA(&ar, &er, last, k, 1)
-			} else {
+			default:
 				tileGo(&ar, &er, last, k, 1)
 			}
 			for r := range or {

@@ -3,9 +3,9 @@ package linalg
 import "testing"
 
 // Tiled-vs-naive pairs: the Naive variants run the reference loops of
-// tile_test.go, the Tiled variants the production kernels, and the purego
-// sub-benchmark the production kernels without the AVX2 microkernel — the
-// layer's A/B, one `go test -bench MatMul` away.
+// tile_test.go, the Tiled variants the production kernels, and the avx512,
+// avx2 and purego sub-benchmarks the production kernels on each body of the
+// tile — the layer's A/B, one `go test -bench MatMul` away.
 
 // sink keeps the reference loops' results live.
 var sink *Matrix
@@ -45,12 +45,22 @@ func BenchmarkTiledMatMulT2000x50(b *testing.B) {
 			}
 		}
 	}
-	b.Run("default", run)
-	b.Run("purego", func(b *testing.B) {
-		defer func(prev bool) { hasFMA = prev }(hasFMA)
-		hasFMA = false
-		run(b)
-	})
+	benchBodies(b, run)
+}
+
+// benchBodies runs run as one sub-benchmark per body (avx512, avx2, purego),
+// so each body's number reproduces; a body this host lacks is skipped, naming
+// the feature it misses.
+func benchBodies(b *testing.B, run func(b *testing.B)) {
+	for _, body := range Bodies {
+		b.Run(body.Name, func(b *testing.B) {
+			if m := body.Missing(); m != "" {
+				b.Skipf("this host has no %s", m)
+			}
+			defer body.Use()()
+			run(b)
+		})
+	}
 }
 
 func BenchmarkNaiveMatMulT2000x50(b *testing.B) {

@@ -205,29 +205,25 @@ func TestZeroWidthShapes(t *testing.T) {
 
 // TestTileKernelDoesNotAllocate pins the tile path to no allocation of its
 // own. MatMulTRows with its pack, grabbed from and returned to the pool,
-// allocates nothing, on the assembly and the twin path alike: the row arrays
-// and the edge buffer are handed to tileFMA by pointer, and an assembly stub
-// without //go:noescape would move them to the heap once per row tile. Under
-// the race detector sync.Pool drops a quarter of its Puts; a run then
-// allocates a pack, and averaging over 100 runs keeps the count at 0.
+// allocates nothing, on every body this host runs: the row arrays and the
+// edge buffer are handed to tileAVX512 and tileFMA by pointer, and an
+// assembly stub without //go:noescape would move them to the heap once per
+// row tile. Under the race detector sync.Pool drops a quarter of its Puts; a
+// run then allocates a pack, and averaging over 100 runs keeps the count at 0.
 func TestTileKernelDoesNotAllocate(t *testing.T) {
 	a := randomDense(1, 301, 64) // an edge row tile
 	b := randomDense(2, 250, 64) // an edge panel
 	out := NewMatrix(a.Rows, b.Rows)
-	fmas := []bool{false}
-	if hasFMA {
-		fmas = append(fmas, true)
-		defer func() { hasFMA = true }()
-	}
-	for _, fma := range fmas {
-		hasFMA = fma
+	for _, body := range HostBodies() {
+		restore := body.Use()
 		if n := testing.AllocsPerRun(100, func() {
 			p := PackT(b)
 			MatMulTRows(a, p, out, 0, a.Rows)
 			p.Release()
 		}); n != 0 {
-			t.Errorf("fma=%v: MatMulTRows with its pack: %.0f allocations per call, want 0", fma, n)
+			t.Errorf("%s: MatMulTRows with its pack: %.0f allocations per call, want 0", body.Name, n)
 		}
+		restore()
 	}
 	if n := testing.AllocsPerRun(5, func() {
 		if _, err := MatMulT(a, b); err != nil {

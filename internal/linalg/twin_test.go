@@ -18,6 +18,12 @@ func gaussian(rng *rand.Rand, r, c int) *linalg.Matrix {
 	return m
 }
 
+// runOn returns f's result with the kernels on body b.
+func runOn(b linalg.Body, f func() []float64) []float64 {
+	defer b.Use()()
+	return f()
+}
+
 // sameBits fails unless got and want are equal bit for bit. Two NaNs count as
 // equal: which payload an operation on NaNs returns is the hardware's choice,
 // not part of any kernel's contract.
@@ -28,38 +34,39 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
-			t.Fatalf("%s: element %d = %.17g with the assembly, %.17g with its Go twin", what, i, got[i], want[i])
+			t.Fatalf("%s: element %d = %.17g, %.17g with its Go twin", what, i, got[i], want[i])
 		}
 	}
 }
 
 // TestTiledFallbackMatchesFMA pins the tile's contract: every output is one
-// FMA chain over k, so the AVX2 tile and its math.FMA twin give the same bits
-// through every entry point that runs on it. The vector kernels keep the same
-// rule: Dot, Axpy and MulVec (a Dot per row) equal their twins at every
-// length up to 70, which leaves every residue mod 16 and mod 4, from
-// unaligned starts, and with ±Inf or NaN planted, and so does the Cholesky
-// solve (a Dot and an Axpy per row of L). The shapes leave every edge:
-// row counts at each residue mod the tile's rows (and two kernel panels, the
-// second short), column counts at each residue mod the 8-column panel and one
-// narrower than a panel, k = 0 (the zero fill) and k short and long.
-// MatMulTRows from row 1 shifts every row to another place in its tile. On
-// a host without the assembly the test is vacuous.
+// FMA chain over k, so the AVX-512 tile, the AVX2 tile and their math.FMA twin
+// give the same bits through every entry point that runs on them. The vector
+// kernels keep the same rule: Dot, Axpy and MulVec (a Dot per row) equal
+// their twins at every length up to 70, which leaves every residue mod 16 and
+// mod 4, from unaligned starts, and with ±Inf or NaN planted, and so does the
+// Cholesky solve (a Dot and an Axpy per row of L). The shapes leave every
+// edge: row counts at each residue mod the tile's rows (and two kernel
+// panels, the second short), column counts at each residue mod the 8-column
+// panel and one narrower than a panel, k = 0 (the zero fill) and k short and
+// long. MatMulTRows from row 1 shifts every row to another place in its tile.
+// The tile alone runs 1–9 full panels, odd counts ending on the AVX-512
+// body's one-panel pass, with and without an edge panel, at k from 1 to 70,
+// on entries with NaN, ±0, ±Inf and ±1e308 planted. On a host without the
+// assembly the test is vacuous.
 func TestTiledFallbackMatchesFMA(t *testing.T) {
-	if !linalg.SetFMA(false) {
+	bodies := linalg.HostBodies()
+	if len(bodies) == 1 {
 		t.Skip("no FMA kernels on this host")
 	}
-	linalg.SetFMA(true)
-	defer linalg.SetFMA(true)
-	// twin runs f with the assembly and then with the twin and compares.
+	// twin runs f on the Go twins and then on every assembly body and
+	// compares.
 	twin := func(what string, f func() []float64) {
 		t.Helper()
-		linalg.SetFMA(true)
-		asm := f()
-		linalg.SetFMA(false)
-		goTwin := f()
-		linalg.SetFMA(true)
-		sameBits(t, what, asm, goTwin)
+		goTwin := runOn(bodies[len(bodies)-1], f)
+		for _, b := range bodies[:len(bodies)-1] {
+			sameBits(t, b.Name+" "+what, runOn(b, f), goTwin)
+		}
 	}
 	must := func(m *linalg.Matrix, err error) []float64 {
 		t.Helper()
@@ -103,6 +110,21 @@ func TestTiledFallbackMatchesFMA(t *testing.T) {
 					}
 					return dst
 				})
+			}
+		}
+	}
+	specials := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e308, -1e308}
+	for panels := 1; panels <= 9; panels++ {
+		for _, edge := range []int{0, 3} {
+			c := 8*panels + edge
+			for _, k := range []int{1, 2, 15, 16, 17, 64, 70} {
+				a, bt := gaussian(rng, 13, k), gaussian(rng, c, k)
+				for i, v := range specials {
+					a.Data[(i*37)%len(a.Data)] = v
+					bt.Data[(i*53+k)%len(bt.Data)] = v
+				}
+				name := fmt.Sprintf("tile 13x%dx%d", k, c)
+				twin(name, func() []float64 { return must(linalg.MatMulT(a, bt)) })
 			}
 		}
 	}

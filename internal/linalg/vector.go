@@ -123,11 +123,11 @@ func Norm2(x []float64) float64 {
 		a := math.Abs(v)
 		if scale < a {
 			r := scale / a
-			ssq = 1 + ssq*r*r
+			ssq = 1 + float64(ssq*r*r)
 			scale = a
 		} else {
 			r := a / scale
-			ssq += r * r
+			ssq += float64(r * r)
 		}
 	}
 	return scale * math.Sqrt(ssq)
@@ -152,7 +152,7 @@ func Dist2Sq(x, y []float64) float64 {
 	var s float64
 	for i := range x {
 		d := x[i] - y[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -55,7 +55,7 @@ func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64
 		sumY += v
 	}
 	pos := (n + int(sumY)) / 2
-	lo, hi := -c*float64(n-pos), c*float64(pos)
+	lo, hi := float64(-c*float64(n-pos)), float64(c*float64(pos))
 	if d < lo-1e-12 || d > hi+1e-12 {
 		return nil, fmt.Errorf("%w: d = %g outside [%g, %g]", ErrInfeasible, d, lo, hi)
 	}
@@ -153,8 +153,8 @@ func diagPassBound(n int) int { return 2*bits.Len(uint(max(2*n-1, 0))) + 4 }
 // It is arithmetic in yᵢ rather than a branch on it, which random labels
 // would mispredict half the time (twice the cost of a pass).
 func diagBreaks(pi, yi, w float64) (t, a, b float64) {
-	t = -yi * pi
-	a = t - w*(0.5+0.5*yi) // t − w when yᵢ = +1, t when yᵢ = −1
+	t = float64(-yi * pi)
+	a = t - float64(w*(0.5+float64(0.5*yi))) // t − w when yᵢ = +1, t when yᵢ = −1
 	return t, a, a + w
 }
 
@@ -167,7 +167,7 @@ type diagForm struct {
 }
 
 func (f diagForm) value(nu, q0, c float64) float64 {
-	return float64(f.clamped)*c + (f.sumT-float64(f.free)*nu)/q0
+	return float64(float64(f.clamped)*c) + (f.sumT-float64(float64(f.free)*nu))/q0
 }
 
 // root solves value(ν) = d; ok is false on a flat segment.
@@ -175,7 +175,7 @@ func (f diagForm) root(q0, c, d float64) (float64, bool) {
 	if f.free == 0 {
 		return 0, false
 	}
-	return (f.sumT - q0*(d-float64(f.clamped)*c)) / float64(f.free), true
+	return (f.sumT - float64(q0*(d-float64(float64(f.clamped)*c)))) / float64(f.free), true
 }
 
 // diagPass is one pass over the coordinates at ν: the coordinates strictly
@@ -289,6 +289,6 @@ func narrow(brk []float64, i, j int, lo, hi float64) (int, int) {
 // and free coordinates would mispredict.
 func diagLambdaAt(nu, q0, c float64, p, y, dst []float64) {
 	for i := range dst {
-		dst[i] = min(max((-p[i]-nu*y[i])/q0, 0), c)
+		dst[i] = min(max((-p[i]-float64(nu*y[i]))/q0, 0), c)
 	}
 }

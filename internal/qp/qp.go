@@ -313,11 +313,11 @@ func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Resul
 			return res, nil
 		}
 		// Move along λ += t(y_i e_i − y_j e_j), which preserves yᵀλ.
-		a := p.Q.At(i, i) + p.Q.At(j, j) - 2*y[i]*y[j]*p.Q.At(i, j)
+		a := p.Q.At(i, i) + p.Q.At(j, j) - float64(2*y[i]*y[j]*p.Q.At(i, j))
 		if a <= tau {
 			a = tau
 		}
-		t := (y[j]*grad[j] - y[i]*grad[i]) / a
+		t := (float64(y[j]*grad[j]) - float64(y[i]*grad[i])) / a
 		// Box limits translated onto t.
 		t = math.Min(t, stepMax(lambda[i], y[i], p.C))
 		t = math.Min(t, stepMax(lambda[j], -y[j], p.C))
@@ -327,8 +327,8 @@ func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Resul
 			cfg.record("smo", res)
 			return res, nil
 		}
-		lambda[i] += y[i] * t
-		lambda[j] -= y[j] * t
+		lambda[i] += float64(y[i] * t)
+		lambda[j] -= float64(y[j] * t)
 		lambda[i] = linalg.Clamp(lambda[i], 0, p.C)
 		lambda[j] = linalg.Clamp(lambda[j], 0, p.C)
 		linalg.Axpy(y[i]*t, p.Q.Row(i), grad)
@@ -378,7 +378,7 @@ func selectViolatingPair(grad, lambda, y []float64, c float64) (i, j int, violat
 func repairEquality(lambda, y []float64, d, c float64) error {
 	cur := 0.0
 	for i := range lambda {
-		cur += y[i] * lambda[i]
+		cur += float64(y[i] * lambda[i])
 	}
 	deficit := d - cur
 	for i := 0; i < len(lambda) && math.Abs(deficit) > 0; i++ {

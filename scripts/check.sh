@@ -48,8 +48,9 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # - replace, don't fork: one KKT bias (svm.BiasFromKKT), one round log, one
 #   way a qp solve gets its buffers (a Scratch), one call per mapper per
 #   round, and no knob nothing sets;
-# - one tile, one sum order: the outer-product tile over a pack made once per
-#   call, every output one FMA chain, the assembly equal to its Go twin;
+# - one tile and one sum order; a body per ISA, each equal to the Go twin: the
+#   outer-product tile over a pack made once per call, every output one FMA
+#   chain;
 # - a VK learner holds its factor and nothing else: the chunk's scores come
 #   from its ridge solve, (K·α)|_c = q − y + off_c, not from a kernel strip;
 # - one dot, one sum order: linalg.Dot (dotFMA, its twin dotGo) is the only
@@ -79,7 +80,7 @@ attemptReready|"reready"|maskRosterFilter|RoundRoster|ShareOver\(~no~a per-round
 \bAttempt\b|MapRetries|RoundTimeout|ppml_map_retries_total~yes~an attempt counter, RoundTimeout or MapRetries in non-test Go (the roster is the attempt)
 StatePayload|CheckpointPlan|resumes from checkpoint|decoded from the reducer's public state broadcast~yes~a round carried outside the envelope, or a checkpoint, in non-test Go (msg.Round is the round)
 biasFromScores|reducerGauges|gradPool|getGradBuf|putGradBuf|dropGrad|Packing\) Encrypt\(|pack\.Encrypt\(|lastIter|packWidth|QPTol~yes~a second copy of a replaced operation, a mapper round replay or a knob nothing sets in non-test Go (replace, don't fork)
-dotTile2x4FMA|matMulTTile|transposeInto|packPool~no~a dot-form tile, its twin or the transpose pack in non-test Go (one tile, one sum order)
+dotTile2x4FMA|matMulTTile|transposeInto|packPool~no~a dot-form tile, its twin or the transpose pack in non-test Go (one tile and one sum order)
 \bkcb\b~no~a held Gram strip in the VK learner ((K·α)|_c is q − y + off)
 dotSeq~no~a second dot product with its own sum order in non-test Go (one dot, one sum order)
 projectedGradient~no~a second box-QP projected-gradient predicate in non-test Go (linalg.BoxViolation is the one rule)
@@ -193,22 +194,33 @@ echo "==> GOARCH=arm64 build + vet of the compute layer (the stub/twin side of e
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/linalg ./internal/kernel ./internal/qp
 
-echo "==> arm64 no-fusion gate (SolveLinearBox and its sweep round every product on their own)"
+echo "==> arm64 no-fusion gate (the compute layer and the solvers round every product on their own)"
 # The Go spec lets a compiler fuse x*y + z into one rounding. arm64 does
-# (FMADDD), amd64 never does, even at GOAMD64=v3, so a fused product is an HL
-# model whose bits depend on the platform. qp/linear.go and the sweep's Go
-# twin write every product as float64(…), which forbids the fusion. The
-# listing must show both files, so an empty one cannot pass; math.FMA in
-# vector.go is a fused multiply-add by contract and is not gated.
-arm64_listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/qp ./internal/linalg 2>&1)
-for f in qp/linear.go linalg/sweep.go; do
-	if ! printf '%s\n' "$arm64_listing" | grep -q "$f:"; then
-		echo "error: the arm64 -S listing shows no line of $f" >&2
+# (FMADDD), amd64 never does, even at GOAMD64=v3, so a fused product is a
+# kernel value, a solver step or a model whose bits depend on the platform.
+# internal/qp, internal/kernel and internal/linalg write every product that
+# meets an addition as float64(…), which forbids the fusion; the one fused
+# multiply-add allowed is math.FMA, which is one by contract. A fused
+# instruction passes only on a source line that calls math.FMA. The listing
+# must show a line of each package, so an empty one cannot pass.
+arm64_listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/qp ./internal/kernel ./internal/linalg 2>&1)
+for pkg in internal/qp internal/kernel internal/linalg; do
+	if ! printf '%s\n' "$arm64_listing" | grep -q "$pkg/[a-z_0-9]*\.go:"; then
+		echo "error: the arm64 -S listing shows no line of $pkg" >&2
 		exit 1
 	fi
 done
-if printf '%s\n' "$arm64_listing" | grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)' | grep -E '(qp/linear|linalg/sweep)\.go:'; then
-	echo "error: a compiler-fused multiply-add in qp/linear.go or linalg/sweep.go on arm64 (round the product with float64(…))" >&2
+fused_sites=$(printf '%s\n' "$arm64_listing" | grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)' \
+	| grep -oE 'internal/(qp|kernel|linalg)/[a-z_0-9]*\.go:[0-9]+' | sort -u)
+fused_bad=0
+for site in $fused_sites; do
+	if ! sed -n "${site##*:}p" "${site%:*}" | grep -q 'math\.FMA('; then
+		echo "$site: $(sed -n "${site##*:}p" "${site%:*}")"
+		fused_bad=1
+	fi
+done
+if [ "$fused_bad" -ne 0 ]; then
+	echo "error: a compiler-fused multiply-add outside math.FMA on arm64 (round the product with float64(…))" >&2
 	exit 1
 fi
 
@@ -216,8 +228,9 @@ echo "==> twin tests at GOAMD64=v3 (the assembly against Go twins compiled with 
 # The Go spec lets a compiler fuse x*y + z into one rounding, and at v3 FMA
 # is part of the baseline instruction set. A fused multiply-add the compiler
 # chose would split a twin from its assembly without a line of either
-# changing, so the bit-equality tests run again with the twins built for v3.
-GOAMD64=v3 go test -count=1 -run 'Twin|Contract|LaneAndOffset|MatchesFMA|MatchesTwoPass|MatchesScalarLoops|MatchesReference' ./internal/linalg ./internal/kernel ./internal/qp
+# changing, so the bit-equality tests run again with the twins built for v3,
+# each against every assembly body (AVX-512 and AVX2) the host runs.
+GOAMD64=v3 go test -count=1 -run 'Twin|Contract|LaneAndOffset|MatchesFMA|MatchesTwoPass|MatchesScalarLoops|MatchesReference|TiledPathMatchesEval|GramParallelMatchesSequential' ./internal/linalg ./internal/kernel ./internal/qp
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -229,7 +242,7 @@ go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/paillier/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky and the VK ridge solve + Dot/Axpy and the fused HL sweep + the HK step's AxpyMaxViolator + the fused RBF row + the QP solvers + Paillier packing + scalability + minibatch + seeded share, 1 iteration)"
+echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky and the VK ridge solve + Dot/Axpy and the fused HL sweep + the HK step's AxpyMaxViolator + the fused RBF row + the QP solvers + Paillier packing + scalability + minibatch + seeded share, 1 iteration; Accumulate, the RBF row and MatMulT2000x50 once per body: avx512, avx2, purego)"
 go test -run '^$' -bench 'Gram|Accumulate' -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench 'SolveLinearBox|SolveUniformDiag|SolveBox' -benchtime 1x ./internal/qp/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky|Dot|Axpy|RBFRow664|LinearSweep' -benchtime 1x ./internal/linalg/
