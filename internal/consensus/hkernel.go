@@ -17,8 +17,8 @@ import (
 // KernelHorizontalModel is the nonlinear consensus classifier of Section
 // IV-B. Each learner contributes a discriminant built from its own support
 // expansion plus the shared landmark expansion; Predict averages the
-// learners' decision values (the paper evaluates per-learner f_m, which
-// DecisionAt exposes).
+// learners' decision values. A model holding one learner's slices scores
+// that learner's f_m alone.
 type KernelHorizontalModel struct {
 	Kernel    kernel.Kernel
 	Landmarks *linalg.Matrix // X_g, shared by all learners
@@ -31,38 +31,31 @@ type KernelHorizontalModel struct {
 	B        []float64
 }
 
-// DecisionAt returns learner m's discriminant f_m(x) (eq. 25).
-func (mod *KernelHorizontalModel) DecisionAt(m int, x []float64) float64 {
-	s := mod.B[m]
-	sx := mod.SupportX[m]
-	for i, c := range mod.CoefX[m] {
-		if c != 0 {
-			s += c * mod.Kernel.Eval(sx.Row(i), x)
-		}
-	}
-	for j, c := range mod.CoefG[m] {
-		s += c * mod.Kernel.Eval(mod.Landmarks.Row(j), x)
-	}
-	return s
-}
-
-// Decision returns the mean discriminant across learners.
+// Decision returns the mean discriminant across learners: Decisions on x
+// viewed as one row, so it has the bits of x's row in any batch. It panics
+// with the linalg.ErrShape error Decisions returns when x is not as wide as
+// the model's samples.
 func (mod *KernelHorizontalModel) Decision(x []float64) float64 {
-	var s float64
-	for m := range mod.B {
-		s += mod.DecisionAt(m, x)
-	}
-	return s / float64(len(mod.B))
+	return decisionOfRow(mod.Decisions, x)
 }
 
-// Decisions is the batch form of Decision: dst[i] is the mean discriminant of
-// row i of x, computed on the tiled kernel path (kernel.Accumulate) without
-// retaining a kernel matrix. A nil dst is allocated; otherwise it must hold
-// x.Rows values, which are overwritten. The learners' landmark coefficients
-// are summed first, so the shared landmarks are scored once. Values agree
-// with Decision to rounding, not bit for bit: the dots and the order of the
-// sums differ, the kernel transform (RBF's exp included) is the same function
-// on both sides (see kernel.Accumulate).
+// decisionOfRow is a kernel model's Decision: its Decisions on x viewed as a
+// 1 × len(x) matrix. It panics with the error Decisions returns.
+func decisionOfRow(decisions func(*linalg.Matrix, []float64) ([]float64, error), x []float64) float64 {
+	var d [1]float64
+	if _, err := decisions(&linalg.Matrix{Rows: 1, Cols: len(x), Data: x}, d[:]); err != nil {
+		panic(err)
+	}
+	return d[0]
+}
+
+// Decisions scores every row of x: dst[i] is the mean discriminant of row i,
+// computed on the tiled kernel path (kernel.Accumulate) without retaining a
+// kernel matrix. A nil dst is allocated; otherwise it must hold x.Rows
+// values, which are overwritten. The learners' landmark coefficients are
+// summed first, into linalg's scratch pool, so the shared landmarks are
+// scored once. The arithmetic of a row does not depend on the other rows, so
+// Decision is this call on one row.
 func (mod *KernelHorizontalModel) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
 	if dst == nil {
 		dst = make([]float64, x.Rows)
@@ -71,7 +64,10 @@ func (mod *KernelHorizontalModel) Decisions(x *linalg.Matrix, dst []float64) ([]
 	}
 	linalg.Zero(dst)
 	var b float64
-	coefG := make([]float64, mod.Landmarks.Rows)
+	sum := linalg.GrabScratch(1, mod.Landmarks.Rows)
+	defer linalg.ReleaseScratch(sum)
+	coefG := sum.Data
+	linalg.Zero(coefG)
 	for m := range mod.B {
 		if err := kernel.Accumulate(mod.Kernel, x, mod.SupportX[m], mod.CoefX[m], dst); err != nil {
 			return nil, err

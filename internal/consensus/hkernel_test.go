@@ -160,13 +160,24 @@ func TestHKPerLearnerModelsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Learner m's f_m is a model of its slices alone.
+	scores := make([][]float64, len(model.B))
+	for m := range scores {
+		learner := &KernelHorizontalModel{
+			Kernel: model.Kernel, Landmarks: model.Landmarks,
+			SupportX: model.SupportX[m : m+1], CoefX: model.CoefX[m : m+1],
+			CoefG: model.CoefG[m : m+1], B: model.B[m : m+1],
+		}
+		if scores[m], err = learner.Decisions(test.X, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	agree := 0
 	for i := 0; i < test.Len(); i++ {
-		x := test.X.Row(i)
 		all := true
-		first := model.DecisionAt(0, x) >= 0
-		for m := 1; m < 4; m++ {
-			if (model.DecisionAt(m, x) >= 0) != first {
+		first := scores[0][i] >= 0
+		for m := 1; m < len(scores); m++ {
+			if (scores[m][i] >= 0) != first {
 				all = false
 				break
 			}

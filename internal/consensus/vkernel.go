@@ -27,62 +27,54 @@ type KernelVerticalModel struct {
 	B     float64
 }
 
-// Decision returns the additive discriminant for a full-width sample x.
+// Decision returns the additive discriminant for a full-width sample x:
+// Decisions on x viewed as one row, so it has the bits of x's row in any
+// batch. It panics with the linalg.ErrShape error Decisions returns when x
+// is not as wide as the column blocks together.
 func (mod *KernelVerticalModel) Decision(x []float64) float64 {
-	s := mod.B
-	var block []float64 // one gather buffer, resliced per learner
-	for m := range mod.Alpha {
-		block = block[:0]
-		for _, c := range mod.Cols[m] {
-			block = append(block, x[c])
-		}
-		sx := mod.SupportX[m]
-		for i, a := range mod.Alpha[m] {
-			if a != 0 {
-				s += a * mod.Kernel.Eval(sx.Row(i), block)
-			}
-		}
-	}
-	return s
+	return decisionOfRow(mod.Decisions, x)
 }
 
-// Decisions is the batch form of Decision: dst[i] is the discriminant of the
-// full-width row i of x. Each learner's column block of x is gathered once
-// per call into linalg's scratch pool, one buffer reused across learners, and
-// scored on the tiled kernel path (kernel.Accumulate). A nil dst is
-// allocated; otherwise it must hold x.Rows values, which are overwritten.
-// Values agree with Decision to rounding, not bit for bit: the dots and the
-// order of the sum differ, the kernel transform (RBF's exp included) is the
-// same function on both sides (see kernel.Accumulate).
+// Decisions scores every row of x: dst[i] is the discriminant of the
+// full-width row i of x, whose width must be the column blocks' total (the
+// blocks of a trained model cover every feature once). Each learner's column
+// block of x is gathered once per call into linalg's scratch pool, one buffer
+// reused across learners, and scored on the tiled kernel path
+// (kernel.Accumulate). A nil dst is allocated; otherwise it must hold x.Rows
+// values, which are overwritten.
 func (mod *KernelVerticalModel) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
 	if dst == nil {
 		dst = make([]float64, x.Rows)
 	} else if len(dst) != x.Rows {
 		return nil, fmt.Errorf("consensus vk decisions: %w: dst length %d for %d samples", linalg.ErrShape, len(dst), x.Rows)
 	}
+	widest, width := 0, 0
+	for _, cols := range mod.Cols {
+		widest = max(widest, len(cols))
+		width += len(cols)
+	}
+	if x.Cols != width {
+		return nil, fmt.Errorf("consensus vk decisions: %w: samples have %d features, the column blocks %d", linalg.ErrShape, x.Cols, width)
+	}
 	for i := range dst {
 		dst[i] = mod.B
 	}
-	widest := 0
-	for _, cols := range mod.Cols {
-		widest = max(widest, len(cols))
-	}
-	buf := linalg.GrabScratch(x.Rows, widest)
-	defer linalg.ReleaseScratch(buf)
+	block := linalg.GrabScratch(x.Rows, widest) // reshaped to each learner's block in turn
+	defer linalg.ReleaseScratch(block)
 	for m, cols := range mod.Cols {
 		for _, c := range cols {
 			if c < 0 || c >= x.Cols {
 				return nil, fmt.Errorf("consensus vk decisions: %w: learner %d owns column %d, samples have %d", linalg.ErrShape, m, c, x.Cols)
 			}
 		}
-		block := linalg.Matrix{Rows: x.Rows, Cols: len(cols), Data: buf.Data[:x.Rows*len(cols)]}
+		block.Cols, block.Data = len(cols), block.Data[:x.Rows*len(cols)]
 		for i := 0; i < x.Rows; i++ {
 			xi, bi := x.Row(i), block.Row(i)
 			for j, c := range cols {
 				bi[j] = xi[c]
 			}
 		}
-		if err := kernel.Accumulate(mod.Kernel, &block, mod.SupportX[m], mod.Alpha[m], dst); err != nil {
+		if err := kernel.Accumulate(mod.Kernel, block, mod.SupportX[m], mod.Alpha[m], dst); err != nil {
 			return nil, err
 		}
 	}

@@ -130,9 +130,9 @@ func assemble(x *linalg.Matrix, y, lambda []float64, c float64, k kernel.Kernel,
 		m.W = w
 	}
 
-	scores := make([]float64, len(lambda))
-	for i := range scores {
-		scores[i] = m.decisionNoBias(x.Row(i))
+	scores, err := m.Decisions(x, nil) // B is still 0: the bias-free scores f₀(xᵢ)
+	if err != nil {
+		return nil, err
 	}
 	m.B = BiasFromKKT(scores, y, lambda, c)
 	return m, nil
@@ -182,21 +182,16 @@ func BiasFromKKT(scores, y, lambda []float64, c float64) float64 {
 	return 0
 }
 
-// decisionNoBias returns Σᵢ coefᵢ K(svᵢ, x), the discriminant without bias.
-func (m *Model) decisionNoBias(x []float64) float64 {
-	if m.W != nil {
-		return linalg.Dot(m.W, x)
-	}
-	var s float64
-	for i := range m.Coef {
-		s += m.Coef[i] * m.Kernel.Eval(m.SupportX.Row(i), x)
-	}
-	return s
-}
-
-// Decision returns the real-valued discriminant f(x) = Σ λᵢyᵢK(xᵢ,x) + b.
+// Decision returns the real-valued discriminant f(x) = Σ λᵢyᵢK(xᵢ,x) + b:
+// Decisions on x viewed as one row, so it has the bits of x's row in any
+// batch. It panics with the linalg.ErrShape error Decisions returns when x
+// is not as wide as the training samples.
 func (m *Model) Decision(x []float64) float64 {
-	return m.decisionNoBias(x) + m.B
+	var d [1]float64
+	if _, err := m.Decisions(&linalg.Matrix{Rows: 1, Cols: len(x), Data: x}, d[:]); err != nil {
+		panic(err)
+	}
+	return d[0]
 }
 
 // Predict returns the class label, +1 or −1 (ties resolve to +1).
@@ -207,13 +202,11 @@ func (m *Model) Predict(x []float64) float64 {
 	return -1
 }
 
-// Decisions is the batch form of Decision: dst[i] = f(x_i) for every row of
-// x, one MulVec for a linear model and the tiled kernel path
-// (kernel.Accumulate) otherwise. A nil dst is allocated; otherwise it must
-// hold x.Rows values, which are overwritten. Values agree with Decision to
-// rounding, not bit for bit: the dots and the order of the sum differ, the
-// kernel transform (RBF's exp included) is the same function on both sides
-// (see kernel.Accumulate).
+// Decisions scores every row of x: dst[i] = f(x_i), one MulVec for a linear
+// model and the tiled kernel path (kernel.Accumulate) otherwise. A nil dst is
+// allocated; otherwise it must hold x.Rows values, which are overwritten.
+// The arithmetic of a row does not depend on the other rows, so Decision is
+// this call on one row.
 func (m *Model) Decisions(x *linalg.Matrix, dst []float64) ([]float64, error) {
 	if dst == nil {
 		dst = make([]float64, x.Rows)

@@ -151,9 +151,9 @@ func TestSlackAllowsOutliers(t *testing.T) {
 	}
 }
 
-// TestDecisionsMatchDecision pins the batch scoring path against the scalar
-// Decision it must agree with: the explicit-weight MulVec for a linear model,
-// the tiled kernel path otherwise, both with and without a caller's dst.
+// TestDecisionsMatchDecision pins Decision to the batch scoring path bit for
+// bit, on trained models: the explicit-weight MulVec for a linear model, the
+// tiled kernel path otherwise, both with and without a caller's dst.
 func TestDecisionsMatchDecision(t *testing.T) {
 	d := dataset.TwoGaussians("g", 60, 3, 3, 3)
 	for _, k := range []kernel.Kernel{nil, kernel.RBF{Gamma: 0.5}} {
@@ -171,7 +171,7 @@ func TestDecisionsMatchDecision(t *testing.T) {
 		}
 		for i := 0; i < d.Len(); i++ {
 			want := m.Decision(d.X.Row(i))
-			if math.Abs(batch[i]-want) > 1e-9*math.Max(1, math.Abs(want)) || reused[i] != batch[i] {
+			if math.Float64bits(batch[i]) != math.Float64bits(want) || reused[i] != batch[i] {
 				t.Fatalf("%s: row %d: batch %.17g, into dst %.17g, scalar %.17g", m.Kernel.Name(), i, batch[i], reused[i], want)
 			}
 		}

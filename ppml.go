@@ -170,7 +170,10 @@ type Model interface {
 	// Predict returns the class label of x: +1 or −1.
 	Predict(x []float64) float64
 	// Decision returns the real-valued discriminant f(x); its sign is the
-	// prediction and its magnitude a confidence.
+	// prediction and its magnitude a confidence. x must be as wide as the
+	// training samples: a kernel model panics with a shape error on any
+	// other width. A kernel model's Decision is, bit for bit, the value the
+	// evaluation-set accuracy of History takes the sign of.
 	Decision(x []float64) float64
 }
 

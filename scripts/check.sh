@@ -60,6 +60,8 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # - one pass per RBF row: linalg.RBFRow forms the distance, clamps, scales
 #   and takes the exp; a slice exp beside it would be the two-pass row back
 #   (ExpNonPosScalar, the exp of RBF.Eval and the row's Go twin, stays).
+# - one scoring path: a kernel model's Decision is its Decisions on one row,
+#   so Kernel.Eval, the tests' reference, has no caller in a model.
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -85,6 +87,7 @@ dotTile2x4FMA|matMulTTile|transposeInto|packPool~no~a dot-form tile, its twin or
 dotSeq~no~a second dot product with its own sum order in non-test Go (one dot, one sum order)
 projectedGradient~no~a second box-QP projected-gradient predicate in non-test Go (linalg.BoxViolation is the one rule)
 ExpNonPos\(|expNonPosFMA~no~a slice exp in non-test Go (linalg.RBFRow turns a row of dots into kernel values in one pass)
+Kernel\.Eval\(|DecisionAt|decisionNoBias~no~a scalar kernel loop beside Decisions (one scoring path)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
@@ -188,30 +191,31 @@ go build ./...
 echo "==> GOARCH=arm64 build + vet of the compute layer (the stub/twin side of every assembly kernel)"
 # Off amd64 hasFMA is false and the pure-Go twins are the only path; nothing
 # in CI runs there, so at least keep it compiling and vet-clean. The list is
-# every package with a twin (linalg, kernel) and every solver that steps on
+# every package with a twin (linalg, kernel), every solver that steps on
 # one (qp's SolveBox on the fused box-QP step, SolveLinearBox on the fused
-# HL sweep).
+# HL sweep), the centralized SVM and the accuracy metric.
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/linalg ./internal/kernel ./internal/qp
+GOARCH=arm64 go vet ./internal/linalg ./internal/kernel ./internal/qp ./internal/svm ./internal/eval
 
 echo "==> arm64 no-fusion gate (the compute layer and the solvers round every product on their own)"
 # The Go spec lets a compiler fuse x*y + z into one rounding. arm64 does
 # (FMADDD), amd64 never does, even at GOAMD64=v3, so a fused product is a
 # kernel value, a solver step or a model whose bits depend on the platform.
-# internal/qp, internal/kernel and internal/linalg write every product that
-# meets an addition as float64(…), which forbids the fusion; the one fused
-# multiply-add allowed is math.FMA, which is one by contract. A fused
-# instruction passes only on a source line that calls math.FMA. The listing
-# must show a line of each package, so an empty one cannot pass.
-arm64_listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/qp ./internal/kernel ./internal/linalg 2>&1)
-for pkg in internal/qp internal/kernel internal/linalg; do
+# internal/qp, internal/kernel, internal/linalg, internal/svm and
+# internal/eval write every product that meets an addition as float64(…),
+# which forbids the fusion; the one fused multiply-add allowed is math.FMA,
+# which is one by contract. A fused instruction passes only on a source line
+# that calls math.FMA. The listing must show a line of each package, so an
+# empty one cannot pass.
+arm64_listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/qp ./internal/kernel ./internal/linalg ./internal/svm ./internal/eval 2>&1)
+for pkg in internal/qp internal/kernel internal/linalg internal/svm internal/eval; do
 	if ! printf '%s\n' "$arm64_listing" | grep -q "$pkg/[a-z_0-9]*\.go:"; then
 		echo "error: the arm64 -S listing shows no line of $pkg" >&2
 		exit 1
 	fi
 done
 fused_sites=$(printf '%s\n' "$arm64_listing" | grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)' \
-	| grep -oE 'internal/(qp|kernel|linalg)/[a-z_0-9]*\.go:[0-9]+' | sort -u)
+	| grep -oE 'internal/(qp|kernel|linalg|svm|eval)/[a-z_0-9]*\.go:[0-9]+' | sort -u)
 fused_bad=0
 for site in $fused_sites; do
 	if ! sed -n "${site##*:}p" "${site%:*}" | grep -q 'math\.FMA('; then
@@ -229,8 +233,9 @@ echo "==> twin tests at GOAMD64=v3 (the assembly against Go twins compiled with 
 # is part of the baseline instruction set. A fused multiply-add the compiler
 # chose would split a twin from its assembly without a line of either
 # changing, so the bit-equality tests run again with the twins built for v3,
-# each against every assembly body (AVX-512 and AVX2) the host runs.
-GOAMD64=v3 go test -count=1 -run 'Twin|Contract|LaneAndOffset|MatchesFMA|MatchesTwoPass|MatchesScalarLoops|MatchesReference|TiledPathMatchesEval|GramParallelMatchesSequential' ./internal/linalg ./internal/kernel ./internal/qp
+# each against every assembly body (AVX-512 and AVX2) the host runs, and so
+# do the kernel models' Decision-against-Decisions tests.
+GOAMD64=v3 go test -count=1 -run 'Twin|Contract|LaneAndOffset|MatchesFMA|MatchesTwoPass|MatchesScalarLoops|MatchesReference|TiledPathMatchesEval|GramParallelMatchesSequential|DecisionsMatchDecision' ./internal/linalg ./internal/kernel ./internal/qp ./internal/consensus ./internal/svm
 
 echo "==> go test -race ./..."
 go test -race ./...
