@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
+	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/mapreduce"
 )
@@ -20,7 +21,11 @@ import (
 // all-present elastic round announces the weight a strict one does, so they
 // must agree to the bit — decisions, residuals and accuracies. The local
 // engine and the plain cluster sum floats, and stay within the codec's
-// resolution (2⁻³⁰ a share, accumulated over the rounds) of them.
+// resolution (2⁻³⁰ a share, accumulated over the rounds) of them. On every
+// row the probe scores the model Train returns: the last accuracy is that
+// model's on the eval set — exactly where the probe's sum is the model's
+// (HL scores z, VK adds the partials in Decisions' order), within one eval
+// row where it adds the same terms in another order (HK, VL).
 func TestSchemeConformance(t *testing.T) {
 	lin := dataset.TwoGaussians("g", 120, 6, 3, 17)
 	linTrain, linTest := splitAndScale(t, lin)
@@ -46,19 +51,22 @@ func TestSchemeConformance(t *testing.T) {
 		name string
 		test *dataset.Dataset
 		base Config
-		run  func(cfg Config) (decider, *History, error)
+		// probeRows is how many eval rows the probe's last count may differ
+		// on from the returned model's.
+		probeRows float64
+		run       func(cfg Config) (decider, *History, error)
 	}{
-		{"HL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, func(cfg Config) (decider, *History, error) {
+		{"HL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, 0, func(cfg Config) (decider, *History, error) {
 			return TrainHorizontalLinear(context.Background(), horizontalParts(t, linTrain, 3, 9), cfg)
 		}},
-		{"HK", ringTest, Config{C: 50, Rho: 10, MaxIterations: 10, Landmarks: 12, Kernel: rbf}, func(cfg Config) (decider, *History, error) {
+		{"HK", ringTest, Config{C: 50, Rho: 10, MaxIterations: 10, Landmarks: 12, Kernel: rbf}, 1, func(cfg Config) (decider, *History, error) {
 			return TrainHorizontalKernel(context.Background(), horizontalParts(t, ringTrain, 3, 7), cfg)
 		}},
-		{"VL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, func(cfg Config) (decider, *History, error) {
+		{"VL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, 1, func(cfg Config) (decider, *History, error) {
 			parts, cols := verticalParts(t, linTrain, 3, 3)
 			return TrainVerticalLinear(context.Background(), parts, cols, cfg)
 		}},
-		{"VK", ringTest, Config{C: 50, Rho: 20, MaxIterations: 10, Kernel: rbf}, func(cfg Config) (decider, *History, error) {
+		{"VK", ringTest, Config{C: 50, Rho: 20, MaxIterations: 10, Kernel: rbf}, 0, func(cfg Config) (decider, *History, error) {
 			parts, cols := verticalParts(t, ringTrain, 2, 5)
 			return TrainVerticalKernel(context.Background(), parts, cols, cfg)
 		}},
@@ -91,6 +99,13 @@ func TestSchemeConformance(t *testing.T) {
 				if h.Iterations != sc.base.MaxIterations || len(h.DeltaZSq) != h.Iterations || len(h.Accuracy) != h.Iterations {
 					t.Fatalf("%s: %d iterations, %d residuals, %d accuracies, want %d of each",
 						eng.name, h.Iterations, len(h.DeltaZSq), len(h.Accuracy), sc.base.MaxIterations)
+				}
+				modelAcc, err := eval.Accuracy(got.decisions, sc.test.Y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if last := h.Accuracy[len(h.Accuracy)-1]; math.Abs(last-modelAcc) > sc.probeRows/float64(sc.test.Len())+1e-12 {
+					t.Errorf("%s: last probe accuracy %v, the returned model's %v", eng.name, last, modelAcc)
 				}
 				if local == nil {
 					local = got

@@ -128,11 +128,16 @@
 // engine announces the weight of the round's sum (mapreduce.WeightedReducer):
 // the number of learners folded — M on the local engine and under strict
 // rounds, the live roster after a demotion — or Σκ^s when some shares are
-// stale, and every M in the Reducer formulas above is that number. The
-// per-round accuracy probe (Config.EvalSet) reads the learners' blocks only
-// through the copies they publish at the end of Contribution (probeCopy).
-// Both reducers end a round in one roundLog.record: the ‖Δz‖² series, its
-// gauge and journal event, the probe, and the Tol test.
+// stale, and every M in the Reducer formulas above is that number. For the
+// per-round accuracy probe (Config.EvalSet) each VL, VK and HK mapper scores
+// the eval rows on its own block at the end of Contribution and hands the
+// Reducer those partial decisions (partialDecisions); the Reducer adds them
+// up with the public terms it holds — the vertical bias b, HK's landmark term
+// in z — and counts the signs, without building a model or reading a
+// learner's rows or coefficients. HL and logistic regression score the
+// consensus state. The trained model is assembled once, after the job has
+// drained every mapper. Both reducers end a round in one roundLog.record: the
+// ‖Δz‖² series, its gauge and journal event, the probe, and the Tol test.
 //
 // # Privacy
 //

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
-	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/mapreduce"
@@ -109,6 +108,9 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := checkEvalSet(cfg, k); err != nil {
+		return nil, nil, err
+	}
 	m := len(parts)
 	l := cfg.Landmarks
 
@@ -125,27 +127,41 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 
 	mappers := make([]mapreduce.IterativeMapper, m)
 	hkMappers := make([]*hkMapper, m)
+	partials := make([]*partialDecisions, m)
 	for i, p := range parts {
 		mp, err := newHKMapper(p, i, cfg, lm)
 		if err != nil {
 			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
-		mappers[i] = mp
-		hkMappers[i] = mp
+		mappers[i], hkMappers[i], partials[i] = mp, mp, mp.partial
 	}
-	final, h, err := trainMean(ctx, cfg, "hk", mappers, l+1, parts, func(state []float64) (float64, error) {
-		model, err := assembleHKModel(cfg, lm.xg, hkMappers, state)
-		if err != nil {
-			return 0, err
+	var probe func(state []float64) (float64, error)
+	if cfg.EvalSet != nil {
+		s, g := make([]float64, cfg.EvalSet.Len()), make([]float64, 3*l)
+		probe = func(state []float64) (float64, error) {
+			return lm.landmarkAccuracy(partials, state[:l], cfg.Rho, cfg.EvalSet.Y, s, g)
 		}
-		return eval.ClassifierAccuracy(model, cfg.EvalSet)
-	})
+	}
+	final, h, err := trainMean(ctx, cfg, "hk", mappers, l+1, parts, probe)
 	if err != nil {
 		return nil, nil, err
 	}
-	model, err := assembleHKModel(cfg, lm.xg, hkMappers, final)
-	if err != nil {
-		return nil, nil, err
+	// The job has drained every mapper, so their state is final: fold it and
+	// the consensus into the explicit coefficients of eq. (25).
+	model := &KernelHorizontalModel{
+		Kernel:    cfg.Kernel,
+		Landmarks: lm.xg,
+		SupportX:  make([]*linalg.Matrix, m),
+		CoefX:     make([][]float64, m),
+		CoefG:     make([][]float64, m),
+		B:         make([]float64, m),
+	}
+	scratch := make([]float64, 3*l)
+	for i, mp := range hkMappers {
+		model.SupportX[i], model.CoefX[i], model.CoefG[i] = mp.x, make([]float64, mp.x.Rows), make([]float64, l)
+		if model.B[i], err = mp.expansion(final[:l], model.CoefX[i], model.CoefG[i], scratch); err != nil {
+			return nil, nil, fmt.Errorf("consensus hk: learner %d expansion: %w", i, err)
+		}
 	}
 	return model, h, nil
 }
@@ -159,6 +175,11 @@ type landmarks struct {
 	kgg   *linalg.Matrix // K(X_g, X_g)
 	kgInv *linalg.Matrix // K⁻¹_g = (I + ρM·K_gg)⁻¹
 	gpg   *linalg.Matrix // GPGᵀ = M[K_gg − ρM·K_gg·K⁻¹_g·K_gg]
+
+	// evalG is K(X_g, X_e), l × E: the landmarks against the eval rows, K_eg
+	// stored by columns, so K_eg·c is l Axpy calls. Public × public, built
+	// once; nil without an eval set.
+	evalG *linalg.Matrix
 }
 
 // newLandmarks draws cfg.Landmarks public points X_g in k dimensions —
@@ -199,31 +220,13 @@ func newLandmarks(cfg Config, k, m int) (*landmarks, error) {
 	for i := range gpg.Data {
 		gpg.Data[i] = float64(m) * (gpg.Data[i] - rhoM*kgCorr.Data[i])
 	}
-	return &landmarks{m: m, xg: xg, kgg: kgg, kgInv: kgInv, gpg: gpg}, nil
-}
-
-// assembleHKModel folds the learners' dual state and the consensus into the
-// explicit kernel-expansion coefficients of eq. (25).
-func assembleHKModel(cfg Config, xg *linalg.Matrix, mappers []*hkMapper, state []float64) (*KernelHorizontalModel, error) {
-	m := len(mappers)
-	l := xg.Rows
-	model := &KernelHorizontalModel{
-		Kernel:    cfg.Kernel,
-		Landmarks: xg,
-		SupportX:  make([]*linalg.Matrix, m),
-		CoefX:     make([][]float64, m),
-		CoefG:     make([][]float64, m),
-		B:         make([]float64, m),
-	}
-	z := state[:l]
-	for i, mp := range mappers {
-		model.SupportX[i] = mp.x
-		var err error
-		if model.CoefX[i], model.CoefG[i], model.B[i], err = mp.expansion(z); err != nil {
-			return nil, fmt.Errorf("consensus hk: learner %d expansion: %w", i, err)
+	lm := &landmarks{m: m, xg: xg, kgg: kgg, kgInv: kgInv, gpg: gpg}
+	if cfg.EvalSet != nil {
+		if lm.evalG, err = kernel.Matrix(cfg.Kernel, xg, cfg.EvalSet.X); err != nil {
+			return nil, err
 		}
 	}
-	return model, nil
+	return lm, nil
 }
 
 // hkMapper is one learner's Map() task for the horizontal kernel scheme: the
@@ -237,13 +240,14 @@ type hkMapper struct {
 	y []float64
 
 	kmg     *linalg.Matrix // K(X_m, X_g), full partition; chunk rows are views
-	kgInvKm *linalg.Matrix // K⁻¹_g·K_gm, for the final expansion
+	kgInvKm *linalg.Matrix // K⁻¹_g·K_gm, for the expansion
 
 	sched *chunkSchedule
 	vl    virtualLearners
-	// probe is what expansion needs of vl as of the last completed
-	// Contribution: Yλ over the n rows, then r̄ (dim values), then b̄.
-	probe probeCopy
+	// ylambda is Yλ over the n rows: it stitches the chunks' duals together,
+	// and a round rewrites its chunk's rows only. With the virtual learners'
+	// means r̄ and b̄ it is all eq. (25) needs of the mapper.
+	ylambda []float64
 
 	// The P-folded blocks of chunk built: q = Y·ΦPΦᵀ·Y + (1/ρ)yyᵀ restricted
 	// to the chunk (n_c × n_c) and phiPG = ΦPGᵀ|_c (n_c × l). They depend on
@@ -254,10 +258,16 @@ type hkMapper struct {
 	built    int
 
 	// Round scratch: p is sized to the largest chunk, gu to the landmarks.
-	p, gu     []float64 // p is ΦPGᵀu, then the QP's linear term, then Yλ
+	p, gu     []float64 // p is ΦPGᵀu, then the QP's linear term
 	qpScratch qp.Scratch
 	opts      []qp.Option // the last one is the round's warm start
 	chunkDur  *telemetry.Histogram
+
+	// With an eval set: the probe's share (see score) and its scratch, M′·Yλ
+	// (n), and l zeros (z = 0), the landmark coefficients and expansion's 3l
+	// of scratch (5l).
+	partial     *partialDecisions
+	coef, lmBuf []float64
 }
 
 // newHKMapper builds learner id's Map() task; lm.m is the virtual cohort
@@ -279,11 +289,15 @@ func newHKMapper(p *dataset.Dataset, id int, cfg Config, lm *landmarks) (*hkMapp
 		x: p.X, y: p.Y,
 		kmg: kmg, kgInvKm: kgInvKm,
 		sched: sched, vl: newVirtualLearners(sched.numChunks, l),
-		probe: probeCopy{v: make([]float64, p.Len()+l+1)},
-		q:     linalg.NewMatrix(maxC, maxC), phiPG: linalg.NewMatrix(maxC, l),
+		ylambda: make([]float64, p.Len()),
+		q:       linalg.NewMatrix(maxC, maxC), phiPG: linalg.NewMatrix(maxC, l),
 		p:        make([]float64, maxC),
 		gu:       make([]float64, l),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
+		partial:  newPartials(cfg),
+	}
+	if mp.partial != nil {
+		mp.coef, mp.lmBuf = make([]float64, p.Len()), make([]float64, 5*l)
 	}
 	mp.opts = []qp.Option{
 		qp.WithTolerance(qpTol),
@@ -371,9 +385,9 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 		return nil, fmt.Errorf("consensus hk local solve: %w", err)
 	}
 
-	// Gw = (ΦPGᵀ)ᵀ·Yλ + ρ·GPGᵀ·u; b = t + (1/ρ)·yᵀλ. The solve is done with p
-	// and the dual update with c.prev, so they take Yλ and Gw in place.
-	ylambda := p
+	// Gw = (ΦPGᵀ)ᵀ·Yλ + ρ·GPGᵀ·u; b = t + (1/ρ)·yᵀλ. Yλ lands in the chunk's
+	// rows of ylambda, and Gw in c.prev, which the dual update is done with.
+	ylambda := mp.ylambda[lo:hi]
 	sumYL := 0.0
 	for i := range ylambda {
 		ylambda[i] = yc[i] * res.Lambda[i]
@@ -389,88 +403,97 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	}
 	linalg.Axpy(mp.cfg.Rho, gu, gw)
 	contrib := mp.vl.commit(c, res.Lambda, t+sumYL/mp.cfg.Rho)
-	mp.publish(c, lo)
+	if mp.partial != nil {
+		if err := mp.score(); err != nil {
+			return nil, err
+		}
+	}
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return contrib, nil
 }
 
-// publish refreshes the probe copy after chunk c (rows from lo) committed: Yλ
-// stitches the chunks' duals together, so only c's rows of it moved; r̄ and b̄
-// are the means of the visited chunks' scaled duals and biases (at the fixed
-// point every chunk holds Gw_c = z, and with one chunk they are that chunk's
-// own), re-summed in chunk order so the value does not depend on the visit
-// order.
-func (mp *hkMapper) publish(c *virtualLearner, lo int) {
-	n, dim := mp.x.Rows, mp.vl.dim
-	mp.probe.with(func(v []float64) {
-		for i, l := range c.lambda {
-			v[lo+i] = mp.y[lo+i] * l
-		}
-		r, b := v[n:n+dim], 0.0
-		linalg.Zero(r)
-		for idx := range mp.vl.chunks {
-			if ch := &mp.vl.chunks[idx]; ch.seen {
-				linalg.Axpy(1, ch.dual, r)
-				b += ch.prevB
-			}
-		}
-		linalg.Scale(1/float64(mp.vl.visited), r)
-		v[n+dim] = b / float64(mp.vl.visited)
-	})
+// score stores the mapper's share of the probe, its partial decisions on the
+// eval rows X_e:
+//
+//	p_m = K(X_e, X_m)·coefX + K_eg·c + b̄
+//
+// where coefX, c and b̄ are the expansion at z = 0. The landmark coefficients
+// are linear in z, so c is the part that does not depend on z; the Reducer
+// adds the part that does once for all learners (landmarks.landmarkAccuracy).
+func (mp *hkMapper) score() error {
+	l := mp.vl.dim
+	zero, c := mp.lmBuf[:l], mp.lmBuf[l:2*l]
+	b, err := mp.expansion(zero, mp.coef, c, mp.lmBuf[2*l:])
+	if err != nil {
+		return err
+	}
+	dec := mp.partial.next
+	linalg.Zero(dec)
+	if err := kernel.Accumulate(mp.cfg.Kernel, mp.cfg.EvalSet.X, mp.x, mp.coef, dec); err != nil {
+		return err
+	}
+	for j, cj := range c {
+		linalg.Axpy(cj, mp.lm.evalG.Row(j), dec)
+	}
+	for i := range dec {
+		dec[i] += b
+	}
+	mp.partial.swap()
+	return nil
 }
 
-// expansion converts the mapper's published dual state (see publish) plus the
-// consensus z into explicit kernel-expansion coefficients (eq. 25):
+// expansion writes into coefX (n values) and coefG (l) the explicit
+// kernel-expansion coefficients of the mapper's dual state at the consensus z
+// (eq. 25), and returns the bias b:
 //
 //	f(x) = Σᵢ coefX[i]·K(x, xᵢ) + Σⱼ coefG[j]·K(x, x_g[j]) + b
 //	coefX = M′·Yλ
 //	coefG = −ρM′²·K⁻¹_g·K_gm·Yλ + ρM′·(I − ρM′·K⁻¹_g·K_gg)·(z − r̄)
-func (mp *hkMapper) expansion(z []float64) (coefX, coefG []float64, b float64, err error) {
-	n := mp.x.Rows
-	ylambda := make([]float64, n)
-	coefX = make([]float64, n)
-	u := make([]float64, mp.vl.dim) // r̄, then z − r̄
-	mp.probe.with(func(v []float64) {
-		copy(ylambda, v)
-		copy(u, v[n:])
-		b = v[n+len(u)]
-	})
-	for i, yl := range ylambda {
+//	b = b̄
+//
+// scratch holds 3l values. It reads the mapper's live fields: inside
+// Contribution, or once the job has drained every mapper goroutine.
+func (mp *hkMapper) expansion(z, coefX, coefG, scratch []float64) (float64, error) {
+	l := mp.vl.dim
+	u := scratch[:l] // r̄, then z − r̄
+	b := mp.vl.means(u)
+	for i, yl := range mp.ylambda {
 		coefX[i] = float64(mp.lm.m) * yl
 	}
 	linalg.SubVec(z, u, u)
-	coefG, err = landmarkCoefficients(mp.kgInvKm, mp.lm.kgg, mp.lm.kgInv, ylambda, u, mp.cfg.Rho, mp.lm.m)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return coefX, coefG, b, nil
+	return b, mp.lm.coefficients(mp.kgInvKm, mp.ylambda, u, mp.cfg.Rho, coefG, scratch[l:])
 }
 
-// landmarkCoefficients is the coefG term of eq. (25) for a learner with
-// scaled dual Yλ and u = z − r, in a cohort of m (virtual) learners:
+// coefficients writes into dst the coefG term of eq. (25) for a learner with
+// scaled dual Yλ and u = z − r, in the cohort of lm.m (virtual) learners:
 //
 //	−ρM²·K⁻¹_g·K_gm·Yλ + ρM·(I − ρM·K⁻¹_g·K_gg)·u
 //
-// The operand shapes are fixed when the mapper is built, so an error here is
-// a broken invariant, not an input condition.
-func landmarkCoefficients(kgInvKm, kgg, kgInv *linalg.Matrix, ylambda, u []float64, rho float64, m int) ([]float64, error) {
-	t1, err := kgInvKm.MulVec(ylambda, nil)
+// kgInvKm is the learner's K⁻¹_g·K_gm; nil drops the Yλ term, which leaves
+// the part every learner shares. scratch holds 2l values. The operand shapes
+// are fixed when the mapper is built, so an error here is a broken
+// invariant, not an input condition.
+func (lm *landmarks) coefficients(kgInvKm *linalg.Matrix, ylambda, u []float64, rho float64, dst, scratch []float64) error {
+	l := len(dst)
+	t1 := dst
+	if kgInvKm == nil {
+		linalg.Zero(t1)
+	} else if _, err := kgInvKm.MulVec(ylambda, t1); err != nil {
+		return err
+	}
+	kgu, err := lm.kgg.MulVec(u, scratch[:l])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	kgu, err := kgg.MulVec(u, nil)
+	t2, err := lm.kgInv.MulVec(kgu, scratch[l:])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t2, err := kgInv.MulVec(kgu, nil)
-	if err != nil {
-		return nil, err
+	m := float64(lm.m)
+	linalg.Scale(-rho*m*m, t1)
+	rhoM := rho * m
+	for j := range dst {
+		dst[j] = t1[j] + rhoM*(u[j]-rhoM*t2[j])
 	}
-	linalg.Scale(-rho*float64(m)*float64(m), t1)
-	rhoM := rho * float64(m)
-	coefG := t1
-	for j := range coefG {
-		coefG[j] = t1[j] + rhoM*(u[j]-rhoM*t2[j])
-	}
-	return coefG, nil
+	return nil
 }

@@ -85,6 +85,9 @@ func TrainHorizontalLinearStreamed(ctx context.Context, srcs []dataset.RowSource
 func trainHL(ctx context.Context, srcs []dataset.RowSource, parts []*dataset.Dataset, cfg Config) (*LinearModel, *History, error) {
 	m := len(srcs)
 	k := srcs[0].Features()
+	if err := checkEvalSet(cfg, k); err != nil {
+		return nil, nil, err
+	}
 	// Virtual cohort size M′ = Σ_m J_m: every chunk across every learner is
 	// one consensus block, and all mappers must agree on η(M′).
 	mprime := 0

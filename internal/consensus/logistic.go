@@ -53,6 +53,9 @@ func TrainHorizontalLogistic(ctx context.Context, parts []*dataset.Dataset, cfg 
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := checkEvalSet(cfg, k); err != nil {
+		return nil, nil, err
+	}
 	m := len(parts)
 
 	mappers := make([]mapreduce.IterativeMapper, m)

@@ -8,7 +8,6 @@ package consensus
 
 import (
 	"math/rand"
-	"sync"
 
 	"github.com/ppml-go/ppml/internal/linalg"
 )
@@ -104,30 +103,6 @@ func rowView(m *linalg.Matrix, lo, hi int) *linalg.Matrix {
 		return m
 	}
 	return &linalg.Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
-// probeCopy is the copy of a mapper's private block that the Reducer's
-// per-round accuracy probe reads (VL's w, VK's α, what HK's expansion needs).
-// The probe runs on the Reducer's goroutine, inside Combine, while the mapper
-// may be inside Contribution — on the bounded-staleness worker, or as a
-// demoted straggler still solving — so it cannot read the live block. Each
-// mapper refreshes the copy at the end of Contribution; both sides hold the
-// mutex for a copy, never a solve, so the Reducer does not wait one out. Under
-// the local engine and strict rounds every Contribution of round t has
-// returned before Combine(t) runs and the probe sees exactly the iterate that
-// was folded; under elastic or stale rounds it may see a newer local iterate
-// than the one folded. ROADMAP item 3 (the probe off the protocol's clock)
-// supersedes this.
-type probeCopy struct {
-	mu sync.Mutex
-	v  []float64
-}
-
-// with runs f on the copy under the lock.
-func (p *probeCopy) with(f func(v []float64)) {
-	p.mu.Lock()
-	f(p.v)
-	p.mu.Unlock()
 }
 
 // virtualLearners is the consensus state a horizontal mapper keeps for its
@@ -230,4 +205,25 @@ func (v *virtualLearners) commit(c *virtualLearner, lambda []float64, b float64)
 		v.contrib[j] = v.sum[j] * inv
 	}
 	return v.contrib
+}
+
+// means writes r̄, the mean of the visited chunks' scaled duals, into r and
+// returns b̄, the mean of their biases; both are zero before the first
+// commit. With one chunk they are that chunk's own; with more, every chunk
+// holds the consensus at the fixed point. They are re-summed in chunk order,
+// so the value does not depend on the visit order.
+func (v *virtualLearners) means(r []float64) float64 {
+	linalg.Zero(r)
+	if v.visited == 0 {
+		return 0
+	}
+	b := 0.0
+	for i := range v.chunks {
+		if c := &v.chunks[i]; c.seen {
+			linalg.Axpy(1, c.dual, r)
+			b += c.prevB
+		}
+	}
+	linalg.Scale(1/float64(v.visited), r)
+	return b / float64(v.visited)
 }

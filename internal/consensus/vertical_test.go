@@ -208,7 +208,7 @@ func TestVKLearnerHoldsOneMatrix(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		mp, err := newVKMapper(d, cfg)
+		mp, err := newVKMapper(d, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestVKScoresMatchKernelStrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mp, err := newVKMapper(d, cfg)
+		mp, err := newVKMapper(d, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/linalg"
+	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
@@ -103,35 +104,40 @@ func TrainVerticalKernel(ctx context.Context, parts []*dataset.Dataset, cols [][
 	if err := kernel.Validate(cfg.Kernel); err != nil {
 		return nil, nil, fmt.Errorf("%w: kernel scheme needs a valid Config.Kernel: %v", ErrBadConfig, err)
 	}
-	rows, _, err := validateVerticalParts(parts, cols)
+	rows, features, err := validateVerticalParts(parts, cols)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkEvalSet(cfg, features); err != nil {
 		return nil, nil, err
 	}
 	if err := checkVerticalChunkConfig(cfg, rows); err != nil {
 		return nil, nil, err
 	}
-	mappers := make([]*vkMapper, len(parts))
+	mappers := make([]mapreduce.IterativeMapper, len(parts))
+	partials := make([]*partialDecisions, len(parts))
+	model := &KernelVerticalModel{
+		Kernel:   cfg.Kernel,
+		Cols:     cols,
+		SupportX: make([]*linalg.Matrix, len(parts)),
+		Alpha:    make([][]float64, len(parts)),
+	}
 	for i, p := range parts {
-		if mappers[i], err = newVKMapper(p, cfg); err != nil {
+		mp, err := newVKMapper(p, cols[i], cfg)
+		if err != nil {
 			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
+		mappers[i], partials[i] = mp, mp.partial
+		// The mapper updates α in place, so once the job has drained the
+		// mappers the model holds their final coefficients.
+		model.SupportX[i], model.Alpha[i] = mp.x, mp.alpha
 	}
-	return trainVertical(ctx, parts, cfg, mappers, func(b float64) *KernelVerticalModel {
-		model := &KernelVerticalModel{
-			Kernel:   cfg.Kernel,
-			Cols:     cols,
-			SupportX: make([]*linalg.Matrix, len(mappers)),
-			Alpha:    make([][]float64, len(mappers)),
-			B:        b,
-		}
-		for i, mp := range mappers {
-			model.SupportX[i] = mp.x
-			alpha := make([]float64, rows)
-			mp.probe.with(func(v []float64) { copy(alpha, v) })
-			model.Alpha[i] = alpha
-		}
-		return model
-	})
+	b, h, err := trainVertical(ctx, parts, cfg, mappers, partials)
+	if err != nil {
+		return nil, nil, err
+	}
+	model.B = b
+	return model, h, nil
 }
 
 // vkMapper is one learner's Map() task for the vertical kernel scheme. Only
@@ -148,7 +154,6 @@ type vkMapper struct {
 	sched *chunkSchedule
 
 	alpha []float64 // expansion coefficients over all N rows
-	probe probeCopy // α as of the last completed Contribution
 
 	// ch factors I + ρs·K_cc in place in reg, kw holds (K·α)|_c and off
 	// holds off_c for chunk built: all are recomputed when the schedule moves
@@ -163,22 +168,32 @@ type vkMapper struct {
 	q        []float64 // round scratch
 	chunkDur *telemetry.Histogram
 	cached   []float64 // the contribution, over all N coordinates
+
+	// With an eval set: the probe's share, K(X_e|cols, X)·α, scored from
+	// evalX, the learner's columns of the eval rows (E × k_m).
+	partial *partialDecisions
+	evalX   *linalg.Matrix
 }
 
-func newVKMapper(p *dataset.Dataset, cfg Config) (*vkMapper, error) {
+// newVKMapper builds the Map() task of the learner holding p, the global
+// feature columns cols of every record.
+func newVKMapper(p *dataset.Dataset, cols []int, cfg Config) (*vkMapper, error) {
 	sched := newChunkSchedule(p.Len(), cfg.ChunkRows, cfg.Seed, sharedChunkStream)
 	mp := &vkMapper{
 		cfg:      cfg,
 		x:        p.X,
 		sched:    sched,
 		alpha:    make([]float64, p.Len()),
-		probe:    probeCopy{v: make([]float64, p.Len())},
 		reg:      linalg.NewMatrix(sched.chunkRows, sched.chunkRows), // sized for the longest chunk
 		kw:       make([]float64, sched.chunkRows),
 		off:      make([]float64, sched.chunkRows),
 		q:        make([]float64, sched.chunkRows),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
 		cached:   make([]float64, p.Len()),
+		partial:  newPartials(cfg),
+	}
+	if mp.partial != nil {
+		mp.evalX = cfg.EvalSet.SelectFeatures(cols).X
 	}
 	// The first chunk's factor is built here rather than in round 0 (see
 	// newHKMapper).
@@ -257,7 +272,13 @@ func (mp *vkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	linalg.Zero(mp.cached[:lo])
 	copy(mp.cached[lo:hi], kw)
 	linalg.Zero(mp.cached[hi:])
-	mp.probe.with(func(v []float64) { copy(v[lo:hi], alpha) })
+	if mp.partial != nil {
+		linalg.Zero(mp.partial.next)
+		if err := kernel.Accumulate(mp.cfg.Kernel, mp.evalX, mp.x, mp.alpha, mp.partial.next); err != nil {
+			return nil, err
+		}
+		mp.partial.swap()
+	}
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return mp.cached, nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
-	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/mapreduce"
 	"github.com/ppml-go/ppml/internal/qp"
@@ -30,57 +29,61 @@ func TrainVerticalLinear(ctx context.Context, parts []*dataset.Dataset, cols [][
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := checkEvalSet(cfg, features); err != nil {
+		return nil, nil, err
+	}
 	if err := checkVerticalChunkConfig(cfg, rows); err != nil {
 		return nil, nil, err
 	}
-	mappers := make([]*vlMapper, len(parts))
+	mappers := make([]mapreduce.IterativeMapper, len(parts))
+	partials := make([]*partialDecisions, len(parts))
+	vl := make([]*vlMapper, len(parts))
 	for i, p := range parts {
-		if mappers[i], err = newVLMapper(p, cfg); err != nil {
+		if vl[i], err = newVLMapper(p, cols[i], cfg); err != nil {
 			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
+		mappers[i], partials[i] = vl[i], vl[i].partial
 	}
-	return trainVertical(ctx, parts, cfg, mappers, func(b float64) *LinearModel {
-		w := make([]float64, features)
-		for i, mp := range mappers {
-			mp.probe.with(func(block []float64) {
-				for j, c := range cols[i] {
-					w[c] = block[j]
-				}
-			})
+	b, h, err := trainVertical(ctx, parts, cfg, mappers, partials)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := make([]float64, features)
+	for i, mp := range vl {
+		for j, c := range cols[i] {
+			w[c] = mp.w[j]
 		}
-		return &LinearModel{W: w, B: b}
-	})
+	}
+	return &LinearModel{W: w, B: b}, h, nil
 }
 
 // trainVertical runs the job both vertical schemes share — their Reducer and
-// consensus state, the N-vector of scores, are the same — and assembles the
-// model from the learners' probe copies: per round for the accuracy probe
-// when an EvalSet is given, and once more with the final bias.
-func trainVertical[M eval.Classifier, T mapreduce.IterativeMapper](ctx context.Context, parts []*dataset.Dataset, cfg Config, mappers []T, assemble func(b float64) M) (M, *History, error) {
+// consensus state, the N-vector of scores, are the same — and returns the
+// Reducer's final bias. With an EvalSet, the Reducer's probe sums the
+// learners' partial decisions with b every round (verticalAccuracy). The
+// caller assembles the model from its mappers once the job has drained them.
+func trainVertical(ctx context.Context, parts []*dataset.Dataset, cfg Config, mappers []mapreduce.IterativeMapper, partials []*partialDecisions) (float64, *History, error) {
 	rows := parts[0].Len()
 	red := newVerticalReducer(parts[0].Y, cfg)
 	if cfg.EvalSet != nil {
+		s := make([]float64, cfg.EvalSet.Len())
 		red.rounds.probe = func() (float64, error) {
-			return eval.ClassifierAccuracy(assemble(red.b), cfg.EvalSet)
+			return verticalAccuracy(partials, red.b, cfg.EvalSet.Y, s)
 		}
 	}
 	job := mapreduce.IterativeJob{
-		Mappers:         make([]mapreduce.IterativeMapper, len(mappers)),
+		Mappers:         mappers,
 		Reducer:         red,
 		InitialState:    make([]float64, rows),
 		ContributionDim: rows,
 		MaxIterations:   cfg.MaxIterations,
 	}
-	for i, mp := range mappers {
-		job.Mappers[i] = mp
-	}
 	_, h, err := runJob(ctx, cfg, job, parts)
 	if err != nil {
-		var none M
-		return none, nil, err
+		return 0, nil, err
 	}
 	h.DeltaZSq, h.Accuracy = red.rounds.deltaZSq, red.rounds.accuracy
-	return assemble(red.b), h, nil
+	return red.b, h, nil
 }
 
 // checkVerticalChunkConfig rejects the minibatch × bounded-staleness
@@ -108,8 +111,7 @@ type vlMapper struct {
 	x     *linalg.Matrix // N × k_m feature block (private)
 	sched *chunkSchedule
 
-	w     []float64 // current block weights
-	probe probeCopy // w as of the last completed Contribution
+	w []float64 // current block weights
 
 	// ch factors I + ρs·X_cᵀX_c and xw holds X_c·w for chunk built: both are
 	// recomputed when the schedule moves to another chunk and stand
@@ -123,21 +125,35 @@ type vlMapper struct {
 	q, xtq   []float64 // round scratch
 	chunkDur *telemetry.Histogram
 	cached   []float64 // the contribution, over all N coordinates
+
+	// With an eval set: the probe's share, X_e|cols·w, scored from evalT,
+	// the learner's columns of the eval rows stored by columns (k_m × E), as
+	// k_m Axpy calls.
+	partial *partialDecisions
+	evalT   *linalg.Matrix
 }
 
-func newVLMapper(p *dataset.Dataset, cfg Config) (*vlMapper, error) {
+// newVLMapper builds the Map() task of the learner holding p, the global
+// feature columns cols of every record.
+func newVLMapper(p *dataset.Dataset, cols []int, cfg Config) (*vlMapper, error) {
 	sched := newChunkSchedule(p.Len(), cfg.ChunkRows, cfg.Seed, sharedChunkStream)
 	mp := &vlMapper{
 		cfg:      cfg,
 		x:        p.X,
 		sched:    sched,
 		w:        make([]float64, p.Features()),
-		probe:    probeCopy{v: make([]float64, p.Features())},
 		xw:       make([]float64, sched.chunkRows),
 		q:        make([]float64, sched.chunkRows),
 		xtq:      make([]float64, p.Features()),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
 		cached:   make([]float64, p.Len()),
+		partial:  newPartials(cfg),
+	}
+	if mp.partial != nil {
+		mp.evalT = linalg.NewMatrix(len(cols), cfg.EvalSet.Len())
+		for j, c := range cols {
+			cfg.EvalSet.X.Col(c, mp.evalT.Row(j))
+		}
 	}
 	// The first chunk's factor is built here rather than in round 0 (see
 	// newHKMapper); w is zero, so xw = X_c·w already holds.
@@ -208,7 +224,12 @@ func (mp *vlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	linalg.Zero(mp.cached[:lo])
 	copy(mp.cached[lo:hi], xw)
 	linalg.Zero(mp.cached[hi:])
-	mp.probe.with(func(v []float64) { copy(v, w) })
+	if mp.partial != nil {
+		if _, err := mp.evalT.MulVecT(w, mp.partial.next); err != nil {
+			return nil, err
+		}
+		mp.partial.swap()
+	}
 	mp.chunkDur.Observe(time.Since(start).Seconds())
 	return mp.cached, nil
 }
@@ -219,7 +240,7 @@ func (mp *vlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 type verticalReducer struct {
 	y      []float64
 	cfg    Config
-	rounds roundLog // its probe assembles the model with b
+	rounds roundLog // its probe sums the learners' partial decisions with b
 
 	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
 	// the number of learners folded, or Σ κ^{s_i} when some shares are stale.

@@ -9,6 +9,7 @@ import (
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/linalg"
 	"github.com/ppml-go/ppml/internal/mapreduce"
+	"github.com/ppml-go/ppml/internal/parallel"
 	"github.com/ppml-go/ppml/internal/partition"
 	"github.com/ppml-go/ppml/internal/securesum"
 )
@@ -44,7 +45,7 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, _, err := partition.Vertical(full, m, rng)
+	parts, cols, err := partition.Vertical(full, m, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 	}
 	mappers := make([]*vlMapper, m)
 	for i, p := range parts {
-		mp, err := newVLMapper(p, cfg)
+		mp, err := newVLMapper(p, cols[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,9 +173,17 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 // testMapperRoundZeroAlloc: one steady-state Contribution of each scheme's
 // mapper over one chunk allocates nothing, and neither does an HL mapper over
 // several chunks once an epoch has visited (and so created the state of)
-// every one of them.
+// every one of them. With an eval set a mapper also scores its share of the
+// probe: VL's Axpy calls allocate nothing, and HK's and VK's kernel.Accumulate
+// only its two closures (which the race detector's sync.Pool adds to). VL's
+// eval set is large enough (E·k ≥ parallel.DefaultThreshold) that a MulVec
+// over it would take the pool, whose dispatch allocates; HK's and VK's stays
+// under the threshold, where Accumulate runs sequentially.
 func testMapperRoundZeroAlloc(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(2))
 	d := dataset.TwoGaussians("g", 128, 6, 3, 17)
+	evalSet := dataset.TwoGaussians("e", 40, 6, 3, 18)
+	wideEval := dataset.TwoGaussians("e", parallel.DefaultThreshold/6+1, 6, 3, 18)
 	newCfg := func(chunkRows int) Config {
 		cfg, err := Config{C: 10, Rho: 10, Landmarks: 8, Kernel: kernel.RBF{Gamma: 0.5}, ChunkRows: chunkRows}.normalized()
 		if err != nil {
@@ -182,6 +191,9 @@ func testMapperRoundZeroAlloc(t *testing.T) {
 		}
 		return cfg
 	}
+	evalCfg, wideCfg := newCfg(0), newCfg(0)
+	evalCfg.EvalSet, wideCfg.EvalSet = evalSet, wideEval
+	allCols := []int{0, 1, 2, 3, 4, 5}
 	must := func(mp mapreduce.IterativeMapper, err error) mapreduce.IterativeMapper {
 		t.Helper()
 		if err != nil {
@@ -194,23 +206,37 @@ func testMapperRoundZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	evalLM, err := newLandmarks(evalCfg, d.Features(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		mp     mapreduce.IterativeMapper
 		dim    int
 		warmup int // rounds before the measured ones
+		allocs float64
 	}{
-		{"hl", must(newHLMapper(src, 0, 2, newCfg(0))), d.Features() + 1, 3},
-		{"hk", must(newHKMapper(d, 0, newCfg(0), lm)), lm.xg.Rows + 1, 3},
-		{"vl", must(newVLMapper(d, newCfg(0))), d.Len(), 3},
-		{"vk", must(newVKMapper(d, newCfg(0))), d.Len(), 3},
+		{"hl", must(newHLMapper(src, 0, 2, newCfg(0))), d.Features() + 1, 3, 0},
+		{"hk", must(newHKMapper(d, 0, newCfg(0), lm)), lm.xg.Rows + 1, 3, 0},
+		{"vl", must(newVLMapper(d, allCols, newCfg(0))), d.Len(), 3, 0},
+		{"vk", must(newVKMapper(d, allCols, newCfg(0))), d.Len(), 3, 0},
 		// 8 chunks: rounds 0-7 are the first epoch, and the 6 measured rounds
 		// 9-14 and their prefetch hints stay inside the second (drawing an
 		// epoch's permutation builds a new rand.Rand).
-		{"hl 8 chunks", must(newHLMapper(src, 0, 16, newCfg(16))), d.Features() + 1, 9},
+		{"hl 8 chunks", must(newHLMapper(src, 0, 16, newCfg(16))), d.Features() + 1, 9, 0},
+		{"hk eval", must(newHKMapper(d, 0, evalCfg, evalLM)), lm.xg.Rows + 1, 3, 2},
+		{"vl eval", must(newVLMapper(d, allCols, wideCfg)), d.Len(), 3, 0},
+		{"vk eval", must(newVKMapper(d, allCols, evalCfg)), d.Len(), 3, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.allocs > 0 && !poolKeeps() {
+				t.Skip("sync.Pool drops Puts at random under the race detector")
+			}
 			state := make([]float64, tc.dim)
+			for j := range state {
+				state[j] = 0.5 // from zero VK's α would stay zero, and score nothing
+			}
 			iter := 0
 			round := func() {
 				contrib, err := tc.mp.Contribution(iter, state)
@@ -225,8 +251,8 @@ func testMapperRoundZeroAlloc(t *testing.T) {
 			for iter < tc.warmup {
 				round()
 			}
-			if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
-				t.Errorf("steady-state mapper round allocated %v times, want 0", allocs)
+			if allocs := testing.AllocsPerRun(5, round); allocs != tc.allocs {
+				t.Errorf("steady-state mapper round allocated %v times, want %v", allocs, tc.allocs)
 			}
 		})
 	}

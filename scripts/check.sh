@@ -62,6 +62,8 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 #   (ExpNonPosScalar, the exp of RBF.Eval and the row's Go twin, stays).
 # - one scoring path: a kernel model's Decision is its Decisions on one row,
 #   so Kernel.Eval, the tests' reference, has no caller in a model.
+# - mappers score, the reducer sums: the accuracy probe adds the learners'
+#   partial decisions (partialDecisions) and reads no learner's block.
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -88,6 +90,7 @@ dotSeq~no~a second dot product with its own sum order in non-test Go (one dot, o
 projectedGradient~no~a second box-QP projected-gradient predicate in non-test Go (linalg.BoxViolation is the one rule)
 ExpNonPos\(|expNonPosFMA~no~a slice exp in non-test Go (linalg.RBFRow turns a row of dots into kernel values in one pass)
 Kernel\.Eval\(|DecisionAt|decisionNoBias~no~a scalar kernel loop beside Decisions (one scoring path)
+probeCopy|\.probe\.with\(~no~a learner's private block copied for the Reducer's probe (mappers publish partial decisions)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
