@@ -45,7 +45,6 @@ fuzz-short:
 	$(GO) test -fuzz FuzzFixedpointRoundtrip -fuzztime 10s -run '^$$' ./internal/fixedpoint/
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 10s -run '^$$' ./internal/transport/
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 10s -run '^$$' ./internal/mapreduce/
-	$(GO) test -fuzz FuzzWireDecode -fuzztime 10s -run '^$$' ./internal/paillier/
 	$(GO) test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$$' ./internal/paillier/
 
 # Full benchmark sweep with allocation stats (slow).

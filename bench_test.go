@@ -18,8 +18,6 @@ import (
 	"github.com/ppml-go/ppml"
 	"github.com/ppml-go/ppml/internal/experiments"
 	"github.com/ppml-go/ppml/internal/mapreduce"
-	"github.com/ppml-go/ppml/internal/paillier"
-	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
 // benchOptions are the Fig. 4 settings: the paper's parameters at the
@@ -185,14 +183,14 @@ func (a *benchAverager) Combine(iter int, sum []float64) ([]float64, bool, error
 	return next, false, nil
 }
 
-// BenchmarkAggregatorOverhead compares the Reducer's aggregation backends on
-// the path training actually runs (mapreduce.RunDistributed, in-process
+// BenchmarkAggregatorOverhead compares the Reducer's two aggregation backends
+// on the path training actually runs (mapreduce.RunDistributed, in-process
 // network): one op is a 4-round averaging job over M = 4 learners with
 // 1000-dimensional iterates, aggregated in plaintext vs under the paper's
-// pairwise-mask protocol vs Paillier homomorphic encryption. This quantifies
-// the "limited number of cheap cryptographic operations" claim: masking costs
-// within a small factor of plaintext, public-key aggregation costs orders of
-// magnitude more.
+// pairwise-mask protocol. This quantifies the "limited number of cheap
+// cryptographic operations" claim: masking costs within a small factor of
+// plaintext. The public-key alternative is measured per layer by
+// internal/paillier's BenchmarkPaillierVector.
 func BenchmarkAggregatorOverhead(b *testing.B) {
 	const m, dim, rounds = 4, 1000, 4
 	job := mapreduce.IterativeJob{
@@ -209,25 +207,19 @@ func BenchmarkAggregatorOverhead(b *testing.B) {
 		}
 		job.Mappers[i] = &benchAverager{value: value}
 	}
-	key, err := paillier.GenerateKey(nil, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, bc := range []struct {
 		name string
 		agg  mapreduce.Aggregation
 	}{
 		{"plain", mapreduce.AggregationPlain},
 		{"masked", mapreduce.AggregationMasked},
-		{"paillier", mapreduce.AggregationPaillier},
 	} {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
-			reg := telemetry.NewRegistry()
 			var msgs, bytes int64
 			for i := 0; i < b.N; i++ {
 				res, err := mapreduce.RunDistributed(context.Background(), job, mapreduce.DriverOptions{
-					Aggregation: bc.agg, PaillierKey: key, Telemetry: reg,
+					Aggregation: bc.agg,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -237,7 +229,6 @@ func BenchmarkAggregatorOverhead(b *testing.B) {
 			}
 			b.ReportMetric(float64(msgs)/float64(b.N), "messages/op")
 			b.ReportMetric(float64(bytes)/float64(b.N), "bytes/op")
-			b.ReportMetric(float64(reg.Snapshot().CounterTotal("ppml_paillier_ciphertexts_total"))/float64(b.N), "ppml_paillier_ciphertexts_total/op")
 		})
 	}
 }

@@ -71,11 +71,11 @@ func TestTrainContextCancelLocalEngine(t *testing.T) {
 	}
 }
 
-func TestCrossValidateContextCancel(t *testing.T) {
-	data := ppml.SyntheticCancer(120, 1)
+func TestTrainMulticlassContextCancel(t *testing.T) {
+	data := ppml.SyntheticOCRDigits(120, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ppml.CrossValidateContext(ctx, data, ppml.HorizontalLinear, 3, ppml.WithIterations(200))
+	_, err := ppml.TrainMulticlassContext(ctx, data, ppml.HorizontalLinear, ppml.WithIterations(200))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -86,19 +86,3 @@ func ExampleTrainCentralized() {
 	// Output:
 	// centralized accuracy: 0.95
 }
-
-// ExampleCrossValidate estimates out-of-sample accuracy without a fixed
-// train/test split.
-func ExampleCrossValidate() {
-	data := ppml.SyntheticCancer(300, 2)
-	res, err := ppml.CrossValidate(data, ppml.HorizontalLinear, 3,
-		ppml.WithLearners(2), ppml.WithIterations(20))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("folds: %d\n", len(res.FoldAccuracy))
-	fmt.Printf("mean within a point of 0.93: %v\n", res.Mean > 0.88 && res.Mean < 0.98)
-	// Output:
-	// folds: 3
-	// mean within a point of 0.93: true
-}

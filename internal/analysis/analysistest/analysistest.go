@@ -72,49 +72,23 @@ func RunSuite(t *testing.T, analyzers []*framework.Analyzer, pkgPaths ...string)
 	}
 }
 
-// RepoDiagnostics type-checks real repository packages (rooted at repoRoot,
-// imported as modulePath/<dir>) and runs the analyzers as a suite over each,
-// returning every diagnostic as a "file:line: [analyzer] message" string.
-// This is the engine of the repo-wide meta-test: the protocol packages must
-// come back empty. Test files are excluded, as in the real vet run.
-func RepoDiagnostics(t *testing.T, analyzers []*framework.Analyzer, repoRoot, modulePath string, pkgDirs ...string) []string {
-	t.Helper()
-	l, pkgs := loadRepo(t, repoRoot, modulePath, pkgDirs)
-	var out []string
-	for _, res := range pkgs {
-		diags, err := runSuite(l.fset, res, analyzers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range diags {
-			p := l.fset.Position(d.pos)
-			rel, rerr := filepath.Rel(l.root, p.Filename)
-			if rerr != nil {
-				rel = p.Filename
-			}
-			out = append(out, fmt.Sprintf("%s:%d: [%s] %s", filepath.ToSlash(rel), p.Line, d.analyzer, d.Message))
-		}
-	}
-	sort.Strings(out)
-	return out
+// Repo is a set of real repository packages (rooted at a repository
+// directory, imported as modulePath/<dir>) type-checked by one loader, test
+// files excluded, as in the real vet run. Load it once and both read its
+// packages and run analyzer suites over any of them.
+type Repo struct {
+	l *loader
+	// Packages are the loaded packages, in the order LoadRepo was given.
+	Packages []*Package
 }
 
 // LoadRepo type-checks the non-test sources of the repository packages in
-// pkgDirs (relative to repoRoot, "." for the module root, imported as
-// modulePath/<dir>) and returns them in the order given.
-func LoadRepo(t *testing.T, repoRoot, modulePath string, pkgDirs ...string) []*Package {
-	t.Helper()
-	_, pkgs := loadRepo(t, repoRoot, modulePath, pkgDirs)
-	return pkgs
-}
-
-// loadRepo loads pkgDirs with one loader over the repository tree, test
-// files excluded.
-func loadRepo(t *testing.T, repoRoot, modulePath string, pkgDirs []string) (*loader, []*Package) {
-	t.Helper()
+// pkgDirs (relative to repoRoot, "." for the module root) with one loader,
+// so a package imported by several of them is checked once.
+func LoadRepo(repoRoot, modulePath string, pkgDirs ...string) (*Repo, error) {
 	root, err := filepath.Abs(repoRoot)
 	if err != nil {
-		t.Fatalf("analysistest: %v", err)
+		return nil, fmt.Errorf("analysistest: %v", err)
 	}
 	l := &loader{
 		fset:       token.NewFileSet(),
@@ -124,19 +98,51 @@ func loadRepo(t *testing.T, repoRoot, modulePath string, pkgDirs []string) (*loa
 		skipTests:  true,
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
-	pkgs := make([]*Package, 0, len(pkgDirs))
+	r := &Repo{l: l, Packages: make([]*Package, 0, len(pkgDirs))}
 	for _, dir := range pkgDirs {
-		path := modulePath
-		if dir != "." {
-			path += "/" + dir
-		}
-		res, err := l.load(path)
+		res, err := l.load(r.path(dir))
 		if err != nil {
-			t.Fatalf("loading repository package %s: %v", dir, err)
+			return nil, fmt.Errorf("loading repository package %s: %v", dir, err)
 		}
-		pkgs = append(pkgs, res)
+		r.Packages = append(r.Packages, res)
 	}
-	return l, pkgs
+	return r, nil
+}
+
+// path is the import path of the repository directory dir.
+func (r *Repo) path(dir string) string {
+	if dir == "." {
+		return r.l.modulePath
+	}
+	return r.l.modulePath + "/" + dir
+}
+
+// Diagnostics runs the analyzers as a suite over each of the packages in
+// pkgDirs, which must have been loaded, and returns every diagnostic as a
+// "file:line: [analyzer] message" string. This is the engine of the
+// repo-wide meta-test: the protocol packages must come back empty.
+func (r *Repo) Diagnostics(analyzers []*framework.Analyzer, pkgDirs ...string) ([]string, error) {
+	var out []string
+	for _, dir := range pkgDirs {
+		res, ok := r.l.pkgs[r.path(dir)]
+		if !ok || res.err != nil {
+			return nil, fmt.Errorf("analysistest: package %s was not loaded", dir)
+		}
+		diags, err := runSuite(r.l.fset, res, analyzers)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range diags {
+			p := r.l.fset.Position(d.pos)
+			rel, rerr := filepath.Rel(r.l.root, p.Filename)
+			if rerr != nil {
+				rel = p.Filename
+			}
+			out = append(out, fmt.Sprintf("%s:%d: [%s] %s", filepath.ToSlash(rel), p.Line, d.analyzer, d.Message))
+		}
+	}
+	sort.Strings(out)
+	return out, nil
 }
 
 // suiteDiag tags a diagnostic with the analyzer that reported it.

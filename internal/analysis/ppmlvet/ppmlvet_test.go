@@ -3,7 +3,6 @@ package ppmlvet_test
 import (
 	"testing"
 
-	"github.com/ppml-go/ppml/internal/analysis/analysistest"
 	"github.com/ppml-go/ppml/internal/analysis/ppmlvet"
 )
 
@@ -15,8 +14,7 @@ import (
 // here means either a genuine leak was introduced or an annotation is
 // missing/stale; the diagnostic text says which.
 func TestProtocolPackagesClean(t *testing.T) {
-	diags := analysistest.RepoDiagnostics(t, ppmlvet.Suite(),
-		"../../..", "github.com/ppml-go/ppml",
+	diags, err := loadedRepo(t).Diagnostics(ppmlvet.Suite(),
 		"internal/securesum",
 		"internal/paillier",
 		"internal/consensus",
@@ -24,6 +22,9 @@ func TestProtocolPackagesClean(t *testing.T) {
 		"internal/transport",
 		"internal/dp",
 	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range diags {
 		t.Errorf("vet suite diagnostic on a protocol package: %s", d)
 	}

@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,10 +9,8 @@ import (
 	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
-	"github.com/ppml-go/ppml/internal/dfs"
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/mapreduce"
-	"github.com/ppml-go/ppml/internal/paillier"
 	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
 )
@@ -99,9 +96,6 @@ type Config struct {
 	// the engine refuses them with a StragglerTimeout (mapreduce.ErrBadJob).
 	// See DESIGN.md §10.
 	MaskMode mapreduce.MaskMode
-	// PaillierKey supplies the homomorphic key pair when Aggregation is
-	// mapreduce.AggregationPaillier.
-	PaillierKey *paillier.PrivateKey
 	// Network overrides the transport in distributed mode (default:
 	// in-process channels).
 	Network transport.Network
@@ -118,11 +112,6 @@ type Config struct {
 	// to 2 under masked aggregation (a roster of one would be effectively
 	// unmasked) and 1 otherwise.
 	MinQuorum int
-	// TrackLocality (distributed mode) stores every learner's partition in
-	// the simulated HDFS on that learner's own node and asks the driver to
-	// account for map-input movement; History.RemoteInputBytes then reports
-	// how much training data crossed the network (zero: full locality).
-	TrackLocality bool
 
 	// EvalSet, when non-nil, is classified after every iteration and the
 	// accuracy recorded in History — the data behind Fig. 4(e)–(h).
@@ -203,17 +192,12 @@ type History struct {
 	Elapsed time.Duration
 	// Net holds transport counters (distributed mode only).
 	Net transport.Stats
-	// RemoteInputBytes is map-input data moved across the simulated network
-	// (distributed mode with a locality plan; zero means full locality).
-	RemoteInputBytes int64
 }
 
 // runJob dispatches to the local or distributed engine per the config,
 // threading the caller's context through either engine so a cancelled
-// training run unwinds mid-iteration. parts are the learners' private
-// partitions, used only to build the HDFS-locality plan when TrackLocality
-// is set.
-func runJob(ctx context.Context, cfg Config, job mapreduce.IterativeJob, parts []*dataset.Dataset) (*mapreduce.IterativeResult, *History, error) {
+// training run unwinds mid-iteration.
+func runJob(ctx context.Context, cfg Config, job mapreduce.IterativeJob) (*mapreduce.IterativeResult, *History, error) {
 	start := time.Now()
 	h := &History{}
 	var res *mapreduce.IterativeResult
@@ -225,14 +209,6 @@ func runJob(ctx context.Context, cfg Config, job mapreduce.IterativeJob, parts [
 			return nil, nil, err
 		}
 	} else {
-		var locality *mapreduce.LocalityPlan
-		if cfg.TrackLocality && len(parts) > 0 {
-			plan, err := buildLocalityPlan(parts)
-			if err != nil {
-				return nil, nil, err
-			}
-			locality = plan
-		}
 		dres, err := mapreduce.RunDistributed(ctx, job, mapreduce.DriverOptions{
 			Network:          cfg.Network,
 			Aggregation:      cfg.Aggregation,
@@ -241,53 +217,16 @@ func runJob(ctx context.Context, cfg Config, job mapreduce.IterativeJob, parts [
 			MinQuorum:        cfg.MinQuorum,
 			Staleness:        cfg.Staleness,
 			StalenessDecay:   cfg.StalenessDecay,
-			Locality:         locality,
-			PaillierKey:      cfg.PaillierKey,
 			Telemetry:        cfg.Telemetry,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		res, h.Net, h.RemoteInputBytes = &dres.IterativeResult, dres.Net, dres.RemoteInputBytes
+		res, h.Net = &dres.IterativeResult, dres.Net
 	}
 	h.Iterations, h.Converged, h.Elapsed = res.Iterations, res.Converged, time.Since(start)
 	recordRun(cfg.Telemetry, h)
 	return res, h, nil
-}
-
-// buildLocalityPlan materializes the Fig. 1 storage layout in the simulated
-// HDFS: learner m's partition is written (replication 1 — private data must
-// not leave its owner) to learner m's own data node, and the Map task for
-// that partition is scheduled on the same node. RemoteInputBytes is
-// therefore zero by construction, which is exactly the data-locality
-// property the paper's privacy argument relies on.
-func buildLocalityPlan(parts []*dataset.Dataset) (*mapreduce.LocalityPlan, error) {
-	cluster, err := dfs.NewCluster()
-	if err != nil {
-		return nil, err
-	}
-	plan := &mapreduce.LocalityPlan{
-		Cluster:   cluster,
-		InputPath: make([]string, len(parts)),
-		NodeOf:    make([]string, len(parts)),
-	}
-	for i, p := range parts {
-		node := fmt.Sprintf("learner-%d", i)
-		if err := cluster.AddNode(node); err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := dataset.WriteCSV(&buf, p); err != nil {
-			return nil, err
-		}
-		path := fmt.Sprintf("/partitions/%d.csv", i)
-		if err := cluster.Write(path, buf.Bytes(), node); err != nil {
-			return nil, err
-		}
-		plan.InputPath[i] = path
-		plan.NodeOf[i] = node
-	}
-	return plan, nil
 }
 
 // validateHorizontalParts checks the learner shares of a horizontal split.

@@ -43,7 +43,7 @@ func TestHLDistributedPermanentFaultFailsCleanly(t *testing.T) {
 	}
 	cfgDist := cfg
 	cfgDist.Distributed = true
-	if _, _, err := runJob(context.Background(), cfgDist, job, parts); !errors.Is(err, mapreduce.ErrAborted) {
+	if _, _, err := runJob(context.Background(), cfgDist, job); !errors.Is(err, mapreduce.ErrAborted) {
 		t.Errorf("permanent fault: err = %v, want ErrAborted", err)
 	}
 }

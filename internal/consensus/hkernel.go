@@ -142,7 +142,7 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 			return lm.landmarkAccuracy(partials, state[:l], cfg.Rho, cfg.EvalSet.Y, s, g)
 		}
 	}
-	final, h, err := trainMean(ctx, cfg, "hk", mappers, l+1, parts, probe)
+	final, h, err := trainMean(ctx, cfg, "hk", mappers, l+1, probe)
 	if err != nil {
 		return nil, nil, err
 	}

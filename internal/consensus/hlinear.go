@@ -47,7 +47,7 @@ func TrainHorizontalLinear(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	for i, p := range parts {
 		srcs[i] = dataset.NewMemorySource(p)
 	}
-	return trainHL(ctx, srcs, parts, cfg)
+	return trainHL(ctx, srcs, cfg)
 }
 
 // TrainHorizontalLinearStreamed is TrainHorizontalLinear over out-of-core
@@ -76,13 +76,12 @@ func TrainHorizontalLinearStreamed(ctx context.Context, srcs []dataset.RowSource
 				ErrBadPartition, i, src.Features(), k)
 		}
 	}
-	return trainHL(ctx, srcs, nil, cfg)
+	return trainHL(ctx, srcs, cfg)
 }
 
 // trainHL is the engine behind both horizontal-linear trainers. srcs are
-// validated by the caller; parts is non-nil only for in-memory training (it
-// feeds the optional HDFS locality plan).
-func trainHL(ctx context.Context, srcs []dataset.RowSource, parts []*dataset.Dataset, cfg Config) (*LinearModel, *History, error) {
+// validated by the caller.
+func trainHL(ctx context.Context, srcs []dataset.RowSource, cfg Config) (*LinearModel, *History, error) {
 	m := len(srcs)
 	k := srcs[0].Features()
 	if err := checkEvalSet(cfg, k); err != nil {
@@ -107,7 +106,7 @@ func trainHL(ctx context.Context, srcs []dataset.RowSource, parts []*dataset.Dat
 		}
 		mappers = append(mappers, mp)
 	}
-	final, h, err := trainMean(ctx, cfg, "hl", mappers, k+1, parts, func(state []float64) (float64, error) {
+	final, h, err := trainMean(ctx, cfg, "hl", mappers, k+1, func(state []float64) (float64, error) {
 		model := LinearModel{W: state[:k], B: state[k]}
 		return eval.ClassifierAccuracy(&model, cfg.EvalSet)
 	})
@@ -121,7 +120,7 @@ func trainHL(ctx context.Context, srcs []dataset.RowSource, parts []*dataset.Dat
 // contributes a dim-vector, the Reducer's next state is their mean
 // (meanConsensusReducer), and probe scores a state on cfg.EvalSet when there is
 // one. It returns the final state with the per-round history.
-func trainMean(ctx context.Context, cfg Config, scheme string, mappers []mapreduce.IterativeMapper, dim int, parts []*dataset.Dataset, probe func(state []float64) (float64, error)) ([]float64, *History, error) {
+func trainMean(ctx context.Context, cfg Config, scheme string, mappers []mapreduce.IterativeMapper, dim int, probe func(state []float64) (float64, error)) ([]float64, *History, error) {
 	red := &meanConsensusReducer{rounds: newRoundLog(cfg, scheme)}
 	if cfg.EvalSet != nil {
 		red.rounds.probe = func() (float64, error) { return probe(red.prev) }
@@ -133,7 +132,7 @@ func trainMean(ctx context.Context, cfg Config, scheme string, mappers []mapredu
 		ContributionDim: dim,
 		MaxIterations:   cfg.MaxIterations,
 	}
-	res, h, err := runJob(ctx, cfg, job, parts)
+	res, h, err := runJob(ctx, cfg, job)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -62,7 +62,7 @@ func TrainHorizontalLogistic(ctx context.Context, parts []*dataset.Dataset, cfg 
 	for i, p := range parts {
 		mappers[i] = newLogisticMapper(p, m, cfg)
 	}
-	final, h, err := trainMean(ctx, cfg, "logistic", mappers, k+1, parts, func(state []float64) (float64, error) {
+	final, h, err := trainMean(ctx, cfg, "logistic", mappers, k+1, func(state []float64) (float64, error) {
 		model := LogisticModel{W: state[:k], B: state[k]}
 		return eval.ClassifierAccuracy(&model, cfg.EvalSet)
 	})

@@ -79,7 +79,7 @@ func TrainNaiveBayes(ctx context.Context, parts []*dataset.Dataset, cfg Config) 
 		ContributionDim: 2 * per,
 		MaxIterations:   1,
 	}
-	_, h, err := runJob(ctx, cfg, job, parts)
+	_, h, err := runJob(ctx, cfg, job)
 	if err != nil {
 		return nil, nil, err
 	}

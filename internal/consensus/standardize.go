@@ -44,7 +44,7 @@ func SecureStandardize(ctx context.Context, parts []*dataset.Dataset, cfg Config
 		ContributionDim: dim,
 		MaxIterations:   1,
 	}
-	if _, _, err := runJob(ctx, cfg, job, parts); err != nil {
+	if _, _, err := runJob(ctx, cfg, job); err != nil {
 		return nil, err
 	}
 

@@ -78,7 +78,7 @@ func trainVertical(ctx context.Context, parts []*dataset.Dataset, cfg Config, ma
 		ContributionDim: rows,
 		MaxIterations:   cfg.MaxIterations,
 	}
-	_, h, err := runJob(ctx, cfg, job, parts)
+	_, h, err := runJob(ctx, cfg, job)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -18,25 +18,6 @@ type Multiclass struct {
 	NumClasses int
 }
 
-// NewMulticlass validates and wraps the matrix and labels.
-func NewMulticlass(name string, x *linalg.Matrix, y []int, numClasses int) (*Multiclass, error) {
-	if x == nil {
-		return nil, fmt.Errorf("%w: nil feature matrix", ErrBadData)
-	}
-	if len(y) != x.Rows {
-		return nil, fmt.Errorf("%w: %d rows but %d labels", ErrBadData, x.Rows, len(y))
-	}
-	if numClasses < 2 {
-		return nil, fmt.Errorf("%w: %d classes", ErrBadData, numClasses)
-	}
-	for i, v := range y {
-		if v < 0 || v >= numClasses {
-			return nil, fmt.Errorf("%w: label[%d] = %d outside 0..%d", ErrBadData, i, v, numClasses-1)
-		}
-	}
-	return &Multiclass{Name: name, X: x, Y: y, NumClasses: numClasses}, nil
-}
-
 // Len returns the number of samples.
 func (m *Multiclass) Len() int { return m.X.Rows }
 

@@ -266,30 +266,3 @@ func (c *Cluster) FileSize(path string) (int, error) {
 	}
 	return f.size, nil
 }
-
-// PrimaryLocation returns the node holding the largest share of path's bytes
-// — where a locality-aware scheduler should run the task that consumes it.
-func (c *Cluster) PrimaryLocation(path string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.files[path]
-	if !ok {
-		return "", fmt.Errorf("%w: file %q", ErrNotFound, path)
-	}
-	byNode := make(map[string]int)
-	for _, b := range f.blocks {
-		for n := range b.replicas {
-			byNode[n] += b.size
-		}
-	}
-	best, bestBytes := "", -1
-	for n, sz := range byNode {
-		if sz > bestBytes || (sz == bestBytes && n < best) {
-			best, bestBytes = n, sz
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("%w: file %q has no replicas", ErrNotFound, path)
-	}
-	return best, nil
-}

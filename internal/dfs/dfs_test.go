@@ -162,13 +162,6 @@ func TestPreferredPlacement(t *testing.T) {
 	if err := c.Write("/local", data, nodeName(2)); err != nil {
 		t.Fatal(err)
 	}
-	primary, err := c.PrimaryLocation("/local")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if primary != nodeName(2) {
-		t.Errorf("primary location = %q, want %q", primary, nodeName(2))
-	}
 	used, err := c.used(nodeName(2))
 	if err != nil {
 		t.Fatal(err)

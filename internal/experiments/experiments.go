@@ -1,7 +1,8 @@
 // Package experiments regenerates the paper's evaluation (Section VI): every
-// panel of Fig. 4, the in-text centralized benchmark, and the scalability /
-// crypto-overhead / data-locality claims. It is shared by cmd/ppml-figures
-// and the root-level benchmarks so both report identical numbers.
+// panel of Fig. 4, the in-text centralized benchmark, and the scalability
+// claim (the crypto-overhead and data-locality claims are root-level
+// benchmarks of their own). It is shared by cmd/ppml-figures and the
+// root-level benchmarks so both report identical numbers.
 package experiments
 
 import (

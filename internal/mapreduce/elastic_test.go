@@ -507,6 +507,7 @@ func TestElasticMinQuorumValidation(t *testing.T) {
 	}{
 		{"quorum above the cohort", DriverOptions{StragglerTimeout: 50 * time.Millisecond, MinQuorum: 5}},
 		{"aggregation out of range", DriverOptions{Aggregation: Aggregation(9)}},
+		{"aggregation past plain", DriverOptions{Aggregation: AggregationPlain + 1}},
 		{"mask mode out of range", DriverOptions{MaskMode: MaskMode(7)}},
 		{"per-round with a straggler deadline", DriverOptions{MaskMode: MaskPerRound, StragglerTimeout: 50 * time.Millisecond}},
 		{"per-round with staleness", DriverOptions{MaskMode: MaskPerRound, StragglerTimeout: 50 * time.Millisecond, Staleness: 1}},

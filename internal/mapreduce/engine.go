@@ -26,8 +26,8 @@ package mapreduce
 // dies in between. In every other configuration it is skipped outright (no
 // KindReady or KindRoster frame, no roster bitset on the wire): without a
 // straggler deadline nobody can be demoted, so the roster is the cohort; and
-// plain or Paillier shares do not depend on who else answers, so whoever
-// delivers before the deadline is the roster.
+// plain shares do not depend on who else answers, so whoever delivers before
+// the deadline is the roster.
 //
 // A demoted mapper is not dead: it still receives every broadcast and
 // re-enters the roster the round it answers in time. Only an abort, an
@@ -61,7 +61,7 @@ type policy struct {
 func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
 	p := policy{quorum: m, staleness: opts.Staleness, decay: opts.StalenessDecay, writeOff: opts.WriteOffAfter}
 	switch {
-	case agg < AggregationMasked || agg > AggregationPaillier:
+	case agg != AggregationMasked && agg != AggregationPlain:
 		return p, fmt.Errorf("%w: Aggregation %d", ErrBadJob, agg)
 	case opts.MaskMode != MaskSeeded && opts.MaskMode != MaskPerRound:
 		return p, fmt.Errorf("%w: MaskMode %v", ErrBadJob, opts.MaskMode)

@@ -2,13 +2,10 @@ package mapreduce
 
 import (
 	"context"
-	"errors"
 	"math"
 	"testing"
 	"time"
 
-	"github.com/ppml-go/ppml/internal/fixedpoint"
-	"github.com/ppml-go/ppml/internal/paillier"
 	"github.com/ppml-go/ppml/internal/securesum"
 	"github.com/ppml-go/ppml/internal/transport"
 )
@@ -59,15 +56,15 @@ func TestEngineFilter(t *testing.T) {
 }
 
 // TestEngineConformance pins every configuration of the round engine to the
-// same model: {seeded, per-round, plain, Paillier} aggregation × {in-process,
+// same model: {seeded, per-round, plain} aggregation × {in-process,
 // TCP} transport × {strict, elastic with no fault, bounded staleness S=1 with
 // no fault (seeded only)} policy on the damped averaging job (per-round masks
 // run strict rounds only), each compared
 // with the local reference engine. The synchronous rows must stop on the same
 // iteration as the reference and agree with it to 1e-6; within one
 // aggregation they must be bit-identical across policies and transports
-// wherever the sum is a ring sum (both mask modes and Paillier: 2⁶⁴ wrapping
-// adds are exact in any arrival order — plain float adds are not). An S=1 row
+// wherever the sum is a ring sum (both mask modes: 2⁶⁴ wrapping adds are
+// exact in any arrival order — plain float adds are not). An S=1 row
 // folds a racy mix of fresh and one-round-stale shares, so it runs a fixed
 // budget and must land within 1e-3.
 func TestEngineConformance(t *testing.T) {
@@ -102,11 +99,6 @@ func TestEngineConformance(t *testing.T) {
 	if ref := local[syncTol]; !ref.Converged || ref.Iterations >= budget {
 		t.Fatalf("reference run: converged=%v after %d iterations; the matrix needs a run that stops on tolerance", ref.Converged, ref.Iterations)
 	}
-	key, err := paillier.GenerateKey(nil, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	aggs := []struct {
 		name string
 		opts DriverOptions
@@ -115,7 +107,6 @@ func TestEngineConformance(t *testing.T) {
 		{"seeded", DriverOptions{MaskMode: MaskSeeded}, true},
 		{"perround", DriverOptions{MaskMode: MaskPerRound}, true},
 		{"plain", DriverOptions{Aggregation: AggregationPlain}, false},
-		{"paillier", DriverOptions{Aggregation: AggregationPaillier, PaillierKey: key}, true},
 	}
 	nets := []struct {
 		name string
@@ -188,30 +179,6 @@ func TestEngineConformance(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestEncryptContributionRejectsWrappingSum: the Paillier share is bounded
-// for its fan-in like a masked one, since its slots reduce mod 2⁶⁴ after
-// decryption: 5e9 encodes alone but not as one of two summands.
-func TestEncryptContributionRejectsWrappingSum(t *testing.T) {
-	key, err := paillier.GenerateKey(nil, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	codec := fixedpoint.Default()
-	for _, c := range []struct {
-		summands int
-		wantErr  bool
-	}{{1, false}, {2, true}} {
-		pack, err := paillier.NewPacking(&key.PublicKey, c.summands, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = encryptContribution([]float64{5e9}, codec, pack, nil, nil)
-		if got := errors.Is(err, fixedpoint.ErrRange); got != c.wantErr {
-			t.Errorf("5e9 of %d summands: err = %v, want ErrRange %v", c.summands, err, c.wantErr)
 		}
 	}
 }

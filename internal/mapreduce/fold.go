@@ -2,21 +2,18 @@ package mapreduce
 
 import (
 	"fmt"
-	"math/big"
 
 	"github.com/ppml-go/ppml/internal/fixedpoint"
-	"github.com/ppml-go/ppml/internal/paillier"
-	"github.com/ppml-go/ppml/internal/parallel"
 	"github.com/ppml-go/ppml/internal/securesum"
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
 // folder accumulates the shares of one roster's collection on the Reducer and
 // yields their sum. There is one per Aggregation, and it is the only place
-// that aggregation's fold is written; the round engine drives all three the
-// same way. The masked folder is roster-scoped — its shares cancel only when
-// exactly the declared roster delivers — while a partial plain or Paillier
-// sum is valid as it stands.
+// that aggregation's fold is written; the round engine drives both the same
+// way. The masked folder is roster-scoped — its shares cancel only when
+// exactly the declared roster delivers — while a partial plain sum is valid
+// as it stands.
 type folder interface {
 	// kind is the wire kind of the shares this folder accepts.
 	kind() string
@@ -43,12 +40,9 @@ type reduceScratch struct {
 }
 
 // newFolder builds the session's folder for agg over m mappers.
-func newFolder(agg Aggregation, m, dim int, codec fixedpoint.Codec, key *paillier.PrivateKey, pack *paillier.Packing, s *reduceScratch) (folder, error) {
-	switch agg {
-	case AggregationPlain:
+func newFolder(agg Aggregation, m, dim int, codec fixedpoint.Codec, s *reduceScratch) (folder, error) {
+	if agg == AggregationPlain {
 		return &plainFold{dim: dim, s: s}, nil
-	case AggregationPaillier:
-		return &paillierFold{key: key, pack: pack, codec: codec, dim: dim}, nil
 	}
 	col, err := securesum.NewCollector(m, dim, codec)
 	if err != nil {
@@ -120,54 +114,3 @@ func (f *plainFold) add(payload []byte) error {
 }
 
 func (f *plainFold) sum() ([]float64, error) { return f.s.sum, nil }
-
-// paillierFold multiplies ciphertext shares and opens only the aggregate. The
-// packing budgeted its guard bits for the full cohort, so the slot sums of
-// any subset stay in range.
-type paillierFold struct {
-	key   *paillier.PrivateKey
-	pack  *paillier.Packing
-	codec fixedpoint.Codec
-	dim   int
-	acc   []*big.Int
-}
-
-func (f *paillierFold) kind() string { return KindCipherShare }
-
-func (f *paillierFold) reset(int) error {
-	f.acc = nil
-	return nil
-}
-
-func (f *paillierFold) add(payload []byte) error {
-	cs, err := paillier.UnmarshalCiphertexts(payload)
-	if err != nil {
-		return err
-	}
-	if want := f.pack.Ciphertexts(f.dim); len(cs) != want {
-		return fmt.Errorf("%w: cipher share of %d ciphertexts, want %d (%d values packed %d-wide)",
-			ErrBadJob, len(cs), want, f.dim, f.pack.Slots)
-	}
-	if f.acc == nil {
-		f.acc = cs
-		return nil
-	}
-	// Element-wise homomorphic adds are independent modular multiplications;
-	// fold them on the worker pool.
-	parallel.For(len(f.acc), 16, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			f.acc[j] = f.key.Add(f.acc[j], cs[j])
-		}
-	})
-	return nil
-}
-
-// sum is the key-authority step: decrypt only the aggregate. Unpacking
-// reduces each slot mod 2⁶⁴, the fixedpoint ring's wrapping sum.
-func (f *paillierFold) sum() ([]float64, error) {
-	ring, err := f.pack.DecryptVec(f.key, f.acc, f.dim, nil)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce paillier decrypt: %w", err)
-	}
-	return f.codec.DecodeVec(ring, nil)
-}

@@ -10,9 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ppml-go/ppml/internal/dfs"
-	"github.com/ppml-go/ppml/internal/paillier"
-	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
@@ -261,64 +258,6 @@ func TestStrictShareFailureAborts(t *testing.T) {
 	}
 }
 
-func TestLocalityAccounting(t *testing.T) {
-	cluster, err := dfs.NewCluster(dfs.WithBlockSize(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []string{"n0", "n1"} {
-		if err := cluster.AddNode(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cluster.Write("/p0", make([]byte, 500), "n0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Write("/p1", make([]byte, 300), "n1"); err != nil {
-		t.Fatal(err)
-	}
-	values := [][]float64{{1}, {3}}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	// Locality-aware placement: zero remote input bytes.
-	resLocal, err := RunDistributed(ctx, mustJob(t, values, 30), DriverOptions{
-		Locality: &LocalityPlan{
-			Cluster:   cluster,
-			InputPath: []string{"/p0", "/p1"},
-			NodeOf:    []string{"n0", "n1"},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resLocal.RemoteInputBytes != 0 {
-		t.Errorf("locality-aware remote bytes = %d, want 0", resLocal.RemoteInputBytes)
-	}
-
-	// Anti-locality placement: every byte crosses the network.
-	resRemote, err := RunDistributed(ctx, mustJob(t, values, 30), DriverOptions{
-		Locality: &LocalityPlan{
-			Cluster:   cluster,
-			InputPath: []string{"/p0", "/p1"},
-			NodeOf:    []string{"n1", "n0"},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resRemote.RemoteInputBytes != 800 {
-		t.Errorf("anti-locality remote bytes = %d, want 800", resRemote.RemoteInputBytes)
-	}
-
-	// Incomplete plan errors.
-	if _, err := RunDistributed(ctx, mustJob(t, values, 5), DriverOptions{
-		Locality: &LocalityPlan{Cluster: cluster},
-	}); !errors.Is(err, ErrBadJob) {
-		t.Errorf("incomplete plan: err = %v, want ErrBadJob", err)
-	}
-}
-
 // TestWireRoundTrip: the one float-vector codec of broadcasts and plain shares
 // round-trips bit for bit (signed zero, NaN payload bits and infinities
 // included), appends after what dst already holds, and rejects a byte count
@@ -348,63 +287,6 @@ func TestWireRoundTrip(t *testing.T) {
 		if _, err := decodeVector(b[:n]); !errors.Is(err, ErrBadJob) {
 			t.Errorf("%d-byte frame: err = %v, want ErrBadJob", n, err)
 		}
-	}
-}
-
-func TestDistributedPaillierAggregation(t *testing.T) {
-	key, err := paillier.GenerateKey(nil, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := [][]float64{{1.5, -3}, {2.5, 7}, {-1, 0.5}}
-	local, err := runLocal(mustJob(t, values, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	reg := telemetry.NewRegistry()
-	dist, err := RunDistributed(ctx, mustJob(t, values, 15), DriverOptions{
-		Aggregation: AggregationPaillier,
-		PaillierKey: key,
-		Telemetry:   reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range local.FinalState {
-		if math.Abs(dist.FinalState[i]-local.FinalState[i]) > 1e-6 {
-			t.Errorf("state[%d]: paillier %g vs local %g", i, dist.FinalState[i], local.FinalState[i])
-		}
-	}
-	// Ciphertext payloads still dwarf plain ones (each ciphertext is
-	// N²-sized), but slot packing bounds the blow-up to ⌈d/k⌉ ciphertexts
-	// per share instead of d.
-	plain, err := RunDistributed(ctx, mustJob(t, values, 15), DriverOptions{
-		Aggregation: AggregationPlain,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist.Net.Bytes <= plain.Net.Bytes {
-		t.Errorf("paillier moved %d bytes, plain %d; ciphertext blow-up missing?",
-			dist.Net.Bytes, plain.Net.Bytes)
-	}
-	// Every mapper encrypts one packed share a round: ⌈dim/k⌉ ciphertexts,
-	// here fewer than the dim a per-element layout would take. (The paillier
-	// package's property tests pin packed ≡ per-element sums.)
-	m, dim := len(values), len(values[0])
-	pack, err := paillier.NewPacking(&key.PublicKey, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pack.Ciphertexts(dim) >= dim {
-		t.Fatalf("%d values pack into %d ciphertexts; the test needs a packed layout", dim, pack.Ciphertexts(dim))
-	}
-	want := int64(dist.Iterations * m * pack.Ciphertexts(dim))
-	if got := reg.Snapshot().CounterTotal(metricCiphertexts); got != want {
-		t.Errorf("%s = %d, want rounds·M·⌈dim/k⌉ = %d·%d·%d = %d",
-			metricCiphertexts, got, dist.Iterations, m, pack.Ciphertexts(dim), want)
 	}
 }
 
@@ -483,17 +365,6 @@ func TestContributionOncePerRound(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestDistributedPaillierNeedsKey(t *testing.T) {
-	values := [][]float64{{1}, {2}}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := RunDistributed(ctx, mustJob(t, values, 3), DriverOptions{
-		Aggregation: AggregationPaillier,
-	}); !errors.Is(err, ErrBadJob) {
-		t.Errorf("missing key: err = %v, want ErrBadJob", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/ppml-go/ppml/internal/fixedpoint"
-	"github.com/ppml-go/ppml/internal/paillier"
 	"github.com/ppml-go/ppml/internal/securesum"
 	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
@@ -19,13 +18,11 @@ import (
 type mapperEnv struct {
 	sessionEnv
 	policy
-	agg       Aggregation
-	maskMode  MaskMode
-	codec     fixedpoint.Codec
-	dim       int
-	pack      *paillier.Packing
-	cipherCtr *telemetry.Counter
-	sstel     *securesum.Telemetry
+	agg      Aggregation
+	maskMode MaskMode
+	codec    fixedpoint.Codec
+	dim      int
+	sstel    *securesum.Telemetry
 }
 
 // solver runs one mapper's Contribution calls, journalling each solve.
@@ -99,7 +96,6 @@ type mapperNode struct {
 	contrib []float64 // this round's contribution
 	ready   []byte    // this round's ready-declaration payload (the staleness stamp)
 	live    []bool    // the served roster, expanded
-	enc     []uint64  // reusable fixed-point encode buffer (Paillier)
 
 	stale   transport.Filter  // sweeps frames of rounds before n.round
 	evictor transport.Evictor // the endpoint's reorder-buffer sweep, nil when it has none
@@ -247,16 +243,6 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		return nil
-	case n.agg == AggregationPaillier:
-		payload, enc, err := encryptContribution(n.contrib, n.codec, n.pack, n.enc, n.cipherCtr)
-		n.enc = enc
-		if err != nil {
-			return fmt.Errorf("mapper %d: %w", n.id, err)
-		}
-		if err := n.ep.Send(ctx, reducerName, KindCipherShare, hdr, payload); err != nil {
-			return fmt.Errorf("mapper %d: %w", n.id, err)
-		}
-		return nil
 	case n.seeded != nil:
 		// Seeded masks: derive this roster's masks locally and send only the
 		// masked share — no per-round mask messages.
@@ -286,25 +272,4 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 		return nil
 	}
 	return fmt.Errorf("%w: mapper %d has no share path for Aggregation %d", ErrBadJob, n.id, n.agg)
-}
-
-// encryptContribution fixed-point-encodes the vector and encrypts it under
-// the job's slot packing (k ring elements per plaintext — the SPINDLE-style
-// layout in paillier.Packing), with fresh crypto/rand randomness per
-// ciphertext. The encode is bounded for a sum of pack.MaxSummands shares, as
-// a masked share is for its cohort: the slots reduce mod 2⁶⁴ after
-// decryption, so only the mapper can stop the sum from wrapping. scratch is
-// an optional reusable encode buffer; the (possibly grown) buffer is returned
-// for the next call.
-func encryptContribution(contrib []float64, codec fixedpoint.Codec, pack *paillier.Packing, scratch []uint64, ctr *telemetry.Counter) ([]byte, []uint64, error) {
-	enc, err := codec.ForSummands(pack.MaxSummands).EncodeVec(contrib, scratch)
-	if err != nil {
-		return nil, scratch, fmt.Errorf("paillier share encode: %w", err)
-	}
-	cs, err := pack.EncryptVec(nil, enc)
-	if err != nil {
-		return nil, enc, fmt.Errorf("paillier share encrypt: %w", err)
-	}
-	ctr.Add(int64(len(cs)))
-	return paillier.MarshalCiphertexts(cs), enc, nil
 }

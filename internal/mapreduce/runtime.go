@@ -6,9 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/ppml-go/ppml/internal/dfs"
 	"github.com/ppml-go/ppml/internal/fixedpoint"
-	"github.com/ppml-go/ppml/internal/paillier"
 	"github.com/ppml-go/ppml/internal/securesum"
 	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
@@ -24,13 +22,6 @@ const (
 	// AggregationPlain sends raw contributions; no privacy. Included for the
 	// overhead ablation and for debugging.
 	AggregationPlain
-	// AggregationPaillier encrypts every contribution element under an
-	// additively homomorphic public key; the Reducer multiplies ciphertexts
-	// and only the aggregate is ever decrypted (by the key authority, which
-	// the driver simulates). Orders of magnitude more expensive than
-	// AggregationMasked — the trade the paper's Section V argues against —
-	// and provided to measure exactly that at the system level.
-	AggregationPaillier
 )
 
 // MaskMode selects the masked-aggregation variant, re-exported from
@@ -56,7 +47,7 @@ type DriverOptions struct {
 	// MaskSeeded (default) or MaskPerRound. MaskPerRound exchanges its masks
 	// over the fixed cohort, so it runs strict rounds only: with a
 	// StragglerTimeout (and so with Staleness) it is an ErrBadJob. Ignored by
-	// the other aggregation modes.
+	// AggregationPlain.
 	MaskMode MaskMode
 	// StragglerTimeout makes rounds elastic (demote-and-continue): a mapper
 	// that has not answered within this bound is demoted for the round
@@ -94,13 +85,6 @@ type DriverOptions struct {
 	// schemes — where each mapper owns irreplaceable feature columns —
 	// depend on. Only meaningful with StragglerTimeout.
 	WriteOffAfter int
-	// PaillierKey supplies the key pair for AggregationPaillier: the public
-	// half goes to every Mapper, the private half stays with the simulated
-	// key authority that decrypts only aggregates.
-	PaillierKey *paillier.PrivateKey
-	// Locality optionally describes where each Mapper's input lives in a
-	// DFS, for data-movement accounting.
-	Locality *LocalityPlan
 	// Telemetry optionally attaches a metrics registry: per-round durations
 	// and journal events, the timeout counter, the mapper fan-out gauge, the
 	// securesum per-kind traffic counters, and — when the Network supports
@@ -110,24 +94,11 @@ type DriverOptions struct {
 	Telemetry *telemetry.Registry
 }
 
-// LocalityPlan maps Mappers to their DFS input and their execution node.
-type LocalityPlan struct {
-	Cluster *dfs.Cluster
-	// InputPath[i] is the DFS path of mapper i's partition.
-	InputPath []string
-	// NodeOf[i] is the cluster node mapper i is scheduled on.
-	NodeOf []string
-}
-
 // DriverResult reports a distributed run.
 type DriverResult struct {
 	IterativeResult
 	// Net are the transport counters accumulated by the job.
 	Net transport.Stats
-	// RemoteInputBytes is the map-input volume that had to cross the
-	// network because a task was not co-located with its data. Zero under
-	// locality-aware placement.
-	RemoteInputBytes int64
 	// Elapsed is the wall-clock job duration.
 	Elapsed time.Duration
 	// Demotions and Rejoins count roster transitions: a mapper leaving the
@@ -146,14 +117,6 @@ const (
 	metricRoundSeconds = "ppml_round_seconds"
 	metricTimeouts     = "ppml_round_timeouts_total"
 	metricFanout       = "ppml_mapper_fanout"
-	// metricCiphertexts counts Paillier ciphertexts produced by mapper
-	// encryptions; with packing it grows ⌈dim/k⌉ per contribution instead of
-	// dim, which is the win the pack-ratio gauge makes visible.
-	metricCiphertexts = "ppml_paillier_ciphertexts_total"
-	// metricPackRatio is elements-per-ciphertext under the active packing
-	// (dim / ⌈dim/k⌉); 1 when unpacked. A scalar of the layout, never of
-	// any payload value.
-	metricPackRatio = "ppml_paillier_pack_ratio"
 	// Roster metrics: how many mappers each round actually folded,
 	// and the cumulative roster churn. All are counts of the driver's
 	// control flow, never contribution values.
@@ -209,23 +172,8 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	if agg == 0 {
 		agg = AggregationMasked
 	}
-	if agg == AggregationPaillier && opts.PaillierKey == nil {
-		return nil, fmt.Errorf("%w: AggregationPaillier needs DriverOptions.PaillierKey", ErrBadJob)
-	}
 	codec := fixedpoint.Default()
 	m := len(job.Mappers)
-	// Slot packing for the HE path: the layout is a pure function of the
-	// public key and the mapper fan-in (the guard-bit budget: the reducer adds
-	// at most len(Mappers) ciphertexts), so the mappers and the reducer derive
-	// identical layouts without any negotiation.
-	var pack *paillier.Packing
-	if agg == AggregationPaillier {
-		var err error
-		pack, err = paillier.NewPacking(&opts.PaillierKey.PublicKey, m, 0)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: %w", err)
-		}
-	}
 	pol, err := newPolicy(opts, agg, m)
 	if err != nil {
 		return nil, err
@@ -233,13 +181,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 
 	start := time.Now()
 	res := &DriverResult{}
-	if opts.Locality != nil {
-		remote, err := opts.Locality.remoteBytes(m)
-		if err != nil {
-			return nil, err
-		}
-		res.RemoteInputBytes = remote
-	}
 
 	// Prepared metric handles; with no registry each is nil and every
 	// operation below is a free no-op.
@@ -247,13 +188,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	var sstel *securesum.Telemetry
 	if agg == AggregationMasked {
 		sstel = securesum.NewTelemetry(reg, opts.MaskMode)
-	}
-	var cipherCtr *telemetry.Counter
-	if agg == AggregationPaillier {
-		cipherCtr = reg.Counter(metricCiphertexts)
-		if job.ContributionDim > 0 {
-			reg.Gauge(metricPackRatio).Set(float64(job.ContributionDim) / float64(pack.Ciphertexts(job.ContributionDim)))
-		}
 	}
 	eng := &engine{
 		policy: pol,
@@ -282,7 +216,7 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		eng.names[i] = fmt.Sprintf("mapper-%d", i)
 		eng.idOf[eng.names[i]] = i
 	}
-	if eng.fold, err = newFolder(agg, m, job.ContributionDim, codec, opts.PaillierKey, pack, &eng.scratch); err != nil {
+	if eng.fold, err = newFolder(agg, m, job.ContributionDim, codec, &eng.scratch); err != nil {
 		return nil, err
 	}
 	if eng.ep, err = net.Endpoint(reducerName); err != nil {
@@ -310,8 +244,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		maskMode:   opts.MaskMode,
 		codec:      codec,
 		dim:        job.ContributionDim,
-		pack:       pack,
-		cipherCtr:  cipherCtr,
 		sstel:      sstel,
 	}
 	mapperErrs := make(chan error, m)
@@ -357,25 +289,4 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	res.Net = net.Stats()
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-func (p *LocalityPlan) remoteBytes(mappers int) (int64, error) {
-	if p.Cluster == nil || len(p.InputPath) != mappers || len(p.NodeOf) != mappers {
-		return 0, fmt.Errorf("%w: locality plan incomplete", ErrBadJob)
-	}
-	var remote int64
-	for i := 0; i < mappers; i++ {
-		primary, err := p.Cluster.PrimaryLocation(p.InputPath[i])
-		if err != nil {
-			return 0, fmt.Errorf("mapreduce locality: %w", err)
-		}
-		if primary != p.NodeOf[i] {
-			sz, err := p.Cluster.FileSize(p.InputPath[i])
-			if err != nil {
-				return 0, fmt.Errorf("mapreduce locality: %w", err)
-			}
-			remote += int64(sz)
-		}
-	}
-	return remote, nil
 }

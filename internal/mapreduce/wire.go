@@ -18,7 +18,8 @@ const (
 	KindStop = "mr.stop"
 	// KindPlainShare carries an unmasked contribution (plain aggregation).
 	KindPlainShare = "mr.plainshare"
-	// KindCipherShare carries a Paillier-encrypted contribution.
+	// KindCipherShare was the Paillier-encrypted contribution of a retired
+	// aggregation backend; no path sends it, and bench/'s tap still names it.
 	KindCipherShare = "mr.ciphershare"
 	// KindAbort reports a fatal Mapper error to the Reducer, stamped with the
 	// round it ended. Its payload is empty: the error may quote private values.

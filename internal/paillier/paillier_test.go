@@ -123,48 +123,3 @@ func TestAggregateManyCiphertexts(t *testing.T) {
 		t.Errorf("aggregate = %v, want %v", got, total)
 	}
 }
-
-func TestCiphertextWireRoundTrip(t *testing.T) {
-	cs := make([]*big.Int, 5)
-	for i := range cs {
-		c, err := testKey.Encrypt(nil, big.NewInt(int64(i*1000)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs[i] = c
-	}
-	buf := MarshalCiphertexts(cs)
-	back, err := UnmarshalCiphertexts(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(cs) {
-		t.Fatalf("got %d ciphertexts, want %d", len(back), len(cs))
-	}
-	for i := range cs {
-		if back[i].Cmp(cs[i]) != 0 {
-			t.Fatalf("ciphertext %d changed on the wire", i)
-		}
-		m, err := testKey.Decrypt(back[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Int64() != int64(i*1000) {
-			t.Errorf("decrypted %v, want %d", m, i*1000)
-		}
-	}
-}
-
-func TestUnmarshalCiphertextsErrors(t *testing.T) {
-	cases := [][]byte{
-		nil,                      // empty
-		{0x05},                   // count without data
-		{0x01, 0x08, 0x01, 0x02}, // truncated element
-		append(MarshalCiphertexts([]*big.Int{big.NewInt(1)}), 0xFF), // trailing bytes
-	}
-	for i, in := range cases {
-		if _, err := UnmarshalCiphertexts(in); !errors.Is(err, ErrBadCiphertext) {
-			t.Errorf("case %d: err = %v, want ErrBadCiphertext", i, err)
-		}
-	}
-}

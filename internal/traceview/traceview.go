@@ -42,7 +42,6 @@ import (
 const (
 	kindMaskedShare = "securesum.share"
 	kindPlainShare  = "mr.plainshare"
-	kindCipherShare = "mr.ciphershare"
 	kindStop        = "mr.stop"
 )
 
@@ -51,7 +50,7 @@ const setupRound = -1
 
 func isShareKind(kind string) bool {
 	switch kind {
-	case kindMaskedShare, kindPlainShare, kindCipherShare:
+	case kindMaskedShare, kindPlainShare:
 		return true
 	}
 	return false

@@ -28,7 +28,8 @@ var (
 // 4-byte length prefix, and the receiver rejects any advertised length above
 // this bound before allocating, so a corrupt or malicious peer cannot make an
 // endpoint allocate gigabytes from a 4-byte header. The largest legitimate
-// message is a Paillier ciphertext batch, far below this.
+// message, a share or broadcast of one float per training row, is far below
+// this.
 const maxFrameBytes = 64 << 20
 
 // frameVersion is the wire-format version stamped into every frame. A
@@ -198,9 +199,9 @@ func (e *tcpEndpoint) acceptLoop() {
 
 // framePool recycles frame encode buffers across sends: with one frame per
 // protocol message every round, per-frame allocations dominated the wire
-// path's garbage. Buffers above maxPooledFrame (a Paillier ciphertext batch
-// can approach the 64 MiB frame bound) are not returned, so the pool never
-// pins pathological allocations. The pool has no New function on purpose: a
+// path's garbage. Buffers above maxPooledFrame (a frame may approach the
+// 64 MiB bound) are not returned, so the pool never pins pathological
+// allocations. The pool has no New function on purpose: a
 // nil Get is how getFrameBuf distinguishes a pool hit from a miss for the
 // telemetry hit-rate counters. The receive side takes no buffer from it: a
 // frame body is read into a slice of its own, which the message keeps.

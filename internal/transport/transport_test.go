@@ -472,8 +472,8 @@ func TestSelfSend(t *testing.T) {
 }
 
 func TestLargePayloadOverTCP(t *testing.T) {
-	// Paillier aggregation ships multi-megabyte ciphertext vectors; the
-	// framing must survive them intact.
+	// A share of one float per training row runs to megabytes at scale; the
+	// framing must survive such payloads intact.
 	n := NewTCP()
 	defer n.Close()
 	a, err := n.Endpoint("a")

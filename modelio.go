@@ -73,15 +73,10 @@ type svmModelJSON struct {
 	W        []float64      `json:"w,omitempty"`
 }
 
-// SaveModel writes a trained model to w as versioned JSON. Every model
-// produced by Train and TrainCentralized is supported.
-func SaveModel(w io.Writer, m Model) error {
-	return SaveModelWithScaler(w, m, nil)
-}
-
-// SaveModelWithScaler writes the model together with the feature scaler it
-// was trained under (from Standardize), so loaded models can standardize new
-// inputs consistently. scaler may be nil.
+// SaveModelWithScaler writes a trained model to w as versioned JSON, together
+// with the feature scaler it was trained under (from Standardize), so loaded
+// models can standardize new inputs consistently. Every model produced by
+// Train and TrainCentralized is supported. scaler may be nil.
 func SaveModelWithScaler(w io.Writer, m Model, scaler *Scaler) error {
 	env := modelEnvelope{Version: modelVersion, Scaler: scaler}
 	var payload any
@@ -144,15 +139,13 @@ func SaveModelWithScaler(w io.Writer, m Model, scaler *Scaler) error {
 	return nil
 }
 
-// LoadModel reads a model previously written by SaveModel, discarding any
-// embedded scaler. Use LoadModelWithScaler to recover it.
-func LoadModel(r io.Reader) (Model, error) {
-	m, _, err := LoadModelWithScaler(r)
-	return m, err
-}
-
-// LoadModelWithScaler reads a model and, when present, the feature scaler it
-// was saved with (nil otherwise).
+// LoadModelWithScaler reads a model written by SaveModelWithScaler and, when
+// present, the feature scaler it was saved with (nil otherwise). A file whose
+// shapes do not fit together — a matrix whose data is not rows × cols, a
+// coefficient vector that does not match its support rows or landmarks, a
+// column map that is not a permutation of the sample's features, a scaler
+// deviation that is not positive — is ErrBadModel, so a loaded model scores
+// without panicking or dividing by zero.
 func LoadModelWithScaler(r io.Reader) (Model, *Scaler, error) {
 	var env modelEnvelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
@@ -207,8 +200,20 @@ func decodeModel(env modelEnvelope) (Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
 		}
-		if len(p.SupportX) != len(p.CoefX) || len(p.CoefX) != len(p.CoefG) || len(p.CoefG) != len(p.B) {
+		if len(p.SupportX) != len(p.CoefX) || len(p.CoefX) != len(p.CoefG) || len(p.CoefG) != len(p.B) || len(p.B) == 0 {
 			return nil, fmt.Errorf("%w: inconsistent learner counts", ErrBadModel)
+		}
+		if err := checkMatrix(p.Landmarks, "landmarks"); err != nil {
+			return nil, err
+		}
+		for m, sx := range p.SupportX {
+			if err := checkMatrix(sx, fmt.Sprintf("learner %d's support rows", m)); err != nil {
+				return nil, err
+			}
+			if sx.Cols != p.Landmarks.Cols || len(p.CoefX[m]) != sx.Rows || len(p.CoefG[m]) != p.Landmarks.Rows {
+				return nil, fmt.Errorf("%w: learner %d has %d×%d support rows, %d coefX and %d coefG for %d×%d landmarks",
+					ErrBadModel, m, sx.Rows, sx.Cols, len(p.CoefX[m]), len(p.CoefG[m]), p.Landmarks.Rows, p.Landmarks.Cols)
+			}
 		}
 		return &consensus.KernelHorizontalModel{
 			Kernel: k, Landmarks: p.Landmarks,
@@ -223,8 +228,28 @@ func decodeModel(env modelEnvelope) (Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
 		}
-		if len(p.SupportX) != len(p.Alpha) || len(p.Alpha) != len(p.Cols) {
+		if len(p.SupportX) != len(p.Alpha) || len(p.Alpha) != len(p.Cols) || len(p.Cols) == 0 {
 			return nil, fmt.Errorf("%w: inconsistent learner counts", ErrBadModel)
+		}
+		width := 0
+		for _, cols := range p.Cols {
+			width += len(cols)
+		}
+		owned := make([]bool, width)
+		for m, sx := range p.SupportX {
+			if err := checkMatrix(sx, fmt.Sprintf("learner %d's support rows", m)); err != nil {
+				return nil, err
+			}
+			if sx.Cols != len(p.Cols[m]) || len(p.Alpha[m]) != sx.Rows {
+				return nil, fmt.Errorf("%w: learner %d has %d×%d support rows, %d columns and %d alpha",
+					ErrBadModel, m, sx.Rows, sx.Cols, len(p.Cols[m]), len(p.Alpha[m]))
+			}
+			for _, c := range p.Cols[m] {
+				if c < 0 || c >= width || owned[c] {
+					return nil, fmt.Errorf("%w: learner %d's column %d is outside 0..%d or owned twice", ErrBadModel, m, c, width-1)
+				}
+				owned[c] = true
+			}
 		}
 		return &consensus.KernelVerticalModel{
 			Kernel: k, Cols: p.Cols, SupportX: p.SupportX, Alpha: p.Alpha, B: p.B,
@@ -238,6 +263,13 @@ func decodeModel(env modelEnvelope) (Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
 		}
+		if err := checkMatrix(p.SupportX, "support vectors"); err != nil {
+			return nil, err
+		}
+		if len(p.Coef) != p.SupportX.Rows || (p.W != nil && len(p.W) != p.SupportX.Cols) {
+			return nil, fmt.Errorf("%w: %d×%d support vectors with %d coef and %d w",
+				ErrBadModel, p.SupportX.Rows, p.SupportX.Cols, len(p.Coef), len(p.W))
+		}
 		return &svm.Model{
 			Kernel: k, SupportX: p.SupportX, Coef: p.Coef, B: p.B, W: p.W,
 			SupportCount: len(p.Coef),
@@ -245,4 +277,16 @@ func decodeModel(env modelEnvelope) (Model, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown model type %q", ErrBadModel, env.Type)
 	}
+}
+
+// checkMatrix reports a nil matrix, one with no columns, and one whose Data
+// does not hold exactly Rows·Cols values.
+func checkMatrix(m *linalg.Matrix, what string) error {
+	if m == nil {
+		return fmt.Errorf("%w: no %s", ErrBadModel, what)
+	}
+	if m.Rows < 0 || m.Cols < 1 || m.Rows > len(m.Data)/m.Cols || len(m.Data) != m.Rows*m.Cols {
+		return fmt.Errorf("%w: %s are %d×%d with %d values", ErrBadModel, what, m.Rows, m.Cols, len(m.Data))
+	}
+	return nil
 }

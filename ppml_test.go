@@ -239,47 +239,6 @@ func TestWithToleranceStopsEarly(t *testing.T) {
 	}
 }
 
-func TestWithLocalityTracking(t *testing.T) {
-	train, _ := prepared(t, 160)
-	res, err := ppml.Train(train, ppml.HorizontalLinear,
-		ppml.WithLearners(3), ppml.WithIterations(5), ppml.WithLocalityTracking())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paper layout: each partition lives on its learner's node; the Map
-	// phase moves zero training bytes.
-	if res.History.RemoteInputBytes != 0 {
-		t.Errorf("remote input bytes = %d, want 0 under full locality", res.History.RemoteInputBytes)
-	}
-	if res.History.BytesSent == 0 {
-		t.Error("distributed run should record consensus traffic")
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	data := ppml.SyntheticCancer(300, 6)
-	res, err := ppml.CrossValidate(data, ppml.HorizontalLinear, 4,
-		ppml.WithLearners(2), ppml.WithIterations(15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.FoldAccuracy) != 4 {
-		t.Fatalf("got %d folds, want 4", len(res.FoldAccuracy))
-	}
-	if res.Mean < 0.85 {
-		t.Errorf("CV mean accuracy = %g, want ≥ 0.85", res.Mean)
-	}
-	if res.Std < 0 || res.Std > 0.2 {
-		t.Errorf("CV std = %g implausible", res.Std)
-	}
-	if _, err := ppml.CrossValidate(nil, ppml.HorizontalLinear, 3); !errors.Is(err, ppml.ErrBadRequest) {
-		t.Errorf("nil data: err = %v, want ErrBadRequest", err)
-	}
-	if _, err := ppml.CrossValidate(data, ppml.HorizontalLinear, 1); err == nil {
-		t.Error("k=1 should fail")
-	}
-}
-
 func TestWithDPOutput(t *testing.T) {
 	train, test := prepared(t, 240)
 	clean, err := ppml.Train(train, ppml.HorizontalLinear,
@@ -372,39 +331,6 @@ func TestWithSecureStandardization(t *testing.T) {
 	if _, err := ppml.Train(train, ppml.VerticalLinear,
 		ppml.WithLearners(2), ppml.WithSecureStandardization()); !errors.Is(err, ppml.ErrBadRequest) {
 		t.Errorf("vertical + secure standardization: err = %v, want ErrBadRequest", err)
-	}
-}
-
-func TestWithPaillierAggregation(t *testing.T) {
-	train, test := prepared(t, 120)
-	res, err := ppml.Train(train, ppml.HorizontalLinear,
-		ppml.WithLearners(2), ppml.WithIterations(3),
-		ppml.WithPaillierAggregation(512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ppml.Evaluate(res.Model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.8 {
-		t.Errorf("paillier-aggregated accuracy = %g", acc)
-	}
-	// Compare traffic against masked aggregation: ciphertexts are still
-	// bigger than masked ring shares, but slot packing bounds the blow-up
-	// to ⌈d/k⌉ ciphertexts per contribution rather than d.
-	masked, err := ppml.Train(train, ppml.HorizontalLinear,
-		ppml.WithLearners(2), ppml.WithIterations(3), ppml.WithDistributed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.History.BytesSent <= masked.History.BytesSent {
-		t.Errorf("paillier traffic %d bytes vs masked %d; expected ciphertext blow-up",
-			res.History.BytesSent, masked.History.BytesSent)
-	}
-	if _, err := ppml.Train(train, ppml.HorizontalLinear,
-		ppml.WithPaillierAggregation(64)); err == nil {
-		t.Error("tiny key accepted")
 	}
 }
 

@@ -41,14 +41,6 @@ func (s *Scaler) Transform(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Features returns the dimensionality the scaler was fit on.
-func (s *Scaler) Features() int {
-	if s == nil || s.inner == nil {
-		return 0
-	}
-	return len(s.inner.Mean)
-}
-
 type scalerJSON struct {
 	Mean []float64 `json:"mean"`
 	Std  []float64 `json:"std"`
@@ -70,6 +62,13 @@ func (s *Scaler) UnmarshalJSON(b []byte) error {
 	}
 	if len(p.Mean) != len(p.Std) {
 		return fmt.Errorf("%w: scaler with %d means and %d stds", ErrBadModel, len(p.Mean), len(p.Std))
+	}
+	for j, sd := range p.Std {
+		// A fitted scaler's deviations are positive (a constant feature
+		// gets 1); Transform divides by them.
+		if !(sd > 0) {
+			return fmt.Errorf("%w: scaler std[%d] = %g, want > 0", ErrBadModel, j, sd)
+		}
 	}
 	s.inner = &dataset.Scaler{Mean: p.Mean, Std: p.Std}
 	return nil

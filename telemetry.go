@@ -1,7 +1,6 @@
 package ppml
 
 import (
-	"io"
 	"net/http"
 
 	"github.com/ppml-go/ppml/internal/telemetry"
@@ -31,12 +30,6 @@ func NewTelemetry() *Telemetry {
 // choosing; nothing is served unless you do.
 func (t *Telemetry) Handler() http.Handler {
 	return telemetry.NewMux(t.reg)
-}
-
-// WritePrometheus writes a point-in-time scrape in Prometheus text
-// exposition format, for embedding metrics into run artifacts without HTTP.
-func (t *Telemetry) WritePrometheus(w io.Writer) error {
-	return t.reg.WritePrometheus(w)
 }
 
 // Snapshot returns a typed copy of every metric and the recent span ring.
