@@ -15,9 +15,8 @@ vet:
 	$(GO) vet ./...
 
 # Custom invariant analyzers (internal/analysis) run through `go vet`:
-# randsource, plaintextwire, droppederr, poolcapture, telemetrysafe,
-# secretflow, unuseddirective. See DESIGN.md ("Machine-checked invariants"
-# and §13 for the taint model).
+# randsource, droppederr, poolcapture, secretflow, unuseddirective. See
+# DESIGN.md ("Machine-checked invariants" and §13 for the taint model).
 vet-custom:
 	$(GO) build -o bin/ppml-vet ./cmd/ppml-vet
 	$(GO) vet -vettool="$(CURDIR)/bin/ppml-vet" ./...

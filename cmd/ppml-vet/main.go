@@ -25,7 +25,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 
 	"github.com/ppml-go/ppml/internal/analysis/framework"
@@ -200,33 +199,10 @@ func run(cfgFile string, analyzers []*framework.Analyzer, asJSON, trace bool) in
 		log.Fatal(err)
 	}
 
-	type finding struct {
-		analyzer string
-		diag     framework.Diagnostic
+	findings, err := framework.RunSuite(analyzers, fset, files, pkg, info)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var findings []finding
-	// One usage recorder spans the whole suite so the unuseddirective
-	// post-pass sees every directive lookup the earlier analyzers made.
-	usage := framework.NewDirectiveUsage()
-	for _, a := range analyzers {
-		pass := &framework.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Usage:     usage,
-		}
-		pass.Report = func(d framework.Diagnostic) {
-			findings = append(findings, finding{analyzer: pass.Analyzer.Name, diag: d})
-		}
-		if err := a.Run(pass); err != nil {
-			log.Fatalf("analyzer %s: %v", a.Name, err)
-		}
-	}
-	sort.SliceStable(findings, func(i, j int) bool {
-		return findings[i].diag.Pos < findings[j].diag.Pos
-	})
 
 	if asJSON {
 		// Mirror the x/tools unitchecker JSON tree: package → analyzer →
@@ -238,10 +214,10 @@ func run(cfgFile string, analyzers []*framework.Analyzer, asJSON, trace bool) in
 		}
 		tree := map[string]map[string][]jsonDiag{cfg.ID: {}}
 		for _, f := range findings {
-			tree[cfg.ID][f.analyzer] = append(tree[cfg.ID][f.analyzer], jsonDiag{
-				Posn:    fset.Position(f.diag.Pos).String(),
-				Message: f.diag.Message,
-				Trace:   f.diag.Trace,
+			tree[cfg.ID][f.Analyzer] = append(tree[cfg.ID][f.Analyzer], jsonDiag{
+				Posn:    fset.Position(f.Pos).String(),
+				Message: f.Message,
+				Trace:   f.Trace,
 			})
 		}
 		out, err := json.MarshalIndent(tree, "", "\t")
@@ -252,9 +228,9 @@ func run(cfgFile string, analyzers []*framework.Analyzer, asJSON, trace bool) in
 		return 0
 	}
 	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(f.diag.Pos), f.diag.Message)
+		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(f.Pos), f.Message)
 		if trace {
-			for _, step := range f.diag.Trace {
+			for _, step := range f.Trace {
 				fmt.Fprintf(os.Stderr, "\tflow: %s\n", step)
 			}
 		}

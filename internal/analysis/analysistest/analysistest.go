@@ -63,7 +63,7 @@ func RunSuite(t *testing.T, analyzers []*framework.Analyzer, pkgPaths ...string)
 			if err != nil {
 				t.Fatalf("loading golden package %s: %v", path, err)
 			}
-			diags, err := runSuite(l.fset, res, analyzers)
+			diags, err := framework.RunSuite(analyzers, l.fset, res.Files, res.Types, res.Info)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,58 +128,26 @@ func (r *Repo) Diagnostics(analyzers []*framework.Analyzer, pkgDirs ...string) (
 		if !ok || res.err != nil {
 			return nil, fmt.Errorf("analysistest: package %s was not loaded", dir)
 		}
-		diags, err := runSuite(r.l.fset, res, analyzers)
+		diags, err := framework.RunSuite(analyzers, r.l.fset, res.Files, res.Types, res.Info)
 		if err != nil {
 			return nil, err
 		}
 		for _, d := range diags {
-			p := r.l.fset.Position(d.pos)
+			p := r.l.fset.Position(d.Pos)
 			rel, rerr := filepath.Rel(r.l.root, p.Filename)
 			if rerr != nil {
 				rel = p.Filename
 			}
-			out = append(out, fmt.Sprintf("%s:%d: [%s] %s", filepath.ToSlash(rel), p.Line, d.analyzer, d.Message))
+			out = append(out, fmt.Sprintf("%s:%d: [%s] %s", filepath.ToSlash(rel), p.Line, d.Analyzer, d.Message))
 		}
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
-// suiteDiag tags a diagnostic with the analyzer that reported it.
-type suiteDiag struct {
-	framework.Diagnostic
-	analyzer string
-	pos      token.Pos
-}
-
-// runSuite runs the analyzers over one loaded package with a shared
-// directive-usage recorder.
-func runSuite(fset *token.FileSet, res *Package, analyzers []*framework.Analyzer) ([]suiteDiag, error) {
-	usage := framework.NewDirectiveUsage()
-	var diags []suiteDiag
-	for _, a := range analyzers {
-		a := a
-		pass := &framework.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     res.Files,
-			Pkg:       res.Types,
-			TypesInfo: res.Info,
-			Usage:     usage,
-		}
-		pass.Report = func(d framework.Diagnostic) {
-			diags = append(diags, suiteDiag{Diagnostic: d, analyzer: a.Name, pos: d.Pos})
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
-		}
-	}
-	return diags, nil
-}
-
 // check compares diagnostics against the want expectations, both keyed by
 // (file, line).
-func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []suiteDiag) {
+func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []framework.Finding) {
 	t.Helper()
 	type key struct {
 		file string

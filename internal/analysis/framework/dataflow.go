@@ -4,8 +4,7 @@ package framework
 // flow-insensitive, interprocedural taint engine over go/ast + go/types.
 // Analyzers parameterize it with a TaintModel (what introduces taint, what
 // clears it, what can never carry it) and query the resolved taint of any
-// expression in the analyzed package; secretflow, plaintextwire, and
-// telemetrysafe all run on top of it.
+// expression in the analyzed package; secretflow runs on top of it.
 //
 // The engine works on the package's own function bodies:
 //
@@ -15,9 +14,12 @@ package framework
 //     keeps every taint ever stored into it), which is what makes slice
 //     aliasing visible.
 //   - Per-function summaries: which parameters flow into which results,
-//     which parameters are written through (mutation via pointer/slice
-//     parameters), and which parameters flow into struct fields or
-//     package-level variables. Summaries keep parameter dependence symbolic,
+//     which parameters are written through (mutation via pointer, slice,
+//     map, or channel parameters, which lands on the caller's argument), and
+//     which parameters flow into struct fields or package-level variables.
+//     A parameter's own flow includes what the body wrote into it, so the
+//     append-into-dst helper shape (dst = append(dst, x); return dst)
+//     returns x's taint. Summaries keep parameter dependence symbolic,
 //     so a caller's taint maps through arbitrarily deep call chains.
 //   - Call-site facts: the taint observed flowing into every in-package
 //     parameter (paramIn), which resolves symbolic parameter bits
@@ -367,6 +369,26 @@ func (tf *TaintFlow) analyzeFunc(fi *funcInfo) {
 			}
 		}
 	}
+	// What the body wrote into a parameter with a referent (a pointer,
+	// slice, map, or channel) lands on the caller's argument; the
+	// parameter's own bit is the argument itself.
+	for i, p := range fi.params {
+		if i >= maxTrackedParams || !hasReferent(p.Type()) {
+			continue
+		}
+		m := tf.env[p]
+		m.params &^= 1 << uint(i)
+		if m.empty() {
+			continue
+		}
+		for len(fi.sum.mut) <= i {
+			fi.sum.mut = append(fi.sum.mut, flowSet{})
+		}
+		if merged := fi.sum.mut[i].union(m); merged != fi.sum.mut[i] {
+			fi.sum.mut[i] = merged
+			tf.changed = true
+		}
+	}
 	for i, fs := range results {
 		for len(fi.sum.results) <= i {
 			fi.sum.results = append(fi.sum.results, flowSet{})
@@ -377,6 +399,16 @@ func (tf *TaintFlow) analyzeFunc(fi *funcInfo) {
 			tf.changed = true
 		}
 	}
+}
+
+// hasReferent reports whether a value of type t shares storage with its
+// copies, so a callee's writes through it reach the caller.
+func hasReferent(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan:
+		return true
+	}
+	return false
 }
 
 func (fi *funcInfo) inLit(pos token.Pos) bool {
@@ -506,6 +538,10 @@ func (tf *TaintFlow) assignTo(l ast.Expr, fs flowSet, pos token.Pos, what string
 		tf.assignTo(l.X, fs, pos, what+" (stored through pointer)")
 	case *ast.SliceExpr:
 		tf.assignTo(l.X, fs, pos, what)
+	case *ast.UnaryExpr:
+		if l.Op == token.AND { // a callee wrote through &x
+			tf.assignTo(l.X, fs, pos, what)
+		}
 	}
 }
 
@@ -631,10 +667,12 @@ func (tf *TaintFlow) evalIdent(id *ast.Ident) flowSet {
 		return flowSet{} // constants, nil, functions, types
 	}
 	if bit := tf.paramBit(v); bit != 0 {
-		return flowSet{
+		// The caller's argument, plus whatever the body wrote into the
+		// parameter (dst = append(dst, x); return dst).
+		return tf.env[v].union(flowSet{
 			t:      tf.model.SourceParam(tf.cur.fn, v) | tf.originTaint(v.Type()),
 			params: bit,
-		}
+		})
 	}
 	if tf.isCell(v) {
 		return flowSet{t: tf.cells[v] | tf.originTaint(v.Type())}

@@ -274,3 +274,45 @@ func use() {
 		t.Fatal("no witness chain for tainted sink argument")
 	}
 }
+
+// TestAppendHelperReturnsParamWrites pins that what a helper writes into its
+// own parameter is part of the parameter's flow: the append-into-dst shape
+// (dst = append(dst, x); return dst) returns x's taint, whether the append
+// is the builtin or an external method call.
+func TestAppendHelperReturnsParamWrites(t *testing.T) {
+	src := `package p
+
+func source() []int { return make([]int, 4) }
+func sink(v []int)  {}
+
+func app(dst []int, v []int) []int {
+	for _, x := range v {
+		dst = append(dst, x)
+	}
+	return dst
+}
+
+type enc struct{}
+
+func (enc) AppendInt(dst []int, x int) []int
+
+func appMethod(dst []int, v []int) []int {
+	var e enc
+	for _, x := range v {
+		dst = e.AppendInt(dst, x)
+	}
+	return dst
+}
+
+func use() {
+	sink(app(nil, source()))
+	sink(appMethod(nil, source()))
+	sink(app(nil, make([]int, 1)))
+}
+`
+	expectTaint(t, sinkArgTaints(t, src), map[int]Taint{
+		26: 1,
+		27: 1,
+		28: 0, // a clean input stays clean through the same helper
+	})
+}

@@ -100,15 +100,14 @@ func ParseDirective(text string) (Directive, bool) {
 }
 
 // DirectiveUsage records which directives were consulted (matched by name at
-// a would-be violation) across a whole suite run. The driver shares one
+// a would-be violation) across a whole suite run. RunSuite shares one
 // recorder between all analyzers of a package and hands it to the
 // unuseddirective check, which flags every directive that excused nothing.
 type DirectiveUsage struct {
 	used map[token.Pos]bool
 }
 
-// NewDirectiveUsage creates an empty recorder.
-func NewDirectiveUsage() *DirectiveUsage {
+func newDirectiveUsage() *DirectiveUsage {
 	return &DirectiveUsage{used: make(map[token.Pos]bool)}
 }
 

@@ -12,6 +12,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -74,4 +75,29 @@ func PathMatches(path string, suffixes ...string) bool {
 		}
 	}
 	return false
+}
+
+// Finding is one diagnostic tagged with the analyzer that reported it.
+type Finding struct {
+	Analyzer string
+	Diagnostic
+}
+
+// RunSuite applies the analyzers in order to one type-checked package and
+// returns their findings sorted by position. One directive-usage recorder
+// spans the suite, so an unuseddirective post-pass placed last sees every
+// directive lookup the earlier analyzers made. Both drivers — cmd/ppml-vet
+// and the analysistest harness — run packages through it.
+func RunSuite(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
+	usage := newDirectiveUsage()
+	var out []Finding
+	for _, a := range analyzers {
+		pass := &Pass{Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info, Usage: usage}
+		pass.Report = func(d Diagnostic) { out = append(out, Finding{Analyzer: a.Name, Diagnostic: d}) }
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
+	return out, nil
 }

@@ -67,12 +67,12 @@ func Bad(ctx context.Context, ep transport.Endpoint, hdr transport.Header, contr
 
 // Ablation is the justified deliberate plaintext path. No diagnostics.
 func Ablation(ctx context.Context, ep transport.Endpoint, hdr transport.Header, contrib []float64) error {
-	//ppml:plaintext-ok deliberate no-privacy baseline for the ablation benchmark
+	//ppml:flow-ok deliberate no-privacy baseline for the ablation benchmark
 	return ep.Send(ctx, "reducer", KindShare, hdr, encodeVector(contrib))
 }
 
 // AblationUnjustified carries the directive with no reason.
 func AblationUnjustified(ctx context.Context, ep transport.Endpoint, hdr transport.Header, contrib []float64) error {
-	//ppml:plaintext-ok
+	//ppml:flow-ok
 	return ep.Send(ctx, "reducer", KindShare, hdr, encodeVector(contrib)) // want `directive requires a justification string` `does not route through securesum or paillier`
 }

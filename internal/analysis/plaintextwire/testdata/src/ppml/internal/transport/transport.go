@@ -1,5 +1,5 @@
 // Package transport is a golden stub of the message layer: its Send method
-// is the sink the plaintextwire analyzer watches.
+// is the sink secretflow's send rule watches.
 package transport
 
 import "context"

@@ -8,11 +8,9 @@ package ppmlvet
 import (
 	"github.com/ppml-go/ppml/internal/analysis/droppederr"
 	"github.com/ppml-go/ppml/internal/analysis/framework"
-	"github.com/ppml-go/ppml/internal/analysis/plaintextwire"
 	"github.com/ppml-go/ppml/internal/analysis/poolcapture"
 	"github.com/ppml-go/ppml/internal/analysis/randsource"
 	"github.com/ppml-go/ppml/internal/analysis/secretflow"
-	"github.com/ppml-go/ppml/internal/analysis/telemetrysafe"
 	"github.com/ppml-go/ppml/internal/analysis/unuseddirective"
 )
 
@@ -22,10 +20,8 @@ import (
 func Suite() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		randsource.Analyzer,
-		plaintextwire.Analyzer,
 		droppederr.Analyzer,
 		poolcapture.Analyzer,
-		telemetrysafe.Analyzer,
 		secretflow.Analyzer,
 		unuseddirective.Analyzer,
 	}

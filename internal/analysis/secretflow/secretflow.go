@@ -1,50 +1,68 @@
-// Package secretflow is the interprocedural taint analyzer of the suite: it
-// machine-checks that secret data never reaches an untrusted sink except
-// through the sanctioned masking/encryption paths, across helper calls,
-// struct fields, and aliasing — the flows the per-function checkers
-// (plaintextwire, telemetrysafe) cannot see.
+// Package secretflow is the privacy checker of the suite: one
+// interprocedural taint pass per protocol package (securesum, paillier,
+// consensus, mapreduce, transport) and three sink rules over it. It
+// machine-checks the paper's Section V guarantee — the Reducer learns only
+// the masked sum — across helper calls, struct fields, and aliasing.
 //
-// Sources (each its own taint class):
+// Taint classes (a value may carry several):
 //
-//   - dataset rows and labels: reads of dataset.Dataset's X and Y fields,
-//     and any value of dataset.Dataset type (the QP/ADMM local iterates are
-//     derived from these and inherit the class by propagation); streamed row
-//     chunks inherit the class at the dfs read — Cluster.Read/ReadAt results
-//     are dataset bytes by construction (partitions and checkpoints of
-//     row-derived state are all the dfs stores), and the X/Y fields of
-//     decoded dataset.Chunk values are dataset fields like any other;
-//   - securesum seed/mask material: the Party and SeededSession stores
-//     (sent/recv flats, seeds, the keyed pair PRGs, keystream scratch) and
-//     the in-package randomVector generator;
-//   - paillier private-key material: the lambda/mu fields of PrivateKey;
-//   - raw wire payloads: reads of transport.Message.Payload anywhere, and
-//     the payload parameter of transport's own send path (payload bytes are
-//     either secret-derived or masked; neither belongs in a log line or an
-//     error string).
+//   - data: dataset rows and labels — reads of dataset.Dataset's X and Y
+//     fields, and any value of dataset.Dataset type (the QP/ADMM local
+//     iterates are derived from these and inherit the class by
+//     propagation); streamed row chunks inherit the class at the dfs read —
+//     Cluster.Read/ReadAt results are dataset bytes by construction
+//     (partitions and checkpoints of row-derived state are all the dfs
+//     stores), and the X/Y fields of decoded dataset.Chunk values are
+//     dataset fields like any other;
+//   - mask: securesum seed/mask material — the Party and SeededSession
+//     stores (sent/recv flats, seeds, the keyed pair PRGs, keystream
+//     scratch) and the in-package randomVector generator;
+//   - key: paillier private-key material — the lambda/mu fields of
+//     PrivateKey;
+//   - wire: raw wire payloads — reads of transport.Message.Payload anywhere,
+//     and the payload parameter of transport's own send path (payload bytes
+//     are either secret-derived or masked; neither belongs in a log line or
+//     an error string);
+//   - raw: every non-nil value at origin, the provenance class — a value
+//     that has not been through securesum or paillier;
+//   - vec: every value of vector type at origin (a numeric slice or array,
+//     nested or not, []byte included, or a linalg.Matrix).
 //
-// Sinks: transport Send payloads (coordination-plane kinds exempt, as in
-// plaintextwire), telemetry and log/slog calls, fmt-built strings and errors
-// (Errorf/Sprint*/Append*), stdout/writer printing (Print*/Fprint*), os file
-// writes, and dfs cluster writes.
+// One sanitizer set clears every class: calls into securesum and paillier
+// from outside those packages (their outputs are masked or encrypted by
+// construction; inside them the flow graph is the truth, since a package
+// cannot launder its own secrets through itself), the telemetry and log
+// surfaces (a one-way valve: every argument crossing into them is audited by
+// the telemetry rule, and nothing recorded there flows back into the
+// protocol), and the dataset shape declassifiers. fixedpoint is not a
+// sanitizer: a ring encoding is a bijection and hides nothing. Structural
+// metadata (matrix dimensions, dataset names, envelope routing fields) is
+// cleared.
 //
-// Sanitizers: calls into securesum, paillier, and fixedpoint from outside
-// those packages — their outputs are masked, encrypted, or ring-encoded for
-// the masking path by construction. Inside the sanitizer packages
-// themselves the flow graph is the truth (a package cannot launder its own
-// secrets through itself). Structural metadata (matrix dimensions, dataset
-// sizes via Len/Features, envelope routing fields) is declassified.
+// Rules:
 //
-// The escape hatch is //ppml:flow-ok with a justification; transport sends
-// already justified with //ppml:plaintext-ok (the deliberate no-privacy
-// ablation) are not double-flagged. Error values themselves are never
-// tainted: the analyzer flags secret operands at the error's construction
-// site instead, which is where the leak happens.
+//   - send: a transport Send payload outside the coordination plane must
+//     carry no data, mask, key, or wire taint; in consensus and mapreduce,
+//     which move the learners' iterates, no raw taint either — it routes
+//     through securesum or paillier.
+//   - telemetry: an argument of a telemetry, log, or log/slog call must
+//     carry no data, mask, key, or wire taint, must not have a vector type
+//     (Histogram's bucket bounds exempt: layout configuration, not
+//     payload), and must not be a string built from a vector. Scalars
+//     computed from vectors pass: an aggregate statistic (a convergence
+//     delta, an accuracy) is what telemetry is for.
+//   - output: fmt-built strings and errors (Errorf/Sprint*/Append*),
+//     stdout/writer printing (Print*/Fprint*), os file writes, and dfs
+//     cluster writes must receive no data, mask, key, or wire taint.
+//
+// The escape hatch is //ppml:flow-ok with a justification. Error values
+// themselves are never tainted: the analyzer flags secret operands at the
+// error's construction site instead, which is where the leak happens.
 package secretflow
 
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"github.com/ppml-go/ppml/internal/analysis/framework"
@@ -53,12 +71,13 @@ import (
 // Analyzer is the secretflow checker.
 var Analyzer = &framework.Analyzer{
 	Name: "secretflow",
-	Doc: "flag interprocedural flows of secret data (dataset rows, iterates, seeds/masks, private keys, " +
-		"wire payloads) into sends, logs, telemetry, errors, and file writes; escape with //ppml:flow-ok",
+	Doc: "flag flows of secret data (dataset rows, iterates, seeds/masks, private keys, wire payloads), " +
+		"unmasked payloads, and payload vectors into sends, logs, telemetry, errors, and file writes; " +
+		"escape with //ppml:flow-ok",
 	Run: run,
 }
 
-// DirectiveName marks an audited, justified secret flow.
+// DirectiveName marks an audited, justified flow.
 const DirectiveName = "flow-ok"
 
 // Taint classes.
@@ -67,6 +86,10 @@ const (
 	taintMask                             // securesum seeds, pairwise masks, PRG state
 	taintKey                              // paillier private-key material
 	taintWire                             // raw transport payload bytes
+	taintRaw                              // not routed through securesum or paillier
+	taintVec                              // derived from a payload vector
+
+	secret = taintData | taintMask | taintKey | taintWire
 )
 
 // hardPaths are the audited protocol packages.
@@ -78,17 +101,11 @@ var hardPaths = []string{
 	"internal/transport",
 }
 
-// sanitizerPaths hold the sanctioned encode-mask-encrypt routines.
-var sanitizerPaths = []string{
-	"internal/securesum",
-	"internal/paillier",
-	"internal/fixedpoint",
-}
-
-// controlKinds are the coordination-plane message kinds (see plaintextwire):
-// broadcast state, stop, abort, and the elastic-roster plane (readiness
-// declarations, roster membership announcements) are protocol-public by
-// design.
+// controlKinds are the coordination-plane message kinds: the broadcast state
+// is the public consensus iterate z (shared with every learner by the
+// protocol itself), stop carries the final public state, abort an error
+// string, ready is an empty liveness declaration, and roster announces round
+// membership in the envelope header. None carries a learner-local iterate.
 var controlKinds = map[string]bool{
 	"KindBroadcast": true,
 	"KindStop":      true,
@@ -135,12 +152,14 @@ var declassifiers = map[string]bool{
 }
 
 func run(pass *framework.Pass) error {
-	if !framework.PathMatches(pass.Pkg.Path(), hardPaths...) {
+	path := pass.Pkg.Path()
+	if !framework.PathMatches(path, hardPaths...) {
 		return nil
 	}
-	m := &model{pkgPath: pass.Pkg.Path()}
-	flow := framework.RunTaintFlow(pass, m)
-	s := &sinkScan{pass: pass, flow: flow}
+	s := &sinkScan{pass: pass, flow: framework.RunTaintFlow(pass, &model{pkgPath: path}), sendMask: secret}
+	if framework.PathMatches(path, "internal/consensus", "internal/mapreduce") {
+		s.sendMask |= taintRaw
+	}
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Pos()) {
 			continue
@@ -191,10 +210,17 @@ func (m *model) ClearField(f *types.Var) bool {
 }
 
 func (m *model) SourceType(t types.Type) framework.Taint {
-	if isDatasetType(t) {
-		return taintData
+	if b, ok := t.(*types.Basic); ok && b.Kind() == types.UntypedNil {
+		return 0 // a nil carries nothing
 	}
-	return 0
+	out := taintRaw
+	if isVectorType(t) {
+		out |= taintVec
+	}
+	if isDatasetType(t) {
+		out |= taintData
+	}
+	return out
 }
 
 func (m *model) SourceParam(fn *types.Func, p *types.Var) framework.Taint {
@@ -230,28 +256,20 @@ func (m *model) Sanitizes(fn *types.Func) bool {
 		return false // a package cannot sanitize its own flows
 	}
 	path := fn.Pkg().Path()
-	if framework.PathMatches(path, sanitizerPaths...) {
+	switch {
+	case framework.PathMatches(path, "internal/securesum", "internal/paillier"):
+		return true // masked or encrypted by construction
+	case isTelemetrySink(path):
+		// One-way valve: without it the unknown-callee assumption would let
+		// one audited argument (say, a ready declaration's staleness stamp)
+		// taint the journal handle's receiver and, transitively, every
+		// driver struct holding it.
 		return true
 	}
-	if framework.PathMatches(path, "internal/telemetry") {
-		// One-way valve: the telemetry surface (metric handles, spans, the
-		// flight-recorder journal) is a sink — every argument crossing into
-		// it is audited by the sink scan below — and nothing recorded there
-		// flows back into the protocol. Without this, the unknown-callee
-		// assumption would let one audited argument (say, a ready
-		// declaration's staleness stamp) taint the journal handle's receiver and,
-		// transitively, every driver struct holding it.
-		return true
-	}
-	if framework.PathMatches(path, "internal/dataset") && declassifiers[fn.Name()] {
-		return true
-	}
-	return false
+	return framework.PathMatches(path, "internal/dataset") && declassifiers[fn.Name()]
 }
 
-func (m *model) Blocks(t types.Type) bool { return isBlocked(t) }
-
-func isBlocked(t types.Type) bool {
+func (m *model) Blocks(t types.Type) bool {
 	if t == nil {
 		return false
 	}
@@ -265,6 +283,12 @@ func isBlocked(t types.Type) bool {
 }
 
 var errorType = types.Universe.Lookup("error").Type()
+
+// isTelemetrySink reports the packages every call into which is a
+// telemetry sink.
+func isTelemetrySink(path string) bool {
+	return path == "log" || path == "log/slog" || framework.PathMatches(path, "internal/telemetry")
+}
 
 // isDatasetType reports dataset.Dataset under any pointer/slice/array
 // wrapping.
@@ -290,10 +314,52 @@ func isDatasetType(t types.Type) bool {
 	}
 }
 
+// isVectorType reports whether t can carry a payload vector: a slice or
+// array of numeric elements (including nested, e.g. [][]float64 — and
+// []byte, the wire encoding of every share), or a linalg.Matrix by value or
+// pointer. Strings, label slices, and scalars are not vectors; maps and
+// structs other than Matrix are left to review.
+func isVectorType(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		return isVectorElem(u.Elem())
+	case *types.Array:
+		return isVectorElem(u.Elem())
+	case *types.Pointer:
+		return isMatrix(u.Elem())
+	default:
+		return isMatrix(t)
+	}
+}
+
+// isVectorElem reports whether a slice/array element type makes its
+// container a payload vector.
+func isVectorElem(e types.Type) bool {
+	if b, ok := e.Underlying().(*types.Basic); ok {
+		return b.Info()&types.IsNumeric != 0
+	}
+	return isVectorType(e)
+}
+
+// isMatrix reports whether t is linalg.Matrix, resolved by its defining
+// package path and name.
+func isMatrix(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj != nil && obj.Pkg() != nil &&
+		framework.PathMatches(obj.Pkg().Path(), "internal/linalg") &&
+		obj.Name() == "Matrix"
+}
+
 // sinkScan walks the audited package's sinks against the computed flow.
 type sinkScan struct {
 	pass *framework.Pass
 	flow *framework.TaintFlow
+	// sendMask is the taint a data-plane Send payload must not carry.
+	sendMask framework.Taint
 }
 
 func (s *sinkScan) checkCall(call *ast.CallExpr) {
@@ -305,12 +371,10 @@ func (s *sinkScan) checkCall(call *ast.CallExpr) {
 	switch {
 	case fn.Name() == "Send" && framework.PathMatches(path, "internal/transport") && len(call.Args) == 5:
 		s.checkSend(call)
+	case isTelemetrySink(path):
+		s.checkTelemetry(fn, call)
 	case path == "fmt":
 		s.checkFmt(fn, call)
-	case path == "log" || path == "log/slog":
-		s.checkArgs(call, call.Args, "logging call "+path+"."+fn.Name())
-	case framework.PathMatches(path, "internal/telemetry"):
-		s.checkArgs(call, call.Args, "telemetry call "+fn.Name())
 	case path == "os" && fn.Name() == "WriteFile":
 		if len(call.Args) >= 2 {
 			s.checkArgs(call, call.Args[1:2], "file write os.WriteFile")
@@ -328,24 +392,45 @@ func (s *sinkScan) checkSend(call *ast.CallExpr) {
 		return
 	}
 	payload := call.Args[4]
-	t := s.flow.TaintOf(payload)
-	if t == 0 {
+	if t := s.flow.TaintOf(payload) & s.sendMask; t != 0 {
+		s.report(call, payload, "transport send carries "+classes(t)+" in its payload: it does not route "+
+			"through securesum or paillier (mask or encrypt it, or annotate //ppml:"+DirectiveName+")")
+	}
+}
+
+// checkTelemetry audits a telemetry, log, or log/slog call: the first
+// argument that carries a secret class, has a vector type, or is a string
+// built from a vector is reported.
+func (s *sinkScan) checkTelemetry(fn *types.Func, call *ast.CallExpr) {
+	path := fn.Pkg().Path()
+	isLog := path == "log" || path == "log/slog"
+	sink := "telemetry call " + fn.Name()
+	if isLog {
+		sink = "logging call " + path + "." + fn.Name()
+	}
+	for i, arg := range call.Args {
+		t := s.flow.TaintOf(arg)
+		typ := s.pass.TypesInfo.TypeOf(arg)
+		switch {
+		case t&secret != 0:
+			s.report(call, arg, classes(t)+" reaches "+sink+": "+outputAdvice)
+		case i == 1 && fn.Name() == "Histogram" && !isLog:
+			// Histogram's bucket bounds are static layout configuration
+			// chosen by the programmer, not payload.
+			continue
+		case isVectorType(typ):
+			s.report(call, arg, typ.String()+" value passed to telemetry/log sink "+path+"."+fn.Name()+
+				": protocol telemetry records scalars only — a payload vector here leaks a learner's private "+
+				"iterate (//ppml:"+DirectiveName+" to document a public vector)")
+		case isStringType(typ) && t&taintVec != 0:
+			s.report(call, arg, "string built from a payload vector passed to telemetry/log sink "+path+"."+
+				fn.Name()+": stringifying an iterate leaks it just as surely as logging the slice "+
+				"(//ppml:"+DirectiveName+" to document a public vector)")
+		default:
+			continue
+		}
 		return
 	}
-	// A justified plaintext-ok already covers the same exposure: the
-	// deliberate ablation opt-out should not need two directives.
-	if d, ok := s.pass.Directive(call.Pos(), "plaintext-ok"); ok && d.Justification != "" {
-		return
-	}
-	if s.pass.Allowed(call.Pos(), DirectiveName) {
-		return
-	}
-	s.pass.Report(framework.Diagnostic{
-		Pos: call.Pos(),
-		Message: "transport send carries " + classes(t) + " in its payload: secret-derived values cross " +
-			"the wire only through securesum/paillier (mask or encrypt it, or annotate //ppml:" + DirectiveName + ")",
-		Trace: s.flow.Trace(payload),
-	})
 }
 
 // checkFmt audits the string/error-building and printing fmt calls.
@@ -362,46 +447,60 @@ func (s *sinkScan) checkFmt(fn *types.Func, call *ast.CallExpr) {
 	}
 }
 
-// checkArgs reports the first tainted argument reaching a sink.
+// outputAdvice closes every secret-class diagnostic of the telemetry and
+// output rules.
+const outputAdvice = "secret-derived values must not be logged, formatted, or written out " +
+	"(route through securesum/paillier or annotate //ppml:" + DirectiveName + ")"
+
+// checkArgs reports the first argument carrying a secret class into a sink.
 func (s *sinkScan) checkArgs(call *ast.CallExpr, args []ast.Expr, sink string) {
 	for _, arg := range args {
-		t := s.flow.TaintOf(arg)
-		if t == 0 {
-			continue
-		}
-		if s.pass.Allowed(call.Pos(), DirectiveName) {
+		if t := s.flow.TaintOf(arg); t&secret != 0 {
+			s.report(call, arg, classes(t)+" reaches "+sink+": "+outputAdvice)
 			return
 		}
-		s.pass.Report(framework.Diagnostic{
-			Pos: call.Pos(),
-			Message: classes(t) + " reaches " + sink + ": secret-derived values must not be logged, " +
-				"formatted, or written out (route through securesum/paillier or annotate //ppml:" + DirectiveName + ")",
-			Trace: s.flow.Trace(arg),
-		})
-		return
 	}
 }
 
-// classes names the taint classes in a mask, stable order.
+// report flags call unless a justified flow-ok directive excuses it.
+func (s *sinkScan) report(call *ast.CallExpr, arg ast.Expr, msg string) {
+	if s.pass.Allowed(call.Pos(), DirectiveName) {
+		return
+	}
+	s.pass.Report(framework.Diagnostic{Pos: call.Pos(), Message: msg, Trace: s.flow.Trace(arg)})
+}
+
+// classNames name the reported classes, in the order diagnostics list them.
+var classNames = []struct {
+	t    framework.Taint
+	name string
+}{
+	{taintData, "dataset-derived data"},
+	{taintKey, "paillier private-key material"},
+	{taintWire, "raw wire payload bytes"},
+	{taintMask, "securesum seed/mask material"},
+	{taintRaw, "raw local results"},
+}
+
+// classes names the classes in a mask; the provenance class is named only
+// when no secret class is present.
 func classes(t framework.Taint) string {
+	if t&secret != 0 {
+		t &= secret
+	}
 	var names []string
-	if t&taintData != 0 {
-		names = append(names, "dataset-derived data")
+	for _, c := range classNames {
+		if t&c.t != 0 {
+			names = append(names, c.name)
+		}
 	}
-	if t&taintMask != 0 {
-		names = append(names, "securesum seed/mask material")
-	}
-	if t&taintKey != 0 {
-		names = append(names, "paillier private-key material")
-	}
-	if t&taintWire != 0 {
-		names = append(names, "raw wire payload bytes")
-	}
-	if len(names) == 0 {
-		return "secret data"
-	}
-	sort.Strings(names)
 	return strings.Join(names, " and ")
+}
+
+// isStringType reports whether t's underlying type is string.
+func isStringType(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 // isControlKind reports whether the kind argument is a coordination-plane

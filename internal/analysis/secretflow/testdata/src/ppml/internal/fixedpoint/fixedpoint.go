@@ -1,5 +1,6 @@
 // Package fixedpoint is a golden stub of the ring encoder used by the
-// masking path; it is one of the sanctioned sanitizer packages.
+// masking path. It is not a sanitizer: an encoding is a bijection, so its
+// output carries whatever its input carried.
 package fixedpoint
 
 // Encode maps floats onto the summation ring.

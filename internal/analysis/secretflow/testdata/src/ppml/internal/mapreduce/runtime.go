@@ -1,7 +1,8 @@
 // Package mapreduce is the main audited golden package: its functions seed
 // the four interprocedural leak classes secretflow exists to catch —
 // helper-call laundering, struct-field smuggling, error-string embedding,
-// and slice aliasing — next to the sanctioned clean paths.
+// and slice aliasing — next to the sanctioned clean paths; wire.go holds the
+// fixed-point encoding cases.
 package mapreduce
 
 import (
@@ -119,10 +120,10 @@ func DebugDumpUnjustified(d *dataset.Dataset) {
 	log.Printf("Y=%v", d.Y) // want `directive requires a justification string` `dataset-derived data reaches logging call`
 }
 
-// AblationPlain is already excused by a justified plaintext-ok (the
-// deliberate no-privacy baseline); secretflow does not double-flag it.
+// AblationPlain is the justified deliberate plaintext path: one directive
+// excuses the send whatever classes its payload carries. No diagnostics.
 func AblationPlain(ctx context.Context, ep transport.Endpoint, hdr transport.Header, d *dataset.Dataset) error {
-	//ppml:plaintext-ok deliberate no-privacy baseline for the ablation benchmark
+	//ppml:flow-ok deliberate no-privacy baseline for the ablation benchmark
 	return ep.Send(ctx, "reducer", KindShare, hdr, frame(d.Y))
 }
 

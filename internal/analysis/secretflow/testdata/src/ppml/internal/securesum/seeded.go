@@ -81,6 +81,20 @@ func (s *SeededSession) leakKeystream(ctx context.Context, ep transport.Endpoint
 	return ep.Send(ctx, "reducer", KindShare, hdr, s.ks) // want `transport send carries securesum seed/mask material`
 }
 
+// appendBytes is the AppendShares shape: it appends into its dst parameter
+// and returns it, so what it writes there is its result.
+func appendBytes(dst, v []byte) []byte {
+	for _, b := range v {
+		dst = append(dst, b)
+	}
+	return dst
+}
+
+// leakAppended sends a seed through the append helper.
+func (s *SeededSession) leakAppended(ctx context.Context, ep transport.Endpoint, hdr transport.Header) error {
+	return ep.Send(ctx, "reducer", KindShare, hdr, appendBytes(nil, s.seeds)) // want `transport send carries securesum seed/mask material`
+}
+
 // traceKeystream hands a keystream word and a PRG's nonce state to telemetry.
 func (s *SeededSession) traceKeystream(log telemetry.Logger, g telemetry.Gauge) {
 	g.Set(float64(s.ks[0]))              // want `securesum seed/mask material reaches telemetry call Set`

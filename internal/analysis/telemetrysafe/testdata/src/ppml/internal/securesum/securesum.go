@@ -32,7 +32,7 @@ func buckets(r *telemetry.Registry) {
 
 // documented carries the escape hatch: the vector is protocol-public.
 func documented(r *telemetry.Registry, landmarks []float64) {
-	//ppml:telemetry-ok landmark points are protocol-public by construction (every learner already holds them)
+	//ppml:flow-ok landmark points are protocol-public by construction (every learner already holds them)
 	r.Record("landmarks", landmarks)
 }
 

@@ -25,12 +25,10 @@ var Analyzer = &framework.Analyzer{
 // knownNames are the directive names the suite consults. A //ppml: comment
 // with any other name can never excuse anything and is reported as such.
 var knownNames = map[string]bool{
-	"plaintext-ok":     true, // plaintextwire: deliberate plaintext wire payload
 	"err-ok":           true, // droppederr: deliberate error discard
 	"deterministic-ok": true, // randsource: deliberate deterministic randomness
 	"shared-ok":        true, // poolcapture: deliberate shared pooled buffer
-	"telemetry-ok":     true, // telemetrysafe: deliberate vector-valued telemetry
-	"flow-ok":          true, // secretflow: audited secret-data flow
+	"flow-ok":          true, // secretflow: audited flow into a send, log, telemetry, or output sink
 }
 
 func run(pass *framework.Pass) error {
@@ -49,7 +47,7 @@ func run(pass *framework.Pass) error {
 				}
 				if !knownNames[d.Name] {
 					pass.Reportf(c.Pos(),
-						"unknown directive %s%s: no analyzer consults it (known names: plaintext-ok, err-ok, deterministic-ok, shared-ok, telemetry-ok, flow-ok)",
+						"unknown directive %s%s: no analyzer consults it (known names: err-ok, deterministic-ok, shared-ok, flow-ok)",
 						framework.DirectivePrefix, d.Name)
 					continue
 				}

@@ -238,7 +238,7 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 	hdr.Roster = roster
 	switch {
 	case n.agg == AggregationPlain:
-		//ppml:plaintext-ok AggregationPlain is the deliberate no-privacy ablation baseline (Fig. 5 comparisons); selecting it is an explicit opt-out
+		//ppml:flow-ok AggregationPlain is the deliberate no-privacy ablation baseline (Fig. 5 comparisons); selecting it is an explicit opt-out
 		if err := n.ep.Send(ctx, reducerName, KindPlainShare, hdr, appendVector(nil, n.contrib)); err != nil {
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}

@@ -110,6 +110,7 @@ func (r *PerRoundParty) Round(ctx context.Context, hdr transport.Header, value [
 			r.maskWire[peer] = make([]byte, 0, 8*len(masks[peer]))
 		}
 		r.maskWire[peer] = AppendShares(r.maskWire[peer][:0], masks[peer])
+		//ppml:flow-ok the per-round pairwise mask IS the protocol's key material (DESIGN.md §10): it must reach exactly this peer, which subtracts it from its own share so the pair cancels in the Reducer's sum
 		if err := r.ep.Send(ctx, r.names[peer], KindMask, hdr, r.maskWire[peer]); err != nil {
 			return fmt.Errorf("securesum: send mask to %q: %w", r.names[peer], err)
 		}

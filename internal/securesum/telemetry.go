@@ -21,7 +21,7 @@ const (
 // counters by kind and mask mode, plus the seed-handshake latency
 // histogram. A nil *Telemetry no-ops on every method, so protocol code
 // records unconditionally. Only counts and sizes ever pass through here —
-// never payloads; the telemetrysafe analyzer enforces that shape at the
+// never payloads; secretflow's telemetry rule enforces that shape at the
 // call sites.
 type Telemetry struct {
 	seedMsgs, seedBytes   *telemetry.Counter

@@ -12,9 +12,9 @@ package telemetry
 // Privacy stance: an event is a fixed tuple of scalars — node/peer names,
 // an event label, a message kind, a round counter, a byte count, and one
 // float64 value (a duration, a staleness or a roster size). There is no
-// field that can carry a share, a mask, a seed, or an iterate; the
-// telemetrysafe analyzer additionally rejects any vector or vector-derived
-// string reaching Emit in the protocol packages. Everything recorded is
+// field that can carry a share, a mask, a seed, or an iterate; secretflow's
+// telemetry rule additionally rejects any vector or vector-derived string
+// reaching Emit in the protocol packages. Everything recorded is
 // coordination metadata the semi-honest reducer's view already contains.
 //
 // The disabled path follows the PR 5 nil-registry contract: a nil *Journal
@@ -114,7 +114,7 @@ func (j *Journal) Total() uint64 {
 }
 
 // Emit records one event. The parameter list is deliberately flat scalars —
-// not an event struct — so the telemetrysafe taint rules see every argument
+// not an event struct — so secretflow's telemetry rule sees every argument
 // at the call site. Pass zero values for fields the event does not use.
 // Nil-safe and allocation-free when live.
 func (j *Journal) Emit(node, event string, trace TraceID, round int32, peer, kind string, bytes int64, value float64) {

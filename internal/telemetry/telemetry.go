@@ -6,9 +6,9 @@
 // Privacy stance (DESIGN.md §11): everything recorded here is a scalar the
 // semi-honest reducer's view already contains — message counts, byte
 // totals, durations, public consensus residuals. Nothing in this package
-// accepts a []float64, a share, a mask, or a model vector; the telemetrysafe
-// analyzer enforces the same property at the call sites in the protocol
-// packages.
+// accepts a []float64, a share, a mask, or a model vector; secretflow's
+// telemetry rule enforces the same property at the call sites in the
+// protocol packages.
 //
 // The disabled path is free: every handle method is a nil-receiver no-op,
 // so code instruments unconditionally and pays nothing when no registry is

@@ -10,7 +10,7 @@ package telemetry
 // reducer — pure coordination metadata carrying no information about any
 // learner's data, exactly like Session/Round/Seq (DESIGN.md §16). It is
 // deliberately a struct of two uint64 words rather than a [16]byte so it is
-// a scalar pair under the telemetrysafe vector rules, not a byte vector.
+// a scalar pair under secretflow's telemetry rule, not a byte vector.
 
 import (
 	"crypto/rand"

@@ -87,7 +87,6 @@ func (t *netCounters) journalRecv(node, from, kind string, trace telemetry.Trace
 	if t == nil || t.journal == nil {
 		return
 	}
-	//ppml:telemetry-ok From and Kind are envelope routing fields off the received frame — public metadata stamped on every message, never payload-derived
 	t.journal.Emit(node, "net.recv", trace, round, from, kind, int64(payloadBytes), 0)
 }
 

@@ -19,8 +19,8 @@ if grep -rn "context.Background()" internal/ --include="*.go" \
 fi
 
 echo "==> log hygiene (no fmt.Print*/log.* in protocol packages)"
-# The telemetrysafe analyzer catches typed payload vectors reaching sinks;
-# this cruder gate bans stdout printing and the stdlib logger outright in
+# secretflow's telemetry rule catches payload vectors reaching sinks; this
+# cruder gate bans stdout printing and the stdlib logger outright in
 # the protocol packages, where any ad-hoc diagnostic is one refactor away
 # from leaking a share. Diagnostics there go through internal/telemetry
 # (scalar-only by construction). fmt.Fprintf to an explicit non-stdout
@@ -69,6 +69,9 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # - no locality measurement that is zero by construction: a partition never
 #   leaves its learner, and BenchmarkDataLocalityBytes is the Section I
 #   evidence.
+# - one privacy checker: secretflow's send and telemetry rules replace the
+#   plaintextwire and telemetrysafe analyzers, and flow-ok is the one
+#   directive that excuses a flow.
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -98,6 +101,7 @@ Kernel\.Eval\(|DecisionAt|decisionNoBias~no~a scalar kernel loop beside Decision
 probeCopy|\.probe\.with\(~no~a learner's private block copied for the Reducer's probe (mappers publish partial decisions)
 AggregationPaillier|PaillierKey|paillierFold|encryptContribution~no~two aggregation backends: masked and plain
 TrackLocality|LocalityPlan|RemoteInputBytes|buildLocalityPlan~no~a locality measurement that is zero by construction
+plaintextwire|telemetrysafe|plaintext-ok|telemetry-ok~no~a second privacy checker or its directive in non-test Go (secretflow's rules and //ppml:flow-ok)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
