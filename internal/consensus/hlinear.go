@@ -106,8 +106,11 @@ func trainHL(ctx context.Context, srcs []dataset.RowSource, cfg Config) (*Linear
 		}
 		mappers = append(mappers, mp)
 	}
+	// One model for the job, pointed at each probed state: the probe scores
+	// every round, and a model built per call would escape every round.
+	var model LinearModel
 	final, h, err := trainMean(ctx, cfg, "hl", mappers, k+1, func(state []float64) (float64, error) {
-		model := LinearModel{W: state[:k], B: state[k]}
+		model.W, model.B = state[:k], state[k]
 		return eval.ClassifierAccuracy(&model, cfg.EvalSet)
 	})
 	if err != nil {

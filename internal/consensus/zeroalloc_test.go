@@ -1,7 +1,9 @@
 package consensus
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/ppml-go/ppml/internal/dataset"
@@ -12,6 +14,7 @@ import (
 	"github.com/ppml-go/ppml/internal/parallel"
 	"github.com/ppml-go/ppml/internal/partition"
 	"github.com/ppml-go/ppml/internal/securesum"
+	"github.com/ppml-go/ppml/internal/transport"
 )
 
 // TestSteadyStateRoundZeroAlloc pins the allocation contract of the hot
@@ -255,5 +258,46 @@ func testMapperRoundZeroAlloc(t *testing.T) {
 				t.Errorf("steady-state mapper round allocated %v times, want %v", allocs, tc.allocs)
 			}
 		})
+	}
+}
+
+// TestTCPRoundAllocations pins a steady-state distributed round over real
+// sockets to at most one heap allocation: an HL job over loopback TCP, strict
+// rounds, seeded masks, M = 8 and an eval set probed every round. Frame
+// bodies come back from the transport's pools, the header and payload go out
+// in one writev, each mapper decodes every broadcast into one buffer, and
+// the reducer neither builds a filter nor a probe model per round. The count
+// is the difference in the process's allocations between a short and a long
+// job, over the rounds between them, so set-up (listeners, dials, the seed
+// exchange, the mappers' blocks) cancels out.
+func TestTCPRoundAllocations(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	train, test := splitAndScale(t, dataset.TwoGaussians("g", 320, 6, 3, 41))
+	mallocs := func(rounds int) float64 {
+		net := transport.NewTCP()
+		defer net.Close()
+		cfg := Config{C: 10, Rho: 50, MaxIterations: rounds, Distributed: true, Network: net, EvalSet: test}
+		parts := horizontalParts(t, train, 8, 3)
+		var ms0, ms1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		_, h, err := TrainHorizontalLinear(context.Background(), parts, cfg)
+		runtime.ReadMemStats(&ms1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Iterations != rounds {
+			t.Fatalf("ran %d of %d rounds", h.Iterations, rounds)
+		}
+		return float64(ms1.Mallocs - ms0.Mallocs)
+	}
+	const r1, r2 = 50, 450
+	mallocs(r1) // the runtime's own first-use allocations
+	perRound := (mallocs(r2) - mallocs(r1)) / (r2 - r1)
+	t.Logf("%.2f allocations per steady-state round", perRound)
+	if perRound > 1 {
+		t.Errorf("a steady-state TCP round allocated %.2f times, want at most 1", perRound)
 	}
 }

@@ -137,6 +137,13 @@ type engine struct {
 	silent  []int            // consecutive rounds each mapper missed the roster
 	weights []float64        // per-mapper κ^s from this round's ready stamps; all 1 when nothing is stale
 	lost    error            // what cost the round its most recent roster member: an abort or an unreachable endpoint
+
+	// The receive phase in progress: the kind it waits for and the roster a
+	// share must be stamped with (nil outside the handshake). phase is accept
+	// as a Filter, built once per session.
+	want  string
+	stamp transport.Roster
+	phase transport.Filter
 }
 
 // sessionEnv is what the Reducer and every Mapper of one job share.
@@ -166,31 +173,30 @@ func staleRoundFilter(session uint64, round *int32) transport.Filter {
 	}
 }
 
-// filter scopes one receive phase of round r on the Reducer. Aborts of this
-// session are delivered whatever round raised them; leftovers of earlier
-// rounds are dropped and counted; a fast mapper's next-round frames wait in
-// the reorder buffer. Of this round only the wanted kind is delivered, and a
-// share only if stamped with the CURRENT roster: one derived over a superseded
-// roster spans a telescope that can no longer cancel. The rosters of a round
-// strictly shrink, so the stamp alone tells two derivations apart.
-func (e *engine) filter(r int32, stamp transport.Roster, kind string) transport.Filter {
-	return func(m transport.Message) transport.Verdict {
-		if m.Session != e.session {
-			return transport.Defer
-		}
-		if m.Kind == KindAbort {
-			return transport.Accept
-		}
-		switch {
-		case m.Round < r:
-			return transport.Drop
-		case m.Round > r:
-			return transport.Defer
-		case m.Kind == kind && (kind == KindReady || m.Roster.Equal(stamp)):
-			return transport.Accept
-		}
-		return transport.Drop
+// accept scopes the receive phase in progress (e.want, e.stamp) of round
+// e.round on the Reducer. Aborts of this session are delivered whatever round
+// raised them; leftovers of earlier rounds are dropped and counted; a fast
+// mapper's next-round frames wait in the reorder buffer. Of this round only
+// the wanted kind is delivered, and a share only if stamped with the CURRENT
+// roster: one derived over a superseded roster spans a telescope that can no
+// longer cancel. The rosters of a round strictly shrink, so the stamp alone
+// tells two derivations apart.
+func (e *engine) accept(m transport.Message) transport.Verdict {
+	if m.Session != e.session {
+		return transport.Defer
 	}
+	if m.Kind == KindAbort {
+		return transport.Accept
+	}
+	switch {
+	case m.Round < e.round:
+		return transport.Drop
+	case m.Round > e.round:
+		return transport.Defer
+	case m.Kind == e.want && (e.want == KindReady || m.Roster.Equal(e.stamp)):
+		return transport.Accept
+	}
+	return transport.Drop
 }
 
 // window opens one receive window of length d (none when d is zero).
@@ -222,6 +228,7 @@ func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 	e.scratch.reach, e.scratch.got = transport.NewRoster(m), make([]bool, m)
 	stale := staleRoundFilter(e.session, &e.round)
 	evictor, _ := e.ep.(transport.Evictor)
+	e.phase = e.accept
 
 	for iter := 0; iter < job.MaxIterations; iter++ {
 		roundStart := time.Now()
@@ -396,11 +403,11 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, first time.Duration) (transport.Roster, error) {
 	r := e.round
 	roster := transport.NewRoster(len(e.names))
-	filter := e.filter(r, nil, KindReady)
+	e.want, e.stamp = KindReady, nil
 	wctx, cancel := window(ctx, first)
 	defer func() { cancel() }()
 	for rearms := 0; roster.Count() < eligible.Count(); {
-		msg, err := e.ep.RecvMatch(wctx, filter)
+		msg, err := e.ep.RecvMatch(wctx, e.phase)
 		if err != nil {
 			if !expired(ctx, err) {
 				return nil, fmt.Errorf("mapreduce ready phase: %w", err)
@@ -440,6 +447,7 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 			eligible.Remove(id)
 			roster.Remove(id)
 		}
+		msg.Release()
 	}
 	return roster, nil
 }
@@ -507,12 +515,12 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 	for i := range got {
 		got[i] = false
 	}
-	filter := e.filter(r, stamp, e.fold.kind())
+	e.want, e.stamp = e.fold.kind(), stamp
 	wctx, cancel := window(ctx, e.deadline)
 	defer func() { cancel() }()
 	collected, rearms := 0, 0
 	for collected < roster.Count() {
-		msg, err := e.ep.RecvMatch(wctx, filter)
+		msg, err := e.ep.RecvMatch(wctx, e.phase)
 		if err != nil {
 			if !expired(ctx, err) {
 				return nil, false, fmt.Errorf("mapreduce reduce: %w", err)
@@ -548,6 +556,7 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 			return nil, false, fmt.Errorf("%w: share from unknown party %q", ErrBadJob, msg.From)
 		}
 		if msg.Kind == KindAbort {
+			msg.Release()
 			if e.dead[id] {
 				continue
 			}
@@ -567,6 +576,7 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 			continue
 		}
 		if got[id] || !roster.Has(id) {
+			msg.Release()
 			continue // duplicate or out-of-roster share: ignore
 		}
 		if err := e.fold.add(msg.Payload); err != nil {
@@ -575,6 +585,7 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 		got[id] = true
 		collected++
 		e.journal.Emit(reducerName, "share.recv", e.trace, r, msg.From, msg.Kind, int64(len(msg.Payload)), 0)
+		msg.Release()
 	}
 	sum, err := e.fold.sum()
 	return sum, true, err

@@ -26,9 +26,16 @@ func TestEngineFilter(t *testing.T) {
 	share := func(round int32, stamp transport.Roster) transport.Message {
 		return transport.Message{Session: session, Round: round, Kind: securesum.KindShare, Roster: stamp}
 	}
-	shares := e.filter(r, current, securesum.KindShare)
-	strict := e.filter(r, nil, securesum.KindShare)
-	ready := e.filter(r, nil, KindReady)
+	e.round, e.phase = r, e.accept
+	phase := func(stamp transport.Roster, kind string) transport.Filter {
+		return func(m transport.Message) transport.Verdict {
+			e.stamp, e.want = stamp, kind
+			return e.phase(m)
+		}
+	}
+	shares := phase(current, securesum.KindShare)
+	strict := phase(nil, securesum.KindShare)
+	ready := phase(nil, KindReady)
 	for _, tc := range []struct {
 		name   string
 		filter transport.Filter

@@ -26,8 +26,9 @@ type folder interface {
 }
 
 // reduceScratch is the Reducer's per-session reuse state: the broadcast
-// encoding, the round's reach set and delivery marks, the share decode buffer
-// and the aggregate. The broadcast bytes are shared with every mapper they
+// encoding, the round's reach set and delivery marks, the share decode
+// buffers (ring words for masked shares, floats for plain ones) and the
+// aggregate. The broadcast bytes are shared with every mapper they
 // reach, each of which decodes them before it shares: round r+1 overwrites
 // them only if round r folded every such mapper (else they are lent).
 type reduceScratch struct {
@@ -36,6 +37,7 @@ type reduceScratch struct {
 	reach    transport.Roster
 	got      []bool
 	shareBuf []uint64
+	plainBuf []float64
 	sum      []float64
 }
 
@@ -100,10 +102,11 @@ func (f *plainFold) reset(int) error {
 }
 
 func (f *plainFold) add(payload []byte) error {
-	v, err := decodeVector(payload)
+	v, err := decodeVectorInto(f.s.plainBuf, payload)
 	if err != nil {
 		return err
 	}
+	f.s.plainBuf = v
 	if len(v) != f.dim {
 		return fmt.Errorf("%w: share of %d values, want %d", ErrBadJob, len(v), f.dim)
 	}

@@ -93,7 +93,9 @@ type mapperNode struct {
 	async    *asyncComputer           // bounded staleness only
 
 	round   int32     // the round being served; -1 before the first broadcast
+	state   []float64 // the broadcast state, decoded into one buffer for the job under synchronous rounds
 	contrib []float64 // this round's contribution
+	wire    []byte    // this round's plain share, encoded
 	ready   []byte    // this round's ready-declaration payload (the staleness stamp)
 	live    []bool    // the served roster, expanded
 
@@ -154,9 +156,10 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 		}
 		switch msg.Kind {
 		case KindStop:
+			msg.Release()
 			return nil
 		case KindBroadcast:
-			if err := n.startRound(ctx, msg); err != nil {
+			if err := n.startRound(ctx, &msg); err != nil {
 				return err
 			}
 			if env.handshake {
@@ -169,6 +172,9 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 			// nobody — serve it as if the Reducer had.
 			msg = transport.Message{Round: n.round}
 		case KindRoster:
+			// The roster rides in the envelope, decoded into a slice of its
+			// own: the frame body is done with.
+			msg.Release()
 		default:
 			return fmt.Errorf("%w: unexpected %q at mapper", ErrBadJob, msg.Kind)
 		}
@@ -178,16 +184,29 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 	}
 }
 
-// startRound takes the round from a broadcast's envelope, decodes its state
-// and produces the round's contribution: solved inline, or under bounded
-// staleness the newest one the background worker has completed.
-func (n *mapperNode) startRound(ctx context.Context, msg transport.Message) error {
+// startRound takes the round from a broadcast's envelope, decodes its state,
+// releases the frame, and produces the round's contribution: solved inline,
+// or under bounded staleness the newest one the background worker has
+// completed.
+func (n *mapperNode) startRound(ctx context.Context, msg *transport.Message) error {
 	n.round = msg.Round
-	state, err := decodeVector(msg.Payload)
+	// Synchronous rounds decode every broadcast into the one buffer n.state:
+	// RunLocalContext reuses its state across rounds too, so no Contribution
+	// keeps it. Under bounded staleness the worker owns each state it is
+	// handed, so it gets a copy of its own.
+	var state []float64
+	var err error
+	if n.async == nil {
+		n.state, err = decodeVectorInto(n.state, msg.Payload)
+		state = n.state
+	} else {
+		state, err = decodeVector(msg.Payload)
+	}
+	msg.Release()
 	if err != nil {
 		return fmt.Errorf("mapper %d: %w", n.id, err)
 	}
-	iter := int(msg.Round)
+	iter := int(n.round)
 	// Round advance: frames of earlier rounds still in the reorder buffer will
 	// never be claimed; sweep them.
 	if n.evictor != nil {
@@ -238,8 +257,13 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 	hdr.Roster = roster
 	switch {
 	case n.agg == AggregationPlain:
+		// The share is encoded into a buffer the mapper keeps: the Reducer
+		// folds round r's shares before it broadcasts round r+1, the only
+		// thing that makes this mapper write the buffer again (the argument
+		// SeededSession's wire scratch rests on).
+		n.wire = appendVector(n.wire[:0], n.contrib)
 		//ppml:flow-ok AggregationPlain is the deliberate no-privacy ablation baseline (Fig. 5 comparisons); selecting it is an explicit opt-out
-		if err := n.ep.Send(ctx, reducerName, KindPlainShare, hdr, appendVector(nil, n.contrib)); err != nil {
+		if err := n.ep.Send(ctx, reducerName, KindPlainShare, hdr, n.wire); err != nil {
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		return nil

@@ -48,12 +48,18 @@ func appendVector(dst []byte, v []float64) []byte {
 	return dst
 }
 
-// decodeVector parses an appendVector frame.
+// decodeVector parses an appendVector frame into a new slice.
 func decodeVector(b []byte) ([]float64, error) {
+	return decodeVectorInto(nil, b)
+}
+
+// decodeVectorInto parses an appendVector frame into dst's storage, growing
+// it only when it is too small.
+func decodeVectorInto(dst []float64, b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("%w: vector payload of %d bytes", ErrBadJob, len(b))
 	}
-	out := make([]float64, len(b)/8)
+	out := slices.Grow(dst[:0], len(b)/8)[:len(b)/8]
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}

@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -168,6 +170,11 @@ func (n *TCP) addressOf(name string) (string, error) {
 type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	// iov holds the header and payload of the frame being written, and bufs
+	// is the writev's view of it; both are Send's under mu. Held here, the
+	// view costs no allocation per frame.
+	iov  [2][]byte
+	bufs net.Buffers
 }
 
 type tcpEndpoint struct {
@@ -197,17 +204,18 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// framePool recycles frame encode buffers across sends: with one frame per
-// protocol message every round, per-frame allocations dominated the wire
-// path's garbage. Buffers above maxPooledFrame (a frame may approach the
-// 64 MiB bound) are not returned, so the pool never pins pathological
-// allocations. The pool has no New function on purpose: a
-// nil Get is how getFrameBuf distinguishes a pool hit from a miss for the
-// telemetry hit-rate counters. The receive side takes no buffer from it: a
-// frame body is read into a slice of its own, which the message keeps.
+// framePool recycles the buffers Send builds frame headers in: with one frame
+// per protocol message every round, per-frame allocations dominated the wire
+// path's garbage. Buffers above maxPooledFrame are not returned, so the pool
+// never pins pathological allocations. The pool has no New function on
+// purpose: a nil Get is how getFrameBuf distinguishes a pool hit from a miss
+// for the telemetry hit-rate counters.
 var framePool sync.Pool
 
-const maxPooledFrame = 1 << 20
+// maxPooledFrame is the largest buffer either pool keeps. A frame may
+// approach the 64 MiB bound; a body above this one is read into a slice of
+// its own (readLarge) and left to the collector.
+const maxPooledFrame = 1 << maxBodyShift
 
 func getFrameBuf(t *netCounters) *[]byte {
 	if bp, ok := framePool.Get().(*[]byte); ok {
@@ -227,33 +235,67 @@ func putFrameBuf(bp *[]byte, b []byte) {
 	framePool.Put(bp)
 }
 
+// bodyPools recycle received frame bodies, one pool per power-of-two
+// capacity from 512 B to maxPooledFrame: rounding up lets a round's
+// broadcast and share frames, of slightly different lengths, reuse each
+// other's buffers. A body goes back only through Message.Release, which the
+// round engine calls on every frame it has finished reading. The seed and
+// mask frames of securesum are never released, so key and mask material
+// never enters a pool.
+var bodyPools [maxBodyShift - minBodyShift + 1]sync.Pool
+
+const (
+	minBodyShift = 9
+	maxBodyShift = 20
+)
+
+// bodyClass is the index in bodyPools of the smallest class that holds n
+// bytes, for 0 ≤ n ≤ maxPooledFrame.
+func bodyClass(n int) int {
+	return max(bits.Len(uint(max(n, 1)-1)), minBodyShift) - minBodyShift
+}
+
+// getBody returns a pooled buffer of at least n ≤ maxPooledFrame bytes, its
+// length its class's capacity.
+func getBody(n int) *[]byte {
+	c := bodyClass(n)
+	if bp, ok := bodyPools[c].Get().(*[]byte); ok {
+		return bp
+	}
+	b := make([]byte, 1<<(c+minBodyShift))
+	return &b
+}
+
+// Release hands a received frame body back to the pool it came from and
+// clears the message's payload; a second call does nothing. A message must
+// not be read after its Release, and no copy of it either: the next frame
+// of the class overwrites the bytes. In-process messages carry no pooled
+// body, so for them it is a no-op.
+func (m *Message) Release() {
+	if m.body == nil {
+		return
+	}
+	bodyPools[bodyClass(cap(*m.body))].Put(m.body)
+	m.body, m.Payload = nil, nil
+}
+
+// readBufSize is the buffered reader of one inbound connection: a round's
+// frames are small, so their length prefix and body come in one read.
+const readBufSize = 4096
+
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer conn.Close()
-	var hdr [4]byte
+	br := bufio.NewReaderSize(conn, readBufSize)
 	var names frameNames
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return // peer closed or died mid-header
-		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > maxFrameBytes {
-			// An advertised length above the bound means a corrupt or hostile
-			// stream; drop the connection before allocating anything.
+		msg, n, err := readFrame(br, &names)
+		if err != nil {
+			// The peer closed or died mid-frame, or sent an oversized,
+			// wrong-version or malformed frame: a hostile or corrupt stream.
 			return
 		}
-		// The body is the message's own: decodeFrame aliases the payload into
-		// it, and it sits in the inbox or the reorder buffer for as long as
-		// the message does.
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return // peer died mid-frame: discard the partial message
-		}
-		msg, err := decodeFrame(body, &names)
-		if err != nil {
-			return // wrong version or malformed header: hostile or corrupt stream
-		}
 		tel := e.net.tel.Load()
-		tel.frameRecv(len(hdr) + int(n))
+		tel.frameRecv(4 + n)
 		tel.recved(len(msg.Payload))
 		select {
 		case e.inbox <- msg:
@@ -263,14 +305,82 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-// appendFrame appends msg to dst behind a 4-byte big-endian length prefix as
-// a binary frame: fixed envelope (version, session, round, seq), the roster
-// section, the three length-prefixed strings, then the payload. Each frame is
-// self-contained, so a dropped connection can never leave the peer's stream
-// in an undecodable state. Send borrows dst from framePool, writes the frame,
-// and returns it — the frame bytes are fully consumed by conn.Write before
-// the buffer is recycled.
+// readFrame reads one length-prefixed frame from br and decodes it, and
+// reports the body's length. A body of at most maxPooledFrame bytes comes
+// from bodyPools and is the message's until its Release; a larger one grows
+// as its bytes arrive (readLarge). An advertised length above maxFrameBytes
+// fails before anything is allocated. The caller ends the connection on any
+// error, and a body whose read or decode failed never goes back to a pool.
+func readFrame(br *bufio.Reader, names *frameNames) (Message, int, error) {
+	prefix, err := br.Peek(4)
+	if err != nil {
+		return Message{}, 0, err
+	}
+	n := int(binary.BigEndian.Uint32(prefix))
+	if n > maxFrameBytes {
+		return Message{}, 0, ErrFrameTooLarge
+	}
+	// Peek saw four bytes, so the Discard cannot fail.
+	_, _ = br.Discard(4)
+	var bp *[]byte
+	var body []byte
+	if n <= maxPooledFrame {
+		bp = getBody(n)
+		body = (*bp)[:n]
+		_, err = io.ReadFull(br, body)
+	} else {
+		body, err = readLarge(br, n)
+	}
+	if err != nil {
+		return Message{}, 0, err
+	}
+	// decodeFrame aliases the payload into the body, which sits in the inbox
+	// or the reorder buffer for as long as the message does.
+	msg, err := decodeFrame(body, names)
+	if err != nil {
+		return Message{}, 0, err
+	}
+	msg.body = bp
+	return msg, n, nil
+}
+
+// readLarge reads an n-byte body above maxPooledFrame, doubling its buffer
+// as the bytes arrive: a peer that advertises a large frame has to send it
+// before the endpoint holds that much memory.
+func readLarge(br *bufio.Reader, n int) ([]byte, error) {
+	body := make([]byte, maxPooledFrame)
+	if _, err := io.ReadFull(br, body); err != nil {
+		return nil, err
+	}
+	for len(body) < n {
+		next := make([]byte, min(2*len(body), n))
+		copy(next, body)
+		if _, err := io.ReadFull(br, next[len(body):]); err != nil {
+			return nil, err
+		}
+		body = next
+	}
+	return body, nil
+}
+
+// appendFrame appends msg to dst as one whole frame: its header
+// (appendFrameHeader), then its payload. These are the bytes Send puts on the
+// wire, as two buffers of one writev. Each frame is self-contained, so a
+// dropped connection can never leave the peer's stream in an undecodable
+// state.
 func appendFrame(dst []byte, msg *Message) ([]byte, error) {
+	b, err := appendFrameHeader(dst, msg)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, msg.Payload...), nil
+}
+
+// appendFrameHeader appends everything of msg's frame but the payload: a
+// 4-byte big-endian length prefix that counts the payload, the fixed envelope
+// (version, session, round, seq, trace), the roster section and the three
+// length-prefixed strings.
+func appendFrameHeader(dst []byte, msg *Message) ([]byte, error) {
 	for _, s := range []string{msg.From, msg.To, msg.Kind} {
 		if len(s) > maxNameBytes {
 			return nil, fmt.Errorf("%w: name of %d bytes", ErrBadFrame, len(s))
@@ -298,7 +408,6 @@ func appendFrame(dst []byte, msg *Message) ([]byte, error) {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 		b = append(b, s...)
 	}
-	b = append(b, msg.Payload...)
 	return b, nil
 }
 
@@ -385,26 +494,32 @@ func (e *tcpEndpoint) Send(ctx context.Context, to, kind string, hdr Header, pay
 		Trace:   hdr.Trace,
 		Payload: payload,
 	}
+	// The header is built in a pooled buffer and written with the caller's
+	// payload in one writev, so the payload is never copied. WriteTo clears
+	// the view as it consumes it: once the frame is written, the connection
+	// holds neither buffer.
 	bp := getFrameBuf(tel)
-	frame, err := appendFrame((*bp)[:0], &msg)
+	head, err := appendFrameHeader((*bp)[:0], &msg)
 	if err != nil {
 		putFrameBuf(bp, *bp)
 		return fmt.Errorf("transport tcp send to %q: %w", to, err)
 	}
 	c.mu.Lock()
 	if dl, ok := ctx.Deadline(); ok {
-		// A connection that rejects deadlines fails the Write below with
+		// A connection that rejects deadlines fails the write below with
 		// the real error. (net.Conn is outside the audited API surface, so
 		// this deliberate discard needs no //ppml:err-ok.)
 		_ = c.conn.SetWriteDeadline(dl)
 	}
-	_, err = c.conn.Write(frame)
+	c.iov = [2][]byte{head, payload}
+	c.bufs = c.iov[:]
+	_, err = c.bufs.WriteTo(c.conn)
 	if _, ok := ctx.Deadline(); ok {
 		// Clearing a deadline on a dying connection is best-effort.
 		_ = c.conn.SetWriteDeadline(time.Time{})
 	}
 	c.mu.Unlock()
-	putFrameBuf(bp, frame)
+	putFrameBuf(bp, head)
 	if err != nil {
 		tel.sendError()
 		// Drop the cached connection so the next send re-dials.
@@ -419,7 +534,7 @@ func (e *tcpEndpoint) Send(ctx context.Context, to, kind string, hdr Header, pay
 	e.net.messages.Add(1)
 	e.net.bytes.Add(int64(len(payload)))
 	tel.sent(len(payload))
-	tel.frameSent(len(frame))
+	tel.frameSent(len(head) + len(payload))
 	tel.journalSend(e.name, to, kind, hdr.Trace, hdr.Round, len(payload))
 	return nil
 }

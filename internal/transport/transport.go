@@ -65,7 +65,9 @@ type Header struct {
 
 // Message is one datagram between named endpoints. Kind routes it within the
 // receiving protocol (e.g. "mask", "share", "broadcast"); Session, Round and
-// Seq are the envelope receivers demultiplex on.
+// Seq are the envelope receivers demultiplex on. A receiver that is done
+// with a message may Release it, which recycles the pooled buffer a TCP
+// message's Payload aliases.
 type Message struct {
 	From string
 	To   string
@@ -83,6 +85,10 @@ type Message struct {
 	// gives transcripts a total per-sender order.
 	Seq     uint64
 	Payload []byte
+
+	// body is the pooled buffer a TCP frame was read into, which Payload
+	// aliases; nil for in-process messages and after Release.
+	body *[]byte
 }
 
 // Header reconstructs the sender-stamped envelope of the message.

@@ -254,9 +254,10 @@ GOAMD64=v3 go test -count=1 -run 'Twin|Contract|LaneAndOffset|MatchesFMA|Matches
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> fuzz smoke (4 x 10s over the wire codecs and the packed layout)"
+echo "==> fuzz smoke (5 x 10s over the wire codecs, the buffered frame reader and the packed layout)"
 go test -fuzz FuzzFixedpointRoundtrip -fuzztime 10s -run '^$' ./internal/fixedpoint/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/transport/
+go test -fuzz FuzzFrameStream -fuzztime 10s -run '^$' ./internal/transport/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
