@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/fixedpoint"
@@ -262,42 +263,55 @@ func testMapperRoundZeroAlloc(t *testing.T) {
 }
 
 // TestTCPRoundAllocations pins a steady-state distributed round over real
-// sockets to at most one heap allocation: an HL job over loopback TCP, strict
-// rounds, seeded masks, M = 8 and an eval set probed every round. Frame
-// bodies come back from the transport's pools, the header and payload go out
-// in one writev, each mapper decodes every broadcast into one buffer, and
-// the reducer neither builds a filter nor a probe model per round. The count
-// is the difference in the process's allocations between a short and a long
-// job, over the rounds between them, so set-up (listeners, dials, the seed
-// exchange, the mappers' blocks) cancels out.
+// sockets to at most one heap allocation: an HL job over loopback TCP, seeded
+// masks, M = 8 and an eval set probed every round, in strict rounds and in
+// elastic ones (a straggler deadline, so the ready/roster handshake runs every
+// round). Frame bodies come back from the transport's pools, the header and
+// payload go out in one writev, each mapper decodes every broadcast into one
+// buffer, a connection's names and rosters come from its decode memo, the
+// reducer re-arms one receive window per job, and it neither builds a filter
+// nor a probe model nor a ready roster per round. The count is the difference
+// in the process's allocations between a short and a long job, over the
+// rounds between them, so set-up (listeners, dials, the seed exchange, the
+// mappers' blocks) cancels out.
 func TestTCPRoundAllocations(t *testing.T) {
 	if !poolKeeps() {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	train, test := splitAndScale(t, dataset.TwoGaussians("g", 320, 6, 3, 41))
-	mallocs := func(rounds int) float64 {
-		net := transport.NewTCP()
-		defer net.Close()
-		cfg := Config{C: 10, Rho: 50, MaxIterations: rounds, Distributed: true, Network: net, EvalSet: test}
-		parts := horizontalParts(t, train, 8, 3)
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		_, h, err := TrainHorizontalLinear(context.Background(), parts, cfg)
-		runtime.ReadMemStats(&ms1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Iterations != rounds {
-			t.Fatalf("ran %d of %d rounds", h.Iterations, rounds)
-		}
-		return float64(ms1.Mallocs - ms0.Mallocs)
-	}
-	const r1, r2 = 50, 450
-	mallocs(r1) // the runtime's own first-use allocations
-	perRound := (mallocs(r2) - mallocs(r1)) / (r2 - r1)
-	t.Logf("%.2f allocations per steady-state round", perRound)
-	if perRound > 1 {
-		t.Errorf("a steady-state TCP round allocated %.2f times, want at most 1", perRound)
+	for _, tc := range []struct {
+		name      string
+		straggler time.Duration
+	}{
+		{"strict", 0},
+		{"elastic", 5 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mallocs := func(rounds int) float64 {
+				net := transport.NewTCP()
+				defer net.Close()
+				cfg := Config{C: 10, Rho: 50, MaxIterations: rounds, Distributed: true, Network: net, EvalSet: test, StragglerTimeout: tc.straggler}
+				parts := horizontalParts(t, train, 8, 3)
+				var ms0, ms1 runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms0)
+				_, h, err := TrainHorizontalLinear(context.Background(), parts, cfg)
+				runtime.ReadMemStats(&ms1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.Iterations != rounds {
+					t.Fatalf("ran %d of %d rounds", h.Iterations, rounds)
+				}
+				return float64(ms1.Mallocs - ms0.Mallocs)
+			}
+			const r1, r2 = 50, 450
+			mallocs(r1) // the runtime's own first-use allocations
+			perRound := (mallocs(r2) - mallocs(r1)) / (r2 - r1)
+			t.Logf("%.2f allocations per steady-state round", perRound)
+			if perRound > 1 {
+				t.Errorf("a steady-state %s TCP round allocated %.2f times, want at most 1", tc.name, perRound)
+			}
+		})
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/ppml-go/ppml/internal/securesum"
@@ -144,6 +145,7 @@ type engine struct {
 	want  string
 	stamp transport.Roster
 	phase transport.Filter
+	win   *recvWindow // the receive window under a straggler deadline; nil without one
 }
 
 // sessionEnv is what the Reducer and every Mapper of one job share.
@@ -199,12 +201,122 @@ func (e *engine) accept(m transport.Message) transport.Verdict {
 	return transport.Drop
 }
 
-// window opens one receive window of length d (none when d is zero).
-func window(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
+// recvWindow is the Reducer's receive window under a straggler deadline: one
+// context.Context for the whole job, re-armed at the start of every receive
+// phase, where a context.WithTimeout per phase would allocate its context,
+// timer and done channel twice a round. It holds one timer, reset on each
+// arm, follows the job's context through one context.AfterFunc, and makes a
+// new done channel only after a window has actually expired. Err is
+// context.DeadlineExceeded when the window expired and the job's error once
+// the job's context ended, so expired tells the two apart as it would for a
+// context.WithTimeout.
+type recvWindow struct {
+	job     context.Context
+	stopJob func() bool // unregisters the AfterFunc on job
+
+	mu       sync.Mutex
+	timer    *time.Timer // nil until the first arm
+	deadline time.Time   // of the current arm
+	done     chan struct{}
+	err      error
+	disarmed bool
+}
+
+func newRecvWindow(job context.Context) *recvWindow {
+	w := &recvWindow{job: job, done: make(chan struct{})}
+	w.stopJob = context.AfterFunc(job, w.end)
+	return w
+}
+
+// arm opens a window of length d: the timer is reset, and a window that
+// expired gets a new done channel. Once the job's context has ended, the
+// window stays closed with the job's error.
+func (w *recvWindow) arm(d time.Duration) context.Context {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		if err := w.job.Err(); err != nil {
+			w.err = err
+			return w
+		}
+		w.done, w.err = make(chan struct{}), nil
 	}
-	return context.WithTimeout(ctx, d)
+	w.deadline = time.Now().Add(d)
+	if w.timer == nil {
+		w.timer = time.AfterFunc(d, w.expire)
+	} else {
+		w.timer.Reset(d)
+	}
+	return w
+}
+
+// disarm releases the timer and the AfterFunc registration when the job
+// ends; the window never fires after it.
+func (w *recvWindow) disarm() {
+	w.stopJob()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.disarmed = true
+	if w.timer != nil {
+		w.timer.Stop()
+	}
+}
+
+// expire is the timer's function. A fire of a superseded arm that Reset came
+// too late to stop runs before the current arm's deadline, and closes nothing.
+func (w *recvWindow) expire() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.disarmed && !time.Now().Before(w.deadline) {
+		w.close(context.DeadlineExceeded)
+	}
+}
+
+// end is the AfterFunc on the job's context.
+func (w *recvWindow) end() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.close(w.job.Err())
+}
+
+func (w *recvWindow) close(err error) {
+	if w.err == nil {
+		w.err = err
+		close(w.done)
+	}
+}
+
+func (w *recvWindow) Deadline() (time.Time, bool) {
+	w.mu.Lock()
+	dl := w.deadline
+	w.mu.Unlock()
+	if job, ok := w.job.Deadline(); ok && job.Before(dl) {
+		return job, true
+	}
+	return dl, !dl.IsZero()
+}
+
+func (w *recvWindow) Done() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.done
+}
+
+func (w *recvWindow) Err() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}
+
+func (w *recvWindow) Value(key any) any { return w.job.Value(key) }
+
+// window opens a receive window of length d: the job's window, re-armed, or
+// without a straggler deadline the job's context itself.
+func (e *engine) window(ctx context.Context, d time.Duration) context.Context {
+	if e.win == nil {
+		return ctx
+	}
+	return e.win.arm(d)
 }
 
 // expired reports whether err is the receive window closing, as opposed to
@@ -226,6 +338,13 @@ func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 	// Per-session scratch, reused every round so the reduce hot loop does not
 	// allocate.
 	e.scratch.reach, e.scratch.got = transport.NewRoster(m), make([]bool, m)
+	if e.handshake {
+		e.scratch.ready = transport.NewRoster(m)
+	}
+	if e.deadline > 0 {
+		e.win = newRecvWindow(ctx)
+		defer e.win.disarm()
+	}
 	stale := staleRoundFilter(e.session, &e.round)
 	evictor, _ := e.ep.(transport.Evictor)
 	e.phase = e.accept
@@ -402,10 +521,12 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 // on. eligible is consumed: aborting mappers are struck from it.
 func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, first time.Duration) (transport.Roster, error) {
 	r := e.round
-	roster := transport.NewRoster(len(e.names))
+	roster := e.scratch.ready
+	for i := range roster {
+		roster[i] = 0
+	}
 	e.want, e.stamp = KindReady, nil
-	wctx, cancel := window(ctx, first)
-	defer func() { cancel() }()
+	wctx := e.window(ctx, first)
 	for rearms := 0; roster.Count() < eligible.Count(); {
 		msg, err := e.ep.RecvMatch(wctx, e.phase)
 		if err != nil {
@@ -418,8 +539,7 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 				break // the deadline IS the roster declaration
 			}
 			rearms++
-			cancel()
-			wctx, cancel = window(ctx, e.deadline)
+			wctx = e.window(ctx, e.deadline)
 			continue
 		}
 		id, ok := e.idOf[msg.From]
@@ -516,8 +636,7 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 		got[i] = false
 	}
 	e.want, e.stamp = e.fold.kind(), stamp
-	wctx, cancel := window(ctx, e.deadline)
-	defer func() { cancel() }()
+	wctx := e.window(ctx, e.deadline)
 	collected, rearms := 0, 0
 	for collected < roster.Count() {
 		msg, err := e.ep.RecvMatch(wctx, e.phase)
@@ -536,8 +655,7 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 			if collected < e.quorum && rearms < maxStuckAttempts {
 				rearms++
 				e.journal.Emit(reducerName, "window.rearm", e.trace, r, "", "", 0, float64(rearms))
-				cancel()
-				wctx, cancel = window(ctx, e.deadline)
+				wctx = e.window(ctx, e.deadline)
 				continue
 			}
 			// Demote whoever went silent.

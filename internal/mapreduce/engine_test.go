@@ -2,7 +2,9 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -188,4 +190,120 @@ func TestEngineConformance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecvWindow pins the Reducer's reusable receive window against what a
+// context.WithTimeout per phase gave: an expired window reads
+// DeadlineExceeded, which expired takes for the window; a window whose job
+// ended reads the job's error, which expired does not; a re-armed window is
+// open again; a fire of a superseded arm closes nothing; and after disarm
+// neither the timer nor the job's end reaches the window.
+func TestRecvWindow(t *testing.T) {
+	waitClosed := func(t *testing.T, ctx context.Context) {
+		t.Helper()
+		select {
+		case <-ctx.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatal("the window never closed")
+		}
+	}
+	isOpen := func(ctx context.Context) bool {
+		select {
+		case <-ctx.Done():
+			return false
+		default:
+			return ctx.Err() == nil
+		}
+	}
+
+	t.Run("expiry and re-arm", func(t *testing.T) {
+		job := context.Background()
+		w := newRecvWindow(job)
+		defer w.disarm()
+		wctx := w.arm(time.Millisecond)
+		waitClosed(t, wctx)
+		if err := wctx.Err(); !errors.Is(err, context.DeadlineExceeded) || !expired(job, err) {
+			t.Fatalf("an expired window: err %v, expired %v", err, expired(job, err))
+		}
+		if wctx = w.arm(time.Hour); !isOpen(wctx) {
+			t.Fatalf("a window re-armed after its expiry is closed: %v", wctx.Err())
+		}
+		// A fire of the expired arm that Reset came too late to stop.
+		w.expire()
+		if !isOpen(wctx) {
+			t.Fatalf("a superseded arm's fire closed the re-armed window: %v", wctx.Err())
+		}
+	})
+
+	t.Run("job ends", func(t *testing.T) {
+		job, cancel := context.WithCancel(context.Background())
+		w := newRecvWindow(job)
+		defer w.disarm()
+		wctx := w.arm(time.Hour)
+		cancel()
+		waitClosed(t, wctx)
+		if err := wctx.Err(); !errors.Is(err, context.Canceled) || expired(job, err) {
+			t.Fatalf("a window whose job ended: err %v, expired %v", err, expired(job, err))
+		}
+		if err := w.arm(time.Hour).Err(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("a window armed after its job ended: err %v, want the job's", err)
+		}
+	})
+
+	t.Run("job ends after an expiry", func(t *testing.T) {
+		job, cancel := context.WithCancel(context.Background())
+		w := newRecvWindow(job)
+		defer w.disarm()
+		waitClosed(t, w.arm(time.Millisecond))
+		cancel()
+		if err := w.arm(time.Hour).Err(); !errors.Is(err, context.Canceled) || expired(job, err) {
+			t.Fatalf("re-armed after an expiry and the job's end: err %v, want the job's", err)
+		}
+	})
+
+	t.Run("disarm", func(t *testing.T) {
+		job, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		w := newRecvWindow(job)
+		const d = 200 * time.Millisecond
+		wctx := w.arm(d)
+		w.disarm()
+		cancel()
+		time.Sleep(d + 50*time.Millisecond)
+		w.expire() // past the deadline: only the disarm holds it
+		if !isOpen(wctx) {
+			t.Fatalf("a disarmed window closed: %v", wctx.Err())
+		}
+	})
+
+	t.Run("concurrent re-arms", func(t *testing.T) {
+		job := context.Background()
+		w := newRecvWindow(job)
+		defer w.disarm()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-w.Done():
+					if err := w.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+						t.Errorf("an expired window reads %v", err)
+						return
+					}
+				}
+			}
+		}()
+		for i := 0; i < 200; i++ {
+			w.arm(time.Duration(i%3) * 100 * time.Microsecond)
+			if i%20 == 0 {
+				waitClosed(t, w)
+			}
+		}
+		close(stop)
+		wg.Wait()
+	})
 }

@@ -26,7 +26,7 @@ type folder interface {
 }
 
 // reduceScratch is the Reducer's per-session reuse state: the broadcast
-// encoding, the round's reach set and delivery marks, the share decode
+// encoding, the round's reach set, ready roster and delivery marks, the share decode
 // buffers (ring words for masked shares, floats for plain ones) and the
 // aggregate. The broadcast bytes are shared with every mapper they
 // reach, each of which decodes them before it shares: round r+1 overwrites
@@ -35,6 +35,7 @@ type reduceScratch struct {
 	bcast    []byte
 	lent     bool
 	reach    transport.Roster
+	ready    transport.Roster
 	got      []bool
 	shareBuf []uint64
 	plainBuf []float64

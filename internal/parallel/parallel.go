@@ -110,29 +110,38 @@ func For(n, grain int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	var next atomic.Int64
-	claim := func() {
-		for {
-			b := int(next.Add(1)) - 1
-			if b >= blocks {
-				return
-			}
-			lo := b * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
+	d := &dispatch{n: n, grain: grain, blocks: blocks, fn: fn}
+	d.wg.Add(w - 1)
 	for i := 1; i < w; i++ {
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
+		go d.worker()
 	}
-	claim()
-	wg.Wait()
+	d.claim()
+	d.wg.Wait()
+}
+
+// dispatch is one parallel For call's shared state: the block counter its
+// goroutines claim from and the group the caller waits on, in one heap object
+// for the whole call.
+type dispatch struct {
+	next             atomic.Int64
+	wg               sync.WaitGroup
+	n, grain, blocks int
+	fn               func(lo, hi int)
+}
+
+// claim runs blocks off the counter until none is left.
+func (d *dispatch) claim() {
+	for {
+		b := int(d.next.Add(1)) - 1
+		if b >= d.blocks {
+			return
+		}
+		lo := b * d.grain
+		d.fn(lo, min(lo+d.grain, d.n))
+	}
+}
+
+func (d *dispatch) worker() {
+	defer d.wg.Done()
+	d.claim()
 }

@@ -127,3 +127,19 @@ func TestSetThreshold(t *testing.T) {
 	}
 	SetThreshold(orig)
 }
+
+// TestForDispatchAllocations pins what a pooled For call allocates: the
+// caller's fn closure, the one dispatch its goroutines share (counter and
+// wait group), and the closure of the go statement that starts the second
+// worker.
+func TestForDispatchAllocations(t *testing.T) {
+	prev := SetWorkers(2)
+	defer SetWorkers(prev)
+	var total atomic.Int64
+	n := 64
+	if allocs := testing.AllocsPerRun(100, func() {
+		For(n, 1, func(lo, hi int) { total.Add(int64(hi - lo + n)) })
+	}); allocs != 3 {
+		t.Errorf("a For call on 2 workers allocated %v times, want 3", allocs)
+	}
+}

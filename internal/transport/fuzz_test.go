@@ -34,7 +34,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{frameVersion})
 	f.Add([]byte{frameVersion + 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		msg, err := decodeFrame(body, new(frameNames))
+		msg, err := decodeFrame(body, new(frameMemo))
 		if err != nil {
 			return
 		}
@@ -59,13 +59,41 @@ func FuzzWireDecode(f *testing.F) {
 // prefix alone, up to maxFrameBytes and beyond it, buys a peer nothing.
 func FuzzFrameStream(f *testing.F) {
 	var stream []byte
+	var err error
 	for _, msg := range []*Message{
 		{From: "reducer", To: "mapper-0", Kind: "mr.broadcast", Session: 3, Round: 1, Seq: 1, Payload: bytes.Repeat([]byte{7}, 88)},
 		{From: "reducer", To: "mapper-0", Kind: "mr.roster", Session: 3, Round: 1, Seq: 2, Roster: Roster{0b111}},
 		{From: "reducer", To: "mapper-0", Kind: "mr.stop", Session: 3, Round: 2, Seq: 3},
 	} {
-		var err error
 		if stream, err = appendFrame(stream, msg); err != nil {
+			f.Fatal(err)
+		}
+	}
+	// Two connections of an elastic round, kinds and rosters alternating: the
+	// decode memo's hits (a repeated kind or roster) and its misses (a
+	// shrunk roster, a sixth kind evicting the oldest).
+	var reducerIn, mapperIn []byte
+	full, shrunk := Roster{0b1111}, Roster{0b0111}
+	for r, roster := range []Roster{full, full, shrunk, full} {
+		for _, msg := range []*Message{
+			{From: "mapper-2", To: "reducer", Kind: "mr.ready", Session: 3, Round: int32(r)},
+			{From: "mapper-2", To: "reducer", Kind: "securesum.share", Session: 3, Round: int32(r), Roster: roster, Payload: []byte{1, 2, 3}},
+		} {
+			if reducerIn, err = appendFrame(reducerIn, msg); err != nil {
+				f.Fatal(err)
+			}
+		}
+		for _, msg := range []*Message{
+			{From: "reducer", To: "mapper-2", Kind: "mr.broadcast", Session: 3, Round: int32(r), Payload: []byte{4, 5}},
+			{From: "reducer", To: "mapper-2", Kind: "mr.roster", Session: 3, Round: int32(r), Roster: roster},
+		} {
+			if mapperIn, err = appendFrame(mapperIn, msg); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	for _, kind := range []string{"k1", "k2", "k3", "k4", "mr.broadcast", "mr.roster"} {
+		if mapperIn, err = appendFrame(mapperIn, &Message{From: "reducer", To: "mapper-2", Kind: kind, Roster: shrunk}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -74,6 +102,8 @@ func FuzzFrameStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(stream)
+	f.Add(reducerIn)
+	f.Add(mapperIn)
 	f.Add(stream[:len(stream)-1]) // the peer died mid-frame
 	f.Add(append(stream[:4:4], 0xff))
 	f.Add(large)
@@ -83,13 +113,13 @@ func FuzzFrameStream(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		br := bufio.NewReaderSize(bytes.NewReader(stream), readBufSize)
-		var names, refNames frameNames
+		var memo, refMemo frameMemo
 		var ms0, ms1 runtime.MemStats
 		budget := uint64(64 << 10) // names, errors, the reader's first fill
 		runtime.ReadMemStats(&ms0)
 		rest := stream
 		for {
-			msg, n, err := readFrame(br, &names)
+			msg, n, err := readFrame(br, &memo)
 			// The reference: does rest start with a complete, well-formed frame?
 			size := -1
 			if len(rest) >= 4 {
@@ -99,7 +129,7 @@ func FuzzFrameStream(f *testing.F) {
 			whole := size >= 0 && size <= maxFrameBytes && len(rest)-4 >= size
 			if whole {
 				var err error
-				ref, err = decodeFrame(rest[4:4+size], &refNames)
+				ref, err = decodeFrame(rest[4:4+size], &refMemo)
 				whole = err == nil
 			}
 			if err != nil {

@@ -134,7 +134,7 @@ func TestFrameRosterRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeFrame(frame[4:], new(frameNames))
+	got, err := decodeFrame(frame[4:], new(frameMemo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFrameRosterWordBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%d-word roster: %v", len(widest), err)
 	}
-	got, err := decodeFrame(frame[4:], new(frameNames))
+	got, err := decodeFrame(frame[4:], new(frameMemo))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,9 +286,9 @@ const readBufSize = 4096
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, readBufSize)
-	var names frameNames
+	var memo frameMemo
 	for {
-		msg, n, err := readFrame(br, &names)
+		msg, n, err := readFrame(br, &memo)
 		if err != nil {
 			// The peer closed or died mid-frame, or sent an oversized,
 			// wrong-version or malformed frame: a hostile or corrupt stream.
@@ -311,7 +311,7 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 // as its bytes arrive (readLarge). An advertised length above maxFrameBytes
 // fails before anything is allocated. The caller ends the connection on any
 // error, and a body whose read or decode failed never goes back to a pool.
-func readFrame(br *bufio.Reader, names *frameNames) (Message, int, error) {
+func readFrame(br *bufio.Reader, memo *frameMemo) (Message, int, error) {
 	prefix, err := br.Peek(4)
 	if err != nil {
 		return Message{}, 0, err
@@ -336,7 +336,7 @@ func readFrame(br *bufio.Reader, names *frameNames) (Message, int, error) {
 	}
 	// decodeFrame aliases the payload into the body, which sits in the inbox
 	// or the reorder buffer for as long as the message does.
-	msg, err := decodeFrame(body, names)
+	msg, err := decodeFrame(body, memo)
 	if err != nil {
 		return Message{}, 0, err
 	}
@@ -411,16 +411,62 @@ func appendFrameHeader(dst []byte, msg *Message) ([]byte, error) {
 	return b, nil
 }
 
-// frameNames holds the From, To and Kind strings of the last frame a
-// connection decoded. A connection carries one sender's traffic, so a frame's
-// names nearly always repeat the previous frame's, and decodeFrame then reuses
-// the strings instead of allocating them again.
-type frameNames [3]string
+// nameWays is how many recent strings a frameMemo keeps per name position. A
+// connection alternates between a few kinds — ready and share at the Reducer,
+// broadcast and roster at a mapper — and each should find its string there.
+const nameWays = 4
+
+// frameMemo is one inbound connection's decode memo. A connection carries one
+// sender's traffic, so a frame's From, To and Kind are nearly always among the
+// last few the connection decoded, and its roster the last roster it decoded:
+// decodeFrame then hands out the memo's strings and roster instead of
+// allocating them again.
+type frameMemo struct {
+	names [3][nameWays]string // per position (From, To, Kind), replaced oldest first
+	next  [3]int              // the way the next miss at each position replaces
+	// roster is the last roster decoded. It has been handed out, so it is
+	// never written: a changed roster gets a new slice.
+	roster Roster
+}
+
+// name returns the string of b at name position pos: a remembered one equal to
+// it, or a copy, which replaces the position's oldest.
+func (f *frameMemo) name(pos int, b []byte) string {
+	for _, s := range f.names[pos] {
+		if string(b) == s {
+			return s
+		}
+	}
+	s := string(b)
+	f.names[pos][f.next[pos]] = s
+	f.next[pos] = (f.next[pos] + 1) % nameWays
+	return s
+}
+
+// rosterOf returns the roster of the words big-endian words in b: the last
+// one decoded if every word equals it, else a new slice, then remembered.
+func (f *frameMemo) rosterOf(b []byte, words int) Roster {
+	if len(f.roster) == words {
+		i := 0
+		for i < words && f.roster[i] == binary.BigEndian.Uint64(b[8*i:]) {
+			i++
+		}
+		if i == words {
+			return f.roster
+		}
+	}
+	r := make(Roster, words)
+	for i := range r {
+		r[i] = binary.BigEndian.Uint64(b[8*i:])
+	}
+	f.roster = r
+	return r
+}
 
 // decodeFrame parses one frame body (the bytes after the length prefix). The
-// payload aliases body; a name equal to the one in names at its place is that
-// string, and any other is copied out and recorded there.
-func decodeFrame(body []byte, names *frameNames) (Message, error) {
+// payload aliases body; the names and the roster come from memo where it
+// holds equal ones, and are recorded there where it does not.
+func decodeFrame(body []byte, memo *frameMemo) (Message, error) {
 	if len(body) < frameFixedHeader {
 		return Message{}, fmt.Errorf("%w: %d-byte frame", ErrBadFrame, len(body))
 	}
@@ -443,10 +489,7 @@ func decodeFrame(body []byte, names *frameNames) (Message, error) {
 		return Message{}, fmt.Errorf("%w: truncated roster", ErrBadFrame)
 	}
 	if words > 0 {
-		msg.Roster = make(Roster, words)
-		for i := range msg.Roster {
-			msg.Roster[i] = binary.BigEndian.Uint64(rest[8*i:])
-		}
+		msg.Roster = memo.rosterOf(rest, words)
 		rest = rest[8*words:]
 	}
 	for i, dst := range []*string{&msg.From, &msg.To, &msg.Kind} {
@@ -461,10 +504,7 @@ func decodeFrame(body []byte, names *frameNames) (Message, error) {
 		if len(rest) < l {
 			return Message{}, fmt.Errorf("%w: truncated name", ErrBadFrame)
 		}
-		if string(rest[:l]) != names[i] {
-			names[i] = string(rest[:l])
-		}
-		*dst = names[i]
+		*dst = memo.name(i, rest[:l])
 		rest = rest[l:]
 	}
 	if len(rest) > 0 {

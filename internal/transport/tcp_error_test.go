@@ -217,7 +217,7 @@ func TestFrameRejectsVersion5(t *testing.T) {
 	v5 := append([]byte{5}, body[1:13]...) // session, round
 	v5 = binary.BigEndian.AppendUint32(v5, 1)
 	v5 = append(v5, body[13:]...)
-	if _, err := decodeFrame(v5, new(frameNames)); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeFrame(v5, new(frameMemo)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("version-5 frame: err = %v, want ErrBadFrame", err)
 	}
 }

@@ -65,7 +65,7 @@ func TestFrameTraceRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeFrame(frame[4:], new(frameNames))
+	got, err := decodeFrame(frame[4:], new(frameMemo))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,9 @@ type Message struct {
 	Session uint64
 	Round   int32
 	// Roster is the participation set copied from the sender's Header; nil
-	// when the message carries none.
+	// when the message carries none. A received roster is read-only: the TCP
+	// transport hands the same slice to every frame of a connection that
+	// carries the same roster.
 	Roster Roster
 	// Trace is the trace identity copied from the sender's Header.
 	Trace telemetry.TraceID

@@ -516,20 +516,24 @@ func TestFrameRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := frame[4:]
-	if _, err := decodeFrame(body, new(frameNames)); err != nil {
+	if _, err := decodeFrame(body, new(frameMemo)); err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
 	bad := append([]byte(nil), body...)
 	bad[0] = frameVersion + 1
-	if _, err := decodeFrame(bad, new(frameNames)); !errors.Is(err, ErrBadFrame) {
+	if _, err := decodeFrame(bad, new(frameMemo)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("future-version frame: err = %v, want ErrBadFrame", err)
 	}
 }
 
-// TestDecodeFrameReusesNames pins the receive path's name reuse: a frame whose
-// From, To and Kind repeat the previous frame's on the same connection takes
-// its strings from frameNames, so decoding it allocates nothing (the payload
-// aliases the body), and a changed name is copied out and recorded.
+// TestDecodeFrameReusesNames pins the receive path's decode memo: a frame
+// whose From, To and Kind are among the last few its connection decoded, and
+// whose roster equals the last one, takes its strings and roster from the
+// memo, so decoding it allocates nothing (the payload aliases the body). That
+// holds when a connection's kinds alternate, as ready and share do at the
+// Reducer and broadcast and roster at a mapper. A new name is copied out and
+// recorded, and a changed roster is a new slice: one already handed out is
+// never written.
 func TestDecodeFrameReusesNames(t *testing.T) {
 	encode := func(msg *Message) []byte {
 		t.Helper()
@@ -539,26 +543,81 @@ func TestDecodeFrameReusesNames(t *testing.T) {
 		}
 		return frame[4:]
 	}
-	first := encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.share", Round: 1, Payload: []byte{1, 2}})
-	second := encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.share", Round: 2, Payload: []byte{3, 4, 5}})
-	var names frameNames
-	if _, err := decodeFrame(first, &names); err != nil {
-		t.Fatal(err)
-	}
-	var msg Message
-	if n := testing.AllocsPerRun(100, func() {
-		var err error
-		if msg, err = decodeFrame(second, &names); err != nil {
-			t.Fatal(err)
+	full := Roster{0b1111_1111}
+	decodeAll := func(t *testing.T, memo *frameMemo, frames [][]byte) []Message {
+		t.Helper()
+		msgs := make([]Message, len(frames))
+		for i, f := range frames {
+			var err error
+			if msgs[i], err = decodeFrame(f, memo); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); n != 0 {
-		t.Errorf("a same-named frame: %.0f allocations per decode, want 0", n)
+		return msgs
 	}
-	if msg.From != "mapper-3" || msg.To != "reducer" || msg.Kind != "securesum.share" || msg.Round != 2 || !bytes.Equal(msg.Payload, []byte{3, 4, 5}) {
-		t.Fatalf("decoded %+v", msg)
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte
+	}{
+		{"same names", [][]byte{
+			encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.share", Round: 2, Payload: []byte{3, 4, 5}}),
+		}},
+		{"ready/share at the reducer", [][]byte{
+			encode(&Message{From: "mapper-3", To: "reducer", Kind: "mr.ready", Round: 2}),
+			encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.share", Round: 2, Roster: full, Payload: []byte{3, 4, 5}}),
+		}},
+		{"broadcast/roster at a mapper", [][]byte{
+			encode(&Message{From: "reducer", To: "mapper-3", Kind: "mr.broadcast", Round: 2, Payload: []byte{6, 7}}),
+			encode(&Message{From: "reducer", To: "mapper-3", Kind: "mr.roster", Round: 2, Roster: full}),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var memo frameMemo
+			want := decodeAll(t, &memo, tc.frames) // the first decode of each records it
+			var got []Message
+			if n := testing.AllocsPerRun(100, func() {
+				got = got[:0]
+				for _, f := range tc.frames {
+					msg, err := decodeFrame(f, &memo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, msg)
+				}
+			}); n != 0 {
+				t.Errorf("%.0f allocations per %d decodes, want 0", n, len(tc.frames))
+			}
+			for i, msg := range got {
+				w := want[i]
+				if msg.From != w.From || msg.To != w.To || msg.Kind != w.Kind || msg.Round != w.Round ||
+					!msg.Roster.Equal(w.Roster) || !bytes.Equal(msg.Payload, w.Payload) {
+					t.Fatalf("frame %d decoded as %+v, want %+v", i, msg, w)
+				}
+				if len(w.Roster) > 0 && &msg.Roster[0] != &w.Roster[0] {
+					t.Errorf("frame %d: a repeated roster decoded into a new slice", i)
+				}
+			}
+		})
 	}
-	third := encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.seed"})
-	if msg, err := decodeFrame(third, &names); err != nil || msg.Kind != "securesum.seed" || names[2] != "securesum.seed" {
-		t.Fatalf("a changed kind: decoded %q, recorded %q, err %v", msg.Kind, names[2], err)
+
+	var memo frameMemo
+	share := func(roster Roster) []byte {
+		return encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.share", Roster: roster})
+	}
+	first := decodeAll(t, &memo, [][]byte{share(full)})[0]
+	shrunk := decodeAll(t, &memo, [][]byte{share(Roster{0b0111_1111})})[0]
+	if !first.Roster.Equal(full) || !shrunk.Roster.Equal(Roster{0b0111_1111}) {
+		t.Fatalf("a changed roster: the earlier message holds %v, the later %v", first.Roster, shrunk.Roster)
+	}
+	seed := decodeAll(t, &memo, [][]byte{encode(&Message{From: "mapper-3", To: "reducer", Kind: "securesum.seed"})})[0]
+	if seed.Kind != "securesum.seed" || seed.Roster != nil {
+		t.Fatalf("a changed kind: decoded %+v", seed)
+	}
+	var recorded bool
+	for _, s := range memo.names[2] {
+		recorded = recorded || s == "securesum.seed"
+	}
+	if !recorded {
+		t.Fatalf("a changed kind is not recorded: %q", memo.names[2])
 	}
 }
