@@ -271,9 +271,9 @@ func printElastic(ctx context.Context, opts experiments.Options) (*experiments.E
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("# Elastic rounds: demote-and-continue vs abort-and-restart, M=%d, %d rounds of %.0fms work, straggler from round %d, timeout %.0fms, write-off after %d\n",
+	fmt.Printf("# Elastic rounds: demote-and-continue vs abort-and-restart, M=%d, %d rounds of %.0fms work, straggler from round %d, timeout %.0fms\n",
 		report.Learners, report.Rounds, report.WorkMs, report.FaultAtRound,
-		report.StragglerTimeoutMs, report.WriteOffAfter)
+		report.StragglerTimeoutMs)
 	fmt.Println("delay_ms\tdemote_total_ms\tdemote_round_ms\tdemotions\tabort_total_ms\tabort_round_ms\trestarted\tspeedup")
 	for _, p := range report.Points {
 		fmt.Printf("%.0f\t%.1f\t%.2f\t%d\t%.1f\t%.2f\t%t\t%.2fx\n",
@@ -295,16 +295,17 @@ func printAsync(ctx context.Context, opts experiments.Options) (*experiments.Asy
 	fmt.Printf("# Async rounds: bulk-synchronous vs bounded-staleness (S=%d, decay %.2f, chunks %d rows), M=%d, send jitter %g/%gms tail p=%g, straggler window %gms\n",
 		report.Staleness, report.StalenessDecay, report.ChunkRows, report.Learners,
 		report.JitterBaseMs, report.JitterTailMs, report.JitterTailProb, report.StragglerMs)
-	fmt.Println("scheme\tmode\titerations\tseconds\taccuracy\ttarget\titer_to_target\tsec_to_target\tmean_staleness\tspeedup")
+	fmt.Println("scheme\tmode\titerations\tseconds\taccuracy\ttarget\titer_to_target\tsec_to_target\tmean_staleness\tdemotions\trejoins\ttimeouts\tspeedup")
 	for _, s := range report.Schemes {
 		for _, r := range []experiments.AsyncRun{s.Sync, s.Async} {
 			speedup := "-"
 			if r.Mode == "async" {
 				speedup = fmt.Sprintf("%.2fx", s.Speedup)
 			}
-			fmt.Printf("%s\t%s\t%d\t%.2f\t%.3f\t%.3f\t%d\t%.3f\t%.2f\t%s\n",
+			fmt.Printf("%s\t%s\t%d\t%.2f\t%.3f\t%.3f\t%d\t%.3f\t%.2f\t%d\t%d\t%d\t%s\n",
 				s.Scheme, r.Mode, r.Iterations, r.Seconds, r.Accuracy, s.TargetAccuracy,
-				r.IterationsToTarget, r.SecondsToTarget, r.MeanStaleness, speedup)
+				r.IterationsToTarget, r.SecondsToTarget, r.MeanStaleness,
+				r.Demotions, r.Rejoins, r.Timeouts, speedup)
 		}
 	}
 	fmt.Printf("minibatch reproducibility: run1 %s run2 %s equal=%t\n",

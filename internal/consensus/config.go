@@ -101,7 +101,8 @@ type Config struct {
 	Network transport.Network
 	// StragglerTimeout (distributed mode) makes rounds elastic (demote-and-
 	// continue): a learner that misses the deadline is demoted for the
-	// round instead of stalling the job, and rejoins when it catches up. The
+	// round instead of stalling the job, and rejoins the first of rounds
+	// d+1, d+2, d+4, … after its demotion at round d it answers in time. The
 	// consensus reducers scale their M-dependent coefficients to the weight
 	// the engine announces for the round — the live roster's size. Zero keeps
 	// membership fixed: a round waits until it completes or the context

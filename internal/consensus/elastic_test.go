@@ -23,13 +23,10 @@ import (
 
 // chaosCluster arms cfg for the elastic driver over a fault-injected in-proc
 // network, under seeded masks (the only masks elastic rounds run; each kill
-// scenario is the "seeded" subtest). The Reducer's sends are paced so the
-// iteration budget outlives the scheduled murders — otherwise a fast run
-// would finish before the fault lands and the test would assert nothing.
+// scenario is the "seeded" subtest).
 func chaosCluster(cfg Config) (Config, *transport.Chaos, *telemetry.Registry) {
 	reg := telemetry.NewRegistry()
 	ch := transport.NewChaos(transport.NewInProc())
-	ch.Delay("reducer", 4*time.Millisecond)
 	cfg.Distributed = true
 	cfg.Network = ch
 	cfg.StragglerTimeout = 60 * time.Millisecond
@@ -37,27 +34,29 @@ func chaosCluster(cfg Config) (Config, *transport.Chaos, *telemetry.Registry) {
 	return cfg, ch, reg
 }
 
-// killAt schedules a both-ways kill of the named endpoints. The caller stops
-// the timer on exit so a fast failure does not leak it.
-func killAt(t *testing.T, ch *transport.Chaos, at time.Duration, names ...string) {
-	t.Helper()
-	timer := time.AfterFunc(at, func() {
+// The rounds the chaos scenarios kill and heal their learners in: faults keyed
+// to the round stamp land mid-training on every run, however fast the box.
+const (
+	killRound = 5
+	healRound = 15
+)
+
+// killAt cuts the named endpoints off both ways from round r on.
+func killAt(ch *transport.Chaos, r int32, names ...string) {
+	ch.AtRound(r, func() {
 		for _, n := range names {
 			ch.Kill(n)
 		}
 	})
-	t.Cleanup(func() { timer.Stop() })
 }
 
 // healAt is killAt's inverse, for the transient-death scenarios.
-func healAt(t *testing.T, ch *transport.Chaos, at time.Duration, names ...string) {
-	t.Helper()
-	timer := time.AfterFunc(at, func() {
+func healAt(ch *transport.Chaos, r int32, names ...string) {
+	ch.AtRound(r, func() {
 		for _, n := range names {
 			ch.Heal(n)
 		}
 	})
-	t.Cleanup(func() { timer.Stop() })
 }
 
 type decider interface{ Decision(x []float64) float64 }
@@ -124,7 +123,13 @@ func assertProbedEveryRound(t *testing.T, h *History) {
 	}
 }
 
-func TestElasticChaosKillHorizontalLinear(t *testing.T) {
+// Each chaos scenario trains its chaos job in subtest "seeded" and returns how
+// long that job took on the clock it ran under: the wall clock in these
+// tests, a synctest bubble's fake clock in chaos_synctest_test.go.
+
+func TestElasticChaosKillHorizontalLinear(t *testing.T) { chaosKillHorizontalLinear(t) }
+
+func chaosKillHorizontalLinear(t *testing.T) (took time.Duration) {
 	d := dataset.TwoGaussians("g", 480, 4, 3, 61)
 	train, test := splitAndScale(t, d)
 	base := Config{C: 10, Rho: 50, MaxIterations: 30}
@@ -134,8 +139,10 @@ func TestElasticChaosKillHorizontalLinear(t *testing.T) {
 	}
 	t.Run("seeded", func(t *testing.T) {
 		cfg, ch, reg := chaosCluster(base)
-		killAt(t, ch, 150*time.Millisecond, "mapper-5", "mapper-6")
+		killAt(ch, killRound, "mapper-5", "mapper-6")
+		start := time.Now()
 		model, h, err := TrainHorizontalLinear(chaosCtx(t), horizontalParts(t, train, 8, 3), cfg)
+		took = time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,9 +151,12 @@ func TestElasticChaosKillHorizontalLinear(t *testing.T) {
 		}
 		assertChaosOutcome(t, reg, clean, model, test, 2, 0)
 	})
+	return took
 }
 
-func TestElasticChaosKillHorizontalKernel(t *testing.T) {
+func TestElasticChaosKillHorizontalKernel(t *testing.T) { chaosKillHorizontalKernel(t) }
+
+func chaosKillHorizontalKernel(t *testing.T) (took time.Duration) {
 	d := dataset.TwoGaussians("g", 240, 3, 3, 17)
 	train, test := splitAndScale(t, d)
 	base := Config{C: 10, Rho: 20, MaxIterations: 25, Kernel: kernel.RBF{Gamma: 0.5}}
@@ -156,16 +166,21 @@ func TestElasticChaosKillHorizontalKernel(t *testing.T) {
 	}
 	t.Run("seeded", func(t *testing.T) {
 		cfg, ch, reg := chaosCluster(base)
-		killAt(t, ch, 150*time.Millisecond, "mapper-2", "mapper-7")
+		killAt(ch, killRound, "mapper-2", "mapper-7")
+		start := time.Now()
 		model, _, err := TrainHorizontalKernel(chaosCtx(t), horizontalParts(t, train, 8, 5), cfg)
+		took = time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertChaosOutcome(t, reg, clean, model, test, 2, 0)
 	})
+	return took
 }
 
-func TestElasticChaosKillAndHealVerticalLinear(t *testing.T) {
+func TestElasticChaosKillAndHealVerticalLinear(t *testing.T) { chaosKillAndHealVerticalLinear(t) }
+
+func chaosKillAndHealVerticalLinear(t *testing.T) (took time.Duration) {
 	d := dataset.TwoGaussians("g", 240, 10, 3, 29)
 	train, test := splitAndScale(t, d)
 	base := Config{C: 50, Rho: 100, MaxIterations: 30}
@@ -180,22 +195,27 @@ func TestElasticChaosKillAndHealVerticalLinear(t *testing.T) {
 		// replace, so the death is transient: the survivors carry the
 		// rounds in between, and the healed learners must rejoin with
 		// their blocks before the budget runs out.
-		killAt(t, ch, 150*time.Millisecond, "mapper-3", "mapper-6")
-		healAt(t, ch, 450*time.Millisecond, "mapper-3", "mapper-6")
+		killAt(ch, killRound, "mapper-3", "mapper-6")
+		healAt(ch, healRound, "mapper-3", "mapper-6")
 		// The per-round probe reads the learners' blocks while demoted
 		// stragglers may still be solving (-race covers probe-vs-solve).
 		cfg.EvalSet = test
 		partsD, colsD := verticalParts(t, train, 8, 7)
+		start := time.Now()
 		model, h, err := TrainVerticalLinear(chaosCtx(t), partsD, colsD, cfg)
+		took = time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertProbedEveryRound(t, h)
 		assertChaosOutcome(t, reg, clean, model, test, 2, 2)
 	})
+	return took
 }
 
-func TestElasticChaosKillAndHealVerticalKernel(t *testing.T) {
+func TestElasticChaosKillAndHealVerticalKernel(t *testing.T) { chaosKillAndHealVerticalKernel(t) }
+
+func chaosKillAndHealVerticalKernel(t *testing.T) (took time.Duration) {
 	d := dataset.TwoGaussians("g", 320, 10, 4, 37)
 	train, test := splitAndScale(t, d)
 	base := Config{C: 10, Rho: 20, MaxIterations: 40, Kernel: kernel.RBF{Gamma: 0.5}}
@@ -206,15 +226,18 @@ func TestElasticChaosKillAndHealVerticalKernel(t *testing.T) {
 	}
 	t.Run("seeded", func(t *testing.T) {
 		cfg, ch, reg := chaosCluster(base)
-		killAt(t, ch, 150*time.Millisecond, "mapper-1", "mapper-4")
-		healAt(t, ch, 450*time.Millisecond, "mapper-1", "mapper-4")
+		killAt(ch, killRound, "mapper-1", "mapper-4")
+		healAt(ch, healRound, "mapper-1", "mapper-4")
 		cfg.EvalSet = test
 		partsD, colsD := verticalParts(t, train, 8, 9)
+		start := time.Now()
 		model, h, err := TrainVerticalKernel(chaosCtx(t), partsD, colsD, cfg)
+		took = time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertProbedEveryRound(t, h)
 		assertChaosOutcome(t, reg, clean, model, test, 2, 2)
 	})
+	return took
 }

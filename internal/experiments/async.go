@@ -70,6 +70,9 @@ type AsyncRun struct {
 	// MeanStaleness is the average ready-stamp age the reducer folded
 	// (async mode; 0 for sync).
 	MeanStaleness float64
+	// Demotions, Rejoins and Timeouts are the Reducer's roster transitions
+	// and expired straggler windows over the run (all 0 in sync mode).
+	Demotions, Rejoins, Timeouts int64
 }
 
 // AsyncScheme compares the two modes on one training scheme.
@@ -276,6 +279,9 @@ func asyncOneRun(ctx context.Context, mode string, cfg consensus.Config, m int,
 	if count > 0 {
 		run.MeanStaleness = sum / float64(count)
 	}
+	run.Demotions = snap.CounterTotal("ppml_mapper_demotions_total")
+	run.Rejoins = snap.CounterTotal("ppml_mapper_rejoins_total")
+	run.Timeouts = snap.CounterTotal("ppml_round_timeouts_total")
 	return run, h.Accuracy, nil
 }
 

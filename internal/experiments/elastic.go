@@ -6,9 +6,9 @@ package experiments
 // two recovery policies the ROADMAP contrasts:
 //
 //   - demote-and-continue: a StragglerTimeout demotes the straggler for
-//     the rounds it misses, writes it off after WriteOffAfter
-//     consecutive silent rounds, and the survivors keep every round of
-//     progress already made;
+//     the rounds it misses, the Reducer waits for it again only in the
+//     rounds d+1, d+2, d+4, … after its demotion at round d, and the
+//     survivors keep every round of progress already made;
 //   - abort-and-restart: the pre-elastic policy, emulated faithfully with
 //     MinQuorum = M — the first round the straggler misses fails the job with
 //     ErrQuorum, the partial progress is thrown away, and training restarts
@@ -36,7 +36,6 @@ const (
 	elasticDim       = 8
 	elasticWork      = 15 * time.Millisecond
 	elasticStraggler = 60 * time.Millisecond
-	elasticWriteOff  = 2
 )
 
 // ElasticPoint is one injected-delay setting measured under both policies.
@@ -68,7 +67,6 @@ type ElasticReport struct {
 	WorkMs             float64
 	StragglerTimeoutMs float64
 	FaultAtRound       int
-	WriteOffAfter      int
 	Points             []ElasticPoint
 }
 
@@ -154,7 +152,6 @@ func RunElastic(ctx context.Context, m int) (*ElasticReport, error) {
 		WorkMs:             float64(elasticWork) / float64(time.Millisecond),
 		StragglerTimeoutMs: float64(elasticStraggler) / float64(time.Millisecond),
 		FaultAtRound:       elasticFaultAt,
-		WriteOffAfter:      elasticWriteOff,
 	}
 	for _, delay := range []time.Duration{
 		0,
@@ -167,7 +164,6 @@ func RunElastic(ctx context.Context, m int) (*ElasticReport, error) {
 		// Demote-and-continue: one uninterrupted run.
 		res, err := runBenchJob(ctx, elasticJob(m, delay, -1), mapreduce.DriverOptions{
 			StragglerTimeout: elasticStraggler,
-			WriteOffAfter:    elasticWriteOff,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: elastic demote delay=%v: %w", delay, err)

@@ -51,8 +51,6 @@ type elasticAveragingReducer struct {
 	lastState []float64
 	// participants records every SetRoundWeight call, in round order.
 	participants []int
-	// onCombine, when set, runs at the start of every Combine.
-	onCombine func(iter int)
 }
 
 func newElasticAveragingReducer(m int, needFull bool) *elasticAveragingReducer {
@@ -65,9 +63,6 @@ func (r *elasticAveragingReducer) SetRoundWeight(total float64) {
 }
 
 func (r *elasticAveragingReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
-	if r.onCombine != nil {
-		r.onCombine(iter)
-	}
 	delta := 0.0
 	next := make([]float64, len(sum))
 	for i := range sum {
@@ -275,8 +270,9 @@ func (r *loggingReducer) Combine(iter int, sum []float64) ([]float64, bool, erro
 // its own round's state. Over the in-process network a broadcast's bytes are
 // shared with every mapper it reaches, so the Reducer may reuse them only
 // after a round that folded every one of those mappers. Mapper 2 blocks in
-// round 1 until Combine(3), while rounds 2-4 are broadcast; every Contribution
-// in the job must be handed exactly the state broadcast for its round.
+// round 1 until Combine(3); demoted at round 1, it is broadcast rounds 2, 3
+// and 5 of the rounds run meanwhile and after. Every Contribution in the job
+// must be handed exactly the state broadcast for its round.
 func TestElasticLateMapperReadsItsOwnBroadcast(t *testing.T) {
 	t.Parallel()
 	values := [][]float64{{1, 9}, {3, 11}, {5, 13}, {7, 15}}
@@ -334,8 +330,8 @@ func TestElasticLateMapperReadsItsOwnBroadcast(t *testing.T) {
 // deterministically: a mapper whose readiness declarations arrive but whose
 // shares vanish (a crash between phases, injected with a kind-scoped chaos
 // drop) is demoted when the share deadline closes, and the survivors re-derive
-// over the shrunken roster — every round, since the faulty mapper keeps
-// answering ready.
+// over the shrunken roster — in every due round (the rounds the faulty mapper
+// is broadcast to again after its demotion), since it keeps answering ready.
 func TestElasticShareLostAfterReady(t *testing.T) {
 	t.Parallel()
 	values := [][]float64{{2}, {4}, {9}}
@@ -403,64 +399,149 @@ func TestElasticShareLostAfterReady(t *testing.T) {
 	}
 }
 
-// TestElasticWriteOff pins the missed-heartbeat write-off: with WriteOffAfter
-// set, a mapper that goes permanently silent costs exactly that many straggler
-// windows before the Reducer writes it off and stops waiting for it — instead
-// of burning one window every remaining round.
-func TestElasticWriteOff(t *testing.T) {
+// TestElasticRejoinBackoff pins the rejoin schedule: a mapper demoted at
+// round d is broadcast to, and so waited for, only in rounds d+1, d+2, d+4, …
+// after it. mapper-2 is killed once round 0 folds, so it is demoted at round 1
+// and costs a straggler window in round 1 and its due rounds 2, 3 and 5 of
+// six, not in every remaining round. Healed at round 4, it is not broadcast to
+// until its due round 5, and rejoins there.
+func TestElasticRejoinBackoff(t *testing.T) {
 	t.Parallel()
-	values := [][]float64{{2}, {4}, {9}}
-	m := len(values)
-	mappers := make([]IterativeMapper, m)
-	for i := range values {
-		mappers[i] = &slowMapper{value: values[i]}
+	for _, tc := range []struct {
+		name     string
+		healAt   int32   // 0: never
+		state    float64 // the survivors' mean, or the full cohort's once healed
+		timeouts int64
+		rejoins  int
+	}{
+		{name: "dead", state: 3, timeouts: 4},
+		{name: "healed", healAt: 4, state: 5, timeouts: 3, rejoins: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			values := [][]float64{{2}, {4}, {9}}
+			m := len(values)
+			mappers := make([]IterativeMapper, m)
+			for i := range values {
+				mappers[i] = &slowMapper{value: values[i]}
+			}
+			chaos := transport.NewChaos(transport.NewInProc())
+			defer chaos.Close()
+			// mapper-2 finished the seed exchange and its round-0 share; from
+			// round 1 on its sends and receives vanish silently.
+			chaos.AtRound(1, func() { chaos.Kill("mapper-2") })
+			if tc.healAt > 0 {
+				chaos.AtRound(tc.healAt, func() { chaos.Heal("mapper-2") })
+			}
+			red := newElasticAveragingReducer(m, false)
+			red.tol = 0 // run the whole budget
+			const rounds = 6
+			job := IterativeJob{
+				Mappers:         mappers,
+				Reducer:         red,
+				InitialState:    []float64{0},
+				ContributionDim: 1,
+				MaxIterations:   rounds,
+			}
+			reg := telemetry.NewRegistry(telemetry.WithJournal(4096))
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			res, err := RunDistributed(ctx, job, DriverOptions{
+				Network:          chaos,
+				Telemetry:        reg,
+				StragglerTimeout: 150 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != rounds {
+				t.Fatalf("ran %d of %d rounds", res.Iterations, rounds)
+			}
+			if math.Abs(res.FinalState[0]-tc.state) > 1e-3 {
+				t.Errorf("state = %g, want %g", res.FinalState[0], tc.state)
+			}
+			if res.Demotions != 1 || res.Rejoins != tc.rejoins {
+				t.Errorf("Demotions = %d, Rejoins = %d, want 1 and %d", res.Demotions, res.Rejoins, tc.rejoins)
+			}
+			if got := reg.Snapshot().CounterTotal("ppml_round_timeouts_total"); got != tc.timeouts {
+				t.Errorf("ppml_round_timeouts_total = %d, want exactly %d (one per due round while mapper-2 is gone)", got, tc.timeouts)
+			}
+			var rejoined []int32
+			for _, e := range reg.Journal().Snapshot() {
+				if e.Event == "mapper.rejoin" {
+					rejoined = append(rejoined, e.Round)
+				}
+			}
+			if want := tc.rejoins; len(rejoined) != want || want > 0 && rejoined[0] != 5 {
+				t.Errorf("mapper.rejoin at rounds %v, want %d at round 5", rejoined, want)
+			}
+		})
 	}
-	chaos := transport.NewChaos(transport.NewInProc())
-	defer chaos.Close()
-	red := newElasticAveragingReducer(m, false)
-	red.tol = 0 // run the whole budget: the rounds after the write-off must cost no window
-	// mapper-2 crashes once round 0 folds: it finished the seed exchange and
-	// its first share, and its sends and receives vanish silently from then on.
-	red.onCombine = func(iter int) {
-		if iter == 0 {
-			chaos.Kill("mapper-2")
-		}
-	}
-	const rounds = 6
-	job := IterativeJob{
-		Mappers:         mappers,
-		Reducer:         red,
-		InitialState:    []float64{0},
-		ContributionDim: 1,
-		MaxIterations:   rounds,
-	}
-	reg := telemetry.NewRegistry()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	const writeOffAfter = 2
-	res, err := RunDistributed(ctx, job, DriverOptions{
-		Network:          chaos,
-		Telemetry:        reg,
-		StragglerTimeout: 150 * time.Millisecond,
-		WriteOffAfter:    writeOffAfter,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != rounds {
-		t.Fatalf("ran %d of %d rounds", res.Iterations, rounds)
-	}
-	if math.Abs(res.FinalState[0]-3) > 1e-3 {
-		t.Errorf("state = %g, want 3 (the survivors' mean)", res.FinalState[0])
-	}
-	if res.Demotions != 1 || res.Rejoins != 0 {
-		t.Errorf("Demotions = %d, Rejoins = %d, want 1 and 0 (written off)", res.Demotions, res.Rejoins)
-	}
-	// The whole point: the dead mapper's straggler windows stop at the
-	// write-off threshold rather than recurring every round.
-	snap := reg.Snapshot()
-	if got := snap.CounterTotal("ppml_round_timeouts_total"); got != writeOffAfter {
-		t.Errorf("ppml_round_timeouts_total = %d, want exactly %d (one per round until the write-off)", got, writeOffAfter)
+}
+
+// TestElasticRecallBelowQuorum: two overlapping demotions leave a round whose
+// due members are exactly the quorum. mapper-2 is killed at round 1 (due 2, 3,
+// 5, 9) and mapper-3 at round 2 (due 3, 4, 6, 10); both heal at round 7, which
+// is due for neither, and survivor mapper-1 dies there. Only the two healed
+// members can fill round 7's roster, so the round recalls them before it
+// re-arms its window, and both rejoin at round 7 instead of the job failing
+// with ErrQuorum.
+func TestElasticRecallBelowQuorum(t *testing.T) {
+	t.Parallel()
+	for name, agg := range map[string]Aggregation{"masked": AggregationMasked, "plain": AggregationPlain} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			values := [][]float64{{2}, {4}, {6}, {8}}
+			m := len(values)
+			mappers := make([]IterativeMapper, m)
+			for i := range values {
+				mappers[i] = &slowMapper{value: values[i]}
+			}
+			chaos := transport.NewChaos(transport.NewInProc())
+			defer chaos.Close()
+			chaos.AtRound(1, func() { chaos.Kill("mapper-2") })
+			chaos.AtRound(2, func() { chaos.Kill("mapper-3") })
+			chaos.AtRound(7, func() {
+				chaos.Heal("mapper-2")
+				chaos.Heal("mapper-3")
+				chaos.Kill("mapper-1")
+			})
+			red := newElasticAveragingReducer(m, false)
+			red.tol = 0 // run the whole budget
+			const rounds = 9
+			job := IterativeJob{
+				Mappers:         mappers,
+				Reducer:         red,
+				InitialState:    []float64{0},
+				ContributionDim: 1,
+				MaxIterations:   rounds,
+			}
+			reg := telemetry.NewRegistry(telemetry.WithJournal(4096))
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			res, err := RunDistributed(ctx, job, DriverOptions{
+				Network:          chaos,
+				Telemetry:        reg,
+				Aggregation:      agg,
+				StragglerTimeout: 150 * time.Millisecond,
+				MinQuorum:        2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != rounds {
+				t.Fatalf("ran %d of %d rounds", res.Iterations, rounds)
+			}
+			var rejoined []string
+			for _, e := range reg.Journal().Snapshot() {
+				if e.Event == "mapper.rejoin" && e.Round == 7 {
+					rejoined = append(rejoined, e.Peer)
+				}
+			}
+			if len(rejoined) != 2 || rejoined[0] != "mapper-2" || rejoined[1] != "mapper-3" {
+				t.Errorf("mapper.rejoin at round 7 for %v, want [mapper-2 mapper-3]", rejoined)
+			}
+		})
 	}
 }
 

@@ -29,9 +29,13 @@ package mapreduce
 // plain shares do not depend on who else answers, so whoever delivers before
 // the deadline is the roster.
 //
-// A demoted mapper is not dead: it still receives every broadcast and
-// re-enters the roster the round it answers in time. Only an abort, an
-// unreachable endpoint, or WriteOffAfter silent rounds demote permanently.
+// A demoted mapper is not dead: it is broadcast to again in rounds d+1, d+2,
+// d+4, d+8, … after its demotion at round d, and re-enters the roster the
+// first of those rounds it answers in time. Between them nobody waits for
+// it, so a member that died for good costs 1 + ⌈log₂(R − d)⌉ straggler
+// windows over R rounds, not R − d. A round whose due members fall short of
+// the quorum recalls the others before it gives up. Only an abort or an
+// unreachable endpoint demotes permanently.
 
 import (
 	"context"
@@ -56,11 +60,10 @@ type policy struct {
 	handshake bool    // ready/roster phase: elastic and masked
 	staleness int     // bounded-staleness window S; 0 = synchronous
 	decay     float64 // κ, the stale-share discount
-	writeOff  int     // WriteOffAfter
 }
 
 func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
-	p := policy{quorum: m, staleness: opts.Staleness, decay: opts.StalenessDecay, writeOff: opts.WriteOffAfter}
+	p := policy{quorum: m, staleness: opts.Staleness, decay: opts.StalenessDecay}
 	switch {
 	case agg != AggregationMasked && agg != AggregationPlain:
 		return p, fmt.Errorf("%w: Aggregation %d", ErrBadJob, agg)
@@ -134,9 +137,10 @@ type engine struct {
 
 	round   int32            // the round in progress
 	prev    transport.Roster // the roster the previous round folded
-	dead    []bool           // permanently demoted (aborted, unreachable, or written off)
-	silent  []int            // consecutive rounds each mapper missed the roster
+	dead    []bool           // permanently demoted (aborted or unreachable)
+	since   []int32          // the round each mapper outside prev was demoted
 	weights []float64        // per-mapper κ^s from this round's ready stamps; all 1 when nothing is stale
+	sent    int              // mappers this round's broadcast reached
 	lost    error            // what cost the round its most recent roster member: an abort or an unreachable endpoint
 
 	// The receive phase in progress: the kind it waits for and the roster a
@@ -334,7 +338,7 @@ func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 	if e.staleness > 0 && weighted == nil {
 		return state, fmt.Errorf("%w: Staleness needs a WeightedReducer (the reducer cannot renormalize stale shares)", ErrBadJob)
 	}
-	e.prev, e.dead, e.silent, e.weights = transport.FullRoster(m), make([]bool, m), make([]int, m), make([]float64, m)
+	e.prev, e.dead, e.since, e.weights = transport.FullRoster(m), make([]bool, m), make([]int32, m), make([]float64, m)
 	// Per-session scratch, reused every round so the reduce hot loop does not
 	// allocate.
 	e.scratch.reach, e.scratch.got = transport.NewRoster(m), make([]bool, m)
@@ -399,13 +403,14 @@ func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 }
 
 // settle is the roster bookkeeping of a folded round: the participation
-// gauge, the demote/rejoin transitions against the previous round, and the
-// missed-heartbeat write-off.
+// gauge and the demote/rejoin transitions against the previous round, each
+// demotion stamped with its round for the rejoin schedule.
 func (e *engine) settle(roster transport.Roster) {
 	e.participants.Set(float64(roster.Count()))
 	for i, name := range e.names {
 		switch {
 		case e.prev.Has(i) && !roster.Has(i):
+			e.since[i] = e.round
 			e.demotions.Inc()
 			e.res.Demotions++
 			e.journal.Emit(reducerName, "mapper.demote", e.trace, e.round, name, "", 0, 0)
@@ -413,18 +418,6 @@ func (e *engine) settle(roster transport.Roster) {
 			e.rejoins.Inc()
 			e.res.Rejoins++
 			e.journal.Emit(reducerName, "mapper.rejoin", e.trace, e.round, name, "", 0, 0)
-		}
-		// A mapper demoted WriteOffAfter rounds in a row is declared dead so
-		// later rounds stop waiting a straggler window for it.
-		switch {
-		case e.dead[i]:
-		case roster.Has(i):
-			e.silent[i] = 0
-		default:
-			if e.silent[i]++; e.writeOff > 0 && e.silent[i] >= e.writeOff {
-				e.dead[i] = true
-				e.journal.Emit(reducerName, "mapper.writeoff", e.trace, e.round, name, "", 0, float64(e.silent[i]))
-			}
 		}
 	}
 	copy(e.prev, roster)
@@ -460,8 +453,7 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 	for i := range e.weights {
 		e.weights[i] = 1
 	}
-	e.lost = nil
-	hdr := e.header(r)
+	e.lost, e.sent = nil, 0
 	if e.scratch.lent { // a mapper the last round did not fold may still decode them
 		e.scratch.bcast = nil
 	}
@@ -470,23 +462,15 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 	for i := range roster {
 		roster[i] = 0
 	}
-	for i, name := range e.names {
-		if e.dead[i] {
-			continue
-		}
-		if err := e.ep.Send(ctx, name, KindBroadcast, hdr, e.scratch.bcast); err != nil {
-			err = fmt.Errorf("mapreduce: broadcast: %w", err)
-			if ctx.Err() != nil {
-				return nil, nil, err
-			}
-			// An unreachable endpoint is a permanent demotion.
-			e.dead[i], e.lost = true, err
-			continue
-		}
-		roster.Add(i)
+	if err := e.reach(ctx, roster, false); err != nil {
+		return nil, nil, err
 	}
-	reached := roster.Count()
-	if e.handshake && reached >= e.quorum {
+	if roster.Count() < e.quorum {
+		if err := e.reach(ctx, roster, true); err != nil {
+			return nil, nil, err
+		}
+	}
+	if e.handshake && roster.Count() >= e.quorum {
 		// Everyone who answers before the deadline makes the roster; the
 		// deadline only matters when someone doesn't.
 		grace := e.deadline
@@ -506,10 +490,45 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 		}
 		sum, done, err := e.collectShares(ctx, roster)
 		if err != nil || done {
-			e.scratch.lent = roster.Count() < reached
+			e.scratch.lent = roster.Count() < e.sent
 			return roster, sum, err
 		}
 	}
+}
+
+// due reports whether the round's broadcast goes to mapper i on schedule:
+// every round while it is in the roster, and rounds d+1, d+2, d+4, … after
+// its demotion at round d. The broadcast set is exactly what the ready window
+// and the loose share fold wait for and admit, so a member off schedule costs
+// no window.
+func (e *engine) due(i int) bool {
+	k := e.round - e.since[i]
+	return e.prev.Has(i) || k&(k-1) == 0
+}
+
+// reach broadcasts the round's state to every live mapper outside set that is
+// due (recall false) or off schedule (recall true), and adds each it reached
+// to set. A recall is the fallback of a round whose due members cannot make
+// the quorum: a member that recovered between its due rounds answers it like
+// any other. An unreachable endpoint is a permanent demotion.
+func (e *engine) reach(ctx context.Context, set transport.Roster, recall bool) error {
+	hdr := e.header(e.round)
+	for i, name := range e.names {
+		if e.dead[i] || set.Has(i) || e.due(i) == recall {
+			continue
+		}
+		if err := e.ep.Send(ctx, name, KindBroadcast, hdr, e.scratch.bcast); err != nil {
+			err = fmt.Errorf("mapreduce: broadcast: %w", err)
+			if ctx.Err() != nil {
+				return err
+			}
+			e.dead[i], e.lost = true, err
+			continue
+		}
+		set.Add(i)
+		e.sent++
+	}
+	return nil
 }
 
 // collectReady gathers KindReady answers for the round from the eligible
@@ -518,7 +537,9 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 // mid catch-up after a demotion, with its late readys already queued or in
 // flight — so the window is re-armed a bounded number of times (keeping the
 // readys already collected) before the caller sees a roster it would abort
-// on. eligible is consumed: aborting mappers are struck from it.
+// on, and each re-arm first recalls the live members the rejoin schedule
+// passed by. eligible is consumed: recalled mappers are added to it, aborting
+// mappers are struck from it.
 func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, first time.Duration) (transport.Roster, error) {
 	r := e.round
 	roster := e.scratch.ready
@@ -537,6 +558,9 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 			e.journal.Emit(reducerName, "round.timeout", e.trace, r, "", "ready", 0, 0)
 			if roster.Count() >= e.quorum || rearms >= maxStuckAttempts {
 				break // the deadline IS the roster declaration
+			}
+			if err := e.reach(ctx, eligible, true); err != nil {
+				return nil, err
 			}
 			rearms++
 			wctx = e.window(ctx, e.deadline)
@@ -653,6 +677,11 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 			// Demoting the whole cohort for one tight window would abort a
 			// healthy job.
 			if collected < e.quorum && rearms < maxStuckAttempts {
+				if !e.handshake { // a loose fold admits whoever it reaches
+					if err := e.reach(ctx, roster, true); err != nil {
+						return nil, false, err
+					}
+				}
 				rearms++
 				e.journal.Emit(reducerName, "window.rearm", e.trace, r, "", "", 0, float64(rearms))
 				wctx = e.window(ctx, e.deadline)

@@ -51,8 +51,9 @@ type DriverOptions struct {
 	MaskMode MaskMode
 	// StragglerTimeout makes rounds elastic (demote-and-continue): a mapper
 	// that has not answered within this bound is demoted for the round
-	// instead of stalling or failing the job, and rejoins the next round it
-	// answers in time. Zero (the default) keeps membership fixed: every
+	// instead of stalling or failing the job. A mapper demoted at round d is
+	// broadcast to again in rounds d+1, d+2, d+4, … and rejoins the first of
+	// them it answers in time. Zero (the default) keeps membership fixed: every
 	// mapper answers every round or the job fails, and a round waits until
 	// it completes or ctx ends (the error then names the round).
 	StragglerTimeout time.Duration
@@ -77,14 +78,6 @@ type DriverOptions struct {
 	// to stale contributions. 0 defaults to 0.5. Only meaningful with
 	// Staleness.
 	StalenessDecay float64
-	// WriteOffAfter permanently writes off a mapper after this many
-	// consecutive rounds of silence (demoted every one of them), so the
-	// Reducer stops burning a StragglerTimeout window on a peer that is
-	// plainly gone. Zero (the default) never writes off: every demoted
-	// mapper keeps its right to rejoin, which vertically partitioned
-	// schemes — where each mapper owns irreplaceable feature columns —
-	// depend on. Only meaningful with StragglerTimeout.
-	WriteOffAfter int
 	// Telemetry optionally attaches a metrics registry: per-round durations
 	// and journal events, the timeout counter, the mapper fan-out gauge, the
 	// securesum per-kind traffic counters, and — when the Network supports

@@ -3,7 +3,7 @@ package telemetry
 // Journal is the flight recorder: a bounded, lock-striped ring of typed,
 // scalar-only round-lifecycle events. The protocol packages emit events for
 // every interesting state transition — ready sent/received, roster declared,
-// demotion/rejoin/write-off, staleness folded, window re-arm, solve and
+// demotion/rejoin, staleness folded, window re-arm, solve and
 // mask-exchange phases, per-kind sends and receives with byte counts — and
 // the ring keeps the most recent window of them per node. ppml-trace merges
 // per-node dumps by TraceID and round into cross-node timelines

@@ -9,11 +9,12 @@ import (
 )
 
 // Chaos wraps a Network with deterministic fault injection for the elastic-
-// roster tests: per-endpoint send delay (a straggler), outbound or inbound
-// message drop (a one-way partition), or both at once (a dead node). Faults
-// are keyed by endpoint name and can be installed or healed at any time,
-// including while a job is running — which is exactly how the kill-k-of-M
-// tests murder mappers mid-round.
+// roster tests: per-endpoint send delay (a straggler), a kind-scoped outbound
+// drop (a crash between protocol phases), or a drop both ways (a dead node).
+// Faults are keyed by endpoint name and can be installed or healed at any
+// time, including while a job is running. AtRound keys that moment to the
+// round stamp on the wire rather than to a clock, so a kill or a heal lands
+// in the same round on every run, however fast the machine is.
 //
 // A dropped message is a silent success: Send returns nil, the bytes never
 // arrive, and the network's traffic counters do not move. That models a
@@ -23,8 +24,16 @@ import (
 type Chaos struct {
 	inner Network
 
-	mu    sync.Mutex
-	rules map[string]*chaosRule
+	mu       sync.Mutex
+	rules    map[string]*chaosRule
+	triggers []*roundTrigger // append-only: a sender reads a snapshot without the lock
+}
+
+// roundTrigger is one AtRound registration.
+type roundTrigger struct {
+	round int32
+	once  sync.Once
+	f     func()
 }
 
 type chaosRule struct {
@@ -120,20 +129,6 @@ func (c *Chaos) Jitter(name string, base, tail time.Duration, p float64, seed in
 	c.mu.Unlock()
 }
 
-// KillOutbound silently drops every send originating from the named endpoint.
-func (c *Chaos) KillOutbound(name string) {
-	c.mu.Lock()
-	c.rule(name).dropOut = true
-	c.mu.Unlock()
-}
-
-// KillInbound silently drops every send destined for the named endpoint.
-func (c *Chaos) KillInbound(name string) {
-	c.mu.Lock()
-	c.rule(name).dropIn = true
-	c.mu.Unlock()
-}
-
 // KillOutboundKind silently drops the named endpoint's sends of one message
 // kind while everything else still flows. This is the scalpel for protocol-
 // phase faults — e.g. a mapper whose readiness declarations arrive but whose
@@ -163,6 +158,29 @@ func (c *Chaos) Heal(name string) {
 	c.mu.Lock()
 	delete(c.rules, name)
 	c.mu.Unlock()
+}
+
+// AtRound runs f once, from the first Send stamped with a round ≥ r, before
+// that send's faults are looked up: a Kill that f installs drops that very
+// send. A sender that crosses r while f runs waits for it to return, so no
+// send of round ≥ r misses what f installed, and f must not itself send
+// through c. A round never reached never fires f.
+func (c *Chaos) AtRound(r int32, f func()) {
+	c.mu.Lock()
+	c.triggers = append(c.triggers, &roundTrigger{round: r, f: f})
+	c.mu.Unlock()
+}
+
+// fire runs the triggers a send stamped round r has crossed.
+func (c *Chaos) fire(r int32) {
+	c.mu.Lock()
+	triggers := c.triggers
+	c.mu.Unlock()
+	for _, t := range triggers {
+		if r >= t.round {
+			t.once.Do(t.f)
+		}
+	}
 }
 
 // rule returns the (possibly new) rule for name; callers hold c.mu.
@@ -204,6 +222,7 @@ type chaosEndpoint struct {
 func (e *chaosEndpoint) Name() string { return e.inner.Name() }
 
 func (e *chaosEndpoint) Send(ctx context.Context, to, kind string, hdr Header, payload []byte) error {
+	e.net.fire(hdr.Round)
 	delay, drop := e.net.faultsFor(e.inner.Name(), to, kind)
 	if drop {
 		return nil // the void accepts all messages

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -20,7 +22,7 @@ func TestChaosKillDropsSilently(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	c.KillOutbound("a")
+	c.Kill("a")
 	if err := a.Send(ctx, "b", "k", Header{}, []byte("lost")); err != nil {
 		t.Fatalf("dropped send must succeed silently, got %v", err)
 	}
@@ -39,19 +41,70 @@ func TestChaosKillDropsSilently(t *testing.T) {
 		t.Fatalf("post-heal payload %q", msg.Payload)
 	}
 
-	// Inbound kill on the receiver drops sends from anyone.
-	c.KillInbound("b")
+	// Kill cuts both directions: sends to the dead node and from it vanish.
+	c.Kill("b")
 	if err := a.Send(ctx, "b", "k", Header{}, []byte("lost too")); err != nil {
 		t.Fatal(err)
 	}
-	// Kill cuts both directions.
-	c.Heal("b")
-	c.Kill("b")
 	if err := b.Send(ctx, "a", "k", Header{}, []byte("from the grave")); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Messages; got != 1 {
 		t.Fatalf("Messages = %d, want 1 (only the healed send)", got)
+	}
+}
+
+// TestChaosAtRound: a round trigger fires once, however many senders cross
+// its round at the same time, before any of their faults are looked up; a
+// trigger for a round no send reaches never fires.
+func TestChaosAtRound(t *testing.T) {
+	c := NewChaos(NewInProc())
+	defer c.Close()
+	a, err := c.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Endpoint("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	var fired atomic.Int32
+	c.AtRound(3, func() {
+		fired.Add(1)
+		c.Kill("b")
+	})
+	c.AtRound(100, func() { t.Error("the trigger of a round never reached fired") })
+
+	if err := a.Send(ctx, "b", "k", Header{Round: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := fired.Load(); got != 0 {
+		t.Fatalf("fired %d times before any send of round 3", got)
+	}
+	const senders = 8
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := a.Send(ctx, "b", "k", Header{Round: 3 + int32(i%2)}, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := fired.Load(); got != 1 {
+		t.Errorf("fired %d times, want exactly once", got)
+	}
+	// Every send of round ≥ 3, the first included, met the kill.
+	if got := c.Stats().Messages; got != 1 {
+		t.Errorf("Messages = %d, want 1 (only the round-2 send)", got)
+	}
+	if msg, err := b.Recv(ctx); err != nil || msg.Round != 2 {
+		t.Errorf("b received round %d (err %v), want the round-2 send", msg.Round, err)
 	}
 }
 

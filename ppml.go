@@ -434,8 +434,9 @@ func WithPlainAggregation() Option {
 // WithStragglerTimeout enables elastic rounds in distributed mode (and
 // implies WithDistributed): a learner that has not answered within d is
 // demoted for the round instead of stalling the job, the consensus step
-// scales to the live roster, and the straggler rejoins once it catches up.
-// See DESIGN.md §14.
+// scales to the live roster, and the straggler, waited for again in rounds
+// d+1, d+2, d+4, … after its demotion at round d, rejoins the first of them
+// it answers in time. See DESIGN.md §14.
 func WithStragglerTimeout(d time.Duration) Option {
 	return func(o *options) {
 		o.cfg.Distributed = true

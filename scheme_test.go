@@ -91,7 +91,7 @@ func TestOptionSurfacePinned(t *testing.T) {
 			exported++
 		}
 	}
-	if exported != 9 {
-		t.Errorf("mapreduce.DriverOptions has %d exported fields, pinned at 9: %s", exported, grow)
+	if exported != 8 {
+		t.Errorf("mapreduce.DriverOptions has %d exported fields, pinned at 8: %s", exported, grow)
 	}
 }

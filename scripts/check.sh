@@ -72,6 +72,9 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # - one privacy checker: secretflow's send and telemetry rules replace the
 #   plaintextwire and telemetrysafe analyzers, and flow-ok is the one
 #   directive that excuses a flow.
+# - rounds, not clocks, decide fault outcomes: a demoted member is waited for
+#   on the rejoin schedule (rounds d+1, d+2, d+4, … after its demotion), not
+#   written off by a knob, and Kill is the one way to kill an endpoint.
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -102,6 +105,7 @@ probeCopy|\.probe\.with\(~no~a learner's private block copied for the Reducer's 
 AggregationPaillier|PaillierKey|paillierFold|encryptContribution~no~two aggregation backends: masked and plain
 TrackLocality|LocalityPlan|RemoteInputBytes|buildLocalityPlan~no~a locality measurement that is zero by construction
 plaintextwire|telemetrysafe|plaintext-ok|telemetry-ok~no~a second privacy checker or its directive in non-test Go (secretflow's rules and //ppml:flow-ok)
+WriteOffAfter|mapper\.writeoff|KillOutbound\(|KillInbound\(~no~a write-off knob or a one-way kill in non-test Go (the rejoin schedule bounds a dead member's cost; Kill cuts both ways)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
@@ -253,6 +257,13 @@ GOAMD64=v3 go test -count=1 -run 'Twin|Contract|LaneAndOffset|MatchesFMA|Matches
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> chaos scenarios in a synctest bubble (one fake duration per scenario, 20 runs)"
+# In a bubble compute takes no time, so a chaos job's duration is its
+# straggler windows; faults keyed to rounds and the rejoin schedule make it
+# the same on every run. A second duration is an outcome the clock decided.
+# Go 1.24 ships testing/synctest behind this experiment only.
+GOEXPERIMENT=synctest go test -count=20 -run TestElasticChaosInBubble ./internal/consensus/
 
 echo "==> fuzz smoke (5 x 10s over the wire codecs, the buffered frame reader and the packed layout)"
 go test -fuzz FuzzFixedpointRoundtrip -fuzztime 10s -run '^$' ./internal/fixedpoint/
