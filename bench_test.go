@@ -473,48 +473,3 @@ func BenchmarkSecureStandardization(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAlgorithmComparison trains the three consensus-trainable
-// algorithm families on the same private cancer partitions: the SVM the
-// paper evaluates, logistic regression (the task of its DP-based related
-// work), and single-round Naive Bayes (the task of its randomization-based
-// related work). One framework, three "machine learning algorithms" — the
-// plural in the paper's title, measured.
-func BenchmarkAlgorithmComparison(b *testing.B) {
-	data := ppml.SyntheticCancer(400, 1)
-	train, test, err := data.Split(0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := ppml.Standardize(train, test); err != nil {
-		b.Fatal(err)
-	}
-	for _, alg := range []struct {
-		name   string
-		scheme ppml.Scheme
-		opts   []ppml.Option
-	}{
-		{"svm", ppml.HorizontalLinear, []ppml.Option{ppml.WithC(50), ppml.WithRho(100), ppml.WithIterations(40)}},
-		{"logistic", ppml.HorizontalLogistic, []ppml.Option{ppml.WithC(1), ppml.WithRho(10), ppml.WithIterations(40)}},
-		{"naive-bayes", ppml.HorizontalNaiveBayes, nil},
-	} {
-		alg := alg
-		b.Run(alg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := append([]ppml.Option{ppml.WithLearners(4)}, alg.opts...)
-				res, err := ppml.Train(train, alg.scheme, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					acc, err := ppml.Evaluate(res.Model, test)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(acc, "accuracy")
-					b.ReportMetric(float64(res.History.Iterations), "rounds")
-				}
-			}
-		})
-	}
-}

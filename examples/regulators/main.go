@@ -10,8 +10,9 @@
 //     (the randomization technique of the paper's related work, composed
 //     with its cryptographic approach instead of replacing it).
 //
-// The example trains consensus logistic regression and reports the cost of
-// each ε on the same data.
+// The example trains the paper's horizontal linear SVM (HL) and reports the
+// cost of each ε on the same data. C stays at 1: the output perturbation's
+// sensitivity scales with C, so a small C keeps the noise small.
 package main
 
 import (
@@ -41,7 +42,7 @@ func main() {
 	fmt.Printf("%d institutions, %d joint records; nothing pooled, ever\n\n",
 		learners, train.Len())
 
-	fmt.Println("epsilon   accuracy   (logistic regression, masked aggregation, secure scaling)")
+	fmt.Println("epsilon   accuracy   (linear SVM, masked aggregation, secure scaling)")
 	for _, eps := range []float64{0, 100, 10, 1} {
 		opts := []ppml.Option{
 			ppml.WithLearners(learners),
@@ -55,7 +56,7 @@ func main() {
 			opts = append(opts, ppml.WithDPOutput(eps))
 			label = fmt.Sprintf("%g", eps)
 		}
-		res, err := ppml.TrainContext(ctx, train, ppml.HorizontalLogistic, opts...)
+		res, err := ppml.TrainContext(ctx, train, ppml.HorizontalLinear, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}

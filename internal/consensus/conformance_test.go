@@ -10,22 +10,25 @@ import (
 	"github.com/ppml-go/ppml/internal/eval"
 	"github.com/ppml-go/ppml/internal/kernel"
 	"github.com/ppml-go/ppml/internal/mapreduce"
+	"github.com/ppml-go/ppml/internal/transport"
 )
 
 // TestSchemeConformance is the deterministic half of the scheme-level
 // conformance matrix (ROADMAP item 1): every scheme trains the same toy job
 // on the local engine and on the in-process cluster under plain, strict
 // seeded, strict per-round and elastic (a generous deadline, no fault)
-// aggregation. The three fixed-point configurations fold the same ring sum
-// whatever the arrival order, the mask mode or the roster handshake, and an
-// all-present elastic round announces the weight a strict one does, so they
-// must agree to the bit — decisions, residuals and accuracies. The local
-// engine and the plain cluster sum floats, and stay within the codec's
-// resolution (2⁻³⁰ a share, accumulated over the rounds) of them. On every
-// row the probe scores the model Train returns: the last accuracy is that
-// model's on the eval set — exactly where the probe's sum is the model's
-// (HL scores z, VK adds the partials in Decisions' order), within one eval
-// row where it adds the same terms in another order (HK, VL).
+// aggregation, and on a loopback TCP cluster under strict seeded and elastic
+// aggregation. The fixed-point configurations fold the same ring sum
+// whatever the transport, the arrival order, the mask mode or the roster
+// handshake, and an all-present elastic round announces the weight a strict
+// one does, so they must agree to the bit — decisions, residuals and
+// accuracies. The local engine and the plain cluster sum floats, and stay
+// within the codec's resolution (2⁻³⁰ a share, accumulated over the rounds)
+// of them. On every row the probe scores the model Train returns: the last
+// accuracy is that model's on the eval set — exactly where the probe's sum
+// is the model's (HL scores z, VK adds the partials in Decisions' order),
+// within one eval row where it adds the same terms in another order (HK,
+// VL).
 func TestSchemeConformance(t *testing.T) {
 	lin := dataset.TwoGaussians("g", 120, 6, 3, 17)
 	linTrain, linTest := splitAndScale(t, lin)
@@ -71,16 +74,24 @@ func TestSchemeConformance(t *testing.T) {
 			return TrainVerticalKernel(context.Background(), parts, cols, cfg)
 		}},
 	}
+	// tcp runs the job over its own loopback TCP network.
+	tcp := func(t *testing.T, c *Config) {
+		net := transport.NewTCP()
+		t.Cleanup(func() { net.Close() })
+		c.Distributed, c.Network = true, net
+	}
 	engines := []struct {
 		name  string
 		fixed bool // folds fixed-point ring sums
-		arm   func(*Config)
+		arm   func(*testing.T, *Config)
 	}{
-		{"local", false, func(*Config) {}},
-		{"plain", false, func(c *Config) { c.Distributed, c.Aggregation = true, mapreduce.AggregationPlain }},
-		{"strict seeded", true, func(c *Config) { c.Distributed = true }},
-		{"strict per-round", true, func(c *Config) { c.Distributed, c.MaskMode = true, mapreduce.MaskPerRound }},
-		{"elastic", true, func(c *Config) { c.Distributed, c.StragglerTimeout = true, 30*time.Second }},
+		{"local", false, func(*testing.T, *Config) {}},
+		{"plain", false, func(_ *testing.T, c *Config) { c.Distributed, c.Aggregation = true, mapreduce.AggregationPlain }},
+		{"strict seeded", true, func(_ *testing.T, c *Config) { c.Distributed = true }},
+		{"strict per-round", true, func(_ *testing.T, c *Config) { c.Distributed, c.MaskMode = true, mapreduce.MaskPerRound }},
+		{"elastic", true, func(_ *testing.T, c *Config) { c.Distributed, c.StragglerTimeout = true, 30*time.Second }},
+		{"strict seeded tcp", true, tcp},
+		{"elastic tcp", true, func(t *testing.T, c *Config) { tcp(t, c); c.StragglerTimeout = 30 * time.Second }},
 	}
 	for _, sc := range schemes {
 		sc := sc
@@ -90,7 +101,7 @@ func TestSchemeConformance(t *testing.T) {
 			for _, eng := range engines {
 				cfg := sc.base
 				cfg.EvalSet = sc.test
-				eng.arm(&cfg)
+				eng.arm(t, &cfg)
 				model, h, err := sc.run(cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", eng.name, err)

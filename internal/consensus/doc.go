@@ -1,8 +1,7 @@
 // Package consensus implements the paper's primary contribution: ADMM-based
 // consensus training over MapReduce with privacy-preserving aggregation at
 // the Reducer — the four SVM variants of Section IV ({linear, kernel} ×
-// {horizontally, vertically} partitioned data), plus consensus logistic
-// regression, single-round secure Gaussian Naive Bayes, and secure feature
+// {horizontally, vertically} partitioned data), plus secure feature
 // standardization on the same machinery.
 //
 // Every trainer decomposes the global SVM into per-learner sub-problems
@@ -91,8 +90,7 @@
 // and QP warm start, and the mapper contributes the running mean of its
 // chunks' (iterate + dual) terms — one refreshed per round, J−1 stale — so
 // the Reducer's mean is the M′-learner z-update. With J = 1 the mean is the
-// single term, which is why the logistic mapper keeps its duals and warm
-// start as a one-chunk virtualLearners too.
+// single term.
 //
 // Vertical (VL/VK): the records are shared, so all mappers and the Reducer
 // follow one schedule (sharedChunkStream). A round refits the learner's
@@ -134,10 +132,10 @@
 // Reducer those partial decisions (partialDecisions); the Reducer adds them
 // up with the public terms it holds — the vertical bias b, HK's landmark term
 // in z — and counts the signs, without building a model or reading a
-// learner's rows or coefficients. HL and logistic regression score the
-// consensus state. The trained model is assembled once, after the job has
-// drained every mapper. Both reducers end a round in one roundLog.record: the
-// ‖Δz‖² series, its gauge and journal event, the probe, and the Tol test.
+// learner's rows or coefficients. HL scores the consensus state. The trained
+// model is assembled once, after the job has drained every mapper. Both
+// reducers end a round in one roundLog.record: the ‖Δz‖² series, its gauge
+// and journal event, the probe, and the Tol test.
 //
 // # Privacy
 //

@@ -218,7 +218,7 @@ func newLandmarks(cfg Config, k, m int) (*landmarks, error) {
 	}
 	gpg := kgg.Clone()
 	for i := range gpg.Data {
-		gpg.Data[i] = float64(m) * (gpg.Data[i] - rhoM*kgCorr.Data[i])
+		gpg.Data[i] = float64(m) * (gpg.Data[i] - float64(rhoM*kgCorr.Data[i]))
 	}
 	lm := &landmarks{m: m, xg: xg, kgg: kgg, kgInv: kgInv, gpg: gpg}
 	if cfg.EvalSet != nil {
@@ -341,7 +341,7 @@ func (mp *hkMapper) build(lo, hi int) error {
 		return err
 	}
 	for i, v := range mp.phiPG.Data {
-		mp.phiPG.Data[i] = mf * (kmgC.Data[i] - rhoM*v)
+		mp.phiPG.Data[i] = mf * (kmgC.Data[i] - float64(rhoM*v))
 	}
 	if mp.q, err = kernel.MatrixInto(mp.cfg.Kernel, xc, xc, mp.q); err != nil {
 		return err
@@ -349,8 +349,8 @@ func (mp *hkMapper) build(lo, hi int) error {
 	for i := range yc {
 		qrow, crow := mp.q.Row(i), corr.Row(i)
 		for j := range qrow {
-			phiP := mf * (qrow[j] - rhoM*crow[j])
-			qrow[j] = yc[i]*yc[j]*phiP + yc[i]*yc[j]/mp.cfg.Rho
+			phiP := mf * (qrow[j] - float64(rhoM*crow[j]))
+			qrow[j] = float64(yc[i]*yc[j]*phiP) + yc[i]*yc[j]/mp.cfg.Rho
 		}
 	}
 	mp.q.SymmetrizeUpper()
@@ -377,7 +377,7 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 		return nil, err
 	}
 	for i, pg := range p {
-		p[i] = mp.cfg.Rho*yc[i]*pg + t*yc[i] - 1
+		p[i] = float64(mp.cfg.Rho*yc[i]*pg) + float64(t*yc[i]) - 1
 	}
 	mp.opts[len(mp.opts)-1] = qp.WithWarmStart(c.lambda)
 	res, err := qp.SolveBox(qp.Problem{Q: mp.q, P: p, C: mp.cfg.C}, mp.opts...)
@@ -390,7 +390,7 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	ylambda := mp.ylambda[lo:hi]
 	sumYL := 0.0
 	for i := range ylambda {
-		ylambda[i] = yc[i] * res.Lambda[i]
+		ylambda[i] = float64(yc[i] * res.Lambda[i])
 		sumYL += ylambda[i]
 	}
 	gw, err := mp.phiPG.MulVecT(ylambda, c.prev)
@@ -493,7 +493,7 @@ func (lm *landmarks) coefficients(kgInvKm *linalg.Matrix, ylambda, u []float64, 
 	linalg.Scale(-rho*m*m, t1)
 	rhoM := rho * m
 	for j := range dst {
-		dst[j] = t1[j] + rhoM*(u[j]-rhoM*t2[j])
+		dst[j] = t1[j] + float64(rhoM*(u[j]-float64(rhoM*t2[j])))
 	}
 	return nil
 }

@@ -188,7 +188,7 @@ func newHLMapper(src dataset.RowSource, id, mprime int, cfg Config) (*hlMapper, 
 		return nil, err
 	}
 	mp := &hlMapper{
-		cfg: cfg, eta: float64(mprime) / (1 + cfg.Rho*float64(mprime)),
+		cfg: cfg, eta: float64(mprime) / (1 + float64(cfg.Rho*float64(mprime))),
 		pf: pf, sched: sched, vl: newVirtualLearners(sched.numChunks, k),
 		p:        make([]float64, sched.chunkRows),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
@@ -233,9 +233,9 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	c, u, t := mp.vl.open(idx, len(y), state)
 	p := mp.p[:len(y)]
 	for i := range p {
-		p[i] = mp.eta*rho*y[i]*linalg.Dot(x.Row(i), u) - 1
+		p[i] = float64(mp.eta*rho*y[i]*linalg.Dot(x.Row(i), u)) - 1
 		if !split {
-			p[i] += t * y[i]
+			p[i] += float64(t * y[i])
 		}
 	}
 	mp.opts[len(mp.opts)-1] = qp.WithWarmStart(c.lambda)
@@ -270,7 +270,7 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	ylambda := p
 	sumYL := 0.0
 	for i := range ylambda {
-		ylambda[i] = y[i] * res.Lambda[i]
+		ylambda[i] = float64(y[i] * res.Lambda[i])
 		sumYL += ylambda[i]
 	}
 	w, err := x.MulVecT(ylambda, c.prev)
@@ -278,7 +278,7 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 		return nil, err
 	}
 	for j := range w {
-		w[j] = mp.eta * (w[j] + rho*u[j])
+		w[j] = mp.eta * (w[j] + float64(rho*u[j]))
 	}
 	contrib := mp.vl.commit(c, res.Lambda, t+sumYL/rho)
 	mp.chunkDur.Observe(time.Since(start).Seconds())

@@ -3,8 +3,8 @@
 // block at the end of Contribution and hands the Reducer those partial
 // decisions; the Reducer adds them up with the public terms it holds and
 // counts the signs. It never builds a model, and it reads no learner's rows
-// or coefficients. HL and logistic regression score the consensus state,
-// which the Reducer holds anyway. See DESIGN.md §12, "What the probe reads".
+// or coefficients. HL scores the consensus state, which the Reducer holds
+// anyway. See DESIGN.md §12, "What the probe reads".
 package consensus
 
 import (

@@ -59,10 +59,6 @@ func TestEvalSetShapeRejected(t *testing.T) {
 			_, _, err := TrainVerticalKernel(context.Background(), vparts, cols, cfg)
 			return err
 		},
-		"logistic": func(cfg Config) error {
-			_, _, err := TrainHorizontalLogistic(context.Background(), hparts, cfg)
-			return err
-		},
 	}
 	for scheme, run := range schemes {
 		for name, e := range evalSets {

@@ -56,7 +56,7 @@ func SecureStandardize(ctx context.Context, parts []*dataset.Dataset, cfg Config
 	scaler := &dataset.Scaler{Mean: make([]float64, k), Std: make([]float64, k)}
 	for j := 0; j < k; j++ {
 		mean := sum[1+j] / n
-		variance := sum[1+k+j]/n - mean*mean
+		variance := sum[1+k+j]/n - float64(mean*mean)
 		scaler.Mean[j] = mean
 		if variance <= 1e-12 {
 			scaler.Std[j] = 1
@@ -102,7 +102,7 @@ func (mp *momentsMapper) Contribution(iter int, state []float64) ([]float64, err
 		row := mp.x.X.Row(i)
 		for j, v := range row {
 			out[1+j] += v
-			out[1+k+j] += v * v
+			out[1+k+j] += float64(v * v)
 		}
 	}
 	return out, nil

@@ -21,7 +21,7 @@ const (
 // roundLog is the per-round tail both consensus reducers share: the History
 // series (‖Δz‖², and the eval-set accuracy when there is a probe), the gauges
 // and journal events that export them, labeled with the training scheme (hl,
-// hk, vl-vk, logistic), and the Tol test. The zero value logs the series,
+// hk, vl-vk), and the Tol test. The zero value logs the series,
 // exports nothing and never stops early.
 type roundLog struct {
 	tol float64

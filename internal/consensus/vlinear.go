@@ -315,7 +315,7 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	// (M being the round's announced weight).
 	p := r.p[:hi-lo]
 	for i := range p {
-		p[i] = mf*y[i]*d[i] - 1
+		p[i] = float64(mf*y[i]*d[i]) - 1
 	}
 	res, err := qp.SolveUniformDiagEqualityBox(mf/r.cfg.Rho, p, r.cfg.C, y, 0, r.qpOpts...)
 	if err != nil {
@@ -325,7 +325,7 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	// ζ = M·d + (M/ρ)·Yλ; z̄ = ζ/M; u ← u + ā − z̄.
 	zeta, zbar := r.zeta[:hi-lo], r.zbar[lo:hi]
 	for i := range zeta {
-		zeta[i] = mf*d[i] + mf/r.cfg.Rho*y[i]*res.Lambda[i]
+		zeta[i] = float64(mf*d[i]) + float64(mf/r.cfg.Rho*y[i]*res.Lambda[i])
 		zbar[i] = zeta[i] / mf
 		u[i] += abar[i] - zbar[i]
 	}

@@ -92,7 +92,7 @@ func SyntheticOCRDigits(n int, seed int64) *Multiclass {
 		smooth := smooth2D(raw, side)
 		row := x.Row(i)
 		for j := range row {
-			row[j] = prototypes[digit][j] + ocrNoiseAmp*smooth[j]
+			row[j] = prototypes[digit][j] + float64(ocrNoiseAmp*smooth[j])
 		}
 	}
 	// Shuffle rows with labels paired.

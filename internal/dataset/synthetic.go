@@ -32,7 +32,7 @@ func TwoGaussians(name string, n, k int, delta float64, seed int64) *Dataset {
 		y[i] = label
 		row := x.Row(i)
 		for j := range row {
-			row[j] = rng.NormFloat64() + label*delta/2*dir[j]
+			row[j] = rng.NormFloat64() + float64(label*delta/2*dir[j])
 		}
 	}
 	d := &Dataset{Name: name, X: x, Y: y}
@@ -55,7 +55,7 @@ func SyntheticCancer(n int, seed int64) *Dataset {
 	// Per-feature scale mimicking 1–10 graded cytology attributes.
 	scale := make([]float64, k)
 	for j := range scale {
-		scale[j] = 1 + 2.5*rng.Float64()
+		scale[j] = 1 + float64(2.5*rng.Float64())
 	}
 	// delta = 3.29 puts the Bayes error of the optimal separator near 5%.
 	const delta = 3.29
@@ -70,7 +70,7 @@ func SyntheticCancer(n int, seed int64) *Dataset {
 		y[i] = label
 		row := x.Row(i)
 		for j := range row {
-			row[j] = scale[j] * (5 + rng.NormFloat64() + label*delta/2*dir[j])
+			row[j] = scale[j] * (5 + rng.NormFloat64() + float64(label*delta/2*dir[j]))
 		}
 	}
 	d := &Dataset{Name: "cancer", X: x, Y: y}
@@ -105,10 +105,10 @@ func SyntheticHiggs(n int, seed int64) *Dataset {
 		y[i] = label
 		row := x.Row(i)
 		for j := 0; j < lowLevel; j++ {
-			row[j] = rng.NormFloat64() + label*deltaLow/2*dirLow[j]
+			row[j] = rng.NormFloat64() + float64(label*deltaLow/2*dirLow[j])
 		}
 		for j := lowLevel; j < k; j++ {
-			row[j] = rng.NormFloat64() + label*deltaHigh/2*dirHigh[j-lowLevel]
+			row[j] = rng.NormFloat64() + float64(label*deltaHigh/2*dirHigh[j-lowLevel])
 		}
 	}
 	d := &Dataset{Name: "higgs", X: x, Y: y}
@@ -162,7 +162,7 @@ func SyntheticOCRNoise(n int, seed int64, amp float64) *Dataset {
 		row := x.Row(i)
 		proto := prototypes[digit]
 		for j := range row {
-			row[j] = proto[j] + amp*smooth[j]
+			row[j] = proto[j] + float64(amp*smooth[j])
 		}
 	}
 	d := &Dataset{Name: "ocr", X: x, Y: y}
@@ -177,13 +177,13 @@ func digitPrototype(rng *rand.Rand, side int) []float64 {
 	img := make([]float64, side*side)
 	strokes := 3 + rng.Intn(3)
 	for s := 0; s < strokes; s++ {
-		x0, y0 := rng.Float64()*float64(side-1), rng.Float64()*float64(side-1)
-		x1, y1 := rng.Float64()*float64(side-1), rng.Float64()*float64(side-1)
+		x0, y0 := float64(rng.Float64()*float64(side-1)), float64(rng.Float64()*float64(side-1))
+		x1, y1 := float64(rng.Float64()*float64(side-1)), float64(rng.Float64()*float64(side-1))
 		for t := 0.0; t <= 1.0; t += 0.1 {
-			cx, cy := x0+t*(x1-x0), y0+t*(y1-y0)
+			cx, cy := x0+float64(t*(x1-x0)), y0+float64(t*(y1-y0))
 			for r := 0; r < side; r++ {
 				for c := 0; c < side; c++ {
-					d2 := (float64(r)-cy)*(float64(r)-cy) + (float64(c)-cx)*(float64(c)-cx)
+					d2 := float64((float64(r)-cy)*(float64(r)-cy)) + float64((float64(c)-cx)*(float64(c)-cx))
 					img[r*side+c] += math.Exp(-d2 / 1.5)
 				}
 			}

@@ -65,7 +65,7 @@ func PerturbVector(w []float64, epsilon, sensitivity float64, random io.Reader) 
 		}
 		norm = 0
 		for _, v := range dir {
-			norm += v * v
+			norm += float64(v * v)
 		}
 		norm = math.Sqrt(norm)
 		if norm > 1e-12 {

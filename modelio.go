@@ -52,19 +52,6 @@ type kernelVerticalModelJSON struct {
 	B        float64          `json:"b"`
 }
 
-type logisticModelJSON struct {
-	W []float64 `json:"w"`
-	B float64   `json:"b"`
-}
-
-type naiveBayesModelJSON struct {
-	PriorPos float64   `json:"priorPos"`
-	MeanPos  []float64 `json:"meanPos"`
-	VarPos   []float64 `json:"varPos"`
-	MeanNeg  []float64 `json:"meanNeg"`
-	VarNeg   []float64 `json:"varNeg"`
-}
-
 type svmModelJSON struct {
 	Kernel   string         `json:"kernel"`
 	SupportX *linalg.Matrix `json:"supportX"`
@@ -84,16 +71,6 @@ func SaveModelWithScaler(w io.Writer, m Model, scaler *Scaler) error {
 	case *consensus.LinearModel:
 		env.Type = "linear"
 		payload = linearModelJSON{W: mm.W, B: mm.B}
-	case *consensus.LogisticModel:
-		env.Type = "logistic"
-		payload = logisticModelJSON{W: mm.W, B: mm.B}
-	case *consensus.NaiveBayesModel:
-		env.Type = "naive-bayes"
-		payload = naiveBayesModelJSON{
-			PriorPos: mm.PriorPos,
-			MeanPos:  mm.MeanPos, VarPos: mm.VarPos,
-			MeanNeg: mm.MeanNeg, VarNeg: mm.VarNeg,
-		}
 	case *consensus.KernelHorizontalModel:
 		spec, err := kernel.Spec(mm.Kernel)
 		if err != nil {
@@ -170,27 +147,6 @@ func decodeModel(env modelEnvelope) (Model, error) {
 			return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
 		}
 		return &consensus.LinearModel{W: p.W, B: p.B}, nil
-	case "logistic":
-		var p logisticModelJSON
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
-		}
-		return &consensus.LogisticModel{W: p.W, B: p.B}, nil
-	case "naive-bayes":
-		var p naiveBayesModelJSON
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadModel, err)
-		}
-		k := len(p.MeanPos)
-		if len(p.VarPos) != k || len(p.MeanNeg) != k || len(p.VarNeg) != k ||
-			p.PriorPos <= 0 || p.PriorPos >= 1 {
-			return nil, fmt.Errorf("%w: inconsistent naive-bayes payload", ErrBadModel)
-		}
-		return &consensus.NaiveBayesModel{
-			PriorPos: p.PriorPos,
-			MeanPos:  p.MeanPos, VarPos: p.VarPos,
-			MeanNeg: p.MeanNeg, VarNeg: p.VarNeg,
-		}, nil
 	case "kernel-horizontal":
 		var p kernelHorizontalModelJSON
 		if err := json.Unmarshal(env.Payload, &p); err != nil {

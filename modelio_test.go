@@ -19,7 +19,6 @@ func trainEachScheme(t *testing.T) map[string]*ppml.Result {
 	for _, scheme := range []ppml.Scheme{
 		ppml.HorizontalLinear, ppml.HorizontalKernel,
 		ppml.VerticalLinear, ppml.VerticalKernel,
-		ppml.HorizontalLogistic, ppml.HorizontalNaiveBayes,
 	} {
 		opts := []ppml.Option{ppml.WithLearners(2), ppml.WithIterations(8)}
 		if scheme == ppml.HorizontalKernel || scheme == ppml.VerticalKernel {
@@ -80,6 +79,8 @@ func TestLoadModelErrors(t *testing.T) {
 		`{"version":1,"type":"svm","payload":{"kernel":"quantum:1"}}`,                                                           // bad kernel
 		`{"version":1,"type":"kernel-horizontal","payload":{"kernel":"linear","supportX":[null],"coefX":[],"coefG":[],"b":[]}}`, // inconsistent
 		`{"version":1,"type":"linear","payload":{"w":[1,1],"b":0},"scaler":{"mean":[0,0],"std":[0,1]}}`,                         // zero std
+		`{"version":1,"type":"logistic","payload":{"w":[1,1],"b":0}}`,                                                           // retired scheme
+		`{"version":1,"type":"naive-bayes","payload":{"priorPos":0.5,"meanPos":[0],"varPos":[1],"meanNeg":[0],"varNeg":[1]}}`,   // retired scheme
 	}
 	for _, in := range cases {
 		if _, _, err := ppml.LoadModelWithScaler(strings.NewReader(in)); !errors.Is(err, ppml.ErrBadModel) {

@@ -92,23 +92,3 @@ func TestTrainMulticlassKernelScheme(t *testing.T) {
 		t.Errorf("kernel OvR accuracy = %g, want ≥ 0.7", acc)
 	}
 }
-
-func TestTrainMulticlassLogisticScheme(t *testing.T) {
-	data := ppml.SyntheticOCRDigits(400, 9)
-	train, test, err := data.Split(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := ppml.TrainMulticlassContext(context.Background(), train, ppml.HorizontalLogistic,
-		ppml.WithLearners(2), ppml.WithC(1), ppml.WithRho(10), ppml.WithIterations(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ppml.EvaluateMulticlass(model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.7 {
-		t.Errorf("logistic OvR accuracy = %g, want ≥ 0.7", acc)
-	}
-}

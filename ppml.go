@@ -13,9 +13,7 @@
 // The paper's four SVM schemes are provided — linear and kernel SVMs over
 // horizontally partitioned data (each learner holds a subset of the records)
 // and over vertically partitioned data (each learner holds a subset of the
-// feature columns; labels are shared) — plus two further algorithm families
-// on the same machinery: consensus logistic regression and single-round
-// secure Gaussian Naive Bayes. Multiclass tasks train one-vs-rest
+// feature columns; labels are shared). Multiclass tasks train one-vs-rest
 // (TrainMulticlassContext), and trained models persist as versioned JSON
 // together with their feature scaler (SaveModelWithScaler).
 //
@@ -72,18 +70,9 @@ const (
 	// VerticalKernel trains an additive kernel SVM over column-partitioned
 	// data.
 	VerticalKernel
-	// HorizontalLogistic trains L2-regularized logistic regression over
-	// row-partitioned data with the same consensus + secure-summation
-	// machinery (the framework is not SVM-specific).
-	HorizontalLogistic
-	// HorizontalNaiveBayes fits Gaussian Naive Bayes over row-partitioned
-	// data in a single secure-summation round: the classifier's sufficient
-	// statistics are sums, the one operation the Section V protocol computes
-	// privately.
-	HorizontalNaiveBayes
 )
 
-// schemeRow is everything the package knows about one scheme: a seventh
+// schemeRow is everything the package knows about one scheme: a fifth
 // scheme is one more row of schemes, and String, ParseScheme, SchemeNames and
 // TrainContext follow.
 type schemeRow struct {
@@ -119,12 +108,10 @@ func byColumns[M Model](train func(context.Context, []*dataset.Dataset, [][]int,
 
 // schemes is indexed by Scheme; index 0 is not a scheme.
 var schemes = [...]schemeRow{
-	HorizontalLinear:     {name: "horizontal-linear", linear: true, train: byRows(consensus.TrainHorizontalLinear)},
-	HorizontalKernel:     {name: "horizontal-kernel", train: byRows(consensus.TrainHorizontalKernel)},
-	VerticalLinear:       {name: "vertical-linear", vertical: true, linear: true, train: byColumns(consensus.TrainVerticalLinear)},
-	VerticalKernel:       {name: "vertical-kernel", vertical: true, train: byColumns(consensus.TrainVerticalKernel)},
-	HorizontalLogistic:   {name: "horizontal-logistic", linear: true, train: byRows(consensus.TrainHorizontalLogistic)},
-	HorizontalNaiveBayes: {name: "horizontal-naivebayes", train: byRows(consensus.TrainNaiveBayes)},
+	HorizontalLinear: {name: "horizontal-linear", linear: true, train: byRows(consensus.TrainHorizontalLinear)},
+	HorizontalKernel: {name: "horizontal-kernel", train: byRows(consensus.TrainHorizontalKernel)},
+	VerticalLinear:   {name: "vertical-linear", vertical: true, linear: true, train: byColumns(consensus.TrainVerticalLinear)},
+	VerticalKernel:   {name: "vertical-kernel", vertical: true, train: byColumns(consensus.TrainVerticalKernel)},
 }
 
 // row looks s up in the table.
@@ -277,29 +264,22 @@ func TrainContext(ctx context.Context, data *Dataset, scheme Scheme, opts ...Opt
 	return res, nil
 }
 
-// applyDP perturbs a trained linear model in place (WithDPOutput). The
-// logistic minimizer has the same sensitivity form as the SVM's under the
-// shared C-parameterization.
+// applyDP perturbs a trained linear model in place (WithDPOutput).
 func applyDP(model Model, o options) error {
-	var w []float64
-	var b *float64
-	switch m := model.(type) {
-	case *consensus.LinearModel:
-		w, b = m.W, &m.B
-	case *consensus.LogisticModel:
-		w, b = m.W, &m.B
-	default:
+	m, ok := model.(*consensus.LinearModel)
+	if !ok {
 		return fmt.Errorf("%w: WithDPOutput supports only the linear schemes", ErrBadRequest)
 	}
 	// Perturb (w, b) jointly: the bias is part of the released minimizer.
-	wb := make([]float64, len(w)+1)
-	copy(wb, w)
-	wb[len(w)] = *b
+	k := len(m.W)
+	wb := make([]float64, k+1)
+	copy(wb, m.W)
+	wb[k] = m.B
 	if err := dp.PerturbVector(wb, o.dpEpsilon, dp.SVMSensitivity(o.cfg.C), nil); err != nil {
 		return fmt.Errorf("ppml: %w", err)
 	}
-	copy(w, wb[:len(w)])
-	*b = wb[len(w)]
+	copy(m.W, wb[:k])
+	m.B = wb[k]
 	return nil
 }
 

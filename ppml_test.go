@@ -334,57 +334,6 @@ func TestWithSecureStandardization(t *testing.T) {
 	}
 }
 
-func TestTrainLogisticAndNaiveBayesSchemes(t *testing.T) {
-	train, test := prepared(t, 300)
-	for _, scheme := range []ppml.Scheme{ppml.HorizontalLogistic, ppml.HorizontalNaiveBayes} {
-		scheme := scheme
-		t.Run(scheme.String(), func(t *testing.T) {
-			res, err := ppml.Train(train, scheme,
-				ppml.WithLearners(3), ppml.WithC(1), ppml.WithRho(10),
-				ppml.WithIterations(25), ppml.WithEvalSet(test))
-			if err != nil {
-				t.Fatal(err)
-			}
-			acc, err := ppml.Evaluate(res.Model, test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if acc < 0.85 {
-				t.Errorf("%s accuracy = %g, want ≥ 0.85", scheme, acc)
-			}
-			if res.Scheme != scheme {
-				t.Error("wrong scheme recorded")
-			}
-		})
-	}
-	if ppml.HorizontalLogistic.String() != "horizontal-logistic" ||
-		ppml.HorizontalNaiveBayes.String() != "horizontal-naivebayes" {
-		t.Error("scheme names wrong")
-	}
-}
-
-func TestLogisticWithDPOutput(t *testing.T) {
-	train, test := prepared(t, 240)
-	res, err := ppml.Train(train, ppml.HorizontalLogistic,
-		ppml.WithLearners(2), ppml.WithC(1), ppml.WithRho(10),
-		ppml.WithIterations(20), ppml.WithDPOutput(1e6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ppml.Evaluate(res.Model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.85 {
-		t.Errorf("DP logistic accuracy = %g", acc)
-	}
-	// Naive Bayes rejects DP output perturbation (not a linear minimizer).
-	if _, err := ppml.Train(train, ppml.HorizontalNaiveBayes,
-		ppml.WithDPOutput(1)); !errors.Is(err, ppml.ErrBadRequest) {
-		t.Errorf("NB + DP: err = %v, want ErrBadRequest", err)
-	}
-}
-
 func TestWithMinibatchMatchesFullBatchBoundary(t *testing.T) {
 	train, test := prepared(t, 240)
 	full, err := ppml.Train(train, ppml.HorizontalLinear,

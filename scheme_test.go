@@ -13,8 +13,8 @@ import (
 
 func TestParseSchemeRoundTrip(t *testing.T) {
 	names := ppml.SchemeNames()
-	if len(names) != 6 {
-		t.Fatalf("%d schemes in the table, want 6: %v", len(names), names)
+	if want := []string{"horizontal-linear", "horizontal-kernel", "vertical-linear", "vertical-kernel"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("schemes in the table = %v, want the paper's four %v", names, want)
 	}
 	for i, name := range names {
 		s, err := ppml.ParseScheme(name)
@@ -25,13 +25,16 @@ func TestParseSchemeRoundTrip(t *testing.T) {
 			t.Errorf("ParseScheme(%q) = %d (%s), want scheme %d", name, int(s), s, i+1)
 		}
 	}
-	_, err := ppml.ParseScheme("diagonal-linear")
-	if !errors.Is(err, ppml.ErrBadRequest) {
-		t.Fatalf("unknown name: err = %v, want ErrBadRequest", err)
-	}
-	for _, name := range names {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("unknown-scheme error %q does not list %q", err, name)
+	// A retired scheme's name is as unknown as a made-up one.
+	for _, unknown := range []string{"diagonal-linear", "horizontal-logistic", "horizontal-naivebayes"} {
+		_, err := ppml.ParseScheme(unknown)
+		if !errors.Is(err, ppml.ErrBadRequest) {
+			t.Fatalf("ParseScheme(%q): err = %v, want ErrBadRequest", unknown, err)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("unknown-scheme error %q does not list %q", err, name)
+			}
 		}
 	}
 }
@@ -40,7 +43,7 @@ func TestParseSchemeRoundTrip(t *testing.T) {
 // anything, over every row of the scheme table.
 func TestTrainRequestRules(t *testing.T) {
 	train, _ := prepared(t, 80)
-	linear := map[ppml.Scheme]bool{ppml.HorizontalLinear: true, ppml.VerticalLinear: true, ppml.HorizontalLogistic: true}
+	linear := map[ppml.Scheme]bool{ppml.HorizontalLinear: true, ppml.VerticalLinear: true}
 	vertical := map[ppml.Scheme]bool{ppml.VerticalLinear: true, ppml.VerticalKernel: true}
 	quick := []ppml.Option{ppml.WithLearners(2), ppml.WithIterations(2), ppml.WithKernel(ppml.RBFKernel(0.1))}
 	with := func(extra ...ppml.Option) []ppml.Option {

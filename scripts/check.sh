@@ -75,6 +75,8 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # - rounds, not clocks, decide fault outcomes: a demoted member is waited for
 #   on the rejoin schedule (rounds d+1, d+2, d+4, … after its demotion), not
 #   written off by a knob, and Kill is the one way to kill an endpoint.
+# - the paper's four schemes are the library: HL, HK, VL and VK; consensus
+#   logistic regression and secure naive Bayes are gone.
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -106,6 +108,7 @@ AggregationPaillier|PaillierKey|paillierFold|encryptContribution~no~two aggregat
 TrackLocality|LocalityPlan|RemoteInputBytes|buildLocalityPlan~no~a locality measurement that is zero by construction
 plaintextwire|telemetrysafe|plaintext-ok|telemetry-ok~no~a second privacy checker or its directive in non-test Go (secretflow's rules and //ppml:flow-ok)
 WriteOffAfter|mapper\.writeoff|KillOutbound\(|KillInbound\(~no~a write-off knob or a one-way kill in non-test Go (the rejoin schedule bounds a dead member's cost; Kill cuts both ways)
+HorizontalLogistic|HorizontalNaiveBayes|TrainHorizontalLogistic|TrainNaiveBayes|LogisticModel|NaiveBayesModel|newtonSolve~no~the paper's four schemes: HL, HK, VL, VK
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
@@ -206,34 +209,37 @@ go vet -vettool="$PWD/bin/ppml-vet" ./...
 echo "==> go build ./..."
 go build ./...
 
-echo "==> GOARCH=arm64 build + vet of the compute layer (the stub/twin side of every assembly kernel)"
-# Off amd64 hasFMA is false and the pure-Go twins are the only path; nothing
-# in CI runs there, so at least keep it compiling and vet-clean. The list is
-# every package with a twin (linalg, kernel), every solver that steps on
-# one (qp's SolveBox on the fused box-QP step, SolveLinearBox on the fused
-# HL sweep), the centralized SVM and the accuracy metric.
-GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/linalg ./internal/kernel ./internal/qp ./internal/svm ./internal/eval
+# The packages on the whole data → train → score path: the data generators
+# and the split, the consensus trainers and their round engine, the masked
+# sum and its codec, the DP release, the compute layer, the solvers, the
+# centralized SVM, the accuracy metric and the root package.
+data_to_score="internal/dataset internal/partition internal/consensus internal/mapreduce internal/securesum internal/fixedpoint internal/dp internal/linalg internal/kernel internal/qp internal/svm internal/eval ."
 
-echo "==> arm64 no-fusion gate (the compute layer and the solvers round every product on their own)"
+echo "==> GOARCH=arm64 build + vet of the data-to-score path (the stub/twin side of every assembly kernel)"
+# Off amd64 hasFMA is false and the pure-Go twins are the only path; nothing
+# in CI runs there, so at least keep it compiling and vet-clean.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet $(printf './%s ' $data_to_score)
+
+echo "==> arm64 no-fusion gate (every product on the data-to-score path is rounded on its own)"
 # The Go spec lets a compiler fuse x*y + z into one rounding. arm64 does
 # (FMADDD), amd64 never does, even at GOAMD64=v3, so a fused product is a
-# kernel value, a solver step or a model whose bits depend on the platform.
-# internal/qp, internal/kernel, internal/linalg, internal/svm and
-# internal/eval write every product that meets an addition as float64(…),
-# which forbids the fusion; the one fused multiply-add allowed is math.FMA,
-# which is one by contract. A fused instruction passes only on a source line
-# that calls math.FMA. The listing must show a line of each package, so an
-# empty one cannot pass.
-arm64_listing=$(GOARCH=arm64 go build -gcflags=-S ./internal/qp ./internal/kernel ./internal/linalg ./internal/svm ./internal/eval 2>&1)
-for pkg in internal/qp internal/kernel internal/linalg internal/svm internal/eval; do
-	if ! printf '%s\n' "$arm64_listing" | grep -q "$pkg/[a-z_0-9]*\.go:"; then
+# data set, a kernel value, a solver step or a model whose bits depend on the
+# platform. Every package on the path writes a product that meets an
+# addition as float64(…), which forbids the fusion; the one fused
+# multiply-add allowed is math.FMA, which is one by contract. A fused
+# instruction passes only on a source line that calls math.FMA. The listing
+# must show a line of each package, so an empty one cannot pass.
+arm64_listing=$(GOARCH=arm64 go build -gcflags=-S $(printf './%s ' $data_to_score) 2>&1)
+for pkg in $data_to_score; do
+	dir=${pkg%.}
+	if ! printf '%s\n' "$arm64_listing" | grep -qE "\($PWD/${dir:+$dir/}[a-z_0-9]*\.go:"; then
 		echo "error: the arm64 -S listing shows no line of $pkg" >&2
 		exit 1
 	fi
 done
 fused_sites=$(printf '%s\n' "$arm64_listing" | grep -E '\b(FMADD|FMSUB|FNMADD|FNMSUB)' \
-	| grep -oE 'internal/(qp|kernel|linalg|svm|eval)/[a-z_0-9]*\.go:[0-9]+' | sort -u)
+	| sed -nE "s|.*\($PWD/([a-z_0-9/]*\.go:[0-9]+)\).*|\1|p" | sort -u)
 fused_bad=0
 for site in $fused_sites; do
 	if ! sed -n "${site##*:}p" "${site%:*}" | grep -q 'math\.FMA('; then
