@@ -20,8 +20,8 @@ import (
 // to a dot, so "analysis/analysistest" is the whole package. Each entry must
 // still match an unused export, so the list cannot outlive what it excuses.
 var exportAllowlist = map[string]string{
-	// The paper's printed eq. (12) update, run by BenchmarkAblationSplit
-	// (ROADMAP item 14 rebuilds it Gram-free).
+	// The paper's printed eq. (12) update, run by BenchmarkAblationSplit;
+	// qp.SolveLinearEqualityBox solves its equality without a Gram.
 	"ppml.WithPaperSplit": "the paper's printed split, an ablation benchmark's arm",
 
 	// Test infrastructure that other packages' tests import.

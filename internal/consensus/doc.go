@@ -33,9 +33,10 @@
 // The (1/ρ)yyᵀ term is exactly what the paper's equality constraint becomes
 // when b is eliminated analytically instead of lagged. Q = Y(η·XXᵀ +
 // (1/ρ)·11ᵀ)Y is never formed: qp.SolveLinearBox runs dual coordinate descent
-// on the rows, keeping Xᵀ(y∘λ) and yᵀλ, at O(k) a step (DESIGN.md §17). Only
-// WithPaperSplit, whose equality-constrained SMO selects a pair from all N_m
-// gradients, builds the dense η·YXXᵀY. Consensus updates are
+// on the rows, keeping Xᵀ(y∘λ) and yᵀλ, at O(k) a step (DESIGN.md §17).
+// WithPaperSplit keeps the lagged equality yᵀλ = ρ(b_prev − s + β) instead,
+// and qp.SolveLinearEqualityBox solves it by the method of multipliers over
+// the same sweeps, so no HL update forms η·YXXᵀY. Consensus updates are
 // z ← mean(w_m + γ_m), s ← mean(b_m + β_m) (computed via secure summation),
 // and the duals advance by γ_m ← γ_m + w_m − z on receipt of the new z.
 //

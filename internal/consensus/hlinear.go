@@ -156,12 +156,6 @@ type hlMapper struct {
 	sched *chunkSchedule
 	vl    virtualLearners
 
-	// q is the dense dual Hessian η·YXXᵀY, built on the first round and under
-	// PaperSplit only (one chunk, so once): its equality-constrained SMO
-	// selects a pair from all N_m gradients. The joint update never forms a
-	// Hessian — qp.SolveLinearBox works on the rows.
-	q *linalg.Matrix
-
 	// Round scratch sized to the largest chunk, so steady-state rounds
 	// allocate nothing once every chunk has been visited.
 	p         []float64 // the QP's linear term, then Yλ
@@ -239,27 +233,20 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 		}
 	}
 	mp.opts[len(mp.opts)-1] = qp.WithWarmStart(c.lambda)
-	// The dual Hessian is Y(η·XXᵀ + (1/ρ)·11ᵀ)Y, the chunk being its virtual
-	// learner's whole partition; the joint update solves over its factors.
+	// The dual Hessian is Y(η·XXᵀ + (1/ρ)·11ᵀ)Y, PaperSplit's ηYXXᵀY under an
+	// equality, the chunk being its virtual learner's whole partition; both
+	// solves work on the rows and never form it.
+	lp := qp.LinearProblem{X: x, Y: y, Eta: mp.eta, P: p, C: mp.cfg.C}
 	var res *qp.Result
+	var d float64
 	if split {
 		// Equality constraint of eq. (12) with the lagged right-hand side,
 		// which stands in for the (1/ρ)·11ᵀ term.
-		if mp.q == nil {
-			if mp.q, err = linalg.MatMulT(x, x); err != nil {
-				return nil, err
-			}
-			for i := range y {
-				row := mp.q.Row(i)
-				for j := range row {
-					row[j] *= mp.eta * y[i] * y[j]
-				}
-			}
-		}
-		d := rho * (c.prevB - state[len(u)] + c.beta)
-		res, err = qp.SolveEqualityBox(qp.Problem{Q: mp.q, P: p, C: mp.cfg.C}, y, d, mp.opts...)
+		d = rho * (c.prevB - state[len(u)] + c.beta)
+		res, err = qp.SolveLinearEqualityBox(lp, d, mp.opts...)
 	} else {
-		res, err = qp.SolveLinearBox(qp.LinearProblem{X: x, Y: y, Eta: mp.eta, Sigma: 1 / rho, P: p, C: mp.cfg.C}, mp.opts...)
+		lp.Sigma = 1 / rho
+		res, err = qp.SolveLinearBox(lp, mp.opts...)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("consensus hl local solve: %w", err)
@@ -272,6 +259,11 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	for i := range ylambda {
 		ylambda[i] = float64(y[i] * res.Lambda[i])
 		sumYL += ylambda[i]
+	}
+	if split {
+		// The constraint makes yᵀλ = d; its value, not the solve's residual
+		// within tolerance, keeps the printed scheme's frozen bias exact.
+		sumYL = d
 	}
 	w, err := x.MulVecT(ylambda, c.prev)
 	if err != nil {

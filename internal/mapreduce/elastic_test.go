@@ -681,3 +681,81 @@ func TestElasticPlainAggregation(t *testing.T) {
 		t.Errorf("ppml_mapper_rejoins_total = %d, res.Rejoins = %d", got, res.Rejoins)
 	}
 }
+
+// heldMapper contributes value − state, except in round blockOn, where it
+// does not return until release is closed.
+type heldMapper struct {
+	value   []float64
+	blockOn int
+	release chan struct{}
+}
+
+func (m *heldMapper) Contribution(iter int, state []float64) ([]float64, error) {
+	if m.release != nil && iter == m.blockOn {
+		<-m.release
+	}
+	out := make([]float64, len(m.value))
+	for i := range out {
+		out[i] = m.value[i] - state[i]
+	}
+	return out, nil
+}
+
+// lastRoundReducer is the averaging consensus that ends the job at round
+// last, calling onLast from that round's Combine.
+type lastRoundReducer struct {
+	elasticAveragingReducer
+	last   int
+	onLast func()
+}
+
+func (r *lastRoundReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+	next, _, err := r.elasticAveragingReducer.Combine(iter, sum)
+	if iter == r.last {
+		r.onLast()
+	}
+	return next, iter == r.last, err
+}
+
+// TestElapsedEndsWithTheLastRound: DriverResult.Elapsed stops with the job's
+// last round, not with the teardown. A demoted straggler is still inside its
+// Contribution when the job ends, and the teardown waits for it; here it is
+// held until hold after the last round's Combine, and Elapsed must not
+// count that hold.
+func TestElapsedEndsWithTheLastRound(t *testing.T) {
+	const hold = 400 * time.Millisecond
+	release := make(chan struct{})
+	values := [][]float64{{1, 9}, {3, 11}, {5, 13}}
+	mappers := make([]IterativeMapper, len(values))
+	for i, v := range values {
+		hm := &heldMapper{value: v}
+		if i == len(values)-1 {
+			hm.blockOn, hm.release = 1, release
+		}
+		mappers[i] = hm
+	}
+	start := time.Now()
+	var lastRound time.Duration
+	red := &lastRoundReducer{
+		elasticAveragingReducer: *newElasticAveragingReducer(len(values), false),
+		last:                    3,
+		onLast: func() {
+			lastRound = time.Since(start)
+			time.AfterFunc(hold, func() { close(release) })
+		},
+	}
+	job := IterativeJob{
+		Mappers:         mappers,
+		Reducer:         red,
+		InitialState:    make([]float64, 2),
+		ContributionDim: 2,
+		MaxIterations:   10,
+	}
+	res, _ := runElastic(t, job, DriverOptions{StragglerTimeout: 50 * time.Millisecond})
+	if res.Demotions < 1 {
+		t.Fatalf("Demotions = %d, want the held mapper demoted", res.Demotions)
+	}
+	if res.Elapsed >= lastRound+hold/2 {
+		t.Errorf("Elapsed = %v, the last round ended at %v: the teardown's %v wait for the straggler was counted", res.Elapsed, lastRound, hold)
+	}
+}

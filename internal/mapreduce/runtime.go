@@ -92,7 +92,9 @@ type DriverResult struct {
 	IterativeResult
 	// Net are the transport counters accumulated by the job.
 	Net transport.Stats
-	// Elapsed is the wall-clock job duration.
+	// Elapsed is the wall-clock time from the job's start to the end of its
+	// last round. It leaves out the teardown, which waits for every mapper,
+	// a demoted straggler's in-flight Contribution included.
 	Elapsed time.Duration
 	// Demotions and Rejoins count roster transitions: a mapper leaving the
 	// roster between consecutive rounds, and one returning. Always zero
@@ -247,6 +249,7 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	}
 
 	state, jobErr := eng.run(ctx, job)
+	elapsed := time.Since(start)
 
 	// Tear down: the stop carries nothing, stamped with the round the job
 	// finished on so transcripts show where it stopped.
@@ -280,6 +283,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	}
 	res.FinalState = state
 	res.Net = net.Stats()
-	res.Elapsed = time.Since(start)
+	res.Elapsed = elapsed
 	return res, nil
 }

@@ -68,22 +68,110 @@ func SolveLinearBox(p LinearProblem, opts ...Option) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	n, k := p.X.Rows, p.X.Cols
-	cfg := newConfig(opts, linearSweeps*n)
+	cfg := newConfig(opts, linearSweeps*p.X.Rows)
+	lambda, res := cfg.takeLambda(p.X.Rows)
+	if err := cfg.warm(lambda, p.C); err != nil {
+		return nil, err
+	}
+	res.Lambda = lambda
+	res.Iterations, res.KKTViolation = descend(&p, &cfg, cfg.maxIter, lambda)
+	res.Converged = res.KKTViolation <= cfg.tol
+	cfg.record("linear", res)
+	return res, nil
+}
 
+// multiplierSteps caps SolveLinearEqualityBox's multiplier updates. The
+// penalty's growth rule keeps the count far below it: the centralized
+// baselines take 2–3 steps and a BenchmarkAblationSplit round at most 14.
+const multiplierSteps = 100
+
+// SolveLinearEqualityBox minimizes a LinearProblem subject also to yᵀλ = d,
+// by the method of multipliers (Boyd et al., "Distributed Optimization and
+// Statistical Learning via ADMM", §2.3) over SolveLinearBox's sweeps, so Q is
+// never formed. Step j solves the box problem with the augmented Lagrangian's
+// terms folded into the LinearProblem, σ_j·yyᵀ into Sigma and (b_j − σ_j·d)·y
+// into P, from the previous step's λ, then moves the multiplier
+// b_{j+1} = b_j + σ_j·r with r = yᵀλ − d. The box problem's gradient at b_j
+// is the constrained problem's at b_{j+1}, so the solve ends when a step's
+// sweeps converged and |r| is within the tolerance; KKTViolation is the
+// larger of the two, and Multiplier is b.
+//
+// The penalty starts at σ₀ = η·‖X‖²_F/(n·k), the mean per-feature diagonal
+// of ηYXXᵀY, and grows tenfold whenever a step shrinks |r| by less than 4×.
+// The warm start is clipped to the box but not moved onto yᵀλ = d: the steps
+// get there, and a projection would perturb Xᵀ(y∘λ). A d the box cannot
+// reach is ErrInfeasible. Past multiplierSteps steps, or once the steps'
+// updates reach the cap, the solve returns with Converged false.
+func SolveLinearEqualityBox(p LinearProblem, d float64, opts ...Option) (*Result, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	n, k := p.X.Rows, p.X.Cols
+	lo, hi := 0.0, 0.0
+	for _, y := range p.Y {
+		if y > 0 {
+			hi += p.C
+		} else {
+			lo -= p.C
+		}
+	}
+	if slack := float64(1e-12 * (1 + hi - lo)); !(d >= lo-slack && d <= hi+slack) {
+		return nil, fmt.Errorf("%w: cannot reach yᵀλ = %g with C = %g over %d variables", ErrInfeasible, d, p.C, n)
+	}
+	cfg := newConfig(opts, linearSweeps*n)
 	lambda, res := cfg.takeLambda(n)
+	if err := cfg.warm(lambda, p.C); err != nil {
+		return nil, err
+	}
+	xs := p.X.Data[:n*k]
+	sigma := float64(p.Eta*linalg.Dot(xs, xs)) / float64(n*k)
+	if !(sigma > 0) {
+		sigma = 1
+	}
+	step := p
+	step.P = sized(&cfg.scratch.p, n)
+	b, prev := 0.0, math.Inf(1)
+	for range multiplierSteps {
+		step.Sigma = p.Sigma + sigma
+		shift := b - float64(sigma*d)
+		for i, y := range p.Y {
+			step.P[i] = p.P[i] + float64(shift*y)
+		}
+		iters, viol := descend(&step, &cfg, cfg.maxIter-res.Iterations, lambda)
+		res.Iterations += iters
+		r := -d
+		for i, y := range p.Y {
+			r += float64(y * lambda[i])
+		}
+		b += float64(sigma * r)
+		res.KKTViolation = math.Max(viol, math.Abs(r))
+		if res.KKTViolation <= cfg.tol || res.Iterations >= cfg.maxIter {
+			break
+		}
+		if math.Abs(r) > prev/4 {
+			sigma *= 10
+		}
+		prev = math.Abs(r)
+	}
+	res.Lambda, res.Multiplier = lambda, b
+	res.Converged = res.KKTViolation <= cfg.tol
+	cfg.record("linear-eq", res)
+	return res, nil
+}
+
+// descend runs SolveLinearBox's sweeps from lambda, updating it in place,
+// until a sweep over every row moves nothing, with at most maxIter updates.
+// It returns the updates made and that last sweep's largest projected
+// gradient.
+func descend(p *LinearProblem, cfg *config, maxIter int, lambda []float64) (iters int, viol float64) {
+	n, k := p.X.Rows, p.X.Cols
 	v := cfg.takeBuf(k)
 	linalg.Zero(v)
 	s := 0.0
-	if cfg.warmStart != nil {
-		if len(cfg.warmStart) != n {
-			return nil, fmt.Errorf("%w: warm start has length %d, want %d", ErrBadProblem, len(cfg.warmStart), n)
-		}
-		for i, w := range cfg.warmStart {
-			if lambda[i] = linalg.Clamp(w, 0, p.C); lambda[i] != 0 {
-				linalg.Axpy(p.Y[i]*lambda[i], p.X.Row(i), v)
-				s += float64(p.Y[i] * lambda[i])
-			}
+	for i, l := range lambda {
+		if l != 0 {
+			linalg.Axpy(p.Y[i]*l, p.X.Row(i), v)
+			s += float64(p.Y[i] * l)
 		}
 	}
 	// qd is diag(Q): η‖x_i‖² + σ.
@@ -95,11 +183,10 @@ func SolveLinearBox(p LinearProblem, opts ...Option) (*Result, error) {
 		active[i] = i
 	}
 
-	res.Lambda = lambda
 	// The qd loop sliced every row, so X holds n rows for the sweep.
 	st := linalg.SweepState{
 		X: p.X.Data, Y: p.Y, P: p.P, QD: qd, Lambda: lambda, V: v, K: k,
-		Eta: p.Eta, Sigma: p.Sigma, C: p.C, Tau: tau, Tol: cfg.tol, MaxIter: cfg.maxIter,
+		Eta: p.Eta, Sigma: p.Sigma, C: p.C, Tau: tau, Tol: cfg.tol, MaxIter: maxIter,
 		ShrinkAbove: math.Inf(1), ShrinkBelow: math.Inf(-1), S: s,
 	}
 	live := n
@@ -109,8 +196,7 @@ func SolveLinearBox(p LinearProblem, opts ...Option) (*Result, error) {
 		live = kept
 		if !moved {
 			if full {
-				res.KKTViolation = st.Viol
-				break
+				return st.Iter, st.Viol
 			}
 			// The shrunk problem is solved; sweep every row again.
 			for i := range active {
@@ -130,8 +216,4 @@ func SolveLinearBox(p LinearProblem, opts ...Option) (*Result, error) {
 			st.ShrinkBelow = math.Inf(-1)
 		}
 	}
-	res.Iterations = st.Iter
-	res.Converged = res.KKTViolation <= cfg.tol
-	cfg.record("linear", res)
-	return res, nil
 }

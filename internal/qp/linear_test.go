@@ -265,3 +265,168 @@ func TestSolveLinearBoxScratchZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state warm solve allocates %g objects per run, want 0", allocs)
 	}
 }
+
+// boxGap is the largest projected gradient of the box problem ½λᵀQλ + pᵀλ at
+// lambda, from the dense Q.
+func boxGap(p Problem, lambda []float64) float64 {
+	gap := 0.0
+	for i := range lambda {
+		g := p.P[i] + linalg.Dot(p.Q.Row(i), lambda)
+		switch {
+		case lambda[i] <= 0:
+			g = math.Min(g, 0)
+		case lambda[i] >= p.C:
+			g = math.Max(g, 0)
+		}
+		gap = math.Max(gap, math.Abs(g))
+	}
+	return gap
+}
+
+// matchesSMO holds SolveLinearEqualityBox to SolveEqualityBox on the formed
+// Hessian: yᵀλ = d and the KKT conditions with the returned multiplier both
+// within tolerance of the dense gradient, the same objective, and the same
+// Xᵀ(y∘λ).
+func matchesSMO(t *testing.T, lp LinearProblem, d float64, opts ...Option) *Result {
+	t.Helper()
+	const tol = 1e-8
+	got, err := SolveLinearEqualityBox(lp, d, append(opts, WithTolerance(tol))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := dense(t, lp)
+	want, err := SolveEqualityBox(dp, lp.Y, d, WithTolerance(tol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Converged || !want.Converged {
+		t.Fatalf("converged: multipliers %v (gap %g), SMO %v (gap %g)", got.Converged, got.KKTViolation, want.Converged, want.KKTViolation)
+	}
+	_, s := factors(lp, got.Lambda)
+	if r := math.Abs(s - d); r > tol {
+		t.Errorf("|yᵀλ − d| = %g, want ≤ %g", r, tol)
+	}
+	shifted := dp
+	shifted.P = make([]float64, len(lp.P))
+	for i := range shifted.P {
+		shifted.P[i] = lp.P[i] + got.Multiplier*lp.Y[i]
+	}
+	if gap := boxGap(shifted, got.Lambda); gap > 10*tol {
+		t.Errorf("KKT gap at the returned multiplier %g: %g, want ≤ %g", got.Multiplier, gap, 10*tol)
+	}
+	if fg, fw := dp.objective(got.Lambda), dp.objective(want.Lambda); math.Abs(fg-fw) > 1e-6*(1+math.Abs(fw)) {
+		t.Errorf("objective %.12g, SMO reaches %.12g", fg, fw)
+	}
+	if lp.Eta > 0 {
+		vg, _ := factors(lp, got.Lambda)
+		vw, _ := factors(lp, want.Lambda)
+		for j := range vg {
+			if math.Abs(vg[j]-vw[j]) > 1e-4*(1+math.Abs(vw[j])) {
+				t.Errorf("Xᵀ(y∘λ)[%d] = %g, SMO reaches %g", j, vg[j], vw[j])
+			}
+		}
+	}
+	return got
+}
+
+func TestSolveLinearEqualityBoxMatchesSMO(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for trial := 0; trial < 150; trial++ {
+		n, k := 2+rng.Intn(40), 1+rng.Intn(6)
+		x := linalg.NewMatrix(n, k)
+		for i := range x.Data {
+			x.Data[i] = rng.NormFloat64()
+		}
+		for i := 1; i < n; i++ {
+			switch rng.Intn(8) {
+			case 0: // duplicate of an earlier row
+				copy(x.Row(i), x.Row(rng.Intn(i)))
+			case 1:
+				linalg.Zero(x.Row(i))
+			}
+		}
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = 2*rng.NormFloat64() - 1
+		}
+		lp := LinearProblem{
+			X: x, Y: randomLabels(rng, n), P: p,
+			Eta: 0.01 + rng.Float64(), Sigma: rng.Float64() * float64(rng.Intn(2)),
+			C: math.Pow(10, 2*rng.Float64()-1),
+		}
+		// A reachable d, nonzero but for every fourth trial: yᵀλ at a
+		// random point of the box.
+		d := 0.0
+		if trial%4 != 0 {
+			for i, l := range randomFeasibleBox(rng, n, lp.C) {
+				d += lp.Y[i] * l
+			}
+		}
+		cold := matchesSMO(t, lp, d)
+		// The next round's problem: the linear term and d move a little,
+		// the solve starts from this round's λ, off the new constraint.
+		for i := range p {
+			p[i] += 0.05 * rng.NormFloat64()
+		}
+		d *= 0.9
+		warm := matchesSMO(t, lp, d, WithWarmStart(cold.Lambda))
+		if t.Failed() {
+			t.Fatalf("trial %d: n=%d k=%d η=%g σ=%g C=%g d=%g (cold %d updates, warm %d)", trial, n, k, lp.Eta, lp.Sigma, lp.C, d, cold.Iterations, warm.Iterations)
+		}
+	}
+}
+
+func TestSolveLinearEqualityBoxInfeasible(t *testing.T) {
+	lp := linearProblem(t, [][]float64{{1, 0}, {0, 1}, {1, 1}}, []float64{1, 1, -1}, []float64{-1, -1, -1}, 1, 0, 2)
+	// yᵀλ ranges over [−2, 4].
+	for _, d := range []float64{4.1, -2.1, math.Inf(1), math.NaN()} {
+		if _, err := SolveLinearEqualityBox(lp, d); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("d = %g: err = %v, want ErrInfeasible", d, err)
+		}
+	}
+	one := linearProblem(t, [][]float64{{1, 0}, {0, 1}}, []float64{1, 1}, []float64{-1, -1}, 1, 0, 2)
+	if _, err := SolveLinearEqualityBox(one, -0.5); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("negative d with positive labels: err = %v, want ErrInfeasible", err)
+	}
+	for _, d := range []float64{4, -2} {
+		if _, err := SolveLinearEqualityBox(lp, d); err != nil {
+			t.Errorf("d = %g at the edge of the range: %v", d, err)
+		}
+	}
+	bad := lp
+	bad.Y = bad.Y[:2]
+	if _, err := SolveLinearEqualityBox(bad, 0); !errors.Is(err, ErrBadProblem) {
+		t.Errorf("short Y: err = %v, want ErrBadProblem", err)
+	}
+	if _, err := SolveLinearEqualityBox(lp, 0, WithWarmStart([]float64{0})); !errors.Is(err, ErrBadProblem) {
+		t.Errorf("warm start of the wrong length: err = %v, want ErrBadProblem", err)
+	}
+}
+
+// TestSolveLinearEqualityBoxScratchZeroAlloc: a PaperSplit round loop —
+// same Scratch, warm start from the previous round, d moving — must not
+// allocate.
+func TestSolveLinearEqualityBoxScratchZeroAlloc(t *testing.T) {
+	lp := hlProblem(make([]float64, 28), 0)
+	lp.Sigma = 0
+	var scr Scratch
+	warm := make([]float64, lp.X.Rows)
+	opts := []Option{WithScratch(&scr), WithWarmStart(warm)}
+	d := 0.5
+	solve := func() {
+		res, err := SolveLinearEqualityBox(lp, d, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("d = %g: gap %g after %d updates", d, res.KKTViolation, res.Iterations)
+		}
+		copy(warm, res.Lambda)
+		lp.P[0] -= 0.01 // keep every run a real solve
+		d -= 0.1
+	}
+	solve()
+	if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
+		t.Errorf("steady-state warm solve allocates %g objects per run, want 0", allocs)
+	}
+}

@@ -5,7 +5,7 @@
 //	subject to 0 ≤ λ ≤ C            (SolveBox)
 //	           and optionally yᵀλ = d with y ∈ {−1,+1}ⁿ  (SolveEqualityBox)
 //	or         0 ≤ λ ≤ C with Q = Y(η·XXᵀ + σ·11ᵀ)Y given by its factors
-//	           (SolveLinearBox)
+//	           (SolveLinearBox), and optionally yᵀλ = d (SolveLinearEqualityBox)
 //
 // SolveBox uses Gauss–Southwell projected coordinate descent (greedy exact
 // line search per coordinate); SolveEqualityBox uses sequential minimal
@@ -17,7 +17,10 @@
 // cyclic sweeps over the rows of X with shrinking, maintaining Xᵀ(y∘λ) and
 // yᵀλ instead of the gradient, so one step costs O(k) and Q is never formed.
 // It is the solver for a Hessian with a low-rank factor (the linear SVM dual);
-// a kernel Gram has none and takes SolveBox.
+// a kernel Gram has none and takes SolveBox. SolveLinearEqualityBox adds the
+// equality by the method of multipliers over SolveLinearBox's sweeps, so a
+// linear SVM dual with a bias never forms Q either; SolveEqualityBox's SMO is
+// for the kernel duals.
 package qp
 
 import (
@@ -77,6 +80,10 @@ type Result struct {
 	KKTViolation float64
 	// Converged reports whether the tolerance was met before the iteration cap.
 	Converged bool
+	// Multiplier is SolveLinearEqualityBox's multiplier of yᵀλ = d: with it
+	// added, Qλ + p + Multiplier·y meets the box's KKT conditions. For the
+	// SVM dual it is the bias. The other solvers leave it 0.
+	Multiplier float64
 }
 
 // Option configures a solver invocation. Options are plain values, not
@@ -96,7 +103,7 @@ type optionKind uint8
 
 const (
 	optTolerance optionKind = iota + 1
-	optMaxIter
+	optMaxIter              // the tests' WithMaxIter
 	optWarmStart
 	optScratch
 	optTelemetry
@@ -114,6 +121,7 @@ type Scratch struct {
 	lambda []float64
 	grad   []float64
 	buf    []float64
+	p      []float64
 	idx    []int
 	stuck  []bool
 	res    Result
@@ -149,6 +157,20 @@ func (c *config) takeLambda(n int) ([]float64, *Result) {
 	return s.lambda, &s.res
 }
 
+// warm clips the warm start, if one was given, into lambda.
+func (c *config) warm(lambda []float64, ub float64) error {
+	if c.warmStart == nil {
+		return nil
+	}
+	if len(c.warmStart) != len(lambda) {
+		return fmt.Errorf("%w: warm start has length %d, want %d", ErrBadProblem, len(c.warmStart), len(lambda))
+	}
+	for i, v := range c.warmStart {
+		lambda[i] = linalg.Clamp(v, 0, ub)
+	}
+	return nil
+}
+
 // takeGrad, takeBuf and takeIdx return the scratch's length-n gradient and
 // working buffers (contents unspecified).
 func (c *config) takeGrad(n int) []float64 { return sized(&c.scratch.grad, n) }
@@ -158,8 +180,9 @@ func (c *config) takeIdx(n int) []int      { return sized(&c.scratch.idx, n) }
 // denseMaxIter is the default update cap of the solvers whose update is O(n).
 func denseMaxIter(n int) int { return 1000*n + 10000 }
 
-// newConfig applies opts; defaultMaxIter is the solver's update cap when
-// WithMaxIter did not set one.
+// newConfig applies opts; defaultMaxIter is the solver's update cap: 1000·n +
+// 10000 of SolveBox's and SolveEqualityBox's O(n) updates, and 100000·n of
+// SolveLinearBox's O(k) ones, a cap SolveLinearEqualityBox's steps share.
 func newConfig(opts []Option, defaultMaxIter int) config {
 	cfg := config{tol: 1e-6}
 	for _, o := range opts {
@@ -188,14 +211,10 @@ func newConfig(opts []Option, defaultMaxIter int) config {
 // WithTolerance sets the KKT-violation stopping tolerance (default 1e-6).
 func WithTolerance(tol float64) Option { return Option{kind: optTolerance, f: tol} }
 
-// WithMaxIter caps the number of solver updates. The default is 1000·n + 10000
-// of SolveBox's and SolveEqualityBox's O(n) updates, and 100000·n of
-// SolveLinearBox's O(k) ones.
-func WithMaxIter(n int) Option { return Option{kind: optMaxIter, n: n} }
-
 // WithWarmStart seeds the solver with a previous solution. The point is
 // clipped to the box; SolveEqualityBox additionally repairs it to satisfy the
-// equality constraint. A copy is taken: the caller's slice is not modified.
+// equality constraint, while SolveLinearEqualityBox starts from it as it is.
+// A copy is taken: the caller's slice is not modified.
 func WithWarmStart(lambda []float64) Option {
 	return Option{kind: optWarmStart, vec: lambda}
 }
@@ -209,13 +228,8 @@ func SolveBox(p Problem, opts ...Option) (*Result, error) {
 	cfg := newConfig(opts, denseMaxIter(n))
 
 	lambda, res := cfg.takeLambda(n)
-	if cfg.warmStart != nil {
-		if len(cfg.warmStart) != n {
-			return nil, fmt.Errorf("%w: warm start has length %d, want %d", ErrBadProblem, len(cfg.warmStart), n)
-		}
-		for i, v := range cfg.warmStart {
-			lambda[i] = linalg.Clamp(v, 0, p.C)
-		}
+	if err := cfg.warm(lambda, p.C); err != nil {
+		return nil, err
 	}
 	grad := gradient(&p, lambda, cfg.takeGrad(n))
 
@@ -290,13 +304,8 @@ func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Resul
 	cfg := newConfig(opts, denseMaxIter(n))
 
 	lambda, res := cfg.takeLambda(n)
-	if cfg.warmStart != nil {
-		if len(cfg.warmStart) != n {
-			return nil, fmt.Errorf("%w: warm start has length %d, want %d", ErrBadProblem, len(cfg.warmStart), n)
-		}
-		for i, v := range cfg.warmStart {
-			lambda[i] = linalg.Clamp(v, 0, p.C)
-		}
+	if err := cfg.warm(lambda, p.C); err != nil {
+		return nil, err
 	}
 	if err := repairEquality(lambda, y, d, p.C); err != nil {
 		return nil, err

@@ -10,6 +10,10 @@ import (
 )
 
 // objective evaluates ½ λᵀQλ + pᵀλ.
+// WithMaxIter overrides a solve's update cap (newConfig's defaultMaxIter),
+// so the tests can stop a solve short of its tolerance.
+func WithMaxIter(n int) Option { return Option{kind: optMaxIter, n: n} }
+
 func (p *Problem) objective(lambda []float64) float64 {
 	qv, err := p.Q.MulVec(lambda, nil)
 	if err != nil {

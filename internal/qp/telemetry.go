@@ -14,8 +14,9 @@ const (
 // WithTelemetry records solver diagnostics into r on every successful solve:
 // ppml_qp_solves_total, a ppml_qp_iterations histogram and, for a solve that
 // returned at its update cap or stuck short of the tolerance,
-// ppml_qp_unconverged_total — all labeled solver=box|smo|diag|linear. A nil
-// registry records nothing at zero cost.
+// ppml_qp_unconverged_total — all labeled
+// solver=box|smo|diag|linear|linear-eq. A nil registry records nothing at
+// zero cost.
 func WithTelemetry(r *telemetry.Registry) Option {
 	return Option{kind: optTelemetry, tel: r}
 }

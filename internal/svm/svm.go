@@ -1,6 +1,6 @@
 // Package svm implements the centralized support vector machine used as the
-// paper's benchmark (Section VI): the standard soft-margin dual (problem (2))
-// trained with SMO, for both linear and kernelized classifiers.
+// paper's benchmark (Section VI): the standard soft-margin dual (problem (2)),
+// for both linear and kernelized classifiers.
 package svm
 
 import (
@@ -18,8 +18,9 @@ import (
 var ErrBadTrainingSet = errors.New("svm: bad training set")
 
 // svEps is the dual value above which a sample counts as a support vector,
-// and within which of C it counts as bound.
-const svEps = 1e-8
+// and within which of C it counts as bound; tol is the dual solve's KKT
+// tolerance.
+const svEps, tol = 1e-8, 1e-4
 
 // Params configures training.
 type Params struct {
@@ -27,10 +28,6 @@ type Params struct {
 	C float64
 	// Kernel defaults to kernel.Linear{} when nil.
 	Kernel kernel.Kernel
-	// Tol is the SMO KKT tolerance (default 1e-4, LIBSVM-like).
-	Tol float64
-	// MaxIter caps SMO updates (default: qp package default).
-	MaxIter int
 }
 
 // Model is a trained SVM classifier.
@@ -48,12 +45,16 @@ type Model struct {
 	W []float64
 	// SupportCount is the number of support vectors (len(Coef)).
 	SupportCount int
-	// Iterations is the number of SMO updates spent in training.
+	// Iterations is the number of dual updates spent in training.
 	Iterations int
+	// Converged reports whether the dual solve met its tolerance.
+	Converged bool
 }
 
 // Train fits a soft-margin SVM on rows of x with labels y ∈ {−1,+1}ⁿ by
-// solving the Wolfe dual (problem (2) of the paper) with SMO.
+// solving the Wolfe dual (problem (2) of the paper): Gram-free for a linear
+// kernel, whose bias is the equality's multiplier, and with SMO on the Gram
+// otherwise. Model.Converged reports a solve stopped at its update cap.
 func Train(x *linalg.Matrix, y []float64, p Params) (*Model, error) {
 	if x == nil || x.Rows == 0 {
 		return nil, fmt.Errorf("%w: empty training set", ErrBadTrainingSet)
@@ -76,40 +77,37 @@ func Train(x *linalg.Matrix, y []float64, p Params) (*Model, error) {
 	if err := kernel.Validate(k); err != nil {
 		return nil, fmt.Errorf("svm: %w", err)
 	}
-	tol := p.Tol
-	if tol <= 0 {
-		tol = 1e-4
-	}
 
-	// Dual Hessian H with Hij = yᵢ K(xᵢ, xⱼ) yⱼ.
-	h := kernel.GramMatrix(k, x)
-	for i := 0; i < h.Rows; i++ {
-		row := h.Row(i)
-		for j := range row {
-			row[j] *= y[i] * y[j]
-		}
-	}
 	pvec := make([]float64, x.Rows)
 	for i := range pvec {
 		pvec[i] = -1
 	}
-	opts := []qp.Option{qp.WithTolerance(tol)}
-	if p.MaxIter > 0 {
-		opts = append(opts, qp.WithMaxIter(p.MaxIter))
+	var res *qp.Result
+	var err error
+	if _, ok := k.(kernel.Linear); ok {
+		res, err = qp.SolveLinearEqualityBox(qp.LinearProblem{X: x, Y: y, Eta: 1, P: pvec, C: p.C}, 0, qp.WithTolerance(tol))
+	} else {
+		// Dual Hessian H with Hij = yᵢ K(xᵢ, xⱼ) yⱼ.
+		h := kernel.GramMatrix(k, x)
+		for i := 0; i < h.Rows; i++ {
+			row := h.Row(i)
+			for j := range row {
+				row[j] *= y[i] * y[j]
+			}
+		}
+		res, err = qp.SolveEqualityBox(qp.Problem{Q: h, P: pvec, C: p.C}, y, 0, qp.WithTolerance(tol))
 	}
-	res, err := qp.SolveEqualityBox(qp.Problem{Q: h, P: pvec, C: p.C}, y, 0, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("svm dual solve: %w", err)
 	}
-
-	return assemble(x, y, res.Lambda, p.C, k, res.Iterations)
+	return assemble(x, y, res, p.C, k)
 }
 
 // assemble extracts support vectors, computes the bias, and (for linear
 // kernels) the explicit weight vector.
-func assemble(x *linalg.Matrix, y, lambda []float64, c float64, k kernel.Kernel, iters int) (*Model, error) {
+func assemble(x *linalg.Matrix, y []float64, res *qp.Result, c float64, k kernel.Kernel) (*Model, error) {
 	var idx []int
-	for i, l := range lambda {
+	for i, l := range res.Lambda {
 		if l > svEps {
 			idx = append(idx, i)
 		}
@@ -118,23 +116,24 @@ func assemble(x *linalg.Matrix, y, lambda []float64, c float64, k kernel.Kernel,
 	coef := make([]float64, len(idx))
 	for r, i := range idx {
 		copy(sx.Row(r), x.Row(i))
-		coef[r] = lambda[i] * y[i]
+		coef[r] = res.Lambda[i] * y[i]
 	}
-	m := &Model{Kernel: k, SupportX: sx, Coef: coef, SupportCount: len(idx), Iterations: iters}
+	m := &Model{Kernel: k, SupportX: sx, Coef: coef, SupportCount: len(idx), Iterations: res.Iterations, Converged: res.Converged}
 
 	if _, ok := k.(kernel.Linear); ok {
 		w := make([]float64, x.Cols)
 		for r := range coef {
 			linalg.Axpy(coef[r], sx.Row(r), w)
 		}
-		m.W = w
+		m.W, m.B = w, res.Multiplier
+		return m, nil
 	}
 
 	scores, err := m.Decisions(x, nil) // B is still 0: the bias-free scores f₀(xᵢ)
 	if err != nil {
 		return nil, err
 	}
-	m.B = BiasFromKKT(scores, y, lambda, c)
+	m.B = BiasFromKKT(scores, y, res.Lambda, c)
 	return m, nil
 }
 

@@ -159,15 +159,12 @@ if grep -nE 'math\.Exp\(|func\((dot|d), ?(sqSum|s|_) float64\) float64' internal
 	exit 1
 fi
 
-echo "==> Gram-free HL (MatMulT in hlinear.go only on the PaperSplit branch)"
-# The joint-update HL solve works on the rows (qp.SolveLinearBox); the dense
-# N_m x N_m dual Hessian is PaperSplit's alone, whose equality-constrained SMO
-# needs every gradient per pair selection.
-if awk '/^\tif split \{/ { split_branch = 1 }
-	/^\t\} else \{/ { split_branch = 0 }
-	/MatMulT/ && !split_branch { print FILENAME ":" FNR ": " $0; found = 1 }
-	END { exit !found }' internal/consensus/hlinear.go; then
-	echo "error: a dense Gram outside hlMapper's PaperSplit branch (the joint path is Gram-free)" >&2
+echo "==> Gram-free HL (no dense Hessian in hlinear.go)"
+# Both HL updates solve over the rows: the joint one with qp.SolveLinearBox,
+# PaperSplit's equality-constrained one with qp.SolveLinearEqualityBox. A
+# MatMulT or the dense SMO there would be the N_m x N_m Gram coming back.
+if grep -nE 'MatMulT|SolveEqualityBox' internal/consensus/hlinear.go; then
+	echo "error: a dense Gram or the dense SMO in hlinear.go (both HL updates are Gram-free)" >&2
 	exit 1
 fi
 
