@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet vet-custom vet-flow fuzz-short bench bench-elastic bench-async metrics-smoke trace-smoke check
+.PHONY: build test race vet vet-custom vet-flow fuzz-short bench bench-elastic metrics-smoke trace-smoke check
 
 build:
 	$(GO) build ./...
@@ -54,11 +54,6 @@ bench:
 # demote-and-continue vs abort-and-restart, written to BENCH_elastic.json.
 bench-elastic:
 	$(GO) run ./cmd/ppml-figures -panel elastic -learners 16 -json BENCH_elastic.json
-
-# Async-round measurement: bulk-synchronous vs bounded-staleness + minibatch
-# time-to-target-accuracy under a flaky link, written to BENCH_async.json.
-bench-async:
-	$(GO) run ./cmd/ppml-figures -panel async -json BENCH_async.json
 
 # The pre-merge gate: scripts/check.sh = source gates (context, logging, one
 # event ring, one mapper per scheme, Gram-free HL, closed compute layer, escape

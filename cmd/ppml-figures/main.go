@@ -10,7 +10,7 @@
 //	ppml-figures -panel baseline    # centralized benchmark accuracies
 //	ppml-figures -panel scalability # learner-count sweep
 //	ppml-figures -panel elastic -json BENCH_elastic.json
-//	                                # a measurement panel (elastic, async)
+//	                                # the straggler-recovery measurement
 //	                                # and its JSON report
 //	ppml-figures -paper-scale       # full Section VI data sizes (slow)
 //	ppml-figures -distributed       # run on the simulated cluster with
@@ -52,7 +52,7 @@ func main() {
 
 func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("ppml-figures", flag.ContinueOnError)
-	panel := fs.String("panel", "all", "a..h, baseline, scalability, elastic, async, or all")
+	panel := fs.String("panel", "all", "a..h, baseline, scalability, elastic, or all")
 	paperScale := fs.Bool("paper-scale", false, "use the full Section VI data sizes (slow)")
 	distributed := fs.Bool("distributed", false, "run on the simulated cluster with secure aggregation")
 	iterations := fs.Int("iterations", 0, "override the iteration budget")
@@ -61,19 +61,15 @@ func run(ctx context.Context, args []string) (err error) {
 	csvDir := fs.String("csv", "", "also write each experiment as CSV into this directory")
 	maskMode := fs.String("mask-mode", "seeded",
 		"masked-aggregation variant of the scalability panel's strict distributed runs: seeded or per-round")
-	jsonPath := fs.String("json", "", "with -panel elastic or async, also write that panel's report as JSON to this file")
+	jsonPath := fs.String("json", "", "with -panel elastic, also write its report as JSON to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve live /metrics (Prometheus), /debug/vars and /debug/pprof on this address while the experiments run (e.g. 127.0.0.1:9090; :0 picks a free port)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *panel {
-	case "elastic", "async":
-	default:
-		if *jsonPath != "" {
-			return fmt.Errorf("-json needs a panel that produces a report (elastic, async), not %q", *panel)
-		}
+	if *jsonPath != "" && *panel != "elastic" {
+		return fmt.Errorf("-json needs the panel that produces a report (elastic), not %q", *panel)
 	}
 	if *cpuProfile != "" {
 		f, createErr := os.Create(*cpuProfile)
@@ -134,7 +130,6 @@ func run(ctx context.Context, args []string) (err error) {
 		opts.Telemetry = tel
 	}
 
-	var report any
 	switch *panel {
 	case "all":
 		for _, id := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
@@ -148,19 +143,17 @@ func run(ctx context.Context, args []string) (err error) {
 	case "scalability":
 		return printScalability(opts)
 	case "elastic":
-		report, err = printElastic(ctx, opts)
-	case "async":
-		report, err = printAsync(ctx, opts)
+		report, err := printElastic(ctx, opts)
+		if err != nil || *jsonPath == "" {
+			return err
+		}
+		return writeJSON(*jsonPath, report)
 	default:
 		if len(*panel) == 1 && strings.Contains("abcdefgh", *panel) {
 			return printPanel(*panel, opts)
 		}
-		return fmt.Errorf("unknown panel %q (want a..h, baseline, scalability, elastic, async, all)", *panel)
+		return fmt.Errorf("unknown panel %q (want a..h, baseline, scalability, elastic, all)", *panel)
 	}
-	if err != nil || *jsonPath == "" {
-		return err
-	}
-	return writeJSON(*jsonPath, report)
 }
 
 // writeJSON stores a panel's report, indented, at path — the data behind the
@@ -280,36 +273,6 @@ func printElastic(ctx context.Context, opts experiments.Options) (*experiments.E
 			p.StragglerDelayMs, p.DemoteTotalMs, p.DemoteRoundMs, p.Demotions,
 			p.AbortTotalMs, p.AbortRoundMs, p.Restarted, p.Speedup)
 	}
-	fmt.Println()
-	return report, nil
-}
-
-// printAsync runs the bounded-staleness benchmark (bulk-synchronous vs async
-// minibatch rounds under injected send jitter) and returns the report — the
-// data behind BENCH_async.json.
-func printAsync(ctx context.Context, opts experiments.Options) (*experiments.AsyncReport, error) {
-	report, err := experiments.RunAsync(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("# Async rounds: bulk-synchronous vs bounded-staleness (S=%d, decay %.2f, chunks %d rows), M=%d, send jitter %g/%gms tail p=%g, straggler window %gms\n",
-		report.Staleness, report.StalenessDecay, report.ChunkRows, report.Learners,
-		report.JitterBaseMs, report.JitterTailMs, report.JitterTailProb, report.StragglerMs)
-	fmt.Println("scheme\tmode\titerations\tseconds\taccuracy\ttarget\titer_to_target\tsec_to_target\tmean_staleness\tdemotions\trejoins\ttimeouts\tspeedup")
-	for _, s := range report.Schemes {
-		for _, r := range []experiments.AsyncRun{s.Sync, s.Async} {
-			speedup := "-"
-			if r.Mode == "async" {
-				speedup = fmt.Sprintf("%.2fx", s.Speedup)
-			}
-			fmt.Printf("%s\t%s\t%d\t%.2f\t%.3f\t%.3f\t%d\t%.3f\t%.2f\t%d\t%d\t%d\t%s\n",
-				s.Scheme, r.Mode, r.Iterations, r.Seconds, r.Accuracy, s.TargetAccuracy,
-				r.IterationsToTarget, r.SecondsToTarget, r.MeanStaleness,
-				r.Demotions, r.Rejoins, r.Timeouts, speedup)
-		}
-	}
-	fmt.Printf("minibatch reproducibility: run1 %s run2 %s equal=%t\n",
-		report.MinibatchHash1, report.MinibatchHash2, report.Reproducible)
 	fmt.Println()
 	return report, nil
 }

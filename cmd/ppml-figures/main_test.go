@@ -32,9 +32,9 @@ func TestRunBaselinePanel(t *testing.T) {
 }
 
 func TestRunUnknownPanel(t *testing.T) {
-	for _, panel := range []string{"zzz", "hot", "comm"} {
+	for _, panel := range []string{"zzz", "hot", "comm", "async"} {
 		err := run(t.Context(), []string{"-panel", panel})
-		if err == nil || !strings.Contains(err.Error(), "elastic, async, all") {
+		if err == nil || !strings.Contains(err.Error(), "elastic, all") {
 			t.Errorf("-panel %s: err = %v, want the unknown-panel error listing the panels", panel, err)
 		}
 	}

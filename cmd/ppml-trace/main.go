@@ -21,7 +21,7 @@
 //
 // -fixture runs the built-in chaos scenario instead of reading dumps: an
 // averaging job with a seeded flaky link on the last mapper (1 ms base,
-// 60 ms tail at p=0.25 — the async benchmark's fault shape), so the tool can
+// 60 ms tail at p=0.25, one slow link among steady ones), so the tool can
 // be exercised end to end without a cluster.
 package main
 

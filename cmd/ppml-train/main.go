@@ -66,10 +66,6 @@ func run(ctx context.Context, args []string) error {
 		"smallest live roster an elastic round may fold (0: 2 under masked aggregation, 1 otherwise)")
 	chunkRows := fs.Int("chunk-rows", 0,
 		"minibatch rounds: solve over row chunks of this size instead of full partitions (0: full batch)")
-	staleness := fs.Int("staleness", 0,
-		"bounded-staleness rounds (implies -distributed, needs -straggler-timeout): accept contributions up to this many rounds old; 0 keeps rounds bulk-synchronous")
-	stalenessDecay := fs.Float64("staleness-decay", 0,
-		"per-round weight decay kappa in (0,1] for stale contributions (0: default 0.5)")
 	trace := fs.Bool("trace", false, "print per-iteration |dz|^2 and accuracy")
 	metricsAddr := fs.String("metrics-addr", "",
 		"serve live /metrics (Prometheus), /debug/vars and /debug/pprof on this address while training (e.g. 127.0.0.1:9090; :0 picks a free port)")
@@ -184,12 +180,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *chunkRows > 0 {
 		opts = append(opts, ppml.WithMinibatch(*chunkRows))
-	}
-	if *staleness > 0 {
-		opts = append(opts, ppml.WithStaleness(*staleness))
-	}
-	if *stalenessDecay > 0 {
-		opts = append(opts, ppml.WithStalenessDecay(*stalenessDecay))
 	}
 
 	var tel *ppml.Telemetry

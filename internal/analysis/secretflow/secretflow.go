@@ -261,7 +261,7 @@ func (m *model) Sanitizes(fn *types.Func) bool {
 		return true // masked or encrypted by construction
 	case isTelemetrySink(path):
 		// One-way valve: without it the unknown-callee assumption would let
-		// one audited argument (say, a ready declaration's staleness stamp)
+		// one audited argument (say, a residual the flow-ok marks as public)
 		// taint the journal handle's receiver and, transitively, every
 		// driver struct holding it.
 		return true

@@ -30,6 +30,7 @@ func TestElasticChaosInBubble(t *testing.T) {
 		// Killed at round 5: waited for in rounds 5, 6, 7, 9, 13 and 21 of
 		// HL's 30 and HK's 25.
 		{"HL", chaosKillHorizontalLinear, 6},
+		{"HL chunks", chaosKillHorizontalLinearChunks, 6},
 		{"HK", chaosKillHorizontalKernel, 6},
 		// Killed at round 5, healed at 15: waited for in rounds 5, 6, 7, 9
 		// and 13, and rejoined in round 21, their next due round.

@@ -65,22 +65,6 @@ type Config struct {
 	// rejected, and so is PaperSplit on a learner whose rows divide into more
 	// than one chunk. See DESIGN.md §15.
 	ChunkRows int
-	// Staleness (distributed mode, masked aggregation with an elastic
-	// StragglerTimeout) allows a learner's share to be computed against a
-	// consensus state up to Staleness rounds old: the local solve runs on a
-	// background worker and the round answers with the newest completed
-	// contribution, scaled by StalenessDecay^s. Zero keeps rounds bulk-
-	// synchronous. Rejected for the vertical schemes when ChunkRows divides
-	// the records into more than one chunk (a stale chunk update would target
-	// the wrong coordinate block). The range (0..255, the wire stamp's) is
-	// the engine's to check, like StalenessDecay's and MinQuorum's: they are
-	// forwarded untouched and mapreduce's policy is the one place that
-	// defaults and validates them. See DESIGN.md §14–§15.
-	Staleness int
-	// StalenessDecay is the per-round weight decay κ ∈ (0, 1] applied to
-	// stale contributions (weight κ^s); zero means the engine's default, 0.5.
-	// Ignored without Staleness.
-	StalenessDecay float64
 
 	// Distributed runs the job on the full simulated cluster (transport,
 	// secure aggregation). When false the trainers use the sequential
@@ -155,12 +139,6 @@ func (c Config) normalized() (Config, error) {
 	if c.ChunkRows < 0 {
 		return c, fmt.Errorf("%w: ChunkRows = %d", ErrBadConfig, c.ChunkRows)
 	}
-	// The engine's policy owns the staleness window, its decay and the quorum
-	// — defaults and ranges (mapreduce.ErrBadJob); the local engine has no
-	// policy to hand them to.
-	if c.Staleness != 0 && !c.Distributed {
-		return c, fmt.Errorf("%w: Staleness needs Distributed (the local engine is bulk-synchronous)", ErrBadConfig)
-	}
 	return c, nil
 }
 
@@ -216,8 +194,6 @@ func runJob(ctx context.Context, cfg Config, job mapreduce.IterativeJob) (*mapre
 			MaskMode:         cfg.MaskMode,
 			StragglerTimeout: cfg.StragglerTimeout,
 			MinQuorum:        cfg.MinQuorum,
-			Staleness:        cfg.Staleness,
-			StalenessDecay:   cfg.StalenessDecay,
 			Telemetry:        cfg.Telemetry,
 		})
 		if err != nil {

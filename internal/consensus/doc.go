@@ -126,8 +126,8 @@
 // Neither reducer knows how many learners there are. Before every Combine the
 // engine announces the weight of the round's sum (mapreduce.WeightedReducer):
 // the number of learners folded — M on the local engine and under strict
-// rounds, the live roster after a demotion — or Σκ^s when some shares are
-// stale, and every M in the Reducer formulas above is that number. For the
+// rounds, the live roster after a demotion — and every M in the Reducer
+// formulas above is that number. For the
 // per-round accuracy probe (Config.EvalSet) each VL, VK and HK mapper scores
 // the eval rows on its own block at the end of Contribution and hands the
 // Reducer those partial decisions (partialDecisions); the Reducer adds them

@@ -115,7 +115,7 @@ func chaosCtx(t *testing.T) context.Context {
 }
 
 // assertProbedEveryRound: with an EvalSet every folded round recorded one
-// accuracy, whatever the roster or the staleness of its shares.
+// accuracy, whatever the roster.
 func assertProbedEveryRound(t *testing.T, h *History) {
 	t.Helper()
 	if h.Iterations == 0 || len(h.Accuracy) != h.Iterations {
@@ -129,10 +129,22 @@ func assertProbedEveryRound(t *testing.T, h *History) {
 
 func TestElasticChaosKillHorizontalLinear(t *testing.T) { chaosKillHorizontalLinear(t) }
 
-func chaosKillHorizontalLinear(t *testing.T) (took time.Duration) {
+// The minibatch variant: each learner's 30 rows split into three chunks, so
+// the survivors fold chunk updates over a shrunken roster.
+func TestElasticChaosKillHorizontalLinearChunks(t *testing.T) { chaosKillHorizontalLinearChunks(t) }
+
+func chaosKillHorizontalLinear(t *testing.T) time.Duration {
+	return chaosKillHorizontalLinearRows(t, 0)
+}
+
+func chaosKillHorizontalLinearChunks(t *testing.T) time.Duration {
+	return chaosKillHorizontalLinearRows(t, 10)
+}
+
+func chaosKillHorizontalLinearRows(t *testing.T, chunkRows int) (took time.Duration) {
 	d := dataset.TwoGaussians("g", 480, 4, 3, 61)
 	train, test := splitAndScale(t, d)
-	base := Config{C: 10, Rho: 50, MaxIterations: 30}
+	base := Config{C: 10, Rho: 50, MaxIterations: 30, ChunkRows: chunkRows}
 	clean, _, err := TrainHorizontalLinear(chaosCtx(t), horizontalParts(t, train, 8, 3), base)
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +152,7 @@ func chaosKillHorizontalLinear(t *testing.T) (took time.Duration) {
 	t.Run("seeded", func(t *testing.T) {
 		cfg, ch, reg := chaosCluster(base)
 		killAt(ch, killRound, "mapper-5", "mapper-6")
+		cfg.EvalSet = test
 		start := time.Now()
 		model, h, err := TrainHorizontalLinear(chaosCtx(t), horizontalParts(t, train, 8, 3), cfg)
 		took = time.Since(start)
@@ -149,6 +162,7 @@ func chaosKillHorizontalLinear(t *testing.T) (took time.Duration) {
 		if h.Iterations != base.MaxIterations {
 			t.Errorf("ran %d of %d iterations despite demote-and-continue", h.Iterations, base.MaxIterations)
 		}
+		assertProbedEveryRound(t, h)
 		assertChaosOutcome(t, reg, clean, model, test, 2, 0)
 	})
 	return took

@@ -284,8 +284,7 @@ type meanConsensusReducer struct {
 	rounds roundLog // its probe scores prev, the state just folded
 
 	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
-	// the number of learners folded, or Σ κ^{s_i} when some shares are stale.
-	// It is the only cohort size the reducer knows.
+	// the number of learners folded. It is the only cohort size the reducer knows.
 	weight float64
 
 	prev []float64
@@ -294,8 +293,7 @@ type meanConsensusReducer struct {
 
 // SetRoundWeight implements mapreduce.WeightedReducer: the consensus mean
 // divides by what was actually folded, so a round over a partial roster
-// averages the live iterates instead of shrinking them, and a round of stale
-// shares Σ κ^{s_i}·c_i is renormalized by its total weight.
+// averages the live iterates instead of shrinking them.
 func (r *meanConsensusReducer) SetRoundWeight(total float64) { r.weight = total }
 
 // Combine implements mapreduce.IterativeReducer.

@@ -24,8 +24,8 @@ const sharedChunkStream = -1
 // chunkSchedule maps an iteration number to a contiguous row chunk: chunks
 // are visited in a seeded permutation reshuffled every epoch, so every row is
 // visited once per epoch. The permutation is a pure function of (seed, id,
-// epoch), so out-of-order queries — a stale background solve, a prefetch hint
-// for the next round — always agree with in-order ones. A chunkRows of zero
+// epoch), so out-of-order queries — a prefetch hint for the next round —
+// always agree with in-order ones. A chunkRows of zero
 // or less means all rows: one chunk, visited every round.
 type chunkSchedule struct {
 	rows, chunkRows, numChunks int

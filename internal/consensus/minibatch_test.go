@@ -64,7 +64,7 @@ func TestChunkScheduleAllRows(t *testing.T) {
 
 func TestChunkScheduleDeterministicAndOrderFree(t *testing.T) {
 	// Two schedules with the same (seed, id) must agree even when one is
-	// queried out of order — a stale background solve or a prefetch hint for
+	// queried out of order — a prefetch hint for
 	// iter+1 crosses epoch boundaries freely.
 	a := newChunkSchedule(96, 8, 7, 3)
 	b := newChunkSchedule(96, 8, 7, 3)
@@ -130,48 +130,17 @@ func TestMinibatchConfigValidation(t *testing.T) {
 			t.Errorf("Tol %g: err = %v, want ErrBadConfig", tol, err)
 		}
 	}
+	// Per-round masks run strict rounds only: elastic rounds are the
+	// policy's to refuse.
 	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
-		C: 1, Rho: 1, Staleness: 2,
-	}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("Staleness without Distributed: err = %v, want ErrBadConfig", err)
-	}
-	// The window's decay and range are the engine policy's to check.
-	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
-		C: 1, Rho: 1, Distributed: true, StragglerTimeout: time.Second, Staleness: 1, StalenessDecay: 1.5,
-	}); !errors.Is(err, mapreduce.ErrBadJob) {
-		t.Errorf("StalenessDecay > 1: err = %v, want mapreduce.ErrBadJob", err)
-	}
-	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
-		C: 1, Rho: 1, Distributed: true, StragglerTimeout: time.Second, Staleness: 256,
-	}); !errors.Is(err, mapreduce.ErrBadJob) {
-		t.Errorf("Staleness past the wire stamp: err = %v, want mapreduce.ErrBadJob", err)
-	}
-	// Per-round masks run strict rounds only: elastic rounds, stale or not,
-	// are the policy's to refuse.
-	for _, staleness := range []int{0, 1} {
-		if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
-			C: 1, Rho: 1, Distributed: true, MaskMode: mapreduce.MaskPerRound, StragglerTimeout: time.Second, Staleness: staleness,
-		}); !errors.Is(err, mapreduce.ErrBadJob) || !strings.Contains(err.Error(), "MaskPerRound with StragglerTimeout") {
-			t.Errorf("MaskPerRound with StragglerTimeout, Staleness %d: err = %v, want mapreduce.ErrBadJob naming both", staleness, err)
-		}
+		C: 1, Rho: 1, Distributed: true, MaskMode: mapreduce.MaskPerRound, StragglerTimeout: time.Second,
+	}); !errors.Is(err, mapreduce.ErrBadJob) || !strings.Contains(err.Error(), "MaskPerRound with StragglerTimeout") {
+		t.Errorf("MaskPerRound with StragglerTimeout: err = %v, want mapreduce.ErrBadJob naming both", err)
 	}
 	if _, _, err := TrainHorizontalLinearStreamed(context.Background(), nil, Config{
 		C: 1, Rho: 1,
 	}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("streamed without ChunkRows: err = %v, want ErrBadConfig", err)
-	}
-}
-
-func TestVerticalChunkStalenessRejected(t *testing.T) {
-	d := dataset.TwoGaussians("g", 60, 6, 3, 1)
-	parts, cols := verticalParts(t, d, 2, 1)
-	cfg := Config{C: 1, Rho: 1, ChunkRows: 8, Staleness: 2, Distributed: true, StragglerTimeout: 1}
-	if _, _, err := TrainVerticalLinear(context.Background(), parts, cols, cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("VL chunk+staleness: err = %v, want ErrBadConfig", err)
-	}
-	cfg.Kernel = kernel.RBF{Gamma: 1}
-	if _, _, err := TrainVerticalKernel(context.Background(), parts, cols, cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("VK chunk+staleness: err = %v, want ErrBadConfig", err)
 	}
 }
 
@@ -542,9 +511,8 @@ func TestHLStreamedOutOfCore(t *testing.T) {
 }
 
 // BenchmarkMinibatchRound times a short local horizontal-linear training run
-// full-batch versus chunked: the per-round local-solve shrink the async
-// bench (experiments.RunAsync) banks on. CI runs it at -benchtime 1x as the
-// async bench smoke.
+// full-batch versus chunked: the per-round local-solve shrink minibatch
+// chunks buy.
 func BenchmarkMinibatchRound(b *testing.B) {
 	data := dataset.SyntheticCancer(2400, 1)
 	for _, bc := range []struct {

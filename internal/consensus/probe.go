@@ -17,14 +17,14 @@ import (
 
 // partialDecisions is one learner's share of the probe: f_m(X_e), its
 // partial decision on every eval row. The Reducer reads it inside Combine,
-// while the mapper may be inside Contribution — on the bounded-staleness
-// worker, or as a demoted straggler still solving — so the mapper writes a
+// while the mapper may be inside Contribution — a demoted straggler still
+// solving — so the mapper writes a
 // round's decisions into next, which only it touches, and swaps them in under
 // the mutex at the end of Contribution; the Reducer adds v into its sum under
 // the same mutex. Under the local engine and strict rounds every Contribution
 // of round t has returned before Combine(t) runs, so the probe scores exactly
-// the iterate that was folded; under elastic or stale rounds a learner's
-// part may be newer than its folded share. ROADMAP item 3 (the partials in
+// the iterate that was folded; under elastic rounds a demoted learner's part
+// may be newer than the last share the Reducer folded from it. ROADMAP item 3 (the partials in
 // the masked share) supersedes this.
 type partialDecisions struct {
 	next []float64 // the mapper's: the decisions of the round in progress

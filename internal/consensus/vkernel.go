@@ -104,14 +104,11 @@ func TrainVerticalKernel(ctx context.Context, parts []*dataset.Dataset, cols [][
 	if err := kernel.Validate(cfg.Kernel); err != nil {
 		return nil, nil, fmt.Errorf("%w: kernel scheme needs a valid Config.Kernel: %v", ErrBadConfig, err)
 	}
-	rows, features, err := validateVerticalParts(parts, cols)
+	_, features, err := validateVerticalParts(parts, cols)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := checkEvalSet(cfg, features); err != nil {
-		return nil, nil, err
-	}
-	if err := checkVerticalChunkConfig(cfg, rows); err != nil {
 		return nil, nil, err
 	}
 	mappers := make([]mapreduce.IterativeMapper, len(parts))

@@ -25,14 +25,11 @@ func TrainVerticalLinear(ctx context.Context, parts []*dataset.Dataset, cols [][
 	if err != nil {
 		return nil, nil, err
 	}
-	rows, features, err := validateVerticalParts(parts, cols)
+	_, features, err := validateVerticalParts(parts, cols)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := checkEvalSet(cfg, features); err != nil {
-		return nil, nil, err
-	}
-	if err := checkVerticalChunkConfig(cfg, rows); err != nil {
 		return nil, nil, err
 	}
 	mappers := make([]mapreduce.IterativeMapper, len(parts))
@@ -84,20 +81,6 @@ func trainVertical(ctx context.Context, parts []*dataset.Dataset, cfg Config, ma
 	}
 	h.DeltaZSq, h.Accuracy = red.rounds.deltaZSq, red.rounds.accuracy
 	return red.b, h, nil
-}
-
-// checkVerticalChunkConfig rejects the minibatch × bounded-staleness
-// combination for the vertical schemes: the Reducer derives the round's
-// coordinate block from the iteration number, so a share computed s rounds
-// ago would carry scores for a different chunk than the one being folded.
-// With one chunk every share covers every coordinate and staleness is fine;
-// the horizontal schemes have no such alignment at all (their shares are
-// model iterates, not coordinate blocks), so they allow both together.
-func checkVerticalChunkConfig(cfg Config, rows int) error {
-	if cfg.Staleness > 0 && numChunksFor(rows, cfg.ChunkRows) > 1 {
-		return fmt.Errorf("%w: the vertical schemes cannot combine ChunkRows with Staleness (chunk-coordinate alignment; see DESIGN.md §15)", ErrBadConfig)
-	}
-	return nil
 }
 
 // vlMapper is one learner's Map() task for the vertical linear scheme: a
@@ -243,8 +226,7 @@ type verticalReducer struct {
 	rounds roundLog // its probe sums the learners' partial decisions with b
 
 	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
-	// the number of learners folded, or Σ κ^{s_i} when some shares are stale.
-	// A demoted vertical learner's feature block drops out of the consensus
+	// the number of learners folded. A demoted vertical learner's feature block drops out of the consensus
 	// score for the round, so every M-dependent coefficient of the prox step
 	// is this weight, which keeps the fold consistent; it is the only cohort
 	// size the reducer knows.

@@ -17,8 +17,10 @@ package experiments
 // Every round carries a fixed simulated compute cost, so the tradeoff the
 // table shows is the real one: the demote path pays a straggler window for a
 // bounded number of rounds, the abort path pays the wasted rounds plus a full
-// retrain. `make bench-elastic` regenerates the JSON via ppml-figures -panel
-// elastic.
+// retrain. Every delay sits well clear of the straggler window — the
+// straggler answers either inside it or past two of them — so whether a run
+// demotes, and so restarts, is the delay's outcome, not the clock's. `make
+// bench-elastic` regenerates the JSON via ppml-figures -panel elastic.
 
 import (
 	"context"
@@ -140,7 +142,10 @@ func elasticJob(m int, straggler time.Duration, skip int) mapreduce.IterativeJob
 }
 
 // RunElastic measures round latency versus injected straggler delay at M
-// learners under both recovery policies.
+// learners under both recovery policies. A point whose demote run demoted the
+// straggler must also have restarted under MinQuorum = M: the same miss that
+// demotes one run fails the other, and a point where it did not measured a
+// race between the straggler and the window.
 func RunElastic(ctx context.Context, m int) (*ElasticReport, error) {
 	if m < 3 {
 		return nil, fmt.Errorf("experiments: elastic bench needs at least 3 learners, got %d", m)
@@ -156,7 +161,6 @@ func RunElastic(ctx context.Context, m int) (*ElasticReport, error) {
 	for _, delay := range []time.Duration{
 		0,
 		25 * time.Millisecond,
-		100 * time.Millisecond,
 		300 * time.Millisecond,
 	} {
 		p := ElasticPoint{StragglerDelayMs: float64(delay) / float64(time.Millisecond)}
@@ -185,16 +189,17 @@ func RunElastic(ctx context.Context, m int) (*ElasticReport, error) {
 		case errors.Is(err, mapreduce.ErrQuorum):
 			// The straggler killed the attempt; restart from scratch without it.
 			p.Restarted = true
-			retrain, err := runBenchJob(ctx, elasticJob(m, 0, m-1), mapreduce.DriverOptions{
+			if _, err := runBenchJob(ctx, elasticJob(m, 0, m-1), mapreduce.DriverOptions{
 				StragglerTimeout: elasticStraggler,
-			})
-			if err != nil {
+			}); err != nil {
 				return nil, fmt.Errorf("experiments: elastic restart delay=%v: %w", delay, err)
 			}
 			p.AbortTotalMs = float64(time.Since(start)) / float64(time.Millisecond)
-			_ = retrain
 		default:
 			return nil, fmt.Errorf("experiments: elastic abort delay=%v: %w", delay, err)
+		}
+		if p.Demotions > 0 && !p.Restarted {
+			return nil, fmt.Errorf("experiments: elastic delay=%v: the demote run demoted %d times but MinQuorum = %d never aborted", delay, p.Demotions, m)
 		}
 		p.AbortRoundMs = p.AbortTotalMs / float64(elasticRounds)
 		p.Speedup = p.AbortTotalMs / p.DemoteTotalMs

@@ -41,8 +41,8 @@ func (m *slowMapper) Contribution(iter int, state []float64) ([]float64, error) 
 
 // elasticAveragingReducer is the roster-aware averaging consensus: it divides
 // the aggregate by the round's announced weight (SetRoundWeight — the live
-// participant count, these jobs being synchronous) instead of the fixed cohort, and optionally refuses to declare convergence
-// until the full cohort is back — so a test can assert the post-rejoin state
+// participant count) instead of the fixed cohort, and optionally refuses to
+// declare convergence until the full cohort is back — so a test can assert the post-rejoin state
 // rather than a partial-roster fixed point.
 type elasticAveragingReducer struct {
 	m, n      int
@@ -577,7 +577,7 @@ func TestElasticQuorumFailure(t *testing.T) {
 func TestElasticMinQuorumValidation(t *testing.T) {
 	job := IterativeJob{
 		Mappers:         []IterativeMapper{&slowMapper{value: []float64{1}}, &slowMapper{value: []float64{2}}},
-		Reducer:         newWeightedAveragingReducer(2),
+		Reducer:         newElasticAveragingReducer(2, false),
 		InitialState:    []float64{0},
 		ContributionDim: 1,
 		MaxIterations:   2,
@@ -591,7 +591,6 @@ func TestElasticMinQuorumValidation(t *testing.T) {
 		{"aggregation past plain", DriverOptions{Aggregation: AggregationPlain + 1}},
 		{"mask mode out of range", DriverOptions{MaskMode: MaskMode(7)}},
 		{"per-round with a straggler deadline", DriverOptions{MaskMode: MaskPerRound, StragglerTimeout: 50 * time.Millisecond}},
-		{"per-round with staleness", DriverOptions{MaskMode: MaskPerRound, StragglerTimeout: 50 * time.Millisecond, Staleness: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := RunDistributed(context.Background(), job, tc.opts)
@@ -757,5 +756,66 @@ func TestElapsedEndsWithTheLastRound(t *testing.T) {
 	}
 	if res.Elapsed >= lastRound+hold/2 {
 		t.Errorf("Elapsed = %v, the last round ended at %v: the teardown's %v wait for the straggler was counted", res.Elapsed, lastRound, hold)
+	}
+}
+
+// TestRoundWeightIsFoldedRosterWeight pins the one reducer hook against the
+// journal: the weight announced before a round's Combine is the number of
+// mappers whose shares the round folded, with or without the handshake.
+func TestRoundWeightIsFoldedRosterWeight(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts DriverOptions
+	}{
+		{"elastic synchronous", DriverOptions{StragglerTimeout: 500 * time.Millisecond}},
+		{"strict", DriverOptions{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			values := [][]float64{{1, 9}, {3, 11}, {5, 13}, {7, 15}}
+			m := len(values)
+			mappers := make([]IterativeMapper, m)
+			for i := range values {
+				mappers[i] = &slowMapper{value: values[i]}
+			}
+			red := newElasticAveragingReducer(m, false)
+			red.tol = 0 // run the budget
+			reg := telemetry.NewRegistry(telemetry.WithJournal(1 << 14))
+			tc.opts.Telemetry = reg
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			res, err := RunDistributed(ctx, IterativeJob{
+				Mappers: mappers, Reducer: red,
+				InitialState: make([]float64, 2), ContributionDim: 2, MaxIterations: 30,
+			}, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(red.participants) != res.Iterations {
+				t.Fatalf("%d SetRoundWeight calls over %d rounds", len(red.participants), res.Iterations)
+			}
+			// Replay the reducer's journal: who delivered over the round's
+			// last roster — each roster.declared starts a new collection.
+			folded := make([]map[string]bool, res.Iterations)
+			for r := range folded {
+				folded[r] = map[string]bool{}
+			}
+			for _, ev := range reg.Journal().Snapshot() {
+				if ev.Node != reducerName || ev.Round < 0 || int(ev.Round) >= res.Iterations {
+					continue
+				}
+				switch ev.Event {
+				case "roster.declared":
+					folded[ev.Round] = map[string]bool{}
+				case "share.recv":
+					folded[ev.Round][ev.Peer] = true
+				}
+			}
+			for r, got := range red.participants {
+				if got != len(folded[r]) {
+					t.Errorf("round %d: SetRoundWeight(%d), journal says %d shares folded", r, got, len(folded[r]))
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 package mapreduce
 
 // The round engine: the Reducer's side of every distributed job (DESIGN.md
-// §14). One state machine runs every round, shaped by three values
+// §14). One state machine runs every round, shaped by two values
 // DriverOptions already carries (resolved once, in newPolicy):
 //
 //	deadline   StragglerTimeout, else none: how long a receive phase waits
@@ -12,8 +12,6 @@ package mapreduce
 //	           straggler deadline; the whole cohort without one, which is what
 //	           "strict" means — the first lost member already breaks quorum,
 //	           and the job fails with whatever caused it.
-//	staleness  0 for synchronous rounds; S > 0 lets a mapper answer with a
-//	           contribution up to S rounds old, weighted κ^s (async.go).
 //
 // A round is
 //
@@ -51,19 +49,16 @@ import (
 
 // policy is the engine's whole parameterisation, resolved from DriverOptions
 // by newPolicy — the one place Aggregation and MaskMode are range-checked and
-// MinQuorum, Staleness and StalenessDecay defaulted and range-checked, for
-// every caller above it.
+// MinQuorum defaulted and range-checked, for every caller above it.
 type policy struct {
 	deadline  time.Duration // per-phase receive window; 0 waits until the job's context ends
 	elastic   bool          // a straggler deadline is set: a missed deadline demotes instead of failing
 	quorum    int
-	handshake bool    // ready/roster phase: elastic and masked
-	staleness int     // bounded-staleness window S; 0 = synchronous
-	decay     float64 // κ, the stale-share discount
+	handshake bool // ready/roster phase: elastic and masked
 }
 
 func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
-	p := policy{quorum: m, staleness: opts.Staleness, decay: opts.StalenessDecay}
+	p := policy{quorum: m}
 	switch {
 	case agg != AggregationMasked && agg != AggregationPlain:
 		return p, fmt.Errorf("%w: Aggregation %d", ErrBadJob, agg)
@@ -93,26 +88,6 @@ func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
 			return p, fmt.Errorf("%w: MinQuorum %d with %d mappers", ErrBadJob, opts.MinQuorum, m)
 		}
 	}
-	if p.staleness < 0 || p.staleness > 255 {
-		return p, fmt.Errorf("%w: Staleness %d outside the wire stamp's range 0..255", ErrBadJob, p.staleness)
-	}
-	if p.staleness > 0 {
-		// Bounded staleness rides on the handshake: the ready window IS the
-		// staleness window, and the weight travels as a public stamp on the
-		// ready declaration, which the other configurations never send.
-		switch {
-		case !p.elastic:
-			return p, fmt.Errorf("%w: Staleness needs StragglerTimeout", ErrBadJob)
-		case !p.handshake:
-			return p, fmt.Errorf("%w: Staleness needs AggregationMasked", ErrBadJob)
-		}
-		if p.decay == 0 {
-			p.decay = 0.5
-		}
-		if p.decay < 0 || p.decay > 1 {
-			return p, fmt.Errorf("%w: StalenessDecay %g outside (0,1]", ErrBadJob, p.decay)
-		}
-	}
 	return p, nil
 }
 
@@ -131,17 +106,15 @@ type engine struct {
 	participants *telemetry.Gauge
 	demotions    *telemetry.Counter
 	rejoins      *telemetry.Counter
-	staleHist    *telemetry.Histogram
 
 	res *DriverResult
 
-	round   int32            // the round in progress
-	prev    transport.Roster // the roster the previous round folded
-	dead    []bool           // permanently demoted (aborted or unreachable)
-	since   []int32          // the round each mapper outside prev was demoted
-	weights []float64        // per-mapper κ^s from this round's ready stamps; all 1 when nothing is stale
-	sent    int              // mappers this round's broadcast reached
-	lost    error            // what cost the round its most recent roster member: an abort or an unreachable endpoint
+	round int32            // the round in progress
+	prev  transport.Roster // the roster the previous round folded
+	dead  []bool           // permanently demoted (aborted or unreachable)
+	since []int32          // the round each mapper outside prev was demoted
+	sent  int              // mappers this round's broadcast reached
+	lost  error            // what cost the round its most recent roster member: an abort or an unreachable endpoint
 
 	// The receive phase in progress: the kind it waits for and the roster a
 	// share must be stamped with (nil outside the handshake). phase is accept
@@ -335,10 +308,7 @@ func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 	m := len(e.names)
 	state := append([]float64(nil), job.InitialState...)
 	weighted, _ := job.Reducer.(WeightedReducer)
-	if e.staleness > 0 && weighted == nil {
-		return state, fmt.Errorf("%w: Staleness needs a WeightedReducer (the reducer cannot renormalize stale shares)", ErrBadJob)
-	}
-	e.prev, e.dead, e.since, e.weights = transport.FullRoster(m), make([]bool, m), make([]int32, m), make([]float64, m)
+	e.prev, e.dead, e.since = transport.FullRoster(m), make([]bool, m), make([]int32, m)
 	// Per-session scratch, reused every round so the reduce hot loop does not
 	// allocate.
 	e.scratch.reach, e.scratch.got = transport.NewRoster(m), make([]bool, m)
@@ -377,16 +347,7 @@ func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 		e.settle(roster)
 
 		if weighted != nil {
-			// Σκ^s over the folded roster; every weight is 1 unless a stale
-			// share was stamped, so a synchronous round announces exactly
-			// float64(roster.Count()).
-			total := 0.0
-			for i, w := range e.weights {
-				if roster.Has(i) {
-					total += w
-				}
-			}
-			weighted.SetRoundWeight(total)
+			weighted.SetRoundWeight(float64(roster.Count()))
 		}
 		next, done, err := job.Reducer.Combine(iter, sum)
 		if err != nil {
@@ -450,9 +411,6 @@ const setupGrace = 100
 // retries. It returns the final roster the sum was folded over.
 func (e *engine) collectRound(ctx context.Context, state []float64) (transport.Roster, []float64, error) {
 	r := e.round
-	for i := range e.weights {
-		e.weights[i] = 1
-	}
 	e.lost, e.sent = nil, 0
 	if e.scratch.lent { // a mapper the last round did not fold may still decode them
 		e.scratch.bcast = nil
@@ -574,17 +532,7 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 		case KindReady:
 			if eligible.Has(id) && !roster.Has(id) {
 				roster.Add(id)
-				// An async mapper reports how many rounds old the contribution
-				// it is about to share is; the share is weighted κ^s in the
-				// consensus normalization. The stamp is bounded by the window, so
-				// in a synchronous job s = 0 and the weight 1 whatever arrives
-				// (the declaration is empty, and there is no histogram).
-				s := min(stalenessStamp(msg.Payload), e.staleness)
-				//ppml:flow-ok the staleness stamp is a public round-age counter the mapper declares for weighting — a round-index difference, never derived from share contents
-				e.staleHist.Observe(float64(s))
-				e.weights[id] = decayWeight(e.decay, s)
-				//ppml:flow-ok the round counter and staleness stamp are public round indices — coordination metadata, never derived from share contents
-				e.journal.Emit(reducerName, "ready.recv", e.trace, r, msg.From, "", 0, float64(s))
+				e.journal.Emit(reducerName, "ready.recv", e.trace, r, msg.From, "", 0, 0)
 			}
 		case KindAbort:
 			e.dead[id] = true
@@ -594,26 +542,6 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 		msg.Release()
 	}
 	return roster, nil
-}
-
-// stalenessStamp decodes the optional round-age byte on a ready declaration
-// — 0 for a synchronous (empty) declaration. The stamp is a public
-// round-counter difference, never derived from share contents.
-func stalenessStamp(payload []byte) int {
-	if len(payload) >= 1 {
-		return int(payload[0])
-	}
-	return 0
-}
-
-// decayWeight is κ^s, the weight of a share s rounds stale; both sides of the
-// wire compute it the same way.
-func decayWeight(decay float64, s int) float64 {
-	w := 1.0
-	for k := 0; k < s; k++ {
-		w *= decay
-	}
-	return w
 }
 
 // void reports whether losing a member voids the collection in progress:

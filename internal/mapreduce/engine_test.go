@@ -64,30 +64,45 @@ func TestEngineFilter(t *testing.T) {
 	}
 }
 
+// dampedMapper contributes θ(value − state): the averaging consensus then
+// closes a fraction θ of its gap each round and runs tens of rounds to a
+// tolerance, where the undamped step lands on the mean in one.
+type dampedMapper struct {
+	slowMapper
+	gain float64
+}
+
+func (m *dampedMapper) Contribution(iter int, state []float64) ([]float64, error) {
+	out, err := m.slowMapper.Contribution(iter, state)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i] *= m.gain
+	}
+	return out, nil
+}
+
 // TestEngineConformance pins every configuration of the round engine to the
 // same model: {seeded, per-round, plain} aggregation × {in-process,
-// TCP} transport × {strict, elastic with no fault, bounded staleness S=1 with
-// no fault (seeded only)} policy on the damped averaging job (per-round masks
-// run strict rounds only), each compared
-// with the local reference engine. The synchronous rows must stop on the same
+// TCP} transport × {strict, elastic with no fault} policy on the damped
+// averaging job (per-round masks run strict rounds only), each compared
+// with the local reference engine. Every row must stop on the same
 // iteration as the reference and agree with it to 1e-6; within one
 // aggregation they must be bit-identical across policies and transports
 // wherever the sum is a ring sum (both mask modes: 2⁶⁴ wrapping adds are
-// exact in any arrival order — plain float adds are not). An S=1 row
-// folds a racy mix of fresh and one-round-stale shares, so it runs a fixed
-// budget and must land within 1e-3.
+// exact in any arrival order — plain float adds are not).
 func TestEngineConformance(t *testing.T) {
 	values := [][]float64{{1.5, -3, 8}, {2.5, 7, -2}, {0, 0, 1}, {4, -4, 4}}
 	m := len(values)
 	const budget = 60
-	// tol 0 never converges: the job runs its whole budget.
-	job := func(tol float64) IterativeJob {
+	job := func() IterativeJob {
 		mappers := make([]IterativeMapper, m)
 		for i := range values {
 			mappers[i] = &dampedMapper{slowMapper: slowMapper{value: values[i]}, gain: 0.5}
 		}
-		red := newWeightedAveragingReducer(m)
-		red.tol = tol
+		red := newElasticAveragingReducer(m, false)
+		red.tol = 1e-6
 		return IterativeJob{
 			Mappers:         mappers,
 			Reducer:         red,
@@ -96,16 +111,11 @@ func TestEngineConformance(t *testing.T) {
 			MaxIterations:   budget,
 		}
 	}
-	const syncTol = 1e-6
-	local := map[float64]*IterativeResult{}
-	for _, tol := range []float64{syncTol, 0} {
-		res, err := runLocal(job(tol))
-		if err != nil {
-			t.Fatal(err)
-		}
-		local[tol] = res
+	ref, err := runLocal(job())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ref := local[syncTol]; !ref.Converged || ref.Iterations >= budget {
+	if !ref.Converged || ref.Iterations >= budget {
 		t.Fatalf("reference run: converged=%v after %d iterations; the matrix needs a run that stops on tolerance", ref.Converged, ref.Iterations)
 	}
 	aggs := []struct {
@@ -127,54 +137,42 @@ func TestEngineConformance(t *testing.T) {
 	policies := []struct {
 		name      string
 		straggler time.Duration
-		staleness int
 	}{
-		{"strict", 0, 0},
-		{"elastic", 5 * time.Second, 0}, // window far above a round: no deadline ever fires
-		{"stale1", 5 * time.Second, 1},
+		{"strict", 0},
+		{"elastic", 5 * time.Second}, // window far above a round: no deadline ever fires
 	}
 	for _, agg := range aggs {
-		var first []float64 // the aggregation's first synchronous row
+		var first []float64 // the aggregation's first row
 		for _, nw := range nets {
 			for _, pol := range policies {
-				if pol.staleness > 0 && agg.opts.Aggregation != 0 {
-					continue // bounded staleness needs the masked handshake
-				}
 				if pol.straggler > 0 && agg.opts.MaskMode == MaskPerRound {
 					continue // per-round masks run strict rounds only
 				}
 				t.Run(agg.name+"/"+nw.name+"/"+pol.name, func(t *testing.T) {
-					tol, within := syncTol, 1e-6
-					if pol.staleness > 0 {
-						tol, within = 0, 1e-3
-					}
 					net := nw.open()
 					defer net.Close()
 					opts := agg.opts
 					opts.Network = net
 					opts.StragglerTimeout = pol.straggler
-					opts.Staleness = pol.staleness
-					opts.StalenessDecay = 1
 					ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 					defer cancel()
-					res, err := RunDistributed(ctx, job(tol), opts)
+					res, err := RunDistributed(ctx, job(), opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref := local[tol]
 					if res.Iterations != ref.Iterations || res.Converged != ref.Converged {
 						t.Errorf("ran %d iterations (converged=%v), local reference %d (converged=%v)",
 							res.Iterations, res.Converged, ref.Iterations, ref.Converged)
 					}
 					for i := range ref.FinalState {
-						if math.Abs(res.FinalState[i]-ref.FinalState[i]) > within {
-							t.Errorf("state[%d] = %g, local reference %g (tolerance %g)", i, res.FinalState[i], ref.FinalState[i], within)
+						if math.Abs(res.FinalState[i]-ref.FinalState[i]) > 1e-6 {
+							t.Errorf("state[%d] = %g, local reference %g (tolerance 1e-6)", i, res.FinalState[i], ref.FinalState[i])
 						}
 					}
 					if res.Demotions != 0 || res.Rejoins != 0 {
 						t.Errorf("Demotions = %d, Rejoins = %d on a no-fault run", res.Demotions, res.Rejoins)
 					}
-					if !agg.ring || pol.staleness > 0 {
+					if !agg.ring {
 						return
 					}
 					if first == nil {

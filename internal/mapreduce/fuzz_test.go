@@ -17,7 +17,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(appendVector(nil, []float64{3.14}))
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if v, err := decodeVector(b); err == nil {
+		if v, err := decodeVectorInto(nil, b); err == nil {
 			if re := appendVector(nil, v); !bytes.Equal(re, b) {
 				t.Fatalf("vector payload not canonical: decode(%x) re-encodes to %x", b, re)
 			}

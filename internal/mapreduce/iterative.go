@@ -34,17 +34,13 @@ type IterativeReducer interface {
 // WeightedReducer is an IterativeReducer whose combine step scales to how much
 // was folded: a consensus mean or a proximal weight divides by the cohort the
 // sum actually covers, not the one the job started with. Both engines call
-// SetRoundWeight before every Combine with the total weight of the round's
-// sum, Σ κ^{s_i} over the folded roster: a share s rounds stale enters scaled
-// by κ^s (DriverOptions.Staleness), and a synchronous round is the case where
-// every weight is 1 and the total is exactly the roster count — the number of
-// mappers, under RunLocalContext and under strict rounds. The weights come
-// from the public staleness stamps on the ready declarations, never from
-// share contents. Reducers whose aggregates are absolute sums (counts,
-// moments) simply don't implement it.
+// SetRoundWeight before every Combine with the number of mappers the round's
+// sum folded: the whole cohort under RunLocalContext and under strict rounds,
+// the live roster under elastic ones. Reducers whose aggregates are absolute
+// sums (counts, moments) simply don't implement it.
 type WeightedReducer interface {
 	IterativeReducer
-	// SetRoundWeight announces the total weight of the next Combine's sum.
+	// SetRoundWeight announces how many mappers the next Combine's sum folded.
 	SetRoundWeight(total float64)
 }
 

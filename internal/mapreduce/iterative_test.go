@@ -268,7 +268,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if len(b) != 8*len(state) {
 		t.Fatalf("frame of %d bytes for %d values, want %d", len(b), len(state), 8*len(state))
 	}
-	v, err := decodeVector(b)
+	v, err := decodeVectorInto(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +280,11 @@ func TestWireRoundTrip(t *testing.T) {
 	if got := appendVector([]byte{9}, state[:1]); len(got) != 9 || got[0] != 9 {
 		t.Errorf("append onto one byte gave %x, want the byte kept and 8 more", got)
 	}
-	if v, err := decodeVector(nil); err != nil || len(v) != 0 {
+	if v, err := decodeVectorInto(nil, nil); err != nil || len(v) != 0 {
 		t.Errorf("empty frame: %v, %v; want an empty vector", v, err)
 	}
 	for _, n := range []int{1, 3, 7, 9, 8*len(state) - 1} {
-		if _, err := decodeVector(b[:n]); !errors.Is(err, ErrBadJob) {
+		if _, err := decodeVectorInto(nil, b[:n]); !errors.Is(err, ErrBadJob) {
 			t.Errorf("%d-byte frame: err = %v, want ErrBadJob", n, err)
 		}
 	}
@@ -307,27 +307,21 @@ func (m *countingMapper) Contribution(iter int, state []float64) ([]float64, err
 // TestContributionOncePerRound pins the contract that lets a mapper keep no
 // replay of its own: an engine calls Contribution at most once per round, in
 // increasing round order. Local, strict and fault-free elastic rounds call
-// every mapper in every round. Under bounded staleness the newest-wins worker
-// may skip a round whose state was superseded before it started, but never
-// repeats one.
+// every mapper in every round.
 func TestContributionOncePerRound(t *testing.T) {
 	values := [][]float64{{1, 10}, {3, 20}, {5, 30}}
 	const rounds = 12
 	for _, tc := range []struct {
-		name  string
-		opts  *DriverOptions // nil runs RunLocalContext
-		every bool
+		name string
+		opts *DriverOptions // nil runs RunLocalContext
 	}{
-		{"local", nil, true},
-		{"strict", &DriverOptions{}, true},
-		{"elastic", &DriverOptions{StragglerTimeout: 5 * time.Second}, true},
-		{"stale", &DriverOptions{StragglerTimeout: 5 * time.Second, Staleness: 1}, false},
+		{"local", nil},
+		{"strict", &DriverOptions{}},
+		{"elastic", &DriverOptions{StragglerTimeout: 5 * time.Second}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			job, _ := newAveragingJob(values, rounds)
-			red := newWeightedAveragingReducer(len(values)) // stale shares need a weight
-			red.tol = 0                                     // run the budget
-			job.Reducer = red
+			job, red := newAveragingJob(values, rounds)
+			red.tol = 0 // run the budget
 			mappers := make([]*countingMapper, len(values))
 			for i, v := range values {
 				mappers[i] = &countingMapper{averagingMapper: averagingMapper{value: v}}
@@ -360,7 +354,7 @@ func TestContributionOncePerRound(t *testing.T) {
 						t.Fatalf("mapper %d was called for rounds %v: want each of [0, %d) at most once, in order", i, iters, rounds)
 					}
 				}
-				if tc.every && len(iters) != rounds {
+				if len(iters) != rounds {
 					t.Errorf("mapper %d was called for rounds %v, want every round of [0, %d) once", i, iters, rounds)
 				}
 			}

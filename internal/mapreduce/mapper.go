@@ -7,14 +7,13 @@ import (
 
 	"github.com/ppml-go/ppml/internal/fixedpoint"
 	"github.com/ppml-go/ppml/internal/securesum"
-	"github.com/ppml-go/ppml/internal/telemetry"
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
 // mapperEnv is what every Mapper of one job shares beyond the session: the
-// engine's resolved policy (the handshake, the staleness window and its
-// decay), the job's constants and the metric handles, built once in
-// RunDistributed and read only.
+// engine's resolved policy (whether rounds run the handshake), the job's
+// constants and the metric handles, built once in RunDistributed and read
+// only.
 type mapperEnv struct {
 	sessionEnv
 	policy
@@ -23,27 +22,6 @@ type mapperEnv struct {
 	codec    fixedpoint.Codec
 	dim      int
 	sstel    *securesum.Telemetry
-}
-
-// solver runs one mapper's Contribution calls, journalling each solve.
-type solver struct {
-	mapper  IterativeMapper
-	journal *telemetry.Journal
-	node    string
-	trace   telemetry.TraceID
-}
-
-// solve runs one Contribution. Every Contribution is deterministic in its
-// state, so a failed call would fail again: its error is terminal.
-func (s *solver) solve(iter int, state []float64) ([]float64, error) {
-	s.journal.Emit(s.node, "solve.start", s.trace, int32(iter), "", "", 0, 0)
-	start := time.Now()
-	contrib, err := s.mapper.Contribution(iter, state)
-	if err != nil {
-		return nil, err
-	}
-	s.journal.Emit(s.node, "solve.end", s.trace, int32(iter), "", "", 0, time.Since(start).Seconds())
-	return contrib, nil
 }
 
 // mapperFilter demultiplexes a Mapper for its whole session, relative to the
@@ -86,17 +64,16 @@ func mapperFilter(session uint64, round *int32) transport.Filter {
 type mapperNode struct {
 	*mapperEnv
 	id       int
+	node     string // this mapper's endpoint name
 	ep       transport.Endpoint
-	sv       solver
+	mapper   IterativeMapper
 	seeded   *securesum.SeededSession // masked aggregation, MaskSeeded
 	perRound *securesum.PerRoundParty // masked aggregation, MaskPerRound
-	async    *asyncComputer           // bounded staleness only
 
 	round   int32     // the round being served; -1 before the first broadcast
-	state   []float64 // the broadcast state, decoded into one buffer for the job under synchronous rounds
+	state   []float64 // the broadcast state, decoded into one buffer for the job
 	contrib []float64 // this round's contribution
 	wire    []byte    // this round's plain share, encoded
-	ready   []byte    // this round's ready-declaration payload (the staleness stamp)
 	live    []bool    // the served roster, expanded
 
 	stale   transport.Filter  // sweeps frames of rounds before n.round
@@ -105,8 +82,7 @@ type mapperNode struct {
 
 func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.Endpoint, mapper IterativeMapper) (err error) {
 	n := &mapperNode{
-		mapperEnv: env, id: id, ep: ep,
-		sv:    solver{mapper, env.journal, env.names[id], env.trace},
+		mapperEnv: env, id: id, node: env.names[id], ep: ep, mapper: mapper,
 		round: -1,
 		live:  make([]bool, len(env.names)),
 	}
@@ -127,13 +103,6 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 		if err != nil {
 			return fmt.Errorf("mapper %d aggregation setup: %w", id, err)
 		}
-	}
-	// Bounded staleness: Contribution calls move to a background worker so
-	// the protocol loop can answer a broadcast with the newest completed
-	// (≤ S rounds old) contribution instead of stalling the roster.
-	if env.staleness > 0 {
-		n.async = newAsyncComputer(n.sv)
-		defer n.async.close()
 	}
 	// Every way out of the loop but a stop is fatal to this mapper, and a
 	// strict round has no window to notice a silent one: whatever the cause,
@@ -159,7 +128,7 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 			msg.Release()
 			return nil
 		case KindBroadcast:
-			if err := n.startRound(ctx, &msg); err != nil {
+			if err := n.startRound(&msg); err != nil {
 				return err
 			}
 			if env.handshake {
@@ -185,59 +154,39 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 }
 
 // startRound takes the round from a broadcast's envelope, decodes its state,
-// releases the frame, and produces the round's contribution: solved inline,
-// or under bounded staleness the newest one the background worker has
-// completed.
-func (n *mapperNode) startRound(ctx context.Context, msg *transport.Message) error {
+// releases the frame, and solves the round's contribution, journalling the
+// solve.
+func (n *mapperNode) startRound(msg *transport.Message) error {
 	n.round = msg.Round
-	// Synchronous rounds decode every broadcast into the one buffer n.state:
-	// RunLocalContext reuses its state across rounds too, so no Contribution
-	// keeps it. Under bounded staleness the worker owns each state it is
-	// handed, so it gets a copy of its own.
-	var state []float64
+	// Every broadcast decodes into the one buffer n.state: RunLocalContext
+	// reuses its state across rounds too, so no Contribution keeps it.
 	var err error
-	if n.async == nil {
-		n.state, err = decodeVectorInto(n.state, msg.Payload)
-		state = n.state
-	} else {
-		state, err = decodeVector(msg.Payload)
-	}
+	n.state, err = decodeVectorInto(n.state, msg.Payload)
 	msg.Release()
 	if err != nil {
 		return fmt.Errorf("mapper %d: %w", n.id, err)
 	}
-	iter := int(n.round)
 	// Round advance: frames of earlier rounds still in the reorder buffer will
 	// never be claimed; sweep them.
 	if n.evictor != nil {
 		n.evictor.Evict(n.stale)
 	}
-	if n.async == nil {
-		n.contrib, err = n.sv.solve(iter, state)
-	} else {
-		// Hand the worker the new state (newest wins), then wait only until
-		// SOME contribution within the staleness window exists — usually the
-		// one already in hand.
-		n.async.submit(iter, state)
-		if err = n.async.wait(ctx, iter-n.staleness); err == nil {
-			if n.contrib, n.ready, err = n.async.share(iter, n.decay); err != nil {
-				return fmt.Errorf("mapper %d: %w", n.id, err)
-			}
-		}
+	n.journal.Emit(n.node, "solve.start", n.trace, n.round, "", "", 0, 0)
+	start := time.Now()
+	if n.contrib, err = n.mapper.Contribution(int(n.round), n.state); err != nil {
+		return fmt.Errorf("%w: mapper %d at iteration %d: %v", ErrAborted, n.id, n.round, err)
 	}
-	if err != nil {
-		return fmt.Errorf("%w: mapper %d at iteration %d: %v", ErrAborted, n.id, iter, err)
-	}
+	n.journal.Emit(n.node, "solve.end", n.trace, n.round, "", "", 0, time.Since(start).Seconds())
 	return nil
 }
 
 // declareReady tells the Reducer this mapper holds a contribution for the
 // round and can join its roster.
 func (n *mapperNode) declareReady(ctx context.Context) error {
-	if err := n.ep.Send(ctx, reducerName, KindReady, n.header(n.round), n.ready); err != nil {
+	if err := n.ep.Send(ctx, reducerName, KindReady, n.header(n.round), nil); err != nil {
 		return fmt.Errorf("mapper %d: ready: %w", n.id, err)
 	}
-	n.journal.Emit(n.sv.node, "ready.sent", n.trace, n.round, reducerName, "", 0, float64(stalenessStamp(n.ready)))
+	n.journal.Emit(n.node, "ready.sent", n.trace, n.round, reducerName, "", 0, 0)
 	return nil
 }
 
@@ -248,7 +197,7 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 		if !roster.Has(n.id) {
 			return nil // demoted this round; wait for the next broadcast
 		}
-		n.journal.Emit(n.sv.node, "roster.recv", n.trace, n.round, "", "", 0, float64(roster.Count()))
+		n.journal.Emit(n.node, "roster.recv", n.trace, n.round, "", "", 0, float64(roster.Count()))
 	}
 	for i := range n.live {
 		n.live[i] = roster == nil || roster.Has(i)
@@ -270,29 +219,29 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 	case n.seeded != nil:
 		// Seeded masks: derive this roster's masks locally and send only the
 		// masked share — no per-round mask messages.
-		n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, 0)
+		n.sstel.JournalMaskPhase(n.node, "mask.start", n.trace, n.round, 0)
 		start := time.Now()
 		payload, err := n.seeded.RoundShareBytesFor(n.round, n.contrib, n.live)
 		if err != nil {
 			return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
 		}
-		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, time.Since(start))
+		n.sstel.JournalMaskPhase(n.node, "mask.end", n.trace, n.round, time.Since(start))
 		if err := n.ep.Send(ctx, reducerName, securesum.KindShare, hdr, payload); err != nil {
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		n.sstel.RecordShare(len(payload))
-		n.journal.Emit(n.sv.node, "share.sent", n.trace, n.round, reducerName, securesum.KindShare, int64(len(payload)), 0)
+		n.journal.Emit(n.node, "share.sent", n.trace, n.round, reducerName, securesum.KindShare, int64(len(payload)), 0)
 		return nil
 	case n.perRound != nil:
 		// Per-round masks, strict rounds only: exchange fresh masks with the
 		// whole cohort, then send the share (Round does both). A stop that
 		// lands mid exchange unwinds here as a protocol error.
-		n.sstel.JournalMaskPhase(n.sv.node, "mask.start", n.trace, n.round, 0)
+		n.sstel.JournalMaskPhase(n.node, "mask.start", n.trace, n.round, 0)
 		start := time.Now()
 		if err := n.perRound.Round(ctx, hdr, n.contrib); err != nil {
 			return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
 		}
-		n.sstel.JournalMaskPhase(n.sv.node, "mask.end", n.trace, n.round, time.Since(start))
+		n.sstel.JournalMaskPhase(n.node, "mask.end", n.trace, n.round, time.Since(start))
 		return nil
 	}
 	return fmt.Errorf("%w: mapper %d has no share path for Aggregation %d", ErrBadJob, n.id, n.agg)

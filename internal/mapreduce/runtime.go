@@ -46,7 +46,7 @@ type DriverOptions struct {
 	// MaskMode selects how AggregationMasked produces its pairwise masks:
 	// MaskSeeded (default) or MaskPerRound. MaskPerRound exchanges its masks
 	// over the fixed cohort, so it runs strict rounds only: with a
-	// StragglerTimeout (and so with Staleness) it is an ErrBadJob. Ignored by
+	// StragglerTimeout it is an ErrBadJob. Ignored by
 	// AggregationPlain.
 	MaskMode MaskMode
 	// StragglerTimeout makes rounds elastic (demote-and-continue): a mapper
@@ -63,21 +63,6 @@ type DriverOptions struct {
 	// of one would hand the Reducer an effectively unmasked share) and 1
 	// otherwise. Without a StragglerTimeout the quorum is the whole cohort.
 	MinQuorum int
-	// Staleness enables bounded-staleness (asynchronous) rounds on top of
-	// elastic ones: a mapper whose fresh contribution is not ready
-	// when the round's broadcast arrives answers immediately with its newest
-	// completed contribution, as long as that one is at most Staleness
-	// rounds old; compute overlaps the protocol on a background worker per
-	// mapper. Stale shares are scaled by StalenessDecay^s mapper-side
-	// (before masking — the masks are content-agnostic, so roster
-	// cancellation is unaffected) and the reducer renormalizes by the total
-	// weight via WeightedReducer. Zero (the default) keeps every round
-	// synchronous. Requires StragglerTimeout and AggregationMasked.
-	Staleness int
-	// StalenessDecay is the per-round geometric discount κ ∈ (0, 1] applied
-	// to stale contributions. 0 defaults to 0.5. Only meaningful with
-	// Staleness.
-	StalenessDecay float64
 	// Telemetry optionally attaches a metrics registry: per-round durations
 	// and journal events, the timeout counter, the mapper fan-out gauge, the
 	// securesum per-kind traffic counters, and — when the Network supports
@@ -118,16 +103,7 @@ const (
 	metricParticipants = "ppml_round_participants"
 	metricDemotions    = "ppml_mapper_demotions_total"
 	metricRejoins      = "ppml_mapper_rejoins_total"
-	// metricStaleness is the per-ready-declaration staleness distribution
-	// under bounded-staleness rounds: how many rounds old each folded
-	// contribution was. A count of the driver's control flow — the stamp is
-	// public coordination metadata, never share content.
-	metricStaleness = "ppml_round_staleness"
 )
-
-// stalenessBuckets covers the practical bounded-staleness range (S is
-// typically 1–4; anything above 16 means the decay has zeroed the share).
-var stalenessBuckets = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16}
 
 // sessionCounter allocates process-unique job session ids. Session 0 is
 // reserved for traffic outside any job, so the first allocation is 1.
@@ -203,9 +179,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		demotions:    reg.Counter(metricDemotions),
 		rejoins:      reg.Counter(metricRejoins),
 		res:          res,
-	}
-	if pol.staleness > 0 {
-		eng.staleHist = reg.Histogram(metricStaleness, stalenessBuckets)
 	}
 	for i := range eng.names {
 		eng.names[i] = fmt.Sprintf("mapper-%d", i)

@@ -25,11 +25,9 @@ const (
 	// round it ended. Its payload is empty: the error may quote private values.
 	KindAbort = "mr.abort"
 	// KindReady tells the Reducer this Mapper has a contribution for the
-	// round and can join the roster (elastic mode). The payload is empty
-	// under synchronous rounds; under bounded staleness it is one byte — the
-	// public staleness stamp s (how many rounds old the contribution is),
-	// which the Reducer turns into the κ^s renormalization weight. Pure
-	// coordination metadata, never derived from share contents.
+	// round and can join the roster (elastic, masked rounds). Its payload is
+	// empty: the round rides in the envelope, and the Reducer learns nothing
+	// from a declaration but who made it in time.
 	KindReady = "mr.ready"
 	// KindRoster broadcasts the Reducer's declared participation set for a
 	// round; the roster rides in the envelope, the payload is empty. A
@@ -46,11 +44,6 @@ func appendVector(dst []byte, v []float64) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
 	}
 	return dst
-}
-
-// decodeVector parses an appendVector frame into a new slice.
-func decodeVector(b []byte) ([]float64, error) {
-	return decodeVectorInto(nil, b)
 }
 
 // decodeVectorInto parses an appendVector frame into dst's storage, growing

@@ -3,15 +3,14 @@ package telemetry
 // Journal is the flight recorder: a bounded, lock-striped ring of typed,
 // scalar-only round-lifecycle events. The protocol packages emit events for
 // every interesting state transition — ready sent/received, roster declared,
-// demotion/rejoin, staleness folded, window re-arm, solve and
-// mask-exchange phases, per-kind sends and receives with byte counts — and
-// the ring keeps the most recent window of them per node. ppml-trace merges
+// demotion/rejoin, window re-arm, solve and mask-exchange phases, per-kind
+// sends and receives with byte counts — and the ring keeps the most recent window of them per node. ppml-trace merges
 // per-node dumps by TraceID and round into cross-node timelines
 // (DESIGN.md §16).
 //
 // Privacy stance: an event is a fixed tuple of scalars — node/peer names,
 // an event label, a message kind, a round counter, a byte count, and one
-// float64 value (a duration, a staleness or a roster size). There is no
+// float64 value (a duration, a residual or a roster size). There is no
 // field that can carry a share, a mask, a seed, or an iterate; secretflow's
 // telemetry rule additionally rejects any vector or vector-derived string
 // reaching Emit in the protocol packages. Everything recorded is
@@ -56,7 +55,8 @@ type JournalEvent struct {
 	// Bytes is the payload size for send/recv events.
 	Bytes int64 `json:"bytes,omitempty"`
 	// Value is the event's one scalar measurement: a duration in seconds
-	// for *.end events, a staleness for ready events, a count for rosters.
+	// for *.end events, a count for rosters, the residual for
+	// consensus.round; ready events carry none.
 	Value float64 `json:"value,omitempty"`
 }
 

@@ -2,8 +2,8 @@ package traceview
 
 // The chaos fixture: a deterministic in-process training run with one flaky
 // mapper, journal enabled, returning the journal dump ppml-trace consumes.
-// It reuses the async-benchmark fault shape (transport.Chaos.Jitter, 1 ms
-// base, 60 ms tail at p=0.25 on the last mapper only) over the strict
+// It runs one flaky link (transport.Chaos.Jitter, 1 ms base, 60 ms tail at
+// p=0.25 on the last mapper only) under the strict
 // synchronous driver, so every tail draw stalls the round on the flaky
 // mapper and its share is provably the one that gates — the ground truth the
 // attribution test (and `ppml-trace -fixture`) checks the critical-path
@@ -20,8 +20,7 @@ import (
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
-// Fixture fault shape, mirroring the async benchmark's flaky link
-// (internal/experiments/async.go).
+// Fixture fault shape: the last mapper's flaky link.
 const (
 	fixtureJitterBase = time.Millisecond
 	fixtureJitterTail = 60 * time.Millisecond

@@ -257,10 +257,8 @@ func attribute(r *Round) *CriticalPath {
 		cp.Total = 0
 	}
 	// The straggler's own segments within the round. Durations ride on the
-	// *.end events (Value, in seconds). In bounded-staleness mode the solve
-	// for this round may have happened rounds ago on the worker — no solve
-	// events under this round number means solve time zero and the difference
-	// lands in wait, which is accurate: the round did not wait on that solve.
+	// *.end events (Value, in seconds); no solve events under this round
+	// number means solve time zero, and the difference lands in wait.
 	var lastSend *telemetry.JournalEvent
 	for i := range r.Events {
 		e := &r.Events[i]

@@ -113,9 +113,9 @@ func (c *Chaos) Delay(name string, d time.Duration) {
 // Jitter makes every send from the named endpoint draw a two-point latency —
 // tail with probability p, base otherwise — from a stream seeded with seed: a
 // reproducible stand-in for heavy-tailed network latency. This is the fault
-// the bounded-staleness driver exists for: a synchronous round stalls on
-// every tail draw, while an elastic round times the straggler out and folds
-// its share stale. Jitter overrides any constant Delay on the endpoint; a
+// elastic rounds exist for: a synchronous round stalls on every tail draw,
+// while an elastic round demotes the straggler for the round and folds the
+// others. Jitter overrides any constant Delay on the endpoint; a
 // zero tail removes it.
 func (c *Chaos) Jitter(name string, base, tail time.Duration, p float64, seed int64) {
 	c.mu.Lock()

@@ -491,37 +491,14 @@ func WithDPOutput(epsilon float64) Option {
 // In the horizontal schemes every chunk is a virtual consensus learner with
 // its own ADMM dual and warm-started QP state, and the job converges to the
 // same consensus boundary; the vertical schemes run block-coordinate updates
-// on the chunk's coordinates of the shared score vector, Reducer included
-// (not combinable with WithStaleness). Zero, the default, means all rows —
+// on the chunk's coordinates of the shared score vector, Reducer included.
+// Zero, the default, means all rows —
 // the paper's full-batch iteration is the schedule with one chunk — and so
 // does any size that is at least a learner's row count. Only
 // horizontal-linear also has a streamed trainer (internal/consensus, over dfs
 // row files), so only its partitions need not fit in memory. See DESIGN.md §15.
 func WithMinibatch(rows int) Option {
 	return func(o *options) { o.cfg.ChunkRows = rows }
-}
-
-// WithStaleness enables bounded-staleness rounds in distributed elastic mode
-// (implies WithDistributed; requires WithStragglerTimeout): each learner runs
-// its local solve on a background worker and answers round t with its newest
-// finished contribution, up to s rounds old, scaled by decay^staleness. The
-// Reducer renormalizes by the total staleness weight, so slow-but-alive
-// learners blend into the consensus instead of stalling every round. A
-// learner more than s rounds behind blocks until it catches up — bounded
-// staleness degrades to synchronous, never to unbounded drift. See
-// DESIGN.md §15.
-func WithStaleness(s int) Option {
-	return func(o *options) {
-		o.cfg.Distributed = true
-		o.cfg.Staleness = s
-	}
-}
-
-// WithStalenessDecay sets κ ∈ (0, 1], the per-round weight decay applied to
-// stale contributions under WithStaleness (default 0.5): a share s rounds old
-// enters the consensus with weight κ^s.
-func WithStalenessDecay(k float64) Option {
-	return func(o *options) { o.cfg.StalenessDecay = k }
 }
 
 // WithPaperSplit (HorizontalLinear only) reproduces the paper's printed

@@ -359,27 +359,3 @@ func TestWithMinibatchMatchesFullBatchBoundary(t *testing.T) {
 		t.Errorf("minibatch accuracy %g trails full batch %g", ma, fa)
 	}
 }
-
-func TestWithStalenessTrainsAsync(t *testing.T) {
-	train, test := prepared(t, 240)
-	res, err := ppml.Train(train, ppml.HorizontalLinear,
-		ppml.WithLearners(3), ppml.WithIterations(60), ppml.WithSeed(4),
-		ppml.WithMinibatch(20),
-		ppml.WithStragglerTimeout(250*time.Millisecond),
-		ppml.WithStaleness(2), ppml.WithStalenessDecay(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ppml.Evaluate(res.Model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.85 {
-		t.Errorf("async minibatch accuracy = %g, want >= 0.85", acc)
-	}
-	// Staleness without the elastic round structure is a configuration error.
-	if _, err := ppml.Train(train, ppml.HorizontalLinear,
-		ppml.WithLearners(2), ppml.WithIterations(5), ppml.WithStaleness(2)); err == nil || !strings.Contains(err.Error(), "StragglerTimeout") {
-		t.Errorf("staleness without straggler timeout: err = %v, want a StragglerTimeout configuration error", err)
-	}
-}
