@@ -268,49 +268,6 @@ func BenchmarkDataLocalityBytes(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSplit compares the default joint (w, b) update against
-// the paper's printed Gauss-Seidel split (lagged equality constraint of eq.
-// 12), which freezes the bias — see DESIGN.md.
-func BenchmarkAblationSplit(b *testing.B) {
-	data := ppml.SyntheticCancer(400, 1)
-	train, test, err := data.Split(0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := ppml.Standardize(train, test); err != nil {
-		b.Fatal(err)
-	}
-	for _, variant := range []struct {
-		name string
-		opt  []ppml.Option
-	}{
-		{"joint", nil},
-		{"paper-split", []ppml.Option{ppml.WithPaperSplit()}},
-	} {
-		variant := variant
-		b.Run(variant.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := append([]ppml.Option{
-					ppml.WithLearners(4), ppml.WithC(50), ppml.WithRho(100),
-					ppml.WithIterations(40),
-				}, variant.opt...)
-				res, err := ppml.Train(train, ppml.HorizontalLinear, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					acc, err := ppml.Evaluate(res.Model, test)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(acc, "accuracy")
-					b.ReportMetric(res.History.DeltaZSq[len(res.History.DeltaZSq)-1], "final_dz2")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationLandmarks sweeps the landmark count l of the horizontal
 // kernel scheme: accuracy of the RKHS-consensus approximation vs cost
 // (Lemma 4.4 discussion).

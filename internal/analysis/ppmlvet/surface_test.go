@@ -20,10 +20,6 @@ import (
 // to a dot, so "analysis/analysistest" is the whole package. Each entry must
 // still match an unused export, so the list cannot outlive what it excuses.
 var exportAllowlist = map[string]string{
-	// The paper's printed eq. (12) update, run by BenchmarkAblationSplit;
-	// qp.SolveLinearEqualityBox solves its equality without a Gram.
-	"ppml.WithPaperSplit": "the paper's printed split, an ablation benchmark's arm",
-
 	// Test infrastructure that other packages' tests import.
 	"transport.(*Chaos)":    "fault injection for the chaos tests (ROADMAP item 1 reworks it)",
 	"analysis/analysistest": "the analyzer test harness",

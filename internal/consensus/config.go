@@ -48,11 +48,6 @@ type Config struct {
 	Landmarks int
 	// Seed drives landmark generation and any tie-breaking; fixed default 1.
 	Seed int64
-	// PaperSplit (HL only) reproduces the paper's printed Gauss-Seidel
-	// (w,b)-split with the lagged equality constraint of eq. (12), instead
-	// of the provably convergent joint update. See package doc.
-	PaperSplit bool
-
 	// ChunkRows sizes the row chunks of every local sub-problem: each
 	// iteration a learner solves its ADMM step over one contiguous chunk of
 	// at most ChunkRows rows, visiting chunks in a Seed-derived permutation
@@ -62,8 +57,7 @@ type Config struct {
 	// chunk schedule. Zero means all rows — as does any value that is at
 	// least a learner's row count — which is the paper's full-batch
 	// iteration: one chunk, visited every round. Negative values are
-	// rejected, and so is PaperSplit on a learner whose rows divide into more
-	// than one chunk. See DESIGN.md §15.
+	// rejected. See DESIGN.md §15.
 	ChunkRows int
 
 	// Distributed runs the job on the full simulated cluster (transport,

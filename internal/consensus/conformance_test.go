@@ -30,50 +30,6 @@ import (
 // within one eval row where it adds the same terms in another order (HK,
 // VL).
 func TestSchemeConformance(t *testing.T) {
-	lin := dataset.TwoGaussians("g", 120, 6, 3, 17)
-	linTrain, linTest := splitAndScale(t, lin)
-	rings := nonlinearRings(120, 5)
-	ringTrain, ringTest, err := rings.Split(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rbf := kernel.RBF{Gamma: 1}
-
-	type outcome struct {
-		decisions []float64
-		h         *History
-	}
-	decide := func(m decider, test *dataset.Dataset) []float64 {
-		out := make([]float64, test.Len())
-		for i := range out {
-			out[i] = m.Decision(test.X.Row(i))
-		}
-		return out
-	}
-	schemes := []struct {
-		name string
-		test *dataset.Dataset
-		base Config
-		// probeRows is how many eval rows the probe's last count may differ
-		// on from the returned model's.
-		probeRows float64
-		run       func(cfg Config) (decider, *History, error)
-	}{
-		{"HL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, 0, func(cfg Config) (decider, *History, error) {
-			return TrainHorizontalLinear(context.Background(), horizontalParts(t, linTrain, 3, 9), cfg)
-		}},
-		{"HK", ringTest, Config{C: 50, Rho: 10, MaxIterations: 10, Landmarks: 12, Kernel: rbf}, 1, func(cfg Config) (decider, *History, error) {
-			return TrainHorizontalKernel(context.Background(), horizontalParts(t, ringTrain, 3, 7), cfg)
-		}},
-		{"VL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, 1, func(cfg Config) (decider, *History, error) {
-			parts, cols := verticalParts(t, linTrain, 3, 3)
-			return TrainVerticalLinear(context.Background(), parts, cols, cfg)
-		}},
-		{"VK", ringTest, Config{C: 50, Rho: 20, MaxIterations: 10, Kernel: rbf}, 0, func(cfg Config) (decider, *History, error) {
-			parts, cols := verticalParts(t, ringTrain, 2, 5)
-			return TrainVerticalKernel(context.Background(), parts, cols, cfg)
-		}},
-	}
 	// tcp runs the job over its own loopback TCP network.
 	tcp := func(t *testing.T, c *Config) {
 		net := transport.NewTCP()
@@ -93,7 +49,7 @@ func TestSchemeConformance(t *testing.T) {
 		{"strict seeded tcp", true, tcp},
 		{"elastic tcp", true, func(t *testing.T, c *Config) { tcp(t, c); c.StragglerTimeout = 30 * time.Second }},
 	}
-	for _, sc := range schemes {
+	for _, sc := range conformanceSchemes(t) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
@@ -155,5 +111,61 @@ func TestSchemeConformance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// outcome is what a conformance run is judged on: the returned model's
+// decisions on the eval set and the per-round history.
+type outcome struct {
+	decisions []float64
+	h         *History
+}
+
+func decide(m decider, test *dataset.Dataset) []float64 {
+	out := make([]float64, test.Len())
+	for i := range out {
+		out[i] = m.Decision(test.X.Row(i))
+	}
+	return out
+}
+
+// conformanceScheme is one scheme's toy job: run trains it under cfg, which
+// starts from base with the eval set test.
+type conformanceScheme struct {
+	name string
+	test *dataset.Dataset
+	base Config
+	// probeRows is how many eval rows the probe's last count may differ on
+	// from the returned model's.
+	probeRows float64
+	run       func(cfg Config) (decider, *History, error)
+}
+
+// conformanceSchemes returns the four schemes' toy jobs: HL and VL on two
+// Gaussians, HK and VK (RBF, γ = 1) on two rings.
+func conformanceSchemes(t *testing.T) []conformanceScheme {
+	lin := dataset.TwoGaussians("g", 120, 6, 3, 17)
+	linTrain, linTest := splitAndScale(t, lin)
+	rings := nonlinearRings(120, 5)
+	ringTrain, ringTest, err := rings.Split(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rbf := kernel.RBF{Gamma: 1}
+	return []conformanceScheme{
+		{"HL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, 0, func(cfg Config) (decider, *History, error) {
+			return TrainHorizontalLinear(context.Background(), horizontalParts(t, linTrain, 3, 9), cfg)
+		}},
+		{"HK", ringTest, Config{C: 50, Rho: 10, MaxIterations: 10, Landmarks: 12, Kernel: rbf}, 1, func(cfg Config) (decider, *History, error) {
+			return TrainHorizontalKernel(context.Background(), horizontalParts(t, ringTrain, 3, 7), cfg)
+		}},
+		{"VL", linTest, Config{C: 10, Rho: 50, MaxIterations: 12}, 1, func(cfg Config) (decider, *History, error) {
+			parts, cols := verticalParts(t, linTrain, 3, 3)
+			return TrainVerticalLinear(context.Background(), parts, cols, cfg)
+		}},
+		{"VK", ringTest, Config{C: 50, Rho: 20, MaxIterations: 10, Kernel: rbf}, 0, func(cfg Config) (decider, *History, error) {
+			parts, cols := verticalParts(t, ringTrain, 2, 5)
+			return TrainVerticalKernel(context.Background(), parts, cols, cfg)
+		}},
 	}
 }

@@ -13,7 +13,7 @@
 //
 // The paper's printed equations (10)–(13), (19) and (29) contain OCR-level
 // typos and one structural defect (the lagged equality constraint in (12)
-// freezes the bias; see WithPaperSplit). The implementation therefore follows
+// freezes the bias; see below). The implementation therefore follows
 // the clean derivations below, which agree with the paper's own foundations —
 // Forero, Cano, Giannakis (JMLR 2010) for the horizontal case and Boyd et al.
 // §7.3 (sharing ADMM) for the vertical case.
@@ -31,12 +31,13 @@
 //	w = η(XᵀYλ + ρu),   b = t + (1/ρ)·yᵀλ.
 //
 // The (1/ρ)yyᵀ term is exactly what the paper's equality constraint becomes
-// when b is eliminated analytically instead of lagged. Q = Y(η·XXᵀ +
-// (1/ρ)·11ᵀ)Y is never formed: qp.SolveLinearBox runs dual coordinate descent
-// on the rows, keeping Xᵀ(y∘λ) and yᵀλ, at O(k) a step (DESIGN.md §17).
-// WithPaperSplit keeps the lagged equality yᵀλ = ρ(b_prev − s + β) instead,
-// and qp.SolveLinearEqualityBox solves it by the method of multipliers over
-// the same sweeps, so no HL update forms η·YXXᵀY. Consensus updates are
+// when b is eliminated analytically instead of lagged. The printed update
+// keeps the lagged equality yᵀλ = ρ(b_prev − s + β), and its bias
+// b = t + yᵀλ/ρ is then b_prev: it never moves from 0. This joint update is
+// the 2-block ADMM the paper's Lemma 4.2 covers, and the only HL update.
+// Q = Y(η·XXᵀ + (1/ρ)·11ᵀ)Y is never formed: qp.SolveLinearBox runs dual
+// coordinate descent on the rows, keeping Xᵀ(y∘λ) and yᵀλ, at O(k) a step
+// (DESIGN.md §17). Consensus updates are
 // z ← mean(w_m + γ_m), s ← mean(b_m + β_m) (computed via secure summation),
 // and the duals advance by γ_m ← γ_m + w_m − z on receipt of the new z.
 //

@@ -166,17 +166,12 @@ type hlMapper struct {
 
 // newHLMapper builds the Map() task for learner id. mprime is the virtual
 // cohort size M′ = Σ_m J_m, shared by every mapper so their η agree.
-// PaperSplit's lagged equality constraint is defined for one sub-problem per
-// learner, so it is rejected when src divides into more than one chunk.
 func newHLMapper(src dataset.RowSource, id, mprime int, cfg Config) (*hlMapper, error) {
 	n, k := src.Rows(), src.Features()
 	if n == 0 || k == 0 {
 		return nil, fmt.Errorf("%w: learner %d has no data", ErrBadPartition, id)
 	}
 	sched := newChunkSchedule(n, cfg.ChunkRows, cfg.Seed, id)
-	if cfg.PaperSplit && sched.numChunks > 1 {
-		return nil, fmt.Errorf("%w: PaperSplit needs one chunk per learner, ChunkRows splits learner %d's rows", ErrBadConfig, id)
-	}
 	pf, err := dataset.NewPrefetcher(src, sched.chunkRows, cfg.Telemetry)
 	if err != nil {
 		return nil, err
@@ -219,35 +214,21 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 			return nil, fmt.Errorf("%w: row %d label is not ±1", ErrBadPartition, lo+i)
 		}
 	}
-	rho, split := mp.cfg.Rho, mp.cfg.PaperSplit
+	rho := mp.cfg.Rho
 
 	// Scaled-dual update with the consensus just received, then the linear
-	// term P_i = ηρ·y_i·x_iᵀu + t·y_i − 1 (the t·y term is folded into the
-	// equality constraint in paper-split mode).
+	// term P_i = ηρ·y_i·x_iᵀu + t·y_i − 1.
 	c, u, t := mp.vl.open(idx, len(y), state)
 	p := mp.p[:len(y)]
 	for i := range p {
-		p[i] = float64(mp.eta*rho*y[i]*linalg.Dot(x.Row(i), u)) - 1
-		if !split {
-			p[i] += float64(t * y[i])
-		}
+		p[i] = float64(mp.eta*rho*y[i]*linalg.Dot(x.Row(i), u)) - 1 + float64(t*y[i])
 	}
 	mp.opts[len(mp.opts)-1] = qp.WithWarmStart(c.lambda)
-	// The dual Hessian is Y(η·XXᵀ + (1/ρ)·11ᵀ)Y, PaperSplit's ηYXXᵀY under an
-	// equality, the chunk being its virtual learner's whole partition; both
-	// solves work on the rows and never form it.
-	lp := qp.LinearProblem{X: x, Y: y, Eta: mp.eta, P: p, C: mp.cfg.C}
-	var res *qp.Result
-	var d float64
-	if split {
-		// Equality constraint of eq. (12) with the lagged right-hand side,
-		// which stands in for the (1/ρ)·11ᵀ term.
-		d = rho * (c.prevB - state[len(u)] + c.beta)
-		res, err = qp.SolveLinearEqualityBox(lp, d, mp.opts...)
-	} else {
-		lp.Sigma = 1 / rho
-		res, err = qp.SolveLinearBox(lp, mp.opts...)
-	}
+	// The joint (w, b) update's dual: the bias eliminated, its Hessian is
+	// Y(η·XXᵀ + (1/ρ)·11ᵀ)Y under the box alone. The solve works on the rows
+	// and never forms it.
+	lp := qp.LinearProblem{X: x, Y: y, Eta: mp.eta, Sigma: 1 / rho, P: p, C: mp.cfg.C}
+	res, err := qp.SolveLinearBox(lp, mp.opts...)
 	if err != nil {
 		return nil, fmt.Errorf("consensus hl local solve: %w", err)
 	}
@@ -259,11 +240,6 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	for i := range ylambda {
 		ylambda[i] = float64(y[i] * res.Lambda[i])
 		sumYL += ylambda[i]
-	}
-	if split {
-		// The constraint makes yᵀλ = d; its value, not the solve's residual
-		// within tolerance, keeps the printed scheme's frozen bias exact.
-		sumYL = d
 	}
 	w, err := x.MulVecT(ylambda, c.prev)
 	if err != nil {

@@ -84,6 +84,11 @@ func TestHLSingleLearnerMatchesCentralized(t *testing.T) {
 	if cos := linalg.Dot(cw, mw); cos < 0.999 {
 		t.Errorf("weight direction cosine = %g, want ≈ 1", cos)
 	}
+	// The bias moves with the joint update. The paper's printed eq. (12),
+	// which lags b in the equality yᵀλ = ρ(b_prev − s + β), keeps it at 0.
+	if gap := math.Abs(model.B - central.B); gap > 1e-3 {
+		t.Errorf("bias %g, centralized %g (|Δ| = %g, want ≤ 1e-3)", model.B, central.B, gap)
+	}
 	accC, err := eval.ClassifierAccuracy(central, test)
 	if err != nil {
 		t.Fatal(err)
@@ -173,33 +178,5 @@ func TestHLDistributedMatchesLocal(t *testing.T) {
 	}
 	if accL != accD {
 		t.Errorf("accuracy: local %g vs distributed %g", accL, accD)
-	}
-}
-
-func TestHLPaperSplitRuns(t *testing.T) {
-	// The fidelity mode must run and converge in z, with the documented
-	// frozen-bias defect (see package doc); on centered data it still
-	// reaches useful accuracy.
-	d := dataset.TwoGaussians("g", 160, 4, 4, 13)
-	train, test := splitAndScale(t, d)
-	parts := horizontalParts(t, train, 4, 13)
-	model, h, err := TrainHorizontalLinear(context.Background(), parts, Config{
-		C: 50, Rho: 100, MaxIterations: 40, PaperSplit: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(model.B) > 1e-9 {
-		t.Errorf("paper-split bias = %g; eq. (12)+(13d) as printed freeze it at 0", model.B)
-	}
-	acc, err := eval.ClassifierAccuracy(model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
-		t.Errorf("paper-split accuracy on centered separable data = %g, want ≥ 0.9", acc)
-	}
-	if h.DeltaZSq[len(h.DeltaZSq)-1] > h.DeltaZSq[0] {
-		t.Error("paper-split Δz² grew")
 	}
 }

@@ -52,8 +52,7 @@ func TestHLLocalSolvesConverge(t *testing.T) {
 // TestHLJointRoundHoldsNoHessian is the memory half of the Gram-free solve,
 // at a size where the process RSS would show it and the benchmark's 200-row
 // partitions do not: a round over N_m = 4,000 rows allocates O(N_m + k),
-// where the dual Hessian alone was 128 MB, under the joint update and under
-// PaperSplit's equality-constrained one alike.
+// where the dual Hessian alone was 128 MB.
 func TestHLJointRoundHoldsNoHessian(t *testing.T) {
 	const n, k = 4000, 10
 	rng := rand.New(rand.NewSource(7))
@@ -69,24 +68,22 @@ func TestHLJointRoundHoldsNoHessian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, split := range []bool{false, true} {
-		cfg, err := Config{C: 1, Rho: 10, PaperSplit: split}.normalized()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		mp, err := newHLMapper(dataset.NewMemorySource(d), 0, 4, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mp.Contribution(0, make([]float64, k+1)); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		mp.close()
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
-			t.Errorf("PaperSplit %v: mapper construction and one round allocated %d bytes, want < 2 MiB", split, grew)
-		}
+	cfg, err := Config{C: 1, Rho: 10}.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mp, err := newHLMapper(dataset.NewMemorySource(d), 0, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mp.Contribution(0, make([]float64, k+1)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mp.close()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2<<20 {
+		t.Errorf("mapper construction and one round allocated %d bytes, want < 2 MiB", grew)
 	}
 }

@@ -112,16 +112,6 @@ func TestMinibatchConfigValidation(t *testing.T) {
 	}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("negative ChunkRows: err = %v, want ErrBadConfig", err)
 	}
-	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
-		C: 1, Rho: 1, ChunkRows: 8, PaperSplit: true,
-	}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("ChunkRows+PaperSplit: err = %v, want ErrBadConfig", err)
-	}
-	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
-		C: 1, Rho: 1, MaxIterations: 2, ChunkRows: 1 << 20, PaperSplit: true,
-	}); err != nil {
-		t.Errorf("one chunk per learner + PaperSplit: err = %v, want none", err)
-	}
 	// A Tol no residual can fall below would silently run the budget.
 	for _, tol := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-6} {
 		if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{

@@ -299,7 +299,7 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	for i := range p {
 		p[i] = float64(mf*y[i]*d[i]) - 1
 	}
-	res, err := qp.SolveUniformDiagEqualityBox(mf/r.cfg.Rho, p, r.cfg.C, y, 0, r.qpOpts...)
+	res, err := qp.SolveUniformDiagEqualityBox(mf/r.cfg.Rho, p, r.cfg.C, y, r.qpOpts...)
 	if err != nil {
 		return nil, false, fmt.Errorf("consensus vertical reducer solve: %w", err)
 	}

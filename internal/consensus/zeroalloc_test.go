@@ -270,7 +270,9 @@ func testMapperRoundZeroAlloc(t *testing.T) {
 // payload go out in one writev, each mapper decodes every broadcast into one
 // buffer, a connection's names and rosters come from its decode memo, the
 // reducer re-arms one receive window per job, and it neither builds a filter
-// nor a probe model nor a ready roster per round. The count is the difference
+// nor a probe model nor a ready roster per round. The inproc rows hold the
+// in-process transport to the same bound: an endpoint delivers the roster it
+// delivered last when the next one equals it. The count is the difference
 // in the process's allocations between a short and a long job, over the
 // rounds between them, so set-up (listeners, dials, the seed exchange, the
 // mappers' blocks) cancels out.
@@ -279,16 +281,21 @@ func TestTCPRoundAllocations(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	train, test := splitAndScale(t, dataset.TwoGaussians("g", 320, 6, 3, 41))
+	tcp := func() transport.Network { return transport.NewTCP() }
+	inproc := func() transport.Network { return transport.NewInProc() }
 	for _, tc := range []struct {
 		name      string
+		network   func() transport.Network
 		straggler time.Duration
 	}{
-		{"strict", 0},
-		{"elastic", 5 * time.Second},
+		{"strict", tcp, 0},
+		{"elastic", tcp, 5 * time.Second},
+		{"inproc_strict", inproc, 0},
+		{"inproc_elastic", inproc, 5 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mallocs := func(rounds int) float64 {
-				net := transport.NewTCP()
+				net := tc.network()
 				defer net.Close()
 				cfg := Config{C: 10, Rho: 50, MaxIterations: rounds, Distributed: true, Network: net, EvalSet: test, StragglerTimeout: tc.straggler}
 				parts := horizontalParts(t, train, 8, 3)
@@ -310,7 +317,7 @@ func TestTCPRoundAllocations(t *testing.T) {
 			perRound := (mallocs(r2) - mallocs(r1)) / (r2 - r1)
 			t.Logf("%.2f allocations per steady-state round", perRound)
 			if perRound > 1 {
-				t.Errorf("a steady-state %s TCP round allocated %.2f times, want at most 1", tc.name, perRound)
+				t.Errorf("a steady-state %s round allocated %.2f times, want at most 1", tc.name, perRound)
 			}
 		})
 	}

@@ -7,20 +7,14 @@ import (
 	"github.com/ppml-go/ppml/internal/linalg"
 )
 
-func benchProblem(n int, seed int64) (Problem, []float64, float64) {
+func benchProblem(n int, seed int64) (Problem, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	prob := randomProblem(rng, n, 2)
-	y := randomLabels(rng, n)
-	x := randomFeasibleBox(rng, n, prob.C)
-	d := 0.0
-	for i := range x {
-		d += y[i] * x[i]
-	}
-	return prob, y, d
+	return prob, randomLabels(rng, n)
 }
 
 func BenchmarkSolveBox200Cold(b *testing.B) {
-	prob, _, _ := benchProblem(200, 1)
+	prob, _ := benchProblem(200, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SolveBox(prob); err != nil {
@@ -30,7 +24,7 @@ func BenchmarkSolveBox200Cold(b *testing.B) {
 }
 
 func BenchmarkSolveBox200Warm(b *testing.B) {
-	prob, _, _ := benchProblem(200, 1)
+	prob, _ := benchProblem(200, 1)
 	res, err := SolveBox(prob)
 	if err != nil {
 		b.Fatal(err)
@@ -44,10 +38,10 @@ func BenchmarkSolveBox200Warm(b *testing.B) {
 }
 
 func BenchmarkSolveEqualityBox200(b *testing.B) {
-	prob, y, d := benchProblem(200, 2)
+	prob, y := benchProblem(200, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveEqualityBox(prob, y, d); err != nil {
+		if _, err := SolveEqualityBox(prob, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +59,7 @@ func BenchmarkSolveUniformDiag10000(b *testing.B) {
 	passes := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := SolveUniformDiagEqualityBox(0.04, p, 50, y, 0, WithScratch(&scratch))
+		res, err := SolveUniformDiagEqualityBox(0.04, p, 50, y, WithScratch(&scratch))
 		if err != nil {
 			b.Fatal(err)
 		}

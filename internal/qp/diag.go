@@ -10,7 +10,7 @@ import (
 // SolveUniformDiagEqualityBox solves
 //
 //	minimize   ½ q0 ‖λ‖² + pᵀλ
-//	subject to 0 ≤ λ ≤ C,  yᵀλ = d,   y ∈ {−1,+1}ⁿ, q0 > 0
+//	subject to 0 ≤ λ ≤ C,  yᵀλ = 0,   y ∈ {−1,+1}ⁿ, q0 > 0
 //
 // exactly, with no tolerance, via the KKT structure:
 // λᵢ(ν) = clip((−pᵢ − ν·yᵢ)/q0, 0, C) for the equality multiplier ν, and
@@ -28,7 +28,7 @@ import (
 // This is the Reducer's sub-problem in the vertically partitioned schemes
 // (Section IV-C): its Hessian is (M/ρ)·I, so the generic SMO solver would
 // waste O(n²) memory on an identity matrix.
-func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64, d float64, opts ...Option) (*Result, error) {
+func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64, opts ...Option) (*Result, error) {
 	n := len(p)
 	if !(q0 > 0) || math.IsInf(q0, 1) {
 		return nil, fmt.Errorf("%w: q0 = %g, want finite > 0", ErrBadProblem, q0)
@@ -36,15 +36,9 @@ func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64
 	if !(c > 0) || math.IsInf(c, 1) {
 		return nil, fmt.Errorf("%w: C = %g, want finite > 0", ErrBadProblem, c)
 	}
-	if math.IsNaN(d) || math.IsInf(d, 0) {
-		return nil, fmt.Errorf("%w: d is not finite", ErrBadProblem)
-	}
 	if len(y) != n {
 		return nil, fmt.Errorf("%w: y has length %d, want %d", ErrBadProblem, len(y), n)
 	}
-	// Feasibility: the reachable range of yᵀλ over the box, from Σy (exact
-	// in float64 for any n that fits in memory).
-	sumY := 0.0
 	for i, v := range y {
 		if v*v != 1 { // v = ±1 exactly; one test, where v != 1 would mispredict on random labels
 			return nil, fmt.Errorf("%w: y[%d] = %g, want ±1", ErrBadProblem, i, v)
@@ -52,16 +46,10 @@ func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64
 		if math.IsNaN(p[i]) || math.IsInf(p[i], 0) {
 			return nil, fmt.Errorf("%w: p[%d] is not finite", ErrBadProblem, i)
 		}
-		sumY += v
-	}
-	pos := (n + int(sumY)) / 2
-	lo, hi := float64(-c*float64(n-pos)), float64(c*float64(pos))
-	if d < lo-1e-12 || d > hi+1e-12 {
-		return nil, fmt.Errorf("%w: d = %g outside [%g, %g]", ErrInfeasible, d, lo, hi)
 	}
 	cfg := newConfig(opts, 0)
 
-	nu, passes := diagRoot(&cfg, q0, p, c, y, d)
+	nu, passes := diagRoot(&cfg, q0, p, c, y)
 	lambda, res := cfg.takeLambda(n)
 	diagLambdaAt(nu, q0, c, p, y, lambda)
 	res.Lambda = lambda
@@ -71,10 +59,10 @@ func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64
 	return res, nil
 }
 
-// diagRoot returns the ν with s(ν) = d and the number of passes over p it
+// diagRoot returns the ν with s(ν) = 0 and the number of passes over p it
 // took, starting cold from ν = 0. The root lies strictly inside (nuL, nuR),
-// the closest points evaluated so far with s > d and s < d.
-func diagRoot(cfg *config, q0 float64, p []float64, c float64, y []float64, d float64) (nu float64, passes int) {
+// the closest points evaluated so far with s > 0 and s < 0.
+func diagRoot(cfg *config, q0 float64, p []float64, c float64, y []float64) (nu float64, passes int) {
 	w := q0 * c
 	bound := diagPassBound(len(p))
 	nuL, nuR := math.Inf(-1), math.Inf(1)
@@ -90,29 +78,26 @@ func diagRoot(cfg *config, q0 float64, p []float64, c float64, y []float64, d fl
 		var side diagForm
 		var end float64
 		switch rf, lf := at.right(), at.left(); {
-		case rf.value(nu, q0, c) > d:
+		case rf.value(nu, q0, c) > 0:
 			side, end, nuL = rf, math.Min(at.r, nuR), nu
-		case lf.value(nu, q0, c) < d:
+		case lf.value(nu, q0, c) < 0:
 			side, end, nuR = lf, math.Max(at.l, nuL), nu
 		default:
-			return nu, passes // s(ν⁺) ≤ d ≤ s(ν⁻)
+			return nu, passes // s(ν⁺) ≤ 0 ≤ s(ν⁻)
 		}
 		// whole: no breakpoint lies between ν and the bracket's far end, so
 		// the root is on this segment even when rounding puts the segment's
 		// closed-form root a hair past end.
 		whole := end == nuL || end == nuR
-		step, ok := side.root(q0, c, d)
+		step, ok := side.root(q0, c)
 		switch {
 		case ok && (whole || (step-nu)*(step-end) <= 0): // step within [ν, end]
 			return min(max(step, min(nu, end)), max(nu, end)), passes
 		case whole:
-			// A flat segment spans the bracket: s jumps across d at end (a
+			// A flat segment spans the bracket, so s jumps across 0 at end: a
 			// coordinate whose width q0·C is below the rounding of its
-			// breakpoint), or d sits in the feasibility slack past the box's
-			// range and every coordinate is clamped.
-			if math.IsInf(end, 0) {
-				return nu, passes
-			}
+			// breakpoint. end is finite: past the last breakpoint s ≤ 0, and
+			// before the first s ≥ 0.
 			return end, passes
 		}
 		// reserve is the passes median steps alone would still need: each
@@ -170,12 +155,12 @@ func (f diagForm) value(nu, q0, c float64) float64 {
 	return float64(float64(f.clamped)*c) + (f.sumT-float64(float64(f.free)*nu))/q0
 }
 
-// root solves value(ν) = d; ok is false on a flat segment.
-func (f diagForm) root(q0, c, d float64) (float64, bool) {
+// root solves value(ν) = 0; ok is false on a flat segment.
+func (f diagForm) root(q0, c float64) (float64, bool) {
 	if f.free == 0 {
 		return 0, false
 	}
-	return (f.sumT - float64(q0*(d-float64(float64(f.clamped)*c)))) / float64(f.free), true
+	return (f.sumT + float64(q0*float64(float64(f.clamped)*c))) / float64(f.free), true
 }
 
 // diagPass is one pass over the coordinates at ν: the coordinates strictly

@@ -17,31 +17,26 @@ func TestDiagValidation(t *testing.T) {
 		name    string
 		q0, c   float64
 		p, y    []float64
-		d       float64
-		want    error
 		wantMsg string
 	}{
-		{"q0=0", 0, 1, []float64{1}, []float64{1}, 0, ErrBadProblem, ""},
-		{"q0=NaN", nan, 1, []float64{1}, []float64{1}, 0, ErrBadProblem, ""},
-		{"q0=+Inf", inf, 1, []float64{1}, []float64{1}, 0, ErrBadProblem, ""},
-		{"C=0", 1, 0, []float64{1}, []float64{1}, 0, ErrBadProblem, ""},
-		{"C=NaN", 1, nan, []float64{1}, []float64{1}, 0, ErrBadProblem, ""},
-		{"C=+Inf", 1, inf, []float64{1}, []float64{1}, 0, ErrBadProblem, ""},
-		{"d=NaN", 1, 1, []float64{1}, []float64{1}, nan, ErrBadProblem, "d is not finite"},
-		{"d=-Inf", 1, 1, []float64{1}, []float64{1}, -inf, ErrBadProblem, "d is not finite"},
-		{"p[1]=NaN", 1, 10, []float64{-1, nan, -1}, []float64{1, 1, -1}, 0, ErrBadProblem, "p[1] is not finite"},
-		{"p[2]=-Inf", 1, 10, []float64{-1, 0, -inf}, []float64{1, 1, -1}, 0, ErrBadProblem, "p[2] is not finite"},
-		{"length mismatch", 1, 1, []float64{1, 2}, []float64{1}, 0, ErrBadProblem, ""},
-		{"bad label", 1, 1, []float64{1}, []float64{2}, 0, ErrBadProblem, ""},
-		{"unreachable d", 1, 1, []float64{1, 1}, []float64{1, 1}, 5, ErrInfeasible, ""},
+		{"q0=0", 0, 1, []float64{1}, []float64{1}, ""},
+		{"q0=NaN", nan, 1, []float64{1}, []float64{1}, ""},
+		{"q0=+Inf", inf, 1, []float64{1}, []float64{1}, ""},
+		{"C=0", 1, 0, []float64{1}, []float64{1}, ""},
+		{"C=NaN", 1, nan, []float64{1}, []float64{1}, ""},
+		{"C=+Inf", 1, inf, []float64{1}, []float64{1}, ""},
+		{"p[1]=NaN", 1, 10, []float64{-1, nan, -1}, []float64{1, 1, -1}, "p[1] is not finite"},
+		{"p[2]=-Inf", 1, 10, []float64{-1, 0, -inf}, []float64{1, 1, -1}, "p[2] is not finite"},
+		{"length mismatch", 1, 1, []float64{1, 2}, []float64{1}, ""},
+		{"bad label", 1, 1, []float64{1}, []float64{2}, ""},
 	}
 	for _, tc := range cases {
-		_, err := SolveUniformDiagEqualityBox(tc.q0, tc.p, tc.c, tc.y, tc.d)
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		_, err := SolveUniformDiagEqualityBox(tc.q0, tc.p, tc.c, tc.y)
+		if !errors.Is(err, ErrBadProblem) {
+			t.Errorf("%s: err = %v, want ErrBadProblem", tc.name, err)
 			continue
 		}
-		if tc.wantMsg != "" && err.Error() != fmt.Sprintf("%v: %s", tc.want, tc.wantMsg) {
+		if tc.wantMsg != "" && err.Error() != fmt.Sprintf("%v: %s", ErrBadProblem, tc.wantMsg) {
 			t.Errorf("%s: err = %q, want it to name %q and no value", tc.name, err, tc.wantMsg)
 		}
 	}
@@ -52,12 +47,12 @@ type diagCase struct {
 	kind  string
 	q0, c float64
 	p, y  []float64
-	d     float64
 }
 
 // diagCases draws the property test's instances: random shapes, staircase
 // problems (q0·C far below the spread of p), duplicated p (tied breakpoints),
-// every coordinate pulled onto a bound, and d on each feasibility edge.
+// every coordinate pulled onto a bound, and one class only, where 0 is the
+// edge of the range of yᵀλ and λ = 0 the one feasible point.
 func diagCases(rng *rand.Rand, n int) []diagCase {
 	y := randomLabels(rng, n)
 	draw := func(scale float64) []float64 {
@@ -67,19 +62,12 @@ func diagCases(rng *rand.Rand, n int) []diagCase {
 		}
 		return p
 	}
-	reachable := func(c float64) float64 {
-		x := randomFeasibleBox(rng, n, c)
-		d := 0.0
-		for i := range x {
-			d += y[i] * x[i]
+	ones := func(v float64) []float64 {
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = v
 		}
-		return d
-	}
-	pos := 0
-	for _, v := range y {
-		if v > 0 {
-			pos++
-		}
+		return y
 	}
 	q0, c := 0.1+rng.Float64()*5, 0.5+rng.Float64()*3
 	dup := make([]float64, n)
@@ -92,12 +80,12 @@ func diagCases(rng *rand.Rand, n int) []diagCase {
 	}
 	sc := 1e-3 * (0.5 + rng.Float64())
 	return []diagCase{
-		{"random", q0, c, draw(0.1 + rng.Float64()*10), y, reachable(c)},
-		{"staircase", 1, sc, draw(10), y, reachable(sc)},
-		{"duplicate", 1, 1, dup, y, reachable(1)},
-		{"all at bounds", 1, c, pull, y, c * float64(2*pos-n)},
-		{"d at upper edge", q0, c, draw(2), y, c * float64(pos)},
-		{"d at lower edge", q0, c, draw(2), y, -c * float64(n-pos)},
+		{"random", q0, c, draw(0.1 + rng.Float64()*10), y},
+		{"staircase", 1, sc, draw(10), y},
+		{"duplicate", 1, 1, dup, y},
+		{"all at bounds", 1, c, pull, y},
+		{"positive class only", q0, c, draw(2), ones(1)},
+		{"negative class only", q0, c, draw(2), ones(-1)},
 	}
 }
 
@@ -106,7 +94,7 @@ func diagCases(rng *rand.Rand, n int) []diagCase {
 func passBound(n int) int { return 2*int(math.Ceil(math.Log2(float64(2*n)))) + 4 }
 
 // checkDiag asserts the contract every instance must meet: λ in the box,
-// yᵀλ = d to the rounding of n terms, and the documented pass bound.
+// yᵀλ = 0 to the rounding of n terms, and the documented pass bound.
 func checkDiag(t *testing.T, name string, tc diagCase, res *Result) {
 	t.Helper()
 	n := len(tc.p)
@@ -118,12 +106,12 @@ func checkDiag(t *testing.T, name string, tc diagCase, res *Result) {
 		}
 		sum.Add(sum, big.NewFloat(tc.y[i]*v))
 	}
-	resid, _ := sum.Sub(sum, big.NewFloat(tc.d)).Float64()
+	resid, _ := sum.Float64()
 	// The rounding of ν is relative to the offsets |pᵢ|/q0 it is compared
 	// with, which the staircase and bound-pulling cases make far larger than C.
 	scale := math.Max(tc.c, linalg.NormInf(tc.p)/tc.q0)
 	if tol := 2 * float64(n) * 0x1p-52 * scale; math.Abs(resid) > tol {
-		t.Fatalf("%s: |yᵀλ − d| = %g > %g", name, math.Abs(resid), tol)
+		t.Fatalf("%s: |yᵀλ| = %g > %g", name, math.Abs(resid), tol)
 	}
 	if bound := passBound(n); res.Iterations > bound {
 		t.Fatalf("%s: %d passes > bound %d", name, res.Iterations, bound)
@@ -136,14 +124,14 @@ func diagObjective(q0 float64, p, lambda []float64) float64 {
 }
 
 // diagDualBound is max over ν of the Lagrangian dual
-// g(ν) = Σᵢ min_{0≤λᵢ≤C} (½q0λᵢ² + (pᵢ + ν·yᵢ)λᵢ) − ν·d, a lower bound on
-// the optimum that needs no n×n matrix. g′(ν) = yᵀλ(ν) − d is non-increasing,
+// g(ν) = Σᵢ min_{0≤λᵢ≤C} (½q0λᵢ² + (pᵢ + ν·yᵢ)λᵢ), a lower bound on the
+// optimum that needs no n×n matrix. g′(ν) = yᵀλ(ν) is non-increasing,
 // so 200 bisection steps place ν at the rounding of its bracket.
 func diagDualBound(tc diagCase) float64 {
 	lam := make([]float64, len(tc.p))
 	slope := func(nu float64) float64 {
 		diagLambdaAt(nu, tc.q0, tc.c, tc.p, tc.y, lam)
-		return linalg.Dot(tc.y, lam) - tc.d
+		return linalg.Dot(tc.y, lam)
 	}
 	hi := linalg.NormInf(tc.p) + tc.q0*tc.c + 1
 	lo := -hi
@@ -157,7 +145,7 @@ func diagDualBound(tc diagCase) float64 {
 	best := math.Inf(-1)
 	for _, nu := range []float64{lo, hi} {
 		diagLambdaAt(nu, tc.q0, tc.c, tc.p, tc.y, lam)
-		best = math.Max(best, diagObjective(tc.q0, tc.p, lam)+nu*(linalg.Dot(tc.y, lam)-tc.d))
+		best = math.Max(best, diagObjective(tc.q0, tc.p, lam)+nu*linalg.Dot(tc.y, lam))
 	}
 	return best
 }
@@ -175,7 +163,7 @@ func TestDiagMatchesDenseSMO(t *testing.T) {
 		}
 		for _, tc := range diagCases(rng, n) {
 			name := fmt.Sprintf("trial %d %s n=%d", trial, tc.kind, n)
-			got, err := SolveUniformDiagEqualityBox(tc.q0, tc.p, tc.c, tc.y, tc.d)
+			got, err := SolveUniformDiagEqualityBox(tc.q0, tc.p, tc.c, tc.y)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -187,7 +175,7 @@ func TestDiagMatchesDenseSMO(t *testing.T) {
 				for i := 0; i < n; i++ {
 					dense.Set(i, i, tc.q0)
 				}
-				want, err := SolveEqualityBox(Problem{Q: dense, P: tc.p, C: tc.c}, tc.y, tc.d, WithTolerance(1e-10))
+				want, err := SolveEqualityBox(Problem{Q: dense, P: tc.p, C: tc.c}, tc.y, WithTolerance(1e-10))
 				if err != nil {
 					t.Fatalf("%s dense: %v", name, err)
 				}
@@ -204,7 +192,7 @@ func TestDiagMatchesDenseSMO(t *testing.T) {
 
 func TestDiagAnalytic(t *testing.T) {
 	// min ½‖λ‖² − λ₁ − λ₂ s.t. λ₁ − λ₂ = 0, box [0,10]: λ = (1,1).
-	res, err := SolveUniformDiagEqualityBox(1, []float64{-1, -1}, 10, []float64{1, -1}, 0)
+	res, err := SolveUniformDiagEqualityBox(1, []float64{-1, -1}, 10, []float64{1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,37 +203,12 @@ func TestDiagAnalytic(t *testing.T) {
 
 func TestDiagBindingBox(t *testing.T) {
 	// Strong pull beyond the box: clip at C with the equality preserved.
-	res, err := SolveUniformDiagEqualityBox(1, []float64{-100, -100}, 2, []float64{1, -1}, 0)
+	res, err := SolveUniformDiagEqualityBox(1, []float64{-100, -100}, 2, []float64{1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Lambda[0]-2) > 1e-6 || math.Abs(res.Lambda[1]-2) > 1e-6 {
 		t.Errorf("λ = %v, want [2 2]", res.Lambda)
-	}
-}
-
-// TestDiagSlackPastRange: a d in the feasibility check's slack just past the
-// reachable range has no root, since s(ν) never reaches it. The search ends on
-// the flat segment beyond every breakpoint, at the box's corner.
-func TestDiagSlackPastRange(t *testing.T) {
-	p, y := []float64{0.3, -1.2, 0.7}, []float64{1, 1, -1}
-	for _, tc := range []struct {
-		d    float64
-		want []float64
-	}{
-		{4 + 5e-13, []float64{2, 2, 0}},
-		{-2 - 5e-13, []float64{0, 0, 2}},
-	} {
-		res, err := SolveUniformDiagEqualityBox(0.5, p, 2, y, tc.d)
-		if err != nil {
-			t.Fatalf("d = %g: %v", tc.d, err)
-		}
-		for i, v := range res.Lambda {
-			if v != tc.want[i] {
-				t.Errorf("d = %g: λ = %v, want %v", tc.d, res.Lambda, tc.want)
-				break
-			}
-		}
 	}
 }
 
@@ -259,7 +222,7 @@ func TestDiagLargeProblemFast(t *testing.T) {
 		p[i] = rng.NormFloat64()
 	}
 	y := randomLabels(rng, n)
-	res, err := SolveUniformDiagEqualityBox(0.04, p, 50, y, 0)
+	res, err := SolveUniformDiagEqualityBox(0.04, p, 50, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +251,7 @@ func TestDiagScratchAllocatesNothing(t *testing.T) {
 		var s Scratch
 		opts := []Option{WithScratch(&s)}
 		solve := func() {
-			if _, err := SolveUniformDiagEqualityBox(tc.q0, tc.p, tc.c, tc.y, tc.d, opts...); err != nil {
+			if _, err := SolveUniformDiagEqualityBox(tc.q0, tc.p, tc.c, tc.y, opts...); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -82,42 +82,31 @@ func SolveLinearBox(p LinearProblem, opts ...Option) (*Result, error) {
 
 // multiplierSteps caps SolveLinearEqualityBox's multiplier updates. The
 // penalty's growth rule keeps the count far below it: the centralized
-// baselines take 2–3 steps and a BenchmarkAblationSplit round at most 14.
+// baselines take 2–3 steps.
 const multiplierSteps = 100
 
-// SolveLinearEqualityBox minimizes a LinearProblem subject also to yᵀλ = d,
-// by the method of multipliers (Boyd et al., "Distributed Optimization and
-// Statistical Learning via ADMM", §2.3) over SolveLinearBox's sweeps, so Q is
-// never formed. Step j solves the box problem with the augmented Lagrangian's
-// terms folded into the LinearProblem, σ_j·yyᵀ into Sigma and (b_j − σ_j·d)·y
-// into P, from the previous step's λ, then moves the multiplier
-// b_{j+1} = b_j + σ_j·r with r = yᵀλ − d. The box problem's gradient at b_j
-// is the constrained problem's at b_{j+1}, so the solve ends when a step's
-// sweeps converged and |r| is within the tolerance; KKTViolation is the
-// larger of the two, and Multiplier is b.
+// SolveLinearEqualityBox minimizes a LinearProblem subject also to yᵀλ = 0,
+// the linear SVM dual with a bias, by the method of multipliers (Boyd et al.,
+// "Distributed Optimization and Statistical Learning via ADMM", §2.3) over
+// SolveLinearBox's sweeps, so Q is never formed. Step j solves the box problem
+// with the augmented Lagrangian's terms folded into the LinearProblem, σ_j·yyᵀ
+// into Sigma and b_j·y into P, from the previous step's λ, then moves the
+// multiplier b_{j+1} = b_j + σ_j·r with r = yᵀλ. The box problem's gradient
+// at b_j is the constrained problem's at b_{j+1}, so the solve ends when a
+// step's sweeps converged and |r| is within the tolerance; KKTViolation is
+// the larger of the two, and Multiplier is b.
 //
 // The penalty starts at σ₀ = η·‖X‖²_F/(n·k), the mean per-feature diagonal
 // of ηYXXᵀY, and grows tenfold whenever a step shrinks |r| by less than 4×.
-// The warm start is clipped to the box but not moved onto yᵀλ = d: the steps
-// get there, and a projection would perturb Xᵀ(y∘λ). A d the box cannot
-// reach is ErrInfeasible. Past multiplierSteps steps, or once the steps'
-// updates reach the cap, the solve returns with Converged false.
-func SolveLinearEqualityBox(p LinearProblem, d float64, opts ...Option) (*Result, error) {
+// The warm start is clipped to the box but not moved onto yᵀλ = 0: the steps
+// get there, and a projection would perturb Xᵀ(y∘λ). Past multiplierSteps
+// steps, or once the steps' updates reach the cap, the solve returns with
+// Converged false.
+func SolveLinearEqualityBox(p LinearProblem, opts ...Option) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	n, k := p.X.Rows, p.X.Cols
-	lo, hi := 0.0, 0.0
-	for _, y := range p.Y {
-		if y > 0 {
-			hi += p.C
-		} else {
-			lo -= p.C
-		}
-	}
-	if slack := float64(1e-12 * (1 + hi - lo)); !(d >= lo-slack && d <= hi+slack) {
-		return nil, fmt.Errorf("%w: cannot reach yᵀλ = %g with C = %g over %d variables", ErrInfeasible, d, p.C, n)
-	}
 	cfg := newConfig(opts, linearSweeps*n)
 	lambda, res := cfg.takeLambda(n)
 	if err := cfg.warm(lambda, p.C); err != nil {
@@ -133,13 +122,12 @@ func SolveLinearEqualityBox(p LinearProblem, d float64, opts ...Option) (*Result
 	b, prev := 0.0, math.Inf(1)
 	for range multiplierSteps {
 		step.Sigma = p.Sigma + sigma
-		shift := b - float64(sigma*d)
 		for i, y := range p.Y {
-			step.P[i] = p.P[i] + float64(shift*y)
+			step.P[i] = p.P[i] + float64(b*y)
 		}
 		iters, viol := descend(&step, &cfg, cfg.maxIter-res.Iterations, lambda)
 		res.Iterations += iters
-		r := -d
+		r := 0.0
 		for i, y := range p.Y {
 			r += float64(y * lambda[i])
 		}

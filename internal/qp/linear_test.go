@@ -284,18 +284,18 @@ func boxGap(p Problem, lambda []float64) float64 {
 }
 
 // matchesSMO holds SolveLinearEqualityBox to SolveEqualityBox on the formed
-// Hessian: yᵀλ = d and the KKT conditions with the returned multiplier both
+// Hessian: yᵀλ = 0 and the KKT conditions with the returned multiplier both
 // within tolerance of the dense gradient, the same objective, and the same
 // Xᵀ(y∘λ).
-func matchesSMO(t *testing.T, lp LinearProblem, d float64, opts ...Option) *Result {
+func matchesSMO(t *testing.T, lp LinearProblem, opts ...Option) *Result {
 	t.Helper()
 	const tol = 1e-8
-	got, err := SolveLinearEqualityBox(lp, d, append(opts, WithTolerance(tol))...)
+	got, err := SolveLinearEqualityBox(lp, append(opts, WithTolerance(tol))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp := dense(t, lp)
-	want, err := SolveEqualityBox(dp, lp.Y, d, WithTolerance(tol))
+	want, err := SolveEqualityBox(dp, lp.Y, WithTolerance(tol))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +303,8 @@ func matchesSMO(t *testing.T, lp LinearProblem, d float64, opts ...Option) *Resu
 		t.Fatalf("converged: multipliers %v (gap %g), SMO %v (gap %g)", got.Converged, got.KKTViolation, want.Converged, want.KKTViolation)
 	}
 	_, s := factors(lp, got.Lambda)
-	if r := math.Abs(s - d); r > tol {
-		t.Errorf("|yᵀλ − d| = %g, want ≤ %g", r, tol)
+	if r := math.Abs(s); r > tol {
+		t.Errorf("|yᵀλ| = %g, want ≤ %g", r, tol)
 	}
 	shifted := dp
 	shifted.P = make([]float64, len(lp.P))
@@ -354,76 +354,68 @@ func TestSolveLinearEqualityBoxMatchesSMO(t *testing.T) {
 			Eta: 0.01 + rng.Float64(), Sigma: rng.Float64() * float64(rng.Intn(2)),
 			C: math.Pow(10, 2*rng.Float64()-1),
 		}
-		// A reachable d, nonzero but for every fourth trial: yᵀλ at a
-		// random point of the box.
-		d := 0.0
-		if trial%4 != 0 {
-			for i, l := range randomFeasibleBox(rng, n, lp.C) {
-				d += lp.Y[i] * l
-			}
-		}
-		cold := matchesSMO(t, lp, d)
-		// The next round's problem: the linear term and d move a little,
-		// the solve starts from this round's λ, off the new constraint.
+		cold := matchesSMO(t, lp)
+		// The next solve's problem: the linear term moves a little, and the
+		// solve starts from this one's λ with the positive class's shrunk,
+		// off yᵀλ = 0.
 		for i := range p {
 			p[i] += 0.05 * rng.NormFloat64()
 		}
-		d *= 0.9
-		warm := matchesSMO(t, lp, d, WithWarmStart(cold.Lambda))
+		start := linalg.CopyVec(cold.Lambda)
+		for i, y := range lp.Y {
+			if y > 0 {
+				start[i] *= 0.9
+			}
+		}
+		warm := matchesSMO(t, lp, WithWarmStart(start))
 		if t.Failed() {
-			t.Fatalf("trial %d: n=%d k=%d η=%g σ=%g C=%g d=%g (cold %d updates, warm %d)", trial, n, k, lp.Eta, lp.Sigma, lp.C, d, cold.Iterations, warm.Iterations)
+			t.Fatalf("trial %d: n=%d k=%d η=%g σ=%g C=%g (cold %d updates, warm %d)", trial, n, k, lp.Eta, lp.Sigma, lp.C, cold.Iterations, warm.Iterations)
 		}
 	}
 }
 
-func TestSolveLinearEqualityBoxInfeasible(t *testing.T) {
+// TestSolveLinearEqualityBoxValidation: malformed problems are
+// ErrBadProblem, and a one-class problem, where 0 is the edge of the range of
+// yᵀλ, is solved at its one feasible point λ = 0.
+func TestSolveLinearEqualityBoxValidation(t *testing.T) {
 	lp := linearProblem(t, [][]float64{{1, 0}, {0, 1}, {1, 1}}, []float64{1, 1, -1}, []float64{-1, -1, -1}, 1, 0, 2)
-	// yᵀλ ranges over [−2, 4].
-	for _, d := range []float64{4.1, -2.1, math.Inf(1), math.NaN()} {
-		if _, err := SolveLinearEqualityBox(lp, d); !errors.Is(err, ErrInfeasible) {
-			t.Errorf("d = %g: err = %v, want ErrInfeasible", d, err)
-		}
-	}
-	one := linearProblem(t, [][]float64{{1, 0}, {0, 1}}, []float64{1, 1}, []float64{-1, -1}, 1, 0, 2)
-	if _, err := SolveLinearEqualityBox(one, -0.5); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("negative d with positive labels: err = %v, want ErrInfeasible", err)
-	}
-	for _, d := range []float64{4, -2} {
-		if _, err := SolveLinearEqualityBox(lp, d); err != nil {
-			t.Errorf("d = %g at the edge of the range: %v", d, err)
-		}
-	}
 	bad := lp
 	bad.Y = bad.Y[:2]
-	if _, err := SolveLinearEqualityBox(bad, 0); !errors.Is(err, ErrBadProblem) {
+	if _, err := SolveLinearEqualityBox(bad); !errors.Is(err, ErrBadProblem) {
 		t.Errorf("short Y: err = %v, want ErrBadProblem", err)
 	}
-	if _, err := SolveLinearEqualityBox(lp, 0, WithWarmStart([]float64{0})); !errors.Is(err, ErrBadProblem) {
+	if _, err := SolveLinearEqualityBox(lp, WithWarmStart([]float64{0})); !errors.Is(err, ErrBadProblem) {
 		t.Errorf("warm start of the wrong length: err = %v, want ErrBadProblem", err)
+	}
+	one := linearProblem(t, [][]float64{{1, 0}, {0, 1}}, []float64{1, 1}, []float64{-1, -1}, 1, 0, 2)
+	res, err := SolveLinearEqualityBox(one, WithTolerance(1e-9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || linalg.NormInf(res.Lambda) > 1e-9 {
+		t.Errorf("one class: λ = %v (converged %v), want 0", res.Lambda, res.Converged)
 	}
 }
 
-// TestSolveLinearEqualityBoxScratchZeroAlloc: a PaperSplit round loop —
-// same Scratch, warm start from the previous round, d moving — must not
-// allocate.
+// TestSolveLinearEqualityBoxScratchZeroAlloc: a loop of solves — same
+// Scratch, warm start from the previous solve, the linear term moving — must
+// not allocate.
 func TestSolveLinearEqualityBoxScratchZeroAlloc(t *testing.T) {
 	lp := hlProblem(make([]float64, 28), 0)
 	lp.Sigma = 0
 	var scr Scratch
 	warm := make([]float64, lp.X.Rows)
 	opts := []Option{WithScratch(&scr), WithWarmStart(warm)}
-	d := 0.5
 	solve := func() {
-		res, err := SolveLinearEqualityBox(lp, d, opts...)
+		res, err := SolveLinearEqualityBox(lp, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Converged {
-			t.Fatalf("d = %g: gap %g after %d updates", d, res.KKTViolation, res.Iterations)
+			t.Fatalf("gap %g after %d updates", res.KKTViolation, res.Iterations)
 		}
 		copy(warm, res.Lambda)
 		lp.P[0] -= 0.01 // keep every run a real solve
-		d -= 0.1
 	}
 	solve()
 	if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {

@@ -3,9 +3,12 @@
 //
 //	minimize   ½ λᵀ Q λ + pᵀ λ
 //	subject to 0 ≤ λ ≤ C            (SolveBox)
-//	           and optionally yᵀλ = d with y ∈ {−1,+1}ⁿ  (SolveEqualityBox)
+//	           and optionally yᵀλ = 0 with y ∈ {−1,+1}ⁿ  (SolveEqualityBox)
 //	or         0 ≤ λ ≤ C with Q = Y(η·XXᵀ + σ·11ᵀ)Y given by its factors
-//	           (SolveLinearBox), and optionally yᵀλ = d (SolveLinearEqualityBox)
+//	           (SolveLinearBox), and optionally yᵀλ = 0 (SolveLinearEqualityBox)
+//
+// The equality is the SVM dual's: the bias's multiplier. λ = 0 meets it, so
+// every problem is feasible.
 //
 // SolveBox uses Gauss–Southwell projected coordinate descent (greedy exact
 // line search per coordinate); SolveEqualityBox uses sequential minimal
@@ -34,8 +37,6 @@ import (
 
 // Errors returned by the solvers.
 var (
-	// ErrInfeasible indicates no point satisfies 0 ≤ λ ≤ C and yᵀλ = d.
-	ErrInfeasible = errors.New("qp: problem is infeasible")
 	// ErrBadProblem indicates inconsistent problem dimensions or parameters.
 	ErrBadProblem = errors.New("qp: malformed problem")
 )
@@ -80,9 +81,9 @@ type Result struct {
 	KKTViolation float64
 	// Converged reports whether the tolerance was met before the iteration cap.
 	Converged bool
-	// Multiplier is SolveLinearEqualityBox's multiplier of yᵀλ = d: with it
-	// added, Qλ + p + Multiplier·y meets the box's KKT conditions. For the
-	// SVM dual it is the bias. The other solvers leave it 0.
+	// Multiplier is SolveLinearEqualityBox's multiplier of yᵀλ = 0, the SVM
+	// dual's bias: with it added, Qλ + p + Multiplier·y meets the box's KKT
+	// conditions. The other solvers leave it 0.
 	Multiplier float64
 }
 
@@ -212,9 +213,9 @@ func newConfig(opts []Option, defaultMaxIter int) config {
 func WithTolerance(tol float64) Option { return Option{kind: optTolerance, f: tol} }
 
 // WithWarmStart seeds the solver with a previous solution. The point is
-// clipped to the box; SolveEqualityBox additionally repairs it to satisfy the
-// equality constraint, while SolveLinearEqualityBox starts from it as it is.
-// A copy is taken: the caller's slice is not modified.
+// clipped to the box; SolveEqualityBox rejects it off yᵀλ = 0, while
+// SolveLinearEqualityBox starts from it as it is. A copy is taken: the
+// caller's slice is not modified.
 func WithWarmStart(lambda []float64) Option {
 	return Option{kind: optWarmStart, vec: lambda}
 }
@@ -286,9 +287,11 @@ func SolveBox(p Problem, opts ...Option) (*Result, error) {
 	return res, nil
 }
 
-// SolveEqualityBox minimizes ½λᵀQλ + pᵀλ over {λ : 0 ≤ λ ≤ C, yᵀλ = d} where
-// every y[i] is −1 or +1. The classical SVM dual is the special case d = 0.
-func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Result, error) {
+// SolveEqualityBox minimizes ½λᵀQλ + pᵀλ over {λ : 0 ≤ λ ≤ C, yᵀλ = 0} where
+// every y[i] is −1 or +1: the SVM dual. Its pair steps keep yᵀλ where the
+// start put it, so a warm start, once clipped, must meet the equality to
+// rounding (|yᵀλ| ≤ 1e-12·(1 + C·n)); one off it is ErrBadProblem.
+func SolveEqualityBox(p Problem, y []float64, opts ...Option) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -307,8 +310,14 @@ func SolveEqualityBox(p Problem, y []float64, d float64, opts ...Option) (*Resul
 	if err := cfg.warm(lambda, p.C); err != nil {
 		return nil, err
 	}
-	if err := repairEquality(lambda, y, d, p.C); err != nil {
-		return nil, err
+	if cfg.warmStart != nil {
+		s := 0.0
+		for i, l := range lambda {
+			s += float64(y[i] * l)
+		}
+		if math.Abs(s) > 1e-12*(1+float64(p.C*float64(n))) {
+			return nil, fmt.Errorf("%w: warm start is off yᵀλ = 0", ErrBadProblem)
+		}
 	}
 	grad := gradient(&p, lambda, cfg.takeGrad(n))
 
@@ -379,47 +388,6 @@ func selectViolatingPair(grad, lambda, y []float64, c float64) (i, j int, violat
 		return 0, 0, 0 // box fully binds; no feasible direction, KKT holds
 	}
 	return up, low, m - mm
-}
-
-// repairEquality adjusts λ in place, minimally in the ∞-norm sense, so that
-// yᵀλ = d while staying inside [0, C]. It is used to make warm starts and
-// fresh starts feasible. Returns ErrInfeasible when the box cannot reach d.
-func repairEquality(lambda, y []float64, d, c float64) error {
-	cur := 0.0
-	for i := range lambda {
-		cur += float64(y[i] * lambda[i])
-	}
-	deficit := d - cur
-	for i := 0; i < len(lambda) && math.Abs(deficit) > 0; i++ {
-		// Raising λ_i changes the sum by y_i per unit; lowering by −y_i.
-		var room float64
-		if deficit*y[i] > 0 {
-			room = c - lambda[i] // raise λ_i
-		} else {
-			room = lambda[i] // lower λ_i
-		}
-		if room <= 0 {
-			continue
-		}
-		move := math.Min(room, math.Abs(deficit))
-		if deficit*y[i] > 0 {
-			lambda[i] += move
-		} else {
-			lambda[i] -= move
-		}
-		if deficit > 0 {
-			deficit -= move
-		} else {
-			deficit += move
-		}
-		if math.Abs(deficit) < 1e-15 {
-			deficit = 0
-		}
-	}
-	if math.Abs(deficit) > 1e-12*(1+math.Abs(d)) {
-		return fmt.Errorf("%w: cannot reach yᵀλ = %g with C = %g over %d variables", ErrInfeasible, d, c, len(lambda))
-	}
-	return nil
 }
 
 // gradient computes Qλ + p into g (len(p.P) elements). For

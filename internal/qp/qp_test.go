@@ -67,6 +67,30 @@ func randomFeasibleBox(rng *rand.Rand, n int, c float64) []float64 {
 	return x
 }
 
+// randomOnEquality returns a random point of [0,C]^n with yᵀλ = 0 to
+// rounding: a random point of the box with the heavier class scaled down to
+// the other's total.
+func randomOnEquality(rng *rand.Rand, y []float64, c float64) []float64 {
+	x := randomFeasibleBox(rng, len(y), c)
+	pos, neg := 0.0, 0.0
+	for i, v := range x {
+		if y[i] > 0 {
+			pos += v
+		} else {
+			neg += v
+		}
+	}
+	for i := range x {
+		switch {
+		case y[i] > 0 && pos > neg:
+			x[i] *= neg / pos
+		case y[i] < 0 && neg > pos:
+			x[i] *= pos / neg
+		}
+	}
+	return x
+}
+
 func TestSolveBoxValidation(t *testing.T) {
 	if _, err := SolveBox(Problem{}); !errors.Is(err, ErrBadProblem) {
 		t.Errorf("nil Q: err = %v, want ErrBadProblem", err)
@@ -191,18 +215,23 @@ func TestSolveBoxMaxIterCap(t *testing.T) {
 func TestSolveEqualityBoxValidation(t *testing.T) {
 	q := linalg.Identity(2)
 	prob := Problem{Q: q, P: []float64{0, 0}, C: 1}
-	if _, err := SolveEqualityBox(prob, []float64{1}, 0); !errors.Is(err, ErrBadProblem) {
+	if _, err := SolveEqualityBox(prob, []float64{1}); !errors.Is(err, ErrBadProblem) {
 		t.Errorf("short y: err = %v, want ErrBadProblem", err)
 	}
-	if _, err := SolveEqualityBox(prob, []float64{1, 0.5}, 0); !errors.Is(err, ErrBadProblem) {
+	if _, err := SolveEqualityBox(prob, []float64{1, 0.5}); !errors.Is(err, ErrBadProblem) {
 		t.Errorf("non-±1 y: err = %v, want ErrBadProblem", err)
 	}
-	// d beyond the reachable range of yᵀλ is infeasible.
-	if _, err := SolveEqualityBox(prob, []float64{1, 1}, 5); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("unreachable d: err = %v, want ErrInfeasible", err)
+	// λ = 0 meets yᵀλ = 0, so a one-class problem is feasible too, at λ = 0.
+	if res, err := SolveEqualityBox(prob, []float64{1, 1}); err != nil || res.Lambda[0] != 0 || res.Lambda[1] != 0 {
+		t.Errorf("one class: res = %+v, err = %v, want λ = 0", res, err)
 	}
-	if _, err := SolveEqualityBox(prob, []float64{1, 1}, -0.5); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("negative d with positive labels: err = %v, want ErrInfeasible", err)
+	// A warm start is clipped to the box, and must then meet the equality.
+	y := []float64{1, -1}
+	if _, err := SolveEqualityBox(prob, y, WithWarmStart([]float64{0.5, 0.2})); !errors.Is(err, ErrBadProblem) {
+		t.Errorf("warm start off yᵀλ = 0: err = %v, want ErrBadProblem", err)
+	}
+	if _, err := SolveEqualityBox(prob, y, WithWarmStart([]float64{3, 1})); err != nil {
+		t.Errorf("warm start clipped onto yᵀλ = 0: %v", err)
 	}
 }
 
@@ -210,7 +239,7 @@ func TestSolveEqualityBoxAnalytic(t *testing.T) {
 	// min ½(λ₁²+λ₂²) − λ₁ − λ₂  s.t. λ₁ − λ₂ = 0, 0 ≤ λ ≤ 10.
 	// Symmetric: λ₁ = λ₂ = 1.
 	q := linalg.Identity(2)
-	res, err := SolveEqualityBox(Problem{Q: q, P: []float64{-1, -1}, C: 10}, []float64{1, -1}, 0, WithTolerance(1e-10))
+	res, err := SolveEqualityBox(Problem{Q: q, P: []float64{-1, -1}, C: 10}, []float64{1, -1}, WithTolerance(1e-10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +254,7 @@ func TestSolveEqualityBoxPreservesConstraint(t *testing.T) {
 		n := 2 + rng.Intn(25)
 		prob := randomProblem(rng, n, 2.0)
 		y := randomLabels(rng, n)
-		// Pick a reachable d: yᵀλ for a random feasible λ.
-		x := randomFeasibleBox(rng, n, prob.C)
-		d := 0.0
-		for i := range x {
-			d += y[i] * x[i]
-		}
-		res, err := SolveEqualityBox(prob, y, d, WithTolerance(1e-8))
+		res, err := SolveEqualityBox(prob, y, WithTolerance(1e-8))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -242,19 +265,16 @@ func TestSolveEqualityBoxPreservesConstraint(t *testing.T) {
 				t.Fatalf("trial %d: λ[%d] = %g outside box", trial, i, res.Lambda[i])
 			}
 		}
-		if math.Abs(sum-d) > 1e-9*(1+math.Abs(d)) {
-			t.Fatalf("trial %d: yᵀλ = %g, want %g", trial, sum, d)
+		if math.Abs(sum) > 1e-9 {
+			t.Fatalf("trial %d: yᵀλ = %g, want 0", trial, sum)
 		}
 		if !res.Converged {
 			t.Fatalf("trial %d: did not converge, viol %g", trial, res.KKTViolation)
 		}
-		// Dominance over random feasible points (projected onto constraint).
+		// Dominance over random feasible points.
 		opt := prob.objective(res.Lambda)
 		for s := 0; s < 15; s++ {
-			cand := randomFeasibleBox(rng, n, prob.C)
-			if err := repairEquality(cand, y, d, prob.C); err != nil {
-				continue
-			}
+			cand := randomOnEquality(rng, y, prob.C)
 			if obj := prob.objective(cand); obj < opt-1e-5 {
 				t.Fatalf("trial %d: feasible point beats solver: %g < %g", trial, obj, opt)
 			}
@@ -263,8 +283,9 @@ func TestSolveEqualityBoxPreservesConstraint(t *testing.T) {
 }
 
 func TestSolveEqualityBoxMatchesBoxWhenUnconstrainedOptimumFeasible(t *testing.T) {
-	// With P = −Q·1 the unconstrained optimum is λ = 1 (interior), and any
-	// equality constraint consistent with it must give the same answer.
+	// With P = −Q·1 the unconstrained optimum is λ = 1 (interior), and with
+	// as many +1 labels as −1 it meets yᵀλ = 0: the equality must give the
+	// same answer.
 	rng := rand.New(rand.NewSource(23))
 	n := 8
 	q := randomSPD(rng, n, 0.5)
@@ -277,13 +298,12 @@ func TestSolveEqualityBoxMatchesBoxWhenUnconstrainedOptimumFeasible(t *testing.T
 		t.Fatal(err)
 	}
 	linalg.Scale(-1, p)
-	y := randomLabels(rng, n)
-	d := 0.0
-	for i := range y {
-		d += y[i] // yᵀ1
+	y := make([]float64, n)
+	for i, j := range rng.Perm(n) {
+		y[i] = float64(2*(j%2) - 1)
 	}
 	prob := Problem{Q: q, P: p, C: 10}
-	res, err := SolveEqualityBox(prob, y, d, WithTolerance(1e-10))
+	res, err := SolveEqualityBox(prob, y, WithTolerance(1e-10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,37 +311,6 @@ func TestSolveEqualityBoxMatchesBoxWhenUnconstrainedOptimumFeasible(t *testing.T
 		if math.Abs(v-1) > 1e-5 {
 			t.Fatalf("λ[%d] = %g, want 1", i, v)
 		}
-	}
-}
-
-func TestRepairEquality(t *testing.T) {
-	lambda := []float64{0, 0, 0}
-	y := []float64{1, -1, 1}
-	if err := repairEquality(lambda, y, 1.5, 1); err != nil {
-		t.Fatal(err)
-	}
-	sum := 0.0
-	for i := range lambda {
-		sum += y[i] * lambda[i]
-		if lambda[i] < 0 || lambda[i] > 1 {
-			t.Fatalf("repair left λ[%d] = %g outside box", i, lambda[i])
-		}
-	}
-	if math.Abs(sum-1.5) > 1e-12 {
-		t.Errorf("repair sum = %g, want 1.5", sum)
-	}
-	// Negative targets need the −1 coordinates.
-	lambda = []float64{0, 0, 0}
-	if err := repairEquality(lambda, y, -1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if lambda[1] != 1 {
-		t.Errorf("negative repair: λ = %v, want λ[1] = 1", lambda)
-	}
-	// Out of reach.
-	lambda = []float64{0, 0, 0}
-	if err := repairEquality(lambda, y, 3, 1); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("unreachable repair: err = %v, want ErrInfeasible", err)
 	}
 }
 
@@ -339,7 +328,7 @@ func TestSolveEqualityBoxSVMDualToy(t *testing.T) {
 	// Dual: Q = yᵢyⱼxᵢxⱼ = [[1,1],[1,1]], p = −1. yᵀλ = 0 ⇒ λ₁ = λ₂.
 	// Objective ½(λ₁+λ₂)² − λ₁ − λ₂ with λ₁=λ₂=t: 2t² − 2t ⇒ t = ½.
 	q, _ := linalg.NewMatrixFrom(2, 2, []float64{1, 1, 1, 1})
-	res, err := SolveEqualityBox(Problem{Q: q, P: []float64{-1, -1}, C: 10}, []float64{1, -1}, 0, WithTolerance(1e-10))
+	res, err := SolveEqualityBox(Problem{Q: q, P: []float64{-1, -1}, C: 10}, []float64{1, -1}, WithTolerance(1e-10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func Train(x *linalg.Matrix, y []float64, p Params) (*Model, error) {
 	var res *qp.Result
 	var err error
 	if _, ok := k.(kernel.Linear); ok {
-		res, err = qp.SolveLinearEqualityBox(qp.LinearProblem{X: x, Y: y, Eta: 1, P: pvec, C: p.C}, 0, qp.WithTolerance(tol))
+		res, err = qp.SolveLinearEqualityBox(qp.LinearProblem{X: x, Y: y, Eta: 1, P: pvec, C: p.C}, qp.WithTolerance(tol))
 	} else {
 		// Dual Hessian H with Hij = yᵢ K(xᵢ, xⱼ) yⱼ.
 		h := kernel.GramMatrix(k, x)
@@ -95,7 +95,7 @@ func Train(x *linalg.Matrix, y []float64, p Params) (*Model, error) {
 				row[j] *= y[i] * y[j]
 			}
 		}
-		res, err = qp.SolveEqualityBox(qp.Problem{Q: h, P: pvec, C: p.C}, y, 0, qp.WithTolerance(tol))
+		res, err = qp.SolveEqualityBox(qp.Problem{Q: h, P: pvec, C: p.C}, y, qp.WithTolerance(tol))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("svm dual solve: %w", err)

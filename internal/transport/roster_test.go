@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -106,6 +107,18 @@ func TestRosterOverWire(t *testing.T) {
 			roster.Remove(0)
 			if !msg.Roster.Has(0) {
 				t.Fatal("delivered roster aliases the sender's buffer")
+			}
+			// The changed roster is delivered as it now is, and the one
+			// delivered before it stays as it was.
+			if err := a.Send(ctx, "b", "roster", Header{Session: 9, Round: 4, Roster: roster}, []byte("z")); err != nil {
+				t.Fatal(err)
+			}
+			next, err := b.Recv(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.Roster.Has(0) || !msg.Roster.Has(0) {
+				t.Fatalf("rosters delivered %v then %v, want member 0 gone from the second only", msg.Roster, next.Roster)
 			}
 			if err := a.Send(ctx, "b", "plain", Header{Session: 9, Round: 3}, []byte("y")); err != nil {
 				t.Fatal(err)
@@ -247,4 +260,58 @@ func TestEvictSweepsStaleRounds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInProcRosterConcurrentSends: senders on one in-process endpoint share
+// its memo of the last roster delivered. Each reuses one roster buffer,
+// dropping its own member on odd rounds and restoring it on even ones, and
+// every message must arrive with the roster it was sent with.
+func TestInProcRosterConcurrentSends(t *testing.T) {
+	n := NewInProc()
+	defer n.Close()
+	a, err := n.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.Endpoint("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	const senders, rounds = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := FullRoster(8)
+			for i := 0; i < rounds; i++ {
+				if i%2 == 1 {
+					r.Remove(g)
+				} else {
+					r.Add(g)
+				}
+				if err := a.Send(ctx, "b", "k", Header{Round: int32(i), Roster: r}, []byte{byte(g)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	for k := 0; k < senders*rounds; k++ {
+		msg, err := b.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, odd := int(msg.Payload[0]), msg.Round%2 == 1
+		want := 8
+		if odd {
+			want = 7
+		}
+		if msg.Roster.Has(g) == odd || msg.Roster.Count() != want {
+			t.Fatalf("sender %d round %d: roster %v, want %d members with %d present = %v", g, msg.Round, msg.Roster, want, g, !odd)
+		}
+	}
+	wg.Wait()
 }

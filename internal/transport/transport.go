@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -350,6 +351,12 @@ type inprocEndpoint struct {
 	seq   atomic.Uint64
 	dmx   demux
 
+	// roster is the last roster this endpoint delivered, under rosterMu. It
+	// has been handed out, so it is never written: a changed roster gets a
+	// new clone (frameMemo's rule on TCP).
+	rosterMu sync.Mutex
+	roster   Roster
+
 	closeOnce sync.Once
 	done      chan struct{}
 }
@@ -371,9 +378,7 @@ func (e *inprocEndpoint) Send(ctx context.Context, to, kind string, hdr Header, 
 	}
 	msg := Message{
 		From: e.name, To: to, Kind: kind,
-		// The roster is cloned so a sender reusing its roster buffer for the
-		// next declaration cannot mutate a message already in flight.
-		Session: hdr.Session, Round: hdr.Round, Roster: hdr.Roster.Clone(),
+		Session: hdr.Session, Round: hdr.Round, Roster: e.deliver(hdr.Roster),
 		Trace:   hdr.Trace,
 		Seq:     e.seq.Add(1),
 		Payload: payload,
@@ -391,6 +396,22 @@ func (e *inprocEndpoint) Send(ctx context.Context, to, kind string, hdr Header, 
 	case <-dst.done:
 		return fmt.Errorf("send to %q: %w", to, ErrClosed)
 	}
+}
+
+// deliver returns the roster a message carries for r: nil for an empty r, the
+// last one delivered when r equals it, else a clone of r, remembered. A
+// sender reusing its roster buffer for the next declaration so never mutates
+// a message already in flight.
+func (e *inprocEndpoint) deliver(r Roster) Roster {
+	if len(r) == 0 {
+		return nil
+	}
+	e.rosterMu.Lock()
+	defer e.rosterMu.Unlock()
+	if !slices.Equal(e.roster, r) {
+		e.roster = r.Clone()
+	}
+	return e.roster
 }
 
 func (e *inprocEndpoint) Recv(ctx context.Context) (Message, error) {

@@ -501,12 +501,6 @@ func WithMinibatch(rows int) Option {
 	return func(o *options) { o.cfg.ChunkRows = rows }
 }
 
-// WithPaperSplit (HorizontalLinear only) reproduces the paper's printed
-// Gauss-Seidel (w, b) update with the lagged equality constraint of eq. (12)
-// instead of the provably convergent joint update. See DESIGN.md for why the
-// printed form freezes the bias.
-func WithPaperSplit() Option { return func(o *options) { o.cfg.PaperSplit = true } }
-
 // Kernel is a similarity function for the nonlinear schemes.
 type Kernel struct{ k kernel.Kernel }
 

@@ -208,22 +208,6 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
-func TestPaperSplitOption(t *testing.T) {
-	train, test := prepared(t, 160)
-	res, err := ppml.Train(train, ppml.HorizontalLinear,
-		ppml.WithLearners(2), ppml.WithIterations(15), ppml.WithPaperSplit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ppml.Evaluate(res.Model, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.75 {
-		t.Errorf("paper-split accuracy = %g", acc)
-	}
-}
-
 func TestWithToleranceStopsEarly(t *testing.T) {
 	train, _ := prepared(t, 160)
 	res, err := ppml.Train(train, ppml.HorizontalLinear,
