@@ -95,36 +95,28 @@ func BenchmarkCentralizedBaseline(b *testing.B) {
 }
 
 // BenchmarkScalabilityLearners sweeps M for the distributed horizontal
-// linear scheme under both masking modes, reporting wall time and per-run
-// traffic (messages/op, bytes/op) per cluster size — the measurement behind
+// linear scheme, reporting wall time and per-run traffic (messages/op, bytes/op) per cluster size — the measurement behind
 // the seeded-mask communication claim in EXPERIMENTS.md. The traffic
 // numbers come from the transport telemetry counters (via RunScalability),
 // the same counters a live -metrics-addr endpoint serves.
 func BenchmarkScalabilityLearners(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		perRound bool
-	}{{"seeded", false}, {"per-round", true}} {
-		mode := mode
-		for _, m := range []int{1, 2, 4, 8, 16} {
-			m := m
-			b.Run(fmt.Sprintf("mode=%s/M=%d", mode.name, m), func(b *testing.B) {
-				o := benchOptions()
-				o.Iterations = 30
-				o.PerRoundMasks = mode.perRound
-				for i := 0; i < b.N; i++ {
-					rows, err := experiments.RunScalability(o, []int{m})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == b.N-1 {
-						b.ReportMetric(float64(rows[0].Bytes), "bytes/op")
-						b.ReportMetric(float64(rows[0].Messages), "messages/op")
-						b.ReportMetric(rows[0].Accuracy, "accuracy")
-					}
+	for _, m := range []int{1, 2, 4, 8, 16} {
+		m := m
+		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
+			o := benchOptions()
+			o.Iterations = 30
+			for i := 0; i < b.N; i++ {
+				rows, err := experiments.RunScalability(o, []int{m})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if i == b.N-1 {
+					b.ReportMetric(float64(rows[0].Bytes), "bytes/op")
+					b.ReportMetric(float64(rows[0].Messages), "messages/op")
+					b.ReportMetric(rows[0].Accuracy, "accuracy")
+				}
+			}
+		})
 	}
 }
 

@@ -59,8 +59,6 @@ func run(ctx context.Context, args []string) (err error) {
 	learners := fs.Int("learners", 0, "override the learner count M")
 	seed := fs.Int64("seed", 0, "override the random seed")
 	csvDir := fs.String("csv", "", "also write each experiment as CSV into this directory")
-	maskMode := fs.String("mask-mode", "seeded",
-		"masked-aggregation variant of the scalability panel's strict distributed runs: seeded or per-round")
 	jsonPath := fs.String("json", "", "with -panel elastic, also write its report as JSON to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	metricsAddr := fs.String("metrics-addr", "",
@@ -101,13 +99,6 @@ func run(ctx context.Context, args []string) (err error) {
 		opts = experiments.PaperScale()
 	}
 	opts.Distributed = *distributed
-	switch *maskMode {
-	case "seeded": // default
-	case "per-round":
-		opts.PerRoundMasks = true
-	default:
-		return fmt.Errorf("unknown -mask-mode %q (want seeded or per-round)", *maskMode)
-	}
 	if *iterations > 0 {
 		opts.Iterations = *iterations
 	}

@@ -58,8 +58,6 @@ func run(ctx context.Context, args []string) error {
 	distributed := fs.Bool("distributed", false, "run Mappers/Reducer as message-passing nodes")
 	tcp := fs.Bool("tcp", false, "distributed mode over loopback TCP")
 	plain := fs.Bool("plain-aggregation", false, "disable secure summation (no privacy)")
-	maskMode := fs.String("mask-mode", "seeded",
-		"masked-aggregation variant: seeded (one seed exchange per session, O(M) msgs/round) or per-round (paper-literal, O(M^2) msgs/round; strict rounds only, not with -straggler-timeout)")
 	stragglerTimeout := fs.Duration("straggler-timeout", 0,
 		"elastic rounds (implies -distributed): demote learners that miss this deadline and continue on the live roster; 0 keeps strict fixed membership")
 	minQuorum := fs.Int("min-quorum", 0,
@@ -164,13 +162,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *plain {
 		opts = append(opts, ppml.WithPlainAggregation())
-	}
-	switch *maskMode {
-	case "seeded": // default
-	case "per-round":
-		opts = append(opts, ppml.WithPerRoundMasks())
-	default:
-		return fmt.Errorf("unknown -mask-mode %q (want seeded or per-round)", *maskMode)
 	}
 	if *stragglerTimeout > 0 {
 		opts = append(opts, ppml.WithStragglerTimeout(*stragglerTimeout))

@@ -53,7 +53,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-data", "/nonexistent"}, // unreadable file
 		{"-data", "x", "-format", "weird"},
 		{"-data", "x", "-scheme", "weird"},
-		{"-data", "x", "-mask-mode", "per-round", "-straggler-timeout", "50ms"}, // per-round masks run strict rounds only
 	}
 	data := writeTestCSV(t)
 	for _, c := range cases[2:] {

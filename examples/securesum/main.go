@@ -51,7 +51,8 @@ func main() {
 	ctx, cancel := context.WithTimeout(root, 30*time.Second)
 	defer cancel()
 
-	// One securesum round of session 1; round tags let out-of-order
+	// One securesum round of session 1: each party sends a pairwise seed to
+	// every peer, then one masked share; round tags let out-of-order
 	// arrivals be demultiplexed instead of trusting socket timing.
 	hdr := transport.Header{Session: 1, Round: 0}
 	errs := make(chan error, m)
@@ -83,6 +84,6 @@ func main() {
 	fmt.Printf("  expected   %v\n", expected)
 
 	st := net.Stats()
-	fmt.Printf("protocol traffic: %d messages, %d bytes (masks: %d, shares: %d)\n",
+	fmt.Printf("protocol traffic: %d messages, %d bytes (seeds: %d, shares: %d)\n",
 		st.Messages, st.Bytes, m*(m-1), m)
 }

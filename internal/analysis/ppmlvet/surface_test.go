@@ -31,26 +31,27 @@ var exportAllowlist = map[string]string{
 	"ppml.(*Scaler).UnmarshalJSON":       "encoding/json",
 
 	// Bench-only: bench/ is frozen, and ROADMAP item 2(a) decides these.
-	"consensus.TrainHorizontalLinearStreamed":    "bench-only",
-	"dataset.(*Prefetcher).Chunks":               "bench-only",
-	"dataset.OpenDFS":                            "bench-only",
-	"dataset.WriteDFS":                           "bench-only",
-	"dfs.(*Cluster).AddNode":                     "bench-only",
-	"dfs.NewCluster":                             "bench-only",
-	"dfs.WithBlockSize":                          "bench-only",
-	"dfs.WithReplication":                        "bench-only",
-	"fixedpoint.Codec.Resolution":                "bench-only",
-	"linalg.FactorizeCholesky":                   "bench-only",
-	"mapreduce.KindCipherShare":                  "bench-only",
-	"paillier.(*Packing).DecryptVec":             "bench-only",
-	"paillier.(*Packing).EncryptVec":             "bench-only",
-	"paillier.(*PublicKey).Add":                  "bench-only",
-	"paillier.GenerateKey":                       "bench-only",
-	"paillier.NewPacking":                        "bench-only",
-	"parallel.SetThreshold":                      "bench-only",
-	"parallel.SetWorkers":                        "bench-only",
-	"securesum.(*SeededSession).RoundShareBytes": "bench-only",
-	"securesum.DecodeShares":                     "bench-only",
+	"consensus.TrainHorizontalLinearStreamed": "bench-only",
+	"dataset.(*Prefetcher).Chunks":            "bench-only",
+	"dataset.OpenDFS":                         "bench-only",
+	"dataset.WriteDFS":                        "bench-only",
+	"dfs.(*Cluster).AddNode":                  "bench-only",
+	"dfs.NewCluster":                          "bench-only",
+	"dfs.WithBlockSize":                       "bench-only",
+	"dfs.WithReplication":                     "bench-only",
+	"fixedpoint.Codec.Resolution":             "bench-only",
+	"linalg.FactorizeCholesky":                "bench-only",
+	"mapreduce.KindCipherShare":               "bench-only",
+	"paillier.(*Packing).DecryptVec":          "bench-only",
+	"paillier.(*Packing).EncryptVec":          "bench-only",
+	"paillier.(*PublicKey).Add":               "bench-only",
+	"paillier.GenerateKey":                    "bench-only",
+	"paillier.NewPacking":                     "bench-only",
+	"parallel.SetThreshold":                   "bench-only",
+	"parallel.SetWorkers":                     "bench-only",
+	"securesum.(*Party)":                      "bench-only",
+	"securesum.DecodeShares":                  "bench-only",
+	"securesum.NewParty":                      "bench-only",
 
 	// Fixtures that other packages' tests build on.
 	"dataset.TwoGaussians":                 "cross-package test fixture",

@@ -18,7 +18,7 @@
 //     violation that no directive excuses: time seeds are both predictable
 //     to an adversary and non-reproducible across learners, so they are
 //     wrong under either reading.
-//   - The seeded masking mode stretches one crypto/rand seed into per-round
+//   - Seeded masking stretches one crypto/rand seed into per-round
 //     masks with an AES-CTR PRG (securesum's pairPRG). That construction is
 //     approved in the hard packages — an AES-based PRF keyed from
 //     crypto/rand is exactly the computational-security assumption DESIGN.md

@@ -67,13 +67,6 @@ type Config struct {
 	// Aggregation selects the Reducer protocol in distributed mode
 	// (default: masked secure summation).
 	Aggregation mapreduce.Aggregation
-	// MaskMode selects the masked-aggregation variant: seed-derived round
-	// masks (default — one pairwise seed exchange per session, O(M) messages
-	// per round) or the paper's literal per-round masks (O(M²) messages per
-	// round, information-theoretic). Per-round masks run strict rounds only:
-	// the engine refuses them with a StragglerTimeout (mapreduce.ErrBadJob).
-	// See DESIGN.md §10.
-	MaskMode mapreduce.MaskMode
 	// Network overrides the transport in distributed mode (default:
 	// in-process channels).
 	Network transport.Network
@@ -185,7 +178,6 @@ func runJob(ctx context.Context, cfg Config, job mapreduce.IterativeJob) (*mapre
 		dres, err := mapreduce.RunDistributed(ctx, job, mapreduce.DriverOptions{
 			Network:          cfg.Network,
 			Aggregation:      cfg.Aggregation,
-			MaskMode:         cfg.MaskMode,
 			StragglerTimeout: cfg.StragglerTimeout,
 			MinQuorum:        cfg.MinQuorum,
 			Telemetry:        cfg.Telemetry,

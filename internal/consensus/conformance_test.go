@@ -16,11 +16,10 @@ import (
 // TestSchemeConformance is the deterministic half of the scheme-level
 // conformance matrix (ROADMAP item 1): every scheme trains the same toy job
 // on the local engine and on the in-process cluster under plain, strict
-// seeded, strict per-round and elastic (a generous deadline, no fault)
-// aggregation, and on a loopback TCP cluster under strict seeded and elastic
-// aggregation. The fixed-point configurations fold the same ring sum
-// whatever the transport, the arrival order, the mask mode or the roster
-// handshake, and an all-present elastic round announces the weight a strict
+// seeded and elastic (a generous deadline, no fault) aggregation, and on a
+// loopback TCP cluster under strict seeded and elastic aggregation. The
+// fixed-point configurations fold the same ring sum whatever the transport,
+// the arrival order or the roster handshake, and an all-present elastic round announces the weight a strict
 // one does, so they must agree to the bit — decisions, residuals and
 // accuracies. The local engine and the plain cluster sum floats, and stay
 // within the codec's resolution (2⁻³⁰ a share, accumulated over the rounds)
@@ -44,7 +43,6 @@ func TestSchemeConformance(t *testing.T) {
 		{"local", false, func(*testing.T, *Config) {}},
 		{"plain", false, func(_ *testing.T, c *Config) { c.Distributed, c.Aggregation = true, mapreduce.AggregationPlain }},
 		{"strict seeded", true, func(_ *testing.T, c *Config) { c.Distributed = true }},
-		{"strict per-round", true, func(_ *testing.T, c *Config) { c.Distributed, c.MaskMode = true, mapreduce.MaskPerRound }},
 		{"elastic", true, func(_ *testing.T, c *Config) { c.Distributed, c.StragglerTimeout = true, 30*time.Second }},
 		{"strict seeded tcp", true, tcp},
 		{"elastic tcp", true, func(t *testing.T, c *Config) { tcp(t, c); c.StragglerTimeout = 30 * time.Second }},

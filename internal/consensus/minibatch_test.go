@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/ppml-go/ppml/internal/dataset"
 	"github.com/ppml-go/ppml/internal/dfs"
@@ -119,13 +118,6 @@ func TestMinibatchConfigValidation(t *testing.T) {
 		}); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("Tol %g: err = %v, want ErrBadConfig", tol, err)
 		}
-	}
-	// Per-round masks run strict rounds only: elastic rounds are the
-	// policy's to refuse.
-	if _, _, err := TrainHorizontalLinear(context.Background(), parts, Config{
-		C: 1, Rho: 1, Distributed: true, MaskMode: mapreduce.MaskPerRound, StragglerTimeout: time.Second,
-	}); !errors.Is(err, mapreduce.ErrBadJob) || !strings.Contains(err.Error(), "MaskPerRound with StragglerTimeout") {
-		t.Errorf("MaskPerRound with StragglerTimeout: err = %v, want mapreduce.ErrBadJob naming both", err)
 	}
 	if _, _, err := TrainHorizontalLinearStreamed(context.Background(), nil, Config{
 		C: 1, Rho: 1,

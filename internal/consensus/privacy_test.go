@@ -102,10 +102,10 @@ func TestMaskedTrainingHidesPlaintextShares(t *testing.T) {
 	}
 	// The runs compute identical iterates (same partitions, same math), so a
 	// leak would reproduce a plain payload bit-for-bit inside the masked
-	// traffic. None may appear — not among shares, not among masks.
+	// traffic. None may appear — not among shares, not among seeds.
 	var maskedAll [][]byte
 	maskedAll = append(maskedAll, maskedShares...)
-	maskedAll = append(maskedAll, maskedNet.recorded(securesum.KindMask)...)
+	maskedAll = append(maskedAll, maskedNet.recorded(securesum.KindSeed)...)
 	for i, plain := range plainShares {
 		for j, masked := range maskedAll {
 			if bytes.Equal(plain, masked) {
@@ -117,24 +117,24 @@ func TestMaskedTrainingHidesPlaintextShares(t *testing.T) {
 	// which the TestHLDistributedMatchesLocal suite already pins down.
 }
 
-// TestSeededTranscriptShape pins down the traffic shape of both masking
-// modes on a full training run. Seeded mode (the default) must put ZERO
-// per-round mask messages on the wire — its only masking traffic is the
-// m(m−1)-message seed exchange at session setup — while per-round mode pays
-// m(m−1) mask messages every round. Both transcripts must still hide every
-// plaintext share, and both must train the identical model.
+// TestSeededTranscriptShape pins down the traffic shape of masking on a full
+// training run: its only masking traffic is the m(m−1)-message seed exchange
+// at session setup, so a masked run sends exactly m(m−1) messages more than
+// the plain run of the same job, and no mask ever crosses the wire. The
+// transcript must still hide every plaintext share, and two masked runs must
+// put different shares on the wire (independent masks) yet train the
+// identical model.
 func TestSeededTranscriptShape(t *testing.T) {
 	d := dataset.TwoGaussians("g", 120, 4, 3, 61)
 	const m = 3
-	cfg := Config{C: 10, Rho: 50, MaxIterations: 6, Distributed: true,
-		Aggregation: mapreduce.AggregationMasked}
+	cfg := Config{C: 10, Rho: 50, MaxIterations: 6, Distributed: true}
 
-	runWith := func(mode mapreduce.MaskMode) (*wiretapNetwork, *LinearModel, int) {
+	runWith := func(agg mapreduce.Aggregation) (*wiretapNetwork, *LinearModel, int) {
 		t.Helper()
 		net := newWiretapNetwork()
 		c := cfg
 		c.Network = net
-		c.MaskMode = mode
+		c.Aggregation = agg
 		parts := horizontalParts(t, d, m, 7)
 		model, h, err := TrainHorizontalLinear(context.Background(), parts, c)
 		if err != nil {
@@ -143,55 +143,54 @@ func TestSeededTranscriptShape(t *testing.T) {
 		return net, model, h.Iterations
 	}
 
-	seededNet, seededModel, seededIters := runWith(mapreduce.MaskSeeded)
-	perRoundNet, perRoundModel, perRoundIters := runWith(mapreduce.MaskPerRound)
-	if seededIters != perRoundIters {
-		t.Fatalf("iteration counts diverged: seeded %d, per-round %d", seededIters, perRoundIters)
+	plainNet, _, plainIters := runWith(mapreduce.AggregationPlain)
+	seededNet, seededModel, seededIters := runWith(mapreduce.AggregationMasked)
+	againNet, againModel, againIters := runWith(mapreduce.AggregationMasked)
+	if seededIters != plainIters || againIters != seededIters {
+		t.Fatalf("iteration counts diverged: plain %d, seeded %d and %d", plainIters, seededIters, againIters)
 	}
 
-	// Seeded transcript: no per-round masks at all, exactly one seed exchange.
-	if got := len(seededNet.recorded(securesum.KindMask)); got != 0 {
-		t.Errorf("seeded run put %d per-round mask messages on the wire, want 0", got)
-	}
+	// Exactly one seed exchange, and nothing else the plain run lacks.
 	if got, want := len(seededNet.recorded(securesum.KindSeed)), m*(m-1); got != want {
 		t.Errorf("seeded run exchanged %d seeds, want %d (once per ordered pair)", got, want)
 	}
-	// Per-round transcript: no seeds, m(m−1) masks every aggregation round.
-	if got := len(perRoundNet.recorded(securesum.KindSeed)); got != 0 {
-		t.Errorf("per-round run sent %d seed messages, want 0", got)
-	}
-	if got, want := len(perRoundNet.recorded(securesum.KindMask)), perRoundIters*m*(m-1); got != want {
-		t.Errorf("per-round run sent %d mask messages, want %d", got, want)
+	if got, want := seededNet.Stats().Messages-plainNet.Stats().Messages, int64(m*(m-1)); got != want {
+		t.Errorf("masked-vs-plain message delta = %d, want %d (the seed exchange)", got, want)
 	}
 
-	// The masks differ between modes but telescope to zero either way: the
-	// two transcripts must decode to bit-identical models.
-	if len(seededModel.W) != len(perRoundModel.W) {
-		t.Fatalf("model dims diverged: %d vs %d", len(seededModel.W), len(perRoundModel.W))
-	}
-	for j := range seededModel.W {
-		if seededModel.W[j] != perRoundModel.W[j] {
-			t.Errorf("W[%d]: seeded %g, per-round %g — modes must train identical models",
-				j, seededModel.W[j], perRoundModel.W[j])
-		}
-	}
-	if seededModel.B != perRoundModel.B {
-		t.Errorf("B: seeded %g, per-round %g", seededModel.B, perRoundModel.B)
-	}
-
-	// The semi-honest Reducer's seeded transcript still hides the plaintext:
-	// no seeded share payload may equal a per-round run's raw share, and the
-	// seeded shares must differ between the two runs (independent masks).
+	// No plain share payload appears verbatim anywhere in the masked
+	// transcript.
 	seededShares := seededNet.recorded(securesum.KindShare)
 	if len(seededShares) == 0 {
 		t.Fatal("wiretap captured no seeded shares; test harness broken")
 	}
-	for i, a := range seededShares {
-		for j, b := range perRoundNet.recorded(securesum.KindShare) {
-			if bytes.Equal(a, b) {
-				t.Fatalf("seeded share %d equals per-round share %d — masks are not independent", i, j)
+	for kind := range seededNet.payloads {
+		for _, masked := range seededNet.recorded(kind) {
+			for i, plain := range plainNet.recorded(mapreduce.KindPlainShare) {
+				if bytes.Equal(plain, masked) {
+					t.Fatalf("plain share %d appeared verbatim as a %q payload", i, kind)
+				}
 			}
 		}
+	}
+
+	// Fresh seeds make fresh masks: no share repeats across the two masked
+	// runs, yet the masks telescope to zero in both, so the models are
+	// bit-identical.
+	for i, a := range seededShares {
+		for j, b := range againNet.recorded(securesum.KindShare) {
+			if bytes.Equal(a, b) {
+				t.Fatalf("share %d of one run equals share %d of the other — masks are not independent", i, j)
+			}
+		}
+	}
+	for j := range seededModel.W {
+		if seededModel.W[j] != againModel.W[j] {
+			t.Errorf("W[%d]: %g and %g — masked runs must train identical models", j, seededModel.W[j], againModel.W[j])
+		}
+	}
+	if seededModel.B != againModel.B {
+		t.Errorf("B: %g and %g", seededModel.B, againModel.B)
 	}
 }
 

@@ -38,10 +38,6 @@ type Options struct {
 	// Distributed runs every experiment over the simulated cluster with
 	// secure aggregation instead of the in-process engine.
 	Distributed bool
-	// PerRoundMasks selects the paper's literal per-round masking for the
-	// distributed experiments instead of the default seed-derived masks
-	// (DESIGN.md §10). Only meaningful with Distributed.
-	PerRoundMasks bool
 	// Telemetry, when non-nil, is the shared registry every experiment
 	// records into — point a live /metrics endpoint at it to watch a sweep.
 	// When nil each run uses a private registry; either way the traffic
@@ -265,9 +261,8 @@ type ScalabilityRow struct {
 // RunScalability sweeps the learner count M for the horizontal linear
 // scheme on the cancer workload, in full distributed mode, supporting the
 // paper's scalability claim: per-node work shrinks with M while accuracy
-// holds. Communication grows as M² per round under Options.PerRoundMasks
-// (the paper's pairwise masks) and as M per round under the default
-// seed-derived masks.
+// holds. Communication is one M(M−1)-message seed exchange per session plus
+// a broadcast and a share per learner per round (DESIGN.md §10).
 func RunScalability(o Options, learnerCounts []int) ([]ScalabilityRow, error) {
 	ws, err := workloads(o)
 	if err != nil {
@@ -287,9 +282,6 @@ func RunScalability(o Options, learnerCounts []int) ([]ScalabilityRow, error) {
 			ppml.WithIterations(o.Iterations),
 			ppml.WithSeed(o.Seed),
 			ppml.WithDistributed(),
-		}
-		if o.PerRoundMasks {
-			opts = append(opts, ppml.WithPerRoundMasks())
 		}
 		tel := o.runTelemetry()
 		msgs0, bytes0 := sentTotals(tel)

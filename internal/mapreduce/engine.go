@@ -48,8 +48,8 @@ import (
 )
 
 // policy is the engine's whole parameterisation, resolved from DriverOptions
-// by newPolicy — the one place Aggregation and MaskMode are range-checked and
-// MinQuorum defaulted and range-checked, for every caller above it.
+// by newPolicy — the one place Aggregation is range-checked and MinQuorum
+// defaulted and range-checked, for every caller above it.
 type policy struct {
 	deadline  time.Duration // per-phase receive window; 0 waits until the job's context ends
 	elastic   bool          // a straggler deadline is set: a missed deadline demotes instead of failing
@@ -59,21 +59,12 @@ type policy struct {
 
 func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
 	p := policy{quorum: m}
-	switch {
-	case agg != AggregationMasked && agg != AggregationPlain:
+	if agg != AggregationMasked && agg != AggregationPlain {
 		return p, fmt.Errorf("%w: Aggregation %d", ErrBadJob, agg)
-	case opts.MaskMode != MaskSeeded && opts.MaskMode != MaskPerRound:
-		return p, fmt.Errorf("%w: MaskMode %v", ErrBadJob, opts.MaskMode)
 	}
 	if opts.StragglerTimeout > 0 {
 		p.deadline, p.elastic = opts.StragglerTimeout, true
 		p.handshake = agg == AggregationMasked
-		if p.handshake && opts.MaskMode == MaskPerRound {
-			// Per-round masks are exchanged over the fixed cohort: a member
-			// that dies between its ready and its masks would stall every
-			// other member's exchange. Elastic rounds derive seeded masks.
-			return p, fmt.Errorf("%w: MaskPerRound with StragglerTimeout (per-round masks run strict rounds only; elastic rounds need MaskSeeded)", ErrBadJob)
-		}
 		p.quorum = opts.MinQuorum
 		if p.quorum == 0 {
 			// A masked roster of one would hand the Reducer a share whose

@@ -84,14 +84,13 @@ func (m *dampedMapper) Contribution(iter int, state []float64) ([]float64, error
 }
 
 // TestEngineConformance pins every configuration of the round engine to the
-// same model: {seeded, per-round, plain} aggregation × {in-process,
-// TCP} transport × {strict, elastic with no fault} policy on the damped
-// averaging job (per-round masks run strict rounds only), each compared
-// with the local reference engine. Every row must stop on the same
+// same model: {seeded, plain} aggregation × {in-process, TCP} transport ×
+// {strict, elastic with no fault} policy on the damped averaging job, each
+// compared with the local reference engine. Every row must stop on the same
 // iteration as the reference and agree with it to 1e-6; within one
 // aggregation they must be bit-identical across policies and transports
-// wherever the sum is a ring sum (both mask modes: 2⁶⁴ wrapping adds are
-// exact in any arrival order — plain float adds are not).
+// wherever the sum is a ring sum (masked: 2⁶⁴ wrapping adds are exact in any
+// arrival order — plain float adds are not).
 func TestEngineConformance(t *testing.T) {
 	values := [][]float64{{1.5, -3, 8}, {2.5, 7, -2}, {0, 0, 1}, {4, -4, 4}}
 	m := len(values)
@@ -123,8 +122,7 @@ func TestEngineConformance(t *testing.T) {
 		opts DriverOptions
 		ring bool
 	}{
-		{"seeded", DriverOptions{MaskMode: MaskSeeded}, true},
-		{"perround", DriverOptions{MaskMode: MaskPerRound}, true},
+		{"seeded", DriverOptions{}, true},
 		{"plain", DriverOptions{Aggregation: AggregationPlain}, false},
 	}
 	nets := []struct {
@@ -145,9 +143,6 @@ func TestEngineConformance(t *testing.T) {
 		var first []float64 // the aggregation's first row
 		for _, nw := range nets {
 			for _, pol := range policies {
-				if pol.straggler > 0 && agg.opts.MaskMode == MaskPerRound {
-					continue // per-round masks run strict rounds only
-				}
 				t.Run(agg.name+"/"+nw.name+"/"+pol.name, func(t *testing.T) {
 					net := nw.open()
 					defer net.Close()

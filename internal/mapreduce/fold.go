@@ -54,8 +54,7 @@ func newFolder(agg Aggregation, m, dim int, codec fixedpoint.Codec, s *reduceScr
 	return &maskedFold{col: col, s: s}, nil
 }
 
-// maskedFold sums pairwise-masked ring shares (both mask modes deliver the
-// same shares). The collector and the decode buffer are reused every
+// maskedFold sums pairwise-masked ring shares. The collector and the decode buffer are reused every
 // collection; Add copies into the accumulator immediately.
 type maskedFold struct {
 	col *securesum.Collector

@@ -165,13 +165,13 @@ func TestDistributedMaskedTrafficExceedsPlain(t *testing.T) {
 	values := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	m := int64(len(values))
 
-	run := func(agg Aggregation, mode MaskMode) (transport.Stats, int64) {
+	run := func(agg Aggregation) (transport.Stats, int64) {
 		net := transport.NewInProc()
 		defer net.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		res, err := RunDistributed(ctx, mustJob(t, values, 5), DriverOptions{
-			Network: net, Aggregation: agg, MaskMode: mode,
+			Network: net, Aggregation: agg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -179,28 +179,17 @@ func TestDistributedMaskedTrafficExceedsPlain(t *testing.T) {
 		return net.Stats(), int64(res.Iterations)
 	}
 
-	plainStats, plainIters := run(AggregationPlain, MaskSeeded)
-	seededStats, seededIters := run(AggregationMasked, MaskSeeded)
-	perRoundStats, perRoundIters := run(AggregationMasked, MaskPerRound)
-	if seededIters != plainIters || perRoundIters != plainIters {
-		t.Fatalf("iteration counts diverged: plain %d, seeded %d, per-round %d",
-			plainIters, seededIters, perRoundIters)
+	plainStats, plainIters := run(AggregationPlain)
+	seededStats, seededIters := run(AggregationMasked)
+	if seededIters != plainIters {
+		t.Fatalf("iteration counts diverged: plain %d, seeded %d", plainIters, seededIters)
 	}
 
-	// Seeded masking (the default) pays for privacy with exactly one
-	// m(m−1)-message seed exchange per session, independent of round count.
+	// Masking pays for privacy with exactly one m(m−1)-message seed exchange
+	// per session, independent of round count.
 	if got, want := seededStats.Messages-plainStats.Messages, m*(m-1); got != want {
 		t.Errorf("seeded masked-vs-plain message delta = %d, want %d (one seed exchange per session)",
 			got, want)
-	}
-	// Per-round masking pays m(m−1) mask messages every aggregation round.
-	if got, want := perRoundStats.Messages-plainStats.Messages, plainIters*m*(m-1); got != want {
-		t.Errorf("per-round masked-vs-plain message delta = %d, want %d (m(m−1) masks per round)",
-			got, want)
-	}
-	if seededStats.Messages >= perRoundStats.Messages {
-		t.Errorf("seeded mode sent %d messages, per-round %d; seeding must strictly reduce traffic",
-			seededStats.Messages, perRoundStats.Messages)
 	}
 }
 
@@ -231,31 +220,29 @@ func (m overflowMapper) Contribution(iter int, state []float64) ([]float64, erro
 }
 
 // TestStrictShareFailureAborts: a mapper whose masked share cannot be encoded
-// aborts a strict job, in either mask mode. A strict round has no window, so
+// aborts a strict job. A strict round has no window, so
 // a mapper that exits without telling the Reducer would hang the job until
 // its context ends; here the context never does, and a failsafe timer turns
 // such a hang into a failure.
 func TestStrictShareFailureAborts(t *testing.T) {
-	for _, mode := range []MaskMode{MaskSeeded, MaskPerRound} {
-		t.Run(mode.String(), func(t *testing.T) {
-			job, red := newAveragingJob([][]float64{{1}, {2}, {3}}, 10)
-			red.tol = 0 // never converge before round 2
-			job.Mappers[1] = overflowMapper{value: 2, at: 2}
-			done := make(chan error, 1)
-			go func() {
-				_, err := RunDistributed(context.Background(), job, DriverOptions{MaskMode: mode})
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), "round 2") {
-					t.Errorf("err = %v, want ErrAborted naming round 2", err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("job still running 30 s after mapper 1's share encode failed at round 2")
+	t.Run("seeded", func(t *testing.T) {
+		job, red := newAveragingJob([][]float64{{1}, {2}, {3}}, 10)
+		red.tol = 0 // never converge before round 2
+		job.Mappers[1] = overflowMapper{value: 2, at: 2}
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunDistributed(context.Background(), job, DriverOptions{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrAborted) || !strings.Contains(err.Error(), "round 2") {
+				t.Errorf("err = %v, want ErrAborted naming round 2", err)
 			}
-		})
-	}
+		case <-time.After(30 * time.Second):
+			t.Fatal("job still running 30 s after mapper 1's share encode failed at round 2")
+		}
+	})
 }
 
 // TestWireRoundTrip: the one float-vector codec of broadcasts and plain shares

@@ -17,11 +17,10 @@ import (
 type mapperEnv struct {
 	sessionEnv
 	policy
-	agg      Aggregation
-	maskMode MaskMode
-	codec    fixedpoint.Codec
-	dim      int
-	sstel    *securesum.Telemetry
+	agg   Aggregation
+	codec fixedpoint.Codec
+	dim   int
+	sstel *securesum.Telemetry
 }
 
 // mapperFilter demultiplexes a Mapper for its whole session, relative to the
@@ -29,11 +28,9 @@ type mapperEnv struct {
 // broadcast is delivered — it starts the next round, or means the Reducer
 // moved on without us (we were demoted) and lets the mapper catch up; a
 // duplicate is dropped. Roster declarations for this round are delivered,
-// older ones dropped, newer ones held. Peers' masks are never delivered here:
-// they wait in the reorder buffer until the round's own mask exchange claims
-// them, and masks of finished rounds are dropped. Other sessions'
-// traffic is held untouched; everything else of this session (stop, or a
-// genuinely unexpected kind) is delivered to the loop.
+// older ones dropped, newer ones held. Other sessions' traffic is held
+// untouched; everything else of this session (stop, or a genuinely
+// unexpected kind) is delivered to the loop.
 func mapperFilter(session uint64, round *int32) transport.Filter {
 	return func(m transport.Message) transport.Verdict {
 		if m.Session != session {
@@ -45,11 +42,11 @@ func mapperFilter(session uint64, round *int32) transport.Filter {
 				return transport.Accept
 			}
 			return transport.Drop
-		case KindRoster, securesum.KindMask:
+		case KindRoster:
 			switch {
 			case m.Round < *round:
 				return transport.Drop
-			case m.Round > *round || m.Kind == securesum.KindMask:
+			case m.Round > *round:
 				return transport.Defer
 			}
 		}
@@ -63,12 +60,11 @@ func mapperFilter(session uint64, round *int32) transport.Filter {
 // exit on stop.
 type mapperNode struct {
 	*mapperEnv
-	id       int
-	node     string // this mapper's endpoint name
-	ep       transport.Endpoint
-	mapper   IterativeMapper
-	seeded   *securesum.SeededSession // masked aggregation, MaskSeeded
-	perRound *securesum.PerRoundParty // masked aggregation, MaskPerRound
+	id     int
+	node   string // this mapper's endpoint name
+	ep     transport.Endpoint
+	mapper IterativeMapper
+	seeded *securesum.SeededSession // masked aggregation
 
 	round   int32     // the round being served; -1 before the first broadcast
 	state   []float64 // the broadcast state, decoded into one buffer for the job
@@ -87,19 +83,12 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 		live:  make([]bool, len(env.names)),
 	}
 	// Masked aggregation keeps per-session protocol state so every round
-	// reuses the same scratch. Seeded mode also runs its one-time seed
-	// exchange here: each Mapper's first action is sending its seeds, so it
-	// completes without any round message interleaving (the reducer's early
-	// broadcasts wait in the reorder buffer).
+	// reuses the same scratch, and runs its one-time seed exchange here: each
+	// Mapper's first action is sending its seeds, so it completes without any
+	// round message interleaving (the reducer's early broadcasts wait in the
+	// reorder buffer).
 	if env.agg == AggregationMasked {
-		if env.maskMode == MaskPerRound {
-			n.perRound, err = securesum.NewPerRoundParty(ep, env.names, id, reducerName, env.dim, env.codec, nil)
-			if n.perRound != nil {
-				n.perRound.SetTelemetry(env.sstel)
-			}
-		} else {
-			n.seeded, err = securesum.SetupSeeded(ctx, ep, env.names, id, env.dim, env.codec, nil, env.header(securesum.SetupRound), env.sstel)
-		}
+		n.seeded, err = securesum.SetupSeeded(ctx, ep, env.names, id, env.dim, env.codec, nil, env.header(securesum.SetupRound), env.sstel)
 		if err != nil {
 			return fmt.Errorf("mapper %d aggregation setup: %w", id, err)
 		}
@@ -204,8 +193,7 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 	}
 	hdr := n.header(n.round)
 	hdr.Roster = roster
-	switch {
-	case n.agg == AggregationPlain:
+	if n.agg == AggregationPlain {
 		// The share is encoded into a buffer the mapper keeps: the Reducer
 		// folds round r's shares before it broadcasts round r+1, the only
 		// thing that makes this mapper write the buffer again (the argument
@@ -216,33 +204,20 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}
 		return nil
-	case n.seeded != nil:
-		// Seeded masks: derive this roster's masks locally and send only the
-		// masked share — no per-round mask messages.
-		n.sstel.JournalMaskPhase(n.node, "mask.start", n.trace, n.round, 0)
-		start := time.Now()
-		payload, err := n.seeded.RoundShareBytesFor(n.round, n.contrib, n.live)
-		if err != nil {
-			return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
-		}
-		n.sstel.JournalMaskPhase(n.node, "mask.end", n.trace, n.round, time.Since(start))
-		if err := n.ep.Send(ctx, reducerName, securesum.KindShare, hdr, payload); err != nil {
-			return fmt.Errorf("mapper %d: %w", n.id, err)
-		}
-		n.sstel.RecordShare(len(payload))
-		n.journal.Emit(n.node, "share.sent", n.trace, n.round, reducerName, securesum.KindShare, int64(len(payload)), 0)
-		return nil
-	case n.perRound != nil:
-		// Per-round masks, strict rounds only: exchange fresh masks with the
-		// whole cohort, then send the share (Round does both). A stop that
-		// lands mid exchange unwinds here as a protocol error.
-		n.sstel.JournalMaskPhase(n.node, "mask.start", n.trace, n.round, 0)
-		start := time.Now()
-		if err := n.perRound.Round(ctx, hdr, n.contrib); err != nil {
-			return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
-		}
-		n.sstel.JournalMaskPhase(n.node, "mask.end", n.trace, n.round, time.Since(start))
-		return nil
 	}
-	return fmt.Errorf("%w: mapper %d has no share path for Aggregation %d", ErrBadJob, n.id, n.agg)
+	// Derive this roster's masks locally and send only the masked share: no
+	// mask crosses the wire.
+	n.sstel.JournalMaskPhase(n.node, "mask.start", n.trace, n.round, 0)
+	start := time.Now()
+	payload, err := n.seeded.RoundShareBytesFor(n.round, n.contrib, n.live)
+	if err != nil {
+		return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
+	}
+	n.sstel.JournalMaskPhase(n.node, "mask.end", n.trace, n.round, time.Since(start))
+	if err := n.ep.Send(ctx, reducerName, securesum.KindShare, hdr, payload); err != nil {
+		return fmt.Errorf("mapper %d: %w", n.id, err)
+	}
+	n.sstel.RecordShare(len(payload))
+	n.journal.Emit(n.node, "share.sent", n.trace, n.round, reducerName, securesum.KindShare, int64(len(payload)), 0)
+	return nil
 }

@@ -24,31 +24,12 @@ const (
 	AggregationPlain
 )
 
-// MaskMode selects the masked-aggregation variant, re-exported from
-// securesum so driver callers configure it without importing the protocol
-// package. The zero value (MaskSeeded) exchanges one pairwise seed per
-// session and derives every round's masks locally; MaskPerRound is the
-// paper's literal protocol with fresh masks every round.
-type MaskMode = securesum.MaskMode
-
-// The two masking variants.
-const (
-	MaskSeeded   = securesum.MaskSeeded
-	MaskPerRound = securesum.MaskPerRound
-)
-
 // DriverOptions configures RunDistributed.
 type DriverOptions struct {
 	// Network defaults to a fresh in-process network.
 	Network transport.Network
 	// Aggregation defaults to AggregationMasked.
 	Aggregation Aggregation
-	// MaskMode selects how AggregationMasked produces its pairwise masks:
-	// MaskSeeded (default) or MaskPerRound. MaskPerRound exchanges its masks
-	// over the fixed cohort, so it runs strict rounds only: with a
-	// StragglerTimeout it is an ErrBadJob. Ignored by
-	// AggregationPlain.
-	MaskMode MaskMode
 	// StragglerTimeout makes rounds elastic (demote-and-continue): a mapper
 	// that has not answered within this bound is demoted for the round
 	// instead of stalling or failing the job. A mapper demoted at round d is
@@ -158,7 +139,7 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	reg.Gauge(metricFanout).Set(float64(m))
 	var sstel *securesum.Telemetry
 	if agg == AggregationMasked {
-		sstel = securesum.NewTelemetry(reg, opts.MaskMode)
+		sstel = securesum.NewTelemetry(reg)
 	}
 	eng := &engine{
 		policy: pol,
@@ -209,7 +190,6 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		sessionEnv: eng.sessionEnv,
 		policy:     pol,
 		agg:        agg,
-		maskMode:   opts.MaskMode,
 		codec:      codec,
 		dim:        job.ContributionDim,
 		sstel:      sstel,

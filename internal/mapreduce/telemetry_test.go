@@ -13,7 +13,7 @@ import (
 // runCounted executes a never-converging averaging job over a fresh in-proc
 // network with a fresh registry attached and returns the registry snapshot,
 // the transport's own counters, and the rounds run.
-func runCounted(t *testing.T, values [][]float64, rounds int, mode MaskMode) (*telemetry.Snapshot, transport.Stats, int) {
+func runCounted(t *testing.T, values [][]float64, rounds int) (*telemetry.Snapshot, transport.Stats, int) {
 	t.Helper()
 	job, red := newAveragingJob(values, rounds)
 	red.tol = 0 // run the full budget so every count is deterministic
@@ -23,7 +23,7 @@ func runCounted(t *testing.T, values [][]float64, rounds int, mode MaskMode) (*t
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	res, err := RunDistributed(ctx, job, DriverOptions{
-		Network: net, MaskMode: mode, Telemetry: reg,
+		Network: net, Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,14 +36,14 @@ func runCounted(t *testing.T, values [][]float64, rounds int, mode MaskMode) (*t
 
 // TestTelemetrySeededWiretapParity pins the telemetry counters to the wire
 // ground truth of seeded masking: exactly m(m−1) seed messages once per
-// session, m shares per round, and zero mask traffic — and the transport
-// counters must agree exactly with the network's own Stats.
+// session and m shares per round, and the transport counters must agree
+// exactly with the network's own Stats.
 func TestTelemetrySeededWiretapParity(t *testing.T) {
 	values := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	const rounds = 4
 	m := len(values)
 	dim := len(values[0])
-	snap, st, iters := runCounted(t, values, rounds, MaskSeeded)
+	snap, st, iters := runCounted(t, values, rounds)
 
 	kind := func(k string) int64 {
 		return snap.CounterTotal("ppml_securesum_msgs_total", telemetry.L("kind", k))
@@ -53,9 +53,6 @@ func TestTelemetrySeededWiretapParity(t *testing.T) {
 	}
 	if got, want := kind("share"), int64(m*iters); got != want {
 		t.Errorf("share messages = %d, want %d", got, want)
-	}
-	if got := kind("mask"); got != 0 {
-		t.Errorf("mask messages = %d, want 0 in seeded mode", got)
 	}
 	bytes := func(k string) int64 {
 		return snap.CounterTotal("ppml_securesum_bytes_total", telemetry.L("kind", k))
@@ -86,39 +83,6 @@ func TestTelemetrySeededWiretapParity(t *testing.T) {
 	}
 	if got := snap.HistogramCount("ppml_round_seconds"); got != uint64(iters) {
 		t.Errorf("round duration observations = %d, want %d", got, iters)
-	}
-}
-
-// TestTelemetryPerRoundWiretapParity is the per-round-mask analogue: m(m−1)
-// mask messages every round, no seed handshake at all.
-func TestTelemetryPerRoundWiretapParity(t *testing.T) {
-	values := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
-	const rounds = 3
-	m := len(values)
-	snap, st, iters := runCounted(t, values, rounds, MaskPerRound)
-
-	kind := func(k string) int64 {
-		return snap.CounterTotal("ppml_securesum_msgs_total", telemetry.L("kind", k))
-	}
-	if got, want := kind("mask"), int64(m*(m-1)*iters); got != want {
-		t.Errorf("mask messages = %d, want %d", got, want)
-	}
-	if got, want := kind("share"), int64(m*iters); got != want {
-		t.Errorf("share messages = %d, want %d", got, want)
-	}
-	if got := kind("seed"); got != 0 {
-		t.Errorf("seed messages = %d, want 0 in per-round mode", got)
-	}
-	if got := snap.HistogramCount("ppml_securesum_handshake_seconds"); got != 0 {
-		t.Errorf("handshake observations = %d, want 0 in per-round mode", got)
-	}
-
-	sent := telemetry.L("dir", "sent")
-	if got := snap.CounterTotal(transport.MetricMsgs, sent); got != st.Messages {
-		t.Errorf("transport telemetry messages = %d, net.Stats() = %d", got, st.Messages)
-	}
-	if got := snap.CounterTotal(transport.MetricBytes, sent); got != st.Bytes {
-		t.Errorf("transport telemetry bytes = %d, net.Stats() = %d", got, st.Bytes)
 	}
 }
 

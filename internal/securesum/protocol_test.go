@@ -90,8 +90,8 @@ func TestDistributedRoundTCP(t *testing.T) {
 }
 
 func TestDistributedTrafficShape(t *testing.T) {
-	// One round of the protocol moves exactly m(m−1) mask messages plus m
-	// share messages, each of 8·dim payload bytes.
+	// One RunParty round moves exactly the session's m(m−1) seed messages of
+	// SeedSize bytes plus m share messages of 8·dim bytes.
 	net := transport.NewInProc()
 	defer net.Close()
 	const m, dim = 4, 6
@@ -99,11 +99,10 @@ func TestDistributedTrafficShape(t *testing.T) {
 	values := randomValues(rng, m, dim, 10)
 	runDistributedRound(t, net, values)
 	st := net.Stats()
-	wantMsgs := int64(m*(m-1) + m)
-	if st.Messages != wantMsgs {
-		t.Errorf("messages = %d, want %d", st.Messages, wantMsgs)
+	if want := int64(m*(m-1) + m); st.Messages != want {
+		t.Errorf("messages = %d, want %d", st.Messages, want)
 	}
-	if want := wantMsgs * 8 * dim; st.Bytes != want {
+	if want := int64(m*(m-1)*SeedSize + m*8*dim); st.Bytes != want {
 		t.Errorf("bytes = %d, want %d", st.Bytes, want)
 	}
 }
@@ -123,9 +122,9 @@ func TestRunCollectorTimeout(t *testing.T) {
 }
 
 func TestRoundDemuxBuffersEarlyAndDropsStale(t *testing.T) {
-	// A fast peer's next-round mask must wait in the reorder buffer without
-	// corrupting the current round, and a leftover mask from a finished
-	// round must be dropped (and counted), not delivered.
+	// A fast party's next-round share must wait in the Reducer's reorder
+	// buffer without corrupting the current round, and a leftover share from
+	// a finished round must be dropped (and counted), not delivered.
 	net := transport.NewInProc()
 	defer net.Close()
 	codec := fixedpoint.Default()
@@ -147,23 +146,19 @@ func TestRoundDemuxBuffersEarlyAndDropsStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intruder, err := net.Endpoint(names[0][:len(names[0])-1] + "9") // "mapper-9", not a party
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Pollute party 0's inbox before the round starts: one future-round mask
-	// (buffered for round 1) and one stale round mask (dropped).
+	// Pollute the Reducer's inbox before the round starts: one future-round
+	// share (buffered for round 1) and one stale round share (dropped).
 	future := transport.Header{Session: 7, Round: 1}
 	stale := transport.Header{Session: 7, Round: -5}
 	junk := AppendShares(nil, make([]uint64, dim))
-	if err := intruder.Send(ctx, names[0], KindMask, future, junk); err != nil {
+	if err := eps[0].Send(ctx, "reducer", KindShare, future, junk); err != nil {
 		t.Fatal(err)
 	}
-	if err := intruder.Send(ctx, names[0], KindMask, stale, junk); err != nil {
+	if err := eps[0].Send(ctx, "reducer", KindShare, stale, junk); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,27 +185,22 @@ func TestRoundDemuxBuffersEarlyAndDropsStale(t *testing.T) {
 		}
 	}
 	if got := net.Stats().StaleDropped; got != 1 {
-		t.Errorf("StaleDropped = %d, want 1 (the stale mask)", got)
+		t.Errorf("StaleDropped = %d, want 1 (the stale share)", got)
 	}
-	// The future-round mask is still waiting: a round-1 receive finds it.
-	buffered, err := eps[0].RecvMatch(ctx, func(msg transport.Message) transport.Verdict {
-		if msg.Kind == KindMask && msg.Round == 1 {
-			return transport.Accept
-		}
-		return transport.Defer
-	})
+	// The future-round share is still waiting: a round-1 receive finds it.
+	buffered, err := red.RecvMatch(ctx, shareFilter(future))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buffered.Round != 1 || buffered.Session != 7 {
-		t.Fatalf("buffered mask envelope = %+v", buffered.Header())
+	if buffered.Kind != KindShare || buffered.Round != 1 || buffered.Session != 7 {
+		t.Fatalf("buffered share envelope = kind %q %+v", buffered.Kind, buffered.Header())
 	}
 }
 
-func TestRunPartyControlMessageMidRoundIsProtocolError(t *testing.T) {
-	// A same-session non-mask message mid-round is a protocol violation.
-	// Every frame the party did send carries the nil roster of a strict
-	// round.
+func TestRunCollectorControlMessageMidRoundIsProtocolError(t *testing.T) {
+	// A same-session non-share message mid-round is a protocol violation at
+	// the Reducer. Every frame the party sent carries the nil roster of a
+	// strict round: its seed at SetupRound, its share at the round.
 	net := transport.NewInProc()
 	defer net.Close()
 	names := []string{"mapper-0", "mapper-1"}
@@ -222,21 +212,39 @@ func TestRunPartyControlMessageMidRoundIsProtocolError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	hdr := transport.Header{Session: 3, Round: 2}
-	if err := ep1.Send(ctx, names[0], "job.stop", hdr, nil); err != nil {
-		t.Fatal(err)
-	}
-	err = RunParty(ctx, ep0, names, 0, "reducer", []float64{1, 2}, fixedpoint.Default(), nil, hdr)
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("err = %v, want ErrProtocol", err)
-	}
-	mask, err := ep1.RecvMatch(ctx, func(transport.Message) transport.Verdict { return transport.Accept })
+	red, err := net.Endpoint("reducer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mask.Kind != KindMask || mask.Roster != nil || mask.Round != 2 || len(mask.Payload) != 16 {
-		t.Errorf("mask frame = kind %q roster %v round %d, %d bytes; want a strict round's", mask.Kind, mask.Roster, mask.Round, len(mask.Payload))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	hdr := transport.Header{Session: 3, Round: 2}
+	setup := hdr
+	setup.Round = SetupRound
+	if err := ep1.Send(ctx, names[0], KindSeed, setup, make([]byte, SeedSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunParty(ctx, ep0, names, 0, "reducer", []float64{1, 2}, fixedpoint.Default(), nil, hdr); err != nil {
+		t.Fatal(err)
+	}
+	seed, err := ep1.RecvMatch(ctx, func(transport.Message) transport.Verdict { return transport.Accept })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed.Kind != KindSeed || seed.Roster != nil || seed.Round != SetupRound || len(seed.Payload) != SeedSize {
+		t.Errorf("seed frame = kind %q roster %v round %d, %d bytes; want a session setup's", seed.Kind, seed.Roster, seed.Round, len(seed.Payload))
+	}
+	share, err := red.RecvMatch(ctx, shareFilter(hdr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if share.Kind != KindShare || share.Roster != nil || share.Round != 2 || len(share.Payload) != 16 {
+		t.Errorf("share frame = kind %q roster %v round %d, %d bytes; want a strict round's", share.Kind, share.Roster, share.Round, len(share.Payload))
+	}
+	if err := ep1.Send(ctx, "reducer", "job.stop", hdr, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCollector(ctx, red, 2, 2, fixedpoint.Default(), hdr); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("err = %v, want ErrProtocol", err)
 	}
 }

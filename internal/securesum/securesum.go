@@ -2,23 +2,25 @@
 // protocol of Section V, which is the only cryptographic machinery the
 // framework needs at the Reducer:
 //
-//  1. each Mapper i generates one uniformly random mask for every other
-//     Mapper and sends it over a pairwise channel;
+//  1. each Mapper i holds one uniformly random mask for every other Mapper,
+//     shared with that peer;
 //  2. Mapper i forms wᵢ + Sedᵢ − Revᵢ, where Sedᵢ is the sum of the masks it
-//     generated and Revᵢ the sum of the masks it received;
+//     adds and Revᵢ the sum of the masks its peers add;
 //  3. the Reducer adds the M masked shares: every mask was added once and
 //     subtracted once, so the masks cancel and only the sum Σwᵢ remains.
 //
-// Arithmetic happens in the fixed-point ring Z_{2^64} (package fixedpoint),
-// where uniformly random masks hide each share information-theoretically.
+// Arithmetic happens in the fixed-point ring Z_{2^64} (package fixedpoint).
 // The protocol resists coalitions: as long as two parties are honest, the
 // mask on their pairwise channel stays unknown to everyone else, so their
 // individual inputs cannot be recovered even if all other Mappers and the
 // Reducer pool their knowledge.
 //
-// The package exposes the protocol at two levels: Party/Collector state
-// machines (used by the MapReduce integration) and Run* helpers that drive a
-// full round over a transport.Network.
+// Every share on the wire is a SeededSession's (seeded.go): one seed
+// exchange per session, then per-round masks expanded locally from the pair
+// keys over whichever roster the round runs. Party is the paper's literal
+// round, fresh masks drawn for every round, kept as the reference the
+// seeded telescope is tested against. Collector is the Reducer's side of
+// both, and RunParty/RunCollector drive one round over a transport.Network.
 package securesum
 
 import (

@@ -1,23 +1,23 @@
 package securesum
 
-// Seed-derived round masks: the scalable variant of the Section V protocol.
+// Seed-derived round masks: how every share of the Section V protocol is
+// masked.
 //
-// The literal protocol exchanges fresh pairwise masks every round, which is
-// information-theoretically secure but costs m(m−1) mask messages per round.
-// In seeded mode each pair of Mappers instead agrees on ONE random key per
-// session: party i draws a uniform seed s_{i→j} for every peer j at session
-// setup and sends it over the pairwise channel (KindSeed, tagged with the
-// session header), and both ends key one AES-CTR PRG with s_{i→j} ⊕ s_{j→i}.
-// From then on they expand it locally into per-round masks nonced by
-// (session, round) — the lower id of the pair adds the mask, the higher id
-// subtracts it, and it cancels at the Reducer like the per-round protocol's —
-// so no mask ever crosses the wire again. Per-round traffic drops from O(m²)
-// mask messages + m shares to just the m masked shares.
+// The paper's literal protocol exchanges fresh pairwise masks every round,
+// m(m−1) mask messages a round. Here each pair of Mappers instead agrees on
+// ONE random key per session: party i draws a uniform seed s_{i→j} for every
+// peer j at session setup and sends it over the pairwise channel (KindSeed,
+// tagged with the session header), and both ends key one AES-CTR PRG with
+// s_{i→j} ⊕ s_{j→i}. From then on they expand it locally into per-round masks
+// nonced by (session, round) — the lower id of the pair adds the mask, the
+// higher id subtracts it, and it cancels at the Reducer as the literal
+// protocol's does — so no mask ever crosses the wire again. Per-round traffic
+// is just the m masked shares.
 //
-// The price is the security model: a mask derived from a PRG hides a share
-// computationally (under the AES-as-PRF assumption) rather than
-// information-theoretically. MaskMode selects between the two; see
-// DESIGN.md §10 for the full argument and when to prefer each.
+// A mask derived from a PRG hides a share computationally (under the
+// AES-as-PRF assumption). The literal protocol's masks would hide it
+// information-theoretically only over an information-theoretically secure
+// pairwise channel, which no transport here provides; see DESIGN.md §10.
 
 import (
 	"context"
@@ -37,33 +37,6 @@ import (
 
 // KindSeed carries one pairwise mask seed between Mappers at session setup.
 const KindSeed = "securesum.seed"
-
-// MaskMode selects how the pairwise masks of the Section V protocol are
-// produced.
-type MaskMode int
-
-const (
-	// MaskSeeded is the default: one pairwise seed exchange per session,
-	// per-round masks derived locally with an AES-CTR PRG nonced by
-	// (session, round). O(m) messages per round; computational security.
-	MaskSeeded MaskMode = iota
-	// MaskPerRound exchanges fresh uniform masks every round — the paper's
-	// literal Section V protocol. O(m²) messages per round;
-	// information-theoretic security.
-	MaskPerRound
-)
-
-// String implements fmt.Stringer for flags and logs.
-func (m MaskMode) String() string {
-	switch m {
-	case MaskSeeded:
-		return "seeded"
-	case MaskPerRound:
-		return "per-round"
-	default:
-		return fmt.Sprintf("maskmode(%d)", int(m))
-	}
-}
 
 // SeedSize is the byte length of one pairwise mask seed and of an AES-256 key.
 const SeedSize = 32
@@ -286,12 +259,11 @@ func seedFilter(session uint64) transport.Filter {
 
 // SetupSeeded runs the one-time seed exchange of a session for one Mapper:
 // it sends a fresh seed to every peer, absorbs the m−1 peer seeds, and
-// returns the session state whose RoundShareBytesFor replaces the per-round protocol
-// in every subsequent round. names and self are as in RunParty. base is the
-// session's envelope header — its Session scopes the exchange and its trace
-// context rides on every seed message; the round is overridden with
-// SetupRound. tel (which may be nil) counts the seed messages and times the
-// handshake.
+// returns the session state whose RoundShareBytesFor masks every subsequent
+// round. names and self are as in RunParty. base is the session's envelope
+// header — its Session scopes the exchange and its trace context rides on
+// every seed message; the round is overridden with SetupRound. tel (which
+// may be nil) counts the seed messages and times the handshake.
 func SetupSeeded(ctx context.Context, ep transport.Endpoint, names []string, self, dim int, codec fixedpoint.Codec, random io.Reader, base transport.Header, tel *Telemetry) (*SeededSession, error) {
 	start := time.Now()
 	m := len(names)

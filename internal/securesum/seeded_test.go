@@ -47,7 +47,7 @@ func wireSeededSessions(t testing.TB, m, dim int, session uint64) []*SeededSessi
 }
 
 func TestSeededSumMatchesPlain(t *testing.T) {
-	// The seeded masks must telescope at the Reducer exactly like per-round
+	// The seeded masks must telescope at the Reducer exactly like the literal
 	// masks: summing every party's full-roster share recovers the plain sum, round
 	// after round from the same one-time seed exchange.
 	const m, dim = 4, 6
@@ -263,6 +263,131 @@ func TestSeededRosterSubsetsCancelExactly(t *testing.T) {
 	}
 }
 
+// TestSeededRandomRostersCancelExactly extends the exhaustive small-cohort
+// walk above to cohorts of 8, 16 and 64 with rosters drawn from a fixed,
+// logged generator seed. Each round declares a roster R₁, then shrinks it to
+// R₂ ⊂ R₁ within the same round, as the elastic Reducer does when a member
+// misses its share window: the survivors re-derive under the same (session,
+// round) nonce. Over both rosters the Collector's ring sum must equal the
+// ring sum of the members' plain encodings bit for bit, and over the full
+// cohort it must also equal the literal protocol's (Party's) ring sum.
+func TestSeededRandomRostersCancelExactly(t *testing.T) {
+	const dim, session, rounds, genSeed = 5, 31, 6, 20250601
+	t.Logf("roster generator seed %d", genSeed)
+	rng := rand.New(rand.NewSource(genSeed))
+	for _, m := range []int{8, 16, 64} {
+		ss := wireSeededSessions(t, m, dim, session)
+		values := randomValues(rng, m, dim, 50)
+		codec := ss[0].codec
+		col, err := NewCollector(m, dim, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// fold sums the shares of roster over col and checks the ring sum.
+		fold := func(round int32, live []bool, stage string) {
+			t.Helper()
+			n := count(live)
+			if err := col.ResetFor(n); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]uint64, dim)
+			for i, l := range live {
+				if !l {
+					continue
+				}
+				share, err := ss[i].RoundShareFor(round, values[i], live)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := col.Add(share); err != nil {
+					t.Fatal(err)
+				}
+				raw, err := codec.EncodeVec(values[i], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range want {
+					want[k] += raw[k]
+				}
+			}
+			for k := range want {
+				if col.acc[k] != want[k] {
+					t.Fatalf("m=%d round %d %s roster of %d: ring sum[%d] = %x, want %x", m, round, stage, n, k, col.acc[k], want[k])
+				}
+			}
+		}
+		for round := int32(0); round < rounds; round++ {
+			// R₁: each member in with a probability drawn per round, at least
+			// three, so R₂ can lose one and keep the masked quorum floor of two.
+			p := 0.2 + 0.8*rng.Float64()
+			r1 := make([]bool, m)
+			for i := range r1 {
+				r1[i] = rng.Float64() < p
+			}
+			for count(r1) < 3 {
+				r1[rng.Intn(m)] = true
+			}
+			fold(round, r1, "R1")
+			// R₂ ⊂ R₁: drop at least one member, keep at least two.
+			r2 := append([]bool(nil), r1...)
+			for drop := 1 + rng.Intn(count(r1)-2); drop > 0; {
+				if i := rng.Intn(m); r2[i] {
+					r2[i] = false
+					drop--
+				}
+			}
+			fold(round, r2, "R2")
+		}
+		fold(rounds, allLive(m), "full")
+		literal, err := NewCollector(m, dim, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parties := make([]*Party, m)
+		masks := make([][][]uint64, m)
+		for i := range parties {
+			if parties[i], err = NewParty(i, m, dim, codec, nil); err != nil {
+				t.Fatal(err)
+			}
+			if masks[i], err = parties[i].MaskForAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, p := range parties {
+			for j := range parties {
+				if j != i {
+					if err := p.SetPeerMask(j, masks[j][i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			share, err := p.Share(values[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := literal.Add(share); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := range literal.acc {
+			if literal.acc[k] != col.acc[k] {
+				t.Fatalf("m=%d full cohort: literal ring sum[%d] = %x, seeded %x", m, k, literal.acc[k], col.acc[k])
+			}
+		}
+	}
+}
+
+// count is the size of a roster.
+func count(live []bool) int {
+	n := 0
+	for _, l := range live {
+		if l {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSeededShareZeroAlloc(t *testing.T) {
 	// The round hot path at the vl_cohort_tcp shape: after the first call has
 	// sized the share and wire scratch, a round allocates nothing.
@@ -451,8 +576,8 @@ func TestSeededDistributedInProc(t *testing.T) {
 }
 
 func TestSeededTrafficShape(t *testing.T) {
-	// The whole point of seeded mode: m(m−1) seed messages once per session,
-	// then exactly m share messages per round — no per-round mask traffic.
+	// The whole point of seeded masks: m(m−1) seed messages once per session,
+	// then exactly m share messages per round — no mask traffic.
 	net := transport.NewInProc()
 	defer net.Close()
 	const m, dim, rounds = 4, 6, 5

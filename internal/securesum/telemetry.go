@@ -6,11 +6,10 @@ import (
 	"github.com/ppml-go/ppml/internal/telemetry"
 )
 
-// Telemetry metric families exported by the secure-summation protocol.
-// Every series carries the mask mode, so a mixed experiment (seeded vs
-// per-round) separates cleanly, and the kind label distinguishes the three
-// wire message types — which is exactly the traffic-shape invariant the
-// wiretap tests assert (seeded mode: m shares per round, zero masks).
+// Telemetry metric families exported by the secure-summation protocol. The
+// kind label distinguishes the two wire message types — which is exactly the
+// traffic-shape invariant the wiretap tests assert: m(m−1) seeds per session,
+// m shares per round.
 const (
 	metricMsgs      = "ppml_securesum_msgs_total"
 	metricBytes     = "ppml_securesum_bytes_total"
@@ -18,35 +17,31 @@ const (
 )
 
 // Telemetry is the protocol's prepared metric sink: message and byte
-// counters by kind and mask mode, plus the seed-handshake latency
-// histogram. A nil *Telemetry no-ops on every method, so protocol code
-// records unconditionally. Only counts and sizes ever pass through here —
-// never payloads; secretflow's telemetry rule enforces that shape at the
-// call sites.
+// counters by kind, plus the seed-handshake latency histogram. A nil
+// *Telemetry no-ops on every method, so protocol code records
+// unconditionally. Only counts and sizes ever pass through here — never
+// payloads; secretflow's telemetry rule enforces that shape at the call
+// sites.
 type Telemetry struct {
 	seedMsgs, seedBytes   *telemetry.Counter
-	maskMsgs, maskBytes   *telemetry.Counter
 	shareMsgs, shareBytes *telemetry.Counter
 	handshake             *telemetry.Histogram
 	journal               *telemetry.Journal
 }
 
-// NewTelemetry prepares the protocol's series on r for the given mask mode.
-// A nil registry yields a nil (no-op) sink.
-func NewTelemetry(r *telemetry.Registry, mode MaskMode) *Telemetry {
+// NewTelemetry prepares the protocol's series on r. A nil registry yields a
+// nil (no-op) sink.
+func NewTelemetry(r *telemetry.Registry) *Telemetry {
 	if r == nil {
 		return nil
 	}
-	ml := telemetry.L("mode", mode.String())
 	kindL := func(kind string) telemetry.Label { return telemetry.L("kind", kind) }
 	return &Telemetry{
-		seedMsgs:   r.Counter(metricMsgs, ml, kindL("seed")),
-		seedBytes:  r.Counter(metricBytes, ml, kindL("seed")),
-		maskMsgs:   r.Counter(metricMsgs, ml, kindL("mask")),
-		maskBytes:  r.Counter(metricBytes, ml, kindL("mask")),
-		shareMsgs:  r.Counter(metricMsgs, ml, kindL("share")),
-		shareBytes: r.Counter(metricBytes, ml, kindL("share")),
-		handshake:  r.Histogram(metricHandshake, telemetry.DurationBuckets, ml),
+		seedMsgs:   r.Counter(metricMsgs, kindL("seed")),
+		seedBytes:  r.Counter(metricBytes, kindL("seed")),
+		shareMsgs:  r.Counter(metricMsgs, kindL("share")),
+		shareBytes: r.Counter(metricBytes, kindL("share")),
+		handshake:  r.Histogram(metricHandshake, telemetry.DurationBuckets),
 		journal:    r.Journal(),
 	}
 }
@@ -58,15 +53,6 @@ func (t *Telemetry) RecordSeed(bytes int) {
 	}
 	t.seedMsgs.Inc()
 	t.seedBytes.Add(int64(bytes))
-}
-
-// RecordMask counts one sent KindMask message of the given payload size.
-func (t *Telemetry) RecordMask(bytes int) {
-	if t == nil {
-		return
-	}
-	t.maskMsgs.Inc()
-	t.maskBytes.Add(int64(bytes))
 }
 
 // RecordShare counts one sent KindShare message of the given payload size.

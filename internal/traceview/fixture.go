@@ -95,7 +95,6 @@ func RunChaosFixture(ctx context.Context, m, iters int) ([]byte, string, error) 
 	defer cancel()
 	if _, err := mapreduce.RunDistributed(ctx, job, mapreduce.DriverOptions{
 		Network:   ch,
-		MaskMode:  mapreduce.MaskSeeded,
 		Telemetry: reg,
 	}); err != nil {
 		return nil, "", fmt.Errorf("traceview fixture: %w", err)

@@ -173,7 +173,10 @@ type History struct {
 	Accuracy []float64
 	// Iterations actually executed.
 	Iterations int
-	// Converged reports whether the tolerance stopped training early.
+	// Converged reports whether the tolerance stopped training early. For
+	// TrainCentralized, which runs no rounds and leaves the other fields
+	// zero, it reports whether the SVM dual solve met its tolerance: false
+	// means the solve stopped at its update cap.
 	Converged bool
 	// ElapsedSeconds is the wall-clock training time.
 	ElapsedSeconds float64
@@ -303,6 +306,9 @@ func newResult(model Model, h *consensus.History, scheme Scheme, learners int) *
 // TrainCentralized trains the paper's benchmark: an ordinary SVM on the
 // pooled data with no privacy protection. Use it to quantify what the
 // consensus schemes give up (Section VI compares against exactly this).
+// Standardize the data first: on raw features of very different scales the
+// dual solve can stop at its update cap short of its tolerance, which
+// History.Converged reports as false.
 func TrainCentralized(data *Dataset, opts ...Option) (*Result, error) {
 	if data == nil || data.inner == nil {
 		return nil, fmt.Errorf("%w: nil data set", ErrBadRequest)
@@ -318,7 +324,7 @@ func TrainCentralized(data *Dataset, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ppml: %w", err)
 	}
-	return &Result{Model: m, Learners: 1}, nil
+	return &Result{Model: m, History: History{Converged: m.Converged}, Learners: 1}, nil
 }
 
 // Evaluate returns the correct-classification ratio of m on d.
@@ -430,20 +436,6 @@ func WithStragglerTimeout(d time.Duration) Option {
 // with WithStragglerTimeout.
 func WithMinQuorum(n int) Option {
 	return func(o *options) { o.cfg.MinQuorum = n }
-}
-
-// WithPerRoundMasks selects the paper's literal Section V masking in
-// distributed mode: fresh pairwise masks are exchanged every round, hiding
-// each share information-theoretically at O(M²) messages per round. The
-// default is seed-derived masking — one pairwise seed exchange per session,
-// per-round masks expanded locally by an AES-CTR PRG — which computes
-// identical iterates with O(M) messages per round under a computational
-// (PRF) hiding argument. Per-round masks are exchanged over the fixed cohort,
-// so they run strict rounds only: Train refuses them together with
-// WithStragglerTimeout. See DESIGN.md §10 for when each mode is the right
-// choice.
-func WithPerRoundMasks() Option {
-	return func(o *options) { o.cfg.MaskMode = mapreduce.MaskPerRound }
 }
 
 // WithTCP runs distributed training over loopback TCP sockets instead of

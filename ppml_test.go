@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/ppml-go/ppml"
 	"github.com/ppml-go/ppml/internal/consensus"
@@ -106,11 +105,6 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := ppml.Train(train, ppml.HorizontalLinear, ppml.WithLearners(0)); !errors.Is(err, ppml.ErrBadRequest) {
 		t.Errorf("0 learners: err = %v, want ErrBadRequest", err)
 	}
-	// Per-round masks run strict rounds only.
-	if _, err := ppml.Train(train, ppml.HorizontalLinear, ppml.WithLearners(2), ppml.WithIterations(2),
-		ppml.WithPerRoundMasks(), ppml.WithStragglerTimeout(50*time.Millisecond)); err == nil || !strings.Contains(err.Error(), "MaskPerRound with StragglerTimeout") {
-		t.Errorf("per-round masks with a straggler timeout: err = %v, want a configuration error naming both", err)
-	}
 	// A tolerance no residual can fall below is refused, not run to the
 	// budget. The facade wraps the trainers' configuration error as is.
 	if _, err := ppml.Train(train, ppml.HorizontalLinear, ppml.WithLearners(2), ppml.WithTolerance(math.NaN())); !errors.Is(err, consensus.ErrBadConfig) {
@@ -170,6 +164,22 @@ func TestTrainCentralizedBenchmark(t *testing.T) {
 	}
 	if acc < 0.88 {
 		t.Errorf("centralized benchmark accuracy = %g", acc)
+	}
+	if !res.History.Converged {
+		t.Error("the centralized solve on standardized data stopped at its update cap")
+	}
+}
+
+// TestTrainCentralizedReportsUpdateCap: on raw, unstandardized features the
+// linear dual solve of this 40-row draw runs to its update cap (about 0.1 s)
+// short of its tolerance, and the result says so.
+func TestTrainCentralizedReportsUpdateCap(t *testing.T) {
+	res, err := ppml.TrainCentralized(ppml.SyntheticCancer(40, 2), ppml.WithC(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.History.Converged {
+		t.Error("History.Converged = true for a solve that stopped at its update cap")
 	}
 }
 
