@@ -35,9 +35,11 @@
 // surfaces (a one-way valve: every argument crossing into them is audited by
 // the telemetry rule, and nothing recorded there flows back into the
 // protocol), and the dataset shape declassifiers. fixedpoint is not a
-// sanitizer: a ring encoding is a bijection and hides nothing. Structural
-// metadata (matrix dimensions, dataset names, envelope routing fields) is
-// cleared.
+// sanitizer, and neither are securesum's share codecs (AppendShares,
+// DecodeShares, DecodeSharesInto): a ring encoding is a bijection and hides
+// nothing, so a plain share framed by AppendShares is as raw as its input.
+// Structural metadata (matrix dimensions, dataset names, envelope routing
+// fields) is cleared.
 //
 // Rules:
 //
@@ -151,6 +153,12 @@ var declassifiers = map[string]bool{
 	"Features": true, "Len": true, "Classes": true,
 }
 
+// shareCodecs are securesum's wire codecs: pure encodings of a ring vector,
+// whose output carries whatever their input carried.
+var shareCodecs = map[string]bool{
+	"AppendShares": true, "DecodeShares": true, "DecodeSharesInto": true,
+}
+
 func run(pass *framework.Pass) error {
 	path := pass.Pkg.Path()
 	if !framework.PathMatches(path, hardPaths...) {
@@ -257,8 +265,10 @@ func (m *model) Sanitizes(fn *types.Func) bool {
 	}
 	path := fn.Pkg().Path()
 	switch {
-	case framework.PathMatches(path, "internal/securesum", "internal/paillier"):
-		return true // masked or encrypted by construction
+	case framework.PathMatches(path, "internal/securesum"):
+		return !shareCodecs[fn.Name()] // masked by construction, but for the wire codecs
+	case framework.PathMatches(path, "internal/paillier"):
+		return true // encrypted by construction
 	case isTelemetrySink(path):
 		// One-way valve: without it the unknown-callee assumption would let
 		// one audited argument (say, a residual the flow-ok marks as public)

@@ -6,6 +6,7 @@ import (
 
 	"ppml/internal/dataset"
 	"ppml/internal/fixedpoint"
+	"ppml/internal/securesum"
 	"ppml/internal/transport"
 )
 
@@ -25,6 +26,14 @@ func ringWords(v []uint64) []byte {
 // the wire.
 func LeakViaEncoding(ctx context.Context, ep transport.Endpoint, hdr transport.Header, d *dataset.Dataset) error {
 	return ep.Send(ctx, "reducer", KindShare, hdr, ringWords(fixedpoint.Encode(d.Y))) // want `transport send carries dataset-derived data`
+}
+
+// LeakViaShareEncoding frames fixed-point encoded labels as a share: the
+// share codec is an encoding too, not a mask, so the labels are still on the
+// wire.
+func LeakViaShareEncoding(ctx context.Context, ep transport.Endpoint, hdr transport.Header, d *dataset.Dataset) error {
+	wire := securesum.AppendShares(nil, fixedpoint.Encode(d.Y))
+	return ep.Send(ctx, "reducer", KindShare, hdr, wire) // want `transport send carries dataset-derived data`
 }
 
 // encodedError embeds the encoded labels in an error string.

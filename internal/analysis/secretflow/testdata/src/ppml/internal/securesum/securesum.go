@@ -45,3 +45,12 @@ func (p *Party) debugMasks() {
 func (p *Party) maskError(peer int) error {
 	return fmt.Errorf("mask for peer %d: %d", peer, p.sentFlat[0]) // want `securesum seed/mask material reaches fmt\.Errorf`
 }
+
+// AppendShares frames ring words for the wire: a pure encoding, so callers
+// outside this package get back whatever they passed in.
+func AppendShares(dst []byte, v []uint64) []byte {
+	for _, x := range v {
+		dst = append(dst, byte(x))
+	}
+	return dst
+}

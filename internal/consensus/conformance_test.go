@@ -18,12 +18,13 @@ import (
 // on the local engine and on the in-process cluster under plain, strict
 // seeded and elastic (a generous deadline, no fault) aggregation, and on a
 // loopback TCP cluster under strict seeded and elastic aggregation. The
-// fixed-point configurations fold the same ring sum whatever the transport,
-// the arrival order or the roster handshake, and an all-present elastic round announces the weight a strict
-// one does, so they must agree to the bit — decisions, residuals and
-// accuracies. The local engine and the plain cluster sum floats, and stay
-// within the codec's resolution (2⁻³⁰ a share, accumulated over the rounds)
-// of them. On every row the probe scores the model Train returns: the last
+// distributed configurations fold the same ring sum whatever the masks, the
+// transport, the arrival order or the roster handshake — a plain share is a
+// masked share without masks — and an all-present elastic round announces
+// the weight a strict one does, so they must agree to the bit — decisions,
+// residuals and accuracies. The local engine sums floats, and stays within
+// the codec's resolution (2⁻³⁰ a share, accumulated over the rounds) of
+// them. On every row the probe scores the model Train returns: the last
 // accuracy is that model's on the eval set — exactly where the probe's sum
 // is the model's (HL scores z, VK adds the partials in Decisions' order),
 // within one eval row where it adds the same terms in another order (HK,
@@ -41,7 +42,7 @@ func TestSchemeConformance(t *testing.T) {
 		arm   func(*testing.T, *Config)
 	}{
 		{"local", false, func(*testing.T, *Config) {}},
-		{"plain", false, func(_ *testing.T, c *Config) { c.Distributed, c.Aggregation = true, mapreduce.AggregationPlain }},
+		{"plain", true, func(_ *testing.T, c *Config) { c.Distributed, c.Aggregation = true, mapreduce.AggregationPlain }},
 		{"strict seeded", true, func(_ *testing.T, c *Config) { c.Distributed = true }},
 		{"elastic", true, func(_ *testing.T, c *Config) { c.Distributed, c.StragglerTimeout = true, 30*time.Second }},
 		{"strict seeded tcp", true, tcp},

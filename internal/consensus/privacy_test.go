@@ -3,7 +3,6 @@ package consensus
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"math"
 	"sort"
 	"sync"
@@ -237,7 +236,21 @@ func TestReverseEngineeringAttackBlockedByMasking(t *testing.T) {
 	d := dataset.TwoGaussians("g", 300, 40, 4, 73)
 	k := d.Features()
 
-	attack := func(agg mapreduce.Aggregation, kind string, decode func([]byte) []float64) float64 {
+	// Both arms capture ring shares in the one wire format and read them
+	// with the one decoder; only the masks differ.
+	codec := fixedpoint.Default()
+	decode := func(b []byte) []float64 {
+		shares, err := securesum.DecodeShares(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := codec.DecodeVec(shares, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	attack := func(agg mapreduce.Aggregation, kind string) float64 {
 		t.Helper()
 		net := newWiretapNetwork()
 		cfg := Config{C: 10, Rho: 50, MaxIterations: 10, Distributed: true,
@@ -284,14 +297,7 @@ func TestReverseEngineeringAttackBlockedByMasking(t *testing.T) {
 		return math.Abs(cos)
 	}
 
-	codec := fixedpoint.Default()
-	plainCos := attack(mapreduce.AggregationPlain, mapreduce.KindPlainShare, func(b []byte) []float64 {
-		v := make([]float64, len(b)/8)
-		for i := range v {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-		return v
-	})
+	plainCos := attack(mapreduce.AggregationPlain, mapreduce.KindPlainShare)
 	// Against masked traffic the estimate is a fresh crypto/rand direction in
 	// R^40 every training, so one trial's |cos| (std ≈ 0.16) exceeds 0.35
 	// about 3% of the time. The median of 9 independent trainings does so only
@@ -299,25 +305,17 @@ func TestReverseEngineeringAttackBlockedByMasking(t *testing.T) {
 	const trials = 9
 	maskedCosines := make([]float64, trials)
 	for i := range maskedCosines {
-		maskedCosines[i] = attack(mapreduce.AggregationMasked, securesum.KindShare, func(b []byte) []float64 {
-			shares, err := securesum.DecodeShares(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v, err := codec.DecodeVec(shares, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return v
-		})
+		maskedCosines[i] = attack(mapreduce.AggregationMasked, securesum.KindShare)
 	}
 	sort.Float64s(maskedCosines)
 	maskedCos := maskedCosines[trials/2]
 
-	if plainCos < 0.8 {
+	// Written so that a NaN cosine (a decoder misreading the shares) fails
+	// both checks instead of passing them.
+	if !(plainCos >= 0.8) {
 		t.Errorf("attack on plain traffic recovered cosine %.3f; expected ≥ 0.8 (threat is real)", plainCos)
 	}
-	if maskedCos > 0.35 {
+	if !(maskedCos <= 0.35) {
 		t.Errorf("attack on masked traffic recovered median cosine %.3f over %d trainings; masks failed to hide the signal", maskedCos, trials)
 	}
 	t.Logf("attack cosine: plain %.3f vs masked median %.3f (max %.3f)", plainCos, maskedCos, maskedCosines[trials-1])

@@ -632,9 +632,9 @@ func TestElasticAbortIsPermanentDemotion(t *testing.T) {
 	}
 }
 
-// TestElasticPlainAggregation exercises the roster-oblivious path: plain
-// shares do not depend on who else answers, so the responders ARE the roster
-// and a straggler's demotion needs no re-roster ceremony.
+// TestElasticPlainAggregation: a plain job under a straggler deadline runs
+// the masked job's rounds — ready/roster handshake, demotion, rejoin — with
+// shares that carry no masks, and still converges on the full cohort's mean.
 func TestElasticPlainAggregation(t *testing.T) {
 	values := [][]float64{{3}, {6}, {9}}
 	m := len(values)

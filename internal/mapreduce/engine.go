@@ -21,11 +21,11 @@ package mapreduce
 // set of mappers that deliver: when mappers may be demoted, that set (the
 // roster) must be agreed before shares are derived, and re-agreed — strictly
 // smaller, so the roster alone tells the derivations apart — when a member
-// dies in between. In every other configuration it is skipped outright (no
-// KindReady or KindRoster frame, no roster bitset on the wire): without a
-// straggler deadline nobody can be demoted, so the roster is the cohort; and
-// plain shares do not depend on who else answers, so whoever delivers before
-// the deadline is the roster.
+// dies in between. Without a straggler deadline it is skipped outright (no
+// KindReady or KindRoster frame, no roster bitset on the wire): nobody can be
+// demoted, so the roster is the cohort. A plain share is the masked share
+// without its masks — the same ring encoding, collected the same way — so
+// the aggregation changes what a share hides, never the shape of a round.
 //
 // A demoted mapper is not dead: it is broadcast to again in rounds d+1, d+2,
 // d+4, d+8, … after its demotion at round d, and re-enters the roster the
@@ -49,12 +49,12 @@ import (
 
 // policy is the engine's whole parameterisation, resolved from DriverOptions
 // by newPolicy — the one place Aggregation is range-checked and MinQuorum
-// defaulted and range-checked, for every caller above it.
+// defaulted and range-checked, for every caller above it. A straggler
+// deadline (deadline > 0) is what makes rounds elastic: a missed deadline
+// demotes instead of failing, and every round runs the handshake.
 type policy struct {
-	deadline  time.Duration // per-phase receive window; 0 waits until the job's context ends
-	elastic   bool          // a straggler deadline is set: a missed deadline demotes instead of failing
-	quorum    int
-	handshake bool // ready/roster phase: elastic and masked
+	deadline time.Duration // per-phase receive window; 0 waits until the job's context ends
+	quorum   int
 }
 
 func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
@@ -63,9 +63,7 @@ func newPolicy(opts DriverOptions, agg Aggregation, m int) (policy, error) {
 		return p, fmt.Errorf("%w: Aggregation %d", ErrBadJob, agg)
 	}
 	if opts.StragglerTimeout > 0 {
-		p.deadline, p.elastic = opts.StragglerTimeout, true
-		p.handshake = agg == AggregationMasked
-		p.quorum = opts.MinQuorum
+		p.deadline, p.quorum = opts.StragglerTimeout, opts.MinQuorum
 		if p.quorum == 0 {
 			// A masked roster of one would hand the Reducer a share whose
 			// masks all cancelled locally — effectively plaintext — so the
@@ -88,7 +86,8 @@ type engine struct {
 	sessionEnv
 	idOf    map[string]int
 	ep      transport.Endpoint
-	fold    folder
+	col     *securesum.Collector // sums every share collection of the session
+	kind    string               // the session's share kind: securesum.KindShare, or KindPlainShare
 	scratch reduceScratch
 
 	rounds       *telemetry.Counter
@@ -114,6 +113,22 @@ type engine struct {
 	stamp transport.Roster
 	phase transport.Filter
 	win   *recvWindow // the receive window under a straggler deadline; nil without one
+}
+
+// reduceScratch is the Reducer's per-session reuse state: the broadcast
+// encoding, the round's reach set, ready roster and delivery marks, the share
+// decode buffer and the aggregate. The broadcast bytes are shared with every
+// mapper they reach, each of which decodes them before it shares: round r+1
+// overwrites them only if round r folded every such mapper (else they are
+// lent).
+type reduceScratch struct {
+	bcast    []byte
+	lent     bool
+	reach    transport.Roster
+	ready    transport.Roster
+	got      []bool
+	shareBuf []uint64
+	sum      []float64
 }
 
 // sessionEnv is what the Reducer and every Mapper of one job share.
@@ -303,10 +318,8 @@ func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 	// Per-session scratch, reused every round so the reduce hot loop does not
 	// allocate.
 	e.scratch.reach, e.scratch.got = transport.NewRoster(m), make([]bool, m)
-	if e.handshake {
-		e.scratch.ready = transport.NewRoster(m)
-	}
 	if e.deadline > 0 {
+		e.scratch.ready = transport.NewRoster(m)
 		e.win = newRecvWindow(ctx)
 		defer e.win.disarm()
 	}
@@ -380,7 +393,7 @@ func (e *engine) settle(roster transport.Roster) {
 // cohort, so the first lost share lands here and the job fails with what lost
 // it.
 func (e *engine) belowQuorum(n int) error {
-	if !e.elastic && e.lost != nil {
+	if e.deadline == 0 && e.lost != nil {
 		return e.lost
 	}
 	return fmt.Errorf("%w: roster of %d at round %d, need %d", ErrQuorum, n, e.round, e.quorum)
@@ -398,8 +411,8 @@ const maxStuckAttempts = 3
 const setupGrace = 100
 
 // collectRound executes the communication half of round e.round: broadcast,
-// the handshake when the policy has one, and share collection with re-roster
-// retries. It returns the final roster the sum was folded over.
+// the handshake under a straggler deadline, and share collection with
+// re-roster retries. It returns the final roster the sum was folded over.
 func (e *engine) collectRound(ctx context.Context, state []float64) (transport.Roster, []float64, error) {
 	r := e.round
 	e.lost, e.sent = nil, 0
@@ -419,7 +432,7 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 			return nil, nil, err
 		}
 	}
-	if e.handshake && roster.Count() >= e.quorum {
+	if e.deadline > 0 && roster.Count() >= e.quorum {
 		// Everyone who answers before the deadline makes the roster; the
 		// deadline only matters when someone doesn't.
 		grace := e.deadline
@@ -448,8 +461,7 @@ func (e *engine) collectRound(ctx context.Context, state []float64) (transport.R
 // due reports whether the round's broadcast goes to mapper i on schedule:
 // every round while it is in the roster, and rounds d+1, d+2, d+4, … after
 // its demotion at round d. The broadcast set is exactly what the ready window
-// and the loose share fold wait for and admit, so a member off schedule costs
-// no window.
+// waits for and admits, so a member off schedule costs no window.
 func (e *engine) due(i int) bool {
 	k := e.round - e.since[i]
 	return e.prev.Has(i) || k&(k-1) == 0
@@ -535,24 +547,18 @@ func (e *engine) collectReady(ctx context.Context, eligible transport.Roster, fi
 	return roster, nil
 }
 
-// void reports whether losing a member voids the collection in progress:
-// always under the handshake (the masked telescope can no longer cancel, so
-// the survivors must re-derive over the smaller roster), and for any fold
-// once the roster is below quorum. Otherwise the fold is loose and keeps what
-// it has — the responders ARE the roster.
-func (e *engine) void(roster transport.Roster) bool {
-	return e.handshake || roster.Count() < e.quorum
-}
-
-// collectShares runs one share collection over roster: declare it (handshake
-// only), then fold shares until every member delivered or the window closes.
-// A member lost mid-collection — silent past the deadline, or aborting — is
-// struck from roster. It reports whether the collection is done: if not, it
-// was voided and the caller collects again over the shrunken roster.
+// collectShares runs one share collection over roster: declare it (under a
+// straggler deadline), then fold shares until every member delivered or the
+// window closes. A member lost mid-collection — silent past the deadline, or
+// aborting — is struck from roster and voids the collection: a masked
+// telescope no longer cancels, so the survivors re-derive over the smaller
+// roster, and without a deadline the quorum is the cohort. It reports whether
+// the collection is done: if not, the caller collects again over the
+// shrunken roster.
 func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]float64, bool, error) {
 	r := e.round
 	var stamp transport.Roster
-	if e.handshake {
+	if e.deadline > 0 {
 		stamp = roster
 		hdr := e.header(r)
 		hdr.Roster = roster
@@ -571,14 +577,14 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 			}
 		}
 	}
-	if err := e.fold.reset(roster.Count()); err != nil {
+	if err := e.col.ResetFor(roster.Count()); err != nil {
 		return nil, false, err
 	}
 	got := e.scratch.got
 	for i := range got {
 		got[i] = false
 	}
-	e.want, e.stamp = e.fold.kind(), stamp
+	e.want, e.stamp = e.kind, stamp
 	wctx := e.window(ctx, e.deadline)
 	collected, rearms := 0, 0
 	for collected < roster.Count() {
@@ -588,7 +594,7 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 				return nil, false, fmt.Errorf("mapreduce reduce: %w", err)
 			}
 			e.timeouts.Inc()
-			e.journal.Emit(reducerName, "round.timeout", e.trace, r, "", e.fold.kind(), 0, float64(collected))
+			e.journal.Emit(reducerName, "round.timeout", e.trace, r, "", e.kind, 0, float64(collected))
 			// Only a straggler deadline expires. Never demote below quorum on
 			// a single one: the missing shares are usually in flight rather
 			// than lost, and they stay foldable under this roster's stamp — so
@@ -596,11 +602,6 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 			// Demoting the whole cohort for one tight window would abort a
 			// healthy job.
 			if collected < e.quorum && rearms < maxStuckAttempts {
-				if !e.handshake { // a loose fold admits whoever it reaches
-					if err := e.reach(ctx, roster, true); err != nil {
-						return nil, false, err
-					}
-				}
 				rearms++
 				e.journal.Emit(reducerName, "window.rearm", e.trace, r, "", "", 0, float64(rearms))
 				wctx = e.window(ctx, e.deadline)
@@ -612,10 +613,7 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 					roster.Remove(i)
 				}
 			}
-			if e.void(roster) {
-				return nil, false, nil
-			}
-			break
+			return nil, false, nil
 		}
 		id, ok := e.idOf[msg.From]
 		if !ok {
@@ -635,9 +633,7 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 				// the error names the aborter and the round.
 				roster.Remove(id)
 				e.lost = fmt.Errorf("%w: abort from %q at round %d", ErrAborted, msg.From, e.round)
-				if e.void(roster) {
-					return nil, false, nil
-				}
+				return nil, false, nil
 			}
 			continue
 		}
@@ -645,7 +641,12 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 			msg.Release()
 			continue // duplicate or out-of-roster share: ignore
 		}
-		if err := e.fold.add(msg.Payload); err != nil {
+		share, err := securesum.DecodeSharesInto(e.scratch.shareBuf, msg.Payload)
+		if err == nil {
+			e.scratch.shareBuf = share
+			err = e.col.Add(share)
+		}
+		if err != nil {
 			return nil, false, fmt.Errorf("share from %q: %w", msg.From, err)
 		}
 		got[id] = true
@@ -653,6 +654,10 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 		e.journal.Emit(reducerName, "share.recv", e.trace, r, msg.From, msg.Kind, int64(len(msg.Payload)), 0)
 		msg.Release()
 	}
-	sum, err := e.fold.sum()
-	return sum, true, err
+	sum, err := e.col.SumInto(e.scratch.sum)
+	if err != nil {
+		return nil, false, err
+	}
+	e.scratch.sum = sum
+	return sum, true, nil
 }

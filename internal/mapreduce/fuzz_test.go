@@ -6,10 +6,10 @@ import (
 )
 
 // FuzzWireDecode feeds arbitrary bytes to the package's vector decoder (the
-// frame of broadcasts and plain shares): it must reject malformed frames with
-// an error (never panic or over-allocate), and any frame it accepts must
-// re-encode to exactly the same bytes — the wire format is canonical, so
-// decode is a bijection on the accepted set.
+// frame of broadcasts): it must reject malformed frames with an error (never
+// panic or over-allocate), and any frame it accepts must re-encode to
+// exactly the same bytes — the wire format is canonical, so decode is a
+// bijection on the accepted set.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendVector(nil, []float64{0}))

@@ -245,10 +245,10 @@ func TestStrictShareFailureAborts(t *testing.T) {
 	})
 }
 
-// TestWireRoundTrip: the one float-vector codec of broadcasts and plain shares
-// round-trips bit for bit (signed zero, NaN payload bits and infinities
-// included), appends after what dst already holds, and rejects a byte count
-// that is not a multiple of 8 with ErrBadJob.
+// TestWireRoundTrip: the float-vector codec of broadcasts round-trips bit for
+// bit (signed zero, NaN payload bits and infinities included), appends after
+// what dst already holds, and rejects a byte count that is not a multiple of
+// 8 with ErrBadJob.
 func TestWireRoundTrip(t *testing.T) {
 	state := []float64{1.5, -2.25, math.Pi, math.Copysign(0, -1), math.Inf(-1), math.Float64frombits(0x7ff8_0000_dead_beef)}
 	b := appendVector(nil, state)

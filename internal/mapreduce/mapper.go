@@ -11,9 +11,9 @@ import (
 )
 
 // mapperEnv is what every Mapper of one job shares beyond the session: the
-// engine's resolved policy (whether rounds run the handshake), the job's
-// constants and the metric handles, built once in RunDistributed and read
-// only.
+// engine's resolved policy (a straggler deadline means rounds run the
+// handshake), the job's constants and the metric handles, built once in
+// RunDistributed and read only.
 type mapperEnv struct {
 	sessionEnv
 	policy
@@ -55,7 +55,7 @@ func mapperFilter(session uint64, round *int32) transport.Filter {
 }
 
 // mapperNode is the long-lived Mapper task: wait for a broadcast, compute the
-// local contribution, declare ready when the Reducer runs the handshake, and
+// local contribution, declare ready under a straggler deadline, and
 // serve every roster the Reducer declares for the round until it moves on;
 // exit on stop.
 type mapperNode struct {
@@ -69,7 +69,8 @@ type mapperNode struct {
 	round   int32     // the round being served; -1 before the first broadcast
 	state   []float64 // the broadcast state, decoded into one buffer for the job
 	contrib []float64 // this round's contribution
-	wire    []byte    // this round's plain share, encoded
+	ring    []uint64  // this round's plain share, ring-encoded
+	wire    []byte    // this round's plain share, framed for the wire
 	live    []bool    // the served roster, expanded
 
 	stale   transport.Filter  // sweeps frames of rounds before n.round
@@ -120,7 +121,7 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 			if err := n.startRound(&msg); err != nil {
 				return err
 			}
-			if env.handshake {
+			if env.deadline > 0 {
 				if err := n.declareReady(ctx); err != nil {
 					return err
 				}
@@ -194,12 +195,18 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 	hdr := n.header(n.round)
 	hdr.Roster = roster
 	if n.agg == AggregationPlain {
-		// The share is encoded into a buffer the mapper keeps: the Reducer
-		// folds round r's shares before it broadcasts round r+1, the only
-		// thing that makes this mapper write the buffer again (the argument
-		// SeededSession's wire scratch rests on).
-		n.wire = appendVector(n.wire[:0], n.contrib)
-		//ppml:flow-ok AggregationPlain is the deliberate no-privacy ablation baseline (Fig. 5 comparisons); selecting it is an explicit opt-out
+		// The masked share without its masks: the contribution's ring
+		// encoding, framed as a masked share is, in buffers the mapper keeps.
+		// The Reducer folds round r's shares before it broadcasts round r+1,
+		// the only thing that makes this mapper write them again (the
+		// argument SeededSession's scratch rests on).
+		ring, err := n.codec.EncodeVec(n.contrib, n.ring)
+		if err != nil {
+			return fmt.Errorf("mapper %d aggregation: %w", n.id, err)
+		}
+		n.ring = ring
+		n.wire = securesum.AppendShares(n.wire[:0], ring)
+		//ppml:flow-ok AggregationPlain is the deliberate no-privacy ablation baseline (BenchmarkAggregatorOverhead); selecting it is an explicit opt-out
 		if err := n.ep.Send(ctx, reducerName, KindPlainShare, hdr, n.wire); err != nil {
 			return fmt.Errorf("mapper %d: %w", n.id, err)
 		}

@@ -10,13 +10,13 @@ import (
 	"github.com/ppml-go/ppml/internal/transport"
 )
 
-// wiretap wraps a network and counts every delivered send by kind, plus the
-// sends whose envelope carries a roster bitset.
+// wiretap wraps a network and counts every delivered send by kind, and the
+// sends whose envelope carries a roster bitset, by kind too.
 type wiretap struct {
 	transport.Network
 	mu      sync.Mutex
 	kinds   map[string]int
-	stamped int
+	stamped map[string]int
 }
 
 func (w *wiretap) Endpoint(name string) (transport.Endpoint, error) {
@@ -38,7 +38,7 @@ func (e *wiretapEndpoint) Send(ctx context.Context, to, kind string, hdr transpo
 		e.tap.mu.Lock()
 		e.tap.kinds[kind]++
 		if hdr.Roster != nil {
-			e.tap.stamped++
+			e.tap.stamped[kind]++
 		}
 		e.tap.mu.Unlock()
 	}
@@ -46,25 +46,28 @@ func (e *wiretapEndpoint) Send(ctx context.Context, to, kind string, hdr transpo
 }
 
 // TestElasticNoFaultOverhead pins what a no-fault job puts on the wire under
-// each policy, frame for frame. Without a straggler deadline the engine skips
-// the handshake outright: a round is M broadcasts and M shares, no KindReady
-// or KindRoster frame exists, and no envelope carries a roster bitset. With
-// one, a masked round adds exactly M ready declarations
-// and M roster declarations. (What the extra 2M frames cost in wall-clock is
-// the benchmark's hl_rounds_tcp / hl_rounds_elastic_tcp pair.)
+// each policy and aggregation, frame for frame. Without a straggler deadline
+// the engine skips the handshake outright: a round is M broadcasts and M
+// shares, no KindReady or KindRoster frame exists, and no envelope carries a
+// roster bitset. With one, a round adds exactly M ready declarations and M
+// roster declarations, and every share is stamped with the roster it was
+// derived over. Plain aggregation has the masked shape frame for frame, less
+// the session's seed exchange: a plain share is a masked share without masks.
+// (What the extra 2M frames cost in wall-clock is the benchmark's
+// hl_rounds_tcp / hl_rounds_elastic_tcp pair.)
 func TestElasticNoFaultOverhead(t *testing.T) {
 	values := [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
 	m := len(values)
 	const rounds = 12
-	census := func(straggler time.Duration) *wiretap {
+	census := func(agg Aggregation, straggler time.Duration) *wiretap {
 		t.Helper()
 		job, red := newAveragingJob(values, rounds)
 		red.tol = 0 // run the full budget so every count is deterministic
-		tap := &wiretap{Network: transport.NewInProc(), kinds: map[string]int{}}
+		tap := &wiretap{Network: transport.NewInProc(), kinds: map[string]int{}, stamped: map[string]int{}}
 		defer tap.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		res, err := RunDistributed(ctx, job, DriverOptions{Network: tap, StragglerTimeout: straggler})
+		res, err := RunDistributed(ctx, job, DriverOptions{Network: tap, Aggregation: agg, StragglerTimeout: straggler})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,32 +76,39 @@ func TestElasticNoFaultOverhead(t *testing.T) {
 		}
 		return tap
 	}
-	check := func(name string, tap *wiretap, want map[string]int) {
+	check := func(name string, got, want map[string]int) {
 		t.Helper()
 		for kind, n := range want {
-			if got := tap.kinds[kind]; got != n {
-				t.Errorf("%s: %d %q frames, want %d", name, got, kind, n)
+			if got[kind] != n {
+				t.Errorf("%s: %d %q frames, want %d", name, got[kind], kind, n)
 			}
 		}
-		for kind, n := range tap.kinds {
+		for kind, n := range got {
 			if _, ok := want[kind]; !ok {
 				t.Errorf("%s: %d unexpected %q frames", name, n, kind)
 			}
 		}
 	}
-	session := map[string]int{securesum.KindSeed: m * (m - 1), KindStop: m}
+	for _, agg := range []struct {
+		name  string
+		agg   Aggregation
+		share string
+		setup map[string]int // the session's frames outside its rounds
+	}{
+		{"masked", AggregationMasked, securesum.KindShare, map[string]int{securesum.KindSeed: m * (m - 1), KindStop: m}},
+		{"plain", AggregationPlain, KindPlainShare, map[string]int{KindStop: m}},
+	} {
+		want := map[string]int{KindBroadcast: m * rounds, agg.share: m * rounds}
+		for k, n := range agg.setup {
+			want[k] = n
+		}
+		strict := census(agg.agg, 0)
+		check(agg.name+"/strict", strict.kinds, want) // 2M frames a round
+		check(agg.name+"/strict stamped", strict.stamped, map[string]int{})
 
-	strict := census(0)
-	want := map[string]int{KindBroadcast: m * rounds, securesum.KindShare: m * rounds}
-	for k, n := range session {
-		want[k] = n
+		elastic := census(agg.agg, 5*time.Second) // window far above round time: no timeouts
+		want[KindReady], want[KindRoster] = m*rounds, m*rounds
+		check(agg.name+"/elastic", elastic.kinds, want) // 4M frames a round
+		check(agg.name+"/elastic stamped", elastic.stamped, map[string]int{KindRoster: m * rounds, agg.share: m * rounds})
 	}
-	check("strict", strict, want) // 2M frames a round
-	if strict.stamped != 0 {
-		t.Errorf("strict: %d frames carry a roster bitset, want none", strict.stamped)
-	}
-
-	elastic := census(5 * time.Second) // window far above round time: no timeouts
-	want[KindReady], want[KindRoster] = m*rounds, m*rounds
-	check("elastic", elastic, want) // 4M frames a round
 }

@@ -19,8 +19,10 @@ const (
 	// AggregationMasked runs the Section V pairwise-mask secure summation
 	// protocol; the Reducer sees only the sum. This is the default.
 	AggregationMasked Aggregation = iota + 1
-	// AggregationPlain sends raw contributions; no privacy. Included for the
-	// overhead ablation and for debugging.
+	// AggregationPlain sends each contribution as the masked share without
+	// its masks: the same ring encoding and wire format, collected the same
+	// way, so it trains the masked job's model bit for bit. No privacy.
+	// Included for the overhead ablation and for debugging.
 	AggregationPlain
 )
 
@@ -124,8 +126,10 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	if agg == 0 {
 		agg = AggregationMasked
 	}
-	codec := fixedpoint.Default()
 	m := len(job.Mappers)
+	// Shares encode under the m-party bound whether masked or not, so a plain
+	// share obeys the range a masked one does.
+	codec := fixedpoint.Default().ForSummands(m)
 	pol, err := newPolicy(opts, agg, m)
 	if err != nil {
 		return nil, err
@@ -165,8 +169,12 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		eng.names[i] = fmt.Sprintf("mapper-%d", i)
 		eng.idOf[eng.names[i]] = i
 	}
-	if eng.fold, err = newFolder(agg, m, job.ContributionDim, codec, &eng.scratch); err != nil {
+	if eng.col, err = securesum.NewCollector(m, job.ContributionDim, codec); err != nil {
 		return nil, err
+	}
+	eng.kind = securesum.KindShare
+	if agg == AggregationPlain {
+		eng.kind = KindPlainShare
 	}
 	if eng.ep, err = net.Endpoint(reducerName); err != nil {
 		return nil, fmt.Errorf("mapreduce: reducer endpoint: %w", err)
@@ -211,7 +219,7 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		//ppml:err-ok best-effort teardown: a mapper that already exited, was demoted or sits behind a dead link cannot receive its stop, and must not mask the job result
 		_ = eng.ep.Send(ctx, name, KindStop, stopHdr, nil)
 	}
-	if pol.elastic {
+	if pol.deadline > 0 {
 		// Under a straggler deadline a mapper may be dead or partitioned: it
 		// never sees its stop and stays parked in RecvMatch. Closing the
 		// endpoints unblocks every mapper goroutine with ErrClosed so the

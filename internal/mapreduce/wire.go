@@ -16,7 +16,8 @@ const (
 	KindBroadcast = "mr.broadcast"
 	// KindStop tells Mappers the job finished. Its payload is empty.
 	KindStop = "mr.stop"
-	// KindPlainShare carries an unmasked contribution (plain aggregation).
+	// KindPlainShare carries an unmasked contribution (plain aggregation):
+	// the masked share's ring encoding and wire format, without the masks.
 	KindPlainShare = "mr.plainshare"
 	// KindCipherShare was the Paillier-encrypted contribution of a retired
 	// aggregation backend; no path sends it, and bench/'s tap still names it.
@@ -25,9 +26,9 @@ const (
 	// round it ended. Its payload is empty: the error may quote private values.
 	KindAbort = "mr.abort"
 	// KindReady tells the Reducer this Mapper has a contribution for the
-	// round and can join the roster (elastic, masked rounds). Its payload is
-	// empty: the round rides in the envelope, and the Reducer learns nothing
-	// from a declaration but who made it in time.
+	// round and can join the roster (rounds under a straggler deadline, masked
+	// or plain). Its payload is empty: the round rides in the envelope, and
+	// the Reducer learns nothing from a declaration but who made it in time.
 	KindReady = "mr.ready"
 	// KindRoster broadcasts the Reducer's declared participation set for a
 	// round; the roster rides in the envelope, the payload is empty. A
@@ -37,7 +38,7 @@ const (
 )
 
 // appendVector appends v as little-endian float64 words to dst, growing it at
-// most once: the frame of broadcasts and plain shares.
+// most once: the frame of broadcasts.
 func appendVector(dst []byte, v []float64) []byte {
 	dst = slices.Grow(dst, 8*len(v))
 	for _, x := range v {

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"github.com/ppml-go/ppml/internal/fixedpoint"
@@ -287,8 +288,10 @@ func randomVector(random io.Reader, dim int, dst []uint64) ([]uint64, error) {
 }
 
 // AppendShares appends the wire encoding of a ring vector to dst and returns
-// the extended slice, allocating only when dst lacks capacity.
+// the extended slice, growing it at most once, and only when dst lacks
+// capacity.
 func AppendShares(dst []byte, v []uint64) []byte {
+	dst = slices.Grow(dst, 8*len(v))
 	for _, x := range v {
 		dst = binary.LittleEndian.AppendUint64(dst, x)
 	}

@@ -411,8 +411,11 @@ func WithEvalSet(d *Dataset) Option {
 // process.
 func WithDistributed() Option { return func(o *options) { o.cfg.Distributed = true } }
 
-// WithPlainAggregation disables masking in distributed mode: the Reducer
-// sees raw local iterates. No privacy — provided for overhead comparisons.
+// WithPlainAggregation disables masking in distributed mode: each learner
+// sends its local iterate as the masked share without the masks, collected
+// the same way, so the Reducer sees the raw iterates and the job trains the
+// masked job's model bit for bit. No privacy — provided for overhead
+// comparisons.
 func WithPlainAggregation() Option {
 	return func(o *options) { o.cfg.Aggregation = mapreduce.AggregationPlain }
 }

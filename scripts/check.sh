@@ -88,6 +88,9 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # - one mask derivation: every masked share is a seeded session's; the
 #   paper's per-round mask exchange, its mode switch, options and flags are
 #   gone (Party stays as the tests' reference telescope).
+# - one share collection: a plain share is a ring share without masks,
+#   summed by the one securesum.Collector under the one handshake; the
+#   second fold, its folder interface and the loose plain round are gone.
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -123,6 +126,7 @@ HorizontalLogistic|HorizontalNaiveBayes|TrainHorizontalLogistic|TrainNaiveBayes|
 WithStaleness|StalenessDecay|asyncComputer|stalenessStamp|decayWeight|ppml_round_staleness|RunAsync|AsyncReport|printAsync~no~bounded staleness in non-test Go (elastic rounds are the one answer to a slow learner)
 WithPaperSplit|PaperSplit|ErrInfeasible|repairEquality|AblationSplit~no~the paper's printed (w, b) split or an equality other than yᵀλ = 0 in non-test Go (one HL update)
 MaskPerRound|WithPerRoundMasks|PerRoundParty|PerRoundMasks|KindMask|MaskMode|mask-mode|RecordMask~no~a second mask derivation in non-test Go (every masked share is a seeded session's)
+plainFold|maskedFold|newFolder|handshake bool|\.void\(~no~a second share fold or round shape in non-test Go (one share collection: a plain share is a ring share without masks)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 

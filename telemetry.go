@@ -32,7 +32,9 @@ func (t *Telemetry) Handler() http.Handler {
 	return telemetry.NewMux(t.reg)
 }
 
-// Snapshot returns a typed copy of every metric and the recent span ring.
+// Snapshot returns a typed copy of every metric, the flight recorder's
+// retained journal events (when the registry keeps a journal) and the run
+// info.
 func (t *Telemetry) Snapshot() *telemetry.Snapshot {
 	return t.reg.Snapshot()
 }
