@@ -23,7 +23,10 @@ var (
 	ErrBadPartition = errors.New("consensus: bad partition")
 )
 
-// qpTol is the KKT tolerance of the horizontal schemes' local dual solves.
+// qpTol is the floor of the horizontal schemes' local dual tolerance: a
+// mapper's first solve, every solve once the consensus moves less than about
+// 3.2e-4 a round, and any round whose move is not finite are held to it.
+// Farther from the fixed point a solve is looser (roundTolerance).
 const qpTol = 1e-6
 
 // Config are the training parameters shared by all four schemes. The zero

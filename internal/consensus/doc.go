@@ -56,6 +56,12 @@
 // Gw = (ΦPGᵀ)ᵀYλ + ρ·GPGᵀ(z−r_m), and its discriminant for a test point x
 // substitutes K(x, X_m) and K(x, X_g) rows into the same formulas (eq. 25).
 //
+// Both horizontal schemes solve their local dual inexactly: to
+// clamp(min(0.1·d, 10·d²), 1e-6, 1e-2) with d = ‖z_t − z_{t−1}‖₂, the
+// distance the broadcast moved into the round, so a solve is loose while the
+// consensus is far from its fixed point and as strict as 1e-6 once it is
+// near (localSolve; DESIGN.md §17).
+//
 // Vertical (VL/VK). With feature blocks X_m and per-block weights w_m, the
 // global problem is the sharing form min Σ_m ½‖w_m‖² + g(Σ_m X_m w_m) with
 // g the hinge loss over scores. Boyd's sharing ADMM gives:

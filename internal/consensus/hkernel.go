@@ -258,10 +258,9 @@ type hkMapper struct {
 	built    int
 
 	// Round scratch: p is sized to the largest chunk, gu to the landmarks.
-	p, gu     []float64 // p is ΦPGᵀu, then the QP's linear term
-	qpScratch qp.Scratch
-	opts      []qp.Option // the last one is the round's warm start
-	chunkDur  *telemetry.Histogram
+	p, gu    []float64 // p is ΦPGᵀu, then the QP's linear term
+	solve    localSolve
+	chunkDur *telemetry.Histogram
 
 	// With an eval set: the probe's share (see score) and its scratch, M′·Yλ
 	// (n), and l zeros (z = 0), the landmark coefficients and expansion's 3l
@@ -299,12 +298,7 @@ func newHKMapper(p *dataset.Dataset, id int, cfg Config, lm *landmarks) (*hkMapp
 	if mp.partial != nil {
 		mp.coef, mp.lmBuf = make([]float64, p.Len()), make([]float64, 5*l)
 	}
-	mp.opts = []qp.Option{
-		qp.WithTolerance(qpTol),
-		qp.WithTelemetry(cfg.Telemetry),
-		qp.WithScratch(&mp.qpScratch),
-		qp.WithWarmStart(nil),
-	}
+	mp.solve.init(l+1, cfg.Telemetry)
 	// The first chunk's blocks are built here rather than in round 0:
 	// constructors run one at a time and first rounds side by side, and the
 	// build's n_c × n_c intermediate should exist once, not once per learner.
@@ -379,8 +373,7 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	for i, pg := range p {
 		p[i] = float64(mp.cfg.Rho*yc[i]*pg) + float64(t*yc[i]) - 1
 	}
-	mp.opts[len(mp.opts)-1] = qp.WithWarmStart(c.lambda)
-	res, err := qp.SolveBox(qp.Problem{Q: mp.q, P: p, C: mp.cfg.C}, mp.opts...)
+	res, err := qp.SolveBox(qp.Problem{Q: mp.q, P: p, C: mp.cfg.C}, mp.solve.options(state, c.lambda)...)
 	if err != nil {
 		return nil, fmt.Errorf("consensus hk local solve: %w", err)
 	}

@@ -158,10 +158,9 @@ type hlMapper struct {
 
 	// Round scratch sized to the largest chunk, so steady-state rounds
 	// allocate nothing once every chunk has been visited.
-	p         []float64 // the QP's linear term, then Yλ
-	qpScratch qp.Scratch
-	opts      []qp.Option // the last one is the round's warm start
-	chunkDur  *telemetry.Histogram
+	p        []float64 // the QP's linear term, then Yλ
+	solve    localSolve
+	chunkDur *telemetry.Histogram
 }
 
 // newHLMapper builds the Map() task for learner id. mprime is the virtual
@@ -182,12 +181,7 @@ func newHLMapper(src dataset.RowSource, id, mprime int, cfg Config) (*hlMapper, 
 		p:        make([]float64, sched.chunkRows),
 		chunkDur: cfg.Telemetry.Histogram(metricChunkSeconds, telemetry.DurationBuckets),
 	}
-	mp.opts = []qp.Option{
-		qp.WithTolerance(qpTol),
-		qp.WithTelemetry(cfg.Telemetry),
-		qp.WithScratch(&mp.qpScratch),
-		qp.WithWarmStart(nil),
-	}
+	mp.solve.init(k+1, cfg.Telemetry)
 	return mp, nil
 }
 
@@ -223,12 +217,11 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 	for i := range p {
 		p[i] = float64(mp.eta*rho*y[i]*linalg.Dot(x.Row(i), u)) - 1 + float64(t*y[i])
 	}
-	mp.opts[len(mp.opts)-1] = qp.WithWarmStart(c.lambda)
 	// The joint (w, b) update's dual: the bias eliminated, its Hessian is
 	// Y(η·XXᵀ + (1/ρ)·11ᵀ)Y under the box alone. The solve works on the rows
 	// and never forms it.
 	lp := qp.LinearProblem{X: x, Y: y, Eta: mp.eta, Sigma: 1 / rho, P: p, C: mp.cfg.C}
-	res, err := qp.SolveLinearBox(lp, mp.opts...)
+	res, err := qp.SolveLinearBox(lp, mp.solve.options(state, c.lambda)...)
 	if err != nil {
 		return nil, fmt.Errorf("consensus hl local solve: %w", err)
 	}

@@ -48,6 +48,9 @@ func SolveUniformDiagEqualityBox(q0 float64, p []float64, c float64, y []float64
 		}
 	}
 	cfg := newConfig(opts, 0)
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 
 	nu, passes := diagRoot(&cfg, q0, p, c, y)
 	lambda, res := cfg.takeLambda(n)

@@ -69,6 +69,9 @@ func SolveLinearBox(p LinearProblem, opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	cfg := newConfig(opts, linearSweeps*p.X.Rows)
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	lambda, res := cfg.takeLambda(p.X.Rows)
 	if err := cfg.warm(lambda, p.C); err != nil {
 		return nil, err
@@ -108,6 +111,9 @@ func SolveLinearEqualityBox(p LinearProblem, opts ...Option) (*Result, error) {
 	}
 	n, k := p.X.Rows, p.X.Cols
 	cfg := newConfig(opts, linearSweeps*n)
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	lambda, res := cfg.takeLambda(n)
 	if err := cfg.warm(lambda, p.C); err != nil {
 		return nil, err

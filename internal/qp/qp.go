@@ -209,7 +209,20 @@ func newConfig(opts []Option, defaultMaxIter int) config {
 	return cfg
 }
 
-// WithTolerance sets the KKT-violation stopping tolerance (default 1e-6).
+// check rejects a tolerance no solve can stop on as asked: a NaN or negative
+// one is never met, so a solve would run to its cap or to machine precision,
+// and +Inf is met at once, so a solve would report Converged untouched. Zero
+// is legal: the solve runs until nothing moves.
+func (c *config) check() error {
+	if !(c.tol >= 0) || math.IsInf(c.tol, 1) {
+		return fmt.Errorf("%w: tolerance = %g, want finite ≥ 0", ErrBadProblem, c.tol)
+	}
+	return nil
+}
+
+// WithTolerance sets the KKT-violation stopping tolerance (default 1e-6). It
+// must be finite and ≥ 0; every solver rejects any other value with
+// ErrBadProblem.
 func WithTolerance(tol float64) Option { return Option{kind: optTolerance, f: tol} }
 
 // WithWarmStart seeds the solver with a previous solution. The point is
@@ -227,6 +240,9 @@ func SolveBox(p Problem, opts ...Option) (*Result, error) {
 	}
 	n := p.Q.Rows
 	cfg := newConfig(opts, denseMaxIter(n))
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 
 	lambda, res := cfg.takeLambda(n)
 	if err := cfg.warm(lambda, p.C); err != nil {
@@ -305,6 +321,9 @@ func SolveEqualityBox(p Problem, y []float64, opts ...Option) (*Result, error) {
 		}
 	}
 	cfg := newConfig(opts, denseMaxIter(n))
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 
 	lambda, res := cfg.takeLambda(n)
 	if err := cfg.warm(lambda, p.C); err != nil {

@@ -11,6 +11,16 @@ const (
 	metricUnconverged = "ppml_qp_unconverged_total"
 )
 
+// updateBuckets is ppml_qp_iterations' layout: 1–2–5 steps from one update
+// to a million. A diag solve takes a few passes, a kernel box solve 10²–10⁴
+// updates, and an HL chunk or partition solve 10³–2.5·10⁵, so every solver
+// lands in a finite bucket; the consensus round count keeps
+// telemetry.IterationBuckets.
+var updateBuckets = []float64{
+	1, 2, 5, 10, 20, 50, 100, 200, 500,
+	1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6,
+}
+
 // WithTelemetry records solver diagnostics into r on every successful solve:
 // ppml_qp_solves_total, a ppml_qp_iterations histogram and, for a solve that
 // returned at its update cap or stuck short of the tolerance,
@@ -28,7 +38,7 @@ func (c *config) record(solver string, res *Result) {
 	}
 	lbl := telemetry.L("solver", solver)
 	c.tel.Counter(metricSolves, lbl).Inc()
-	c.tel.Histogram(metricIterations, telemetry.IterationBuckets, lbl).Observe(float64(res.Iterations))
+	c.tel.Histogram(metricIterations, updateBuckets, lbl).Observe(float64(res.Iterations))
 	if !res.Converged {
 		c.tel.Counter(metricUnconverged, lbl).Inc()
 	}

@@ -186,6 +186,18 @@ if grep -nE 'MatMulT|SolveEqualityBox' internal/consensus/hlinear.go; then
 	exit 1
 fi
 
+echo "==> inexact local solves (every HL and HK solve takes the round's tolerance)"
+# A horizontal mapper's local dual is solved to the inexact-ADMM rule's
+# tolerance (localSolve.tolerance, DESIGN.md §17), which falls to qpTol as the
+# consensus settles. Any other tolerance handed to a solve in the package,
+# qpTol passed straight included, would be the fixed tolerance coming back
+# beside the rule.
+if grep -nE 'WithTolerance\(' internal/consensus/*.go | grep -v "_test.go" \
+	| grep -vE '^internal/consensus/localsolve\.go:[0-9]+:.*WithTolerance\(s\.tolerance\(state\)\)'; then
+	echo "error: a local solve in internal/consensus given a tolerance other than the round's (route it through localSolve)" >&2
+	exit 1
+fi
+
 echo "==> exact hinge prox (no bisection in the vertical reducer's solve)"
 # SolveUniformDiagEqualityBox finds the segment of the piecewise-linear s(ν)
 # holding the root and solves it in closed form, in a bounded number of passes.
