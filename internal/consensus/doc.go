@@ -140,8 +140,13 @@
 // Reducer those partial decisions (partialDecisions); the Reducer adds them
 // up with the public terms it holds — the vertical bias b, HK's landmark term
 // in z — and counts the signs, without building a model or reading a
-// learner's rows or coefficients. HL scores the consensus state. The trained
-// model is assembled once, after the job has drained every mapper. Both
+// learner's rows or coefficients. HL scores the consensus state. An HK mapper
+// keeps the kernel part of its partials as a running sum and adds in only the
+// rows whose dual moved since the last round; when as many moved as are
+// nonzero it rescores from zero, so no round scores more rows than a full
+// rescore (ppml_probe_kernel_rows_total counts them). The trained model is
+// assembled once, after the job has drained every mapper, and keeps each
+// learner's support rows only. Both
 // reducers end a round in one roundLog.record: the ‖Δz‖² series, its gauge
 // and journal event, the probe, and the Tol test.
 //

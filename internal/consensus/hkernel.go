@@ -23,7 +23,9 @@ type KernelHorizontalModel struct {
 	Landmarks *linalg.Matrix // X_g, shared by all learners
 
 	// Per-learner expansions: f_m(x) = Σ_i CoefX[m][i]·K(x, X_m[i]) +
-	// Σ_j CoefG[m][j]·K(x, X_g[j]) + B[m].
+	// Σ_j CoefG[m][j]·K(x, X_g[j]) + B[m]. X_m holds only the support rows
+	// of learner m, the rows of its partition whose coefficient is nonzero,
+	// in partition order; CoefX[m] has no zero entry.
 	SupportX []*linalg.Matrix
 	CoefX    [][]float64
 	CoefG    [][]float64
@@ -97,23 +99,44 @@ func (mod *KernelHorizontalModel) Predict(x []float64) float64 {
 // through the Woodbury identity so nothing infinite-dimensional is ever
 // materialized.
 func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Config) (*KernelHorizontalModel, *History, error) {
-	cfg, err := cfg.normalized()
+	cfg, lm, hk, err := newHKJob(parts, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	mappers := make([]mapreduce.IterativeMapper, len(hk))
+	for i, mp := range hk {
+		mappers[i] = mp
+	}
+	l := lm.xg.Rows
+	final, h, err := trainMean(ctx, cfg, "hk", mappers, l+1, lm.probe(cfg, hk))
+	if err != nil {
+		return nil, nil, err
+	}
+	// The job has drained every mapper, so their state is final.
+	model, err := lm.model(cfg.Kernel, hk, final[:l])
+	if err != nil {
+		return nil, nil, err
+	}
+	return model, h, nil
+}
+
+// newHKJob checks an HK job and builds what its rounds share, the
+// landmarks, and one mapper per partition; it returns the normalized cfg.
+func newHKJob(parts []*dataset.Dataset, cfg Config) (Config, *landmarks, []*hkMapper, error) {
+	cfg, err := cfg.normalized()
+	if err != nil {
+		return cfg, nil, nil, err
+	}
 	if err := kernel.Validate(cfg.Kernel); err != nil {
-		return nil, nil, fmt.Errorf("%w: kernel scheme needs a valid Config.Kernel: %v", ErrBadConfig, err)
+		return cfg, nil, nil, fmt.Errorf("%w: kernel scheme needs a valid Config.Kernel: %v", ErrBadConfig, err)
 	}
 	k, err := validateHorizontalParts(parts)
 	if err != nil {
-		return nil, nil, err
+		return cfg, nil, nil, err
 	}
 	if err := checkEvalSet(cfg, k); err != nil {
-		return nil, nil, err
+		return cfg, nil, nil, err
 	}
-	m := len(parts)
-	l := cfg.Landmarks
-
 	// Every chunk is a virtual learner (see virtualLearners), so the shared
 	// landmark matrices fold the virtual cohort size M′ = Σ_m J_m.
 	mprime := 0
@@ -122,48 +145,90 @@ func TrainHorizontalKernel(ctx context.Context, parts []*dataset.Dataset, cfg Co
 	}
 	lm, err := newLandmarks(cfg, k, mprime)
 	if err != nil {
-		return nil, nil, err
+		return cfg, nil, nil, err
 	}
-
-	mappers := make([]mapreduce.IterativeMapper, m)
-	hkMappers := make([]*hkMapper, m)
-	partials := make([]*partialDecisions, m)
+	hk := make([]*hkMapper, len(parts))
 	for i, p := range parts {
-		mp, err := newHKMapper(p, i, cfg, lm)
-		if err != nil {
-			return nil, nil, fmt.Errorf("learner %d: %w", i, err)
-		}
-		mappers[i], hkMappers[i], partials[i] = mp, mp, mp.partial
-	}
-	var probe func(state []float64) (float64, error)
-	if cfg.EvalSet != nil {
-		s, g := make([]float64, cfg.EvalSet.Len()), make([]float64, 3*l)
-		probe = func(state []float64) (float64, error) {
-			return lm.landmarkAccuracy(partials, state[:l], cfg.Rho, cfg.EvalSet.Y, s, g)
+		if hk[i], err = newHKMapper(p, i, cfg, lm); err != nil {
+			return cfg, nil, nil, fmt.Errorf("learner %d: %w", i, err)
 		}
 	}
-	final, h, err := trainMean(ctx, cfg, "hk", mappers, l+1, probe)
-	if err != nil {
-		return nil, nil, err
+	return cfg, lm, hk, nil
+}
+
+// probe returns the job's accuracy probe over the mappers' partial
+// decisions (landmarkAccuracy), or nil without an eval set.
+func (lm *landmarks) probe(cfg Config, hk []*hkMapper) func(state []float64) (float64, error) {
+	if cfg.EvalSet == nil {
+		return nil
 	}
-	// The job has drained every mapper, so their state is final: fold it and
-	// the consensus into the explicit coefficients of eq. (25).
+	l := lm.xg.Rows
+	partials := make([]*partialDecisions, len(hk))
+	for i, mp := range hk {
+		partials[i] = mp.partial
+	}
+	s, g := make([]float64, cfg.EvalSet.Len()), make([]float64, 3*l)
+	return func(state []float64) (float64, error) {
+		return lm.landmarkAccuracy(partials, state[:l], cfg.Rho, cfg.EvalSet.Y, s, g)
+	}
+}
+
+// model folds the mappers' final state and the consensus z into the explicit
+// coefficients of eq. (25). It reads the mappers' live fields, so it runs
+// once the job has drained every mapper goroutine. The learners' landmark
+// coefficients and matrix headers take one array each, and a learner's
+// support rows and their coefficients one more.
+func (lm *landmarks) model(k kernel.Kernel, hk []*hkMapper, z []float64) (*KernelHorizontalModel, error) {
+	m, l := len(hk), lm.xg.Rows
 	model := &KernelHorizontalModel{
-		Kernel:    cfg.Kernel,
+		Kernel:    k,
 		Landmarks: lm.xg,
 		SupportX:  make([]*linalg.Matrix, m),
 		CoefX:     make([][]float64, m),
 		CoefG:     make([][]float64, m),
 		B:         make([]float64, m),
 	}
-	scratch := make([]float64, 3*l)
-	for i, mp := range hkMappers {
-		model.SupportX[i], model.CoefX[i], model.CoefG[i] = mp.x, make([]float64, mp.x.Rows), make([]float64, l)
-		if model.B[i], err = mp.expansion(final[:l], model.CoefX[i], model.CoefG[i], scratch); err != nil {
-			return nil, nil, fmt.Errorf("consensus hk: learner %d expansion: %w", i, err)
+	maxRows := 0
+	for _, mp := range hk {
+		maxRows = max(maxRows, mp.x.Rows)
+	}
+	coefX, coefG, scratch := make([]float64, maxRows), make([]float64, m*l), make([]float64, 3*l)
+	support := make([]linalg.Matrix, m)
+	for i, mp := range hk {
+		cx := coefX[:mp.x.Rows]
+		model.CoefG[i] = coefG[i*l : (i+1)*l : (i+1)*l]
+		b, err := mp.expansion(z, cx, model.CoefG[i], scratch)
+		if err != nil {
+			return nil, fmt.Errorf("consensus hk: learner %d expansion: %w", i, err)
+		}
+		model.B[i], model.SupportX[i], model.CoefX[i] = b, &support[i], supportRows(mp.x, cx, &support[i])
+	}
+	return model, nil
+}
+
+// supportRows sets sx to the rows of x whose coefficient is nonzero, in
+// order, and returns those coefficients; the two share one allocation. They
+// are the rows kernel.Accumulate gathers from the whole expansion, so the
+// decisions they give have the same bits. The other rows add nothing to a
+// decision, and the model does not keep them.
+func supportRows(x *linalg.Matrix, coef []float64, sx *linalg.Matrix) []float64 {
+	nz := 0
+	for _, c := range coef {
+		if c != 0 {
+			nz++
 		}
 	}
-	return model, h, nil
+	n := nz * x.Cols
+	buf := make([]float64, n+nz)
+	*sx = linalg.Matrix{Rows: nz, Cols: x.Cols, Data: buf[:n:n]}
+	kept := buf[n:n]
+	for i, c := range coef {
+		if c != 0 {
+			copy(sx.Row(len(kept)), x.Row(i))
+			kept = append(kept, c)
+		}
+	}
+	return kept
 }
 
 // landmarks is what every learner of one horizontal-kernel job shares: the
@@ -262,11 +327,15 @@ type hkMapper struct {
 	solve    localSolve
 	chunkDur *telemetry.Histogram
 
-	// With an eval set: the probe's share (see score) and its scratch, M′·Yλ
-	// (n), and l zeros (z = 0), the landmark coefficients and expansion's 3l
-	// of scratch (5l).
-	partial     *partialDecisions
-	coef, lmBuf []float64
+	// With an eval set: the probe's share (see score); its running kernel
+	// part kp = K(X_e, X_m)·scored (E values) and scored, the M′·Yλ kp was
+	// last brought to (n); its scratch, M′·Yλ and then its change since
+	// scored (n), and l zeros (z = 0), the landmark coefficients and
+	// expansion's 3l of scratch (5l); and the count of the support rows the
+	// probe scores.
+	partial                 *partialDecisions
+	kp, scored, coef, lmBuf []float64
+	probeRows               *telemetry.Counter
 }
 
 // newHKMapper builds learner id's Map() task; lm.m is the virtual cohort
@@ -296,7 +365,9 @@ func newHKMapper(p *dataset.Dataset, id int, cfg Config, lm *landmarks) (*hkMapp
 		partial:  newPartials(cfg),
 	}
 	if mp.partial != nil {
-		mp.coef, mp.lmBuf = make([]float64, p.Len()), make([]float64, 5*l)
+		mp.kp, mp.lmBuf = make([]float64, cfg.EvalSet.Len()), make([]float64, 5*l)
+		mp.scored, mp.coef = make([]float64, p.Len()), make([]float64, p.Len())
+		mp.probeRows = cfg.Telemetry.Counter(metricProbeKernelRows)
 	}
 	mp.solve.init(l+1, cfg.Telemetry)
 	// The first chunk's blocks are built here rather than in round 0:
@@ -413,6 +484,14 @@ func (mp *hkMapper) Contribution(iter int, state []float64) ([]float64, error) {
 // where coefX, c and b̄ are the expansion at z = 0. The landmark coefficients
 // are linear in z, so c is the part that does not depend on z; the Reducer
 // adds the part that does once for all learners (landmarks.landmarkAccuracy).
+//
+// The kernel part is a running sum: a round adds K(X_e, X_m)·Δ into kp, Δ
+// the change of coefX since the last score, and kernel.Accumulate scores
+// only the rows whose coefficient moved. When Δ has as many nonzeros as
+// coefX, as in a mapper's first round, kp is rescored from zero over coefX
+// instead, so no round scores more rows than a full rescore and the
+// rounding the sum gathered is dropped. c and b̄ are l + 1 values, formed
+// afresh every round.
 func (mp *hkMapper) score() error {
 	l := mp.vl.dim
 	zero, c := mp.lmBuf[:l], mp.lmBuf[l:2*l]
@@ -420,11 +499,29 @@ func (mp *hkMapper) score() error {
 	if err != nil {
 		return err
 	}
-	dec := mp.partial.next
-	linalg.Zero(dec)
-	if err := kernel.Accumulate(mp.cfg.Kernel, mp.cfg.EvalSet.X, mp.x, mp.coef, dec); err != nil {
+	// coef becomes Δ and scored this round's coefX.
+	nnz, moved := 0, 0
+	for i, v := range mp.coef {
+		d := v - mp.scored[i]
+		mp.scored[i], mp.coef[i] = v, d
+		if v != 0 {
+			nnz++
+		}
+		if d != 0 {
+			moved++
+		}
+	}
+	rows := mp.coef
+	if moved >= nnz {
+		linalg.Zero(mp.kp)
+		rows, moved = mp.scored, nnz
+	}
+	if err := kernel.Accumulate(mp.cfg.Kernel, mp.cfg.EvalSet.X, mp.x, rows, mp.kp); err != nil {
 		return err
 	}
+	mp.probeRows.Add(int64(moved))
+	dec := mp.partial.next
+	copy(dec, mp.kp)
 	for j, cj := range c {
 		linalg.Axpy(cj, mp.lm.evalG.Row(j), dec)
 	}

@@ -16,7 +16,7 @@ import (
 
 // splitAndScale prepares a dataset the way Section VI does: 50/50 split,
 // standardized on the training statistics.
-func splitAndScale(t *testing.T, d *dataset.Dataset) (train, test *dataset.Dataset) {
+func splitAndScale(t testing.TB, d *dataset.Dataset) (train, test *dataset.Dataset) {
 	t.Helper()
 	train, test, err := d.Split(0.5)
 	if err != nil {
@@ -32,7 +32,7 @@ func splitAndScale(t *testing.T, d *dataset.Dataset) (train, test *dataset.Datas
 	return train, test
 }
 
-func horizontalParts(t *testing.T, train *dataset.Dataset, m int, seed int64) []*dataset.Dataset {
+func horizontalParts(t testing.TB, train *dataset.Dataset, m int, seed int64) []*dataset.Dataset {
 	t.Helper()
 	parts, _, err := partition.Horizontal(train, m, rand.New(rand.NewSource(seed)))
 	if err != nil {

@@ -16,6 +16,9 @@ const (
 	metricADMMRounds   = "ppml_admm_rounds"
 	metricDeltaZSq     = "ppml_admm_delta_z_sq"
 	metricEvalAccuracy = "ppml_admm_eval_accuracy"
+	// The support rows the HK mappers' accuracy probes scored: a count of
+	// kernel work, not of any learner's data.
+	metricProbeKernelRows = "ppml_probe_kernel_rows_total"
 )
 
 // roundLog is the per-round tail both consensus reducers share: the History

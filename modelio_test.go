@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/ppml-go/ppml"
+	"github.com/ppml-go/ppml/internal/consensus"
 )
 
 // trainEachScheme trains one small model per scheme plus the centralized
@@ -67,6 +68,50 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHKModelSavesSupportRowsOnly: a saved and loaded HK model holds each
+// learner's support rows only, the rows of its partition with a nonzero
+// coefficient, and scores as the trained one does, bit for bit
+// (consensus.TestHKModelKeepsSupportRows holds the trained model to the
+// whole expansion over every row).
+func TestHKModelSavesSupportRowsOnly(t *testing.T) {
+	train, test := prepared(t, 160)
+	res, err := ppml.Train(train, ppml.HorizontalKernel, ppml.WithLearners(2), ppml.WithIterations(8),
+		ppml.WithKernel(ppml.RBFKernel(0.1)), ppml.WithLandmarks(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ppml.SaveModelWithScaler(&buf, res.Model, nil); err != nil {
+		t.Fatal(err)
+	}
+	loaded, _, err := ppml.LoadModelWithScaler(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hk, ok := loaded.(*consensus.KernelHorizontalModel)
+	if !ok {
+		t.Fatalf("loaded a %T", loaded)
+	}
+	rows := 0
+	for m, coef := range hk.CoefX {
+		rows += hk.SupportX[m].Rows
+		for i, c := range coef {
+			if c == 0 {
+				t.Errorf("learner %d keeps support row %d with a zero coefficient", m, i)
+			}
+		}
+	}
+	if rows == 0 || rows >= train.Len() {
+		t.Errorf("the model keeps %d of %d training rows", rows, train.Len())
+	}
+	for i := 0; i < test.Len(); i++ {
+		x := test.Row(i)
+		if got, want := loaded.Decision(x), res.Model.Decision(x); got != want {
+			t.Fatalf("decision differs at %d: %g vs %g", i, got, want)
+		}
 	}
 }
 

@@ -305,13 +305,13 @@ go test -fuzz FuzzFrameStream -fuzztime 10s -run '^$' ./internal/transport/
 go test -fuzz FuzzWireDecode -fuzztime 10s -run '^$' ./internal/mapreduce/
 go test -fuzz FuzzPackedRoundtrip -fuzztime 10s -run '^$' ./internal/paillier/
 
-echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky and the VK ridge solve + Dot/Axpy and the fused HL sweep + the HK step's AxpyMaxViolator + the fused RBF row + the QP solvers + Paillier packing + scalability + minibatch + seeded share, 1 iteration; Accumulate, the RBF row and MatMulT2000x50 once per body: avx512, avx2, purego)"
+echo "==> bench smoke (Gram + probe-shaped Accumulate + tiled kernels + blocked Cholesky and the VK ridge solve + Dot/Axpy and the fused HL sweep + the HK step's AxpyMaxViolator + the fused RBF row + the QP solvers + Paillier packing + scalability + minibatch + the HK probe round + seeded share, 1 iteration; Accumulate, the RBF row and MatMulT2000x50 once per body: avx512, avx2, purego)"
 go test -run '^$' -bench 'Gram|Accumulate' -benchtime 1x ./internal/kernel/
 go test -run '^$' -bench 'SolveLinearBox|SolveUniformDiag|SolveBox' -benchtime 1x ./internal/qp/
 go test -run '^$' -bench 'MatMul500|MatMulT2000x50|Cholesky|Dot|Axpy|RBFRow664|LinearSweep' -benchtime 1x ./internal/linalg/
 go test -run '^$' -bench PaillierVector -benchtime 1x ./internal/paillier/
 go test -run '^$' -bench Scalability -benchtime 1x .
-go test -run '^$' -bench Minibatch -benchtime 1x ./internal/consensus/
+go test -run '^$' -bench 'Minibatch|HKProbeRound' -benchtime 1x ./internal/consensus/
 go test -run '^$' -bench SeededShare -benchtime 1x ./internal/securesum/
 
 echo "==> metrics smoke (live -metrics-addr endpoint on a real training run)"
