@@ -167,7 +167,7 @@ func (a *benchAverager) Contribution(iter int, state []float64) ([]float64, erro
 	return a.value, nil
 }
 
-func (a *benchAverager) Combine(iter int, sum []float64) ([]float64, bool, error) {
+func (a *benchAverager) Combine(iter int, sum []float64, _ int) ([]float64, bool, error) {
 	next := make([]float64, len(sum))
 	for i, v := range sum {
 		next[i] = v / float64(a.m)

@@ -130,11 +130,10 @@
 //
 // # The cohort is a weight
 //
-// Neither reducer knows how many learners there are. Before every Combine the
-// engine announces the weight of the round's sum (mapreduce.WeightedReducer):
-// the number of learners folded — M on the local engine and under strict
-// rounds, the live roster after a demotion — and every M in the Reducer
-// formulas above is that number. For the
+// Neither reducer knows how many learners there are. Every Combine is told
+// the weight of the round's sum, the number of learners folded — M on the
+// local engine and under strict rounds, the live roster after a demotion —
+// and every M in the Reducer formulas above is that number. For the
 // per-round accuracy probe (Config.EvalSet) each VL, VK and HK mapper scores
 // the eval rows on its own block at the end of Contribution and hands the
 // Reducer those partial decisions (partialDecisions); the Reducer adds them

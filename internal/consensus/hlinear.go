@@ -252,27 +252,20 @@ func (mp *hlMapper) Contribution(iter int, state []float64) ([]float64, error) {
 type meanConsensusReducer struct {
 	rounds roundLog // its probe scores prev, the state just folded
 
-	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
-	// the number of learners folded. It is the only cohort size the reducer knows.
-	weight float64
-
 	prev []float64
 	next []float64 // broadcast buffer, reused every round
 }
 
-// SetRoundWeight implements mapreduce.WeightedReducer: the consensus mean
-// divides by what was actually folded, so a round over a partial roster
-// averages the live iterates instead of shrinking them.
-func (r *meanConsensusReducer) SetRoundWeight(total float64) { r.weight = total }
-
-// Combine implements mapreduce.IterativeReducer.
-func (r *meanConsensusReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+// Combine implements mapreduce.IterativeReducer. The consensus mean divides
+// by the learners folded, the only cohort size the reducer knows, so a round
+// over a partial roster averages the live iterates instead of shrinking them.
+func (r *meanConsensusReducer) Combine(iter int, sum []float64, folded int) ([]float64, bool, error) {
 	if cap(r.next) < len(sum) {
 		r.next = make([]float64, len(sum))
 	}
 	next := r.next[:len(sum)]
 	for i, v := range sum {
-		next[i] = v / r.weight
+		next[i] = v / float64(folded)
 	}
 	var delta float64
 	if r.prev == nil {

@@ -364,20 +364,25 @@ func TestHLStreamedBitMatchesInMemoryMinibatch(t *testing.T) {
 }
 
 func TestHLStreamedLabelValidation(t *testing.T) {
-	d := dataset.TwoGaussians("g", 64, 4, 3, 19)
-	d.Y[10] = 0.5 // not ±1; only detectable at first chunk use
-	srcs := streamedSetup(t, []*dataset.Dataset{d})
-	_, _, err := TrainHorizontalLinearStreamed(context.Background(), srcs, Config{
-		C: 1, Rho: 1, MaxIterations: 8, ChunkRows: 8,
-	})
-	// The engine deliberately flattens mapper errors into ErrAborted (a
-	// remote learner's failure detail is not a sentinel); the chunk mapper's
-	// message must name the row but never echo the label value.
-	if !errors.Is(err, mapreduce.ErrAborted) {
-		t.Fatalf("bad streamed label: err = %v, want ErrAborted", err)
-	}
-	if !strings.Contains(err.Error(), "label is not ±1") || strings.Contains(err.Error(), "0.5") {
-		t.Errorf("unexpected error detail: %v", err)
+	for name, distributed := range map[string]bool{"local": false, "distributed": true} {
+		t.Run(name, func(t *testing.T) {
+			d := dataset.TwoGaussians("g", 64, 4, 3, 19)
+			d.Y[10] = 0.5 // not ±1; only detectable at first chunk use
+			srcs := streamedSetup(t, []*dataset.Dataset{d})
+			_, _, err := TrainHorizontalLinearStreamed(context.Background(), srcs, Config{
+				C: 1, Rho: 1, MaxIterations: 8, ChunkRows: 8, Distributed: distributed,
+			})
+			// Both engines deliberately flatten mapper errors into ErrAborted
+			// (a learner's failure detail is not a sentinel); the chunk
+			// mapper's message must name the row but never echo the label
+			// value.
+			if !errors.Is(err, mapreduce.ErrAborted) {
+				t.Fatalf("bad streamed label: err = %v, want ErrAborted", err)
+			}
+			if !strings.Contains(err.Error(), "label is not ±1") || strings.Contains(err.Error(), "0.5") {
+				t.Errorf("unexpected error detail: %v", err)
+			}
+		})
 	}
 }
 

@@ -113,8 +113,9 @@ type momentsReducer struct {
 	sum []float64
 }
 
-// Combine implements mapreduce.IterativeReducer.
-func (r *momentsReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+// Combine implements mapreduce.IterativeReducer. The moments are absolute
+// sums, so the folded count is not needed.
+func (r *momentsReducer) Combine(iter int, sum []float64, _ int) ([]float64, bool, error) {
 	r.sum = append([]float64(nil), sum...)
 	return []float64{1}, true, nil
 }

@@ -225,13 +225,6 @@ type verticalReducer struct {
 	cfg    Config
 	rounds roundLog // its probe sums the learners' partial decisions with b
 
-	// weight is what the upcoming round's sum adds up to (SetRoundWeight):
-	// the number of learners folded. A demoted vertical learner's feature block drops out of the consensus
-	// score for the round, so every M-dependent coefficient of the prox step
-	// is this weight, which keeps the fold consistent; it is the only cohort
-	// size the reducer knows.
-	weight float64
-
 	// sched is the Seed-derived schedule the mappers follow too: each round
 	// only its chunk's coordinates of the shared score vector are folded and
 	// prox-updated — with one chunk, all of them.
@@ -273,19 +266,19 @@ func newVerticalReducer(y []float64, cfg Config) *verticalReducer {
 	return r
 }
 
-// SetRoundWeight implements mapreduce.WeightedReducer: see the weight field.
-func (r *verticalReducer) SetRoundWeight(total float64) { r.weight = total }
-
 // Combine implements mapreduce.IterativeReducer: the (z, b)-update and dual
 // step of the sharing ADMM on the round's chunk coordinates, then the next
 // broadcast z̄ − ā − u over all of them. The residual is scaled by N/n_c so
-// Tol keeps its one-chunk meaning.
-func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+// Tol keeps its one-chunk meaning. A demoted vertical learner's feature block
+// drops out of the consensus score for the round, so every M of the prox step
+// is the folded count, which keeps the fold consistent; it is the only cohort
+// size the reducer knows.
+func (r *verticalReducer) Combine(iter int, sum []float64, folded int) ([]float64, bool, error) {
 	n := len(r.y)
 	if len(sum) != n {
 		return nil, false, fmt.Errorf("%w: aggregate of %d values for %d records", ErrBadPartition, len(sum), n)
 	}
-	mf := r.weight
+	mf := float64(folded)
 	_, lo, hi := r.sched.chunk(iter)
 	abar, u, y := r.abar[lo:hi], r.u[lo:hi], r.y[lo:hi]
 	for i := range abar {
@@ -294,7 +287,7 @@ func (r *verticalReducer) Combine(iter int, sum []float64) ([]float64, bool, err
 	d := linalg.AddVec(u, abar, r.d[:hi-lo])
 
 	// Prox-hinge dual: min ½(M/ρ)‖λ‖² + (M·Y·d − 1)ᵀλ, 0 ≤ λ ≤ C, yᵀλ = 0
-	// (M being the round's announced weight).
+	// (M being the folded count).
 	p := r.p[:hi-lo]
 	for i := range p {
 		p[i] = float64(mf*y[i]*d[i]) - 1

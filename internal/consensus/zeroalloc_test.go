@@ -67,7 +67,6 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 		mappers[i] = mp
 	}
 	red := newVerticalReducer(y, cfg)
-	red.SetRoundWeight(float64(m))
 	live := make([]bool, m)
 	for i := range live {
 		live[i] = true
@@ -125,7 +124,7 @@ func TestSteadyStateRoundZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next, _, err := red.Combine(iter, sum)
+		next, _, err := red.Combine(iter, sum, m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,19 +97,15 @@ func (m *benchMapper) Contribution(iter int, state []float64) ([]float64, error)
 // benchReducer averages over the live roster and never declares convergence:
 // the benchmark measures protocol latency over a fixed round budget.
 type benchReducer struct {
-	weight float64
-	state  []float64
+	state []float64
 }
 
-// SetRoundWeight implements mapreduce.WeightedReducer.
-func (r *benchReducer) SetRoundWeight(total float64) { r.weight = total }
-
-func (r *benchReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+func (r *benchReducer) Combine(iter int, sum []float64, folded int) ([]float64, bool, error) {
 	if r.state == nil {
 		r.state = make([]float64, len(sum))
 	}
 	for i := range sum {
-		r.state[i] += sum[i] / r.weight
+		r.state[i] += sum[i] / float64(folded)
 	}
 	return r.state, false, nil
 }

@@ -39,7 +39,7 @@ func (m *slowMapper) Contribution(iter int, state []float64) ([]float64, error) 
 }
 
 // elasticAveragingReducer is the roster-aware averaging consensus: it divides
-// the aggregate by the round's announced weight (SetRoundWeight — the live
+// the aggregate by the mappers the round folded (Combine's folded — the live
 // participant count) instead of the fixed cohort, and optionally refuses to
 // declare convergence until the full cohort is back — so a test can assert the post-rejoin state
 // rather than a partial-roster fixed point.
@@ -48,7 +48,7 @@ type elasticAveragingReducer struct {
 	tol       float64
 	needFull  bool
 	lastState []float64
-	// participants records every SetRoundWeight call, in round order.
+	// participants records every Combine's folded count, in round order.
 	participants []int
 }
 
@@ -56,12 +56,9 @@ func newElasticAveragingReducer(m int, needFull bool) *elasticAveragingReducer {
 	return &elasticAveragingReducer{m: m, n: m, tol: 1e-9, needFull: needFull}
 }
 
-func (r *elasticAveragingReducer) SetRoundWeight(total float64) {
-	r.n = int(total)
+func (r *elasticAveragingReducer) Combine(iter int, sum []float64, folded int) ([]float64, bool, error) {
+	r.n = folded
 	r.participants = append(r.participants, r.n)
-}
-
-func (r *elasticAveragingReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
 	delta := 0.0
 	next := make([]float64, len(sum))
 	for i := range sum {
@@ -156,14 +153,14 @@ func TestElasticDemoteAndRejoin(t *testing.T) {
 		if got, ok := snap.GaugeValue("ppml_round_participants"); !ok || got != float64(m) {
 			t.Errorf("ppml_round_participants = %v (ok=%v), want %d on the full final round", got, ok, m)
 		}
-		// SetRoundWeight saw the shrunken rounds.
+		// Combine saw the shrunken rounds.
 		shrunk := false
 		for _, n := range red.participants {
 			if n < m {
 				shrunk = true
 			}
 			if n < 1 || n > m {
-				t.Errorf("SetRoundWeight(%d) outside [1, %d]", n, m)
+				t.Errorf("folded %d outside [1, %d]", n, m)
 			}
 		}
 		if !shrunk {
@@ -249,9 +246,8 @@ type loggingReducer struct {
 	done   *atomic.Bool
 }
 
-func (r *loggingReducer) SetRoundWeight(total float64) { r.n = int(total) }
-
-func (r *loggingReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+func (r *loggingReducer) Combine(iter int, sum []float64, folded int) ([]float64, bool, error) {
+	r.n = folded
 	next := make([]float64, len(sum))
 	for i := range sum {
 		next[i] = r.prev[i] + sum[i]/float64(2*r.n)
@@ -374,7 +370,7 @@ func TestElasticShareLostAfterReady(t *testing.T) {
 	}
 	for _, n := range red.participants {
 		if n != m-1 {
-			t.Errorf("SetRoundWeight(%d), want every fold over the %d survivors", n, m-1)
+			t.Errorf("folded %d, want every fold over the %d survivors", n, m-1)
 		}
 	}
 	// Every round re-declares: the roster sizes journalled per round, in
@@ -702,8 +698,8 @@ type lastRoundReducer struct {
 	onLast func()
 }
 
-func (r *lastRoundReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
-	next, _, err := r.elasticAveragingReducer.Combine(iter, sum)
+func (r *lastRoundReducer) Combine(iter int, sum []float64, folded int) ([]float64, bool, error) {
+	next, _, err := r.elasticAveragingReducer.Combine(iter, sum, folded)
 	if iter == r.last {
 		r.onLast()
 	}
@@ -753,9 +749,9 @@ func TestElapsedEndsWithTheLastRound(t *testing.T) {
 	}
 }
 
-// TestRoundWeightIsFoldedRosterWeight pins the one reducer hook against the
-// journal: the weight announced before a round's Combine is the number of
-// mappers whose shares the round folded, with or without the handshake.
+// TestRoundWeightIsFoldedRosterWeight pins Combine's folded argument against
+// the journal: it is the number of mappers whose shares the round folded,
+// with or without the handshake.
 func TestRoundWeightIsFoldedRosterWeight(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -786,7 +782,7 @@ func TestRoundWeightIsFoldedRosterWeight(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(red.participants) != res.Iterations {
-				t.Fatalf("%d SetRoundWeight calls over %d rounds", len(red.participants), res.Iterations)
+				t.Fatalf("%d Combine calls over %d rounds", len(red.participants), res.Iterations)
 			}
 			// Replay the reducer's journal: who delivered over the round's
 			// last roster — each roster.declared starts a new collection.
@@ -807,7 +803,7 @@ func TestRoundWeightIsFoldedRosterWeight(t *testing.T) {
 			}
 			for r, got := range red.participants {
 				if got != len(folded[r]) {
-					t.Errorf("round %d: SetRoundWeight(%d), journal says %d shares folded", r, got, len(folded[r]))
+					t.Errorf("round %d: Combine told %d folded, journal says %d shares folded", r, got, len(folded[r]))
 				}
 			}
 		})

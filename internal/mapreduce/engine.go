@@ -99,12 +99,13 @@ type engine struct {
 
 	res *DriverResult
 
-	round int32            // the round in progress
-	prev  transport.Roster // the roster the previous round folded
-	dead  []bool           // permanently demoted (aborted or unreachable)
-	since []int32          // the round each mapper outside prev was demoted
-	sent  int              // mappers this round's broadcast reached
-	lost  error            // what cost the round its most recent roster member: an abort or an unreachable endpoint
+	round   int32            // the round in progress
+	prev    transport.Roster // the roster the previous round folded
+	dead    []bool           // permanently demoted (aborted or unreachable)
+	since   []int32          // the round each mapper outside prev was demoted
+	sent    int              // mappers this round's broadcast reached
+	lost    error            // what cost the round its most recent roster member: an abort or an unreachable endpoint
+	aborter int              // the mapper whose abort lost reports; -1 when lost is not an abort
 
 	// The receive phase in progress: the kind it waits for and the roster a
 	// share must be stamped with (nil outside the handshake). phase is accept
@@ -313,7 +314,6 @@ func expired(ctx context.Context, err error) bool {
 func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 	m := len(e.names)
 	state := append([]float64(nil), job.InitialState...)
-	weighted, _ := job.Reducer.(WeightedReducer)
 	e.prev, e.dead, e.since = transport.FullRoster(m), make([]bool, m), make([]int32, m)
 	// Per-session scratch, reused every round so the reduce hot loop does not
 	// allocate.
@@ -350,10 +350,7 @@ func (e *engine) run(ctx context.Context, job IterativeJob) ([]float64, error) {
 		e.journal.Emit(reducerName, "round.end", e.trace, e.round, "", "", 0, secs)
 		e.settle(roster)
 
-		if weighted != nil {
-			weighted.SetRoundWeight(float64(roster.Count()))
-		}
-		next, done, err := job.Reducer.Combine(iter, sum)
+		next, done, err := job.Reducer.Combine(iter, sum, roster.Count())
 		if err != nil {
 			return state, fmt.Errorf("%w: reducer at iteration %d: %v", ErrAborted, iter, err)
 		}
@@ -415,7 +412,7 @@ const setupGrace = 100
 // re-roster retries. It returns the final roster the sum was folded over.
 func (e *engine) collectRound(ctx context.Context, state []float64) (transport.Roster, []float64, error) {
 	r := e.round
-	e.lost, e.sent = nil, 0
+	e.lost, e.aborter, e.sent = nil, -1, 0
 	if e.scratch.lent { // a mapper the last round did not fold may still decode them
 		e.scratch.bcast = nil
 	}
@@ -483,7 +480,7 @@ func (e *engine) reach(ctx context.Context, set transport.Roster, recall bool) e
 			if ctx.Err() != nil {
 				return err
 			}
-			e.dead[i], e.lost = true, err
+			e.dead[i], e.lost, e.aborter = true, err, -1
 			continue
 		}
 		set.Add(i)
@@ -632,7 +629,7 @@ func (e *engine) collectShares(ctx context.Context, roster transport.Roster) ([]
 				// payload — the mapper's error may quote private values — so
 				// the error names the aborter and the round.
 				roster.Remove(id)
-				e.lost = fmt.Errorf("%w: abort from %q at round %d", ErrAborted, msg.From, e.round)
+				e.lost, e.aborter = fmt.Errorf("%w: abort from %q at round %d", ErrAborted, msg.From, e.round), id
 				return nil, false, nil
 			}
 			continue

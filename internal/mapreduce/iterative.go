@@ -24,24 +24,16 @@ type IterativeMapper interface {
 // IterativeReducer is the Reduce() side: it receives only the aggregated sum
 // of all Mapper contributions and produces the next broadcast state.
 type IterativeReducer interface {
-	// Combine folds the aggregate into the next state. done=true ends the
-	// job with next as the final state. The runtime may reuse sum's backing
-	// array after Combine returns; implementations that keep the aggregate
-	// must copy it.
-	Combine(iter int, sum []float64) (next []float64, done bool, err error)
-}
-
-// WeightedReducer is an IterativeReducer whose combine step scales to how much
-// was folded: a consensus mean or a proximal weight divides by the cohort the
-// sum actually covers, not the one the job started with. Both engines call
-// SetRoundWeight before every Combine with the number of mappers the round's
-// sum folded: the whole cohort under RunLocalContext and under strict rounds,
-// the live roster under elastic ones. Reducers whose aggregates are absolute
-// sums (counts, moments) simply don't implement it.
-type WeightedReducer interface {
-	IterativeReducer
-	// SetRoundWeight announces how many mappers the next Combine's sum folded.
-	SetRoundWeight(total float64)
+	// Combine folds the aggregate into the next state. folded is the number
+	// of mappers whose contributions sum adds up: the whole cohort under
+	// RunLocalContext and under strict rounds, the live roster under elastic
+	// ones, so a consensus mean or a proximal weight divides by the cohort
+	// the sum actually covers, not the one the job started with. Reducers
+	// whose aggregates are absolute sums (counts, moments) ignore it.
+	// done=true ends the job with next as the final state. The runtime may
+	// reuse sum's backing array after Combine returns; implementations that
+	// keep the aggregate must copy it.
+	Combine(iter int, sum []float64, folded int) (next []float64, done bool, err error)
 }
 
 // Errors returned by the engines.
@@ -125,7 +117,6 @@ func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, e
 	contribs := make([][]float64, m)
 	errs := make([]error, m)
 	sum := make([]float64, job.ContributionDim)
-	weighted, _ := job.Reducer.(WeightedReducer)
 	for iter := 0; iter < job.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -159,10 +150,7 @@ func RunLocalContext(ctx context.Context, job IterativeJob) (*IterativeResult, e
 		roundDur.Observe(secs)
 		rounds.Inc()
 		journal.Emit(reducerName, "round.end", telemetry.TraceID{}, int32(iter), "", "", 0, secs)
-		if weighted != nil {
-			weighted.SetRoundWeight(float64(m))
-		}
-		next, done, err := job.Reducer.Combine(iter, sum)
+		next, done, err := job.Reducer.Combine(iter, sum, m)
 		if err != nil {
 			return nil, fmt.Errorf("%w: reducer at iteration %d: %v", ErrAborted, iter, err)
 		}

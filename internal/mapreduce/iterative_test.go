@@ -46,7 +46,7 @@ type averagingReducer struct {
 	history []float64
 }
 
-func (r *averagingReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+func (r *averagingReducer) Combine(iter int, sum []float64, _ int) ([]float64, bool, error) {
 	// state ← state + mean(contribution) means next = prev + sum/m; but the
 	// reducer only sees the sum, so reconstruct next directly: the driver
 	// passes contributions relative to current state, so the step size is

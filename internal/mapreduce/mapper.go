@@ -89,7 +89,7 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 	// round message interleaving (the reducer's early broadcasts wait in the
 	// reorder buffer).
 	if env.agg == AggregationMasked {
-		n.seeded, err = securesum.SetupSeeded(ctx, ep, env.names, id, env.dim, env.codec, nil, env.header(securesum.SetupRound), env.sstel)
+		n.seeded, err = securesum.SetupSeeded(ctx, ep, env.names, id, env.dim, env.codec, env.header(securesum.SetupRound), env.sstel)
 		if err != nil {
 			return fmt.Errorf("mapper %d aggregation setup: %w", id, err)
 		}
@@ -122,8 +122,10 @@ func runMapperNode(ctx context.Context, env *mapperEnv, id int, ep transport.End
 				return err
 			}
 			if env.deadline > 0 {
-				if err := n.declareReady(ctx); err != nil {
-					return err
+				// This mapper holds a contribution for the round and can
+				// join its roster.
+				if err := ep.Send(ctx, reducerName, KindReady, n.header(n.round), nil); err != nil {
+					return fmt.Errorf("mapper %d: ready: %w", id, err)
 				}
 				continue
 			}
@@ -167,16 +169,6 @@ func (n *mapperNode) startRound(msg *transport.Message) error {
 		return fmt.Errorf("%w: mapper %d at iteration %d: %v", ErrAborted, n.id, n.round, err)
 	}
 	n.journal.Emit(n.node, "solve.end", n.trace, n.round, "", "", 0, time.Since(start).Seconds())
-	return nil
-}
-
-// declareReady tells the Reducer this mapper holds a contribution for the
-// round and can join its roster.
-func (n *mapperNode) declareReady(ctx context.Context) error {
-	if err := n.ep.Send(ctx, reducerName, KindReady, n.header(n.round), nil); err != nil {
-		return fmt.Errorf("mapper %d: ready: %w", n.id, err)
-	}
-	n.journal.Emit(n.node, "ready.sent", n.trace, n.round, reducerName, "", 0, 0)
 	return nil
 }
 
@@ -225,6 +217,5 @@ func (n *mapperNode) serve(ctx context.Context, roster transport.Roster) error {
 		return fmt.Errorf("mapper %d: %w", n.id, err)
 	}
 	n.sstel.RecordShare(len(payload))
-	n.journal.Emit(n.node, "share.sent", n.trace, n.round, reducerName, securesum.KindShare, int64(len(payload)), 0)
 	return nil
 }

@@ -29,7 +29,7 @@ func (m *statefulMapper) Contribution(iter int, state []float64) ([]float64, err
 
 type dampingReducer struct{ rounds int }
 
-func (r *dampingReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+func (r *dampingReducer) Combine(iter int, sum []float64, _ int) ([]float64, bool, error) {
 	next := make([]float64, len(sum))
 	for i, v := range sum {
 		next[i] = v * 0.5

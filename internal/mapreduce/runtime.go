@@ -2,7 +2,9 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -202,10 +204,13 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 		dim:        job.ContributionDim,
 		sstel:      sstel,
 	}
-	mapperErrs := make(chan error, m)
+	mapperErrs := make([]error, m)
+	var mappers sync.WaitGroup
+	mappers.Add(m)
 	for i := 0; i < m; i++ {
 		go func(i int) {
-			mapperErrs <- runMapperNode(ctx, env, i, mapEPs[i], job.Mappers[i])
+			defer mappers.Done()
+			mapperErrs[i] = runMapperNode(ctx, env, i, mapEPs[i], job.Mappers[i])
 		}(i)
 	}
 
@@ -229,12 +234,18 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 			_ = ep.Close()
 		}
 	}
-	// Mapper errors are roster events, reported to the Reducer as aborts or
-	// silence — the engine's outcome stands alone.
-	for i := 0; i < m; i++ {
-		<-mapperErrs
-	}
+	// Mapper errors reach the engine as roster events, an abort or silence,
+	// and decide the job's outcome only through them.
+	mappers.Wait()
 	if jobErr != nil {
+		// An abort frame carries no payload, so the round-stamped error names
+		// only the aborter; but every mapper runs in this process, so the
+		// error of the one that ended the job joins it, as the local engine
+		// wraps a failed Contribution. A teardown error says nothing the job
+		// error does not.
+		if id := eng.aborter; id >= 0 && errors.Is(jobErr, eng.lost) && !teardown(mapperErrs[id]) {
+			jobErr = errors.Join(jobErr, mapperErrs[id])
+		}
 		// Post-mortem flight-recorder dump (PPML_JOURNAL_DUMP-gated): the
 		// journal's last window is exactly the evidence an aborted
 		// distributed round leaves behind. Best-effort — the job error
@@ -246,4 +257,10 @@ func RunDistributed(ctx context.Context, job IterativeJob, opts DriverOptions) (
 	res.Net = net.Stats()
 	res.Elapsed = elapsed
 	return res, nil
+}
+
+// teardown reports whether a mapper's error is the job unwinding around it:
+// its endpoint closed, or the job's context ended.
+func teardown(err error) bool {
+	return errors.Is(err, transport.ErrClosed) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -31,7 +31,7 @@ func (m *stallingMapper) Contribution(iter int, state []float64) ([]float64, err
 // countingReducer sums forever (never signals done).
 type countingReducer struct{ dim int }
 
-func (r *countingReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+func (r *countingReducer) Combine(iter int, sum []float64, _ int) ([]float64, bool, error) {
 	return make([]float64, r.dim), false, nil
 }
 

@@ -88,7 +88,7 @@ func TestSeededRoundShareForCancels(t *testing.T) {
 					want[k] += values[i][k]
 				}
 			}
-			got, err := col.Sum()
+			got, err := col.SumInto(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestSeededRoundShareForMismatchedRostersPoison(t *testing.T) {
 	if err := col.Add(s1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := col.Sum()
+	got, err := col.SumInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +222,13 @@ func TestCollectorResetFor(t *testing.T) {
 	if err := col.Add(share); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := col.Sum(); err == nil {
+	if _, err := col.SumInto(nil); err == nil {
 		t.Fatal("sum before the roster completes must be ErrIncomplete")
 	}
 	if err := col.Add(share); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := col.Sum(); err != nil {
+	if _, err := col.SumInto(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Shrinking for one round does not cap later rounds: the full cohort is

@@ -20,7 +20,8 @@
 // keys over whichever roster the round runs. Party is the paper's literal
 // round, fresh masks drawn for every round, kept as the reference the
 // seeded telescope is tested against. Collector is the Reducer's side of
-// both, and RunParty/RunCollector drive one round over a transport.Network.
+// both, and package mapreduce's round engine runs them over a
+// transport.Network.
 package securesum
 
 import (
@@ -235,13 +236,9 @@ func (c *Collector) Add(share []uint64) error {
 	return nil
 }
 
-// Sum returns Σᵢ wᵢ once all m shares arrived.
-func (c *Collector) Sum() ([]float64, error) {
-	return c.SumInto(nil)
-}
-
-// SumInto is Sum decoded into dst under the fixedpoint reuse contract, for
-// reducers that drain one aggregate per round into the same buffer.
+// SumInto decodes Σᵢ wᵢ into dst once all m shares arrived, under the
+// fixedpoint reuse contract: a Reducer drains one aggregate per round into the
+// same buffer, and a nil dst allocates.
 func (c *Collector) SumInto(dst []float64) ([]float64, error) {
 	if c.seen != c.m {
 		return nil, fmt.Errorf("%w: %d of %d shares", ErrIncomplete, c.seen, c.m)

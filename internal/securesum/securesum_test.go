@@ -89,7 +89,7 @@ func maskedSum(values [][]float64, codec fixedpoint.Codec, random io.Reader) ([]
 			return nil, err
 		}
 	}
-	return col.Sum()
+	return col.SumInto(nil)
 }
 
 func TestMaskedSumCorrect(t *testing.T) {
@@ -321,7 +321,7 @@ func TestCollectorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := col.Sum(); !errors.Is(err, ErrIncomplete) {
+	if _, err := col.SumInto(nil); !errors.Is(err, ErrIncomplete) {
 		t.Errorf("early sum: err = %v, want ErrIncomplete", err)
 	}
 	if err := col.Add([]uint64{1}); !errors.Is(err, ErrProtocol) {
@@ -407,7 +407,7 @@ func TestShareRejectsWrappingSum(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seeded, err := col.Sum()
+	seeded, err := col.SumInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,9 @@ import (
 // KindSeed carries one pairwise mask seed between Mappers at session setup.
 const KindSeed = "securesum.seed"
 
+// KindShare carries a masked share from a Mapper to the Reducer.
+const KindShare = "securesum.share"
+
 // SeedSize is the byte length of one pairwise mask seed and of an AES-256 key.
 const SeedSize = 32
 
@@ -258,16 +261,17 @@ func seedFilter(session uint64) transport.Filter {
 }
 
 // SetupSeeded runs the one-time seed exchange of a session for one Mapper:
-// it sends a fresh seed to every peer, absorbs the m−1 peer seeds, and
-// returns the session state whose RoundShareBytesFor masks every subsequent
-// round. names and self are as in RunParty. base is the session's envelope
-// header — its Session scopes the exchange and its trace context rides on
-// every seed message; the round is overridden with SetupRound. tel (which
-// may be nil) counts the seed messages and times the handshake.
-func SetupSeeded(ctx context.Context, ep transport.Endpoint, names []string, self, dim int, codec fixedpoint.Codec, random io.Reader, base transport.Header, tel *Telemetry) (*SeededSession, error) {
+// it sends a seed drawn from crypto/rand to every peer, absorbs the m−1 peer
+// seeds, and returns the session state whose RoundShareBytesFor masks every
+// subsequent round. names are the cohort's endpoint names by party id, and
+// self is this Mapper's id. base is the session's envelope header — its
+// Session scopes the exchange and its trace context rides on every seed
+// message; the round is overridden with SetupRound. tel (which may be nil)
+// counts the seed messages and times the handshake.
+func SetupSeeded(ctx context.Context, ep transport.Endpoint, names []string, self, dim int, codec fixedpoint.Codec, base transport.Header, tel *Telemetry) (*SeededSession, error) {
 	start := time.Now()
 	m := len(names)
-	s, err := NewSeededSession(self, m, dim, base.Session, codec, random)
+	s, err := NewSeededSession(self, m, dim, base.Session, codec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +295,6 @@ func SetupSeeded(ctx context.Context, ep transport.Endpoint, names []string, sel
 			return nil, fmt.Errorf("securesum: send seed to %q: %w", names[peer], err)
 		}
 		tel.RecordSeed(len(seed))
-		tel.JournalSeedSent(names[self], names[peer], hdr.Trace, len(seed))
 	}
 	filter := seedFilter(base.Session)
 	for received := 0; received < m-1; received++ {
@@ -306,7 +309,6 @@ func SetupSeeded(ctx context.Context, ep transport.Endpoint, names []string, sel
 		if err := s.SetPeerSeed(peer, msg.Payload); err != nil {
 			return nil, err
 		}
-		tel.JournalSeedRecv(names[self], msg.From, hdr.Trace, len(msg.Payload))
 	}
 	tel.ObserveHandshake(time.Since(start))
 	tel.JournalHandshakeDone(names[self], hdr.Trace, time.Since(start))

@@ -69,7 +69,7 @@ func TestSeededSumMatchesPlain(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := col.Sum()
+		got, err := col.SumInto(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +478,8 @@ func TestSeededShareHidesValue(t *testing.T) {
 }
 
 // runSeededRounds executes a seeded session over a transport: one seed
-// handshake, then `rounds` aggregation rounds. Returns the last round's sum.
+// handshake, then `rounds` aggregation rounds, each folded by a Collector on
+// the reducer's endpoint. Returns the last round's sum.
 func runSeededRounds(t *testing.T, net transport.Network, values [][]float64, rounds int) []float64 {
 	t.Helper()
 	codec := fixedpoint.Default()
@@ -519,7 +520,7 @@ func runSeededRounds(t *testing.T, net transport.Network, values [][]float64, ro
 	errs := make(chan error, m)
 	for i := 0; i < m; i++ {
 		go func(i int) {
-			s, err := SetupSeeded(ctx, eps[i], names, i, dim, codec, nil, transport.Header{Session: session}, nil)
+			s, err := SetupSeeded(ctx, eps[i], names, i, dim, codec, transport.Header{Session: session}, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -542,11 +543,32 @@ func runSeededRounds(t *testing.T, net transport.Network, values [][]float64, ro
 			errs <- nil
 		}(i)
 	}
+	col, err := NewCollector(m, dim, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var share []uint64
 	var sum []float64
 	for round := 0; round < rounds; round++ {
-		hdr := transport.Header{Session: session, Round: int32(round)}
-		sum, err = RunCollector(ctx, red, m, dim, codec, hdr)
-		if err != nil {
+		col.Reset()
+		// The lockstep keeps every share the reducer can receive in this
+		// round: no mapper holds the next round's token yet.
+		for received := 0; received < m; received++ {
+			msg, err := red.Recv(ctx)
+			if err != nil {
+				t.Fatalf("collector round %d: %v", round, err)
+			}
+			if msg.Kind != KindShare || msg.Session != session || msg.Round != int32(round) || msg.Roster != nil {
+				t.Fatalf("collector round %d got kind %q %+v, want a strict round's share", round, msg.Kind, msg.Header())
+			}
+			if share, err = DecodeSharesInto(share, msg.Payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := col.Add(share); err != nil {
+				t.Fatalf("share from %q: %v", msg.From, err)
+			}
+		}
+		if sum, err = col.SumInto(sum); err != nil {
 			t.Fatalf("collector round %d: %v", round, err)
 		}
 		for _, tok := range tokens {
@@ -561,18 +583,52 @@ func runSeededRounds(t *testing.T, net transport.Network, values [][]float64, ro
 	return sum
 }
 
-func TestSeededDistributedInProc(t *testing.T) {
-	net := transport.NewInProc()
-	defer net.Close()
-	rng := rand.New(rand.NewSource(31))
-	values := randomValues(rng, 4, 6, 50)
-	got := runSeededRounds(t, net, values, 3)
+// assertSum fails unless got is the plain sum of values to within 1e-6.
+func assertSum(t *testing.T, got []float64, values [][]float64) {
+	t.Helper()
 	want := plainSum(values)
 	for j := range want {
 		if math.Abs(got[j]-want[j]) > 1e-6 {
 			t.Fatalf("element %d: %g, want %g", j, got[j], want[j])
 		}
 	}
+}
+
+func TestDistributedRoundInProc(t *testing.T) {
+	net := transport.NewInProc()
+	defer net.Close()
+	values := randomValues(rand.New(rand.NewSource(3)), 4, 6, 50)
+	assertSum(t, runSeededRounds(t, net, values, 1), values)
+}
+
+func TestDistributedRoundTCP(t *testing.T) {
+	net := transport.NewTCP()
+	defer net.Close()
+	values := randomValues(rand.New(rand.NewSource(4)), 3, 5, 50)
+	assertSum(t, runSeededRounds(t, net, values, 1), values)
+}
+
+func TestDistributedTrafficShape(t *testing.T) {
+	// One round moves exactly the session's m(m−1) seed messages of SeedSize
+	// bytes plus m share messages of 8·dim bytes.
+	net := transport.NewInProc()
+	defer net.Close()
+	const m, dim = 4, 6
+	runSeededRounds(t, net, randomValues(rand.New(rand.NewSource(5)), m, dim, 10), 1)
+	st := net.Stats()
+	if want := int64(m*(m-1) + m); st.Messages != want {
+		t.Errorf("messages = %d, want %d", st.Messages, want)
+	}
+	if want := int64(m*(m-1)*SeedSize + m*8*dim); st.Bytes != want {
+		t.Errorf("bytes = %d, want %d", st.Bytes, want)
+	}
+}
+
+func TestSeededDistributedInProc(t *testing.T) {
+	net := transport.NewInProc()
+	defer net.Close()
+	values := randomValues(rand.New(rand.NewSource(31)), 4, 6, 50)
+	assertSum(t, runSeededRounds(t, net, values, 3), values)
 }
 
 func TestSeededTrafficShape(t *testing.T) {

@@ -78,22 +78,6 @@ func (t *Telemetry) ObserveHandshake(d time.Duration) {
 // coordination metadata: node names, the trace identity, round counters,
 // byte counts, durations.
 
-// JournalSeedSent records one sent setup seed (byte count only).
-func (t *Telemetry) JournalSeedSent(node, peer string, trace telemetry.TraceID, bytes int) {
-	if t == nil {
-		return
-	}
-	t.journal.Emit(node, "seed.sent", trace, SetupRound, peer, "", int64(bytes), 0)
-}
-
-// JournalSeedRecv records one received setup seed (byte count only).
-func (t *Telemetry) JournalSeedRecv(node, peer string, trace telemetry.TraceID, bytes int) {
-	if t == nil {
-		return
-	}
-	t.journal.Emit(node, "seed.recv", trace, SetupRound, peer, "", int64(bytes), 0)
-}
-
 // JournalHandshakeDone records one completed seed exchange with its
 // duration in seconds.
 func (t *Telemetry) JournalHandshakeDone(node string, trace telemetry.TraceID, d time.Duration) {

@@ -2,10 +2,11 @@ package telemetry
 
 // Journal is the flight recorder: a bounded, lock-striped ring of typed,
 // scalar-only round-lifecycle events. The protocol packages emit events for
-// every interesting state transition — ready sent/received, roster declared,
-// demotion/rejoin, window re-arm, solve and mask-exchange phases, per-kind
-// sends and receives with byte counts — and the ring keeps the most recent window of them per node. ppml-trace merges
-// per-node dumps by TraceID and round into cross-node timelines
+// every interesting state transition — ready admitted, share folded, roster
+// declared, demotion/rejoin, window re-arm, solve and mask-exchange phases —
+// and the transport one per frame sent and received, with its kind and byte
+// count; the ring keeps the most recent window of them per node. ppml-trace
+// merges per-node dumps by TraceID and round into cross-node timelines
 // (DESIGN.md §16).
 //
 // Privacy stance: an event is a fixed tuple of scalars — node/peer names,

@@ -44,7 +44,7 @@ type fixtureReducer struct {
 	afterSetup func()
 }
 
-func (r *fixtureReducer) Combine(iter int, sum []float64) ([]float64, bool, error) {
+func (r *fixtureReducer) Combine(iter int, sum []float64, _ int) ([]float64, bool, error) {
 	if iter == 0 && r.afterSetup != nil {
 		r.afterSetup()
 	}

@@ -37,7 +37,7 @@ import (
 )
 
 // Wire kinds that carry a round share to the reducer. Pinned wire constants
-// (mapreduce/wire.go, securesum/protocol.go); declared here so the viewer
+// (mapreduce/wire.go, securesum/seeded.go); declared here so the viewer
 // stays decoupled from the protocol packages it post-processes.
 const (
 	kindMaskedShare = "securesum.share"

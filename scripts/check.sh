@@ -40,8 +40,8 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # would be a decision spelled twice again:
 # - one event ring: the journal is telemetry's only event substrate;
 # - one mapper per scheme: full batch is the one-chunk schedule;
-# - one configuration spine: a round's cohort is the one weight
-#   SetRoundWeight announces, and the removed knobs had no caller;
+# - one configuration spine: a round's cohort is the one weight Combine is
+#   told, and the removed knobs had no caller;
 # - one derivation per roster: a round's masks are expanded from the pair
 #   keys over the roster it declares, not exchanged over it;
 # - a round attempt is its roster, and a Contribution is deterministic;
@@ -91,6 +91,9 @@ echo "==> retired names (each removed surface stays gone from non-test Go)"
 # - one share collection: a plain share is a ring share without masks,
 #   summed by the one securesum.Collector under the one handshake; the
 #   second fold, its folder interface and the loose plain round are gone.
+# - one round driver: the engine runs every secure-summation round, securesum's
+#   one-shot party and collector are gone, Combine is told what it folded,
+#   and the transport's net.send/net.recv is the one record of a seed frame.
 # A dead export under internal/ fails TestInternalExportsUsed; it gets no row.
 retired_hits=0
 while IFS='~' read -r pattern bench_exempt reason; do
@@ -127,6 +130,7 @@ WithStaleness|StalenessDecay|asyncComputer|stalenessStamp|decayWeight|ppml_round
 WithPaperSplit|PaperSplit|ErrInfeasible|repairEquality|AblationSplit~no~the paper's printed (w, b) split or an equality other than yᵀλ = 0 in non-test Go (one HL update)
 MaskPerRound|WithPerRoundMasks|PerRoundParty|PerRoundMasks|KindMask|MaskMode|mask-mode|RecordMask~no~a second mask derivation in non-test Go (every masked share is a seeded session's)
 plainFold|maskedFold|newFolder|handshake bool|\.void\(~no~a second share fold or round shape in non-test Go (one share collection: a plain share is a ring share without masks)
+RunParty|RunCollector|WeightedReducer|SetRoundWeight|JournalSeedSent|JournalSeedRecv~no~a second round driver, a second reducer hook or a second record of a frame in non-test Go (one round driver: the engine runs every round and tells Combine what it folded)
 EOF
 [ "$retired_hits" -eq 0 ] || exit 1
 
